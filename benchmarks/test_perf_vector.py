@@ -3,8 +3,9 @@
 Compares the cost of dispatching one simulated RMA operation through each
 registered deterministic scheduler — ``baseline`` (the preserved seed
 scheduler), ``horizon`` (the min-heap scheduler) and ``vector`` (the
-descriptor-batched state-machine core) — at P in {64, 256}, and records the
-rows into ``BENCH_runtime.json`` under the ``vector`` suite key.
+descriptor-batched state-machine core) — at P in {64, 256}, and writes the
+rows under the ``vector`` suite key of a ``BENCH_runtime.json`` in pytest's
+``tmp_path`` (never the committed file: a test run leaves the tree clean).
 
 Two workload shapes are measured:
 
@@ -26,9 +27,9 @@ after all three runtimes produced bit-identical results on the workload.
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import get_runtime, runtime_names
@@ -36,8 +37,6 @@ from repro.bench.campaign import run_result_sha
 from repro.bench.perf import PerfCase, measure_case, update_bench_json
 from repro.bench.report import format_table
 from repro.topology.builder import cached_machine
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 #: Dispatch-cost comparison runtimes, slowest first (so the flood's
 #: cross-runtime determinism check fails on the reference, not the DUT).
@@ -125,7 +124,7 @@ def _measure_flood(procs: int, reps: int) -> List[Dict[str, object]]:
     return rows
 
 
-def test_perf_vector_dispatch_and_record():
+def test_perf_vector_dispatch_and_record(tmp_path):
     assert set(RUNTIMES) <= set(runtime_names(deterministic=True))
     reps = int(os.environ.get("REPRO_PERF_REPS", "2"))
 
@@ -151,8 +150,8 @@ def test_perf_vector_dispatch_and_record():
     )
     rows.append(e2e)
 
-    update_bench_json(
-        BENCH_JSON,
+    bench_json = update_bench_json(
+        tmp_path / "BENCH_runtime.json",
         "vector",
         {
             "suite": "vector-dispatch",
@@ -172,7 +171,8 @@ def test_perf_vector_dispatch_and_record():
         },
     )
     print("\n" + format_table(rows))
-    print(f"recorded: {BENCH_JSON} (suite key: vector)")
+    print(f"recorded: {bench_json} (suite key: vector)")
+    assert len(json.loads(bench_json.read_text())["vector"]["cases"]) == len(rows)
 
     # Gates: dispatch-bound flood must beat the seed scheduler comfortably,
     # and the vector runtime must stay in horizon's ballpark everywhere.

@@ -11,11 +11,12 @@ results, every measurement doubles as a determinism cross-check: a speedup
 number is only reported after the two runtimes' results were verified equal.
 
 Used by ``benchmarks/test_perf_runtime.py`` and
-``benchmarks/test_perf_vector.py`` (which record ``BENCH_runtime.json`` so
-future PRs can track simulator throughput) and by the ``python -m repro
-perf`` CLI subcommand.  ``profile_case`` backs ``repro perf --profile``: a
-cProfile/pstats hot-path report per case, written next to the bench JSON,
-so future perf PRs start from data instead of guesses.
+``benchmarks/test_perf_vector.py`` (which gate on the numbers and write the
+``BENCH_runtime.json`` format under pytest's ``tmp_path``) and by the
+``python -m repro perf`` CLI subcommand, whose ``--output BENCH_runtime.json``
+is the one way the committed manifest is recorded.  ``profile_case`` backs
+``repro perf --profile``: a cProfile/pstats hot-path report per case, written
+next to the bench JSON, so future perf PRs start from data instead of guesses.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from repro.rma.runtime_base import (
     RuntimeError_,
     SimDeadlockError,
     WindowInit,
+    allocate_windows,
 )
 from repro.rma.window import Window
 from repro.topology.machine import Machine
@@ -341,7 +342,6 @@ class BaselineSimRuntime(RMARuntime):
             raise ValueError("window_words must be >= 1")
 
         # Per-run state (created in run()).
-        self.windows: List[Window] = []
         self._states: List[_RankState] = []
         self._port_free: List[float] = []
         self._link_free: Dict[object, float] = {}
@@ -368,10 +368,6 @@ class BaselineSimRuntime(RMARuntime):
     def num_ranks(self) -> int:
         return self.machine.num_processes
 
-    def window(self, rank: int) -> Window:
-        """The window of ``rank`` from the most recent run (for inspection in tests)."""
-        return self.windows[rank]
-
     def run(
         self,
         program: Callable[..., Any],
@@ -383,12 +379,7 @@ class BaselineSimRuntime(RMARuntime):
         if program_args is not None and len(program_args) != nranks:
             raise ValueError(f"program_args must have one entry per rank ({nranks})")
 
-        self.windows = [Window(self.window_words) for _ in range(nranks)]
-        if window_init is not None:
-            for rank in range(nranks):
-                init = window_init(rank)
-                if init:
-                    self.windows[rank].load(init)
+        self.windows = allocate_windows(nranks, self.window_words, window_init)
 
         self._states = [_RankState(r) for r in range(nranks)]
         self._port_free = [0.0] * nranks

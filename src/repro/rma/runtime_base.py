@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.rma.ops import AtomicOp
+from repro.rma.window import Window
 
 __all__ = [
     "Cell",
@@ -60,6 +61,7 @@ __all__ = [
     "RuntimeError_",
     "SimDeadlockError",
     "WindowInit",
+    "allocate_windows",
 ]
 
 #: A (target_rank, offset) pair identifying one window word.
@@ -67,6 +69,21 @@ Cell = Tuple[int, int]
 
 #: Callable mapping a rank to its initial window contents ({offset: value}).
 WindowInit = Callable[[int], Mapping[int, int]]
+
+
+def allocate_windows(nranks: int, num_words: int, window_init: Optional[WindowInit]) -> List[Window]:
+    """Fresh zeroed windows for ``nranks`` ranks, each loaded from ``window_init(rank)``.
+
+    Returns only once every rank is initialized, so a runtime that installs
+    the result keeps its previous windows when ``window_init`` raises.
+    """
+    windows = [Window(num_words) for _ in range(nranks)]
+    if window_init is not None:
+        for rank, window in enumerate(windows):
+            init = window_init(rank)
+            if init:
+                window.load(init)
+    return windows
 
 
 class RuntimeError_(RuntimeError):
@@ -199,10 +216,17 @@ class ProcessContext(abc.ABC):
 class RMARuntime(abc.ABC):
     """A backend capable of running rank programs over RMA windows."""
 
+    #: One window per rank, installed by the most recent ``run``.
+    windows: Sequence[Window] = ()
+
     @property
     @abc.abstractmethod
     def num_ranks(self) -> int:
         """Number of ranks this runtime simulates/executes."""
+
+    def window(self, rank: int) -> Window:
+        """The window of ``rank`` from the most recent run (for inspection in tests)."""
+        return self.windows[rank]
 
     @abc.abstractmethod
     def run(

@@ -75,8 +75,8 @@ from repro.rma.runtime_base import (
     RuntimeError_,
     SimDeadlockError,
     WindowInit,
+    allocate_windows,
 )
-from repro.rma.window import Window
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 
@@ -384,7 +384,6 @@ class SimRuntime(RMARuntime):
         self._run_active = False
 
         # Per-run state (installed atomically at the top of run()).
-        self.windows: List[Window] = []
         self._states: List[_RankState] = []
         self._nranks = machine.num_processes
         self._port_free: List[float] = []
@@ -415,10 +414,6 @@ class SimRuntime(RMARuntime):
     @property
     def num_ranks(self) -> int:
         return self.machine.num_processes
-
-    def window(self, rank: int) -> Window:
-        """The window of ``rank`` from the most recent run (for inspection in tests)."""
-        return self.windows[rank]
 
     def run(
         self,
@@ -453,12 +448,7 @@ class SimRuntime(RMARuntime):
         # Build the fresh per-run state in locals first so a failure while
         # constructing it (e.g. a raising window_init) cannot leave the
         # instance with a half-reset mixture of old and new state.
-        windows = [Window(self.window_words) for _ in range(nranks)]
-        if window_init is not None:
-            for rank in range(nranks):
-                init = window_init(rank)
-                if init:
-                    windows[rank].load(init)
+        windows = allocate_windows(nranks, self.window_words, window_init)
         table = cost_table(self.latency, self.machine)
         perturbation = self.perturbation
         perturb_states: Optional[List[RankPerturbation]] = None

@@ -28,8 +28,8 @@ from repro.rma.runtime_base import (
     RMARuntime,
     RunResult,
     WindowInit,
+    allocate_windows,
 )
-from repro.rma.window import Window
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 
@@ -147,7 +147,6 @@ class ThreadRuntime(RMARuntime):
         self.spin_timeout_s = float(spin_timeout_s)
         if self.window_words < 1:
             raise ValueError("window_words must be >= 1")
-        self.windows: List[Window] = []
         self._locks: List[threading.Lock] = []
         self._barrier: threading.Barrier = threading.Barrier(self.num_ranks)
         self._abort = threading.Event()
@@ -155,9 +154,6 @@ class ThreadRuntime(RMARuntime):
     @property
     def num_ranks(self) -> int:
         return self.machine.num_processes
-
-    def window(self, rank: int) -> Window:
-        return self.windows[rank]
 
     def run(
         self,
@@ -170,15 +166,10 @@ class ThreadRuntime(RMARuntime):
         if program_args is not None and len(program_args) != nranks:
             raise ValueError(f"program_args must have one entry per rank ({nranks})")
 
-        self.windows = [Window(self.window_words) for _ in range(nranks)]
+        self.windows = allocate_windows(nranks, self.window_words, window_init)
         self._locks = [threading.Lock() for _ in range(nranks)]
         self._barrier = threading.Barrier(nranks)
         self._abort.clear()
-        if window_init is not None:
-            for rank in range(nranks):
-                init = window_init(rank)
-                if init:
-                    self.windows[rank].load(init)
 
         contexts = [ThreadProcessContext(self, r) for r in range(nranks)]
         results: List[Any] = [None] * nranks

@@ -87,8 +87,8 @@ from repro.rma.runtime_base import (
     RuntimeError_,
     SimDeadlockError,
     WindowInit,
+    allocate_windows,
 )
-from repro.rma.window import Window
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 
@@ -424,7 +424,6 @@ class VectorRuntime(RMARuntime):
         self._run_active = False
 
         # Per-run state (installed atomically at the top of run()).
-        self.windows: List[Window] = []
         self._mems: List[np.ndarray] = []
         self._states: List[_VRank] = []
         self._nranks = machine.num_processes
@@ -458,10 +457,6 @@ class VectorRuntime(RMARuntime):
     @property
     def num_ranks(self) -> int:
         return self.machine.num_processes
-
-    def window(self, rank: int) -> Window:
-        """The window of ``rank`` from the most recent run (for inspection in tests)."""
-        return self.windows[rank]
 
     def run(
         self,
@@ -606,12 +601,7 @@ class VectorRuntime(RMARuntime):
         program_args: Optional[Sequence[Any]],
         nranks: int,
     ) -> RunResult:
-        windows = [Window(self.window_words) for _ in range(nranks)]
-        if window_init is not None:
-            for rank in range(nranks):
-                init = window_init(rank)
-                if init:
-                    windows[rank].load(init)
+        windows = allocate_windows(nranks, self.window_words, window_init)
         table = cost_table(self.latency, self.machine)
         perturbation = self.perturbation
         perturb_states: Optional[List[RankPerturbation]] = None

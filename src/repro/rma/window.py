@@ -85,9 +85,23 @@ class Window:
     # -- bulk helpers ----------------------------------------------------- #
 
     def load(self, values: Mapping[int, int]) -> None:
-        """Initialize several offsets at once (used for window initialization)."""
-        for offset, value in values.items():
-            self.write(offset, value)
+        """Initialize several offsets at once: one range-checked bulk store.
+
+        Raises what ``write`` raises for the first bad word in mapping order but
+        stores nothing then, where a ``write`` loop kept the words before it; the
+        one caller in ``src/`` (``allocate_windows``) and the tests drop such a window.
+        """
+        try:
+            offsets = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+            words = np.fromiter(values.values(), dtype=np.int64, count=len(values))
+            if offsets.view(np.uint64).max(initial=0) >= self._mem.size:  # a negative reads as >= 2**63
+                raise IndexError("window offset out of range")
+        except (IndexError, OverflowError):
+            for offset, value in values.items():
+                self._check_offset(offset)
+                _check_int64(value)
+            raise
+        self._mem[offsets] = words
 
     def snapshot(self, offsets: Iterable[int] | None = None) -> Dict[int, int]:
         """Return a copy of selected offsets (all offsets when ``None``)."""

@@ -39,7 +39,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.api.registry import get_scheme
 from repro.core.lock_base import LockHandle, LockSpec
@@ -293,6 +296,17 @@ class LockTableSpec(LockSpec):
     scheme with a larger window footprint than the construction scheme.
     ``nranks`` (the machine's process count) drives home/tail rotation of
     swapped-in specs; 0 leaves swapped specs unrotated.
+
+    ``init_window`` of a table from :func:`build_lock_table` costs one
+    ``spec.init_window(rank)`` per *group* of entries that differ only in
+    ``base_offset`` (one group, or one per rotated home), not one per entry:
+    the group's first entry is evaluated and its words are tiled over the
+    group's slabs.  That relies on the **rebasing convention** —
+    ``replace(spec, base_offset=b).init_window(r)`` is ``spec.init_window(r)``
+    with every offset moved by ``b``, all inside the entry's slab — which is
+    checked against the group's last entry whenever a tile is built.  A table
+    that fails the check, and any hand-built ``LockTableSpec(specs=...)``, is
+    initialized by merging every entry's init, conflicting offsets rejected.
     """
 
     specs: Tuple[LockSpec, ...]
@@ -302,6 +316,14 @@ class LockTableSpec(LockSpec):
     min_entry_words: int = 0
     entries: Tuple[TableEntry, ...] = field(
         default=(), init=False, compare=False, repr=False
+    )
+    #: Recorded by :func:`build_lock_table`: index ranges of entries that
+    #: differ only in ``base_offset``.  ``None``: no such structure is known.
+    _tiling: Optional[Tuple[range, ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _tiles: Dict[Any, Dict[int, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -339,7 +361,57 @@ class LockTableSpec(LockSpec):
         # Always the construction-time layout: runtimes initialize windows
         # before the run starts, when every entry is pristine.  Swapped-in
         # specs re-initialize their slab words explicitly at the swap point.
+        if self._tiling is not None:
+            tiled = self._tiled_init(rank)
+            if tiled is not None:
+                return tiled
         return LockSpec.merge_inits(*(spec.init_window(rank) for spec in self.specs))
+
+    def _tiled_init(self, rank: int) -> Optional[Mapping[int, int]]:
+        """``rank``'s init from one evaluation per tile group; ``None`` if not re-basable."""
+        tiles = []
+        for group in self._tiling:
+            template = self.specs[group[0]].init_window(rank)
+            # Memoized by content, so ranks with equal inits share the tile.
+            key = (group[0], tuple(template.items()))
+            tile = self._tiles.get(key)
+            if tile is None:
+                tile = self._tile(group, template, rank)
+                if tile is None:
+                    object.__setattr__(self, "_tiling", None)
+                    return None
+                self._tiles[key] = tile
+            tiles.append(tile)
+        if len(tiles) == 1:
+            return MappingProxyType(tiles[0])  # shared between ranks: read-only
+        merged: Dict[int, int] = {}
+        for tile in tiles:
+            merged.update(tile)  # slabs are disjoint (checked in _tile)
+        return merged
+
+    def _tile(
+        self, group: range, template: Mapping[int, int], rank: int
+    ) -> Optional[Dict[int, int]]:
+        """``template`` (the init of the group's first entry) repeated at every
+        slab of ``group``; ``None`` when the rebasing convention does not hold
+        between the group's first and last entry."""
+        if len(group) == 1:
+            return dict(template)
+        slab = self.entries[group[0]]
+        if template and not (
+            slab.base_offset <= min(template)
+            and max(template) < slab.base_offset + slab.stride
+        ):
+            return None  # words outside the slab could collide with a neighbour's
+        bases = [self.entries[index].base_offset for index in group]
+        shifts = np.array(bases, dtype=np.int64) - slab.base_offset
+        reach = int(shifts[-1])
+        witness = self.specs[group[-1]].init_window(rank)
+        if witness != {offset + reach: value for offset, value in template.items()}:
+            return None
+        offsets = np.fromiter(template.keys(), dtype=np.int64, count=len(template))
+        tiled = (shifts[:, None] + offsets).ravel().tolist()
+        return dict(zip(tiled, list(template.values()) * len(group)))
 
     def make(self, ctx: ProcessContext) -> LockTableHandle:
         return LockTableHandle(self, ctx)
@@ -471,24 +543,30 @@ def build_lock_table(
     if getattr(base, "base_offset", 0) != 0:
         raise ValueError("lock tables require the base spec to start at base_offset 0")
     stride = max(base.window_words, int(min_entry_words))
+    # Rotate centralized homes across ranks so the table is sharded the way a
+    # real lock service would place it (distributed schemes such as rma-rw
+    # have no home field and are inherently spread already).
+    rotated = [name for name in ("home_rank", "tail_rank") if name in field_names]
     specs = [base]
     for index in range(1, num_locks):
         overrides: Dict[str, Any] = {"base_offset": index * stride}
-        # Rotate centralized homes across ranks so the table is sharded the
-        # way a real lock service would place it (distributed schemes such as
-        # rma-rw have no home field and are inherently spread already).
-        if "home_rank" in field_names:
-            overrides["home_rank"] = index % nranks
-        if "tail_rank" in field_names:
-            overrides["tail_rank"] = index % nranks
+        for name in rotated:
+            overrides[name] = index % nranks
         specs.append(dataclasses.replace(base, **overrides))
-    return (
-        LockTableSpec(
-            specs=tuple(specs), rw=info.rw, scheme=scheme, nranks=nranks,
-            min_entry_words=min_entry_words,
-        ),
-        info.rw,
+    table = LockTableSpec(
+        specs=tuple(specs), rw=info.rw, scheme=scheme, nranks=nranks,
+        min_entry_words=min_entry_words,
     )
+    # Record what init_window tiles over: entries given the same home differ
+    # only in base_offset.
+    groups = [range(num_locks)]
+    if rotated:
+        groups = [range(home, num_locks, nranks) for home in range(min(nranks, num_locks))]
+        if any(getattr(base, name) != 0 for name in rotated):
+            # Entry 0 is the builder's own spec, and its home was not rotated to 0.
+            groups[0:1] = [range(0, 1), range(nranks, num_locks, nranks)]
+    object.__setattr__(table, "_tiling", tuple(group for group in groups if group))
+    return table, info.rw
 
 
 def as_lock_table(spec: LockSpec, is_rw: bool) -> "LockTableSpec | StripedLockTableSpec":

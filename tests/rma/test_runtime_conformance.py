@@ -159,3 +159,33 @@ def test_session_round_trip_is_identical_across_runtimes(third_party_runtime):
         assert _session_sha(runtime_name) == reference, (
             f"Cluster.session round-trip on {runtime_name!r} diverged from horizon"
         )
+
+
+@pytest.mark.parametrize("runtime_name", runtime_names())
+def test_raising_window_init_keeps_the_previous_windows(runtime_name):
+    """Windows are installed only after ``window_init`` returned for every
+    rank: a failure part-way leaves the last run's windows inspectable."""
+    from repro.topology.builder import xc30_like
+
+    runtime = get_runtime(runtime_name).factory(xc30_like(4), window_words=3)
+    runtime.run(lambda ctx: None, window_init=lambda rank: {1: 10 + rank})
+    before = list(runtime.windows)
+
+    def bad_init(rank):
+        if rank == 2:
+            raise KeyError("bad init")
+        return {1: -1}
+
+    with pytest.raises(KeyError, match="bad init"):
+        runtime.run(lambda ctx: None, window_init=bad_init)
+    assert all(now is then for now, then in zip(runtime.windows, before))
+    assert [runtime.window(rank).read(1) for rank in range(4)] == [10, 11, 12, 13]
+
+    # A load the window rejects (checked per rank, after window_init) is the same.
+    with pytest.raises(IndexError, match="offset 3 out of range 0..2"):
+        runtime.run(lambda ctx: None, window_init=lambda rank: {rank: 1})
+    assert [runtime.window(rank).read(1) for rank in range(4)] == [10, 11, 12, 13]
+
+    result = runtime.run(lambda ctx: ctx.rank, window_init=lambda rank: {0: rank})
+    assert result.returns == [0, 1, 2, 3]
+    assert [runtime.window(rank).read(0) for rank in range(4)] == [0, 1, 2, 3]

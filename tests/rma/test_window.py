@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,8 +105,58 @@ class TestBulk:
 
     def test_load_rejects_bad_offset(self):
         w = Window(2)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"offset 5 out of range 0\.\.1"):
             w.load({5: 1})
+        with pytest.raises(IndexError, match=r"offset -1 out of range 0\.\.1"):
+            w.load({0: 1, -1: 1})
+        with pytest.raises(IndexError, match=r"offset \d+ out of range 0\.\.1"):
+            w.load({2**70: 1})  # beyond int64 too: still an offset error
+
+    def test_load_rejects_values_outside_int64(self):
+        w = Window(2)
+        for bad in (INT64_MAX + 1, INT64_MIN - 1, np.uint64(2**63)):
+            with pytest.raises(
+                OverflowError, match=f"value {int(bad)} does not fit in a 64-bit window word"
+            ):
+                w.load({0: 1, 1: bad})
+        w.load({0: INT64_MAX, 1: INT64_MIN})
+        assert w.snapshot() == {0: INT64_MAX, 1: INT64_MIN}
+
+    def test_load_reports_the_first_bad_word_like_sequential_writes(self):
+        with pytest.raises(IndexError):
+            Window(2).load({0: 1, 9: 1, 1: 2**64})
+        with pytest.raises(OverflowError):
+            Window(2).load({0: 1, 1: 2**64, 9: 1})
+
+    def test_failed_load_writes_nothing(self):
+        """The one behavioural change from the per-word loop (see ``load``)."""
+        w = Window(3, fill=7)
+        with pytest.raises(IndexError):
+            w.load({0: 1, 3: 1})
+        with pytest.raises(OverflowError):
+            w.load({1: 1, 2: 2**63})
+        assert w.snapshot() == {0: 7, 1: 7, 2: 7}
+
+    def test_load_of_an_empty_mapping_is_a_no_op(self):
+        w = Window(2, fill=3)
+        w.load({})
+        assert w.snapshot() == {0: 3, 1: 3}
+
+    def test_load_accepts_numpy_integers_and_read_only_mappings(self):
+        from types import MappingProxyType
+
+        w = Window(4)
+        w.load({np.int64(1): np.int64(-5), np.int32(3): np.uint8(200), 0: True})
+        assert w.snapshot() == {0: 1, 1: -5, 2: 0, 3: 200}
+        w.load(MappingProxyType({2: 9}))
+        assert w.read(2) == 9
+
+    def test_load_into_a_one_word_window(self):
+        w = Window(1)
+        w.load({0: -1})
+        assert w.snapshot() == {0: -1}
+        with pytest.raises(IndexError, match=r"offset 1 out of range 0\.\.0"):
+            w.load({1: 0})
 
 
 class TestPropertyBased:
@@ -140,3 +191,28 @@ class TestPropertyBased:
                 if model[offset] == a:
                     model[offset] = b
         assert [w.read(i) for i in range(4)] == model
+
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        items=st.dictionaries(
+            st.integers(min_value=-3, max_value=15),
+            st.integers(min_value=INT64_MIN - 2, max_value=INT64_MAX + 2),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_load_matches_sequential_writes(self, size, items):
+        """``load`` ends where a ``write`` per word ends, or raises what the
+        first failing ``write`` raises (then leaving the window untouched)."""
+        bulk, sequential = Window(size, fill=5), Window(size, fill=5)
+        try:
+            for offset, value in items.items():
+                sequential.write(offset, value)
+        except (IndexError, OverflowError) as error:
+            with pytest.raises(type(error)) as caught:
+                bulk.load(items)
+            assert str(caught.value) == str(error)
+            assert bulk.snapshot() == Window(size, fill=5).snapshot()
+        else:
+            bulk.load(items)
+            assert bulk.snapshot() == sequential.snapshot()

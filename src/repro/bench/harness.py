@@ -15,11 +15,19 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.registry import get_benchmark, get_runtime, get_scheme
 from repro.bench.workloads import LockBenchConfig
-from repro.core.lock_base import LockSpec, RWLockHandle, RWLockSpec
+from repro.core.lock_base import LockSpec, RWLockHandle, RWLockSpec, program_for_spec
 from repro.rma.fabric import FabricContentionModel
 from repro.rma.latency import LatencyModel
 from repro.rma.perturbation import PerturbationModel
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    BARRIER,
+    COMPUTE,
+    FLUSH,
+    GET,
+    PUT,
+    ProcessContext,
+)
 from repro.util.stats import summarize
 
 __all__ = [
@@ -187,10 +195,16 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
     benchmark registered with a custom ``program_factory`` replaces this
     default body entirely; the built-ins parameterize it declaratively via
     their :class:`~repro.api.registry.BenchmarkInfo` fields.
+
+    The loop is a step program (see :mod:`repro.rma.runtime_base`): the
+    horizon runtime steps it inline, every other runtime drives it on rank
+    threads.  For a spec whose handles are blocking-only the same loop is
+    returned in its blocking form (:func:`repro.core.lock_base.program_for_spec`).
     """
     bench_info = get_benchmark(config.benchmark)
     if bench_info.program_factory is not None:
-        return bench_info.program_factory(config, spec, is_rw, shared_offset)
+        program = bench_info.program_factory(config, spec, is_rw, shared_offset)
+        return program_for_spec(spec, config.machine, program)
     cs_lo, cs_hi = config.cs_compute_us
     wait_lo, wait_hi = config.wait_after_release_us
 
@@ -217,7 +231,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
         rng_random = rng.random
         rng_uniform = rng.uniform
         now = ctx.now
-        ctx.barrier()
+        yield (BARRIER,)
         start = now()
         latencies = []
         append_latency = latencies.append
@@ -231,37 +245,37 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             if is_rw:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
                 if as_writer:
-                    rw_lock.acquire_write()
+                    yield from rw_lock.acquire_write_steps()
                 else:
-                    rw_lock.acquire_read()
+                    yield from rw_lock.acquire_read_steps()
             else:
-                lock.acquire()
+                yield from lock.acquire_steps()
 
             # --- critical section body -------------------------------------- #
             if is_sob:
                 # Exactly one memory access on a shared remote location.
                 if as_writer:
-                    ctx.put(1, 0, shared_offset)
+                    yield (PUT, 1, 0, shared_offset)
                 else:
-                    ctx.get(0, shared_offset)
-                ctx.flush(0)
+                    yield (GET, 0, shared_offset)
+                yield (FLUSH, 0)
             elif is_wcsb:
                 # Increment a shared counter, then local computation of 1-4 us.
                 if as_writer:
-                    ctx.accumulate(1, 0, shared_offset)
+                    yield (ACCUMULATE, 1, 0, shared_offset)
                 else:
-                    ctx.get(0, shared_offset)
-                ctx.flush(0)
-                ctx.compute(float(rng_uniform(cs_lo, cs_hi)))
+                    yield (GET, 0, shared_offset)
+                yield (FLUSH, 0)
+                yield (COMPUTE, float(rng_uniform(cs_lo, cs_hi)))
             # lb / ecsb / warb: empty critical section.
 
             if is_rw:
                 if as_writer:
-                    rw_lock.release_write()
+                    yield from rw_lock.release_write_steps()
                 else:
-                    rw_lock.release_read()
+                    yield from rw_lock.release_read_steps()
             else:
-                lock.release()
+                yield from lock.release_steps()
             append_latency(now() - t0)
             if as_writer:
                 writes += 1
@@ -269,9 +283,9 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 reads += 1
 
             if is_warb:
-                ctx.compute(float(rng_uniform(wait_lo, wait_hi)))
+                yield (COMPUTE, float(rng_uniform(wait_lo, wait_hi)))
         end = now()
-        ctx.barrier()
+        yield (BARRIER,)
         return {
             "start": start,
             "end": end,
@@ -280,7 +294,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             "reads": reads,
         }
 
-    return program
+    return program_for_spec(spec, config.machine, program)
 
 
 def run_lock_benchmark_detailed(

@@ -27,7 +27,18 @@ from repro.api.registry import register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec, RWLockHandle, RWLockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    CAS,
+    COMPUTE,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = [
     "FompiSpinLockSpec",
@@ -81,26 +92,24 @@ class FompiSpinLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
-        ctx = self.ctx
+    def acquire_steps(self) -> Steps:
         spec = self.spec
         backoff = _BACKOFF_MIN_US
         while True:
-            prev = ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = yield (CAS, 1, 0, spec.home_rank, spec.lock_offset)
+            yield (FLUSH, spec.home_rank)
             if prev == 0:
                 return
             # Locked by someone else: back off, then spin on the value before
             # retrying the CAS (test-and-test-and-set).
-            ctx.compute(backoff)
+            yield (COMPUTE, backoff)
             backoff = min(backoff * 2.0, _BACKOFF_MAX_US)
-            ctx.spin_while(spec.home_rank, spec.lock_offset, lambda v: v != 0)
+            yield (SPIN_WHILE, spec.home_rank, spec.lock_offset, lambda v: v != 0)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
-        ctx.put(0, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        yield (PUT, 0, spec.home_rank, spec.lock_offset)
+        yield (FLUSH, spec.home_rank)
 
 
 @dataclass(frozen=True)
@@ -142,49 +151,45 @@ class FompiRWLockHandle(RWLockHandle):
 
     # -- reader side ------------------------------------------------------- #
 
-    def acquire_read(self) -> None:
-        ctx = self.ctx
+    def acquire_read_steps(self) -> Steps:
         spec = self.spec
         while True:
-            prev = ctx.fao(1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            ctx.flush(spec.home_rank)
+            prev = yield (FAO, 1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+            yield (FLUSH, spec.home_rank)
             if prev < _RW_WRITER_BIT:
                 return
             # A writer holds or awaits the lock: undo and wait for it to finish.
-            ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            ctx.flush(spec.home_rank)
-            ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+            yield (ACCUMULATE, -1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+            yield (FLUSH, spec.home_rank)
+            yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
 
-    def release_read(self) -> None:
-        ctx = self.ctx
+    def release_read_steps(self) -> Steps:
         spec = self.spec
-        ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        yield (ACCUMULATE, -1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
 
     # -- writer side ------------------------------------------------------- #
 
-    def acquire_write(self) -> None:
-        ctx = self.ctx
+    def acquire_write_steps(self) -> Steps:
         spec = self.spec
         while True:
-            current = ctx.get(spec.home_rank, spec.word_offset)
-            ctx.flush(spec.home_rank)
+            current = yield (GET, spec.home_rank, spec.word_offset)
+            yield (FLUSH, spec.home_rank)
             if current >= _RW_WRITER_BIT:
                 # Another writer is pending or active: wait for it to clear.
-                ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+                yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
                 continue
-            prev = ctx.cas(current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
-            ctx.flush(spec.home_rank)
+            prev = yield (CAS, current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
+            yield (FLUSH, spec.home_rank)
             if prev == current:
                 break
         # The writer bit is set: new readers bounce; wait for active readers to drain.
-        ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v != _RW_WRITER_BIT)
+        yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v != _RW_WRITER_BIT)
 
-    def release_write(self) -> None:
-        ctx = self.ctx
+    def release_write_steps(self) -> Steps:
         spec = self.spec
-        ctx.accumulate(-_RW_WRITER_BIT, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        yield (ACCUMULATE, -_RW_WRITER_BIT, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
 
 
 # --------------------------------------------------------------------------- #

@@ -23,8 +23,19 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.constants import WRITE_FLAG
 from repro.core.layout import LayoutAllocator
+from repro.core.lock_base import blocking_form
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    SPIN,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.mapping import CounterPlacement
 
 __all__ = ["DistributedCounterSpec", "DistributedCounterHandle"]
@@ -67,7 +78,12 @@ class DistributedCounterSpec:
 
 
 class DistributedCounterHandle:
-    """Per-process operations on the distributed counter (Listings 6, 9, 10)."""
+    """Per-process operations on the distributed counter (Listings 6, 9, 10).
+
+    Every operation is a ``*_steps`` generator (see "Step programs" in
+    :mod:`repro.rma.runtime_base`); the blocking method of the same name
+    without the suffix runs it through ``ctx.run_steps``.
+    """
 
     def __init__(self, spec: DistributedCounterSpec, ctx: ProcessContext):
         self.spec = spec
@@ -76,33 +92,31 @@ class DistributedCounterHandle:
 
     # -- reader side ------------------------------------------------------- #
 
-    def reader_arrive(self) -> int:
+    def reader_arrive_steps(self) -> Steps:
         """Atomically increment the local arrival count; return the previous value."""
-        ctx = self.ctx
-        prev = ctx.fao(1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        prev = yield (FAO, 1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
+        yield (FLUSH, self.my_counter)
         return prev
 
-    def reader_backoff(self) -> None:
+    def reader_backoff_steps(self) -> Steps:
         """Undo an arrival that exceeded ``T_R`` or raced with a writer (Listing 9, line 24)."""
-        ctx = self.ctx
-        ctx.accumulate(-1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        yield (ACCUMULATE, -1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
+        yield (FLUSH, self.my_counter)
 
-    def reader_depart(self) -> None:
+    def reader_depart_steps(self) -> Steps:
         """Record that this reader left the critical section (Listing 10)."""
-        ctx = self.ctx
-        ctx.accumulate(1, self.my_counter, self.spec.depart_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        yield (ACCUMULATE, 1, self.my_counter, self.spec.depart_offset, AtomicOp.SUM)
+        yield (FLUSH, self.my_counter)
 
-    def read_my_arrivals(self) -> int:
+    def read_my_arrivals_steps(self) -> Steps:
         """Current arrival count of this rank's physical counter."""
-        ctx = self.ctx
-        value = ctx.get(self.my_counter, self.spec.arrive_offset)
-        ctx.flush(self.my_counter)
+        value = yield (GET, self.my_counter, self.spec.arrive_offset)
+        yield (FLUSH, self.my_counter)
         return value
 
-    def spin_until_read_mode(self, t_r: int, writer_waiting: Optional[Callable[[], bool]] = None) -> None:
+    def spin_until_read_mode_steps(
+        self, t_r: int, writer_waiting: Optional[Callable[[], Steps]] = None
+    ) -> Steps:
         """Spin while the local counter is saturated or in WRITE mode.
 
         Listing 9 spins while ``ARRIVE >= T_R``.  We spin while ``ARRIVE > T_R``
@@ -124,15 +138,15 @@ class DistributedCounterHandle:
         counter would then wait forever (the reset duty belongs to an arriving
         reader, and none can arrive).  To stay live, a waiting reader that
         observes the counter saturated, in READ mode and with *no active
-        readers* resets the counter itself — unless ``writer_waiting`` reports
-        a queued writer, in which case it keeps waiting (the writer will take
-        over and reset the counter when it hands the lock back to the
-        readers).  Mutual exclusion is unaffected: the recovery reset never
-        admits the reader directly (it still re-executes the arrival FAO) and,
-        like every reader-initiated reset, it never touches the WRITE flag
-        (see :meth:`reset_counter`).
+        readers* resets the counter itself — unless ``writer_waiting`` (a
+        step generator function returning a bool) reports a queued writer, in
+        which case it keeps waiting (the writer will take over and reset the
+        counter when it hands the lock back to the readers).  Mutual
+        exclusion is unaffected: the recovery reset never admits the reader
+        directly (it still re-executes the arrival FAO) and, like every
+        reader-initiated reset, it never touches the WRITE flag (see
+        :meth:`reset_counter_steps`).
         """
-        ctx = self.ctx
         arrive_cell = (self.my_counter, self.spec.arrive_offset)
         depart_cell = (self.my_counter, self.spec.depart_offset)
 
@@ -144,40 +158,35 @@ class DistributedCounterHandle:
                 return True             # WRITE mode: the writer will reset
             return self._active_readers(arrive, depart) > 0
 
-        while True:
-            arrive, _depart = ctx.spin_on_cells([arrive_cell, depart_cell], keep_spinning)
-            if arrive <= t_r:
-                return
-            # Saturated, READ mode, nobody active: the counter is stranded.
-            if writer_waiting is not None and writer_waiting():
-                # A writer is queued; it will switch the counter to WRITE mode
-                # and reset it when handing the lock back to the readers.
-                ctx.spin_while(
-                    self.my_counter, self.spec.arrive_offset, lambda v: v > t_r
-                )
-                return
-            self.reset_counter(self.my_counter, clear_write_flag=False)
+        arrive, _depart = yield (SPIN, [arrive_cell, depart_cell], keep_spinning)
+        if arrive <= t_r:
             return
+        # Saturated, READ mode, nobody active: the counter is stranded.
+        if writer_waiting is not None and (yield from writer_waiting()):
+            # A writer is queued; it will switch the counter to WRITE mode
+            # and reset it when handing the lock back to the readers.
+            yield (SPIN_WHILE, self.my_counter, self.spec.arrive_offset, lambda v: v > t_r)
+            return
+        yield from self.reset_counter_steps(self.my_counter, clear_write_flag=False)
 
     # -- writer side ------------------------------------------------------- #
 
-    def set_counters_to_write(self) -> None:
+    def set_counters_to_write_steps(self) -> Steps:
         """Switch every physical counter to WRITE mode (Listing 6, top)."""
-        ctx = self.ctx
         for rank in self.spec.counter_ranks:
-            ctx.accumulate(WRITE_FLAG, rank, self.spec.arrive_offset, AtomicOp.SUM)
-            ctx.flush(rank)
+            yield (ACCUMULATE, WRITE_FLAG, rank, self.spec.arrive_offset, AtomicOp.SUM)
+            yield (FLUSH, rank)
 
-    def wait_readers_drained(self) -> None:
+    def wait_readers_drained_steps(self) -> Steps:
         """Wait until every reader that arrived before WRITE mode has departed.
 
         The paper's correctness argument (Section 4.1, Reader & Writer) requires
         the writer to re-check each counter for active readers after switching
         the mode; this is that check.
         """
-        ctx = self.ctx
         for rank in self.spec.counter_ranks:
-            ctx.spin_on_cells(
+            yield (
+                SPIN,
                 [(rank, self.spec.arrive_offset), (rank, self.spec.depart_offset)],
                 lambda values: self._active_readers(values[0], values[1]) > 0,
             )
@@ -189,7 +198,7 @@ class DistributedCounterHandle:
             arrive -= WRITE_FLAG
         return arrive - depart
 
-    def reset_counter(self, rank: int, *, clear_write_flag: bool = True) -> None:
+    def reset_counter_steps(self, rank: int, *, clear_write_flag: bool = True) -> Steps:
         """Fold the departures out of one physical counter (Listing 6, middle).
 
         The seed port performed the reset as two unconditional accumulates
@@ -223,34 +232,59 @@ class DistributedCounterHandle:
         yet reduced), which only ever delays a spinning writer/reader — the
         safe direction.
         """
-        ctx = self.ctx
+        arrive_offset = self.spec.arrive_offset
+        depart_offset = self.spec.depart_offset
         while True:
-            arr_cnt = ctx.get(rank, self.spec.arrive_offset)
-            dep_cnt = ctx.get(rank, self.spec.depart_offset)
-            ctx.flush(rank)
-            claimed = ctx.cas(0, dep_cnt, rank, self.spec.depart_offset)
-            ctx.flush(rank)
+            arr_cnt = yield (GET, rank, arrive_offset)
+            dep_cnt = yield (GET, rank, depart_offset)
+            yield (FLUSH, rank)
+            claimed = yield (CAS, 0, dep_cnt, rank, depart_offset)
+            yield (FLUSH, rank)
             if claimed != dep_cnt:
                 continue  # a departure (or another reset) raced us; re-read
             sub_arr = -dep_cnt
             if clear_write_flag and arr_cnt >= WRITE_FLAG:
                 sub_arr -= WRITE_FLAG
             if sub_arr:
-                ctx.accumulate(sub_arr, rank, self.spec.arrive_offset, AtomicOp.SUM)
-                ctx.flush(rank)
+                yield (ACCUMULATE, sub_arr, rank, arrive_offset, AtomicOp.SUM)
+                yield (FLUSH, rank)
             return
 
-    def reset_my_counter(self) -> None:
+    def reset_my_counter_steps(self) -> Steps:
         """Reset the counter associated with this rank (reader path, Listing 9).
 
-        Reader resets never clear the WRITE flag — see :meth:`reset_counter`.
+        Reader resets never clear the WRITE flag — see :meth:`reset_counter_steps`.
         """
-        self.reset_counter(self.my_counter, clear_write_flag=False)
+        return self.reset_counter_steps(self.my_counter, clear_write_flag=False)
 
-    def reset_counters(self) -> None:
+    def reset_counters_steps(self) -> Steps:
         """Reset all physical counters (Listing 6, bottom): hand the lock to readers."""
         for rank in self.spec.counter_ranks:
-            self.reset_counter(rank)
+            yield from self.reset_counter_steps(rank)
+
+    reader_arrive = blocking_form("reader_arrive_steps")
+    reader_backoff = blocking_form("reader_backoff_steps")
+    reader_depart = blocking_form("reader_depart_steps")
+    read_my_arrivals = blocking_form("read_my_arrivals_steps")
+    set_counters_to_write = blocking_form("set_counters_to_write_steps")
+    wait_readers_drained = blocking_form("wait_readers_drained_steps")
+    reset_counter = blocking_form("reset_counter_steps")
+    reset_my_counter = blocking_form("reset_my_counter_steps")
+    reset_counters = blocking_form("reset_counters_steps")
+
+    def spin_until_read_mode(self, t_r: int, writer_waiting: Optional[Callable[[], bool]] = None) -> None:
+        """Blocking form of :meth:`spin_until_read_mode_steps`.
+
+        ``writer_waiting`` is a blocking callable here, as it always was.
+        """
+
+        def probe() -> Steps:
+            return writer_waiting()
+            yield  # pragma: no cover - makes this function a generator
+
+        self.ctx.run_steps(
+            self.spin_until_read_mode_steps(t_r, probe if writer_waiting is not None else None)
+        )
 
     # -- inspection --------------------------------------------------------- #
 

@@ -20,7 +20,16 @@ from repro.core.constants import NULL_RANK
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = ["DMCSLockSpec", "DMCSLockHandle"]
 
@@ -82,42 +91,40 @@ class DMCSLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    def acquire_steps(self) -> Steps:
         """Listing 2: enqueue at the tail and spin until the predecessor hands over."""
-        ctx = self.ctx
         spec = self.spec
-        p = ctx.rank
+        p = self.ctx.rank
         # Prepare local fields.
-        ctx.put(NULL_RANK, p, spec.next_offset)
-        ctx.put(_WAITING, p, spec.status_offset)
-        ctx.flush(p)
+        yield (PUT, NULL_RANK, p, spec.next_offset)
+        yield (PUT, _WAITING, p, spec.status_offset)
+        yield (FLUSH, p)
         # Enter the tail of the MCS queue and fetch the predecessor.
-        pred = ctx.fao(p, spec.tail_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.tail_rank)
+        pred = yield (FAO, p, spec.tail_rank, spec.tail_offset, AtomicOp.REPLACE)
+        yield (FLUSH, spec.tail_rank)
         if pred != NULL_RANK:
             # Make the predecessor see us, then spin locally until it hands over.
-            ctx.put(p, pred, spec.next_offset)
-            ctx.flush(pred)
-            ctx.spin_while(p, spec.status_offset, lambda waiting: waiting == _WAITING)
+            yield (PUT, p, pred, spec.next_offset)
+            yield (FLUSH, pred)
+            yield (SPIN_WHILE, p, spec.status_offset, lambda waiting: waiting == _WAITING)
 
-    def release(self) -> None:
+    def release_steps(self) -> Steps:
         """Listing 3: hand the lock to the successor, or clear the tail if alone."""
-        ctx = self.ctx
         spec = self.spec
-        p = ctx.rank
-        succ = ctx.get(p, spec.next_offset)
-        ctx.flush(p)
+        p = self.ctx.rank
+        succ = yield (GET, p, spec.next_offset)
+        yield (FLUSH, p)
         if succ == NULL_RANK:
             # Maybe we are the only process in the queue.
-            curr_rank = ctx.cas(NULL_RANK, p, spec.tail_rank, spec.tail_offset)
-            ctx.flush(spec.tail_rank)
+            curr_rank = yield (CAS, NULL_RANK, p, spec.tail_rank, spec.tail_offset)
+            yield (FLUSH, spec.tail_rank)
             if curr_rank == p:
                 return
             # Somebody is enqueueing; wait until it makes itself visible.
-            succ = ctx.spin_while(p, spec.next_offset, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, p, spec.next_offset, lambda nxt: nxt == NULL_RANK)
         # Notify the successor.
-        ctx.put(_GRANTED, succ, spec.status_offset)
-        ctx.flush(succ)
+        yield (PUT, _GRANTED, succ, spec.status_offset)
+        yield (FLUSH, succ)
 
 
 # --------------------------------------------------------------------------- #

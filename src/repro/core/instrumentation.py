@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, RWLockHandle
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import FAO, FLUSH, PUT, ProcessContext, Steps
 from repro.topology.machine import Machine
 
 __all__ = [
@@ -73,12 +73,16 @@ class GrantLedgerSpec:
 
     # -- recording --------------------------------------------------------- #
 
+    def record_grant_steps(self, rank: int) -> Steps:
+        """Append ``rank`` to the ledger (run while holding the lock)."""
+        slot = yield (FAO, 1, self.home_rank, self.counter_offset, AtomicOp.SUM)
+        if slot < self.capacity:
+            yield (PUT, rank, self.home_rank, self.grants_offset + slot)
+        yield (FLUSH, self.home_rank)
+
     def record_grant(self, ctx: ProcessContext) -> None:
         """Append the calling rank to the ledger (called while holding the lock)."""
-        slot = ctx.fao(1, self.home_rank, self.counter_offset, AtomicOp.SUM)
-        if slot < self.capacity:
-            ctx.put(ctx.rank, self.home_rank, self.grants_offset + slot)
-        ctx.flush(self.home_rank)
+        ctx.run_steps(self.record_grant_steps(ctx.rank))
 
     # -- reading back ------------------------------------------------------- #
 
@@ -109,12 +113,15 @@ class InstrumentedLock(LockHandle):
         self.ledger = ledger
         self.ctx = ctx
 
-    def acquire(self) -> None:
-        self.inner.acquire()
-        self.ledger.record_grant(self.ctx)
+    def implements_steps(self) -> bool:
+        return self.inner.implements_steps()
 
-    def release(self) -> None:
-        self.inner.release()
+    def acquire_steps(self) -> Steps:
+        yield from self.inner.acquire_steps()
+        yield from self.ledger.record_grant_steps(self.ctx.rank)
+
+    def release_steps(self) -> Steps:
+        return self.inner.release_steps()
 
 
 class InstrumentedRWLock(RWLockHandle):
@@ -129,18 +136,21 @@ class InstrumentedRWLock(RWLockHandle):
         self.ledger = ledger
         self.ctx = ctx
 
-    def acquire_write(self) -> None:
-        self.inner.acquire_write()
-        self.ledger.record_grant(self.ctx)
+    def implements_steps(self) -> bool:
+        return self.inner.implements_steps()
 
-    def release_write(self) -> None:
-        self.inner.release_write()
+    def acquire_write_steps(self) -> Steps:
+        yield from self.inner.acquire_write_steps()
+        yield from self.ledger.record_grant_steps(self.ctx.rank)
 
-    def acquire_read(self) -> None:
-        self.inner.acquire_read()
+    def release_write_steps(self) -> Steps:
+        return self.inner.release_write_steps()
 
-    def release_read(self) -> None:
-        self.inner.release_read()
+    def acquire_read_steps(self) -> Steps:
+        return self.inner.acquire_read_steps()
+
+    def release_read_steps(self) -> Steps:
+        return self.inner.release_read_steps()
 
 
 @dataclass(frozen=True)

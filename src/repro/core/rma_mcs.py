@@ -30,7 +30,16 @@ from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.core.tree import UNBOUNDED_THRESHOLD, TreeLayout, normalize_locality_thresholds
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.machine import Machine
 
 __all__ = ["RMAMCSLockSpec", "RMAMCSLockHandle"]
@@ -108,34 +117,33 @@ class RMAMCSLockHandle(LockHandle):
     # Acquire
     # ------------------------------------------------------------------ #
 
-    def acquire(self) -> None:
+    def acquire_steps(self) -> Steps:
         """Acquire the global lock, starting at the leaf level of the tree."""
-        self._acquire_level(self._n)
+        return self._acquire_level(self._n)
 
-    def _acquire_level(self, level: int) -> None:
+    def _acquire_level(self, level: int) -> Steps:
         """Listing 4 generalized to every level (no readers to synchronize with)."""
-        ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
+        yield (PUT, NULL_RANK, node, next_off)
+        yield (PUT, STATUS_WAIT, node, status_off)
+        yield (FLUSH, node)
         # Enter the DQ of this level within our machine element.
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
+        yield (FLUSH, tail_host)
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            status = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            yield (PUT, node, pred, next_off)
+            yield (FLUSH, pred)
+            status = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # The lock was passed within this element: we own the global lock.
                 return
         # No predecessor, or the predecessor released this level to its parent:
         # start counting passings afresh and acquire the next level up.
-        ctx.put(ACQUIRE_START, node, status_off)
-        ctx.flush(node)
+        yield (PUT, ACQUIRE_START, node, status_off)
+        yield (FLUSH, node)
         if level > 1:
-            self._acquire_level(level - 1)
+            yield from self._acquire_level(level - 1)
         # At level 1 an empty queue (or an ACQUIRE_PARENT hand-over) means the
         # global lock is ours.
 
@@ -143,46 +151,45 @@ class RMAMCSLockHandle(LockHandle):
     # Release
     # ------------------------------------------------------------------ #
 
-    def release(self) -> None:
+    def release_steps(self) -> Steps:
         """Release the global lock, starting at the leaf level of the tree."""
-        self._release_level(self._n)
+        return self._release_level(self._n)
 
-    def _release_level(self, level: int) -> None:
+    def _release_level(self, level: int) -> Steps:
         """Listing 5 generalized to every level."""
-        ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        succ = ctx.get(node, next_off)
-        status = ctx.get(node, status_off)
-        ctx.flush(node)
+        succ = yield (GET, node, next_off)
+        status = yield (GET, node, status_off)
+        yield (FLUSH, node)
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this machine element together with the
             # number of consecutive passings it has seen.
-            ctx.put(status + 1, succ, status_off)
-            ctx.flush(succ)
+            yield (PUT, status + 1, succ, status_off)
+            yield (FLUSH, succ)
             return
 
         # Either nobody is known to wait here or the locality threshold was
         # reached: release the parent level first (if any).
         if level > 1:
-            self._release_level(level - 1)
+            yield from self._release_level(level - 1)
 
         if succ == NULL_RANK:
             # Check whether some process has just enqueued itself.
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
+            yield (FLUSH, tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
 
         if level > 1:
             # We no longer hold the parent level: the successor must acquire it.
-            ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
+            yield (PUT, STATUS_ACQUIRE_PARENT, succ, status_off)
         else:
             # Level 1 has no parent; the lock itself is handed to the successor.
-            ctx.put(status + 1, succ, status_off)
-        ctx.flush(succ)
+            yield (PUT, status + 1, succ, status_off)
+        yield (FLUSH, succ)
 
 
 # --------------------------------------------------------------------------- #

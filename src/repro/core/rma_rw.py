@@ -45,7 +45,16 @@ from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import RWLockHandle, RWLockSpec
 from repro.core.tree import TreeLayout, normalize_locality_thresholds
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.machine import Machine
 from repro.topology.mapping import CounterPlacement
 
@@ -169,171 +178,161 @@ class RMARWLockHandle(RWLockHandle):
     # Writer acquire (Listings 4 and 7)
     # ------------------------------------------------------------------ #
 
-    def acquire_write(self) -> None:
+    def acquire_write_steps(self) -> Steps:
         """Enter the critical section as a writer."""
         if self._n == 1:
-            self._writer_acquire_root()
-        else:
-            self._writer_acquire_level(self._n)
+            return self._writer_acquire_root()
+        return self._writer_acquire_level(self._n)
 
-    def _writer_acquire_level(self, level: int) -> None:
+    def _writer_acquire_level(self, level: int) -> Steps:
         """Listing 4: acquire the DQ at ``level`` (2 <= level <= N) and maybe climb."""
-        ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        yield (PUT, NULL_RANK, node, next_off)
+        yield (PUT, STATUS_WAIT, node, status_off)
+        yield (FLUSH, node)
+        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
+        yield (FLUSH, tail_host)
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            status = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            yield (PUT, node, pred, next_off)
+            yield (FLUSH, pred)
+            status = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # T_L was not reached: the lock is passed to us directly.
                 return
         # Start acquiring the next level of the tree.
-        ctx.put(ACQUIRE_START, node, status_off)
-        ctx.flush(node)
+        yield (PUT, ACQUIRE_START, node, status_off)
+        yield (FLUSH, node)
         if level > 2:
-            self._writer_acquire_level(level - 1)
+            yield from self._writer_acquire_level(level - 1)
         else:
-            self._writer_acquire_root()
+            yield from self._writer_acquire_root()
 
-    def _writer_acquire_root(self) -> None:
+    def _writer_acquire_root(self) -> Steps:
         """Listing 7: acquire the level-1 DQ and synchronize with the readers."""
-        ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        yield (PUT, NULL_RANK, node, next_off)
+        yield (PUT, STATUS_WAIT, node, status_off)
+        yield (FLUSH, node)
+        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
+        yield (FLUSH, tail_host)
 
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            curr_stat = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            yield (PUT, node, pred, next_off)
+            yield (FLUSH, pred)
+            curr_stat = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
             if curr_stat == STATUS_MODE_CHANGE:
                 # The readers have the lock now; win it back.
-                self._dc.set_counters_to_write()
-                self._dc.wait_readers_drained()
-                ctx.put(ACQUIRE_START, node, status_off)
-                ctx.flush(node)
+                yield from self._dc.set_counters_to_write_steps()
+                yield from self._dc.wait_readers_drained_steps()
+                yield (PUT, ACQUIRE_START, node, status_off)
+                yield (FLUSH, node)
             # Otherwise the lock was passed in WRITE mode with its count intact.
         else:
             # No predecessor: take the lock from the readers.
-            self._dc.set_counters_to_write()
-            self._dc.wait_readers_drained()
-            ctx.put(ACQUIRE_START, node, status_off)
-            ctx.flush(node)
+            yield from self._dc.set_counters_to_write_steps()
+            yield from self._dc.wait_readers_drained_steps()
+            yield (PUT, ACQUIRE_START, node, status_off)
+            yield (FLUSH, node)
 
     # ------------------------------------------------------------------ #
     # Writer release (Listings 5 and 8)
     # ------------------------------------------------------------------ #
 
-    def release_write(self) -> None:
+    def release_write_steps(self) -> Steps:
         """Leave the critical section as a writer."""
         if self._n == 1:
-            self._writer_release_root()
-        else:
-            self._writer_release_level(self._n)
+            return self._writer_release_root()
+        return self._writer_release_level(self._n)
 
-    def _writer_release_level(self, level: int) -> None:
+    def _writer_release_level(self, level: int) -> Steps:
         """Listing 5: release the DQ at ``level`` (2 <= level <= N)."""
-        ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        succ = ctx.get(node, next_off)
-        status = ctx.get(node, status_off)
-        ctx.flush(node)
+        succ = yield (GET, node, next_off)
+        status = yield (GET, node, status_off)
+        yield (FLUSH, node)
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this element, carrying the passing count.
-            ctx.put(status + 1, succ, status_off)
-            ctx.flush(succ)
+            yield (PUT, status + 1, succ, status_off)
+            yield (FLUSH, succ)
             return
 
         # No known successor or the locality threshold was reached: release the
         # parent level first.
         if level > 2:
-            self._writer_release_level(level - 1)
+            yield from self._writer_release_level(level - 1)
         else:
-            self._writer_release_root()
+            yield from self._writer_release_root()
 
         if succ == NULL_RANK:
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
+            yield (FLUSH, tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
 
         # Notify the successor that it must acquire the lock at the parent level.
-        ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
-        ctx.flush(succ)
+        yield (PUT, STATUS_ACQUIRE_PARENT, succ, status_off)
+        yield (FLUSH, succ)
 
-    def _writer_release_root(self) -> None:
+    def _writer_release_root(self) -> Steps:
         """Listing 8: release the level-1 DQ, possibly handing the lock to the readers."""
-        ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
 
         counters_reset = False
-        next_stat = ctx.get(node, status_off)
-        ctx.flush(node)
+        next_stat = yield (GET, node, status_off)
+        yield (FLUSH, node)
         next_stat += 1
         if next_stat >= spec.writer_threshold:
             # T_W reached: pass the lock to the readers.
-            self._dc.reset_counters()
+            yield from self._dc.reset_counters_steps()
             next_stat = STATUS_MODE_CHANGE
             counters_reset = True
 
-        succ = ctx.get(node, next_off)
-        ctx.flush(node)
+        succ = yield (GET, node, next_off)
+        yield (FLUSH, node)
         if succ == NULL_RANK:
             if not counters_reset:
                 # Nobody known to wait: let the readers in.
-                self._dc.reset_counters()
+                yield from self._dc.reset_counters_steps()
                 next_stat = STATUS_MODE_CHANGE
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
+            yield (FLUSH, tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
 
         # Pass the lock (or the mode-change notification) to the successor.
-        ctx.put(next_stat, succ, status_off)
-        ctx.flush(succ)
+        yield (PUT, next_stat, succ, status_off)
+        yield (FLUSH, succ)
 
     # ------------------------------------------------------------------ #
     # Reader protocol (Listings 9 and 10)
     # ------------------------------------------------------------------ #
 
-    def acquire_read(self) -> None:
-        """Listing 9: enter the critical section as a reader."""
-        ctx = self.ctx
-        spec = self.spec
-        dc = self._dc
-        t_r = spec.reader_threshold
+    def _writer_waiting(self) -> Steps:
+        """True when some writer is queued at the root DQ (Listing 9, line 17)."""
         consts = self._level_consts[0]
-        tail_host = consts[1]
-        tail_off = consts[4]
+        curr_tail = yield (GET, consts[1], consts[4])
+        yield (FLUSH, consts[1])
+        return curr_tail != NULL_RANK
 
-        def writer_waiting() -> bool:
-            """True when some writer is queued at the root DQ (Listing 9, line 17)."""
-            curr_tail = ctx.get(tail_host, tail_off)
-            ctx.flush(tail_host)
-            return curr_tail != NULL_RANK
+    def acquire_read_steps(self) -> Steps:
+        """Listing 9: enter the critical section as a reader."""
+        dc = self._dc
+        t_r = self.spec.reader_threshold
 
         barrier = False
         while True:
             if barrier:
                 # Wait until a writer resets our counter (or the saturation clears).
-                dc.spin_until_read_mode(t_r, writer_waiting=writer_waiting)
+                yield from dc.spin_until_read_mode_steps(t_r, writer_waiting=self._writer_waiting)
 
-            curr_stat = dc.reader_arrive()
+            curr_stat = yield from dc.reader_arrive_steps()
             if curr_stat < t_r:
                 # Lock mode is READ and the reader threshold is not exceeded.
                 return
@@ -341,17 +340,15 @@ class RMARWLockHandle(RWLockHandle):
             if curr_stat == t_r:
                 # We are the first to saturate this counter: hand the lock to a
                 # waiting writer if there is one, otherwise reset and go on.
-                curr_tail = ctx.get(tail_host, tail_off)
-                ctx.flush(tail_host)
-                if curr_tail == NULL_RANK:
-                    dc.reset_my_counter()
+                if not (yield from self._writer_waiting()):
+                    yield from dc.reset_my_counter_steps()
                     barrier = False
             # Back off and try again.
-            dc.reader_backoff()
+            yield from dc.reader_backoff_steps()
 
-    def release_read(self) -> None:
+    def release_read_steps(self) -> Steps:
         """Listing 10: leave the critical section as a reader."""
-        self._dc.reader_depart()
+        return self._dc.reader_depart_steps()
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests and the benchmark harness)

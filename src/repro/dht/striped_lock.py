@@ -23,9 +23,18 @@ from typing import Mapping
 
 from repro.api.registry import register_scheme
 from repro.core.layout import LayoutAllocator
-from repro.core.lock_base import RWLockHandle, RWLockSpec
+from repro.core.lock_base import RWLockHandle, RWLockSpec, blocking_form
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = [
     "StripeBoundRWLockHandle",
@@ -89,51 +98,52 @@ class StripedRWLockHandle:
 
     # -- reader side ------------------------------------------------------- #
 
-    def acquire_read(self, volume: int) -> None:
+    def acquire_read_steps(self, volume: int) -> Steps:
         """Enter volume ``volume`` as a reader (shared access to that stripe)."""
         self._check_volume(volume)
-        ctx = self.ctx
         offset = self.spec.word_offset
         while True:
-            prev = ctx.fao(1, volume, offset, AtomicOp.SUM)
-            ctx.flush(volume)
+            prev = yield (FAO, 1, volume, offset, AtomicOp.SUM)
+            yield (FLUSH, volume)
             if prev < _WRITER_BIT:
                 return
-            ctx.accumulate(-1, volume, offset, AtomicOp.SUM)
-            ctx.flush(volume)
-            ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
+            yield (ACCUMULATE, -1, volume, offset, AtomicOp.SUM)
+            yield (FLUSH, volume)
+            yield (SPIN_WHILE, volume, offset, lambda v: v >= _WRITER_BIT)
 
-    def release_read(self, volume: int) -> None:
+    def release_read_steps(self, volume: int) -> Steps:
         self._check_volume(volume)
-        ctx = self.ctx
-        ctx.accumulate(-1, volume, self.spec.word_offset, AtomicOp.SUM)
-        ctx.flush(volume)
+        yield (ACCUMULATE, -1, volume, self.spec.word_offset, AtomicOp.SUM)
+        yield (FLUSH, volume)
 
     # -- writer side ------------------------------------------------------- #
 
-    def acquire_write(self, volume: int) -> None:
+    def acquire_write_steps(self, volume: int) -> Steps:
         """Enter volume ``volume`` exclusively."""
         self._check_volume(volume)
-        ctx = self.ctx
         offset = self.spec.word_offset
         while True:
-            current = ctx.get(volume, offset)
-            ctx.flush(volume)
+            current = yield (GET, volume, offset)
+            yield (FLUSH, volume)
             if current >= _WRITER_BIT:
-                ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
+                yield (SPIN_WHILE, volume, offset, lambda v: v >= _WRITER_BIT)
                 continue
-            prev = ctx.cas(current + _WRITER_BIT, current, volume, offset)
-            ctx.flush(volume)
+            prev = yield (CAS, current + _WRITER_BIT, current, volume, offset)
+            yield (FLUSH, volume)
             if prev == current:
                 break
         # Wait for the readers already inside this stripe to drain.
-        ctx.spin_while(volume, offset, lambda v: v != _WRITER_BIT)
+        yield (SPIN_WHILE, volume, offset, lambda v: v != _WRITER_BIT)
 
-    def release_write(self, volume: int) -> None:
+    def release_write_steps(self, volume: int) -> Steps:
         self._check_volume(volume)
-        ctx = self.ctx
-        ctx.accumulate(-_WRITER_BIT, volume, self.spec.word_offset, AtomicOp.SUM)
-        ctx.flush(volume)
+        yield (ACCUMULATE, -_WRITER_BIT, volume, self.spec.word_offset, AtomicOp.SUM)
+        yield (FLUSH, volume)
+
+    acquire_read = blocking_form("acquire_read_steps")
+    release_read = blocking_form("release_read_steps")
+    acquire_write = blocking_form("acquire_write_steps")
+    release_write = blocking_form("release_write_steps")
 
     # -- convenience -------------------------------------------------------- #
 
@@ -208,19 +218,20 @@ class StripeBoundRWLockHandle(RWLockHandle):
 
     def __init__(self, inner: StripedRWLockHandle, volume: int):
         self.inner = inner
+        self.ctx = inner.ctx
         self.volume = volume
 
-    def acquire_read(self) -> None:
-        self.inner.acquire_read(self.volume)
+    def acquire_read_steps(self) -> Steps:
+        return self.inner.acquire_read_steps(self.volume)
 
-    def release_read(self) -> None:
-        self.inner.release_read(self.volume)
+    def release_read_steps(self) -> Steps:
+        return self.inner.release_read_steps(self.volume)
 
-    def acquire_write(self) -> None:
-        self.inner.acquire_write(self.volume)
+    def acquire_write_steps(self) -> Steps:
+        return self.inner.acquire_write_steps(self.volume)
 
-    def release_write(self) -> None:
-        self.inner.release_write(self.volume)
+    def release_write_steps(self) -> Steps:
+        return self.inner.release_write_steps(self.volume)
 
 
 # --------------------------------------------------------------------------- #

@@ -41,7 +41,14 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import FAULT_SCENARIOS, LockTimeout, declare_recovery
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    COMPUTE,
+    FLUSH,
+    GET,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = ["LeaseLockSpec", "LeaseLockHandle"]
 
@@ -150,7 +157,7 @@ class LeaseLockHandle(LockHandle):
             if on_lease is not None:
                 on_lease(self.ctx.rank, float(deadline_us))
 
-    def acquire(self) -> None:
+    def acquire_steps(self) -> Steps:
         ctx = self.ctx
         spec = self.spec
         home = spec.home_rank
@@ -158,14 +165,14 @@ class LeaseLockHandle(LockHandle):
         give_up_at = ctx.now() + spec.patience_us
         backoff = _BACKOFF_MIN_US
         while True:
-            word = ctx.get(home, off)
-            ctx.flush(home)
+            word = yield (GET, home, off)
+            yield (FLUSH, home)
             now = ctx.now()
             if word == 0:
                 deadline = self._deadline(now)
                 new = _pack(deadline, 0, ctx.rank)
-                prev = ctx.cas(new, 0, home, off)
-                ctx.flush(home)
+                prev = yield (CAS, new, 0, home, off)
+                yield (FLUSH, home)
                 if prev == 0:
                     self._held_word = new
                     self._announce_lease(deadline)
@@ -179,8 +186,8 @@ class LeaseLockHandle(LockHandle):
                     # another waiter (or a late release) got there first.
                     deadline = self._deadline(now)
                     new = _pack(deadline, epoch + 1, ctx.rank)
-                    prev = ctx.cas(new, word, home, off)
-                    ctx.flush(home)
+                    prev = yield (CAS, new, word, home, off)
+                    yield (FLUSH, home)
                     if prev == word:
                         self._held_word = new
                         self._announce_lease(deadline)
@@ -190,16 +197,16 @@ class LeaseLockHandle(LockHandle):
                     f"rank {ctx.rank} gave up on the lease lock after "
                     f"{spec.patience_us:g}us of polling"
                 )
-            ctx.compute(backoff)
+            yield (COMPUTE, backoff)
             backoff = min(backoff * 2.0, _BACKOFF_MAX_US)
 
-    def release(self) -> None:
+    def release_steps(self) -> Steps:
         ctx = self.ctx
         spec = self.spec
         word = self._held_word
         self._held_word = 0
-        prev = ctx.cas(0, word, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        prev = yield (CAS, 0, word, spec.home_rank, spec.lock_offset)
+        yield (FLUSH, spec.home_rank)
         if prev != word:
             # Fenced: our lease expired and a waiter installed a new word
             # (later deadline, bumped epoch).  The lock now belongs to the

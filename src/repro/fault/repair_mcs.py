@@ -39,7 +39,16 @@ from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import declare_recovery
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = ["RepairMCSLockSpec", "RepairMCSLockHandle", "RacyRepairMCSLockHandle"]
 
@@ -105,64 +114,62 @@ class RepairMCSLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
-        ctx = self.ctx
+    def acquire_steps(self) -> Steps:
         spec = self.spec
-        me = ctx.rank
+        me = self.ctx.rank
         # Reset this rank's queue node, then swap into the tail.
-        ctx.put(0, me, spec.next_offset)
-        ctx.put(_WAIT, me, spec.status_offset)
-        ctx.flush(me)
-        prev = ctx.fao(me + 1, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.home_rank)
+        yield (PUT, 0, me, spec.next_offset)
+        yield (PUT, _WAIT, me, spec.status_offset)
+        yield (FLUSH, me)
+        prev = yield (FAO, me + 1, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
+        yield (FLUSH, spec.home_rank)
         if prev == 0:
             return  # queue was empty: lock acquired
         pred = prev - 1
-        ctx.put(me + 1, pred, spec.next_offset)
-        ctx.flush(pred)
-        ctx.spin_while(me, spec.status_offset, lambda v: v == _WAIT)
+        yield (PUT, me + 1, pred, spec.next_offset)
+        yield (FLUSH, pred)
+        yield (SPIN_WHILE, me, spec.status_offset, lambda v: v == _WAIT)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
-        me = ctx.rank
-        nxt = ctx.get(me, spec.next_offset)
-        ctx.flush(me)
+        me = self.ctx.rank
+        nxt = yield (GET, me, spec.next_offset)
+        yield (FLUSH, me)
         if nxt == 0:
             # No linked successor: try to close the queue.
-            prev = ctx.cas(0, me + 1, spec.home_rank, spec.tail_offset)
-            ctx.flush(spec.home_rank)
+            prev = yield (CAS, 0, me + 1, spec.home_rank, spec.tail_offset)
+            yield (FLUSH, spec.home_rank)
             if prev == me + 1:
                 return  # queue drained
             # A racer swapped behind us and is about to link: wait for it.
-            nxt = ctx.spin_while(me, spec.next_offset, lambda v: v == 0)
-        self._grant(nxt - 1)
+            nxt = yield (SPIN_WHILE, me, spec.next_offset, lambda v: v == 0)
+        yield from self._grant(nxt - 1)
 
     # -- repair walk ------------------------------------------------------- #
 
-    def _grant(self, succ: int) -> None:
+    def _grant(self, succ: int) -> Steps:
         """Grant the lock to ``succ``, splicing out dead successors first."""
         ctx = self.ctx
         spec = self.spec
         fault = getattr(ctx, "fault", None)
         while fault is not None and fault.dead_at(succ, ctx.now()):
-            nn = ctx.get(succ, spec.next_offset)
-            ctx.flush(succ)
+            nn = yield (GET, succ, spec.next_offset)
+            yield (FLUSH, succ)
             if nn == 0:
                 # The dead successor looks like the tail: try to close the
                 # queue over it.
-                prev = ctx.cas(0, succ + 1, spec.home_rank, spec.tail_offset)
-                ctx.flush(spec.home_rank)
+                prev = yield (CAS, 0, succ + 1, spec.home_rank, spec.tail_offset)
+                yield (FLUSH, spec.home_rank)
                 if prev == succ + 1:
                     return  # queue drained; the lock is free again
-                nn = self._settle_race(succ)
+                nn = yield from self._settle_race(succ)
                 if nn == 0:
                     return  # (racy mutant only: orphans the racer)
             succ = nn - 1
-        ctx.put(_GRANTED, succ, spec.status_offset)
-        ctx.flush(succ)
+        yield (PUT, _GRANTED, succ, spec.status_offset)
+        yield (FLUSH, succ)
 
-    def _settle_race(self, dead: int) -> int:
+    def _settle_race(self, dead: int) -> Steps:
         """The closing CAS lost: a racer is mid-enqueue behind ``dead``.
 
         The racer already swapped itself into TAIL and is about to write its
@@ -170,7 +177,7 @@ class RepairMCSLockHandle(LockHandle):
         RMA is one-sided).  Re-poll that word until the link lands, then
         return it so the walk can continue to the racer.
         """
-        return self.ctx.spin_while(dead, self.spec.next_offset, lambda v: v == 0)
+        return (yield (SPIN_WHILE, dead, self.spec.next_offset, lambda v: v == 0))
 
 
 class RacyRepairMCSLockHandle(RepairMCSLockHandle):
@@ -182,8 +189,9 @@ class RacyRepairMCSLockHandle(RepairMCSLockHandle):
     every crash-free run.
     """
 
-    def _settle_race(self, dead: int) -> int:
+    def _settle_race(self, dead: int) -> Steps:
         return 0  # WRONG: the racer linked (or will link) behind ``dead``.
+        yield  # pragma: no cover - makes this function a generator
 
 
 @register_scheme(

@@ -39,7 +39,17 @@ from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import declare_recovery
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    COMPUTE,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.machine import Machine
 
 __all__ = ["ALockSpec", "ALockHandle"]
@@ -130,7 +140,7 @@ class ALockHandle(LockHandle):
         #: Owner-word CAS attempts of the most recent acquire (for analysis).
         self.last_attempts = 0
 
-    def _claim_owner(self, cap_us: float) -> None:
+    def _claim_owner(self, cap_us: float) -> Steps:
         """Spin-CAS the owner word with bounded exponential backoff."""
         ctx = self.ctx
         spec = self.spec
@@ -138,50 +148,50 @@ class ALockHandle(LockHandle):
         attempts = 0
         while True:
             attempts += 1
-            prev = ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.owner_offset)
-            ctx.flush(spec.home_rank)
+            prev = yield (CAS, ctx.rank, NULL_RANK, spec.home_rank, spec.owner_offset)
+            yield (FLUSH, spec.home_rank)
             if prev == NULL_RANK:
                 self.last_attempts = attempts
                 return
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            yield (COMPUTE, float(ctx.rng.uniform(0.5, 1.0)) * backoff)
             backoff = min(backoff * 2.0, cap_us)
 
-    def acquire(self) -> None:
-        ctx = self.ctx
+    def acquire_steps(self) -> Steps:
         spec = self.spec
+        me = self.ctx.rank
         if self._local:
-            self._claim_owner(spec.local_cap_us)
+            yield from self._claim_owner(spec.local_cap_us)
             return
         # Remote slow path: MCS enqueue, then only the head claims the owner.
-        ctx.put(NULL_RANK, ctx.rank, spec.next_offset)
-        ctx.put(_WAIT, ctx.rank, spec.status_offset)
-        ctx.flush(ctx.rank)
-        pred = ctx.fao(ctx.rank, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.home_rank)
+        yield (PUT, NULL_RANK, me, spec.next_offset)
+        yield (PUT, _WAIT, me, spec.status_offset)
+        yield (FLUSH, me)
+        pred = yield (FAO, me, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
+        yield (FLUSH, spec.home_rank)
         if pred != NULL_RANK:
-            ctx.put(ctx.rank, pred, spec.next_offset)
-            ctx.flush(pred)
-            ctx.spin_while(ctx.rank, spec.status_offset, lambda s: s == _WAIT)
-        self._claim_owner(spec.remote_cap_us)
+            yield (PUT, me, pred, spec.next_offset)
+            yield (FLUSH, pred)
+            yield (SPIN_WHILE, me, spec.status_offset, lambda s: s == _WAIT)
+        yield from self._claim_owner(spec.remote_cap_us)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
-        ctx.put(NULL_RANK, spec.home_rank, spec.owner_offset)
-        ctx.flush(spec.home_rank)
+        me = self.ctx.rank
+        yield (PUT, NULL_RANK, spec.home_rank, spec.owner_offset)
+        yield (FLUSH, spec.home_rank)
         if self._local:
             return
         # Hand the remote-queue headship to the successor (plain MCS exit).
-        succ = ctx.get(ctx.rank, spec.next_offset)
-        ctx.flush(ctx.rank)
+        succ = yield (GET, me, spec.next_offset)
+        yield (FLUSH, me)
         if succ == NULL_RANK:
-            curr = ctx.cas(NULL_RANK, ctx.rank, spec.home_rank, spec.tail_offset)
-            ctx.flush(spec.home_rank)
-            if curr == ctx.rank:
+            curr = yield (CAS, NULL_RANK, me, spec.home_rank, spec.tail_offset)
+            yield (FLUSH, spec.home_rank)
+            if curr == me:
                 return
-            succ = ctx.spin_while(ctx.rank, spec.next_offset, lambda nxt: nxt == NULL_RANK)
-        ctx.put(_HEAD, succ, spec.status_offset)
-        ctx.flush(succ)
+            succ = yield (SPIN_WHILE, me, spec.next_offset, lambda nxt: nxt == NULL_RANK)
+        yield (PUT, _HEAD, succ, spec.status_offset)
+        yield (FLUSH, succ)
 
     # -- inspection --------------------------------------------------------- #
 

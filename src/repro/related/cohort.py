@@ -31,7 +31,16 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.machine import Machine
 
 __all__ = ["CohortTicketLockSpec", "CohortTicketLockHandle", "leaf_threshold_from_config"]
@@ -127,42 +136,40 @@ class CohortTicketLockHandle(LockHandle):
     # Acquire
     # ------------------------------------------------------------------ #
 
-    def acquire(self) -> None:
-        ctx = self.ctx
+    def acquire_steps(self) -> Steps:
         spec = self.spec
         leader = self._leader
         # Local ticket lock: one process per node proceeds past this point.
-        ticket = ctx.fao(1, leader, spec.local_next_offset, AtomicOp.SUM)
-        ctx.flush(leader)
+        ticket = yield (FAO, 1, leader, spec.local_next_offset, AtomicOp.SUM)
+        yield (FLUSH, leader)
         self._local_ticket = ticket
-        serving = ctx.get(leader, spec.local_serving_offset)
-        ctx.flush(leader)
+        serving = yield (GET, leader, spec.local_serving_offset)
+        yield (FLUSH, leader)
         if serving != ticket:
-            ctx.spin_while(leader, spec.local_serving_offset, lambda s: s != ticket)
+            yield (SPIN_WHILE, leader, spec.local_serving_offset, lambda s: s != ticket)
         # If a node-mate passed the global lock along with the local one we are done.
-        owned = ctx.get(leader, spec.owned_offset)
-        ctx.flush(leader)
+        owned = yield (GET, leader, spec.owned_offset)
+        yield (FLUSH, leader)
         if owned != 0:
             self.last_acquired_global = False
             return
         # Otherwise acquire the global ticket lock on behalf of the node.
-        g_ticket = ctx.fao(1, spec.home_rank, spec.global_next_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
-        g_serving = ctx.get(spec.home_rank, spec.global_serving_offset)
-        ctx.flush(spec.home_rank)
+        g_ticket = yield (FAO, 1, spec.home_rank, spec.global_next_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
+        g_serving = yield (GET, spec.home_rank, spec.global_serving_offset)
+        yield (FLUSH, spec.home_rank)
         if g_serving != g_ticket:
-            ctx.spin_while(spec.home_rank, spec.global_serving_offset, lambda s: s != g_ticket)
-        ctx.put(1, leader, spec.owned_offset)
-        ctx.put(0, leader, spec.passes_offset)
-        ctx.flush(leader)
+            yield (SPIN_WHILE, spec.home_rank, spec.global_serving_offset, lambda s: s != g_ticket)
+        yield (PUT, 1, leader, spec.owned_offset)
+        yield (PUT, 0, leader, spec.passes_offset)
+        yield (FLUSH, leader)
         self.last_acquired_global = True
 
     # ------------------------------------------------------------------ #
     # Release
     # ------------------------------------------------------------------ #
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
         leader = self._leader
         if self._local_ticket is None:
@@ -170,24 +177,24 @@ class CohortTicketLockHandle(LockHandle):
         my_ticket = self._local_ticket
         self._local_ticket = None
 
-        next_ticket = ctx.get(leader, spec.local_next_offset)
-        passes = ctx.get(leader, spec.passes_offset)
-        ctx.flush(leader)
+        next_ticket = yield (GET, leader, spec.local_next_offset)
+        passes = yield (GET, leader, spec.passes_offset)
+        yield (FLUSH, leader)
         successor_waiting = next_ticket > my_ticket + 1
         if successor_waiting and passes < spec.max_local_passes:
             # Pass both the local lock and the global ownership to a node-mate.
-            ctx.accumulate(1, leader, spec.passes_offset, AtomicOp.SUM)
-            ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
-            ctx.flush(leader)
+            yield (ACCUMULATE, 1, leader, spec.passes_offset, AtomicOp.SUM)
+            yield (ACCUMULATE, 1, leader, spec.local_serving_offset, AtomicOp.SUM)
+            yield (FLUSH, leader)
             return
         # Give the global lock back (clear ownership before letting the next
         # node-mate in, so it goes through the global queue itself).
-        ctx.put(0, leader, spec.owned_offset)
-        ctx.flush(leader)
-        ctx.accumulate(1, spec.home_rank, spec.global_serving_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
-        ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
-        ctx.flush(leader)
+        yield (PUT, 0, leader, spec.owned_offset)
+        yield (FLUSH, leader)
+        yield (ACCUMULATE, 1, spec.home_rank, spec.global_serving_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
+        yield (ACCUMULATE, 1, leader, spec.local_serving_offset, AtomicOp.SUM)
+        yield (FLUSH, leader)
 
 
 # --------------------------------------------------------------------------- #

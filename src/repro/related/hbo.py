@@ -25,7 +25,14 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.core.constants import NULL_RANK
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    CAS,
+    COMPUTE,
+    FLUSH,
+    PUT,
+    ProcessContext,
+    Steps,
+)
 from repro.topology.machine import Machine
 
 __all__ = ["HBOLockSpec", "HBOLockHandle"]
@@ -108,28 +115,27 @@ class HBOLockHandle(LockHandle):
             return spec.local_cap_us
         return spec.remote_cap_us
 
-    def acquire(self) -> None:
+    def acquire_steps(self) -> Steps:
         ctx = self.ctx
         spec = self.spec
         backoff = spec.min_backoff_us
         attempts = 0
         while True:
             attempts += 1
-            prev = ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = yield (CAS, ctx.rank, NULL_RANK, spec.home_rank, spec.lock_offset)
+            yield (FLUSH, spec.home_rank)
             if prev == NULL_RANK:
                 self.last_attempts = attempts
                 return
             cap = self._backoff_cap(prev)
             backoff = min(backoff * 2.0, cap)
             # Randomize within the current window to avoid lock-step retries.
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            yield (COMPUTE, float(ctx.rng.uniform(0.5, 1.0)) * backoff)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
-        ctx.put(NULL_RANK, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        yield (PUT, NULL_RANK, spec.home_rank, spec.lock_offset)
+        yield (FLUSH, spec.home_rank)
 
     # -- inspection --------------------------------------------------------- #
 

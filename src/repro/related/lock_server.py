@@ -39,7 +39,17 @@ from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import declare_recovery
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    CAS,
+    COMPUTE,
+    FAO,
+    FLUSH,
+    GET,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = ["LockServerSpec", "LockServerHandle"]
 
@@ -114,44 +124,43 @@ class LockServerHandle(LockHandle):
         #: Poll rounds of the most recent acquire (0 = queued immediately).
         self.last_polls = 0
 
-    def acquire(self) -> None:
+    def acquire_steps(self) -> Steps:
         ctx = self.ctx
         spec = self.spec
         server = spec.server_rank
         backoff = spec.min_backoff_us
         polls = 0
         while True:
-            nt = ctx.get(server, spec.next_offset)
-            grant = ctx.get(server, spec.grant_offset)
-            ctx.flush(server)
+            nt = yield (GET, server, spec.next_offset)
+            grant = yield (GET, server, spec.grant_offset)
+            yield (FLUSH, server)
             depth = nt - grant
             if depth > spec.queue_threshold:
                 # Contended past the policy threshold: register in the queue.
-                ticket = ctx.fao(1, server, spec.next_offset, AtomicOp.SUM)
-                ctx.flush(server)
+                ticket = yield (FAO, 1, server, spec.next_offset, AtomicOp.SUM)
+                yield (FLUSH, server)
                 break
             if depth == 0:
                 # Retry claim: take ticket ``nt`` iff nobody registered since
                 # the read — the CAS *is* the registration, so the ticket
                 # invariant (unique tickets, served in order) is untouched.
-                prev = ctx.cas(nt + 1, nt, server, spec.next_offset)
-                ctx.flush(server)
+                prev = yield (CAS, nt + 1, nt, server, spec.next_offset)
+                yield (FLUSH, server)
                 if prev == nt:
                     ticket = nt
                     break
             polls += 1
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            yield (COMPUTE, float(ctx.rng.uniform(0.5, 1.0)) * backoff)
             backoff = min(backoff * 2.0, spec.poll_cap_us)
         self._ticket = ticket
         self.last_polls = polls
-        ctx.spin_while(server, spec.grant_offset, lambda g: g != ticket)
+        yield (SPIN_WHILE, server, spec.grant_offset, lambda g: g != ticket)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
         self._ticket = -1
-        ctx.accumulate(1, spec.server_rank, spec.grant_offset, AtomicOp.SUM)
-        ctx.flush(spec.server_rank)
+        yield (ACCUMULATE, 1, spec.server_rank, spec.grant_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.server_rank)
 
     # -- inspection --------------------------------------------------------- #
 

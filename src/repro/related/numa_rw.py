@@ -28,7 +28,15 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import RWLockHandle, RWLockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 from repro.related.cohort import CohortTicketLockSpec, leaf_threshold_from_config
 from repro.topology.machine import Machine
 
@@ -119,53 +127,49 @@ class NumaRWLockHandle(RWLockHandle):
     # Reader side
     # ------------------------------------------------------------------ #
 
-    def acquire_read(self) -> None:
-        ctx = self.ctx
+    def acquire_read_steps(self) -> Steps:
         spec = self.spec
         while True:
             # Wait until no writer is active or draining before registering.
-            present = ctx.get(spec.home_rank, spec.writer_present_offset)
-            ctx.flush(spec.home_rank)
+            present = yield (GET, spec.home_rank, spec.writer_present_offset)
+            yield (FLUSH, spec.home_rank)
             if present != 0:
-                ctx.spin_while(spec.home_rank, spec.writer_present_offset, lambda v: v != 0)
+                yield (SPIN_WHILE, spec.home_rank, spec.writer_present_offset, lambda v: v != 0)
             # Register on the node-local counter, then re-check for writers.
-            ctx.accumulate(1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-            ctx.flush(self._counter_rank)
-            present = ctx.get(spec.home_rank, spec.writer_present_offset)
-            ctx.flush(spec.home_rank)
+            yield (ACCUMULATE, 1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+            yield (FLUSH, self._counter_rank)
+            present = yield (GET, spec.home_rank, spec.writer_present_offset)
+            yield (FLUSH, spec.home_rank)
             if present == 0:
                 return
             # A writer arrived between the check and the registration: back
             # off so it can drain, then try again.
-            ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-            ctx.flush(self._counter_rank)
+            yield (ACCUMULATE, -1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+            yield (FLUSH, self._counter_rank)
 
-    def release_read(self) -> None:
-        ctx = self.ctx
+    def release_read_steps(self) -> Steps:
         spec = self.spec
-        ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-        ctx.flush(self._counter_rank)
+        yield (ACCUMULATE, -1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+        yield (FLUSH, self._counter_rank)
 
     # ------------------------------------------------------------------ #
     # Writer side
     # ------------------------------------------------------------------ #
 
-    def acquire_write(self) -> None:
-        ctx = self.ctx
+    def acquire_write_steps(self) -> Steps:
         spec = self.spec
-        self._writer_lock.acquire()
-        ctx.put(1, spec.home_rank, spec.writer_present_offset)
-        ctx.flush(spec.home_rank)
+        yield from self._writer_lock.acquire_steps()
+        yield (PUT, 1, spec.home_rank, spec.writer_present_offset)
+        yield (FLUSH, spec.home_rank)
         # Wait for the readers registered on every node to drain.
         for counter_rank in spec.reader_counter_ranks():
-            ctx.spin_while(counter_rank, spec.readers_offset, lambda v: v > 0)
+            yield (SPIN_WHILE, counter_rank, spec.readers_offset, lambda v: v > 0)
 
-    def release_write(self) -> None:
-        ctx = self.ctx
+    def release_write_steps(self) -> Steps:
         spec = self.spec
-        ctx.put(0, spec.home_rank, spec.writer_present_offset)
-        ctx.flush(spec.home_rank)
-        self._writer_lock.release()
+        yield (PUT, 0, spec.home_rank, spec.writer_present_offset)
+        yield (FLUSH, spec.home_rank)
+        yield from self._writer_lock.release_steps()
 
 
 # --------------------------------------------------------------------------- #

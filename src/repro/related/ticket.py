@@ -24,7 +24,15 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    FAO,
+    FLUSH,
+    GET,
+    SPIN_WHILE,
+    ProcessContext,
+    Steps,
+)
 
 __all__ = ["TicketLockSpec", "TicketLockHandle"]
 
@@ -77,26 +85,24 @@ class TicketLockHandle(LockHandle):
         self.ctx = ctx
         self._my_ticket: int | None = None
 
-    def acquire(self) -> None:
-        ctx = self.ctx
+    def acquire_steps(self) -> Steps:
         spec = self.spec
-        ticket = ctx.fao(1, spec.home_rank, spec.next_ticket_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        ticket = yield (FAO, 1, spec.home_rank, spec.next_ticket_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
         self._my_ticket = ticket
-        serving = ctx.get(spec.home_rank, spec.now_serving_offset)
-        ctx.flush(spec.home_rank)
+        serving = yield (GET, spec.home_rank, spec.now_serving_offset)
+        yield (FLUSH, spec.home_rank)
         if serving == ticket:
             return
-        ctx.spin_while(spec.home_rank, spec.now_serving_offset, lambda s: s != ticket)
+        yield (SPIN_WHILE, spec.home_rank, spec.now_serving_offset, lambda s: s != ticket)
 
-    def release(self) -> None:
-        ctx = self.ctx
+    def release_steps(self) -> Steps:
         spec = self.spec
         if self._my_ticket is None:
             raise RuntimeError("release() without a matching acquire()")
         self._my_ticket = None
-        ctx.accumulate(1, spec.home_rank, spec.now_serving_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        yield (ACCUMULATE, 1, spec.home_rank, spec.now_serving_offset, AtomicOp.SUM)
+        yield (FLUSH, spec.home_rank)
 
     # -- inspection --------------------------------------------------------- #
 

@@ -60,6 +60,7 @@ from repro.rma.runtime_base import (
     SimDeadlockError,
     WindowInit,
     allocate_windows,
+    blocking_program,
 )
 from repro.rma.window import Window
 from repro.topology.machine import Machine
@@ -378,6 +379,7 @@ class BaselineSimRuntime(RMARuntime):
         nranks = self.num_ranks
         if program_args is not None and len(program_args) != nranks:
             raise ValueError(f"program_args must have one entry per rank ({nranks})")
+        program = blocking_program(program)  # a step program runs through ctx.run_steps
 
         self.windows = allocate_windows(nranks, self.window_words, window_init)
 

@@ -44,6 +44,11 @@ __all__ = ["PerturbationModel", "RankPerturbation", "perturbation_rng"]
 #: from a provably disjoint stream.
 _PERTURB_LANE = 0x7C5EED
 
+#: Uniforms fetched per refill of a rank's draw buffer, and the most one
+#: operation can consume (jitter, pause test, pause length).
+_DRAW_BLOCK = 256
+_MAX_DRAWS_PER_OP = 3
+
 
 def perturbation_rng(seed: int, rank: int) -> np.random.Generator:
     """Independent perturbation generator for ``(seed, rank)``.
@@ -70,21 +75,41 @@ class RankPerturbation:
     the caller (baseline) so that both compute the same float sequence.
     """
 
-    __slots__ = ("_rng", "_jitter", "_pause_rate", "_pause_lo", "_pause_hi")
+    __slots__ = ("_rng", "_jitter", "_pause_rate", "_pause_lo", "_pause_span", "_u", "_i")
 
     def __init__(self, model: "PerturbationModel", rank: int):
         self._rng = perturbation_rng(model.seed, rank)
         self._jitter = model.latency_jitter
         self._pause_rate = model.pause_rate
-        self._pause_lo, self._pause_hi = model.pause_us
+        self._pause_lo, pause_hi = model.pause_us
+        self._pause_span = pause_hi - self._pause_lo
+        #: Uniforms drawn ahead from the stream, and the cursor into them.
+        self._u: List[float] = []
+        self._i = 0
 
     def perturb(self, cost: float) -> float:
-        """Apply jitter and (rarely) a transient pause to one operation's cost."""
-        rng = self._rng
+        """Apply jitter and (rarely) a transient pause to one operation's cost.
+
+        The uniforms are the stream's own, in stream order — jitter, pause
+        test, pause length (``lo + (hi - lo) * u``, which is what
+        ``Generator.uniform`` computes from one draw) — but drawn in blocks
+        and consumed with a cursor, because a scalar ``Generator`` call costs
+        several times the arithmetic it feeds.
+        """
+        u = self._u
+        i = self._i
+        if i + _MAX_DRAWS_PER_OP > len(u):
+            u = self._u = u[i:] + self._rng.random(_DRAW_BLOCK).tolist()
+            i = 0
         if self._jitter > 0.0:
-            cost = cost * (1.0 + self._jitter * float(rng.random()))
-        if self._pause_rate > 0.0 and float(rng.random()) < self._pause_rate:
-            cost = cost + float(rng.uniform(self._pause_lo, self._pause_hi))
+            cost = cost * (1.0 + self._jitter * u[i])
+            i += 1
+        if self._pause_rate > 0.0:
+            if u[i] < self._pause_rate:
+                cost = cost + (self._pause_lo + self._pause_span * u[i + 1])
+                i += 1
+            i += 1
+        self._i = i
         return cost
 
 

@@ -39,29 +39,79 @@ threads at every scheduling point.  The horizon scheduler in
 lock-free fast path for self-continuations, and threadless spin-wait tasks —
 see the "Simulator internals" section of the README.  The golden tests in
 ``tests/rma/test_golden_determinism.py`` pin the contract down.
+
+Step programs
+-------------
+A rank program may also be a **generator function**.  Instead of calling
+``ctx.put(...)`` and blocking until the scheduler hands its thread the baton
+back, a step program *yields* a request — a flat tuple whose first element
+is one of the request kinds below and whose remaining elements are exactly
+the arguments of the blocking call of the same name — and receives the
+call's return value as the value of the ``yield`` expression::
+
+    def program(ctx):
+        lock = spec.make(ctx)
+        yield (BARRIER,)
+        yield from lock.acquire_steps()
+        value = yield (GET, 0, offset)       # value = ctx.get(0, offset)
+        yield (FLUSH, 0)
+        yield (PUT, value + 1, 0, offset)    # ctx.put(value + 1, 0, offset)
+        yield (FLUSH, 0)
+        yield from lock.release_steps()
+        return value
+
+A request is a scheduling point exactly as the blocking call is (rules 1-3
+apply unchanged: its issue runs under the rank's previous scheduling
+decision, its effect and return value are delivered when the rank's
+post-issue key is the minimum), and an error the blocking call would raise
+is raised at the ``yield``.  The same program therefore produces the same
+:class:`RunResult` on every runtime.  A runtime that has no native support
+for step programs runs them on its rank threads through
+:meth:`ProcessContext.run_steps`, the blocking trampoline
+(:func:`blocking_program` wraps a whole program that way); the horizon
+scheduler steps them inline on the calling thread with no rank threads at
+all, so a scheduling point costs a generator resume instead of a thread
+hand-off.  ``ctx.now()``, ``ctx.rank``, ``ctx.rng`` and the other
+non-blocking members are used directly in both styles.
 """
 
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rma.ops import AtomicOp
+from repro.rma.ops import CALL_INDEX, NUM_CALLS, AtomicOp, RMACall
 from repro.rma.window import Window
 
 __all__ = [
+    "ACCUMULATE",
+    "BARRIER",
+    "CAS",
+    "COMPUTE",
     "Cell",
+    "FAO",
+    "FLUSH",
     "FaultHorizonError",
+    "GET",
+    "PUT",
     "ProcessContext",
+    "REQUEST_METHODS",
     "RMARuntime",
     "RunResult",
     "RuntimeError_",
+    "SPIN",
+    "SPIN_WHILE",
     "SimDeadlockError",
+    "Steps",
     "WindowInit",
     "allocate_windows",
+    "bad_request",
+    "blocking_program",
+    "is_step_program",
 ]
 
 #: A (target_rank, offset) pair identifying one window word.
@@ -84,6 +134,66 @@ def allocate_windows(nranks: int, num_words: int, window_init: Optional[WindowIn
             if init:
                 window.load(init)
     return windows
+
+
+# --------------------------------------------------------------------------- #
+# Step-program requests (see "Step programs" in the module docstring).  A
+# request is ``(kind, *args)`` with ``args`` in the order of the blocking
+# ProcessContext method named by ``REQUEST_METHODS[kind]``.  The six RMA
+# calls are numbered by their CALL_INDEX, so one integer is request kind,
+# op-counter index and cost-table row at once.
+# --------------------------------------------------------------------------- #
+
+PUT = CALL_INDEX[RMACall.PUT]  # (PUT, src_data, target, offset)
+GET = CALL_INDEX[RMACall.GET]  # (GET, target, offset) -> value
+ACCUMULATE = CALL_INDEX[RMACall.ACCUMULATE]  # (ACCUMULATE, operand, target, offset[, op])
+FAO = CALL_INDEX[RMACall.FAO]  # (FAO, operand, target, offset, op) -> previous value
+CAS = CALL_INDEX[RMACall.CAS]  # (CAS, src_data, cmp_data, target, offset) -> previous value
+FLUSH = CALL_INDEX[RMACall.FLUSH]  # (FLUSH, target)
+COMPUTE = NUM_CALLS  # (COMPUTE, duration_us)
+BARRIER = NUM_CALLS + 1  # (BARRIER,)
+SPIN = NUM_CALLS + 2  # (SPIN, cells, predicate) -> values      [spin_on_cells]
+SPIN_WHILE = NUM_CALLS + 3  # (SPIN_WHILE, target, offset, predicate) -> value
+
+#: Request kind -> name of the blocking :class:`ProcessContext` method.
+REQUEST_METHODS: Tuple[str, ...] = (
+    "put", "get", "accumulate", "fao", "cas", "flush",
+    "compute", "barrier", "spin_on_cells", "spin_while",
+)
+
+#: A step generator: yields requests, receives their values, returns a result.
+Steps = Generator[tuple, Any, Any]
+
+
+def bad_request(rank: int, value: Any) -> TypeError:
+    """The error for a step program that yielded something other than a request."""
+    return TypeError(
+        f"rank {rank} yielded {value!r}, which is not a request: a step program "
+        f"yields (kind, *args) tuples such as (PUT, value, target, offset) — "
+        f"see repro.rma.runtime_base"
+    )
+
+
+def is_step_program(program: Callable[..., Any]) -> bool:
+    """Whether ``program`` is a step program (a generator function)."""
+    return inspect.isgeneratorfunction(program)
+
+
+def blocking_program(program: Callable[..., Any]) -> Callable[..., Any]:
+    """``program`` as a blocking rank program.
+
+    A step program is wrapped so that each rank drives its generator through
+    :meth:`ProcessContext.run_steps` on its own thread; a blocking program is
+    returned unchanged.  Every thread-backed runtime applies this to what it
+    is given, so one program runs everywhere.
+    """
+    if not is_step_program(program):
+        return program
+
+    def run(ctx: "ProcessContext", *args: Any) -> Any:
+        return ctx.run_steps(program(ctx, *args))
+
+    return run
 
 
 class RuntimeError_(RuntimeError):
@@ -206,6 +316,42 @@ class ProcessContext(abc.ABC):
     @abc.abstractmethod
     def now(self) -> float:
         """Current local time in microseconds (virtual or wall-clock)."""
+
+    # -- step programs ------------------------------------------------------ #
+
+    def run_steps(self, steps: Steps) -> Any:
+        """Drive a step generator to completion through this context's blocking calls.
+
+        The blocking trampoline: every request ``steps`` yields is executed
+        by the blocking method it names and the method's value is sent back;
+        an exception the call raises is raised at the ``yield``.  Returns the
+        generator's return value.  This is how a thread-backed runtime runs a
+        step program, and how the blocking ``acquire()``/``release()`` of a
+        lock handle are derived from its ``*_steps`` generators.
+        """
+        try:
+            calls = self._request_calls
+        except AttributeError:
+            # Bound once per context: blocking acquire()/release() come
+            # through here on every call.
+            calls = self._request_calls = tuple(
+                getattr(self, name) for name in REQUEST_METHODS
+            )
+        try:
+            request = steps.send(None)
+            while True:
+                try:
+                    call = calls[request[0]]
+                except (TypeError, IndexError, KeyError):
+                    raise bad_request(self.rank, request) from None
+                try:
+                    value = call(*request[1:])
+                except Exception as exc:  # noqa: BLE001 - delivered at the yield
+                    request = steps.throw(exc)
+                else:
+                    request = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
 
     # -- optional hooks ---------------------------------------------------- #
 

@@ -47,6 +47,17 @@ per-rank integer arrays indexed by call (folded into name-keyed dicts once at
 ``run()`` end) and the precomputed :class:`~repro.rma.latency.CostTable`, so
 the fast path is a handful of array lookups.
 
+**Step programs run without rank threads at all.**  A rank program that is a
+generator function (see "Step programs" in :mod:`repro.rma.runtime_base`)
+is stepped inline on the thread that called ``run()``: ``_drive`` applies the
+picked rank's pending effect, sends the value, issues the next request
+through the same ``_op_body`` and either continues (horizon fast path) or
+pushes the key and picks the minimum — the scheduler above with the hand-off
+replaced by a generator resume.  Which path a run takes is read off its
+input: a blocking program, or any program under a fault plan (a kill unwinds
+one rank's frames), is thread-backed as described above; a step program is
+driven there through ``ctx.run_steps``.
+
 If every unfinished rank is parked or waiting at a barrier the runtime
 raises :class:`~repro.rma.runtime_base.SimDeadlockError`, which doubles as a
 protocol-level deadlock detector in the test-suite.
@@ -58,7 +69,8 @@ import gc
 import threading
 import time
 from collections import defaultdict
-from heapq import heappop, heappush
+from contextlib import contextmanager, suppress
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.registry import register_runtime
@@ -67,6 +79,16 @@ from repro.rma.latency import LatencyModel, cost_table
 from repro.rma.perturbation import PerturbationModel, RankPerturbation
 from repro.rma.ops import CALLS, CALL_INDEX, NUM_CALLS, AtomicOp, RMACall
 from repro.rma.runtime_base import (
+    ACCUMULATE,
+    BARRIER,
+    CAS,
+    COMPUTE,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN,
+    SPIN_WHILE,
     Cell,
     FaultHorizonError,
     ProcessContext,
@@ -76,6 +98,9 @@ from repro.rma.runtime_base import (
     SimDeadlockError,
     WindowInit,
     allocate_windows,
+    bad_request,
+    blocking_program,
+    is_step_program,
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -122,6 +147,24 @@ class _Killed(BaseException):
 _INF = float("inf")
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for the duration of a run.
+
+    A run allocates heavily (heap keys, poll values, request tuples) but
+    creates no reference cycles on the hot path; collection stalls would only
+    interrupt the scheduling loop.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class _RankState:
     """Scheduler bookkeeping for one rank."""
 
@@ -136,6 +179,8 @@ class _RankState:
         "ops",
         "spin",
         "spin_values",
+        "steps",
+        "pending",
     )
 
     def __init__(self, rank: int):
@@ -157,6 +202,10 @@ class _RankState:
         self.spin: Any = None
         #: Values observed by the spin task when its predicate passed.
         self.spin_values: Optional[List[int]] = None
+        #: Inline runs only: the rank's step generator, and the request it
+        #: last issued whose effect/value is still to be delivered.
+        self.steps: Any = None
+        self.pending: Optional[tuple] = None
 
 
 class SimProcessContext(ProcessContext):
@@ -257,6 +306,28 @@ class SimProcessContext(ProcessContext):
 
     def barrier(self) -> None:
         self._rt._barrier(self._state)
+
+
+class _InlineContext(SimProcessContext):
+    """Context of a rank whose step program is driven inline.
+
+    Such a rank has no thread of its own: a blocking call would wait for a
+    baton that nobody can release.  ``now()``, ``rank``, ``rng``, ``machine``
+    and ``observer`` work as usual; everything that blocks is refused.
+    """
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise RuntimeError_(
+            f"rank {self.rank} made a blocking context call inside a step program. "
+            f"The run is stepped inline and has no rank thread to park: yield the "
+            f"request instead (`yield (PUT, value, target, offset)` for "
+            f"`ctx.put(value, target, offset)`, `yield from lock.acquire_steps()` "
+            f"for `lock.acquire()`), or wrap the program in blocking_program() to "
+            f"run it on rank threads"
+        )
+
+    put = get = accumulate = fao = cas = flush = _refuse
+    spin_on_cells = compute = barrier = run_steps = _refuse
 
 
 class _FaultedSimContext(SimProcessContext):
@@ -492,41 +563,13 @@ class SimRuntime(RMARuntime):
         self._heap = [(0.0, r) for r in range(1, nranks)]
         self._horizon = (0.0, 1) if nranks > 1 else _INF_KEY
 
-        threads = []
-        for rank in range(nranks):
-            arg = program_args[rank] if program_args is not None else None
-            t = threading.Thread(
-                target=self._rank_main,
-                args=(rank, program, arg, program_args is not None),
-                name=f"sim-rank-{rank}",
-                daemon=True,
-            )
-            threads.append(t)
-        # The run allocates heavily (heap keys, poll values) but creates no
-        # reference cycles on the hot path; pausing the cyclic GC for the
-        # duration avoids collection stalls that would otherwise interrupt
-        # the baton hand-offs.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        run_done = threading.Event()
-        watchdog = threading.Thread(
-            target=self._watchdog_main, args=(run_done,), name="sim-watchdog", daemon=True
-        )
-        wall_start = time.perf_counter()
-        try:
-            watchdog.start()
-            for t in threads:
-                t.start()
-            states[0].baton.release()
-            for t in threads:
-                t.join()
-        finally:
-            wall_time = time.perf_counter() - wall_start
-            run_done.set()
-            if gc_was_enabled:
-                gc.enable()
-        watchdog.join()
+        # A step program is stepped inline on this thread; anything else —
+        # a blocking program, or any program under a fault plan, whose kills
+        # unwind one rank's frames at a time — gets a thread per rank.
+        if plan is None and is_step_program(program):
+            wall_time = self._run_inline(program, program_args)
+        else:
+            wall_time = self._run_threads(blocking_program(program), program_args)
 
         if self._abort_exc is not None:
             raise self._abort_exc
@@ -553,6 +596,261 @@ class SimRuntime(RMARuntime):
             per_rank_op_counts=per_rank_counts,
             wall_time_s=wall_time,
         )
+
+    # ------------------------------------------------------------------ #
+    # Thread-backed execution (blocking programs, fault-plan runs)
+    # ------------------------------------------------------------------ #
+
+    def _run_threads(self, program: Callable[..., Any], program_args: Optional[Sequence[Any]]) -> float:
+        """Run ``program`` on one OS thread per rank; returns the wall seconds."""
+        nranks = self._nranks
+        states = self._states
+        threads = []
+        for rank in range(nranks):
+            arg = program_args[rank] if program_args is not None else None
+            t = threading.Thread(
+                target=self._rank_main,
+                args=(rank, program, arg, program_args is not None),
+                name=f"sim-rank-{rank}",
+                daemon=True,
+            )
+            threads.append(t)
+        run_done = threading.Event()
+        watchdog = threading.Thread(
+            target=self._watchdog_main, args=(run_done,), name="sim-watchdog", daemon=True
+        )
+        with _gc_paused():
+            wall_start = time.perf_counter()
+            try:
+                watchdog.start()
+                for t in threads:
+                    t.start()
+                states[0].baton.release()
+                for t in threads:
+                    t.join()
+            finally:
+                wall_time = time.perf_counter() - wall_start
+                run_done.set()
+        watchdog.join()
+        return wall_time
+
+    # ------------------------------------------------------------------ #
+    # Inline execution (step programs)
+    # ------------------------------------------------------------------ #
+    #
+    # The same scheduler — _op_body, _post_write, the spin tasks, the heap
+    # and the horizon are shared with the thread-backed path — with the
+    # hand-off removed: every rank is a generator, and "resume the rank whose
+    # key is the minimum" is a send() on this thread.  There is no baton, no
+    # watchdog (nothing can stall but the program itself) and no _lock use
+    # beyond what the shared helpers do.
+
+    def _run_inline(self, program: Callable[..., Any], program_args: Optional[Sequence[Any]]) -> float:
+        """Step ``program``'s per-rank generators to completion; returns the wall seconds."""
+        states = self._states
+        with _gc_paused():
+            wall_start = time.perf_counter()
+            try:
+                for s in states:
+                    ctx = _InlineContext(self, s)
+                    if program_args is not None:
+                        s.steps = program(ctx, program_args[s.rank])
+                    else:
+                        s.steps = program(ctx)
+                self._drive(states[0])
+            except _Aborted:
+                pass  # a spin task failed on another rank's turn: _abort_exc holds why
+            finally:
+                wall_time = time.perf_counter() - wall_start
+                for s in states:
+                    steps, s.steps, s.pending = s.steps, None, None
+                    if steps is not None:
+                        # Unwinds the frames of ranks a failed run left
+                        # suspended; a finished generator ignores it.
+                        with suppress(Exception):
+                            steps.close()
+        return wall_time
+
+    def _drive(self, s: _RankState) -> None:
+        """The inline scheduling loop, entered with ``s`` as the rank to run.
+
+        One pass of the outer loop runs the picked rank for as long as its
+        key stays below the horizon — apply the effect of its pending
+        request, send the value, issue the next request — and then picks the
+        minimum key again, stepping spin tasks in between exactly like
+        :meth:`_run_tasks`.  An error raised on a request's behalf (bad
+        target, overflowing word, ``max_ops``) is thrown into the generator
+        at its ``yield``, where the blocking call would have raised it; an
+        exception the program lets escape ends the run.
+        """
+        heap = self._heap
+        states = self._states
+        windows = self.windows
+        nranks = self._nranks
+        observer = self.observer
+        op_body = self._op_body
+        post_write = self._post_write
+        step_spin = self._step_spin
+        while True:
+            rank = s.rank
+            steps = s.steps
+            send = steps.send
+            request = s.pending
+            error: Optional[Exception] = None
+            picked: Optional[Tuple[float, int]] = None
+            while True:
+                try:
+                    if error is not None:
+                        exc, error = error, None
+                        request = steps.throw(exc)
+                    else:
+                        # -- effect of the request issued last, and its value -- #
+                        value = None
+                        if request is not None:
+                            kind = request[0]
+                            if kind == GET:
+                                value = windows[request[1]].read(request[2])
+                            elif kind == PUT:
+                                windows[request[2]].write(request[3], int(request[1]))
+                                post_write(s, request[2], request[3])
+                            elif kind == FAO:
+                                value = windows[request[2]].fetch_and_op(
+                                    request[3], int(request[1]), request[4]
+                                )
+                                post_write(s, request[2], request[3])
+                                if observer is not None:
+                                    observer.on_rmw(rank, _FAO)
+                            elif kind == ACCUMULATE:
+                                windows[request[2]].apply(
+                                    request[3], int(request[1]),
+                                    request[4] if len(request) > 4 else AtomicOp.SUM,
+                                )
+                                post_write(s, request[2], request[3])
+                            elif kind == CAS:
+                                value = windows[request[3]].compare_and_swap(
+                                    request[4], int(request[2]), int(request[1])
+                                )
+                                post_write(s, request[3], request[4])
+                                if observer is not None:
+                                    observer.on_rmw(rank, _CAS)
+                            elif kind == SPIN_WHILE:
+                                value = s.spin_values[0]
+                                s.spin_values = None
+                            else:  # SPIN
+                                value = s.spin_values
+                                s.spin_values = None
+                        request = send(value)
+                    # -- issue the next request -- #
+                    try:
+                        kind = request[0]
+                    except (TypeError, IndexError, KeyError):
+                        raise bad_request(rank, request) from None
+                    if kind == FLUSH:
+                        clock = op_body(s, _FLUSH, FLUSH, request[1])
+                        request = None  # no effect, no value
+                    elif kind == GET:
+                        clock = op_body(s, _GET, GET, request[1])
+                    elif kind == PUT:
+                        clock = op_body(s, _PUT, PUT, request[2])
+                    elif kind == FAO:
+                        clock = op_body(s, _FAO, FAO, request[2])
+                    elif kind == ACCUMULATE:
+                        clock = op_body(s, _ACCUMULATE, ACCUMULATE, request[2])
+                    elif kind == CAS:
+                        clock = op_body(s, _CAS, CAS, request[3])
+                    elif kind == COMPUTE:
+                        if request[1] < 0:
+                            raise ValueError("compute duration must be non-negative")
+                        clock = s.clock + float(request[1])
+                        s.clock = clock
+                        request = None
+                    elif kind == SPIN_WHILE or kind == SPIN:
+                        if kind == SPIN:
+                            cells = [(int(t), int(o)) for t, o in request[1]]
+                            targets = sorted({t for t, _ in cells})
+                            predicate = request[2]
+                        else:
+                            cells = [(int(request[1]), int(request[2]))]
+                            targets = [cells[0][0]]
+                            predicate = (lambda vs, p=request[3]: p(vs[0]))
+                        s.spin = self._spin_task(s, cells, targets, predicate)
+                        # The first poll round runs here and now, under the
+                        # rank's current scheduling decision; the task does
+                        # its own horizon checks, leg by leg.
+                        if step_spin(s, own_thread=True):
+                            continue  # satisfied without waiting: deliver at once
+                        s.pending = request
+                        break
+                    elif kind == BARRIER:
+                        waiting = self._barrier_waiting
+                        waiting.append(rank)
+                        if len(waiting) < nranks:
+                            s.status = _BARRIER
+                            s.pending = None
+                            break
+                        clock = max(states[r].clock for r in waiting)
+                        clock += self.barrier_cost_us
+                        for r in waiting:
+                            w = states[r]
+                            w.clock = clock
+                            w.status = _READY
+                            if r != rank:
+                                heappush(heap, (clock, r))
+                        self._barrier_waiting = []
+                        # The releasing rank continues; equal clocks, ties
+                        # broken by rank.
+                        self._horizon = self._peek_key()
+                        request = None
+                    else:
+                        raise bad_request(rank, request)
+                except StopIteration as stop:
+                    s.result = stop.value
+                    s.status = _FINISHED
+                    s.finish_time = s.clock
+                    break
+                except Exception as exc:  # noqa: BLE001 - see the docstring
+                    if steps.gi_frame is None:
+                        raise  # the program's own failure: the run fails with it
+                    error = exc
+                    continue
+                h = self._horizon
+                if clock < h[0] or (clock == h[0] and rank < h[1]):
+                    continue  # fast path: still the earliest runnable rank
+                s.pending = request
+                # Crossed the horizon: enqueue this rank and take the minimum
+                # (another rank's key, by definition of crossing) in one sift.
+                picked = heappushpop(heap, (clock, rank))
+                break
+            # -- pick the minimum key; spin tasks are stepped in passing -- #
+            while True:
+                if picked is None:
+                    if not heap:
+                        # Clean drain, or every unfinished rank is blocked.
+                        self._no_runnable(None)
+                        return
+                    picked = heappop(heap)
+                s = states[picked[1]]
+                stale = s.status != _READY or s.clock != picked[0]
+                picked = None
+                if stale:
+                    continue
+                # Inline _peek_key: the next-smallest valid key becomes the
+                # horizon of whichever task is dispatched below.
+                while heap:
+                    key = heap[0]
+                    cand = states[key[1]]
+                    if cand.status == _READY and cand.clock == key[0]:
+                        self._horizon = key
+                        break
+                    heappop(heap)
+                else:
+                    self._horizon = _INF_KEY
+                if s.spin is None:
+                    break
+                if step_spin(s):
+                    # Spin finished: the rank is an ordinary task again at
+                    # its current key.
+                    heappush(heap, (s.clock, s.rank))
 
     # ------------------------------------------------------------------ #
     # Rank thread body
@@ -1151,7 +1449,7 @@ class SimRuntime(RMARuntime):
 
 @register_runtime(
     "horizon",
-    help="min-heap time-horizon scheduler (the fast default; bit-identical to 'baseline')",
+    help="min-heap time-horizon scheduler, the default: steps generator (step) programs inline with no rank threads, runs blocking programs on one thread per rank; bit-identical to 'baseline'",
     fault_injection=True,
 )
 def _make_horizon_runtime(

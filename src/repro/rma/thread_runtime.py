@@ -29,6 +29,7 @@ from repro.rma.runtime_base import (
     RunResult,
     WindowInit,
     allocate_windows,
+    blocking_program,
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -165,6 +166,7 @@ class ThreadRuntime(RMARuntime):
         nranks = self.num_ranks
         if program_args is not None and len(program_args) != nranks:
             raise ValueError(f"program_args must have one entry per rank ({nranks})")
+        program = blocking_program(program)  # a step program runs through ctx.run_steps
 
         self.windows = allocate_windows(nranks, self.window_words, window_init)
         self._locks = [threading.Lock() for _ in range(nranks)]

@@ -88,6 +88,7 @@ from repro.rma.runtime_base import (
     SimDeadlockError,
     WindowInit,
     allocate_windows,
+    blocking_program,
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -468,6 +469,7 @@ class VectorRuntime(RMARuntime):
         nranks = self.num_ranks
         if program_args is not None and len(program_args) != nranks:
             raise ValueError(f"program_args must have one entry per rank ({nranks})")
+        program = blocking_program(program)  # a step program runs through ctx.run_steps
         if self.fault_plan is not None:
             return self._run_faulted(program, window_init, program_args)
         with self._run_guard:
@@ -1925,8 +1927,9 @@ class VectorRuntime(RMARuntime):
 
 @register_runtime(
     "vector",
-    help="descriptor-batched state-machine scheduler with sharded lookahead "
-    "(fastest; bit-identical to 'horizon'/'baseline')",
+    help="descriptor-batched state-machine scheduler with sharded lookahead: "
+    "one thread per rank for every program, run-ahead buffering between syncs "
+    "(bit-identical to 'horizon'/'baseline')",
     fault_injection=True,
 )
 def _make_vector_runtime(

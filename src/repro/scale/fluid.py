@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import get_runtime
+from repro.core.lock_base import program_for_spec
 from repro.topology.builder import XC30_PROCS_PER_NODE, cached_machine
 from repro.traffic.accounting import aggregate_traffic
 from repro.traffic.generators import (
@@ -354,6 +355,7 @@ def run_sampled(
         fw_default=0.0,
         lane=FLUID_LANE,
     )
+    program = program_for_spec(table, machine, program)
     runtime = runtime_info.factory(
         machine,
         window_words=table.window_words + 2,

@@ -42,7 +42,7 @@ from repro.control.policy import (
     policy_min_entry_words,
 )
 from repro.core.lock_base import RWLockHandle
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
 from repro.traffic.generators import Phase, TrafficScenario, generate_schedule
 from repro.traffic.table import as_lock_table, build_lock_table
 
@@ -154,6 +154,10 @@ def make_open_loop_program(
     with ``lane`` naming their dedicated Philox counter lane — and fold keys
     drawn over the scenario's (possibly huge) key space onto a small table
     via the ``% num_locks`` mapping below.
+
+    A step program (see :mod:`repro.rma.runtime_base`); a caller whose table
+    may hold blocking-only handles passes it through
+    :func:`repro.core.lock_base.program_for_spec`, as the harness does.
     """
     num_locks = table.num_locks
     reservoir_cap = scenario.reservoir_cap
@@ -175,9 +179,8 @@ def make_open_loop_program(
         phase_ids = schedule.phase
 
         now = ctx.now
-        compute = ctx.compute
         table_lock = handle.lock
-        ctx.barrier()
+        yield (BARRIER,)
         t_open = now()
         e2e: List[float] = []
         acquire_lat: List[float] = []
@@ -198,7 +201,7 @@ def make_open_loop_program(
                 ready = max(ready, prev_end + think)
             t_now = now()
             if ready > t_now:
-                compute(ready - t_now)
+                yield (COMPUTE, ready - t_now)
             as_writer = True
             if draw_role:
                 as_writer = bool(roles[i])
@@ -207,17 +210,17 @@ def make_open_loop_program(
             t0 = now()
             if is_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_read()
+                yield from rw_lock.acquire_read_steps()
             else:
-                lock.acquire()
+                yield from lock.acquire_steps()
             t1 = now()
             cs = float(cs_times[i])
             if cs > 0.0:
-                compute(cs)
+                yield (COMPUTE, cs)
             if is_rw and not as_writer:
-                rw_lock.release_read()
+                yield from rw_lock.release_read_steps()
             else:
-                lock.release()
+                yield from lock.release_steps()
             t2 = now()
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
@@ -231,7 +234,7 @@ def make_open_loop_program(
                 reads += 1
             prev_end = t2
         end = now()
-        ctx.barrier()
+        yield (BARRIER,)
         out = {
             "start": t_open,
             "end": end,

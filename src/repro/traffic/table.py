@@ -268,6 +268,11 @@ class LockTableHandle:
     def _build_entry(self, entry: TableEntry) -> LockHandle:
         return entry.spec.make(self.ctx)
 
+    def implements_steps(self) -> bool:
+        """Whether the entry handles implement ``*_steps`` (all entries of a
+        table are built from one scheme; entry 0 answers for them)."""
+        return self.lock(0).implements_steps()
+
     def observe(self, observer: Any, index: int = 0) -> None:
         """Attach the run observer to entry ``index`` (the oracle target).
 

@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.lock_base import LockHandle, RWLockHandle
 from repro.rma.ops import RMACall
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import ProcessContext, Steps
 
 __all__ = [
     "LockOracleObserver",
@@ -553,14 +553,17 @@ class ObservedLock(LockHandle):
         self.ctx = ctx
         self.observer = observer
 
-    def acquire(self) -> None:
+    def implements_steps(self) -> bool:
+        return self.inner.implements_steps()
+
+    def acquire_steps(self) -> Steps:
         self.observer.wait_start(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.acquire()
+        yield from self.inner.acquire_steps()
         self.observer.acquired(self.ctx.rank, MODE_WRITE, self.ctx.now())
 
-    def release(self) -> None:
+    def release_steps(self) -> Steps:
         self.observer.released(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.release()
+        yield from self.inner.release_steps()
 
 
 class ObservedRWLock(RWLockHandle):
@@ -571,23 +574,26 @@ class ObservedRWLock(RWLockHandle):
         self.ctx = ctx
         self.observer = observer
 
-    def acquire_write(self) -> None:
+    def implements_steps(self) -> bool:
+        return self.inner.implements_steps()
+
+    def acquire_write_steps(self) -> Steps:
         self.observer.wait_start(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.acquire_write()
+        yield from self.inner.acquire_write_steps()
         self.observer.acquired(self.ctx.rank, MODE_WRITE, self.ctx.now())
 
-    def release_write(self) -> None:
+    def release_write_steps(self) -> Steps:
         self.observer.released(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.release_write()
+        yield from self.inner.release_write_steps()
 
-    def acquire_read(self) -> None:
+    def acquire_read_steps(self) -> Steps:
         self.observer.wait_start(self.ctx.rank, MODE_READ, self.ctx.now())
-        self.inner.acquire_read()
+        yield from self.inner.acquire_read_steps()
         self.observer.acquired(self.ctx.rank, MODE_READ, self.ctx.now())
 
-    def release_read(self) -> None:
+    def release_read_steps(self) -> Steps:
         self.observer.released(self.ctx.rank, MODE_READ, self.ctx.now())
-        self.inner.release_read()
+        yield from self.inner.release_read_steps()
 
 
 def observe_lock(lock: LockHandle, ctx: ProcessContext, observer: RunObserver) -> LockHandle:

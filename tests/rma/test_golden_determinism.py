@@ -9,7 +9,11 @@ Three layers of protection:
    seed scheduler *and* the batched ``vector`` core) must reproduce them
    exactly for rma-mcs and rma-rw at P in {8, 32} — the CI
    golden-fingerprint jobs select one scheduler each with ``-k horizon`` /
-   ``-k baseline`` / ``-k vector``.
+   ``-k baseline`` / ``-k vector``.  ``horizon`` is held to them in both of
+   its modes: ``horizon-inline`` (the harness's step program stepped on the
+   calling thread, no rank thread started) and ``horizon-threads`` (the same
+   program driven by rank threads through ``ctx.run_steps``, which is what a
+   blocking program, a blocking-only handle or a fault plan gets).
 2. **Live cross-check** — the same workloads run on both schedulers in one
    process must match bit-for-bit (guards against the recorded file and both
    schedulers drifting together).
@@ -26,25 +30,37 @@ import pytest
 
 from repro.api.registry import get_runtime
 from repro.bench.harness import build_lock_spec, make_lock_program
+from repro.rma.runtime_base import blocking_program, is_step_program
 
 from golden_cases import GOLDEN_CASES, golden_config, result_fingerprint
+from tests.support import rank_threads_started
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 
-#: Every scheduler held to the recorded goldens.  The campaign result cache
-#: keys on the golden file's hash, so whatever passes here also defines the
-#: cache epoch of `repro campaign` / `repro regress`.
-SCHEDULERS = ("horizon", "baseline", "vector")
+#: Every scheduler (and mode) held to the recorded goldens.  The campaign
+#: result cache keys on the golden file's hash, so whatever passes here also
+#: defines the cache epoch of `repro campaign` / `repro regress`.
+SCHEDULERS = ("horizon-inline", "horizon-threads", "baseline", "vector")
 
 
 def _run_case(name: str, scheduler: str):
     config = golden_config(name)
     spec, is_rw = build_lock_spec(config)
+    scheduler, _, mode = scheduler.partition("-")
     runtime = get_runtime(scheduler).factory(
         config.machine, window_words=spec.window_words + 2, seed=config.seed
     )
     program = make_lock_program(config, spec, is_rw, spec.window_words)
-    return runtime.run(program, window_init=spec.init_window)
+    assert is_step_program(program)
+    if mode == "threads":
+        program = blocking_program(program)
+    with rank_threads_started() as rank_threads:
+        result = runtime.run(program, window_init=spec.init_window)
+    if mode == "inline":
+        assert not rank_threads, "the inline driver must stay engaged"
+    elif mode == "threads":
+        assert len(rank_threads) == config.machine.num_processes
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +86,9 @@ def test_matches_recorded_seed_scheduler(name, scheduler, recorded_goldens):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_matches_live_baseline_scheduler(name):
     """Bit-identical RunResult vs the preserved seed scheduler, run live."""
-    horizon = result_fingerprint(_run_case(name, "horizon"))
     baseline = result_fingerprint(_run_case(name, "baseline"))
-    assert horizon == baseline
+    assert result_fingerprint(_run_case(name, "horizon-inline")) == baseline
+    assert result_fingerprint(_run_case(name, "horizon-threads")) == baseline
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

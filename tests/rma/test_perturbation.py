@@ -7,7 +7,8 @@ import pytest
 from repro.bench.harness import build_lock_spec, make_lock_program
 from repro.rma.baseline_runtime import BaselineSimRuntime
 from repro.rma.latency import LatencyModel, cost_table
-from repro.rma.perturbation import PerturbationModel, perturbation_rng
+from repro.rma import perturbation as perturbation_module
+from repro.rma.perturbation import PerturbationModel, RankPerturbation, perturbation_rng
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -170,3 +171,53 @@ class TestPerturbedRuns:
             perturbation=PerturbationModel(seed=3, latency_jitter=0.5),
         ).run(program).total_time_us
         assert jittered >= base
+
+
+class ScalarRankPerturbation:
+    """The reference: one scalar ``Generator`` call per uniform, as drawn
+    before :class:`RankPerturbation` started taking them in blocks."""
+
+    def __init__(self, model, rank):
+        self._rng = perturbation_rng(model.seed, rank)
+        self._jitter = model.latency_jitter
+        self._pause_rate = model.pause_rate
+        self._pause_lo, self._pause_hi = model.pause_us
+
+    def perturb(self, cost):
+        rng = self._rng
+        if self._jitter > 0.0:
+            cost = cost * (1.0 + self._jitter * float(rng.random()))
+        if self._pause_rate > 0.0 and float(rng.random()) < self._pause_rate:
+            cost = cost + float(rng.uniform(self._pause_lo, self._pause_hi))
+        return cost
+
+
+BLOCK_DRAW_MODELS = {
+    "jitter-only": dict(latency_jitter=0.3),
+    "pauses-only": dict(pause_rate=0.02),
+    "both": dict(latency_jitter=0.3, pause_rate=0.02),
+    "pause-lo-eq-hi": dict(latency_jitter=0.2, pause_rate=0.05, pause_us=(7.0, 7.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_DRAW_MODELS))
+class TestBlockDraws:
+    """Uniforms drawn in blocks are the scalar stream, value for value."""
+
+    def test_block_stream_equals_scalar_reference(self, kind):
+        model = PerturbationModel(seed=11, **BLOCK_DRAW_MODELS[kind])
+        block, scalar = RankPerturbation(model, 3), ScalarRankPerturbation(model, 3)
+        costs = [1.0 + 0.001 * (i % 7) for i in range(10_000)]
+        perturbed = [block.perturb(c) for c in costs]
+        assert perturbed == [scalar.perturb(c) for c in costs]
+        if model.pause_rate:
+            assert sum(1 for c, p in zip(costs, perturbed) if p > c + 5.0) > 50
+
+    @pytest.mark.parametrize("runtime_cls", [SimRuntime, BaselineSimRuntime], ids=["horizon", "baseline"])
+    def test_runs_are_unchanged_by_block_draws(self, kind, runtime_cls, monkeypatch):
+        model = PerturbationModel(seed=5, rank_slowdown=0.5, **BLOCK_DRAW_MODELS[kind])
+        block = result_fingerprint(_run_case("rma-rw-wcsb-p32", runtime_cls, model))
+        monkeypatch.setattr(perturbation_module, "RankPerturbation", ScalarRankPerturbation)
+        scalar = result_fingerprint(_run_case("rma-rw-wcsb-p32", runtime_cls, model))
+        assert block == scalar
+        assert block != result_fingerprint(_run_case("rma-rw-wcsb-p32", runtime_cls))

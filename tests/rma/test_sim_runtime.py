@@ -8,7 +8,7 @@ import pytest
 
 from repro.rma.latency import LatencyModel
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import RuntimeError_, SimDeadlockError
+from repro.rma.runtime_base import BARRIER, FLUSH, PUT, RuntimeError_, SimDeadlockError
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 
@@ -421,11 +421,40 @@ class TestRunLifecycle:
         with pytest.raises(ValueError, match="injected failure"):
             rt.run(failing)
 
-        # A fresh run starts from clean windows, counters and scheduler state.
-        result = rt.run(lambda ctx: ctx.get(0, 0))
-        assert result.returns == [0, 0, 0, 0]
-        assert result.op_counts == {"get": 4}
-        assert all(t >= 0.0 for t in result.finish_times_us)
+        def assert_clean_rerun():
+            # A fresh run starts from clean windows, counters and scheduler state.
+            result = rt.run(lambda ctx: ctx.get(0, 0))
+            assert result.returns == [0, 0, 0, 0]
+            assert result.op_counts == {"get": 4}
+            assert all(t >= 0.0 for t in result.finish_times_us)
+
+        assert_clean_rerun()
+
+        # The same after a failed *inline* run: a raising step program, a
+        # blocking call where a request should have been yielded, and a
+        # yielded value that is not a request.
+        def failing_steps(how):
+            def program(ctx):
+                yield (PUT, 7, 0, 0)
+                yield (FLUSH, 0)
+                if ctx.rank == 2:
+                    if how == "raise":
+                        raise ValueError("injected failure")
+                    if how == "blocking":
+                        ctx.flush(0)
+                    yield how
+                yield (BARRIER,)
+
+            return program
+
+        for how, error, match in (
+            ("raise", ValueError, "injected failure"),
+            ("blocking", RuntimeError_, "rank 2 made a blocking context call"),
+            ("not a request", TypeError, "rank 2 yielded 'not a request'"),
+        ):
+            with pytest.raises(error, match=match):
+                rt.run(failing_steps(how))
+            assert_clean_rerun()
 
     def test_window_init_failure_keeps_runtime_usable(self):
         rt = make_runtime()

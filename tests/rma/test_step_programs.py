@@ -1,0 +1,477 @@
+"""Step programs: the inline driver against its thread-backed twin.
+
+A rank program that is a generator function yields its RMA requests (see
+"Step programs" in :mod:`repro.rma.runtime_base`).  The ``horizon`` runtime
+steps such a program inline, on the calling thread; every other path — the
+same program driven by rank threads through ``ctx.run_steps``, the
+``baseline`` seed scheduler, a run under a fault plan — must produce the
+same :class:`~repro.rma.runtime_base.RunResult` bit for bit, the same oracle
+report field for field, and the same failures.
+
+The first half is the registry-wide differential check (every built-in
+scheme the harness can drive, including ``striped-rw`` through its adapter);
+"the inline driver must stay engaged" is asserted by checking that no
+``sim-rank-*`` thread is started.  The second half covers what a differential
+run cannot: deadlocks, raising programs and predicates, misuse, ``max_ops``,
+``program_args``, the re-entry guard, fault-plan fallback, and one point
+through each suite entry the ledger measures.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import asdict
+
+import pytest
+
+from repro.api.registry import get_runtime, get_scheme, scheme_names
+from repro.bench.campaign import run_result_sha
+from repro.bench.conformance import ConformancePoint, run_conformance_point
+from repro.bench.harness import (
+    build_lock_spec,
+    make_lock_program,
+    run_lock_benchmark_detailed,
+)
+from repro.bench.workloads import LockBenchConfig
+from repro.fault import FaultPlan
+from repro.rma.ops import AtomicOp
+from repro.rma.perturbation import PerturbationModel
+from repro.rma.runtime_base import (
+    ACCUMULATE,
+    BARRIER,
+    COMPUTE,
+    FAO,
+    FLUSH,
+    GET,
+    PUT,
+    SPIN,
+    SPIN_WHILE,
+    RuntimeError_,
+    SimDeadlockError,
+    blocking_program,
+    is_step_program,
+)
+from repro.rma.sim_runtime import SimRuntime
+from repro.topology.builder import cached_machine
+from repro.topology.machine import Machine
+from repro.traffic.engine import run_traffic, traffic_spec
+from repro.verification.oracles import LockOracleObserver
+
+from tests.support import rank_threads_started
+
+
+def _builtin_schemes():
+    """Registered schemes the harness can drive whose specs live in ``repro``."""
+    machine = cached_machine(8, 4)
+    names = []
+    for name in scheme_names():
+        info = get_scheme(name)
+        if not (info.harness or info.conformance_adapter is not None):
+            continue
+        spec, _ = build_lock_spec(LockBenchConfig(machine=machine, scheme=name, benchmark="ecsb"))
+        if type(spec).__module__.startswith("repro."):
+            names.append(name)
+    return names
+
+
+SCHEMES = _builtin_schemes()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_cpu():
+    """Confine this module's runs to one CPU where the OS allows it.
+
+    Two thirds of the runs below are thread-backed on purpose; exactly one
+    rank thread is runnable at a time, and letting the baton-passing threads
+    migrate between CPUs makes those runs 2-4x slower for nothing.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+CHAOS = dict(latency_jitter=0.3, rank_slowdown=0.5, pause_rate=0.01, pause_us=(5.0, 40.0))
+
+
+def _run(config, program, spec, scheduler, *, chaos_seed=None):
+    """One run; returns (fingerprint, oracle report dict or None)."""
+    kwargs = {}
+    observer = None
+    if chaos_seed is not None:
+        info = get_scheme(config.scheme)
+        bound = info.fairness_bound(config.machine.num_processes) if info.fairness_bound else None
+        observer = LockOracleObserver(bypass_bound=bound)
+        kwargs = dict(perturbation=PerturbationModel(seed=chaos_seed, **CHAOS), observer=observer)
+    runtime = get_runtime(scheduler).factory(
+        config.machine, window_words=spec.window_words + 2, seed=config.seed, **kwargs
+    )
+    result = runtime.run(program, window_init=spec.init_window)
+    return run_result_sha(result), (asdict(observer.report()) if observer else None)
+
+
+class TestRegistryWideDifferential:
+    def test_every_builtin_family_is_covered(self):
+        assert {"rma-rw", "rma-mcs", "d-mcs", "fompi-spin", "fompi-rw", "ticket", "hbo",
+                "cohort", "numa-rw", "alock", "lock-server", "lease-lock", "repair-mcs",
+                "striped-rw"} <= set(SCHEMES)
+
+    @pytest.mark.parametrize("procs", [8, 32])
+    @pytest.mark.parametrize("workload", ["ecsb", "wcsb", "warb"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_inline_equals_threads_equals_baseline(self, scheme, workload, procs):
+        machine = cached_machine(procs, 8 if procs == 32 else 4)
+        for seed in (3, 7):
+            config = LockBenchConfig(
+                machine=machine, scheme=scheme, benchmark=workload,
+                iterations=4 if procs == 8 else 2, fw=0.2, seed=seed,
+            )
+            spec, is_rw = build_lock_spec(config)
+            program = make_lock_program(config, spec, is_rw, spec.window_words)
+            assert is_step_program(program)
+            for chaos_seed in (None, seed):
+                with rank_threads_started() as threads:
+                    inline = _run(config, program, spec, "horizon", chaos_seed=chaos_seed)
+                assert not threads, "the inline driver must stay engaged"
+                with rank_threads_started() as threads:
+                    threaded = _run(
+                        config, blocking_program(program), spec, "horizon",
+                        chaos_seed=chaos_seed,
+                    )
+                assert len(threads) == procs
+                baseline = _run(config, program, spec, "baseline", chaos_seed=chaos_seed)
+                assert inline == threaded == baseline, (scheme, workload, procs, seed, chaos_seed)
+                if chaos_seed is not None:
+                    assert inline[1]["acquires"] == procs * config.iterations
+                    assert not inline[1]["violations"]
+
+
+# --------------------------------------------------------------------------- #
+# Failure modes, lifecycle, misuse
+# --------------------------------------------------------------------------- #
+
+def make_runtime(**kwargs) -> SimRuntime:
+    kwargs.setdefault("window_words", 8)
+    return SimRuntime(Machine.cluster(nodes=2, procs_per_node=2), **kwargs)
+
+
+def _failure(program, **kwargs):
+    """The exception ``program`` fails with, inline (asserted) or on threads."""
+    runtime = make_runtime(**kwargs)
+    with rank_threads_started() as threads:
+        with pytest.raises(Exception) as info:
+            runtime.run(program)
+    assert bool(threads) != is_step_program(program)
+    return info.value
+
+
+class TestFailuresMatchTheBlockingTwin:
+    def test_deadlock_report_is_identical(self):
+        def steps(ctx):
+            yield (COMPUTE, 1.5 * ctx.rank)
+            if ctx.rank == 3:
+                yield (BARRIER,)
+            elif ctx.rank:
+                yield (SPIN, [(ctx.rank, 0), (0, 1)], lambda vs: vs[0] == 0)
+            return ctx.rank
+
+        def blocking(ctx):
+            ctx.compute(1.5 * ctx.rank)
+            if ctx.rank == 3:
+                ctx.barrier()
+            elif ctx.rank:
+                ctx.spin_on_cells([(ctx.rank, 0), (0, 1)], lambda vs: vs[0] == 0)
+            return ctx.rank
+
+        inline, threaded = _failure(steps), _failure(blocking)
+        assert type(inline) is type(threaded) is SimDeadlockError
+        assert str(inline) == str(threaded)
+        assert "rank 1: parked on" in str(inline) and "rank 3: waiting at barrier" in str(inline)
+
+    def test_raising_program_surfaces_its_exception(self):
+        def steps(ctx):
+            yield (BARRIER,)
+            if ctx.rank == 1:
+                raise ValueError("boom from rank 1")
+            yield (BARRIER,)
+
+        error = _failure(steps)
+        assert type(error) is ValueError and str(error) == "boom from rank 1"
+
+    def test_raising_spin_predicate_surfaces_and_never_leaks_across_ranks(self):
+        def flaky(v):
+            if v != 0:
+                raise ValueError("predicate exploded")
+            return True
+
+        leaked = []
+
+        def steps(ctx):
+            if ctx.rank == 1:
+                yield (SPIN_WHILE, 1, 0, flaky)
+            elif ctx.rank == 0:
+                try:
+                    yield (COMPUTE, 50.0)
+                    yield (PUT, 1, 1, 0)  # wakes rank 1, whose re-poll raises
+                    yield (FLUSH, 1)
+                    yield (COMPUTE, 50.0)
+                except ValueError:
+                    leaked.append(ctx.rank)
+
+        error = _failure(steps)
+        assert type(error) is ValueError and str(error) == "predicate exploded"
+        assert not leaked
+
+    def test_first_poll_predicate_error_is_raised_at_the_yield(self):
+        """While the spinner stays below the horizon its first poll round is
+        part of its own turn, so the error is the program's to catch."""
+        seen = []
+
+        def steps(ctx):
+            if ctx.rank == 3:  # runs last, with every other rank far ahead
+                try:
+                    yield (SPIN_WHILE, 3, 0, lambda v: 1 / 0 > 0)
+                except ZeroDivisionError:
+                    seen.append("steps")
+                    raise
+            yield (COMPUTE, 100.0)
+
+        def blocking(ctx):
+            if ctx.rank == 3:
+                try:
+                    ctx.spin_while(3, 0, lambda v: 1 / 0 > 0)
+                except ZeroDivisionError:
+                    seen.append("blocking")
+                    raise
+            ctx.compute(100.0)
+
+        assert type(_failure(steps)) is type(_failure(blocking)) is ZeroDivisionError
+        assert seen == ["steps", "blocking"]
+
+    def test_request_errors_are_raised_at_the_yield_like_the_blocking_call(self):
+        """Bad target, bad offset, negative compute: same exception, catchable."""
+
+        def steps(ctx):
+            caught = []
+            for request in ((GET, 99, 0), (PUT, 1, 0, 99), (COMPUTE, -1.0)):
+                try:
+                    yield request
+                    if request[0] == PUT:
+                        yield (FLUSH, 0)  # the put's effect lands here at the latest
+                except (ValueError, IndexError) as exc:
+                    caught.append((type(exc).__name__, str(exc)))
+            return caught
+
+        def blocking(ctx):
+            caught = []
+            for call in (lambda: ctx.get(99, 0), lambda: ctx.put(1, 0, 99), lambda: ctx.compute(-1.0)):
+                try:
+                    call()
+                except (ValueError, IndexError) as exc:
+                    caught.append((type(exc).__name__, str(exc)))
+            return caught
+
+        inline = make_runtime().run(steps)
+        threaded = make_runtime().run(blocking)
+        assert inline.returns == threaded.returns
+        assert [kind for kind, _ in inline.returns[0]] == ["ValueError", "IndexError", "ValueError"]
+        assert inline.op_counts == threaded.op_counts
+
+    def test_max_ops(self):
+        def steps(ctx):
+            for _ in range(1000):
+                yield (GET, 0, 0)
+                yield (FLUSH, 0)
+
+        error = _failure(steps, max_ops=50)
+        assert type(error) is RuntimeError_ and "max_ops=50" in str(error)
+        assert str(error) == str(_failure(blocking_program(steps), max_ops=50))
+
+
+class TestLifecycle:
+    def test_program_args_and_return_values(self):
+        def steps(ctx, arg):
+            previous = yield (FAO, arg, 0, 1, AtomicOp.SUM)
+            yield (FLUSH, 0)
+            yield (BARRIER,)
+            total = yield (GET, 0, 1)
+            return (ctx.rank, arg, previous, total)
+
+        runtime = make_runtime()
+        with rank_threads_started() as threads:
+            result = runtime.run(steps, program_args=[10, 20, 30, 40])
+        assert not threads
+        assert [r[:2] for r in result.returns] == [(0, 10), (1, 20), (2, 30), (3, 40)]
+        assert {r[3] for r in result.returns} == {100}
+        assert result.op_counts == {"fao": 4, "flush": 4, "get": 4}
+        threaded = make_runtime().run(blocking_program(steps), program_args=[10, 20, 30, 40])
+        assert run_result_sha(result) == run_result_sha(threaded)
+        with pytest.raises(ValueError, match="one entry per rank"):
+            runtime.run(steps, program_args=[1])
+
+    def test_run_is_not_reentrant_from_inside_an_inline_run(self):
+        runtime = make_runtime()
+
+        def steps(ctx):
+            if ctx.rank == 0:
+                runtime.run(lambda inner: inner.rank)
+            yield (BARRIER,)
+
+        with pytest.raises(RuntimeError_, match="not reentrant"):
+            runtime.run(steps)
+        assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
+
+    def test_accumulate_defaults_to_sum_and_spin_returns_the_observed_values(self):
+        def steps(ctx):
+            yield (ACCUMULATE, ctx.rank + 1, 0, 2)
+            yield (FLUSH, 0)
+            values = yield (SPIN, [(0, 2), (0, 3)], lambda vs: vs[0] < 10)
+            single = yield (SPIN_WHILE, 0, 2, lambda v: v < 10)
+            return (values, single, ctx.now())
+
+        inline = make_runtime().run(steps)
+        assert {tuple(r[0]) for r in inline.returns} == {(10, 0)}
+        assert {r[1] for r in inline.returns} == {10}
+        threaded = make_runtime().run(blocking_program(steps))
+        assert run_result_sha(inline) == run_result_sha(threaded)
+
+
+class TestMisuseFailsLoudly:
+    """A blocking call inside an inline run has no thread to park."""
+
+    @pytest.mark.parametrize(
+        "misuse",
+        [
+            lambda ctx, lock: ctx.put(1, 0, 7),
+            lambda ctx, lock: ctx.spin_while(0, 7, lambda v: False),
+            lambda ctx, lock: ctx.compute(1.0),
+            lambda ctx, lock: (lock.acquire(), lock.release()),
+            lambda ctx, lock: (ctx.run_steps(lock.acquire_steps()), lock.release()),
+        ],
+        ids=["ctx.put", "ctx.spin_while", "ctx.compute", "lock.acquire", "ctx.run_steps"],
+    )
+    def test_blocking_call_raises_and_the_runtime_stays_usable(self, misuse):
+        from repro.core.dmcs import DMCSLockSpec
+
+        spec = DMCSLockSpec(num_processes=4)
+        runtime = make_runtime()
+
+        def steps(ctx):
+            lock = spec.make(ctx)
+            yield (BARRIER,)
+            if ctx.rank == 2:
+                misuse(ctx, lock)
+            yield from lock.acquire_steps()
+            yield from lock.release_steps()
+
+        with pytest.raises(RuntimeError_, match=r"rank 2 made a blocking context call") as info:
+            runtime.run(steps, window_init=spec.init_window)
+        assert "yield the request" in str(info.value)
+        assert "yield from lock.acquire_steps()" in str(info.value)
+        # The very same program, thread-backed, is fine — and so is a rerun.
+        ok = runtime.run(blocking_program(steps), window_init=spec.init_window)
+        assert sum(ok.op_counts.values()) > 0
+        assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("value", [None, 7, "put", (), (99, 0), ("put", 1, 0, 0)], ids=repr)
+    def test_yielding_a_non_request_names_the_rank_and_the_value(self, value):
+        def steps(ctx):
+            yield (BARRIER,)
+            if ctx.rank == 3:
+                yield value
+
+        for program in (steps, blocking_program(steps)):
+            runtime = make_runtime()
+            with pytest.raises(TypeError) as info:
+                runtime.run(program)
+            assert f"rank 3 yielded {value!r}" in str(info.value)
+            assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
+
+    def test_forgetting_yield_from_is_reported_as_a_non_request(self):
+        from repro.core.dmcs import DMCSLockSpec
+
+        spec = DMCSLockSpec(num_processes=4)
+
+        def steps(ctx):
+            lock = spec.make(ctx)
+            yield lock.acquire_steps()  # should have been `yield from`
+
+        with pytest.raises(TypeError, match=r"rank 0 yielded <generator object"):
+            make_runtime().run(steps, window_init=spec.init_window)
+
+
+# --------------------------------------------------------------------------- #
+# Fault plans fall back to threads; the suites stay inline
+# --------------------------------------------------------------------------- #
+
+class TestFaultPlanFallsBackToThreads:
+    def test_kill_and_restart_matches_the_thread_backed_run(self):
+        config = LockBenchConfig(
+            machine=cached_machine(4, 4, "xc30"), scheme="lease-lock",
+            benchmark="wcsb", iterations=4, fw=0.2, seed=5,
+        )
+        plan = FaultPlan.single(1, kill_us=3.0, restart_us=4000.0)
+        spec, is_rw = build_lock_spec(config)
+        program = make_lock_program(config, spec, is_rw, spec.window_words)
+        assert is_step_program(program)
+        shas = {}
+        for name, prog, scheduler in (
+            ("steps", program, "horizon"),
+            ("threads", blocking_program(program), "horizon"),
+            ("baseline", program, "baseline"),
+        ):
+            runtime = get_runtime(scheduler).factory(
+                config.machine, window_words=spec.window_words + 2,
+                seed=config.seed, fault_plan=plan,
+            )
+            with rank_threads_started() as threads:
+                result = runtime.run(prog, window_init=spec.init_window)
+            if scheduler == "horizon":
+                assert len(threads) == 4, "a fault plan needs one thread per rank"
+            assert not any(isinstance(r, dict) and r.get("__crashed__") for r in result.returns)
+            shas[name] = run_result_sha(result)
+        assert len(set(shas.values())) == 1, shas
+
+    def test_a_null_plan_keeps_the_inline_driver(self):
+        config = LockBenchConfig(
+            machine=cached_machine(4, 4, "xc30"), scheme="d-mcs", benchmark="ecsb",
+            iterations=3, seed=5,
+        )
+        with rank_threads_started() as threads:
+            _, faulted = run_lock_benchmark_detailed(config, fault_plan=FaultPlan())
+        assert not threads
+        _, plain = run_lock_benchmark_detailed(config)
+        assert run_result_sha(faulted) == run_result_sha(plain)
+
+
+class TestSuiteEntryPoints:
+    def test_traffic_point_runs_inline_and_matches_baseline(self):
+        spec = traffic_spec(
+            schemes=("d-mcs", "striped-rw"), scenarios=("traffic-zipf",),
+            process_counts=(8,), iterations=6,
+        )
+        with rank_threads_started() as threads:
+            inline = run_traffic(spec, schedulers=("horizon",), jobs=1, cache=False)
+        assert not threads, "the open-loop program must be stepped inline"
+        baseline = run_traffic(spec, schedulers=("baseline",), jobs=1, cache=False)
+        assert [r["fingerprint"] for r in inline.rows] == [r["fingerprint"] for r in baseline.rows]
+        assert [r["percentiles"] for r in inline.rows] == [r["percentiles"] for r in baseline.rows]
+
+    @pytest.mark.parametrize("workload", ["wcsb", "traffic-zipf"])
+    def test_observed_point_runs_inline_and_matches_baseline(self, workload):
+        def row(scheduler):
+            point = ConformancePoint(
+                scheme="rma-rw", benchmark=workload, procs=8, procs_per_node=4,
+                iterations=5, scheduler=scheduler, perturb_seed=2, **CHAOS,
+            )
+            row = run_conformance_point(point, recheck=True)
+            return {k: v for k, v in row.items() if k not in ("case", "scheduler")}
+
+        with rank_threads_started() as threads:
+            inline = row("horizon")
+        assert not threads
+        assert inline["ok"] and inline["reproducible"] and inline["acquires"] > 0
+        assert inline == row("baseline")

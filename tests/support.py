@@ -10,8 +10,10 @@ mutual-exclusion and the reader-writer cases and run them on either runtime.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.constants import NULL_RANK
 from repro.core.lock_base import LockSpec, RWLockSpec
@@ -25,9 +27,36 @@ __all__ = [
     "MutexOutcome",
     "RWOutcome",
     "build_runtime",
+    "rank_threads_started",
     "run_mutex_check",
     "run_rw_check",
 ]
+
+@contextmanager
+def rank_threads_started() -> Iterator[List[str]]:
+    """Names of the simulator rank threads started inside the block.
+
+    The horizon runtime steps a step program inline, on the calling thread;
+    "no ``sim-rank-*`` thread was started" is how the tests assert that the
+    inline driver stayed engaged (and a full set, that a run was
+    thread-backed).  Also checks that the block leaves no thread running.
+    """
+    before = set(threading.enumerate())
+    names: List[str] = []
+    start = threading.Thread.start
+
+    def recording_start(thread: threading.Thread) -> None:
+        if thread.name.startswith("sim-rank-"):
+            names.append(thread.name)
+        start(thread)
+
+    threading.Thread.start = recording_start
+    try:
+        yield names
+    finally:
+        threading.Thread.start = start
+    assert set(threading.enumerate()) <= before, "a run left threads behind"
+
 
 #: Simulated "hold the lock" time inside instrumented critical sections (µs).
 CS_HOLD_US = 0.4

@@ -92,6 +92,12 @@ def test_custom_lock(monkeypatch, capsys):
     assert "mutual exclusion through the public API" in out
 
 
+def test_step_program(monkeypatch, capsys):
+    out = run_example("step_program.py", monkeypatch, capsys)
+    assert "one simulated run" in out
+    assert "stepped the step program inline" in out
+
+
 def test_adaptive_demo(monkeypatch, capsys):
     out = run_example("adaptive_demo.py", monkeypatch, capsys)
     assert "scheme swaps" in out

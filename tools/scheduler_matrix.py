@@ -30,9 +30,9 @@ END = "<!-- scheduler-matrix:end -->"
 #: Selection guidance per backend; the registry's help string is the
 #: fallback for runtimes registered after this tool shipped.
 WHEN_TO_PICK = {
-    "horizon": "the default — fast, and every hook (tracer, fabric, perturbation, observer) runs on the canonical path",
+    "horizon": "the default, and the fastest on step programs (the harness, traffic and conformance loops): no rank threads, every hook (tracer, fabric, perturbation, observer) on the canonical path; blocking programs and fault plans run thread-backed",
     "baseline": "cross-checking a scheduler change against the preserved seed semantics",
-    "vector": "the biggest single runs — batched spin dispatch, cheapest per-op driver; hooks fall back to the canonical single-shard mode",
+    "vector": "spin-dominated *blocking* programs (batched spinner waves); about 2x slower than `horizon` on step programs, which it drives on rank threads; hooks fall back to the canonical single-shard mode",
     "thread": "demonstrating genuine races on real OS threads (wall-clock, non-reproducible)",
 }
 

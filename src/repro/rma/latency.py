@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.rma.ops import CALLS, RMACall
 from repro.topology.machine import Machine
 
 __all__ = ["CostTable", "LatencyModel", "cost_table"]
+
+#: Tier names by distance ``N + 1 - common_level``; everything past 3 is "global".
+_TIER_NAMES = ("self", "same_node", "same_group", "global")
 
 
 @dataclass(frozen=True)
@@ -96,17 +99,19 @@ class LatencyModel:
     # Cost computation
     # ------------------------------------------------------------------ #
 
-    def base_cost(self, machine: Machine, origin: int, target: int) -> float:
-        """Distance-dependent base cost of touching ``target``'s window from ``origin``."""
-        common = machine.common_level(origin, target)
-        n = machine.n_levels
-        if common == n + 1:
+    def _level_cost(self, common: int, n_levels: int) -> float:
+        """Base cost of an access whose endpoints' common level is ``common``."""
+        if common == n_levels + 1:
             return self.self_us
-        if common == n:
+        if common == n_levels:
             return self.same_node_us
-        if common == n - 1:
+        if common == n_levels - 1:
             return self.same_group_us
         return self.global_us
+
+    def base_cost(self, machine: Machine, origin: int, target: int) -> float:
+        """Distance-dependent base cost of touching ``target``'s window from ``origin``."""
+        return self._level_cost(machine.common_level(origin, target), machine.n_levels)
 
     def cost(self, call: RMACall, machine: Machine, origin: int, target: int) -> float:
         """Latency charged to ``origin`` for issuing ``call`` at ``target``."""
@@ -143,13 +148,17 @@ class LatencyModel:
         return cost_table(self, machine)
 
     def tier_table(self, machine: Machine) -> Dict[str, float]:
-        """Human-readable map of tier name -> µs for reporting."""
-        return {
-            "self": self.self_us,
-            "same_node": self.same_node_us,
-            "same_group": self.same_group_us if machine.n_levels >= 3 else self.global_us,
-            "global": self.global_us,
-        }
+        """Human-readable map of tier name -> µs for reporting, nearest first.
+
+        Only the tiers some pair of ranks of ``machine`` is at are listed, each
+        with the value :meth:`base_cost` charges at that distance.
+        """
+        n = machine.n_levels
+        tiers: Dict[str, float] = {}
+        for target in machine.iter_ranks():  # a regular hierarchy: rank 0 sees every class
+            common = machine.common_level(0, target)
+            tiers.setdefault(_TIER_NAMES[min(n + 1 - common, 3)], self._level_cost(common, n))
+        return tiers
 
 
 class CostTable:
@@ -157,10 +166,13 @@ class CostTable:
 
     ``cost[call_index][origin * P + target]`` is exactly
     ``model.cost(call, machine, origin, target)`` and likewise for
-    ``occupancy``; the arrays are built by calling the model's methods once
-    per entry, so subclassed models with overridden ``cost``/``occupancy``
-    are honoured.  ``node_of[rank]`` caches the leaf element of every rank
-    (used by the fabric-contention fast path).
+    ``occupancy``.  The stock :class:`LatencyModel` methods depend on the rank
+    pair only through its common level, so for them the hierarchy is walked
+    once per pair and the model's methods are called once per call and
+    *distance class present*, on a representative pair; a model whose type
+    overrides ``cost``, ``base_cost`` or ``occupancy`` may charge per rank
+    pair and gets one method call per entry.  ``node_of[rank]`` caches the
+    leaf element of every rank (used by the fabric-contention fast path).
     """
 
     __slots__ = ("num_ranks", "cost", "occupancy", "node_of")
@@ -169,14 +181,24 @@ class CostTable:
         p = machine.num_processes
         self.num_ranks = p
         ranks = range(p)
-        self.cost: List[List[float]] = [
-            [model.cost(call, machine, o, t) for o in ranks for t in ranks]
-            for call in CALLS
-        ]
-        self.occupancy: List[List[float]] = [
-            [model.occupancy(call, o, t) for o in ranks for t in ranks]
-            for call in CALLS
-        ]
+        if all(
+            getattr(type(model), name, None) is getattr(LatencyModel, name)
+            for name in ("cost", "base_cost", "occupancy")
+        ):
+            classes = [machine.common_level(o, t) for o in ranks for t in ranks]
+            pairs = {c: divmod(i, p) for i, c in enumerate(classes)}  # one per class
+
+            def rows(entry: Callable[[RMACall, int, int], float]) -> List[List[float]]:
+                by_class = ({c: entry(call, *pairs[c]) for c in pairs} for call in CALLS)
+                return [[values[c] for c in classes] for values in by_class]
+
+        else:
+
+            def rows(entry: Callable[[RMACall, int, int], float]) -> List[List[float]]:
+                return [[entry(call, o, t) for o in ranks for t in ranks] for call in CALLS]
+
+        self.cost: List[List[float]] = rows(lambda call, o, t: model.cost(call, machine, o, t))
+        self.occupancy: List[List[float]] = rows(model.occupancy)
         self.node_of: Tuple[int, ...] = tuple(machine.node_of(r) for r in ranks)
 
     def scaled_by_origin(self, multipliers: Sequence[float]) -> "CostTable":
@@ -199,7 +221,8 @@ class CostTable:
         scaled = CostTable.__new__(CostTable)
         scaled.num_ranks = p
         scaled.cost = [
-            [row[i] * multipliers[i // p] for i in range(p * p)] for row in self.cost
+            [c * m for o, m in enumerate(multipliers) for c in row[o * p : (o + 1) * p]]
+            for row in self.cost
         ]
         scaled.occupancy = self.occupancy
         scaled.node_of = self.node_of

@@ -20,6 +20,7 @@ This module provides :class:`Machine`, the single source of truth for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterator, List, Sequence, Tuple
 
 __all__ = ["Machine", "MachineLevel"]
@@ -60,19 +61,36 @@ class Machine:
     level_names: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.procs_per_leaf < 1:
-            raise ValueError(f"procs_per_leaf must be >= 1, got {self.procs_per_leaf}")
-        for f in self.fanouts:
+        # Lists and numpy integers are accepted and stored as plain tuples of
+        # int, so equal shapes compare and hash equal however they were built.
+        fanouts = tuple(index(f) for f in self.fanouts)
+        procs_per_leaf = index(self.procs_per_leaf)
+        names = tuple(self.level_names)
+        if procs_per_leaf < 1:
+            raise ValueError(f"procs_per_leaf must be >= 1, got {procs_per_leaf}")
+        counts = [1]
+        for f in fanouts:
             if f < 1:
-                raise ValueError(f"every fan-out must be >= 1, got {self.fanouts}")
-        names = self.level_names
+                raise ValueError(f"every fan-out must be >= 1, got {fanouts}")
+            counts.append(counts[-1] * f)
         if not names:
-            names = self._default_names(len(self.fanouts) + 1)
-            object.__setattr__(self, "level_names", names)
-        if len(names) != len(self.fanouts) + 1:
-            raise ValueError(
-                f"expected {len(self.fanouts) + 1} level names, got {len(names)}"
-            )
+            names = self._default_names(len(counts))
+        if len(names) != len(counts):
+            raise ValueError(f"expected {len(counts)} level names, got {len(names)}")
+        num_processes = counts[-1] * procs_per_leaf
+        # Every query below is a look-up in these tables.  They are attached
+        # via object.__setattr__ because the dataclass is frozen, are rebuilt
+        # from the fields by ``dataclasses.replace`` and deliberately do not
+        # participate in equality, hashing or ``repr``.
+        for name, value in (
+            ("fanouts", fanouts),
+            ("procs_per_leaf", procs_per_leaf),
+            ("level_names", names),
+            ("_num_processes", num_processes),
+            ("_counts", tuple(counts)),  # N_i, indexed by level - 1
+            ("_sizes", tuple(num_processes // c for c in counts)),  # ranks per element
+        ):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -117,36 +135,30 @@ class Machine:
     @property
     def n_levels(self) -> int:
         """``N``: number of hierarchy levels (level 1 = whole machine)."""
-        return len(self.fanouts) + 1
+        return len(self._counts)
 
     @property
     def num_processes(self) -> int:
         """``P``: total number of processes."""
-        return self.num_elements(self.n_levels) * self.procs_per_leaf
+        return self._num_processes
 
     def num_elements(self, level: int) -> int:
         """``N_i``: number of elements at ``level`` (1-based)."""
         self._check_level(level)
-        count = 1
-        for f in self.fanouts[: level - 1]:
-            count *= f
-        return count
+        return self._counts[level - 1]
 
     def ranks_per_element(self, level: int) -> int:
         """Number of ranks hosted by one element of ``level``."""
         self._check_level(level)
-        return self.num_processes // self.num_elements(level)
+        return self._sizes[level - 1]
 
     def levels(self) -> List[MachineLevel]:
         """Return descriptions of all levels, root first."""
         return [
-            MachineLevel(
-                name=self.level_names[i - 1],
-                index=i,
-                num_elements=self.num_elements(i),
-                ranks_per_element=self.ranks_per_element(i),
+            MachineLevel(name=name, index=i, num_elements=count, ranks_per_element=size)
+            for i, (name, count, size) in enumerate(
+                zip(self.level_names, self._counts, self._sizes), start=1
             )
-            for i in range(1, self.n_levels + 1)
         ]
 
     # ------------------------------------------------------------------ #
@@ -157,25 +169,25 @@ class Machine:
         """``e(p, i)``: 0-based index of the level-``level`` element hosting ``rank``."""
         self._check_rank(rank)
         self._check_level(level)
-        return rank // self.ranks_per_element(level)
+        return rank // self._sizes[level - 1]
 
     def ranks_in_element(self, level: int, element: int) -> range:
         """All ranks hosted by ``element`` (0-based) of ``level``."""
         self._check_level(level)
-        n = self.num_elements(level)
+        n = self._counts[level - 1]
         if not 0 <= element < n:
             raise ValueError(f"element {element} out of range for level {level} (has {n})")
-        size = self.ranks_per_element(level)
-        start = element * size
-        return range(start, start + size)
+        size = self._sizes[level - 1]
+        return range(element * size, (element + 1) * size)
 
     def first_rank_of_element(self, level: int, element: int) -> int:
         """Lowest rank inside an element; hosts that element's queue tail pointer."""
-        return self.ranks_in_element(level, element)[0]
+        return self.ranks_in_element(level, element).start
 
     def node_of(self, rank: int) -> int:
         """Index of the leaf (level ``N``) element hosting ``rank``."""
-        return self.element_of(rank, self.n_levels)
+        self._check_rank(rank)
+        return rank // self._sizes[-1]
 
     def common_level(self, a: int, b: int) -> int:
         """Deepest level at which ranks ``a`` and ``b`` share an element.
@@ -186,31 +198,34 @@ class Machine:
         """
         self._check_rank(a)
         self._check_rank(b)
+        sizes = self._sizes
+        level = len(sizes)
         if a == b:
-            return self.n_levels + 1
-        for level in range(self.n_levels, 0, -1):
-            if self.element_of(a, level) == self.element_of(b, level):
-                return level
-        return 1  # pragma: no cover - level 1 always shared
+            return level + 1
+        while a // sizes[level - 1] != b // sizes[level - 1]:  # level 1 is always shared
+            level -= 1
+        return level
 
     def same_node(self, a: int, b: int) -> bool:
         """True when both ranks live on the same leaf element."""
-        return self.common_level(a, b) >= self.n_levels
+        self._check_rank(a)
+        self._check_rank(b)
+        return a // self._sizes[-1] == b // self._sizes[-1]
 
     def iter_ranks(self) -> Iterator[int]:
-        return iter(range(self.num_processes))
+        return iter(range(self._num_processes))
 
     # ------------------------------------------------------------------ #
     # Validation helpers
     # ------------------------------------------------------------------ #
 
     def _check_level(self, level: int) -> None:
-        if not 1 <= level <= self.n_levels:
-            raise ValueError(f"level {level} out of range 1..{self.n_levels}")
+        if not 1 <= level <= len(self._counts):
+            raise ValueError(f"level {level} out of range 1..{len(self._counts)}")
 
     def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.num_processes:
-            raise ValueError(f"rank {rank} out of range 0..{self.num_processes - 1}")
+        if not 0 <= rank < self._num_processes:
+            raise ValueError(f"rank {rank} out of range 0..{self._num_processes - 1}")
 
     def describe(self) -> str:
         """One-line human-readable description of the hierarchy."""

@@ -88,25 +88,30 @@ class DistributedCounterHandle:
     def __init__(self, spec: DistributedCounterSpec, ctx: ProcessContext):
         self.spec = spec
         self.ctx = ctx
-        self.my_counter = spec.counter_rank_of(ctx.rank)
+        self.my_counter = mine = spec.counter_rank_of(ctx.rank)
+        # The reader path's requests never change: built once, not per acquire.
+        self._arrive = (FAO, 1, mine, spec.arrive_offset, AtomicOp.SUM)
+        self._backoff = (ACCUMULATE, -1, mine, spec.arrive_offset, AtomicOp.SUM)
+        self._depart = (ACCUMULATE, 1, mine, spec.depart_offset, AtomicOp.SUM)
+        self._flush_mine = (FLUSH, mine)
 
     # -- reader side ------------------------------------------------------- #
 
     def reader_arrive_steps(self) -> Steps:
         """Atomically increment the local arrival count; return the previous value."""
-        prev = yield (FAO, 1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        yield (FLUSH, self.my_counter)
+        prev = yield self._arrive
+        yield self._flush_mine
         return prev
 
     def reader_backoff_steps(self) -> Steps:
         """Undo an arrival that exceeded ``T_R`` or raced with a writer (Listing 9, line 24)."""
-        yield (ACCUMULATE, -1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        yield (FLUSH, self.my_counter)
+        yield self._backoff
+        yield self._flush_mine
 
     def reader_depart_steps(self) -> Steps:
         """Record that this reader left the critical section (Listing 10)."""
-        yield (ACCUMULATE, 1, self.my_counter, self.spec.depart_offset, AtomicOp.SUM)
-        yield (FLUSH, self.my_counter)
+        yield self._depart
+        yield self._flush_mine
 
     def read_my_arrivals_steps(self) -> Steps:
         """Current arrival count of this rank's physical counter."""

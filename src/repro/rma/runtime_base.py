@@ -341,7 +341,10 @@ class ProcessContext(abc.ABC):
             request = steps.send(None)
             while True:
                 try:
-                    call = calls[request[0]]
+                    kind = request[0]
+                    if kind < 0:  # would index the table from its end
+                        raise IndexError(kind)
+                    call = calls[kind]
                 except (TypeError, IndexError, KeyError):
                     raise bad_request(self.rank, request) from None
                 try:

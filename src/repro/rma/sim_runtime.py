@@ -32,13 +32,14 @@ same execution order with three structural changes:
 
 * **Threadless spin-waiters.**  ``spin_on_cells`` — the protocols'
   ``do {Get; Flush} while (...)`` loops and by far the densest source of
-  context switches under contention — runs as a *generator* task.  Poll
-  rounds execute inline on whichever thread currently drives the scheduler;
-  the waiting rank's own OS thread stays parked until the spin predicate is
-  finally satisfied.  A wake/re-park cycle therefore costs zero thread
-  handoffs (the seed paid two per poll round).  A per-cell version counter
-  guarantees that a write landing between the poll and the park is never
-  missed.
+  context switches under contention — is one step sub-program
+  (``_poll_steps``): a ``Get`` *leg* per cell and a ``Flush`` leg per target,
+  the predicate, then a re-read if a write raced the round (per-cell version
+  counters tell) or a park that takes the rank off the heap until a polled
+  cell is written.  A thread-backed rank's legs are issued by a generator
+  task on whichever thread drives the scheduler while its own OS thread stays
+  parked: a wake/re-park cycle costs zero thread handoffs (the seed paid two
+  per poll round).
 
 Thread handoffs that do remain (program-to-program baton transfers) use a
 raw ``threading.Lock`` as a binary semaphore, which is roughly twice as fast
@@ -47,16 +48,24 @@ per-rank integer arrays indexed by call (folded into name-keyed dicts once at
 ``run()`` end) and the precomputed :class:`~repro.rma.latency.CostTable`, so
 the fast path is a handful of array lookups.
 
-**Step programs run without rank threads at all.**  A rank program that is a
-generator function (see "Step programs" in :mod:`repro.rma.runtime_base`)
-is stepped inline on the thread that called ``run()``: ``_drive`` applies the
-picked rank's pending effect, sends the value, issues the next request
-through the same ``_op_body`` and either continues (horizon fast path) or
-pushes the key and picks the minimum — the scheduler above with the hand-off
-replaced by a generator resume.  Which path a run takes is read off its
-input: a blocking program, or any program under a fault plan (a kill unwinds
-one rank's frames), is thread-backed as described above; a step program is
-driven there through ``ctx.run_steps``.
+**Step programs run without rank threads at all, through one loop.**  A rank
+program that is a generator function (see "Step programs" in
+:mod:`repro.rma.runtime_base`) is stepped inline on the thread that called
+``run()``, and ``_drive`` is the single site every request of such a run
+passes through: apply the picked rank's pending effect, send the value,
+account and time the next request (``_op_body``'s statements over per-run
+locals) and either continue below the horizon or push the key and pick the
+minimum.  On ``SPIN`` / ``SPIN_WHILE`` the poll sub-program becomes the rank's
+*active* generator and the program waits in a slot: poll legs are requests
+like any other, a park leaves the rank off the heap until a write wakes it,
+and what the poll returns — or raises: every round is the spinner's own turn
+— arrives at the program's ``yield``.  Crossing the horizon is the common
+case (70 % of the flagship's operations at P=64: some other rank is nearly
+always earlier), so the crossing is written into the loop, not behind a call.
+Which path a run takes is read off its input: a blocking program, or any
+program under a fault plan (a kill unwinds one rank's frames), is
+thread-backed as described above and drives a step program through
+``ctx.run_steps``.
 
 If every unfinished rank is parked or waiting at a barrier the runtime
 raises :class:`~repro.rma.runtime_base.SimDeadlockError`, which doubles as a
@@ -146,6 +155,16 @@ class _Killed(BaseException):
 
 _INF = float("inf")
 
+#: Where each RMA request carries its target rank (its offset follows), by request kind.
+_TARGET_AT = tuple(3 if kind == CAS else 1 if kind in (GET, FLUSH) else 2 for kind in range(NUM_CALLS))
+
+#: ``(_PARK, cells)``: only a poll sub-program may yield it (program kinds are >= 0).
+_PARK = -1
+
+
+def _bad_duration(duration_us: Any) -> ValueError:
+    return ValueError(f"compute duration must be non-negative and finite, got {duration_us!r}")
+
 
 @contextmanager
 def _gc_paused():
@@ -180,6 +199,7 @@ class _RankState:
         "spin",
         "spin_values",
         "steps",
+        "caller",
         "pending",
     )
 
@@ -198,13 +218,13 @@ class _RankState:
         self.finish_time = 0.0
         #: Per-call op counters indexed by repro.rma.ops.CALL_INDEX.
         self.ops: List[int] = [0] * NUM_CALLS
-        #: Active spin-wait generator (threadless poll task), or None.
+        #: Thread-backed runs only: the active spin task and what its poll returned.
         self.spin: Any = None
-        #: Values observed by the spin task when its predicate passed.
         self.spin_values: Optional[List[int]] = None
-        #: Inline runs only: the rank's step generator, and the request it
-        #: last issued whose effect/value is still to be delivered.
+        #: Inline runs only: the active generator; the program's while a poll is
+        #: the active one (else None); the request whose effect/value is to come.
         self.steps: Any = None
+        self.caller: Any = None
         self.pending: Optional[tuple] = None
 
 
@@ -279,15 +299,15 @@ class SimProcessContext(ProcessContext):
 
     # -- helpers ----------------------------------------------------------- #
 
+    #: Per-poll-round checkpoint (fault-plan runs only, see _FaultedSimContext).
+    _spin_checkpoint: Optional[Callable[[], None]] = None
+
     def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         rt = self._rt
         state = self._state
-        # Normalization and the sorted flush-target list are computed once per
-        # spin, not per poll round; the generator below reuses them for every
-        # wake/re-poll cycle.
-        norm_cells = [(int(t), int(o)) for t, o in cells]
-        targets = sorted({t for t, _ in norm_cells})
-        state.spin = rt._spin_task(state, norm_cells, targets, predicate)
+        state.spin = rt._spin_task(
+            state, rt._poll_steps(cells, predicate, False, self._spin_checkpoint)
+        )
         # The first poll round runs immediately on this thread — exactly like
         # the seed, where the first Get's body executed before any scheduling
         # decision.  If the predicate is already false the spin never touches
@@ -300,8 +320,8 @@ class SimProcessContext(ProcessContext):
         return values
 
     def compute(self, duration_us: float) -> None:
-        if duration_us < 0:
-            raise ValueError("compute duration must be non-negative")
+        if not 0 <= duration_us < _INF:
+            raise _bad_duration(duration_us)
         self._rt._advance(self._state, float(duration_us))
 
     def barrier(self) -> None:
@@ -349,15 +369,20 @@ class _FaultedSimContext(SimProcessContext):
         self._kill_us = runtime._kill_at[state.rank]
         self._ceiling = plan.horizon_us if plan.horizon_us is not None else _INF
 
-    def _entry(self) -> None:
+    def _entry(self, where: str = "(livelock under a crash?)") -> None:
         clock = self._state.clock
         if clock >= self._kill_us:
             raise _Killed()
         if clock >= self._ceiling:
             raise FaultHorizonError(
                 f"rank {self.rank} passed the fault plan's virtual-time ceiling "
-                f"of {self._ceiling:g}us at t={clock:.2f}us (livelock under a crash?)"
+                f"of {self._ceiling:g}us at t={clock:.2f}us {where}"
             )
+
+    def _spin_checkpoint(self) -> None:
+        # Every poll round is a checkpoint like a public context call: a rank
+        # that keeps polling past its kill time must still die deterministically.
+        self._entry("while spinning")
 
     def _on_restarted(self) -> None:
         """Called once the scheduler revives this rank (one crash per run)."""
@@ -638,12 +663,12 @@ class SimRuntime(RMARuntime):
     # Inline execution (step programs)
     # ------------------------------------------------------------------ #
     #
-    # The same scheduler — _op_body, _post_write, the spin tasks, the heap
-    # and the horizon are shared with the thread-backed path — with the
-    # hand-off removed: every rank is a generator, and "resume the rank whose
-    # key is the minimum" is a send() on this thread.  There is no baton, no
-    # watchdog (nothing can stall but the program itself) and no _lock use
-    # beyond what the shared helpers do.
+    # The same scheduler — the poll sub-program, _wake, _park, the heap and
+    # _no_runnable are shared with the thread-backed path, and _drive's op
+    # branch is _op_body's body — with the hand-off removed: every rank is a
+    # generator, and "resume the rank whose key is the minimum" is a send() on
+    # this thread.  There is no baton, no watchdog (nothing can stall but the
+    # program itself) and no _lock use beyond what the shared helpers do.
 
     def _run_inline(self, program: Callable[..., Any], program_args: Optional[Sequence[Any]]) -> float:
         """Step ``program``'s per-rank generators to completion; returns the wall seconds."""
@@ -659,198 +684,237 @@ class SimRuntime(RMARuntime):
                         s.steps = program(ctx)
                 self._drive(states[0])
             except _Aborted:
-                pass  # a spin task failed on another rank's turn: _abort_exc holds why
+                pass  # _abort_exc holds why
             finally:
                 wall_time = time.perf_counter() - wall_start
                 for s in states:
-                    steps, s.steps, s.pending = s.steps, None, None
-                    if steps is not None:
-                        # Unwinds the frames of ranks a failed run left
-                        # suspended; a finished generator ignores it.
-                        with suppress(Exception):
-                            steps.close()
+                    for steps in (s.steps, s.caller):
+                        if steps is not None:
+                            # Unwinds the frames of ranks a failed run left
+                            # suspended; a finished generator ignores it.
+                            with suppress(Exception):
+                                steps.close()
+                    s.steps = s.caller = s.pending = None
         return wall_time
 
     def _drive(self, s: _RankState) -> None:
         """The inline scheduling loop, entered with ``s`` as the rank to run.
 
-        One pass of the outer loop runs the picked rank for as long as its
-        key stays below the horizon — apply the effect of its pending
-        request, send the value, issue the next request — and then picks the
-        minimum key again, stepping spin tasks in between exactly like
-        :meth:`_run_tasks`.  An error raised on a request's behalf (bad
-        target, overflowing word, ``max_ops``) is thrown into the generator
-        at its ``yield``, where the blocking call would have raised it; an
-        exception the program lets escape ends the run.
+        Every request of the run passes through the inner loop, whether the
+        rank's active generator is its program or a poll sub-program
+        (:meth:`_poll_steps`) standing in for the program's ``SPIN`` request:
+        apply the effect of the request issued last, send the value, account
+        and time the next request, then continue below the horizon or push
+        the key and pick the minimum.  An error raised on a request's behalf
+        (bad target, overflowing word, ``max_ops``, a raising spin predicate)
+        is thrown into the program at its ``yield``, where the blocking call
+        would have raised it; an exception the program lets escape ends the run.
         """
         heap = self._heap
         states = self._states
         windows = self.windows
         nranks = self._nranks
         observer = self.observer
-        op_body = self._op_body
-        post_write = self._post_write
-        step_spin = self._step_spin
-        while True:
-            rank = s.rank
-            steps = s.steps
-            send = steps.send
-            request = s.pending
-            error: Optional[Exception] = None
-            picked: Optional[Tuple[float, int]] = None
+        max_ops = self.max_ops
+        cost_rows = self._cost
+        occ_rows = self._occ
+        perturb = self._perturb
+        port_free = self._port_free
+        fabric = self.fabric
+        tracer = self.tracer
+        versions = self._versions
+        watchers = self._watchers
+        target_at = _TARGET_AT
+        total = self._total_ops
+        h_clock, h_rank = self._horizon
+        # Both are None again whenever the inner loop is left.
+        error: Optional[Exception] = None
+        picked: Optional[Tuple[float, int]] = None
+        try:
             while True:
-                try:
-                    if error is not None:
-                        exc, error = error, None
-                        request = steps.throw(exc)
-                    else:
-                        # -- effect of the request issued last, and its value -- #
-                        value = None
-                        if request is not None:
-                            kind = request[0]
-                            if kind == GET:
-                                value = windows[request[1]].read(request[2])
-                            elif kind == PUT:
-                                windows[request[2]].write(request[3], int(request[1]))
-                                post_write(s, request[2], request[3])
-                            elif kind == FAO:
-                                value = windows[request[2]].fetch_and_op(
-                                    request[3], int(request[1]), request[4]
-                                )
-                                post_write(s, request[2], request[3])
-                                if observer is not None:
-                                    observer.on_rmw(rank, _FAO)
-                            elif kind == ACCUMULATE:
-                                windows[request[2]].apply(
-                                    request[3], int(request[1]),
-                                    request[4] if len(request) > 4 else AtomicOp.SUM,
-                                )
-                                post_write(s, request[2], request[3])
-                            elif kind == CAS:
-                                value = windows[request[3]].compare_and_swap(
-                                    request[4], int(request[2]), int(request[1])
-                                )
-                                post_write(s, request[3], request[4])
-                                if observer is not None:
-                                    observer.on_rmw(rank, _CAS)
-                            elif kind == SPIN_WHILE:
-                                value = s.spin_values[0]
-                                s.spin_values = None
-                            else:  # SPIN
-                                value = s.spin_values
-                                s.spin_values = None
-                        request = send(value)
-                    # -- issue the next request -- #
+                rank = s.rank
+                steps = s.steps
+                send = steps.send
+                request = s.pending
+                clock = s.clock
+                ops = s.ops
+                row = rank * nranks
+                jitter = perturb[rank].perturb if perturb is not None else None
+                value = None
+                while True:
                     try:
-                        kind = request[0]
-                    except (TypeError, IndexError, KeyError):
-                        raise bad_request(rank, request) from None
-                    if kind == FLUSH:
-                        clock = op_body(s, _FLUSH, FLUSH, request[1])
-                        request = None  # no effect, no value
-                    elif kind == GET:
-                        clock = op_body(s, _GET, GET, request[1])
-                    elif kind == PUT:
-                        clock = op_body(s, _PUT, PUT, request[2])
-                    elif kind == FAO:
-                        clock = op_body(s, _FAO, FAO, request[2])
-                    elif kind == ACCUMULATE:
-                        clock = op_body(s, _ACCUMULATE, ACCUMULATE, request[2])
-                    elif kind == CAS:
-                        clock = op_body(s, _CAS, CAS, request[3])
-                    elif kind == COMPUTE:
-                        if request[1] < 0:
-                            raise ValueError("compute duration must be non-negative")
-                        clock = s.clock + float(request[1])
-                        s.clock = clock
-                        request = None
-                    elif kind == SPIN_WHILE or kind == SPIN:
-                        if kind == SPIN:
-                            cells = [(int(t), int(o)) for t, o in request[1]]
-                            targets = sorted({t for t, _ in cells})
-                            predicate = request[2]
+                        if error is not None:
+                            exc, error = error, None
+                            request = steps.throw(exc)
                         else:
-                            cells = [(int(request[1]), int(request[2]))]
-                            targets = [cells[0][0]]
-                            predicate = (lambda vs, p=request[3]: p(vs[0]))
-                        s.spin = self._spin_task(s, cells, targets, predicate)
-                        # The first poll round runs here and now, under the
-                        # rank's current scheduling decision; the task does
-                        # its own horizon checks, leg by leg.
-                        if step_spin(s, own_thread=True):
-                            continue  # satisfied without waiting: deliver at once
-                        s.pending = request
-                        break
-                    elif kind == BARRIER:
-                        waiting = self._barrier_waiting
-                        waiting.append(rank)
-                        if len(waiting) < nranks:
-                            s.status = _BARRIER
+                            # -- effect of the request issued last, and its value -- #
+                            if request is not None:
+                                kind = request[0]
+                                if kind == GET:
+                                    value = windows[request[1]].read(request[2])
+                                else:
+                                    at = target_at[kind]
+                                    target = request[at]
+                                    offset = request[at + 1]
+                                    window = windows[target]
+                                    if kind == PUT:
+                                        window.write(offset, int(request[1]))
+                                    elif kind == ACCUMULATE:
+                                        op = request[4] if len(request) > 4 else AtomicOp.SUM
+                                        window.apply(offset, int(request[1]), op)
+                                    else:
+                                        if kind == FAO:
+                                            value = window.fetch_and_op(offset, int(request[1]), request[4])
+                                        else:  # CAS
+                                            cmp_data, src_data = int(request[2]), int(request[1])
+                                            value = window.compare_and_swap(offset, cmp_data, src_data)
+                                        if observer is not None:
+                                            observer.on_rmw(rank, CALLS[kind])
+                                    # _post_write, with the wake split out.
+                                    cell = (target, offset)
+                                    versions[cell] += 1
+                                    if watchers:
+                                        waiters = watchers.pop(cell, None)
+                                        if waiters:
+                                            h_clock, h_rank = self._wake(
+                                                cell, waiters, clock, (h_clock, h_rank)
+                                            )
+                            request = send(value)
+                            value = None
+                        # -- issue the next request -- #
+                        try:
+                            kind = request[0]
+                            is_op = 0 <= kind <= FLUSH
+                        except (TypeError, IndexError, KeyError):
+                            raise bad_request(rank, request) from None
+                        if is_op:
+                            # _op_body, statement for statement.
+                            if self._abort:
+                                raise _Aborted()
+                            target = request[target_at[kind]]
+                            if not 0 <= target < nranks:
+                                raise ValueError(f"target rank {target} out of range 0..{nranks - 1}")
+                            ops[kind] += 1
+                            total += 1
+                            if max_ops is not None and total > max_ops:
+                                raise RuntimeError_(
+                                    f"simulation exceeded max_ops={max_ops}; possible livelock"
+                                )
+                            idx = row + target
+                            cost = cost_rows[kind][idx]
+                            if jitter is not None:
+                                cost = jitter(cost)
+                            start = clock
+                            occupancy = occ_rows[kind][idx]
+                            if occupancy > 0.0:
+                                free_at = port_free[target]
+                                if free_at > start:
+                                    start = free_at
+                                port_free[target] = start + occupancy
+                            if fabric is not None and kind != FLUSH:
+                                src_node = self._node_of[rank]
+                                dst_node = self._node_of[target]
+                                if src_node != dst_node:
+                                    arrival = fabric.traverse(self._link_free, src_node, dst_node, start)
+                                    cost += arrival - start
+                            if tracer is not None:
+                                tracer.record(rank, CALLS[kind], target, start, cost)
+                            clock = start + cost
+                            s.clock = clock
+                            if kind == FLUSH:
+                                request = None  # no effect, no value
+                        elif kind == COMPUTE:
+                            if not 0 <= request[1] < _INF:
+                                raise _bad_duration(request[1])
+                            clock += float(request[1])
+                            s.clock = clock
+                            request = None
+                        elif kind == SPIN or kind == SPIN_WHILE:
+                            # The poll becomes the active generator; its first leg
+                            # is issued now, under the current scheduling decision.
+                            s.caller = steps
+                            if kind == SPIN:
+                                steps = self._poll_steps(request[1], request[2], False)
+                            else:
+                                steps = self._poll_steps([request[1:3]], request[3], True)
+                            s.steps = steps
+                            send = steps.send
+                            request = None
+                            continue
+                        elif kind == BARRIER:
+                            waiting = self._barrier_waiting
+                            waiting.append(rank)
+                            if len(waiting) < nranks:
+                                s.status = _BARRIER
+                                s.pending = None
+                                break
+                            # The releasing rank continues; equal clocks, ties
+                            # broken by rank.
+                            clock = self._release_barrier(rank)
+                            h_clock, h_rank = self._peek_key()
+                            request = None
+                        elif kind == _PARK and s.caller is not None:
+                            # A poll round found its predicate true and no
+                            # write raced it: wait for one, off the heap.
+                            self._park(s, request[1])
                             s.pending = None
                             break
-                        clock = max(states[r].clock for r in waiting)
-                        clock += self.barrier_cost_us
-                        for r in waiting:
-                            w = states[r]
-                            w.clock = clock
-                            w.status = _READY
-                            if r != rank:
-                                heappush(heap, (clock, r))
-                        self._barrier_waiting = []
-                        # The releasing rank continues; equal clocks, ties
-                        # broken by rank.
-                        self._horizon = self._peek_key()
-                        request = None
-                    else:
-                        raise bad_request(rank, request)
-                except StopIteration as stop:
-                    s.result = stop.value
-                    s.status = _FINISHED
-                    s.finish_time = s.clock
+                        else:
+                            raise bad_request(rank, request)
+                    except StopIteration as stop:
+                        if s.caller is not None:
+                            # The poll is over: what it returns is the value
+                            # of the program's SPIN / SPIN_WHILE request.
+                            steps, s.caller = s.caller, None
+                            s.steps = steps
+                            send = steps.send
+                            request = None
+                            value = stop.value
+                            continue
+                        s.result = stop.value
+                        s.status = _FINISHED
+                        s.finish_time = clock
+                        break
+                    except Exception as exc:  # noqa: BLE001 - see the docstring
+                        value = None
+                        if s.caller is not None:
+                            # Raised by or on behalf of a poll leg: it is the
+                            # SPIN request's error, the program's to catch.
+                            steps.close()
+                            steps, s.caller = s.caller, None
+                            s.steps = steps
+                            send = steps.send
+                        elif steps.gi_frame is None:
+                            raise  # the program's own failure: the run fails with it
+                        error = exc
+                        continue
+                    if clock < h_clock or (clock == h_clock and rank < h_rank):
+                        continue  # still the earliest runnable rank
+                    s.pending = request
+                    # Crossed the horizon: enqueue this rank and take the minimum
+                    # (another rank's key, by definition of crossing) in one sift.
+                    picked = heappushpop(heap, (clock, rank))
                     break
-                except Exception as exc:  # noqa: BLE001 - see the docstring
-                    if steps.gi_frame is None:
-                        raise  # the program's own failure: the run fails with it
-                    error = exc
-                    continue
-                h = self._horizon
-                if clock < h[0] or (clock == h[0] and rank < h[1]):
-                    continue  # fast path: still the earliest runnable rank
-                s.pending = request
-                # Crossed the horizon: enqueue this rank and take the minimum
-                # (another rank's key, by definition of crossing) in one sift.
-                picked = heappushpop(heap, (clock, rank))
-                break
-            # -- pick the minimum key; spin tasks are stepped in passing -- #
-            while True:
-                if picked is None:
+                # -- pick the minimum valid key; the next one is the horizon -- #
+                while picked is None or (s := states[picked[1]]).status != _READY or s.clock != picked[0]:
                     if not heap:
                         # Clean drain, or every unfinished rank is blocked.
                         self._no_runnable(None)
                         return
                     picked = heappop(heap)
-                s = states[picked[1]]
-                stale = s.status != _READY or s.clock != picked[0]
                 picked = None
-                if stale:
-                    continue
-                # Inline _peek_key: the next-smallest valid key becomes the
-                # horizon of whichever task is dispatched below.
+                # Inline _peek_key.
                 while heap:
                     key = heap[0]
                     cand = states[key[1]]
                     if cand.status == _READY and cand.clock == key[0]:
-                        self._horizon = key
+                        h_clock, h_rank = key
                         break
                     heappop(heap)
                 else:
-                    self._horizon = _INF_KEY
-                if s.spin is None:
-                    break
-                if step_spin(s):
-                    # Spin finished: the rank is an ordinary task again at
-                    # its current key.
-                    heappush(heap, (s.clock, s.rank))
+                    h_clock, h_rank = _INF_KEY
+        finally:
+            self._total_ops = total
 
     # ------------------------------------------------------------------ #
     # Rank thread body
@@ -1003,15 +1067,7 @@ class SimRuntime(RMARuntime):
         waiting = self._barrier_waiting
         if not waiting or len(waiting) < self._barrier_need():
             return
-        states = self._states
-        release_time = max(states[r].clock for r in waiting) + self.barrier_cost_us
-        heap = self._heap
-        for r in waiting:
-            s = states[r]
-            s.clock = release_time
-            s.status = _READY
-            heappush(heap, (release_time, r))
-        self._barrier_waiting = []
+        self._release_barrier(None)
         self._horizon = self._peek_key()
 
     # ------------------------------------------------------------------ #
@@ -1203,10 +1259,12 @@ class SimRuntime(RMARuntime):
         """Account, charge and time one RMA call; returns the post-op clock.
 
         This is the shared body of program-issued and spin-task-issued
-        operations (``ci`` is the call's dense :data:`~repro.rma.ops.CALL_INDEX`,
-        passed alongside to keep the enum off the hot path).  The caller is
-        responsible for the scheduling decision (horizon check) that follows
-        the advance.
+        operations of a thread-backed run (``ci`` is the call's dense
+        :data:`~repro.rma.ops.CALL_INDEX`, passed alongside to keep the enum
+        off the hot path).  The caller is responsible for the scheduling
+        decision (horizon check) that follows the advance.  ``_drive`` has the
+        same statements over locals; ``tests/rma/test_step_programs.py`` holds
+        the two equal (inline == rank threads == baseline, registry-wide).
         """
         if self._abort:
             raise _Aborted()
@@ -1279,28 +1337,33 @@ class SimRuntime(RMARuntime):
         self._versions[cell] += 1
         waiters = self._watchers.pop(cell, None)
         if waiters:
-            states = self._states
-            heap = self._heap
-            horizon = self._horizon
-            writer_clock = state.clock
-            for rank in waiters:
-                ws = states[rank]
-                if ws.status != _PARKED:
-                    continue
-                for other in ws.watching:
-                    if other != cell and other in self._watchers:
-                        self._watchers[other].discard(rank)
-                ws.watching.clear()
-                ws.status = _READY
-                # The sleeper was logically polling all along; it observes
-                # the write no earlier than the writer's current time.
-                if writer_clock > ws.clock:
-                    ws.clock = writer_clock
-                key = (ws.clock, rank)
-                heappush(heap, key)
-                if key < horizon:
-                    horizon = key
-            self._horizon = horizon
+            self._horizon = self._wake(cell, waiters, state.clock, self._horizon)
+
+    def _wake(
+        self, cell: Cell, waiters: Set[int], writer_clock: float, horizon: Tuple[float, int]
+    ) -> Tuple[float, int]:
+        """Make the ranks parked on the just-written ``cell`` runnable; returns the new horizon."""
+        states = self._states
+        heap = self._heap
+        watchers = self._watchers
+        for rank in waiters:
+            ws = states[rank]
+            if ws.status != _PARKED:
+                continue
+            for other in ws.watching:
+                if other != cell and other in watchers:
+                    watchers[other].discard(rank)
+            ws.watching.clear()
+            ws.status = _READY
+            # The sleeper was logically polling all along; it observes
+            # the write no earlier than the writer's current time.
+            if writer_clock > ws.clock:
+                ws.clock = writer_clock
+            key = (ws.clock, rank)
+            heappush(heap, key)
+            if key < horizon:
+                horizon = key
+        return horizon
 
     # ------------------------------------------------------------------ #
     # Spin-wait tasks (threadless waiters)
@@ -1322,12 +1385,9 @@ class SimRuntime(RMARuntime):
         except StopIteration:
             state.spin = None
             return True
-        except _Aborted:
-            state.spin = None
-            raise
-        except _Killed:
-            # Fault-plan kill fired inside the poll loop; the caller routes
-            # the death to the victim's own thread (see _run_tasks).
+        except (_Aborted, _Killed):
+            # _Killed: a fault-plan kill fired inside the poll loop; the caller
+            # routes the death to the victim's own thread (see _run_tasks).
             state.spin = None
             raise
         except BaseException as exc:  # noqa: BLE001 - reroute foreign failures
@@ -1342,70 +1402,79 @@ class SimRuntime(RMARuntime):
             raise _Aborted() from None
         return False
 
-    def _spin_task(
-        self,
-        state: _RankState,
-        cells: List[Cell],
-        targets: List[int],
-        predicate: Callable[[Sequence[int]], bool],
+    def _poll_steps(
+        self, cells: Sequence[Cell], predicate: Callable[..., bool], single: bool,
+        checkpoint: Optional[Callable[[], None]] = None,
     ):
-        """Generator running one rank's Get+Flush poll loop without its thread.
+        """The poll protocol, ``do {Get; Flush} while (predicate)``, as a step sub-program.
 
-        Yields whenever the rank must wait (its key crossed the horizon, or it
-        parked on the polled cells); the scheduler resumes it when its key is
-        the minimum again.  Returns (via StopIteration) once the predicate is
-        satisfied, with the observed values left in ``state.spin_values``.
+        Yields its legs as ordinary ``GET`` / ``FLUSH`` requests, built once,
+        and ``(_PARK, cells)`` when the predicate holds and no polled cell
+        was written during the round (such a write could no longer wake the
+        rank, so the round is repeated instead).  Returns the values that
+        made the predicate false; ``single`` polls one cell and deals in its
+        bare value (``SPIN_WHILE``).  ``checkpoint`` runs before every round.
         """
         versions = self._versions
-        watchers = self._watchers
-        heap = self._heap
-        rank = state.rank
-        kill_at = self._kill_at
-        plan = self.fault_plan
-        ceiling = plan.horizon_us if plan is not None and plan.horizon_us is not None else _INF
+        cells = [(int(t), int(o)) for t, o in cells]
+        gets = [(GET, t, o) for t, o in cells]
+        flushes = [(FLUSH, cells[0][0])] if single else [(FLUSH, t) for t in sorted({t for t, _ in cells})]
+        park = (_PARK, cells)
         while True:
-            # Faulted runs only: each poll round is a kill/ceiling checkpoint,
-            # mirroring the public-context-call checks (a rank that keeps
-            # polling past its kill time must still die deterministically).
-            if kill_at is not None:
-                if state.clock >= kill_at[rank]:
-                    raise _Killed()
-                if state.clock >= ceiling:
-                    raise FaultHorizonError(
-                        f"rank {rank} passed the fault plan's virtual-time ceiling "
-                        f"of {ceiling:g}us at t={state.clock:.2f}us while spinning"
-                    )
+            if checkpoint is not None:
+                checkpoint()
             snapshot = [versions[c] for c in cells]
             values: List[int] = []
-            for t, o in cells:
-                clock = self._op_body(state, _GET, _GET_I, t)
-                h = self._horizon
-                if not (clock < h[0] or (clock == h[0] and rank < h[1])):
-                    heappush(heap, (clock, rank))
-                    yield
-                    if self._abort:
-                        raise _Aborted()
-                values.append(self.windows[t].read(o))
-            for t in targets:
-                clock = self._op_body(state, _FLUSH, _FLUSH_I, t)
-                h = self._horizon
-                if not (clock < h[0] or (clock == h[0] and rank < h[1])):
-                    heappush(heap, (clock, rank))
-                    yield
-                    if self._abort:
-                        raise _Aborted()
-            if not predicate(values):
-                state.spin_values = values
+            for request in gets:
+                values.append((yield request))
+            for request in flushes:
+                yield request
+            observed = values[0] if single else values
+            if not predicate(observed):
+                return observed
+            if [versions[c] for c in cells] == snapshot:
+                yield park
+
+    def _park(self, state: _RankState, cells: List[Cell]) -> None:
+        """Take ``state`` off the heap until one of ``cells`` is written."""
+        watchers = self._watchers
+        rank = state.rank
+        for c in cells:
+            watchers.setdefault(c, set()).add(rank)
+        state.watching.update(cells)
+        state.status = _PARKED
+
+    def _spin_task(self, state: _RankState, poll: Any):
+        """Issue the legs of ``poll`` (see :meth:`_poll_steps`) without the rank's thread.
+
+        Yields whenever the rank must wait (its key crossed the horizon, or it
+        parked); the scheduler resumes it when its key is the minimum again.
+        Leaves what the poll returns in ``state.spin_values``.
+        """
+        heap = self._heap
+        rank = state.rank
+        value = None
+        while True:
+            try:
+                request = poll.send(value)
+            except StopIteration as stop:
+                state.spin_values = stop.value
                 return
-            if [versions[c] for c in cells] != snapshot:
-                continue  # a write raced with the poll; re-read instead of parking
-            for c in cells:
-                watchers.setdefault(c, set()).add(rank)
-            state.watching.update(cells)
-            state.status = _PARKED
-            yield  # resumed only after a write wakes this rank
-            if self._abort:
-                raise _Aborted()
+            kind = request[0]
+            if kind == _PARK:
+                self._park(state, request[1])
+                wait = True
+            else:
+                clock = self._op_body(state, CALLS[kind], kind, request[1])
+                h = self._horizon
+                wait = not (clock < h[0] or (clock == h[0] and rank < h[1]))
+                if wait:
+                    heappush(heap, (clock, rank))
+            if wait:
+                yield
+                if self._abort:
+                    raise _Aborted()
+            value = self.windows[request[1]].read(request[2]) if kind == GET else None
 
     # ------------------------------------------------------------------ #
     # Barrier
@@ -1423,24 +1492,26 @@ class SimRuntime(RMARuntime):
             state.status = _BARRIER
             self._run_tasks(state)
             return
+        # The releasing rank continues; equal clocks, ties broken by rank.
+        release_time = self._release_barrier(state.rank)
+        h = self._peek_key()
+        self._horizon = h
+        if release_time < h[0] or (release_time == h[0] and state.rank < h[1]):
+            return
+        self._schedule(state)
+
+    def _release_barrier(self, me: Optional[int]) -> float:
+        """Release the barrier's waiters, all but ``me`` into the heap; returns the release time."""
         states = self._states
-        release_time = max(states[r].clock for r in waiting)
-        release_time += self.barrier_cost_us
-        heap = self._heap
-        me = state.rank
-        for r in waiting:
+        release_time = max(states[r].clock for r in self._barrier_waiting) + self.barrier_cost_us
+        for r in self._barrier_waiting:
             s = states[r]
             s.clock = release_time
             s.status = _READY
             if r != me:
-                heappush(heap, (release_time, r))
+                heappush(self._heap, (release_time, r))
         self._barrier_waiting = []
-        # The releasing rank continues; equal clocks, ties broken by rank.
-        h = self._peek_key()
-        self._horizon = h
-        if release_time < h[0] or (release_time == h[0] and me < h[1]):
-            return
-        self._schedule(state)
+        return release_time
 
 
 # --------------------------------------------------------------------------- #

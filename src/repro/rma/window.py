@@ -21,6 +21,8 @@ __all__ = ["Window"]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_SUM = AtomicOp.SUM
+_REPLACE = AtomicOp.REPLACE
 
 
 def _check_int64(value: int) -> int:
@@ -33,27 +35,38 @@ def _check_int64(value: int) -> int:
 class Window:
     """A fixed-size array of int64 words owned by a single rank."""
 
-    __slots__ = ("_mem",)
+    __slots__ = ("_mem", "_view", "_size")
 
     def __init__(self, num_words: int, fill: int = 0):
         if num_words < 1:
             raise ValueError(f"window must have at least one word, got {num_words}")
         self._mem = np.full(num_words, _check_int64(fill), dtype=np.int64)
+        # The scalar accessors use a memoryview of the same buffer: plain ints
+        # in and out at a fifth of an ndarray item's cost, and a store checks
+        # its own range.  What the view refuses (a word outside int64, or a
+        # float / numeric string for int() to coerce) _check_int64 settles.
+        self._view = memoryview(self._mem)
+        self._size = num_words
 
     # -- basic accessors ------------------------------------------------- #
 
     def __len__(self) -> int:
-        return int(self._mem.size)
+        return self._size
 
     def read(self, offset: int) -> int:
         """Return the word at ``offset``."""
-        self._check_offset(offset)
-        return int(self._mem[offset])
+        if not 0 <= offset < self._size:
+            raise self._bad_offset(offset)
+        return self._view[offset]
 
     def write(self, offset: int, value: int) -> None:
         """Store ``value`` at ``offset`` (the effect of a ``Put``/``REPLACE``)."""
-        self._check_offset(offset)
-        self._mem[offset] = _check_int64(value)
+        if not 0 <= offset < self._size:
+            raise self._bad_offset(offset)
+        try:
+            self._view[offset] = value
+        except (TypeError, ValueError):
+            self._view[offset] = _check_int64(value)
 
     # -- atomics ---------------------------------------------------------- #
 
@@ -63,23 +76,30 @@ class Window:
 
     def fetch_and_op(self, offset: int, operand: int, op: AtomicOp) -> int:
         """Apply ``op`` and return the previous value (the effect of ``FAO``)."""
-        self._check_offset(offset)
-        previous = int(self._mem[offset])
-        operand = _check_int64(operand)
-        if op is AtomicOp.SUM:
-            self._mem[offset] = _check_int64(previous + operand)
-        elif op is AtomicOp.REPLACE:
-            self._mem[offset] = operand
+        if not 0 <= offset < self._size:
+            raise self._bad_offset(offset)
+        view = self._view
+        previous = view[offset]
+        if type(operand) is not int or not _INT64_MIN <= operand <= _INT64_MAX:
+            operand = _check_int64(operand)
+        if op is _SUM:
+            try:
+                view[offset] = previous + operand
+            except ValueError:
+                _check_int64(previous + operand)  # raises: the sum is outside int64
+        elif op is _REPLACE:
+            view[offset] = operand
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unsupported atomic op {op!r}")
         return previous
 
     def compare_and_swap(self, offset: int, compare: int, value: int) -> int:
         """CAS: replace with ``value`` if the word equals ``compare``; return the old word."""
-        self._check_offset(offset)
-        previous = int(self._mem[offset])
+        if not 0 <= offset < self._size:
+            raise self._bad_offset(offset)
+        previous = self._view[offset]
         if previous == int(compare):
-            self._mem[offset] = _check_int64(value)
+            self.write(offset, value)
         return previous
 
     # -- bulk helpers ----------------------------------------------------- #
@@ -94,11 +114,12 @@ class Window:
         try:
             offsets = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
             words = np.fromiter(values.values(), dtype=np.int64, count=len(values))
-            if offsets.view(np.uint64).max(initial=0) >= self._mem.size:  # a negative reads as >= 2**63
+            if offsets.view(np.uint64).max(initial=0) >= self._size:  # a negative reads as >= 2**63
                 raise IndexError("window offset out of range")
         except (IndexError, OverflowError):
             for offset, value in values.items():
-                self._check_offset(offset)
+                if not 0 <= offset < self._size:
+                    raise self._bad_offset(offset)
                 _check_int64(value)
             raise
         self._mem[offsets] = words
@@ -109,6 +130,5 @@ class Window:
             offsets = range(len(self))
         return {int(o): self.read(int(o)) for o in offsets}
 
-    def _check_offset(self, offset: int) -> None:
-        if not 0 <= offset < self._mem.size:
-            raise IndexError(f"offset {offset} out of range 0..{self._mem.size - 1}")
+    def _bad_offset(self, offset: int) -> IndexError:
+        return IndexError(f"offset {offset} out of range 0..{self._size - 1}")

@@ -149,6 +149,60 @@ class TestRegistryWideDifferential:
                     assert not inline[1]["violations"]
 
 
+class TestOneSiteForEveryRequest:
+    """Count-based guard: an inline run sends every request — a program's and
+    a poll leg's alike — through ``SimRuntime._drive``.  ``_op_body`` and
+    ``_step_spin`` serve thread-backed runs only; one call during an inline
+    run means a second path is back."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"_op_body": 0, "_step_spin": 0}
+
+        def counting(name, original):
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SimRuntime, name, counting(name, getattr(SimRuntime, name)))
+        return calls
+
+    @staticmethod
+    def _point(scheme):
+        config = LockBenchConfig(
+            machine=cached_machine(8, 4), scheme=scheme, benchmark="wcsb",
+            iterations=4, fw=0.2, seed=11,
+        )
+        spec, is_rw = build_lock_spec(config)
+        return config, spec, make_lock_program(config, spec, is_rw, spec.window_words)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_inline_runs_have_one_site_and_equal_threads_and_baseline(self, scheme, monkeypatch):
+        calls = self._counted(monkeypatch)
+        config, spec, program = self._point(scheme)
+        for chaos_seed in (None, 11):  # plain; perturbed + observed
+            with rank_threads_started() as threads:
+                inline = _run(config, program, spec, "horizon", chaos_seed=chaos_seed)
+            assert not threads and not any(calls.values()), (calls, threads)
+            threaded = _run(
+                config, blocking_program(program), spec, "horizon", chaos_seed=chaos_seed
+            )
+            baseline = _run(config, program, spec, "baseline", chaos_seed=chaos_seed)
+            assert inline == threaded == baseline, (scheme, chaos_seed)
+            calls.update(_op_body=0, _step_spin=0)
+
+    def test_one_site_guard_counts_what_thread_backed_runs_call(self, monkeypatch):
+        """The guard above is not vacuous: the rank-thread twin of a polling
+        lock goes through both counted methods."""
+        calls = self._counted(monkeypatch)
+        config, spec, program = self._point("fompi-spin")
+        _run(config, blocking_program(program), spec, "horizon")
+        assert calls["_op_body"] > 0 and calls["_step_spin"] > 0, calls
+
+
 # --------------------------------------------------------------------------- #
 # Failure modes, lifecycle, misuse
 # --------------------------------------------------------------------------- #
@@ -251,12 +305,48 @@ class TestFailuresMatchTheBlockingTwin:
         assert type(_failure(steps)) is type(_failure(blocking)) is ZeroDivisionError
         assert seen == ["steps", "blocking"]
 
+    def test_a_spinner_catches_its_own_later_poll_predicate_error_as_on_baseline(self):
+        """Every poll round is part of the spinner's own turn — also the
+        rounds after a park — so the error is raised at *its* ``yield``,
+        as the seed scheduler raises it on the spinner's own thread."""
+
+        def flaky(v):
+            if v != 0:
+                raise ValueError(f"predicate saw {v}")
+            return True
+
+        def steps(ctx):
+            if ctx.rank == 1:
+                try:
+                    yield (SPIN_WHILE, 1, 0, flaky)  # parks; rank 0's put wakes it
+                except ValueError as exc:
+                    yield (COMPUTE, 2.0)
+                    return (str(exc), ctx.now())
+            elif ctx.rank == 0:
+                yield (COMPUTE, 50.0)
+                yield (PUT, 5, 1, 0)
+                yield (FLUSH, 1)
+            return ctx.now()
+
+        with rank_threads_started() as threads:
+            inline = make_runtime().run(steps)
+        assert not threads
+        assert inline.returns[1][0] == "predicate saw 5"
+        baseline = get_runtime("baseline").factory(
+            Machine.cluster(nodes=2, procs_per_node=2), window_words=8
+        ).run(steps)
+        assert run_result_sha(inline) == run_result_sha(baseline)
+
     def test_request_errors_are_raised_at_the_yield_like_the_blocking_call(self):
-        """Bad target, bad offset, negative compute: same exception, catchable."""
+        """Bad target, bad offset, negative or non-finite compute: same
+        exception, catchable.  (A ``nan`` duration used to pass ``< 0``, poison
+        the rank's clock and end the run as a deadlock with no blocked rank.)"""
+        nan, inf = float("nan"), float("inf")
 
         def steps(ctx):
             caught = []
-            for request in ((GET, 99, 0), (PUT, 1, 0, 99), (COMPUTE, -1.0)):
+            for request in ((GET, 99, 0), (PUT, 1, 0, 99), (COMPUTE, -1.0),
+                            (COMPUTE, nan), (COMPUTE, inf)):
                 try:
                     yield request
                     if request[0] == PUT:
@@ -267,7 +357,8 @@ class TestFailuresMatchTheBlockingTwin:
 
         def blocking(ctx):
             caught = []
-            for call in (lambda: ctx.get(99, 0), lambda: ctx.put(1, 0, 99), lambda: ctx.compute(-1.0)):
+            for call in (lambda: ctx.get(99, 0), lambda: ctx.put(1, 0, 99), lambda: ctx.compute(-1.0),
+                         lambda: ctx.compute(nan), lambda: ctx.compute(inf)):
                 try:
                     call()
                 except (ValueError, IndexError) as exc:
@@ -277,8 +368,13 @@ class TestFailuresMatchTheBlockingTwin:
         inline = make_runtime().run(steps)
         threaded = make_runtime().run(blocking)
         assert inline.returns == threaded.returns
-        assert [kind for kind, _ in inline.returns[0]] == ["ValueError", "IndexError", "ValueError"]
+        assert [kind for kind, _ in inline.returns[0]] == ["ValueError", "IndexError"] + ["ValueError"] * 3
+        assert all(
+            message.startswith("compute duration must be non-negative")
+            for _, message in inline.returns[0][2:]
+        )
         assert inline.op_counts == threaded.op_counts
+        assert inline.finish_times_us == threaded.finish_times_us  # no clock was poisoned
 
     def test_max_ops(self):
         def steps(ctx):
@@ -376,7 +472,13 @@ class TestMisuseFailsLoudly:
         assert sum(ok.op_counts.values()) > 0
         assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("value", [None, 7, "put", (), (99, 0), ("put", 1, 0, 0)], ids=repr)
+    @pytest.mark.parametrize(
+        "value",
+        # The last two: the poll sub-program's park request is the runtime's
+        # own, and no negative kind may index the trampoline's table from the end.
+        [None, 7, "put", (), (99, 0), ("put", 1, 0, 0), (-1, [(0, 0)]), (-4, 0, 0)],
+        ids=repr,
+    )
     def test_yielding_a_non_request_names_the_rank_and_the_value(self, value):
         def steps(ctx):
             yield (BARRIER,)

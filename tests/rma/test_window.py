@@ -216,3 +216,119 @@ class TestPropertyBased:
         else:
             bulk.load(items)
             assert bulk.snapshot() == sequential.snapshot()
+
+
+# --------------------------------------------------------------------------- #
+# Scalar accessors against a pure-int reference
+# --------------------------------------------------------------------------- #
+
+class _IntWords:
+    """The scalar accessors over a list of Python ints: ``int()`` coercion,
+    an explicit int64 range check, offsets checked before anything else —
+    what ``Window`` did word by word before its accessors went through a
+    ``memoryview``, and what they must keep doing."""
+
+    def __init__(self, size: int):
+        self.words = [0] * size
+
+    def _offset(self, offset):
+        if not 0 <= offset < len(self.words):
+            raise IndexError(f"offset {offset} out of range 0..{len(self.words) - 1}")
+
+    @staticmethod
+    def _word(value):
+        value = int(value)
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise OverflowError(f"value {value} does not fit in a 64-bit window word")
+        return value
+
+    def read(self, offset):
+        self._offset(offset)
+        return self.words[offset]
+
+    def write(self, offset, value):
+        self._offset(offset)
+        self.words[offset] = self._word(value)
+
+    def fetch_and_op(self, offset, operand, op):
+        self._offset(offset)
+        previous = self.words[offset]
+        operand = self._word(operand)
+        self.words[offset] = self._word(previous + operand) if op is AtomicOp.SUM else operand
+        return previous
+
+    def compare_and_swap(self, offset, compare, value):
+        self._offset(offset)
+        previous = self.words[offset]
+        if previous == int(compare):
+            self.words[offset] = self._word(value)
+        return previous
+
+
+_EDGES = [0, 1, -1, INT64_MAX, INT64_MAX - 1, INT64_MIN, INT64_MIN + 1]
+_WORDS = st.one_of(
+    st.sampled_from(_EDGES + [INT64_MAX + 1, INT64_MIN - 1, 2**64, -(2**64)]),
+    st.integers(min_value=-(2**65), max_value=2**65),
+    st.booleans(),
+    st.sampled_from(_EDGES).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([-2.5, 0.0, 7.9, 1e18, -1e19, 2.0**63]),
+    st.integers(min_value=-(2**64), max_value=2**64).map(str),
+    st.sampled_from(["", "seven", " 12 ", "1_000"]),
+)
+_SIZE = 3
+_CALLS = st.one_of(
+    st.tuples(st.just("read"), st.integers(-_SIZE - 2, _SIZE + 2)),
+    st.tuples(st.just("write"), st.integers(-2, _SIZE + 1), _WORDS),
+    st.tuples(
+        st.just("fetch_and_op"), st.integers(-2, _SIZE + 1), _WORDS,
+        st.sampled_from([AtomicOp.SUM, AtomicOp.REPLACE]),
+    ),
+    st.tuples(st.just("compare_and_swap"), st.integers(-2, _SIZE + 1), _WORDS, _WORDS),
+)
+
+
+def _outcome(target, name, args):
+    try:
+        value = getattr(target, name)(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome *is* the exception
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestScalarAccessorsMatchAPureIntReference:
+    @given(st.lists(_CALLS, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_same_values_same_exceptions_same_words(self, calls):
+        """Words at the ±2**63 edges, ``bool``, ``numpy.int64``, floats and
+        numeric strings (coerced by ``int()``), offsets off either end: every
+        call returns the same exact ``int`` or raises the same exception with
+        the same message, and leaves the same words — in the ndarray that
+        ``load`` / ``snapshot`` / the vector core use, too."""
+        window, reference = Window(_SIZE), _IntWords(_SIZE)
+        for name, *args in calls:
+            assert _outcome(window, name, args) == _outcome(reference, name, args), (name, args)
+            assert window._mem.tolist() == reference.words
+        assert window.snapshot() == dict(enumerate(reference.words))
+        assert all(type(window.read(i)) is int for i in range(_SIZE))
+
+    def test_the_edges_by_hand(self):
+        w = Window(2)
+        w.write(0, INT64_MAX)
+        with pytest.raises(OverflowError, match=rf"value {INT64_MAX + 1} does not fit"):
+            w.fetch_and_op(0, 1, AtomicOp.SUM)
+        # The operand is range-checked on its own, even where the sum would fit.
+        w.write(1, -5)
+        with pytest.raises(OverflowError, match=rf"value {INT64_MAX + 1} does not fit"):
+            w.fetch_and_op(1, INT64_MAX + 1, AtomicOp.SUM)
+        assert w.snapshot() == {0: INT64_MAX, 1: -5}
+        # A failing compare never looks at the new value; a matching one checks it.
+        assert w.compare_and_swap(1, 0, 2**70) == -5
+        with pytest.raises(OverflowError):
+            w.compare_and_swap(1, "-5", 2**70)
+        assert w.compare_and_swap(1, -5.9, True) == -5 and w.read(1) == 1
+        w.write(1, "12")
+        w.write(0, 7.9)
+        assert w.snapshot() == {0: 7, 1: 12}
+        w.load({0: -3})  # the bulk store and the scalar view share one buffer
+        assert w.read(0) == -3 and type(w.read(0)) is int

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import get_runtime
 from repro.bench.campaign import run_result_sha
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
@@ -102,3 +103,32 @@ def test_horizon_ceiling_raises_instead_of_hanging():
     assert not plan.is_null
     with pytest.raises(FaultHorizonError):
         _run(_config(), plan, "horizon")
+
+
+def test_reaping_a_rank_parked_on_two_cells_leaves_no_waiter_behind():
+    # Rank 1 parks on two cells of two targets and is killed there (no rank
+    # is runnable, so the scheduler delivers the kill); rank 2 shares one of
+    # the cells.  The restarted rank 1 then writes that cell: only rank 2 may
+    # still be registered on it.
+    def program(ctx):
+        if ctx.rank == 1:
+            if ctx.incarnation == 0:
+                ctx.spin_on_cells([(2, 3), (1, 0)], lambda vs: vs[0] == 0)
+            ctx.put(1, 2, 3)
+            ctx.flush(2)
+        elif ctx.rank == 2:
+            ctx.spin_while(2, 3, lambda v: v == 0)
+        return ctx.now()
+
+    plan = FaultPlan.single(1, kill_us=50.0, restart_us=80.0)
+    results = {}
+    for scheduler in ("horizon", "baseline"):
+        runtime = get_runtime(scheduler).factory(
+            cached_machine(PROCS, PPN, "xc30"), window_words=8, fault_plan=plan
+        )
+        results[scheduler] = runtime.run(program)
+        if scheduler == "horizon":
+            assert not any(runtime._watchers.values()), runtime._watchers
+            assert not any(s.watching for s in runtime._states)
+    assert results["horizon"].returns[1] > 80.0
+    assert run_result_sha(results["horizon"]) == run_result_sha(results["baseline"])

@@ -19,6 +19,7 @@ through each suite entry the ledger measures.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import asdict
 
@@ -51,6 +52,7 @@ from repro.rma.runtime_base import (
     blocking_program,
     is_step_program,
 )
+from repro.rma import sim_runtime
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.builder import cached_machine
 from repro.topology.machine import Machine
@@ -229,7 +231,7 @@ class TestFailuresMatchTheBlockingTwin:
             if ctx.rank == 3:
                 yield (BARRIER,)
             elif ctx.rank:
-                yield (SPIN, [(ctx.rank, 0), (0, 1)], lambda vs: vs[0] == 0)
+                yield (SPIN, [(2, 5), (ctx.rank, 0), (0, 7), (2, 1)], lambda vs: vs[0] == 0)
             return ctx.rank
 
         def blocking(ctx):
@@ -237,13 +239,25 @@ class TestFailuresMatchTheBlockingTwin:
             if ctx.rank == 3:
                 ctx.barrier()
             elif ctx.rank:
-                ctx.spin_on_cells([(ctx.rank, 0), (0, 1)], lambda vs: vs[0] == 0)
+                ctx.spin_on_cells([(2, 5), (ctx.rank, 0), (0, 7), (2, 1)], lambda vs: vs[0] == 0)
             return ctx.rank
 
         inline, threaded = _failure(steps), _failure(blocking)
         assert type(inline) is type(threaded) is SimDeadlockError
         assert str(inline) == str(threaded)
-        assert "rank 1: parked on" in str(inline) and "rank 3: waiting at barrier" in str(inline)
+        # Cells of several targets, given out of order: listed by (rank, offset).
+        report = str(inline).split(": ", 1)[1]
+        assert report.startswith(
+            "rank 1: parked on (rank 0, offset 7), (rank 1, offset 0), (rank 2, offset 1), "
+            "(rank 2, offset 5) at t="
+        )
+        assert "; rank 2: parked on (rank 0, offset 7), (rank 2, offset 0), (rank 2, offset 1), " in report
+        assert "; rank 3: waiting at barrier at t=4.50us" in report
+        with pytest.raises(SimDeadlockError) as seed:
+            get_runtime("baseline").factory(
+                Machine.cluster(nodes=2, procs_per_node=2), window_words=8
+            ).run(steps)
+        assert str(seed.value).split(": ", 1)[1] == report
 
     def test_raising_program_surfaces_its_exception(self):
         def steps(ctx):
@@ -375,6 +389,60 @@ class TestFailuresMatchTheBlockingTwin:
         )
         assert inline.op_counts == threaded.op_counts
         assert inline.finish_times_us == threaded.finish_times_us  # no clock was poisoned
+
+        # A poll on a cell that does not exist fails as its first Get does: a
+        # bad target before the leg is counted, a bad offset when its value is
+        # due (and never as an index error of the runtime's own cell tables,
+        # nor by aliasing offset -1 to another word).  Rank 3 polls alone, below
+        # the horizon: a thread-backed leg that crossed it would fail the run.
+        def spin_steps(ctx):
+            caught = []
+            if ctx.rank != 3:
+                yield (COMPUTE, 100.0)
+                return caught
+            for request in ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 0, 9999, lambda v: True),
+                            (SPIN, [(0, -1)], lambda vs: True), (SPIN, [(1, 0), (0, 8)], lambda vs: True)):
+                try:
+                    yield request
+                except (ValueError, IndexError) as exc:
+                    caught.append((type(exc).__name__, str(exc)))
+                yield (COMPUTE, 1.0)
+            return caught
+
+        def spin_blocking(ctx):
+            caught = []
+            if ctx.rank != 3:
+                ctx.compute(100.0)
+                return caught
+            for call in (lambda: ctx.spin_on_cells([(99, 0)], lambda vs: True),
+                         lambda: ctx.spin_while(0, 9999, lambda v: True),
+                         lambda: ctx.spin_on_cells([(0, -1)], lambda vs: True),
+                         lambda: ctx.spin_on_cells([(1, 0), (0, 8)], lambda vs: True)):
+                try:
+                    call()
+                except (ValueError, IndexError) as exc:
+                    caught.append((type(exc).__name__, str(exc)))
+                ctx.compute(1.0)
+            return caught
+
+        with rank_threads_started() as threads:
+            inline = make_runtime().run(spin_steps)
+        assert not threads
+        assert inline.returns == [[]] * 3 + [[
+            ("ValueError", "target rank 99 out of range 0..3"),
+            ("IndexError", "offset 9999 out of range 0..7"),
+            ("IndexError", "offset -1 out of range 0..7"),
+            ("IndexError", "offset 8 out of range 0..7"),
+        ]]
+        assert inline.op_counts == {"get": 4}  # the bad-target leg is not counted
+        baseline = get_runtime("baseline").factory(
+            Machine.cluster(nodes=2, procs_per_node=2), window_words=8
+        )
+        for twin in (make_runtime().run(spin_blocking), make_runtime().run(blocking_program(spin_steps)),
+                     baseline.run(spin_steps)):
+            assert twin.returns == inline.returns
+            assert twin.per_rank_op_counts == inline.per_rank_op_counts
+            assert twin.finish_times_us == inline.finish_times_us
 
     def test_max_ops(self):
         def steps(ctx):
@@ -577,3 +645,127 @@ class TestSuiteEntryPoints:
         assert not threads
         assert inline["ok"] and inline["reproducible"] and inline["acquires"] > 0
         assert inline == row("baseline")
+
+
+# --------------------------------------------------------------------------- #
+# Inline heap keys are live
+# --------------------------------------------------------------------------- #
+
+class TestLiveKeys:
+    """Count-based guard, like ``-k one_site``: ``_drive`` takes the key it pops
+    as its pick and ``heap[0]`` as the horizon without validating either, so
+    every key popped during an inline run must name a rank that is ready at
+    exactly that clock.  (A rank has one key while it waits its turn and none
+    while it runs, is parked, waits at the barrier or has finished.)"""
+
+    @pytest.fixture
+    def popped(self, monkeypatch):
+        """Checks every key ``sim_runtime`` pops while ``_drive`` runs; yields their count."""
+        count = [0]
+        driving = []
+        drive = SimRuntime._drive
+
+        def recording_drive(self, s):
+            driving.append(self)
+            try:
+                return drive(self, s)
+            finally:
+                driving.pop()
+
+        def checked(pop):
+            def wrapper(heap, *item):
+                key = pop(heap, *item)
+                if driving:
+                    count[0] += 1
+                    state = driving[-1]._states[key[1]]
+                    assert (state.status, state.clock) == (sim_runtime._READY, key[0]), (
+                        f"stale key {key}: rank {state.rank} has status {state.status} "
+                        f"at t={state.clock}"
+                    )
+                return key
+
+            return wrapper
+
+        monkeypatch.setattr(SimRuntime, "_drive", recording_drive)
+        monkeypatch.setattr(sim_runtime, "heappop", checked(heapq.heappop))
+        monkeypatch.setattr(sim_runtime, "heappushpop", checked(heapq.heappushpop))
+        return count
+
+    @pytest.mark.parametrize("procs", [8, 32])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_live_keys_for_every_builtin_scheme(self, scheme, procs, popped):
+        config = LockBenchConfig(
+            machine=cached_machine(procs, 8 if procs == 32 else 4), scheme=scheme,
+            benchmark="wcsb", iterations=4 if procs == 8 else 2, fw=0.2, seed=13,
+        )
+        spec, is_rw = build_lock_spec(config)
+        program = make_lock_program(config, spec, is_rw, spec.window_words)
+        with rank_threads_started() as threads:
+            inline = _run(config, program, spec, "horizon")
+        assert not threads and popped[0] >= procs, popped
+        assert inline == _run(config, program, spec, "baseline")
+
+    def test_live_keys_on_a_perturbed_observed_point_and_a_traffic_point(self, popped):
+        point = ConformancePoint(
+            scheme="rma-rw", benchmark="wcsb", procs=8, procs_per_node=4,
+            iterations=5, scheduler="horizon", perturb_seed=2, **CHAOS,
+        )
+        assert run_conformance_point(point, recheck=True)["ok"]
+        chaos_pops = popped[0]
+        spec = traffic_spec(
+            schemes=("d-mcs", "striped-rw"), scenarios=("traffic-zipf",),
+            process_counts=(8,), iterations=6,
+        )
+        with rank_threads_started() as threads:
+            run_traffic(spec, schedulers=("horizon",), jobs=1, cache=False)
+        assert not threads and chaos_pops > 0 and popped[0] > chaos_pops
+
+    def test_live_keys_up_to_the_abort_exits(self, popped):
+        """A deadlock and a raising program leave ``_drive`` at once; the keys
+        they strand are never popped."""
+
+        def deadlocks(ctx):
+            yield (COMPUTE, 1.5 * ctx.rank)
+            yield (PUT, 1, (ctx.rank + 1) % 4, 0)
+            yield (FLUSH, (ctx.rank + 1) % 4)
+            if ctx.rank == 3:
+                yield (BARRIER,)
+            elif ctx.rank:
+                yield (SPIN_WHILE, ctx.rank, 1, lambda v: v == 0)
+
+        def raises(ctx):
+            yield (BARRIER,)
+            yield (GET, 0, 0)
+            yield (FLUSH, 0)
+            if ctx.rank == 1:
+                raise ValueError("boom from rank 1")
+            yield (BARRIER,)
+
+        assert type(_failure(deadlocks)) is SimDeadlockError
+        deadlock_pops = popped[0]
+        assert str(_failure(raises)) == "boom from rank 1"
+        assert deadlock_pops > 0 and popped[0] > deadlock_pops
+
+    def test_live_keys_guard_sees_a_stale_key(self, popped):
+        """The guard is not vacuous: a key left behind for a parked rank is caught."""
+
+        def steps(ctx):
+            if ctx.rank == 1:
+                yield (SPIN_WHILE, 1, 0, lambda v: v == 0)
+            else:
+                yield (COMPUTE, 10.0 * (ctx.rank + 1))
+                if ctx.rank == 0:
+                    yield (PUT, 1, 1, 0)
+                    yield (FLUSH, 1)
+
+        park = SimRuntime._park
+
+        def leaky_park(self, state, cells):
+            park(self, state, cells)
+            sim_runtime.heappush(self._heap, (state.clock, state.rank))
+
+        make_runtime().run(steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimRuntime, "_park", leaky_park)
+            with pytest.raises(AssertionError, match="stale key"):
+                make_runtime().run(steps)

@@ -205,6 +205,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
     if bench_info.program_factory is not None:
         program = bench_info.program_factory(config, spec, is_rw, shared_offset)
         return program_for_spec(spec, config.machine, program)
+    # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi) bit for bit (tests/util/test_rng.py), 3x cheaper.
     cs_lo, cs_hi = config.cs_compute_us
     wait_lo, wait_hi = config.wait_after_release_us
 
@@ -229,7 +230,6 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             lock = observe_lock(lock, ctx, observer)
         rng = ctx.rng
         rng_random = rng.random
-        rng_uniform = rng.uniform
         now = ctx.now
         yield (BARRIER,)
         start = now()
@@ -266,7 +266,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 else:
                     yield (GET, 0, shared_offset)
                 yield (FLUSH, 0)
-                yield (COMPUTE, float(rng_uniform(cs_lo, cs_hi)))
+                yield (COMPUTE, cs_lo + (cs_hi - cs_lo) * rng_random())
             # lb / ecsb / warb: empty critical section.
 
             if is_rw:
@@ -283,7 +283,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 reads += 1
 
             if is_warb:
-                yield (COMPUTE, float(rng_uniform(wait_lo, wait_hi)))
+                yield (COMPUTE, wait_lo + (wait_hi - wait_lo) * rng_random())
         end = now()
         yield (BARRIER,)
         return {

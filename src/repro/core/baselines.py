@@ -91,25 +91,29 @@ class FompiSpinLockHandle(LockHandle):
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
+        # One word on one rank: every request is fixed, and built once.
+        home, word = spec.home_rank, spec.lock_offset
+        self._try_lock = (CAS, 1, 0, home, word)
+        self._wait_unlocked = (SPIN_WHILE, home, word, lambda v: v != 0)
+        self._unlock = (PUT, 0, home, word)
+        self._flush = (FLUSH, home)
 
     def acquire_steps(self) -> Steps:
-        spec = self.spec
         backoff = _BACKOFF_MIN_US
         while True:
-            prev = yield (CAS, 1, 0, spec.home_rank, spec.lock_offset)
-            yield (FLUSH, spec.home_rank)
+            prev = yield self._try_lock
+            yield self._flush
             if prev == 0:
                 return
             # Locked by someone else: back off, then spin on the value before
             # retrying the CAS (test-and-test-and-set).
             yield (COMPUTE, backoff)
             backoff = min(backoff * 2.0, _BACKOFF_MAX_US)
-            yield (SPIN_WHILE, spec.home_rank, spec.lock_offset, lambda v: v != 0)
+            yield self._wait_unlocked
 
     def release_steps(self) -> Steps:
-        spec = self.spec
-        yield (PUT, 0, spec.home_rank, spec.lock_offset)
-        yield (FLUSH, spec.home_rank)
+        yield self._unlock
+        yield self._flush
 
 
 @dataclass(frozen=True)
@@ -148,48 +152,54 @@ class FompiRWLockHandle(RWLockHandle):
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
+        # One word on one rank: all but the writer's CAS is fixed, and built once.
+        home, word = spec.home_rank, spec.word_offset
+        self._arrive = (FAO, 1, home, word, AtomicOp.SUM)
+        self._depart = (ACCUMULATE, -1, home, word, AtomicOp.SUM)
+        self._read = (GET, home, word)
+        self._clear_writer = (ACCUMULATE, -_RW_WRITER_BIT, home, word, AtomicOp.SUM)
+        self._wait_no_writer = (SPIN_WHILE, home, word, lambda v: v >= _RW_WRITER_BIT)
+        self._wait_drained = (SPIN_WHILE, home, word, lambda v: v != _RW_WRITER_BIT)
+        self._flush = (FLUSH, home)
 
     # -- reader side ------------------------------------------------------- #
 
     def acquire_read_steps(self) -> Steps:
-        spec = self.spec
         while True:
-            prev = yield (FAO, 1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            yield (FLUSH, spec.home_rank)
+            prev = yield self._arrive
+            yield self._flush
             if prev < _RW_WRITER_BIT:
                 return
             # A writer holds or awaits the lock: undo and wait for it to finish.
-            yield (ACCUMULATE, -1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            yield (FLUSH, spec.home_rank)
-            yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+            yield self._depart
+            yield self._flush
+            yield self._wait_no_writer
 
     def release_read_steps(self) -> Steps:
-        spec = self.spec
-        yield (ACCUMULATE, -1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        yield (FLUSH, spec.home_rank)
+        yield self._depart
+        yield self._flush
 
     # -- writer side ------------------------------------------------------- #
 
     def acquire_write_steps(self) -> Steps:
         spec = self.spec
         while True:
-            current = yield (GET, spec.home_rank, spec.word_offset)
-            yield (FLUSH, spec.home_rank)
+            current = yield self._read
+            yield self._flush
             if current >= _RW_WRITER_BIT:
                 # Another writer is pending or active: wait for it to clear.
-                yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+                yield self._wait_no_writer
                 continue
             prev = yield (CAS, current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
-            yield (FLUSH, spec.home_rank)
+            yield self._flush
             if prev == current:
                 break
         # The writer bit is set: new readers bounce; wait for active readers to drain.
-        yield (SPIN_WHILE, spec.home_rank, spec.word_offset, lambda v: v != _RW_WRITER_BIT)
+        yield self._wait_drained
 
     def release_write_steps(self) -> Steps:
-        spec = self.spec
-        yield (ACCUMULATE, -_RW_WRITER_BIT, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        yield (FLUSH, spec.home_rank)
+        yield self._clear_writer
+        yield self._flush
 
 
 # --------------------------------------------------------------------------- #

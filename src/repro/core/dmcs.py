@@ -90,18 +90,27 @@ class DMCSLockHandle(LockHandle):
             )
         self.spec = spec
         self.ctx = ctx
+        # The requests on this rank's own fields and on the tail never change: built once.
+        p, tail = ctx.rank, spec.tail_rank
+        self._clear_next = (PUT, NULL_RANK, p, spec.next_offset)
+        self._set_waiting = (PUT, _WAITING, p, spec.status_offset)
+        self._get_next = (GET, p, spec.next_offset)
+        self._flush_mine = (FLUSH, p)
+        self._enqueue = (FAO, p, tail, spec.tail_offset, AtomicOp.REPLACE)
+        self._dequeue = (CAS, NULL_RANK, p, tail, spec.tail_offset)
+        self._flush_tail = (FLUSH, tail)
 
     def acquire_steps(self) -> Steps:
         """Listing 2: enqueue at the tail and spin until the predecessor hands over."""
         spec = self.spec
         p = self.ctx.rank
         # Prepare local fields.
-        yield (PUT, NULL_RANK, p, spec.next_offset)
-        yield (PUT, _WAITING, p, spec.status_offset)
-        yield (FLUSH, p)
+        yield self._clear_next
+        yield self._set_waiting
+        yield self._flush_mine
         # Enter the tail of the MCS queue and fetch the predecessor.
-        pred = yield (FAO, p, spec.tail_rank, spec.tail_offset, AtomicOp.REPLACE)
-        yield (FLUSH, spec.tail_rank)
+        pred = yield self._enqueue
+        yield self._flush_tail
         if pred != NULL_RANK:
             # Make the predecessor see us, then spin locally until it hands over.
             yield (PUT, p, pred, spec.next_offset)
@@ -112,12 +121,12 @@ class DMCSLockHandle(LockHandle):
         """Listing 3: hand the lock to the successor, or clear the tail if alone."""
         spec = self.spec
         p = self.ctx.rank
-        succ = yield (GET, p, spec.next_offset)
-        yield (FLUSH, p)
+        succ = yield self._get_next
+        yield self._flush_mine
         if succ == NULL_RANK:
             # Maybe we are the only process in the queue.
-            curr_rank = yield (CAS, NULL_RANK, p, spec.tail_rank, spec.tail_offset)
-            yield (FLUSH, spec.tail_rank)
+            curr_rank = yield self._dequeue
+            yield self._flush_tail
             if curr_rank == p:
                 return
             # Somebody is enqueueing; wait until it makes itself visible.

@@ -20,26 +20,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, register_scheme
-from repro.core.constants import (
-    ACQUIRE_START,
-    NULL_RANK,
-    STATUS_ACQUIRE_PARENT,
-    STATUS_WAIT,
-)
+from repro.core.constants import NULL_RANK, STATUS_ACQUIRE_PARENT, STATUS_WAIT
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.core.tree import UNBOUNDED_THRESHOLD, TreeLayout, normalize_locality_thresholds
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import (
-    CAS,
-    FAO,
-    FLUSH,
-    GET,
-    PUT,
-    SPIN_WHILE,
-    ProcessContext,
-    Steps,
-)
+from repro.rma.runtime_base import FLUSH, PUT, SPIN_WHILE, ProcessContext, Steps
 from repro.topology.machine import Machine
 
 __all__ = ["RMAMCSLockSpec", "RMAMCSLockHandle"]
@@ -96,22 +81,8 @@ class RMAMCSLockHandle(LockHandle):
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
-        self._layout = spec.layout
         self._n = spec.machine.n_levels
-        # Per-(rank, level) layout constants, resolved once instead of walking
-        # the machine hierarchy on every acquire/release: (node, tail_host,
-        # next_off, status_off, tail_off), indexed by level - 1.
-        layout = spec.layout
-        self._level_consts = tuple(
-            (
-                layout.queue_node_rank(ctx.rank, level),
-                layout.tail_host_rank(ctx.rank, level),
-                layout.next_offset(level),
-                layout.status_offset(level),
-                layout.tail_offset(level),
-            )
-            for level in range(1, self._n + 1)
-        )
+        self._queue_nodes = spec.layout.queue_nodes(ctx.rank)
 
     # ------------------------------------------------------------------ #
     # Acquire
@@ -123,25 +94,25 @@ class RMAMCSLockHandle(LockHandle):
 
     def _acquire_level(self, level: int) -> Steps:
         """Listing 4 generalized to every level (no readers to synchronize with)."""
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
+        q = self._queue_nodes[level - 1]
 
-        yield (PUT, NULL_RANK, node, next_off)
-        yield (PUT, STATUS_WAIT, node, status_off)
-        yield (FLUSH, node)
+        yield q.clear_next
+        yield q.set_wait
+        yield q.flush_node
         # Enter the DQ of this level within our machine element.
-        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
-        yield (FLUSH, tail_host)
+        pred = yield q.enqueue
+        yield q.flush_tail
         if pred != NULL_RANK:
-            yield (PUT, node, pred, next_off)
+            yield (PUT, q.node, pred, q.next_off)
             yield (FLUSH, pred)
-            status = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
+            status = yield (SPIN_WHILE, q.node, q.status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # The lock was passed within this element: we own the global lock.
                 return
         # No predecessor, or the predecessor released this level to its parent:
         # start counting passings afresh and acquire the next level up.
-        yield (PUT, ACQUIRE_START, node, status_off)
-        yield (FLUSH, node)
+        yield q.set_start
+        yield q.flush_node
         if level > 1:
             yield from self._acquire_level(level - 1)
         # At level 1 an empty queue (or an ACQUIRE_PARENT hand-over) means the
@@ -158,15 +129,15 @@ class RMAMCSLockHandle(LockHandle):
     def _release_level(self, level: int) -> Steps:
         """Listing 5 generalized to every level."""
         spec = self.spec
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
+        q = self._queue_nodes[level - 1]
 
-        succ = yield (GET, node, next_off)
-        status = yield (GET, node, status_off)
-        yield (FLUSH, node)
+        succ = yield q.get_next
+        status = yield q.get_status
+        yield q.flush_node
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this machine element together with the
             # number of consecutive passings it has seen.
-            yield (PUT, status + 1, succ, status_off)
+            yield (PUT, status + 1, succ, q.status_off)
             yield (FLUSH, succ)
             return
 
@@ -177,18 +148,18 @@ class RMAMCSLockHandle(LockHandle):
 
         if succ == NULL_RANK:
             # Check whether some process has just enqueued itself.
-            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
-            yield (FLUSH, tail_host)
-            if curr == node:
+            curr = yield q.dequeue
+            yield q.flush_tail
+            if curr == q.node:
                 return
-            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, q.node, q.next_off, lambda nxt: nxt == NULL_RANK)
 
         if level > 1:
             # We no longer hold the parent level: the successor must acquire it.
-            yield (PUT, STATUS_ACQUIRE_PARENT, succ, status_off)
+            yield (PUT, STATUS_ACQUIRE_PARENT, succ, q.status_off)
         else:
             # Level 1 has no parent; the lock itself is handed to the successor.
-            yield (PUT, status + 1, succ, status_off)
+            yield (PUT, status + 1, succ, q.status_off)
         yield (FLUSH, succ)
 
 

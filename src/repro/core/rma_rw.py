@@ -33,28 +33,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, register_scheme
-from repro.core.constants import (
-    ACQUIRE_START,
-    NULL_RANK,
-    STATUS_ACQUIRE_PARENT,
-    STATUS_MODE_CHANGE,
-    STATUS_WAIT,
-)
+from repro.core.constants import NULL_RANK, STATUS_ACQUIRE_PARENT, STATUS_MODE_CHANGE, STATUS_WAIT
 from repro.core.counter import DistributedCounterHandle, DistributedCounterSpec
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import RWLockHandle, RWLockSpec
 from repro.core.tree import TreeLayout, normalize_locality_thresholds
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import (
-    CAS,
-    FAO,
-    FLUSH,
-    GET,
-    PUT,
-    SPIN_WHILE,
-    ProcessContext,
-    Steps,
-)
+from repro.rma.runtime_base import FLUSH, GET, PUT, SPIN_WHILE, ProcessContext, Steps
 from repro.topology.machine import Machine
 from repro.topology.mapping import CounterPlacement
 
@@ -155,24 +139,9 @@ class RMARWLockHandle(RWLockHandle):
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
-        self._layout = spec.layout
         self._n = spec.machine.n_levels
         self._dc = DistributedCounterHandle(spec.counter, ctx)
-        # Per-(rank, level) layout constants, resolved once instead of walking
-        # the machine hierarchy on every acquire/release (they are pure
-        # functions of the rank): (node, tail_host, next_off, status_off,
-        # tail_off), indexed by level - 1.
-        layout = spec.layout
-        self._level_consts = tuple(
-            (
-                layout.queue_node_rank(ctx.rank, level),
-                layout.tail_host_rank(ctx.rank, level),
-                layout.next_offset(level),
-                layout.status_offset(level),
-                layout.tail_offset(level),
-            )
-            for level in range(1, self._n + 1)
-        )
+        self._queue_nodes = spec.layout.queue_nodes(ctx.rank)
 
     # ------------------------------------------------------------------ #
     # Writer acquire (Listings 4 and 7)
@@ -186,23 +155,23 @@ class RMARWLockHandle(RWLockHandle):
 
     def _writer_acquire_level(self, level: int) -> Steps:
         """Listing 4: acquire the DQ at ``level`` (2 <= level <= N) and maybe climb."""
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
+        q = self._queue_nodes[level - 1]
 
-        yield (PUT, NULL_RANK, node, next_off)
-        yield (PUT, STATUS_WAIT, node, status_off)
-        yield (FLUSH, node)
-        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
-        yield (FLUSH, tail_host)
+        yield q.clear_next
+        yield q.set_wait
+        yield q.flush_node
+        pred = yield q.enqueue
+        yield q.flush_tail
         if pred != NULL_RANK:
-            yield (PUT, node, pred, next_off)
+            yield (PUT, q.node, pred, q.next_off)
             yield (FLUSH, pred)
-            status = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
+            status = yield (SPIN_WHILE, q.node, q.status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # T_L was not reached: the lock is passed to us directly.
                 return
         # Start acquiring the next level of the tree.
-        yield (PUT, ACQUIRE_START, node, status_off)
-        yield (FLUSH, node)
+        yield q.set_start
+        yield q.flush_node
         if level > 2:
             yield from self._writer_acquire_level(level - 1)
         else:
@@ -210,31 +179,31 @@ class RMARWLockHandle(RWLockHandle):
 
     def _writer_acquire_root(self) -> Steps:
         """Listing 7: acquire the level-1 DQ and synchronize with the readers."""
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
+        q = self._queue_nodes[0]
 
-        yield (PUT, NULL_RANK, node, next_off)
-        yield (PUT, STATUS_WAIT, node, status_off)
-        yield (FLUSH, node)
-        pred = yield (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
-        yield (FLUSH, tail_host)
+        yield q.clear_next
+        yield q.set_wait
+        yield q.flush_node
+        pred = yield q.enqueue
+        yield q.flush_tail
 
         if pred != NULL_RANK:
-            yield (PUT, node, pred, next_off)
+            yield (PUT, q.node, pred, q.next_off)
             yield (FLUSH, pred)
-            curr_stat = yield (SPIN_WHILE, node, status_off, lambda s: s == STATUS_WAIT)
+            curr_stat = yield (SPIN_WHILE, q.node, q.status_off, lambda s: s == STATUS_WAIT)
             if curr_stat == STATUS_MODE_CHANGE:
                 # The readers have the lock now; win it back.
                 yield from self._dc.set_counters_to_write_steps()
                 yield from self._dc.wait_readers_drained_steps()
-                yield (PUT, ACQUIRE_START, node, status_off)
-                yield (FLUSH, node)
+                yield q.set_start
+                yield q.flush_node
             # Otherwise the lock was passed in WRITE mode with its count intact.
         else:
             # No predecessor: take the lock from the readers.
             yield from self._dc.set_counters_to_write_steps()
             yield from self._dc.wait_readers_drained_steps()
-            yield (PUT, ACQUIRE_START, node, status_off)
-            yield (FLUSH, node)
+            yield q.set_start
+            yield q.flush_node
 
     # ------------------------------------------------------------------ #
     # Writer release (Listings 5 and 8)
@@ -249,14 +218,14 @@ class RMARWLockHandle(RWLockHandle):
     def _writer_release_level(self, level: int) -> Steps:
         """Listing 5: release the DQ at ``level`` (2 <= level <= N)."""
         spec = self.spec
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
+        q = self._queue_nodes[level - 1]
 
-        succ = yield (GET, node, next_off)
-        status = yield (GET, node, status_off)
-        yield (FLUSH, node)
+        succ = yield q.get_next
+        status = yield q.get_status
+        yield q.flush_node
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this element, carrying the passing count.
-            yield (PUT, status + 1, succ, status_off)
+            yield (PUT, status + 1, succ, q.status_off)
             yield (FLUSH, succ)
             return
 
@@ -268,24 +237,24 @@ class RMARWLockHandle(RWLockHandle):
             yield from self._writer_release_root()
 
         if succ == NULL_RANK:
-            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
-            yield (FLUSH, tail_host)
-            if curr == node:
+            curr = yield q.dequeue
+            yield q.flush_tail
+            if curr == q.node:
                 return
-            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, q.node, q.next_off, lambda nxt: nxt == NULL_RANK)
 
         # Notify the successor that it must acquire the lock at the parent level.
-        yield (PUT, STATUS_ACQUIRE_PARENT, succ, status_off)
+        yield (PUT, STATUS_ACQUIRE_PARENT, succ, q.status_off)
         yield (FLUSH, succ)
 
     def _writer_release_root(self) -> Steps:
         """Listing 8: release the level-1 DQ, possibly handing the lock to the readers."""
         spec = self.spec
-        node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
+        q = self._queue_nodes[0]
 
         counters_reset = False
-        next_stat = yield (GET, node, status_off)
-        yield (FLUSH, node)
+        next_stat = yield q.get_status
+        yield q.flush_node
         next_stat += 1
         if next_stat >= spec.writer_threshold:
             # T_W reached: pass the lock to the readers.
@@ -293,21 +262,21 @@ class RMARWLockHandle(RWLockHandle):
             next_stat = STATUS_MODE_CHANGE
             counters_reset = True
 
-        succ = yield (GET, node, next_off)
-        yield (FLUSH, node)
+        succ = yield q.get_next
+        yield q.flush_node
         if succ == NULL_RANK:
             if not counters_reset:
                 # Nobody known to wait: let the readers in.
                 yield from self._dc.reset_counters_steps()
                 next_stat = STATUS_MODE_CHANGE
-            curr = yield (CAS, NULL_RANK, node, tail_host, tail_off)
-            yield (FLUSH, tail_host)
-            if curr == node:
+            curr = yield q.dequeue
+            yield q.flush_tail
+            if curr == q.node:
                 return
-            succ = yield (SPIN_WHILE, node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = yield (SPIN_WHILE, q.node, q.next_off, lambda nxt: nxt == NULL_RANK)
 
         # Pass the lock (or the mode-change notification) to the successor.
-        yield (PUT, next_stat, succ, status_off)
+        yield (PUT, next_stat, succ, q.status_off)
         yield (FLUSH, succ)
 
     # ------------------------------------------------------------------ #
@@ -316,9 +285,9 @@ class RMARWLockHandle(RWLockHandle):
 
     def _writer_waiting(self) -> Steps:
         """True when some writer is queued at the root DQ (Listing 9, line 17)."""
-        consts = self._level_consts[0]
-        curr_tail = yield (GET, consts[1], consts[4])
-        yield (FLUSH, consts[1])
+        q = self._queue_nodes[0]
+        curr_tail = yield (GET, q.tail_host, q.tail_off)
+        yield q.flush_tail
         return curr_tail != NULL_RANK
 
     def acquire_read_steps(self) -> Steps:

@@ -22,14 +22,17 @@ This module owns the window layout and rank placement shared by both locks:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.constants import NULL_RANK
+from repro.core.constants import ACQUIRE_START, NULL_RANK, STATUS_WAIT
 from repro.core.layout import LayoutAllocator
+from repro.rma.ops import AtomicOp
+from repro.rma.runtime_base import CAS, FAO, FLUSH, GET, PUT
 from repro.topology.machine import Machine
 
-__all__ = ["TreeLayout", "normalize_locality_thresholds"]
+__all__ = ["QueueNode", "TreeLayout", "normalize_locality_thresholds"]
 
 #: Effectively-infinite locality threshold (used for levels with no threshold).
 UNBOUNDED_THRESHOLD = 1 << 50
@@ -66,6 +69,16 @@ def normalize_locality_thresholds(machine: Machine, t_l: Sequence[int] | Mapping
         if value < 1:
             raise ValueError(f"T_L,{level} must be >= 1, got {value}")
     return tuple(values)
+
+
+#: One process's queue node at one level: where its fields live (``node`` is
+#: ``queue_node_rank``, ``tail_host`` ``tail_host_rank``) and the requests on them
+#: that never change, built once per handle (see :meth:`TreeLayout.queue_nodes`).
+QueueNode = namedtuple(
+    "QueueNode",
+    "node tail_host next_off status_off tail_off clear_next set_wait set_start "
+    "get_next get_status flush_node enqueue dequeue flush_tail",
+)
 
 
 @dataclass(frozen=True)
@@ -125,6 +138,20 @@ class TreeLayout:
         machine = self.machine
         element = machine.element_of(rank, level)
         return machine.first_rank_of_element(level, element)
+
+    def queue_nodes(self, rank: int) -> Tuple[QueueNode, ...]:
+        """``rank``'s queue node at every level (index ``level - 1``), resolved once per handle."""
+        nodes = []
+        for level in range(1, self.machine.n_levels + 1):
+            node, host = self.queue_node_rank(rank, level), self.tail_host_rank(rank, level)
+            nxt, status, tail = self.next_offset(level), self.status_offset(level), self.tail_offset(level)
+            nodes.append(QueueNode(
+                node, host, nxt, status, tail,
+                (PUT, NULL_RANK, node, nxt), (PUT, STATUS_WAIT, node, status), (PUT, ACQUIRE_START, node, status),
+                (GET, node, nxt), (GET, node, status), (FLUSH, node),
+                (FAO, node, host, tail, AtomicOp.REPLACE), (CAS, NULL_RANK, node, host, tail), (FLUSH, host),
+            ))
+        return tuple(nodes)
 
     def init_window(self, rank: int) -> Dict[int, int]:
         """Initial window values: every NEXT and TAIL starts as the null rank."""

@@ -27,15 +27,16 @@ same execution order with three structural changes:
 
 * **Min-heap scheduling.**  Runnable ranks wait in a heap keyed on
   ``(clock, rank)``; picking the next rank is O(log P) instead of O(P).
-  Heap entries are validated against the rank's current status/clock on pop,
-  so stale entries (e.g. after an abort) are discarded lazily.
+  A thread-backed run validates an entry against the rank's status and clock
+  when it pops it: an abort or a kill strands stale ones.  An inline run's
+  keys are always live (see ``_run_inline``).
 
 * **Threadless spin-waiters.**  ``spin_on_cells`` — the protocols'
   ``do {Get; Flush} while (...)`` loops and by far the densest source of
   context switches under contention — is one step sub-program
   (``_poll_steps``): a ``Get`` *leg* per cell and a ``Flush`` leg per target,
-  the predicate, then a re-read if a write raced the round (per-cell version
-  counters tell) or a park that takes the rank off the heap until a polled
+  the predicate, then a re-read if a write raced the round (per-cell write
+  counts tell) or a park that takes the rank off the heap until a polled
   cell is written.  A thread-backed rank's legs are issued by a generator
   task on whichever thread drives the scheduler while its own OS thread stays
   parked: a wake/re-park cycle costs zero thread handoffs (the seed paid two
@@ -52,20 +53,15 @@ the fast path is a handful of array lookups.
 program that is a generator function (see "Step programs" in
 :mod:`repro.rma.runtime_base`) is stepped inline on the thread that called
 ``run()``, and ``_drive`` is the single site every request of such a run
-passes through: apply the picked rank's pending effect, send the value,
-account and time the next request (``_op_body``'s statements over per-run
-locals) and either continue below the horizon or push the key and pick the
-minimum.  On ``SPIN`` / ``SPIN_WHILE`` the poll sub-program becomes the rank's
-*active* generator and the program waits in a slot: poll legs are requests
-like any other, a park leaves the rank off the heap until a write wakes it,
-and what the poll returns — or raises: every round is the spinner's own turn
-— arrives at the program's ``yield``.  Crossing the horizon is the common
-case (70 % of the flagship's operations at P=64: some other rank is nearly
-always earlier), so the crossing is written into the loop, not behind a call.
-Which path a run takes is read off its input: a blocking program, or any
-program under a fault plan (a kill unwinds one rank's frames), is
-thread-backed as described above and drives a step program through
-``ctx.run_steps``.
+passes through, a poll's legs included: on ``SPIN`` / ``SPIN_WHILE`` the poll
+sub-program becomes the rank's *active* generator, and what it returns — or
+raises: every round is the spinner's own turn — arrives at the program's
+``yield``.  Nearly every operation crosses the horizon at P=64 (some other
+rank is earlier), so the crossing is written into the loop, not behind a
+call, and the loop pays per request only for what varies per request.  Which
+path a run takes is read off its input: a blocking program, or any program
+under a fault plan (a kill unwinds one rank's frames), is thread-backed as
+described above and drives a step program through ``ctx.run_steps``.
 
 If every unfinished rank is parked or waiting at a barrier the runtime
 raises :class:`~repro.rma.runtime_base.SimDeadlockError`, which doubles as a
@@ -77,7 +73,6 @@ from __future__ import annotations
 import gc
 import threading
 import time
-from collections import defaultdict
 from contextlib import contextmanager, suppress
 from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -157,6 +152,8 @@ _INF = float("inf")
 
 #: Where each RMA request carries its target rank (its offset follows), by request kind.
 _TARGET_AT = tuple(3 if kind == CAS else 1 if kind in (GET, FLUSH) else 2 for kind in range(NUM_CALLS))
+#: The request kinds that are RMA calls (kind == CALL_INDEX): accounted, charged and timed.
+_RMA_KINDS = frozenset(range(NUM_CALLS))
 
 #: ``(_PARK, cells)``: only a poll sub-program may yield it (program kinds are >= 0).
 _PARK = -1
@@ -201,6 +198,7 @@ class _RankState:
         "steps",
         "caller",
         "pending",
+        "fixed",
     )
 
     def __init__(self, rank: int):
@@ -213,7 +211,8 @@ class _RankState:
         # the state the next wait needs.
         self.baton = threading.Lock()
         self.baton.acquire()
-        self.watching: Set[Cell] = set()
+        #: The cells a parked rank waits on, as ``target * window_words + offset``.
+        self.watching: Set[int] = set()
         self.result: Any = None
         self.finish_time = 0.0
         #: Per-call op counters indexed by repro.rma.ops.CALL_INDEX.
@@ -226,6 +225,8 @@ class _RankState:
         self.steps: Any = None
         self.caller: Any = None
         self.pending: Optional[tuple] = None
+        #: Inline runs only: ``(rank, ops, rank * nranks, jitter or None)``, unpacked per turn.
+        self.fixed: Optional[tuple] = None
 
 
 class SimProcessContext(ProcessContext):
@@ -485,8 +486,10 @@ class SimRuntime(RMARuntime):
         self._port_free: List[float] = []
         self._link_free: Dict[object, float] = {}
         self._lock = threading.Lock()  # guards abort/stall transitions only
-        self._watchers: Dict[Cell, Set[int]] = {}
-        self._versions: Dict[Cell, int] = defaultdict(int)
+        # A cell is the int ``target * window_words + offset``: the ranks parked on
+        # it and, from when a poll first looks at it, how many writes it has seen.
+        self._watchers: Dict[int, Set[int]] = {}
+        self._versions: Dict[int, int] = {}
         self._barrier_waiting: List[int] = []
         self._abort = False
         self._abort_exc: Optional[BaseException] = None
@@ -568,7 +571,7 @@ class SimRuntime(RMARuntime):
         self._port_free = [0.0] * nranks
         self._link_free = self.fabric.new_state() if self.fabric is not None else {}
         self._watchers = {}
-        self._versions = defaultdict(int)
+        self._versions = {}
         self._barrier_waiting = []
         self._abort = False
         self._abort_exc = None
@@ -667,12 +670,22 @@ class SimRuntime(RMARuntime):
     # _no_runnable are shared with the thread-backed path, and _drive's op
     # branch is _op_body's body — with the hand-off removed: every rank is a
     # generator, and "resume the rank whose key is the minimum" is a send() on
-    # this thread.  There is no baton, no watchdog (nothing can stall but the
-    # program itself) and no _lock use beyond what the shared helpers do.
+    # this thread.  No baton, no watchdog, no _lock use of its own.
+    #
+    # Heap keys are live in an inline run: a rank has exactly one key while it
+    # is _READY and waits its turn (pushed where it crossed the horizon, by
+    # _wake or by _release_barrier) and none while it runs, is parked, waits at
+    # the barrier or has finished.  So the key _drive pops *is* its pick and
+    # heap[0] *is* the horizon, unvalidated.  Nobody inline breaks this: only
+    # an abort (a deadlock, a program's own exception) strands keys, and it
+    # leaves _drive at once.  Thread-backed runs do strand them (an abort or a
+    # kill retires a rank whose key is queued): _run_tasks and _peek_key
+    # validate.  tests/rma/test_step_programs.py -k live_keys checks every pop.
 
     def _run_inline(self, program: Callable[..., Any], program_args: Optional[Sequence[Any]]) -> float:
         """Step ``program``'s per-rank generators to completion; returns the wall seconds."""
         states = self._states
+        perturb = self._perturb
         with _gc_paused():
             wall_start = time.perf_counter()
             try:
@@ -682,6 +695,8 @@ class SimRuntime(RMARuntime):
                         s.steps = program(ctx, program_args[s.rank])
                     else:
                         s.steps = program(ctx)
+                    jitter = perturb[s.rank].perturb if perturb is not None else None
+                    s.fixed = (s.rank, s.ops, s.rank * self._nranks, jitter)
                 self._drive(states[0])
             except _Aborted:
                 pass  # _abort_exc holds why
@@ -705,42 +720,42 @@ class SimRuntime(RMARuntime):
         (:meth:`_poll_steps`) standing in for the program's ``SPIN`` request:
         apply the effect of the request issued last, send the value, account
         and time the next request, then continue below the horizon or push
-        the key and pick the minimum.  An error raised on a request's behalf
-        (bad target, overflowing word, ``max_ops``, a raising spin predicate)
-        is thrown into the program at its ``yield``, where the blocking call
-        would have raised it; an exception the program lets escape ends the run.
+        the key and pop the minimum.  Keys are live (block comment above): the
+        popped key is the pick and ``heap[0]`` the horizon, unvalidated.  An
+        error raised on a request's behalf (bad target, overflowing word,
+        ``max_ops``, a raising spin predicate) is thrown into the program at its
+        ``yield``, where the blocking call would have raised it; an exception
+        the program lets escape ends the run.
         """
         heap = self._heap
         states = self._states
         windows = self.windows
+        views = [window.words for window in windows]
+        words = self.window_words
         nranks = self._nranks
         observer = self.observer
-        max_ops = self.max_ops
+        max_ops = self.max_ops if self.max_ops is not None else _INF
         cost_rows = self._cost
         occ_rows = self._occ
-        perturb = self._perturb
         port_free = self._port_free
         fabric = self.fabric
         tracer = self.tracer
         versions = self._versions
         watchers = self._watchers
         target_at = _TARGET_AT
+        rma_kinds = _RMA_KINDS
         total = self._total_ops
         h_clock, h_rank = self._horizon
         # Both are None again whenever the inner loop is left.
         error: Optional[Exception] = None
-        picked: Optional[Tuple[float, int]] = None
+        value = None
         try:
             while True:
-                rank = s.rank
+                rank, ops, row, jitter = s.fixed
                 steps = s.steps
                 send = steps.send
                 request = s.pending
                 clock = s.clock
-                ops = s.ops
-                row = rank * nranks
-                jitter = perturb[rank].perturb if perturb is not None else None
-                value = None
                 while True:
                     try:
                         if error is not None:
@@ -751,7 +766,9 @@ class SimRuntime(RMARuntime):
                             if request is not None:
                                 kind = request[0]
                                 if kind == GET:
-                                    value = windows[request[1]].read(request[2])
+                                    offset = request[2]  # Window.read on the view: its check, its error
+                                    in_range = 0 <= offset < words
+                                    value = views[request[1]][offset] if in_range else windows[request[1]].read(offset)
                                 else:
                                     at = target_at[kind]
                                     target = request[at]
@@ -766,37 +783,36 @@ class SimRuntime(RMARuntime):
                                         if kind == FAO:
                                             value = window.fetch_and_op(offset, int(request[1]), request[4])
                                         else:  # CAS
-                                            cmp_data, src_data = int(request[2]), int(request[1])
-                                            value = window.compare_and_swap(offset, cmp_data, src_data)
+                                            value = window.compare_and_swap(offset, int(request[2]), int(request[1]))
                                         if observer is not None:
                                             observer.on_rmw(rank, CALLS[kind])
                                     # _post_write, with the wake split out.
-                                    cell = (target, offset)
-                                    versions[cell] += 1
-                                    if watchers:
-                                        waiters = watchers.pop(cell, None)
-                                        if waiters:
-                                            h_clock, h_rank = self._wake(
-                                                cell, waiters, clock, (h_clock, h_rank)
-                                            )
+                                    cell = target * words + offset
+                                    if cell in versions:
+                                        versions[cell] += 1
+                                        if watchers:
+                                            waiters = watchers.pop(cell, None)
+                                            if waiters:
+                                                h_clock, h_rank = self._wake(
+                                                    cell, waiters, clock, (h_clock, h_rank)
+                                                )
                             request = send(value)
                             value = None
                         # -- issue the next request -- #
                         try:
                             kind = request[0]
-                            is_op = 0 <= kind <= FLUSH
+                            is_op = kind in rma_kinds
                         except (TypeError, IndexError, KeyError):
                             raise bad_request(rank, request) from None
                         if is_op:
-                            # _op_body, statement for statement.
-                            if self._abort:
-                                raise _Aborted()
+                            # _op_body, statement for statement (its abort test
+                            # aside: nothing can set the flag while this loop runs).
                             target = request[target_at[kind]]
                             if not 0 <= target < nranks:
                                 raise ValueError(f"target rank {target} out of range 0..{nranks - 1}")
                             ops[kind] += 1
                             total += 1
-                            if max_ops is not None and total > max_ops:
+                            if total > max_ops:
                                 raise RuntimeError_(
                                     f"simulation exceeded max_ops={max_ops}; possible livelock"
                                 )
@@ -834,10 +850,9 @@ class SimRuntime(RMARuntime):
                             # is issued now, under the current scheduling decision.
                             s.caller = steps
                             if kind == SPIN:
-                                steps = self._poll_steps(request[1], request[2], False)
+                                s.steps = steps = self._poll_steps(request[1], request[2], False)
                             else:
-                                steps = self._poll_steps([request[1:3]], request[3], True)
-                            s.steps = steps
+                                s.steps = steps = self._poll_steps([request[1:3]], request[3], True)
                             send = steps.send
                             request = None
                             continue
@@ -851,7 +866,7 @@ class SimRuntime(RMARuntime):
                             # The releasing rank continues; equal clocks, ties
                             # broken by rank.
                             clock = self._release_barrier(rank)
-                            h_clock, h_rank = self._peek_key()
+                            h_clock, h_rank = heap[0] if heap else _INF_KEY
                             request = None
                         elif kind == _PARK and s.caller is not None:
                             # A poll round found its predicate true and no
@@ -874,6 +889,7 @@ class SimRuntime(RMARuntime):
                         s.result = stop.value
                         s.status = _FINISHED
                         s.finish_time = clock
+                        value = None
                         break
                     except Exception as exc:  # noqa: BLE001 - see the docstring
                         value = None
@@ -893,26 +909,16 @@ class SimRuntime(RMARuntime):
                     s.pending = request
                     # Crossed the horizon: enqueue this rank and take the minimum
                     # (another rank's key, by definition of crossing) in one sift.
-                    picked = heappushpop(heap, (clock, rank))
+                    s = states[heappushpop(heap, (clock, rank))[1]]
                     break
-                # -- pick the minimum valid key; the next one is the horizon -- #
-                while picked is None or (s := states[picked[1]]).status != _READY or s.clock != picked[0]:
+                if s.status != _READY:
+                    # Parked, at the barrier or finished, so nothing was popped
+                    # yet.  An empty heap: clean drain, or every rank is blocked.
                     if not heap:
-                        # Clean drain, or every unfinished rank is blocked.
                         self._no_runnable(None)
                         return
-                    picked = heappop(heap)
-                picked = None
-                # Inline _peek_key.
-                while heap:
-                    key = heap[0]
-                    cand = states[key[1]]
-                    if cand.status == _READY and cand.clock == key[0]:
-                        h_clock, h_rank = key
-                        break
-                    heappop(heap)
-                else:
-                    h_clock, h_rank = _INF_KEY
+                    s = states[heappop(heap)[1]]
+                h_clock, h_rank = heap[0] if heap else _INF_KEY
         finally:
             self._total_ops = total
 
@@ -1108,17 +1114,9 @@ class SimRuntime(RMARuntime):
                 self._no_runnable(owner)
                 return
             heappop(heap)
-            # Inline _peek_key: the next-smallest valid key becomes the
-            # horizon of whichever task is dispatched below.
-            while heap:
-                clock, rank = heap[0]
-                cand = states[rank]
-                if cand.status == _READY and cand.clock == clock:
-                    self._horizon = (clock, rank)
-                    break
-                heappop(heap)
-            else:
-                self._horizon = _INF_KEY
+            # The next-smallest valid key becomes the horizon of whichever
+            # task is dispatched below.
+            self._horizon = self._peek_key()
             if s.spin is not None:
                 try:
                     done = self._step_spin(s)
@@ -1200,7 +1198,7 @@ class SimRuntime(RMARuntime):
         lines = []
         for s in self._states:
             if s.status == _PARKED:
-                cells = ", ".join(f"(rank {t}, offset {o})" for t, o in sorted(s.watching))
+                cells = ", ".join("(rank %d, offset %d)" % divmod(c, self.window_words) for c in sorted(s.watching))
                 lines.append(f"rank {s.rank}: parked on {cells} at t={s.clock:.2f}us")
             elif s.status == _BARRIER:
                 lines.append(f"rank {s.rank}: waiting at barrier at t={s.clock:.2f}us")
@@ -1333,14 +1331,15 @@ class SimRuntime(RMARuntime):
         Callers mutate the window directly (between ``_issue`` and this call)
         so the hot path carries no per-operation effect closures.
         """
-        cell = (target, offset)
-        self._versions[cell] += 1
-        waiters = self._watchers.pop(cell, None)
-        if waiters:
-            self._horizon = self._wake(cell, waiters, state.clock, self._horizon)
+        cell = target * self.window_words + offset
+        if cell in self._versions:  # else no poll ever looked at it, so nobody waits on it
+            self._versions[cell] += 1
+            waiters = self._watchers.pop(cell, None)
+            if waiters:
+                self._horizon = self._wake(cell, waiters, state.clock, self._horizon)
 
     def _wake(
-        self, cell: Cell, waiters: Set[int], writer_clock: float, horizon: Tuple[float, int]
+        self, cell: int, waiters: Set[int], writer_clock: float, horizon: Tuple[float, int]
     ) -> Tuple[float, int]:
         """Make the ranks parked on the just-written ``cell`` runnable; returns the new horizon."""
         states = self._states
@@ -1411,19 +1410,30 @@ class SimRuntime(RMARuntime):
         Yields its legs as ordinary ``GET`` / ``FLUSH`` requests, built once,
         and ``(_PARK, cells)`` when the predicate holds and no polled cell
         was written during the round (such a write could no longer wake the
-        rank, so the round is repeated instead).  Returns the values that
-        made the predicate false; ``single`` polls one cell and deals in its
-        bare value (``SPIN_WHILE``).  ``checkpoint`` runs before every round.
+        rank, so the round is repeated instead; versions only grow, so equal
+        sums over the cells mean no write).  Returns the values that made the
+        predicate false; ``single`` polls one cell and deals in its bare value
+        (``SPIN_WHILE``).  ``checkpoint`` runs before every round.
         """
         versions = self._versions
-        cells = [(int(t), int(o)) for t, o in cells]
-        gets = [(GET, t, o) for t, o in cells]
-        flushes = [(FLUSH, cells[0][0])] if single else [(FLUSH, t) for t in sorted({t for t, _ in cells})]
-        park = (_PARK, cells)
+        words = self.window_words
+        gets, watch = [], []
+        for target, offset in cells:
+            target, offset = int(target), int(offset)
+            gets.append((GET, target, offset))
+            cell = target * words + offset
+            watch.append(cell)
+            # Writes to it are counted from here on.  (A pair naming no cell may alias
+            # one; its Get leg — target checked at issue, offset at effect — ends the poll.)
+            versions.setdefault(cell, 0)
+        flushes = [(FLUSH, gets[0][1])] if single else [(FLUSH, t) for t in sorted({leg[1] for leg in gets})]
+        park = (_PARK, watch)
         while True:
             if checkpoint is not None:
                 checkpoint()
-            snapshot = [versions[c] for c in cells]
+            written = 0
+            for cell in watch:
+                written -= versions[cell]
             values: List[int] = []
             for request in gets:
                 values.append((yield request))
@@ -1432,10 +1442,12 @@ class SimRuntime(RMARuntime):
             observed = values[0] if single else values
             if not predicate(observed):
                 return observed
-            if [versions[c] for c in cells] == snapshot:
+            for cell in watch:
+                written += versions[cell]
+            if not written:
                 yield park
 
-    def _park(self, state: _RankState, cells: List[Cell]) -> None:
+    def _park(self, state: _RankState, cells: List[int]) -> None:
         """Take ``state`` off the heap until one of ``cells`` is written."""
         watchers = self._watchers
         rank = state.rank

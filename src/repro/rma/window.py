@@ -35,7 +35,7 @@ def _check_int64(value: int) -> int:
 class Window:
     """A fixed-size array of int64 words owned by a single rank."""
 
-    __slots__ = ("_mem", "_view", "_size")
+    __slots__ = ("_mem", "words", "_size")
 
     def __init__(self, num_words: int, fill: int = 0):
         if num_words < 1:
@@ -45,7 +45,9 @@ class Window:
         # in and out at a fifth of an ndarray item's cost, and a store checks
         # its own range.  What the view refuses (a word outside int64, or a
         # float / numeric string for int() to coerce) _check_int64 settles.
-        self._view = memoryview(self._mem)
+        #: Public for the simulator's inner loop, which indexes it under
+        #: ``read``'s bounds check (a negative index would count from the end).
+        self.words = memoryview(self._mem)
         self._size = num_words
 
     # -- basic accessors ------------------------------------------------- #
@@ -57,16 +59,16 @@ class Window:
         """Return the word at ``offset``."""
         if not 0 <= offset < self._size:
             raise self._bad_offset(offset)
-        return self._view[offset]
+        return self.words[offset]
 
     def write(self, offset: int, value: int) -> None:
         """Store ``value`` at ``offset`` (the effect of a ``Put``/``REPLACE``)."""
         if not 0 <= offset < self._size:
             raise self._bad_offset(offset)
         try:
-            self._view[offset] = value
+            self.words[offset] = value
         except (TypeError, ValueError):
-            self._view[offset] = _check_int64(value)
+            self.words[offset] = _check_int64(value)
 
     # -- atomics ---------------------------------------------------------- #
 
@@ -78,7 +80,7 @@ class Window:
         """Apply ``op`` and return the previous value (the effect of ``FAO``)."""
         if not 0 <= offset < self._size:
             raise self._bad_offset(offset)
-        view = self._view
+        view = self.words
         previous = view[offset]
         if type(operand) is not int or not _INT64_MIN <= operand <= _INT64_MAX:
             operand = _check_int64(operand)
@@ -97,7 +99,7 @@ class Window:
         """CAS: replace with ``value`` if the word equals ``compare``; return the old word."""
         if not 0 <= offset < self._size:
             raise self._bad_offset(offset)
-        previous = self._view[offset]
+        previous = self.words[offset]
         if previous == int(compare):
             self.write(offset, value)
         return previous

@@ -753,7 +753,6 @@ class SimRuntime(RMARuntime):
             while True:
                 rank, ops, row, jitter = s.fixed
                 steps = s.steps
-                send = steps.send
                 request = s.pending
                 clock = s.clock
                 while True:
@@ -796,7 +795,7 @@ class SimRuntime(RMARuntime):
                                                 h_clock, h_rank = self._wake(
                                                     cell, waiters, clock, (h_clock, h_rank)
                                                 )
-                            request = send(value)
+                            request = steps.send(value)
                             value = None
                         # -- issue the next request -- #
                         try:
@@ -853,7 +852,6 @@ class SimRuntime(RMARuntime):
                                 s.steps = steps = self._poll_steps(request[1], request[2], False)
                             else:
                                 s.steps = steps = self._poll_steps([request[1:3]], request[3], True)
-                            send = steps.send
                             request = None
                             continue
                         elif kind == BARRIER:
@@ -882,7 +880,6 @@ class SimRuntime(RMARuntime):
                             # of the program's SPIN / SPIN_WHILE request.
                             steps, s.caller = s.caller, None
                             s.steps = steps
-                            send = steps.send
                             request = None
                             value = stop.value
                             continue
@@ -899,7 +896,6 @@ class SimRuntime(RMARuntime):
                             steps.close()
                             steps, s.caller = s.caller, None
                             s.steps = steps
-                            send = steps.send
                         elif steps.gi_frame is None:
                             raise  # the program's own failure: the run fails with it
                         error = exc

@@ -214,6 +214,26 @@ def make_runtime(**kwargs) -> SimRuntime:
     return SimRuntime(Machine.cluster(nodes=2, procs_per_node=2), **kwargs)
 
 
+def make_baseline():
+    """The seed scheduler on ``make_runtime``'s machine and window."""
+    return get_runtime("baseline").factory(Machine.cluster(nodes=2, procs_per_node=2), window_words=8)
+
+
+def _observed_point(workload, scheduler):
+    """One perturbed + observed conformance point."""
+    return ConformancePoint(
+        scheme="rma-rw", benchmark=workload, procs=8, procs_per_node=4,
+        iterations=5, scheduler=scheduler, perturb_seed=2, **CHAOS,
+    )
+
+
+def _traffic_point():
+    return traffic_spec(
+        schemes=("d-mcs", "striped-rw"), scenarios=("traffic-zipf",),
+        process_counts=(8,), iterations=6,
+    )
+
+
 def _failure(program, **kwargs):
     """The exception ``program`` fails with, inline (asserted) or on threads."""
     runtime = make_runtime(**kwargs)
@@ -254,9 +274,7 @@ class TestFailuresMatchTheBlockingTwin:
         assert "; rank 2: parked on (rank 0, offset 7), (rank 2, offset 0), (rank 2, offset 1), " in report
         assert "; rank 3: waiting at barrier at t=4.50us" in report
         with pytest.raises(SimDeadlockError) as seed:
-            get_runtime("baseline").factory(
-                Machine.cluster(nodes=2, procs_per_node=2), window_words=8
-            ).run(steps)
+            make_baseline().run(steps)
         assert str(seed.value).split(": ", 1)[1] == report
 
     def test_raising_program_surfaces_its_exception(self):
@@ -346,10 +364,7 @@ class TestFailuresMatchTheBlockingTwin:
             inline = make_runtime().run(steps)
         assert not threads
         assert inline.returns[1][0] == "predicate saw 5"
-        baseline = get_runtime("baseline").factory(
-            Machine.cluster(nodes=2, procs_per_node=2), window_words=8
-        ).run(steps)
-        assert run_result_sha(inline) == run_result_sha(baseline)
+        assert run_result_sha(inline) == run_result_sha(make_baseline().run(steps))
 
     def test_request_errors_are_raised_at_the_yield_like_the_blocking_call(self):
         """Bad target, bad offset, negative or non-finite compute: same
@@ -435,11 +450,8 @@ class TestFailuresMatchTheBlockingTwin:
             ("IndexError", "offset 8 out of range 0..7"),
         ]]
         assert inline.op_counts == {"get": 4}  # the bad-target leg is not counted
-        baseline = get_runtime("baseline").factory(
-            Machine.cluster(nodes=2, procs_per_node=2), window_words=8
-        )
         for twin in (make_runtime().run(spin_blocking), make_runtime().run(blocking_program(spin_steps)),
-                     baseline.run(spin_steps)):
+                     make_baseline().run(spin_steps)):
             assert twin.returns == inline.returns
             assert twin.per_rank_op_counts == inline.per_rank_op_counts
             assert twin.finish_times_us == inline.finish_times_us
@@ -619,10 +631,7 @@ class TestFaultPlanFallsBackToThreads:
 
 class TestSuiteEntryPoints:
     def test_traffic_point_runs_inline_and_matches_baseline(self):
-        spec = traffic_spec(
-            schemes=("d-mcs", "striped-rw"), scenarios=("traffic-zipf",),
-            process_counts=(8,), iterations=6,
-        )
+        spec = _traffic_point()
         with rank_threads_started() as threads:
             inline = run_traffic(spec, schedulers=("horizon",), jobs=1, cache=False)
         assert not threads, "the open-loop program must be stepped inline"
@@ -633,11 +642,7 @@ class TestSuiteEntryPoints:
     @pytest.mark.parametrize("workload", ["wcsb", "traffic-zipf"])
     def test_observed_point_runs_inline_and_matches_baseline(self, workload):
         def row(scheduler):
-            point = ConformancePoint(
-                scheme="rma-rw", benchmark=workload, procs=8, procs_per_node=4,
-                iterations=5, scheduler=scheduler, perturb_seed=2, **CHAOS,
-            )
-            row = run_conformance_point(point, recheck=True)
+            row = run_conformance_point(_observed_point(workload, scheduler), recheck=True)
             return {k: v for k, v in row.items() if k not in ("case", "scheduler")}
 
         with rank_threads_started() as threads:
@@ -706,16 +711,9 @@ class TestLiveKeys:
         assert inline == _run(config, program, spec, "baseline")
 
     def test_live_keys_on_a_perturbed_observed_point_and_a_traffic_point(self, popped):
-        point = ConformancePoint(
-            scheme="rma-rw", benchmark="wcsb", procs=8, procs_per_node=4,
-            iterations=5, scheduler="horizon", perturb_seed=2, **CHAOS,
-        )
-        assert run_conformance_point(point, recheck=True)["ok"]
+        assert run_conformance_point(_observed_point("wcsb", "horizon"), recheck=True)["ok"]
         chaos_pops = popped[0]
-        spec = traffic_spec(
-            schemes=("d-mcs", "striped-rw"), scenarios=("traffic-zipf",),
-            process_counts=(8,), iterations=6,
-        )
+        spec = _traffic_point()
         with rank_threads_started() as threads:
             run_traffic(spec, schedulers=("horizon",), jobs=1, cache=False)
         assert not threads and chaos_pops > 0 and popped[0] > chaos_pops

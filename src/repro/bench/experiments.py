@@ -11,9 +11,9 @@ Scaling: the paper runs up to 1024 MPI processes with thousands of lock
 acquisitions; the simulated drivers default to the process counts of
 :func:`repro.bench.workloads.default_process_counts` and proportionally
 scaled thresholds and iteration counts so the full suite finishes in minutes.
-Since the horizon-scheduler rewrite of the simulator core (PR 1, ~5x faster;
-see ``benchmarks/test_perf_runtime.py``) the default sweep extends to
-P = 128; pass ``process_counts`` or set ``REPRO_BENCH_PROCS`` to trim it.
+Since the horizon scheduler made the simulator core several times faster
+than the seed scheduler, the default sweep extends to P = 128; pass
+``process_counts`` or set ``REPRO_BENCH_PROCS`` to trim it.
 
 Execution: every driver builds its grid of configurations up front and hands
 them to the campaign executor (:func:`repro.bench.campaign.execute_tasks`),

@@ -90,7 +90,7 @@ class LockBenchResult:
     throughput_mln_per_s: float
     op_counts: Dict[str, int] = field(default_factory=dict)
     #: Host wall-clock seconds of the simulation and the resulting simulator
-    #: throughput (RMA ops per host second); tracked by the perf suite.
+    #: throughput (RMA ops per host second).
     wall_time_s: float = 0.0
     sim_ops_per_s: float = 0.0
     #: Open-loop traffic accounting (populated by the traffic scenarios of
@@ -190,7 +190,7 @@ def _build_adapter_spec(info: Any, config: LockBenchConfig) -> Any:
 def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shared_offset: int):
     """Build the SPMD rank program for one benchmark configuration.
 
-    Public so that the perf suite and the golden-determinism tools can run the
+    Public so that ``repro perf`` and the golden-determinism tools can run the
     exact program the harness runs against an arbitrary runtime backend.  A
     benchmark registered with a custom ``program_factory`` replaces this
     default body entirely; the built-ins parameterize it declaratively via

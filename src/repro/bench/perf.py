@@ -1,64 +1,39 @@
-"""Simulator wall-clock performance suite.
+"""Local simulator timing table and hot-path profiles (``repro perf``).
 
-Measures how many RMA operations per host second the discrete-event core
-executes on a set of representative lock workloads.  Any registered
-deterministic runtime can be measured (``--scheduler`` on the CLI); the
-default compares the horizon scheduler
-(:class:`~repro.rma.sim_runtime.SimRuntime`) against the preserved seed
-scheduler (:class:`~repro.rma.baseline_runtime.BaselineSimRuntime`).
-Because the deterministic schedulers are required to produce bit-identical
-results, every measurement doubles as a determinism cross-check: a speedup
-number is only reported after the two runtimes' results were verified equal.
+Times how many RMA operations per host second one registered deterministic
+runtime (``--scheduler`` on the CLI, default ``horizon``) executes on a few
+representative lock workloads.  The cases run serially in the calling
+process, and every repetition of a case must produce the same result
+fingerprint before a time is reported.  ``profile_case`` backs
+``repro perf --profile``: a cProfile/pstats hot-path report per case.
 
-Used by ``benchmarks/test_perf_runtime.py`` and
-``benchmarks/test_perf_vector.py`` (which gate on the numbers and write the
-``BENCH_runtime.json`` format under pytest's ``tmp_path``) and by the
-``python -m repro perf`` CLI subcommand, whose ``--output BENCH_runtime.json``
-is the one way the committed manifest is recorded.  ``profile_case`` backs
-``repro perf --profile``: a cProfile/pstats hot-path report per case, written
-next to the bench JSON, so future perf PRs start from data instead of guesses.
+This is a quick local view, not a gate: speed claims and before/after
+comparisons go through the ledger (``python3 -m ledger``), which pins a CPU,
+scales by a calibration loop and reports medians with their spread.
 """
 
 from __future__ import annotations
 
 import cProfile
 import io
-import json
-import os
-import platform
 import pstats
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.api.registry import get_runtime
-from repro.bench.campaign import parallel_map, run_result_sha
+from repro.bench.campaign import run_result_sha
 from repro.bench.harness import build_lock_spec, make_lock_program
 from repro.bench.workloads import LockBenchConfig
 from repro.topology.builder import cached_machine
 
 __all__ = [
     "DEFAULT_CASES",
-    "GATE_SPEEDUP",
     "PerfCase",
     "measure_case",
     "profile_case",
-    "run_perf_suite",
-    "update_bench_json",
-    "write_bench_json",
 ]
-
-#: Required speedup of the horizon scheduler over the seed scheduler on the
-#: gate case.  Reconciled with the tier-1 soft gate in
-#: ``benchmarks/test_perf_runtime.py``: the committed baseline recorded
-#: 4.967x while the strict gate demanded 5.0x, so ``REPRO_PERF_STRICT=1``
-#: failed on the very numbers the repository shipped.  The floor a gate is
-#: allowed to demand is the floor the blessed baseline actually clears with
-#: margin on a one-core container — that is the 2.5x tier-1 gate, so strict
-#: mode now enforces the same number and the committed baseline is
-#: self-consistent again.
-GATE_SPEEDUP = 2.5
 
 
 @dataclass(frozen=True)
@@ -73,10 +48,6 @@ class PerfCase:
     iterations: int = 60
     procs_per_node: int = 8
     seed: int = 1
-    #: Gate cases carry the headline speedup requirement.
-    gate: bool = False
-    #: Extra factory kwargs for the *measured* runtime (e.g. ``shards``).
-    runtime_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def config(self) -> LockBenchConfig:
         # Machine construction goes through the per-(procs, topology) memo
@@ -92,53 +63,53 @@ class PerfCase:
         )
 
 
-#: The default suite.  The first entry is the acceptance gate: RMA-RW on the
-#: work-critical-section benchmark at P = 64 with the Figure-5 moderate
-#: writer mix (F_W = 2%).  The others track the read-heavy mix, the MCS
-#: writer path and a smaller machine so regressions off the gate path are
-#: visible too.
+#: The default cases: RMA-RW on the work-critical-section benchmark at P = 64
+#: with the Figure-5 moderate writer mix (F_W = 2%), the read-heavy mix, the
+#: MCS writer path and a smaller machine.
 DEFAULT_CASES: Tuple[PerfCase, ...] = (
-    PerfCase("rma-rw-wcsb-p64", "rma-rw", "wcsb", 64, fw=0.02, iterations=100, gate=True),
+    PerfCase("rma-rw-wcsb-p64", "rma-rw", "wcsb", 64, fw=0.02, iterations=100),
     PerfCase("rma-rw-wcsb-p64-readheavy", "rma-rw", "wcsb", 64, fw=0.002, iterations=60),
     PerfCase("rma-mcs-wcsb-p64", "rma-mcs", "wcsb", 64, fw=0.0, iterations=60),
     PerfCase("rma-rw-ecsb-p32", "rma-rw", "ecsb", 32, fw=0.02, iterations=60),
 )
 
 
-#: Comparable digest of a RunResult covering every determinism-relevant field
-#: (finish times, op counts total and per rank, makespan, per-rank returns);
-#: shared with the campaign engine so `repro regress` gates the same quantity.
-_result_key = run_result_sha
-
-
-def _build_case(case: PerfCase):
+def _case_runner(case: PerfCase, runtime_name: str) -> Callable[[], Any]:
+    """A function that runs ``case`` once on a fresh ``runtime_name``."""
+    factory = get_runtime(runtime_name).factory
     config = case.config()
     spec, is_rw = build_lock_spec(config)
     program = make_lock_program(config, spec, is_rw, spec.window_words)
-    return config, spec, program
+
+    def run():
+        runtime = factory(config.machine, window_words=spec.window_words + 2, seed=config.seed)
+        return runtime.run(program, window_init=spec.init_window)
+
+    return run
 
 
-def _best_run(
-    runtime_name: str,
+def measure_case(
     case: PerfCase,
-    reps: int,
-    runtime_kwargs: Optional[Mapping[str, Any]] = None,
-) -> Tuple[float, object]:
-    """Run ``case`` ``reps`` times; return (best wall seconds, a result)."""
-    runtime_info = get_runtime(runtime_name)
-    config, spec, program = _build_case(case)
-    kwargs = dict(runtime_kwargs or {})
-    best_wall: Optional[float] = None
+    *,
+    runtime_name: str = "horizon",
+    reps: int = 4,
+) -> Dict[str, object]:
+    """Run ``case`` ``reps`` times on ``runtime_name``; returns a report row.
+
+    The row carries the best wall time (the usual noise-robust choice for a
+    throughput figure); every repetition must reproduce the first one's
+    result fingerprint.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    run = _case_runner(case, runtime_name)
+    best_wall = float("inf")
     first_key = None
-    result = None
-    for _ in range(max(1, reps)):
-        runtime = runtime_info.factory(
-            config.machine, window_words=spec.window_words + 2, seed=config.seed, **kwargs
-        )
+    for _ in range(reps):
         t0 = time.perf_counter()
-        res = runtime.run(program, window_init=spec.init_window)
-        wall = time.perf_counter() - t0
-        key = _result_key(res)
+        result = run()
+        best_wall = min(best_wall, time.perf_counter() - t0)
+        key = run_result_sha(result)
         if first_key is None:
             first_key = key
         elif key != first_key:
@@ -146,34 +117,8 @@ def _best_run(
                 f"runtime {runtime_name!r} produced non-deterministic results on "
                 f"perf case {case.name!r}"
             )
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            result = res
-    assert best_wall is not None and result is not None
-    return best_wall, result
-
-
-def measure_case(
-    case: PerfCase,
-    *,
-    runtime_name: str = "horizon",
-    reference: str = "baseline",
-    reps: int = 4,
-    baseline_reps: int = 2,
-    compare_baseline: bool = True,
-) -> Dict[str, object]:
-    """Measure one case on ``runtime_name``; returns a report row.
-
-    Repetitions take the best wall time (the usual noise-robust choice for
-    throughput gates); results are verified identical across repetitions and,
-    when ``compare_baseline`` is set, bit-identical between the measured
-    runtime and the ``reference`` runtime before any throughput is reported.
-    """
-    new_wall, new_result = _best_run(
-        runtime_name, case, reps, runtime_kwargs=case.runtime_kwargs
-    )
-    total_ops = new_result.total_ops()
-    row: Dict[str, object] = {
+    total_ops = result.total_ops()
+    return {
         "case": case.name,
         "scheme": case.scheme,
         "benchmark": case.benchmark,
@@ -181,23 +126,10 @@ def measure_case(
         "fw": case.fw,
         "iterations": case.iterations,
         "ops": total_ops,
-        "gate": case.gate,
         "runtime": runtime_name,
-        "new_wall_s": round(new_wall, 6),
-        "new_ops_per_s": round(total_ops / new_wall, 1),
+        "wall_s": round(best_wall, 6),
+        "ops_per_s": round(total_ops / best_wall, 1),
     }
-    if compare_baseline:
-        base_wall, base_result = _best_run(reference, case, baseline_reps)
-        if _result_key(base_result) != _result_key(new_result):
-            raise AssertionError(
-                f"{runtime_name} scheduler diverged from the {reference} "
-                f"scheduler on perf case {case.name!r}"
-            )
-        row["reference"] = reference
-        row["baseline_wall_s"] = round(base_wall, 6)
-        row["baseline_ops_per_s"] = round(total_ops / base_wall, 1)
-        row["speedup"] = round(base_wall / new_wall, 3)
-    return row
 
 
 def profile_case(
@@ -210,29 +142,19 @@ def profile_case(
     """cProfile one run of ``case`` on ``runtime_name``; write a pstats report.
 
     The report (cumulative- and self-time rankings of the hottest frames) is
-    written next to the bench JSON as
-    ``PERF_profile_<case>_<runtime>.txt`` and the path returned.  One
-    unprofiled warm-up run precedes the measured run: the first simulation in
-    a process pays one-off import/allocator costs that would otherwise
-    dominate the profile.
+    written to ``out_dir`` as ``PERF_profile_<case>_<runtime>.txt`` and the
+    path returned.  One unprofiled warm-up run precedes the measured run: the
+    first simulation in a process pays one-off import/allocator costs that
+    would otherwise dominate the profile.
     """
-    runtime_info = get_runtime(runtime_name)
-    config, spec, program = _build_case(case)
-    kwargs = dict(case.runtime_kwargs)
-
-    def one_run():
-        runtime = runtime_info.factory(
-            config.machine, window_words=spec.window_words + 2, seed=config.seed, **kwargs
-        )
-        runtime.run(program, window_init=spec.init_window)
-
+    one_run = _case_runner(case, runtime_name)
     one_run()  # warm-up, unprofiled
     profiler = cProfile.Profile()
 
-    # The deterministic simulators execute most work on rank threads (the
-    # driver loop runs on whichever rank thread holds the baton), which the
-    # calling thread's profiler never sees.  Install the profiler around
-    # every thread started during the measured run instead.
+    # A thread-backed run executes its rank programs (and the scheduler loop)
+    # on rank threads, which the calling thread's profiler never sees.
+    # Install the profiler around every thread started during the measured
+    # run as well.
     import threading
 
     orig_bootstrap = threading.Thread._bootstrap_inner
@@ -266,112 +188,3 @@ def profile_case(
     out = out_dir / f"PERF_profile_{case.name}_{runtime_name}.txt"
     out.write_text(buf.getvalue())
     return out
-
-
-def _measure_task(task) -> Dict[str, object]:
-    """Picklable per-case worker for the campaign executor's pool."""
-    case, runtime_name, reference, reps, baseline_reps, compare_baseline = task
-    return measure_case(
-        case,
-        runtime_name=runtime_name,
-        reference=reference,
-        reps=reps,
-        baseline_reps=baseline_reps,
-        compare_baseline=compare_baseline,
-    )
-
-
-def run_perf_suite(
-    cases: Sequence[PerfCase] = DEFAULT_CASES,
-    *,
-    runtime_name: str = "horizon",
-    reference: str = "baseline",
-    reps: Optional[int] = None,
-    baseline_reps: Optional[int] = None,
-    compare_baseline: bool = True,
-    jobs: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Measure every case; honours REPRO_PERF_REPS / REPRO_PERF_BASELINE_REPS.
-
-    ``jobs`` fans the *cases* out over the campaign executor's process pool
-    (each case's repetitions stay serial inside one worker so best-of-reps is
-    still measured on a single core).  The default of 1 (override with
-    ``REPRO_PERF_JOBS``) keeps wall-clock measurements noise-free; parallel
-    runs trade some timing fidelity for wall time, which is fine for the
-    determinism cross-check but not for recording headline speedups.
-    """
-    if reps is None:
-        reps = int(os.environ.get("REPRO_PERF_REPS", "4"))
-    if baseline_reps is None:
-        baseline_reps = int(os.environ.get("REPRO_PERF_BASELINE_REPS", "2"))
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_PERF_JOBS", "1"))
-        except ValueError:
-            jobs = 1
-    tasks = [
-        (case, runtime_name, reference, reps, baseline_reps, compare_baseline)
-        for case in cases
-    ]
-    return parallel_map(_measure_task, tasks, jobs=jobs)
-
-
-def _host_metadata() -> Dict[str, object]:
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def write_bench_json(rows: Sequence[Dict[str, object]], path: Path) -> Path:
-    """Write the perf rows (plus host metadata) to ``path`` as JSON.
-
-    Re-blessing the main suite preserves any extra suite sections already
-    recorded in the file (e.g. the ``vector`` dispatch-cost suite), so the
-    two recording tests can run in either order without clobbering each
-    other.
-    """
-    path = Path(path)
-    payload: Dict[str, object] = {}
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        for key, value in previous.items():
-            if key not in ("suite", "gate_speedup_required", "host", "cases"):
-                payload[key] = value
-    payload.update(
-        {
-            "suite": "runtime-perf",
-            "gate_speedup_required": GATE_SPEEDUP,
-            "host": _host_metadata(),
-            "cases": list(rows),
-        }
-    )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def update_bench_json(path: Path, section: str, payload: Dict[str, object]) -> Path:
-    """Record ``payload`` under the top-level ``section`` key of the bench JSON.
-
-    Used by auxiliary suites (the ``vector`` per-op dispatch benchmark) that
-    share ``BENCH_runtime.json`` with the main runtime-perf rows.  The rest
-    of the file is preserved; a missing file gets a minimal skeleton so the
-    auxiliary suite can run standalone.
-    """
-    path = Path(path)
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            document = {}
-    else:
-        document = {"suite": "runtime-perf", "host": _host_metadata(), "cases": []}
-    payload = dict(payload)
-    payload.setdefault("host", _host_metadata())
-    document[section] = payload
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path

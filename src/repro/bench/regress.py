@@ -2,8 +2,7 @@
 
 Runs a campaign (default: ``ci-gate``) through the campaign engine and
 compares its rows against the committed ``BENCH_campaign.json`` manifest, and
-sanity-checks the recorded ``BENCH_runtime.json`` perf manifest plus the
-``BENCH_traffic.json`` open-loop traffic baseline (see
+sanity-checks the ``BENCH_traffic.json`` open-loop traffic baseline (see
 :func:`check_traffic_manifest`), the ``BENCH_tune.json`` auto-tuner
 baseline (see :func:`check_tune_manifest`) and the ``BENCH_scale.json``
 fluid-scale baseline (see :func:`check_scale_manifest`).  Two classes of
@@ -61,7 +60,6 @@ __all__ = [
     "Finding",
     "RegressError",
     "bless",
-    "check_runtime_manifest",
     "check_scale_manifest",
     "check_traffic_manifest",
     "check_tune_manifest",
@@ -82,14 +80,9 @@ EXIT_HARD = 2
 DEFAULT_STRICT_TOL = 0.25
 DEFAULT_SOFT_TOL = 0.6
 
-#: Recorded gate-case speedup floor the BENCH_runtime.json manifest must keep
-#: (mirrors the tier-1 soft gate in benchmarks/test_perf_runtime.py).
-RUNTIME_SPEEDUP_FLOOR = 2.5
-
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_CAMPAIGN = "ci-gate"
 DEFAULT_CAMPAIGN_BASELINE = _REPO_ROOT / "BENCH_campaign.json"
-DEFAULT_RUNTIME_BASELINE = _REPO_ROOT / "BENCH_runtime.json"
 DEFAULT_TRAFFIC_BASELINE = _REPO_ROOT / "BENCH_traffic.json"
 DEFAULT_TUNE_BASELINE = _REPO_ROOT / "BENCH_tune.json"
 DEFAULT_SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
@@ -207,44 +200,6 @@ def compare_campaign_rows(
         if case not in baseline_by_case:
             findings.append(
                 Finding("warn", case, "case", "new case not in the baseline; bless to start gating it")
-            )
-    return findings
-
-
-def check_runtime_manifest(
-    payload: Mapping[str, Any],
-    *,
-    floor: float = RUNTIME_SPEEDUP_FLOOR,
-) -> List[Finding]:
-    """Sanity-check the committed ``BENCH_runtime.json`` perf manifest.
-
-    The perf suite itself re-measures throughput in tier-1; here we only gate
-    that the *recorded* manifest still documents a healthy scheduler: a gate
-    case exists and its recorded speedup is at or above the soft floor.
-    """
-    findings: List[Finding] = []
-    cases = payload.get("cases")
-    if not isinstance(cases, list) or not cases:
-        return [Finding("hard", "BENCH_runtime.json", "cases", "manifest has no cases")]
-    gate_cases = [c for c in cases if c.get("gate")]
-    if not gate_cases:
-        return [Finding("hard", "BENCH_runtime.json", "gate", "manifest has no gate case")]
-    for case in gate_cases:
-        try:
-            speedup = float(case["speedup"])
-        except (KeyError, TypeError, ValueError):
-            findings.append(
-                Finding("hard", str(case.get("case", "?")), "speedup", "gate case has no recorded speedup")
-            )
-            continue
-        if speedup < floor:
-            findings.append(
-                Finding(
-                    "fail",
-                    str(case.get("case", "?")),
-                    "speedup",
-                    f"recorded gate speedup {speedup:.2f}x is below the {floor:.1f}x floor",
-                )
             )
     return findings
 
@@ -524,7 +479,6 @@ def run_regress(
     *,
     campaign: str = DEFAULT_CAMPAIGN,
     baseline_path: Path = DEFAULT_CAMPAIGN_BASELINE,
-    runtime_baseline_path: Optional[Path] = DEFAULT_RUNTIME_BASELINE,
     traffic_baseline_path: Optional[Path] = DEFAULT_TRAFFIC_BASELINE,
     tune_baseline_path: Optional[Path] = DEFAULT_TUNE_BASELINE,
     scale_baseline_path: Optional[Path] = DEFAULT_SCALE_BASELINE,
@@ -630,30 +584,11 @@ def run_regress(
         strict_tol=strict_tol,
         soft_tol=soft_tol,
     )
-    if runtime_baseline_path is not None:
-        runtime_baseline_path = Path(runtime_baseline_path)
-        if not runtime_baseline_path.exists():
-            # The default manifest missing is survivable (warn); an explicitly
-            # requested path that does not exist is an error — `none` is the
-            # way to opt out.
-            level = "warn" if runtime_baseline_path == DEFAULT_RUNTIME_BASELINE else "hard"
-            findings.append(
-                Finding(level, str(runtime_baseline_path), "file", "perf manifest not found; skipping its sanity check")
-            )
-        else:
-            try:
-                runtime_payload = json.loads(runtime_baseline_path.read_text())
-            except ValueError as exc:
-                findings.append(
-                    Finding("hard", str(runtime_baseline_path), "json", f"unreadable manifest: {exc}")
-                )
-            else:
-                findings.extend(check_runtime_manifest(runtime_payload))
     if traffic_baseline_path is not None:
         traffic_baseline_path = Path(traffic_baseline_path)
         if not traffic_baseline_path.exists():
-            # Same policy as the perf manifest: the default file missing is
-            # survivable (warn); an explicit path must exist — 'none' opts out.
+            # The default file missing is survivable (warn); an explicit path
+            # must exist — 'none' opts out.
             level = "warn" if traffic_baseline_path == DEFAULT_TRAFFIC_BASELINE else "hard"
             findings.append(
                 Finding(

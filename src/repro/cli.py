@@ -12,15 +12,15 @@ The subcommands cover the common workflows:
   hottest targets, per-rank activity).
 * ``verify`` — run the model checker and the bounded-bypass fairness analysis
   on the reduced protocol models (the paper's Section 4.4, without SPIN).
-* ``perf`` — run the simulator wall-clock perf suite (``--scheduler`` picks
-  any deterministic runtime; default horizon vs the preserved seed scheduler)
-  and print an ops/sec table; optionally write ``BENCH_runtime.json`` and,
-  with ``--profile``, a cProfile hot-path report per case.
+* ``perf`` — time a few lock workloads on one deterministic runtime
+  (``--scheduler``, default horizon) and print a local ops/sec table; with
+  ``--profile``, also write a cProfile hot-path report per case.  Speed
+  claims go through the ledger (``python3 -m ledger``).
 * ``campaign`` — list, show or run the named sweep campaigns (parallel
   multi-core execution with the content-addressed result cache).
 * ``regress`` — run the gate campaign and compare it against the committed
-  ``BENCH_campaign.json`` / ``BENCH_runtime.json`` baselines (the check CI
-  calls; ``--bless`` records a new baseline).
+  ``BENCH_campaign.json`` baseline and sanity-check the traffic, tune and
+  scale manifests (the check CI calls; ``--bless`` records a new baseline).
 * ``conform`` — the conformance & chaos sweep: every registered scheme under
   seeded schedule perturbation with the live safety/fairness oracles, each
   point re-run to certify bit-reproducibility (exit 1 on any violation).
@@ -256,22 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rounds", type=int, default=1, help="acquisitions per process")
 
     perf = sub.add_parser(
-        "perf", help="measure simulator ops/sec (any deterministic scheduler vs a reference)"
+        "perf", help="local simulator ops/sec table and hot-path profiles (speed claims: python3 -m ledger)"
     )
     perf.add_argument("--scheduler", choices=schedulers, default="horizon",
                       help="runtime backend to measure (default: horizon)")
-    perf.add_argument("--reference", choices=schedulers, default=None,
-                      help="reference backend for the determinism cross-check and the "
-                           "speedup column (default: baseline, or horizon when measuring vector)")
-    perf.add_argument("--reps", type=int, default=None, help="repetitions per case (best wall time wins)")
-    perf.add_argument("--baseline-reps", type=int, default=None, help="repetitions for the reference scheduler")
-    perf.add_argument("--no-baseline", action="store_true", help="measure only the selected scheduler")
-    perf.add_argument("--jobs", type=int, default=None,
-                      help="measure cases in parallel workers (default 1; parallel runs trade timing fidelity for wall time)")
+    perf.add_argument("--reps", type=int, default=4, help="repetitions per case, at least 1 (best wall time wins)")
     perf.add_argument("--profile", action="store_true",
                       help="also cProfile one run per case and write a pstats hot-path "
-                           "report next to the bench JSON")
-    perf.add_argument("--output", default=None, help="also write the results to this JSON file (e.g. BENCH_runtime.json)")
+                           "report to the working directory")
 
     campaign = sub.add_parser(
         "campaign", help="run named sweep campaigns (parallel execution + result cache)"
@@ -302,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     regress.add_argument("--campaign", default="ci-gate", help="campaign to gate on")
     regress.add_argument("--baseline", default=None,
                          help="campaign baseline manifest (default: <repo>/BENCH_campaign.json)")
-    regress.add_argument("--runtime-baseline", default=None,
-                         help="perf manifest to sanity-check (default: <repo>/BENCH_runtime.json); 'none' skips")
     regress.add_argument("--traffic-baseline", default=None,
                          help="traffic manifest to sanity-check (default: <repo>/BENCH_traffic.json); 'none' skips")
     regress.add_argument("--scale-baseline", default=None,
@@ -730,45 +720,19 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_perf(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.bench.perf import (
-        DEFAULT_CASES,
-        profile_case,
-        run_perf_suite,
-        write_bench_json,
-    )
+    from repro.bench import perf as perf_mod
 
-    runtime_name = args.scheduler
-    reference = args.reference
-    if reference is None:
-        # Measuring the batched scheduler is interesting relative to the fast
-        # horizon core, not the preserved seed scheduler it trivially beats.
-        reference = "horizon" if runtime_name == "vector" else "baseline"
-    if reference == runtime_name:
-        print(f"note: measuring {runtime_name!r} against itself; speedup will be ~1.0x")
-    rows = run_perf_suite(
-        DEFAULT_CASES,
-        runtime_name=runtime_name,
-        reference=reference,
-        reps=args.reps,
-        baseline_reps=args.baseline_reps,
-        compare_baseline=not args.no_baseline,
-        jobs=args.jobs,
-    )
+    if args.reps < 1:
+        print(f"error: --reps must be at least 1, got {args.reps}", file=sys.stderr)
+        return 2
+    rows = [
+        perf_mod.measure_case(case, runtime_name=args.scheduler, reps=args.reps)
+        for case in perf_mod.DEFAULT_CASES
+    ]
     print(format_table(rows))
-    if not args.no_baseline:
-        gate = [row for row in rows if row["gate"]]
-        for row in gate:
-            print(
-                f"\ngate case {row['case']}: {row['speedup']}x {runtime_name} over "
-                f"{reference} ({row['new_ops_per_s']} vs {row['baseline_ops_per_s']} ops/s)"
-            )
-    if args.output:
-        path = write_bench_json(rows, Path(args.output))
-        print(f"\nwrote {path}")
     if args.profile:
-        out_dir = Path(args.output).parent if args.output else Path.cwd()
-        for case in DEFAULT_CASES:
-            report = profile_case(case, runtime_name=runtime_name, out_dir=out_dir)
+        for case in perf_mod.DEFAULT_CASES:
+            report = perf_mod.profile_case(case, runtime_name=args.scheduler, out_dir=Path.cwd())
             print(f"profile: {report}")
     return 0
 
@@ -883,12 +847,6 @@ def _run_regress(args: argparse.Namespace) -> int:
     from repro.bench import regress as regress_mod
 
     baseline = Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
-    if args.runtime_baseline == "none":
-        runtime_baseline = None
-    elif args.runtime_baseline:
-        runtime_baseline = Path(args.runtime_baseline)
-    else:
-        runtime_baseline = regress_mod.DEFAULT_RUNTIME_BASELINE
     if args.traffic_baseline == "none":
         traffic_baseline = None
     elif args.traffic_baseline:
@@ -911,7 +869,6 @@ def _run_regress(args: argparse.Namespace) -> int:
         return regress_mod.run_regress(
             campaign=args.campaign,
             baseline_path=baseline,
-            runtime_baseline_path=runtime_baseline,
             traffic_baseline_path=traffic_baseline,
             tune_baseline_path=tune_baseline,
             scale_baseline_path=scale_baseline,

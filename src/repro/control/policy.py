@@ -16,8 +16,8 @@ Determinism contract — the part that makes adaptive runs gate-able:
   per-phase statistics come from the materialized request schedules (pure
   functions of ``(scenario, seed, rank)``), never from measured wall time or
   scheduler-dependent quantities.  :func:`build_swap_plan` therefore computes
-  the identical plan under the horizon, baseline and vector schedulers and
-  under any ``--jobs`` setting.
+  the identical plan under the horizon and baseline schedulers and under
+  any ``--jobs`` setting.
 * A swap executes at a phase boundary as a *drain-then-reinit* crossing:
   every rank barriers (so no holder is in flight), rewrites its **own**
   window words of the affected slabs to the new scheme's initial values,
@@ -525,9 +525,7 @@ class PolicyController:
     event every rank performs at each plan boundary:
 
     1. ``barrier()`` — no request is in flight, every holder has released —
-       followed by a value-producing ``get`` fence, so descriptor-batched
-       runtimes that buffer barriers cannot let one rank's install race
-       ahead of another rank's pre-boundary requests in thread time.
+       followed by one ``get`` of the rank's own slab (see :meth:`cross`).
     2. Each rank rewrites its **own** window words of every swapping entry's
        slab to the placed spec's initial values (zero where the spec declares
        nothing) and flushes — the deterministic re-initialization.
@@ -552,17 +550,11 @@ class PolicyController:
         swaps = self.plan.swaps_at(boundary)
         if swaps:
             rank = ctx.rank
-            # Real-time fence.  Descriptor-batched runtimes (the vector
-            # scheduler) buffer barriers without blocking the rank's thread,
-            # so without a value-producing operation here a fast rank could
-            # run the install below — a Python-level effect on the shared
-            # TableEntry, applied at *thread* time — while a slow rank is
-            # still serving pre-boundary requests against the old slot.  A
-            # get's result can only be delivered once the barrier above has
-            # completed, which requires every rank to have executed all of
-            # its pre-boundary program code first, so the install is ordered
-            # after every pre-boundary read of the slot in real time as well
-            # as virtual time.
+            # The barrier above already orders the install after every
+            # rank's pre-boundary requests.  This get is kept because it is
+            # part of the crossing's protocol: it is a counted operation
+            # that advances the rank's clock, so every adaptive fingerprint
+            # pinned in BENCH_tune.json includes it.
             ctx.get(rank, self.table.entry(swaps[0].entry_index).base_offset)
             for swap in swaps:
                 entry = self.table.entry(swap.entry_index)

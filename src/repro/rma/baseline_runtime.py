@@ -7,8 +7,8 @@ horizon scheduler in :mod:`repro.rma.sim_runtime`:
 
 * the golden-determinism tests cross-check the horizon scheduler against it
   (same seed => bit-identical :class:`~repro.rma.runtime_base.RunResult`),
-* the perf suite (``benchmarks/test_perf_runtime.py``) measures the horizon
-  scheduler speedup against it on the same host.
+* ``tools/record_golden.py --runtime baseline`` records the goldens on it,
+  and ``python3 -m ledger --bless-expected`` cross-checks against it.
 
 Do not optimize this module; its value is that it stays byte-for-byte the
 seed behaviour.  The only post-seed additions are the perturbation, observer

@@ -247,8 +247,8 @@ class RunResult:
     def ops_per_sec(self) -> float:
         """Simulator throughput: RMA operations executed per host second.
 
-        The headline metric of the perf suite (``benchmarks/test_perf_runtime.py``
-        and ``python -m repro perf``); 0.0 when wall time was not recorded.
+        The ``sim_ops_per_s`` column of campaign rows; 0.0 when wall time
+        was not recorded.
         """
         if self.wall_time_s <= 0.0:
             return 0.0

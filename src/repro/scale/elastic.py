@@ -6,12 +6,12 @@ are *active* per traffic phase: each request's key folds onto the active
 prefix (``key % active``), and a :class:`ResizeEvent` at a phase boundary
 grows or shrinks that prefix mid-run.  Growth re-initializes the newly
 activated entries' slabs through the versioned-install path of
-:meth:`repro.traffic.table.TableEntry` (barrier → real-time fence → per-rank
+:meth:`repro.traffic.table.TableEntry` (barrier → ``get`` → per-rank
 slab re-init → flush → version-guarded :meth:`~repro.traffic.table.TableEntry.reinstall`
 → barrier), exactly mirroring the adaptive control plane's scheme-swap
 crossing — so a resize is a collective, bit-reproducible virtual-time event:
-identical fingerprints across the horizon, baseline and vector schedulers
-and across ``--jobs`` settings.
+identical fingerprints across the horizon and baseline schedulers and
+across ``--jobs`` settings.
 
 The plan is *declarative and pure*: every rank derives the same active-entry
 schedule locally from the plan (no shared mutable counter), which is what
@@ -164,11 +164,9 @@ class ElasticController:
         grown, targets = self._by_boundary.get(boundary, ((), {}))
         if grown:
             rank = ctx.rank
-            # Real-time fence, same reasoning as PolicyController.cross: a
-            # value-producing get cannot be delivered before the barrier
-            # above completes, so the Python-level version bumps below are
-            # ordered after every rank's pre-boundary slot reads even under
-            # descriptor-batched runtimes.
+            # Kept for the same reason as in PolicyController.cross: a
+            # counted operation of the crossing, included in every elastic
+            # fingerprint pinned in BENCH_scale.json.
             ctx.get(rank, self.table.entry(grown[0]).base_offset)
             for index in grown:
                 entry = self.table.entry(index)

@@ -47,7 +47,7 @@ def cached_machine(
     procs_per_node: int = XC30_PROCS_PER_NODE,
     topology: str = "xc30",
 ) -> Machine:
-    """Memoized machine construction, shared by the sweeps and the perf suite.
+    """Memoized machine construction, shared by the sweeps and ``repro perf``.
 
     :class:`~repro.topology.machine.Machine` is a frozen dataclass, so one
     instance per ``(procs, procs_per_node, topology)`` can safely be shared by

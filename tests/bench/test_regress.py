@@ -12,7 +12,6 @@ from repro.bench.regress import (
     EXIT_HARD,
     EXIT_OK,
     bless,
-    check_runtime_manifest,
     compare_campaign_rows,
     exit_code,
     format_findings,
@@ -108,23 +107,6 @@ class TestCompare:
         assert text.index("[HARD") < text.index("[FAIL")
 
 
-class TestRuntimeManifest:
-    def test_committed_manifest_passes(self):
-        from repro.bench.regress import DEFAULT_RUNTIME_BASELINE
-
-        payload = json.loads(DEFAULT_RUNTIME_BASELINE.read_text())
-        assert check_runtime_manifest(payload) == []
-
-    def test_low_recorded_speedup_fails(self):
-        payload = {"cases": [{"case": "g", "gate": True, "speedup": 1.2}]}
-        findings = check_runtime_manifest(payload)
-        assert [f.level for f in findings] == ["fail"]
-
-    def test_missing_gate_case_is_hard(self):
-        assert exit_code(check_runtime_manifest({"cases": [{"case": "x", "gate": False}]})) == EXIT_HARD
-        assert exit_code(check_runtime_manifest({"cases": []})) == EXIT_HARD
-
-
 class TestEndToEnd:
     @pytest.fixture()
     def blessed(self, tmp_path, monkeypatch):
@@ -150,11 +132,11 @@ class TestEndToEnd:
         # 2-point campaign is far too noisy for the default tolerance under
         # parallel test-suite load.
         code1 = run_regress(
-            campaign=TINY.name, baseline_path=blessed, runtime_baseline_path=None,
+            campaign=TINY.name, baseline_path=blessed,
             jobs=1, output=out1, strict_tol=1e9, print_fn=lambda *_: None,
         )
         code2 = run_regress(
-            campaign=TINY.name, baseline_path=blessed, runtime_baseline_path=None,
+            campaign=TINY.name, baseline_path=blessed,
             jobs=1, output=out2, strict_tol=1e9, print_fn=lambda *_: None,
         )
         assert code1 == EXIT_OK and code2 == EXIT_OK
@@ -173,7 +155,7 @@ class TestEndToEnd:
         payload["rows"][0]["fingerprint"] = "0" * 64
         blessed.write_text(json.dumps(payload))
         code = run_regress(
-            campaign=TINY.name, baseline_path=blessed, runtime_baseline_path=None,
+            campaign=TINY.name, baseline_path=blessed,
             jobs=1, strict_tol=1e9, print_fn=lambda *_: None,
         )
         assert code == EXIT_HARD
@@ -183,14 +165,14 @@ class TestEndToEnd:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": ["not-a-row"]}))
         code = run_regress(
-            campaign=TINY.name, baseline_path=bad, runtime_baseline_path=None,
+            campaign=TINY.name, baseline_path=bad,
             jobs=1, print_fn=lambda *_: None,
         )
         assert code == EXIT_HARD
 
     def test_regress_missing_baseline_is_hard(self, blessed):
         code = run_regress(
-            campaign=TINY.name, baseline_path=blessed, runtime_baseline_path=None,
+            campaign=TINY.name, baseline_path=blessed,
             jobs=1, print_fn=lambda *_: None,
         )
         assert code == EXIT_HARD

@@ -28,7 +28,7 @@ from repro.traffic.scenarios import (
 )
 from repro.traffic.table import build_lock_table
 
-DETERMINISTIC_SCHEDULERS = ("horizon", "baseline", "vector")
+DETERMINISTIC_SCHEDULERS = ("horizon", "baseline")
 
 
 @pytest.fixture

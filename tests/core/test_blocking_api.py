@@ -156,7 +156,6 @@ class TestBlockingOnlyHandles:
         assert (blocking_threads, steps_threads) == (8, 0)
         assert blocking_sha == steps_sha
         assert blocking_sha == _bench("toy-ticket-blocking", workload, "baseline")[0]
-        assert blocking_sha == _bench("toy-ticket-steps", workload, "vector")[0]
 
     @pytest.mark.parametrize("workload", ["ecsb", "wcsb"])
     def test_example_custom_lock_fingerprint_is_unchanged(self, workload):

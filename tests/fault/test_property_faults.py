@@ -36,7 +36,7 @@ SLOW_SETTINGS = settings(
 @SLOW_SETTINGS
 @given(
     scheme=st.sampled_from(["lease-lock", "repair-mcs", "rma-mcs", "ticket"]),
-    scheduler=st.sampled_from(["horizon", "baseline", "vector"]),
+    scheduler=st.sampled_from(["horizon", "baseline"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_null_fault_plan_is_invisible(scheme, scheduler, seed):

@@ -2,7 +2,7 @@
 
 The kill lands at the first public context call the victim issues with its
 virtual clock at or past ``kill_us`` — part of the deterministic scheduling
-contract, so the ``horizon``, ``baseline`` and ``vector`` cores must produce
+contract, so the ``horizon`` and ``baseline`` cores must produce
 byte-identical faulted runs.
 """
 
@@ -20,7 +20,7 @@ from repro.topology.builder import cached_machine
 
 PROCS, PPN = 4, 4
 
-FAULT_SCHEDULERS = ("horizon", "baseline", "vector")
+FAULT_SCHEDULERS = ("horizon", "baseline")
 
 
 def _config(scheme="lease-lock", iterations=4, seed=5):

@@ -61,7 +61,7 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
         "seed": 7,
     },
     # The competing lock families ported in PR 9 (recorded with the preserved
-    # baseline copy of the seed scheduler; horizon and vector must match).
+    # baseline copy of the seed scheduler; horizon must match).
     "alock-ecsb-p8": {
         "P": 8,
         "procs_per_node": 4,
@@ -97,9 +97,9 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
 }
 
 
-def golden_config(name: str) -> LockBenchConfig:
-    """Build the :class:`LockBenchConfig` for one golden case."""
-    spec = dict(GOLDEN_CASES[name])
+def golden_config(name: str, cases: Dict[str, Dict[str, Any]] = GOLDEN_CASES) -> LockBenchConfig:
+    """Build the :class:`LockBenchConfig` for one case of ``cases``."""
+    spec = dict(cases[name])
     machine = xc30_like(spec.pop("P"), procs_per_node=spec.pop("procs_per_node"))
     return LockBenchConfig(machine=machine, **spec)
 

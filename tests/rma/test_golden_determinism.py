@@ -5,18 +5,19 @@ Three layers of protection:
 1. **Recorded goldens** — ``golden/seed_scheduler.json`` holds bit-exact
    fingerprints (hex floats + SHA-256 of the canonicalized returns) recorded
    from the original PR-0 baton-passing scheduler.  Every registered
-   deterministic runtime (the horizon scheduler, the preserved ``baseline``
-   seed scheduler *and* the batched ``vector`` core) must reproduce them
-   exactly for rma-mcs and rma-rw at P in {8, 32} — the CI
-   golden-fingerprint jobs select one scheduler each with ``-k horizon`` /
-   ``-k baseline`` / ``-k vector``.  ``horizon`` is held to them in both of
+   deterministic runtime (the horizon scheduler and the preserved
+   ``baseline`` seed scheduler) must reproduce them exactly for rma-mcs and
+   rma-rw at P in {8, 32} — the CI golden-fingerprint jobs select one
+   scheduler each with ``-k horizon`` / ``-k baseline``.  ``horizon`` is held
+   to them in both of
    its modes: ``horizon-inline`` (the harness's step program stepped on the
    calling thread, no rank thread started) and ``horizon-threads`` (the same
    program driven by rank threads through ``ctx.run_steps``, which is what a
    blocking program, a blocking-only handle or a fault plan gets).
-2. **Live cross-check** — the same workloads run on both schedulers in one
-   process must match bit-for-bit (guards against the recorded file and both
-   schedulers drifting together).
+2. **Live cross-check** — the same workloads, plus the ``repro perf``
+   shapes up to P=64 (not recorded), run on both schedulers in one process must match
+   bit-for-bit (guards against the recorded file and both schedulers
+   drifting together).
 3. **Same-seed stability** — two runs of one configuration must be
    bit-identical (the basic determinism contract).
 """
@@ -40,11 +41,55 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 #: Every scheduler (and mode) held to the recorded goldens.  The campaign
 #: result cache keys on the golden file's hash, so whatever passes here also
 #: defines the cache epoch of `repro campaign` / `repro regress`.
-SCHEDULERS = ("horizon-inline", "horizon-threads", "baseline", "vector")
+SCHEDULERS = ("horizon-inline", "horizon-threads", "baseline")
+
+#: Checked live against ``baseline`` but not recorded: the shapes of
+#: ``repro perf``'s default cases with few iterations — rma-rw on wcsb with
+#: the Figure-5 writer mix and the read-heavy mix at P=64, above the goldens'
+#: largest P, the MCS writer path at P=64 and rma-rw on ecsb at P=32.
+LIVE_ONLY_CASES = {
+    "rma-rw-wcsb-p64": {
+        "P": 64,
+        "procs_per_node": 8,
+        "scheme": "rma-rw",
+        "benchmark": "wcsb",
+        "iterations": 4,
+        "fw": 0.02,
+        "seed": 1,
+    },
+    "rma-rw-wcsb-p64-readheavy": {
+        "P": 64,
+        "procs_per_node": 8,
+        "scheme": "rma-rw",
+        "benchmark": "wcsb",
+        "iterations": 4,
+        "fw": 0.002,
+        "seed": 1,
+    },
+    "rma-mcs-wcsb-p64": {
+        "P": 64,
+        "procs_per_node": 8,
+        "scheme": "rma-mcs",
+        "benchmark": "wcsb",
+        "iterations": 4,
+        "fw": 0.0,
+        "seed": 1,
+    },
+    "rma-rw-ecsb-p32": {
+        "P": 32,
+        "procs_per_node": 8,
+        "scheme": "rma-rw",
+        "benchmark": "ecsb",
+        "iterations": 4,
+        "fw": 0.02,
+        "seed": 1,
+    },
+}
+ALL_CASES = {**GOLDEN_CASES, **LIVE_ONLY_CASES}
 
 
 def _run_case(name: str, scheduler: str):
-    config = golden_config(name)
+    config = golden_config(name, ALL_CASES)
     spec, is_rw = build_lock_spec(config)
     scheduler, _, mode = scheduler.partition("-")
     runtime = get_runtime(scheduler).factory(
@@ -83,7 +128,7 @@ def test_matches_recorded_seed_scheduler(name, scheduler, recorded_goldens):
         )
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(LIVE_ONLY_CASES))
 def test_matches_live_baseline_scheduler(name):
     """Bit-identical RunResult vs the preserved seed scheduler, run live."""
     baseline = result_fingerprint(_run_case(name, "baseline"))

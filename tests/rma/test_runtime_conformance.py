@@ -8,14 +8,12 @@ must
 1. reproduce the recorded golden fingerprints at P in {8, 32} bit-exactly,
 2. round-trip through the ``Cluster``/``Session`` facade
    (``Cluster(runtime=<name>).session(lock).run(...)``) with results
-   bit-identical to the horizon scheduler, and
-3. (vector specifically) hold golden bit-exactness under explicit shard
-   counts, so the sharded lookahead path is exercised by tier-1 and not just
-   by whatever ``"auto"`` resolves to on the current host.
+   bit-identical to the horizon scheduler.
 
-The third-party backend registered here wraps the vector core with a fixed
-two-shard plan — exactly what an external package would ship — and is torn
-down again so registration is side-effect free for the rest of the session.
+The third-party backend registered here is a factory of its own around the
+``SimRuntime`` core — exactly what an external package would ship — and is
+torn down again so registration is side-effect free for the rest of the
+test run.
 """
 
 from __future__ import annotations
@@ -35,23 +33,23 @@ from golden_cases import GOLDEN_CASES, golden_config, result_fingerprint
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 
-THIRD_PARTY_NAME = "acme-batched"
+THIRD_PARTY_NAME = "acme-sim"
 
 
 @pytest.fixture(scope="module")
 def third_party_runtime():
     """Register an out-of-tree style backend; unregister on teardown."""
-    from repro.rma.vector_runtime import VectorRuntime
+    from repro.rma.sim_runtime import SimRuntime
 
     @register_runtime(
         THIRD_PARTY_NAME,
-        help="test-only third-party backend (vector core pinned to 2 shards)",
+        help="test-only third-party backend (the SimRuntime core, own factory)",
     )
     def _make_acme(
         machine, *, window_words=64, seed=0, latency=None, fabric=None,
         tracer=None, perturbation=None, observer=None,
     ):
-        return VectorRuntime(
+        return SimRuntime(
             machine,
             window_words=window_words,
             seed=seed,
@@ -60,7 +58,6 @@ def third_party_runtime():
             tracer=tracer,
             perturbation=perturbation,
             observer=observer,
-            shards=2,
         )
 
     try:
@@ -74,21 +71,18 @@ def recorded_goldens():
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 
 
-def _run_golden_case(name: str, runtime_name: str, **factory_kwargs):
+def _run_golden_case(name: str, runtime_name: str):
     config = golden_config(name)
     spec, is_rw = build_lock_spec(config)
     runtime = get_runtime(runtime_name).factory(
-        config.machine,
-        window_words=spec.window_words + 2,
-        seed=config.seed,
-        **factory_kwargs,
+        config.machine, window_words=spec.window_words + 2, seed=config.seed
     )
     program = make_lock_program(config, spec, is_rw, spec.window_words)
     return runtime.run(program, window_init=spec.init_window)
 
 
-def _assert_matches_golden(name, runtime_name, recorded, **factory_kwargs):
-    result = _run_golden_case(name, runtime_name, **factory_kwargs)
+def _assert_matches_golden(name, runtime_name, recorded):
+    result = _run_golden_case(name, runtime_name)
     fingerprint = result_fingerprint(result)
     reference = recorded[name]
     for field in reference:
@@ -100,9 +94,15 @@ def _assert_matches_golden(name, runtime_name, recorded, **factory_kwargs):
 
 def test_all_registered_runtimes_are_enumerable():
     names = runtime_names(deterministic=True)
-    assert {"horizon", "baseline", "vector"} <= set(names)
+    assert {"horizon", "baseline"} <= set(names)
     # Wall-clock backends must not leak into the deterministic set.
     assert "thread" not in names
+
+
+def test_unregistered_runtime_name_lists_the_registered_ones():
+    with pytest.raises(registry.UnknownNameError) as exc:
+        get_runtime("vector")
+    assert "horizon" in str(exc.value) and "baseline" in str(exc.value)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -112,20 +112,13 @@ def test_every_registered_runtime_reproduces_goldens(name, recorded_goldens):
         _assert_matches_golden(name, runtime_name, recorded_goldens)
 
 
-@pytest.mark.parametrize("name", ["rma-mcs-ecsb-p8", "rma-rw-wcsb-p32"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_third_party_runtime_reproduces_goldens(
     name, third_party_runtime, recorded_goldens
 ):
     """A backend registered at runtime is held to the exact same contract."""
     assert third_party_runtime in runtime_names(deterministic=True)
     _assert_matches_golden(name, third_party_runtime, recorded_goldens)
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("name", ["rma-mcs-ecsb-p8", "rma-rw-wcsb-p32"])
-def test_vector_explicit_shards_reproduce_goldens(name, shards, recorded_goldens):
-    """Sharded lookahead stays bit-exact regardless of the shard count."""
-    _assert_matches_golden(name, "vector", recorded_goldens, shards=shards)
 
 
 def _counter_program(lock, scratch_offset: int):

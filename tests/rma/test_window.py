@@ -304,7 +304,7 @@ class TestScalarAccessorsMatchAPureIntReference:
         numeric strings (coerced by ``int()``), offsets off either end: every
         call returns the same exact ``int`` or raises the same exception with
         the same message, and leaves the same words — in the ndarray that
-        ``load`` / ``snapshot`` / the vector core use, too."""
+        ``load`` / ``snapshot`` use, too."""
         window, reference = Window(_SIZE), _IntWords(_SIZE)
         for name, *args in calls:
             assert _outcome(window, name, args) == _outcome(reference, name, args), (name, args)

@@ -93,7 +93,7 @@ class TestRehomeDeterminism:
 
     def test_schedulers_agree_fingerprint_for_fingerprint(self):
         views = {}
-        for scheduler in ("horizon", "baseline", "vector"):
+        for scheduler in ("horizon", "baseline"):
             report = run_campaign(
                 self.REHOME_ONLY, cache=False, jobs=1, scheduler=scheduler
             )
@@ -101,7 +101,7 @@ class TestRehomeDeterminism:
                 (row["fingerprint"], row["percentiles"], row["phases"])
                 for row in report.rows
             ]
-        assert views["horizon"] == views["baseline"] == views["vector"]
+        assert views["horizon"] == views["baseline"]
 
     def test_parallel_jobs_match_serial_bit_for_bit(self):
         serial = run_campaign(self.REHOME_ONLY, cache=False, jobs=1)

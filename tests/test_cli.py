@@ -267,8 +267,7 @@ class TestRegressCommand:
             # millisecond one-point campaign is too noisy for 25% under load,
             # and this test's subject is the determinism gate + exit code.
             assert main(["regress", "--campaign", "cli-regress-tiny", "--jobs", "1",
-                         "--baseline", str(baseline), "--runtime-baseline", "none",
-                         "--strict-tol", "1e9"]) == 0
+                         "--baseline", str(baseline), "--strict-tol", "1e9"]) == 0
             out = capsys.readouterr().out
             assert "regress: PASS" in out
         finally:
@@ -283,6 +282,63 @@ class TestRegressCommand:
         assert args.soft is True
         assert args.jobs == 4
         assert args.scaling is True
+
+    def test_regress_has_no_perf_manifest_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["regress", "--runtime-baseline", "none"])
+        assert exc.value.code == 2
+
+
+class TestPerfCommand:
+    @pytest.fixture()
+    def one_case(self, tmp_path, monkeypatch):
+        from repro.bench import perf
+
+        case = perf.PerfCase("rma-rw-wcsb-p8", "rma-rw", "wcsb", 8, iterations=4)
+        monkeypatch.setattr(perf, "DEFAULT_CASES", (case,))
+        monkeypatch.chdir(tmp_path)
+        return case
+
+    @staticmethod
+    def _ops(out: str) -> str:
+        header, _, row = out.splitlines()[:3]
+        return row.split()[header.split().index("ops")]
+
+    def test_table_profile_and_scheduler(self, one_case, tmp_path, capsys):
+        assert main(["perf", "--reps", "1", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert one_case.name in out and "ops_per_s" in out
+        assert (tmp_path / f"PERF_profile_{one_case.name}_horizon.txt").exists()
+
+        assert main(["perf", "--reps", "1", "--scheduler", "baseline"]) == 0
+        assert self._ops(capsys.readouterr().out) == self._ops(out)
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_non_positive_reps_exit_2(self, one_case, reps, capsys):
+        assert main(["perf", "--reps", reps]) == 2
+        assert "--reps must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            ["--reference", "baseline"],
+            ["--baseline-reps", "2"],
+            ["--no-baseline"],
+            ["--jobs", "2"],
+            ["--output", "perf.json"],
+        ],
+    )
+    def test_reference_and_recording_options_are_gone(self, retired):
+        """perf times one scheduler serially and writes only profiles."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["perf", *retired])
+        assert exc.value.code == 2
+
+    def test_scheduler_choices_are_the_registered_cores(self):
+        for name in ("horizon", "baseline"):
+            assert build_parser().parse_args(["perf", "--scheduler", name]).scheduler == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["perf", "--scheduler", "vector"])
 
 
 class TestTrafficCommand:

@@ -32,7 +32,6 @@ END = "<!-- scheduler-matrix:end -->"
 WHEN_TO_PICK = {
     "horizon": "the default, and the fastest on step programs (the harness, traffic and conformance loops): no rank threads, every hook (tracer, fabric, perturbation, observer) on the canonical path; blocking programs and fault plans run thread-backed",
     "baseline": "cross-checking a scheduler change against the preserved seed semantics",
-    "vector": "spin-dominated *blocking* programs (batched spinner waves); about 2x slower than `horizon` on step programs, which it drives on rank threads; hooks fall back to the canonical single-shard mode",
     "thread": "demonstrating genuine races on real OS threads (wall-clock, non-reproducible)",
 }
 

@@ -18,7 +18,8 @@ This example writes one small lock **once**, as ``acquire_steps`` /
    produce the same simulated run.
 
 (``examples/custom_lock.py`` is the other way round: a lock that implements
-only the blocking methods keeps working, thread-backed.)
+only the blocking methods keeps working, on rank threads bridged into the
+same scheduling loop.)
 
 Run with:  python examples/step_program.py
 """

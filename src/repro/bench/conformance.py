@@ -12,8 +12,8 @@ the standard benchmark harness while
 * a :class:`~repro.verification.oracles.LockOracleObserver` checks the live
   invariants: mutual exclusion, reader/writer exclusion, handoff sanity,
   reader coexistence and the declared bounded-bypass fairness guarantees,
-  with the runtime's structural deadlock detection and watchdog folded into
-  the verdict.
+  with the runtime's structural deadlock and livelock (``max_ops``)
+  detection folded into the verdict.
 
 Every point is executed **twice** by default and its
 :func:`~repro.bench.campaign.run_result_sha` fingerprints compared, so the
@@ -264,10 +264,13 @@ def conformance_points(
 def _run_once(point: ConformancePoint) -> Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]:
     """One observed, possibly perturbed run; returns (fingerprint, oracle, bench).
 
-    A structural deadlock, a watchdog stall or a livelock abort is *data*
-    here, not a crash: it lands in the oracle summary as a violation (with no
-    fingerprint) so a hanging scheme produces a failing verdict row instead
-    of taking the whole sweep down.
+    A structural deadlock or a livelock abort is *data* here, not a crash:
+    it lands in the oracle summary as a violation (with no fingerprint) so a
+    hanging scheme produces a failing verdict row instead of taking the
+    whole sweep down. That covers every wait inside the simulator; a
+    blocking-only lock (``conform --import``) that stalls *outside* it — on a
+    ``threading.Event`` shared between ranks, or a busy loop that never calls
+    its context — hangs the sweep, as no watchdog aborts a bridged rank.
     """
     config = point.config()
     info = get_scheme(point.scheme)

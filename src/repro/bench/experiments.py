@@ -37,6 +37,7 @@ from repro.bench.workloads import (
 )
 from repro.dht.workload import DHTWorkloadConfig
 from repro.rma.latency import LatencyModel
+from repro.rma.runtime_base import BARRIER, COMPUTE
 from repro.topology.builder import cached_machine
 
 __all__ = [
@@ -550,13 +551,14 @@ def ablation_handoff_locality(
 
             def program(ctx, _lock=lock_spec, _ledger=ledger, _iters=iters):
                 lock = InstrumentedLock(_lock.make(ctx), _ledger, ctx)
-                ctx.barrier()
+                yield (BARRIER,)
                 start = ctx.now()
                 for _ in range(_iters):
-                    with lock.held():
-                        ctx.compute(0.2)
+                    yield from lock.acquire_steps()
+                    yield (COMPUTE, 0.2)
+                    yield from lock.release_steps()
                 end = ctx.now()
-                ctx.barrier()
+                yield (BARRIER,)
                 return end - start
 
             result = runtime.run(program, window_init=window_init)

@@ -151,8 +151,8 @@ def profile_case(
     one_run()  # warm-up, unprofiled
     profiler = cProfile.Profile()
 
-    # A thread-backed run executes its rank programs (and the scheduler loop)
-    # on rank threads, which the calling thread's profiler never sees.
+    # The baseline and thread runtimes execute rank programs (and baseline its
+    # scheduler) on rank threads, which the calling thread's profiler never sees.
     # Install the profiler around every thread started during the measured
     # run as well.
     import threading

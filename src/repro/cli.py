@@ -590,7 +590,8 @@ def _run_trace(args: argparse.Namespace) -> int:
         summarize_trace,
         trace_rows_by_distance,
     )
-    from repro.core.lock_base import RWLockHandle
+    from repro.core.lock_base import RWLockHandle, program_for_spec
+    from repro.rma.runtime_base import BARRIER, COMPUTE
     from repro.rma.sim_runtime import SimRuntime
 
     machine = xc30_like(args.procs, procs_per_node=args.procs_per_node)
@@ -604,18 +605,21 @@ def _run_trace(args: argparse.Namespace) -> int:
     def program(ctx):
         lock = spec.make(ctx)
         rng = ctx.rng
-        ctx.barrier()
+        yield (BARRIER,)
         for _ in range(args.iterations):
             as_writer = not is_rw or bool(rng.random() < args.fw)
             if is_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                with rw_lock.reading():
-                    ctx.compute(0.3)
+                yield from rw_lock.acquire_read_steps()
+                yield (COMPUTE, 0.3)
+                yield from rw_lock.release_read_steps()
             else:
-                with lock.held():
-                    ctx.compute(0.3)
-        ctx.barrier()
+                yield from lock.acquire_steps()
+                yield (COMPUTE, 0.3)
+                yield from lock.release_steps()
+        yield (BARRIER,)
 
+    program = program_for_spec(spec, machine, program)
     result = runtime.run(program, window_init=spec.init_window)
     summary = summarize_trace(recorder.events)
     breakdown = distance_breakdown(recorder.events, machine)

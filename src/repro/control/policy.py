@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.api.registry import SchemeInfo, get_scheme, scheme_names
+from repro.rma.runtime_base import BARRIER, FLUSH, GET, PUT, Steps
 
 # repro.traffic imports this module at scenario-registration time, so the
 # traffic imports below must stay function-local (importing the traffic
@@ -521,11 +522,11 @@ class PolicyController:
     """Executes a :class:`SwapPlan` against a live table, one crossing at a time.
 
     The controller itself is stateless across ranks (per-rank progress lives
-    in the rank program); :meth:`cross` is the collective drain-reinit-install
-    event every rank performs at each plan boundary:
+    in the rank program); :meth:`cross_steps` is the collective
+    drain-reinit-install event every rank performs at each plan boundary:
 
     1. ``barrier()`` — no request is in flight, every holder has released —
-       followed by one ``get`` of the rank's own slab (see :meth:`cross`).
+       followed by one ``get`` of the rank's own slab (see :meth:`cross_steps`).
     2. Each rank rewrites its **own** window words of every swapping entry's
        slab to the placed spec's initial values (zero where the spec declares
        nothing) and flushes — the deterministic re-initialization.
@@ -544,9 +545,9 @@ class PolicyController:
     def num_boundaries(self) -> int:
         return self.plan.num_boundaries
 
-    def cross(self, ctx: Any, boundary: int) -> int:
+    def cross_steps(self, ctx: Any, boundary: int) -> Steps:
         """Perform the collective crossing of ``boundary``; returns swap count."""
-        ctx.barrier()
+        yield (BARRIER,)
         swaps = self.plan.swaps_at(boundary)
         if swaps:
             rank = ctx.rank
@@ -555,7 +556,7 @@ class PolicyController:
             # part of the crossing's protocol: it is a counted operation
             # that advances the rank's clock, so every adaptive fingerprint
             # pinned in BENCH_tune.json includes it.
-            ctx.get(rank, self.table.entry(swaps[0].entry_index).base_offset)
+            yield (GET, rank, self.table.entry(swaps[0].entry_index).base_offset)
             for swap in swaps:
                 entry = self.table.entry(swap.entry_index)
                 placed = entry.place(
@@ -563,8 +564,8 @@ class PolicyController:
                 )
                 inits = placed.init_window(rank)
                 for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    ctx.put(int(inits.get(offset, 0)), rank, offset)
-            ctx.flush(rank)
+                    yield (PUT, int(inits.get(offset, 0)), rank, offset)
+            yield (FLUSH, rank)
             for swap in swaps:
                 self.table.entry(swap.entry_index).swap_spec(
                     swap.spec,
@@ -574,5 +575,5 @@ class PolicyController:
                     version=swap.version,
                     home_rank=swap.home_rank,
                 )
-        ctx.barrier()
+        yield (BARRIER,)
         return len(swaps)

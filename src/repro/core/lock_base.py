@@ -21,8 +21,8 @@ lock.acquire_steps()``; blocking programs, ``held()``/``reading()``/
 ``writing()``, ``Cluster.session`` and the tests keep calling
 ``lock.acquire()``.  A handle may instead override only the blocking methods
 (the way third-party locks written before step programs do): it keeps working
-everywhere a thread-backed run is possible, and :meth:`LockHandle.implements_steps`
-tells the harness to arrange one.
+wherever its caller runs on a rank thread, and :meth:`LockHandle.implements_steps`
+tells the harness to arrange one (:func:`program_for_spec`).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def _steps_from_blocking(handle: Any, base: type, name: str) -> Steps:
     """The steps of a blocking-only handle: call its blocking ``name`` method.
 
     Valid wherever the caller runs on a rank thread (under ``ctx.run_steps``);
-    inside an inline run the blocking call raises, which is why the harness
-    checks :meth:`LockHandle.implements_steps` first.
+    inside a step program stepped inline the blocking call raises, which is
+    why the harness checks :meth:`LockHandle.implements_steps` first.
     """
     method = getattr(type(handle), name)
     if method is getattr(base, name):
@@ -108,7 +108,7 @@ class LockHandle(abc.ABC):
     release = blocking_form("release_steps")
 
     def implements_steps(self) -> bool:
-        """False for a blocking-only handle, which needs a thread-backed run."""
+        """False for a blocking-only handle, whose caller needs a rank thread."""
         return _overrides(self, LockHandle, "acquire_steps", "release_steps")
 
     @contextmanager
@@ -250,11 +250,14 @@ def program_for_spec(spec: LockSpec, machine: Any, program: Callable[..., Any]) 
 
     A step program composes handles with ``yield from lock.acquire_steps()``.
     When the handles implement those generators it is returned as it is (and
-    the horizon runtime steps it inline); when they are blocking-only it is
-    returned as :func:`~repro.rma.runtime_base.blocking_program`, so the same
-    loop runs on rank threads where the blocking ``acquire()`` can park.  The
-    handle kind is read off one probe handle; a spec whose ``make`` cannot be
-    probed counts as blocking-only, which is correct for every handle.
+    the horizon runtime steps it inline, with no rank thread); when they are
+    blocking-only it is returned as
+    :func:`~repro.rma.runtime_base.blocking_program`, so the same loop runs on
+    one thread per rank where the blocking ``acquire()`` can wait — on
+    horizon each of its calls is handed to the same scheduling loop, one
+    thread handoff per call.  The handle kind is read off one probe handle; a
+    spec whose ``make`` cannot be probed counts as blocking-only, which is
+    correct for every handle.
     """
     if not is_step_program(program):
         return program

@@ -15,7 +15,10 @@ Inserts use CAS to claim an empty bucket; on a collision the losing process
 claims an overflow slot by atomically incrementing the next-free pointer and
 then links the new element at the end of the bucket chain with a second CAS,
 exactly as described in the paper.  Flushes are issued to keep the remote
-memory consistent.  Lookups traverse the chain with Gets.
+memory consistent.  Lookups traverse the chain with Gets.  Both are written
+once, as step generators (``insert_steps`` / ``lookup_steps``, see "Step
+programs" in :mod:`repro.rma.runtime_base`); ``insert`` / ``lookup`` are
+their blocking forms, derived as :mod:`repro.core.lock_base` derives a lock's.
 
 Synchronization policy is orthogonal: the DHT can run in ``foMPI-A`` mode
 (no lock; every access relies on the CAS/FAO protocol alone), or each
@@ -29,8 +32,9 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 from repro.core.layout import LayoutAllocator
+from repro.core.lock_base import blocking_form
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import CAS, FAO, FLUSH, GET, PUT, ProcessContext, Steps
 
 __all__ = ["DHTSpec", "DHTHandle", "DHTFullError"]
 
@@ -145,35 +149,34 @@ class DHTHandle:
     # Insert
     # ------------------------------------------------------------------ #
 
-    def insert(self, key: int, value: int, target_rank: Optional[int] = None) -> bool:
+    def insert_steps(self, key: int, value: int, target_rank: Optional[int] = None) -> Steps:
         """Insert ``key -> value``; returns False when the key already exists.
 
         ``target_rank`` overrides the home rank (the Figure 6 benchmark directs
         every operation at one selected victim volume).
         """
         spec = self.spec
-        ctx = self.ctx
         rank = spec.home_rank(key) if target_rank is None else target_rank
         bucket_off = spec.bucket_offset(spec.bucket_of(key))
 
         # Claim a heap slot for the new element up-front (the common case needs
         # it; an unused slot on a duplicate key is wasted but harmless, which is
         # how fixed-array RMA hashtables typically behave).
-        slot = ctx.fao(1, rank, spec.next_free_offset, AtomicOp.SUM)
-        ctx.flush(rank)
+        slot = yield (FAO, 1, rank, spec.next_free_offset, AtomicOp.SUM)
+        yield (FLUSH, rank)
         if slot >= spec.heap_size:
             raise DHTFullError(
                 f"local volume of rank {rank} is full ({spec.heap_size} overflow slots)"
             )
         key_off, value_off, next_off = spec.element_offsets(slot)
-        ctx.put(key, rank, key_off)
-        ctx.put(value, rank, value_off)
-        ctx.put(_EMPTY, rank, next_off)
-        ctx.flush(rank)
+        yield (PUT, key, rank, key_off)
+        yield (PUT, value, rank, value_off)
+        yield (PUT, _EMPTY, rank, next_off)
+        yield (FLUSH, rank)
 
         # Try to become the head of the bucket.
-        prev_head = ctx.cas(slot, _EMPTY, rank, bucket_off)
-        ctx.flush(rank)
+        prev_head = yield (CAS, slot, _EMPTY, rank, bucket_off)
+        yield (FLUSH, rank)
         if prev_head == _EMPTY:
             return True
 
@@ -181,12 +184,12 @@ class DHTHandle:
         current = prev_head
         while True:
             cur_key_off, _cur_val_off, cur_next_off = spec.element_offsets(current)
-            existing_key = ctx.get(rank, cur_key_off)
-            ctx.flush(rank)
+            existing_key = yield (GET, rank, cur_key_off)
+            yield (FLUSH, rank)
             if existing_key == key:
                 return False
-            prev_next = ctx.cas(slot, _EMPTY, rank, cur_next_off)
-            ctx.flush(rank)
+            prev_next = yield (CAS, slot, _EMPTY, rank, cur_next_off)
+            yield (FLUSH, rank)
             if prev_next == _EMPTY:
                 return True
             current = prev_next
@@ -195,25 +198,27 @@ class DHTHandle:
     # Lookup
     # ------------------------------------------------------------------ #
 
-    def lookup(self, key: int, target_rank: Optional[int] = None) -> Optional[int]:
+    def lookup_steps(self, key: int, target_rank: Optional[int] = None) -> Steps:
         """Return the value stored under ``key`` or ``None`` when absent."""
         spec = self.spec
-        ctx = self.ctx
         rank = spec.home_rank(key) if target_rank is None else target_rank
         bucket_off = spec.bucket_offset(spec.bucket_of(key))
 
-        current = ctx.get(rank, bucket_off)
-        ctx.flush(rank)
+        current = yield (GET, rank, bucket_off)
+        yield (FLUSH, rank)
         while current != _EMPTY:
             key_off, value_off, next_off = spec.element_offsets(current)
-            stored_key = ctx.get(rank, key_off)
-            stored_value = ctx.get(rank, value_off)
-            nxt = ctx.get(rank, next_off)
-            ctx.flush(rank)
+            stored_key = yield (GET, rank, key_off)
+            stored_value = yield (GET, rank, value_off)
+            nxt = yield (GET, rank, next_off)
+            yield (FLUSH, rank)
             if stored_key == key:
                 return stored_value
             current = nxt
         return None
+
+    insert = blocking_form("insert_steps")
+    lookup = blocking_form("lookup_steps")
 
     def contains(self, key: int, target_rank: Optional[int] = None) -> bool:
         """True when ``key`` is present."""

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Literal, Optional, Sequence
 
 from repro.api.registry import get_scheme
-from repro.core.lock_base import RWLockSpec
+from repro.core.lock_base import RWLockSpec, program_for_spec
 from repro.dht.distributions import DISTRIBUTIONS, KeyDistribution
 from repro.dht.hashtable import DHTSpec
 from repro.dht.striped_lock import StripedRWLockSpec
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import BARRIER, ProcessContext
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 
@@ -159,7 +159,7 @@ def build_dht_setup(config: DHTWorkloadConfig):
 
 
 def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
-    """Build the rank program executed by every process."""
+    """Build the rank program executed by every process (a step program)."""
     distribution = config.key_distribution()
     by_key = config.access_pattern == "by-key"
     striped = isinstance(lock_spec, StripedRWLockSpec)
@@ -168,7 +168,7 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
         dht = dht_spec.make(ctx)
         lock = lock_spec.make(ctx) if lock_spec is not None else None
         rng = ctx.rng
-        ctx.barrier()
+        yield (BARRIER,)
         start = ctx.now()
         inserts = 0
         lookups = 0
@@ -181,30 +181,33 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
                 is_insert = bool(rng.random() < config.fw)
                 if is_insert:
                     if striped:
-                        lock.acquire_write(volume)
+                        yield from lock.acquire_write_steps(volume)
                     elif lock is not None:
-                        lock.acquire_write()
-                    dht.insert(key, key + 1, target_rank=target)
+                        yield from lock.acquire_write_steps()
+                    yield from dht.insert_steps(key, key + 1, target_rank=target)
                     if striped:
-                        lock.release_write(volume)
+                        yield from lock.release_write_steps(volume)
                     elif lock is not None:
-                        lock.release_write()
+                        yield from lock.release_write_steps()
                     inserts += 1
                 else:
                     if striped:
-                        lock.acquire_read(volume)
+                        yield from lock.acquire_read_steps(volume)
                     elif lock is not None:
-                        lock.acquire_read()
-                    dht.lookup(key, target_rank=target)
+                        yield from lock.acquire_read_steps()
+                    yield from dht.lookup_steps(key, target_rank=target)
                     if striped:
-                        lock.release_read(volume)
+                        yield from lock.release_read_steps(volume)
                     elif lock is not None:
-                        lock.release_read()
+                        yield from lock.release_read_steps()
                     lookups += 1
-        ctx.barrier()
+        yield (BARRIER,)
         return {"start": start, "end": ctx.now(), "inserts": inserts, "lookups": lookups}
 
-    return program
+    if lock_spec is None or striped:
+        return program
+    # A registered reader-writer lock may be blocking-only (a third-party handle).
+    return program_for_spec(lock_spec, config.machine, program)
 
 
 def run_dht_benchmark(config: DHTWorkloadConfig, *, runtime: Optional[SimRuntime] = None) -> DHTBenchOutcome:

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.registry import register_benchmark
 from repro.core.lock_base import RWLockHandle
-from repro.rma.runtime_base import ProcessContext
+from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
 
 __all__ = ["crash_traffic_summary"]
 
@@ -46,6 +46,7 @@ _CS_US = 1.5
 
 
 def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
+    """The open-loop client as a step program (see :mod:`repro.rma.runtime_base`)."""
     requests = int(config.iterations)
 
     def program(ctx: ProcessContext):
@@ -57,8 +58,7 @@ def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
             lock = observe_lock(lock, ctx, observer)
         rng_uniform = ctx.rng.uniform
         now = ctx.now
-        compute = ctx.compute
-        ctx.barrier()
+        yield (BARRIER,)
         t_open = now()
         latencies: List[float] = []
         completed = 0
@@ -68,21 +68,21 @@ def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
             arrival = t_open + i * _GAP_US + float(rng_uniform(0.0, _JITTER_US))
             t_now = now()
             if arrival > t_now:
-                compute(arrival - t_now)
+                yield (COMPUTE, arrival - t_now)
             if is_rw:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_write()
+                yield from rw_lock.acquire_write_steps()
             else:
-                lock.acquire()
-            compute(_CS_US)
+                yield from lock.acquire_steps()
+            yield (COMPUTE, _CS_US)
             if is_rw:
-                rw_lock.release_write()
+                yield from rw_lock.release_write_steps()
             else:
-                lock.release()
+                yield from lock.release_steps()
             latencies.append(now() - arrival)
             completed += 1
         end = now()
-        ctx.barrier()
+        yield (BARRIER,)
         return {
             "start": t_open,
             "end": end,

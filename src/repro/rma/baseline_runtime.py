@@ -213,8 +213,8 @@ class BaselineSimProcessContext(ProcessContext):
 class _FaultedBaselineContext(BaselineSimProcessContext):
     """Context variant used only when a fault plan is installed.
 
-    Mirrors ``_FaultedSimContext`` in the horizon scheduler: every public
-    context call checks the rank's virtual clock against its scheduled kill
+    Mirrors ``SimRuntime._faulted_steps`` in the horizon scheduler: every
+    public context call checks the rank's virtual clock against its scheduled kill
     time (and the plan's optional horizon ceiling) before executing, and
     ``spin_on_cells`` checks exactly once per poll round so the crash lands
     on the same virtual moment under both schedulers.

@@ -35,9 +35,9 @@ any conforming scheduler must reproduce bit-identically:
 
 The seed scheduler realised this order by handing a baton between rank
 threads at every scheduling point.  The horizon scheduler in
-:mod:`repro.rma.sim_runtime` realises the *same* order with a min-heap, a
-lock-free fast path for self-continuations, and threadless spin-wait tasks —
-see the "Simulator internals" section of the README.  The golden tests in
+:mod:`repro.rma.sim_runtime` realises the *same* order with one loop over
+generators: a min-heap, a fast path for self-continuations, and polls as
+sub-programs — see the "Simulator internals" section of the README.  The golden tests in
 ``tests/rma/test_golden_determinism.py`` pin the contract down.
 
 Step programs
@@ -65,14 +65,18 @@ apply unchanged: its issue runs under the rank's previous scheduling
 decision, its effect and return value are delivered when the rank's
 post-issue key is the minimum), and an error the blocking call would raise
 is raised at the ``yield``.  The same program therefore produces the same
-:class:`RunResult` on every runtime.  A runtime that has no native support
-for step programs runs them on its rank threads through
+:class:`RunResult` on every runtime.  The horizon scheduler steps step
+programs, and only step programs, in its one loop on the calling thread with
+no rank threads at all, so a scheduling point costs a generator resume
+instead of a thread hand-off.  It meets a *blocking* program halfway: each
+rank runs on a thread of its own whose context hands every call, as the
+request of the same name, to a generator the loop steps (one hand-off per
+call).  A runtime that has no native support for step programs (``baseline``,
+``thread``) runs them on its rank threads through
 :meth:`ProcessContext.run_steps`, the blocking trampoline
-(:func:`blocking_program` wraps a whole program that way); the horizon
-scheduler steps them inline on the calling thread with no rank threads at
-all, so a scheduling point costs a generator resume instead of a thread
-hand-off.  ``ctx.now()``, ``ctx.rank``, ``ctx.rng`` and the other
-non-blocking members are used directly in both styles.
+(:func:`blocking_program` wraps a whole program that way).  ``ctx.now()``,
+``ctx.rank``, ``ctx.rng`` and the other non-blocking members are used
+directly in both styles.
 """
 
 from __future__ import annotations
@@ -184,8 +188,9 @@ def blocking_program(program: Callable[..., Any]) -> Callable[..., Any]:
 
     A step program is wrapped so that each rank drives its generator through
     :meth:`ProcessContext.run_steps` on its own thread; a blocking program is
-    returned unchanged.  Every thread-backed runtime applies this to what it
-    is given, so one program runs everywhere.
+    returned unchanged.  The ``baseline`` and ``thread`` runtimes apply this
+    to what they are given, so one program runs everywhere; on ``horizon`` it
+    turns a step program into its bridged blocking twin.
     """
     if not is_step_program(program):
         return program
@@ -325,8 +330,8 @@ class ProcessContext(abc.ABC):
         The blocking trampoline: every request ``steps`` yields is executed
         by the blocking method it names and the method's value is sent back;
         an exception the call raises is raised at the ``yield``.  Returns the
-        generator's return value.  This is how a thread-backed runtime runs a
-        step program, and how the blocking ``acquire()``/``release()`` of a
+        generator's return value.  This is how a runtime with rank threads runs
+        a step program, and how the blocking ``acquire()``/``release()`` of a
         lock handle are derived from its ``*_steps`` generators.
         """
         try:

@@ -30,6 +30,8 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.rma.runtime_base import BARRIER, FLUSH, GET, PUT, Steps
+
 __all__ = [
     "ELASTIC_PLAN",
     "ELASTIC_SCENARIO",
@@ -122,8 +124,8 @@ class ElasticPlan:
 class ElasticController:
     """Executes an :class:`ElasticPlan` against a live table.
 
-    :meth:`cross` is the collective resize event every rank performs at each
-    plan boundary, following :class:`repro.control.policy.PolicyController`'s
+    :meth:`cross_steps` is the collective resize event every rank performs at
+    each plan boundary, following :class:`repro.control.policy.PolicyController`'s
     drain-reinit-install shape.  Only *growth* touches the window: the
     entries activated by the crossing get their slab words rewritten to the
     construction spec's initial values and their slots version-bumped (so
@@ -158,25 +160,25 @@ class ElasticController:
     def num_boundaries(self) -> int:
         return self.plan.num_boundaries
 
-    def cross(self, ctx: Any, boundary: int) -> int:
+    def cross_steps(self, ctx: Any, boundary: int) -> Steps:
         """Perform the collective resize crossing; returns re-init count."""
-        ctx.barrier()
+        yield (BARRIER,)
         grown, targets = self._by_boundary.get(boundary, ((), {}))
         if grown:
             rank = ctx.rank
-            # Kept for the same reason as in PolicyController.cross: a
+            # Kept for the same reason as in PolicyController.cross_steps: a
             # counted operation of the crossing, included in every elastic
             # fingerprint pinned in BENCH_scale.json.
-            ctx.get(rank, self.table.entry(grown[0]).base_offset)
+            yield (GET, rank, self.table.entry(grown[0]).base_offset)
             for index in grown:
                 entry = self.table.entry(index)
                 inits = entry.spec.init_window(rank)
                 for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    ctx.put(int(inits.get(offset, 0)), rank, offset)
-            ctx.flush(rank)
+                    yield (PUT, int(inits.get(offset, 0)), rank, offset)
+            yield (FLUSH, rank)
             for index in grown:
                 self.table.entry(index).reinstall(version=targets[index])
-        ctx.barrier()
+        yield (BARRIER,)
         return len(grown)
 
 

@@ -41,7 +41,7 @@ from repro.control.policy import (
     build_swap_plan,
     policy_min_entry_words,
 )
-from repro.core.lock_base import RWLockHandle
+from repro.core.lock_base import RWLockHandle, program_for_spec
 from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
 from repro.traffic.generators import Phase, TrafficScenario, generate_schedule
 from repro.traffic.table import as_lock_table, build_lock_table
@@ -120,10 +120,15 @@ def _make_traffic_program(
     if elastic is not None and elastic.num_boundaries == 0:
         elastic = None
     if controller is not None or elastic is not None:
-        return _make_adaptive_program(
+        program = _make_adaptive_program(
             scenario, table, controller, requests, seed, fw_default,
             elastic=elastic,
         )
+        # The harness matches the program to entry 0's handles; a swap may
+        # install a scheme whose handles are blocking-only.
+        for swap in controller.plan.swaps if controller is not None else ():
+            program = program_for_spec(swap.spec, config.machine, program)
+        return program
 
     return make_open_loop_program(
         scenario,
@@ -272,7 +277,7 @@ def _make_adaptive_program(
     time: (1) every rank crosses each plan boundary exactly once, in order —
     before serving its first request of a later phase, with any leftover
     boundaries crossed after its last request, so the collective barriers
-    inside :meth:`PolicyController.cross` (and the elastic controller's
+    inside :meth:`PolicyController.cross_steps` (and the elastic controller's
     resize crossings, performed first at a shared boundary) always pair up
     across ranks; (2) each request's read/write role resolves against the
     entry's *current* scheme slot (a swapped-to plain lock treats every
@@ -306,16 +311,15 @@ def _make_adaptive_program(
         phase_ids = schedule.phase
 
         now = ctx.now
-        compute = ctx.compute
         table_lock = handle.lock
         table_entry = table.entry
         num_locks = table.num_locks
         policy_boundaries = 0 if controller is None else controller.num_boundaries
         elastic_boundaries = 0 if elastic is None else elastic.num_boundaries
         num_boundaries = max(policy_boundaries, elastic_boundaries)
-        cross = None if controller is None else controller.cross
-        elastic_cross = None if elastic_controller is None else elastic_controller.cross
-        ctx.barrier()
+        cross = None if controller is None else controller.cross_steps
+        elastic_cross = None if elastic_controller is None else elastic_controller.cross_steps
+        yield (BARRIER,)
         t_open = now()
         e2e: List[float] = []
         acquire_lat: List[float] = []
@@ -332,9 +336,9 @@ def _make_adaptive_program(
         for i in range(requests):
             while next_boundary < num_boundaries and int(phase_ids[i]) > next_boundary:
                 if elastic_cross is not None and next_boundary < elastic_boundaries:
-                    resizes_seen += elastic_cross(ctx, next_boundary)
+                    resizes_seen += yield from elastic_cross(ctx, next_boundary)
                 if cross is not None and next_boundary < policy_boundaries:
-                    swaps_seen += cross(ctx, next_boundary)
+                    swaps_seen += yield from cross(ctx, next_boundary)
                 next_boundary += 1
             arrival = t_open + float(arrivals[i])
             ready = arrival
@@ -343,7 +347,7 @@ def _make_adaptive_program(
                 ready = max(ready, prev_end + think)
             t_now = now()
             if ready > t_now:
-                compute(ready - t_now)
+                yield (COMPUTE, ready - t_now)
             if active_by_phase is None:
                 index = int(lock_ids[i]) % num_locks
             else:
@@ -354,17 +358,17 @@ def _make_adaptive_program(
             t0 = now()
             if entry_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_read()
+                yield from rw_lock.acquire_read_steps()
             else:
-                lock.acquire()
+                yield from lock.acquire_steps()
             t1 = now()
             cs = float(cs_times[i])
             if cs > 0.0:
-                compute(cs)
+                yield (COMPUTE, cs)
             if entry_rw and not as_writer:
-                rw_lock.release_read()
+                yield from rw_lock.release_read_steps()
             else:
-                lock.release()
+                yield from lock.release_steps()
             t2 = now()
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
@@ -381,12 +385,12 @@ def _make_adaptive_program(
         # crossings, or the other ranks' barriers would never pair up.
         while next_boundary < num_boundaries:
             if elastic_cross is not None and next_boundary < elastic_boundaries:
-                resizes_seen += elastic_cross(ctx, next_boundary)
+                resizes_seen += yield from elastic_cross(ctx, next_boundary)
             if cross is not None and next_boundary < policy_boundaries:
-                swaps_seen += cross(ctx, next_boundary)
+                swaps_seen += yield from cross(ctx, next_boundary)
             next_boundary += 1
         end = now()
-        ctx.barrier()
+        yield (BARRIER,)
         out = {
             "start": t_open,
             "end": end,

@@ -37,7 +37,7 @@ deterministic simulator.  The pieces:
     for all others the observed maximum is reported as data.
 
 Deadlock and livelock detection stay with the runtime (the structural
-no-runnable-rank check, the wall-clock watchdog and ``max_ops``); the
+no-runnable-rank check and ``max_ops``); the
 conformance engine (:mod:`repro.bench.conformance`) turns those aborts into
 oracle verdicts alongside the violations collected here.
 

@@ -5,7 +5,7 @@ Two compatibility promises of :mod:`repro.core.lock_base`:
 * A handle that implements **only** the blocking ``acquire``/``release``
   (every third-party lock written before step programs: the
   ``examples/custom_lock.py`` lock, the toy below) still runs through
-  ``run_lock_benchmark`` — thread-backed, through the one harness loop — and
+  ``run_lock_benchmark`` — on rank threads, through the one harness loop — and
   its fingerprint is what it was before step programs existed.
 * Everything that was callable from a blocking rank program still is, on
   every registered runtime: ``acquire()``/``release()`` of the converted

@@ -12,8 +12,9 @@ Three layers of protection:
    to them in both of
    its modes: ``horizon-inline`` (the harness's step program stepped on the
    calling thread, no rank thread started) and ``horizon-threads`` (the same
-   program driven by rank threads through ``ctx.run_steps``, which is what a
-   blocking program, a blocking-only handle or a fault plan gets).
+   program as a blocking program, ``blocking_program(program)``: one rank
+   thread each, every call bridged into the same loop — what a blocking
+   program or a blocking-only handle gets).
 2. **Live cross-check** — the same workloads, plus the ``repro perf``
    shapes up to P=64 (not recorded), run on both schedulers in one process must match
    bit-for-bit (guards against the recorded file and both schedulers

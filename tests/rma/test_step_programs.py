@@ -1,11 +1,12 @@
-"""Step programs: the inline driver against its thread-backed twin.
+"""Step programs: the inline driver against its bridged twin.
 
 A rank program that is a generator function yields its RMA requests (see
 "Step programs" in :mod:`repro.rma.runtime_base`).  The ``horizon`` runtime
 steps such a program inline, on the calling thread; every other path — the
-same program driven by rank threads through ``ctx.run_steps``, the
-``baseline`` seed scheduler, a run under a fault plan — must produce the
-same :class:`~repro.rma.runtime_base.RunResult` bit for bit, the same oracle
+same program as a blocking program (``blocking_program``), whose rank threads
+hand each call to the same loop through the bridge, the ``baseline`` seed
+scheduler, a run under a fault plan — must produce the same
+:class:`~repro.rma.runtime_base.RunResult` bit for bit, the same oracle
 report field for field, and the same failures.
 
 The first half is the registry-wide differential check (every built-in
@@ -13,14 +14,16 @@ scheme the harness can drive, including ``striped-rw`` through its adapter);
 "the inline driver must stay engaged" is asserted by checking that no
 ``sim-rank-*`` thread is started.  The second half covers what a differential
 run cannot: deadlocks, raising programs and predicates, misuse, ``max_ops``,
-``program_args``, the re-entry guard, fault-plan fallback, and one point
-through each suite entry the ledger measures.
+``program_args``, the re-entry guard, fault plans, the bridge's threads, and
+one point through each suite entry the ledger measures.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+import threading
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -34,6 +37,7 @@ from repro.bench.harness import (
     run_lock_benchmark_detailed,
 )
 from repro.bench.workloads import LockBenchConfig
+from repro.core.lock_base import LockHandle
 from repro.fault import FaultPlan
 from repro.rma.ops import AtomicOp
 from repro.rma.perturbation import PerturbationModel
@@ -83,9 +87,9 @@ SCHEMES = _builtin_schemes()
 def one_cpu():
     """Confine this module's runs to one CPU where the OS allows it.
 
-    Two thirds of the runs below are thread-backed on purpose; exactly one
-    rank thread is runnable at a time, and letting the baton-passing threads
-    migrate between CPUs makes those runs 2-4x slower for nothing.
+    A third of the runs below are bridged on purpose; exactly one thread is
+    runnable at a time, and letting the threads that hand calls back and
+    forth migrate between CPUs makes those runs 2-4x slower for nothing.
     """
     if not hasattr(os, "sched_setaffinity"):
         yield
@@ -139,38 +143,34 @@ class TestRegistryWideDifferential:
                     inline = _run(config, program, spec, "horizon", chaos_seed=chaos_seed)
                 assert not threads, "the inline driver must stay engaged"
                 with rank_threads_started() as threads:
-                    threaded = _run(
+                    bridged = _run(
                         config, blocking_program(program), spec, "horizon",
                         chaos_seed=chaos_seed,
                     )
                 assert len(threads) == procs
                 baseline = _run(config, program, spec, "baseline", chaos_seed=chaos_seed)
-                assert inline == threaded == baseline, (scheme, workload, procs, seed, chaos_seed)
+                assert inline == bridged == baseline, (scheme, workload, procs, seed, chaos_seed)
                 if chaos_seed is not None:
                     assert inline[1]["acquires"] == procs * config.iterations
                     assert not inline[1]["violations"]
 
 
+class _ThreadTracer:
+    """Counts the ops the runtime charges, by the thread that charged them."""
+
+    def __init__(self):
+        self.threads = Counter()
+
+    def record(self, rank, call, target, start_us, duration_us):
+        self.threads[threading.get_ident()] += 1
+
+
 class TestOneSiteForEveryRequest:
-    """Count-based guard: an inline run sends every request — a program's and
-    a poll leg's alike — through ``SimRuntime._drive``.  ``_op_body`` and
-    ``_step_spin`` serve thread-backed runs only; one call during an inline
-    run means a second path is back."""
-
-    @staticmethod
-    def _counted(monkeypatch):
-        calls = {"_op_body": 0, "_step_spin": 0}
-
-        def counting(name, original):
-            def wrapper(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(SimRuntime, name, counting(name, getattr(SimRuntime, name)))
-        return calls
+    """Count-based guard: every request of every run — a step program's, a
+    poll leg's, a bridged blocking program's, a faulted rank's — is charged
+    by ``SimRuntime._drive``, entered once per run, on the thread that called
+    ``run()``.  An op charged on a rank thread, or by a second loop, means a
+    second scheduler is back."""
 
     @staticmethod
     def _point(scheme):
@@ -181,28 +181,48 @@ class TestOneSiteForEveryRequest:
         spec, is_rw = build_lock_spec(config)
         return config, spec, make_lock_program(config, spec, is_rw, spec.window_words)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_inline_runs_have_one_site_and_equal_threads_and_baseline(self, scheme, monkeypatch):
-        calls = self._counted(monkeypatch)
-        config, spec, program = self._point(scheme)
-        for chaos_seed in (None, 11):  # plain; perturbed + observed
-            with rank_threads_started() as threads:
-                inline = _run(config, program, spec, "horizon", chaos_seed=chaos_seed)
-            assert not threads and not any(calls.values()), (calls, threads)
-            threaded = _run(
-                config, blocking_program(program), spec, "horizon", chaos_seed=chaos_seed
-            )
-            baseline = _run(config, program, spec, "baseline", chaos_seed=chaos_seed)
-            assert inline == threaded == baseline, (scheme, chaos_seed)
-            calls.update(_op_body=0, _step_spin=0)
+    @staticmethod
+    def _charged(monkeypatch, config, program, spec, **kwargs):
+        """One horizon run; returns (fingerprint, rank threads started)."""
+        entries = []
+        drive = SimRuntime._drive
 
-    def test_one_site_guard_counts_what_thread_backed_runs_call(self, monkeypatch):
-        """The guard above is not vacuous: the rank-thread twin of a polling
-        lock goes through both counted methods."""
-        calls = self._counted(monkeypatch)
-        config, spec, program = self._point("fompi-spin")
-        _run(config, blocking_program(program), spec, "horizon")
-        assert calls["_op_body"] > 0 and calls["_step_spin"] > 0, calls
+        def counted_drive(self, s):
+            entries.append(threading.get_ident())
+            return drive(self, s)
+
+        monkeypatch.setattr(SimRuntime, "_drive", counted_drive)
+        tracer = _ThreadTracer()
+        runtime = SimRuntime(
+            config.machine, window_words=spec.window_words + 2, seed=config.seed,
+            tracer=tracer, **kwargs,
+        )
+        with rank_threads_started() as threads:
+            result = runtime.run(program, window_init=spec.init_window)
+        monkeypatch.setattr(SimRuntime, "_drive", drive)
+        assert entries == [threading.get_ident()]
+        assert tracer.threads == {threading.get_ident(): result.total_ops()}
+        return run_result_sha(result), len(threads)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_site_charges_inline_and_bridged_runs_alike(self, scheme, monkeypatch):
+        config, spec, program = self._point(scheme)
+        inline, inline_threads = self._charged(monkeypatch, config, program, spec)
+        bridged, bridged_threads = self._charged(monkeypatch, config, blocking_program(program), spec)
+        # Not vacuous: the bridged twin ran on rank threads, yet charged nothing there.
+        assert (inline_threads, bridged_threads) == (0, 8)
+        assert inline == bridged == _run(config, program, spec, "baseline")[0], scheme
+
+    @pytest.mark.parametrize("scheme", ["lease-lock", "repair-mcs"])
+    def test_one_site_charges_a_faulted_run(self, scheme, monkeypatch):
+        config, spec, program = self._point(scheme)
+        plan = FaultPlan.single(2, kill_us=6.0, restart_us=300.0)
+        inline, threads = self._charged(monkeypatch, config, program, spec, fault_plan=plan)
+        assert threads == 0
+        baseline = get_runtime("baseline").factory(
+            config.machine, window_words=spec.window_words + 2, seed=config.seed, fault_plan=plan
+        ).run(program, window_init=spec.init_window)
+        assert inline == run_result_sha(baseline)
 
 
 # --------------------------------------------------------------------------- #
@@ -408,15 +428,16 @@ class TestFailuresMatchTheBlockingTwin:
         # A poll on a cell that does not exist fails as its first Get does: a
         # bad target before the leg is counted, a bad offset when its value is
         # due (and never as an index error of the runtime's own cell tables,
-        # nor by aliasing offset -1 to another word).  Rank 3 polls alone, below
-        # the horizon: a thread-backed leg that crossed it would fail the run.
+        # nor by aliasing offset -1 to another word).  Every rank polls the
+        # bad cells at once, so legs cross the horizon and raise at a later
+        # turn: the error is still raised at the poll, as on baseline.
+        bad_polls = ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 0, 9999, lambda v: True),
+                     (SPIN, [(0, -1)], lambda vs: True), (SPIN, [(1, 0), (0, 8)], lambda vs: True),
+                     (SPIN, [(1, 0), (0, 9999)], lambda vs: True))
+
         def spin_steps(ctx):
             caught = []
-            if ctx.rank != 3:
-                yield (COMPUTE, 100.0)
-                return caught
-            for request in ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 0, 9999, lambda v: True),
-                            (SPIN, [(0, -1)], lambda vs: True), (SPIN, [(1, 0), (0, 8)], lambda vs: True)):
+            for request in bad_polls:
                 try:
                     yield request
                 except (ValueError, IndexError) as exc:
@@ -426,13 +447,11 @@ class TestFailuresMatchTheBlockingTwin:
 
         def spin_blocking(ctx):
             caught = []
-            if ctx.rank != 3:
-                ctx.compute(100.0)
-                return caught
             for call in (lambda: ctx.spin_on_cells([(99, 0)], lambda vs: True),
                          lambda: ctx.spin_while(0, 9999, lambda v: True),
                          lambda: ctx.spin_on_cells([(0, -1)], lambda vs: True),
-                         lambda: ctx.spin_on_cells([(1, 0), (0, 8)], lambda vs: True)):
+                         lambda: ctx.spin_on_cells([(1, 0), (0, 8)], lambda vs: True),
+                         lambda: ctx.spin_on_cells([(1, 0), (0, 9999)], lambda vs: True)):
                 try:
                     call()
                 except (ValueError, IndexError) as exc:
@@ -443,13 +462,14 @@ class TestFailuresMatchTheBlockingTwin:
         with rank_threads_started() as threads:
             inline = make_runtime().run(spin_steps)
         assert not threads
-        assert inline.returns == [[]] * 3 + [[
+        assert inline.returns == [[
             ("ValueError", "target rank 99 out of range 0..3"),
             ("IndexError", "offset 9999 out of range 0..7"),
             ("IndexError", "offset -1 out of range 0..7"),
             ("IndexError", "offset 8 out of range 0..7"),
-        ]]
-        assert inline.op_counts == {"get": 4}  # the bad-target leg is not counted
+            ("IndexError", "offset 9999 out of range 0..7"),
+        ]] * 4
+        assert inline.op_counts == {"get": 24}  # the bad-target leg is not counted
         for twin in (make_runtime().run(spin_blocking), make_runtime().run(blocking_program(spin_steps)),
                      make_baseline().run(spin_steps)):
             assert twin.returns == inline.returns
@@ -547,7 +567,7 @@ class TestMisuseFailsLoudly:
             runtime.run(steps, window_init=spec.init_window)
         assert "yield the request" in str(info.value)
         assert "yield from lock.acquire_steps()" in str(info.value)
-        # The very same program, thread-backed, is fine — and so is a rerun.
+        # The very same program as a blocking program is fine — and so is a rerun.
         ok = runtime.run(blocking_program(steps), window_init=spec.init_window)
         assert sum(ok.op_counts.values()) > 0
         assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
@@ -586,11 +606,11 @@ class TestMisuseFailsLoudly:
 
 
 # --------------------------------------------------------------------------- #
-# Fault plans fall back to threads; the suites stay inline
+# Fault plans run inline; the bridge leaves no thread behind
 # --------------------------------------------------------------------------- #
 
-class TestFaultPlanFallsBackToThreads:
-    def test_kill_and_restart_matches_the_thread_backed_run(self):
+class TestFaultPlansRunInline:
+    def test_kill_and_restart_inline_equals_bridged_equals_baseline(self):
         config = LockBenchConfig(
             machine=cached_machine(4, 4, "xc30"), scheme="lease-lock",
             benchmark="wcsb", iterations=4, fw=0.2, seed=5,
@@ -600,10 +620,11 @@ class TestFaultPlanFallsBackToThreads:
         program = make_lock_program(config, spec, is_rw, spec.window_words)
         assert is_step_program(program)
         shas = {}
-        for name, prog, scheduler in (
-            ("steps", program, "horizon"),
-            ("threads", blocking_program(program), "horizon"),
-            ("baseline", program, "baseline"),
+        for name, prog, scheduler, rank_threads in (
+            ("steps", program, "horizon", 0),
+            # The victim's thread unwinds at the kill; its restart gets a fresh one.
+            ("bridged", blocking_program(program), "horizon", 5),
+            ("baseline", program, "baseline", None),
         ):
             runtime = get_runtime(scheduler).factory(
                 config.machine, window_words=spec.window_words + 2,
@@ -611,8 +632,8 @@ class TestFaultPlanFallsBackToThreads:
             )
             with rank_threads_started() as threads:
                 result = runtime.run(prog, window_init=spec.init_window)
-            if scheduler == "horizon":
-                assert len(threads) == 4, "a fault plan needs one thread per rank"
+            if rank_threads is not None:
+                assert len(threads) == rank_threads, name
             assert not any(isinstance(r, dict) and r.get("__crashed__") for r in result.returns)
             shas[name] = run_result_sha(result)
         assert len(set(shas.values())) == 1, shas
@@ -627,6 +648,207 @@ class TestFaultPlanFallsBackToThreads:
         assert not threads
         _, plain = run_lock_benchmark_detailed(config)
         assert run_result_sha(faulted) == run_result_sha(plain)
+
+
+class _BlockingTAS(LockHandle):
+    """A blocking-only test-and-set lock: a handle written without step programs."""
+
+    def __init__(self, ctx, offset):
+        self.ctx = ctx
+        self.offset = offset
+
+    def acquire(self):
+        while self.ctx.cas(1, 0, 0, self.offset) != 0:
+            self.ctx.flush(0)
+            self.ctx.spin_while(0, self.offset, lambda v: v != 0)
+        self.ctx.flush(0)
+
+    def release(self):
+        self.ctx.put(0, 0, self.offset)
+        self.ctx.flush(0)
+
+
+class _CrashLog:
+    """Observer hooks of a faulted run, plus what the victim was doing."""
+
+    def __init__(self, acquiring):
+        self.acquiring = acquiring
+        self.events = []
+
+    def on_run_start(self, nranks):
+        self.events.clear()
+
+    def on_run_end(self):
+        pass
+
+    def on_rmw(self, rank, call):
+        pass
+
+    def on_crash(self, rank, t_us):
+        self.events.append(("crash", rank, t_us, self.acquiring[rank]))
+
+    def on_restart(self, rank, t_us):
+        self.events.append(("restart", rank, t_us))
+
+
+class TestBridge:
+    """A blocking program runs on one thread per rank, each call handed to
+    ``_drive``; closing a rank's generator unwinds its thread."""
+
+    def test_blocking_only_handle_killed_mid_acquire_and_restarted(self):
+        acquiring = [False] * 4
+
+        def program(ctx):
+            lock = _BlockingTAS(ctx, 0)
+            ctx.barrier()
+            for _ in range(3):
+                acquiring[ctx.rank] = True
+                lock.acquire()  # the kill unwinds the thread from in here
+                acquiring[ctx.rank] = False
+                ctx.compute(4.0)
+                lock.release()
+            return (ctx.incarnation, ctx.now())
+
+        plan = FaultPlan.single(3, kill_us=9.0, restart_us=200.0)
+        runs = {}
+        for scheduler in ("horizon", "baseline"):
+            log = _CrashLog(acquiring)
+            runtime = get_runtime(scheduler).factory(
+                Machine.cluster(nodes=2, procs_per_node=2), window_words=2,
+                fault_plan=plan, observer=log,
+            )
+            with rank_threads_started() as threads:
+                result = runtime.run(program)
+            runs[scheduler] = (run_result_sha(result), list(log.events), result.returns)
+            if scheduler == "horizon":
+                assert len(threads) == 5  # the restart runs on a fresh thread
+        sha, events, returns = runs["horizon"]
+        assert [event[:2] for event in events] == [("crash", 3), ("restart", 3)]
+        assert events[0][3], "rank 3 was killed inside acquire()"
+        assert events[1][2] == 200.0
+        assert returns[3][0] == 1 and all(r[0] == 0 for r in returns[:3])
+        assert runs["baseline"] == runs["horizon"]
+
+    def test_handoffs_survive_preemption_at_every_bytecode(self):
+        """Stress: with the interpreter switching threads as often as it can,
+        a bridged polling lock at P=32 still equals its inline run, so no
+        handoff reads a request, value or error the other side has not
+        finished writing."""
+        import sys
+
+        config = LockBenchConfig(
+            machine=cached_machine(32, 8), scheme="fompi-spin", benchmark="wcsb",
+            iterations=4, fw=0.2, seed=21,
+        )
+        spec, is_rw = build_lock_spec(config)
+        program = make_lock_program(config, spec, is_rw, spec.window_words)
+        inline = _run(config, program, spec, "horizon")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bridged = _run(config, blocking_program(program), spec, "horizon")
+        finally:
+            sys.setswitchinterval(interval)
+        assert bridged == inline
+
+    def test_a_deadlocked_blocking_program_leaves_no_thread(self):
+        def program(ctx):
+            ctx.barrier()
+            if ctx.rank:
+                ctx.spin_while(0, 1, lambda v: v == 0)  # nobody writes it
+
+        before = set(threading.enumerate())
+        with pytest.raises(SimDeadlockError):
+            make_runtime().run(program)
+        assert set(threading.enumerate()) == before
+
+    def test_a_raising_blocking_program_leaves_no_thread(self):
+        def program(ctx):
+            ctx.barrier()
+            if ctx.rank == 2:
+                raise KeyError("boom from rank 2")
+            ctx.spin_while(0, 1, lambda v: v == 0)
+
+        before = set(threading.enumerate())
+        with pytest.raises(KeyError, match="boom from rank 2"):
+            make_runtime().run(program)
+        assert set(threading.enumerate()) == before
+
+
+def _declared_crash_contracts():
+    """Registered schemes that declare a crash contract (possibly an empty one)."""
+    from repro.fault.plan import _RECOVERY
+
+    return [name for name in scheme_names() if name in _RECOVERY]
+
+
+class TestNoRankThreads:
+    """Registry-wide guard: only a blocking program starts rank threads.  Every
+    built-in loop below — faulted runs of the schemes with a crash contract,
+    the paper's DHT, elastic and adaptive traffic, the hand-off ablation — is
+    a step program, runs with no ``sim-rank-*`` thread and equals baseline."""
+
+    @pytest.mark.parametrize("scenario", ["holder-crash", "waiter-crash", "restart"])
+    @pytest.mark.parametrize("scheme", _declared_crash_contracts())
+    def test_no_rank_thread_in_a_faulted_run(self, scheme, scenario):
+        from repro.bench import faults as engine
+
+        point = engine.FaultPoint(scheme=scheme, scenario=scenario, crash_seed=1, procs=4)
+        probe, makespan = engine._probe(point)
+        plans = engine._candidate_plans(point, probe, makespan)
+        assert plans, point.case
+        for plan, _ in plans[:2]:
+            with rank_threads_started() as threads:
+                inline = engine._run_faulted(point, plan, "horizon")
+            assert not threads, point.case
+            assert inline[2]["crashes"] == 1, point.case
+            assert inline == engine._run_faulted(point, plan, "baseline"), point.case
+
+    @pytest.mark.parametrize("scheme", ["fompi-a", "fompi-rw", "rma-rw", "striped-rw"])
+    def test_no_rank_thread_in_the_dht(self, scheme):
+        from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark
+
+        for access_pattern in ("victim", "by-key"):
+            config = DHTWorkloadConfig(
+                machine=cached_machine(8, 4), scheme=scheme, ops_per_process=6, fw=0.3,
+                access_pattern=access_pattern,
+            )
+            with rank_threads_started() as threads:
+                inline = run_dht_benchmark(config)
+            assert not threads
+            baseline = run_dht_benchmark(
+                config, runtime=get_runtime("baseline").factory(config.machine, window_words=4096, seed=config.seed)
+            )
+            assert (inline.total_time_us, inline.op_counts, inline.inserts) == (
+                baseline.total_time_us, baseline.op_counts, baseline.inserts
+            )
+            assert inline.inserts > 0 and inline.lookups > 0
+
+    @pytest.mark.parametrize("scenario", ["scale-elastic", "traffic-adaptive"])
+    def test_no_rank_thread_in_elastic_and_adaptive_traffic(self, scenario):
+        import repro.scale  # noqa: F401 - registers scale-elastic
+
+        config = LockBenchConfig(
+            machine=cached_machine(8, 4), scheme="rma-rw", benchmark=scenario,
+            iterations=24, seed=3,
+        )
+        with rank_threads_started() as threads:
+            bench, inline = run_lock_benchmark_detailed(config)
+        assert not threads
+        _, baseline = run_lock_benchmark_detailed(config, scheduler="baseline")
+        assert run_result_sha(inline) == run_result_sha(baseline)
+        events = "resizes" if scenario == "scale-elastic" else "swaps"
+        assert all(r[events] > 0 for r in inline.returns), events
+
+    def test_no_rank_thread_in_the_handoff_ablation(self):
+        from repro.bench.experiments import ablation_handoff_locality
+
+        with rank_threads_started() as threads:
+            rows = ablation_handoff_locality(
+                t_l2_values=(1, 4), process_counts=(8,), iterations=3, procs_per_node=4
+            )
+        assert not threads
+        assert rows[0]["grants"] == rows[1]["grants"] > 0
 
 
 class TestSuiteEntryPoints:
@@ -743,6 +965,31 @@ class TestLiveKeys:
         deadlock_pops = popped[0]
         assert str(_failure(raises)) == "boom from rank 1"
         assert deadlock_pops > 0 and popped[0] > deadlock_pops
+
+    def test_live_keys_through_kills_restarts_and_the_bridge(self, popped):
+        """A kill, a reaped parked victim's kill and a restart each give the
+        rank a fresh key (or none); a bridged run pops the same keys."""
+        config = LockBenchConfig(
+            machine=cached_machine(8, 4), scheme="lease-lock", benchmark="wcsb",
+            iterations=4, fw=0.2, seed=13,
+        )
+        spec, is_rw = build_lock_spec(config)
+        program = make_lock_program(config, spec, is_rw, spec.window_words)
+        for plan in (FaultPlan.single(2, kill_us=6.0), FaultPlan.single(5, kill_us=6.0, restart_us=300.0)):
+            runtime = SimRuntime(config.machine, window_words=spec.window_words + 2,
+                                 seed=config.seed, fault_plan=plan)
+            runtime.run(program, window_init=spec.init_window)
+        faulted_pops = popped[0]
+        _run(config, blocking_program(program), spec, "horizon")
+        assert faulted_pops > 0 and popped[0] > faulted_pops
+
+        def parks_then_dies(ctx):  # rank 1 is reaped while parked, then restarts
+            if ctx.rank == 1 and ctx.incarnation == 0:
+                yield (SPIN_WHILE, 1, 0, lambda v: v == 0)
+            yield (BARRIER,)
+
+        runtime = make_runtime(fault_plan=FaultPlan.single(1, kill_us=50.0, restart_us=80.0))
+        assert runtime.run(parks_then_dies).finish_times_us == [82.0] * 4
 
     def test_live_keys_guard_sees_a_stale_key(self, popped):
         """The guard is not vacuous: a key left behind for a parked rank is caught."""

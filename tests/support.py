@@ -36,10 +36,11 @@ __all__ = [
 def rank_threads_started() -> Iterator[List[str]]:
     """Names of the simulator rank threads started inside the block.
 
-    The horizon runtime steps a step program inline, on the calling thread;
+    The horizon runtime steps a step program inline, on the calling thread,
+    and gives a blocking program one bridged ``sim-rank-*`` thread per rank;
     "no ``sim-rank-*`` thread was started" is how the tests assert that the
-    inline driver stayed engaged (and a full set, that a run was
-    thread-backed).  Also checks that the block leaves no thread running.
+    inline driver stayed engaged (and a full set, that a run was bridged).
+    Also checks that the block leaves no thread running.
     """
     before = set(threading.enumerate())
     names: List[str] = []

@@ -32,7 +32,7 @@ def test_window_cas_throughput(benchmark):
 
 
 def test_machine_common_level_lookup(benchmark):
-    machine = Machine.multi_rack(racks=4, nodes_per_rack=4, procs_per_node=16)
+    machine = Machine(fanouts=(4, 4), procs_per_leaf=16)
     benchmark(lambda: machine.common_level(3, 250))
 
 

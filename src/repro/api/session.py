@@ -132,15 +132,6 @@ class Session:
             tracer=tracer,
         )
 
-    @property
-    def runtime(self) -> RMARuntime:
-        """The underlying runtime (e.g. to inspect windows after a run)."""
-        return self._runtime
-
-    @property
-    def num_processes(self) -> int:
-        return self.machine.num_processes
-
     def window_init(self, rank: int) -> Dict[int, int]:
         """Merged initial window contents for ``rank`` across all specs."""
         return LockSpec.merge_inits(*(spec.init_window(rank) for spec in self.specs))
@@ -216,9 +207,6 @@ class Cluster:
     def describe(self) -> str:
         """Human-readable one-liner: machine plus runtime backend."""
         return f"{self.machine.describe()} [runtime={self.runtime_name}]"
-
-    def __repr__(self) -> str:
-        return f"Cluster({self.describe()})"
 
     # -- construction ------------------------------------------------------- #
 

@@ -1,7 +1,7 @@
 """Benchmark harness, workloads and figure drivers for the paper's evaluation."""
 
-from repro.bench.ascii_plot import bar_chart, figure_chart, line_chart
-from repro.bench.export import load_rows, rows_to_csv, rows_to_json, save_figure_rows
+from repro.bench.ascii_plot import bar_chart, line_chart
+from repro.bench.export import rows_to_csv, rows_to_json, save_figure_rows
 from repro.bench.harness import (
     LockBenchResult,
     build_lock_spec,
@@ -17,7 +17,6 @@ from repro.bench.trace import (
     TraceSummary,
     distance_breakdown,
     hottest_targets,
-    per_rank_summary,
     render_rank_activity,
     summarize_trace,
     trace_rows_by_distance,
@@ -56,13 +55,10 @@ __all__ = [
     "using_scheduler",
     "distance_breakdown",
     "experiments",
-    "figure_chart",
     "format_figure",
     "format_table",
     "hottest_targets",
     "line_chart",
-    "load_rows",
-    "per_rank_summary",
     "pivot_rows",
     "render_rank_activity",
     "rows_to_csv",

@@ -3,8 +3,8 @@
 The benchmark drivers return flat rows (one per data point); the paper shows
 them as line charts with the process count on a logarithmic x-axis and one
 line per scheme/threshold.  This module renders the same series as ASCII
-charts so that ``examples/reproduce_figures.py`` and the benchmark reports
-can show the *shape* of every figure directly in a terminal or a text file.
+charts so that the CLI and the benchmark reports can show the *shape* of
+every figure directly in a terminal or a text file.
 
 Two primitives are provided:
 
@@ -12,17 +12,14 @@ Two primitives are provided:
   character per series, optional logarithmic y-axis.
 * :func:`bar_chart` — one horizontal bar per labelled value (used for
   breakdowns such as the trace distance analysis).
-
-and one adapter, :func:`figure_chart`, that plots experiment rows
-(``{series, P, value}``) directly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-__all__ = ["bar_chart", "figure_chart", "line_chart"]
+__all__ = ["bar_chart", "line_chart"]
 
 #: Marker characters assigned to series in order.
 _MARKERS = "ox+*#@%&"
@@ -134,36 +131,3 @@ def bar_chart(
         suffix = f" {_format_number(value)}{unit}"
         lines.append(f"{str(label).ljust(label_width)} |{'#' * length}{suffix}")
     return "\n".join(lines)
-
-
-def figure_chart(
-    rows: Sequence[Mapping[str, object]],
-    *,
-    series: str = "scheme",
-    value: str = "throughput_mln_s",
-    x: str = "P",
-    title: str = "",
-    log_y: bool = False,
-    width: int = 60,
-    height: int = 16,
-) -> str:
-    """Plot experiment rows (as returned by :mod:`repro.bench.experiments`).
-
-    Rows are grouped by the ``series`` column; each group contributes one line
-    of ``(row[x], row[value])`` points sorted by ``x``.
-    """
-    grouped: Dict[str, List[Tuple[float, float]]] = {}
-    for row in rows:
-        name = str(row[series])
-        grouped.setdefault(name, []).append((float(row[x]), float(row[value])))
-    for points in grouped.values():
-        points.sort()
-    return line_chart(
-        grouped,
-        width=width,
-        height=height,
-        title=title,
-        x_label=x,
-        y_label=value,
-        log_y=log_y,
-    )

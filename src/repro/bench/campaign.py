@@ -723,11 +723,6 @@ class ResultCache:
                 removed += 1
         return removed
 
-    def stats(self) -> Dict[str, int]:
-        """Number of rows stored for the current epoch."""
-        rows = len(list(self.dir.glob("*.json"))) if self.dir.exists() else 0
-        return {"rows": rows}
-
 
 # --------------------------------------------------------------------------- #
 # Campaign execution

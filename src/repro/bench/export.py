@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Union
 
-__all__ = ["rows_to_csv", "rows_to_json", "load_rows", "save_figure_rows", "flatten_traffic_rows"]
+__all__ = ["rows_to_csv", "rows_to_json", "save_figure_rows"]
 
 PathLike = Union[str, Path]
 
@@ -49,37 +49,6 @@ def rows_to_json(rows: Sequence[Mapping[str, object]], path: PathLike, *, metada
         payload["metadata"] = dict(metadata)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
-
-
-def load_rows(path: PathLike) -> List[Dict[str, object]]:
-    """Load rows previously written by :func:`rows_to_csv` or :func:`rows_to_json`."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        return [dict(r) for r in payload["rows"]]
-    with path.open(newline="") as handle:
-        return [dict(row) for row in csv.DictReader(handle)]
-
-
-def flatten_traffic_rows(rows: Sequence[Mapping[str, object]]) -> List[Dict[str, object]]:
-    """Flatten nested traffic fields (``percentiles`` dict, ``phases`` list)
-    into scalar columns so the rows export cleanly to CSV.
-
-    The percentile block becomes one column per entry; the per-phase rows
-    collapse to a ``num_phases`` count (phase detail stays in the JSON form).
-    """
-    out: List[Dict[str, object]] = []
-    for row in rows:
-        flat = {k: v for k, v in row.items() if k not in ("percentiles", "phases")}
-        percentiles = row.get("percentiles")
-        if isinstance(percentiles, Mapping):
-            for key in sorted(percentiles):
-                flat[key] = percentiles[key]
-        phases = row.get("phases")
-        if isinstance(phases, (list, tuple)):
-            flat["num_phases"] = len(phases)
-        out.append(flat)
-    return out
 
 
 def save_figure_rows(rows: Sequence[Mapping[str, object]], directory: PathLike, figure: str) -> Dict[str, Path]:

@@ -35,7 +35,6 @@ __all__ = [
     "TraceSummary",
     "distance_breakdown",
     "hottest_targets",
-    "per_rank_summary",
     "render_rank_activity",
     "summarize_trace",
     "trace_rows_by_distance",
@@ -91,13 +90,6 @@ class TraceRecorder:
             )
         )
 
-    def clear(self) -> None:
-        self.events = []
-        self.dropped_events = 0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 @dataclass
 class TraceSummary:
@@ -146,24 +138,6 @@ def summarize_trace(events: Sequence[TraceEvent]) -> TraceSummary:
         ops_by_call=dict(ops),
         time_by_call_us=dict(time_by_call),
     )
-
-
-def per_rank_summary(events: Sequence[TraceEvent]) -> Dict[int, Dict[str, float]]:
-    """Per-rank operation count, communication time and busy fraction."""
-    per_rank: Dict[int, Dict[str, float]] = {}
-    makespan = max((ev.end_us for ev in events), default=0.0)
-    counts: Counter = Counter()
-    comm: Dict[int, float] = defaultdict(float)
-    for ev in events:
-        counts[ev.rank] += 1
-        comm[ev.rank] += ev.duration_us
-    for rank in sorted(counts):
-        per_rank[rank] = {
-            "ops": float(counts[rank]),
-            "comm_time_us": comm[rank],
-            "busy_fraction": comm[rank] / makespan if makespan > 0 else 0.0,
-        }
-    return per_rank
 
 
 def _distance_class(machine: Machine, origin: int, target: int) -> str:

@@ -45,12 +45,9 @@ import argparse
 import difflib
 import json
 import sys
-import warnings
-from dataclasses import fields as _dataclass_fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.api.registry import (
-    ParamSpec,
     benchmark_names,
     get_scheme,
     runtime_names,
@@ -86,68 +83,16 @@ _FIGURES = {
 }
 
 
-def _config_threshold_params() -> Dict[str, Tuple[ParamSpec, List[str]]]:
-    """Scheme parameters that map onto ``LockBenchConfig`` fields.
-
-    Returns ``{param_name: (spec, [schemes using it])}`` in registry order;
-    the CLI's per-scheme threshold flags are generated from this, so a newly
-    registered scheme whose parameters reuse config fields (``t_dc``, ``t_l``,
-    ``t_r``, ``t_w``, ...) gets its flags for free.
-    """
-    config_fields = {f.name for f in _dataclass_fields(LockBenchConfig)}
-    out: Dict[str, Tuple[ParamSpec, List[str]]] = {}
-    for scheme in scheme_names(harness=True):
-        for param in get_scheme(scheme).params:
-            if param.name not in config_fields:
-                continue
-            if param.name not in out:
-                out[param.name] = (param, [])
-            out[param.name][1].append(scheme)
-    return out
-
-
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    """Add one generated ``--<param>`` flag per registry threshold parameter.
-
-    Deprecated aliases: ``--param NAME=VALUE`` (below) covers every scheme
-    parameter the registry declares — including ones without a
-    ``LockBenchConfig`` field — so these per-field flags remain only for
-    backward compatibility.
-    """
-    for name, (param, users) in _config_threshold_params().items():
-        flag = "--" + name.replace("_", "-")
-        help_text = (
-            f"{param.help} [schemes: {', '.join(users)}; "
-            f"deprecated alias of --param {name}=VALUE]"
-        )
-        # default=None is the "flag not given" sentinel: it lets
-        # _threshold_kwargs distinguish explicit alias use (deprecation
-        # warning, conflict detection against --param) from the registry
-        # default, which LockBenchConfig applies on its own.
-        if param.sequence:
-            parser.add_argument(flag, type=param.type, nargs="+", default=None, help=help_text)
-        else:
-            parser.add_argument(flag, type=param.type, default=None, help=help_text)
-    parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        dest="scheme_params",
-        help="set any registered scheme parameter by name (repeatable); "
-        "see 'repro info' / repro.api.get_scheme(...).params for the "
-        "per-scheme catalogue — third-party @register_scheme locks "
-        "included",
-    )
-
-
-def _parse_param_assignments(pairs: Sequence[str]) -> Tuple[Tuple[str, object], ...]:
-    """Parse repeated ``NAME=VALUE`` flags into overlay pairs.
+def _parse_param_assignments(pairs: Sequence[str], scheme: str) -> Tuple[Tuple[str, object], ...]:
+    """Parse repeated ``NAME=VALUE`` flags into ``scheme``'s parameter overlay.
 
     Values parse as JSON when possible (numbers, lists for sequence
-    parameters) and fall back to the raw string; type coercion and unknown
-    name errors are the registry's job (``LockBenchConfig.__post_init__``).
+    parameters) and fall back to the raw string; each is then coerced by the
+    scheme's :class:`~repro.api.registry.ParamSpec`, so ``--param t_l=[2,4]``
+    and ``LockBenchConfig(t_l=(2, 4))`` give one bit-identical overlay.  An
+    unknown name raises :class:`~repro.api.registry.UnknownNameError`.
     """
+    info = get_scheme(scheme)
     out: List[Tuple[str, object]] = []
     for pair in pairs:
         name, sep, raw = pair.partition("=")
@@ -157,58 +102,9 @@ def _parse_param_assignments(pairs: Sequence[str]) -> Tuple[Tuple[str, object], 
             value: object = json.loads(raw)
         except ValueError:
             value = raw
-        out.append((name.replace("-", "_"), value))
+        name = name.replace("-", "_")
+        out.append((name, info.param(name).coerce(value)))
     return tuple(out)
-
-
-def _threshold_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    """Collect the generated threshold flags back into config kwargs.
-
-    The per-field ``--t-*`` flags are deprecated aliases of ``--param``:
-    explicit use warns, and a value that disagrees with a ``--param``
-    assignment for the same name is a hard conflict (exit 2) rather than a
-    silent last-one-wins.  When both agree the overlay carries the value, so
-    the two spellings stay bit-identical all the way to the run fingerprint.
-    """
-    kwargs: Dict[str, object] = {}
-    overlay = _parse_param_assignments(getattr(args, "scheme_params", ()) or ())
-    threshold_params = _config_threshold_params()
-    # Coerce overlay values for known config thresholds at the CLI boundary,
-    # so --param t_l=[2,4] and --t-l 2 4 agree bit-for-bit (tuple vs JSON
-    # list) before any cache key or conflict comparison sees them.
-    overlay = tuple(
-        (name, threshold_params[name][0].coerce(value))
-        if name in threshold_params
-        else (name, value)
-        for name, value in overlay
-    )
-    overlay_map = dict(overlay)
-    for name, (param, _) in threshold_params.items():
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        value = param.coerce(tuple(value) if param.sequence else value)
-        flag = "--" + name.replace("_", "-")
-        warnings.warn(
-            f"{flag} is a deprecated alias; use --param {name}=VALUE",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name in overlay_map:
-            other = param.coerce(overlay_map[name])
-            if other != value:
-                print(
-                    f"error: conflicting values for parameter {name!r}: "
-                    f"{flag} {value!r} vs --param {name}={other!r} "
-                    f"(drop the deprecated alias, or make the values agree)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(2)
-            continue  # identical value: the --param overlay carries it
-        kwargs[name] = value
-    if overlay:
-        kwargs["params"] = overlay
-    return kwargs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--procs-per-node", type=int, default=8)
     bench.add_argument("--iterations", type=int, default=20)
     bench.add_argument("--fw", type=float, default=0.02, help="fraction of writers")
-    _add_threshold_flags(bench)
+    bench.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        dest="scheme_params",
+        help="set any registered scheme parameter by name (repeatable); "
+        "see 'repro info' / repro.api.get_scheme(...).params for the "
+        "per-scheme catalogue — third-party @register_scheme locks "
+        "included",
+    )
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--scheduler", choices=schedulers, default="horizon",
                        help="simulator core (bit-identical results; only wall-clock differs)")
@@ -566,7 +472,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             fw=args.fw,
             seed=args.seed,
-            **_threshold_kwargs(args),
+            params=_parse_param_assignments(args.scheme_params, args.scheme),
         )
     except ValueError as exc:
         # Covers UnknownNameError from a bad --param name, with its

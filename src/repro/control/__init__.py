@@ -30,7 +30,6 @@ from repro.control.policy import (
     SwapPlan,
     build_swap_plan,
     policy_min_entry_words,
-    policy_schemes,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "SwapPlan",
     "build_swap_plan",
     "policy_min_entry_words",
-    "policy_schemes",
 ]

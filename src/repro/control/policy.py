@@ -62,7 +62,6 @@ __all__ = [
     "build_swap_plan",
     "collect_entry_phase_stats",
     "policy_min_entry_words",
-    "policy_schemes",
 ]
 
 
@@ -253,15 +252,6 @@ class SwapPlan:
 
     def swaps_at(self, boundary: int) -> Tuple[EntrySwap, ...]:
         return self.by_boundary.get(boundary, ())
-
-
-def policy_schemes(policy: PolicyTable) -> Tuple[str, ...]:
-    """The distinct target schemes of ``policy``, in rule order."""
-    out: List[str] = []
-    for rule in policy.rules:
-        if rule.scheme not in out:
-            out.append(rule.scheme)
-    return tuple(out)
 
 
 def policy_min_entry_words(machine: Any, policy: PolicyTable) -> int:

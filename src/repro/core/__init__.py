@@ -1,12 +1,5 @@
 """Lock implementations: the paper's contribution (RMA-RW, RMA-MCS) and its baselines."""
 
-from repro.core.adaptive import (
-    AdaptiveParameters,
-    ThresholdTuner,
-    TuningStep,
-    WorkloadSample,
-    tune_rma_rw,
-)
 from repro.core.baselines import (
     FompiRWLockHandle,
     FompiRWLockSpec,
@@ -26,7 +19,6 @@ from repro.core.dmcs import DMCSLockHandle, DMCSLockSpec
 from repro.core.instrumentation import (
     GrantLedgerSpec,
     InstrumentedLock,
-    InstrumentedRWLock,
     LocalityReport,
     locality_report,
 )
@@ -38,18 +30,12 @@ from repro.core.tree import TreeLayout, normalize_locality_thresholds
 
 __all__ = [
     "ACQUIRE_START",
-    "AdaptiveParameters",
     "DMCSLockHandle",
     "DMCSLockSpec",
     "GrantLedgerSpec",
     "InstrumentedLock",
-    "InstrumentedRWLock",
     "LocalityReport",
-    "ThresholdTuner",
-    "TuningStep",
-    "WorkloadSample",
     "locality_report",
-    "tune_rma_rw",
     "DistributedCounterHandle",
     "DistributedCounterSpec",
     "FompiRWLockHandle",

@@ -21,7 +21,6 @@ __all__ = [
     "STATUS_MODE_CHANGE",
     "ACQUIRE_START",
     "WRITE_FLAG",
-    "is_count_status",
 ]
 
 #: The null pointer (no predecessor / empty queue tail).  Ranks are 0-based,
@@ -48,8 +47,3 @@ ACQUIRE_START = 0
 #: reader count and ``T_R`` works, and a smaller constant keeps arithmetic
 #: comfortably inside 64 bits even after repeated accumulates).
 WRITE_FLAG = 1 << 40
-
-
-def is_count_status(status: int) -> bool:
-    """True when ``status`` is a passing count (i.e. permission to enter the CS)."""
-    return status >= 0

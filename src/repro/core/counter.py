@@ -19,7 +19,7 @@ writer latency, which is the first axis of the paper's parameter space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, List, Mapping, Optional
 
 from repro.core.constants import WRITE_FLAG
 from repro.core.layout import LayoutAllocator
@@ -112,12 +112,6 @@ class DistributedCounterHandle:
         """Record that this reader left the critical section (Listing 10)."""
         yield self._depart
         yield self._flush_mine
-
-    def read_my_arrivals_steps(self) -> Steps:
-        """Current arrival count of this rank's physical counter."""
-        value = yield (GET, self.my_counter, self.spec.arrive_offset)
-        yield (FLUSH, self.my_counter)
-        return value
 
     def spin_until_read_mode_steps(
         self, t_r: int, writer_waiting: Optional[Callable[[], Steps]] = None
@@ -270,36 +264,8 @@ class DistributedCounterHandle:
     reader_arrive = blocking_form("reader_arrive_steps")
     reader_backoff = blocking_form("reader_backoff_steps")
     reader_depart = blocking_form("reader_depart_steps")
-    read_my_arrivals = blocking_form("read_my_arrivals_steps")
     set_counters_to_write = blocking_form("set_counters_to_write_steps")
     wait_readers_drained = blocking_form("wait_readers_drained_steps")
     reset_counter = blocking_form("reset_counter_steps")
     reset_my_counter = blocking_form("reset_my_counter_steps")
     reset_counters = blocking_form("reset_counters_steps")
-
-    def spin_until_read_mode(self, t_r: int, writer_waiting: Optional[Callable[[], bool]] = None) -> None:
-        """Blocking form of :meth:`spin_until_read_mode_steps`.
-
-        ``writer_waiting`` is a blocking callable here, as it always was.
-        """
-
-        def probe() -> Steps:
-            return writer_waiting()
-            yield  # pragma: no cover - makes this function a generator
-
-        self.ctx.run_steps(
-            self.spin_until_read_mode_steps(t_r, probe if writer_waiting is not None else None)
-        )
-
-    # -- inspection --------------------------------------------------------- #
-
-    def snapshot(self) -> Dict[int, Dict[str, int]]:
-        """Raw arrive/depart values of every physical counter (for tests/debugging)."""
-        ctx = self.ctx
-        out: Dict[int, Dict[str, int]] = {}
-        for rank in self.spec.counter_ranks:
-            arrive = ctx.get(rank, self.spec.arrive_offset)
-            depart = ctx.get(rank, self.spec.depart_offset)
-            ctx.flush(rank)
-            out[rank] = {"arrive": arrive, "depart": depart}
-        return out

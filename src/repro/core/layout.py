@@ -5,13 +5,13 @@ them in MPI allocated windows to reduce the memory footprint, Section 5
 "Implementation Details").  Different specs — a lock, the distributed counter,
 a hashtable, benchmark scratch words — therefore need non-overlapping offset
 ranges inside that window.  :class:`LayoutAllocator` hands out named,
-contiguous regions and remembers them for debugging/reporting.
+contiguous regions and rejects a name allocated twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 __all__ = ["LayoutAllocator", "Region"]
 
@@ -23,17 +23,6 @@ class Region:
     name: str
     start: int
     length: int
-
-    @property
-    def end(self) -> int:
-        """One past the last word of the region."""
-        return self.start + self.length
-
-    def offset(self, index: int = 0) -> int:
-        """Absolute window offset of the ``index``-th word of the region."""
-        if not 0 <= index < self.length:
-            raise IndexError(f"index {index} out of range for region {self.name!r} of length {self.length}")
-        return self.start + index
 
 
 @dataclass
@@ -64,24 +53,7 @@ class LayoutAllocator:
         """Shortcut: allocate a single word and return its absolute offset."""
         return self.allocate(name, 1).start
 
-    def region(self, name: str) -> Region:
-        """Look up a previously allocated region."""
-        return self._regions[name]
-
     @property
     def total_words(self) -> int:
         """Number of window words consumed so far (including the base offset)."""
         return self._cursor
-
-    @property
-    def words_used(self) -> int:
-        """Words allocated by this allocator (excluding the base offset)."""
-        return self._cursor - self.base
-
-    def regions(self) -> List[Region]:
-        """All allocated regions in allocation order."""
-        return sorted(self._regions.values(), key=lambda r: r.start)
-
-    def describe(self) -> List[Tuple[str, int, int]]:
-        """``(name, start, length)`` triples for debugging."""
-        return [(r.name, r.start, r.length) for r in self.regions()]

@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, register_scheme
 from repro.core.constants import NULL_RANK, STATUS_ACQUIRE_PARENT, STATUS_MODE_CHANGE, STATUS_WAIT
-from repro.core.counter import DistributedCounterHandle, DistributedCounterSpec
+from repro.core.counter import DistributedCounterSpec
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import RWLockHandle, RWLockSpec
 from repro.core.tree import TreeLayout, normalize_locality_thresholds
@@ -140,7 +140,7 @@ class RMARWLockHandle(RWLockHandle):
         self.spec = spec
         self.ctx = ctx
         self._n = spec.machine.n_levels
-        self._dc = DistributedCounterHandle(spec.counter, ctx)
+        self._dc = spec.counter.make(ctx)
         self._queue_nodes = spec.layout.queue_nodes(ctx.rank)
 
     # ------------------------------------------------------------------ #
@@ -318,15 +318,6 @@ class RMARWLockHandle(RWLockHandle):
     def release_read_steps(self) -> Steps:
         """Listing 10: leave the critical section as a reader."""
         return self._dc.reader_depart_steps()
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers (used by tests and the benchmark harness)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def counter_handle(self) -> DistributedCounterHandle:
-        """The distributed-counter handle (exposed for tests and diagnostics)."""
-        return self._dc
 
 
 # --------------------------------------------------------------------------- #

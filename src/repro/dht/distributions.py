@@ -111,10 +111,6 @@ class KeyDistribution:
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _rank_to_key(self, ranks: np.ndarray) -> np.ndarray:
-        """Scatter distribution ranks over the key space (rank 0 is the hottest key)."""
-        return (ranks.astype(np.uint64) * np.uint64(_SCATTER_MULTIPLIER)) % np.uint64(self.key_space)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` keys as an ``int64`` array."""
         if size < 0:
@@ -123,26 +119,6 @@ class KeyDistribution:
             return rng.integers(0, self.key_space, size=size, dtype=np.int64)
         draws = rng.random(size)
         ranks = np.searchsorted(self._cdf, draws, side="left")
-        return self._rank_to_key(ranks).astype(np.int64)
-
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """Draw a single key."""
-        return int(self.sample(rng, 1)[0])
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def hottest_keys(self, count: int = 10) -> np.ndarray:
-        """The ``count`` most likely keys (meaningless for ``uniform``)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if self._cdf is None:
-            return np.arange(min(count, self.key_space), dtype=np.int64)
-        ranks = np.arange(min(count, self.distinct_keys))
-        return self._rank_to_key(ranks).astype(np.int64)
-
-    def describe(self) -> str:
-        if self.name == "uniform":
-            return f"uniform over {self.key_space} keys"
-        return f"{self.name} over {self.distinct_keys} distinct keys (key space {self.key_space})"
+        # Scatter the ranks over the key space (rank 0 is the hottest key).
+        keys = (ranks.astype(np.uint64) * np.uint64(_SCATTER_MULTIPLIER)) % np.uint64(self.key_space)
+        return keys.astype(np.int64)

@@ -29,7 +29,7 @@ which is what the Figure 6 benchmark compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import blocking_form
@@ -219,35 +219,3 @@ class DHTHandle:
 
     insert = blocking_form("insert_steps")
     lookup = blocking_form("lookup_steps")
-
-    def contains(self, key: int, target_rank: Optional[int] = None) -> bool:
-        """True when ``key`` is present."""
-        return self.lookup(key, target_rank=target_rank) is not None
-
-    # ------------------------------------------------------------------ #
-    # Inspection (test helpers; not part of the RMA protocol)
-    # ------------------------------------------------------------------ #
-
-    def local_volume_usage(self, rank: int) -> int:
-        """Number of overflow-heap slots claimed in ``rank``'s volume."""
-        ctx = self.ctx
-        used = ctx.get(rank, self.spec.next_free_offset)
-        ctx.flush(rank)
-        return min(used, self.spec.heap_size)
-
-    def dump_volume(self, rank: int) -> List[Tuple[int, int]]:
-        """All ``(key, value)`` pairs reachable from the buckets of ``rank``'s volume."""
-        ctx = self.ctx
-        spec = self.spec
-        out: List[Tuple[int, int]] = []
-        for b in range(spec.table_size):
-            current = ctx.get(rank, spec.bucket_offset(b))
-            ctx.flush(rank)
-            while current != _EMPTY:
-                key_off, value_off, next_off = spec.element_offsets(current)
-                key = ctx.get(rank, key_off)
-                value = ctx.get(rank, value_off)
-                current = ctx.get(rank, next_off)
-                ctx.flush(rank)
-                out.append((key, value))
-        return out

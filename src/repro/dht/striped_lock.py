@@ -70,10 +70,6 @@ class StripedRWLockSpec:
     def window_words(self) -> int:
         return self.word_offset + 1
 
-    @property
-    def num_stripes(self) -> int:
-        return self.num_processes
-
     def init_window(self, rank: int) -> Mapping[int, int]:
         return {self.word_offset: 0}
 
@@ -144,39 +140,6 @@ class StripedRWLockHandle:
     release_read = blocking_form("release_read_steps")
     acquire_write = blocking_form("acquire_write_steps")
     release_write = blocking_form("release_write_steps")
-
-    # -- convenience -------------------------------------------------------- #
-
-    def reading(self, volume: int):
-        """Context-manager form of the reader side for one stripe."""
-        return _StripeGuard(self, volume, writer=False)
-
-    def writing(self, volume: int):
-        """Context-manager form of the writer side for one stripe."""
-        return _StripeGuard(self, volume, writer=True)
-
-
-class _StripeGuard:
-    """Context manager binding one stripe of a :class:`StripedRWLockHandle`."""
-
-    def __init__(self, handle: StripedRWLockHandle, volume: int, *, writer: bool):
-        self.handle = handle
-        self.volume = volume
-        self.writer = writer
-
-    def __enter__(self):
-        if self.writer:
-            self.handle.acquire_write(self.volume)
-        else:
-            self.handle.acquire_read(self.volume)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.writer:
-            self.handle.release_write(self.volume)
-        else:
-            self.handle.release_read(self.volume)
-        return False
 
 
 # --------------------------------------------------------------------------- #

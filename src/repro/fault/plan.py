@@ -164,14 +164,6 @@ class FaultPlan:
         """
         return not self.faults and self.horizon_us is None
 
-    def kill_at(self) -> Dict[int, float]:
-        """rank -> kill time for every scheduled crash."""
-        return {f.rank: f.kill_us for f in self.faults}
-
-    def restart_at(self) -> Dict[int, float]:
-        """rank -> restart time for every crash that revives."""
-        return {f.rank: f.restart_us for f in self.faults if f.restart_us is not None}
-
     def fault_for(self, rank: int) -> Optional[RankFault]:
         for fault in self.faults:
             if fault.rank == rank:
@@ -192,20 +184,6 @@ class FaultPlan:
                 raise ValueError(
                     f"fault plan kills rank {fault.rank} but the runtime has {nranks} ranks"
                 )
-
-    def describe(self) -> str:
-        """Stable, human-readable form (cache keys, reports)."""
-        if self.is_null:
-            return "null"
-        parts = []
-        for f in self.faults:
-            part = f"r{f.rank}@{f.kill_us:g}"
-            if f.restart_us is not None:
-                part += f"+restart@{f.restart_us:g}"
-            parts.append(part)
-        if self.horizon_us is not None:
-            parts.append(f"horizon={self.horizon_us:g}")
-        return ",".join(parts)
 
 
 # --------------------------------------------------------------------------- #

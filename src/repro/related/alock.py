@@ -106,10 +106,6 @@ class ALockSpec(LockSpec):
         object.__setattr__(self, "status_offset", alloc.field("alock_status"))
 
     @property
-    def num_processes(self) -> int:
-        return self.machine.num_processes
-
-    @property
     def window_words(self) -> int:
         return self.status_offset + 1
 
@@ -192,16 +188,6 @@ class ALockHandle(LockHandle):
             succ = yield (SPIN_WHILE, me, spec.next_offset, lambda nxt: nxt == NULL_RANK)
         yield (PUT, _HEAD, succ, spec.status_offset)
         yield (FLUSH, succ)
-
-    # -- inspection --------------------------------------------------------- #
-
-    def holder(self) -> int:
-        """Rank currently holding the lock (``NULL_RANK`` when free)."""
-        ctx = self.ctx
-        spec = self.spec
-        value = ctx.get(spec.home_rank, spec.owner_offset)
-        ctx.flush(spec.home_rank)
-        return value
 
 
 # --------------------------------------------------------------------------- #

@@ -89,10 +89,6 @@ class CohortTicketLockSpec(LockSpec):
         object.__setattr__(self, "passes_offset", alloc.field("cohort_passes"))
 
     @property
-    def num_processes(self) -> int:
-        return self.machine.num_processes
-
-    @property
     def window_words(self) -> int:
         return self.passes_offset + 1
 

@@ -19,7 +19,7 @@ erase.  Backoff caps are expressed in microseconds of (virtual) time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.api.registry import ParamSpec, register_scheme
 from repro.core.constants import NULL_RANK
@@ -79,10 +79,6 @@ class HBOLockSpec(LockSpec):
         object.__setattr__(self, "lock_offset", alloc.field("hbo_lock"))
 
     @property
-    def num_processes(self) -> int:
-        return self.machine.num_processes
-
-    @property
     def window_words(self) -> int:
         return self.lock_offset + 1
 
@@ -136,16 +132,6 @@ class HBOLockHandle(LockHandle):
         spec = self.spec
         yield (PUT, NULL_RANK, spec.home_rank, spec.lock_offset)
         yield (FLUSH, spec.home_rank)
-
-    # -- inspection --------------------------------------------------------- #
-
-    def holder(self) -> Optional[int]:
-        """Rank currently holding the lock, or ``None`` when it is free."""
-        ctx = self.ctx
-        spec = self.spec
-        value = ctx.get(spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
-        return None if value == NULL_RANK else value
 
 
 # --------------------------------------------------------------------------- #

@@ -162,17 +162,6 @@ class LockServerHandle(LockHandle):
         yield (ACCUMULATE, 1, spec.server_rank, spec.grant_offset, AtomicOp.SUM)
         yield (FLUSH, spec.server_rank)
 
-    # -- inspection --------------------------------------------------------- #
-
-    def queue_depth(self) -> int:
-        """Currently observable queue depth (issued - served tickets)."""
-        ctx = self.ctx
-        spec = self.spec
-        nt = ctx.get(spec.server_rank, spec.next_offset)
-        grant = ctx.get(spec.server_rank, spec.grant_offset)
-        ctx.flush(spec.server_rank)
-        return nt - grant
-
 
 # --------------------------------------------------------------------------- #
 # Registry entry (see repro.api).

@@ -78,10 +78,6 @@ class NumaRWLockSpec(RWLockSpec):
         object.__setattr__(self, "writer_lock", writer_lock)
 
     @property
-    def num_processes(self) -> int:
-        return self.machine.num_processes
-
-    @property
     def window_words(self) -> int:
         return self.writer_lock.window_words
 

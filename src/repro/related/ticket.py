@@ -104,17 +104,6 @@ class TicketLockHandle(LockHandle):
         yield (ACCUMULATE, 1, spec.home_rank, spec.now_serving_offset, AtomicOp.SUM)
         yield (FLUSH, spec.home_rank)
 
-    # -- inspection --------------------------------------------------------- #
-
-    def queue_length(self) -> int:
-        """Number of processes currently holding or waiting for the lock."""
-        ctx = self.ctx
-        spec = self.spec
-        nxt = ctx.get(spec.home_rank, spec.next_ticket_offset)
-        serving = ctx.get(spec.home_rank, spec.now_serving_offset)
-        ctx.flush(spec.home_rank)
-        return max(0, nxt - serving)
-
 
 # --------------------------------------------------------------------------- #
 # Registry entry (see repro.api).

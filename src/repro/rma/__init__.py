@@ -15,8 +15,6 @@ from repro.rma.ops import AtomicOp, RMACall
 from repro.rma.portability import (
     PORTABILITY_TABLE,
     PortabilityEntry,
-    ShmemFacade,
-    UpcFacade,
     environments,
     operations,
     supports_all_required_ops,
@@ -45,8 +43,6 @@ __all__ = [
     "PortabilityEntry",
     "ProcessContext",
     "RMACall",
-    "ShmemFacade",
-    "UpcFacade",
     "environments",
     "operations",
     "supports_all_required_ops",

@@ -137,11 +137,6 @@ class BaselineSimProcessContext(ProcessContext):
 
     # -- properties ------------------------------------------------------- #
 
-    @property
-    def machine(self) -> Machine:
-        """The machine hierarchy this run executes on."""
-        return self._rt.machine
-
     def now(self) -> float:
         return self._state.clock
 

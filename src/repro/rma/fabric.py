@@ -159,16 +159,3 @@ class FabricContentionModel:
             )
             self._route_cache[key] = cached
         return cached
-
-    def path_latency(self, src_node: int, dst_node: int) -> float:
-        """Uncontended latency of the route between two nodes."""
-        if src_node == dst_node:
-            return 0.0
-        return self.hop_latency_us * len(self.topology.route(src_node, dst_node))
-
-    def describe(self) -> str:
-        return (
-            f"{self.topology.describe()} hop={self.hop_latency_us}us "
-            f"occupancy terminal/local/global="
-            f"{self.terminal_occupancy_us}/{self.local_occupancy_us}/{self.global_occupancy_us}us"
-        )

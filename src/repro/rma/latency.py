@@ -15,18 +15,14 @@ absolute magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.rma.ops import CALLS, RMACall
 from repro.topology.machine import Machine
 
 __all__ = ["CostTable", "LatencyModel", "cost_table"]
-
-#: Tier names by distance ``N + 1 - common_level``; everything past 3 is "global".
-_TIER_NAMES = ("self", "same_node", "same_group", "global")
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -84,17 +80,6 @@ class LatencyModel:
             global_us=latency_us,
         )
 
-    @classmethod
-    def scaled(cls, factor: float) -> "LatencyModel":
-        """The XC30 preset with all network tiers scaled by ``factor``."""
-        base = cls.cray_xc30()
-        return replace(
-            base,
-            same_node_us=base.same_node_us * factor,
-            same_group_us=base.same_group_us * factor,
-            global_us=base.global_us * factor,
-        )
-
     # ------------------------------------------------------------------ #
     # Cost computation
     # ------------------------------------------------------------------ #
@@ -135,30 +120,6 @@ class LatencyModel:
         if call in (RMACall.ACCUMULATE, RMACall.FAO, RMACall.CAS):
             return self.atomic_occupancy_us
         return self.data_occupancy_us
-
-    def table(self, machine: Machine) -> "CostTable":
-        """Precomputed P x P x call cost/occupancy table for ``machine``.
-
-        The simulator's hot path replaces the per-operation ``cost()`` /
-        ``occupancy()`` method calls (hierarchy walks and branches) with two
-        flat-array lookups.  The table stores the *exact* floats the methods
-        return, so simulations using it are bit-identical to ones calling the
-        methods directly.  Results are cached per ``(model, machine)`` pair.
-        """
-        return cost_table(self, machine)
-
-    def tier_table(self, machine: Machine) -> Dict[str, float]:
-        """Human-readable map of tier name -> µs for reporting, nearest first.
-
-        Only the tiers some pair of ranks of ``machine`` is at are listed, each
-        with the value :meth:`base_cost` charges at that distance.
-        """
-        n = machine.n_levels
-        tiers: Dict[str, float] = {}
-        for target in machine.iter_ranks():  # a regular hierarchy: rank 0 sees every class
-            common = machine.common_level(0, target)
-            tiers.setdefault(_TIER_NAMES[min(n + 1 - common, 3)], self._level_cost(common, n))
-        return tiers
 
 
 class CostTable:

@@ -33,7 +33,7 @@ and runs stay bit-identical to the committed golden fingerprints in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -155,15 +155,6 @@ class PerturbationModel:
     # Per-run state
     # ------------------------------------------------------------------ #
 
-    @property
-    def is_null(self) -> bool:
-        """True when the model perturbs nothing (all magnitudes zero)."""
-        return (
-            self.latency_jitter == 0.0
-            and self.rank_slowdown == 0.0
-            and self.pause_rate == 0.0
-        )
-
     def rank_multipliers(self, nranks: int) -> Tuple[float, ...]:
         """Per-rank slowdown multipliers, drawn once per run from the seed.
 
@@ -189,17 +180,3 @@ class PerturbationModel:
         if self.latency_jitter == 0.0 and self.pause_rate == 0.0:
             return None
         return [RankPerturbation(self, rank) for rank in range(nranks)]
-
-    # ------------------------------------------------------------------ #
-    # Identity
-    # ------------------------------------------------------------------ #
-
-    def describe(self) -> Dict[str, Any]:
-        """Canonical JSON-able description (cache keys, reports)."""
-        return {
-            "seed": self.seed,
-            "latency_jitter": self.latency_jitter,
-            "rank_slowdown": self.rank_slowdown,
-            "pause_rate": self.pause_rate,
-            "pause_us": list(self.pause_us),
-        }

@@ -1,16 +1,11 @@
-"""Portability layer: the paper's Table 3 as executable adapters.
+"""Portability data: the paper's Table 3.
 
 Table 3 of the paper shows that the six RMA calls the locks rely on exist in
 every major RMA/PGAS environment (UPC, Berkeley UPC, SHMEM, Fortran 2008,
-Linux RDMA/IB verbs, iWARP).  This module turns that table into code:
-
-* :data:`PORTABILITY_TABLE` — the mapping of each Listing-1 call to its
-  counterpart per environment, exactly as printed in the paper (including the
-  Fortran caveat about the missing atomic swap).
-* Thin adapter classes (:class:`ShmemFacade`, :class:`UpcFacade`) that expose
-  the SHMEM-/UPC-flavoured names on top of any
-  :class:`~repro.rma.runtime_base.ProcessContext`, demonstrating that the
-  lock protocols are not tied to the MPI-3 RMA spelling of the operations.
+Linux RDMA/IB verbs, iWARP).  :data:`PORTABILITY_TABLE` maps each Listing-1
+call to its counterpart per environment, exactly as printed in the paper
+(including the Fortran caveat about the missing atomic swap); ``repro info``
+prints the per-environment summary.
 """
 
 from __future__ import annotations
@@ -18,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ProcessContext
-
 __all__ = [
     "PORTABILITY_TABLE",
     "PortabilityEntry",
-    "ShmemFacade",
-    "UpcFacade",
     "environments",
     "operations",
     "supports_all_required_ops",
@@ -119,72 +109,3 @@ def operations(environment: str) -> Dict[str, PortabilityEntry]:
 def supports_all_required_ops(environment: str) -> bool:
     """True when every Listing-1 call maps cleanly (no protocol adjustment needed)."""
     return all(entry.supported for entry in operations(environment).values())
-
-
-class ShmemFacade:
-    """SHMEM-flavoured names (``shmem_put``/``shmem_fadd``/...) over a ProcessContext."""
-
-    def __init__(self, ctx: ProcessContext):
-        self.ctx = ctx
-
-    def shmem_put(self, value: int, pe: int, offset: int) -> None:
-        self.ctx.put(value, pe, offset)
-
-    def shmem_get(self, pe: int, offset: int) -> int:
-        return self.ctx.get(pe, offset)
-
-    def shmem_fadd(self, pe: int, offset: int, value: int) -> int:
-        return self.ctx.fao(value, pe, offset, AtomicOp.SUM)
-
-    def shmem_swap(self, pe: int, offset: int, value: int) -> int:
-        return self.ctx.fao(value, pe, offset, AtomicOp.REPLACE)
-
-    def shmem_cswap(self, pe: int, offset: int, cond: int, value: int) -> int:
-        return self.ctx.cas(value, cond, pe, offset)
-
-    def shmem_quiet(self, pe: int) -> None:
-        self.ctx.flush(pe)
-
-    def shmem_barrier_all(self) -> None:
-        self.ctx.barrier()
-
-    @property
-    def my_pe(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def n_pes(self) -> int:
-        return self.ctx.nranks
-
-
-class UpcFacade:
-    """UPC-flavoured names (``upc_set``/``upc_cswap``/...) over a ProcessContext."""
-
-    def __init__(self, ctx: ProcessContext):
-        self.ctx = ctx
-
-    def upc_set(self, thread: int, offset: int, value: int) -> None:
-        self.ctx.put(value, thread, offset)
-
-    def upc_get(self, thread: int, offset: int) -> int:
-        return self.ctx.get(thread, offset)
-
-    def upc_inc(self, thread: int, offset: int, value: int = 1) -> int:
-        return self.ctx.fao(value, thread, offset, AtomicOp.SUM)
-
-    def upc_cswap(self, thread: int, offset: int, compare: int, value: int) -> int:
-        return self.ctx.cas(value, compare, thread, offset)
-
-    def upc_fence(self, thread: int) -> None:
-        self.ctx.flush(thread)
-
-    def upc_barrier(self) -> None:
-        self.ctx.barrier()
-
-    @property
-    def mythread(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def threads(self) -> int:
-        return self.ctx.nranks

@@ -242,10 +242,6 @@ class RunResult:
     per_rank_op_counts: List[Dict[str, int]] = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    @property
-    def num_ranks(self) -> int:
-        return len(self.returns)
-
     def total_ops(self) -> int:
         return int(sum(self.op_counts.values()))
 
@@ -360,11 +356,6 @@ class ProcessContext(abc.ABC):
                     request = steps.send(value)
         except StopIteration as stop:
             return stop.value
-
-    # -- optional hooks ---------------------------------------------------- #
-
-    def log(self, message: str) -> None:  # pragma: no cover - debugging aid
-        """Diagnostic hook; backends may route this to stderr or discard it."""
 
 
 class RMARuntime(abc.ABC):

@@ -196,11 +196,6 @@ class SimProcessContext(ProcessContext):
         #: handle wrappers such as verification.oracles.observe_lock use it.
         self.observer = runtime.observer
 
-    @property
-    def machine(self) -> Machine:
-        """The machine hierarchy this run executes on."""
-        return self._rt.machine
-
     def now(self) -> float:
         return self._state.clock
 

@@ -51,10 +51,6 @@ class ThreadProcessContext(ProcessContext):
         self._start = time.perf_counter()
         self.op_counts: Counter = Counter()
 
-    @property
-    def machine(self) -> Machine:
-        return self._rt.machine
-
     def now(self) -> float:
         return (time.perf_counter() - self._start) * 1e6
 

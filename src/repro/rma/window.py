@@ -11,7 +11,7 @@ lock).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class Window:
         self._size = num_words
 
     # -- basic accessors ------------------------------------------------- #
-
-    def __len__(self) -> int:
-        return self._size
 
     def read(self, offset: int) -> int:
         """Return the word at ``offset``."""
@@ -125,12 +122,6 @@ class Window:
                 _check_int64(value)
             raise
         self._mem[offsets] = words
-
-    def snapshot(self, offsets: Iterable[int] | None = None) -> Dict[int, int]:
-        """Return a copy of selected offsets (all offsets when ``None``)."""
-        if offsets is None:
-            offsets = range(len(self))
-        return {int(o): self.read(int(o)) for o in offsets}
 
     def _bad_offset(self, offset: int) -> IndexError:
         return IndexError(f"offset {offset} out of range 0..{self._size - 1}")

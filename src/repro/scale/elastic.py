@@ -156,10 +156,6 @@ class ElasticController:
             active = event.active
         self._by_boundary = by_boundary
 
-    @property
-    def num_boundaries(self) -> int:
-        return self.plan.num_boundaries
-
     def cross_steps(self, ctx: Any, boundary: int) -> Steps:
         """Perform the collective resize crossing; returns re-init count."""
         yield (BARRIER,)

@@ -1,9 +1,9 @@
 """Machine hierarchy model and the mappings ``e(p, i)``, ``c(p)``, ``tail_rank[i, j]``."""
 
-from repro.topology.builder import figure2_machine, machines_for_sweep, xc30_like
+from repro.topology.builder import figure2_machine, xc30_like
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.machine import Machine, MachineLevel
-from repro.topology.mapping import CounterPlacement, counter_rank, counter_ranks, tail_rank
+from repro.topology.mapping import CounterPlacement, counter_rank, counter_ranks
 
 __all__ = [
     "CounterPlacement",
@@ -13,7 +13,5 @@ __all__ = [
     "counter_rank",
     "counter_ranks",
     "figure2_machine",
-    "machines_for_sweep",
-    "tail_rank",
     "xc30_like",
 ]

@@ -10,11 +10,9 @@ from Figure 2 for topology experiments.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
-
 from repro.topology.machine import Machine
 
-__all__ = ["cached_machine", "xc30_like", "figure2_machine", "machines_for_sweep"]
+__all__ = ["cached_machine", "xc30_like", "figure2_machine"]
 
 #: Processes per compute node used by the paper (one per HT resource).
 XC30_PROCS_PER_NODE = 16
@@ -76,10 +74,4 @@ def cached_machine(
 
 def figure2_machine(procs_per_node: int = 6) -> Machine:
     """The three-level example machine of Figure 2: 2 racks x 2 nodes."""
-    return Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=procs_per_node)
-
-
-def machines_for_sweep(process_counts: Sequence[int], procs_per_node: int = XC30_PROCS_PER_NODE):
-    """Yield ``(P, Machine)`` pairs for a process-count sweep (figure x-axes)."""
-    for p in process_counts:
-        yield p, xc30_like(p, procs_per_node=procs_per_node)
+    return Machine(fanouts=(2, 2), procs_per_leaf=procs_per_node)

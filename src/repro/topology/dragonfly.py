@@ -110,25 +110,12 @@ class DragonflyTopology:
         """Maximum number of compute nodes the topology can host."""
         return self.num_routers * self.nodes_per_router
 
-    @property
-    def local_links_per_group(self) -> int:
-        r = self.routers_per_group
-        return r * (r - 1) // 2
-
-    @property
-    def num_global_links(self) -> int:
-        g = self.num_groups
-        return g * (g - 1) // 2
-
     def router_of(self, node: int) -> Tuple[int, int]:
         """``(group, router-within-group)`` hosting compute node ``node``."""
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range 0..{self.num_nodes - 1}")
         router = node // self.nodes_per_router
         return router // self.routers_per_group, router % self.routers_per_group
-
-    def group_of(self, node: int) -> int:
-        return self.router_of(node)[0]
 
     # ------------------------------------------------------------------ #
     # Links and routing
@@ -184,15 +171,3 @@ class DragonflyTopology:
                 links.append(self.local_link(dst_group, dst_gateway, dst_router))
         links.append(self.terminal_link(dst_group, dst_router))
         return links
-
-    def hop_count(self, src_node: int, dst_node: int) -> int:
-        """Number of links a minimal route traverses (0 for a node to itself)."""
-        if src_node == dst_node:
-            return 0
-        return len(self.route(src_node, dst_node))
-
-    def describe(self) -> str:
-        return (
-            f"dragonfly[{self.num_groups} groups x {self.routers_per_group} routers "
-            f"x {self.nodes_per_router} nodes = {self.num_nodes} nodes]"
-        )

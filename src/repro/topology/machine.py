@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import index
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = ["Machine", "MachineLevel"]
 
@@ -52,8 +52,8 @@ class Machine:
     has ``prod(fanouts)`` elements.  Every leaf (level-``N``) element hosts
     ``procs_per_leaf`` consecutive ranks; ranks are numbered ``0 .. P-1``.
 
-    Use the constructors :meth:`single_node`, :meth:`cluster` and
-    :meth:`multi_rack` for the common shapes used in the paper's evaluation.
+    Use the constructors :meth:`single_node` and :meth:`cluster` for the
+    common shapes used in the paper's evaluation.
     """
 
     fanouts: Tuple[int, ...]
@@ -117,16 +117,6 @@ class Machine:
     def cluster(cls, nodes: int, procs_per_node: int) -> "Machine":
         """The paper's evaluation topology (``N = 2``): machine -> compute nodes."""
         return cls(fanouts=(nodes,), procs_per_leaf=procs_per_node)
-
-    @classmethod
-    def multi_rack(cls, racks: int, nodes_per_rack: int, procs_per_node: int) -> "Machine":
-        """A three-level machine (``N = 3``): machine -> racks -> nodes (Figure 2)."""
-        return cls(fanouts=(racks, nodes_per_rack), procs_per_leaf=procs_per_node)
-
-    @classmethod
-    def from_level_sizes(cls, sizes: Sequence[int], procs_per_leaf: int) -> "Machine":
-        """Build a machine from per-level child counts listed root-first."""
-        return cls(fanouts=tuple(sizes), procs_per_leaf=procs_per_leaf)
 
     # ------------------------------------------------------------------ #
     # Shape queries
@@ -211,9 +201,6 @@ class Machine:
         self._check_rank(a)
         self._check_rank(b)
         return a // self._sizes[-1] == b // self._sizes[-1]
-
-    def iter_ranks(self) -> Iterator[int]:
-        return iter(range(self._num_processes))
 
     # ------------------------------------------------------------------ #
     # Validation helpers

@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.topology.machine import Machine
-
-__all__ = ["CounterPlacement", "counter_rank", "counter_ranks", "tail_rank"]
+__all__ = ["CounterPlacement", "counter_rank", "counter_ranks"]
 
 
 def counter_rank(rank: int, t_dc: int, num_processes: int) -> int:
@@ -41,20 +39,14 @@ def counter_ranks(t_dc: int, num_processes: int) -> List[int]:
     return list(range(0, num_processes, t_dc))
 
 
-def tail_rank(machine: Machine, level: int, element: int) -> int:
-    """``tail_rank[i, j]``: the rank hosting the tail pointer of DQ ``(i, j)``."""
-    return machine.first_rank_of_element(level, element)
-
-
 @dataclass(frozen=True)
 class CounterPlacement:
     """Concrete placement of the distributed counter's physical counters.
 
     ``T_DC`` is expressed in ranks (as in the paper's formula
-    ``c(p) = ceil(p / T_DC)``).  ``per_node(machine, every_kth_node)`` builds a
-    topology-aware placement with one counter on the first rank of every
-    ``k``-th compute node, which is the setting the paper recommends in
-    Section 6 ("one counter per compute node").
+    ``c(p) = ceil(p / T_DC)``); ``T_DC`` equal to the ranks per node puts one
+    counter on the first rank of every compute node, which is the setting the
+    paper recommends in Section 6 ("one counter per compute node").
     """
 
     t_dc: int
@@ -65,19 +57,6 @@ class CounterPlacement:
             raise ValueError(f"T_DC must be >= 1, got {self.t_dc}")
         if self.num_processes < 1:
             raise ValueError("num_processes must be >= 1")
-
-    @classmethod
-    def per_node(cls, machine: Machine, every_kth_node: int = 1) -> "CounterPlacement":
-        """One physical counter on the first rank of every ``k``-th node."""
-        if every_kth_node < 1:
-            raise ValueError("every_kth_node must be >= 1")
-        t_dc = machine.ranks_per_element(machine.n_levels) * every_kth_node
-        return cls(t_dc=min(t_dc, machine.num_processes), num_processes=machine.num_processes)
-
-    @classmethod
-    def single(cls, machine: Machine) -> "CounterPlacement":
-        """A single centralized counter (the ablation baseline)."""
-        return cls(t_dc=machine.num_processes, num_processes=machine.num_processes)
 
     def owner(self, rank: int) -> int:
         """``c(p)`` for this placement."""

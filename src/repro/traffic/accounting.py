@@ -116,15 +116,6 @@ class LatencyReservoir:
             kept = np.append(kept, arr[-1])
         self._samples = [float(v) for v in kept]
 
-    @property
-    def kept(self) -> int:
-        return len(self._samples)
-
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.mean(np.asarray(self._samples, dtype=np.float64)))
-
     def percentiles(self) -> Dict[str, float]:
         return nearest_rank_percentiles(self._samples)
 

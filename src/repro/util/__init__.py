@@ -1,12 +1,11 @@
 """Small shared utilities: deterministic RNG handling and statistics helpers."""
 
-from repro.util.rng import rank_rng, spawn_rngs
+from repro.util.rng import rank_rng
 from repro.util.stats import Summary, discard_warmup, summarize
 
 __all__ = [
     "Summary",
     "discard_warmup",
     "rank_rng",
-    "spawn_rngs",
     "summarize",
 ]

@@ -7,11 +7,9 @@ scheduling order of ranks.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-__all__ = ["rank_rng", "spawn_rngs"]
+__all__ = ["rank_rng"]
 
 
 def rank_rng(seed: int, rank: int) -> np.random.Generator:
@@ -23,10 +21,3 @@ def rank_rng(seed: int, rank: int) -> np.random.Generator:
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, rank]))
-
-
-def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
-    """Return ``count`` independent generators derived from ``seed``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [rank_rng(seed, r) for r in range(count)]

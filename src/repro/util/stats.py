@@ -13,7 +13,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["Summary", "discard_warmup", "summarize", "geometric_mean"]
+__all__ = ["Summary", "discard_warmup", "summarize"]
 
 #: Fraction of leading samples discarded as warm-up, as in the paper.
 DEFAULT_WARMUP_FRACTION = 0.1
@@ -30,17 +30,6 @@ class Summary:
     minimum: float
     maximum: float
     std: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p95": self.p95,
-            "min": self.minimum,
-            "max": self.maximum,
-            "std": self.std,
-        }
 
 
 def discard_warmup(samples: Sequence[float], fraction: float = DEFAULT_WARMUP_FRACTION) -> List[float]:
@@ -67,13 +56,3 @@ def summarize(samples: Iterable[float], warmup_fraction: float = DEFAULT_WARMUP_
         maximum=float(arr.max()),
         std=float(arr.std()),
     )
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values (used for speedup summaries)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("geometric_mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric_mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))

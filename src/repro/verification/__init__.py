@@ -55,9 +55,7 @@ from repro.verification.impl_model import (
 )
 from repro.verification.interleaving import (
     CheckResult,
-    InvariantViolation,
     ModelChecker,
-    ModelDeadlock,
     StateExplosionError,
 )
 from repro.verification.lock_models import (
@@ -85,10 +83,8 @@ __all__ = [
     "BypassResult",
     "CheckResult",
     "FairnessSpec",
-    "InvariantViolation",
     "LockOracleObserver",
     "ModelChecker",
-    "ModelDeadlock",
     "ModelSpec",
     "ObservedLock",
     "ObservedRWLock",

@@ -18,7 +18,7 @@ Fidelity rules:
 * every spin (``spin_while`` / ``spin_on_cells``) is a blocked transition
   guarded by the same predicate the implementation evaluates, including the
   ``ARRIVE > T_R`` deviation from Listing 9 and the stranded-counter
-  recovery path of ``spin_until_read_mode``;
+  recovery path of ``spin_until_read_mode_steps``;
 * the protocol constants (``NULL_RANK``, ``STATUS_WAIT``,
   ``STATUS_MODE_CHANGE``, ``ACQUIRE_START``, ``WRITE_FLAG``) are imported
   from :mod:`repro.core.constants` — the very objects the implementation
@@ -141,9 +141,6 @@ def rma_rw_impl_model(
         ],
     }
 
-    def is_reader(pid: int) -> bool:
-        return pid < num_readers
-
     def active_readers(state: Dict) -> int:
         arrive = state["arrive"]
         if arrive >= WRITE_FLAG:
@@ -218,7 +215,7 @@ def rma_rw_impl_model(
             state["arrive"] -= 1
             me["pc"] = "r_top"
         elif pc == "r_wait":
-            # dc.spin_until_read_mode: spin while saturated (ARRIVE > T_R —
+            # dc.spin_until_read_mode_steps: spin while saturated (ARRIVE > T_R —
             # the implementation's liveness deviation from Listing 9), in
             # WRITE mode, or while admitted readers are still inside.
             arrive = state["arrive"]

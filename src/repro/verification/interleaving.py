@@ -29,8 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "CheckResult",
-    "InvariantViolation",
-    "ModelDeadlock",
     "ModelChecker",
     "StateExplosionError",
 ]
@@ -41,14 +39,6 @@ StepFn = Callable[[Dict, int], bool]
 DoneFn = Callable[[Dict, int], bool]
 #: Safety invariant over the shared state.
 InvariantFn = Callable[[Dict], bool]
-
-
-class InvariantViolation(AssertionError):
-    """A safety invariant evaluated to False in some reachable state."""
-
-
-class ModelDeadlock(AssertionError):
-    """A reachable state exists where no unfinished process can take a step."""
 
 
 class StateExplosionError(RuntimeError):
@@ -170,12 +160,3 @@ class ModelChecker:
             complete=True,
             violation=None,
         )
-
-    def assert_ok(self) -> CheckResult:
-        """Run :meth:`check` and raise :class:`InvariantViolation`/:class:`ModelDeadlock`."""
-        result = self.check()
-        if result.ok:
-            return result
-        if result.violation is not None and result.violation.startswith("deadlock"):
-            raise ModelDeadlock(result.violation)
-        raise InvariantViolation(result.violation or "unknown violation")

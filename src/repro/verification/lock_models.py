@@ -180,7 +180,7 @@ def rw_counter_model(
     literal predicate admits a reachable state in which the counter rests at
     exactly ``T_R`` with every reader blocked and no writer left to reset it —
     the model checker finds that deadlock, which is precisely why the
-    implementation deviates (see ``DistributedCounterHandle.spin_until_read_mode``).
+    implementation deviates (see ``DistributedCounterHandle.spin_until_read_mode_steps``).
     """
 
     num_processes = num_readers + num_writers

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.ascii_plot import bar_chart, figure_chart, line_chart
+from repro.bench.ascii_plot import bar_chart, line_chart
 
 
 class TestLineChart:
@@ -74,24 +74,3 @@ class TestBarChart:
 
     def test_title_is_included(self):
         assert bar_chart({"a": 1.0}, title="shares").startswith("shares")
-
-
-class TestFigureChart:
-    def test_groups_rows_by_series(self):
-        rows = [
-            {"scheme": "rma-mcs", "P": 16, "throughput_mln_s": 1.5},
-            {"scheme": "rma-mcs", "P": 64, "throughput_mln_s": 2.5},
-            {"scheme": "d-mcs", "P": 16, "throughput_mln_s": 1.0},
-            {"scheme": "d-mcs", "P": 64, "throughput_mln_s": 0.8},
-        ]
-        chart = figure_chart(rows, title="figure 3b")
-        assert "figure 3b" in chart
-        assert "rma-mcs" in chart and "d-mcs" in chart
-
-    def test_custom_series_and_value_columns(self):
-        rows = [
-            {"series": "T_R=8", "P": 8, "latency_us": 12.0},
-            {"series": "T_R=64", "P": 8, "latency_us": 9.0},
-        ]
-        chart = figure_chart(rows, series="series", value="latency_us", log_y=True)
-        assert "T_R=8" in chart and "T_R=64" in chart

@@ -210,7 +210,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path, epoch="new")
         run_campaign(TINY, jobs=1, cache=cache)
         assert cache.prune() == 1
-        assert cache.stats()["rows"] == 4
+        assert len(list(cache.dir.glob("*.json"))) == 4
         # the current epoch survives pruning
         assert run_campaign(TINY, jobs=1, cache=cache).cache_hits == 4
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
-import pytest
-
-from repro.bench.export import load_rows, rows_to_csv, rows_to_json, save_figure_rows
+from repro.bench.export import rows_to_csv, rows_to_json, save_figure_rows
 
 ROWS = [
     {"P": 4, "scheme": "a", "throughput_mln_s": 1.25},
@@ -14,10 +13,19 @@ ROWS = [
 ]
 
 
+def _csv_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def _json_rows(path):
+    return json.loads(path.read_text())["rows"]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = rows_to_csv(ROWS, tmp_path / "fig.csv")
-        loaded = load_rows(path)
+        loaded = _csv_rows(path)
         assert len(loaded) == 2
         assert loaded[0]["scheme"] == "a"
         assert float(loaded[1]["throughput_mln_s"]) == 2.5
@@ -33,13 +41,13 @@ class TestCsv:
 
     def test_empty_rows(self, tmp_path):
         path = rows_to_csv([], tmp_path / "empty.csv")
-        assert load_rows(path) == []
+        assert _csv_rows(path) == []
 
 
 class TestJson:
     def test_round_trip_preserves_types(self, tmp_path):
         path = rows_to_json(ROWS, tmp_path / "fig.json")
-        loaded = load_rows(path)
+        loaded = _json_rows(path)
         assert loaded[0]["P"] == 4
         assert loaded[1]["throughput_mln_s"] == 2.5
 
@@ -54,13 +62,13 @@ class TestSaveFigureRows:
         out = save_figure_rows(ROWS, tmp_path / "figures", "fig5b")
         assert out["csv"].name == "fig5b.csv"
         assert out["json"].name == "fig5b.json"
-        assert load_rows(out["csv"])[0]["scheme"] == "a"
-        assert load_rows(out["json"])[1]["scheme"] == "b"
+        assert _csv_rows(out["csv"])[0]["scheme"] == "a"
+        assert _json_rows(out["json"])[1]["scheme"] == "b"
 
     def test_integration_with_figure_driver(self, tmp_path):
         from repro.bench import experiments
 
         rows = experiments.figure4a(t_dc_values=(1,), process_counts=(4,), iterations=4, procs_per_node=4)
         out = save_figure_rows(rows, tmp_path, "fig4a")
-        loaded = load_rows(out["json"])
+        loaded = _json_rows(out["json"])
         assert loaded and loaded[0]["figure"] == "4a"

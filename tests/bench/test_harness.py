@@ -125,7 +125,7 @@ class TestRunLockBenchmark:
     def test_custom_latency_model(self, machine):
         config = LockBenchConfig(machine=machine, scheme="d-mcs", benchmark="ecsb", iterations=6)
         fast = run_lock_benchmark(config)
-        slow = run_lock_benchmark(config, latency_model=LatencyModel.scaled(10.0))
+        slow = run_lock_benchmark(config, latency_model=LatencyModel(same_node_us=3.0, same_group_us=8.0, global_us=12.0))
         assert slow.throughput_mln_per_s < fast.throughput_mln_per_s
 
     def test_as_row_contents(self, machine):

@@ -9,7 +9,6 @@ from repro.bench.trace import (
     TraceRecorder,
     distance_breakdown,
     hottest_targets,
-    per_rank_summary,
     render_rank_activity,
     summarize_trace,
     trace_rows_by_distance,
@@ -31,11 +30,11 @@ def _events():
 
 
 class TestTraceRecorder:
-    def test_record_and_len(self):
+    def test_record(self):
         recorder = TraceRecorder()
         recorder.record(0, RMACall.PUT, 1, 0.0, 1.5)
         recorder.record(1, RMACall.CAS, 0, 2.0, 0.5)
-        assert len(recorder) == 2
+        assert len(recorder.events) == 2
         assert recorder.events[0].call == "put"
         assert recorder.events[1].end_us == pytest.approx(2.5)
 
@@ -43,16 +42,8 @@ class TestTraceRecorder:
         recorder = TraceRecorder(capacity=2)
         for i in range(5):
             recorder.record(0, RMACall.GET, 0, float(i), 0.1)
-        assert len(recorder) == 2
+        assert len(recorder.events) == 2
         assert recorder.dropped_events == 3
-
-    def test_clear_resets_everything(self):
-        recorder = TraceRecorder(capacity=1)
-        recorder.record(0, RMACall.GET, 0, 0.0, 0.1)
-        recorder.record(0, RMACall.GET, 0, 1.0, 0.1)
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.dropped_events == 0
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -75,13 +66,6 @@ class TestSummaries:
         assert summary.num_events == 0
         assert summary.total_comm_time_us == 0.0
         assert summary.as_rows() == []
-
-    def test_per_rank_summary(self):
-        per_rank = per_rank_summary(_events())
-        assert set(per_rank) == {0, 1}
-        assert per_rank[0]["ops"] == 2
-        assert per_rank[1]["comm_time_us"] == pytest.approx(2.1)
-        assert 0.0 < per_rank[1]["busy_fraction"] <= 1.0
 
     def test_distance_breakdown(self):
         machine = Machine.cluster(nodes=2, procs_per_node=1)  # ranks 0 and 1 on different nodes
@@ -138,7 +122,7 @@ class TestRuntimeIntegration:
             ctx.barrier()
 
         result = runtime.run(program, window_init=spec.init_window)
-        assert len(recorder) == result.total_ops()
+        assert len(recorder.events) == result.total_ops()
         summary = summarize_trace(recorder.events)
         assert summary.ops_by_call["fao"] == result.op_counts["fao"]
 

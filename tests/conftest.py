@@ -22,7 +22,7 @@ def medium_cluster() -> Machine:
 @pytest.fixture
 def three_level_machine() -> Machine:
     """The Figure 2 shape: 2 racks x 2 nodes x 3 ranks."""
-    return Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=3)
+    return Machine(fanouts=(2, 2), procs_per_leaf=3)
 
 
 @pytest.fixture

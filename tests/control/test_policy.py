@@ -17,7 +17,6 @@ from repro.control.policy import (
     PolicyTable,
     build_swap_plan,
     policy_min_entry_words,
-    policy_schemes,
 )
 from repro.topology.builder import xc30_like
 from repro.traffic.generators import Phase, TrafficScenario
@@ -100,7 +99,6 @@ class TestStatsAndRules:
         second = PolicyRule(name="b", scheme="rma-rw")
         table = PolicyTable(rules=(first, second))
         assert table.decide(_stats()) is first
-        assert policy_schemes(table) == ("d-mcs", "rma-rw")
 
     def test_table_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="max_swaps_per_boundary"):

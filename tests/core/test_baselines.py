@@ -100,7 +100,7 @@ class TestRWLockBehaviour:
     def test_all_writers(self, small_cluster):
         spec = FompiRWLockSpec(num_processes=small_cluster.num_processes)
         outcome = run_rw_check(
-            spec, small_cluster, iterations=4, writer_ranks=list(small_cluster.iter_ranks())
+            spec, small_cluster, iterations=4, writer_ranks=list(range(small_cluster.num_processes))
         )
         assert outcome.ok
         assert outcome.reads == 0

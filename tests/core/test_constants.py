@@ -9,7 +9,6 @@ from repro.core.constants import (
     STATUS_MODE_CHANGE,
     STATUS_WAIT,
     WRITE_FLAG,
-    is_count_status,
 )
 
 
@@ -20,20 +19,12 @@ def test_null_rank_cannot_collide_with_real_ranks():
 def test_special_status_values_are_distinct_and_not_counts():
     specials = {STATUS_WAIT, STATUS_ACQUIRE_PARENT, STATUS_MODE_CHANGE}
     assert len(specials) == 3
-    for value in specials:
-        assert not is_count_status(value)
+    # A STATUS word holding a non-negative value is a passing count.
+    assert all(value < 0 for value in specials)
 
 
 def test_acquire_start_is_a_count():
-    assert is_count_status(ACQUIRE_START)
     assert ACQUIRE_START == 0
-
-
-def test_counts_are_recognized():
-    assert is_count_status(0)
-    assert is_count_status(1)
-    assert is_count_status(10_000)
-    assert not is_count_status(-1)
 
 
 def test_write_flag_dominates_any_realistic_reader_count():

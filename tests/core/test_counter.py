@@ -80,20 +80,6 @@ class TestReaderSide:
         result = rt.run(program)
         assert result.returns[0] == [0, 1, 2]
 
-    def test_read_my_arrivals(self):
-        machine = Machine.single_node(2)
-        spec = make_spec(machine, t_dc=2)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            dc = spec.make(ctx)
-            dc.reader_arrive()
-            ctx.barrier()
-            return dc.read_my_arrivals()
-
-        result = rt.run(program)
-        assert result.returns == [2, 2]
-
 
 class TestWriterSide:
     def test_set_counters_to_write_marks_every_counter(self):
@@ -156,21 +142,3 @@ class TestWriterSide:
         assert DistributedCounterHandle._active_readers(5, 3) == 2
         assert DistributedCounterHandle._active_readers(WRITE_FLAG + 5, 5) == 0
         assert DistributedCounterHandle._active_readers(WRITE_FLAG, 0) == 0
-
-    def test_snapshot_reports_all_counters(self):
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        spec = make_spec(machine, t_dc=2)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            dc = spec.make(ctx)
-            dc.reader_arrive()
-            ctx.barrier()
-            if ctx.rank == 0:
-                return dc.snapshot()
-            return None
-
-        result = rt.run(program)
-        snapshot = result.returns[0]
-        assert set(snapshot) == {0, 2}
-        assert snapshot[0]["arrive"] == 2

@@ -252,7 +252,7 @@ class TestStrandedCounterRecovery:
             ctx.compute(5.0)
             ctx.put(1, 0, flag_off)
             ctx.flush(0)
-            lock.counter_handle.reset_counters()
+            spec.counter.make(ctx).reset_counters()
             return None
 
         result = runtime.run(program, window_init=window_init)

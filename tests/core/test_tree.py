@@ -12,7 +12,7 @@ from repro.topology.machine import Machine
 
 @pytest.fixture
 def machine() -> Machine:
-    return Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=3)
+    return Machine(fanouts=(2, 2), procs_per_leaf=3)
 
 
 class TestThresholdNormalization:
@@ -68,7 +68,7 @@ class TestTreeLayout:
 
     def test_leaf_queue_node_is_the_process_itself(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
-        for rank in machine.iter_ranks():
+        for rank in range(machine.num_processes):
             assert layout.queue_node_rank(rank, machine.n_levels) == rank
 
     def test_upper_level_queue_node_is_element_representative(self, machine):

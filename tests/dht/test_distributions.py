@@ -14,6 +14,12 @@ def _rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _top_counts(keys: np.ndarray, top: int) -> int:
+    """Draws that landed on the ``top`` most frequently drawn keys."""
+    _, counts = np.unique(keys, return_counts=True)
+    return int(np.sort(counts)[-top:].sum())
+
+
 class TestConstruction:
     def test_known_names_only(self):
         with pytest.raises(ValueError):
@@ -35,10 +41,6 @@ class TestConstruction:
     def test_distinct_keys_clamped_to_key_space(self):
         dist = KeyDistribution.make("zipfian", 16, distinct_keys=1000)
         assert dist.distinct_keys == 16
-
-    def test_describe_mentions_name(self):
-        assert "zipfian" in KeyDistribution.make("zipfian", 256).describe()
-        assert "uniform" in KeyDistribution.make("uniform", 256).describe()
 
 
 class TestSampling:
@@ -64,17 +66,10 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_sample_one_returns_python_int(self):
-        dist = KeyDistribution.make("hotspot", 1024)
-        value = dist.sample_one(_rng())
-        assert isinstance(value, int)
-        assert 0 <= value < 1024
-
     def test_zipfian_is_skewed_towards_the_hottest_key(self):
         dist = KeyDistribution.make("zipfian", 1 << 16, distinct_keys=256, zipf_exponent=1.1)
         keys = dist.sample(_rng(1), 20_000)
-        hottest = dist.hottest_keys(1)[0]
-        hottest_share = float(np.mean(keys == hottest))
+        hottest_share = _top_counts(keys, 1) / keys.size
         # The top key of a Zipf(1.1) over 256 keys receives well over 10% of accesses.
         assert hottest_share > 0.10
 
@@ -89,14 +84,8 @@ class TestSampling:
             "hotspot", 1 << 16, distinct_keys=200, hot_fraction=0.05, hot_access_fraction=0.8
         )
         keys = dist.sample(_rng(2), 20_000)
-        hot_keys = set(int(k) for k in dist.hottest_keys(10))
-        hot_share = float(np.mean([int(k) in hot_keys for k in keys]))
+        hot_share = _top_counts(keys, 10) / keys.size  # the 10-key hot set
         assert 0.7 < hot_share < 0.9
-
-    def test_hottest_keys_requires_positive_count(self):
-        dist = KeyDistribution.make("zipfian", 1024)
-        with pytest.raises(ValueError):
-            dist.hottest_keys(0)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -102,14 +102,6 @@ class TestSingleRankOperations:
         assert all(stored)
         assert values == [k * 10 for k in range(6)]
 
-    def test_contains(self):
-        def program(dht, ctx):
-            dht.insert(5, 50)
-            return dht.contains(5), dht.contains(6)
-
-        _, _, result = run_single_rank(program)
-        assert result.returns[0] == (True, False)
-
     def test_heap_exhaustion_raises(self):
         def program(dht, ctx):
             for k in range(10):
@@ -130,17 +122,6 @@ class TestSingleRankOperations:
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] == [-4, 1, 2**40 + 1, 18]
-
-    def test_dump_volume_and_usage(self):
-        def program(dht, ctx):
-            for k in range(5):
-                dht.insert(k, k)
-            return sorted(dht.dump_volume(0)), dht.local_volume_usage(0)
-
-        _, _, result = run_single_rank(program)
-        pairs, used = result.returns[0]
-        assert pairs == [(k, k) for k in range(5)]
-        assert used == 5
 
 
 class TestDistributedOperations:

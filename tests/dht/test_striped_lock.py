@@ -27,7 +27,6 @@ class TestStripedRWLockSpec:
     def test_one_word_per_rank(self):
         spec = StripedRWLockSpec(num_processes=4)
         assert spec.window_words == 1
-        assert spec.num_stripes == 4
         assert spec.init_window(2) == {spec.word_offset: 0}
 
     def test_base_offset_is_respected(self):
@@ -67,11 +66,12 @@ class TestStripedRWLockProtocol:
             lock = spec.make(ctx)
             ctx.barrier()
             for _ in range(iterations):
-                with lock.writing(0):
-                    value = ctx.get(0, shared)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared)
-                    ctx.flush(0)
+                lock.acquire_write(0)
+                value = ctx.get(0, shared)
+                ctx.flush(0)
+                ctx.put(value + 1, 0, shared)
+                ctx.flush(0)
+                lock.release_write(0)
             ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
@@ -87,14 +87,16 @@ class TestStripedRWLockProtocol:
             lock = spec.make(ctx)
             ctx.barrier()
             if ctx.rank == 0:
-                with lock.writing(0):
-                    # Wait for rank 1 to prove it entered stripe 1 concurrently.
-                    ctx.spin_while(0, flag, lambda v: v == 0)
+                lock.acquire_write(0)
+                # Wait for rank 1 to prove it entered stripe 1 concurrently.
+                ctx.spin_while(0, flag, lambda v: v == 0)
+                lock.release_write(0)
                 return None
-            with lock.writing(1):
-                observed_holder_elsewhere = True
-                ctx.put(1, 0, flag)
-                ctx.flush(0)
+            lock.acquire_write(1)
+            observed_holder_elsewhere = True
+            ctx.put(1, 0, flag)
+            ctx.flush(0)
+            lock.release_write(1)
             return observed_holder_elsewhere
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -113,18 +115,20 @@ class TestStripedRWLockProtocol:
             if ctx.rank == 0:
                 # Writer: enter stripe 0 only after both readers finished.
                 ctx.spin_while(0, done_flag, lambda v: v < 2)
-                with lock.writing(0):
-                    still_inside = ctx.get(0, inside_flag)
-                    ctx.flush(0)
-                    return still_inside
-            with lock.reading(0):
-                seen = ctx.fao(1, 0, inside_flag, AtomicOp.SUM) + 1
+                lock.acquire_write(0)
+                still_inside = ctx.get(0, inside_flag)
                 ctx.flush(0)
-                # Wait inside the stripe until the other reader has also entered:
-                # proves that two readers share one stripe concurrently.
-                ctx.spin_while(0, inside_flag, lambda v: v < 2)
-                ctx.accumulate(-1, 0, inside_flag, AtomicOp.SUM)
-                ctx.flush(0)
+                lock.release_write(0)
+                return still_inside
+            lock.acquire_read(0)
+            seen = ctx.fao(1, 0, inside_flag, AtomicOp.SUM) + 1
+            ctx.flush(0)
+            # Wait inside the stripe until the other reader has also entered:
+            # proves that two readers share one stripe concurrently.
+            ctx.spin_while(0, inside_flag, lambda v: v < 2)
+            ctx.accumulate(-1, 0, inside_flag, AtomicOp.SUM)
+            ctx.flush(0)
+            lock.release_read(0)
             ctx.accumulate(1, 0, done_flag, AtomicOp.SUM)
             ctx.flush(0)
             return seen

@@ -37,14 +37,12 @@ def test_plan_rejects_duplicate_ranks_and_bad_horizon():
         FaultPlan.single(2, 5.0).validate_for(nranks=2)
 
 
-def test_null_plan_and_describe():
+def test_null_plan():
     assert FaultPlan().is_null
-    assert FaultPlan().describe() == "null"
     plan = FaultPlan.single(1, 10.0, restart_us=40.0, horizon_us=500.0)
     assert not plan.is_null
-    assert plan.describe() == "r1@10+restart@40,horizon=500"
-    assert plan.kill_at() == {1: 10.0}
-    assert plan.restart_at() == {1: 40.0}
+    assert plan.fault_for(1).kill_us == 10.0
+    assert plan.fault_for(1).restart_us == 40.0
 
 
 def test_dead_at_models_a_perfect_failure_detector():

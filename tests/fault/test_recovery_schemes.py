@@ -15,6 +15,8 @@ from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.fault import FaultPlan, TimelineObserver
 from repro.fault.lease_lock import LeaseLockSpec
+from repro.fault.repair_mcs import RacyRepairMCSLockHandle, RepairMCSLockHandle
+from repro.rma.runtime_base import SimDeadlockError
 from repro.topology.builder import cached_machine
 from repro.verification.oracles import RecoveryOracleObserver
 
@@ -116,3 +118,48 @@ def test_recovery_report_summary_carries_fault_counters():
         assert key in summary
     assert summary["crashes"] == 1
     assert summary["holder_deaths"] == 1
+
+
+#: ecsb at P=4 with rank 1 killed at 9 us: rank 0's release finds dead rank 1
+#: at the queue tail, and its closing CAS loses to a racer that has already
+#: swapped itself in behind the dead node.
+LOST_CAS_PLAN = FaultPlan.single(1, kill_us=9)
+LOST_CAS_FINISH_US = [23.025000000000016, 9.0, 23.025000000000016, 23.025000000000016]
+
+
+def _spy_settle_race(monkeypatch, handle_cls):
+    """Record every ``(releaser, dead)`` pair that enters ``_settle_race``."""
+    entered = []
+    settle = handle_cls._settle_race
+
+    def spy(self, dead):
+        entered.append((self.ctx.rank, dead))
+        return (yield from settle(self, dead))
+
+    monkeypatch.setattr(handle_cls, "_settle_race", spy)
+    return entered
+
+
+@pytest.mark.parametrize("scheduler", ["horizon", "baseline"])
+def test_repair_mcs_settles_a_lost_closing_cas(scheduler, monkeypatch):
+    entered = _spy_settle_race(monkeypatch, RepairMCSLockHandle)
+    oracle = RecoveryOracleObserver()
+    _, raw = run_lock_benchmark_detailed(
+        _config(scheme="repair-mcs", benchmark="ecsb", iterations=6, seed=1),
+        fault_plan=LOST_CAS_PLAN, observer=oracle, scheduler=scheduler,
+    )
+    assert entered == [(0, 1)]
+    assert raw.finish_times_us == LOST_CAS_FINISH_US
+    report = oracle.report()
+    assert report.ok, [str(v) for v in report.violations]
+
+
+@pytest.mark.parametrize("scheduler", ["horizon", "baseline"])
+def test_racy_repair_orphans_the_racer_on_a_lost_closing_cas(scheduler, monkeypatch):
+    entered = _spy_settle_race(monkeypatch, RacyRepairMCSLockHandle)
+    with pytest.raises(SimDeadlockError):
+        run_lock_benchmark_detailed(
+            _config(scheme="repair-mcs-racy", benchmark="ecsb", iterations=6, seed=1),
+            fault_plan=LOST_CAS_PLAN, scheduler=scheduler,
+        )
+    assert entered == [(0, 1)]

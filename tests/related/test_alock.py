@@ -16,7 +16,6 @@ class TestALockSpec:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = ALockSpec(machine)
         assert spec.window_words == 4
-        assert spec.num_processes == 4
 
     def test_init_window_home_holds_owner_and_tail(self):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
@@ -85,7 +84,8 @@ class TestALockProtocol:
             if ctx.rank == 0:
                 lock.acquire()
                 attempts = lock.last_attempts
-                holder = lock.holder()
+                holder = ctx.get(spec.home_rank, spec.owner_offset)
+                ctx.flush(spec.home_rank)
                 lock.release()
                 return attempts, holder
             return None

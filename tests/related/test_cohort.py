@@ -64,7 +64,7 @@ class TestCohortTicketLockProtocol:
         assert outcome.ok, outcome
 
     def test_mutual_exclusion_three_levels(self):
-        machine = Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=2)
+        machine = Machine(fanouts=(2, 2), procs_per_leaf=2)
         spec = CohortTicketLockSpec(machine, max_local_passes=3)
         outcome = run_mutex_check(spec, machine, iterations=3)
         assert outcome.ok, outcome

@@ -16,7 +16,6 @@ class TestHBOLockSpec:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = HBOLockSpec(machine)
         assert spec.window_words == 1
-        assert spec.num_processes == 4
 
     def test_init_window_sets_null_holder_on_home(self):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
@@ -54,7 +53,7 @@ class TestHBOLockProtocol:
         assert outcome.ok, outcome
 
     def test_mutual_exclusion_three_levels(self):
-        machine = Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=2)
+        machine = Machine(fanouts=(2, 2), procs_per_leaf=2)
         spec = HBOLockSpec(machine)
         outcome = run_mutex_check(spec, machine, iterations=3)
         assert outcome.ok, outcome
@@ -77,11 +76,16 @@ class TestHBOLockProtocol:
         result = runtime.run(program, window_init=spec.init_window)
         assert result.returns[0] == 1
 
-    def test_holder_reports_current_owner(self):
+    def test_lock_word_holds_the_current_owner(self):
         machine = Machine.single_node(2)
         spec = HBOLockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words + 1)
         flag = spec.window_words
+
+        def holder_word(ctx):
+            value = ctx.get(spec.home_rank, spec.lock_offset)
+            ctx.flush(spec.home_rank)
+            return value
 
         def program(ctx):
             lock = spec.make(ctx)
@@ -92,17 +96,17 @@ class TestHBOLockProtocol:
                 ctx.flush(1)
                 ctx.spin_while(0, flag, lambda v: v == 0)
                 lock.release()
-                return lock.holder()
+                return holder_word(ctx)
             # Rank 1 observes the holder while rank 0 is inside the CS.
             ctx.spin_while(ctx.rank, flag, lambda v: v == 0)
-            observed = lock.holder()
+            observed = holder_word(ctx)
             ctx.put(1, 0, flag)
             ctx.flush(0)
             return observed
 
         result = runtime.run(program, window_init=spec.init_window)
         assert result.returns[1] == 0          # rank 0 held the lock
-        assert result.returns[0] is None        # free after release
+        assert result.returns[0] == NULL_RANK   # free after release
 
     def test_backoff_cap_depends_on_holder_distance(self):
         machine = Machine.cluster(nodes=2, procs_per_node=2)

@@ -60,9 +60,11 @@ class TestLockServerProtocol:
             if ctx.rank == 0:
                 lock.acquire()
                 polls = lock.last_polls
-                depth = lock.queue_depth()
+                issued = ctx.get(spec.server_rank, spec.next_offset)
+                served = ctx.get(spec.server_rank, spec.grant_offset)
+                ctx.flush(spec.server_rank)
                 lock.release()
-                return polls, depth
+                return polls, issued - served
             return None
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -82,7 +84,7 @@ class TestLockServerProtocol:
             ctx.compute(0.5)
             lock.release()
             ctx.barrier()
-            return lock.queue_depth()
 
-        result = runtime.run(program, window_init=spec.init_window)
-        assert all(depth == 0 for depth in result.returns)
+        runtime.run(program, window_init=spec.init_window)
+        server = runtime.window(spec.server_rank)
+        assert server.read(spec.next_offset) == server.read(spec.grant_offset) == 3

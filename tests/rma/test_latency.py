@@ -14,7 +14,7 @@ from golden_cases import golden_config, result_fingerprint
 
 @pytest.fixture
 def machine() -> Machine:
-    return Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=4)
+    return Machine(fanouts=(2, 2), procs_per_leaf=4)
 
 
 class TestTiers:
@@ -75,49 +75,38 @@ class TestOccupancy:
 
 class TestPresets:
     def test_flat_fabric_has_uniform_remote_cost(self):
-        machine = Machine.multi_rack(2, 2, 4)
+        machine = Machine(fanouts=(2, 2), procs_per_leaf=4)
         model = LatencyModel.flat(1.5)
         assert model.base_cost(machine, 0, 1) == model.base_cost(machine, 0, 12) == 1.5
         assert model.base_cost(machine, 0, 0) < 1.5
 
-    def test_scaled_preserves_ordering(self):
-        machine = Machine.multi_rack(2, 2, 4)
-        model = LatencyModel.scaled(3.0)
-        base = LatencyModel.cray_xc30()
-        assert model.global_us == pytest.approx(base.global_us * 3.0)
-        assert model.base_cost(machine, 0, 1) < model.base_cost(machine, 0, 12)
-
-    def test_tier_table_keys(self):
-        model = LatencyModel.cray_xc30()
-        assert list(model.tier_table(Machine.single_node(4))) == ["self", "same_node"]
-        assert list(model.tier_table(Machine.cluster(2, 4))) == ["self", "same_node", "same_group"]
-        for machine in (Machine.multi_rack(2, 2, 4), Machine.from_level_sizes([2, 2, 2], 2)):
-            assert list(model.tier_table(machine)) == ["self", "same_node", "same_group", "global"]
-        # A level nothing fans out at, or one rank per node, is at no pair's distance.
-        assert list(model.tier_table(Machine.cluster(1, 4))) == ["self", "same_node"]
-        assert list(model.tier_table(Machine.cluster(4, 1))) == ["self", "same_group"]
-
     @pytest.mark.parametrize(
-        "machine",
-        [Machine.single_node(4), Machine.cluster(2, 4), Machine.multi_rack(2, 2, 4)],
+        "machine,tiers",
+        [
+            (Machine.single_node(4), ["self_us", "same_node_us"]),
+            (Machine.cluster(2, 4), ["self_us", "same_node_us", "same_group_us"]),
+            (Machine(fanouts=(2, 2), procs_per_leaf=4), ["self_us", "same_node_us", "same_group_us", "global_us"]),
+        ],
         ids=["N=1", "N=2", "N=3"],
     )
-    @pytest.mark.parametrize("preset", ["cray_xc30", "flat", "scaled"])
-    def test_tier_table_reports_what_base_cost_charges(self, machine, preset):
+    @pytest.mark.parametrize("preset", ["cray_xc30", "flat", "custom"])
+    def test_base_cost_charges_each_distance_its_tier(self, machine, tiers, preset):
+        """Nearest first, each distance class present costs its own tier field."""
         model = _preset(preset)
         n = machine.n_levels
         charged = {}
-        for target in machine.iter_ranks():
-            tier = ("self", "same_node", "same_group", "global")[n + 1 - machine.common_level(0, target)]
-            charged[tier] = model.base_cost(machine, 0, target)
-        assert model.tier_table(machine) == charged
+        for target in range(machine.num_processes):
+            tier = tiers[n + 1 - machine.common_level(0, target)]
+            charged.setdefault(tier, set()).add(model.base_cost(machine, 0, target))
+        assert list(charged) == tiers
+        assert charged == {tier: {getattr(model, tier)} for tier in tiers}
 
 
 def _preset(name: str) -> LatencyModel:
     return {
         "cray_xc30": LatencyModel.cray_xc30,
         "flat": lambda: LatencyModel.flat(1.3),
-        "scaled": lambda: LatencyModel.scaled(2.7),
+        "custom": lambda: LatencyModel(same_node_us=0.9, same_group_us=2.7, global_us=4.1),
     }[name]()
 
 
@@ -158,14 +147,14 @@ def _assert_table_is_the_methods(table: CostTable, model: LatencyModel, machine:
 MACHINES = {
     "single_node": Machine.single_node(6),
     "cluster": Machine.cluster(nodes=3, procs_per_node=4),
-    "multi_rack": Machine.multi_rack(racks=2, nodes_per_rack=3, procs_per_node=2),
-    "four_level": Machine.from_level_sizes([2, 1, 3], procs_per_leaf=2),
+    "multi_rack": Machine(fanouts=(2, 3), procs_per_leaf=2),
+    "four_level": Machine(fanouts=(2, 1, 3), procs_per_leaf=2),
 }
 
 
 class TestCostTable:
     @pytest.mark.parametrize("shape", sorted(MACHINES))
-    @pytest.mark.parametrize("preset", ["cray_xc30", "flat", "scaled"])
+    @pytest.mark.parametrize("preset", ["cray_xc30", "flat", "custom"])
     def test_every_entry_is_the_models_method_value(self, shape, preset):
         model, machine = _preset(preset), MACHINES[shape]
         _assert_table_is_the_methods(CostTable(model, machine), model, machine)

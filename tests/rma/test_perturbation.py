@@ -43,10 +43,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PerturbationModel(pause_us=(5.0, 1.0))
 
-    def test_null_model_detection(self):
-        assert PerturbationModel().is_null
-        assert not PerturbationModel(latency_jitter=0.1).is_null
-
     def test_rank_multipliers_all_one_without_slowdown(self):
         assert PerturbationModel(seed=4).rank_multipliers(8) == (1.0,) * 8
 
@@ -67,12 +63,6 @@ class TestModelValidation:
         a = perturbation_rng(seed, 3).random(4).tolist()
         b = rank_rng(seed, 3).random(4).tolist()
         assert a != b
-
-    def test_describe_round_trips_to_json_primitives(self):
-        import json
-
-        model = PerturbationModel(seed=2, latency_jitter=0.25, pause_rate=0.01)
-        assert json.loads(json.dumps(model.describe())) == model.describe()
 
 
 class TestCostTableScaling:

@@ -1,4 +1,4 @@
-"""Tests for the Table-3 portability layer and the SHMEM/UPC facades."""
+"""Tests for the Table-3 portability data."""
 
 from __future__ import annotations
 
@@ -6,14 +6,10 @@ import pytest
 
 from repro.rma.portability import (
     PORTABILITY_TABLE,
-    ShmemFacade,
-    UpcFacade,
     environments,
     operations,
     supports_all_required_ops,
 )
-from repro.rma.sim_runtime import SimRuntime
-from repro.topology.machine import Machine
 
 REQUIRED_OPS = {"put", "get", "accumulate", "fao_sum", "fao_replace", "cas"}
 
@@ -47,119 +43,3 @@ class TestTable3:
     def test_table_rows_are_unique(self):
         keys = [(e.environment, e.operation) for e in PORTABILITY_TABLE]
         assert len(keys) == len(set(keys)) == 36
-
-
-class TestFacades:
-    def test_shmem_facade_round_trip(self):
-        machine = Machine.cluster(nodes=1, procs_per_node=2)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            shmem = ShmemFacade(ctx)
-            assert shmem.my_pe == ctx.rank
-            assert shmem.n_pes == 2
-            if shmem.my_pe == 0:
-                shmem.shmem_put(41, 1, 0)
-                shmem.shmem_quiet(1)
-                old = shmem.shmem_fadd(1, 0, 1)
-                shmem.shmem_quiet(1)
-                assert old == 41
-            shmem.shmem_barrier_all()
-            return shmem.shmem_get(1, 0)
-
-        result = rt.run(program)
-        assert result.returns == [42, 42]
-
-    def test_shmem_swap_and_cswap(self):
-        machine = Machine.single_node(2)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            shmem = ShmemFacade(ctx)
-            if ctx.rank == 0:
-                first = shmem.shmem_swap(0, 1, 7)
-                shmem.shmem_quiet(0)
-                second = shmem.shmem_cswap(0, 1, cond=7, value=9)
-                shmem.shmem_quiet(0)
-                failed = shmem.shmem_cswap(0, 1, cond=7, value=11)
-                shmem.shmem_quiet(0)
-                return first, second, failed
-            return None
-
-        result = rt.run(program)
-        assert result.returns[0] == (0, 7, 9)
-        assert rt.window(0).read(1) == 9
-
-    def test_upc_facade_counter(self):
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            upc = UpcFacade(ctx)
-            assert upc.threads == 4
-            upc.upc_inc(0, 2, 1)
-            upc.upc_fence(0)
-            upc.upc_barrier()
-            return upc.upc_get(0, 2)
-
-        result = rt.run(program)
-        assert result.returns == [4, 4, 4, 4]
-
-    def test_upc_cswap_single_winner(self):
-        machine = Machine.single_node(4)
-        rt = SimRuntime(machine, window_words=4)
-
-        def program(ctx):
-            upc = UpcFacade(ctx)
-            won = upc.upc_cswap(0, 3, compare=0, value=upc.mythread + 1) == 0
-            upc.upc_fence(0)
-            return won
-
-        result = rt.run(program)
-        assert sum(result.returns) == 1
-
-    def test_mcs_lock_runs_on_top_of_shmem_style_calls(self):
-        """The D-MCS protocol expressed through the SHMEM facade still works."""
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        rt = SimRuntime(machine, window_words=8)
-        NEXT, WAIT, TAIL, COUNTER = 0, 1, 2, 3
-
-        def window_init(rank):
-            values = {NEXT: -1, WAIT: 0}
-            if rank == 0:
-                values[TAIL] = -1
-            return values
-
-        def program(ctx):
-            shmem = ShmemFacade(ctx)
-            me = shmem.my_pe
-            shmem.shmem_barrier_all()
-            for _ in range(3):
-                # acquire (Listing 2, SHMEM spelling)
-                shmem.shmem_put(-1, me, NEXT)
-                shmem.shmem_put(1, me, WAIT)
-                shmem.shmem_quiet(me)
-                pred = shmem.shmem_swap(0, TAIL, me)
-                shmem.shmem_quiet(0)
-                if pred != -1:
-                    shmem.shmem_put(me, pred, NEXT)
-                    shmem.shmem_quiet(pred)
-                    ctx.spin_while(me, WAIT, lambda v: v == 1)
-                # critical section
-                count = shmem.shmem_get(0, COUNTER)
-                shmem.shmem_quiet(0)
-                shmem.shmem_put(count + 1, 0, COUNTER)
-                shmem.shmem_quiet(0)
-                # release (Listing 3)
-                succ = shmem.shmem_get(me, NEXT)
-                shmem.shmem_quiet(me)
-                if succ == -1:
-                    if shmem.shmem_cswap(0, TAIL, cond=me, value=-1) == me:
-                        continue
-                    succ = ctx.spin_while(me, NEXT, lambda v: v == -1)
-                shmem.shmem_put(0, succ, WAIT)
-                shmem.shmem_quiet(succ)
-            shmem.shmem_barrier_all()
-
-        rt.run(program, window_init=window_init)
-        assert rt.window(0).read(COUNTER) == machine.num_processes * 3

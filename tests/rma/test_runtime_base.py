@@ -18,13 +18,11 @@ class TestRunResult:
             op_counts={"put": 3, "get": 2},
             per_rank_op_counts=[{"put": 1}, {"put": 1, "get": 2}, {"put": 1}],
         )
-        assert result.num_ranks == 3
         assert result.total_ops() == 5
 
     def test_empty_op_counts(self):
         result = RunResult(returns=[], finish_times_us=[], total_time_us=0.0)
         assert result.total_ops() == 0
-        assert result.num_ranks == 0
 
 
 class TestSpinWhileWrapper:

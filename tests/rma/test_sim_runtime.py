@@ -600,7 +600,7 @@ class TestStatistics:
 
     def test_custom_latency_model_respected(self):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
-        slow = LatencyModel.scaled(10.0)
+        slow = LatencyModel(same_node_us=3.0, same_group_us=8.0, global_us=12.0)
 
         def program(ctx):
             ctx.get(3 - ctx.rank, 0)

@@ -2,10 +2,35 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
-from repro.api.registry import scheme_names
-from repro.cli import build_parser, main
+from repro.api.registry import get_scheme, scheme_names
+from repro.cli import _FIGURES, build_parser, main
+
+#: Every harness scheme this package registers.
+BUILTIN_HARNESS_SCHEMES = [
+    name for name in scheme_names(harness=True)
+    if get_scheme(name).builder.__module__.startswith("repro.")
+]
+
+
+def _table_rows(out, first_column):
+    """The rows of the printed table whose header starts with ``first_column``."""
+    lines = out.splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if line.split()[:1] == [first_column] and lines[i + 1].startswith("-")
+    )
+    header = lines[start].split()
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        rows.append(dict(zip(header, line.split())))
+    return rows
 
 
 class TestParser:
@@ -20,10 +45,10 @@ class TestParser:
 
     def test_bench_arguments(self):
         args = build_parser().parse_args(
-            ["bench", "--scheme", "rma-mcs", "--benchmark", "sob", "--procs", "16", "--t-l", "2", "4"]
+            ["bench", "--scheme", "rma-mcs", "--benchmark", "sob", "--procs", "16", "--param", "t_l=[2,4]"]
         )
         assert args.scheme == "rma-mcs"
-        assert args.t_l == [2, 4]
+        assert args.scheme_params == ["t_l=[2,4]"]
 
     def test_bench_rejects_unknown_scheme(self):
         with pytest.raises(SystemExit):
@@ -61,10 +86,18 @@ class TestCommands:
     def test_bench_rma_rw_with_thresholds(self, capsys):
         code = main([
             "bench", "--scheme", "rma-rw", "--procs", "8", "--procs-per-node", "4",
-            "--iterations", "5", "--fw", "0.1", "--t-dc", "4", "--t-r", "8", "--t-l", "2", "2",
+            "--iterations", "5", "--fw", "0.1",
+            "--param", "t_dc=4", "--param", "t_r=8", "--param", "t_l=[2,2]",
         ])
         assert code == 0
         assert "rma-rw" in capsys.readouterr().out
+
+    def test_figures_unknown_name_suggests_close_match(self, capsys):
+        code = main(["figures", "4x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown figure" in err
+        assert "Did you mean" in err
 
     def test_info(self, capsys):
         code = main(["info", "--procs", "16", "--procs-per-node", "8"])
@@ -85,6 +118,27 @@ class TestFigureExport:
         assert (tmp_path / "out" / "figure_4a.csv").exists()
         assert (tmp_path / "out" / "figure_4a.json").exists()
         assert "saved:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(_FIGURES))
+    def test_every_figure_prints_the_rows_it_saves(self, name, tmp_path, capsys):
+        code = main([
+            "figures", name, "--procs", "4", "--iterations", "4", "--jobs", "1",
+            "--output-dir", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        _, series, value = _FIGURES[name]
+        lines = out.splitlines()
+        assert lines[0] == f"== Figure {name} ==  (y = {value})"
+        rows = json.loads((tmp_path / f"figure_{name.replace('-', '_')}.json").read_text())["rows"]
+        assert rows and all(row["P"] == 4 and row[value] >= 0 for row in rows)
+        # Series names may hold single spaces; columns are two or more apart.
+        columns = re.split(r"\s{2,}", lines[1].strip())
+        cells = re.split(r"\s{2,}", lines[3].strip())
+        assert columns[0] == "P" and cells[0] == "4" and lines[4] == ""
+        assert set(columns[1:]) == {str(row[series]) for row in rows}
+        for column, cell in zip(columns[1:], cells[1:]):
+            assert cell in {f"{row[value]:.3f}" for row in rows if str(row[series]) == column}
 
 
 class TestTraceCommand:
@@ -107,6 +161,21 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "virtual time 0" in out  # the per-rank activity strip header
+
+    @pytest.mark.parametrize("scheme", BUILTIN_HARNESS_SCHEMES)
+    def test_trace_tables_account_for_every_traced_call(self, scheme, capsys):
+        code = main([
+            "trace", "--scheme", scheme, "--procs", "8", "--procs-per-node", "4",
+            "--iterations", "3", "--fw", "0.5", "--activity",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"Scheme  : {scheme}, 3 acquisitions per rank" in out
+        traced = int(re.search(r"RMA calls traced: (\d+)", out).group(1))
+        assert traced > 0
+        assert sum(int(row["count"]) for row in _table_rows(out, "call")) == traced
+        assert sum(int(row["ops"]) for row in _table_rows(out, "distance")) == traced
+        assert re.findall(r"^rank (\d+) \|", out, re.M) == [str(r) for r in range(8)]
 
 
 class TestVerifyCommand:
@@ -147,7 +216,7 @@ class TestSchedulerFlag:
 
     def test_bench_baseline_scheduler_output_is_identical(self, capsys):
         argv = ["bench", "--scheme", "rma-rw", "--procs", "8", "--procs-per-node", "4",
-                "--iterations", "5", "--t-l", "2", "2"]
+                "--iterations", "5", "--param", "t_l=[2,2]"]
         assert main(argv + ["--scheduler", "horizon"]) == 0
         horizon_out = capsys.readouterr().out
         assert main(argv + ["--scheduler", "baseline"]) == 0
@@ -448,42 +517,19 @@ class TestScaleCommand:
         assert "cannot run" in capsys.readouterr().err
 
 
-class TestGeneratedThresholdFlags:
-    def test_t_w_flag_is_generated_from_registry(self, capsys):
-        code = main([
-            "bench", "--scheme", "rma-rw", "--procs", "8", "--procs-per-node", "4",
-            "--iterations", "4", "--t-l", "2", "2", "--t-w", "3",
-        ])
-        assert code == 0
-        assert "rma-rw" in capsys.readouterr().out
-
-    def test_help_names_the_schemes_using_each_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--help"])
-        out = capsys.readouterr().out
-        assert "--t-dc" in out and "--t-r" in out and "--t-l" in out and "--t-w" in out
-        assert "schemes: rma-rw" in out
-
-    def test_figures_unknown_name_suggests_close_match(self, capsys):
-        code = main(["figures", "4x"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown figure" in err
-        assert "Did you mean" in err
-
-
 class TestParamOverlayFlag:
-    def test_param_flag_parses_json_values(self):
+    def test_param_flag_parses_json_values_and_coerces_them(self):
         from repro.cli import _parse_param_assignments
 
-        overlay = _parse_param_assignments(["t-r=16", "local_cap_us=0.5", "t_l=[2, 2]"])
-        assert overlay == (("t_r", 16), ("local_cap_us", 0.5), ("t_l", [2, 2]))
+        overlay = _parse_param_assignments(["t-r=16", "t_l=[2, 2]"], "rma-rw")
+        assert overlay == (("t_r", 16), ("t_l", (2, 2)))
+        assert _parse_param_assignments(["local-cap-us=0.5"], "hbo") == (("local_cap_us", 0.5),)
 
     def test_param_flag_rejects_missing_value(self):
         from repro.cli import _parse_param_assignments
 
         with pytest.raises(SystemExit, match="NAME=VALUE"):
-            _parse_param_assignments(["t_r"])
+            _parse_param_assignments(["t_r"], "rma-rw")
 
     def test_bench_accepts_param_overlay(self, capsys):
         code = main([
@@ -502,11 +548,20 @@ class TestParamOverlayFlag:
         assert code == 2
         assert "t_r" in capsys.readouterr().err
 
-    def test_threshold_flags_survive_as_deprecated_aliases(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--help"])
-        out = capsys.readouterr().out
-        assert "deprecated alias of --param" in out
+    def test_bench_accepts_t_w_param(self, capsys):
+        code = main([
+            "bench", "--scheme", "rma-rw", "--procs", "8", "--procs-per-node", "4",
+            "--iterations", "4", "--param", "t_l=[2,2]", "--param", "t_w=3",
+        ])
+        assert code == 0
+        assert "rma-rw" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--t-dc", "--t-l", "--t-r", "--t-w"])
+    def test_removed_threshold_aliases_are_unknown_arguments(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestTuneCommand:

@@ -15,7 +15,6 @@ SMALL_ENV = {
     "REPRO_EXAMPLE_NODES": "2",
     "REPRO_EXAMPLE_PROCS_PER_NODE": "4",
     "REPRO_EXAMPLE_OPS": "4",
-    "REPRO_EXAMPLE_VERTICES": "24",
 }
 
 
@@ -42,48 +41,6 @@ def test_key_value_store(monkeypatch, capsys):
     out = run_example("key_value_store.py", monkeypatch, capsys)
     assert "rma-rw" in out
     assert "fompi-a" in out
-
-
-def test_graph_processing(monkeypatch, capsys):
-    out = run_example("graph_processing.py", monkeypatch, capsys)
-    assert "rma-rw" in out
-    assert "fompi-rw" in out
-
-
-def test_parameter_tuning(monkeypatch, capsys):
-    out = run_example("parameter_tuning.py", monkeypatch, capsys)
-    assert "T_DC" in out
-    assert "T_R" in out
-
-
-def test_adaptive_tuning(monkeypatch, capsys):
-    out = run_example("adaptive_tuning.py", monkeypatch, capsys)
-    assert "Best parameters found" in out
-    assert "hand-off locality" in out
-
-
-def test_reproduce_figures_single_figure(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_BENCH_PROCS", "4 8")
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.3")
-    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "4a"])
-    runpy.run_path(str(EXAMPLES_DIR / "reproduce_figures.py"), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "Figure 4a" in out
-
-
-def test_related_locks_comparison(monkeypatch, capsys):
-    out = run_example("related_locks_comparison.py", monkeypatch, capsys)
-    assert "rma-mcs" in out
-    assert "cohort" in out
-    assert "numa-rw" in out
-    assert "ranking" in out
-
-
-def test_trace_analysis(monkeypatch, capsys):
-    out = run_example("trace_analysis.py", monkeypatch, capsys)
-    assert "RMA-MCS" in out
-    assert "operation share by distance" in out
-    assert "hottest remote targets" in out
 
 
 def test_custom_lock(monkeypatch, capsys):

@@ -8,7 +8,6 @@ from repro.topology.builder import (
     XC30_PROCS_PER_NODE,
     cached_machine,
     figure2_machine,
-    machines_for_sweep,
     xc30_like,
 )
 
@@ -87,11 +86,3 @@ class TestCachedMachine:
         # (not a silent 24-process machine under a P=12 label).
         with pytest.raises(ValueError, match="not the requested"):
             cached_machine(12, 6, "figure2")
-
-
-class TestSweep:
-    def test_machines_for_sweep_yields_pairs(self):
-        pairs = list(machines_for_sweep([4, 8, 32], procs_per_node=8))
-        assert [p for p, _ in pairs] == [4, 8, 32]
-        assert pairs[0][1].num_processes == 4
-        assert pairs[2][1].num_elements(2) == 4

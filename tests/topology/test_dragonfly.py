@@ -19,13 +19,6 @@ class TestShape:
     def test_counts(self, dragonfly):
         assert dragonfly.num_routers == 6
         assert dragonfly.num_nodes == 12
-        assert dragonfly.local_links_per_group == 1
-        assert dragonfly.num_global_links == 3
-
-    def test_single_group_has_no_global_links(self):
-        topo = DragonflyTopology(num_groups=1, routers_per_group=4, nodes_per_router=2)
-        assert topo.num_global_links == 0
-        assert topo.local_links_per_group == 6
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
@@ -40,15 +33,11 @@ class TestShape:
         assert dragonfly.router_of(1) == (0, 0)
         assert dragonfly.router_of(2) == (0, 1)
         assert dragonfly.router_of(4) == (1, 0)
-        assert dragonfly.group_of(11) == 2
+        assert dragonfly.router_of(11) == (2, 1)
 
     def test_router_of_rejects_out_of_range(self, dragonfly):
         with pytest.raises(ValueError):
             dragonfly.router_of(12)
-
-    def test_describe_mentions_counts(self, dragonfly):
-        text = dragonfly.describe()
-        assert "3 groups" in text and "12 nodes" in text
 
 
 class TestForMachine:
@@ -86,10 +75,6 @@ class TestRouting:
         backward = {l for l in dragonfly.route(11, 0) if l[0] == "global"}
         assert forward == backward
 
-    def test_hop_count_zero_for_self(self, dragonfly):
-        assert dragonfly.hop_count(3, 3) == 0
-        assert dragonfly.hop_count(0, 11) == len(dragonfly.route(0, 11))
-
     def test_gateway_requires_distinct_groups(self, dragonfly):
         with pytest.raises(ValueError):
             dragonfly.gateway_router(1, 1)
@@ -110,7 +95,7 @@ class TestRouting:
         assert kinds.count("terminal") == 2
         assert kinds.count("local") <= 2
         assert kinds.count("global") <= 1
-        if topo.group_of(src) == topo.group_of(dst):
+        if topo.router_of(src)[0] == topo.router_of(dst)[0]:
             assert "global" not in kinds
         else:
             assert kinds.count("global") == 1

@@ -30,22 +30,16 @@ class TestConstruction:
         assert m.num_elements(2) == 4
         assert m.ranks_per_element(2) == 16
 
-    def test_multi_rack(self):
-        m = Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=6)
+    def test_three_levels(self):
+        m = Machine(fanouts=(2, 2), procs_per_leaf=6)
         assert m.n_levels == 3
         assert m.num_processes == 24
         assert m.num_elements(2) == 2
         assert m.num_elements(3) == 4
 
-    def test_from_level_sizes(self):
-        m = Machine.from_level_sizes([3, 2], procs_per_leaf=4)
-        assert m.n_levels == 3
-        assert m.num_elements(3) == 6
-        assert m.num_processes == 24
-
     def test_default_level_names(self):
         assert Machine.cluster(2, 2).level_names == ("machine", "node")
-        assert Machine.multi_rack(2, 2, 2).level_names == ("machine", "rack", "node")
+        assert Machine(fanouts=(2, 2), procs_per_leaf=2).level_names == ("machine", "rack", "node")
         assert Machine.single_node(4).level_names == ("machine",)
 
     def test_custom_level_names(self):
@@ -70,7 +64,7 @@ class TestConstruction:
         for other in (
             Machine(fanouts=[8], procs_per_leaf=8, level_names=["machine", "node"]),
             Machine(fanouts=np.array([8]), procs_per_leaf=np.int64(8)),
-            Machine.from_level_sizes(np.array([8]), np.int32(8)),
+            Machine(fanouts=np.array([8]), procs_per_leaf=np.int32(8)),
         ):
             assert other == twin and hash(other) == hash(twin) and repr(other) == repr(twin)
             assert type(other.fanouts) is tuple and type(other.level_names) is tuple
@@ -90,7 +84,7 @@ class TestConstruction:
 
 class TestQueries:
     def test_levels_descriptions(self):
-        m = Machine.multi_rack(2, 2, 6)
+        m = Machine(fanouts=(2, 2), procs_per_leaf=6)
         levels = m.levels()
         assert [lvl.index for lvl in levels] == [1, 2, 3]
         assert [lvl.num_elements for lvl in levels] == [1, 2, 4]
@@ -102,7 +96,7 @@ class TestQueries:
         assert m.element_of(3, 2) == 0
         assert m.element_of(4, 2) == 1
         assert m.element_of(15, 2) == 3
-        assert all(m.element_of(r, 1) == 0 for r in m.iter_ranks())
+        assert all(m.element_of(r, 1) == 0 for r in range(m.num_processes))
 
     def test_ranks_in_element(self):
         m = Machine.cluster(nodes=4, procs_per_node=4)
@@ -111,7 +105,7 @@ class TestQueries:
         assert list(m.ranks_in_element(1, 0)) == list(range(16))
 
     def test_first_rank_of_element(self):
-        m = Machine.multi_rack(2, 2, 3)
+        m = Machine(fanouts=(2, 2), procs_per_leaf=3)
         assert m.first_rank_of_element(3, 0) == 0
         assert m.first_rank_of_element(3, 2) == 6
         assert m.first_rank_of_element(2, 1) == 6
@@ -139,16 +133,16 @@ class TestQueries:
         assert not m.same_node(0, 4)
 
     def test_common_level_three_levels(self):
-        m = Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=3)
+        m = Machine(fanouts=(2, 2), procs_per_leaf=3)
         # ranks 0-2 node0, 3-5 node1 (rack 0); 6-8 node2, 9-11 node3 (rack 1)
         assert m.common_level(0, 1) == 3
         assert m.common_level(0, 3) == 2
         assert m.common_level(0, 6) == 1
 
     def test_common_level_is_symmetric(self):
-        m = Machine.multi_rack(2, 2, 3)
-        for a in m.iter_ranks():
-            for b in m.iter_ranks():
+        m = Machine(fanouts=(2, 2), procs_per_leaf=3)
+        for a in range(m.num_processes):
+            for b in range(m.num_processes):
                 assert m.common_level(a, b) == m.common_level(b, a)
 
     def test_describe_mentions_process_count(self):
@@ -156,10 +150,6 @@ class TestQueries:
         text = m.describe()
         assert "P=16" in text
         assert "node" in text
-
-    def test_iter_ranks(self):
-        m = Machine.cluster(nodes=2, procs_per_node=3)
-        assert list(m.iter_ranks()) == list(range(6))
 
 
 class TestValidation:
@@ -210,7 +200,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_element_of_consistent_with_ranks_in_element(self, machine: Machine):
         for level in range(1, machine.n_levels + 1):
-            for rank in machine.iter_ranks():
+            for rank in range(machine.num_processes):
                 element = machine.element_of(rank, level)
                 assert rank in machine.ranks_in_element(level, element)
 
@@ -270,7 +260,6 @@ class TestAgainstDocstringDefinitions:
 
         assert machine.n_levels == n
         assert machine.num_processes == p
-        assert list(machine.iter_ranks()) == list(range(p))
         for level in range(1, n + 1):
             assert machine.num_elements(level) == count(level)
             assert machine.ranks_per_element(level) == p // count(level)

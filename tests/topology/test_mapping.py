@@ -1,4 +1,4 @@
-"""Tests for the counter and tail-rank placement mappings."""
+"""Tests for the counter placement mappings."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology.machine import Machine
-from repro.topology.mapping import CounterPlacement, counter_rank, counter_ranks, tail_rank
+from repro.topology.mapping import CounterPlacement, counter_rank, counter_ranks
 
 
 class TestCounterRank:
@@ -49,49 +48,14 @@ class TestCounterRank:
 
 
 class TestCounterPlacement:
-    def test_per_node_default(self):
-        m = Machine.cluster(nodes=4, procs_per_node=8)
-        placement = CounterPlacement.per_node(m)
-        assert placement.t_dc == 8
+    def test_one_counter_per_node(self):
+        placement = CounterPlacement(t_dc=8, num_processes=32)
         assert placement.owners() == [0, 8, 16, 24]
         assert placement.num_counters == 4
         assert placement.owner(13) == 8
-
-    def test_per_every_second_node(self):
-        m = Machine.cluster(nodes=4, procs_per_node=8)
-        placement = CounterPlacement.per_node(m, every_kth_node=2)
-        assert placement.t_dc == 16
-        assert placement.owners() == [0, 16]
-
-    def test_single_counter(self):
-        m = Machine.cluster(nodes=4, procs_per_node=8)
-        placement = CounterPlacement.single(m)
-        assert placement.num_counters == 1
-        assert placement.owner(31) == 0
-
-    def test_per_node_caps_at_machine_size(self):
-        m = Machine.single_node(4)
-        placement = CounterPlacement.per_node(m, every_kth_node=3)
-        assert placement.t_dc <= m.num_processes
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             CounterPlacement(t_dc=0, num_processes=4)
         with pytest.raises(ValueError):
             CounterPlacement(t_dc=2, num_processes=0)
-        m = Machine.cluster(2, 2)
-        with pytest.raises(ValueError):
-            CounterPlacement.per_node(m, every_kth_node=0)
-
-
-class TestTailRank:
-    def test_tail_rank_is_first_rank_of_element(self):
-        m = Machine.multi_rack(racks=2, nodes_per_rack=2, procs_per_node=3)
-        assert tail_rank(m, 1, 0) == 0
-        assert tail_rank(m, 2, 1) == 6
-        assert tail_rank(m, 3, 3) == 9
-
-    def test_tail_rank_rejects_bad_element(self):
-        m = Machine.cluster(2, 4)
-        with pytest.raises(ValueError):
-            tail_rank(m, 2, 5)

@@ -45,7 +45,7 @@ class TestReservoir:
             reservoir.add_many(rng.exponential(1.0, size=500))
         reservoir.add_many([1e6])  # the extreme outlier must survive
         reservoir.add_many(rng.exponential(1.0, size=2000))
-        assert reservoir.kept <= 2 * reservoir.cap + 2
+        assert len(reservoir._samples) <= 2 * reservoir.cap + 2
         assert reservoir.count == 10 * 500 + 1 + 2000
         assert reservoir.percentiles()["p999"] > 1.0
 

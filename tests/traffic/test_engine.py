@@ -248,11 +248,3 @@ class TestDisplayRows:
         assert display[0]["e2e_p99_us"] == 2.0
         assert display[0]["phases"] == 1
         assert display[0]["cached"] == "yes"
-
-    def test_export_flattening(self):
-        from repro.bench.export import flatten_traffic_rows
-
-        flat = flatten_traffic_rows(
-            [{"case": "x", "percentiles": {"e2e_p99_us": 2.0}, "phases": [{}, {}]}]
-        )
-        assert flat == [{"case": "x", "e2e_p99_us": 2.0, "num_phases": 2}]

@@ -381,7 +381,7 @@ class TestTiledInit:
             init[0] = 1
         runtime = SimRuntime(machine, window_words=table.window_words, seed=0)
         runtime.run(lambda ctx: None, window_init=table.init_window)
-        assert runtime.window(3).snapshot(init) == dict(init)
+        assert {offset: runtime.window(3).read(offset) for offset in init} == dict(init)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import rank_rng, spawn_rngs
+from repro.util.rng import rank_rng
 
 
 class TestRankRng:
@@ -57,23 +57,3 @@ class TestScaledRandomIsUniform:
                 assert (lo + (hi - lo) * g.random()).hex() == float(h.uniform(lo, hi)).hex()
             else:
                 assert g.random().hex() == h.random().hex()
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(5, 4)
-        assert len(rngs) == 4
-        draws = [r.integers(0, 1_000_000, size=8).tolist() for r in rngs]
-        assert len({tuple(d) for d in draws}) == 4
-
-    def test_zero_count(self):
-        assert spawn_rngs(5, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(5, -1)
-
-    def test_matches_rank_rng(self):
-        spawned = spawn_rngs(9, 3)[2].integers(0, 1000, size=8)
-        direct = rank_rng(9, 2).integers(0, 1000, size=8)
-        assert np.array_equal(spawned, direct)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import Summary, discard_warmup, geometric_mean, summarize
+from repro.util.stats import discard_warmup, summarize
 
 
 class TestDiscardWarmup:
@@ -46,13 +45,6 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([], warmup_fraction=0.0)
 
-    def test_as_dict_round_trip(self):
-        s = summarize([2.0, 2.0, 2.0], warmup_fraction=0.0)
-        d = s.as_dict()
-        assert d["mean"] == 2.0
-        assert d["count"] == 3
-        assert set(d) == {"count", "mean", "median", "p95", "min", "max", "std"}
-
     @given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=2, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_mean_within_min_max(self, values):
@@ -66,21 +58,3 @@ class TestSummarize:
         full = summarize(values, warmup_fraction=0.0)
         trimmed = summarize(values, warmup_fraction=0.1)
         assert trimmed.count <= full.count
-
-
-class TestGeometricMean:
-    def test_simple(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-        assert geometric_mean([2, 2, 2]) == pytest.approx(2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_between_min_and_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) - 1e-9 <= g <= max(values) + 1e-9

@@ -48,7 +48,7 @@ class TestTicketLockFairness:
         assert result.trace  # a witness interleaving is reported
 
     def test_model_is_also_safe_and_deadlock_free(self):
-        build_checker(ticket_fairness(3, rounds=1).model).assert_ok()
+        assert build_checker(ticket_fairness(3, rounds=1).model).check().ok
 
 
 class TestMCSFairness:
@@ -132,4 +132,4 @@ class TestTestAndSetUnfairness:
         assert result.max_bypass_observed == 2
 
     def test_mutual_exclusion_still_holds(self):
-        build_checker(tas_fairness(2, rounds=1).model, check_deadlock=False).assert_ok()
+        assert build_checker(tas_fairness(2, rounds=1).model, check_deadlock=False).check().ok

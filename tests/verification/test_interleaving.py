@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verification.interleaving import (
-    InvariantViolation,
-    ModelChecker,
-    ModelDeadlock,
-    StateExplosionError,
-)
+from repro.verification.interleaving import ModelChecker, StateExplosionError
 
 
 def simple_counter_model(num_processes: int, rounds: int = 1):
@@ -61,8 +56,6 @@ class TestBasicExploration:
         assert not result.ok
         assert "counter bound" in result.violation
         assert result.witness is not None
-        with pytest.raises(InvariantViolation):
-            checker.assert_ok()
 
     def test_deadlock_detection(self):
         # one process that blocks forever on a condition nobody establishes
@@ -81,8 +74,6 @@ class TestBasicExploration:
         result = checker.check()
         assert not result.ok
         assert "deadlock" in result.violation
-        with pytest.raises(ModelDeadlock):
-            checker.assert_ok()
 
     def test_deadlock_check_can_be_disabled(self):
         initial = {"flag": 0, "procs": [{"pc": 0}]}

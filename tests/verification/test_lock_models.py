@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
 
-from repro.verification.interleaving import InvariantViolation, ModelDeadlock
 from repro.verification.lock_models import (
     broken_test_and_set_model,
     build_checker,
@@ -16,15 +14,18 @@ from repro.verification.lock_models import (
 
 class TestMCSModel:
     def test_two_processes_single_round(self):
-        result = build_checker(mcs_model(2, rounds=1)).assert_ok()
+        result = build_checker(mcs_model(2, rounds=1)).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_three_processes_single_round(self):
-        result = build_checker(mcs_model(3, rounds=1), max_states=400_000).assert_ok()
+        result = build_checker(mcs_model(3, rounds=1), max_states=400_000).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_two_processes_two_rounds(self):
-        result = build_checker(mcs_model(2, rounds=2), max_states=400_000).assert_ok()
+        result = build_checker(mcs_model(2, rounds=2), max_states=400_000).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_model_metadata(self):
@@ -36,28 +37,33 @@ class TestMCSModel:
 
 class TestRWCounterModel:
     def test_readers_only(self):
-        result = build_checker(rw_counter_model(num_readers=2, num_writers=0, t_r=3)).assert_ok()
+        result = build_checker(rw_counter_model(num_readers=2, num_writers=0, t_r=3)).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_one_reader_one_writer(self):
-        result = build_checker(rw_counter_model(num_readers=1, num_writers=1, t_r=2)).assert_ok()
+        result = build_checker(rw_counter_model(num_readers=1, num_writers=1, t_r=2)).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_two_readers_one_writer(self):
         result = build_checker(
             rw_counter_model(num_readers=2, num_writers=1, t_r=2), max_states=400_000
-        ).assert_ok()
+        ).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_two_writers(self):
-        result = build_checker(rw_counter_model(num_readers=0, num_writers=2, t_r=2)).assert_ok()
+        result = build_checker(rw_counter_model(num_readers=0, num_writers=2, t_r=2)).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_reader_threshold_saturation_still_safe(self):
         # T_R = 1 saturates immediately and exercises the reset path.
         result = build_checker(
             rw_counter_model(num_readers=2, num_writers=1, t_r=1), max_states=400_000
-        ).assert_ok()
+        ).check()
+        assert result.ok, result.violation
         assert result.complete
 
     def test_paper_spin_predicate_has_a_reachable_deadlock(self):
@@ -88,13 +94,9 @@ class TestNegativeControls:
         result = checker.check()
         assert not result.ok
         assert "mutual exclusion" in result.violation
-        with pytest.raises(InvariantViolation):
-            checker.assert_ok()
 
     def test_dining_philosophers_deadlock_is_detected(self):
         checker = build_checker(dining_deadlock_model())
         result = checker.check()
         assert not result.ok
         assert result.violation.startswith("deadlock")
-        with pytest.raises(ModelDeadlock):
-            checker.assert_ok()

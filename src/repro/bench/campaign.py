@@ -22,6 +22,13 @@ separable concerns:
   schema version).  Re-running a campaign recomputes only new points; a
   re-blessed golden file or schema bump invalidates everything at once.
 
+Every suite (campaign, conformance, faults, traffic, tune, scale) runs its
+points through the same machinery: :func:`run_sweep` is the one cache →
+pool → store loop, :class:`SweepReport` the one report, :func:`bless_sweep`
+the one cold → warm → check → write bless flow, and
+:func:`write_manifest_json` the one manifest writer.  A suite supplies its
+points, its worker and its suite-specific results (``SweepReport.extra``).
+
 ``repro regress`` (:mod:`repro.bench.regress`) runs a campaign through this
 engine and gates its rows against the committed ``BENCH_campaign.json``.
 """
@@ -35,7 +42,7 @@ import multiprocessing
 import os
 import platform
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -55,12 +62,14 @@ __all__ = [
     "BENCHMARK_SELECTORS",
     "SCHEME_SELECTORS",
     "BenchTask",
+    "BlessError",
     "CampaignPoint",
-    "CampaignReport",
     "CampaignSpec",
     "DETERMINISM_FIELDS",
     "PERF_FIELDS",
     "ResultCache",
+    "SweepReport",
+    "bless_sweep",
     "campaign_names",
     "default_jobs",
     "execute_tasks",
@@ -72,7 +81,7 @@ __all__ = [
     "run_campaign",
     "run_point",
     "run_result_sha",
-    "write_campaign_json",
+    "run_sweep",
     "write_manifest_json",
 ]
 
@@ -777,14 +786,18 @@ def run_point(point: CampaignPoint) -> Dict[str, Any]:
 
 
 @dataclass
-class CampaignReport:
-    """Outcome of one :func:`run_campaign` invocation.
+class SweepReport:
+    """Outcome of one sweep of any suite: its rows plus the executor's accounting.
 
     ``jobs`` is the requested worker count; ``workers`` is how many the pool
     actually used (capped by the number of computed points — 0 for a fully
-    cached run), which is what timing provenance should cite.
+    cached run), which is what timing provenance should cite.  ``extra``
+    holds the suite's own results (scheduler list, verdict tables, fluid
+    records, best thresholds, ...); :func:`write_manifest_json` writes it
+    next to the rows.
     """
 
+    suite: str
     name: str
     rows: List[Dict[str, Any]]
     jobs: int
@@ -793,10 +806,90 @@ class CampaignReport:
     cache_misses: int
     epoch: str
     workers: int = 0
+    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def points(self) -> int:
         return len(self.rows)
+
+    @property
+    def failures(self) -> List[Dict[str, Any]]:
+        """Rows carrying a failing ``ok`` verdict (verdict suites only)."""
+        return [row for row in self.rows if not row.get("ok", True)]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def summary(self, what: str = "points") -> str:
+        """The one-line account of the sweep that every suite prints."""
+        return (
+            f"{self.suite} {self.name!r}: {self.points} {what}, jobs={self.jobs}, "
+            f"{self.cache_hits} cached / {self.cache_misses} computed, "
+            f"{self.wall_s:.2f}s wall (cache epoch {self.epoch})"
+        )
+
+
+def run_sweep(
+    suite: str,
+    name: str,
+    points: Sequence[Any],
+    worker: Callable[[Any], Dict[str, Any]],
+    *,
+    jobs: Optional[int] = None,
+    cache: "ResultCache | bool | None" = None,
+    cache_dir: Optional[Path] = None,
+    namespace: str = "campaign",
+    refresh: bool = False,
+    servable: Optional[Callable[[Mapping[str, Any]], bool]] = None,
+) -> SweepReport:
+    """Run ``worker`` over ``points`` on the pool, consulting the result cache.
+
+    ``cache=False`` disables caching entirely, ``None``/``True`` opens the
+    ``namespace`` store under ``cache_dir``, and a :class:`ResultCache`
+    object is used as given.  ``refresh=True`` ignores cached rows but still
+    stores the fresh results (the cold-timing mode of :func:`bless_sweep`).
+    ``servable`` rejects cached rows a sweep must recompute (conformance
+    never serves a ``--no-recheck`` row to a rechecking sweep).  Points carry
+    their own seeds, so ``jobs=N`` and ``jobs=1`` produce bit-identical rows.
+    """
+    store: Optional[ResultCache]
+    if cache is False:
+        store = None
+    elif cache is None or cache is True:
+        store = ResultCache(cache_dir, namespace=namespace)
+    else:
+        store = cache
+
+    t0 = time.perf_counter()
+    rows: List[Any] = [None] * len(points)
+    todo: List[int] = []
+    for i, point in enumerate(points):
+        cached_row = store.get(point) if (store is not None and not refresh) else None
+        if cached_row is not None and (servable is None or servable(cached_row)):
+            cached_row["cached"] = True
+            rows[i] = cached_row
+        else:
+            todo.append(i)
+
+    computed = parallel_map(worker, [points[i] for i in todo], jobs=jobs)
+    for i, row in zip(todo, computed):
+        if store is not None:
+            store.put(points[i], row)
+        rows[i] = dict(row, cached=False)
+
+    requested = default_jobs() if jobs is None else max(1, int(jobs))
+    return SweepReport(
+        suite=suite,
+        name=name,
+        rows=rows,
+        jobs=requested,
+        wall_s=time.perf_counter() - t0,
+        cache_hits=len(points) - len(todo),
+        cache_misses=len(todo),
+        epoch=store.epoch if store is not None else golden_epoch(),
+        workers=min(requested, len(todo)),
+    )
 
 
 def run_campaign(
@@ -807,14 +900,11 @@ def run_campaign(
     cache_dir: Optional[Path] = None,
     refresh: bool = False,
     scheduler: Optional[str] = None,
-) -> CampaignReport:
-    """Expand ``spec`` and execute it on the pool, consulting the cache.
+) -> SweepReport:
+    """Expand ``spec`` and execute it through :func:`run_sweep`.
 
-    ``cache=False`` disables caching entirely; ``refresh=True`` ignores
-    cached rows but still stores the fresh results (the cold-timing mode the
-    bless path uses).  ``scheduler`` overrides every point's runtime backend.
-    Each worker re-seeds deterministically from its point's ``seed`` field, so
-    ``jobs=N`` and ``jobs=1`` produce bit-identical rows.
+    ``scheduler`` overrides every point's runtime backend; the cache
+    arguments are :func:`run_sweep`'s.
     """
     if isinstance(spec, str):
         spec = get_campaign(spec)
@@ -823,98 +913,95 @@ def run_campaign(
     points = spec.points()
     if scheduler is not None:
         points = [replace(p, scheduler=scheduler) for p in points]
-
-    store: Optional[ResultCache]
-    if cache is False:
-        store = None
-    elif cache is None or cache is True:
-        store = ResultCache(cache_dir)
-    else:
-        store = cache
-
-    t0 = time.perf_counter()
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    todo: List[Tuple[int, CampaignPoint]] = []
-    hits = 0
-    for i, point in enumerate(points):
-        cached_row = store.get(point) if (store is not None and not refresh) else None
-        if cached_row is not None:
-            cached_row["cached"] = True
-            rows[i] = cached_row
-            hits += 1
-        else:
-            todo.append((i, point))
-
-    computed = parallel_map(run_point, [p for _, p in todo], jobs=jobs)
-    for (i, point), row in zip(todo, computed):
-        if store is not None:
-            store.put(point, row)
-        row = dict(row)
-        row["cached"] = False
-        rows[i] = row
-
-    wall = time.perf_counter() - t0
-    requested = default_jobs() if jobs is None else max(1, int(jobs))
-    return CampaignReport(
-        name=spec.name,
-        rows=[r for r in rows if r is not None],
-        jobs=requested,
-        wall_s=wall,
-        cache_hits=hits,
-        cache_misses=len(todo),
-        epoch=store.epoch if store is not None else golden_epoch(),
-        workers=min(requested, len(todo)),
+    return run_sweep(
+        "campaign", spec.name, points, run_point,
+        jobs=jobs, cache=cache, cache_dir=cache_dir, refresh=refresh,
     )
 
 
-def write_manifest_json(
-    rows: Sequence[Mapping[str, Any]],
+class BlessError(RuntimeError):
+    """A bless refused to record its manifest (cache miss or failed check)."""
+
+
+def bless_sweep(
+    run: Callable[..., SweepReport],
     path: Path,
     *,
-    suite: str,
-    campaign: str,
-    epoch: str,
-    timing: Optional[Mapping[str, Any]] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write a row manifest (rows + host metadata + optional timing).
+    jobs: Optional[int] = None,
+    scaling: bool = False,
+    checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
+    cold: Optional[SweepReport] = None,
+) -> Tuple[SweepReport, Dict[str, Any]]:
+    """Record a suite's manifest at ``path``: cold, then warm, then checks.
 
-    The single serialization point for every committed baseline shape
-    (``BENCH_campaign.json``, ``BENCH_traffic.json``): suite-specific keys go
-    through ``extra``, the transient ``cached`` marker is stripped from every
-    row, and the host block records where the manifest was measured.
+    ``run(jobs=..., refresh=...)`` runs the suite once through the cache.
+    The cold run refreshes every cached row (``cold`` is reused instead when
+    it already computed every point), ``scaling`` adds a cold ``jobs=1`` run
+    for the parallel-speedup record, and the warm run must serve every point
+    from the cache.  Each check gets ``(cold, warm)`` and raises
+    :class:`BlessError` to refuse the bless.  Returns the cold report and the
+    timing block written with it.
+    """
+    if cold is None or cold.cache_misses != cold.points:
+        cold = run(jobs=jobs, refresh=True)
+    timing: Dict[str, Any] = {
+        "cpu_count": os.cpu_count(),
+        "jobs": cold.jobs,
+        "workers": cold.workers,
+        "cold_wall_s": round(cold.wall_s, 3),
+    }
+    if scaling:
+        serial = run(jobs=1, refresh=True)
+        timing["jobs1_wall_s"] = round(serial.wall_s, 3)
+        if cold.wall_s > 0:
+            timing["parallel_speedup"] = round(serial.wall_s / cold.wall_s, 3)
+    warm = run(jobs=jobs, refresh=False)
+    if warm.cache_hits != warm.points:
+        raise BlessError(
+            f"warm {cold.suite} run expected {warm.points} cache hits, got "
+            f"{warm.cache_hits} — did the cache epoch change (golden re-record, "
+            f"REPRO_CACHE_EPOCH) or a concurrent process prune the cache mid-bless?"
+        )
+    timing["warm_wall_s"] = round(warm.wall_s, 3)
+    timing["warm_cache_hits"] = warm.cache_hits
+    if cold.wall_s > 0:
+        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
+    for check in checks:
+        check(cold, warm)
+    write_manifest_json(cold, path, timing=timing)
+    return cold, timing
+
+
+def write_manifest_json(
+    report: SweepReport,
+    path: Path,
+    *,
+    timing: Optional[Mapping[str, Any]] = None,
+) -> Path:
+    """Write a sweep's manifest: rows + host metadata + ``extra`` + timing.
+
+    The single serialization point for every suite's JSON (the committed
+    ``BENCH_*.json`` baselines and the CI reports alike): the transient
+    ``cached`` marker is stripped from every row, and the host block records
+    where the manifest was measured.
     """
     payload: Dict[str, Any] = {
-        "suite": suite,
-        "campaign": campaign,
-        "epoch": epoch,
+        "suite": report.suite,
+        "campaign": report.name,
+        "epoch": report.epoch,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
         },
-        "rows": [{k: v for k, v in row.items() if k != "cached"} for row in rows],
+        "rows": [{k: v for k, v in row.items() if k != "cached"} for row in report.rows],
     }
-    if extra:
-        payload.update(extra)
+    payload.update(report.extra)
     if timing is not None:
         payload["timing"] = dict(timing)
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def write_campaign_json(
-    report: CampaignReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write a campaign manifest (rows + host metadata + optional timing)."""
-    return write_manifest_json(
-        report.rows, path, suite="campaign", campaign=report.name,
-        epoch=report.epoch, timing=timing,
-    )
 
 
 def render_campaign_figure(

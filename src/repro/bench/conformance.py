@@ -28,11 +28,11 @@ scheduling point in between, so ecsb and warb instead stress the handoff,
 fairness and reader-coexistence oracles under maximal lock churn.
 
 Execution rides on the campaign engine: grids expand from the registered
-``conformance`` :class:`~repro.bench.campaign.CampaignSpec`, points fan out
-over :func:`~repro.bench.campaign.parallel_map`, and verdict rows land in a
-:class:`~repro.bench.campaign.ResultCache` under the ``conformance``
-namespace — keyed on the same golden-fingerprint epoch as benchmark rows, so
-a re-blessed golden file invalidates cached verdicts too.  As with the
+``conformance`` :class:`~repro.bench.campaign.CampaignSpec`, and
+:func:`~repro.bench.campaign.run_sweep` fans points out over the pool and
+caches verdict rows under the ``conformance`` namespace — keyed on the same
+golden-fingerprint epoch as benchmark rows, so a re-blessed golden file
+invalidates cached verdicts too.  As with the
 campaign cache, the epoch tracks the *golden file*, not the source tree:
 after editing scheme code (your own or a ``--import``-ed provider's) pass
 ``refresh=True`` / ``--refresh`` to recompute verdicts — CI always starts
@@ -41,25 +41,20 @@ from an empty runner cache, so its verdicts are always fresh.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import get_runtime, get_scheme
 from repro.bench.campaign import (
     CampaignSpec,
     ResultCache,
+    SweepReport,
     _import_provider,
-    default_jobs,
     get_campaign,
-    golden_epoch,
-    parallel_map,
     run_result_sha,
+    run_sweep,
 )
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
@@ -71,12 +66,11 @@ from repro.verification.oracles import LockOracleObserver
 __all__ = [
     "ChaosProfile",
     "ConformancePoint",
-    "ConformanceReport",
     "conformance_points",
     "format_conformance_rows",
     "run_conformance",
     "run_conformance_point",
-    "write_conformance_json",
+    "scheme_verdicts",
 ]
 
 
@@ -359,73 +353,9 @@ def run_conformance_point(point: ConformancePoint, *, recheck: bool = True) -> D
     return row
 
 
-def _execute_conformance_point(point: ConformancePoint, recheck: bool) -> Dict[str, Any]:
-    """Module-level pool worker (picklable via functools.partial)."""
-    return run_conformance_point(point, recheck=recheck)
-
-
 # --------------------------------------------------------------------------- #
 # Sweep execution
 # --------------------------------------------------------------------------- #
-
-@dataclass
-class ConformanceReport:
-    """Outcome of one :func:`run_conformance` sweep."""
-
-    name: str
-    rows: List[Dict[str, Any]]
-    jobs: int
-    wall_s: float
-    cache_hits: int
-    cache_misses: int
-    epoch: str
-    seeds: int
-
-    @property
-    def points(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ok(self) -> bool:
-        return all(row["ok"] for row in self.rows)
-
-    @property
-    def failures(self) -> List[Dict[str, Any]]:
-        return [row for row in self.rows if not row["ok"]]
-
-    def scheme_verdicts(self) -> List[Dict[str, Any]]:
-        """Per-scheme aggregate rows for the CLI table."""
-        order: List[str] = []
-        by_scheme: Dict[str, List[Dict[str, Any]]] = {}
-        for row in self.rows:
-            by_scheme.setdefault(row["scheme"], []).append(row)
-            if row["scheme"] not in order:
-                order.append(row["scheme"])
-        out = []
-        for scheme in order:
-            rows = by_scheme[scheme]
-            bad = [r for r in rows if not r["ok"]]
-            rechecked = [r for r in rows if r.get("reproducible") is not None]
-            bounds = {r["bypass_bound"] for r in rows if r["bypass_bound"] is not None}
-            out.append(
-                {
-                    "scheme": scheme,
-                    "points": len(rows),
-                    "violations": sum(len(r["violations"]) for r in rows),
-                    "reproducible": (
-                        "yes" if all(r["reproducible"] for r in rechecked) else "NO"
-                    ) if rechecked else "-",
-                    "max_bypass": max(r["max_bypass"] for r in rows),
-                    # Cells at different P have different bounds (P - 1); the
-                    # aggregate shows the largest so the pair stays readable
-                    # (per-point gating used each point's own bound).
-                    "bypass_bound": max(bounds) if bounds else "-",
-                    "max_readers": max(r["max_concurrent_readers"] for r in rows),
-                    "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
-                }
-            )
-        return out
-
 
 def run_conformance(
     spec: "CampaignSpec | str" = "conformance",
@@ -442,14 +372,14 @@ def run_conformance(
     process_counts: Optional[Sequence[int]] = None,
     iterations: Optional[int] = None,
     scheduler: Optional[str] = None,
-) -> ConformanceReport:
-    """Run the conformance sweep, consulting the verdict cache.
+) -> SweepReport:
+    """Run the conformance sweep through :func:`~repro.bench.campaign.run_sweep`.
 
-    Mirrors :func:`repro.bench.campaign.run_campaign`: points fan out over the
-    multiprocessing pool (each is self-seeded, so ``jobs=N`` equals
-    ``jobs=1`` bit-for-bit), cached verdict rows are served from the
-    ``conformance`` cache namespace, and the epoch tracks the committed
-    golden fingerprints.
+    Verdict rows are cached in the ``conformance`` namespace; a row recorded
+    without ``recheck`` carries no determinism certificate (``reproducible``
+    is None) and is never served to a rechecking sweep, or the "executed
+    twice" contract would silently lapse.  ``extra`` carries ``seeds``,
+    ``ok`` and the per-scheme verdict table.
     """
     if isinstance(spec, str):
         spec = get_campaign(spec)
@@ -463,61 +393,22 @@ def run_conformance(
         iterations=iterations,
         scheduler=scheduler,
     )
-
-    store: Optional[ResultCache]
-    if cache is False:
-        store = None
-    elif cache is None or cache is True:
-        store = ResultCache(cache_dir, namespace="conformance")
-    else:
-        store = cache
-
-    t0 = time.perf_counter()
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    todo: List[Tuple[int, ConformancePoint]] = []
-    hits = 0
-    for i, point in enumerate(points):
-        cached_row = store.get(point) if (store is not None and not refresh) else None
-        # A row recorded by a --no-recheck sweep carries no determinism
-        # certificate (reproducible is None); a rechecking sweep must not
-        # serve it, or the "executed twice" contract would silently lapse.
-        if cached_row is not None and recheck and cached_row.get("reproducible") is None:
-            cached_row = None
-        if cached_row is not None:
-            cached_row["cached"] = True
-            rows[i] = cached_row
-            hits += 1
-        else:
-            todo.append((i, point))
-
-    worker = partial(_execute_conformance_point, recheck=recheck)
-    computed = parallel_map(worker, [p for _, p in todo], jobs=jobs)
-    for (i, point), row in zip(todo, computed):
-        if store is not None:
-            store.put(point, row)
-        row = dict(row)
-        row["cached"] = False
-        rows[i] = row
-
-    wall = time.perf_counter() - t0
-    requested = default_jobs() if jobs is None else max(1, int(jobs))
-    return ConformanceReport(
-        name=spec.name,
-        rows=[r for r in rows if r is not None],
-        jobs=requested,
-        wall_s=wall,
-        cache_hits=hits,
-        cache_misses=len(todo),
-        epoch=store.epoch if store is not None else golden_epoch(),
-        seeds=seeds,
+    report = run_sweep(
+        "conformance", spec.name, points,
+        partial(run_conformance_point, recheck=recheck),
+        jobs=jobs, cache=cache, cache_dir=cache_dir, namespace="conformance",
+        refresh=refresh,
+        servable=(lambda row: row.get("reproducible") is not None) if recheck else None,
     )
+    report.extra.update(seeds=seeds, ok=report.ok, schemes=scheme_verdicts(report.rows))
+    return report
 
 
 # --------------------------------------------------------------------------- #
 # Reporting
 # --------------------------------------------------------------------------- #
 
-def format_conformance_rows(report: ConformanceReport) -> List[Dict[str, Any]]:
+def format_conformance_rows(report: SweepReport) -> List[Dict[str, Any]]:
     """Failure-detail rows for the CLI (empty when everything passed)."""
     out = []
     for row in report.failures:
@@ -533,29 +424,31 @@ def format_conformance_rows(report: ConformanceReport) -> List[Dict[str, Any]]:
     return out
 
 
-def write_conformance_json(
-    report: ConformanceReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write the verdict rows + host metadata as a JSON artifact (CI upload)."""
-    payload: Dict[str, Any] = {
-        "suite": "conformance",
-        "campaign": report.name,
-        "epoch": report.epoch,
-        "seeds": report.seeds,
-        "ok": report.ok,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-        "schemes": report.scheme_verdicts(),
-        "rows": [{k: v for k, v in row.items() if k != "cached"} for row in report.rows],
-    }
-    if timing is not None:
-        payload["timing"] = dict(timing)
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-scheme aggregate rows for the CLI table (the manifest's ``schemes``)."""
+    by_scheme: Dict[str, List[Dict[str, Any]]] = {}
+    for row in rows:
+        by_scheme.setdefault(row["scheme"], []).append(row)
+    out = []
+    for scheme, group in by_scheme.items():
+        bad = [r for r in group if not r["ok"]]
+        rechecked = [r for r in group if r.get("reproducible") is not None]
+        bounds = {r["bypass_bound"] for r in group if r["bypass_bound"] is not None}
+        out.append(
+            {
+                "scheme": scheme,
+                "points": len(group),
+                "violations": sum(len(r["violations"]) for r in group),
+                "reproducible": (
+                    "yes" if all(r["reproducible"] for r in rechecked) else "NO"
+                ) if rechecked else "-",
+                "max_bypass": max(r["max_bypass"] for r in group),
+                # Cells at different P have different bounds (P - 1); the
+                # aggregate shows the largest so the pair stays readable
+                # (per-point gating used each point's own bound).
+                "bypass_bound": max(bounds) if bounds else "-",
+                "max_readers": max(r["max_concurrent_readers"] for r in group),
+                "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
+            }
+        )
+    return out

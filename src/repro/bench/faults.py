@@ -41,18 +41,14 @@ Every faulted point runs on **both** deterministic schedulers and the row
 records whether the :func:`~repro.bench.campaign.run_result_sha`
 fingerprints matched — crash delivery is part of the determinism contract.
 
-Execution rides on the campaign machinery: points fan out over
-:func:`~repro.bench.campaign.parallel_map` and verdict rows land in the
-``faults`` :class:`~repro.bench.campaign.ResultCache` namespace on the same
-golden-fingerprint epoch as benchmark and conformance rows.
+Execution rides on the campaign machinery: :func:`~repro.bench.campaign.\
+run_sweep` fans points out over the pool and caches verdict rows in the
+``faults`` namespace on the same golden-fingerprint epoch as benchmark and
+conformance rows.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -60,12 +56,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.api.registry import get_scheme
 from repro.bench.campaign import (
     ResultCache,
+    SweepReport,
     _import_provider,
-    default_jobs,
     get_campaign,
-    golden_epoch,
-    parallel_map,
     run_result_sha,
+    run_sweep,
 )
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
@@ -84,13 +79,12 @@ from repro.verification.oracles import RecoveryOracleObserver
 
 __all__ = [
     "FaultPoint",
-    "FaultReport",
     "KNOWN_MUTANTS",
     "fault_points",
     "format_fault_rows",
     "run_fault_point",
     "run_faults",
-    "write_faults_json",
+    "scheme_verdicts",
 ]
 
 #: Schemes that ship an intentionally planted bug (PR-4 style): the sweep
@@ -476,79 +470,9 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     return row
 
 
-def _execute_fault_point(point: FaultPoint) -> Dict[str, Any]:
-    """Module-level pool worker (picklable via functools.partial)."""
-    return run_fault_point(point)
-
-
 # --------------------------------------------------------------------------- #
 # Sweep execution
 # --------------------------------------------------------------------------- #
-
-@dataclass
-class FaultReport:
-    """Outcome of one :func:`run_faults` sweep."""
-
-    rows: List[Dict[str, Any]]
-    jobs: int
-    wall_s: float
-    cache_hits: int
-    cache_misses: int
-    epoch: str
-    seeds: int
-
-    @property
-    def points(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ok(self) -> bool:
-        return all(row["ok"] for row in self.rows)
-
-    @property
-    def failures(self) -> List[Dict[str, Any]]:
-        return [row for row in self.rows if not row["ok"]]
-
-    def scheme_verdicts(self) -> List[Dict[str, Any]]:
-        """Per-scheme aggregate rows for the CLI table."""
-        order: List[str] = []
-        by_scheme: Dict[str, List[Dict[str, Any]]] = {}
-        for row in self.rows:
-            by_scheme.setdefault(row["scheme"], []).append(row)
-            if row["scheme"] not in order:
-                order.append(row["scheme"])
-        out = []
-        for scheme in order:
-            rows = by_scheme[scheme]
-            bad = [r for r in rows if not r["ok"]]
-            statuses: Dict[str, int] = {}
-            for r in rows:
-                statuses[r["status"]] = statuses.get(r["status"], 0) + 1
-            recovery = [
-                s for r in rows for s in (r.get("recovery_us") or [])
-            ]
-            identical = [r["cross_scheduler_identical"] for r in rows
-                         if r["cross_scheduler_identical"] is not None]
-            out.append(
-                {
-                    "scheme": scheme,
-                    "points": len(rows),
-                    "statuses": ",".join(
-                        f"{k}:{v}" for k, v in sorted(statuses.items())
-                    ),
-                    "schedulers": (
-                        ("identical" if all(identical) else "DIVERGED")
-                        if identical else "-"
-                    ),
-                    "recovery_p50_us": (
-                        round(sorted(recovery)[len(recovery) // 2], 1)
-                        if recovery else "-"
-                    ),
-                    "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
-                }
-            )
-        return out
-
 
 def run_faults(
     *,
@@ -562,12 +486,11 @@ def run_faults(
     process_counts: Sequence[int] = (4,),
     iterations: int = 6,
     benchmark: str = "wcsb",
-) -> FaultReport:
-    """Run the fault sweep, consulting the ``faults`` verdict cache.
+) -> SweepReport:
+    """Run the fault sweep through :func:`~repro.bench.campaign.run_sweep`.
 
-    Mirrors :func:`repro.bench.conformance.run_conformance`: points fan out
-    over the multiprocessing pool (each is self-seeded, so ``jobs=N`` equals
-    ``jobs=1`` bit-for-bit) and rows are cached per golden epoch.
+    Verdict rows are cached per golden epoch in the ``faults`` namespace;
+    ``extra`` carries ``seeds``, ``ok`` and the per-scheme verdict table.
     """
     points = fault_points(
         seeds=seeds,
@@ -577,54 +500,20 @@ def run_faults(
         iterations=iterations,
         benchmark=benchmark,
     )
-
-    store: Optional[ResultCache]
-    if cache is False:
-        store = None
-    elif cache is None or cache is True:
-        store = ResultCache(cache_dir, namespace="faults")
-    else:
-        store = cache
-
-    t0 = time.perf_counter()
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    todo: List[Tuple[int, FaultPoint]] = []
-    hits = 0
-    for i, point in enumerate(points):
-        cached_row = store.get(point) if (store is not None and not refresh) else None
-        if cached_row is not None:
-            cached_row["cached"] = True
-            rows[i] = cached_row
-            hits += 1
-        else:
-            todo.append((i, point))
-
-    computed = parallel_map(_execute_fault_point, [p for _, p in todo], jobs=jobs)
-    for (i, _point), row in zip(todo, computed):
-        if store is not None:
-            store.put(_point, row)
-        row = dict(row)
-        row["cached"] = False
-        rows[i] = row
-
-    wall = time.perf_counter() - t0
-    requested = default_jobs() if jobs is None else max(1, int(jobs))
-    return FaultReport(
-        rows=[r for r in rows if r is not None],
-        jobs=requested,
-        wall_s=wall,
-        cache_hits=hits,
-        cache_misses=len(todo),
-        epoch=store.epoch if store is not None else golden_epoch(),
-        seeds=seeds,
+    report = run_sweep(
+        "faults", "fault-suite", points, run_fault_point,
+        jobs=jobs, cache=cache, cache_dir=cache_dir, namespace="faults",
+        refresh=refresh,
     )
+    report.extra.update(seeds=seeds, ok=report.ok, schemes=scheme_verdicts(report.rows))
+    return report
 
 
 # --------------------------------------------------------------------------- #
 # Reporting
 # --------------------------------------------------------------------------- #
 
-def format_fault_rows(report: FaultReport) -> List[Dict[str, Any]]:
+def format_fault_rows(report: SweepReport) -> List[Dict[str, Any]]:
     """Failure-detail rows for the CLI (empty when everything passed)."""
     out = []
     for row in report.failures:
@@ -641,28 +530,36 @@ def format_fault_rows(report: FaultReport) -> List[Dict[str, Any]]:
     return out
 
 
-def write_faults_json(
-    report: FaultReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write the verdict rows + host metadata as a JSON artifact (CI upload)."""
-    payload: Dict[str, Any] = {
-        "suite": "faults",
-        "epoch": report.epoch,
-        "seeds": report.seeds,
-        "ok": report.ok,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-        "schemes": report.scheme_verdicts(),
-        "rows": [{k: v for k, v in row.items() if k != "cached"} for row in report.rows],
-    }
-    if timing is not None:
-        payload["timing"] = dict(timing)
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-scheme aggregate rows for the CLI table (the manifest's ``schemes``)."""
+    by_scheme: Dict[str, List[Dict[str, Any]]] = {}
+    for row in rows:
+        by_scheme.setdefault(row["scheme"], []).append(row)
+    out = []
+    for scheme, group in by_scheme.items():
+        bad = [r for r in group if not r["ok"]]
+        statuses: Dict[str, int] = {}
+        for r in group:
+            statuses[r["status"]] = statuses.get(r["status"], 0) + 1
+        recovery = [s for r in group for s in (r.get("recovery_us") or [])]
+        identical = [r["cross_scheduler_identical"] for r in group
+                     if r["cross_scheduler_identical"] is not None]
+        out.append(
+            {
+                "scheme": scheme,
+                "points": len(group),
+                "statuses": ",".join(
+                    f"{k}:{v}" for k, v in sorted(statuses.items())
+                ),
+                "schedulers": (
+                    ("identical" if all(identical) else "DIVERGED")
+                    if identical else "-"
+                ),
+                "recovery_p50_us": (
+                    round(sorted(recovery)[len(recovery) // 2], 1)
+                    if recovery else "-"
+                ),
+                "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
+            }
+        )
+    return out

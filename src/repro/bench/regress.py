@@ -19,10 +19,11 @@ fields, two severities:
   slow, but a scheduler that lost most of its speed should still fail).
   A violation exits :data:`EXIT_FAIL` = 1.
 
-``--bless`` rewrites the baseline from a fresh (cache-refreshing) run and
-records cold/warm wall times — the cache-effectiveness numbers the acceptance
-criteria track — plus, with ``--scaling``, a ``jobs=1`` cold run so the
-manifest documents the parallel speedup measured on the blessing host.
+``repro regress --bless`` rewrites the baseline through the shared bless
+flow (:func:`repro.bench.campaign.bless_sweep`): a fresh (cache-refreshing)
+run, its cold/warm wall times — the cache-effectiveness numbers the
+acceptance criteria track — plus, with ``--scaling``, a ``jobs=1`` cold run
+so the manifest documents the parallel speedup measured on the blessing host.
 
 **Schema-bump rule.** Whenever a field joins (or changes meaning inside)
 :data:`~repro.bench.campaign.DETERMINISM_FIELDS`, bump
@@ -42,15 +43,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from repro.bench.campaign import (
     DETERMINISM_FIELDS,
-    CampaignReport,
+    BlessError,
+    bless_sweep,
     get_campaign,
     run_campaign,
-    write_campaign_json,
+    write_manifest_json,
 )
 
 __all__ = [
@@ -58,8 +61,6 @@ __all__ = [
     "EXIT_HARD",
     "EXIT_OK",
     "Finding",
-    "RegressError",
-    "bless",
     "check_scale_manifest",
     "check_traffic_manifest",
     "check_tune_manifest",
@@ -94,10 +95,6 @@ TRAFFIC_MIN_SCHEMES = 3
 #: Structural floor of the committed tune baseline: the threshold sweep
 #: certifies best rows for at least this many distinct schemes.
 TUNE_MIN_SCHEMES = 3
-
-
-class RegressError(RuntimeError):
-    """The gate could not be evaluated (mapped to :data:`EXIT_HARD`)."""
 
 
 @dataclass(frozen=True)
@@ -204,46 +201,28 @@ def compare_campaign_rows(
     return findings
 
 
-def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
-    """Sanity-check the committed ``BENCH_traffic.json`` traffic manifest.
+def _row_findings(name: str, suite: str, rows: Any) -> List[Finding]:
+    """The row checks the traffic and scale manifests share.
 
-    The manifest is blessed by ``repro traffic --bless`` (the rows themselves
-    are re-derivable through the campaign cache); here the gate only checks
-    that the *recorded* baseline still documents a healthy sweep: rows exist,
-    every row carries a determinism fingerprint and the open-loop percentile
-    block, at least :data:`TRAFFIC_MIN_SCHEMES` schemes are covered, and both
-    deterministic schedulers contributed rows.
+    Rows exist, each carries a determinism fingerprint and the open-loop
+    percentile block, and both deterministic schedulers contributed rows.
+    A missing or malformed row list is a single ``rows`` finding.
     """
-    name = "BENCH_traffic.json"
-    rows = payload.get("rows")
     if not isinstance(rows, list) or not rows:
-        return [Finding("hard", name, "rows", "manifest has no traffic rows")]
+        return [Finding("hard", name, "rows", f"manifest has no {suite} rows")]
+    if not all(isinstance(row, dict) and "case" in row for row in rows):
+        return [Finding("hard", name, "rows", "malformed row without a 'case' key")]
     findings: List[Finding] = []
-    schemes = set()
-    schedulers = set()
     for row in rows:
-        if not isinstance(row, dict) or "case" not in row:
-            return [Finding("hard", name, "rows", "malformed row without a 'case' key")]
         case = str(row["case"])
-        schemes.add(str(row.get("scheme", "")))
-        schedulers.add(str(row.get("scheduler", "horizon")))
         if not row.get("fingerprint"):
-            findings.append(Finding("hard", case, "fingerprint", "traffic row has no determinism fingerprint"))
+            findings.append(Finding("hard", case, "fingerprint", f"{suite} row has no determinism fingerprint"))
         percentiles = row.get("percentiles")
         if not isinstance(percentiles, dict) or "e2e_p99_us" not in percentiles:
             findings.append(
-                Finding("hard", case, "percentiles", "traffic row has no tail-latency percentile block")
+                Finding("hard", case, "percentiles", f"{suite} row has no tail-latency percentile block")
             )
-    if len(schemes - {""}) < TRAFFIC_MIN_SCHEMES:
-        findings.append(
-            Finding(
-                "fail",
-                name,
-                "schemes",
-                f"baseline covers {len(schemes - {''})} scheme(s); "
-                f"the traffic gate expects at least {TRAFFIC_MIN_SCHEMES}",
-            )
-        )
+    schedulers = {str(row.get("scheduler", "horizon")) for row in rows}
     if not {"horizon", "baseline"} <= schedulers:
         findings.append(
             Finding(
@@ -252,6 +231,35 @@ def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
                 "schedulers",
                 f"baseline covers scheduler(s) {sorted(schedulers)}; the determinism "
                 f"certificate needs rows from both 'horizon' and 'baseline'",
+            )
+        )
+    return findings
+
+
+def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
+    """Sanity-check the committed ``BENCH_traffic.json`` traffic manifest.
+
+    The manifest is blessed by ``repro traffic --bless`` (the rows themselves
+    are re-derivable through the campaign cache); here the gate only checks
+    that the *recorded* baseline still documents a healthy sweep: the shared
+    row checks (rows with fingerprints and percentile blocks on both
+    deterministic schedulers) and at least :data:`TRAFFIC_MIN_SCHEMES`
+    schemes.
+    """
+    name = "BENCH_traffic.json"
+    rows = payload.get("rows")
+    findings = _row_findings(name, "traffic", rows)
+    if any(f.field == "rows" for f in findings):
+        return findings
+    schemes = {str(row.get("scheme", "")) for row in rows} - {""}
+    if len(schemes) < TRAFFIC_MIN_SCHEMES:
+        findings.append(
+            Finding(
+                "fail",
+                name,
+                "schemes",
+                f"baseline covers {len(schemes)} scheme(s); "
+                f"the traffic gate expects at least {TRAFFIC_MIN_SCHEMES}",
             )
         )
     return findings
@@ -316,42 +324,18 @@ def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     """Sanity-check the committed ``BENCH_scale.json`` fluid-scale manifest.
 
     The manifest is blessed by ``repro scale --bless`` (campaign rows go
-    through the shared cache; ``bless_scale`` refuses to record a failing
-    sweep in the first place).  The gate re-checks the *recorded* baseline:
-    campaign rows exist with fingerprints and percentile blocks on both
-    deterministic schedulers, every fluid validation record is within
-    tolerance and carries one identical sampled fingerprint across its
-    scheduler/re-run matrix, and the re-homing verdict still beats static
-    placement in every compared pair.
+    through the shared cache; :func:`repro.scale.engine.check_bless` refuses
+    to record a failing sweep in the first place).  The gate re-checks the
+    *recorded* baseline: the shared row checks (as for the traffic manifest),
+    every fluid validation record is within tolerance and carries one
+    identical sampled fingerprint across its scheduler/re-run matrix, and
+    the re-homing verdict still beats static placement in every compared
+    pair.
     """
     name = "BENCH_scale.json"
-    rows = payload.get("rows")
-    if not isinstance(rows, list) or not rows:
-        return [Finding("hard", name, "rows", "manifest has no scale campaign rows")]
-    findings: List[Finding] = []
-    schedulers = set()
-    for row in rows:
-        if not isinstance(row, dict) or "case" not in row:
-            return [Finding("hard", name, "rows", "malformed row without a 'case' key")]
-        case = str(row["case"])
-        schedulers.add(str(row.get("scheduler", "horizon")))
-        if not row.get("fingerprint"):
-            findings.append(Finding("hard", case, "fingerprint", "scale row has no determinism fingerprint"))
-        percentiles = row.get("percentiles")
-        if not isinstance(percentiles, dict) or "e2e_p99_us" not in percentiles:
-            findings.append(
-                Finding("hard", case, "percentiles", "scale row has no tail-latency percentile block")
-            )
-    if not {"horizon", "baseline"} <= schedulers:
-        findings.append(
-            Finding(
-                "fail",
-                name,
-                "schedulers",
-                f"baseline covers scheduler(s) {sorted(schedulers)}; the determinism "
-                f"certificate needs rows from both 'horizon' and 'baseline'",
-            )
-        )
+    findings = _row_findings(name, "scale", payload.get("rows"))
+    if any(f.field == "rows" for f in findings):
+        return findings
     fluid = payload.get("fluid")
     if not isinstance(fluid, list) or not fluid:
         findings.append(Finding("hard", name, "fluid", "manifest has no fluid validation records"))
@@ -400,81 +384,6 @@ def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     return findings
 
 
-def _timed_run(campaign: str, *, jobs: Optional[int], cache_dir: Optional[Path], refresh: bool, scheduler: Optional[str] = None) -> CampaignReport:
-    return run_campaign(
-        campaign,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        refresh=refresh,
-        scheduler=scheduler,
-    )
-
-
-def _measure_timing(
-    campaign: str,
-    *,
-    jobs: Optional[int],
-    cache_dir: Optional[Path],
-    scaling: bool,
-    cold_report: Optional[CampaignReport] = None,
-) -> Tuple[Dict[str, Any], CampaignReport]:
-    """The timing record shared by ``bless`` and ``regress --scaling``.
-
-    Measures a cold run (reusing ``cold_report`` when it already computed
-    every point), a fully-cached warm run, and — with ``scaling`` — a cold
-    ``jobs=1`` run for the parallel-speedup record.
-    """
-    timing: Dict[str, Any] = {"cpu_count": os.cpu_count()}
-    if cold_report is None or cold_report.cache_misses != cold_report.points:
-        cold_report = _timed_run(campaign, jobs=jobs, cache_dir=cache_dir, refresh=True)
-    timing["jobs"] = cold_report.jobs
-    timing["workers"] = cold_report.workers
-    timing["cold_wall_s"] = round(cold_report.wall_s, 3)
-    if scaling:
-        serial = _timed_run(campaign, jobs=1, cache_dir=cache_dir, refresh=True)
-        timing["jobs1_wall_s"] = round(serial.wall_s, 3)
-        if cold_report.wall_s > 0:
-            timing["parallel_speedup"] = round(serial.wall_s / cold_report.wall_s, 3)
-    warm = _timed_run(campaign, jobs=jobs, cache_dir=cache_dir, refresh=False)
-    if warm.cache_hits != warm.points:
-        raise RegressError(
-            f"warm campaign run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change (golden re-record, "
-            f"REPRO_CACHE_EPOCH) or a concurrent process prune the cache mid-bless?"
-        )
-    timing["warm_wall_s"] = round(warm.wall_s, 3)
-    if cold_report.wall_s > 0:
-        timing["warm_over_cold"] = round(warm.wall_s / cold_report.wall_s, 4)
-    return timing, cold_report
-
-
-def bless(
-    campaign: str = DEFAULT_CAMPAIGN,
-    baseline_path: Path = DEFAULT_CAMPAIGN_BASELINE,
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    scaling: bool = False,
-    print_fn: Callable[[str], None] = print,
-) -> CampaignReport:
-    """Record a fresh baseline manifest (plus the cache/parallel timing record).
-
-    Runs the campaign cold (ignoring cached rows, repopulating the cache),
-    then warm (fully cached) to document the cache effectiveness, and — with
-    ``scaling`` — also cold at ``jobs=1`` so the manifest records the
-    parallel speedup of the blessing host.
-    """
-    timing, cold = _measure_timing(campaign, jobs=jobs, cache_dir=cache_dir, scaling=scaling)
-    write_campaign_json(cold, baseline_path, timing=timing)
-    print_fn(
-        f"blessed {baseline_path} ({cold.points} points; cold {timing['cold_wall_s']}s, "
-        f"warm {timing['warm_wall_s']}s"
-        + (f", jobs=1 {timing['jobs1_wall_s']}s" if scaling else "")
-        + ")"
-    )
-    return cold
-
-
 def run_regress(
     *,
     campaign: str = DEFAULT_CAMPAIGN,
@@ -489,7 +398,6 @@ def run_regress(
     soft_tol: float = DEFAULT_SOFT_TOL,
     cache_dir: Optional[Path] = None,
     output: Optional[Path] = None,
-    do_bless: bool = False,
     scaling: bool = False,
     print_fn: Callable[[str], None] = print,
 ) -> int:
@@ -500,30 +408,13 @@ def run_regress(
     determinism gate from cached rows would let an unblessed scheduler change
     pass locally.  ``fresh=False`` (CLI ``--reuse-cache``) opts back into
     cache reads for quick iterating; either way the cache is refreshed with
-    the run's rows.
+    the run's rows.  ``repro regress --bless`` does not come here: it runs
+    the shared bless flow (:func:`repro.bench.campaign.bless_sweep`).
     """
     get_campaign(campaign)  # validate early with the helpful UnknownNameError
-    if scaling and output is None and not do_bless:
+    if scaling and output is None:
         print_fn("regress: --scaling needs --output (or --bless) to record the timing")
         return EXIT_HARD
-    if do_bless:
-        try:
-            report = bless(
-                campaign,
-                Path(baseline_path),
-                jobs=jobs,
-                cache_dir=cache_dir,
-                scaling=scaling,
-                print_fn=print_fn,
-            )
-        except RegressError as exc:
-            print_fn(f"regress: {exc}")
-            return EXIT_HARD
-        if output is not None and Path(output) != Path(baseline_path):
-            # Verbatim copy so the secondary manifest keeps the timing
-            # record the bless just measured.
-            Path(output).write_text(Path(baseline_path).read_text())
-        return EXIT_OK
 
     baseline_path = Path(baseline_path)
     if not baseline_path.exists():
@@ -548,21 +439,18 @@ def run_regress(
         return EXIT_HARD
 
     report = run_campaign(campaign, jobs=jobs, cache_dir=cache_dir, refresh=fresh)
-    print_fn(
-        f"campaign {report.name!r}: {report.points} points, jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s (epoch {report.epoch})"
-    )
+    print_fn(report.summary())
     if output is not None:
         if scaling:
             # The gating run above was itself cold whenever every point was
-            # computed (fresh=True, or an empty cache as in CI); the helper
-            # reuses it and only measures the jobs=1 and warm-cache runs.
+            # computed (fresh=True, or an empty cache as in CI); the bless
+            # flow reuses it and only measures the jobs=1 and warm-cache runs.
             try:
-                timing, _ = _measure_timing(
-                    campaign, jobs=jobs, cache_dir=cache_dir, scaling=True, cold_report=report
+                bless_sweep(
+                    partial(run_campaign, campaign, cache_dir=cache_dir), Path(output),
+                    jobs=jobs, scaling=True, cold=report,
                 )
-            except RegressError as exc:
+            except BlessError as exc:
                 print_fn(f"regress: {exc}")
                 return EXIT_HARD
         else:
@@ -574,7 +462,7 @@ def run_regress(
                 "jobs": report.jobs,
                 wall_key: round(report.wall_s, 3),
             }
-        write_campaign_json(report, Path(output), timing=timing)
+            write_manifest_json(report, Path(output), timing=timing)
         print_fn(f"wrote {output}")
 
     findings = compare_campaign_rows(
@@ -584,75 +472,33 @@ def run_regress(
         strict_tol=strict_tol,
         soft_tol=soft_tol,
     )
-    if traffic_baseline_path is not None:
-        traffic_baseline_path = Path(traffic_baseline_path)
-        if not traffic_baseline_path.exists():
-            # The default file missing is survivable (warn); an explicit path
-            # must exist — 'none' opts out.
-            level = "warn" if traffic_baseline_path == DEFAULT_TRAFFIC_BASELINE else "hard"
+    for path, default, check, suite in (
+        (traffic_baseline_path, DEFAULT_TRAFFIC_BASELINE, check_traffic_manifest, "traffic"),
+        (tune_baseline_path, DEFAULT_TUNE_BASELINE, check_tune_manifest, "tune"),
+        (scale_baseline_path, DEFAULT_SCALE_BASELINE, check_scale_manifest, "scale"),
+    ):
+        if path is None:  # 'none' on the CLI opts out
+            continue
+        path = Path(path)
+        if not path.exists():
+            # The default file missing is survivable (warn); an explicit
+            # path must exist.
+            level = "warn" if path == default else "hard"
             findings.append(
                 Finding(
                     level,
-                    str(traffic_baseline_path),
+                    str(path),
                     "file",
-                    "traffic manifest not found; run `repro traffic --bless` to record one",
+                    f"{suite} manifest not found; run `repro {suite} --bless` to record one",
                 )
             )
-        else:
-            try:
-                traffic_payload = json.loads(traffic_baseline_path.read_text())
-            except ValueError as exc:
-                findings.append(
-                    Finding("hard", str(traffic_baseline_path), "json", f"unreadable manifest: {exc}")
-                )
-            else:
-                findings.extend(check_traffic_manifest(traffic_payload))
-    if tune_baseline_path is not None:
-        tune_baseline_path = Path(tune_baseline_path)
-        if not tune_baseline_path.exists():
-            # Same policy as the traffic manifest: the default file missing is
-            # survivable (warn); an explicit path must exist — 'none' opts out.
-            level = "warn" if tune_baseline_path == DEFAULT_TUNE_BASELINE else "hard"
-            findings.append(
-                Finding(
-                    level,
-                    str(tune_baseline_path),
-                    "file",
-                    "tune manifest not found; run `repro tune --bless` to record one",
-                )
-            )
-        else:
-            try:
-                tune_payload = json.loads(tune_baseline_path.read_text())
-            except ValueError as exc:
-                findings.append(
-                    Finding("hard", str(tune_baseline_path), "json", f"unreadable manifest: {exc}")
-                )
-            else:
-                findings.extend(check_tune_manifest(tune_payload))
-    if scale_baseline_path is not None:
-        scale_baseline_path = Path(scale_baseline_path)
-        if not scale_baseline_path.exists():
-            # Same policy as the traffic manifest: the default file missing is
-            # survivable (warn); an explicit path must exist — 'none' opts out.
-            level = "warn" if scale_baseline_path == DEFAULT_SCALE_BASELINE else "hard"
-            findings.append(
-                Finding(
-                    level,
-                    str(scale_baseline_path),
-                    "file",
-                    "scale manifest not found; run `repro scale --bless` to record one",
-                )
-            )
-        else:
-            try:
-                scale_payload = json.loads(scale_baseline_path.read_text())
-            except ValueError as exc:
-                findings.append(
-                    Finding("hard", str(scale_baseline_path), "json", f"unreadable manifest: {exc}")
-                )
-            else:
-                findings.extend(check_scale_manifest(scale_payload))
+            continue
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:
+            findings.append(Finding("hard", str(path), "json", f"unreadable manifest: {exc}"))
+            continue
+        findings.extend(check(payload))
 
     print_fn(format_findings(findings))
     code = exit_code(findings)

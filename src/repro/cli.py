@@ -45,7 +45,9 @@ import argparse
 import difflib
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import (
     benchmark_names,
@@ -54,6 +56,7 @@ from repro.api.registry import (
     scheme_names,
 )
 from repro.bench import experiments
+from repro.bench.campaign import SweepReport, bless_sweep, write_manifest_json
 from repro.bench.harness import run_lock_benchmark, using_scheduler
 from repro.bench.report import format_figure, format_table
 from repro.bench.workloads import LockBenchConfig
@@ -105,6 +108,43 @@ def _parse_param_assignments(pairs: Sequence[str], scheme: str) -> Tuple[Tuple[s
         name = name.replace("-", "_")
         out.append((name, info.param(name).coerce(value)))
     return tuple(out)
+
+
+def _add_sweep_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    cache: bool = True,
+    bless: bool = False,
+    imports: bool = False,
+) -> None:
+    """The flags the sweep subcommands share, each defined once."""
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: REPRO_JOBS or all cores; "
+                             "rows are bit-identical regardless)")
+    if cache:
+        parser.add_argument("--no-cache", action="store_true",
+                            help="compute every point, store nothing")
+        parser.add_argument("--refresh", action="store_true",
+                            help="ignore cached rows but refresh the cache (use after "
+                                 "editing scheme code: the cache epoch tracks the golden "
+                                 "file, not the source tree)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="cache root (default: <repo>/.repro-cache)")
+    parser.add_argument("--output", default=None,
+                        help="write the sweep's JSON manifest here (CI artifact)")
+    if bless:
+        parser.add_argument("--bless", action="store_true",
+                            help="record a new committed baseline through the campaign "
+                                 "cache (cold run, then a warm run that must hit every row)")
+        parser.add_argument("--baseline", default=None,
+                            help="baseline manifest path (default: the suite's "
+                                 "committed <repo>/BENCH_*.json)")
+    if imports:
+        parser.add_argument("--import", dest="imports", action="append", default=[],
+                            metavar="MODULE",
+                            help="import a third-party lock provider first (module name "
+                                 "or path/to/file.py; repeatable) so its @register_scheme "
+                                 "locks join the sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,15 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     camp_show.add_argument("name", help="registered campaign name")
     camp_run = campaign_sub.add_parser("run", help="execute a campaign")
     camp_run.add_argument("name", help="registered campaign name")
-    camp_run.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS or all cores)")
-    camp_run.add_argument("--no-cache", action="store_true", help="compute every point, store nothing")
-    camp_run.add_argument("--refresh", action="store_true",
-                          help="ignore cached rows but refresh the cache with fresh results")
-    camp_run.add_argument("--cache-dir", default=None, help="cache root (default: <repo>/.repro-cache)")
+    _add_sweep_flags(camp_run)
     camp_run.add_argument("--prune-cache", action="store_true",
                           help="also delete cache entries from stale epochs")
-    camp_run.add_argument("--output", default=None, help="write the rows as a campaign JSON manifest")
     camp_run.add_argument("--scheduler", choices=schedulers, default=None,
                           help="override the campaign's runtime backend")
     camp_run.add_argument("--figure", action="store_true",
@@ -197,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     regress = sub.add_parser(
         "regress", help="gate campaign results against the committed baselines (CI check)"
     )
+    _add_sweep_flags(regress, cache=False, bless=True)
     regress.add_argument("--campaign", default="ci-gate", help="campaign to gate on")
-    regress.add_argument("--baseline", default=None,
-                         help="campaign baseline manifest (default: <repo>/BENCH_campaign.json)")
     regress.add_argument("--traffic-baseline", default=None,
                          help="traffic manifest to sanity-check (default: <repo>/BENCH_traffic.json); 'none' skips")
     regress.add_argument("--scale-baseline", default=None,
@@ -209,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tune manifest to sanity-check (default: <repo>/BENCH_tune.json); 'none' skips")
     regress.add_argument("--soft", action="store_true",
                          help="use the loose throughput tolerance (for noisy shared runners)")
-    regress.add_argument("--jobs", type=int, default=None, help="worker processes for the campaign")
     regress.add_argument("--reuse-cache", action="store_true",
                          help="serve cached rows instead of recomputing (the gate recomputes by default "
                               "because the cache epoch tracks the golden file, not the source tree)")
@@ -217,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative throughput slowdown tolerated in strict mode (default 0.25)")
     regress.add_argument("--soft-tol", type=float, default=None,
                          help="relative throughput slowdown tolerated with --soft (default 0.6)")
-    regress.add_argument("--cache-dir", default=None, help="cache root (default: <repo>/.repro-cache)")
-    regress.add_argument("--output", default=None, help="also write the fresh campaign manifest here")
-    regress.add_argument("--bless", action="store_true",
-                         help="record a new BENCH_campaign.json baseline instead of gating")
     regress.add_argument("--scaling", action="store_true",
                          help="also measure a jobs=1 cold run to record the parallel speedup")
 
@@ -228,11 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
         "conform",
         help="conformance & chaos sweep: perturbed schedules x live safety/fairness oracles",
     )
+    _add_sweep_flags(conform, imports=True)
     conform.add_argument("--seeds", type=int, default=5,
                          help="perturbation seeds per scheme/benchmark/P cell "
                               "(plus one unperturbed control each)")
-    conform.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or all cores)")
     conform.add_argument("--schemes", nargs="+", default=None,
                          help="restrict to these schemes (default: the 'conformance' "
                               "selector = every conformance-capable registered scheme)")
@@ -244,29 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lock acquisitions per rank per run")
     conform.add_argument("--scheduler", choices=schedulers, default=None,
                          help="simulator core to sweep on (default: horizon)")
-    conform.add_argument("--import", dest="imports", action="append", default=[],
-                         metavar="MODULE",
-                         help="import a third-party lock provider first (module name "
-                              "or path/to/file.py; repeatable) so its @register_scheme "
-                              "locks join the sweep")
     conform.add_argument("--no-recheck", action="store_true",
                          help="skip the second run per point (faster; forfeits the "
                               "bit-reproducibility certificate)")
-    conform.add_argument("--no-cache", action="store_true",
-                         help="compute every verdict, store nothing")
-    conform.add_argument("--refresh", action="store_true",
-                         help="ignore cached verdicts but refresh the cache (use after "
-                              "editing scheme code: the cache epoch tracks the golden "
-                              "file, not the source tree)")
-    conform.add_argument("--cache-dir", default=None,
-                         help="cache root (default: <repo>/.repro-cache)")
-    conform.add_argument("--output", default=None,
-                         help="write the verdict rows as a JSON report (CI artifact)")
 
     faults = sub.add_parser(
         "faults",
         help="fault sweep: seeded rank crashes x recovery-safety oracles per scheme",
     )
+    _add_sweep_flags(faults, imports=True)
     faults.add_argument("--seeds", type=int, default=5,
                         help="crash seeds per scheme/scenario cell (each seed draws a "
                              "different victim interval from the probe timeline)")
@@ -280,29 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process counts (default: 4)")
     faults.add_argument("--iterations", type=int, default=None,
                         help="lock acquisitions per rank per run")
-    faults.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: REPRO_JOBS or all cores)")
     faults.add_argument("--smoke", action="store_true",
                         help="small CI grid: the fault/recovery schemes plus two "
                              "non-recovering controls, 2 crash seeds")
-    faults.add_argument("--import", dest="imports", action="append", default=[],
-                        metavar="MODULE",
-                        help="import a third-party lock provider first (module name "
-                             "or path/to/file.py; repeatable) so its @register_scheme "
-                             "locks join the sweep")
-    faults.add_argument("--no-cache", action="store_true",
-                        help="compute every verdict, store nothing")
-    faults.add_argument("--refresh", action="store_true",
-                        help="ignore cached verdicts but refresh the cache")
-    faults.add_argument("--cache-dir", default=None,
-                        help="cache root (default: <repo>/.repro-cache)")
-    faults.add_argument("--output", default=None,
-                        help="write the verdict rows as a JSON report (CI artifact)")
 
     traffic = sub.add_parser(
         "traffic",
         help="open-loop traffic sweep: scheme x scenario with tail-latency percentiles",
     )
+    _add_sweep_flags(traffic, bless=True)
     traffic.add_argument("--schemes", nargs="+", default=None,
                          help="lock schemes to sweep (default: the traffic-suite grid; "
                               "selectors like 'all'/'mcs'/'rw' work too)")
@@ -317,22 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulator core(s) to sweep; 'both' certifies that horizon "
                               "and baseline produce bit-identical traffic rows "
                               "(default: both, or horizon only under --smoke)")
-    traffic.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or all cores)")
     traffic.add_argument("--smoke", action="store_true",
                          help="small CI grid: 3 schemes x 2 scenarios at P=16, horizon only")
-    traffic.add_argument("--no-cache", action="store_true",
-                         help="compute every point, store nothing")
-    traffic.add_argument("--refresh", action="store_true",
-                         help="ignore cached rows but refresh the cache with fresh results")
-    traffic.add_argument("--cache-dir", default=None,
-                         help="cache root (default: <repo>/.repro-cache)")
-    traffic.add_argument("--output", default=None,
-                         help="write the percentile rows as a traffic JSON report (CI artifact)")
-    traffic.add_argument("--bless", action="store_true",
-                         help="record a new BENCH_traffic.json baseline through the campaign cache")
-    traffic.add_argument("--baseline", default=None,
-                         help="baseline manifest path for --bless (default: <repo>/BENCH_traffic.json)")
     traffic.add_argument("--top-keys", type=int, default=None, metavar="N",
                          help="print each scenario's N hottest table entries (request "
                               "share from the materialized schedules) instead of "
@@ -343,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fluid-scale sweep: fluid-flow load models + sampled tails, "
              "elastic tables and topology-aware re-homing",
     )
+    _add_sweep_flags(scale, bless=True)
     scale.add_argument("--schemes", nargs="+", default=None,
                        help="lock schemes for the campaign grid (default: scale-suite's)")
     scale.add_argument("--scenarios", nargs="+", default=None,
@@ -356,30 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulator core(s); 'both' certifies bit-identical rows "
                             "and sampled fingerprints across horizon and baseline "
                             "(default: both, or horizon only under --smoke)")
-    scale.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: REPRO_JOBS or all cores)")
     scale.add_argument("--smoke", action="store_true",
                        help="small CI grid: fewer requests per rank, horizon only "
                             "(the fluid set, including the 10^6/s scenario, runs in full)")
-    scale.add_argument("--no-cache", action="store_true",
-                       help="compute every point, store nothing")
-    scale.add_argument("--refresh", action="store_true",
-                       help="ignore cached rows but refresh the cache with fresh results")
-    scale.add_argument("--cache-dir", default=None,
-                       help="cache root (default: <repo>/.repro-cache)")
-    scale.add_argument("--output", default=None,
-                       help="write the rows + fluid records as a scale JSON report (CI artifact)")
-    scale.add_argument("--bless", action="store_true",
-                       help="record a new BENCH_scale.json baseline through the campaign cache "
-                            "(refuses if fluid validation fails or re-homing does not win)")
-    scale.add_argument("--baseline", default=None,
-                       help="baseline manifest path for --bless (default: <repo>/BENCH_scale.json)")
 
     tune = sub.add_parser(
         "tune",
         help="offline threshold auto-tuner: sweep registry-declared parameter "
              "grids, report best-known thresholds per scheme x scenario",
     )
+    _add_sweep_flags(tune, bless=True, imports=True)
     tune.add_argument("--scheme", default=None,
                       help="tune one scheme only (default: the built-in suite)")
     tune.add_argument("--tune-param", dest="tune_param", default=None,
@@ -394,27 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="requests per rank (default: the suite's)")
     tune.add_argument("--scheduler", choices=schedulers, default="horizon",
                       help="simulator core (fingerprints are scheduler-invariant)")
-    tune.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default: REPRO_JOBS or all cores)")
     tune.add_argument("--smoke", action="store_true",
                       help="small CI grid: 3 schemes, one axis each, P=16")
-    tune.add_argument("--import", dest="imports", action="append", default=[],
-                      metavar="MODULE",
-                      help="import a third-party lock provider first (module name "
-                           "or path/to/file.py; repeatable) so its @register_scheme "
-                           "locks can be tuned")
-    tune.add_argument("--no-cache", action="store_true",
-                      help="compute every point, store nothing")
-    tune.add_argument("--refresh", action="store_true",
-                      help="ignore cached rows but refresh the cache with fresh results")
-    tune.add_argument("--cache-dir", default=None,
-                      help="cache root (default: <repo>/.repro-cache)")
-    tune.add_argument("--output", default=None,
-                      help="write the tune manifest as a JSON report (CI artifact)")
-    tune.add_argument("--bless", action="store_true",
-                      help="record a new BENCH_tune.json baseline through the campaign cache")
-    tune.add_argument("--baseline", default=None,
-                      help="baseline manifest path for --bless (default: <repo>/BENCH_tune.json)")
 
     info = sub.add_parser("info", help="describe a simulated machine and the portability table")
     info.add_argument("--procs", type=int, default=64)
@@ -628,8 +581,6 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench import perf as perf_mod
 
     if args.reps < 1:
@@ -647,9 +598,75 @@ def _run_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _sweep(
+    args: argparse.Namespace,
+    run: Callable[..., SweepReport],
+    baseline: Optional[Path] = None,
+    *,
+    checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
+    scaling: bool = False,
+) -> Tuple[SweepReport, Optional[Tuple[Path, Dict[str, Any]]]]:
+    """Run one suite from its shared flags, or bless it under ``--bless``.
 
+    ``run`` is the suite's runner with everything but the cache arguments
+    bound.  Returns the report and, for a bless, the written baseline path
+    with its timing block.
+    """
+    run = partial(run, cache_dir=Path(args.cache_dir) if args.cache_dir else None)
+    if getattr(args, "bless", False):
+        path = Path(args.baseline) if args.baseline else baseline
+        report, timing = bless_sweep(
+            run, path, jobs=args.jobs, checks=checks, scaling=scaling
+        )
+        return report, (path, timing)
+    report = run(
+        jobs=args.jobs, cache=False if args.no_cache else None, refresh=args.refresh
+    )
+    return report, None
+
+
+def _finish(
+    args: argparse.Namespace,
+    report: SweepReport,
+    blessed: Optional[Tuple[Path, Dict[str, Any]]],
+    what: str = "points",
+) -> None:
+    """The summary line, then the manifest: the blessed file copied to
+    ``--output``, or the report written there."""
+    print(f"\n{report.summary(what)}")
+    if blessed is not None:
+        path, timing = blessed
+        print(
+            f"blessed {path} ({report.points} rows; cold {timing['cold_wall_s']}s, "
+            f"warm {timing['warm_wall_s']}s)"
+        )
+        if args.output and Path(args.output) != path:
+            # Verbatim copy so the secondary report keeps the timing record
+            # the bless just measured.
+            Path(args.output).write_text(path.read_text())
+            print(f"wrote {args.output}")
+    elif args.output:
+        print(f"wrote {write_manifest_json(report, Path(args.output))}")
+
+
+def _schedulers(args: argparse.Namespace) -> Tuple[str, ...]:
+    """``--scheduler`` of traffic/scale: default both cores, horizon only
+    under ``--smoke`` (CI wall clock); an explicit choice always wins."""
+    if args.scheduler is None:
+        return ("horizon",) if args.smoke else ("horizon", "baseline")
+    if args.scheduler == "both":
+        return ("horizon", "baseline")
+    return (args.scheduler,)
+
+
+def _manifest_path(value: Optional[str], default: Path) -> Optional[Path]:
+    """A regress ``--*-baseline`` value: a path, the default, or ``none``."""
+    if value == "none":
+        return None
+    return Path(value) if value else default
+
+
+def _run_campaign(args: argparse.Namespace) -> int:
     from repro.api.registry import UnknownNameError
     from repro.bench import campaign as campaign_mod
 
@@ -707,19 +724,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 0
 
     # campaign run
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    try:
-        report = campaign_mod.run_campaign(
-            spec,
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            cache_dir=cache_dir,
-            refresh=args.refresh,
-            scheduler=args.scheduler,
-        )
-    except ValueError as exc:
-        print(f"campaign {spec.name!r} cannot run: {exc}", file=sys.stderr)
-        return 2
+    report, _ = _sweep(args, partial(campaign_mod.run_campaign, spec, scheduler=args.scheduler))
     display = [
         {
             "case": row["case"],
@@ -736,76 +741,58 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.figure:
         print()
         print(campaign_mod.render_campaign_figure(report.rows, title=report.name))
-    print(
-        f"\ncampaign {report.name!r}: {report.points} points, jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
-    )
+    _finish(args, report, None)
     if args.prune_cache and not args.no_cache:
+        cache_dir = Path(args.cache_dir) if args.cache_dir else None
         removed = campaign_mod.ResultCache(cache_dir).prune()
         print(f"pruned {removed} stale cache epoch(s)")
-    if args.output:
-        path = campaign_mod.write_campaign_json(report, Path(args.output))
-        print(f"wrote {path}")
     return 0
 
 
 def _run_regress(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError
+    from repro.bench import campaign as campaign_mod
     from repro.bench import regress as regress_mod
 
-    baseline = Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
-    if args.traffic_baseline == "none":
-        traffic_baseline = None
-    elif args.traffic_baseline:
-        traffic_baseline = Path(args.traffic_baseline)
-    else:
-        traffic_baseline = regress_mod.DEFAULT_TRAFFIC_BASELINE
-    if args.tune_baseline == "none":
-        tune_baseline = None
-    elif args.tune_baseline:
-        tune_baseline = Path(args.tune_baseline)
-    else:
-        tune_baseline = regress_mod.DEFAULT_TUNE_BASELINE
-    if args.scale_baseline == "none":
-        scale_baseline = None
-    elif args.scale_baseline:
-        scale_baseline = Path(args.scale_baseline)
-    else:
-        scale_baseline = regress_mod.DEFAULT_SCALE_BASELINE
-    try:
-        return regress_mod.run_regress(
-            campaign=args.campaign,
-            baseline_path=baseline,
-            traffic_baseline_path=traffic_baseline,
-            tune_baseline_path=tune_baseline,
-            scale_baseline_path=scale_baseline,
-            soft=args.soft,
-            jobs=args.jobs,
-            fresh=not args.reuse_cache,
-            strict_tol=args.strict_tol if args.strict_tol is not None else regress_mod.DEFAULT_STRICT_TOL,
-            soft_tol=args.soft_tol if args.soft_tol is not None else regress_mod.DEFAULT_SOFT_TOL,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            output=Path(args.output) if args.output else None,
-            do_bless=args.bless,
+    if args.bless:
+        report, blessed = _sweep(
+            args,
+            partial(campaign_mod.run_campaign, args.campaign),
+            regress_mod.DEFAULT_CAMPAIGN_BASELINE,
             scaling=args.scaling,
         )
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        _finish(args, report, blessed)
+        return 0
+    return regress_mod.run_regress(
+        campaign=args.campaign,
+        baseline_path=(
+            Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
+        ),
+        traffic_baseline_path=_manifest_path(
+            args.traffic_baseline, regress_mod.DEFAULT_TRAFFIC_BASELINE
+        ),
+        tune_baseline_path=_manifest_path(args.tune_baseline, regress_mod.DEFAULT_TUNE_BASELINE),
+        scale_baseline_path=_manifest_path(
+            args.scale_baseline, regress_mod.DEFAULT_SCALE_BASELINE
+        ),
+        soft=args.soft,
+        jobs=args.jobs,
+        fresh=not args.reuse_cache,
+        strict_tol=args.strict_tol if args.strict_tol is not None else regress_mod.DEFAULT_STRICT_TOL,
+        soft_tol=args.soft_tol if args.soft_tol is not None else regress_mod.DEFAULT_SOFT_TOL,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        output=Path(args.output) if args.output else None,
+        scaling=args.scaling,
+    )
 
 
 def _load_provider(token: str) -> None:
-    """Import a third-party lock provider named on the conform CLI.
+    """Import a third-party lock provider named by ``--import``.
 
     ``path/to/file.py`` is imported by file location with its directory put on
     ``sys.path`` first (so pool workers under a spawn start method can re-import
     it by module name); anything else is treated as a regular module path.
     """
     import importlib
-    from pathlib import Path
 
     if token.endswith(".py"):
         file = Path(token).resolve()
@@ -820,49 +807,26 @@ def _load_provider(token: str) -> None:
 
 
 def _run_conform(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError
     from repro.bench import conformance as conformance_mod
 
-    for token in args.imports:
-        try:
-            _load_provider(token)
-        except (ImportError, FileNotFoundError) as exc:
-            print(f"cannot import provider {token!r}: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        report = conformance_mod.run_conformance(
+    report, _ = _sweep(
+        args,
+        partial(
+            conformance_mod.run_conformance,
             seeds=args.seeds,
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            refresh=args.refresh,
             recheck=not args.no_recheck,
             schemes=args.schemes,
             benchmarks=args.benchmarks,
             process_counts=args.procs,
             iterations=args.iterations,
             scheduler=args.scheduler,
-        )
-    except (UnknownNameError, ValueError) as exc:
-        print(f"conformance sweep cannot run: {exc}", file=sys.stderr)
-        return 2
-
-    print(format_table(report.scheme_verdicts()))
+        ),
+    )
+    print(format_table(report.extra["schemes"]))
     if not report.ok:
         print("\nfailing points:")
         print(format_table(conformance_mod.format_conformance_rows(report)))
-    print(
-        f"\nconformance: {report.points} points "
-        f"({report.seeds} chaos seed(s) + control per cell), jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
-    )
-    if args.output:
-        path = conformance_mod.write_conformance_json(report, Path(args.output))
-        print(f"wrote {path}")
+    _finish(args, report, None, f"points ({args.seeds} chaos seed(s) + control per cell)")
     if report.ok:
         print("verdict: every scheme upheld every oracle on every schedule")
         return 0
@@ -886,17 +850,7 @@ _FAULT_SMOKE_SCHEMES = (
 
 
 def _run_faults(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError
     from repro.bench import faults as faults_mod
-
-    for token in args.imports:
-        try:
-            _load_provider(token)
-        except (ImportError, FileNotFoundError) as exc:
-            print(f"cannot import provider {token!r}: {exc}", file=sys.stderr)
-            return 2
 
     seeds = args.seeds
     schemes = args.schemes
@@ -908,35 +862,22 @@ def _run_faults(args: argparse.Namespace) -> int:
         if procs is None:
             procs = [4]
 
-    try:
-        report = faults_mod.run_faults(
+    report, _ = _sweep(
+        args,
+        partial(
+            faults_mod.run_faults,
             seeds=seeds,
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            refresh=args.refresh,
             schemes=schemes,
             scenarios=args.scenarios,
             process_counts=procs if procs is not None else (4,),
             **({"iterations": args.iterations} if args.iterations else {}),
-        )
-    except (UnknownNameError, ValueError) as exc:
-        print(f"fault sweep cannot run: {exc}", file=sys.stderr)
-        return 2
-
-    print(format_table(report.scheme_verdicts()))
+        ),
+    )
+    print(format_table(report.extra["schemes"]))
     if not report.ok:
         print("\nfailing points:")
         print(format_table(faults_mod.format_fault_rows(report)))
-    print(
-        f"\nfaults: {report.points} points ({report.seeds} crash seed(s) per "
-        f"scheme/scenario cell), jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
-    )
-    if args.output:
-        path = faults_mod.write_faults_json(report, Path(args.output))
-        print(f"wrote {path}")
+    _finish(args, report, None, f"points ({seeds} crash seed(s) per scheme/scenario cell)")
     if report.ok:
         print(
             "verdict: every declared recovery recovered, every undeclared crash "
@@ -948,237 +889,112 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _run_traffic(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError
     from repro.traffic import engine as traffic_engine
 
-    if args.scheduler is None:
-        # Default: certify both deterministic cores, except in the smoke grid
-        # (CI wall clock); an explicit --scheduler always wins, --smoke or not.
-        schedulers = ("horizon",) if args.smoke else ("horizon", "baseline")
-    elif args.scheduler == "both":
-        schedulers = ("horizon", "baseline")
-    else:
-        schedulers = (args.scheduler,)
-    try:
-        spec = traffic_engine.traffic_spec(
-            schemes=args.schemes,
-            scenarios=args.scenarios,
-            process_counts=args.procs,
-            iterations=args.iterations,
-            smoke=args.smoke,
-        )
-        if args.top_keys is not None:
-            # Analysis-only hot-key report: no simulation, no cache — just the
-            # materialized schedules' per-entry request shares.
-            rows = traffic_engine.top_key_rows(spec, top_keys=args.top_keys)
-            print(format_table(rows))
-            scenarios = sorted({r["scenario"] for r in rows})
-            print(
-                f"\ntop {args.top_keys} key(s) per scenario x P over "
-                f"{len(scenarios)} scenario(s) (virtual-time analysis, "
-                f"scheduler-independent)"
-            )
-            return 0
-        cache_dir = Path(args.cache_dir) if args.cache_dir else None
-        if args.bless:
-            baseline = (
-                Path(args.baseline) if args.baseline else traffic_engine.DEFAULT_TRAFFIC_BASELINE
-            )
-            report = traffic_engine.bless_traffic(
-                baseline,
-                spec=spec,
-                schedulers=schedulers,
-                jobs=args.jobs,
-                cache_dir=cache_dir,
-            )
-            print(format_table(traffic_engine.traffic_display_rows(report.rows)))
-            print(
-                f"\nblessed {baseline} ({report.points} rows across "
-                f"scheduler(s) {', '.join(report.schedulers)})"
-            )
-            if args.output and Path(args.output) != baseline:
-                # Verbatim copy so the secondary report keeps the timing
-                # record the bless just measured (mirrors regress --bless).
-                Path(args.output).write_text(baseline.read_text())
-                print(f"wrote {args.output}")
-            return 0
-        report = traffic_engine.run_traffic(
-            spec,
-            schedulers=schedulers,
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            cache_dir=cache_dir,
-            refresh=args.refresh,
-        )
-    except (UnknownNameError, ValueError, RuntimeError) as exc:
-        print(f"traffic sweep cannot run: {exc}", file=sys.stderr)
-        return 2
-    print(format_table(traffic_engine.traffic_display_rows(report.rows)))
-    print(
-        f"\ntraffic {report.name!r}: {report.points} rows on "
-        f"scheduler(s) {', '.join(report.schedulers)}, jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
+    spec = traffic_engine.traffic_spec(
+        schemes=args.schemes,
+        scenarios=args.scenarios,
+        process_counts=args.procs,
+        iterations=args.iterations,
+        smoke=args.smoke,
     )
-    if args.output:
-        path = traffic_engine.write_traffic_json(report, Path(args.output))
-        print(f"wrote {path}")
+    if args.top_keys is not None:
+        # Analysis-only hot-key report: no simulation, no cache — just the
+        # materialized schedules' per-entry request shares.
+        rows = traffic_engine.top_key_rows(spec, top_keys=args.top_keys)
+        print(format_table(rows))
+        scenarios = sorted({r["scenario"] for r in rows})
+        print(
+            f"\ntop {args.top_keys} key(s) per scenario x P over "
+            f"{len(scenarios)} scenario(s) (virtual-time analysis, "
+            f"scheduler-independent)"
+        )
+        return 0
+    report, blessed = _sweep(
+        args,
+        partial(traffic_engine.run_traffic, spec, schedulers=_schedulers(args)),
+        traffic_engine.DEFAULT_TRAFFIC_BASELINE,
+    )
+    print(format_table(traffic_engine.traffic_display_rows(report.rows)))
+    _finish(
+        args, report, blessed,
+        f"rows on scheduler(s) {', '.join(report.extra['schedulers'])}",
+    )
     return 0
 
 
 def _run_scale(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError
     from repro.scale import engine as scale_engine
 
-    if args.scheduler is None:
-        # Default: certify both deterministic cores, except in the smoke grid
-        # (CI wall clock); an explicit --scheduler always wins, --smoke or not.
-        schedulers = ("horizon",) if args.smoke else ("horizon", "baseline")
-    elif args.scheduler == "both":
-        schedulers = ("horizon", "baseline")
-    else:
-        schedulers = (args.scheduler,)
-    try:
-        spec = scale_engine.scale_spec(
-            schemes=args.schemes,
-            scenarios=args.scenarios,
-            iterations=args.iterations,
-            smoke=args.smoke,
-        )
-        cache_dir = Path(args.cache_dir) if args.cache_dir else None
-        if args.bless:
-            baseline = (
-                Path(args.baseline) if args.baseline else scale_engine.DEFAULT_SCALE_BASELINE
-            )
-            report = scale_engine.bless_scale(
-                baseline,
-                spec=spec,
-                schedulers=schedulers,
-                jobs=args.jobs,
-                cache_dir=cache_dir,
-            )
-            print(format_table(scale_engine.scale_display_rows(report)))
-            print(
-                f"\nblessed {baseline} ({report.points} rows, "
-                f"{len(report.fluid)} fluid cert(s), re-homing improved="
-                f"{report.rehome['improved']} across scheduler(s) "
-                f"{', '.join(report.schedulers)})"
-            )
-            if args.output and Path(args.output) != baseline:
-                # Verbatim copy so the secondary report keeps the timing
-                # record the bless just measured (mirrors regress --bless).
-                Path(args.output).write_text(baseline.read_text())
-                print(f"wrote {args.output}")
-            return 0
-        report = scale_engine.run_scale(
-            spec,
-            schedulers=schedulers,
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            cache_dir=cache_dir,
-            refresh=args.refresh,
+    spec = scale_engine.scale_spec(
+        schemes=args.schemes,
+        scenarios=args.scenarios,
+        iterations=args.iterations,
+        smoke=args.smoke,
+    )
+    report, blessed = _sweep(
+        args,
+        partial(
+            scale_engine.run_scale, spec, schedulers=_schedulers(args),
             fluid_names=args.fluid,
-        )
-    except KeyError as exc:
-        # Unknown fluid scenario: get_fluid_scenario names the catalogue.
-        print(f"scale sweep cannot run: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (UnknownNameError, ValueError, RuntimeError) as exc:
-        print(f"scale sweep cannot run: {exc}", file=sys.stderr)
-        return 2
+        ),
+        scale_engine.DEFAULT_SCALE_BASELINE,
+        checks=(scale_engine.check_bless,),
+    )
     print(format_table(scale_engine.scale_display_rows(report)))
-    fluid_ok = all(
-        r["within_tolerance"] and r["fingerprints_identical"] for r in report.fluid
-    )
+    fluid, rehome = report.extra["fluid"], report.extra["rehome"]
+    fluid_ok = all(r["within_tolerance"] and r["fingerprints_identical"] for r in fluid)
     print(
-        f"\nscale {report.name!r}: {report.points} rows on "
-        f"scheduler(s) {', '.join(report.schedulers)}, jobs={report.jobs}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
-    )
-    print(
-        f"fluid: {len(report.fluid)} scenario(s), "
+        f"\nfluid: {len(fluid)} scenario(s), "
         f"{'all within tolerance' if fluid_ok else 'VALIDATION FAILED'}; "
-        f"re-homing improved={report.rehome['improved']} over "
-        f"{len(report.rehome['pairs'])} pair(s)"
+        f"re-homing improved={rehome['improved']} over {len(rehome['pairs'])} pair(s)"
     )
-    if args.output:
-        path = scale_engine.write_scale_json(report, Path(args.output))
-        print(f"wrote {path}")
-    if not fluid_ok:
-        return 1
-    return 0
+    _finish(
+        args, report, blessed,
+        f"rows on scheduler(s) {', '.join(report.extra['schedulers'])}",
+    )
+    return 0 if fluid_ok else 1
 
 
 def _run_tune(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.api.registry import UnknownNameError, get_scheme
     from repro.control import tune as tune_mod
 
-    for token in args.imports:
-        try:
-            _load_provider(token)
-        except (ImportError, FileNotFoundError) as exc:
-            print(f"cannot import provider {token!r}: {exc}", file=sys.stderr)
+    grids = None
+    if args.scheme is not None:
+        scenario = args.scenario or "traffic-zipf"
+        params = (
+            [args.tune_param]
+            if args.tune_param
+            else [p.name for p in get_scheme(args.scheme).tunable_params()]
+        )
+        if not params:
+            print(
+                f"scheme {args.scheme!r} declares no tunable parameters",
+                file=sys.stderr,
+            )
             return 2
-    try:
-        grids = None
-        if args.scheme is not None:
-            scenario = args.scenario or "traffic-zipf"
-            params = (
-                [args.tune_param]
-                if args.tune_param
-                else [p.name for p in get_scheme(args.scheme).tunable_params()]
+        overrides = {}
+        if args.procs is not None:
+            overrides["procs"] = args.procs
+        if args.iterations is not None:
+            overrides["iterations"] = args.iterations
+        grids = [
+            tune_mod.TuneGrid(
+                scheme=args.scheme,
+                param=param,
+                scenario=scenario,
+                values=tune_mod.derive_axis(args.scheme, param),
+                **overrides,
             )
-            if not params:
-                print(
-                    f"scheme {args.scheme!r} declares no tunable parameters",
-                    file=sys.stderr,
-                )
-                return 2
-            overrides = {}
-            if args.procs is not None:
-                overrides["procs"] = args.procs
-            if args.iterations is not None:
-                overrides["iterations"] = args.iterations
-            grids = [
-                tune_mod.TuneGrid(
-                    scheme=args.scheme,
-                    param=param,
-                    scenario=scenario,
-                    values=tune_mod.derive_axis(args.scheme, param),
-                    **overrides,
-                )
-                for param in params
-            ]
-        cache_dir = Path(args.cache_dir) if args.cache_dir else None
-        if args.bless:
-            baseline = (
-                Path(args.baseline) if args.baseline else tune_mod.DEFAULT_TUNE_BASELINE
-            )
-            report = tune_mod.bless_tune(
-                baseline, grids=grids, jobs=args.jobs, cache_dir=cache_dir,
-                smoke=args.smoke,
-            )
-        else:
-            report = tune_mod.run_tune(
-                grids,
-                jobs=args.jobs,
-                cache=False if args.no_cache else None,
-                cache_dir=cache_dir,
-                refresh=args.refresh,
-                scheduler=args.scheduler,
-                smoke=args.smoke,
-            )
-    except (UnknownNameError, ValueError, RuntimeError) as exc:
-        print(f"tune sweep cannot run: {exc}", file=sys.stderr)
-        return 2
-    print(tune_mod.render_sensitivity(report))
+            for param in params
+        ]
+    report, blessed = _sweep(
+        args,
+        partial(tune_mod.run_tune, grids, scheduler=args.scheduler, smoke=args.smoke),
+        tune_mod.DEFAULT_TUNE_BASELINE,
+        checks=(tune_mod.check_bless,),
+    )
+    print(tune_mod.render_sensitivity(report.extra["sensitivity"]))
     best_rows = [
         {
             "scheme": b["scheme"],
@@ -1191,24 +1007,11 @@ def _run_tune(args: argparse.Namespace) -> int:
             "improvement_pct": b["improvement_pct"],
             "certified": "yes" if b["fingerprint"] == b["refingerprint"] else "NO",
         }
-        for b in report.best
+        for b in report.extra["best"]
     ]
     print("\nBest-known thresholds (winner re-run certifies the fingerprint):")
     print(format_table(best_rows))
-    print(
-        f"\ntune: {report.points} grid points on {report.scheduler}, "
-        f"{report.cache_hits} cached / {report.cache_misses} computed, "
-        f"{report.wall_s:.2f}s wall (cache epoch {report.epoch})"
-    )
-    if args.bless:
-        baseline = Path(args.baseline) if args.baseline else tune_mod.DEFAULT_TUNE_BASELINE
-        print(f"blessed {baseline} ({report.points} rows, {len(report.best)} best rows)")
-        if args.output and Path(args.output) != baseline:
-            Path(args.output).write_text(baseline.read_text())
-            print(f"wrote {args.output}")
-    elif args.output:
-        path = tune_mod.write_tune_json(report, Path(args.output))
-        print(f"wrote {path}")
+    _finish(args, report, blessed, f"grid points on {report.extra['scheduler']}")
     return 0
 
 
@@ -1227,38 +1030,46 @@ def _run_info(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "figures": _run_figures,
+    "bench": _run_bench,
+    "trace": _run_trace,
+    "verify": _run_verify,
+    "perf": _run_perf,
+    "campaign": _run_campaign,
+    "regress": _run_regress,
+    "conform": _run_conform,
+    "faults": _run_faults,
+    "traffic": _run_traffic,
+    "scale": _run_scale,
+    "tune": _run_tune,
+    "info": _run_info,
+}
+
+#: Sweep subcommands: a bad name, an unusable grid or fluid scenario, or a
+#: refused bless is a usage error (exit 2 with the reason), not a traceback.
+_SWEEPS = ("campaign", "regress", "conform", "faults", "traffic", "scale", "tune")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "figures":
-        return _run_figures(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    if args.command == "perf":
-        return _run_perf(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
-    if args.command == "tune":
-        return _run_tune(args)
-    if args.command == "regress":
-        return _run_regress(args)
-    if args.command == "conform":
-        return _run_conform(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "scale":
-        return _run_scale(args)
-    if args.command == "traffic":
-        return _run_traffic(args)
-    if args.command == "info":
-        return _run_info(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    for token in getattr(args, "imports", ()):
+        try:
+            _load_provider(token)
+        except (ImportError, FileNotFoundError) as exc:
+            print(f"cannot import provider {token!r}: {exc}", file=sys.stderr)
+            return 2
+    command = _COMMANDS[args.command]
+    if args.command not in _SWEEPS:
+        return command(args)
+    try:
+        return command(args)
+    except (KeyError, ValueError, RuntimeError) as exc:
+        # An unknown fluid scenario is a KeyError whose message is args[0].
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"{args.command} sweep cannot run: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,6 @@ whose registration declares tunable parameters — third-party
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,29 +33,29 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, get_benchmark, get_runtime, get_scheme
 from repro.bench.campaign import (
+    BlessError,
     CampaignPoint,
     ResultCache,
+    SweepReport,
     parallel_map,
     run_point,
-    write_manifest_json,
+    run_sweep,
 )
 
 __all__ = [
     "DEFAULT_TUNE_BASELINE",
     "TuneGrid",
-    "TuneReport",
-    "bless_tune",
+    "check_bless",
     "default_grids",
     "derive_axis",
     "policy_from_tune",
     "render_sensitivity",
     "run_tune",
-    "write_tune_json",
 ]
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The committed best-known-thresholds manifest (see :func:`bless_tune`).
+#: The committed best-known-thresholds manifest (``repro tune --bless``).
 DEFAULT_TUNE_BASELINE = _REPO_ROOT / "BENCH_tune.json"
 
 #: Curated axes where the registered default alone cannot span the paper's
@@ -232,26 +231,6 @@ def default_grids(*, smoke: bool = False) -> Tuple[TuneGrid, ...]:
     )
 
 
-@dataclass
-class TuneReport:
-    """Outcome of one :func:`run_tune` sweep."""
-
-    rows: List[Dict[str, Any]]
-    best: List[Dict[str, Any]]
-    sensitivity: List[Dict[str, Any]]
-    scheduler: str
-    jobs: int
-    wall_s: float
-    cache_hits: int
-    cache_misses: int
-    epoch: str
-    name: str = "tune-suite"
-
-    @property
-    def points(self) -> int:
-        return len(self.rows)
-
-
 def _p99(row: Mapping[str, Any]) -> float:
     return float((row.get("percentiles") or {}).get("e2e_p99_us", 0.0))
 
@@ -265,32 +244,24 @@ def run_tune(
     refresh: bool = False,
     scheduler: str = "horizon",
     smoke: bool = False,
-) -> TuneReport:
-    """Sweep the grids through the cached campaign executor.
+) -> SweepReport:
+    """Sweep the grids through :func:`~repro.bench.campaign.run_sweep`.
 
     Per grid the report carries one *best row* (value minimizing the e2e p99,
     ties to the smaller value) with the default point's p99 for comparison
     and a **refingerprint** certificate: the winning point is re-run from
     scratch — never served from the cache — and must reproduce its
     fingerprint bit-exactly, which is what ``repro regress`` later verifies
-    on the committed manifest.
+    on the committed manifest.  ``extra`` carries ``scheduler``, ``best``
+    and ``sensitivity``; ``wall_s`` includes the winner re-runs.
     """
     if grids is None:
         grids = default_grids(smoke=smoke)
     grids = list(grids)
     get_runtime(scheduler)
 
-    store: Optional[ResultCache]
-    if cache is False:
-        store = None
-    elif cache is None or cache is True:
-        store = ResultCache(cache_dir)
-    else:
-        store = cache
-
     t0 = time.perf_counter()
-    # One flat, deduplicated point list (grids may share their default point),
-    # cache-consulted and pool-executed exactly like a campaign run.
+    # One flat, deduplicated point list (grids may share their default point).
     points: List[CampaignPoint] = []
     index: Dict[str, int] = {}
     for grid in grids:
@@ -299,26 +270,11 @@ def run_tune(
             if p.case not in index:
                 index[p.case] = len(points)
                 points.append(p)
-
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    todo: List[Tuple[int, CampaignPoint]] = []
-    hits = 0
-    for i, point in enumerate(points):
-        row = store.get(point) if store is not None and not refresh else None
-        if row is not None:
-            row = dict(row)
-            row["cached"] = True
-            rows[i] = row
-            hits += 1
-        else:
-            todo.append((i, point))
-    fresh = parallel_map(run_point, [p for _, p in todo], jobs=jobs)
-    for (i, point), row in zip(todo, fresh):
-        row["cached"] = False
-        rows[i] = row
-        if store is not None:
-            store.put(point, row)
-    all_rows: List[Dict[str, Any]] = [r for r in rows if r is not None]
+    report = run_sweep(
+        "tune", "tune-suite", points, run_point,
+        jobs=jobs, cache=cache, cache_dir=cache_dir, refresh=refresh,
+    )
+    rows = report.rows
 
     # Winner re-runs: always computed fresh (the certificate would be
     # worthless if it could be served by the entry it certifies).
@@ -336,7 +292,7 @@ def run_tune(
             series.append({"value": value, "e2e_p99_us": p99})
             if winner is None or p99 < winner[0]:
                 winner = (p99, value, row, point)
-        assert winner is not None and default_row is not None
+        assert winner is not None
         best_p99, best_value, best_row, best_point = winner
         default_p99 = _p99(default_row)
         improvement = (
@@ -375,26 +331,30 @@ def run_tune(
     ):
         best_rows[gi]["refingerprint"] = rerun["fingerprint"]
 
-    epoch = store.epoch if store is not None else ""
-    return TuneReport(
-        rows=all_rows,
-        best=best_rows,
-        sensitivity=sensitivity,
-        scheduler=scheduler,
-        jobs=0 if jobs is None else int(jobs),
-        wall_s=time.perf_counter() - t0,
-        cache_hits=hits,
-        cache_misses=len(todo),
-        epoch=epoch,
-    )
+    report.wall_s = time.perf_counter() - t0
+    report.extra.update(scheduler=scheduler, best=best_rows, sensitivity=sensitivity)
+    return report
 
 
-def render_sensitivity(report: TuneReport, *, width: int = 44) -> str:
-    """The Figure-4 story as ASCII bars: per grid, p99 across the axis."""
+def check_bless(cold: SweepReport, warm: SweepReport) -> None:
+    """Bless check: no grid winner's fingerprint drifts from cold to warm."""
+    for cold_best, warm_best in zip(cold.extra["best"], warm.extra["best"]):
+        if cold_best["fingerprint"] != warm_best["fingerprint"]:
+            raise BlessError(
+                f"tune grid {cold_best['grid']} winner fingerprint drifted "
+                f"between the cold and warm sweeps"
+            )
+
+
+def render_sensitivity(sensitivity: Sequence[Mapping[str, Any]], *, width: int = 44) -> str:
+    """The Figure-4 story as ASCII bars: per grid, p99 across the axis.
+
+    ``sensitivity`` is a tune report's ``extra["sensitivity"]`` series.
+    """
     from repro.bench.ascii_plot import bar_chart
 
     blocks: List[str] = []
-    for entry in report.sensitivity:
+    for entry in sensitivity:
         items = {
             f"{entry['param']}={point['value']}": point["e2e_p99_us"]
             for point in entry["series"]
@@ -409,73 +369,6 @@ def render_sensitivity(report: TuneReport, *, width: int = 44) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-def write_tune_json(
-    report: TuneReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write the tune manifest: campaign rows + best table + sensitivity."""
-    return write_manifest_json(
-        report.rows,
-        path,
-        suite="tune",
-        campaign=report.name,
-        epoch=report.epoch,
-        timing=timing,
-        extra={
-            "scheduler": report.scheduler,
-            "best": report.best,
-            "sensitivity": report.sensitivity,
-        },
-    )
-
-
-def bless_tune(
-    baseline_path: Path = DEFAULT_TUNE_BASELINE,
-    *,
-    grids: Optional[Sequence[TuneGrid]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    smoke: bool = False,
-) -> TuneReport:
-    """Record ``BENCH_tune.json`` through the campaign cache (cold, then warm).
-
-    Mirrors :func:`repro.traffic.engine.bless_traffic`: the cold run refreshes
-    every cached row, the warm run must serve every grid point from the cache
-    (winner re-runs stay fresh by design and are excluded from the hit
-    count), and the timing block records both walls.
-    """
-    cold = run_tune(
-        grids, jobs=jobs, cache_dir=cache_dir, refresh=True, smoke=smoke
-    )
-    warm = run_tune(
-        grids, jobs=jobs, cache_dir=cache_dir, refresh=False, smoke=smoke
-    )
-    if warm.cache_hits != warm.points:
-        raise RuntimeError(
-            f"warm tune run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change mid-bless?"
-        )
-    for cold_best, warm_best in zip(cold.best, warm.best):
-        if cold_best["fingerprint"] != warm_best["fingerprint"]:
-            raise RuntimeError(
-                f"tune grid {cold_best['grid']} winner fingerprint drifted "
-                f"between the cold and warm sweeps"
-            )
-    timing = {
-        "cpu_count": os.cpu_count(),
-        "jobs": cold.jobs,
-        "cold_wall_s": round(cold.wall_s, 3),
-        "warm_wall_s": round(warm.wall_s, 3),
-        "warm_cache_hits": warm.cache_hits,
-    }
-    if cold.wall_s > 0:
-        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
-    write_tune_json(cold, baseline_path, timing=timing)
-    return cold
 
 
 def policy_from_tune(

@@ -49,13 +49,10 @@ from repro.scale.fluid import (
 from repro.scale.engine import (
     DEFAULT_SCALE_BASELINE,
     SCALE_SUITE,
-    ScaleReport,
-    bless_scale,
     rehome_comparison,
     run_scale,
     scale_display_rows,
     scale_spec,
-    write_scale_json,
 )
 
 __all__ = [
@@ -76,8 +73,6 @@ __all__ = [
     "ResizeEvent",
     "SCALE_SUITE",
     "STATIC_HOT_SCENARIO",
-    "ScaleReport",
-    "bless_scale",
     "fluid_profile",
     "get_fluid_scenario",
     "register_fluid_scenario",
@@ -88,5 +83,4 @@ __all__ = [
     "scale_display_rows",
     "scale_spec",
     "validate_fluid",
-    "write_scale_json",
 ]

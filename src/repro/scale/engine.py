@@ -1,9 +1,10 @@
 """The ``repro scale`` sweep: fluid validation + elastic/re-homing campaign.
 
-Mirrors :mod:`repro.traffic.engine`, which it deliberately follows file-
-for-file: the scale scenarios are registered benchmarks, so the campaign
-cache, the parallel executor and the determinism fingerprints apply
-unchanged.  One :func:`run_scale` sweep produces three artifact groups:
+A traffic sweep plus two scale-only results: the scale scenarios are
+registered benchmarks, so :func:`run_scale` runs the ``scale-suite`` grid
+through :func:`repro.traffic.engine.run_traffic` (campaign cache, parallel
+executor and determinism fingerprints unchanged) and adds the fluid records
+and the re-homing verdict.  One sweep produces three artifact groups:
 
 * **Campaign rows** — the ``scale-suite`` grid (elastic resize plus the
   static/re-homed hot-key pair) on one or both deterministic schedulers,
@@ -14,49 +15,45 @@ unchanged.  One :func:`run_scale` sweep produces three artifact groups:
   the 10^6-clients/s scenario (``fluid-mega``) runs — in seconds.
 * **The re-homing verdict** — :func:`rehome_comparison` pairs the
   ``scale-hot`` / ``scale-hot-rehome`` rows per scheduler and reports the
-  end-to-end p99 delta; :func:`bless_scale` refuses to record a baseline
-  in which re-homing does not beat static placement.
+  end-to-end p99 delta.
 
-``bless_scale`` writes ``BENCH_scale.json`` (cold run repopulating the
-cache, warm run certifying it) and ``repro regress --scale-baseline``
-gates the committed file via
-:func:`repro.bench.regress.check_scale_manifest`.
+``repro scale --bless`` writes ``BENCH_scale.json`` through
+:func:`repro.bench.campaign.bless_sweep`, which runs :func:`check_bless`
+first: it refuses a baseline whose fluid records fail or in which re-homing
+does not beat static placement.  ``repro regress --scale-baseline`` gates the
+committed file via :func:`repro.bench.regress.check_scale_manifest`.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.registry import get_runtime
 from repro.bench.campaign import (
+    BlessError,
     CampaignSpec,
+    SweepReport,
     get_campaign,
-    golden_epoch,
     register_campaign,
-    run_campaign,
-    write_manifest_json,
 )
 from repro.scale.fluid import FLUID_SCENARIOS, get_fluid_scenario, validate_fluid
+from repro.traffic.engine import run_traffic
 
 __all__ = [
     "DEFAULT_SCALE_BASELINE",
     "SCALE_SUITE",
-    "ScaleReport",
-    "bless_scale",
+    "check_bless",
     "rehome_comparison",
     "run_scale",
     "scale_display_rows",
     "scale_spec",
-    "write_scale_json",
 ]
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The committed scale baseline manifest (see :func:`bless_scale`).
+#: The committed scale baseline manifest (``repro scale --bless``).
 DEFAULT_SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
 
 #: The scale campaign grid.  P is pinned to 32 because the hot-key pair's
@@ -102,26 +99,6 @@ def scale_spec(
     if iterations is not None:
         overrides["iterations"] = int(iterations)
     return replace(spec, **overrides) if overrides else spec
-
-
-@dataclass
-class ScaleReport:
-    """Outcome of one :func:`run_scale` sweep."""
-
-    name: str
-    rows: List[Dict[str, Any]]
-    schedulers: Tuple[str, ...]
-    jobs: int
-    wall_s: float
-    cache_hits: int
-    cache_misses: int
-    epoch: str
-    fluid: List[Dict[str, Any]]
-    rehome: Dict[str, Any]
-
-    @property
-    def points(self) -> int:
-        return len(self.rows)
 
 
 def rehome_comparison(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -172,62 +149,56 @@ def run_scale(
     refresh: bool = False,
     fluid_names: Optional[Sequence[str]] = None,
     fluid_seed: int = 17,
-) -> ScaleReport:
+) -> SweepReport:
     """Run the scale grid on every requested scheduler plus the fluid set.
 
     ``fluid_names`` narrows the fluid validation sweep (default: every
     registered :class:`~repro.scale.fluid.FluidScenario`); the fluid records
     always validate across the same scheduler list, so one report carries
     both the campaign's and the cohorts' determinism certificates.
+    ``extra`` adds ``fluid`` and ``rehome`` to the traffic sweep's
+    ``schedulers``.
     """
-    if spec is None:
-        spec = scale_spec()
-    schedulers = tuple(schedulers)
-    if not schedulers:
-        raise ValueError("at least one scheduler is required")
-    for name in schedulers:
-        get_runtime(name)  # validate early, helpful UnknownNameError
     names = tuple(fluid_names) if fluid_names is not None else tuple(sorted(FLUID_SCENARIOS))
     fluids = [get_fluid_scenario(name) for name in names]  # fail before the campaign
     t0 = time.perf_counter()
-    rows: List[Dict[str, Any]] = []
-    hits = 0
-    misses = 0
-    requested_jobs = 0
-    epoch = golden_epoch()
-    for scheduler in schedulers:
-        report = run_campaign(
-            spec,
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            refresh=refresh,
-            scheduler=scheduler,
-        )
-        rows.extend(report.rows)
-        hits += report.cache_hits
-        misses += report.cache_misses
-        requested_jobs = report.jobs
-        epoch = report.epoch
+    report = run_traffic(
+        spec if spec is not None else scale_spec(),
+        schedulers=schedulers, jobs=jobs, cache=cache, cache_dir=cache_dir,
+        refresh=refresh,
+    )
     fluid = [
-        validate_fluid(scenario, seed=fluid_seed, schedulers=schedulers)
+        validate_fluid(scenario, seed=fluid_seed, schedulers=tuple(schedulers))
         for scenario in fluids
     ]
-    return ScaleReport(
-        name=spec.name,
-        rows=rows,
-        schedulers=schedulers,
-        jobs=requested_jobs,
-        wall_s=time.perf_counter() - t0,
-        cache_hits=hits,
-        cache_misses=misses,
-        epoch=epoch,
-        fluid=fluid,
-        rehome=rehome_comparison(rows),
+    extra = dict(report.extra, fluid=fluid, rehome=rehome_comparison(report.rows))
+    return replace(
+        report, suite="scale", wall_s=time.perf_counter() - t0, extra=extra
     )
 
 
-def scale_display_rows(report: ScaleReport) -> List[Dict[str, Any]]:
+def check_bless(cold: SweepReport, warm: SweepReport) -> None:
+    """Bless check: every fluid record validates and re-homing beats static."""
+    for record in cold.extra["fluid"]:
+        if not record["within_tolerance"]:
+            failed = [c["name"] for c in record["checks"] if not c["ok"]]
+            raise BlessError(
+                f"fluid scenario {record['name']!r} failed validation checks "
+                f"{failed}; refusing to bless"
+            )
+        if not record["fingerprints_identical"]:
+            raise BlessError(
+                f"fluid scenario {record['name']!r} produced divergent sampled "
+                f"fingerprints {record['fingerprints']}; refusing to bless"
+            )
+    if not cold.extra["rehome"]["improved"]:
+        raise BlessError(
+            f"re-homing did not beat static placement: {cold.extra['rehome']['pairs']}; "
+            f"refusing to bless"
+        )
+
+
+def scale_display_rows(report: SweepReport) -> List[Dict[str, Any]]:
     """Flatten a scale report into the table the CLI prints: campaign rows
     first, then one synthetic row per fluid scenario."""
     out: List[Dict[str, Any]] = []
@@ -246,7 +217,7 @@ def scale_display_rows(report: ScaleReport) -> List[Dict[str, Any]]:
                 "cached": "yes" if row.get("cached") else "no",
             }
         )
-    for record in report.fluid:
+    for record in report.extra["fluid"]:
         pct = record["sampled"]["percentiles"]
         out.append(
             {
@@ -264,81 +235,3 @@ def scale_display_rows(report: ScaleReport) -> List[Dict[str, Any]]:
             }
         )
     return out
-
-
-def write_scale_json(
-    report: ScaleReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write a scale manifest: campaign rows plus the fluid validation
-    records and the re-homing verdict in the ``extra`` block."""
-    return write_manifest_json(
-        report.rows, path, suite="scale", campaign=report.name,
-        epoch=report.epoch, timing=timing,
-        extra={
-            "schedulers": list(report.schedulers),
-            "fluid": report.fluid,
-            "rehome": report.rehome,
-        },
-    )
-
-
-def bless_scale(
-    baseline_path: Path = DEFAULT_SCALE_BASELINE,
-    *,
-    spec: Optional[CampaignSpec] = None,
-    schedulers: Sequence[str] = ("horizon", "baseline"),
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    fluid_names: Optional[Sequence[str]] = None,
-) -> ScaleReport:
-    """Record ``BENCH_scale.json`` through the campaign cache.
-
-    Cold run repopulates the cache, warm run must serve every campaign row
-    from it; on top of the traffic-bless certificate this one refuses to
-    bless a baseline whose fluid records fail validation or whose re-homing
-    scenario does not beat static placement.
-    """
-    cold = run_scale(
-        spec, schedulers=schedulers, jobs=jobs, cache_dir=cache_dir, refresh=True,
-        fluid_names=fluid_names,
-    )
-    warm = run_scale(
-        spec, schedulers=schedulers, jobs=jobs, cache_dir=cache_dir, refresh=False,
-        fluid_names=fluid_names,
-    )
-    if warm.cache_hits != warm.points:
-        raise RuntimeError(
-            f"warm scale run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change mid-bless?"
-        )
-    for record in cold.fluid:
-        if not record["within_tolerance"]:
-            failed = [c["name"] for c in record["checks"] if not c["ok"]]
-            raise RuntimeError(
-                f"fluid scenario {record['name']!r} failed validation checks "
-                f"{failed}; refusing to bless"
-            )
-        if not record["fingerprints_identical"]:
-            raise RuntimeError(
-                f"fluid scenario {record['name']!r} produced divergent sampled "
-                f"fingerprints {record['fingerprints']}; refusing to bless"
-            )
-    if not cold.rehome["improved"]:
-        raise RuntimeError(
-            f"re-homing did not beat static placement: {cold.rehome['pairs']}; "
-            f"refusing to bless"
-        )
-    timing = {
-        "cpu_count": os.cpu_count(),
-        "jobs": cold.jobs,
-        "cold_wall_s": round(cold.wall_s, 3),
-        "warm_wall_s": round(warm.wall_s, 3),
-        "warm_cache_hits": warm.cache_hits,
-    }
-    if cold.wall_s > 0:
-        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
-    write_scale_json(cold, baseline_path, timing=timing)
-    return cold

@@ -12,45 +12,39 @@ module adds:
   rows for every point.
 * **Percentile report tables** — :func:`traffic_display_rows` flattens the
   nested percentile/phase fields into the table the CLI prints.
-* **The committed baseline** — :func:`bless_traffic` records
-  ``BENCH_traffic.json`` through the campaign cache (cold run repopulating
-  it, warm run certifying it serves every row), mirroring
-  ``repro regress --bless``; :func:`repro.bench.regress.check_traffic_manifest`
-  sanity-checks the committed file on every gate run.
+* **The committed baseline** — ``repro traffic --bless`` records
+  ``BENCH_traffic.json`` through :func:`repro.bench.campaign.bless_sweep`;
+  :func:`repro.bench.regress.check_traffic_manifest` sanity-checks the
+  committed file on every gate run.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import get_runtime
 from repro.bench.campaign import (
     CampaignSpec,
+    SweepReport,
     get_campaign,
-    golden_epoch,
     run_campaign,
-    write_manifest_json,
 )
 
 __all__ = [
     "DEFAULT_TRAFFIC_BASELINE",
     "SMOKE_SCHEMES",
-    "TrafficReport",
-    "bless_traffic",
     "run_traffic",
     "top_key_rows",
     "traffic_display_rows",
     "traffic_spec",
-    "write_traffic_json",
 ]
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The committed traffic baseline manifest (see :func:`bless_traffic`).
+#: The committed traffic baseline manifest (``repro traffic --bless``).
 DEFAULT_TRAFFIC_BASELINE = _REPO_ROOT / "BENCH_traffic.json"
 
 #: Grid used by ``repro traffic --smoke`` (the CI job): three structurally
@@ -96,24 +90,6 @@ def traffic_spec(
     return replace(spec, **overrides) if overrides else spec
 
 
-@dataclass
-class TrafficReport:
-    """Outcome of one :func:`run_traffic` sweep (possibly multi-scheduler)."""
-
-    name: str
-    rows: List[Dict[str, Any]]
-    schedulers: Tuple[str, ...]
-    jobs: int
-    wall_s: float
-    cache_hits: int
-    cache_misses: int
-    epoch: str
-
-    @property
-    def points(self) -> int:
-        return len(self.rows)
-
-
 def run_traffic(
     spec: Optional[CampaignSpec] = None,
     *,
@@ -122,12 +98,12 @@ def run_traffic(
     cache: Any = None,
     cache_dir: Optional[Path] = None,
     refresh: bool = False,
-) -> TrafficReport:
+) -> SweepReport:
     """Run the traffic grid on every requested scheduler, concatenating rows.
 
     Rows keep their per-scheduler case names (the baseline scheduler's cases
     carry a ``-baseline`` suffix), so a merged manifest gates both cores'
-    fingerprints at once.
+    fingerprints at once; ``extra["schedulers"]`` names the cores.
     """
     if spec is None:
         spec = traffic_spec()
@@ -137,34 +113,24 @@ def run_traffic(
     for name in schedulers:
         get_runtime(name)  # validate early, helpful UnknownNameError
     t0 = time.perf_counter()
-    rows: List[Dict[str, Any]] = []
-    hits = 0
-    misses = 0
-    requested_jobs = 0
-    epoch = golden_epoch()
-    for scheduler in schedulers:
-        report = run_campaign(
-            spec,
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            refresh=refresh,
+    reports = [
+        run_campaign(
+            spec, jobs=jobs, cache=cache, cache_dir=cache_dir, refresh=refresh,
             scheduler=scheduler,
         )
-        rows.extend(report.rows)
-        hits += report.cache_hits
-        misses += report.cache_misses
-        requested_jobs = report.jobs
-        epoch = report.epoch
-    return TrafficReport(
+        for scheduler in schedulers
+    ]
+    return SweepReport(
+        suite="traffic",
         name=spec.name,
-        rows=rows,
-        schedulers=schedulers,
-        jobs=requested_jobs,
+        rows=[row for report in reports for row in report.rows],
+        jobs=reports[-1].jobs,
         wall_s=time.perf_counter() - t0,
-        cache_hits=hits,
-        cache_misses=misses,
-        epoch=epoch,
+        cache_hits=sum(report.cache_hits for report in reports),
+        cache_misses=sum(report.cache_misses for report in reports),
+        epoch=reports[-1].epoch,
+        workers=max(report.workers for report in reports),
+        extra={"schedulers": list(schedulers)},
     )
 
 
@@ -234,56 +200,3 @@ def top_key_rows(
                     }
                 )
     return rows
-
-
-def write_traffic_json(
-    report: TrafficReport,
-    path: Path,
-    *,
-    timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write a traffic manifest (rows + host metadata + optional timing)."""
-    return write_manifest_json(
-        report.rows, path, suite="traffic", campaign=report.name,
-        epoch=report.epoch, timing=timing,
-        extra={"schedulers": list(report.schedulers)},
-    )
-
-
-def bless_traffic(
-    baseline_path: Path = DEFAULT_TRAFFIC_BASELINE,
-    *,
-    spec: Optional[CampaignSpec] = None,
-    schedulers: Sequence[str] = ("horizon", "baseline"),
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-) -> TrafficReport:
-    """Record ``BENCH_traffic.json`` through the campaign cache.
-
-    Runs the grid cold (refreshing the cache with every row), then warm; the
-    warm run must serve every point from the cache — the same certificate
-    ``repro regress --bless`` records — and its hit count lands in the
-    manifest's timing block.
-    """
-    cold = run_traffic(
-        spec, schedulers=schedulers, jobs=jobs, cache_dir=cache_dir, refresh=True
-    )
-    warm = run_traffic(
-        spec, schedulers=schedulers, jobs=jobs, cache_dir=cache_dir, refresh=False
-    )
-    if warm.cache_hits != warm.points:
-        raise RuntimeError(
-            f"warm traffic run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change mid-bless?"
-        )
-    timing = {
-        "cpu_count": os.cpu_count(),
-        "jobs": cold.jobs,
-        "cold_wall_s": round(cold.wall_s, 3),
-        "warm_wall_s": round(warm.wall_s, 3),
-        "warm_cache_hits": warm.cache_hits,
-    }
-    if cold.wall_s > 0:
-        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
-    write_traffic_json(cold, baseline_path, timing=timing)
-    return cold

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
-from repro.bench.campaign import CampaignSpec, run_campaign
+from repro.bench.campaign import CampaignSpec, bless_sweep, run_campaign
 from repro.bench.regress import (
     EXIT_FAIL,
     EXIT_HARD,
     EXIT_OK,
-    bless,
     compare_campaign_rows,
     exit_code,
     format_findings,
@@ -120,7 +120,7 @@ class TestEndToEnd:
         campaign_mod.unregister_campaign(TINY.name)
 
     def test_bless_then_regress_passes_twice_bit_identically(self, blessed, tmp_path):
-        bless(TINY.name, blessed, jobs=1, print_fn=lambda *_: None)
+        bless_sweep(partial(run_campaign, TINY.name), blessed, jobs=1)
         payload = json.loads(blessed.read_text())
         assert payload["campaign"] == TINY.name
         assert payload["timing"]["warm_wall_s"] >= 0.0
@@ -150,7 +150,7 @@ class TestEndToEnd:
                 assert r1[field] == r2[field]
 
     def test_regress_detects_tampered_fingerprint(self, blessed, tmp_path):
-        report = bless(TINY.name, blessed, jobs=1, print_fn=lambda *_: None)
+        report, _ = bless_sweep(partial(run_campaign, TINY.name), blessed, jobs=1)
         payload = json.loads(blessed.read_text())
         payload["rows"][0]["fingerprint"] = "0" * 64
         blessed.write_text(json.dumps(payload))

@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.api.registry import UnknownNameError, get_scheme
+from repro.bench.campaign import BlessError, SweepReport, bless_sweep
 from repro.bench.regress import check_tune_manifest
 from repro.control.tune import (
     TuneGrid,
-    TuneReport,
-    bless_tune,
+    check_bless,
     default_grids,
     derive_axis,
     policy_from_tune,
     render_sensitivity,
     run_tune,
-    write_tune_json,
 )
 
 TINY_GRID = TuneGrid(
@@ -73,25 +73,24 @@ class TestRunTune:
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "tune-test")
         report = run_tune([TINY_GRID], jobs=1, cache_dir=tmp_path)
         assert report.points == 3
-        (best,) = report.best
+        (best,) = report.extra["best"]
         assert best["scheme"] == "rma-rw" and best["param"] == "t_r"
         assert best["best_value"] in (16, 64)
         assert best["e2e_p99_us"] <= best["default_p99_us"] or best["improvement_pct"] <= 0
         # The winner re-run reproduced its recorded fingerprint bit-exactly.
         assert best["refingerprint"] == best["fingerprint"] != ""
-        (series,) = report.sensitivity
+        (series,) = report.extra["sensitivity"]
         assert [p["value"] for p in series["series"]] == [16, 64]
         # A warm sweep serves every grid point from the cache.
         warm = run_tune([TINY_GRID], jobs=1, cache_dir=tmp_path)
         assert warm.cache_hits == warm.points == 3
-        assert warm.best[0]["fingerprint"] == best["fingerprint"]
+        assert warm.extra["best"][0]["fingerprint"] == best["fingerprint"]
 
     def test_bless_round_trips_through_the_gate(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "tune-bless-test")
         baseline = tmp_path / "BENCH_tune.json"
-        report = bless_tune(
-            baseline, grids=[TINY_GRID], jobs=1, cache_dir=tmp_path / "cache"
-        )
+        run = partial(run_tune, [TINY_GRID], cache_dir=tmp_path / "cache")
+        report, _ = bless_sweep(run, baseline, jobs=1, checks=(check_bless,))
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "tune"
         assert payload["timing"]["warm_cache_hits"] == report.points == 3
@@ -101,17 +100,21 @@ class TestRunTune:
         assert [f.level for f in findings] == ["fail"]
         assert findings[0].field == "schemes"
 
+    def test_check_refuses_a_drifting_winner(self):
+        def report(fingerprint):
+            best = [{"grid": "g", "fingerprint": fingerprint}]
+            return SweepReport("tune", "tune-suite", [], 1, 0.0, 0, 0, "e", extra={"best": best})
+
+        check_bless(report("ab"), report("ab"))
+        with pytest.raises(BlessError, match="drifted"):
+            check_bless(report("ab"), report("cd"))
+
     def test_render_sensitivity_shows_axis_and_default(self):
-        report = TuneReport(
-            rows=[], best=[], scheduler="horizon", jobs=1, wall_s=0.0,
-            cache_hits=0, cache_misses=0, epoch="e",
-            sensitivity=[{
-                "grid": "g", "scheme": "rma-rw", "benchmark": "traffic-zipf",
-                "param": "t_r", "default_p99_us": 2.0,
-                "series": [{"value": 16, "e2e_p99_us": 1.0}],
-            }],
-        )
-        text = render_sensitivity(report)
+        text = render_sensitivity([{
+            "grid": "g", "scheme": "rma-rw", "benchmark": "traffic-zipf",
+            "param": "t_r", "default_p99_us": 2.0,
+            "series": [{"value": 16, "e2e_p99_us": 1.0}],
+        }])
         assert "t_r=16" in text and "default" in text
         assert "rma-rw @ traffic-zipf" in text
 

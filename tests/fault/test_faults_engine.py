@@ -1,9 +1,9 @@
 """The fault sweep engine end to end on a narrowed grid.
 
 One cache-less ``run_faults`` over a cross-section of schemes (a recoverer,
-the caught mutant, and a lease-free control) pins the verdict taxonomy, the
-per-point horizon-vs-baseline fingerprint cross-check, and the jobs=1 ≡
-jobs=N bit-reproducibility contract.
+the caught mutant, and a lease-free control) pins the verdict taxonomy and
+the per-point horizon-vs-baseline fingerprint cross-check (the jobs=1 ≡
+jobs=N contract is the shared executor's, ``tests/bench/test_sweep_contract.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def test_sweep_passes_and_covers_the_grid(report):
     assert report.ok, report.failures
     # schemes x scenarios x crash seeds, one row each.
     assert report.points == len(SCHEMES) * 3 * 2
-    assert report.seeds == 2 and report.cache_hits == 0
+    assert report.extra["seeds"] == 2 and report.cache_hits == 0
 
 
 def test_verdicts_match_declared_capabilities(report):
@@ -56,20 +56,12 @@ def test_every_point_is_scheduler_identical(report):
 
 
 def test_scheme_verdicts_aggregate(report):
-    verdicts = {v["scheme"]: v for v in report.scheme_verdicts()}
+    verdicts = {v["scheme"]: v for v in report.extra["schemes"]}
     assert set(verdicts) == set(SCHEMES)
     for v in verdicts.values():
         assert v["verdict"] == "ok"
         assert v["points"] == 6
         assert v["schedulers"] in ("identical", "-")
-
-
-def test_jobs_do_not_change_rows(report):
-    parallel = run_faults(seeds=2, jobs=2, cache=False, schemes=SCHEMES)
-    strip = lambda rows: [
-        {k: v for k, v in row.items() if k != "cached"} for row in rows
-    ]
-    assert strip(parallel.rows) == strip(report.rows)
 
 
 def test_fault_point_grid_and_reexecution():

@@ -3,15 +3,17 @@
 These pin the subsystem's integration contract: the ``scale-suite`` campaign
 narrows like every other suite, the re-homing verdict pairs rows correctly,
 ``BENCH_scale.json`` round-trips through the campaign cache and the regress
-gate accepts exactly the manifests ``bless_scale`` would have recorded.
+gate accepts exactly the manifests ``repro scale --bless`` records.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.bench.campaign import BlessError, SweepReport, bless_sweep
 from repro.bench.regress import check_scale_manifest
 from repro.scale import engine as scale_engine
 
@@ -150,19 +152,41 @@ class TestBless:
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "scale-bless-test")
         baseline = tmp_path / "BENCH_scale.json"
         spec = scale_engine.scale_spec(smoke=True)
-        report = scale_engine.bless_scale(
-            baseline,
-            spec=spec,
-            schedulers=("horizon", "baseline"),
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-            fluid_names=("fluid-phased",),
+        run = partial(
+            scale_engine.run_scale, spec, schedulers=("horizon", "baseline"),
+            cache_dir=tmp_path / "cache", fluid_names=("fluid-phased",),
+        )
+        report, _ = bless_sweep(
+            run, baseline, jobs=1, checks=(scale_engine.check_bless,)
         )
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "scale"
         assert payload["timing"]["warm_cache_hits"] == report.points == 6
         assert payload["rehome"]["improved"] is True
         assert check_scale_manifest(payload) == []  # the gate accepts its own bless
+
+    def test_check_refuses_failing_fluid_or_rehome(self):
+        def report(within=True, identical=True, improved=True):
+            fluid = {
+                "name": "fluid-phased",
+                "within_tolerance": within,
+                "fingerprints_identical": identical,
+                "fingerprints": ["cd" * 32],
+                "checks": [{"name": "offered_rate_per_us", "ok": within}],
+            }
+            return SweepReport(
+                "scale", "scale-suite", [], 1, 0.0, 0, 0, "e",
+                extra={"fluid": [fluid], "rehome": {"pairs": [], "improved": improved}},
+            )
+
+        scale_engine.check_bless(report(), report())
+        for kwargs, match in (
+            ({"within": False}, "offered_rate_per_us"),
+            ({"identical": False}, "divergent"),
+            ({"improved": False}, "re-homing"),
+        ):
+            with pytest.raises(BlessError, match=match):
+                scale_engine.check_bless(report(**kwargs), report())
 
 
 class TestOraclesSurviveMutations:

@@ -586,6 +586,23 @@ class TestTuneCommand:
         assert "Best-known thresholds" in out
         assert out_path.exists()
 
+    def test_tune_bless_follows_the_scheduler_flag(self, tmp_path, capsys):
+        baseline = tmp_path / "BENCH_tune.json"
+        code = main([
+            "tune", "--scheme", "rma-rw", "--tune-param", "t_r",
+            "--scenario", "traffic-zipf", "--procs", "8", "--iterations", "3",
+            "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
+            "--scheduler", "baseline", "--bless", "--baseline", str(baseline),
+        ])
+        assert code == 0
+        assert "blessed" in capsys.readouterr().out
+        payload = json.loads(baseline.read_text())
+        assert payload["scheduler"] == "baseline"
+        assert all(row["scheduler"] == "baseline" for row in payload["rows"])
+        # The scheduler suffix follows the iterations axis in a case name.
+        assert all("-i3-baseline" in row["case"] for row in payload["rows"])
+        assert all("-i3-baseline" in b["best_case"] for b in payload["best"])
+
     def test_tune_rejects_untunable_scheme(self, capsys):
         code = main(["tune", "--scheme", "ticket", "--jobs", "1", "--no-cache"])
         assert code == 2

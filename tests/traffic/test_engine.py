@@ -2,17 +2,19 @@
 
 These pin the acceptance contract of the traffic subsystem: rows are
 bit-identical across repeat runs, across the horizon and baseline schedulers
-(fingerprint for fingerprint) and across ``--jobs`` settings, and the
-``BENCH_traffic.json`` baseline round-trips through the campaign cache.
+(fingerprint for fingerprint), and the ``BENCH_traffic.json`` baseline
+round-trips through the campaign cache.  The ``--jobs`` half of the contract
+is the shared executor's (``tests/bench/test_sweep_contract.py``).
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
-from repro.bench.campaign import CampaignSpec, run_campaign
+from repro.bench.campaign import CampaignSpec, bless_sweep, run_campaign
 from repro.bench.regress import check_traffic_manifest
 from repro.traffic import engine as traffic_engine
 
@@ -28,10 +30,6 @@ TINY = CampaignSpec(
     procs_per_node=4,
     seed=13,
 )
-
-
-def _strip_host_fields(row):
-    return {k: v for k, v in row.items() if k not in ("wall_s", "sim_ops_per_s", "cached")}
 
 
 def _determinism_view(rows):
@@ -55,12 +53,6 @@ class TestInvariance:
             assert h_row["fingerprint"] == b_row["fingerprint"]
             assert h_row["percentiles"] == b_row["percentiles"]
             assert h_row["phases"] == b_row["phases"]
-
-    def test_parallel_jobs_match_serial_bit_for_bit(self):
-        serial = run_campaign(TINY, cache=False, jobs=1)
-        parallel = run_campaign(TINY, cache=False, jobs=2)
-        for s_row, p_row in zip(serial.rows, parallel.rows):
-            assert _strip_host_fields(s_row) == _strip_host_fields(p_row)
 
 
 class TestConformanceOnTraffic:
@@ -127,13 +119,11 @@ class TestEngine:
     def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "traffic-bless-test")
         baseline = tmp_path / "BENCH_traffic.json"
-        report = traffic_engine.bless_traffic(
-            baseline,
-            spec=TINY,
-            schedulers=("horizon", "baseline"),
-            jobs=1,
+        run = partial(
+            traffic_engine.run_traffic, TINY, schedulers=("horizon", "baseline"),
             cache_dir=tmp_path / "cache",
         )
+        report, _ = bless_sweep(run, baseline, jobs=1)
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "traffic"
         assert payload["timing"]["warm_cache_hits"] == report.points == 6

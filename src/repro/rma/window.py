@@ -11,13 +11,16 @@ lock).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from repro.rma.ops import AtomicOp
 
-__all__ = ["Window"]
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+__all__ = ["Window", "WindowImage"]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -30,6 +33,72 @@ def _check_int64(value: int) -> int:
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise OverflowError(f"value {value} does not fit in a 64-bit window word")
     return value
+
+
+class WindowImage(Mapping[int, int]):
+    """A read-only ``{offset: word}`` mapping held as two int64 arrays.
+
+    ``offsets`` and ``words`` are read-only arrays of equal length, in the
+    mapping's iteration order, so :meth:`Window.load` stores an image with
+    one fancy assignment instead of reading a dict word by word.  Everywhere
+    else an image is an ordinary mapping of Python ints (``==`` with a dict,
+    ``dict(image)``, ``LockSpec.merge_inits``); the dict behind that is built
+    on first use.  Lock tables return images from ``init_window``.
+    """
+
+    __slots__ = ("offsets", "words", "_dict")
+
+    def __init__(self, offsets: ArrayLike, words: ArrayLike):
+        offsets = np.array(offsets, dtype=np.int64)
+        words = np.array(words, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.shape != words.shape:
+            raise ValueError("a window image needs two 1-d arrays of equal length")
+        ordered = np.sort(offsets)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("a window image's offsets must be distinct")
+        self._freeze(offsets, words)
+
+    @classmethod
+    def concat(cls, images: Iterable["WindowImage"]) -> "WindowImage":
+        """The images' words one after another.  Their offsets must be disjoint,
+        which is not checked (a lock table's tiles cover disjoint slabs)."""
+        images = list(images)
+        image = cls.__new__(cls)
+        image._freeze(
+            np.concatenate([part.offsets for part in images]),
+            np.concatenate([part.words for part in images]),
+        )
+        return image
+
+    def _freeze(self, offsets: np.ndarray, words: np.ndarray) -> None:
+        offsets.flags.writeable = False
+        words.flags.writeable = False
+        self.offsets = offsets
+        self.words = words
+        self._dict: Optional[Dict[int, int]] = None
+
+    def _as_dict(self) -> Dict[int, int]:
+        if self._dict is None:
+            self._dict = dict(zip(self.offsets.tolist(), self.words.tolist()))
+        return self._dict
+
+    def __getitem__(self, offset: int) -> int:
+        return self._as_dict()[offset]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.offsets.tolist())
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def items(self):
+        return self._as_dict().items()
+
+    def __reduce__(self):
+        return type(self), (self.offsets, self.words)
+
+    def __repr__(self) -> str:
+        return f"WindowImage({self._as_dict()!r})"
 
 
 class Window:
@@ -106,10 +175,19 @@ class Window:
     def load(self, values: Mapping[int, int]) -> None:
         """Initialize several offsets at once: one range-checked bulk store.
 
-        Raises what ``write`` raises for the first bad word in mapping order but
-        stores nothing then, where a ``write`` loop kept the words before it; the
-        one caller in ``src/`` (``allocate_windows``) and the tests drop such a window.
+        A :class:`WindowImage` is stored straight from its arrays; any other
+        mapping is read into two arrays first.  Raises what ``write`` raises
+        for the first bad word in mapping order but stores nothing then, where a
+        ``write`` loop kept the words before it; the one caller in ``src/``
+        (``allocate_windows``) and the tests drop such a window.
         """
+        if isinstance(values, WindowImage):
+            offsets, words = values.offsets, values.words
+            outside = offsets.view(np.uint64) >= self._size  # negatives too, as below
+            if outside.any():
+                raise self._bad_offset(int(offsets[outside.argmax()]))
+            self._mem[offsets] = words
+            return
         try:
             offsets = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
             words = np.fromiter(values.values(), dtype=np.int64, count=len(values))

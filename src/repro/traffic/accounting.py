@@ -49,12 +49,14 @@ __all__ = [
     "nearest_rank_percentiles",
 ]
 
-#: The reported percentile levels and their field labels.
-PERCENTILES: Tuple[Tuple[str, float], ...] = (
-    ("p50", 50.0),
-    ("p90", 90.0),
-    ("p99", 99.0),
-    ("p999", 99.9),
+#: The reported percentile levels and their field labels, in per-mille
+#: (integers, so the nearest rank is exact: 99.9 % of 1000 is 999, not
+#: ``99.9 / 100 * 1000 == 999.0000000000001``).
+PERCENTILES: Tuple[Tuple[str, int], ...] = (
+    ("p50", 500),
+    ("p90", 900),
+    ("p99", 990),
+    ("p999", 999),
 )
 
 #: Default sample bound of a reservoir; above it the sorted samples are
@@ -66,16 +68,17 @@ def nearest_rank_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     """Nearest-rank percentiles of ``samples`` (labelled per :data:`PERCENTILES`).
 
     The nearest-rank definition (value at index ``ceil(q/100 * n) - 1`` of the
-    sorted samples) always returns an actual sample, so results are bit-exact
-    and independent of interpolation modes.  Empty input yields zeros.
+    sorted samples, computed in integers) always returns an actual sample, so
+    results are bit-exact and independent of interpolation modes.  Empty
+    input yields zeros.
     """
     if not len(samples):
         return {label: 0.0 for label, _ in PERCENTILES}
     arr = np.sort(np.asarray(samples, dtype=np.float64))
     n = arr.size
     out: Dict[str, float] = {}
-    for label, q in PERCENTILES:
-        index = max(0, min(n - 1, int(np.ceil(q / 100.0 * n)) - 1))
+    for label, per_mille in PERCENTILES:
+        index = -(-per_mille * n // 1000) - 1  # ceil(per_mille * n / 1000) - 1
         out[label] = float(arr[index])
     return out
 

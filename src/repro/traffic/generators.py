@@ -31,9 +31,11 @@ and baseline schedulers, across ``--jobs`` settings and across repeat runs.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -295,13 +297,6 @@ class RequestSchedule:
         return int(self.arrival_us.shape[0])
 
 
-def _phase_at(boundaries: np.ndarray, t: float) -> int:
-    """Index of the phase containing virtual time ``t`` (clamped to the last)."""
-    # boundaries[i] is the *end* time of phase i; the final phase's boundary
-    # is +inf, so searchsorted always lands on a valid index.
-    return int(np.searchsorted(boundaries, t, side="right"))
-
-
 def generate_schedule(
     scenario: TrafficScenario,
     seed: int,
@@ -327,106 +322,108 @@ def generate_schedule(
     draw below ``bias_fraction`` selects ``bias_key``, the rest is rescaled
     back onto the base distribution, so biased and unbiased ranks consume
     the same five draws per request.
+
+    The loop makes no numpy call but the draws and, for Zipf keys, one
+    ``searchsorted`` on the phase's CDF: phases are looked up with
+    ``bisect`` over a list of phase ends, every per-phase constant is
+    resolved before the loop, and the six arrays are built once at the end.
     """
     if requests < 0:
         raise ValueError("requests must be non-negative")
     rng = traffic_rng(seed, rank, lane=lane)
     phases = scenario.effective_phases()
+    # ends[i] is the *end* time of phase i; the final phase's end is +inf
+    # (the schedule never outlives the phase plan), so bisect_right always
+    # lands on a valid index.
     ends = []
     t_end = 0.0
     for phase in phases:
-        t_end = np.inf if phase.duration_us is None else t_end + float(phase.duration_us)
+        t_end = math.inf if phase.duration_us is None else t_end + float(phase.duration_us)
         ends.append(t_end)
-    if ends:
-        ends[-1] = np.inf  # the schedule never outlives the phase plan
-    boundaries = np.asarray(ends, dtype=np.float64)
+    ends[-1] = math.inf
 
-    # zipf_cdf is memoized process-wide, so phase-override exponents resolve
-    # to shared read-only arrays without a per-call cache.
-    def cdf_for(exponent: float) -> np.ndarray:
-        return zipf_cdf(scenario.num_locks, exponent)
-
+    num_locks = scenario.num_locks
     uniform_keys = scenario.key_dist == "uniform"
+    base_gap = float(scenario.mean_gap_us)
+    default_fw = scenario.fw if scenario.fw is not None else fw_default
+    mean_gaps = [base_gap / phase.rate_scale for phase in phases]
+    fws = [phase.fw if phase.fw is not None else default_fw for phase in phases]
+    cs_scales = [phase.cs_scale for phase in phases]
+    # zipf_cdf is memoized process-wide, so phase-override exponents resolve
+    # to shared read-only arrays; each phase keeps its CDF's bound searchsorted.
+    key_lookups = [
+        None
+        if uniform_keys
+        else zipf_cdf(
+            num_locks,
+            phase.zipf_exponent if phase.zipf_exponent is not None else scenario.zipf_exponent,
+        ).searchsorted
+        for phase in phases
+    ]
+
     bias_p = 0.0
     if scenario.bias_ranks is not None:
         b_lo, b_hi = scenario.bias_ranks
         if b_lo <= rank < b_hi:
             bias_p = float(scenario.bias_fraction)
     bias_key = int(scenario.bias_key)
-    base_gap = float(scenario.mean_gap_us)
     cs_lo, cs_hi = (float(v) for v in scenario.cs_us)
     think_lo, think_hi = (float(v) for v in scenario.think_us)
     burst = int(scenario.burst_size)
     in_burst_p = 1.0 - 1.0 / burst
     arrival_kind = scenario.arrival
-    scenario_fw = scenario.fw
 
-    arrivals = np.empty(requests, dtype=np.float64)
-    lock_index = np.empty(requests, dtype=np.int64)
-    is_write = np.empty(requests, dtype=np.bool_)
-    cs_times = np.empty(requests, dtype=np.float64)
-    think_times = np.empty(requests, dtype=np.float64)
-    phase_ids = np.empty(requests, dtype=np.int64)
+    arrivals: List[float] = []
+    lock_index: List[int] = []
+    is_write: List[bool] = []
+    cs_times: List[float] = []
+    think_times: List[float] = []
+    phase_ids: List[int] = []
 
     t = 0.0
     rng_random = rng.random
-    rng_exponential = rng.exponential
-    for i in range(requests):
-        phase_idx = _phase_at(boundaries, t)
-        phase = phases[phase_idx]
-        mean_gap = base_gap / phase.rate_scale
+    # rng.exponential(scale) is defined as scale * standard_exponential().
+    rng_exponential = rng.standard_exponential
+    for _ in range(requests):
+        mean_gap = mean_gaps[bisect_right(ends, t)]
         if arrival_kind == "poisson":
-            gap = float(rng_exponential(mean_gap))
+            gap = mean_gap * rng_exponential()
         elif arrival_kind == "uniform":
-            gap = float(mean_gap * (0.5 + rng_random()))
+            gap = mean_gap * (0.5 + rng_random())
         else:  # burst
             if rng_random() < in_burst_p:
                 gap = mean_gap * _BURST_INNER_GAP
             else:
                 gap = mean_gap * burst
         t += gap
-        arrival_phase = _phase_at(boundaries, t)
-        arrivals[i] = t
-        phase_ids[i] = arrival_phase
+        arrival_phase = bisect_right(ends, t)
+        arrivals.append(t)
+        phase_ids.append(arrival_phase)
 
-        arrival_phase_spec = phases[arrival_phase]
         u_key = rng_random()
         if bias_p > 0.0 and u_key < bias_p:
-            lock_index[i] = bias_key
+            lock_index.append(bias_key)
         else:
             if bias_p > 0.0:
                 # Rescale the remaining mass onto the base distribution, so
                 # the bias consumes no extra draw.
                 u_key = (u_key - bias_p) / (1.0 - bias_p) if bias_p < 1.0 else 0.0
             if uniform_keys:
-                lock_index[i] = min(int(u_key * scenario.num_locks), scenario.num_locks - 1)
+                lock_index.append(min(int(u_key * num_locks), num_locks - 1))
             else:
-                exponent = (
-                    arrival_phase_spec.zipf_exponent
-                    if arrival_phase_spec.zipf_exponent is not None
-                    else scenario.zipf_exponent
-                )
-                lock_index[i] = int(np.searchsorted(cdf_for(exponent), u_key, side="left"))
+                lock_index.append(int(key_lookups[arrival_phase](u_key)))
 
-        u_role = rng_random()
-        if arrival_phase_spec.fw is not None:
-            fw = arrival_phase_spec.fw
-        elif scenario_fw is not None:
-            fw = scenario_fw
-        else:
-            fw = fw_default
-        is_write[i] = u_role < fw
-
-        cs_times[i] = (cs_lo + (cs_hi - cs_lo) * rng_random()) * arrival_phase_spec.cs_scale
-        think_times[i] = think_lo + (think_hi - think_lo) * rng_random()
+        is_write.append(rng_random() < fws[arrival_phase])
+        cs_times.append((cs_lo + (cs_hi - cs_lo) * rng_random()) * cs_scales[arrival_phase])
+        think_times.append(think_lo + (think_hi - think_lo) * rng_random())
 
     return RequestSchedule(
-        arrival_us=arrivals,
-        lock_index=lock_index,
-        is_write=is_write,
-        cs_us=cs_times,
-        think_us=think_times,
-        phase=phase_ids,
-        num_locks=scenario.num_locks,
+        arrival_us=np.array(arrivals, dtype=np.float64),
+        lock_index=np.array(lock_index, dtype=np.int64),
+        is_write=np.array(is_write, dtype=np.bool_),
+        cs_us=np.array(cs_times, dtype=np.float64),
+        think_us=np.array(think_times, dtype=np.float64),
+        phase=np.array(phase_ids, dtype=np.int64),
+        num_locks=num_locks,
         num_phases=len(phases),
     )

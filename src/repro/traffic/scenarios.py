@@ -176,12 +176,12 @@ def make_open_loop_program(
         schedule = generate_schedule(
             scenario, seed, ctx.rank, requests, fw_default, lane=lane
         )
-        arrivals = schedule.arrival_us
-        lock_ids = schedule.lock_index
-        roles = schedule.is_write
-        cs_times = schedule.cs_us
-        think_times = schedule.think_us
-        phase_ids = schedule.phase
+        arrivals = schedule.arrival_us.tolist()
+        lock_ids = schedule.lock_index.tolist()
+        roles = schedule.is_write.tolist()
+        cs_times = schedule.cs_us.tolist()
+        think_times = schedule.think_us.tolist()
+        phase_ids = schedule.phase.tolist()
 
         now = ctx.now
         table_lock = handle.lock
@@ -197,9 +197,9 @@ def make_open_loop_program(
         writes = 0
         prev_end = t_open
         for i in range(requests):
-            arrival = t_open + float(arrivals[i])
+            arrival = t_open + arrivals[i]
             ready = arrival
-            think = float(think_times[i])
+            think = think_times[i]
             if think > 0.0:
                 # A paced client: never issues before the arrival, nor before
                 # its think time after the previous response has elapsed.
@@ -209,8 +209,8 @@ def make_open_loop_program(
                 yield (COMPUTE, ready - t_now)
             as_writer = True
             if draw_role:
-                as_writer = bool(roles[i])
-            index = int(lock_ids[i]) % num_locks
+                as_writer = roles[i]
+            index = lock_ids[i] % num_locks
             lock = table_lock(index)
             t0 = now()
             if is_rw and not as_writer:
@@ -219,7 +219,7 @@ def make_open_loop_program(
             else:
                 yield from lock.acquire_steps()
             t1 = now()
-            cs = float(cs_times[i])
+            cs = cs_times[i]
             if cs > 0.0:
                 yield (COMPUTE, cs)
             if is_rw and not as_writer:
@@ -230,8 +230,8 @@ def make_open_loop_program(
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
             e2e.append(float(t2 - arrival))
-            out_arrivals.append(float(arrival))
-            out_phases.append(int(phase_ids[i]))
+            out_arrivals.append(arrival)
+            out_phases.append(phase_ids[i])
             write_flags.append(1 if as_writer else 0)
             if as_writer:
                 writes += 1
@@ -289,7 +289,7 @@ def _make_adaptive_program(
     """
     num_phases = len(scenario.effective_phases())
     active_by_phase = (
-        None if elastic is None else np.asarray(elastic.active_by_phase(num_phases))
+        None if elastic is None else np.asarray(elastic.active_by_phase(num_phases)).tolist()
     )
     elastic_controller = None if elastic is None else elastic.make_controller(table)
     reservoir_cap = scenario.reservoir_cap
@@ -303,12 +303,12 @@ def _make_adaptive_program(
             # The observer survives swaps: rebuilt handles re-wrap with it.
             handle.observe(observer, index=0)
         schedule = generate_schedule(scenario, seed, ctx.rank, requests, fw_default)
-        arrivals = schedule.arrival_us
-        lock_ids = schedule.lock_index
-        roles = schedule.is_write
-        cs_times = schedule.cs_us
-        think_times = schedule.think_us
-        phase_ids = schedule.phase
+        arrivals = schedule.arrival_us.tolist()
+        lock_ids = schedule.lock_index.tolist()
+        roles = schedule.is_write.tolist()
+        cs_times = schedule.cs_us.tolist()
+        think_times = schedule.think_us.tolist()
+        phase_ids = schedule.phase.tolist()
 
         now = ctx.now
         table_lock = handle.lock
@@ -334,26 +334,27 @@ def _make_adaptive_program(
         next_boundary = 0
         prev_end = t_open
         for i in range(requests):
-            while next_boundary < num_boundaries and int(phase_ids[i]) > next_boundary:
+            phase_id = phase_ids[i]
+            while next_boundary < num_boundaries and phase_id > next_boundary:
                 if elastic_cross is not None and next_boundary < elastic_boundaries:
                     resizes_seen += yield from elastic_cross(ctx, next_boundary)
                 if cross is not None and next_boundary < policy_boundaries:
                     swaps_seen += yield from cross(ctx, next_boundary)
                 next_boundary += 1
-            arrival = t_open + float(arrivals[i])
+            arrival = t_open + arrivals[i]
             ready = arrival
-            think = float(think_times[i])
+            think = think_times[i]
             if think > 0.0:
                 ready = max(ready, prev_end + think)
             t_now = now()
             if ready > t_now:
                 yield (COMPUTE, ready - t_now)
             if active_by_phase is None:
-                index = int(lock_ids[i]) % num_locks
+                index = lock_ids[i] % num_locks
             else:
-                index = int(lock_ids[i]) % int(active_by_phase[int(phase_ids[i])])
+                index = lock_ids[i] % active_by_phase[phase_id]
             entry_rw = table_entry(index).rw
-            as_writer = not entry_rw or bool(roles[i])
+            as_writer = not entry_rw or roles[i]
             lock = table_lock(index)
             t0 = now()
             if entry_rw and not as_writer:
@@ -362,7 +363,7 @@ def _make_adaptive_program(
             else:
                 yield from lock.acquire_steps()
             t1 = now()
-            cs = float(cs_times[i])
+            cs = cs_times[i]
             if cs > 0.0:
                 yield (COMPUTE, cs)
             if entry_rw and not as_writer:
@@ -373,8 +374,8 @@ def _make_adaptive_program(
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
             e2e.append(float(t2 - arrival))
-            out_arrivals.append(float(arrival))
-            out_phases.append(int(phase_ids[i]))
+            out_arrivals.append(arrival)
+            out_phases.append(phase_id)
             write_flags.append(1 if as_writer else 0)
             if as_writer:
                 writes += 1

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -48,6 +47,7 @@ from repro.api.registry import get_scheme
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.dht.striped_lock import StripeBoundRWLockHandle, StripedRWLockSpec
 from repro.rma.runtime_base import ProcessContext
+from repro.rma.window import WindowImage
 
 __all__ = [
     "LockTableHandle",
@@ -309,9 +309,13 @@ class LockTableSpec(LockSpec):
     group's slabs.  That relies on the **rebasing convention** —
     ``replace(spec, base_offset=b).init_window(r)`` is ``spec.init_window(r)``
     with every offset moved by ``b``, all inside the entry's slab — which is
-    checked against the group's last entry whenever a tile is built.  A table
-    that fails the check, and any hand-built ``LockTableSpec(specs=...)``, is
-    initialized by merging every entry's init, conflicting offsets rejected.
+    checked against the group's last entry whenever a tile is built.  Tiles
+    are read-only :class:`~repro.rma.window.WindowImage` arrays, memoized by
+    content: a table with one group returns the one shared image, a table
+    with several returns their concatenation, and ``Window.load`` stores
+    either with one fancy assignment.  A table that fails the check, and any
+    hand-built ``LockTableSpec(specs=...)``, is initialized by merging every
+    entry's init into a dict, conflicting offsets rejected.
     """
 
     specs: Tuple[LockSpec, ...]
@@ -327,7 +331,7 @@ class LockTableSpec(LockSpec):
     _tiling: Optional[Tuple[range, ...]] = field(
         default=None, init=False, compare=False, repr=False
     )
-    _tiles: Dict[Any, Dict[int, int]] = field(
+    _tiles: Dict[Any, WindowImage] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -372,7 +376,7 @@ class LockTableSpec(LockSpec):
                 return tiled
         return LockSpec.merge_inits(*(spec.init_window(rank) for spec in self.specs))
 
-    def _tiled_init(self, rank: int) -> Optional[Mapping[int, int]]:
+    def _tiled_init(self, rank: int) -> Optional[WindowImage]:
         """``rank``'s init from one evaluation per tile group; ``None`` if not re-basable."""
         tiles = []
         for group in self._tiling:
@@ -388,20 +392,23 @@ class LockTableSpec(LockSpec):
                 self._tiles[key] = tile
             tiles.append(tile)
         if len(tiles) == 1:
-            return MappingProxyType(tiles[0])  # shared between ranks: read-only
-        merged: Dict[int, int] = {}
-        for tile in tiles:
-            merged.update(tile)  # slabs are disjoint (checked in _tile)
-        return merged
+            return tiles[0]
+        return WindowImage.concat(tiles)  # slabs are disjoint (checked in _tile)
 
     def _tile(
         self, group: range, template: Mapping[int, int], rank: int
-    ) -> Optional[Dict[int, int]]:
+    ) -> Optional[WindowImage]:
         """``template`` (the init of the group's first entry) repeated at every
         slab of ``group``; ``None`` when the rebasing convention does not hold
-        between the group's first and last entry."""
+        between the group's first and last entry, or a word does not fit int64
+        (the merge path leaves that to ``Window.load``'s error)."""
+        try:
+            offsets = np.fromiter(template.keys(), dtype=np.int64, count=len(template))
+            words = np.fromiter(template.values(), dtype=np.int64, count=len(template))
+        except OverflowError:
+            return None
         if len(group) == 1:
-            return dict(template)
+            return WindowImage(offsets, words)
         slab = self.entries[group[0]]
         if template and not (
             slab.base_offset <= min(template)
@@ -414,9 +421,7 @@ class LockTableSpec(LockSpec):
         witness = self.specs[group[-1]].init_window(rank)
         if witness != {offset + reach: value for offset, value in template.items()}:
             return None
-        offsets = np.fromiter(template.keys(), dtype=np.int64, count=len(template))
-        tiled = (shifts[:, None] + offsets).ravel().tolist()
-        return dict(zip(tiled, list(template.values()) * len(group)))
+        return WindowImage((shifts[:, None] + offsets).ravel(), np.tile(words, len(group)))
 
     def make(self, ctx: ProcessContext) -> LockTableHandle:
         return LockTableHandle(self, ctx)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rma.ops import AtomicOp
-from repro.rma.window import Window
+from repro.rma.window import Window, WindowImage
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -217,6 +217,82 @@ class TestPropertyBased:
         else:
             bulk.load(items)
             assert _words(bulk) == _words(sequential)
+
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        items=st.dictionaries(
+            st.integers(min_value=-3, max_value=15),
+            st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_an_image_is_the_equal_dict(self, size, items):
+        """A :class:`WindowImage` compares, counts and iterates like the dict
+        it was built from, and ``load`` leaves the same bytes — or raises the
+        dict path's ``IndexError`` text for the first bad offset and stores
+        nothing."""
+        image = WindowImage(list(items), list(items.values()))
+        assert image == items and items == image
+        assert len(image) == len(items) and bool(image) == bool(items)
+        assert list(image) == list(items)
+        assert list(image.items()) == list(items.items())
+        assert list(image.values()) == list(items.values())
+        assert dict(image) == items
+        assert all(type(offset) is int and type(image[offset]) is int for offset in image)
+        with pytest.raises(ValueError):
+            image.offsets[:1] = 0
+        with pytest.raises(ValueError):
+            image.words[:1] = 0
+        from_dict, from_image = Window(size, fill=5), Window(size, fill=5)
+        try:
+            from_dict.load(items)
+        except IndexError as error:
+            with pytest.raises(IndexError) as caught:
+                from_image.load(image)
+            assert str(caught.value) == str(error)
+        else:
+            from_image.load(image)
+        assert from_image._mem.tobytes() == from_dict._mem.tobytes()
+
+
+class TestWindowImage:
+    def test_an_image_is_a_read_only_copy(self):
+        offsets, words = np.array([4, 1]), np.array([-7, INT64_MAX])
+        image = WindowImage(offsets, words)
+        offsets[0] = words[0] = 0
+        assert image == {4: -7, 1: INT64_MAX} and list(image) == [4, 1]
+        assert image.offsets.dtype == image.words.dtype == np.int64
+        assert not image.offsets.flags.writeable and not image.words.flags.writeable
+        with pytest.raises(TypeError):
+            image[4] = 1  # type: ignore[index]
+        assert 4 in image and 2 not in image and image.get(2) is None
+        assert repr(image) == f"WindowImage({{4: -7, 1: {INT64_MAX}}})"
+
+    def test_malformed_images_are_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            WindowImage([1, 2, 1], [0, 0, 0])
+        with pytest.raises(ValueError, match="equal length"):
+            WindowImage([1, 2], [0])
+        with pytest.raises(OverflowError):
+            WindowImage([0], [INT64_MAX + 1])
+
+    def test_concat_keeps_part_order(self):
+        image = WindowImage.concat([WindowImage([5, 2], [1, 2]), WindowImage([0], [3])])
+        assert list(image.items()) == [(5, 1), (2, 2), (0, 3)]
+        assert not image.offsets.flags.writeable
+
+    def test_pickling_keeps_the_image_read_only(self):
+        import pickle
+
+        image = pickle.loads(pickle.dumps(WindowImage([3, 0], [1, -1])))
+        assert image == {3: 1, 0: -1}
+        assert not image.offsets.flags.writeable and not image.words.flags.writeable
+
+    def test_an_empty_image_loads_nothing(self):
+        w = Window(2, fill=3)
+        w.load(WindowImage([], []))
+        assert _words(w) == {0: 3, 1: 3}
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traffic.accounting import (
     LatencyReservoir,
@@ -20,6 +25,24 @@ class TestNearestRank:
         assert pct["p90"] == 90
         assert pct["p99"] == 99
         assert pct["p999"] == 100
+        # 99.9 % of 1000 is exactly 999; in floats, 99.9 / 100 * 1000 is a
+        # hair above 999, which would round one rank up.
+        assert nearest_rank_percentiles(list(range(1, 1001)))["p999"] == 999
+        assert nearest_rank_percentiles(list(range(1, 2001)))["p999"] == 1998
+        assert nearest_rank_percentiles(list(range(1, 2001)))["p99"] == 1980
+
+    @given(
+        n=st.one_of(st.integers(1, 5000), st.integers(1, 20).map(lambda k: 1000 * k)),
+        shift=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_an_exact_fraction_reference(self, n, shift):
+        """Index ``ceil(q / 100 * n) - 1`` with ``q`` as an exact fraction."""
+        samples = [shift + i for i in range(n)]  # ascending and distinct
+        pct = nearest_rank_percentiles(samples[::-1])
+        for label, q in (("p50", "50"), ("p90", "90"), ("p99", "99"), ("p999", "99.9")):
+            index = math.ceil(Fraction(q) / 100 * n) - 1
+            assert pct[label] == samples[index], (label, n)
 
     def test_empty_is_zero(self):
         assert nearest_rank_percentiles([]) == {"p50": 0.0, "p90": 0.0, "p99": 0.0, "p999": 0.0}

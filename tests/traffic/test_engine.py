@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,28 @@ class TestInvariance:
             assert h_row["fingerprint"] == b_row["fingerprint"]
             assert h_row["percentiles"] == b_row["percentiles"]
             assert h_row["phases"] == b_row["phases"]
+
+
+class TestCommittedBaseline:
+    def test_horizon_rows_recompute_to_the_committed_manifest(self):
+        """Every blessed ``horizon`` row of ``BENCH_traffic.json``, recomputed:
+        the exact run state (fingerprint, op counts, virtual elapsed time) and
+        the tail accounting (percentiles, phases) match the committed row."""
+        manifest = Path(__file__).resolve().parents[2] / "BENCH_traffic.json"
+        committed = json.loads(manifest.read_text())
+        expected = {row["case"]: row for row in committed["rows"] if row["scheduler"] == "horizon"}
+        # The blessed scenarios by name: other tests register more under the
+        # ``traffic`` selector the suite grid expands.
+        scenarios = sorted({row["benchmark"] for row in expected.values()})
+        report = traffic_engine.run_traffic(
+            traffic_engine.traffic_spec(scenarios=scenarios),
+            schedulers=("horizon",), jobs=1, cache=False,
+        )
+        assert sorted(row["case"] for row in report.rows) == sorted(expected)
+        fields = ("fingerprint", "op_counts", "rma_ops", "elapsed_us", "percentiles", "phases")
+        for row in report.rows:
+            blessed = expected[row["case"]]
+            assert {f: row[f] for f in fields} == {f: blessed[f] for f in fields}, row["case"]
 
 
 class TestConformanceOnTraffic:

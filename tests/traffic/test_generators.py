@@ -162,6 +162,88 @@ class TestPhases:
             )
 
 
+def _registered_scenarios():
+    import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
+    from repro.scale.fluid import FLUID_SCENARIOS
+    from repro.traffic.scenarios import _SCENARIOS
+
+    return [*_SCENARIOS.values(), *(fluid.base for fluid in FLUID_SCENARIOS.values())]
+
+
+_OVERRIDES = (
+    Phase(duration_us=30.0, rate_scale=1.0, name="a"),
+    Phase(duration_us=25.0, rate_scale=3.0, zipf_exponent=1.7, fw=0.9, cs_scale=2.5, name="b"),
+    Phase(duration_us=40.0, rate_scale=0.5, zipf_exponent=0.0, cs_scale=3, name="c"),
+    Phase(duration_us=None, rate_scale=2.0, fw=0.0, cs_scale=0.0, name="d"),
+)
+
+#: Synthetic shapes the registered catalogue does not reach, one knob each.
+_SYNTHETIC = {
+    "uniform-arrivals": TrafficScenario(name="s", arrival="uniform", num_locks=64),
+    "burst-arrivals": TrafficScenario(name="s", arrival="burst", burst_size=5, num_locks=64),
+    "burst-of-one": TrafficScenario(name="s", arrival="burst", burst_size=1, num_locks=64),
+    "uniform-keys": TrafficScenario(name="s", key_dist="uniform", num_locks=100),
+    "bias-0.3": TrafficScenario(
+        name="s", num_locks=64, bias_ranks=(0, 2), bias_fraction=0.3, bias_key=9
+    ),
+    "bias-1.0": TrafficScenario(
+        name="s", num_locks=64, bias_ranks=(1, 3), bias_fraction=1.0, bias_key=5
+    ),
+    "bias-uniform-keys": TrafficScenario(
+        name="s", key_dist="uniform", num_locks=64, bias_ranks=(0, 1), bias_fraction=0.5
+    ),
+    "think-time": TrafficScenario(name="s", num_locks=64, think_us=(0.5, 2.0)),
+    "phase-overrides": TrafficScenario(name="s", num_locks=256, fw=0.2, phases=_OVERRIDES),
+    "phase-overrides-uniform": TrafficScenario(
+        name="s", arrival="uniform", key_dist="uniform", num_locks=256, phases=_OVERRIDES
+    ),
+    "2^20-keys": TrafficScenario(name="s", num_locks=1 << 20, zipf_exponent=1.05),
+    "one-lock": TrafficScenario(name="s", num_locks=1),
+}
+
+
+def _assert_byte_identical(new, reference):
+    for name in ("arrival_us", "lock_index", "is_write", "cs_us", "think_us", "phase"):
+        a, b = getattr(new, name), getattr(reference, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert (new.num_locks, new.num_phases) == (reference.num_locks, reference.num_phases)
+
+
+class TestMatchesTheReferenceGenerator:
+    """``generate_schedule`` returns what the per-request numpy generator it
+    replaced returns (``schedule_reference.py``), byte for byte and dtype for
+    dtype, on all six arrays."""
+
+    @pytest.mark.parametrize("scenario", _registered_scenarios(), ids=lambda s: s.name)
+    def test_every_registered_scenario(self, scenario):
+        from schedule_reference import reference_schedule
+
+        for seed, rank, fw_default in ((1, 0, 0.0), (702, 3, 0.1), (9, 63, 0.5)):
+            args = (scenario, seed, rank, 48, fw_default)
+            _assert_byte_identical(generate_schedule(*args), reference_schedule(*args))
+
+    @pytest.mark.parametrize("requests", [0, 1, 2, 97])
+    @pytest.mark.parametrize("fw_default", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("shape", sorted(_SYNTHETIC))
+    def test_synthetic_scenarios(self, shape, fw_default, requests):
+        from schedule_reference import reference_schedule
+
+        for rank in range(3):
+            args = (_SYNTHETIC[shape], 11, rank, requests, fw_default)
+            _assert_byte_identical(generate_schedule(*args), reference_schedule(*args))
+
+    @pytest.mark.parametrize("lane", [0, 0xF1, None])
+    def test_a_lane_override(self, lane):
+        from schedule_reference import reference_schedule
+
+        scenario = _SYNTHETIC["phase-overrides"]
+        _assert_byte_identical(
+            generate_schedule(scenario, 5, 2, 80, 0.3, lane=lane),
+            reference_schedule(scenario, 5, 2, 80, 0.3, lane=lane),
+        )
+
+
 class TestValidation:
     def test_bad_arrival_kind(self):
         with pytest.raises(ValueError, match="unknown arrival"):
@@ -180,3 +262,5 @@ class TestValidation:
             TrafficScenario(name="t", num_locks=0)
         with pytest.raises(ValueError):
             generate_schedule(TrafficScenario(name="t"), seed=1, rank=-1, requests=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_schedule(TrafficScenario(name="t"), seed=1, rank=0, requests=-1)

@@ -17,7 +17,9 @@ from repro.api.registry import (
     unregister,
 )
 from repro.core.lock_base import LockSpec
+from repro.rma.runtime_base import allocate_windows
 from repro.rma.sim_runtime import SimRuntime
+from repro.rma.window import WindowImage
 from repro.topology.builder import xc30_like
 from repro.traffic.table import (
     LockTableSpec,
@@ -320,10 +322,19 @@ class TestTiledInit:
         )
         for rank in range(nprocs):
             assert table.init_window(rank) == _reference_init(table, rank)
+        # What the runtimes see: the windows allocate_windows fills from the
+        # table's images hold the bytes the per-entry merge's dicts leave.
+        tiled = allocate_windows(nprocs, table.window_words, table.init_window)
+        merged = allocate_windows(
+            nprocs, table.window_words, lambda rank: _reference_init(table, rank)
+        )
+        for rank in range(nprocs):
+            assert tiled[rank]._mem.tobytes() == merged[rank]._mem.tobytes()
         if isinstance(table, LockTableSpec) and num_locks > 1:
             # Every registered scheme keeps the rebasing convention, so none
             # of them may have dropped to the per-entry merge.
             assert table._tiling is not None
+            assert all(isinstance(table.init_window(r), WindowImage) for r in range(nprocs))
 
     def test_entry_zero_keeps_the_builders_own_home(self, machine):
         """Entry 0 is the builder's spec as built; it is tiled with home 0's
@@ -379,6 +390,8 @@ class TestTiledInit:
         init = table.init_window(0)
         with pytest.raises(TypeError):
             init[0] = 1
+        with pytest.raises(ValueError):
+            init.words[0] = 1
         runtime = SimRuntime(machine, window_words=table.window_words, seed=0)
         runtime.run(lambda ctx: None, window_init=table.init_window)
         assert {offset: runtime.window(3).read(offset) for offset in init} == dict(init)
@@ -391,7 +404,8 @@ class _ToySpec(LockSpec):
     base_offset: int = 0
     #: "stuck": offsets ignore base_offset.  "clash": stuck, and the value
     #: differs per entry.  "spill": a second word lands in the next slab.
-    #: "rank1": stuck on every rank but 0.
+    #: "rank1": stuck on every rank but 0.  "huge": re-basable, but its word
+    #: does not fit int64.
     mode: str = "stuck"
 
     @property
@@ -401,6 +415,8 @@ class _ToySpec(LockSpec):
     def init_window(self, rank):
         if self.mode == "spill":
             return {self.base_offset: 1, self.base_offset + 2: 2}
+        if self.mode == "huge":
+            return {self.base_offset: 2**63}
         if self.mode == "rank1" and rank == 0:
             return {self.base_offset: -1}
         return {0: self.base_offset if self.mode == "clash" else 7}
@@ -431,8 +447,19 @@ class TestNonRebasableTables:
     def test_stuck_offsets_are_merged_not_tiled(self, machine, toy_scheme):
         for table in self._tables(machine, toy_scheme, "stuck"):
             for rank in range(machine.num_processes):
-                assert table.init_window(rank) == {0: 7}  # not {0: 7, 2: 7, 4: 7, 6: 7}
+                init = table.init_window(rank)
+                assert init == {0: 7}  # not {0: 7, 2: 7, 4: 7, 6: 7}
+                assert type(init) is dict  # the merge path stays a dict
             assert table._tiling is None
+
+    def test_a_word_outside_int64_is_left_to_the_loads_error(self, machine, toy_scheme):
+        """A tile cannot hold such a word; the merge path hands it to
+        ``Window.load``, whose error names it."""
+        built, _ = build_lock_table(machine, toy_scheme, 4, params={"mode": "huge"})
+        assert built.init_window(0) == {0: 2**63, 2: 2**63, 4: 2**63, 6: 2**63}
+        assert built._tiling is None
+        with pytest.raises(OverflowError, match=f"value {2**63} does not fit"):
+            allocate_windows(1, built.window_words, built.init_window)
 
     def test_conflicting_entries_are_still_rejected(self, machine, toy_scheme):
         for mode in ("clash", "spill"):

@@ -15,9 +15,10 @@ This example shows the whole story on a third-party lock:
    declaring a tunable backoff threshold — no control-plane code at all.
 2. Write a policy whose rules target built-in schemes *and* the third-party
    lock, and register a phased scenario carrying that policy.
-3. Run it through the ordinary harness: the swap plan derives from
-   virtual-time statistics only, so the horizon and baseline schedulers
-   produce bit-identical fingerprints — swaps included.
+3. Run it through the ordinary harness, twice: the swap plan derives from
+   virtual-time statistics only, so the re-run is bit-identical — swaps
+   included.  (``demo-tas`` is blocking-only, so each run bridges one rank
+   thread per rank into the scheduling loop.)
 
 Run with:  python examples/adaptive_demo.py
 """
@@ -155,7 +156,7 @@ DEMO_SCENARIO = register_traffic_scenario(
 
 
 # --------------------------------------------------------------------------- #
-# 3. Run it — and check the determinism contract across schedulers.
+# 3. Run it — and check the determinism contract on a re-run.
 # --------------------------------------------------------------------------- #
 
 def main() -> None:
@@ -172,16 +173,16 @@ def main() -> None:
     print(f"Scenario {DEMO_SCENARIO.name}: {DEMO_SCENARIO.num_locks} locks, "
           f"{len(DEMO_SCENARIO.phases)} phases, {len(DEMO_POLICY.rules)} policy rules")
 
-    shas = {}
-    for scheduler in ("horizon", "baseline"):
-        result, raw = run_lock_benchmark_detailed(config, scheduler=scheduler)
-        shas[scheduler] = run_result_sha(raw)
+    shas = []
+    for run in ("run", "re-run"):
+        result, raw = run_lock_benchmark_detailed(config)
+        shas.append(run_result_sha(raw))
         swaps = int(result.percentiles["swaps_total"])
-        print(f"  {scheduler:>8}: p99 {result.percentiles['e2e_p99_us']:8.2f} us, "
-              f"{swaps} scheme swaps, fingerprint {shas[scheduler][:16]}...")
+        print(f"  {run:>6}: p99 {result.percentiles['e2e_p99_us']:8.2f} us, "
+              f"{swaps} scheme swaps, fingerprint {shas[-1][:16]}...")
 
-    assert shas["horizon"] == shas["baseline"], "schedulers diverged!"
-    print("OK: the adaptive run is bit-identical across schedulers, swaps included.")
+    assert shas[0] == shas[1], "the re-run diverged!"
+    print("OK: the adaptive run is bit-identical on a re-run, swaps included.")
 
     # The third-party rule really fired: the cooldown phase is a 50/50 mix,
     # which neither the write-storm nor the read-heavy window accepts.

@@ -5,8 +5,8 @@ A *step program* yields its RMA requests instead of calling the blocking
 context methods (see "Step programs" in :mod:`repro.rma.runtime_base`).  The
 default ``horizon`` runtime steps such a program inline on the calling thread
 — no OS thread per rank, a scheduling point costs a generator resume — and
-every other runtime drives the very same program on rank threads, with
-bit-identical results.
+a blocking program runs on rank threads bridged into the same scheduling
+loop, with bit-identical results.
 
 This example writes one small lock **once**, as ``acquire_steps`` /
 ``release_steps`` generators, and shows that
@@ -14,8 +14,8 @@ This example writes one small lock **once**, as ``acquire_steps`` /
 1. a step program composes it with ``yield from lock.acquire_steps()``;
 2. the blocking ``lock.acquire()`` / ``with lock.held():`` API comes for free
    (``LockHandle`` derives it), so ordinary blocking programs keep working;
-3. both styles, on ``horizon`` and on the preserved ``baseline`` scheduler,
-   produce the same simulated run.
+3. both styles produce the same simulated run on ``horizon``: the step
+   program stepped inline, the blocking one bridged from rank threads.
 
 (``examples/custom_lock.py`` is the other way round: a lock that implements
 only the blocking methods keeps working, on rank threads bridged into the
@@ -120,23 +120,21 @@ def main() -> None:
         return ctx.now()
 
     fingerprints = {}
-    print("program    runtime    counter   host seconds   fingerprint")
-    for runtime in ("horizon", "baseline"):
-        with Cluster(procs=procs, procs_per_node=PROCS_PER_NODE, runtime=runtime, seed=3) as c:
-            for name, program in (("step", step_program), ("blocking", blocking_program)):
-                session = c.session(lock, extra_words=1)
-                started = time.perf_counter()
-                run = session.run(program)
-                seconds = time.perf_counter() - started
-                final = session.window(0).read(shared_offset)
-                assert final == procs * ITERATIONS, "lost update: the lock is broken!"
-                fingerprints[(name, runtime)] = run_result_sha(run)
-                print(f"{name:<10} {runtime:<10} {final:>7}   {seconds:>12.4f}   "
-                      f"{fingerprints[(name, runtime)][:16]}")
+    print("program    counter   host seconds   fingerprint")
+    with Cluster(procs=procs, procs_per_node=PROCS_PER_NODE, seed=3) as c:
+        for name, program in (("step", step_program), ("blocking", blocking_program)):
+            session = c.session(lock, extra_words=1)
+            started = time.perf_counter()
+            run = session.run(program)
+            seconds = time.perf_counter() - started
+            final = session.window(0).read(shared_offset)
+            assert final == procs * ITERATIONS, "lost update: the lock is broken!"
+            fingerprints[name] = run_result_sha(run)
+            print(f"{name:<10} {final:>7}   {seconds:>12.4f}   {fingerprints[name][:16]}")
     assert len(set(fingerprints.values())) == 1, fingerprints
-    print("\nOK: one lock source, two program styles, two schedulers - one simulated run.")
-    print("horizon stepped the step program inline (no thread per rank); every other")
-    print("combination ran on rank threads, the step program through ctx.run_steps.")
+    print("\nOK: one lock source, two program styles - one simulated run.")
+    print("horizon stepped the step program inline (no thread per rank) and ran the")
+    print("blocking program on rank threads, each call handed to the same loop.")
 
 
 if __name__ == "__main__":

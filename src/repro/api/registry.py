@@ -420,7 +420,6 @@ _BENCHMARK_MODULES = (
 )
 _RUNTIME_MODULES = (
     "repro.rma.sim_runtime",
-    "repro.rma.baseline_runtime",
     "repro.rma.thread_runtime",
 )
 

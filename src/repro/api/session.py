@@ -162,8 +162,8 @@ class Cluster:
             ``machine`` is given.
         machine: Pre-built :class:`~repro.topology.machine.Machine` overriding
             the named topology.
-        runtime: Registered runtime backend (``"horizon"``, ``"baseline"``,
-            ``"thread"``, or any name added via ``@register_runtime``).
+        runtime: Registered runtime backend (``"horizon"``, ``"thread"``, or
+            any name added via ``@register_runtime``).
             Wall-clock backends such as ``"thread"`` drive :meth:`session`
             programs; :meth:`bench` requires a deterministic simulator.
         seed: Default seed for benchmarks and sessions.

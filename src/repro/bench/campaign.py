@@ -480,7 +480,7 @@ register_campaign(
 # rma-rw) and fine-grained striped (striped-rw, driven as a native lock
 # table).  The "traffic" benchmark selector resolves against the live
 # registry, so third-party register_traffic_scenario calls join the suite
-# automatically; `repro traffic` runs this grid on both schedulers and
+# automatically; `repro traffic` runs this grid and
 # blesses BENCH_traffic.json from it through the campaign cache.
 register_campaign(
     CampaignSpec(

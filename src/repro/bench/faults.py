@@ -37,9 +37,9 @@ Verdicts distinguish what the registry *declares*
   impl model (:mod:`repro.verification.impl_model`) and the row passes iff
   the checker (or a live oracle) catches the planted bug.
 
-Every faulted point runs on **both** deterministic schedulers and the row
-records whether the :func:`~repro.bench.campaign.run_result_sha`
-fingerprints matched — crash delivery is part of the determinism contract.
+Each row records the faulted run's :func:`~repro.bench.campaign.run_result_sha`
+fingerprint; crash delivery is part of the determinism contract, which
+tier-1 holds against the reference interpreter on the same points.
 
 Execution rides on the campaign machinery: :func:`~repro.bench.campaign.\
 run_sweep` fans points out over the pool and caches verdict rows in the
@@ -392,7 +392,6 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
         "declared": declared,
         "probe_makespan_us": round(makespan, 3),
         "violations": [],
-        "cross_scheduler_identical": None,
         "fingerprint": None,
     }
     if not plans:
@@ -407,30 +406,22 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     tries = 0
     for plan, meta in plans[:_MAX_PLACEMENT_TRIES]:
         tries += 1
-        sha_h, abort_h, oracle = _run_faulted(point, plan, "horizon")
+        sha, abort, oracle = _run_faulted(point, plan, "horizon")
         if _scenario_manifested(point.scenario, oracle):
             break
     row.update(meta)
     row["placement_tries"] = tries
     manifested = _scenario_manifested(point.scenario, oracle)
 
-    sha_b, abort_b, oracle_b = _run_faulted(point, plan, "baseline")
-    identical = sha_h == sha_b and abort_h == abort_b and oracle == oracle_b
-    row["fingerprint"] = sha_h
-    row["cross_scheduler_identical"] = identical
+    row["fingerprint"] = sha
     violations = list(oracle["violations"])
-    if not identical:
-        violations.append(
-            "[determinism] horizon and baseline diverged under the same "
-            f"fault plan ({sha_h}/{abort_h} vs {sha_b}/{abort_b})"
-        )
     for key in (
         "crashes", "restarts", "holder_deaths", "waiter_deaths",
         "fenced_releases", "expired_takeovers", "recovery_us",
     ):
         row[key] = oracle.get(key)
 
-    unavailable = abort_h is not None
+    unavailable = abort is not None
     oracle_ok = bool(oracle["ok"]) and not violations
     if point.scheme in KNOWN_MUTANTS:
         # Inverted bar: the planted bug must be caught somewhere.
@@ -446,13 +437,13 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
         return row
 
     if unavailable:
-        row["abort"] = abort_h
+        row["abort"] = abort
         row["status"] = "unavailable" if declared else "expected-unavailable"
         row["ok"] = not declared
         if declared:
             violations.append(
                 f"[recovery] declared scenario {point.scenario!r} ended in "
-                f"{abort_h} instead of recovering (lost lock)"
+                f"{abort} instead of recovering (lost lock)"
             )
     elif not oracle_ok:
         row["status"] = "violation"
@@ -542,18 +533,12 @@ def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         for r in group:
             statuses[r["status"]] = statuses.get(r["status"], 0) + 1
         recovery = [s for r in group for s in (r.get("recovery_us") or [])]
-        identical = [r["cross_scheduler_identical"] for r in group
-                     if r["cross_scheduler_identical"] is not None]
         out.append(
             {
                 "scheme": scheme,
                 "points": len(group),
                 "statuses": ",".join(
                     f"{k}:{v}" for k, v in sorted(statuses.items())
-                ),
-                "schedulers": (
-                    ("identical" if all(identical) else "DIVERGED")
-                    if identical else "-"
                 ),
                 "recovery_p50_us": (
                     round(sorted(recovery)[len(recovery) // 2], 1)

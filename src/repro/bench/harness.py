@@ -322,9 +322,8 @@ def run_lock_benchmark_detailed(
     model; ``fabric`` optionally adds Dragonfly link-level contention
     (:class:`~repro.rma.fabric.FabricContentionModel`).  ``scheduler`` names
     a registered runtime backend (default: :func:`default_scheduler`, normally
-    ``"horizon"``; ``"baseline"`` is the preserved seed scheduler — both
-    produce bit-identical results, so that switch only matters for wall-clock
-    measurements).  ``spec`` lets a caller (e.g. ``Cluster.bench``) supply an
+    ``"horizon"``; every deterministic backend produces bit-identical
+    results, so that switch only matters for wall-clock measurements).  ``spec`` lets a caller (e.g. ``Cluster.bench``) supply an
     already-built lock spec instead of rebuilding it from ``config``.
 
     The conformance layer adds two hooks: ``perturbation`` installs a seeded

@@ -149,30 +149,14 @@ def profile_case(
     """
     one_run = _case_runner(case, runtime_name)
     one_run()  # warm-up, unprofiled
+    # A perf case is a built-in step program, stepped on this thread: the
+    # profile is one call tree, the scheduling loop included.
     profiler = cProfile.Profile()
-
-    # The baseline and thread runtimes execute rank programs (and baseline its
-    # scheduler) on rank threads, which the calling thread's profiler never sees.
-    # Install the profiler around every thread started during the measured
-    # run as well.
-    import threading
-
-    orig_bootstrap = threading.Thread._bootstrap_inner
-
-    def profiled_bootstrap(self):
-        profiler.enable()
-        try:
-            orig_bootstrap(self)
-        finally:
-            profiler.disable()
-
-    threading.Thread._bootstrap_inner = profiled_bootstrap  # type: ignore[method-assign]
+    profiler.enable()
     try:
-        profiler.enable()
         one_run()
-        profiler.disable()
     finally:
-        threading.Thread._bootstrap_inner = orig_bootstrap  # type: ignore[method-assign]
+        profiler.disable()
 
     buf = io.StringIO()
     buf.write(

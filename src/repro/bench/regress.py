@@ -89,7 +89,7 @@ DEFAULT_TUNE_BASELINE = _REPO_ROOT / "BENCH_tune.json"
 DEFAULT_SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
 
 #: Structural floor of the committed traffic baseline: the acceptance grid
-#: covers at least this many distinct schemes on both deterministic schedulers.
+#: covers at least this many distinct schemes.
 TRAFFIC_MIN_SCHEMES = 3
 
 #: Structural floor of the committed tune baseline: the threshold sweep
@@ -204,9 +204,9 @@ def compare_campaign_rows(
 def _row_findings(name: str, suite: str, rows: Any) -> List[Finding]:
     """The row checks the traffic and scale manifests share.
 
-    Rows exist, each carries a determinism fingerprint and the open-loop
-    percentile block, and both deterministic schedulers contributed rows.
-    A missing or malformed row list is a single ``rows`` finding.
+    Rows exist and each carries a determinism fingerprint and the open-loop
+    percentile block.  A missing or malformed row list is a single ``rows``
+    finding.
     """
     if not isinstance(rows, list) or not rows:
         return [Finding("hard", name, "rows", f"manifest has no {suite} rows")]
@@ -222,17 +222,6 @@ def _row_findings(name: str, suite: str, rows: Any) -> List[Finding]:
             findings.append(
                 Finding("hard", case, "percentiles", f"{suite} row has no tail-latency percentile block")
             )
-    schedulers = {str(row.get("scheduler", "horizon")) for row in rows}
-    if not {"horizon", "baseline"} <= schedulers:
-        findings.append(
-            Finding(
-                "fail",
-                name,
-                "schedulers",
-                f"baseline covers scheduler(s) {sorted(schedulers)}; the determinism "
-                f"certificate needs rows from both 'horizon' and 'baseline'",
-            )
-        )
     return findings
 
 
@@ -242,9 +231,8 @@ def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     The manifest is blessed by ``repro traffic --bless`` (the rows themselves
     are re-derivable through the campaign cache); here the gate only checks
     that the *recorded* baseline still documents a healthy sweep: the shared
-    row checks (rows with fingerprints and percentile blocks on both
-    deterministic schedulers) and at least :data:`TRAFFIC_MIN_SCHEMES`
-    schemes.
+    row checks (rows with fingerprints and percentile blocks) and at least
+    :data:`TRAFFIC_MIN_SCHEMES` schemes.
     """
     name = "BENCH_traffic.json"
     rows = payload.get("rows")

@@ -26,7 +26,7 @@ The subcommands cover the common workflows:
   point re-run to certify bit-reproducibility (exit 1 on any violation).
 * ``faults`` — the fault sweep: seeded rank crashes (holder, waiter, restart)
   against every scheme, with probe-placed kills, recovery-safety oracles and
-  a horizon/baseline fingerprint cross-check (exit 1 on any violation).
+  a determinism fingerprint per point (exit 1 on any violation).
 * ``traffic`` — the open-loop traffic sweep: scheme x scenario service
   simulation over a multi-lock table (Zipf popularity, phased load) with
   tail-latency percentile reports; ``--top-keys N`` prints the hottest
@@ -312,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process counts (default: the campaign's, P=64)")
     traffic.add_argument("--iterations", type=int, default=None,
                          help="requests per rank (default: the campaign's)")
-    traffic.add_argument("--scheduler", choices=list(schedulers) + ["both"], default=None,
-                         help="simulator core(s) to sweep; 'both' certifies that horizon "
-                              "and baseline produce bit-identical traffic rows "
-                              "(default: both, or horizon only under --smoke)")
+    traffic.add_argument("--scheduler", choices=schedulers, default="horizon",
+                         help="simulator core to sweep (default: horizon)")
     traffic.add_argument("--smoke", action="store_true",
-                         help="small CI grid: 3 schemes x 2 scenarios at P=16, horizon only")
+                         help="small CI grid: 3 schemes x 2 scenarios at P=16")
     traffic.add_argument("--top-keys", type=int, default=None, metavar="N",
                          help="print each scenario's N hottest table entries (request "
                               "share from the materialized schedules) instead of "
@@ -338,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fluid scenarios to validate (default: all registered)")
     scale.add_argument("--iterations", type=int, default=None,
                        help="requests per rank (default: the campaign's)")
-    scale.add_argument("--scheduler", choices=list(schedulers) + ["both"], default=None,
-                       help="simulator core(s); 'both' certifies bit-identical rows "
-                            "and sampled fingerprints across horizon and baseline "
-                            "(default: both, or horizon only under --smoke)")
+    scale.add_argument("--scheduler", choices=schedulers, default="horizon",
+                       help="simulator core (default: horizon)")
     scale.add_argument("--smoke", action="store_true",
-                       help="small CI grid: fewer requests per rank, horizon only "
-                            "(the fluid set, including the 10^6/s scenario, runs in full)")
+                       help="small CI grid: fewer requests per rank (the fluid set, "
+                            "including the 10^6/s scenario, runs in full)")
 
     tune = sub.add_parser(
         "tune",
@@ -649,16 +645,6 @@ def _finish(
         print(f"wrote {write_manifest_json(report, Path(args.output))}")
 
 
-def _schedulers(args: argparse.Namespace) -> Tuple[str, ...]:
-    """``--scheduler`` of traffic/scale: default both cores, horizon only
-    under ``--smoke`` (CI wall clock); an explicit choice always wins."""
-    if args.scheduler is None:
-        return ("horizon",) if args.smoke else ("horizon", "baseline")
-    if args.scheduler == "both":
-        return ("horizon", "baseline")
-    return (args.scheduler,)
-
-
 def _manifest_path(value: Optional[str], default: Path) -> Optional[Path]:
     """A regress ``--*-baseline`` value: a path, the default, or ``none``."""
     if value == "none":
@@ -912,7 +898,7 @@ def _run_traffic(args: argparse.Namespace) -> int:
         return 0
     report, blessed = _sweep(
         args,
-        partial(traffic_engine.run_traffic, spec, schedulers=_schedulers(args)),
+        partial(traffic_engine.run_traffic, spec, schedulers=(args.scheduler,)),
         traffic_engine.DEFAULT_TRAFFIC_BASELINE,
     )
     print(format_table(traffic_engine.traffic_display_rows(report.rows)))
@@ -935,7 +921,7 @@ def _run_scale(args: argparse.Namespace) -> int:
     report, blessed = _sweep(
         args,
         partial(
-            scale_engine.run_scale, spec, schedulers=_schedulers(args),
+            scale_engine.run_scale, spec, schedulers=(args.scheduler,),
             fluid_names=args.fluid,
         ),
         scale_engine.DEFAULT_SCALE_BASELINE,

@@ -9,7 +9,7 @@ API the lock table exposes:
   choices; :func:`build_swap_plan` turns scenario + policy into a
   deterministic :class:`SwapPlan` and :class:`PolicyController` executes it
   at phase boundaries as collective drain-reinit-install crossings, keeping
-  horizon/baseline fingerprints identical.
+  fingerprints identical across schedulers.
 * :mod:`repro.control.tune` — the **offline** auto-tuner behind
   ``repro tune``.  It sweeps registry-declared threshold grids through the
   cached campaign executor, emits the best-known-thresholds manifest

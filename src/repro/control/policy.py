@@ -16,8 +16,8 @@ Determinism contract — the part that makes adaptive runs gate-able:
   per-phase statistics come from the materialized request schedules (pure
   functions of ``(scenario, seed, rank)``), never from measured wall time or
   scheduler-dependent quantities.  :func:`build_swap_plan` therefore computes
-  the identical plan under the horizon and baseline schedulers and under
-  any ``--jobs`` setting.
+  the identical plan under every deterministic scheduler and under any
+  ``--jobs`` setting.
 * A swap executes at a phase boundary as a *drain-then-reinit* crossing:
   every rank barriers (so no holder is in flight), rewrites its **own**
   window words of the affected slabs to the new scheme's initial values,

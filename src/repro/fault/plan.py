@@ -14,7 +14,7 @@ modules): a rank is killed at the first *public context call* (``put``,
 ``barrier``, ``spin_on_cells``) it issues with its virtual clock at or past
 ``kill_us``.  The clock observed at a context-call boundary is part of the
 deterministic scheduling contract, so the crash lands on the same operation
-— bit-reproducibly — under the ``horizon`` and ``baseline`` schedulers.  A
+— bit-reproducibly — under every conforming scheduler.  A
 killed rank's window stays accessible: RMA is one-sided, so survivors keep
 reading and writing the dead rank's memory exactly as the paper's model
 allows (that is what makes lease takeover and queue repair implementable at

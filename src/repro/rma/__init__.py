@@ -1,14 +1,13 @@
 """RMA substrate: windows, the Listing-1 call set, latency model and runtimes.
 
 Every runtime backend self-registers with the :mod:`repro.api` runtime
-registry at import (``"horizon"`` — :class:`SimRuntime`, ``"baseline"`` —
-:class:`BaselineSimRuntime`, ``"thread"`` — :class:`ThreadRuntime`), so the
+registry at import (``"horizon"`` — :class:`SimRuntime`, ``"thread"`` —
+:class:`ThreadRuntime`), so the
 benchmark harness, the CLI's ``--scheduler`` flag and ``Cluster(runtime=...)``
 all resolve backends by name; third-party backends join the same catalogue
 via ``@repro.api.register_runtime``.
 """
 
-from repro.rma.baseline_runtime import BaselineSimRuntime
 from repro.rma.fabric import FabricContentionModel
 from repro.rma.latency import CostTable, LatencyModel, cost_table
 from repro.rma.ops import AtomicOp, RMACall
@@ -33,7 +32,6 @@ from repro.rma.window import Window
 
 __all__ = [
     "AtomicOp",
-    "BaselineSimRuntime",
     "Cell",
     "CostTable",
     "FabricContentionModel",

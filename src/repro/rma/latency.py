@@ -169,7 +169,7 @@ class CostTable:
         per-rank slowdowns enter the simulators: one table build per run,
         zero extra work per operation.  Each scaled entry is the single
         product ``cost * multipliers[origin]`` — the same float expression
-        the baseline scheduler computes inline — so both schedulers see
+        ``tests/reference.py`` computes inline — so both see
         bit-identical perturbed costs.  Occupancy is target-side service
         time and stays unscaled (a slow origin does not slow the target's
         port).  An all-ones vector returns ``self`` unchanged.

@@ -14,8 +14,8 @@ module makes those schedules reachable *without* giving up determinism:
 * every per-rank draw comes from a dedicated counter-based Philox stream
   keyed on ``(seed, rank)`` and consumed in the rank's own operation order,
   so a perturbed run is a pure function of ``(program, config, seed)``:
-  the same seed replays the exact same schedule bit-for-bit, on both the
-  horizon and the baseline scheduler, while different seeds steer the run
+  the same seed replays the exact same schedule bit-for-bit, on every
+  deterministic scheduler, while different seeds steer the run
   through genuinely different interleavings;
 * the streams are disjoint from :func:`repro.util.rng.rank_rng` (a different
   Philox counter lane), so perturbing a run never shifts the workload's own
@@ -67,12 +67,12 @@ class RankPerturbation:
     """Per-rank, per-run jitter/pause state (one instance per rank per run).
 
     ``perturb(cost)`` is called once per issued RMA operation, in the rank's
-    own issue order; both schedulers issue identical per-rank operation
-    sequences (the golden cross-check pins that down), so the draw streams —
-    and therefore the perturbed schedules — match bit-for-bit between them.
+    own issue order; every conforming scheduler issues the same per-rank
+    operation sequences (the golden cross-check pins that down), so the draw
+    streams — and therefore the perturbed schedules — match bit-for-bit.
     The per-rank slowdown multiplier is *not* applied here: it lives in the
     scaled :class:`~repro.rma.latency.CostTable` (horizon) or is applied by
-    the caller (baseline) so that both compute the same float sequence.
+    the caller (``tests/reference.py``), both as the same float product.
     """
 
     __slots__ = ("_rng", "_jitter", "_pause_rate", "_pause_lo", "_pause_span", "_u", "_i")

@@ -21,24 +21,13 @@ accounting matches the real protocols.
 Deterministic scheduling contract
 ---------------------------------
 The simulated backend executes rank programs under a *fixed total order* that
-any conforming scheduler must reproduce bit-identically:
-
-1. Every clock advance (RMA call or ``compute``) is a *scheduling point*.
-   After rank ``p`` advances its clock, execution continues with the rank
-   whose ``(clock, rank)`` key is the strict lexicographic minimum among all
-   runnable ranks.
-2. The *body* of an operation (port occupancy, fabric traversal, window
-   mutation, waking parked ranks) runs under the scheduling decision of the
-   rank's previous advance; bodies are atomic with respect to other ranks.
-3. ``spin_on_cells`` polls (Get+Flush rounds) are ordinary operations in that
-   order; a parked rank resumes polling at ``max(its clock, writer clock)``.
-
-The seed scheduler realised this order by handing a baton between rank
-threads at every scheduling point.  The horizon scheduler in
-:mod:`repro.rma.sim_runtime` realises the *same* order with one loop over
-generators: a min-heap, a fast path for self-continuations, and polls as
-sub-programs — see the "Simulator internals" section of the README.  The golden tests in
-``tests/rma/test_golden_determinism.py`` pin the contract down.
+any conforming scheduler must reproduce bit-identically: README "The
+determinism contract" states its rules, ``tests/reference.py`` is their
+executable form, and the golden tests in
+``tests/rma/test_golden_determinism.py`` pin them down.  The horizon
+scheduler in :mod:`repro.rma.sim_runtime` realises the order with one loop
+over generators: a min-heap, a fast path for self-continuations, and polls
+as sub-programs (README "Simulator internals").
 
 Step programs
 -------------
@@ -60,19 +49,18 @@ call's return value as the value of the ``yield`` expression::
         yield from lock.release_steps()
         return value
 
-A request is a scheduling point exactly as the blocking call is (rules 1-3
-apply unchanged: its issue runs under the rank's previous scheduling
-decision, its effect and return value are delivered when the rank's
-post-issue key is the minimum), and an error the blocking call would raise
-is raised at the ``yield``.  The same program therefore produces the same
+A request is a scheduling point exactly as the blocking call is (it is
+issued in the rank's current turn; its effect and return value are delivered
+at the rank's next turn), and an error the blocking call would raise is
+raised at the ``yield``.  The same program therefore produces the same
 :class:`RunResult` on every runtime.  The horizon scheduler steps step
 programs, and only step programs, in its one loop on the calling thread with
 no rank threads at all, so a scheduling point costs a generator resume
 instead of a thread hand-off.  It meets a *blocking* program halfway: each
 rank runs on a thread of its own whose context hands every call, as the
 request of the same name, to a generator the loop steps (one hand-off per
-call).  A runtime that has no native support for step programs (``baseline``,
-``thread``) runs them on its rank threads through
+call).  A runtime that has no native support for step programs
+(``thread``) runs them on its rank threads through
 :meth:`ProcessContext.run_steps`, the blocking trampoline
 (:func:`blocking_program` wraps a whole program that way).  ``ctx.now()``,
 ``ctx.rank``, ``ctx.rng`` and the other non-blocking members are used
@@ -188,8 +176,8 @@ def blocking_program(program: Callable[..., Any]) -> Callable[..., Any]:
 
     A step program is wrapped so that each rank drives its generator through
     :meth:`ProcessContext.run_steps` on its own thread; a blocking program is
-    returned unchanged.  The ``baseline`` and ``thread`` runtimes apply this
-    to what they are given, so one program runs everywhere; on ``horizon`` it
+    returned unchanged.  The ``thread`` runtime applies this to what it
+    is given, so one program runs everywhere; on ``horizon`` it
     turns a step program into its bridged blocking twin.
     """
     if not is_step_program(program):

@@ -8,9 +8,8 @@ distance between origin and target.  Execution follows the deterministic
 scheduling contract documented in :mod:`repro.rma.runtime_base`: after every
 clock advance, the runnable rank with the smallest ``(clock, rank)`` key
 continues, so the same program with the same seed produces bit-identical
-results on every run — and bit-identical results to the preserved seed
-scheduler (:mod:`repro.rma.baseline_runtime`), as pinned down by the golden
-tests.
+results on every run — and bit-identical results to the reference
+interpreter (``tests/reference.py``), as pinned down by the golden tests.
 
 Scheduler architecture: one loop
 --------------------------------
@@ -981,7 +980,7 @@ class SimRuntime(RMARuntime):
 
 @register_runtime(
     "horizon",
-    help="min-heap time-horizon scheduler, the default: one loop steps every rank as a generator (blocking programs through a per-rank thread bridge); bit-identical to 'baseline'",
+    help="min-heap time-horizon scheduler, the default: one loop steps every rank as a generator (blocking programs through a per-rank thread bridge)",
     fault_injection=True,
 )
 def _make_horizon_runtime(

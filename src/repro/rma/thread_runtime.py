@@ -236,6 +236,6 @@ def _make_thread_runtime(
         raise ValueError(
             "the thread runtime's schedules are genuinely racy: seeded "
             "perturbation and run observers require a deterministic simulator "
-            "backend ('horizon' or 'baseline')"
+            "backend such as 'horizon'"
         )
     return ThreadRuntime(machine, window_words=window_words, seed=seed)

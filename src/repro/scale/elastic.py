@@ -10,8 +10,8 @@ activated entries' slabs through the versioned-install path of
 slab re-init → flush → version-guarded :meth:`~repro.traffic.table.TableEntry.reinstall`
 → barrier), exactly mirroring the adaptive control plane's scheme-swap
 crossing — so a resize is a collective, bit-reproducible virtual-time event:
-identical fingerprints across the horizon and baseline schedulers and
-across ``--jobs`` settings.
+identical fingerprints across deterministic schedulers and across
+``--jobs`` settings.
 
 The plan is *declarative and pure*: every rank derives the same active-entry
 schedule locally from the plan (no shared mutable counter), which is what

@@ -7,8 +7,8 @@ executor and determinism fingerprints unchanged) and adds the fluid records
 and the re-homing verdict.  One sweep produces three artifact groups:
 
 * **Campaign rows** — the ``scale-suite`` grid (elastic resize plus the
-  static/re-homed hot-key pair) on one or both deterministic schedulers,
-  with bit-identical fingerprints required across them.
+  static/re-homed hot-key pair) on every requested deterministic
+  scheduler, with bit-identical fingerprints required across them.
 * **Fluid validation records** — :func:`repro.scale.fluid.validate_fluid`
   for every registered fluid scenario: analytic rate/share checks, sampled
   percentiles and cross-scheduler fingerprint certificates.  This is where
@@ -142,7 +142,7 @@ def rehome_comparison(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 def run_scale(
     spec: Optional[CampaignSpec] = None,
     *,
-    schedulers: Sequence[str] = ("horizon", "baseline"),
+    schedulers: Sequence[str] = ("horizon",),
     jobs: Optional[int] = None,
     cache: Any = None,
     cache_dir: Optional[Path] = None,

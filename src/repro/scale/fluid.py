@@ -93,7 +93,7 @@ P50_RTOL = 1.00        #: sampled e2e p50 vs fluid sojourn prediction
 LOCK_OVERHEAD_US = 1.5
 
 DEFAULT_SEED = 17
-DEFAULT_SCHEDULERS = ("horizon", "baseline")
+DEFAULT_SCHEDULERS = ("horizon",)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ content-addressed :class:`~repro.bench.campaign.ResultCache`, the parallel
 executor and the determinism fingerprints all apply unchanged.  What this
 module adds:
 
-* **Scheduler cross-product** — :func:`run_traffic` runs the grid on one or
-  both deterministic schedulers and concatenates the rows; the acceptance
-  contract is that the two produce bit-identical fingerprints and percentile
-  rows for every point.
+* **Scheduler cross-product** — :func:`run_traffic` runs the grid on every
+  requested deterministic scheduler (``horizon`` by default) and
+  concatenates the rows; every scheduler must produce bit-identical
+  fingerprints and percentile rows for every point.
 * **Percentile report tables** — :func:`traffic_display_rows` flattens the
   nested percentile/phase fields into the table the CLI prints.
 * **The committed baseline** — ``repro traffic --bless`` records
@@ -93,7 +93,7 @@ def traffic_spec(
 def run_traffic(
     spec: Optional[CampaignSpec] = None,
     *,
-    schedulers: Sequence[str] = ("horizon", "baseline"),
+    schedulers: Sequence[str] = ("horizon",),
     jobs: Optional[int] = None,
     cache: Any = None,
     cache_dir: Optional[Path] = None,
@@ -101,9 +101,10 @@ def run_traffic(
 ) -> SweepReport:
     """Run the traffic grid on every requested scheduler, concatenating rows.
 
-    Rows keep their per-scheduler case names (the baseline scheduler's cases
-    carry a ``-baseline`` suffix), so a merged manifest gates both cores'
-    fingerprints at once; ``extra["schedulers"]`` names the cores.
+    Rows keep their per-scheduler case names (a scheduler other than
+    ``horizon`` suffixes its cases with ``-<name>``), so a merged manifest
+    gates every core's fingerprints at once; ``extra["schedulers"]`` names
+    the cores.
     """
     if spec is None:
         spec = traffic_spec()

@@ -69,10 +69,16 @@ class TestBuiltinCatalogue:
         assert not get_benchmark("lb").post_release_wait
 
     def test_runtimes_registered(self):
-        assert set(runtime_names()) >= {"horizon", "baseline", "thread"}
+        assert set(runtime_names()) >= {"horizon", "thread"}
         assert get_runtime("horizon").deterministic
-        assert get_runtime("baseline").deterministic
         assert not get_runtime("thread").deterministic
+
+    def test_the_seed_scheduler_is_not_a_runtime(self):
+        # Its role went to tests/reference.py, which only tests register.
+        for name in ("baseline", "reference"):
+            assert name not in runtime_names()
+            with pytest.raises(UnknownNameError):
+                get_runtime(name)
 
     def test_param_specs_documented(self):
         info = get_scheme("rma-rw")

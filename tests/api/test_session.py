@@ -97,13 +97,13 @@ class TestClusterBench:
         assert facade.op_counts == classic.op_counts
         assert facade.as_row() == classic.as_row()
 
-    def test_bench_on_baseline_runtime_is_bit_identical(self):
-        with Cluster(procs=8, procs_per_node=4, runtime="baseline") as c:
-            baseline = c.bench("rma-rw", "ecsb", iterations=5, t_l=(2, 2))
+    def test_bench_on_the_reference_is_bit_identical(self, reference):
+        with Cluster(procs=8, procs_per_node=4, runtime=reference) as c:
+            on_reference = c.bench("rma-rw", "ecsb", iterations=5, t_l=(2, 2))
         with Cluster(procs=8, procs_per_node=4, runtime="horizon") as c:
             horizon = c.bench("rma-rw", "ecsb", iterations=5, t_l=(2, 2))
-        assert baseline.as_row() == horizon.as_row()
-        assert baseline.latency_mean_us == horizon.latency_mean_us
+        assert on_reference.as_row() == horizon.as_row()
+        assert on_reference.latency_mean_us == horizon.latency_mean_us
 
     def test_bench_rejects_params_with_prebuilt_lock(self):
         c = Cluster(procs=8, procs_per_node=4)

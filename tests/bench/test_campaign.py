@@ -126,7 +126,7 @@ class TestCampaignSpec:
         for change in (
             {"iterations": 99},
             {"procs_per_node": 4},
-            {"scheduler": "baseline"},
+            {"scheduler": "reference"},
             {"topology": "figure2"},
             {"seed": 9},
             {"fw": 0.5},
@@ -243,13 +243,13 @@ class TestParallelExecution:
         assert captured[0].provider == "repro.related.ticket"
         assert captured[0].scheduler == "horizon"
 
-    def test_scheduler_override_keeps_rows_identical(self):
+    def test_scheduler_override_keeps_rows_identical(self, reference):
         horizon = run_campaign(TINY, jobs=1, cache=False)
-        baseline = run_campaign(TINY, jobs=1, cache=False, scheduler="baseline")
-        for h_row, b_row in zip(horizon.rows, baseline.rows):
+        twin = run_campaign(TINY, jobs=1, cache=False, scheduler=reference)
+        for h_row, b_row in zip(horizon.rows, twin.rows):
             for field in DETERMINISM_FIELDS:
                 assert h_row[field] == b_row[field]
-            assert b_row["scheduler"] == "baseline"
+            assert b_row["scheduler"] == reference
 
     def test_unknown_scheduler_rejected_early(self):
         with pytest.raises(UnknownNameError):
@@ -281,7 +281,7 @@ class TestParallelExecution:
 
         config = DHTWorkloadConfig(machine=cached_machine(4, 4), scheme="rma-rw", ops_per_process=2, fw=0.2, seed=1)
         with pytest.raises(ValueError, match="scheduler override"):
-            execute_tasks([BenchTask(config=config, kind="dht", scheduler="baseline")], jobs=1)
+            execute_tasks([BenchTask(config=config, kind="dht", scheduler="horizon")], jobs=1)
 
     def test_report_records_effective_worker_count(self):
         report = run_campaign(TINY, jobs=16, cache=False)

@@ -36,13 +36,13 @@ def test_measure_case_rejects_non_positive_reps(reps):
         measure_case(CASE, reps=reps)
 
 
-def test_rows_agree_across_schedulers_apart_from_timing():
+def test_rows_agree_across_schedulers_apart_from_timing(reference):
     horizon = measure_case(CASE, runtime_name="horizon", reps=2)
-    baseline = measure_case(CASE, runtime_name="baseline", reps=1)
+    on_reference = measure_case(CASE, runtime_name=reference, reps=1)
     timing = {"runtime", "wall_s", "ops_per_s"}
     assert set(horizon) == {"case", "scheme", "benchmark", "P", "fw", "iterations", "ops"} | timing
     assert {k: v for k, v in horizon.items() if k not in timing} == {
-        k: v for k, v in baseline.items() if k not in timing
+        k: v for k, v in on_reference.items() if k not in timing
     }
     assert horizon["ops"] > 0 and horizon["wall_s"] > 0
 
@@ -52,9 +52,9 @@ def test_disagreeing_repetitions_are_not_timed(drifting_runtime):
         measure_case(CASE, runtime_name=drifting_runtime, reps=2)
 
 
-def test_profile_report_is_named_after_case_and_runtime(tmp_path):
-    report = profile_case(CASE, runtime_name="baseline", out_dir=tmp_path / "profiles")
-    assert report == tmp_path / "profiles" / f"PERF_profile_{CASE.name}_baseline.txt"
+def test_profile_report_is_named_after_case_and_runtime(tmp_path, reference):
+    report = profile_case(CASE, runtime_name=reference, out_dir=tmp_path / "profiles")
+    assert report == tmp_path / "profiles" / f"PERF_profile_{CASE.name}_reference.txt"
     text = report.read_text()
-    assert f"case={CASE.name} runtime=baseline" in text
+    assert f"case={CASE.name} runtime=reference" in text
     assert "cumulative" in text

@@ -45,7 +45,6 @@ SWEEPS = {
             schemes=("fompi-spin", "rma-mcs"), scenarios=("traffic-zipf",),
             process_counts=(8,), iterations=2,
         ),
-        schedulers=("horizon", "baseline"),
         **kw,
     ),
     "tune": lambda **kw: run_tune(

@@ -6,6 +6,8 @@ import pytest
 
 from repro.topology.machine import Machine
 
+from tests.reference import registered
+
 
 @pytest.fixture
 def small_cluster() -> Machine:
@@ -29,3 +31,11 @@ def three_level_machine() -> Machine:
 def single_node() -> Machine:
     """A single shared element with six ranks (N = 1)."""
     return Machine.single_node(6)
+
+
+@pytest.fixture
+def reference():
+    """The reference interpreter (``tests/reference.py``), registered as
+    runtime ``reference`` for one test and unregistered afterwards."""
+    with registered() as name:
+        yield name

@@ -27,9 +27,6 @@ from repro.traffic.scenarios import (
 )
 from repro.traffic.table import build_lock_table
 
-DETERMINISTIC_SCHEDULERS = ("horizon", "baseline")
-
-
 @pytest.fixture
 def machine():
     return xc30_like(8, procs_per_node=4)
@@ -175,20 +172,20 @@ class TestSwapPlan:
 class TestSwapDeterminism:
     """The acceptance criterion: adaptive runs are bit-reproducible."""
 
-    def test_adaptive_run_identical_across_schedulers(self, machine):
+    def test_adaptive_run_identical_across_schedulers(self, machine, reference):
         config = LockBenchConfig(
             machine=machine, scheme="fompi-spin", benchmark="traffic-adaptive",
             iterations=10, fw=0.2, seed=3,
         )
         shas = {}
-        for scheduler in DETERMINISTIC_SCHEDULERS:
+        for scheduler in ("horizon", reference):
             result, raw = run_lock_benchmark_detailed(config, scheduler=scheduler)
             assert result.percentiles["swaps_total"] > 0  # the policy really fired
             shas[scheduler] = run_result_sha(raw)
         assert len(set(shas.values())) == 1, shas
 
     @pytest.mark.parametrize("scheme", ("rma-rw", "fompi-spin"))
-    def test_null_policy_is_bit_identical_to_policy_free_run(self, machine, scheme):
+    def test_null_policy_is_bit_identical_to_policy_free_run(self, machine, scheme, reference):
         base = dict(
             num_locks=8, arrival="poisson", mean_gap_us=6.0, key_dist="zipf",
             zipf_exponent=1.0, fw=0.3,
@@ -206,7 +203,7 @@ class TestSwapDeterminism:
             tags=("traffic-test",),
         )
         try:
-            for scheduler in DETERMINISTIC_SCHEDULERS:
+            for scheduler in ("horizon", reference):
                 shas = []
                 for benchmark in ("traffic-nullpol-free", "traffic-nullpol-ctl"):
                     config = LockBenchConfig(

@@ -40,9 +40,12 @@ from repro.core.rma_rw import RMARWLockSpec
 from repro.dht.hashtable import DHTSpec
 from repro.dht.striped_lock import StripedRWLockSpec
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ACCUMULATE, FAO, FLUSH, SPIN_WHILE, is_step_program
+from repro.rma.runtime_base import (
+    ACCUMULATE, BARRIER, FAO, FLUSH, GET, SPIN_WHILE, is_step_program,
+)
 from repro.topology.builder import cached_machine
 
+from tests.reference import REFERENCE, factory
 from tests.support import rank_threads_started
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -150,23 +153,30 @@ class TestBlockingOnlyHandles:
             assert is_step_program(program) == is_steps
 
     @pytest.mark.parametrize("workload", ["ecsb", "wcsb"])
-    def test_toy_runs_thread_backed_and_equals_its_step_twin(self, toy_schemes, workload):
+    def test_toy_runs_thread_backed_and_equals_its_step_twin(self, toy_schemes, workload, reference):
         blocking_sha, blocking_threads = _bench("toy-ticket-blocking", workload)
         steps_sha, steps_threads = _bench("toy-ticket-steps", workload)
         assert (blocking_threads, steps_threads) == (8, 0)
         assert blocking_sha == steps_sha
-        assert blocking_sha == _bench("toy-ticket-blocking", workload, "baseline")[0]
+        assert blocking_sha == _bench("toy-ticket-steps", workload, reference)[0]
 
     @pytest.mark.parametrize("workload", ["ecsb", "wcsb"])
-    def test_example_custom_lock_fingerprint_is_unchanged(self, workload):
+    def test_example_custom_lock_fingerprint_is_unchanged(self, workload, reference):
         runpy.run_path(str(EXAMPLES / "custom_lock.py"), run_name="custom_lock_example")
+        # examples/step_program.py's lock is tas-backoff's step twin: the same
+        # requests (home rank 0, backoff 0.2 doubling up to 8 us), yielded.
+        twin = runpy.run_path(str(EXAMPLES / "step_program.py"), run_name="step_program_example")
+        register_scheme("tas-backoff-steps", help="test-only")(
+            lambda machine: twin["StepTASLockSpec"](num_processes=machine.num_processes)
+        )
         try:
             sha, threads = _bench("tas-backoff", workload)
             assert threads == 8, "a blocking-only handle needs rank threads"
             assert sha == TAS_BACKOFF_SHA[workload]
-            assert _bench("tas-backoff", workload, "baseline")[0] == sha
+            assert _bench("tas-backoff-steps", workload, reference) == (sha, 0)
         finally:
             registry.unregister("scheme", "tas-backoff")
+            registry.unregister("scheme", "tas-backoff-steps")
 
     def test_neither_form_implemented_is_an_error_not_a_recursion(self):
         class Nothing(LockHandle):
@@ -250,28 +260,88 @@ def _blocking_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratc
     return program
 
 
-@pytest.mark.parametrize("runtime_name", runtime_names())
-def test_blocking_programs_keep_the_whole_api(runtime_name):
+def _steps_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratch):
+    """``_blocking_everything_program``'s step twin: each blocking call is
+    the ``*_steps`` generator it is derived from."""
+
+    def program(ctx):
+        rw = rw_spec.make(ctx)
+        mcs = InstrumentedLock(mcs_spec.make(ctx), ledger, ctx)
+        stripes = striped.make(ctx)
+        table = dht.make(ctx)
+        yield (BARRIER,)
+        for acquire, release, request in (
+            (rw.acquire_write_steps, rw.release_write_steps, (ACCUMULATE, 1, 0, scratch)),
+            (rw.acquire_read_steps, rw.release_read_steps, (GET, 0, scratch)),
+            (rw.acquire_steps, rw.release_steps, (ACCUMULATE, 1, 0, scratch)),
+            (rw.acquire_read_steps, rw.release_read_steps, None),
+            (mcs.acquire_steps, mcs.release_steps, (ACCUMULATE, 1, 0, scratch)),
+        ):
+            yield from acquire()
+            if request is not None:
+                yield request
+                yield (FLUSH, 0)
+            yield from release()
+        key = 1000 + ctx.rank
+        volume = dht.home_rank(key)
+        yield from stripes.acquire_write_steps(volume)
+        assert (yield from table.insert_steps(key, key * 2))
+        yield from stripes.release_write_steps(volume)
+        yield from stripes.acquire_read_steps(volume)
+        assert (yield from table.lookup_steps(key)) == key * 2
+        yield from stripes.release_read_steps(volume)
+        yield (BARRIER,)
+        dc = rw_spec.counter.make(ctx)
+        seen = None
+        if ctx.rank == 0:
+            yield from dc.reset_counter_steps(dc.my_counter)
+            previous = yield from dc.reader_arrive_steps()
+            yield from dc.reader_depart_steps()
+            yield from dc.reset_my_counter_steps()
+            after_reset = (
+                (yield (GET, dc.my_counter, rw_spec.counter.arrive_offset)),
+                (yield (GET, dc.my_counter, rw_spec.counter.depart_offset)),
+            )
+            yield (FLUSH, dc.my_counter)
+            for steps in (dc.reader_arrive_steps, dc.reader_backoff_steps, dc.set_counters_to_write_steps,
+                          dc.wait_readers_drained_steps, dc.reset_counters_steps):
+                yield from steps()
+            seen = (previous, after_reset)
+        yield (BARRIER,)
+        return seen
+
+    return program
+
+
+def _everything_setup():
     machine = cached_machine(PROCS, 2)
     rw_spec = RMARWLockSpec(machine)
     mcs_spec = DMCSLockSpec(num_processes=PROCS, base_offset=rw_spec.window_words)
     ledger = GrantLedgerSpec(capacity=8, base_offset=mcs_spec.window_words)
     striped = StripedRWLockSpec(num_processes=PROCS, base_offset=ledger.window_words)
     dht = DHTSpec(num_processes=PROCS, table_size=4, heap_size=8, base_offset=striped.window_words)
-    scratch = dht.window_words
+    specs = (rw_spec, mcs_spec, ledger, striped, dht, dht.window_words)
 
     def window_init(rank):
-        return LockSpec.merge_inits(
-            rw_spec.init_window(rank), mcs_spec.init_window(rank), ledger.init_window(rank),
-            striped.init_window(rank), dht.init_window(rank),
-        )
+        return LockSpec.merge_inits(*(spec.init_window(rank) for spec in specs[:5]))
 
-    def run(name):
-        runtime = get_runtime(name).factory(machine, window_words=scratch + 1, seed=2)
-        program = _blocking_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratch)
-        result = runtime.run(program, window_init=window_init)
-        return runtime, result
+    def run(name, make_program=_blocking_everything_program):
+        runtime = factory(name)(machine, window_words=dht.window_words + 1, seed=2)
+        return runtime, runtime.run(make_program(*specs), window_init=window_init)
 
+    return specs, run
+
+
+def test_blocking_everything_equals_its_step_twin_on_the_reference():
+    _, run = _everything_setup()
+    expected = run_result_sha(run("horizon")[1])
+    assert run_result_sha(run("horizon", _steps_everything_program)[1]) == expected
+    assert run_result_sha(run(REFERENCE, _steps_everything_program)[1]) == expected
+
+
+@pytest.mark.parametrize("runtime_name", runtime_names())
+def test_blocking_programs_keep_the_whole_api(runtime_name):
+    (rw_spec, _, ledger, _, _, scratch), run = _everything_setup()
     runtime, result = run(runtime_name)
     assert runtime.window(0).read(scratch) == 3 * PROCS
     assert sorted(ledger.read_grants_from_window(runtime.window(0))) == list(range(PROCS))

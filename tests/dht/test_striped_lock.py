@@ -1,26 +1,33 @@
 """Tests for the striped (per-volume) reader-writer locks.
 
-The protocol tests are parametrized over both deterministic schedulers
-(ISSUE 4 satellite): the striped lock was previously only exercised through
-the DHT workload on the default runtime.
+The protocol tests are step programs run three ways — inline on
+``horizon``, as blocking programs bridged on ``horizon``, and on the
+reference interpreter (``tests/reference.py``): the striped lock was
+previously only exercised through the DHT workload on the default runtime.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api.registry import get_runtime
 from repro.dht.striped_lock import StripeBoundRWLockSpec, StripedRWLockSpec
 from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark
 from repro.rma.ops import AtomicOp
+from repro.rma.runtime_base import ACCUMULATE, BARRIER, FAO, FLUSH, GET, PUT, SPIN_WHILE, blocking_program
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 
-SCHEDULERS = ("horizon", "baseline")
+from tests.reference import REFERENCE, ReferenceRuntime
+
+SCHEDULERS = ("horizon", "horizon-bridged", REFERENCE)
 
 
-def make_runtime(scheduler: str, machine, **kwargs):
-    return get_runtime(scheduler).factory(machine, **kwargs)
+def run(scheduler: str, machine, steps, spec, *, extra_words: int, seed: int):
+    """Run the step program ``steps``; ``horizon-bridged`` runs it as a blocking program."""
+    runtime_cls = ReferenceRuntime if scheduler == REFERENCE else SimRuntime
+    runtime = runtime_cls(machine, window_words=spec.window_words + extra_words, seed=seed)
+    program = blocking_program(steps) if scheduler == "horizon-bridged" else steps
+    return runtime, runtime.run(program, window_init=spec.init_window)
 
 
 class TestStripedRWLockSpec:
@@ -59,47 +66,45 @@ class TestStripedRWLockProtocol:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = StripedRWLockSpec(num_processes=machine.num_processes)
         shared = spec.window_words
-        runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=1)
         iterations = 4
 
         def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            yield (BARRIER,)
             for _ in range(iterations):
-                lock.acquire_write(0)
-                value = ctx.get(0, shared)
-                ctx.flush(0)
-                ctx.put(value + 1, 0, shared)
-                ctx.flush(0)
-                lock.release_write(0)
-            ctx.barrier()
+                yield from lock.acquire_write_steps(0)
+                value = yield (GET, 0, shared)
+                yield (FLUSH, 0)
+                yield (PUT, value + 1, 0, shared)
+                yield (FLUSH, 0)
+                yield from lock.release_write_steps(0)
+            yield (BARRIER,)
 
-        runtime.run(program, window_init=spec.init_window)
+        runtime, _ = run(scheduler, machine, program, spec, extra_words=1, seed=1)
         assert runtime.window(0).read(shared) == machine.num_processes * iterations
 
     def test_different_stripes_do_not_exclude_each_other(self, scheduler):
         machine = Machine.single_node(2)
         spec = StripedRWLockSpec(num_processes=2)
         flag = spec.window_words
-        runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=2)
 
         def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            yield (BARRIER,)
             if ctx.rank == 0:
-                lock.acquire_write(0)
+                yield from lock.acquire_write_steps(0)
                 # Wait for rank 1 to prove it entered stripe 1 concurrently.
-                ctx.spin_while(0, flag, lambda v: v == 0)
-                lock.release_write(0)
+                yield (SPIN_WHILE, 0, flag, lambda v: v == 0)
+                yield from lock.release_write_steps(0)
                 return None
-            lock.acquire_write(1)
+            yield from lock.acquire_write_steps(1)
             observed_holder_elsewhere = True
-            ctx.put(1, 0, flag)
-            ctx.flush(0)
-            lock.release_write(1)
+            yield (PUT, 1, 0, flag)
+            yield (FLUSH, 0)
+            yield from lock.release_write_steps(1)
             return observed_holder_elsewhere
 
-        result = runtime.run(program, window_init=spec.init_window)
+        _, result = run(scheduler, machine, program, spec, extra_words=1, seed=2)
         assert result.returns[1] is True
 
     def test_readers_share_a_stripe_and_block_writers(self, scheduler):
@@ -107,33 +112,32 @@ class TestStripedRWLockProtocol:
         spec = StripedRWLockSpec(num_processes=3)
         inside_flag = spec.window_words       # count of readers currently inside stripe 0
         done_flag = spec.window_words + 1     # count of readers that finished
-        runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 2, seed=3)
 
         def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            yield (BARRIER,)
             if ctx.rank == 0:
                 # Writer: enter stripe 0 only after both readers finished.
-                ctx.spin_while(0, done_flag, lambda v: v < 2)
-                lock.acquire_write(0)
-                still_inside = ctx.get(0, inside_flag)
-                ctx.flush(0)
-                lock.release_write(0)
+                yield (SPIN_WHILE, 0, done_flag, lambda v: v < 2)
+                yield from lock.acquire_write_steps(0)
+                still_inside = yield (GET, 0, inside_flag)
+                yield (FLUSH, 0)
+                yield from lock.release_write_steps(0)
                 return still_inside
-            lock.acquire_read(0)
-            seen = ctx.fao(1, 0, inside_flag, AtomicOp.SUM) + 1
-            ctx.flush(0)
+            yield from lock.acquire_read_steps(0)
+            seen = (yield (FAO, 1, 0, inside_flag, AtomicOp.SUM)) + 1
+            yield (FLUSH, 0)
             # Wait inside the stripe until the other reader has also entered:
             # proves that two readers share one stripe concurrently.
-            ctx.spin_while(0, inside_flag, lambda v: v < 2)
-            ctx.accumulate(-1, 0, inside_flag, AtomicOp.SUM)
-            ctx.flush(0)
-            lock.release_read(0)
-            ctx.accumulate(1, 0, done_flag, AtomicOp.SUM)
-            ctx.flush(0)
+            yield (SPIN_WHILE, 0, inside_flag, lambda v: v < 2)
+            yield (ACCUMULATE, -1, 0, inside_flag, AtomicOp.SUM)
+            yield (FLUSH, 0)
+            yield from lock.release_read_steps(0)
+            yield (ACCUMULATE, 1, 0, done_flag, AtomicOp.SUM)
+            yield (FLUSH, 0)
             return seen
 
-        result = runtime.run(program, window_init=spec.init_window)
+        _, result = run(scheduler, machine, program, spec, extra_words=2, seed=3)
         # Each reader observed itself inside the stripe, both completed (so two
         # readers coexisted), and the writer found no reader left inside.
         assert sorted(r for r in result.returns[1:]) == [1, 2] or all(
@@ -169,21 +173,21 @@ class TestStripeBoundAdapter:
             inner=StripedRWLockSpec(num_processes=machine.num_processes)
         )
         shared = spec.window_words
-        runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=4)
         iterations = 3
 
         def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            yield (BARRIER,)
             for _ in range(iterations):
-                with lock.writing():
-                    value = ctx.get(0, shared)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared)
-                    ctx.flush(0)
-            ctx.barrier()
+                yield from lock.acquire_write_steps()
+                value = yield (GET, 0, shared)
+                yield (FLUSH, 0)
+                yield (PUT, value + 1, 0, shared)
+                yield (FLUSH, 0)
+                yield from lock.release_write_steps()
+            yield (BARRIER,)
 
-        runtime.run(program, window_init=spec.init_window)
+        runtime, _ = run(scheduler, machine, program, spec, extra_words=1, seed=4)
         assert runtime.window(0).read(shared) == machine.num_processes * iterations
 
     def test_adapter_runs_under_the_benchmark_harness(self):

@@ -9,7 +9,8 @@ Two contracts, sampled instead of hand-picked:
 * **crash-seed reproducibility** — for *any* crash seed, the fault sweep's
   verdict row is a pure function of the point: re-running it (as a
   ``--jobs N`` worker would, in a fresh call) reproduces the row — verdict,
-  oracle counters and fingerprint — bit-for-bit.
+  oracle counters and fingerprint — bit-for-bit, and the row's plan re-run
+  on the reference interpreter gives its fingerprint and abort kind.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.campaign import run_result_sha
-from repro.bench.faults import fault_points, run_fault_point
+from repro.bench.faults import _run_faulted, fault_points, run_fault_point
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.fault import FAULT_SCENARIOS, FaultPlan
 from repro.topology.builder import cached_machine
+
+from tests.reference import REFERENCE, registered
 
 PROCS, PPN = 4, 4
 
@@ -36,7 +39,7 @@ SLOW_SETTINGS = settings(
 @SLOW_SETTINGS
 @given(
     scheme=st.sampled_from(["lease-lock", "repair-mcs", "rma-mcs", "ticket"]),
-    scheduler=st.sampled_from(["horizon", "baseline"]),
+    scheduler=st.sampled_from(["horizon", REFERENCE]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_null_fault_plan_is_invisible(scheme, scheduler, seed):
@@ -49,10 +52,11 @@ def test_null_fault_plan_is_invisible(scheme, scheduler, seed):
         seed=seed,
     )
     assert FaultPlan().is_null
-    _, bare = run_lock_benchmark_detailed(config, scheduler=scheduler)
-    _, nulled = run_lock_benchmark_detailed(
-        config, scheduler=scheduler, fault_plan=FaultPlan()
-    )
+    with registered():
+        _, bare = run_lock_benchmark_detailed(config, scheduler=scheduler)
+        _, nulled = run_lock_benchmark_detailed(
+            config, scheduler=scheduler, fault_plan=FaultPlan()
+        )
     assert run_result_sha(bare) == run_result_sha(nulled)
 
 
@@ -73,5 +77,11 @@ def test_fault_point_rows_are_crash_seed_reproducible(crash_seed, scenario):
     second = run_fault_point(point)
     assert first == second
     assert first["ok"], first
-    if first["cross_scheduler_identical"] is not None:
-        assert first["cross_scheduler_identical"]
+    if first["victim"] is not None:  # the row's plan, on the reference
+        plan = FaultPlan.single(
+            first["victim"], kill_us=first["kill_us"], restart_us=first["restart_us"],
+            horizon_us=first["horizon_us"],
+        )
+        with registered() as reference:
+            sha, abort, _ = _run_faulted(point, plan, reference)
+        assert (sha, abort) == (first["fingerprint"], first.get("abort"))

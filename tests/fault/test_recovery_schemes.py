@@ -140,8 +140,8 @@ def _spy_settle_race(monkeypatch, handle_cls):
     return entered
 
 
-@pytest.mark.parametrize("scheduler", ["horizon", "baseline"])
-def test_repair_mcs_settles_a_lost_closing_cas(scheduler, monkeypatch):
+@pytest.mark.parametrize("scheduler", ["horizon", "reference"])
+def test_repair_mcs_settles_a_lost_closing_cas(scheduler, monkeypatch, reference):
     entered = _spy_settle_race(monkeypatch, RepairMCSLockHandle)
     oracle = RecoveryOracleObserver()
     _, raw = run_lock_benchmark_detailed(
@@ -154,8 +154,8 @@ def test_repair_mcs_settles_a_lost_closing_cas(scheduler, monkeypatch):
     assert report.ok, [str(v) for v in report.violations]
 
 
-@pytest.mark.parametrize("scheduler", ["horizon", "baseline"])
-def test_racy_repair_orphans_the_racer_on_a_lost_closing_cas(scheduler, monkeypatch):
+@pytest.mark.parametrize("scheduler", ["horizon", "reference"])
+def test_racy_repair_orphans_the_racer_on_a_lost_closing_cas(scheduler, monkeypatch, reference):
     entered = _spy_settle_race(monkeypatch, RacyRepairMCSLockHandle)
     with pytest.raises(SimDeadlockError):
         run_lock_benchmark_detailed(

@@ -55,8 +55,8 @@ def test_crash_costs_availability_but_not_safety():
         assert summary["recovery_p50_us"] <= summary["recovery_max_us"]
 
 
-@pytest.mark.parametrize("scheduler", ["horizon", "baseline"])
-def test_faulted_traffic_is_scheduler_invariant(scheduler):
+@pytest.mark.parametrize("scheduler", ["horizon", "reference"])
+def test_faulted_traffic_is_scheduler_invariant(scheduler, reference):
     config = _config(seed=4)
     plan = FaultPlan.single(2, kill_us=7.0, horizon_us=1_000_000.0)
     _, raw = run_lock_benchmark_detailed(config, fault_plan=plan, scheduler=scheduler)

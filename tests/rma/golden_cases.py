@@ -4,8 +4,9 @@ The cases pin down the observable behaviour of the discrete-event scheduler:
 any scheduler change must reproduce these results *bit-identically* (exact
 floats, exact op counts, exact per-rank returns).  The reference outputs in
 ``golden/seed_scheduler.json`` were recorded from the original baton-passing
-seed scheduler (PR 0) via ``tools/record_golden.py``; the horizon scheduler
-is required to match them exactly.
+seed scheduler; the horizon scheduler and the reference interpreter
+(``tests/reference.py``, on which ``tools/record_golden.py`` now records) are
+required to match them exactly.
 
 Floats are serialized with ``float.hex`` so the comparison is bit-exact and
 immune to repr/rounding differences.  Rank-program returns (which contain
@@ -60,8 +61,8 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
         "fw": 0.2,
         "seed": 7,
     },
-    # The competing lock families ported in PR 9 (recorded with the preserved
-    # baseline copy of the seed scheduler; horizon must match).
+    # The competing lock families (recorded with a preserved copy of the
+    # seed scheduler, since retired; horizon must match).
     "alock-ecsb-p8": {
         "P": 8,
         "procs_per_node": 4,

@@ -198,8 +198,8 @@ class TestCostTable:
         assert (table.cost, table.occupancy) != (stock.cost, stock.occupancy)
 
     @pytest.mark.parametrize("model_cls", [PairCostModel, PairBaseCostModel, PairOccupancyModel])
-    def test_overriding_model_runs_bit_identically_on_both_schedulers(self, model_cls):
-        """``baseline`` calls the model per operation, ``horizon`` reads the table."""
+    def test_overriding_model_runs_bit_identically_on_the_reference(self, model_cls, reference):
+        """The reference calls the model per operation, ``horizon`` reads the table."""
         config = golden_config("rma-rw-ecsb-p8")
 
         def fingerprint(model, scheduler):
@@ -207,7 +207,7 @@ class TestCostTable:
             return result_fingerprint(run)
 
         on_horizon = fingerprint(model_cls(), "horizon")
-        assert on_horizon == fingerprint(model_cls(), "baseline")
+        assert on_horizon == fingerprint(model_cls(), reference)
         assert on_horizon != fingerprint(LatencyModel.cray_xc30(), "horizon")
 
     def test_list_built_machine_shares_the_cached_table(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import build_lock_spec, make_lock_program
-from repro.rma.baseline_runtime import BaselineSimRuntime
 from repro.rma.latency import LatencyModel, cost_table
 from repro.rma import perturbation as perturbation_module
 from repro.rma.perturbation import PerturbationModel, RankPerturbation, perturbation_rng
@@ -14,6 +13,7 @@ from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 
 from golden_cases import golden_config, result_fingerprint
+from tests.reference import ReferenceRuntime
 
 CHAOS = dict(latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.05)
 
@@ -130,12 +130,11 @@ class TestPerturbedRuns:
         assert base != chaos
 
     @pytest.mark.parametrize("name", ["rma-mcs-ecsb-p8", "rma-rw-ecsb-p8"])
-    def test_both_schedulers_agree_on_perturbed_schedules(self, name):
+    def test_horizon_and_reference_agree_on_perturbed_schedules(self, name):
         """The perturbation contract spans schedulers, exactly like the goldens."""
         model = PerturbationModel(seed=13, **CHAOS)
         horizon = result_fingerprint(_run_case(name, SimRuntime, model))
-        baseline = result_fingerprint(_run_case(name, BaselineSimRuntime, model))
-        assert horizon == baseline
+        assert horizon == result_fingerprint(_run_case(name, ReferenceRuntime, model))
 
     def test_null_model_is_bit_identical_to_no_model(self):
         """An all-zero model must not shift the golden fingerprint path."""
@@ -203,7 +202,7 @@ class TestBlockDraws:
         if model.pause_rate:
             assert sum(1 for c, p in zip(costs, perturbed) if p > c + 5.0) > 50
 
-    @pytest.mark.parametrize("runtime_cls", [SimRuntime, BaselineSimRuntime], ids=["horizon", "baseline"])
+    @pytest.mark.parametrize("runtime_cls", [SimRuntime, ReferenceRuntime], ids=["horizon", "reference"])
     def test_runs_are_unchanged_by_block_draws(self, kind, runtime_cls, monkeypatch):
         model = PerturbationModel(seed=5, rank_slowdown=0.5, **BLOCK_DRAW_MODELS[kind])
         block = result_fingerprint(_run_case("rma-rw-wcsb-p32", runtime_cls, model))

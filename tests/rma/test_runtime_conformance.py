@@ -8,7 +8,8 @@ must
 1. reproduce the recorded golden fingerprints at P in {8, 32} bit-exactly,
 2. round-trip through the ``Cluster``/``Session`` facade
    (``Cluster(runtime=<name>).session(lock).run(...)``) with results
-   bit-identical to the horizon scheduler.
+   bit-identical to the horizon scheduler (the reference interpreter,
+   ``tests/reference.py``, with the program's step twin).
 
 The third-party backend registered here is a factory of its own around the
 ``SimRuntime`` core — exactly what an external package would ship — and is
@@ -28,6 +29,7 @@ from repro.api.registry import get_runtime, register_runtime, runtime_names
 from repro.api.session import Cluster
 from repro.bench.campaign import run_result_sha
 from repro.bench.harness import build_lock_spec, make_lock_program
+from repro.rma.runtime_base import ACCUMULATE
 
 from golden_cases import GOLDEN_CASES, golden_config, result_fingerprint
 
@@ -92,9 +94,9 @@ def _assert_matches_golden(name, runtime_name, recorded):
         )
 
 
-def test_all_registered_runtimes_are_enumerable():
+def test_all_registered_runtimes_are_enumerable(reference):
     names = runtime_names(deterministic=True)
-    assert {"horizon", "baseline"} <= set(names)
+    assert {"horizon", reference} <= set(names)
     # Wall-clock backends must not leak into the deterministic set.
     assert "thread" not in names
 
@@ -102,11 +104,11 @@ def test_all_registered_runtimes_are_enumerable():
 def test_unregistered_runtime_name_lists_the_registered_ones():
     with pytest.raises(registry.UnknownNameError) as exc:
         get_runtime("vector")
-    assert "horizon" in str(exc.value) and "baseline" in str(exc.value)
+    assert "horizon" in str(exc.value) and "thread" in str(exc.value)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_every_registered_runtime_reproduces_goldens(name, recorded_goldens):
+def test_every_registered_runtime_reproduces_goldens(name, recorded_goldens, reference):
     """The registry's deterministic set reproduces P in {8, 32} goldens."""
     for runtime_name in runtime_names(deterministic=True):
         _assert_matches_golden(name, runtime_name, recorded_goldens)
@@ -133,23 +135,41 @@ def _counter_program(lock, scratch_offset: int):
     return program
 
 
-def _session_sha(runtime_name: str) -> str:
+def _counter_steps(lock, scratch_offset: int):
+    """``_counter_program``'s step twin: the same requests, yielded."""
+
+    def program(ctx):
+        handle = lock.make(ctx)
+        for _ in range(3):
+            yield from handle.acquire_steps()
+            yield (ACCUMULATE, 1, 0, scratch_offset)
+            yield from handle.release_steps()
+        return ctx.now()
+
+    return program
+
+
+def _session_sha(runtime_name: str, make_program=_counter_program) -> str:
     cluster = Cluster(procs=16, procs_per_node=4, runtime=runtime_name, seed=11)
     lock = cluster.lock("rma-mcs")
     session = cluster.session(lock, extra_words=2)
-    result = session.run(_counter_program(lock, lock.window_words))
+    result = session.run(make_program(lock, lock.window_words))
     # The shared counter lives on rank 0, one word past the lock's layout.
     assert session.window(0).read(lock.window_words) == 3 * cluster.num_processes
     return run_result_sha(result)
 
 
-def test_session_round_trip_is_identical_across_runtimes(third_party_runtime):
-    """Cluster(runtime=...).session(...) runs bit-identically everywhere."""
-    reference = _session_sha("horizon")
+def test_session_round_trip_is_identical_across_runtimes(third_party_runtime, reference):
+    """Cluster(runtime=...).session(...) runs bit-identically everywhere: the
+    blocking program on every backend that runs one, its step twin on horizon
+    and on the reference, which runs step programs only."""
+    expected = _session_sha("horizon")
+    assert _session_sha("horizon", _counter_steps) == expected
+    assert _session_sha(reference, _counter_steps) == expected
     for runtime_name in runtime_names(deterministic=True):
-        if runtime_name == "horizon":
+        if runtime_name in ("horizon", reference):
             continue
-        assert _session_sha(runtime_name) == reference, (
+        assert _session_sha(runtime_name) == expected, (
             f"Cluster.session round-trip on {runtime_name!r} diverged from horizon"
         )
 

@@ -4,8 +4,9 @@ A rank program that is a generator function yields its RMA requests (see
 "Step programs" in :mod:`repro.rma.runtime_base`).  The ``horizon`` runtime
 steps such a program inline, on the calling thread; every other path — the
 same program as a blocking program (``blocking_program``), whose rank threads
-hand each call to the same loop through the bridge, the ``baseline`` seed
-scheduler, a run under a fault plan — must produce the same
+hand each call to the same loop through the bridge, the thread-free reference
+interpreter (``tests/reference.py``), a run under a fault plan — must produce
+the same
 :class:`~repro.rma.runtime_base.RunResult` bit for bit, the same oracle
 report field for field, and the same failures.
 
@@ -28,7 +29,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.api.registry import get_runtime, get_scheme, scheme_names
+from repro.api.registry import get_scheme, scheme_names
 from repro.bench.campaign import run_result_sha
 from repro.bench.conformance import ConformancePoint, run_conformance_point
 from repro.bench.harness import (
@@ -37,6 +38,7 @@ from repro.bench.harness import (
     run_lock_benchmark_detailed,
 )
 from repro.bench.workloads import LockBenchConfig
+from repro.cli import _FAULT_SMOKE_SCHEMES as FAULT_SMOKE_SCHEMES
 from repro.core.lock_base import LockHandle
 from repro.fault import FaultPlan
 from repro.rma.ops import AtomicOp
@@ -44,6 +46,7 @@ from repro.rma.perturbation import PerturbationModel
 from repro.rma.runtime_base import (
     ACCUMULATE,
     BARRIER,
+    CAS,
     COMPUTE,
     FAO,
     FLUSH,
@@ -63,6 +66,7 @@ from repro.topology.machine import Machine
 from repro.traffic.engine import run_traffic, traffic_spec
 from repro.verification.oracles import LockOracleObserver
 
+from tests.reference import REFERENCE, ReferenceRuntime, factory
 from tests.support import rank_threads_started
 
 
@@ -103,16 +107,15 @@ def one_cpu():
 CHAOS = dict(latency_jitter=0.3, rank_slowdown=0.5, pause_rate=0.01, pause_us=(5.0, 40.0))
 
 
-def _run(config, program, spec, scheduler, *, chaos_seed=None):
+def _run(config, program, spec, scheduler, *, chaos_seed=None, **kwargs):
     """One run; returns (fingerprint, oracle report dict or None)."""
-    kwargs = {}
     observer = None
     if chaos_seed is not None:
         info = get_scheme(config.scheme)
         bound = info.fairness_bound(config.machine.num_processes) if info.fairness_bound else None
         observer = LockOracleObserver(bypass_bound=bound)
-        kwargs = dict(perturbation=PerturbationModel(seed=chaos_seed, **CHAOS), observer=observer)
-    runtime = get_runtime(scheduler).factory(
+        kwargs.update(perturbation=PerturbationModel(seed=chaos_seed, **CHAOS), observer=observer)
+    runtime = factory(scheduler)(
         config.machine, window_words=spec.window_words + 2, seed=config.seed, **kwargs
     )
     result = runtime.run(program, window_init=spec.init_window)
@@ -128,7 +131,7 @@ class TestRegistryWideDifferential:
     @pytest.mark.parametrize("procs", [8, 32])
     @pytest.mark.parametrize("workload", ["ecsb", "wcsb", "warb"])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_inline_equals_threads_equals_baseline(self, scheme, workload, procs):
+    def test_inline_equals_threads_equals_reference(self, scheme, workload, procs):
         machine = cached_machine(procs, 8 if procs == 32 else 4)
         for seed in (3, 7):
             config = LockBenchConfig(
@@ -148,8 +151,8 @@ class TestRegistryWideDifferential:
                         chaos_seed=chaos_seed,
                     )
                 assert len(threads) == procs
-                baseline = _run(config, program, spec, "baseline", chaos_seed=chaos_seed)
-                assert inline == bridged == baseline, (scheme, workload, procs, seed, chaos_seed)
+                reference = _run(config, program, spec, REFERENCE, chaos_seed=chaos_seed)
+                assert inline == bridged == reference, (scheme, workload, procs, seed, chaos_seed)
                 if chaos_seed is not None:
                     assert inline[1]["acquires"] == procs * config.iterations
                     assert not inline[1]["violations"]
@@ -211,7 +214,7 @@ class TestOneSiteForEveryRequest:
         bridged, bridged_threads = self._charged(monkeypatch, config, blocking_program(program), spec)
         # Not vacuous: the bridged twin ran on rank threads, yet charged nothing there.
         assert (inline_threads, bridged_threads) == (0, 8)
-        assert inline == bridged == _run(config, program, spec, "baseline")[0], scheme
+        assert inline == bridged == _run(config, program, spec, REFERENCE)[0], scheme
 
     @pytest.mark.parametrize("scheme", ["lease-lock", "repair-mcs"])
     def test_one_site_charges_a_faulted_run(self, scheme, monkeypatch):
@@ -219,10 +222,7 @@ class TestOneSiteForEveryRequest:
         plan = FaultPlan.single(2, kill_us=6.0, restart_us=300.0)
         inline, threads = self._charged(monkeypatch, config, program, spec, fault_plan=plan)
         assert threads == 0
-        baseline = get_runtime("baseline").factory(
-            config.machine, window_words=spec.window_words + 2, seed=config.seed, fault_plan=plan
-        ).run(program, window_init=spec.init_window)
-        assert inline == run_result_sha(baseline)
+        assert inline == _run(config, program, spec, REFERENCE, fault_plan=plan)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -234,9 +234,9 @@ def make_runtime(**kwargs) -> SimRuntime:
     return SimRuntime(Machine.cluster(nodes=2, procs_per_node=2), **kwargs)
 
 
-def make_baseline():
-    """The seed scheduler on ``make_runtime``'s machine and window."""
-    return get_runtime("baseline").factory(Machine.cluster(nodes=2, procs_per_node=2), window_words=8)
+def make_reference():
+    """The reference interpreter on ``make_runtime``'s machine and window."""
+    return ReferenceRuntime(Machine.cluster(nodes=2, procs_per_node=2), window_words=8)
 
 
 def _observed_point(workload, scheduler):
@@ -294,7 +294,7 @@ class TestFailuresMatchTheBlockingTwin:
         assert "; rank 2: parked on (rank 0, offset 7), (rank 2, offset 0), (rank 2, offset 1), " in report
         assert "; rank 3: waiting at barrier at t=4.50us" in report
         with pytest.raises(SimDeadlockError) as seed:
-            make_baseline().run(steps)
+            make_reference().run(steps)
         assert str(seed.value).split(": ", 1)[1] == report
 
     def test_raising_program_surfaces_its_exception(self):
@@ -357,10 +357,10 @@ class TestFailuresMatchTheBlockingTwin:
         assert type(_failure(steps)) is type(_failure(blocking)) is ZeroDivisionError
         assert seen == ["steps", "blocking"]
 
-    def test_a_spinner_catches_its_own_later_poll_predicate_error_as_on_baseline(self):
+    def test_a_spinner_catches_its_own_later_poll_predicate_error_as_on_the_reference(self):
         """Every poll round is part of the spinner's own turn — also the
         rounds after a park — so the error is raised at *its* ``yield``,
-        as the seed scheduler raises it on the spinner's own thread."""
+        as the reference interpreter raises it."""
 
         def flaky(v):
             if v != 0:
@@ -384,7 +384,7 @@ class TestFailuresMatchTheBlockingTwin:
             inline = make_runtime().run(steps)
         assert not threads
         assert inline.returns[1][0] == "predicate saw 5"
-        assert run_result_sha(inline) == run_result_sha(make_baseline().run(steps))
+        assert run_result_sha(inline) == run_result_sha(make_reference().run(steps))
 
     def test_request_errors_are_raised_at_the_yield_like_the_blocking_call(self):
         """Bad target, bad offset, negative or non-finite compute: same
@@ -430,7 +430,7 @@ class TestFailuresMatchTheBlockingTwin:
         # due (and never as an index error of the runtime's own cell tables,
         # nor by aliasing offset -1 to another word).  Every rank polls the
         # bad cells at once, so legs cross the horizon and raise at a later
-        # turn: the error is still raised at the poll, as on baseline.
+        # turn: the error is still raised at the poll, as on the reference.
         bad_polls = ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 0, 9999, lambda v: True),
                      (SPIN, [(0, -1)], lambda vs: True), (SPIN, [(1, 0), (0, 8)], lambda vs: True),
                      (SPIN, [(1, 0), (0, 9999)], lambda vs: True))
@@ -471,7 +471,7 @@ class TestFailuresMatchTheBlockingTwin:
         ]] * 4
         assert inline.op_counts == {"get": 24}  # the bad-target leg is not counted
         for twin in (make_runtime().run(spin_blocking), make_runtime().run(blocking_program(spin_steps)),
-                     make_baseline().run(spin_steps)):
+                     make_reference().run(spin_steps)):
             assert twin.returns == inline.returns
             assert twin.per_rank_op_counts == inline.per_rank_op_counts
             assert twin.finish_times_us == inline.finish_times_us
@@ -592,6 +592,10 @@ class TestMisuseFailsLoudly:
             assert f"rank 3 yielded {value!r}" in str(info.value)
             assert runtime.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
 
+    def test_the_reference_runs_step_programs_only(self):
+        with pytest.raises(TypeError, match="runs step programs only"):
+            make_reference().run(lambda ctx: ctx.rank)
+
     def test_forgetting_yield_from_is_reported_as_a_non_request(self):
         from repro.core.dmcs import DMCSLockSpec
 
@@ -610,7 +614,7 @@ class TestMisuseFailsLoudly:
 # --------------------------------------------------------------------------- #
 
 class TestFaultPlansRunInline:
-    def test_kill_and_restart_inline_equals_bridged_equals_baseline(self):
+    def test_kill_and_restart_inline_equals_bridged_equals_reference(self):
         config = LockBenchConfig(
             machine=cached_machine(4, 4, "xc30"), scheme="lease-lock",
             benchmark="wcsb", iterations=4, fw=0.2, seed=5,
@@ -624,16 +628,15 @@ class TestFaultPlansRunInline:
             ("steps", program, "horizon", 0),
             # The victim's thread unwinds at the kill; its restart gets a fresh one.
             ("bridged", blocking_program(program), "horizon", 5),
-            ("baseline", program, "baseline", None),
+            (REFERENCE, program, REFERENCE, 0),
         ):
-            runtime = get_runtime(scheduler).factory(
+            runtime = factory(scheduler)(
                 config.machine, window_words=spec.window_words + 2,
                 seed=config.seed, fault_plan=plan,
             )
             with rank_threads_started() as threads:
                 result = runtime.run(prog, window_init=spec.init_window)
-            if rank_threads is not None:
-                assert len(threads) == rank_threads, name
+            assert len(threads) == rank_threads, name
             assert not any(isinstance(r, dict) and r.get("__crashed__") for r in result.returns)
             shas[name] = run_result_sha(result)
         assert len(set(shas.values())) == 1, shas
@@ -668,6 +671,20 @@ class _BlockingTAS(LockHandle):
         self.ctx.flush(0)
 
 
+class _StepTAS(_BlockingTAS):
+    """``_BlockingTAS``'s step twin: the same requests, yielded."""
+
+    def acquire_steps(self):
+        while (yield (CAS, 1, 0, 0, self.offset)) != 0:
+            yield (FLUSH, 0)
+            yield (SPIN_WHILE, 0, self.offset, lambda v: v != 0)
+        yield (FLUSH, 0)
+
+    def release_steps(self):
+        yield (PUT, 0, 0, self.offset)
+        yield (FLUSH, 0)
+
+
 class _CrashLog:
     """Observer hooks of a faulted run, plus what the victim was doing."""
 
@@ -696,6 +713,8 @@ class TestBridge:
     ``_drive``; closing a rank's generator unwinds its thread."""
 
     def test_blocking_only_handle_killed_mid_acquire_and_restarted(self):
+        """The bridged blocking program equals its step twin, inline and on
+        the reference: same fingerprint, crash log and returns."""
         acquiring = [False] * 4
 
         def program(ctx):
@@ -709,25 +728,40 @@ class TestBridge:
                 lock.release()
             return (ctx.incarnation, ctx.now())
 
+        def steps(ctx):
+            lock = _StepTAS(ctx, 0)
+            yield (BARRIER,)
+            for _ in range(3):
+                acquiring[ctx.rank] = True
+                yield from lock.acquire_steps()
+                acquiring[ctx.rank] = False
+                yield (COMPUTE, 4.0)
+                yield from lock.release_steps()
+            return (ctx.incarnation, ctx.now())
+
         plan = FaultPlan.single(3, kill_us=9.0, restart_us=200.0)
         runs = {}
-        for scheduler in ("horizon", "baseline"):
+        for name, prog, scheduler, rank_threads in (
+            # The restart runs on a fresh thread.
+            ("bridged", program, "horizon", 5),
+            ("steps", steps, "horizon", 0),
+            (REFERENCE, steps, REFERENCE, 0),
+        ):
             log = _CrashLog(acquiring)
-            runtime = get_runtime(scheduler).factory(
+            runtime = factory(scheduler)(
                 Machine.cluster(nodes=2, procs_per_node=2), window_words=2,
                 fault_plan=plan, observer=log,
             )
             with rank_threads_started() as threads:
-                result = runtime.run(program)
-            runs[scheduler] = (run_result_sha(result), list(log.events), result.returns)
-            if scheduler == "horizon":
-                assert len(threads) == 5  # the restart runs on a fresh thread
-        sha, events, returns = runs["horizon"]
+                result = runtime.run(prog)
+            runs[name] = (run_result_sha(result), list(log.events), result.returns)
+            assert len(threads) == rank_threads, name
+        sha, events, returns = runs["bridged"]
         assert [event[:2] for event in events] == [("crash", 3), ("restart", 3)]
         assert events[0][3], "rank 3 was killed inside acquire()"
         assert events[1][2] == 200.0
         assert returns[3][0] == 1 and all(r[0] == 0 for r in returns[:3])
-        assert runs["baseline"] == runs["horizon"]
+        assert runs["steps"] == runs[REFERENCE] == runs["bridged"]
 
     def test_handoffs_survive_preemption_at_every_bytecode(self):
         """Stress: with the interpreter switching threads as often as it can,
@@ -775,22 +809,16 @@ class TestBridge:
         assert set(threading.enumerate()) == before
 
 
-def _declared_crash_contracts():
-    """Registered schemes that declare a crash contract (possibly an empty one)."""
-    from repro.fault.plan import _RECOVERY
-
-    return [name for name in scheme_names() if name in _RECOVERY]
-
-
 class TestNoRankThreads:
     """Registry-wide guard: only a blocking program starts rank threads.  Every
-    built-in loop below — faulted runs of the schemes with a crash contract,
-    the paper's DHT, elastic and adaptive traffic, the hand-off ablation — is
-    a step program, runs with no ``sim-rank-*`` thread and equals baseline."""
+    built-in loop below — faulted runs of every scheme in the ``repro faults
+    --smoke`` grid, the paper's DHT, elastic and adaptive traffic, the
+    hand-off ablation — is a step program, runs with no ``sim-rank-*``
+    thread and equals the reference interpreter."""
 
     @pytest.mark.parametrize("scenario", ["holder-crash", "waiter-crash", "restart"])
-    @pytest.mark.parametrize("scheme", _declared_crash_contracts())
-    def test_no_rank_thread_in_a_faulted_run(self, scheme, scenario):
+    @pytest.mark.parametrize("scheme", FAULT_SMOKE_SCHEMES)
+    def test_no_rank_thread_in_a_faulted_run(self, scheme, scenario, reference):
         from repro.bench import faults as engine
 
         point = engine.FaultPoint(scheme=scheme, scenario=scenario, crash_seed=1, procs=4)
@@ -802,7 +830,31 @@ class TestNoRankThreads:
                 inline = engine._run_faulted(point, plan, "horizon")
             assert not threads, point.case
             assert inline[2]["crashes"] == 1, point.case
-            assert inline == engine._run_faulted(point, plan, "baseline"), point.case
+            assert inline == engine._run_faulted(point, plan, reference), point.case
+
+    def test_no_rank_thread_in_the_faults_smoke_sweep(self, reference, monkeypatch):
+        """``repro faults --smoke`` through ``run_faults`` starts no rank
+        thread, and the plan that stands for each point, re-run on the
+        reference, gives the same (fingerprint, abort, oracle): the check
+        ``run_fault_point`` once made on every point."""
+        from repro.bench import faults as engine
+
+        run_faulted = engine._run_faulted
+        standing = {}
+
+        def recording(point, plan, scheduler):
+            outcome = run_faulted(point, plan, scheduler)
+            standing[point.case] = (point, plan, outcome)  # the last try stands
+            return outcome
+
+        monkeypatch.setattr(engine, "_run_faulted", recording)
+        with rank_threads_started() as threads:
+            report = engine.run_faults(seeds=2, schemes=FAULT_SMOKE_SCHEMES, jobs=1, cache=False)
+        assert not threads
+        assert report.ok and len(report.rows) == len(FAULT_SMOKE_SCHEMES) * 3 * 2
+        assert len(standing) == sum(row["status"] != "no-crash-window" for row in report.rows) > 0
+        for point, plan, outcome in standing.values():
+            assert outcome == run_faulted(point, plan, reference), point.case
 
     @pytest.mark.parametrize("scheme", ["fompi-a", "fompi-rw", "rma-rw", "striped-rw"])
     def test_no_rank_thread_in_the_dht(self, scheme):
@@ -816,16 +868,16 @@ class TestNoRankThreads:
             with rank_threads_started() as threads:
                 inline = run_dht_benchmark(config)
             assert not threads
-            baseline = run_dht_benchmark(
-                config, runtime=get_runtime("baseline").factory(config.machine, window_words=4096, seed=config.seed)
+            reference = run_dht_benchmark(
+                config, runtime=ReferenceRuntime(config.machine, window_words=4096, seed=config.seed)
             )
             assert (inline.total_time_us, inline.op_counts, inline.inserts) == (
-                baseline.total_time_us, baseline.op_counts, baseline.inserts
+                reference.total_time_us, reference.op_counts, reference.inserts
             )
             assert inline.inserts > 0 and inline.lookups > 0
 
     @pytest.mark.parametrize("scenario", ["scale-elastic", "traffic-adaptive"])
-    def test_no_rank_thread_in_elastic_and_adaptive_traffic(self, scenario):
+    def test_no_rank_thread_in_elastic_and_adaptive_traffic(self, scenario, reference):
         import repro.scale  # noqa: F401 - registers scale-elastic
 
         config = LockBenchConfig(
@@ -835,8 +887,8 @@ class TestNoRankThreads:
         with rank_threads_started() as threads:
             bench, inline = run_lock_benchmark_detailed(config)
         assert not threads
-        _, baseline = run_lock_benchmark_detailed(config, scheduler="baseline")
-        assert run_result_sha(inline) == run_result_sha(baseline)
+        _, on_reference = run_lock_benchmark_detailed(config, scheduler=reference)
+        assert run_result_sha(inline) == run_result_sha(on_reference)
         events = "resizes" if scenario == "scale-elastic" else "swaps"
         assert all(r[events] > 0 for r in inline.returns), events
 
@@ -852,17 +904,17 @@ class TestNoRankThreads:
 
 
 class TestSuiteEntryPoints:
-    def test_traffic_point_runs_inline_and_matches_baseline(self):
+    def test_traffic_point_runs_inline_and_matches_the_reference(self, reference):
         spec = _traffic_point()
         with rank_threads_started() as threads:
             inline = run_traffic(spec, schedulers=("horizon",), jobs=1, cache=False)
         assert not threads, "the open-loop program must be stepped inline"
-        baseline = run_traffic(spec, schedulers=("baseline",), jobs=1, cache=False)
-        assert [r["fingerprint"] for r in inline.rows] == [r["fingerprint"] for r in baseline.rows]
-        assert [r["percentiles"] for r in inline.rows] == [r["percentiles"] for r in baseline.rows]
+        twin = run_traffic(spec, schedulers=(reference,), jobs=1, cache=False)
+        assert [r["fingerprint"] for r in inline.rows] == [r["fingerprint"] for r in twin.rows]
+        assert [r["percentiles"] for r in inline.rows] == [r["percentiles"] for r in twin.rows]
 
     @pytest.mark.parametrize("workload", ["wcsb", "traffic-zipf"])
-    def test_observed_point_runs_inline_and_matches_baseline(self, workload):
+    def test_observed_point_runs_inline_and_matches_the_reference(self, workload, reference):
         def row(scheduler):
             row = run_conformance_point(_observed_point(workload, scheduler), recheck=True)
             return {k: v for k, v in row.items() if k not in ("case", "scheduler")}
@@ -871,7 +923,7 @@ class TestSuiteEntryPoints:
             inline = row("horizon")
         assert not threads
         assert inline["ok"] and inline["reproducible"] and inline["acquires"] > 0
-        assert inline == row("baseline")
+        assert inline == row(reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -930,7 +982,7 @@ class TestLiveKeys:
         with rank_threads_started() as threads:
             inline = _run(config, program, spec, "horizon")
         assert not threads and popped[0] >= procs, popped
-        assert inline == _run(config, program, spec, "baseline")
+        assert inline == _run(config, program, spec, REFERENCE)
 
     def test_live_keys_on_a_perturbed_observed_point_and_a_traffic_point(self, popped):
         assert run_conformance_point(_observed_point("wcsb", "horizon"), recheck=True)["ok"]

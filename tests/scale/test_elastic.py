@@ -1,8 +1,8 @@
 """Tests for elastic lock tables: plan semantics and resize determinism.
 
 The acceptance contract: resize crossings are collective virtual-time events
-with bit-identical fingerprints across the horizon and baseline
-schedulers and across ``--jobs`` settings, and the plan's active-entry
+with bit-identical fingerprints across the horizon scheduler and the
+reference interpreter and across ``--jobs`` settings, and the plan's active-entry
 schedule is a pure function every rank derives identically.
 """
 
@@ -101,15 +101,15 @@ class TestPlanSemantics:
 
 
 class TestResizeDeterminism:
-    def test_schedulers_agree_fingerprint_for_fingerprint(self):
+    def test_schedulers_agree_fingerprint_for_fingerprint(self, reference):
         views = {}
-        for scheduler in ("horizon", "baseline"):
+        for scheduler in ("horizon", reference):
             report = run_campaign(TINY, cache=False, jobs=1, scheduler=scheduler)
             views[scheduler] = [
                 (row["fingerprint"], row["percentiles"], row["phases"])
                 for row in report.rows
             ]
-        assert views["horizon"] == views["baseline"]
+        assert views["horizon"] == views[reference]
 
     def test_parallel_jobs_match_serial_bit_for_bit(self):
         serial = run_campaign(TINY, cache=False, jobs=1)

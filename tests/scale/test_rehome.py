@@ -91,9 +91,9 @@ class TestRehomeDeterminism:
         seed=17,
     )
 
-    def test_schedulers_agree_fingerprint_for_fingerprint(self):
+    def test_schedulers_agree_fingerprint_for_fingerprint(self, reference):
         views = {}
-        for scheduler in ("horizon", "baseline"):
+        for scheduler in ("horizon", reference):
             report = run_campaign(
                 self.REHOME_ONLY, cache=False, jobs=1, scheduler=scheduler
             )
@@ -101,7 +101,7 @@ class TestRehomeDeterminism:
                 (row["fingerprint"], row["percentiles"], row["phases"])
                 for row in report.rows
             ]
-        assert views["horizon"] == views["baseline"]
+        assert views["horizon"] == views[reference]
 
     def test_parallel_jobs_match_serial_bit_for_bit(self):
         serial = run_campaign(self.REHOME_ONLY, cache=False, jobs=1)

@@ -53,14 +53,14 @@ class TestRehomeComparison:
         rows = [
             self._row("scale-hot", "horizon", 100.0),
             self._row("scale-hot-rehome", "horizon", 80.0),
-            self._row("scale-hot", "baseline", 100.0),
-            self._row("scale-hot-rehome", "baseline", 120.0),
+            self._row("scale-hot", "reference", 100.0),
+            self._row("scale-hot-rehome", "reference", 120.0),
         ]
         verdict = scale_engine.rehome_comparison(rows)
         assert len(verdict["pairs"]) == 2
         assert not verdict["improved"]
         per_sched = {p["scheduler"]: p["improved"] for p in verdict["pairs"]}
-        assert per_sched == {"horizon": True, "baseline": False}
+        assert per_sched == {"horizon": True, "reference": False}
 
     def test_unpaired_rows_are_ignored(self):
         rows = [
@@ -82,7 +82,7 @@ class TestRehomeComparison:
 
 
 class TestScaleManifestGate:
-    def _payload(self, *, schedulers=("horizon", "baseline"), improved=True,
+    def _payload(self, *, schedulers=("horizon",), improved=True,
                  within=True, identical=True):
         rows = [
             {
@@ -118,9 +118,11 @@ class TestScaleManifestGate:
         findings = check_scale_manifest({"rows": []})
         assert [f.level for f in findings] == ["hard"]
 
-    def test_single_scheduler_fails(self):
-        findings = check_scale_manifest(self._payload(schedulers=("horizon",)))
-        assert any(f.level == "fail" and f.field == "schedulers" for f in findings)
+    def test_any_scheduler_set_passes(self):
+        # The cross-scheduler check is tier-1's (against tests/reference.py),
+        # not the committed manifest's.
+        for schedulers in (("horizon",), ("horizon", "acme-sim")):
+            assert check_scale_manifest(self._payload(schedulers=schedulers)) == []
 
     def test_fluid_out_of_tolerance_is_hard(self):
         findings = check_scale_manifest(self._payload(within=False))
@@ -148,12 +150,12 @@ class TestScaleManifestGate:
 
 
 class TestBless:
-    def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch):
+    def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch, reference):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "scale-bless-test")
         baseline = tmp_path / "BENCH_scale.json"
         spec = scale_engine.scale_spec(smoke=True)
         run = partial(
-            scale_engine.run_scale, spec, schedulers=("horizon", "baseline"),
+            scale_engine.run_scale, spec, schedulers=("horizon", reference),
             cache_dir=tmp_path / "cache", fluid_names=("fluid-phased",),
         )
         report, _ = bless_sweep(

@@ -204,28 +204,37 @@ class TestRelatedFigureNames:
 
 
 class TestSchedulerFlag:
-    def test_bench_accepts_scheduler_choices(self):
-        args = build_parser().parse_args(["bench", "--scheduler", "baseline"])
-        assert args.scheduler == "baseline"
-        args = build_parser().parse_args(["figures", "4a", "--scheduler", "baseline"])
-        assert args.scheduler == "baseline"
+    def test_bench_accepts_scheduler_choices(self, reference):
+        args = build_parser().parse_args(["bench", "--scheduler", reference])
+        assert args.scheduler == reference
+        args = build_parser().parse_args(["figures", "4a", "--scheduler", reference])
+        assert args.scheduler == reference
 
-    def test_bench_rejects_unknown_scheduler(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--scheduler", "bogus"])
+    # The seed scheduler ("baseline") and "both" are gone from every --scheduler.
+    @pytest.mark.parametrize("name", ["bogus", "baseline", "both"])
+    @pytest.mark.parametrize(
+        "command",
+        [["figures", "4a"], ["bench"], ["perf"], ["campaign", "run", "ci-gate"], ["conform"],
+         ["traffic"], ["scale"], ["tune"]],
+        ids=" ".join,
+    )
+    def test_bench_rejects_unknown_scheduler(self, command, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, "--scheduler", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_bench_baseline_scheduler_output_is_identical(self, capsys):
+    def test_bench_reference_scheduler_output_is_identical(self, capsys, reference):
         argv = ["bench", "--scheme", "rma-rw", "--procs", "8", "--procs-per-node", "4",
                 "--iterations", "5", "--param", "t_l=[2,2]"]
         assert main(argv + ["--scheduler", "horizon"]) == 0
         horizon_out = capsys.readouterr().out
-        assert main(argv + ["--scheduler", "baseline"]) == 0
-        baseline_out = capsys.readouterr().out
-        assert horizon_out == baseline_out
+        assert main(argv + ["--scheduler", reference]) == 0
+        assert capsys.readouterr().out == horizon_out
 
-    def test_figures_scheduler_flag_runs_and_restores_default(self, capsys):
+    def test_figures_scheduler_flag_runs_and_restores_default(self, capsys, reference):
         code = main(["figures", "4a", "--procs", "4", "--iterations", "4",
-                     "--scheduler", "baseline"])
+                     "--scheduler", reference])
         assert code == 0
         assert "Figure 4a" in capsys.readouterr().out
         # The process-wide default must come back to the fast scheduler for
@@ -373,13 +382,13 @@ class TestPerfCommand:
         header, _, row = out.splitlines()[:3]
         return row.split()[header.split().index("ops")]
 
-    def test_table_profile_and_scheduler(self, one_case, tmp_path, capsys):
+    def test_table_profile_and_scheduler(self, one_case, tmp_path, capsys, reference):
         assert main(["perf", "--reps", "1", "--profile"]) == 0
         out = capsys.readouterr().out
         assert one_case.name in out and "ops_per_s" in out
         assert (tmp_path / f"PERF_profile_{one_case.name}_horizon.txt").exists()
 
-        assert main(["perf", "--reps", "1", "--scheduler", "baseline"]) == 0
+        assert main(["perf", "--reps", "1", "--scheduler", reference]) == 0
         assert self._ops(capsys.readouterr().out) == self._ops(out)
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
@@ -403,8 +412,8 @@ class TestPerfCommand:
             build_parser().parse_args(["perf", *retired])
         assert exc.value.code == 2
 
-    def test_scheduler_choices_are_the_registered_cores(self):
-        for name in ("horizon", "baseline"):
+    def test_scheduler_choices_are_the_registered_cores(self, reference):
+        for name in ("horizon", reference):
             assert build_parser().parse_args(["perf", "--scheduler", name]).scheduler == name
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf", "--scheduler", "vector"])
@@ -419,18 +428,19 @@ class TestTrafficCommand:
     def test_traffic_defaults(self):
         args = build_parser().parse_args(["traffic"])
         assert args.command == "traffic"
-        # None = "both, or horizon-only under --smoke"; an explicit
-        # --scheduler always wins over the smoke default.
-        assert args.scheduler is None
+        assert args.scheduler == "horizon"
         assert args.smoke is False
 
-    def test_traffic_runs_both_schedulers_and_prints_percentiles(self, tmp_path, monkeypatch, capsys):
+    def test_traffic_runs_the_chosen_scheduler_and_prints_percentiles(
+        self, tmp_path, monkeypatch, capsys, reference
+    ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(self.TINY_ARGS) == 0
         out = capsys.readouterr().out
         assert "e2e_p99_us" in out
-        assert "scheduler(s) horizon, baseline" in out
-        assert "2 rows" in out
+        assert "1 rows on scheduler(s) horizon" in out
+        assert main(self.TINY_ARGS + ["--scheduler", reference]) == 0
+        assert "1 rows on scheduler(s) reference" in capsys.readouterr().out
 
     def test_traffic_writes_report_and_hits_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -489,7 +499,7 @@ class TestScaleCommand:
     def test_scale_defaults(self):
         args = build_parser().parse_args(["scale"])
         assert args.command == "scale"
-        assert args.scheduler is None
+        assert args.scheduler == "horizon"
         assert args.smoke is False
         assert args.fluid is None
 
@@ -586,22 +596,22 @@ class TestTuneCommand:
         assert "Best-known thresholds" in out
         assert out_path.exists()
 
-    def test_tune_bless_follows_the_scheduler_flag(self, tmp_path, capsys):
+    def test_tune_bless_follows_the_scheduler_flag(self, tmp_path, capsys, reference):
         baseline = tmp_path / "BENCH_tune.json"
         code = main([
             "tune", "--scheme", "rma-rw", "--tune-param", "t_r",
             "--scenario", "traffic-zipf", "--procs", "8", "--iterations", "3",
             "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
-            "--scheduler", "baseline", "--bless", "--baseline", str(baseline),
+            "--scheduler", reference, "--bless", "--baseline", str(baseline),
         ])
         assert code == 0
         assert "blessed" in capsys.readouterr().out
         payload = json.loads(baseline.read_text())
-        assert payload["scheduler"] == "baseline"
-        assert all(row["scheduler"] == "baseline" for row in payload["rows"])
+        assert payload["scheduler"] == reference
+        assert all(row["scheduler"] == reference for row in payload["rows"])
         # The scheduler suffix follows the iterations axis in a case name.
-        assert all("-i3-baseline" in row["case"] for row in payload["rows"])
-        assert all("-i3-baseline" in b["best_case"] for b in payload["best"])
+        assert all("-i3-reference" in row["case"] for row in payload["rows"])
+        assert all("-i3-reference" in b["best_case"] for b in payload["best"])
 
     def test_tune_rejects_untunable_scheme(self, capsys):
         code = main(["tune", "--scheme", "ticket", "--jobs", "1", "--no-cache"])

@@ -58,7 +58,7 @@ def test_step_program(monkeypatch, capsys):
 def test_adaptive_demo(monkeypatch, capsys):
     out = run_example("adaptive_demo.py", monkeypatch, capsys)
     assert "scheme swaps" in out
-    assert "bit-identical across schedulers" in out
+    assert "bit-identical on a re-run" in out
     assert "third-party lock joined the policy-switched table" in out
 
 

@@ -30,8 +30,7 @@ END = "<!-- scheduler-matrix:end -->"
 #: Selection guidance per backend; the registry's help string is the
 #: fallback for runtimes registered after this tool shipped.
 WHEN_TO_PICK = {
-    "horizon": "the default, and the fastest for step programs: every built-in loop (harness, traffic, conformance, DHT, fault plans) is a step program and runs with no rank threads, every hook (tracer, fabric, perturbation, observer) on the one loop; a blocking program or blocking-only lock handle gets one bridged thread per rank and pays one handoff each way per call (about 3.5 µs, slower than baseline on the fast-path probe)",
-    "baseline": "cross-checking a scheduler change against the preserved seed semantics",
+    "horizon": "the default, and the fastest for step programs: every built-in loop (harness, traffic, conformance, DHT, fault plans) is a step program and runs with no rank threads, every hook (tracer, fabric, perturbation, observer) on the one loop; a blocking program or blocking-only lock handle gets one bridged thread per rank and pays one handoff each way per call (about 3.5 µs on the fast-path probe)",
     "thread": "the real-OS-thread backend: the genuine-race mutual-exclusion checks in tests/core and tests/related run on it (wall-clock, non-reproducible)",
 }
 

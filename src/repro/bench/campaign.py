@@ -43,6 +43,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,6 +72,7 @@ __all__ = [
     "SweepReport",
     "bless_sweep",
     "campaign_names",
+    "canonical_json",
     "default_jobs",
     "execute_tasks",
     "get_campaign",
@@ -185,22 +187,95 @@ def run_result_sha(result: Any) -> str:
 
     Covers the per-rank finish times, the op counts (total and per rank), the
     makespan and the full per-rank returns (which carry the per-iteration
-    latencies), all in the bit-exact canonical form.  Two runs of a
-    deterministic runtime match iff their digests match.
+    latencies), all in the bit-exact canonical form (:func:`canonical_json`).
+    Two runs of a deterministic runtime match iff their digests match.
     """
-    blob = json.dumps(
-        canonical_value(
-            {
-                "finish_times_us": list(result.finish_times_us),
-                "total_time_us": result.total_time_us,
-                "op_counts": dict(result.op_counts),
-                "per_rank_op_counts": [dict(c) for c in result.per_rank_op_counts],
-                "returns": result.returns,
-            }
-        ),
-        sort_keys=True,
+    blob = canonical_json(
+        {
+            "finish_times_us": list(result.finish_times_us),
+            "total_time_us": result.total_time_us,
+            "op_counts": dict(result.op_counts),
+            "per_rank_op_counts": [dict(c) for c in result.per_rank_op_counts],
+            "returns": result.returns,
+        }
     )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class _Unhandled(Exception):
+    """A value :func:`_emit_json` does not special-case."""
+
+
+def _emit_json(value: Any, out: List[str]) -> None:
+    """Append the canonical JSON text of ``value`` to ``out``, in one pass.
+
+    Handles exactly ``float``, ``str``, ``int``, ``None``, ``True``,
+    ``False``, ``list``, ``tuple`` and ``dict`` with ``str`` keys; anything
+    else (numpy scalars, subclasses, other keys) raises :class:`_Unhandled`.
+    """
+    kind = type(value)
+    if kind is float:
+        out.append('"' + value.hex() + '"')  # hex digits, "inf" or "nan": nothing to escape
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            out.append('["' + '", "'.join(map(float.hex, value)) + '"]')
+        elif kinds == {int}:
+            out.append("[" + ", ".join(map(int.__repr__, value)) + "]")
+        else:
+            out.append("[")
+            for position, item in enumerate(value):
+                if position:
+                    out.append(", ")
+                _emit_json(item, out)
+            out.append("]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if set(map(type, value)) != {str}:
+            raise _Unhandled
+        keys = sorted(value)
+        if set(map(type, value.values())) == {int}:
+            out.append("{" + ", ".join(
+                [encode_basestring_ascii(key) + ": " + int.__repr__(value[key]) for key in keys]
+            ) + "}")
+            return
+        out.append("{")
+        for position, key in enumerate(keys):
+            out.append((", " if position else "") + encode_basestring_ascii(key) + ": ")
+            _emit_json(value[key], out)
+        out.append("}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise _Unhandled
+
+
+def canonical_json(value: Any) -> str:
+    """``json.dumps(canonical_value(value), sort_keys=True)``, byte for byte.
+
+    Written in one pass for the plain types a run returns (float lists as
+    ``map(float.hex)``, int lists as ``map(int.__repr__)``); on any other
+    type it falls back to that two-pass form.
+    """
+    out: List[str] = []
+    try:
+        _emit_json(value, out)
+    except _Unhandled:
+        return json.dumps(canonical_value(value), sort_keys=True)
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------- #

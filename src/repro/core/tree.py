@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.constants import ACQUIRE_START, NULL_RANK, STATUS_WAIT
@@ -69,6 +70,30 @@ def normalize_locality_thresholds(machine: Machine, t_l: Sequence[int] | Mapping
         if value < 1:
             raise ValueError(f"T_L,{level} must be >= 1, got {value}")
     return tuple(values)
+
+
+def _queue_node_rank(machine: Machine, rank: int, level: int) -> int:
+    if level == machine.n_levels:
+        return rank
+    child_level = level + 1
+    return machine.first_rank_of_element(child_level, machine.element_of(rank, child_level))
+
+
+def _tail_host_rank(machine: Machine, rank: int, level: int) -> int:
+    return machine.first_rank_of_element(level, machine.element_of(rank, level))
+
+
+@lru_cache(maxsize=1 << 12)
+def _placement(machine: Machine, rank: int) -> Tuple[Tuple[int, int], ...]:
+    """``(queue_node_rank, tail_host_rank)`` of ``rank`` at every level.
+
+    Placement depends on the machine alone, so every layout on ``machine`` —
+    every entry of a lock table — shares one resolution per rank.
+    """
+    return tuple(
+        (_queue_node_rank(machine, rank, level), _tail_host_rank(machine, rank, level))
+        for level in range(1, machine.n_levels + 1)
+    )
 
 
 #: One process's queue node at one level: where its fields live (``node`` is
@@ -126,24 +151,17 @@ class TreeLayout:
 
     def queue_node_rank(self, rank: int, level: int) -> int:
         """Rank hosting the level-``level`` queue node used on behalf of ``rank``."""
-        machine = self.machine
-        if level == machine.n_levels:
-            return rank
-        child_level = level + 1
-        element = machine.element_of(rank, child_level)
-        return machine.first_rank_of_element(child_level, element)
+        return _queue_node_rank(self.machine, rank, level)
 
     def tail_host_rank(self, rank: int, level: int) -> int:
         """``tail_rank[level, e(rank, level)]``: host of the relevant DQ tail pointer."""
-        machine = self.machine
-        element = machine.element_of(rank, level)
-        return machine.first_rank_of_element(level, element)
+        return _tail_host_rank(self.machine, rank, level)
 
     def queue_nodes(self, rank: int) -> Tuple[QueueNode, ...]:
-        """``rank``'s queue node at every level (index ``level - 1``), resolved once per handle."""
+        """``rank``'s queue node at every level (index ``level - 1``), built once per
+        handle from the placement resolved once per (machine, rank)."""
         nodes = []
-        for level in range(1, self.machine.n_levels + 1):
-            node, host = self.queue_node_rank(rank, level), self.tail_host_rank(rank, level)
+        for level, (node, host) in enumerate(_placement(self.machine, rank), start=1):
             nxt, status, tail = self.next_offset(level), self.status_offset(level), self.tail_offset(level)
             nodes.append(QueueNode(
                 node, host, nxt, status, tail,

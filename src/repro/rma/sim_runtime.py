@@ -190,10 +190,20 @@ class SimProcessContext(ProcessContext):
         self._state = state
         self.rank = state.rank
         self.nranks = runtime.num_ranks
-        self.rng = rank_rng(runtime.seed, state.rank)
+        self._rng: Any = None
         #: The runtime's observer hook (None when no observer is installed);
         #: handle wrappers such as verification.oracles.observe_lock use it.
         self.observer = runtime.observer
+
+    @property
+    def rng(self) -> Any:  # type: ignore[override]
+        """``rank_rng(seed, rank)``, built on first use: most programs (every
+        traffic loop) never draw, and a Philox generator is not free.  A
+        restarted incarnation keeps drawing from the same stream."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = rank_rng(self._rt.seed, self.rank)
+        return rng
 
     def now(self) -> float:
         return self._state.clock

@@ -26,9 +26,10 @@ to :data:`DEFAULT_RESERVOIR_CAP` and is threaded end to end — a
 ``reservoir_cap`` (sampled fluid-scale cohorts declare caps matched to their
 sample counts), the rank programs carry it in their return dicts (so it is
 part of the fingerprinted run state) and the benchmark harness forwards it
-to :func:`aggregate_traffic`.  Below the bound the summary is an exact
-function of the sample multiset (any contribution order yields identical
-percentiles); once decimation engages, reordering ranks can shift *which*
+to :func:`aggregate_traffic`.  Up to twice the bound (a reservoir decimates
+only when it passes ``2 * cap`` samples) the summary is an exact function of
+the sample multiset (any contribution order yields identical percentiles);
+once decimation engages, reordering ranks can shift *which*
 stratified subsample survives, but only within the decimation's quantile
 error — and the reported numbers stay bit-deterministic regardless, because
 ranks always fold in rank order.
@@ -37,6 +38,9 @@ ranks always fold in rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby
+from operator import add
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +63,9 @@ PERCENTILES: Tuple[Tuple[str, int], ...] = (
     ("p999", 999),
 )
 
-#: Default sample bound of a reservoir; above it the sorted samples are
-#: decimated by a fixed stride (quantile-preserving and deterministic).
+#: Default sample bound of a reservoir.  A reservoir is exact up to twice
+#: its bound; past ``2 * cap`` samples the sorted samples are decimated by a
+#: fixed stride to at most ``cap`` (quantile-preserving and deterministic).
 DEFAULT_RESERVOIR_CAP = 1 << 18
 
 
@@ -86,15 +91,17 @@ def nearest_rank_percentiles(samples: Sequence[float]) -> Dict[str, float]:
 class LatencyReservoir:
     """A deterministic bounded sample store with nearest-rank percentiles.
 
-    Samples are appended in a caller-defined (deterministic) order; when the
-    store exceeds ``cap`` it is sorted and decimated to every ``k``-th sample
-    — a stratified subsample that preserves quantiles far into the tail while
-    bounding memory for very long service runs.  Each decimation is a pure
-    function of the samples held at that point, so for a fixed insertion
-    order the summary never depends on host or worker count; below the cap
-    it is exactly insertion-order-independent too, and above it reordering
-    moves the quantiles only within the decimation error (the global maximum
-    always survives).
+    Samples are appended in a caller-defined (deterministic) order.  The
+    store holds every sample exactly up to ``2 * cap`` of them; the call that
+    takes it past ``2 * cap`` sorts it and decimates it to every ``k``-th
+    sample, ``k = ceil(n / cap)`` (at most ``cap`` of them, plus the global
+    maximum) — a stratified subsample that preserves quantiles far into the
+    tail while bounding memory for very long service runs.  Each decimation
+    is a pure function of the samples held at that point, so for a fixed
+    insertion order the summary never depends on host or worker count; up to
+    ``2 * cap`` samples it is exactly insertion-order-independent too, and
+    past that reordering moves the quantiles only within the decimation
+    error (the global maximum always survives).
     """
 
     def __init__(self, cap: int = DEFAULT_RESERVOIR_CAP):
@@ -105,10 +112,20 @@ class LatencyReservoir:
         self.count = 0  # total observed, including decimated-away samples
 
     def add_many(self, samples: Sequence[float]) -> None:
-        self._samples.extend(float(s) for s in samples)
+        self._samples.extend(map(float, samples))
         self.count += len(samples)
         if len(self._samples) > 2 * self.cap:
             self._decimate()
+
+    def add_each(self, samples: Sequence[float]) -> None:
+        """``add_many((s,))`` for each of ``samples`` in turn: the store is
+        decimated at exactly the samples where that would decimate it, in as
+        few ``add_many`` calls as there are such points (plus one)."""
+        limit = 2 * self.cap + 1
+        while samples:
+            room = limit - len(self._samples)
+            self.add_many(samples[:room])
+            samples = samples[room:]
 
     def _decimate(self) -> None:
         arr = np.sort(np.asarray(self._samples, dtype=np.float64))
@@ -197,25 +214,35 @@ def aggregate_traffic(
         acq_res.add_many(acquire)
         hold_total += float(np.sum(np.asarray(hold, dtype=np.float64))) if len(hold) else 0.0
         e2e_total += float(np.sum(np.asarray(e2e, dtype=np.float64))) if n else 0.0
-        for i in range(n):
-            arrival = float(arrivals[i]) if i < len(arrivals) else 0.0
-            done = arrival + float(e2e[i])
-            span_lo = min(span_lo, arrival)
-            span_hi = max(span_hi, done)
-            phase = int(phases[i]) if i < len(phases) else 0
+        if not n:
+            continue
+        # Missing arrivals read 0.0 and missing phases 0, sample by sample.
+        latency = list(map(float, e2e))
+        arrival = list(map(float, arrivals[:n]))
+        arrival += [0.0] * (n - len(arrival))
+        done = list(map(add, arrival, latency))
+        phase_of = list(map(int, phases[:n]))
+        phase_of += [0] * (n - len(phase_of))
+        # reduce(min, ...) is the sample-by-sample fold, ties and all.
+        span_lo = reduce(min, arrival, span_lo)
+        span_hi = reduce(max, done, span_hi)
+        # Fold each run of samples that share a phase at once.
+        start = 0
+        for phase, run in groupby(phase_of):
+            stop = start + len(list(run))
             res = phase_e2e.get(phase)
             if res is None:
                 res = phase_e2e[phase] = LatencyReservoir(reservoir_cap)
                 phase_counts[phase] = 0
                 phase_writes[phase] = 0
-                phase_lo[phase] = arrival
-                phase_hi[phase] = done
-            res.add_many((float(e2e[i]),))
-            phase_counts[phase] += 1
-            if i < len(rank_writes) and rank_writes[i]:
-                phase_writes[phase] += 1
-            phase_lo[phase] = min(phase_lo[phase], arrival)
-            phase_hi[phase] = max(phase_hi[phase], done)
+                phase_lo[phase] = arrival[start]
+                phase_hi[phase] = done[start]
+            res.add_each(latency[start:stop])
+            phase_counts[phase] += stop - start
+            phase_writes[phase] += sum(map(bool, rank_writes[start:stop]))
+            phase_lo[phase] = reduce(min, arrival[start:stop], phase_lo[phase])
+            phase_hi[phase] = reduce(max, done[start:stop], phase_hi[phase])
+            start = stop
 
     open_span = float(span_hi - span_lo) if requests else 0.0
     offered = (requests / open_span * 1e6) if open_span > 0 else 0.0

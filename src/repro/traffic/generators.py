@@ -35,7 +35,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,26 +275,62 @@ class TrafficScenario:
         return (Phase(duration_us=None, name="steady"),)
 
 
-@dataclass(frozen=True)
+#: A schedule's columns in order, with the dtype each one reads as.
+_COLUMN_DTYPES = (np.float64, np.int64, np.bool_, np.float64, np.float64, np.int64)
+
+
 class RequestSchedule:
     """The materialized per-rank request stream of one scenario run.
 
-    All arrays have one entry per request.  ``arrival_us`` is relative to the
-    rank's open time (the post-barrier ``now()``), strictly increasing.
+    Six columns with one entry per request: ``arrival_us`` (relative to the
+    rank's open time, the post-barrier ``now()``, strictly increasing),
+    ``lock_index``, ``is_write``, ``cs_us``, ``think_us`` and ``phase``.
+    Each attribute is a numpy array, converted from the drawn list the first
+    time it is read; :meth:`columns` hands out the lists themselves, which is
+    what the open-loop rank programs iterate, so a run makes no list → array
+    → list round trip.
     """
 
-    arrival_us: np.ndarray
-    lock_index: np.ndarray
-    is_write: np.ndarray
-    cs_us: np.ndarray
-    think_us: np.ndarray
-    phase: np.ndarray
+    __slots__ = ("_columns", "_arrays", "num_locks", "num_phases")
 
-    num_locks: int = 0
-    num_phases: int = 1
+    def __init__(
+        self,
+        arrival_us: Sequence[float],
+        lock_index: Sequence[int],
+        is_write: Sequence[bool],
+        cs_us: Sequence[float],
+        think_us: Sequence[float],
+        phase: Sequence[int],
+        num_locks: int = 0,
+        num_phases: int = 1,
+    ):
+        self._columns = (arrival_us, lock_index, is_write, cs_us, think_us, phase)
+        self._arrays: List[Optional[np.ndarray]] = [None] * len(self._columns)
+        self.num_locks = num_locks
+        self.num_phases = num_phases
+
+    def _array(self, position: int) -> np.ndarray:
+        array = self._arrays[position]
+        if array is None:
+            array = self._arrays[position] = np.asarray(
+                self._columns[position], dtype=_COLUMN_DTYPES[position]
+            )
+        return array
+
+    arrival_us = property(lambda self: self._array(0))
+    lock_index = property(lambda self: self._array(1))
+    is_write = property(lambda self: self._array(2))
+    cs_us = property(lambda self: self._array(3))
+    think_us = property(lambda self: self._array(4))
+    phase = property(lambda self: self._array(5))
+
+    def columns(self) -> Tuple[list, ...]:
+        """The six columns, in the order above, as Python lists (the lists
+        :func:`generate_schedule` drew; callers must not mutate them)."""
+        return tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in self._columns)
 
     def __len__(self) -> int:
-        return int(self.arrival_us.shape[0])
+        return len(self._columns[0])
 
 
 def generate_schedule(
@@ -325,8 +361,9 @@ def generate_schedule(
 
     The loop makes no numpy call but the draws and, for Zipf keys, one
     ``searchsorted`` on the phase's CDF: phases are looked up with
-    ``bisect`` over a list of phase ends, every per-phase constant is
-    resolved before the loop, and the six arrays are built once at the end.
+    ``bisect`` over a list of phase ends, and every per-phase constant is
+    resolved before the loop.  The columns stay the lists drawn; each becomes
+    an array only when read as one (see :class:`RequestSchedule`).
     """
     if requests < 0:
         raise ValueError("requests must be non-negative")
@@ -418,12 +455,6 @@ def generate_schedule(
         think_times.append(think_lo + (think_hi - think_lo) * rng_random())
 
     return RequestSchedule(
-        arrival_us=np.array(arrivals, dtype=np.float64),
-        lock_index=np.array(lock_index, dtype=np.int64),
-        is_write=np.array(is_write, dtype=np.bool_),
-        cs_us=np.array(cs_times, dtype=np.float64),
-        think_us=np.array(think_times, dtype=np.float64),
-        phase=np.array(phase_ids, dtype=np.int64),
-        num_locks=num_locks,
-        num_phases=len(phases),
+        arrivals, lock_index, is_write, cs_times, think_times, phase_ids,
+        num_locks=num_locks, num_phases=len(phases),
     )

@@ -173,15 +173,9 @@ def make_open_loop_program(
         if observer is not None:
             # The oracles' invariants are per lock; watch the hottest entry.
             handle.observe(observer, index=0)
-        schedule = generate_schedule(
+        arrivals, lock_ids, roles, cs_times, think_times, phase_ids = generate_schedule(
             scenario, seed, ctx.rank, requests, fw_default, lane=lane
-        )
-        arrivals = schedule.arrival_us.tolist()
-        lock_ids = schedule.lock_index.tolist()
-        roles = schedule.is_write.tolist()
-        cs_times = schedule.cs_us.tolist()
-        think_times = schedule.think_us.tolist()
-        phase_ids = schedule.phase.tolist()
+        ).columns()
 
         now = ctx.now
         table_lock = handle.lock
@@ -302,13 +296,9 @@ def _make_adaptive_program(
             # The oracles' invariants are per lock; watch the hottest entry.
             # The observer survives swaps: rebuilt handles re-wrap with it.
             handle.observe(observer, index=0)
-        schedule = generate_schedule(scenario, seed, ctx.rank, requests, fw_default)
-        arrivals = schedule.arrival_us.tolist()
-        lock_ids = schedule.lock_index.tolist()
-        roles = schedule.is_write.tolist()
-        cs_times = schedule.cs_us.tolist()
-        think_times = schedule.think_us.tolist()
-        phase_ids = schedule.phase.tolist()
+        arrivals, lock_ids, roles, cs_times, think_times, phase_ids = generate_schedule(
+            scenario, seed, ctx.rank, requests, fw_default
+        ).columns()
 
         now = ctx.now
         table_lock = handle.lock

@@ -5,11 +5,14 @@ them (one per key, vertex, bucket, ...).  :func:`build_lock_table` turns any
 registered ``@register_scheme`` lock into such a table:
 
 * **Replicated tables** (:class:`LockTableSpec`) — for every harness-capable
-  scheme the builder's spec is instantiated once per table entry, each copy
-  re-based at its own window offset (every built-in spec is a frozen
-  dataclass with a ``base_offset`` field, so ``dataclasses.replace`` re-runs
-  the layout allocator).  Specs with a ``home_rank``/``tail_rank`` field get
-  their home rotated round-robin across ranks, so the table's hot spots are
+  scheme the table is a *template*: the builder's spec, the slab stride and
+  the home rotation.  Entry ``i``'s spec is that spec re-based at offset
+  ``i * stride`` (every built-in spec is a frozen dataclass with a
+  ``base_offset`` field, so ``dataclasses.replace`` re-runs the layout
+  allocator), derived the first time entry ``i`` is touched and memoized —
+  a run pays one ``replace`` per entry its ranks use, not one per entry of
+  the table.  Specs with a ``home_rank``/``tail_rank`` field get their home
+  rotated round-robin across ranks, so the table's hot spots are
   distributed the way a real lock service would shard them.
 * **Striped tables** (:class:`StripedLockTableSpec`) — the DHT's per-volume
   striped lock (``striped-rw``) already *is* a lock table with one stripe per
@@ -17,7 +20,8 @@ registered ``@register_scheme`` lock into such a table:
   (``key % P``) and binds a plain RW facade per accessed entry, reusing
   :class:`~repro.dht.striped_lock.StripeBoundRWLockHandle`.
 
-Every table entry is a :class:`TableEntry` — a mutable *scheme slot* holding
+Every table entry is a :class:`TableEntry` — a mutable *scheme slot*, also
+created on first touch, holding
 the entry's placed spec, its slab geometry (``base_offset``/``stride``) and a
 version counter.  ``entry.swap_spec(new_spec)`` re-places a different lock
 scheme (or the same scheme with different thresholds) into the entry's slab;
@@ -31,15 +35,18 @@ collective, bit-reproducible virtual-time event.
 Both table specs follow the ordinary :class:`~repro.core.lock_base.LockSpec`
 surface (``window_words``/``init_window``/``make``), so the benchmark
 harness, the runtimes and ``Cluster.session`` treat a whole table exactly
-like a single lock.  Handles are created lazily per accessed entry — under
-Zipf skew most of a 1024-entry table is never touched by a given rank.
+like a single lock.  Entry specs, slots and handles are all created lazily
+per accessed entry — under Zipf skew most of a 1024-entry table is never
+touched by a given rank, and at P=64 a whole ``traffic-zipf`` point touches
+about a third of it.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,23 +253,23 @@ class LockTableHandle:
     def __init__(self, table: "LockTableSpec | StripedLockTableSpec", ctx: ProcessContext):
         self.table = table
         self.ctx = ctx
-        self._handles: Dict[int, LockHandle] = {}
-        self._versions: Dict[int, int] = {}
+        #: ``index -> (entry, entry version the handle was built for, handle)``.
+        self._slots: Dict[int, Tuple[TableEntry, int, LockHandle]] = {}
         self._observers: Dict[int, Any] = {}
 
     def lock(self, index: int) -> LockHandle:
         """The handle guarding table entry ``index`` (built on first use)."""
+        slot = self._slots.get(index)
+        if slot is not None and slot[0].version == slot[1]:
+            return slot[2]
         entry = self.table.entry(index)
-        handle = self._handles.get(index)
-        if handle is None or self._versions.get(index) != entry.version:
-            handle = self._build_entry(entry)
-            observer = self._observers.get(index)
-            if observer is not None:
-                from repro.verification.oracles import observe_lock
+        handle = self._build_entry(entry)
+        observer = self._observers.get(index)
+        if observer is not None:
+            from repro.verification.oracles import observe_lock
 
-                handle = observe_lock(handle, self.ctx, observer)
-            self._handles[index] = handle
-            self._versions[index] = entry.version
+            handle = observe_lock(handle, self.ctx, observer)
+        self._slots[index] = (entry, entry.version, handle)
         return handle
 
     def _build_entry(self, entry: TableEntry) -> LockHandle:
@@ -281,21 +288,82 @@ class LockTableHandle:
         (the hottest, most contended entry).
         """
         self._observers[index] = observer
-        self._handles.pop(index, None)
-        self._versions.pop(index, None)
+        self._slots.pop(index, None)
         self.lock(index)
+
+
+class _DerivedSpecs(collections.abc.Sequence):
+    """The entry specs of a table from :func:`build_lock_table`, derived on use.
+
+    Entry 0 is the builder's spec as built; entry ``i`` is that spec with
+    ``base_offset`` moved to ``i * stride`` and every ``rotated`` home field
+    set to ``i % nranks`` — one ``dataclasses.replace``, made the first time
+    index ``i`` is read and memoized.  The sequence holds no reference to its
+    table: derived state must not form a cycle, or every table would outlive
+    its run until the cyclic collector found it.
+    """
+
+    __slots__ = ("base", "stride", "rotated", "nranks", "_len", "_memo")
+
+    def __init__(
+        self, base: LockSpec, num_locks: int, stride: int, rotated: Tuple[str, ...], nranks: int
+    ):
+        self.base = base
+        self.stride = stride
+        self.rotated = rotated
+        self.nranks = nranks
+        self._len = num_locks
+        self._memo: Dict[int, LockSpec] = {0: base}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self._len)))
+        spec = self._memo.get(index)
+        if spec is None:
+            index = range(self._len)[index]  # a tuple's IndexError / TypeError
+            spec = self._memo.get(index)
+            if spec is None:
+                homes = {name: index % self.nranks for name in self.rotated}
+                spec = self._memo[index] = dataclasses.replace(
+                    self.base, base_offset=index * self.stride, **homes
+                )
+        return spec
+
+    def _key(self) -> tuple:
+        return (self.base, self._len, self.stride, self.rotated, self.nranks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _DerivedSpecs):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"_DerivedSpecs(base={self.base!r}, num_locks={self._len}, "
+            f"stride={self.stride}, rotated={self.rotated}, nranks={self.nranks})"
+        )
 
 
 @dataclass(frozen=True)
 class LockTableSpec(LockSpec):
     """``num_locks`` independent instances of one scheme, stacked in the window.
 
-    ``specs`` is the *construction-time* entry tuple (immutable; it feeds
-    ``init_window`` and the window layout).  The live scheme slots are the
-    derived ``entries`` tuple of :class:`TableEntry` objects, which the
-    adaptive control plane may mutate mid-run; ``reset_entries()`` restores
-    the construction state (rank programs call it at run start so a table
-    object can be reused across runs bit-identically).
+    ``specs`` is the *construction-time* entry sequence (immutable; it feeds
+    ``init_window`` and the window layout): a tuple for a hand-built
+    ``LockTableSpec(specs=...)``, and for a table from
+    :func:`build_lock_table` a template whose entry specs are derived on
+    first read and memoized.  The live scheme slots are :class:`TableEntry`
+    objects, created the first time ``entry(index)`` is asked for from
+    ``specs[index]`` (one path for both kinds), which the adaptive control
+    plane may mutate mid-run; ``reset_entries()`` restores the construction
+    state (rank programs call it at run start so a table object can be
+    reused across runs bit-identically).
 
     ``min_entry_words`` floors every entry's slab size so a swap can place a
     scheme with a larger window footprint than the construction scheme.
@@ -306,25 +374,27 @@ class LockTableSpec(LockSpec):
     ``spec.init_window(rank)`` per *group* of entries that differ only in
     ``base_offset`` (one group, or one per rotated home), not one per entry:
     the group's first entry is evaluated and its words are tiled over the
-    group's slabs.  That relies on the **rebasing convention** —
-    ``replace(spec, base_offset=b).init_window(r)`` is ``spec.init_window(r)``
-    with every offset moved by ``b``, all inside the entry's slab — which is
-    checked against the group's last entry whenever a tile is built.  Tiles
-    are read-only :class:`~repro.rma.window.WindowImage` arrays, memoized by
-    content: a table with one group returns the one shared image, a table
-    with several returns their concatenation, and ``Window.load`` stores
-    either with one fancy assignment.  A table that fails the check, and any
-    hand-built ``LockTableSpec(specs=...)``, is initialized by merging every
-    entry's init into a dict, conflicting offsets rejected.
+    group's slabs, whose bases follow from the stride.  That relies on the
+    **rebasing convention** — ``replace(spec, base_offset=b).init_window(r)``
+    is ``spec.init_window(r)`` with every offset moved by ``b``, all inside
+    the entry's slab — which is checked against the group's last entry
+    whenever a tile is built; the two are the only entry specs
+    ``init_window`` derives.  Tiles are read-only
+    :class:`~repro.rma.window.WindowImage` arrays, memoized by content: a
+    table with one group returns the one shared image, a table with several
+    returns their concatenation, and ``Window.load`` stores either with one
+    fancy assignment.  A table that fails the check, and any hand-built
+    ``LockTableSpec(specs=...)``, is initialized by merging every entry's
+    init into a dict, conflicting offsets rejected.
     """
 
-    specs: Tuple[LockSpec, ...]
+    specs: Sequence[LockSpec]
     rw: bool = False
     scheme: str = ""
     nranks: int = 0
     min_entry_words: int = 0
-    entries: Tuple[TableEntry, ...] = field(
-        default=(), init=False, compare=False, repr=False
+    _entries: Dict[int, TableEntry] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
     #: Recorded by :func:`build_lock_table`: index ranges of entries that
     #: differ only in ``base_offset``.  ``None``: no such structure is known.
@@ -334,37 +404,38 @@ class LockTableSpec(LockSpec):
     _tiles: Dict[Any, WindowImage] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Each tile group's first ``init_window``, bound on the first tiled init.
+    _group_inits: Optional[list] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.specs:
             raise ValueError("a lock table needs at least one entry")
-        entries = []
-        for index, spec in enumerate(self.specs):
-            base = int(getattr(spec, "base_offset", 0))
-            stride = max(spec.window_words - base, int(self.min_entry_words))
-            entries.append(
-                TableEntry(
-                    index,
-                    base,
-                    stride,
-                    spec,
-                    self.rw,
-                    self.scheme,
-                    nranks=self.nranks or None,
-                )
-            )
-        object.__setattr__(self, "entries", tuple(entries))
+        if not isinstance(self.specs, _DerivedSpecs):
+            object.__setattr__(self, "specs", tuple(self.specs))
 
     @property
     def num_locks(self) -> int:
         return len(self.specs)
+
+    def _slab(self, index: int) -> Tuple[int, int]:
+        """``(base_offset, stride)`` of entry ``index``'s slab."""
+        specs = self.specs
+        if isinstance(specs, _DerivedSpecs):
+            return index * specs.stride, specs.stride
+        spec = specs[index]
+        base = int(getattr(spec, "base_offset", 0))
+        return base, max(spec.window_words - base, int(self.min_entry_words))
 
     @property
     def window_words(self) -> int:
         # Entries are stacked at increasing base offsets; the last entry's
         # slab end covers the whole table (== the construction specs' maximum
         # window_words whenever min_entry_words does not inflate the slabs).
-        return max(entry.base_offset + entry.stride for entry in self.entries)
+        if isinstance(self.specs, _DerivedSpecs):
+            return self.num_locks * self.specs.stride
+        return max(sum(self._slab(index)) for index in range(self.num_locks))
 
     def init_window(self, rank: int) -> Mapping[int, int]:
         # Always the construction-time layout: runtimes initialize windows
@@ -379,17 +450,22 @@ class LockTableSpec(LockSpec):
     def _tiled_init(self, rank: int) -> Optional[WindowImage]:
         """``rank``'s init from one evaluation per tile group; ``None`` if not re-basable."""
         tiles = []
-        for group in self._tiling:
-            template = self.specs[group[0]].init_window(rank)
+        memo = self._tiles
+        inits = self._group_inits
+        if inits is None:
+            inits = [self.specs[group[0]].init_window for group in self._tiling]
+            object.__setattr__(self, "_group_inits", inits)
+        for group, init in zip(self._tiling, inits):
+            template = init(rank)
             # Memoized by content, so ranks with equal inits share the tile.
             key = (group[0], tuple(template.items()))
-            tile = self._tiles.get(key)
+            tile = memo.get(key)
             if tile is None:
                 tile = self._tile(group, template, rank)
                 if tile is None:
                     object.__setattr__(self, "_tiling", None)
                     return None
-                self._tiles[key] = tile
+                memo[key] = tile
             tiles.append(tile)
         if len(tiles) == 1:
             return tiles[0]
@@ -409,14 +485,10 @@ class LockTableSpec(LockSpec):
             return None
         if len(group) == 1:
             return WindowImage(offsets, words)
-        slab = self.entries[group[0]]
-        if template and not (
-            slab.base_offset <= min(template)
-            and max(template) < slab.base_offset + slab.stride
-        ):
+        base, stride = self._slab(group[0])
+        if template and not (base <= min(template) and max(template) < base + stride):
             return None  # words outside the slab could collide with a neighbour's
-        bases = [self.entries[index].base_offset for index in group]
-        shifts = np.array(bases, dtype=np.int64) - slab.base_offset
+        shifts = np.arange(0, len(group) * group.step * stride, group.step * stride, dtype=np.int64)
         reach = int(shifts[-1])
         witness = self.specs[group[-1]].init_window(rank)
         if witness != {offset + reach: value for offset, value in template.items()}:
@@ -427,14 +499,23 @@ class LockTableSpec(LockSpec):
         return LockTableHandle(self, ctx)
 
     def entry(self, index: int) -> TableEntry:
-        """The mutable scheme slot of table entry ``index`` (range-checked)."""
-        if not 0 <= index < len(self.entries):
-            raise ValueError(f"lock index {index} out of range 0..{len(self.entries) - 1}")
-        return self.entries[index]
+        """The mutable scheme slot of table entry ``index`` (range-checked),
+        created from ``specs[index]`` on first use."""
+        entry = self._entries.get(index)
+        if entry is None:
+            if not 0 <= index < self.num_locks:
+                raise ValueError(f"lock index {index} out of range 0..{self.num_locks - 1}")
+            base, stride = self._slab(index)
+            entry = self._entries[index] = TableEntry(
+                index, base, stride, self.specs[index], self.rw, self.scheme,
+                nranks=self.nranks or None,
+            )
+        return entry
 
     def reset_entries(self) -> None:
-        """Restore every entry's construction-time scheme slot."""
-        for entry in self.entries:
+        """Restore every entry's construction-time scheme slot (an entry not
+        yet created is pristine)."""
+        for entry in self._entries.values():
             entry.reset()
 
 
@@ -508,8 +589,11 @@ def build_lock_table(
 ) -> Tuple[LockSpec, bool]:
     """Build a ``num_locks``-entry lock table of ``scheme``; returns ``(spec, is_rw)``.
 
-    Harness-capable schemes are replicated (:class:`LockTableSpec`); the
-    striped per-volume lock becomes a :class:`StripedLockTableSpec`.  A
+    Harness-capable schemes are replicated (:class:`LockTableSpec`) from a
+    template — the built spec, the slab stride and the home rotation — whose
+    entry specs are derived on first use, so building costs one scheme build
+    whatever ``num_locks`` is; the striped per-volume lock becomes a
+    :class:`StripedLockTableSpec`.  A
     third-party scheme joins tables automatically as long as its spec is a
     frozen dataclass with a ``base_offset`` field — the same layout
     convention every built-in lock follows.
@@ -556,16 +640,10 @@ def build_lock_table(
     # Rotate centralized homes across ranks so the table is sharded the way a
     # real lock service would place it (distributed schemes such as rma-rw
     # have no home field and are inherently spread already).
-    rotated = [name for name in ("home_rank", "tail_rank") if name in field_names]
-    specs = [base]
-    for index in range(1, num_locks):
-        overrides: Dict[str, Any] = {"base_offset": index * stride}
-        for name in rotated:
-            overrides[name] = index % nranks
-        specs.append(dataclasses.replace(base, **overrides))
+    rotated = tuple(name for name in ("home_rank", "tail_rank") if name in field_names)
     table = LockTableSpec(
-        specs=tuple(specs), rw=info.rw, scheme=scheme, nranks=nranks,
-        min_entry_words=min_entry_words,
+        specs=_DerivedSpecs(base, num_locks, stride, rotated, nranks),
+        rw=info.rw, scheme=scheme, nranks=nranks, min_entry_words=min_entry_words,
     )
     # Record what init_window tiles over: entries given the same home differ
     # only in base_offset.

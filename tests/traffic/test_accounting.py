@@ -86,6 +86,34 @@ class TestReservoir:
         with pytest.raises(ValueError):
             LatencyReservoir(cap=4)
 
+    def test_exact_up_to_twice_the_cap_then_decimated(self):
+        """The trigger is ``2 * cap``, not ``cap``: at ``cap=16`` the first 32
+        samples are all kept, in order, and the 33rd decimates."""
+        reservoir = LatencyReservoir(cap=16)
+        values = [float(v) for v in range(100, 133)]
+        for value in values[:32]:
+            reservoir.add_many((value,))
+        assert reservoir._samples == values[:32]
+        reservoir.add_many((values[32],))
+        assert reservoir.count == 33
+        assert len(reservoir._samples) <= 16 + 1
+        assert reservoir._samples[-1] == max(values)
+
+    @given(
+        before=st.integers(0, 40),
+        samples=st.lists(st.floats(0.0, 1e6), max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_add_each_is_one_add_many_per_sample(self, before, samples):
+        grouped, reference = LatencyReservoir(cap=16), LatencyReservoir(cap=16)
+        for reservoir in (grouped, reference):
+            reservoir.add_many([float(v) for v in range(before)])
+        grouped.add_each(samples)
+        for sample in samples:
+            reference.add_many((sample,))
+        assert grouped._samples == reference._samples
+        assert grouped.count == reference.count
+
 
 class TestAggregate:
     def _returns(self):
@@ -142,6 +170,86 @@ class TestAggregate:
         assert summary.requests == 0
         assert summary.offered_per_s == 0.0
         assert summary.phases == []
+
+
+def _per_sample_phases(returns, reservoir_cap):
+    """The per-phase fold ``aggregate_traffic`` replaced, one sample at a
+    time: ``(span_lo, span_hi, {phase: (count, writes, lo, hi, samples)})``."""
+    span_lo, span_hi = np.inf, -np.inf
+    rows = {}
+    for per_rank in returns:
+        arrivals = per_rank.get("arrivals", ())
+        e2e = per_rank.get("latencies", ())
+        phases = per_rank.get("phases", ())
+        rank_writes = per_rank.get("write_flags", ())
+        for i in range(len(e2e)):
+            arrival = float(arrivals[i]) if i < len(arrivals) else 0.0
+            done = arrival + float(e2e[i])
+            span_lo = min(span_lo, arrival)
+            span_hi = max(span_hi, done)
+            phase = int(phases[i]) if i < len(phases) else 0
+            if phase not in rows:
+                rows[phase] = [0, 0, arrival, done, LatencyReservoir(reservoir_cap)]
+            row = rows[phase]
+            row[4].add_many((float(e2e[i]),))
+            row[0] += 1
+            if i < len(rank_writes) and rank_writes[i]:
+                row[1] += 1
+            row[2] = min(row[2], arrival)
+            row[3] = max(row[3], done)
+    return span_lo, span_hi, {
+        phase: (count, writes, lo, hi, res._samples)
+        for phase, (count, writes, lo, hi, res) in rows.items()
+    }
+
+
+class TestGroupedPhaseFold:
+    """``aggregate_traffic`` folds each (rank, phase) run at once; it must
+    decimate the phase reservoirs at exactly the samples a per-sample fold
+    does, and agree with it on every count and span."""
+
+    @staticmethod
+    def _rank(rng, n, phase_runs, short_by=0):
+        phases = np.repeat(rng.integers(0, 3, size=phase_runs), n // phase_runs + 1)[:n]
+        return {
+            "arrivals": list(np.cumsum(rng.exponential(1.0, size=n - short_by))),
+            "latencies": list(rng.exponential(5.0, size=n)),
+            "acquire_latencies": [1.0] * n,
+            "hold_us": [1.0] * n,
+            "phases": phases[: n - short_by].tolist(),
+            "write_flags": rng.integers(0, 2, size=n - short_by),
+            "reads": 0,
+            "writes": 0,
+        }
+
+    @pytest.mark.parametrize("phase_runs", [1, 3, 17])
+    def test_matches_the_per_sample_fold_past_twice_the_cap(self, monkeypatch, phase_runs):
+        import repro.traffic.accounting as accounting
+
+        rng = np.random.default_rng(phase_runs)
+        # 200 samples per rank over at most 3 phases: > 2 * cap = 32 per phase.
+        returns = [self._rank(rng, 200, phase_runs, short_by=rank % 2 * 7) for rank in range(4)]
+        span_lo, span_hi, reference = _per_sample_phases(returns, 16)
+        assert any(row[0] > 32 for row in reference.values())
+
+        created = []
+
+        class Recording(LatencyReservoir):
+            def __init__(self, cap):
+                super().__init__(cap)
+                created.append(self)
+
+        monkeypatch.setattr(accounting, "LatencyReservoir", Recording)
+        summary = aggregate_traffic(returns, reservoir_cap=16)
+        # The e2e and acquire reservoirs come first, then one per phase in
+        # order of first appearance, as in the reference.
+        assert [r._samples for r in created[2:]] == [row[4] for row in reference.values()]
+        assert summary.open_span_us == round(float(span_hi - span_lo), 6)
+        for row in summary.phases:
+            count, writes, lo, hi, samples = reference[row["phase"]]
+            assert (row["requests"], row["writes"]) == (count, writes)
+            assert row["span_us"] == round(float(hi - lo), 6)
+            assert row["e2e_p99_us"] == round(nearest_rank_percentiles(samples)["p99"], 6)
 
 
 class TestReservoirBoundParameter:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -298,6 +300,24 @@ def _tableable_schemes():
 TABLEABLE_SCHEMES = _tableable_schemes()
 
 
+def _eager_table(machine, scheme, num_locks, min_entry_words=0, params=None):
+    """The table as built before entries were derived on use: every entry
+    spec replicated up front, in a hand-built ``LockTableSpec(specs=...)``."""
+    info = get_scheme(scheme)
+    base = info.build(machine, **dict(params or {}))
+    nranks = machine.num_processes
+    stride = max(base.window_words, min_entry_words)
+    rotated = [name for name in ("home_rank", "tail_rank") if name in _init_fields(base)]
+    specs = [base] + [
+        dataclasses.replace(base, base_offset=i * stride, **{name: i % nranks for name in rotated})
+        for i in range(1, num_locks)
+    ]
+    return LockTableSpec(
+        specs=tuple(specs), rw=info.rw, scheme=scheme, nranks=nranks,
+        min_entry_words=min_entry_words,
+    )
+
+
 def _reference_init(table, rank):
     if isinstance(table, StripedLockTableSpec):
         return dict(table.inner.init_window(rank))
@@ -438,11 +458,12 @@ def toy_scheme():
 
 
 class TestNonRebasableTables:
-    """Specs that break the convention get the per-entry merge (or its error)."""
+    """Specs that break the convention get the per-entry merge (or its error),
+    on a derived table exactly as on the eagerly built one."""
 
     def _tables(self, machine, scheme, mode):
         built, _ = build_lock_table(machine, scheme, 4, params={"mode": mode})
-        return built, LockTableSpec(specs=built.specs)
+        return built, _eager_table(machine, scheme, 4, params={"mode": mode})
 
     def test_stuck_offsets_are_merged_not_tiled(self, machine, toy_scheme):
         for table in self._tables(machine, toy_scheme, "stuck"):
@@ -472,3 +493,141 @@ class TestNonRebasableTables:
             assert table.init_window(0) == {0: -1, 2: -1, 4: -1, 6: -1}
             assert table.init_window(1) == {0: 7}
             assert table.init_window(0) == {0: -1, 2: -1, 4: -1, 6: -1}
+
+
+# --------------------------------------------------------------------------- #
+# Derived entries: a table from build_lock_table equals the eager one
+# --------------------------------------------------------------------------- #
+
+
+def _outcome(call):
+    """``call()``'s value, or its error's type and message."""
+    try:
+        return ("ok", call())
+    except ValueError as error:
+        return ("error", str(error))
+
+
+def _slot_history(table, machine):
+    """Swap, re-home, reinstall and reset some of ``table``'s slots; what each
+    step returned and what every slot then holds."""
+    n, nranks = table.num_locks, machine.num_processes
+    target = get_scheme("d-mcs").build(machine)
+    steps = [
+        _outcome(lambda: table.entry(3 % n).swap_spec(
+            target, rw=False, scheme="d-mcs", nranks=nranks, version=1)),
+        _outcome(lambda: table.entry(3 % n).swap_spec(target, version=1)),
+        _outcome(lambda: table.entry(5 % n).swap_spec(target, home_rank=nranks - 1)),
+        _outcome(lambda: table.entry(6 % n).reinstall(version=2)),
+        _outcome(lambda: table.entry(6 % n).reinstall(version=2)),
+    ]
+
+    def slots():
+        return [
+            (e.spec, e.base_offset, e.stride, e.rw, e.scheme, e.version, e.nranks)
+            for e in map(table.entry, range(n))
+        ]
+
+    swapped = slots()
+    table.reset_entries()
+    return steps, swapped, slots()
+
+
+class TestDerivedEntries:
+    @pytest.mark.parametrize("inflate", [0, 5])
+    @pytest.mark.parametrize("num_locks", [1, 7, 64])
+    @pytest.mark.parametrize("nprocs", [8, 16])
+    @pytest.mark.parametrize("scheme", [s for s in TABLEABLE_SCHEMES if s != "striped-rw"])
+    def test_a_derived_table_equals_the_eager_one(self, scheme, nprocs, num_locks, inflate):
+        machine = xc30_like(nprocs, procs_per_node=4)
+        words = max(get_scheme(s).build(machine).window_words for s in (scheme, "d-mcs"))
+        floor = words + inflate if inflate else 0
+        derived, _ = build_lock_table(machine, scheme, num_locks, min_entry_words=floor)
+        eager = _eager_table(machine, scheme, num_locks, floor)
+        assert derived.window_words == eager.window_words
+        windows = [
+            allocate_windows(nprocs, table.window_words, table.init_window)
+            for table in (derived, eager)
+        ]
+        for rank in range(nprocs):
+            assert windows[0][rank]._mem.tobytes() == windows[1][rank]._mem.tobytes()
+        assert [derived.entry(i).spec for i in range(num_locks)] == list(eager.specs)
+        assert _slot_history(derived, machine) == _slot_history(eager, machine)
+
+    def test_entries_and_specs_are_made_on_first_touch(self, machine):
+        table, _ = build_lock_table(machine, "d-mcs", 64)
+        assert table._entries == {} and set(table.specs._memo) == {0}
+        table.entry(17)
+        assert set(table._entries) == {17} and set(table.specs._memo) == {0, 17}
+        for rank in range(machine.num_processes):
+            table.init_window(rank)
+        # init_window derives each tile group's first and last entry only.
+        groups = {group[0] for group in table._tiling} | {group[-1] for group in table._tiling}
+        assert set(table.specs._memo) == {0, 17} | groups
+        assert set(table._entries) == {17}
+        with pytest.raises(ValueError, match="out of range"):
+            table.entry(64)
+        assert table.specs[-1] == table.specs[63]
+        with pytest.raises(IndexError):
+            table.specs[64]
+
+    def test_a_table_is_freed_without_the_cycle_collector(self, machine):
+        """Derived state holds no reference back to its table."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            table, _ = build_lock_table(machine, "rma-mcs", 64)
+            for rank in range(machine.num_processes):
+                table.init_window(rank)
+            for index in (0, 5, 63):
+                table.entry(index).swap_spec(table.specs[0], version=1)
+            table.reset_entries()
+            alive = weakref.ref(table)
+            del table
+            assert alive() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("scheme", ["rma-mcs", "d-mcs"])
+    def test_a_traffic_point_derives_only_touched_entries(self, monkeypatch, scheme):
+        """Count guard: a ``traffic-zipf`` point at P=64 derives one spec per
+        entry its ranks touch plus each tile group's two init witnesses, and
+        creates no slot for an entry nobody touches."""
+        import repro.traffic.scenarios as scenarios
+        from repro.bench.harness import run_lock_benchmark_detailed
+        from repro.bench.workloads import LockBenchConfig
+        from repro.topology.builder import cached_machine
+        from repro.traffic.generators import generate_schedule
+
+        machine = cached_machine(64, 8)
+        tables = []
+
+        def recording(*args, **kwargs):
+            tables.append(build_lock_table(*args, **kwargs)[0])
+            return tables[-1], tables[-1].rw
+
+        spec_type = type(get_scheme(scheme).build(machine))
+        derived = []
+        replace = dataclasses.replace
+
+        def counting(spec, **changes):
+            if type(spec) is spec_type:
+                derived.append(changes.get("base_offset"))
+            return replace(spec, **changes)
+
+        monkeypatch.setattr(scenarios, "build_lock_table", recording)
+        monkeypatch.setattr(dataclasses, "replace", counting)
+        config = LockBenchConfig(
+            machine=machine, scheme=scheme, benchmark="traffic-zipf", iterations=12, fw=0.1
+        )
+        run_lock_benchmark_detailed(config)
+        (table,) = tables
+        scenario = scenarios.get_scenario("traffic-zipf")
+        touched = {0}  # the harness probes entry 0's handle kind
+        for rank in range(64):
+            schedule = generate_schedule(scenario, config.seed, rank, 12, config.fw)
+            touched.update(key % table.num_locks for key in schedule.lock_index.tolist())
+        assert set(table._entries) <= touched
+        assert len(derived) <= len(touched) + 2 * len(table._tiling)
+        assert len(touched) < table.num_locks // 2  # the guard is not vacuous

@@ -8,7 +8,8 @@ pivoted, paper-style tables).
 
 Sweep sizes default to a quick setting so the full benchmark suite finishes
 in a few minutes; set ``REPRO_BENCH_PROCS`` (e.g. ``"4 8 16 32 64"``) and
-``REPRO_BENCH_SCALE`` to enlarge them.
+``REPRO_BENCH_SCALE`` to enlarge them.  The drivers cache their points;
+the session's cache lives in a tmp dir (``tests.support.isolated_result_cache``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import os
 from typing import Sequence, Tuple
 
 import pytest
+
+from tests.support import isolated_result_cache  # noqa: F401 - autouse fixture
 
 
 def bench_process_counts() -> Tuple[int, ...]:

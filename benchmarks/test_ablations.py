@@ -20,7 +20,7 @@ def test_ablation_counter_placement(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.ablation_counter_placement(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -33,7 +33,7 @@ def test_ablation_flat_fabric(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.ablation_flat_latency(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -48,7 +48,7 @@ def test_ablation_locality_threshold(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.ablation_locality(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -61,7 +61,7 @@ def test_ablation_handoff_locality(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.ablation_handoff_locality(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -78,7 +78,7 @@ def test_ablation_fabric_link_contention(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.ablation_fabric_contention(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,7 @@ def _run_figure3(benchmark, bench_name: str, value: str):
             benchmarks=(bench_name,),
             process_counts=bench_process_counts(),
             iterations=bench_iterations(),
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )

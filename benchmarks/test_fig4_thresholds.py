@@ -24,7 +24,7 @@ def test_fig4a_tdc(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4a(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -37,7 +37,7 @@ def test_fig4b_tl_product(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4b(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -50,7 +50,7 @@ def test_fig4c_tl_split(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4c(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -63,7 +63,7 @@ def test_fig4d_tl_split_latency(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4d(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -76,7 +76,7 @@ def test_fig4e_tr(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4e(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -92,7 +92,7 @@ def test_fig4f_tr_fw(benchmark):
     rows = benchmark.pedantic(
         lambda: experiments.figure4f(
             process_counts=bench_process_counts(), iterations=bench_iterations()
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )

@@ -25,7 +25,7 @@ def _run(benchmark, figure: str):
             fw_values=(fw,),
             process_counts=bench_process_counts(),
             ops_per_process=max(6, bench_iterations() // 2),
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )

@@ -29,7 +29,7 @@ def test_related_mcs_throughput(benchmark):
             benchmarks=("ecsb",),
             process_counts=bench_process_counts(),
             iterations=bench_iterations(),
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )
@@ -51,7 +51,7 @@ def test_related_rw_throughput(benchmark):
             fw_values=(0.002,),
             process_counts=bench_process_counts(),
             iterations=bench_iterations(),
-        ),
+        ).rows,
         rounds=1,
         iterations=1,
     )

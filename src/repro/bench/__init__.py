@@ -1,4 +1,8 @@
-"""Benchmark harness, workloads and figure drivers for the paper's evaluation."""
+"""Benchmark harness, workloads and figure drivers for the paper's evaluation.
+
+The figure drivers live in :mod:`repro.bench.experiments`, imported on use
+(``from repro.bench import experiments``) so ``import repro.bench`` stays light.
+"""
 
 from repro.bench.ascii_plot import bar_chart, line_chart
 from repro.bench.export import rows_to_csv, rows_to_json, save_figure_rows
@@ -7,8 +11,6 @@ from repro.bench.harness import (
     build_lock_spec,
     default_scheduler,
     run_lock_benchmark,
-    set_default_scheduler,
-    using_scheduler,
 )
 from repro.bench.report import format_figure, format_table, pivot_rows, summarize_speedup
 from repro.bench.trace import (
@@ -32,7 +34,6 @@ from repro.bench.workloads import (
     bench_scale,
     default_process_counts,
 )
-from repro.bench import experiments
 
 __all__ = [
     "BENCHMARKS",
@@ -51,10 +52,7 @@ __all__ = [
     "build_lock_spec",
     "default_process_counts",
     "default_scheduler",
-    "set_default_scheduler",
-    "using_scheduler",
     "distance_breakdown",
-    "experiments",
     "format_figure",
     "format_table",
     "hottest_targets",

@@ -11,38 +11,39 @@ separable concerns:
   campaigns register at import time; ``repro campaign list/show/run`` surfaces
   them on the CLI.
 * **Parallel execution** — :func:`parallel_map` fans work out over a
-  ``multiprocessing`` pool (``jobs`` defaults to ``os.cpu_count()``).  Every
-  point carries its own seed and the simulator is fully deterministic, so a
+  process pool (``jobs`` defaults to ``os.cpu_count()``).  Every point
+  carries its own seed and the simulator is fully deterministic, so a
   parallel run produces rows bit-identical to a serial one; the executor
-  preserves submission order.  :func:`execute_tasks` is the same pool applied
-  to arbitrary benchmark tasks — the figure drivers' sweeps ride on it.
+  preserves submission order, and a worker that dies raises
+  ``BrokenProcessPool`` instead of hanging the sweep.
 * **Content-addressed result cache** — :class:`ResultCache` keys each point on
-  a SHA-256 of its canonical configuration plus the *golden fingerprint
-  epoch* (a hash of ``tests/rma/golden/seed_scheduler.json`` and the cache
-  schema version).  Re-running a campaign recomputes only new points; a
-  re-blessed golden file or schema bump invalidates everything at once.
+  a SHA-256 of its canonical configuration plus the *cache epoch*
+  (:func:`cache_epoch`: a hash of the cache schema version and of every
+  source file of the :mod:`repro` package).  Re-running a campaign recomputes
+  only new points; an edit to the code that computes a row, or a schema
+  bump, invalidates everything at once.
 
-Every suite (campaign, conformance, faults, traffic, tune, scale) runs its
-points through the same machinery: :func:`run_sweep` is the one cache →
-pool → store loop, :class:`SweepReport` the one report, :func:`bless_sweep`
-the one cold → warm → check → write bless flow, and
-:func:`write_manifest_json` the one manifest writer.  A suite supplies its
-points, its worker and its suite-specific results (``SweepReport.extra``).
+Every suite (campaign, conformance, faults, traffic, tune, scale, and the
+paper's figures in :mod:`repro.bench.experiments`) runs its points through
+the same machinery: :func:`run_sweep` is the one cache → pool → store loop,
+:class:`SweepReport` the one report, :func:`bless_sweep` the one cold → warm
+→ check → write bless flow, and :func:`write_manifest_json` the one manifest
+writer.  A suite supplies its points, its worker and its suite-specific
+results (``SweepReport.extra``).
 
 ``repro regress`` (:mod:`repro.bench.regress`) runs a campaign through this
 engine and gates its rows against the committed ``BENCH_campaign.json``.
 """
-
 from __future__ import annotations
 
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,14 +56,15 @@ from repro.api.registry import (
     get_scheme,
     scheme_names,
 )
-from repro.bench.harness import default_scheduler, run_lock_benchmark_detailed
+from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
+from repro.rma.fabric import FabricContentionModel
+from repro.rma.latency import LatencyModel
 from repro.topology.builder import cached_machine
 
 __all__ = [
     "BENCHMARK_SELECTORS",
     "SCHEME_SELECTORS",
-    "BenchTask",
     "BlessError",
     "CampaignPoint",
     "CampaignSpec",
@@ -71,12 +73,11 @@ __all__ = [
     "ResultCache",
     "SweepReport",
     "bless_sweep",
+    "cache_epoch",
     "campaign_names",
     "canonical_json",
     "default_jobs",
-    "execute_tasks",
     "get_campaign",
-    "golden_epoch",
     "parallel_map",
     "register_campaign",
     "render_campaign_figure",
@@ -144,7 +145,8 @@ SCHEME_SELECTORS: Tuple[str, ...] = (
 BENCHMARK_SELECTORS: Tuple[str, ...] = ("traffic", "traffic-rw", "scale")
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
-_GOLDEN_FILE = _REPO_ROOT / "tests" / "rma" / "golden" / "seed_scheduler.json"
+#: The installed :mod:`repro` package, whose sources are the cache epoch.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -297,6 +299,11 @@ class CampaignPoint:
     scheduler: str = "horizon"
     topology: str = "xc30"
     params: Tuple[Tuple[str, Any], ...] = ()
+    #: Network model beyond the default end-point latencies: ``"flat"`` (every
+    #: remote access costs the same) or ``"dragonfly-links"`` (shared link
+    #: contention).  Omitted from :meth:`describe` and :attr:`case` when empty,
+    #: so points without it keep their cache keys and baseline rows.
+    fabric: str = ""
     #: Module that registered the scheme; imported in pool workers so
     #: third-party locks survive spawn-based start methods (not part of the
     #: cache key — it names the provider, not the configuration).
@@ -322,11 +329,13 @@ class CampaignPoint:
             name += f"-{self.topology}"
         if self.params:
             name += "-" + "-".join(f"{k}={v}" for k, v in self.params)
+        if self.fabric:
+            name += f"-{self.fabric}"
         return name
 
     def describe(self) -> Dict[str, Any]:
         """Canonical JSON-able description (the cache-key input)."""
-        return {
+        described = {
             "scheme": self.scheme,
             "benchmark": self.benchmark,
             "procs": self.procs,
@@ -338,6 +347,9 @@ class CampaignPoint:
             "topology": self.topology,
             "params": {k: list(v) if isinstance(v, tuple) else v for k, v in self.params},
         }
+        if self.fabric:
+            described["fabric"] = self.fabric
+        return described
 
     def config(self) -> LockBenchConfig:
         _import_provider(self.provider)
@@ -636,111 +648,65 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], *, jobs: Option
     carries its own seed and the workers share no state.  ``fn`` and the items
     must be picklable (the pool uses the default start method; under
     ``spawn`` workers re-import :mod:`repro` and the lazy registries reload).
+    A worker that dies (killed, out of memory) raises
+    :class:`concurrent.futures.process.BrokenProcessPool`, a
+    :class:`RuntimeError`, rather than leaving the map waiting forever.
     """
     items = list(items)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     jobs = min(jobs, len(items))
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with multiprocessing.get_context().Pool(processes=jobs) as pool:
-        return pool.map(fn, items, chunksize=1)
+    # Imported here: the executor machinery costs ~1 MB of RSS that an
+    # inline sweep never needs.
+    from concurrent.futures import ProcessPoolExecutor
 
-
-@dataclass(frozen=True)
-class BenchTask:
-    """One unit of sweep work for :func:`execute_tasks`.
-
-    ``kind="lock"`` runs the lock microbenchmark harness on ``config`` (a
-    :class:`LockBenchConfig`); ``kind="dht"`` runs the Figure-6 hashtable
-    workload on a ``DHTWorkloadConfig``.  ``latency``/``fabric`` carry the
-    ablations' model overrides; ``scheduler`` pins the runtime backend of a
-    lock task (when ``None`` the submitter's process-wide default is captured
-    at submit time, so ``using_scheduler`` contexts survive the hop into pool
-    workers).  DHT tasks own their runtime construction and reject a
-    scheduler override.
-    """
-
-    config: Any
-    kind: str = "lock"
-    latency: Any = None
-    fabric: Any = None
-    scheduler: Optional[str] = None
-    #: Module that registered the scheme (filled in by :func:`execute_tasks`);
-    #: imported in pool workers so third-party locks survive spawn.
-    provider: str = ""
-
-
-def _execute_task(task: BenchTask) -> Any:
-    _import_provider(task.provider)
-    if task.kind == "dht":
-        if task.scheduler is not None:
-            # run_dht_benchmark owns its runtime construction; silently
-            # ignoring a requested backend would measure the wrong core.
-            raise ValueError("dht tasks do not support a scheduler override")
-        from repro.dht.workload import run_dht_benchmark
-
-        return run_dht_benchmark(task.config)
-    if task.kind != "lock":
-        raise ValueError(f"unknown bench task kind {task.kind!r}")
-    from repro.bench.harness import run_lock_benchmark
-
-    return run_lock_benchmark(
-        task.config,
-        latency_model=task.latency,
-        fabric=task.fabric,
-        scheduler=task.scheduler,
-    )
-
-
-def execute_tasks(tasks: Sequence[BenchTask], *, jobs: Optional[int] = None) -> List[Any]:
-    """Run benchmark tasks (possibly in parallel), preserving order.
-
-    Results are the same objects the inline calls would return
-    (:class:`~repro.bench.harness.LockBenchResult` /
-    ``DHTBenchOutcome``), bit-identical to a serial sweep.  The submitter's
-    process-wide default scheduler and each scheme's provider module are
-    captured here, so ``using_scheduler`` contexts and third-party
-    ``@register_scheme`` locks both survive the hop into pool workers
-    regardless of the multiprocessing start method.
-    """
-    scheduler = default_scheduler()
-    pinned = []
-    for task in tasks:
-        updates: Dict[str, Any] = {}
-        if task.kind == "lock" and task.scheduler is None:
-            updates["scheduler"] = scheduler
-        if not task.provider:
-            scheme = getattr(task.config, "scheme", "")
-            try:
-                builder = get_scheme(scheme).builder if scheme else None
-            except UnknownNameError:
-                builder = None
-            if builder is not None:
-                updates["provider"] = getattr(builder, "__module__", "") or ""
-        pinned.append(replace(task, **updates) if updates else task)
-    return parallel_map(_execute_task, pinned, jobs=jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------- #
 # Content-addressed result cache
 # --------------------------------------------------------------------------- #
 
-def golden_epoch() -> str:
-    """The cache epoch: hash of the golden fingerprints + the cache schema.
-
-    The golden file pins the observable behaviour of the deterministic
-    scheduler, so any change to it (a semantic re-bless) must invalidate every
-    cached campaign row; ``REPRO_CACHE_EPOCH`` overrides for tests.
-    """
-    env = os.environ.get("REPRO_CACHE_EPOCH")
-    if env:
-        return env
+@lru_cache(maxsize=None)
+def _source_epoch() -> str:
     digest = hashlib.sha256(f"schema:{CACHE_SCHEMA_VERSION}".encode())
-    if _GOLDEN_FILE.exists():
-        digest.update(_GOLDEN_FILE.read_bytes())
-    else:
-        digest.update(b"no-golden-file")
+    sources = {
+        path.relative_to(_PACKAGE_ROOT).as_posix(): path for path in _PACKAGE_ROOT.rglob("*.py")
+    }
+    for name in sorted(sources):
+        data = sources[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
     return digest.hexdigest()[:16]
+
+
+def cache_epoch() -> str:
+    """The cache epoch: a hash of the cache schema and the :mod:`repro` sources.
+
+    Every ``*.py`` file of the installed package (relative path and bytes) is
+    hashed once per process, so any edit to the code that computes a row
+    invalidates every cached row.  A third-party provider's own module is not
+    covered (``--refresh`` after editing one).  ``REPRO_CACHE_EPOCH``
+    overrides the hash.
+    """
+    return os.environ.get("REPRO_CACHE_EPOCH") or _source_epoch()
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a per-process tmp file and a rename.
+
+    A reader sees the old file or the new one, never a torn one: concurrent
+    writers of the same path never trip over each other's tmp file (the last
+    rename wins), and an interrupted write leaves the old file and no tmp.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class ResultCache:
@@ -751,7 +717,7 @@ class ResultCache:
     the epoch.  The default root is ``$REPRO_CACHE_DIR`` or
     ``<repo>/.repro-cache``; the default namespace is ``campaign`` (the
     conformance engine stores its verdict rows under ``conformance`` with the
-    same epoch machinery, so a golden re-bless invalidates both at once).
+    same epoch machinery, so a source edit invalidates both at once).
     Eviction is by epoch directory: stale epochs are never read again, so
     ``prune()`` (or ``rm -rf``) reclaims them.
     """
@@ -765,7 +731,7 @@ class ResultCache:
     ):
         root = Path(root or os.environ.get("REPRO_CACHE_DIR") or _REPO_ROOT / ".repro-cache")
         self.root = root / namespace
-        self.epoch = epoch or golden_epoch()
+        self.epoch = epoch or cache_epoch()
         self.dir = self.root / self.epoch
 
     def key(self, point: CampaignPoint) -> str:
@@ -786,12 +752,9 @@ class ResultCache:
         path = self.path(point)
         path.parent.mkdir(parents=True, exist_ok=True)
         stored = {k: v for k, v in row.items() if k != "cached"}
-        # Per-process tmp name + atomic rename: concurrent campaign processes
-        # computing the same point never tear a row or trip over each other's
-        # tmp file (the last rename wins with identical content).
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(stored, sort_keys=True))
-        tmp.replace(path)
+        # Concurrent campaign processes computing the same point write the
+        # same content; the atomic rename keeps a row from tearing.
+        _write_atomic(path, json.dumps(stored, sort_keys=True))
         return path
 
     def prune(self) -> int:
@@ -818,9 +781,21 @@ def run_point(point: CampaignPoint) -> Dict[str, Any]:
     Determinism fields (virtual-time metrics plus the full
     :func:`run_result_sha` fingerprint) are bit-exact functions of the point's
     seed; the trailing perf fields (host wall seconds, simulator ops/s) are
-    the only host-dependent entries.
+    the only host-dependent entries.  ``point.fabric`` swaps in the flat
+    latency model or adds Dragonfly link contention (two nodes per router,
+    two routers per group).
     """
-    bench, raw = run_lock_benchmark_detailed(point.config(), scheduler=point.scheduler)
+    config = point.config()
+    models: Dict[str, Any] = {}
+    if point.fabric == "flat":
+        models["latency_model"] = LatencyModel.flat(2.0)
+    elif point.fabric == "dragonfly-links":
+        models["fabric"] = FabricContentionModel.for_machine(
+            config.machine, nodes_per_router=2, routers_per_group=2
+        )
+    elif point.fabric:
+        raise ValueError(f"unknown fabric {point.fabric!r}; choices: flat, dragonfly-links")
+    bench, raw = run_lock_benchmark_detailed(config, scheduler=point.scheduler, **models)
     row: Dict[str, Any] = {
         "case": point.case,
         "scheme": point.scheme,
@@ -962,7 +937,7 @@ def run_sweep(
         wall_s=time.perf_counter() - t0,
         cache_hits=len(points) - len(todo),
         cache_misses=len(todo),
-        epoch=store.epoch if store is not None else golden_epoch(),
+        epoch=store.epoch if store is not None else cache_epoch(),
         workers=min(requested, len(todo)),
     )
 
@@ -1034,7 +1009,7 @@ def bless_sweep(
     if warm.cache_hits != warm.points:
         raise BlessError(
             f"warm {cold.suite} run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change (golden re-record, "
+            f"{warm.cache_hits} — did the cache epoch change (a source edit, "
             f"REPRO_CACHE_EPOCH) or a concurrent process prune the cache mid-bless?"
         )
     timing["warm_wall_s"] = round(warm.wall_s, 3)
@@ -1075,7 +1050,8 @@ def write_manifest_json(
     if timing is not None:
         payload["timing"] = dict(timing)
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Atomic: an interrupted --bless leaves the committed manifest as it was.
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

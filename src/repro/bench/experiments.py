@@ -1,8 +1,9 @@
 """Figure drivers: one function per figure of the paper's evaluation section.
 
 Every driver sweeps the relevant parameter(s), runs the benchmark harness on
-the simulated machine and returns flat row dictionaries (one per data point)
-that :mod:`repro.bench.report` can pivot into the same layout as the paper's
+the simulated machine and returns a :class:`~repro.bench.campaign.SweepReport`
+whose rows are flat dictionaries (one per data point) that
+:mod:`repro.bench.report` can pivot into the same layout as the paper's
 figures.  The absolute numbers come from the simulator's latency model, so
 only the *shape* of each figure (which scheme wins, where thresholds help,
 where the intra-/inter-node knee sits) is meaningful — see EXPERIMENTS.md.
@@ -15,28 +16,36 @@ Since the horizon scheduler made the simulator core several times faster
 than the seed scheduler, the default sweep extends to P = 128; pass
 ``process_counts`` or set ``REPRO_BENCH_PROCS`` to trim it.
 
-Execution: every driver builds its grid of configurations up front and hands
-them to the campaign executor (:func:`repro.bench.campaign.execute_tasks`),
-which fans the points out over a process pool — the big P=128 sweeps
-parallelize embarrassingly.  Each point carries its own seed and the
-simulator is deterministic, so the rows are bit-identical to the old serial
-loops regardless of ``jobs`` (default: all cores; set ``REPRO_JOBS=1`` or
-pass ``jobs=1`` to force the inline path).
+Execution: every driver builds its grid as
+:class:`~repro.bench.campaign.CampaignPoint`\\ s and runs it through
+:func:`~repro.bench.campaign.run_sweep` under suite ``"figures"``, with the
+result cache on.  Lock-figure points run through
+:func:`~repro.bench.campaign.run_point`, so a figure point that equals a
+campaign point is one cache entry; each figure row is that campaign row
+rounded by :func:`~repro.bench.harness.rounded_row`, plus the figure's own
+labels.  The DHT (Figure 6) and the hand-off ablation have their own workers
+and benchmark labels (``"dht"``, ``"handoff-locality"``), which keeps their
+points keyed apart from lock points.  Each point carries its own seed and
+the simulator is deterministic, so the rows are bit-identical regardless of
+``jobs``.  Every driver also takes :func:`~repro.bench.campaign.run_campaign`'s
+sweep keywords: ``jobs`` (default: all cores; ``REPRO_JOBS=1`` or ``jobs=1``
+runs inline), ``cache`` / ``cache_dir`` / ``refresh``, and ``scheduler``
+(the runtime every point names).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import scheme_names
-from repro.bench.campaign import BenchTask, execute_tasks
+from repro.api.registry import get_runtime, get_scheme, scheme_names
+from repro.bench.campaign import CampaignPoint, SweepReport, run_point, run_sweep
+from repro.bench.harness import rounded_row
 from repro.bench.workloads import (
     LockBenchConfig,
     bench_scale,
     default_process_counts,
 )
-from repro.dht.workload import DHTWorkloadConfig
-from repro.rma.latency import LatencyModel
 from repro.rma.runtime_base import BARRIER, COMPUTE
 from repro.topology.builder import cached_machine
 
@@ -76,23 +85,67 @@ def _machines(process_counts: Optional[Sequence[int]], procs_per_node: int) -> L
     return [(p, cached_machine(p, procs_per_node)) for p in counts]
 
 
-def _sweep(
-    tasks: Sequence[BenchTask],
-    metas: Sequence[Dict[str, object]],
-    jobs: Optional[int],
-) -> List[Row]:
-    """Execute the grid on the campaign pool and fold the metadata back in.
+def _point(
+    scheme: str,
+    benchmark: str,
+    procs: int,
+    procs_per_node: int,
+    iterations: int,
+    seed: int,
+    *,
+    fw: float = LockBenchConfig.fw,  # the harness default every figure ran at
+    fabric: str = "",
+    **params: Any,
+) -> CampaignPoint:
+    """One figure point; ``params`` are ``LockBenchConfig`` fields (t_l, t_dc, t_r)."""
+    return CampaignPoint(
+        scheme=scheme,
+        benchmark=benchmark,
+        procs=procs,
+        procs_per_node=procs_per_node,
+        iterations=iterations,
+        fw=fw,
+        seed=seed,
+        params=tuple(params.items()),
+        fabric=fabric,
+        provider=getattr(get_scheme(scheme).builder, "__module__", "") or "",
+    )
 
-    Tasks and metadata are parallel lists built in the driver's original
-    nested-loop order, so the returned rows match the old serial sweeps
-    element for element.
+
+def _lock_row(row: Row, meta: Row) -> Row:
+    """The figure row of a campaign row: its rounded metrics, then the labels
+    (and the sweep's transient ``cached`` marker)."""
+    return {**rounded_row(row), **meta, "cached": row["cached"]}
+
+
+def _labelled(*fields: str) -> Callable[[Row, Row], Row]:
+    """The projection of a worker row that is already a figure row: the
+    labels, then ``fields`` in order (a cached row comes back key-sorted)."""
+    return lambda row, meta: {**meta, **{k: row[k] for k in (*fields, "cached")}}
+
+
+def _figure(
+    name: str,
+    points: Sequence[CampaignPoint],
+    metas: Sequence[Row],
+    *,
+    worker: Callable[[CampaignPoint], Row] = run_point,
+    project: Callable[[Row, Row], Row] = _lock_row,
+    scheduler: Optional[str] = None,
+    **sweep: Any,
+) -> SweepReport:
+    """Run a figure's grid on the sweep engine; its rows become figure rows.
+
+    ``points`` and ``metas`` are parallel lists built in the driver's nested
+    loop order; ``project`` turns each worker row and its labels into the
+    figure row.
     """
-    rows: List[Row] = []
-    for result, meta in zip(execute_tasks(tasks, jobs=jobs), metas):
-        row = result.as_row()
-        row.update(meta)
-        rows.append(row)
-    return rows
+    if scheduler is not None:
+        get_runtime(scheduler)  # validate early, helpful UnknownNameError
+        points = [replace(point, scheduler=scheduler) for point in points]
+    report = run_sweep("figures", name, points, worker, **sweep)
+    report.rows = [project(row, meta) for row, meta in zip(report.rows, metas)]
+    return report
 
 
 def _default_tl(machine) -> Tuple[int, ...]:
@@ -119,28 +172,22 @@ def figure3(
     iterations: int = 20,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figures 3a-3e: the MCS-family comparison across all five microbenchmarks."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for benchmark in benchmarks:
         for p, machine in _machines(process_counts, procs_per_node):
             for scheme in scheme_names(category="mcs"):
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme=scheme,
-                    benchmark=benchmark,
-                    iterations=iters,
-                    t_l=_default_tl(machine),
-                    seed=seed,
+                points.append(
+                    _point(scheme, benchmark, p, procs_per_node, iters, seed, t_l=_default_tl(machine))
                 )
-                tasks.append(BenchTask(config=config))
                 metas.append(
                     {"figure": {"lb": "3a", "ecsb": "3b", "sob": "3c", "wcsb": "3d", "warb": "3e"}[benchmark]}
                 )
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure3", points, metas, **sweep)
 
 
 # --------------------------------------------------------------------------- #
@@ -155,30 +202,22 @@ def figure4a(
     fw: float = 0.02,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 2,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4a: impact of the distributed-counter stride ``T_DC`` (SOB, F_W=2%)."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for t_dc in t_dc_values:
             if t_dc > machine.num_processes:
                 continue
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-rw",
-                benchmark="sob",
-                iterations=iters,
-                fw=fw,
-                t_dc=t_dc,
-                t_l=_default_tl(machine),
-                t_r=32,
-                seed=seed,
+            points.append(
+                _point("rma-rw", "sob", p, procs_per_node, iters, seed, fw=fw,
+                       t_dc=t_dc, t_l=_default_tl(machine), t_r=32)
             )
-            tasks.append(BenchTask(config=config))
             metas.append({"figure": "4a", "t_dc": t_dc})
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure4a", points, metas, **sweep)
 
 
 def figure4b(
@@ -189,31 +228,24 @@ def figure4b(
     fw: float = 0.25,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 3,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4b: impact of the product of locality thresholds (SOB, F_W=25%)."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for product in tl_products:
             t_l2 = 4
             t_l1 = max(1, product // t_l2)
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-rw",
-                benchmark="sob",
-                iterations=iters,
-                fw=fw,
-                t_l=(t_l1, t_l2)[: machine.n_levels] if machine.n_levels >= 2 else (product,),
-                t_r=32,
-                seed=seed,
+            t_l = (t_l1, t_l2)[: machine.n_levels] if machine.n_levels >= 2 else (product,)
+            points.append(
+                _point("rma-rw", "sob", p, procs_per_node, iters, seed, fw=fw, t_l=t_l, t_r=32)
             )
-            tasks.append(BenchTask(config=config))
             metas.append(
                 {"figure": "4b", "tl_product": t_l1 * t_l2 if machine.n_levels >= 2 else product}
             )
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure4b", points, metas, **sweep)
 
 
 def _tl_splits(product: int = 32) -> List[Tuple[int, int]]:
@@ -230,30 +262,22 @@ def figure4c(
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 4,
     benchmark: str = "sob",
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4c: throughput for different splits of a fixed T_L product (SOB, F_W=25%)."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
+    figure = "4c" if benchmark == "sob" else "4d"
     for p, machine in _machines(process_counts, procs_per_node):
         for t_l2, t_l1 in _tl_splits(product):
             t_l = (t_l1, t_l2) if machine.n_levels >= 2 else (product,)
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-rw",
-                benchmark=benchmark,
-                iterations=iters,
-                fw=fw,
-                t_l=t_l[: machine.n_levels],
-                t_r=32,
-                seed=seed,
+            points.append(
+                _point("rma-rw", benchmark, p, procs_per_node, iters, seed, fw=fw,
+                       t_l=t_l[: machine.n_levels], t_r=32)
             )
-            tasks.append(BenchTask(config=config))
-            metas.append(
-                {"figure": "4c" if benchmark == "sob" else "4d", "tl_split": f"{t_l2}-{t_l1}"}
-            )
-    return _sweep(tasks, metas, jobs)
+            metas.append({"figure": figure, "tl_split": f"{t_l2}-{t_l1}"})
+    return _figure(f"figure{figure}", points, metas, **sweep)
 
 
 def figure4d(
@@ -264,8 +288,8 @@ def figure4d(
     product: int = 32,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 5,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4d: latency for different splits of a fixed T_L product (LB, F_W=25%)."""
     return figure4c(
         process_counts,
@@ -275,7 +299,7 @@ def figure4d(
         procs_per_node=procs_per_node,
         seed=seed,
         benchmark="lb",
-        jobs=jobs,
+        **sweep,
     )
 
 
@@ -287,27 +311,20 @@ def figure4e(
     fw: float = 0.002,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 6,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4e: impact of the reader threshold ``T_R`` (ECSB, F_W=0.2%)."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for t_r in t_r_values:
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-rw",
-                benchmark="ecsb",
-                iterations=iters,
-                fw=fw,
-                t_l=_default_tl(machine),
-                t_r=t_r,
-                seed=seed,
+            points.append(
+                _point("rma-rw", "ecsb", p, procs_per_node, iters, seed, fw=fw,
+                       t_l=_default_tl(machine), t_r=t_r)
             )
-            tasks.append(BenchTask(config=config))
             metas.append({"figure": "4e", "t_r": t_r})
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure4e", points, metas, **sweep)
 
 
 def figure4f(
@@ -318,28 +335,21 @@ def figure4f(
     iterations: int = 16,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 7,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figure 4f: interaction of ``T_R`` with the writer fraction (ECSB, F_W in {2%, 5%})."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for fw in fw_values:
             for t_r in t_r_values:
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme="rma-rw",
-                    benchmark="ecsb",
-                    iterations=iters,
-                    fw=fw,
-                    t_l=_default_tl(machine),
-                    t_r=t_r,
-                    seed=seed,
+                points.append(
+                    _point("rma-rw", "ecsb", p, procs_per_node, iters, seed, fw=fw,
+                           t_l=_default_tl(machine), t_r=t_r)
                 )
-                tasks.append(BenchTask(config=config))
                 metas.append({"figure": "4f", "t_r": t_r, "series": f"{t_r}-{fw * 100:g}%"})
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure4f", points, metas, **sweep)
 
 
 # --------------------------------------------------------------------------- #
@@ -354,40 +364,52 @@ def figure5(
     iterations: int = 20,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 8,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figures 5a-5c: RMA-RW against the centralized foMPI-RW baseline."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     figure_names = {"lb": "5a", "ecsb": "5b", "sob": "5c"}
     for benchmark in benchmarks:
         for p, machine in _machines(process_counts, procs_per_node):
             for fw in fw_values:
                 for scheme in ("rma-rw", "fompi-rw"):
-                    config = LockBenchConfig(
-                        machine=machine,
-                        scheme=scheme,
-                        benchmark=benchmark,
-                        iterations=iters,
-                        fw=fw,
-                        t_l=_default_tl(machine),
-                        t_r=64,
-                        seed=seed,
+                    points.append(
+                        _point(scheme, benchmark, p, procs_per_node, iters, seed, fw=fw,
+                               t_l=_default_tl(machine), t_r=64)
                     )
-                    tasks.append(BenchTask(config=config))
                     metas.append(
-                        {
-                            "figure": figure_names.get(benchmark, "5"),
-                            "series": f"{scheme} {fw * 100:g}%",
-                        }
+                        {"figure": figure_names.get(benchmark, "5"), "series": f"{scheme} {fw * 100:g}%"}
                     )
-    return _sweep(tasks, metas, jobs)
+    return _figure("figure5", points, metas, **sweep)
 
 
 # --------------------------------------------------------------------------- #
 # Figure 6: distributed hashtable
 # --------------------------------------------------------------------------- #
+
+def _dht_row(point: CampaignPoint) -> Row:
+    """Run one Figure-6 point (``iterations`` = operations per process)."""
+    from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark
+
+    config = DHTWorkloadConfig(
+        machine=cached_machine(point.procs, point.procs_per_node, point.topology),
+        scheme=point.scheme,  # type: ignore[arg-type]
+        ops_per_process=point.iterations,
+        fw=point.fw,
+        seed=point.seed,
+        **dict(point.params),
+    )
+    outcome = run_dht_benchmark(config, scheduler=point.scheduler)
+    return {
+        "total_time_s": round(outcome.total_time_s, 6),
+        "total_time_us": round(outcome.total_time_us, 1),
+        "ops": outcome.total_ops,
+        "inserts": outcome.inserts,
+        "lookups": outcome.lookups,
+    }
+
 
 def figure6(
     fw_values: Sequence[float] = (0.2, 0.05, 0.02, 0.0),
@@ -396,41 +418,26 @@ def figure6(
     ops_per_process: int = 12,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 9,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Figures 6a-6d: DHT total time for foMPI-A, foMPI-RW and RMA-RW."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     ops = _iterations(ops_per_process)
     figure_names = {0.2: "6a", 0.05: "6b", 0.02: "6c", 0.0: "6d"}
     for fw in fw_values:
         for p, machine in _machines(process_counts, procs_per_node):
             for scheme in ("fompi-a", "fompi-rw", "rma-rw"):
-                config = DHTWorkloadConfig(
-                    machine=machine,
-                    scheme=scheme,  # type: ignore[arg-type]
-                    ops_per_process=ops,
-                    fw=fw,
-                    seed=seed,
-                    t_l=_default_tl(machine),
-                    t_r=64,
+                points.append(
+                    CampaignPoint(
+                        scheme=scheme, benchmark="dht", procs=p, procs_per_node=procs_per_node,
+                        iterations=ops, fw=fw, seed=seed,
+                        params=(("t_l", _default_tl(machine)), ("t_r", 64)),
+                    )
                 )
-                tasks.append(BenchTask(config=config, kind="dht"))
                 metas.append({"figure": figure_names.get(fw, "6"), "scheme": scheme, "P": p, "fw": fw})
-    rows: List[Row] = []
-    for outcome, meta in zip(execute_tasks(tasks, jobs=jobs), metas):
-        row: Row = dict(meta)
-        row.update(
-            {
-                "total_time_s": round(outcome.total_time_s, 6),
-                "total_time_us": round(outcome.total_time_us, 1),
-                "ops": outcome.total_ops,
-                "inserts": outcome.inserts,
-                "lookups": outcome.lookups,
-            }
-        )
-        rows.append(row)
-    return rows
+    project = _labelled("total_time_s", "total_time_us", "ops", "inserts", "lookups")
+    return _figure("figure6", points, metas, worker=_dht_row, project=project, **sweep)
 
 
 # --------------------------------------------------------------------------- #
@@ -444,11 +451,11 @@ def ablation_counter_placement(
     fw: float = 0.02,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 11,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Single centralized counter vs one counter per node (why the DC exists)."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         placements = {
@@ -456,20 +463,12 @@ def ablation_counter_placement(
             "dc-single": machine.num_processes,
         }
         for label, t_dc in placements.items():
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-rw",
-                benchmark="sob",
-                iterations=iters,
-                fw=fw,
-                t_dc=t_dc,
-                t_l=_default_tl(machine),
-                t_r=32,
-                seed=seed,
+            points.append(
+                _point("rma-rw", "sob", p, procs_per_node, iters, seed, fw=fw,
+                       t_dc=t_dc, t_l=_default_tl(machine), t_r=32)
             )
-            tasks.append(BenchTask(config=config))
             metas.append({"figure": "ablation-dc", "series": label})
-    return _sweep(tasks, metas, jobs)
+    return _figure("ablation_counter_placement", points, metas, **sweep)
 
 
 def ablation_flat_latency(
@@ -478,37 +477,68 @@ def ablation_flat_latency(
     iterations: int = 16,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 12,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Topology-aware RMA-MCS vs D-MCS on hierarchical and on flat fabrics.
 
     On a flat fabric (every remote access costs the same) the locality
     thresholds cannot help, so the RMA-MCS advantage should shrink.
     """
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
-    fabrics = {"hierarchical": LatencyModel.cray_xc30(), "flat": LatencyModel.flat(2.0)}
-    for fabric_name, latency in fabrics.items():
+    for fabric_name, fabric in (("hierarchical", ""), ("flat", "flat")):
         for p, machine in _machines(process_counts, procs_per_node):
             for scheme in ("d-mcs", "rma-mcs"):
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme=scheme,
-                    benchmark="ecsb",
-                    iterations=iters,
-                    t_l=_default_tl(machine),
-                    seed=seed,
+                points.append(
+                    _point(scheme, "ecsb", p, procs_per_node, iters, seed, fabric=fabric,
+                           t_l=_default_tl(machine))
                 )
-                tasks.append(BenchTask(config=config, latency=latency))
                 metas.append(
-                    {
-                        "figure": "ablation-fabric",
-                        "series": f"{scheme} ({fabric_name})",
-                        "fabric": fabric_name,
-                    }
+                    {"figure": "ablation-fabric", "series": f"{scheme} ({fabric_name})", "fabric": fabric_name}
                 )
-    return _sweep(tasks, metas, jobs)
+    return _figure("ablation_flat_latency", points, metas, **sweep)
+
+
+def _handoff_row(point: CampaignPoint) -> Row:
+    """Run RMA-MCS with a grant ledger and read the hand-off locality back."""
+    from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock, locality_report
+    from repro.core.rma_mcs import RMAMCSLockSpec
+
+    machine = cached_machine(point.procs, point.procs_per_node, point.topology)
+    iters = point.iterations
+    lock_spec = RMAMCSLockSpec(machine, t_l=dict(point.params)["t_l"])
+    ledger = GrantLedgerSpec(capacity=point.procs * iters, base_offset=lock_spec.window_words)
+    runtime = get_runtime(point.scheduler).factory(
+        machine, window_words=ledger.window_words, seed=point.seed
+    )
+
+    def window_init(rank):
+        values = dict(lock_spec.init_window(rank))
+        values.update(ledger.init_window(rank))
+        return values
+
+    def program(ctx):
+        lock = InstrumentedLock(lock_spec.make(ctx), ledger, ctx)
+        yield (BARRIER,)
+        start = ctx.now()
+        for _ in range(iters):
+            yield from lock.acquire_steps()
+            yield (COMPUTE, 0.2)
+            yield from lock.release_steps()
+        end = ctx.now()
+        yield (BARRIER,)
+        return end - start
+
+    result = runtime.run(program, window_init=window_init)
+    grants = ledger.read_grants_from_window(runtime.window(ledger.home_rank))
+    report = locality_report(machine, grants)
+    elapsed = max(result.returns)
+    return {
+        "throughput_mln_s": round(point.procs * iters / elapsed, 4) if elapsed > 0 else 0.0,
+        "node_locality_pct": round(report.node_locality * 100, 1),
+        "grants": report.recorded_grants,
+    }
 
 
 def ablation_handoff_locality(
@@ -518,64 +548,27 @@ def ablation_handoff_locality(
     iterations: int = 12,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 14,
-    jobs: Optional[int] = None,  # accepted for driver-signature parity; runs serially
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Measure the *hand-off locality* behind the locality-threshold ablation.
 
     For each node-level ``T_L`` the RMA-MCS lock is run with an instrumented
     handle that records the sequence of grants; the rows report both the
     throughput and the fraction of consecutive grants that stayed on one node,
     making the mechanism behind the Figure-1 locality axis directly visible.
-
-    This driver stays on the serial path (it reads the grant ledger back out
-    of the runtime's windows after each run, which the generic campaign task
-    protocol does not transport across workers).
+    The worker reads the grant ledger back out of the runtime's windows, so
+    a point's row is built where it runs.
     """
-    from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock, locality_report
-    from repro.core.rma_mcs import RMAMCSLockSpec
-    from repro.rma.sim_runtime import SimRuntime
-
-    rows: List[Row] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for t_l2 in t_l2_values:
             t_l = tuple([4] * (machine.n_levels - 1) + [t_l2]) if machine.n_levels > 1 else (t_l2,)
-            lock_spec = RMAMCSLockSpec(machine, t_l=t_l)
-            ledger = GrantLedgerSpec(capacity=p * iters, base_offset=lock_spec.window_words)
-            runtime = SimRuntime(machine, window_words=ledger.window_words, seed=seed)
-
-            def window_init(rank, _lock=lock_spec, _ledger=ledger):
-                values = dict(_lock.init_window(rank))
-                values.update(_ledger.init_window(rank))
-                return values
-
-            def program(ctx, _lock=lock_spec, _ledger=ledger, _iters=iters):
-                lock = InstrumentedLock(_lock.make(ctx), _ledger, ctx)
-                yield (BARRIER,)
-                start = ctx.now()
-                for _ in range(_iters):
-                    yield from lock.acquire_steps()
-                    yield (COMPUTE, 0.2)
-                    yield from lock.release_steps()
-                end = ctx.now()
-                yield (BARRIER,)
-                return end - start
-
-            result = runtime.run(program, window_init=window_init)
-            grants = ledger.read_grants_from_window(runtime.window(ledger.home_rank))
-            report = locality_report(machine, grants)
-            elapsed = max(result.returns)
-            rows.append(
-                {
-                    "figure": "ablation-handoff",
-                    "P": p,
-                    "t_l2": t_l2,
-                    "throughput_mln_s": round(p * iters / elapsed, 4) if elapsed > 0 else 0.0,
-                    "node_locality_pct": round(report.node_locality * 100, 1),
-                    "grants": report.recorded_grants,
-                }
-            )
-    return rows
+            points.append(_point("rma-mcs", "handoff-locality", p, procs_per_node, iters, seed, t_l=t_l))
+            metas.append({"figure": "ablation-handoff", "P": p, "t_l2": t_l2})
+    project = _labelled("throughput_mln_s", "node_locality_pct", "grants")
+    return _figure("ablation_handoff_locality", points, metas, worker=_handoff_row, project=project, **sweep)
 
 
 def ablation_locality(
@@ -585,26 +578,19 @@ def ablation_locality(
     iterations: int = 16,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 13,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """RMA-MCS locality threshold sweep: T_L=1 (fair, locality-free) to large T_L."""
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
         for t_l2 in t_l2_values:
-            t_l = tuple([t_l2] * machine.n_levels)
-            config = LockBenchConfig(
-                machine=machine,
-                scheme="rma-mcs",
-                benchmark="ecsb",
-                iterations=iters,
-                t_l=t_l,
-                seed=seed,
+            points.append(
+                _point("rma-mcs", "ecsb", p, procs_per_node, iters, seed, t_l=tuple([t_l2] * machine.n_levels))
             )
-            tasks.append(BenchTask(config=config))
             metas.append({"figure": "ablation-locality", "t_l2": t_l2})
-    return _sweep(tasks, metas, jobs)
+    return _figure("ablation_locality", points, metas, **sweep)
 
 
 # --------------------------------------------------------------------------- #
@@ -618,8 +604,8 @@ def related_mcs_comparison(
     iterations: int = 16,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 21,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Mutual-exclusion comparison including the related-work locks.
 
     Sweeps the paper's MCS-family schemes (foMPI-Spin, D-MCS, RMA-MCS)
@@ -632,24 +618,18 @@ def related_mcs_comparison(
     """
     # Queried live (not the import-time tuples) so custom schemes registered
     # in the comparison categories show up without touching this driver.
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     schemes = scheme_names(category="mcs") + scheme_names(category="related-mcs")
     for benchmark in benchmarks:
         for p, machine in _machines(process_counts, procs_per_node):
             for scheme in schemes:
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme=scheme,
-                    benchmark=benchmark,
-                    iterations=iters,
-                    t_l=_default_tl(machine),
-                    seed=seed,
+                points.append(
+                    _point(scheme, benchmark, p, procs_per_node, iters, seed, t_l=_default_tl(machine))
                 )
-                tasks.append(BenchTask(config=config))
                 metas.append({"figure": "related-mcs", "series": scheme})
-    return _sweep(tasks, metas, jobs)
+    return _figure("related_mcs_comparison", points, metas, **sweep)
 
 
 def related_rw_comparison(
@@ -661,8 +641,8 @@ def related_rw_comparison(
     t_r: int = 64,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
     seed: int = 22,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """Reader-writer comparison including the NUMA-aware RW lock.
 
     Sweeps foMPI-RW (centralized), the per-node-counter NUMA-aware RW lock
@@ -672,26 +652,19 @@ def related_rw_comparison(
     on every exclusive acquisition because it lacks the paper's ``T_R``/
     ``T_W`` batching.
     """
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     schemes = scheme_names(category="rw") + scheme_names(category="related-rw")
     for fw in fw_values:
         for p, machine in _machines(process_counts, procs_per_node):
             for scheme in schemes:
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme=scheme,
-                    benchmark=benchmark,
-                    iterations=iters,
-                    fw=fw,
-                    t_l=_default_tl(machine),
-                    t_r=t_r,
-                    seed=seed,
+                points.append(
+                    _point(scheme, benchmark, p, procs_per_node, iters, seed, fw=fw,
+                           t_l=_default_tl(machine), t_r=t_r)
                 )
-                tasks.append(BenchTask(config=config))
                 metas.append({"figure": "related-rw", "series": f"{scheme} {fw * 100:g}%"})
-    return _sweep(tasks, metas, jobs)
+    return _figure("related_rw_comparison", points, metas, **sweep)
 
 
 def ablation_fabric_contention(
@@ -699,51 +672,31 @@ def ablation_fabric_contention(
     *,
     iterations: int = 14,
     procs_per_node: int = DEFAULT_PROCS_PER_NODE,
-    nodes_per_router: int = 2,
-    routers_per_group: int = 2,
     seed: int = 23,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+    **sweep: Any,
+) -> SweepReport:
     """End-point-only contention vs additional Dragonfly link contention.
 
     DESIGN.md lists the lack of in-network congestion as the main fidelity gap
     of the end-point latency model.  This ablation reruns the Figure-3 ECSB
     comparison of D-MCS and RMA-MCS with the optional
-    :class:`~repro.rma.fabric.FabricContentionModel`: the topology-oblivious
-    queue (whose hand-offs hop between groups arbitrarily) should lose more
-    throughput than the topology-aware tree when the shared global links start
-    to serialize traffic.
+    :class:`~repro.rma.fabric.FabricContentionModel` (two nodes per router,
+    two routers per group): the topology-oblivious queue (whose hand-offs hop
+    between groups arbitrarily) should lose more throughput than the
+    topology-aware tree when the shared global links start to serialize
+    traffic.
     """
-    from repro.rma.fabric import FabricContentionModel
-
-    tasks: List[BenchTask] = []
-    metas: List[Dict[str, object]] = []
+    points: List[CampaignPoint] = []
+    metas: List[Row] = []
     iters = _iterations(iterations)
     for p, machine in _machines(process_counts, procs_per_node):
-        fabrics = {
-            "endpoint-only": None,
-            "dragonfly-links": FabricContentionModel.for_machine(
-                machine,
-                nodes_per_router=nodes_per_router,
-                routers_per_group=routers_per_group,
-            ),
-        }
-        for fabric_name, fabric in fabrics.items():
+        for fabric_name, fabric in (("endpoint-only", ""), ("dragonfly-links", "dragonfly-links")):
             for scheme in ("d-mcs", "rma-mcs"):
-                config = LockBenchConfig(
-                    machine=machine,
-                    scheme=scheme,
-                    benchmark="ecsb",
-                    iterations=iters,
-                    t_l=_default_tl(machine),
-                    seed=seed,
+                points.append(
+                    _point(scheme, "ecsb", p, procs_per_node, iters, seed, fabric=fabric,
+                           t_l=_default_tl(machine))
                 )
-                tasks.append(BenchTask(config=config, fabric=fabric))
                 metas.append(
-                    {
-                        "figure": "ablation-fabric-links",
-                        "series": f"{scheme} ({fabric_name})",
-                        "fabric": fabric_name,
-                    }
+                    {"figure": "ablation-fabric-links", "series": f"{scheme} ({fabric_name})", "fabric": fabric_name}
                 )
-    return _sweep(tasks, metas, jobs)
+    return _figure("ablation_fabric_contention", points, metas, **sweep)

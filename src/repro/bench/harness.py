@@ -9,9 +9,8 @@ virtual microseconds of the :class:`~repro.rma.sim_runtime.SimRuntime`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.registry import get_benchmark, get_runtime, get_scheme
 from repro.bench.workloads import LockBenchConfig
@@ -35,16 +34,15 @@ __all__ = [
     "build_lock_spec",
     "default_scheduler",
     "make_lock_program",
+    "rounded_row",
     "run_lock_benchmark",
     "run_lock_benchmark_detailed",
-    "set_default_scheduler",
-    "using_scheduler",
 ]
 
 #: Scheduler (runtime registry name) used when ``run_lock_benchmark`` is not
-#: given an explicit one.  The figure drivers call the harness through many
-#: layers, so the CLI's ``--scheduler`` flag switches this process-wide
-#: default instead of threading a parameter through every driver signature.
+#: given an explicit one.  It is a constant: a sweep names its runtime per
+#: point (``CampaignPoint.scheduler``), so every pool worker runs what the
+#: point says.
 _DEFAULT_SCHEDULER = "horizon"
 
 
@@ -53,23 +51,28 @@ def default_scheduler() -> str:
     return _DEFAULT_SCHEDULER
 
 
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one."""
-    global _DEFAULT_SCHEDULER
-    get_runtime(name)  # validate, helpful UnknownNameError
-    previous = _DEFAULT_SCHEDULER
-    _DEFAULT_SCHEDULER = name
-    return previous
+def rounded_row(row: Mapping[str, Any]) -> Dict[str, object]:
+    """The report/figure row of a campaign row: its metrics rounded for tables.
 
-
-@contextmanager
-def using_scheduler(name: str) -> Iterator[None]:
-    """Context manager form of :func:`set_default_scheduler`."""
-    previous = set_default_scheduler(name)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
+    ``row`` carries the campaign-row keys (:func:`repro.bench.campaign.run_point`);
+    :meth:`LockBenchResult.as_row` and the figure drivers both round here.
+    """
+    out: Dict[str, object] = {
+        "scheme": row["scheme"],
+        "benchmark": row["benchmark"],
+        "P": row["P"],
+        "fw": row["fw"],
+        "latency_us": round(row["latency_mean_us"], 3),
+        "latency_p95_us": round(row["latency_p95_us"], 3),
+        "throughput_mln_s": round(row["throughput_mln_s"], 4),
+        "elapsed_us": round(row["elapsed_us"], 1),
+        "acquires": row["acquires"],
+    }
+    percentiles = row["percentiles"]
+    for key in ("e2e_p50_us", "e2e_p99_us", "e2e_p999_us", "acquire_p99_us"):
+        if key in percentiles:
+            out[key] = round(percentiles[key], 3)
+    return out
 
 
 @dataclass
@@ -102,22 +105,18 @@ class LockBenchResult:
 
     def as_row(self) -> Dict[str, object]:
         """Flatten to a row dictionary for reports and figure tables."""
-        row: Dict[str, object] = {
+        return rounded_row({
             "scheme": self.scheme,
             "benchmark": self.benchmark,
             "P": self.num_processes,
             "fw": self.fw,
-            "latency_us": round(self.latency_mean_us, 3),
-            "latency_p95_us": round(self.latency_p95_us, 3),
-            "throughput_mln_s": round(self.throughput_mln_per_s, 4),
-            "elapsed_us": round(self.elapsed_us, 1),
+            "latency_mean_us": self.latency_mean_us,
+            "latency_p95_us": self.latency_p95_us,
+            "throughput_mln_s": self.throughput_mln_per_s,
+            "elapsed_us": self.elapsed_us,
             "acquires": self.total_acquires,
-        }
-        if self.percentiles:
-            for key in ("e2e_p50_us", "e2e_p99_us", "e2e_p999_us", "acquire_p99_us"):
-                if key in self.percentiles:
-                    row[key] = round(self.percentiles[key], 3)
-        return row
+            "percentiles": self.percentiles,
+        })
 
 
 def build_lock_spec(config: LockBenchConfig) -> Tuple[LockSpec, bool]:
@@ -321,7 +320,7 @@ def run_lock_benchmark_detailed(
     ``latency_model`` overrides the default Cray-XC30-like end-point latency
     model; ``fabric`` optionally adds Dragonfly link-level contention
     (:class:`~repro.rma.fabric.FabricContentionModel`).  ``scheduler`` names
-    a registered runtime backend (default: :func:`default_scheduler`, normally
+    a registered runtime backend (default: :func:`default_scheduler`,
     ``"horizon"``; every deterministic backend produces bit-identical
     results, so that switch only matters for wall-clock measurements).  ``spec`` lets a caller (e.g. ``Cluster.bench``) supply an
     already-built lock spec instead of rebuilding it from ``config``.

@@ -391,12 +391,12 @@ def run_regress(
 ) -> int:
     """Entry point behind ``repro regress``; returns the process exit code.
 
-    The gate recomputes every point by default (``fresh=True``): the cache
-    epoch keys on the golden file, not the source tree, so serving the
-    determinism gate from cached rows would let an unblessed scheduler change
-    pass locally.  ``fresh=False`` (CLI ``--reuse-cache``) opts back into
-    cache reads for quick iterating; either way the cache is refreshed with
-    the run's rows.  ``repro regress --bless`` does not come here: it runs
+    The gate recomputes every point by default (``fresh=True``), so its
+    throughput fields are timed on this run, not read from whichever run
+    cached the row.  ``fresh=False`` (CLI ``--reuse-cache``) opts into cache
+    reads for quick iterating; the cache epoch follows the package sources,
+    so cached determinism fields are current.  Either way the cache is
+    refreshed with the run's rows.  ``repro regress --bless`` does not come here: it runs
     the shared bless flow (:func:`repro.bench.campaign.bless_sweep`).
     """
     get_campaign(campaign)  # validate early with the helpful UnknownNameError

@@ -55,9 +55,8 @@ from repro.api.registry import (
     runtime_names,
     scheme_names,
 )
-from repro.bench import experiments
 from repro.bench.campaign import SweepReport, bless_sweep, write_manifest_json
-from repro.bench.harness import run_lock_benchmark, using_scheduler
+from repro.bench.harness import run_lock_benchmark
 from repro.bench.report import format_figure, format_table
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.portability import environments, supports_all_required_ops
@@ -125,9 +124,9 @@ def _add_sweep_flags(
         parser.add_argument("--no-cache", action="store_true",
                             help="compute every point, store nothing")
         parser.add_argument("--refresh", action="store_true",
-                            help="ignore cached rows but refresh the cache (use after "
-                                 "editing scheme code: the cache epoch tracks the golden "
-                                 "file, not the source tree)")
+                            help="ignore cached rows but refresh the cache (needed only "
+                                 "after editing an --import provider: the cache epoch "
+                                 "tracks the repro sources)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache root (default: <repo>/.repro-cache)")
     parser.add_argument("--output", default=None,
@@ -243,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     regress.add_argument("--soft", action="store_true",
                          help="use the loose throughput tolerance (for noisy shared runners)")
     regress.add_argument("--reuse-cache", action="store_true",
-                         help="serve cached rows instead of recomputing (the gate recomputes by default "
-                              "because the cache epoch tracks the golden file, not the source tree)")
+                         help="serve cached rows instead of recomputing (the gate recomputes by "
+                              "default so its wall-time figures are measured, not cached)")
     regress.add_argument("--strict-tol", type=float, default=None,
                          help="relative throughput slowdown tolerated in strict mode (default 0.25)")
     regress.add_argument("--soft-tol", type=float, default=None,
@@ -386,28 +385,24 @@ def _run_figures(args: argparse.Namespace) -> int:
             message += f". Did you mean: {', '.join(hints)}?"
         print(message, file=sys.stderr)
         return 2
-    # The figure drivers call the harness through many layers; the scheduler
-    # choice is a process-wide default (restored afterwards for in-process
-    # callers) rather than a per-driver parameter.
-    with using_scheduler(args.scheduler):
-        for name in names:
-            driver_name, series, value = _FIGURES[name]
-            driver = getattr(experiments, driver_name)
-            kwargs = {}
-            if args.procs is not None:
-                kwargs["process_counts"] = tuple(args.procs)
-            if args.iterations is not None and driver_name != "figure6":
-                kwargs["iterations"] = args.iterations
-            if args.jobs is not None:
-                kwargs["jobs"] = args.jobs
-            rows = driver(**kwargs)
-            print(format_figure(rows, title=f"Figure {name}", series=series, value=value))
-            print()
-            if args.output_dir:
-                from repro.bench.export import save_figure_rows
+    from repro.bench import experiments
 
-                paths = save_figure_rows(rows, args.output_dir, f"figure_{name.replace('-', '_')}")
-                print(f"  saved: {paths['csv']} and {paths['json']}\n")
+    for name in names:
+        driver_name, series, value = _FIGURES[name]
+        driver = getattr(experiments, driver_name)
+        kwargs: Dict[str, Any] = {"scheduler": args.scheduler, "jobs": args.jobs}
+        if args.procs is not None:
+            kwargs["process_counts"] = tuple(args.procs)
+        if args.iterations is not None and driver_name != "figure6":
+            kwargs["iterations"] = args.iterations
+        rows = [{k: v for k, v in row.items() if k != "cached"} for row in driver(**kwargs).rows]
+        print(format_figure(rows, title=f"Figure {name}", series=series, value=value))
+        print()
+        if args.output_dir:
+            from repro.bench.export import save_figure_rows
+
+            paths = save_figure_rows(rows, args.output_dir, f"figure_{name.replace('-', '_')}")
+            print(f"  saved: {paths['csv']} and {paths['json']}\n")
     return 0
 
 
@@ -1034,7 +1029,7 @@ _COMMANDS = {
 
 #: Sweep subcommands: a bad name, an unusable grid or fluid scenario, or a
 #: refused bless is a usage error (exit 2 with the reason), not a traceback.
-_SWEEPS = ("campaign", "regress", "conform", "faults", "traffic", "scale", "tune")
+_SWEEPS = ("figures", "campaign", "regress", "conform", "faults", "traffic", "scale", "tune")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,6 +7,12 @@ is held in ``tests/bench/test_sweep_contract.py``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.api.registry import (
@@ -18,21 +24,18 @@ from repro.api.registry import (
 )
 from repro.bench.campaign import (
     DETERMINISM_FIELDS,
-    BenchTask,
     CampaignPoint,
     CampaignSpec,
     ResultCache,
+    cache_epoch,
     campaign_names,
-    execute_tasks,
     get_campaign,
+    parallel_map,
     register_campaign,
     run_campaign,
     run_point,
     unregister_campaign,
 )
-from repro.bench.harness import run_lock_benchmark
-from repro.bench.workloads import LockBenchConfig
-from repro.topology.builder import cached_machine
 
 #: Small grid used throughout: 2 schemes x 2 machine sizes, tiny iterations.
 TINY = CampaignSpec(
@@ -190,6 +193,35 @@ class TestResultCache:
         assert other.cache_hits == 0
         assert other.cache_misses == other.points
 
+    def test_epoch_follows_the_package_sources(self, tmp_path, monkeypatch):
+        """One changed byte in any ``*.py`` of the package moves the epoch;
+        other files and an unchanged tree do not."""
+        import repro.bench.campaign as campaign_mod
+
+        (tmp_path / "core").mkdir()
+        (tmp_path / "__init__.py").write_text("")
+        scheme = tmp_path / "core" / "scheme.py"
+        scheme.write_text("T_L = 4\n")
+        monkeypatch.setattr(campaign_mod, "_PACKAGE_ROOT", tmp_path)
+        monkeypatch.delenv("REPRO_CACHE_EPOCH", raising=False)
+        epoch = campaign_mod._source_epoch.__wrapped__
+        before = epoch()
+        (tmp_path / "notes.txt").write_text("not source")
+        assert epoch() == before
+        scheme.write_text("T_L = 5\n")
+        assert epoch() != before
+        scheme.write_text("T_L = 4\n")
+        assert epoch() == before
+        monkeypatch.setattr(campaign_mod, "CACHE_SCHEMA_VERSION", campaign_mod.CACHE_SCHEMA_VERSION + 1)
+        assert epoch() != before
+
+    def test_epoch_is_computed_once_and_env_overrides_it(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_EPOCH", raising=False)
+        assert cache_epoch() == cache_epoch() != ""
+        monkeypatch.setenv("REPRO_CACHE_EPOCH", "pinned")
+        assert cache_epoch() == "pinned"
+        assert ResultCache(Path("unused")).epoch == "pinned"
+
     def test_key_depends_on_point_configuration(self, tmp_path):
         from dataclasses import replace
 
@@ -213,36 +245,6 @@ class TestResultCache:
 
 
 class TestParallelExecution:
-    def test_execute_tasks_preserves_order_and_results(self):
-        machine = cached_machine(4, 4)
-        configs = [
-            LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="ecsb", iterations=3),
-            LockBenchConfig(machine=machine, scheme="ticket", benchmark="ecsb", iterations=3),
-        ]
-        expected = [run_lock_benchmark(c) for c in configs]
-        got = execute_tasks([BenchTask(config=c) for c in configs], jobs=2)
-        assert [r.scheme for r in got] == ["rma-mcs", "ticket"]
-        assert [r.elapsed_us for r in got] == [r.elapsed_us for r in expected]
-        assert [r.op_counts for r in got] == [r.op_counts for r in expected]
-
-    def test_execute_tasks_pins_scheduler_and_provider(self, monkeypatch):
-        """Workers receive the submit-time scheduler and the scheme's module
-        (what keeps using_scheduler contexts and third-party locks alive
-        under spawn-based pools)."""
-        import repro.bench.campaign as campaign_mod
-
-        machine = cached_machine(4, 4)
-        config = LockBenchConfig(machine=machine, scheme="ticket", benchmark="ecsb", iterations=2)
-        captured = []
-        original = campaign_mod._execute_task
-        monkeypatch.setattr(
-            campaign_mod, "_execute_task", lambda t: (captured.append(t), original(t))[1]
-        )
-        results = execute_tasks([BenchTask(config=config)], jobs=1)
-        assert results[0].scheme == "ticket"
-        assert captured[0].provider == "repro.related.ticket"
-        assert captured[0].scheduler == "horizon"
-
     def test_scheduler_override_keeps_rows_identical(self, reference):
         horizon = run_campaign(TINY, jobs=1, cache=False)
         twin = run_campaign(TINY, jobs=1, cache=False, scheduler=reference)
@@ -269,19 +271,34 @@ class TestParallelExecution:
     def test_worker_error_propagates_instead_of_hanging(self):
         """End-to-end: an unknown scheme raised inside a pool worker surfaces
         in the parent as the helpful registry error."""
-        machine = cached_machine(4, 4)
-        config = LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="ecsb", iterations=2)
-        good = BenchTask(config=config)
-        bad = BenchTask(config=config, kind="bogus-kind")
-        with pytest.raises(ValueError, match="bogus-kind"):
-            execute_tasks([good, bad], jobs=2)
+        good = CampaignPoint(scheme="rma-mcs", benchmark="ecsb", procs=4, procs_per_node=4, iterations=2)
+        bad = replace(good, scheme="rma-mc")
+        with pytest.raises(UnknownNameError, match="rma-mcs"):
+            parallel_map(run_point, [good, bad], jobs=2)
 
-    def test_dht_tasks_reject_scheduler_override(self):
-        from repro.dht.workload import DHTWorkloadConfig
-
-        config = DHTWorkloadConfig(machine=cached_machine(4, 4), scheme="rma-rw", ops_per_process=2, fw=0.2, seed=1)
-        with pytest.raises(ValueError, match="scheduler override"):
-            execute_tasks([BenchTask(config=config, kind="dht", scheduler="horizon")], jobs=1)
+    def test_a_killed_worker_breaks_the_map_instead_of_hanging_it(self):
+        """A worker killed mid-sweep (SIGKILL, the OOM killer) raises
+        BrokenProcessPool, a RuntimeError the CLI reports, within seconds."""
+        script = (
+            "import os, signal\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from repro.bench.campaign import parallel_map\n"
+            "def die_on_two(x):\n"
+            "    if x == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return x\n"
+            "try:\n"
+            "    parallel_map(die_on_two, range(4), jobs=2)\n"
+            "except BrokenProcessPool as exc:\n"
+            "    assert isinstance(exc, RuntimeError)\n"
+            "    print('broken')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "broken"
 
     def test_report_records_effective_worker_count(self):
         report = run_campaign(TINY, jobs=16, cache=False)
@@ -308,3 +325,29 @@ class TestRunPoint:
         second = run_point(point)
         for field in DETERMINISM_FIELDS:
             assert first[field] == second[field]
+
+
+class TestManifestWrite:
+    def test_interrupted_write_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        """A failing rename (an interrupted --bless) leaves the committed
+        manifest byte-identical and no tmp file behind."""
+        from repro.bench.campaign import SweepReport, write_manifest_json
+
+        path = tmp_path / "BENCH_test.json"
+        path.write_text('{"rows": []}\n')
+        report = SweepReport(
+            suite="campaign", name="t", rows=[{"case": "x", "cached": True}], jobs=1,
+            wall_s=0.0, cache_hits=1, cache_misses=0, epoch="e",
+        )
+
+        def interrupted(self, target):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(Path, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            write_manifest_json(report, path)
+        assert path.read_text() == '{"rows": []}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_test.json"]
+        monkeypatch.undo()
+        write_manifest_json(report, path)
+        assert '"case": "x"' in path.read_text() and '"cached"' not in path.read_text()

@@ -68,7 +68,7 @@ class TestSaveFigureRows:
     def test_integration_with_figure_driver(self, tmp_path):
         from repro.bench import experiments
 
-        rows = experiments.figure4a(t_dc_values=(1,), process_counts=(4,), iterations=4, procs_per_node=4)
+        rows = experiments.figure4a(t_dc_values=(1,), process_counts=(4,), iterations=4, procs_per_node=4).rows
         out = save_figure_rows(rows, tmp_path, "fig4a")
         loaded = _json_rows(out["json"])
         assert loaded and loaded[0]["figure"] == "4a"

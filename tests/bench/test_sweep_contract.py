@@ -1,7 +1,7 @@
-"""The shared sweep executor's contract, held against all six suites.
+"""The shared sweep executor's contract, held against every suite.
 
-Every suite — campaign, conformance, faults, traffic, tune, scale — runs its
-points through :func:`repro.bench.campaign.run_sweep`, so each must show the
+Every suite — campaign, conformance, faults, traffic, tune, scale and the
+paper's figures — runs its points through :func:`repro.bench.campaign.run_sweep`, so each must show the
 same four properties on a tiny grid: a warm re-run serves every point from
 the cache with the cold rows, ``refresh`` recomputes, ``cache=False`` stores
 nothing, and ``jobs=2`` produces the report ``jobs=1`` does.
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.campaign import CampaignSpec, default_jobs, golden_epoch, run_campaign
+from repro.bench import experiments
+from repro.bench.campaign import CampaignSpec, cache_epoch, default_jobs, run_campaign
 from repro.bench.conformance import run_conformance
 from repro.bench.faults import run_faults
 from repro.control.tune import TuneGrid, run_tune
@@ -55,6 +56,10 @@ SWEEPS = {
     "scale": lambda **kw: run_scale(
         scale_spec(scenarios=("scale-hot", "scale-hot-rehome"), iterations=8),
         schedulers=("horizon",), fluid_names=("fluid-phased",), **kw,
+    ),
+    # Covers the fabric axis: end-point-only and Dragonfly-link points.
+    "figures": lambda **kw: experiments.ablation_fabric_contention(
+        process_counts=(8,), iterations=2, procs_per_node=4, **kw,
     ),
 }
 
@@ -103,9 +108,9 @@ def test_no_cache_stores_nothing(sweep, tmp_path, monkeypatch):
     report = run(cache=False, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
     assert report.cache_hits == 0 and report.cache_misses == report.points
-    # Cached or not, a report names the golden epoch and the worker count
+    # Cached or not, a report names the cache epoch and the worker count
     # it was given (the default when none was).
-    assert report.epoch == cold.epoch == golden_epoch()
+    assert report.epoch == cold.epoch == cache_epoch()
     assert report.jobs == default_jobs() == 1
     assert _stable(report.rows) == _stable(cold.rows)
 

@@ -7,6 +7,7 @@ import pytest
 from repro.topology.machine import Machine
 
 from tests.reference import registered
+from tests.support import isolated_result_cache  # noqa: F401 - autouse fixture
 
 
 @pytest.fixture

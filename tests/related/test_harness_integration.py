@@ -76,7 +76,7 @@ class TestRelatedBenchmarkRuns:
 
 class TestRelatedExperimentDrivers:
     def test_related_mcs_rows(self):
-        rows = experiments.related_mcs_comparison(benchmarks=("ecsb",), **TINY)
+        rows = experiments.related_mcs_comparison(benchmarks=("ecsb",), **TINY).rows
         assert {r["series"] for r in rows} == {
             "fompi-spin",
             "d-mcs",
@@ -91,7 +91,7 @@ class TestRelatedExperimentDrivers:
         assert all(r["throughput_mln_s"] > 0 for r in rows)
 
     def test_related_rw_rows(self):
-        rows = experiments.related_rw_comparison(fw_values=(0.05,), **TINY)
+        rows = experiments.related_rw_comparison(fw_values=(0.05,), **TINY).rows
         assert {r["series"] for r in rows} == {
             "fompi-rw 5%",
             "rma-rw 5%",

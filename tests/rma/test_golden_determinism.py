@@ -40,9 +40,7 @@ from tests.support import rank_threads_started
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 
-#: Every scheduler (and mode) held to the recorded goldens.  The campaign
-#: result cache keys on the golden file's hash, so whatever passes here also
-#: defines the cache epoch of `repro campaign` / `repro regress`.
+#: Every scheduler (and mode) held to the recorded goldens.
 SCHEDULERS = ("horizon-inline", "horizon-threads", REFERENCE)
 
 #: Checked live against the reference but not recorded: ``repro perf``'s

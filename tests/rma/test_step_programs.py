@@ -895,10 +895,12 @@ class TestNoRankThreads:
     def test_no_rank_thread_in_the_handoff_ablation(self):
         from repro.bench.experiments import ablation_handoff_locality
 
+        # Inline and uncached, so the points run here where the counter looks.
         with rank_threads_started() as threads:
             rows = ablation_handoff_locality(
-                t_l2_values=(1, 4), process_counts=(8,), iterations=3, procs_per_node=4
-            )
+                t_l2_values=(1, 4), process_counts=(8,), iterations=3, procs_per_node=4,
+                jobs=1, cache=False,
+            ).rows
         assert not threads
         assert rows[0]["grants"] == rows[1]["grants"] > 0
 

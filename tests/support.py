@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
+import pytest
+
 from repro.core.constants import NULL_RANK
 from repro.core.lock_base import LockSpec, RWLockSpec
 from repro.rma.ops import AtomicOp
@@ -27,10 +29,25 @@ __all__ = [
     "MutexOutcome",
     "RWOutcome",
     "build_runtime",
+    "isolated_result_cache",
     "rank_threads_started",
     "run_mutex_check",
     "run_rw_check",
 ]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def isolated_result_cache(tmp_path_factory) -> Iterator[None]:
+    """Point the result cache (``REPRO_CACHE_DIR``) at a session tmp dir.
+
+    Every sweep caches by default, the figure drivers included; without this
+    a test run would fill the checkout's ``.repro-cache``.  Subprocesses
+    started by tests inherit the variable.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
 
 @contextmanager
 def rank_threads_started() -> Iterator[List[str]]:

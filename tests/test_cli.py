@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +109,22 @@ class TestCommands:
         assert "Machine:" in out
         assert "Portability" in out
         assert "fortran-2008" in out
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_figure_driver_or_dht_workload(self):
+        """`repro --help` and every non-figure command skip the figure drivers."""
+        script = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in ('repro.bench.experiments', 'repro.dht.workload') "
+            "if m in sys.modules))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestFigureExport:
@@ -232,14 +251,14 @@ class TestSchedulerFlag:
         assert main(argv + ["--scheduler", reference]) == 0
         assert capsys.readouterr().out == horizon_out
 
-    def test_figures_scheduler_flag_runs_and_restores_default(self, capsys, reference):
-        code = main(["figures", "4a", "--procs", "4", "--iterations", "4",
-                     "--scheduler", reference])
-        assert code == 0
-        assert "Figure 4a" in capsys.readouterr().out
-        # The process-wide default must come back to the fast scheduler for
-        # any later in-process caller (the figures command uses a context
-        # manager, not a permanent switch).
+    def test_figures_scheduler_flag_output_is_identical(self, capsys, reference):
+        """--scheduler rides on every point of the sweep; the table is the
+        horizon one, and no process-wide default moves."""
+        argv = ["figures", "4a", "--procs", "4", "--iterations", "4", "--jobs", "1"]
+        assert main(argv) == 0
+        horizon_out = capsys.readouterr().out
+        assert main(argv + ["--scheduler", reference]) == 0
+        assert capsys.readouterr().out == horizon_out
         from repro.bench.harness import default_scheduler
 
         assert default_scheduler() == "horizon"

@@ -10,7 +10,7 @@ The checked-in file was produced by the original baton-passing
 scheduler, and the reference reproduces it bit for bit; re-recording it would
 defeat the point of the golden test, so only do that when the simulation
 *semantics* (latency model, protocols) intentionally change — and say so in
-the commit message.  The file's hash is also the result cache's epoch.
+the commit message.
 """
 
 from __future__ import annotations

@@ -31,12 +31,10 @@ Execution rides on the campaign engine: grids expand from the registered
 ``conformance`` :class:`~repro.bench.campaign.CampaignSpec`, and
 :func:`~repro.bench.campaign.run_sweep` fans points out over the pool and
 caches verdict rows under the ``conformance`` namespace — keyed on the same
-golden-fingerprint epoch as benchmark rows, so a re-blessed golden file
-invalidates cached verdicts too.  As with the
-campaign cache, the epoch tracks the *golden file*, not the source tree:
-after editing scheme code (your own or a ``--import``-ed provider's) pass
-``refresh=True`` / ``--refresh`` to recompute verdicts — CI always starts
-from an empty runner cache, so its verdicts are always fresh.
+:func:`~repro.bench.campaign.cache_epoch` as benchmark rows, a hash of the
+:mod:`repro` sources, so editing any built-in scheme invalidates cached
+verdicts.  A ``--import``-ed provider's own module is not hashed: after
+editing one, pass ``refresh=True`` / ``--refresh`` to recompute its verdicts.
 """
 
 from __future__ import annotations

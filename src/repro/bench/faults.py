@@ -43,8 +43,9 @@ tier-1 holds against the reference interpreter on the same points.
 
 Execution rides on the campaign machinery: :func:`~repro.bench.campaign.\
 run_sweep` fans points out over the pool and caches verdict rows in the
-``faults`` namespace on the same golden-fingerprint epoch as benchmark and
-conformance rows.
+``faults`` namespace on the same :func:`~repro.bench.campaign.cache_epoch`
+as benchmark and conformance rows (a hash of the :mod:`repro` sources, so an
+edited scheme is recomputed).
 """
 
 from __future__ import annotations
@@ -480,7 +481,7 @@ def run_faults(
 ) -> SweepReport:
     """Run the fault sweep through :func:`~repro.bench.campaign.run_sweep`.
 
-    Verdict rows are cached per golden epoch in the ``faults`` namespace;
+    Verdict rows are cached per source epoch in the ``faults`` namespace;
     ``extra`` carries ``seeds``, ``ok`` and the per-scheme verdict table.
     """
     points = fault_points(

@@ -201,10 +201,9 @@ class DistributedCounterHandle:
         """Fold the departures out of one physical counter (Listing 6, middle).
 
         The seed port performed the reset as two unconditional accumulates
-        computed from a stale read, which the conformance layer's
-        implementation-derived model checker
-        (:func:`repro.verification.impl_model.rma_rw_impl_model`) and its
-        chaos sweeps proved unsafe: two resets racing each other (or a reset
+        computed from a stale read, which model checking (today
+        :mod:`repro.verification.explorer`, with that reset patched back in
+        at ``t_r=1, t_w=2``) and the chaos sweeps proved unsafe: two resets racing each other (or a reset
         racing a writer's mode switch) could subtract the same departures —
         or the WRITE flag — twice, leaving ``DEPART`` negative and ``ARRIVE``
         stranded just below :data:`~repro.core.constants.WRITE_FLAG`, which

@@ -146,7 +146,7 @@ class DMCSLockHandle(LockHandle):
     help="distributed topology-oblivious MCS queue lock (Listings 2-3)",
     # The queue is strictly FIFO from the tail swap on: once enqueued, every
     # other rank can enter at most once before us (checked live by the
-    # conformance oracles, and exhaustively by verification.fairness).
+    # conformance oracles, and over every interleaving by verification.explorer).
     fairness_bound=lambda p: p - 1,
 )
 def _build_dmcs(machine) -> DMCSLockSpec:

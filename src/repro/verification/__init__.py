@@ -1,32 +1,33 @@
 """Model checking and live oracles for the lock protocols (Section 4.4).
 
-The package covers both halves of the paper's verification story — and the
-half the paper could not do, checking the *running implementations*:
+The package covers both halves of the paper's verification story, on the
+code that runs:
 
-* :mod:`repro.verification.interleaving` — the explicit-state model checker
-  (the offline SPIN stand-in): exhaustive DFS over every interleaving of a
-  reduced protocol model, reporting safety violations and deadlocks.
-* :mod:`repro.verification.lock_models` — hand-reduced PROMELA-style models
-  (MCS queue, the RW counter root, broken/deadlocking negative controls).
-* :mod:`repro.verification.impl_model` — the model *generated from*
-  :mod:`repro.core.rma_rw`'s writer/reader acquire paths: one transition per
-  RMA call, constants and thresholds taken from the real spec.  Exhaustively
-  checked at P = 2-3 by the test-suite; this model found the counter-reset
-  race that :meth:`repro.core.counter.DistributedCounterHandle.reset_counter`
-  now documents and fixes.
-* :mod:`repro.verification.fairness` — bounded-bypass (starvation) analysis
-  over all interleavings of a model, plus fairness-annotated model factories.
+* :mod:`repro.verification.explorer` — the model checker (the offline SPIN
+  stand-in): a stateless depth-first search over every interleaving of a
+  registered scheme's own ``*_steps`` generators, with sequentially
+  consistent windows, judged by the live oracles below plus deadlock
+  freedom.  Import it from its module: the package does not load it, so the
+  live sweeps that import the oracles do not pay for it.  ``repro verify`` runs it over the whole registry, so a
+  third-party ``@register_scheme`` lock is checked too.  Patched with the
+  seed port's counter reset, it finds the reader/writer race that
+  :meth:`repro.core.counter.DistributedCounterHandle.reset_counter_steps`
+  documents and fixes.
 * :mod:`repro.verification.oracles` — *live* oracles over real executions:
   the runtime observer hook, the acquire/release handle wrappers, and the
   :class:`~repro.verification.oracles.LockOracleObserver` that checks mutual
   exclusion, handoff sanity, reader coexistence and the registry-declared
-  bypass bounds while a scheme runs inside the deterministic simulator.
-  ``repro conform`` (:mod:`repro.bench.conformance`) sweeps these oracles
-  over every registered scheme under seeded schedule perturbation
-  (:mod:`repro.rma.perturbation`).
+  bypass bounds.  The explorer attaches it to every interleaving; ``repro
+  conform`` (:mod:`repro.bench.conformance`) sweeps it over every registered
+  scheme under seeded schedule perturbation (:mod:`repro.rma.perturbation`).
+* :mod:`repro.verification.interleaving` — an explicit-state checker for
+  hand-written models, with the two negative controls of
+  :mod:`repro.verification.lock_models` (a broken test-and-set, a dining
+  deadlock).
 
-The fault subsystem (:mod:`repro.fault`, README section "Failure &
-recovery") extends both halves: crash transitions join the impl models
+Crashes are the one thing the explorer does not enumerate.  The fault
+subsystem (:mod:`repro.fault`, README section "Failure & recovery") keeps two
+hand-written crash models for it
 (:func:`~repro.verification.impl_model.lease_impl_model`,
 :func:`~repro.verification.impl_model.repair_queue_impl_model` — virtual
 crash/expiry processes let the checker enumerate every crash timing at
@@ -38,21 +39,7 @@ releases, recovery-latency accounting) ``repro faults``
 seeded rank crashes.
 """
 
-from repro.verification.fairness import (
-    BypassAnalyzer,
-    BypassResult,
-    FairnessSpec,
-    mcs_fairness,
-    tas_fairness,
-    ticket_fairness,
-)
-from repro.verification.impl_model import (
-    alock_impl_model,
-    lease_impl_model,
-    lock_server_impl_model,
-    repair_queue_impl_model,
-    rma_rw_impl_model,
-)
+from repro.verification.impl_model import lease_impl_model, repair_queue_impl_model
 from repro.verification.interleaving import (
     CheckResult,
     ModelChecker,
@@ -63,8 +50,6 @@ from repro.verification.lock_models import (
     broken_test_and_set_model,
     build_checker,
     dining_deadlock_model,
-    mcs_model,
-    rw_counter_model,
 )
 from repro.verification.oracles import (
     LockOracleObserver,
@@ -79,10 +64,7 @@ from repro.verification.oracles import (
 )
 
 __all__ = [
-    "BypassAnalyzer",
-    "BypassResult",
     "CheckResult",
-    "FairnessSpec",
     "LockOracleObserver",
     "ModelChecker",
     "ModelSpec",
@@ -94,18 +76,10 @@ __all__ = [
     "RecoveryReport",
     "RunObserver",
     "StateExplosionError",
-    "alock_impl_model",
     "broken_test_and_set_model",
     "build_checker",
     "dining_deadlock_model",
     "lease_impl_model",
-    "lock_server_impl_model",
-    "mcs_fairness",
-    "mcs_model",
     "observe_lock",
     "repair_queue_impl_model",
-    "rma_rw_impl_model",
-    "rw_counter_model",
-    "tas_fairness",
-    "ticket_fairness",
 ]

@@ -1,8 +1,8 @@
 """Live safety/fairness oracles over real lock executions.
 
-:mod:`repro.verification.interleaving` checks *abstract* protocol models; the
-classes here check the *real* scheme implementations while they run inside a
-deterministic simulator.  The pieces:
+The classes here check the *real* scheme implementations while they run
+inside a deterministic simulator, or inside every interleaving
+:mod:`repro.verification.explorer` enumerates.  The pieces:
 
 * :class:`RunObserver` — the runtime observer hook.  Both deterministic
   simulators accept an ``observer=``; they call :meth:`~RunObserver.on_run_start`
@@ -27,12 +27,12 @@ deterministic simulator.  The pieces:
   - **reader coexistence** — the maximum number of concurrently admitted
     readers is recorded (an RW scheme that never lets readers share the CS
     has lost the point of being an RW lock);
-  - **progress/starvation** — the bounded-bypass count of
-    :mod:`repro.verification.fairness`, evaluated against the real execution
-    trace: a waiter's bypass counter starts at its first remote atomic RMW
-    inside ``acquire`` (the FIFO ordering point: the ticket draw / the tail
-    swap) and counts foreign critical-section entries until it is granted
-    the lock.  Schemes that declare a bound in the registry
+  - **progress/starvation** — the bounded-bypass count, evaluated against
+    the real execution trace (and, by :mod:`repro.verification.explorer`,
+    against every interleaving): a waiter's bypass counter starts at its
+    first remote atomic RMW inside ``acquire`` (the FIFO ordering point: the
+    ticket draw / the tail swap) and counts foreign critical-section entries
+    until it is granted the lock.  Schemes that declare a bound in the registry
     (``register_scheme(..., fairness_bound=...)``) are gated against it;
     for all others the observed maximum is reported as data.
 
@@ -207,7 +207,7 @@ class LockOracleObserver(RunObserver):
         self._holders: Dict[int, str] = {}
         self._readers_in = 0
         self._writers_in = 0
-        #: Total CS entries so far (the bypass clock of fairness.py).
+        #: Total CS entries so far (the bypass clock).
         self._entries = 0
         #: rank -> entries counter value at its ordering point (or at
         #: wait_start until the first RMW of the attempt is seen).

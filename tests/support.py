@@ -6,6 +6,8 @@ test, and instrument the critical section so that any mutual-exclusion
 violation is recorded in the windows (rather than raising inside the
 simulated program).  The helpers here build those programs for both the
 mutual-exclusion and the reader-writer cases and run them on either runtime.
+:data:`MUTANTS` holds the known-unsafe protocol variants the model checker
+must find, as step methods to patch into the real handles.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import pytest
 
-from repro.core.constants import NULL_RANK
+from repro.core.constants import NULL_RANK, WRITE_FLAG
+from repro.core.counter import DistributedCounterHandle
 from repro.core.lock_base import LockSpec, RWLockSpec
+from repro.related import alock as alock_module
+from repro.related.lock_server import LockServerHandle
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import RMARuntime
+from repro.rma.runtime_base import ACCUMULATE, CAS, FAO, FLUSH, GET, PUT, SPIN_WHILE, RMARuntime
 from repro.rma.sim_runtime import SimRuntime
 from repro.rma.thread_runtime import ThreadRuntime
 from repro.topology.machine import Machine
 
 __all__ = [
+    "MUTANTS",
+    "Mutant",
     "MutexOutcome",
     "RWOutcome",
     "build_runtime",
@@ -264,3 +271,111 @@ def run_rw_check(
         writes=sum(r["writes"] for r in result.returns),
         total_time_us=result.total_time_us,
     )
+
+
+# --------------------------------------------------------------------------- #
+# Known-unsafe protocol variants, patched into the real handles as step methods
+# --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Mutant:
+    """A known-unsafe variant of one scheme: ``steps`` replaces the step
+    method ``method`` of ``handle``; ``machine`` and ``params`` are where the
+    model checker (:mod:`repro.verification.explorer`) finds it, and
+    ``finding`` the oracle its first violation comes from."""
+
+    handle: type
+    method: str
+    steps: Callable[..., Any]
+    scheme: str
+    machine: Machine
+    params: Dict[str, Any]
+    finding: str = "[mutual-exclusion]"
+
+
+def _racy_reset_steps(self, rank, *, clear_write_flag=True):
+    """The seed port's counter reset: two unconditional accumulates from a
+    stale read, clearing the WRITE flag in every caller."""
+    spec = self.spec
+    arrive = yield (GET, rank, spec.arrive_offset)
+    depart = yield (GET, rank, spec.depart_offset)
+    yield (FLUSH, rank)
+    sub = -depart - (WRITE_FLAG if arrive >= WRITE_FLAG else 0)
+    yield (ACCUMULATE, sub, rank, spec.arrive_offset, AtomicOp.SUM)
+    yield (ACCUMULATE, -depart, rank, spec.depart_offset, AtomicOp.SUM)
+    yield (FLUSH, rank)
+
+
+def _skip_drain_steps(self):
+    """The writer does not wait for the readers that arrived before WRITE mode."""
+    return
+    yield
+
+
+def _listing_9_spin_steps(self, t_r, writer_waiting=None):
+    """Listing 9 as printed: a saturated reader spins while ``ARRIVE >= T_R``,
+    with no stranded-counter recovery (see ``spin_until_read_mode_steps``)."""
+    yield (SPIN_WHILE, self.my_counter, self.spec.arrive_offset, lambda arrive: arrive >= t_r)
+
+
+def _skip_owner_cas_steps(self):
+    """ALock's remote queue head trusts the hand-off and skips the owner-word CAS."""
+    spec, me = self.spec, self.ctx.rank
+    if self._local:
+        yield from self._claim_owner(spec.local_cap_us)
+        return
+    yield (PUT, NULL_RANK, me, spec.next_offset)
+    yield (PUT, alock_module._WAIT, me, spec.status_offset)
+    yield (FLUSH, me)
+    pred = yield (FAO, me, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
+    yield (FLUSH, spec.home_rank)
+    if pred != NULL_RANK:
+        yield (PUT, me, pred, spec.next_offset)
+        yield (FLUSH, pred)
+        yield (SPIN_WHILE, me, spec.status_offset, lambda s: s == alock_module._WAIT)
+
+
+def _blind_fast_path_steps(self):
+    """A lock-server client that saw an empty queue takes ticket ``nt`` without
+    checking that its claiming CAS won: the loser of the race waits for a
+    ticket that was served before it."""
+    spec = self.spec
+    server = spec.server_rank
+    while True:
+        nt = yield (GET, server, spec.next_offset)
+        grant = yield (GET, server, spec.grant_offset)
+        yield (FLUSH, server)
+        if nt - grant > spec.queue_threshold:
+            ticket = yield (FAO, 1, server, spec.next_offset, AtomicOp.SUM)
+            break
+        if nt == grant:
+            yield (CAS, nt + 1, nt, server, spec.next_offset)
+            ticket = nt
+            break
+    yield (FLUSH, server)
+    self._ticket = ticket
+    yield (SPIN_WHILE, server, spec.grant_offset, lambda g: g != ticket)
+
+
+#: The crash-free mutants the model checker must find on the real code.
+MUTANTS: Dict[str, Mutant] = {
+    "racy-reset": Mutant(
+        DistributedCounterHandle, "reset_counter_steps", _racy_reset_steps,
+        "rma-rw", Machine.single_node(3), {"t_r": 1, "t_w": 2},
+    ),
+    "skip-drain": Mutant(
+        DistributedCounterHandle, "wait_readers_drained_steps", _skip_drain_steps,
+        "rma-rw", Machine.single_node(2), {},
+    ),
+    "listing-9-spin": Mutant(
+        DistributedCounterHandle, "spin_until_read_mode_steps", _listing_9_spin_steps,
+        "rma-rw", Machine.single_node(3), {"t_r": 1, "t_w": 2}, finding="[deadlock]",
+    ),
+    "skip-owner-cas": Mutant(
+        alock_module.ALockHandle, "acquire_steps", _skip_owner_cas_steps, "alock", Machine.cluster(3, 1), {},
+    ),
+    "blind-fast-path": Mutant(
+        LockServerHandle, "acquire_steps", _blind_fast_path_steps, "lock-server", Machine.single_node(3), {},
+        finding="[deadlock]",
+    ),
+}

@@ -198,17 +198,46 @@ class TestTraceCommand:
 
 
 class TestVerifyCommand:
-    def test_verify_reports_all_models(self, capsys):
-        from repro.cli import main
-
+    def test_verify_explores_every_registered_scheme(self, capsys):
         code = main(["verify", "--procs", "2", "--rounds", "1"])
-        out = capsys.readouterr().out
+        table = capsys.readouterr().out.split("\n\n")[0]
         assert code == 0
-        assert "MCS / D-MCS" in out
-        assert "ticket lock" in out
-        assert "test-and-set" in out
-        assert "EXCEEDED" in out      # the TAS model exceeds the FIFO bypass bound
-        assert out.count("OK") >= 4   # safety + fairness of the FIFO designs
+        rows = {line.split()[0]: line.split() for line in table.splitlines()[2:]}
+        for name in scheme_names():
+            assert rows[name][-1] == "ok", rows[name]
+        assert rows["ticket"][3:5] == ["1", "1"]  # declared bound P - 1, reached
+
+    def test_verify_exits_1_on_a_violation(self, monkeypatch, capsys):
+        from tests.support import MUTANTS
+
+        # The racy counter reset needs rma-rw at t_r = 1: the defaults reach it.
+        mutant = MUTANTS["racy-reset"]
+        monkeypatch.setattr(mutant.handle, mutant.method, mutant.steps)
+        assert main(["verify"]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("rma-rw "))
+        assert "FAIL (1 node): [mutual-exclusion]" in row
+
+    def test_verify_skips_a_blocking_only_lock(self, capsys):
+        import runpy
+        from pathlib import Path
+
+        from repro.api.registry import unregister
+
+        runpy.run_path(str(Path(__file__).parents[1] / "examples" / "custom_lock.py"), run_name="custom_lock_example")
+        try:
+            assert main(["verify", "--procs", "2"]) == 0
+        finally:
+            unregister("scheme", "tas-backoff")
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("tas-backoff "))
+        assert "skipped: scheme 'tas-backoff': TASBackoffLockHandle is blocking-only" in row
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--procs", "1"], "--procs must be at least 2"), (["--rounds", "0"], "--rounds must be at least 1")],
+    )
+    def test_too_small_procs_or_rounds_exit_2(self, flags, message, capsys):
+        assert main(["verify", *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRelatedFigureNames:

@@ -54,7 +54,6 @@ from repro.rma import (
     RunResult,
     SimDeadlockError,
     SimRuntime,
-    ThreadRuntime,
     Window,
 )
 from repro.topology import CounterPlacement, Machine, figure2_machine, xc30_like
@@ -117,7 +116,6 @@ __all__ = [
     "Session",
     "SimDeadlockError",
     "SimRuntime",
-    "ThreadRuntime",
     "TicketLockSpec",
     "UnknownNameError",
     "Window",

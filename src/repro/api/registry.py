@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -305,25 +305,24 @@ class RuntimeInfo:
     """One registered runtime backend.
 
     ``factory(machine, *, window_words, seed, latency, fabric, tracer)``
-    returns an :class:`~repro.rma.runtime_base.RMARuntime`.  ``deterministic``
-    distinguishes the virtual-time simulators (whose results are bit-exactly
-    reproducible) from wall-clock backends such as the thread runtime.
-    ``fault_injection`` marks backends whose factory accepts a ``fault_plan``
-    keyword (see :mod:`repro.fault`) and honors seeded rank crashes.
+    returns an :class:`~repro.rma.runtime_base.RMARuntime` whose virtual-time
+    results are bit-exactly reproducible (README "The determinism contract").
+    The factory also accepts the ``perturbation``, ``observer`` and
+    ``fault_plan`` keywords when the caller sets them.  The one built-in
+    backend is ``horizon``.
     """
 
     name: str
     factory: Callable[..., Any]
     help: str = ""
-    deterministic: bool = True
-    fault_injection: bool = False
 
 
 class _Registry:
     """Name -> info mapping with lazy builtin loading and helpful errors."""
 
-    def __init__(self, kind: str, builtin_modules: Sequence[str] = ()):
+    def __init__(self, kind: str, info_type: type, builtin_modules: Sequence[str] = ()):
         self.kind = kind
+        self._fields = tuple(f.name for f in fields(info_type))
         self._entries: Dict[str, Any] = {}
         self._builtin_modules = tuple(builtin_modules)
         self._loaded = False
@@ -388,10 +387,13 @@ class _Registry:
             raise UnknownNameError(self.kind, name, list(self._entries)) from None
 
     def names(self, **filters: Any) -> Tuple[str, ...]:
+        for key in filters:
+            if key not in self._fields:
+                raise UnknownNameError(f"{self.kind} filter", key, self._fields)
         self.load_builtins()
         out: List[str] = []
         for name, info in self._entries.items():
-            if all(getattr(info, key, None) == value for key, value in filters.items()):
+            if all(getattr(info, key) == value for key, value in filters.items()):
                 out.append(name)
         return tuple(out)
 
@@ -418,14 +420,11 @@ _BENCHMARK_MODULES = (
     "repro.traffic.scenarios",
     "repro.fault.traffic",
 )
-_RUNTIME_MODULES = (
-    "repro.rma.sim_runtime",
-    "repro.rma.thread_runtime",
-)
+_RUNTIME_MODULES = ("repro.rma.sim_runtime",)
 
-_schemes = _Registry("scheme", _SCHEME_MODULES)
-_benchmarks = _Registry("benchmark", _BENCHMARK_MODULES)
-_runtimes = _Registry("runtime", _RUNTIME_MODULES)
+_schemes = _Registry("scheme", SchemeInfo, _SCHEME_MODULES)
+_benchmarks = _Registry("benchmark", BenchmarkInfo, _BENCHMARK_MODULES)
+_runtimes = _Registry("runtime", RuntimeInfo, _RUNTIME_MODULES)
 
 
 # --------------------------------------------------------------------------- #
@@ -517,29 +516,17 @@ def register_runtime(
     name: str,
     *,
     help: str = "",
-    deterministic: bool = True,
-    fault_injection: bool = False,
     replace: bool = False,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator: register the decorated runtime factory.
 
     The factory is called as ``factory(machine, *, window_words, seed,
-    latency, fabric, tracer)`` and must return an RMA runtime instance.
-    Factories registered with ``fault_injection=True`` additionally accept a
-    ``fault_plan`` keyword (see :mod:`repro.fault`).
+    latency, fabric, tracer)`` and must return an RMA runtime instance (see
+    :class:`RuntimeInfo` for the optional keywords).
     """
 
     def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-        _runtimes.register(
-            RuntimeInfo(
-                name=name,
-                factory=factory,
-                help=help,
-                deterministic=deterministic,
-                fault_injection=fault_injection,
-            ),
-            replace=replace,
-        )
+        _runtimes.register(RuntimeInfo(name=name, factory=factory, help=help), replace=replace)
         return factory
 
     return decorator
@@ -588,11 +575,12 @@ def benchmark_names(*, tag: Optional[str] = None) -> Tuple[str, ...]:
 
 
 def runtime_names(*, deterministic: Optional[bool] = None) -> Tuple[str, ...]:
-    """Registered runtime names, in registration order."""
-    filters: Dict[str, Any] = {}
-    if deterministic is not None:
-        filters["deterministic"] = deterministic
-    return _runtimes.names(**filters)
+    """Registered runtime names, in registration order.
+
+    Every runtime is a deterministic simulator, so ``deterministic=True``
+    returns every name and a false ``deterministic`` returns none.
+    """
+    return () if deterministic is False else _runtimes.names()
 
 
 def unregister(kind: str, name: str) -> None:

@@ -162,10 +162,10 @@ class Cluster:
             ``machine`` is given.
         machine: Pre-built :class:`~repro.topology.machine.Machine` overriding
             the named topology.
-        runtime: Registered runtime backend (``"horizon"``, ``"thread"``, or
-            any name added via ``@register_runtime``).
-            Wall-clock backends such as ``"thread"`` drive :meth:`session`
-            programs; :meth:`bench` requires a deterministic simulator.
+        runtime: Registered runtime backend (``"horizon"``, or any name
+            added via ``@register_runtime``).  :meth:`session` programs may
+            be step programs or ordinary blocking code, which horizon runs
+            through its per-rank thread bridge.
         seed: Default seed for benchmarks and sessions.
         latency_model: Optional end-point latency model override.
         fabric: Optional link-level contention model.

@@ -321,9 +321,9 @@ def run_lock_benchmark_detailed(
     model; ``fabric`` optionally adds Dragonfly link-level contention
     (:class:`~repro.rma.fabric.FabricContentionModel`).  ``scheduler`` names
     a registered runtime backend (default: :func:`default_scheduler`,
-    ``"horizon"``; every deterministic backend produces bit-identical
-    results, so that switch only matters for wall-clock measurements).  ``spec`` lets a caller (e.g. ``Cluster.bench``) supply an
-    already-built lock spec instead of rebuilding it from ``config``.
+    ``"horizon"``; every backend produces bit-identical results).  ``spec``
+    lets a caller (e.g. ``Cluster.bench``) supply an already-built lock spec
+    instead of rebuilding it from ``config``.
 
     The conformance layer adds two hooks: ``perturbation`` installs a seeded
     :class:`~repro.rma.perturbation.PerturbationModel` (each seed explores a
@@ -337,13 +337,6 @@ def run_lock_benchmark_detailed(
     third-party runtime factories with the original signature keep working.
     """
     runtime_info = get_runtime(scheduler if scheduler is not None else _DEFAULT_SCHEDULER)
-    if not runtime_info.deterministic:
-        raise ValueError(
-            f"scheduler {runtime_info.name!r} is a wall-clock backend; the lock "
-            f"benchmark harness reports virtual-time metrics and requires a "
-            f"deterministic simulator runtime (use Cluster.session / the runtime "
-            f"directly to drive programs on it)"
-        )
     if spec is None:
         spec, is_rw = build_lock_spec(config)
         transform = get_benchmark(config.benchmark).spec_transform

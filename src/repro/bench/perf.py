@@ -1,7 +1,7 @@
 """Local simulator timing table and hot-path profiles (``repro perf``).
 
-Times how many RMA operations per host second one registered deterministic
-runtime (``--scheduler`` on the CLI, default ``horizon``) executes on a few
+Times how many RMA operations per host second one registered runtime
+(``horizon`` by default; the CLI always uses it) executes on a few
 representative lock workloads.  The cases run serially in the calling
 process, and every repetition of a case must produce the same result
 fingerprint before a time is reported.  ``profile_case`` backs

@@ -13,8 +13,8 @@ The subcommands cover the common workflows:
 * ``verify`` — model-check every registered scheme's own step programs over
   all interleavings (the paper's Section 4.4, without SPIN); exit 1 on any
   violation or deadlock.
-* ``perf`` — time a few lock workloads on one deterministic runtime
-  (``--scheduler``, default horizon) and print a local ops/sec table; with
+* ``perf`` — time a few lock workloads on the horizon runtime and print a
+  local ops/sec table; with
   ``--profile``, also write a cProfile hot-path report per case.  Speed
   claims go through the ledger (``python3 -m ledger``).
 * ``campaign`` — list, show or run the named sweep campaigns (parallel
@@ -50,12 +50,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import (
-    benchmark_names,
-    get_scheme,
-    runtime_names,
-    scheme_names,
-)
+from repro.api.registry import benchmark_names, get_scheme, scheme_names
 from repro.bench.campaign import SweepReport, bless_sweep, write_manifest_json
 from repro.bench.harness import run_lock_benchmark
 from repro.bench.report import format_figure, format_table
@@ -154,15 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     schemes = scheme_names(harness=True)
-    schedulers = runtime_names(deterministic=True)
 
     figures = sub.add_parser("figures", help="regenerate paper figures as text tables")
     figures.add_argument("names", nargs="*", default=[], help=f"figures to run (default: all); choices: {', '.join(_FIGURES)}")
     figures.add_argument("--procs", type=int, nargs="+", default=None, help="process counts to sweep")
     figures.add_argument("--iterations", type=int, default=None, help="lock acquisitions per process")
     figures.add_argument("--output-dir", default=None, help="also save each figure's rows as CSV and JSON in this directory")
-    figures.add_argument("--scheduler", choices=schedulers, default="horizon",
-                         help="simulator core (bit-identical results; only wall-clock differs)")
     figures.add_argument("--jobs", type=int, default=None,
                          help="worker processes per sweep (default: REPRO_JOBS or all cores; "
                               "rows are bit-identical regardless)")
@@ -186,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "included",
     )
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--scheduler", choices=schedulers, default="horizon",
-                       help="simulator core (bit-identical results; only wall-clock differs)")
 
     trace = sub.add_parser("trace", help="trace one contended workload and show where its RMA time goes")
     trace.add_argument("--scheme", choices=schemes, default="rma-mcs")
@@ -204,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf", help="local simulator ops/sec table and hot-path profiles (speed claims: python3 -m ledger)"
     )
-    perf.add_argument("--scheduler", choices=schedulers, default="horizon",
-                      help="runtime backend to measure (default: horizon)")
     perf.add_argument("--reps", type=int, default=4, help="repetitions per case, at least 1 (best wall time wins)")
     perf.add_argument("--profile", action="store_true",
                       help="also cProfile one run per case and write a pstats hot-path "
@@ -223,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(camp_run)
     camp_run.add_argument("--prune-cache", action="store_true",
                           help="also delete cache entries from stale epochs")
-    camp_run.add_argument("--scheduler", choices=schedulers, default=None,
-                          help="override the campaign's runtime backend")
     camp_run.add_argument("--figure", action="store_true",
                           help="render ASCII throughput-vs-P charts (one per benchmark x fw panel)")
 
@@ -269,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process counts (default: 8 32)")
     conform.add_argument("--iterations", type=int, default=None,
                          help="lock acquisitions per rank per run")
-    conform.add_argument("--scheduler", choices=schedulers, default=None,
-                         help="simulator core to sweep on (default: horizon)")
     conform.add_argument("--no-recheck", action="store_true",
                          help="skip the second run per point (faster; forfeits the "
                               "bit-reproducibility certificate)")
@@ -312,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process counts (default: the campaign's, P=64)")
     traffic.add_argument("--iterations", type=int, default=None,
                          help="requests per rank (default: the campaign's)")
-    traffic.add_argument("--scheduler", choices=schedulers, default="horizon",
-                         help="simulator core to sweep (default: horizon)")
     traffic.add_argument("--smoke", action="store_true",
                          help="small CI grid: 3 schemes x 2 scenarios at P=16")
     traffic.add_argument("--top-keys", type=int, default=None, metavar="N",
@@ -336,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fluid scenarios to validate (default: all registered)")
     scale.add_argument("--iterations", type=int, default=None,
                        help="requests per rank (default: the campaign's)")
-    scale.add_argument("--scheduler", choices=schedulers, default="horizon",
-                       help="simulator core (default: horizon)")
     scale.add_argument("--smoke", action="store_true",
                        help="small CI grid: fewer requests per rank (the fluid set, "
                             "including the 10^6/s scenario, runs in full)")
@@ -360,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="process count per point (default: the suite's)")
     tune.add_argument("--iterations", type=int, default=None,
                       help="requests per rank (default: the suite's)")
-    tune.add_argument("--scheduler", choices=schedulers, default="horizon",
-                      help="simulator core (fingerprints are scheduler-invariant)")
     tune.add_argument("--smoke", action="store_true",
                       help="small CI grid: 3 schemes, one axis each, P=16")
 
@@ -391,7 +369,7 @@ def _run_figures(args: argparse.Namespace) -> int:
     for name in names:
         driver_name, series, value = _FIGURES[name]
         driver = getattr(experiments, driver_name)
-        kwargs: Dict[str, Any] = {"scheduler": args.scheduler, "jobs": args.jobs}
+        kwargs: Dict[str, Any] = {"jobs": args.jobs}
         if args.procs is not None:
             kwargs["process_counts"] = tuple(args.procs)
         if args.iterations is not None and driver_name != "figure6":
@@ -424,7 +402,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         # did-you-mean suggestion intact.
         print(f"invalid benchmark configuration: {exc}", file=sys.stderr)
         return 2
-    result = run_lock_benchmark(config, scheduler=args.scheduler)
+    result = run_lock_benchmark(config)
     print(format_table([result.as_row()]))
     print(f"\nRMA operations issued: {sum(result.op_counts.values())} ({dict(sorted(result.op_counts.items()))})")
     return 0
@@ -551,13 +529,13 @@ def _run_perf(args: argparse.Namespace) -> int:
         print(f"error: --reps must be at least 1, got {args.reps}", file=sys.stderr)
         return 2
     rows = [
-        perf_mod.measure_case(case, runtime_name=args.scheduler, reps=args.reps)
+        perf_mod.measure_case(case, reps=args.reps)
         for case in perf_mod.DEFAULT_CASES
     ]
     print(format_table(rows))
     if args.profile:
         for case in perf_mod.DEFAULT_CASES:
-            report = perf_mod.profile_case(case, runtime_name=args.scheduler, out_dir=Path.cwd())
+            report = perf_mod.profile_case(case, out_dir=Path.cwd())
             print(f"profile: {report}")
     return 0
 
@@ -678,7 +656,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 0
 
     # campaign run
-    report, _ = _sweep(args, partial(campaign_mod.run_campaign, spec, scheduler=args.scheduler))
+    report, _ = _sweep(args, partial(campaign_mod.run_campaign, spec))
     display = [
         {
             "case": row["case"],
@@ -773,7 +751,6 @@ def _run_conform(args: argparse.Namespace) -> int:
             benchmarks=args.benchmarks,
             process_counts=args.procs,
             iterations=args.iterations,
-            scheduler=args.scheduler,
         ),
     )
     print(format_table(report.extra["schemes"]))
@@ -866,7 +843,7 @@ def _run_traffic(args: argparse.Namespace) -> int:
         return 0
     report, blessed = _sweep(
         args,
-        partial(traffic_engine.run_traffic, spec, schedulers=(args.scheduler,)),
+        partial(traffic_engine.run_traffic, spec),
         traffic_engine.DEFAULT_TRAFFIC_BASELINE,
     )
     print(format_table(traffic_engine.traffic_display_rows(report.rows)))
@@ -888,10 +865,7 @@ def _run_scale(args: argparse.Namespace) -> int:
     )
     report, blessed = _sweep(
         args,
-        partial(
-            scale_engine.run_scale, spec, schedulers=(args.scheduler,),
-            fluid_names=args.fluid,
-        ),
+        partial(scale_engine.run_scale, spec, fluid_names=args.fluid),
         scale_engine.DEFAULT_SCALE_BASELINE,
         checks=(scale_engine.check_bless,),
     )
@@ -944,7 +918,7 @@ def _run_tune(args: argparse.Namespace) -> int:
         ]
     report, blessed = _sweep(
         args,
-        partial(tune_mod.run_tune, grids, scheduler=args.scheduler, smoke=args.smoke),
+        partial(tune_mod.run_tune, grids, smoke=args.smoke),
         tune_mod.DEFAULT_TUNE_BASELINE,
         checks=(tune_mod.check_bless,),
     )

@@ -1,11 +1,10 @@
 """RMA substrate: windows, the Listing-1 call set, latency model and runtimes.
 
-Every runtime backend self-registers with the :mod:`repro.api` runtime
-registry at import (``"horizon"`` — :class:`SimRuntime`, ``"thread"`` —
-:class:`ThreadRuntime`), so the
-benchmark harness, the CLI's ``--scheduler`` flag and ``Cluster(runtime=...)``
-all resolve backends by name; third-party backends join the same catalogue
-via ``@repro.api.register_runtime``.
+The one runtime, ``"horizon"`` (:class:`SimRuntime`), self-registers with
+the :mod:`repro.api` runtime registry at import, so the benchmark harness,
+the sweep engines and ``Cluster(runtime=...)`` resolve it by name;
+third-party backends join the same catalogue via
+``@repro.api.register_runtime``.
 """
 
 from repro.rma.fabric import FabricContentionModel
@@ -27,7 +26,6 @@ from repro.rma.runtime_base import (
     SimDeadlockError,
 )
 from repro.rma.sim_runtime import SimProcessContext, SimRuntime
-from repro.rma.thread_runtime import ThreadProcessContext, ThreadRuntime
 from repro.rma.window import Window
 
 __all__ = [
@@ -50,7 +48,5 @@ __all__ = [
     "SimDeadlockError",
     "SimProcessContext",
     "SimRuntime",
-    "ThreadProcessContext",
-    "ThreadRuntime",
     "Window",
 ]

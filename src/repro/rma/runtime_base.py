@@ -1,4 +1,4 @@
-"""Common runtime interface shared by the simulated and threaded backends.
+"""Common runtime interface of the simulated backend and any third-party one.
 
 A *runtime* owns ``P`` ranks, one RMA window per rank, and executes a rank
 program (``program(ctx)``) on every rank.  The per-rank handle
@@ -6,15 +6,14 @@ program (``program(ctx)``) on every rank.  The per-rank handle
 Listing 1 plus a handful of helpers that the lock protocols need:
 
 * ``spin_while`` — the ``do {Get; Flush} while (predicate)`` local/remote
-  polling loop used throughout the protocols.  On the simulated backend this
-  parks the rank on the polled memory cells instead of burning simulated
-  events; on the threaded backend it really polls.
+  polling loop used throughout the protocols.  The simulated backend parks
+  the rank on the polled memory cells instead of burning simulated events.
 * ``compute`` — advance local time by a given number of microseconds (models
   critical-section work and back-off delays).
 * ``barrier`` — synchronize all ranks (used to delimit measurement phases).
 
 Values returned by ``get``/``fao``/``cas`` follow the paper's semantics of
-being usable after the subsequent ``flush``; both backends return them
+being usable after the subsequent ``flush``; the simulator returns them
 immediately but protocols still issue the flushes so that the simulated time
 accounting matches the real protocols.
 
@@ -59,9 +58,8 @@ no rank threads at all, so a scheduling point costs a generator resume
 instead of a thread hand-off.  It meets a *blocking* program halfway: each
 rank runs on a thread of its own whose context hands every call, as the
 request of the same name, to a generator the loop steps (one hand-off per
-call).  A runtime that has no native support for step programs
-(``thread``) runs them on its rank threads through
-:meth:`ProcessContext.run_steps`, the blocking trampoline
+call).  :meth:`ProcessContext.run_steps` is the blocking trampoline that
+drives a step generator through the blocking calls
 (:func:`blocking_program` wraps a whole program that way).  ``ctx.now()``,
 ``ctx.rank``, ``ctx.rng`` and the other non-blocking members are used
 directly in both styles.
@@ -176,9 +174,9 @@ def blocking_program(program: Callable[..., Any]) -> Callable[..., Any]:
 
     A step program is wrapped so that each rank drives its generator through
     :meth:`ProcessContext.run_steps` on its own thread; a blocking program is
-    returned unchanged.  The ``thread`` runtime applies this to what it
-    is given, so one program runs everywhere; on ``horizon`` it
-    turns a step program into its bridged blocking twin.
+    returned unchanged.  On ``horizon`` this turns a step program into its
+    bridged blocking twin (:func:`repro.core.lock_base.program_for_spec`
+    uses it for blocking-only lock handles).
     """
     if not is_step_program(program):
         return program
@@ -214,8 +212,7 @@ class RunResult:
 
     Attributes:
         returns: Per-rank return values of the rank program.
-        finish_times_us: Per-rank completion times (virtual µs for the
-            simulator, wall-clock µs for the thread backend).
+        finish_times_us: Per-rank completion times (virtual µs).
         total_time_us: Makespan across all ranks.
         op_counts: Total number of RMA calls issued, keyed by call name.
         per_rank_op_counts: The same, broken down per rank.
@@ -304,7 +301,7 @@ class ProcessContext(abc.ABC):
 
     @abc.abstractmethod
     def now(self) -> float:
-        """Current local time in microseconds (virtual or wall-clock)."""
+        """Current local (virtual) time in microseconds."""
 
     # -- step programs ------------------------------------------------------ #
 
@@ -314,8 +311,8 @@ class ProcessContext(abc.ABC):
         The blocking trampoline: every request ``steps`` yields is executed
         by the blocking method it names and the method's value is sent back;
         an exception the call raises is raised at the ``yield``.  Returns the
-        generator's return value.  This is how a runtime with rank threads runs
-        a step program, and how the blocking ``acquire()``/``release()`` of a
+        generator's return value.  This is how a bridged rank thread runs a
+        step program, and how the blocking ``acquire()``/``release()`` of a
         lock handle are derived from its ``*_steps`` generators.
         """
         try:

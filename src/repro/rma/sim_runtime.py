@@ -991,7 +991,6 @@ class SimRuntime(RMARuntime):
 @register_runtime(
     "horizon",
     help="min-heap time-horizon scheduler, the default: one loop steps every rank as a generator (blocking programs through a per-rank thread bridge)",
-    fault_injection=True,
 )
 def _make_horizon_runtime(
     machine, *, window_words=64, seed=0, latency=None, fabric=None, tracer=None,

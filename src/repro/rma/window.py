@@ -5,8 +5,7 @@ that other processes access with puts/gets/atomics (Section 2.1).  Here a
 window is a fixed-size array of 64-bit integers addressed by word offset.
 The window itself is a plain data container; atomicity across concurrent
 accessors is the responsibility of the runtime that owns it (the simulated
-runtime serializes accesses, the thread runtime guards each window with a
-lock).
+runtime serializes accesses).
 """
 
 from __future__ import annotations

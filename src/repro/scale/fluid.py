@@ -337,11 +337,6 @@ def run_sampled(
     from repro.bench.campaign import run_result_sha
 
     runtime_info = get_runtime(scheduler)
-    if not runtime_info.deterministic:
-        raise ValueError(
-            f"scheduler {scheduler!r} is a wall-clock backend; sampled fluid "
-            f"cohorts need a deterministic simulator runtime"
-        )
     machine = cached_machine(fluid.sample_ranks, procs_per_node=fluid.sample_ppn)
     table, _ = build_lock_table(machine, fluid.sample_scheme, fluid.sample_locks)
     scenario = sampled_scenario(fluid)

@@ -18,6 +18,7 @@ from repro.api import (
     scheme_names,
     unregister,
 )
+from repro.api.registry import _runtimes, _schemes
 from repro.bench.workloads import (
     BENCHMARKS,
     MCS_SCHEMES,
@@ -69,9 +70,22 @@ class TestBuiltinCatalogue:
         assert not get_benchmark("lb").post_release_wait
 
     def test_runtimes_registered(self):
-        assert set(runtime_names()) >= {"horizon", "thread"}
-        assert get_runtime("horizon").deterministic
-        assert not get_runtime("thread").deterministic
+        assert "horizon" in runtime_names()
+        assert "thread" not in runtime_names()
+
+    def test_every_runtime_is_deterministic(self):
+        # ledger/trace.py and ledger/probes.py still filter on it: True must
+        # keep horizon (its probe rows and traced rma.run spans), not drop it.
+        assert runtime_names(deterministic=True) == runtime_names()
+        assert "horizon" in runtime_names(deterministic=True)
+
+    def test_an_unknown_filter_raises(self):
+        # A filter on a field no entry has used to match nothing, silently.
+        with pytest.raises(UnknownNameError, match="runtime filter 'deterministic'"):
+            _runtimes.names(deterministic=True)
+        assert _runtimes.names(name="horizon") == ("horizon",)
+        with pytest.raises(UnknownNameError, match="Did you mean 'harness'"):
+            _schemes.names(harnes=True)
 
     def test_the_seed_scheduler_is_not_a_runtime(self):
         # Its role went to tests/reference.py, which only tests register.
@@ -157,13 +171,14 @@ class TestRegistration:
         def _factory(config, spec, is_rw, shared_offset):  # pragma: no cover
             raise NotImplementedError
 
-        @register_runtime("test-registry-runtime", deterministic=False, help="test-only")
+        @register_runtime("test-registry-runtime", help="test-only")
         def _runtime_factory(machine, **kwargs):  # pragma: no cover
             raise NotImplementedError
 
         try:
             assert get_benchmark("test-registry-bench").program_factory is _factory
-            assert "test-registry-runtime" in runtime_names(deterministic=False)
+            assert "test-registry-runtime" in runtime_names()
+            assert get_runtime("test-registry-runtime").factory is _runtime_factory
         finally:
             unregister("benchmark", "test-registry-bench")
             unregister("runtime", "test-registry-runtime")
@@ -298,23 +313,3 @@ class TestReloadSafety:
             @register_scheme("rma-rw")
             def _imposter(machine):  # pragma: no cover - never called
                 return None
-
-
-class TestHarnessRejectsWallClockScheduler:
-    def test_thread_scheduler_rejected_by_harness(self):
-        from repro.bench.harness import run_lock_benchmark
-        from repro.bench.workloads import LockBenchConfig
-        from repro.topology.builder import xc30_like
-
-        config = LockBenchConfig(machine=xc30_like(4, procs_per_node=4), iterations=2)
-        with pytest.raises(ValueError, match="wall-clock"):
-            run_lock_benchmark(config, scheduler="thread")
-
-    def test_thread_cluster_bench_rejected_but_session_works(self):
-        from repro.api import Cluster
-
-        c = Cluster(procs=4, procs_per_node=4, runtime="thread")
-        with pytest.raises(ValueError, match="wall-clock"):
-            c.bench("ticket", "ecsb", iterations=2)
-        session = c.session(c.lock("ticket"))  # sessions stay supported
-        assert session.runtime_info.name == "thread"

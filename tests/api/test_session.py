@@ -8,6 +8,7 @@ from repro.api import Cluster, ClusterLock, ParamSpec, UnknownNameError, registe
 from repro.bench.harness import LockBenchResult, run_lock_benchmark
 from repro.bench.workloads import LockBenchConfig
 from repro.core.rma_rw import RMARWLockSpec
+from tests.support import rank_threads_started
 
 
 class TestClusterConstruction:
@@ -148,8 +149,10 @@ class TestSession:
         with pytest.raises(TypeError):
             c.session(object())
 
-    def test_thread_runtime_cluster_runs_real_threads(self):
-        with Cluster(procs=4, procs_per_node=4, runtime="thread") as c:
+    def test_ordinary_threaded_code_drives_locks_through_the_bridge(self):
+        # A plain blocking function (no generator) is user code: horizon runs
+        # it on one bridged thread per rank and hands each call to its loop.
+        with Cluster(procs=4, procs_per_node=4) as c:
             lock = c.lock("ticket")
             session = c.session(lock, extra_words=1)
             offset = lock.window_words
@@ -165,14 +168,10 @@ class TestSession:
                         ctx.flush(0)
                 ctx.barrier()
 
-            session.run(program)
+            with rank_threads_started() as threads:
+                session.run(program)
+            assert sorted(threads) == [f"sim-rank-{r}" for r in range(4)]
             assert session.window(0).read(offset) == 4 * 5
-
-    def test_thread_runtime_rejects_latency_model(self):
-        from repro.rma.latency import LatencyModel
-
-        with pytest.raises(ValueError, match="wall-clock"):
-            Cluster(procs=4, runtime="thread", latency_model=LatencyModel.flat(1.0)).session()
 
 
 class TestCustomSchemeEndToEnd:

@@ -20,7 +20,7 @@ def drifting_runtime():
 
     seeds = itertools.count(1)
 
-    @register_runtime("drifting-sim", help="test-only: new seed per instance", deterministic=False)
+    @register_runtime("drifting-sim", help="test-only: new seed per instance")
     def _make(machine, *, window_words=64, seed=0, **kwargs):
         return SimRuntime(machine, window_words=window_words, seed=seed + next(seeds), **kwargs)
 

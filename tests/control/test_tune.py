@@ -100,6 +100,17 @@ class TestRunTune:
         assert [f.level for f in findings] == ["fail"]
         assert findings[0].field == "schemes"
 
+    def test_bless_follows_the_scheduler(self, tmp_path, reference):
+        baseline = tmp_path / "BENCH_tune.json"
+        run = partial(run_tune, [TINY_GRID], scheduler=reference, cache_dir=tmp_path / "cache")
+        bless_sweep(run, baseline, jobs=1, checks=(check_bless,))
+        payload = json.loads(baseline.read_text())
+        assert payload["scheduler"] == reference
+        assert all(row["scheduler"] == reference for row in payload["rows"])
+        # The scheduler suffix follows the machine axes in a case name.
+        assert all("-i4-ppn4-reference" in row["case"] for row in payload["rows"])
+        assert all("-i4-ppn4-reference" in b["best_case"] for b in payload["best"])
+
     def test_check_refuses_a_drifting_winner(self):
         def report(fingerprint):
             best = [{"grid": "g", "fingerprint": fingerprint}]

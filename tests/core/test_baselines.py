@@ -7,7 +7,7 @@ import pytest
 from repro.core.baselines import FompiRWLockSpec, FompiSpinLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check, run_rw_check
+from tests.support import check_on_every_path, run_mutex_check, run_rw_check
 
 
 class TestSpinLockSpec:
@@ -46,11 +46,6 @@ class TestSpinLockBehaviour:
         outcome = run_mutex_check(spec, medium_cluster, iterations=5)
         assert outcome.ok
 
-    def test_mutual_exclusion_on_threads(self):
-        machine = Machine.single_node(4)
-        outcome = run_mutex_check(FompiSpinLockSpec(num_processes=4), machine, iterations=10, runtime="thread")
-        assert outcome.ok
-
     def test_non_default_home_rank(self, small_cluster):
         spec = FompiSpinLockSpec(num_processes=small_cluster.num_processes, home_rank=4)
         outcome = run_mutex_check(spec, small_cluster, iterations=4)
@@ -68,6 +63,10 @@ class TestSpinLockBehaviour:
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.lock_offset) == 0
+
+    def test_mutual_exclusion_on_the_reference(self):
+        machine = Machine.single_node(4)
+        check_on_every_path(run_mutex_check, FompiSpinLockSpec(num_processes=4), machine, iterations=10)
 
 
 class TestRWLockSpec:
@@ -111,12 +110,6 @@ class TestRWLockBehaviour:
         assert outcome.ok
         assert outcome.reads + outcome.writes == outcome.expected_acquisitions
 
-    def test_on_thread_runtime(self):
-        machine = Machine.single_node(4)
-        spec = FompiRWLockSpec(num_processes=4)
-        outcome = run_rw_check(spec, machine, iterations=8, writer_ranks=[0], runtime="thread")
-        assert outcome.ok
-
     def test_word_clean_after_run(self, small_cluster):
         spec = FompiRWLockSpec(num_processes=small_cluster.num_processes)
         rt = SimRuntime(small_cluster, window_words=spec.window_words)
@@ -133,3 +126,8 @@ class TestRWLockBehaviour:
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.word_offset) == 0
+
+    def test_on_the_reference(self):
+        machine = Machine.single_node(4)
+        spec = FompiRWLockSpec(num_processes=4)
+        check_on_every_path(run_rw_check, spec, machine, iterations=8, writer_ranks=[0])

@@ -8,7 +8,7 @@ from repro.core.constants import NULL_RANK
 from repro.core.dmcs import DMCSLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import check_on_every_path, run_mutex_check
 
 
 class TestSpec:
@@ -72,17 +72,16 @@ class TestMutualExclusion:
         outcome = run_mutex_check(spec, small_cluster, iterations=5)
         assert outcome.ok
 
-    def test_on_thread_runtime(self):
-        machine = Machine.single_node(4)
-        spec = DMCSLockSpec(num_processes=4)
-        outcome = run_mutex_check(spec, machine, iterations=10, runtime="thread")
-        assert outcome.ok
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_different_seeds(self, small_cluster, seed):
         spec = DMCSLockSpec(num_processes=small_cluster.num_processes)
         outcome = run_mutex_check(spec, small_cluster, iterations=4, seed=seed)
         assert outcome.ok
+
+    def test_on_the_reference(self):
+        machine = Machine.single_node(4)
+        spec = DMCSLockSpec(num_processes=4)
+        check_on_every_path(run_mutex_check, spec, machine, iterations=10)
 
 
 class TestQueueBehaviour:

@@ -9,7 +9,7 @@ from repro.core.rma_mcs import RMAMCSLockSpec
 from repro.core.tree import UNBOUNDED_THRESHOLD
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import check_on_every_path, run_mutex_check
 
 
 class TestSpec:
@@ -77,17 +77,16 @@ class TestMutualExclusion:
         outcome = run_mutex_check(spec, medium_cluster, iterations=4, seed=seed)
         assert outcome.ok
 
-    def test_on_thread_runtime(self):
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        spec = RMAMCSLockSpec(machine, t_l=(2, 2))
-        outcome = run_mutex_check(spec, machine, iterations=8, runtime="thread")
-        assert outcome.ok
-
     def test_four_level_machine(self):
         machine = Machine(fanouts=(2, 2, 2), procs_per_leaf=2)
         spec = RMAMCSLockSpec(machine, t_l=(2, 2, 2, 2))
         outcome = run_mutex_check(spec, machine, iterations=4)
         assert outcome.ok
+
+    def test_on_the_reference(self):
+        machine = Machine.cluster(nodes=2, procs_per_node=2)
+        spec = RMAMCSLockSpec(machine, t_l=(2, 2))
+        check_on_every_path(run_mutex_check, spec, machine, iterations=8)
 
 
 class TestTopologyAwareness:

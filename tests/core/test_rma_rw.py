@@ -8,7 +8,7 @@ from repro.core.constants import NULL_RANK
 from repro.core.rma_rw import RMARWLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check, run_rw_check
+from tests.support import check_on_every_path, run_mutex_check, run_rw_check
 
 
 class TestSpec:
@@ -140,17 +140,16 @@ class TestReadersAndWriters:
         outcome = run_rw_check(spec, single_node, iterations=6, writer_ranks=[2])
         assert outcome.ok
 
-    def test_on_thread_runtime(self):
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        spec = RMARWLockSpec(machine, t_l=(2, 2), t_r=8)
-        outcome = run_rw_check(spec, machine, iterations=6, writer_ranks=[0], runtime="thread")
-        assert outcome.ok
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_seed_sweep_mixed_workload(self, medium_cluster, seed):
         spec = RMARWLockSpec(medium_cluster, t_l=(2, 2), t_r=8)
         outcome = run_rw_check(spec, medium_cluster, iterations=5, fw=0.25, seed=seed)
         assert outcome.ok
+
+    def test_on_the_reference(self):
+        machine = Machine.cluster(nodes=2, procs_per_node=2)
+        spec = RMARWLockSpec(machine, t_l=(2, 2), t_r=8)
+        check_on_every_path(run_rw_check, spec, machine, iterations=6, writer_ranks=[0])
 
 
 class TestCounterLifecycle:

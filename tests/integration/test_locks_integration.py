@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme, scheme_names
 from repro.core.baselines import FompiRWLockSpec, FompiSpinLockSpec
 from repro.core.dmcs import DMCSLockSpec
 from repro.core.rma_mcs import RMAMCSLockSpec
@@ -11,7 +12,7 @@ from repro.core.rma_rw import RMARWLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.builder import figure2_machine
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check, run_rw_check
+from tests.support import check_on_every_path, run_mutex_check, run_rw_check
 
 MACHINES = {
     "single-node": Machine.single_node(6),
@@ -59,11 +60,35 @@ class TestReaderWriterMatrix:
         assert outcome.ok, f"{lock_name} on {machine_name}: {outcome}"
 
     @pytest.mark.parametrize("lock_name", ["fompi-rw", "rma-rw"])
-    def test_rw_locks_on_thread_runtime(self, lock_name):
+    def test_rw_locks_on_the_reference(self, lock_name):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = rw_specs(machine)[lock_name]
-        outcome = run_rw_check(spec, machine, iterations=6, writer_ranks=[0], runtime="thread")
-        assert outcome.ok
+        check_on_every_path(run_rw_check, spec, machine, iterations=6, writer_ranks=[0])
+
+
+def registered_spec(name: str, machine: Machine):
+    """The spec of registered scheme ``name``, as the model checker builds it."""
+    info = get_scheme(name)
+    return info.build(machine) if info.harness else info.conformance_adapter(machine)
+
+
+class TestRegistryMatrix:
+    """Every registered scheme on every machine, on every path: bridged and
+    inline on horizon and on the reference, with one result for all three."""
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_mutual_exclusion_on_every_path(self, machine_name, name):
+        machine = MACHINES[machine_name]
+        check_on_every_path(run_mutex_check, registered_spec(name, machine), machine, iterations=3)
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    @pytest.mark.parametrize("name", [name for name in scheme_names() if get_scheme(name).rw])
+    def test_reader_writer_exclusion_on_every_path(self, machine_name, name):
+        machine = MACHINES[machine_name]
+        spec = registered_spec(name, machine)
+        outcome = check_on_every_path(run_rw_check, spec, machine, iterations=4, fw=0.3, seed=3)
+        assert outcome.reads and outcome.writes
 
 
 class TestSharedWindowComposition:

@@ -434,7 +434,7 @@ def factory(name: str) -> Callable[..., RMARuntime]:
 def registered(name: str = REFERENCE) -> Iterator[str]:
     """The interpreter registered as runtime ``name`` for the block's duration."""
     registry.register_runtime(
-        name, help="thread-free reference interpreter of step programs (tests only)", fault_injection=True,
+        name, help="thread-free reference interpreter of step programs (tests only)",
     )(ReferenceRuntime)
     try:
         yield name

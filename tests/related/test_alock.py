@@ -8,7 +8,7 @@ from repro.core.constants import NULL_RANK
 from repro.related.alock import ALockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import STYLES, run_mutex_check
 
 
 class TestALockSpec:
@@ -53,11 +53,11 @@ class TestALockSpec:
 
 
 class TestALockProtocol:
-    @pytest.mark.parametrize("runtime", ["sim", "thread"])
-    def test_mutual_exclusion_mixed_locality(self, runtime):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_mutual_exclusion_mixed_locality(self, style):
         machine = Machine.cluster(nodes=2, procs_per_node=3)
         spec = ALockSpec(machine)
-        outcome = run_mutex_check(spec, machine, iterations=3, runtime=runtime)
+        outcome = run_mutex_check(spec, machine, iterations=3, style=style)
         assert outcome.ok, outcome
 
     def test_mutual_exclusion_all_local(self):

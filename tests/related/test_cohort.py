@@ -8,7 +8,7 @@ from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock, locali
 from repro.related.cohort import CohortTicketLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import STYLES, run_mutex_check
 
 
 class TestCohortTicketLockSpec:
@@ -50,11 +50,11 @@ class TestCohortTicketLockSpec:
 
 
 class TestCohortTicketLockProtocol:
-    @pytest.mark.parametrize("runtime", ["sim", "thread"])
-    def test_mutual_exclusion(self, runtime):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_mutual_exclusion(self, style):
         machine = Machine.cluster(nodes=2, procs_per_node=3)
         spec = CohortTicketLockSpec(machine, max_local_passes=2)
-        outcome = run_mutex_check(spec, machine, iterations=4, runtime=runtime)
+        outcome = run_mutex_check(spec, machine, iterations=4, style=style)
         assert outcome.ok, outcome
 
     def test_mutual_exclusion_single_node(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.related.lock_server import LockServerSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import STYLES, run_mutex_check
 
 
 class TestLockServerSpec:
@@ -40,13 +40,13 @@ class TestLockServerSpec:
 
 
 class TestLockServerProtocol:
-    @pytest.mark.parametrize("runtime", ["sim", "thread"])
     @pytest.mark.parametrize("threshold", [0, 1, 8])
-    def test_mutual_exclusion_across_the_policy_axis(self, runtime, threshold):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_mutual_exclusion_across_the_policy_axis(self, style, threshold):
         # threshold=0 is the pure FIFO queue, 8 >= P is pure poll-retry.
         machine = Machine.cluster(nodes=2, procs_per_node=3)
         spec = LockServerSpec(num_processes=6, queue_threshold=threshold)
-        outcome = run_mutex_check(spec, machine, iterations=3, runtime=runtime)
+        outcome = run_mutex_check(spec, machine, iterations=3, style=style)
         assert outcome.ok, outcome
 
     def test_uncontended_acquire_claims_without_polling(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.related.numa_rw import NumaRWLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_rw_check
+from tests.support import STYLES, run_rw_check
 
 
 class TestNumaRWLockSpec:
@@ -56,11 +56,11 @@ class TestNumaRWLockSpec:
 
 
 class TestNumaRWLockProtocol:
-    @pytest.mark.parametrize("runtime", ["sim", "thread"])
-    def test_rw_exclusion_mixed_roles(self, runtime):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_rw_exclusion_mixed_roles(self, style):
         machine = Machine.cluster(nodes=2, procs_per_node=3)
         spec = NumaRWLockSpec(machine)
-        outcome = run_rw_check(spec, machine, iterations=4, fw=0.3, runtime=runtime, seed=5)
+        outcome = run_rw_check(spec, machine, iterations=4, fw=0.3, seed=5, style=style)
         assert outcome.ok, outcome
 
     def test_readers_admitted_concurrently(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.related.ticket import TicketLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
-from tests.support import run_mutex_check
+from tests.support import STYLES, run_mutex_check
 
 
 class TestTicketLockSpec:
@@ -48,11 +48,11 @@ class TestTicketLockSpec:
 
 
 class TestTicketLockProtocol:
-    @pytest.mark.parametrize("runtime", ["sim", "thread"])
-    def test_mutual_exclusion(self, runtime):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_mutual_exclusion(self, style):
         machine = Machine.cluster(nodes=2, procs_per_node=3)
         spec = TicketLockSpec(num_processes=machine.num_processes)
-        outcome = run_mutex_check(spec, machine, iterations=4, runtime=runtime)
+        outcome = run_mutex_check(spec, machine, iterations=4, style=style)
         assert outcome.ok, outcome
 
     def test_single_rank_can_reacquire(self):

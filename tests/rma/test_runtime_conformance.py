@@ -1,9 +1,8 @@
-"""Registry-wide runtime conformance: every deterministic backend is one core.
+"""Registry-wide runtime conformance: every registered backend is one core.
 
 The golden-determinism suite pins the *named* schedulers; this suite pins the
-**registry contract**: any runtime registered with ``@register_runtime``
-(``deterministic=True``) — including one a third party registers at runtime —
-must
+**registry contract**: any runtime registered with ``@register_runtime`` —
+including one a third party registers at runtime — must
 
 1. reproduce the recorded golden fingerprints at P in {8, 32} bit-exactly,
 2. round-trip through the ``Cluster``/``Session`` facade
@@ -97,20 +96,19 @@ def _assert_matches_golden(name, runtime_name, recorded):
 def test_all_registered_runtimes_are_enumerable(reference):
     names = runtime_names(deterministic=True)
     assert {"horizon", reference} <= set(names)
-    # Wall-clock backends must not leak into the deterministic set.
-    assert "thread" not in names
+    assert names == runtime_names()
 
 
 def test_unregistered_runtime_name_lists_the_registered_ones():
     with pytest.raises(registry.UnknownNameError) as exc:
         get_runtime("vector")
-    assert "horizon" in str(exc.value) and "thread" in str(exc.value)
+    assert "horizon" in str(exc.value)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_every_registered_runtime_reproduces_goldens(name, recorded_goldens, reference):
-    """The registry's deterministic set reproduces P in {8, 32} goldens."""
-    for runtime_name in runtime_names(deterministic=True):
+    """Every registered runtime reproduces the P in {8, 32} goldens."""
+    for runtime_name in runtime_names():
         _assert_matches_golden(name, runtime_name, recorded_goldens)
 
 
@@ -119,7 +117,7 @@ def test_third_party_runtime_reproduces_goldens(
     name, third_party_runtime, recorded_goldens
 ):
     """A backend registered at runtime is held to the exact same contract."""
-    assert third_party_runtime in runtime_names(deterministic=True)
+    assert third_party_runtime in runtime_names()
     _assert_matches_golden(name, third_party_runtime, recorded_goldens)
 
 
@@ -166,7 +164,7 @@ def test_session_round_trip_is_identical_across_runtimes(third_party_runtime, re
     expected = _session_sha("horizon")
     assert _session_sha("horizon", _counter_steps) == expected
     assert _session_sha(reference, _counter_steps) == expected
-    for runtime_name in runtime_names(deterministic=True):
+    for runtime_name in runtime_names():
         if runtime_name in ("horizon", reference):
             continue
         assert _session_sha(runtime_name) == expected, (

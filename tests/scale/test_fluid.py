@@ -182,10 +182,6 @@ class TestSampledCohort:
         default = generate_schedule(scenario, 17, 0, 32)
         assert not np.array_equal(on_lane.arrival_us, default.arrival_us)
 
-    def test_wall_clock_backend_rejected(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            run_sampled(_fluid(250_000.0), scheduler="thread")
-
 
 class TestMegaScale:
     def test_mega_profile_resolves_millions_of_requests_instantly(self):

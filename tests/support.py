@@ -5,7 +5,9 @@ every rank repeatedly enters a critical section guarded by the lock under
 test, and instrument the critical section so that any mutual-exclusion
 violation is recorded in the windows (rather than raising inside the
 simulated program).  The helpers here build those programs for both the
-mutual-exclusion and the reader-writer cases and run them on either runtime.
+mutual-exclusion and the reader-writer cases, as step programs, and run them
+in either of the :data:`STYLES` on horizon or on another runtime class
+(:func:`check_on_every_path` runs all three paths and compares them).
 :data:`MUTANTS` holds the known-unsafe protocol variants the model checker
 must find, as step methods to patch into the real handles.
 """
@@ -15,27 +17,33 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.bench.campaign import run_result_sha
 from repro.core.constants import NULL_RANK, WRITE_FLAG
 from repro.core.counter import DistributedCounterHandle
 from repro.core.lock_base import LockSpec, RWLockSpec
 from repro.related import alock as alock_module
 from repro.related.lock_server import LockServerHandle
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ACCUMULATE, CAS, FAO, FLUSH, GET, PUT, SPIN_WHILE, RMARuntime
+from repro.rma.runtime_base import (
+    ACCUMULATE, BARRIER, CAS, COMPUTE, FAO, FLUSH, GET, PUT, SPIN_WHILE, RMARuntime, RunResult,
+    WindowInit, blocking_program,
+)
 from repro.rma.sim_runtime import SimRuntime
-from repro.rma.thread_runtime import ThreadRuntime
 from repro.topology.machine import Machine
+
+from tests.reference import ReferenceRuntime
 
 __all__ = [
     "MUTANTS",
     "Mutant",
     "MutexOutcome",
     "RWOutcome",
-    "build_runtime",
+    "STYLES",
+    "check_on_every_path",
     "isolated_result_cache",
     "rank_threads_started",
     "run_mutex_check",
@@ -83,6 +91,12 @@ def rank_threads_started() -> Iterator[List[str]]:
     assert set(threading.enumerate()) <= before, "a run left threads behind"
 
 
+#: How the instrumented programs run.  Each is written once, as a step program:
+#: ``"blocking"`` runs it through :func:`~repro.rma.runtime_base.blocking_program`
+#: (on horizon, one bridged rank thread per rank: the path user code takes),
+#: ``"step"`` as it is (stepped inline; the only style the reference runs).
+STYLES = ("blocking", "step")
+
 #: Simulated "hold the lock" time inside instrumented critical sections (µs).
 CS_HOLD_US = 0.4
 
@@ -95,6 +109,8 @@ class MutexOutcome:
     acquisitions: int
     expected_acquisitions: int
     total_time_us: float
+    #: :func:`~repro.bench.campaign.run_result_sha` of the run.
+    fingerprint: str
 
     @property
     def ok(self) -> bool:
@@ -112,25 +128,30 @@ class RWOutcome:
     reads: int
     writes: int
     total_time_us: float
+    #: :func:`~repro.bench.campaign.run_result_sha` of the run.
+    fingerprint: str
 
     @property
     def ok(self) -> bool:
         return self.violations == 0 and self.acquisitions == self.expected_acquisitions
 
 
-def build_runtime(
-    kind: str,
+def _run_check(
+    program: Callable[..., Any],
     machine: Machine,
     window_words: int,
     *,
-    seed: int = 0,
-) -> RMARuntime:
-    """Create the requested runtime backend ('sim' or 'thread')."""
-    if kind == "sim":
-        return SimRuntime(machine, window_words=window_words, seed=seed)
-    if kind == "thread":
-        return ThreadRuntime(machine, window_words=window_words, seed=seed)
-    raise ValueError(f"unknown runtime kind {kind!r}")
+    window_init: WindowInit,
+    style: str,
+    make_runtime: Callable[..., RMARuntime],
+    seed: int,
+) -> Tuple[RMARuntime, RunResult]:
+    if style not in STYLES:
+        raise ValueError(f"style must be one of {STYLES}, got {style!r}")
+    rt = make_runtime(machine, window_words=window_words, seed=seed)
+    if style == "blocking":
+        program = blocking_program(program)
+    return rt, rt.run(program, window_init=window_init)
 
 
 def run_mutex_check(
@@ -138,14 +159,14 @@ def run_mutex_check(
     machine: Machine,
     *,
     iterations: int = 5,
-    runtime: str = "sim",
     seed: int = 0,
+    style: str = "blocking",
+    make_runtime: Callable[..., RMARuntime] = SimRuntime,
 ) -> MutexOutcome:
     """Run every rank through ``iterations`` instrumented critical sections."""
     owner_off = spec.window_words
     counter_off = spec.window_words + 1
     violations_off = spec.window_words + 2
-    rt = build_runtime(runtime, machine, spec.window_words + 3, seed=seed)
 
     def window_init(rank: int) -> Dict[int, int]:
         values = dict(spec.init_window(rank))
@@ -155,33 +176,37 @@ def run_mutex_check(
 
     def program(ctx):
         lock = spec.make(ctx)
-        ctx.barrier()
+        yield (BARRIER,)
         for _ in range(iterations):
-            lock.acquire()
-            owner = ctx.get(0, owner_off)
-            ctx.flush(0)
+            yield from lock.acquire_steps()
+            owner = yield (GET, 0, owner_off)
+            yield (FLUSH, 0)
             if owner != NULL_RANK:
-                ctx.accumulate(1, 0, violations_off)
-            ctx.put(ctx.rank, 0, owner_off)
-            ctx.flush(0)
-            ctx.compute(CS_HOLD_US)
-            still_me = ctx.get(0, owner_off)
-            ctx.flush(0)
+                yield (ACCUMULATE, 1, 0, violations_off)
+            yield (PUT, ctx.rank, 0, owner_off)
+            yield (FLUSH, 0)
+            yield (COMPUTE, CS_HOLD_US)
+            still_me = yield (GET, 0, owner_off)
+            yield (FLUSH, 0)
             if still_me != ctx.rank:
-                ctx.accumulate(1, 0, violations_off)
-            ctx.put(NULL_RANK, 0, owner_off)
-            ctx.accumulate(1, 0, counter_off)
-            ctx.flush(0)
-            lock.release()
-        ctx.barrier()
+                yield (ACCUMULATE, 1, 0, violations_off)
+            yield (PUT, NULL_RANK, 0, owner_off)
+            yield (ACCUMULATE, 1, 0, counter_off)
+            yield (FLUSH, 0)
+            yield from lock.release_steps()
+        yield (BARRIER,)
 
-    result = rt.run(program, window_init=window_init)
+    rt, result = _run_check(
+        program, machine, spec.window_words + 3, window_init=window_init,
+        style=style, make_runtime=make_runtime, seed=seed,
+    )
     window = rt.window(0)
     return MutexOutcome(
         violations=window.read(violations_off),
         acquisitions=window.read(counter_off),
         expected_acquisitions=machine.num_processes * iterations,
         total_time_us=result.total_time_us,
+        fingerprint=run_result_sha(result),
     )
 
 
@@ -192,8 +217,9 @@ def run_rw_check(
     iterations: int = 5,
     writer_ranks: Optional[Sequence[int]] = None,
     fw: Optional[float] = None,
-    runtime: str = "sim",
     seed: int = 0,
+    style: str = "blocking",
+    make_runtime: Callable[..., RMARuntime] = SimRuntime,
 ) -> RWOutcome:
     """Run an instrumented reader/writer workload.
 
@@ -208,14 +234,13 @@ def run_rw_check(
     counter_off = spec.window_words + 2
     violations_off = spec.window_words + 3
     max_readers_off = spec.window_words + 4
-    rt = build_runtime(runtime, machine, spec.window_words + 5, seed=seed)
 
     writer_set = set(writer_ranks) if writer_ranks is not None else None
 
     def program(ctx):
         lock = spec.make(ctx)
         rng = ctx.rng
-        ctx.barrier()
+        yield (BARRIER,)
         reads = 0
         writes = 0
         for _ in range(iterations):
@@ -224,43 +249,46 @@ def run_rw_check(
             else:
                 as_writer = bool(rng.random() < fw)
             if as_writer:
-                lock.acquire_write()
-                readers = ctx.get(0, readers_off)
-                other_writer = ctx.get(0, writer_off)
-                ctx.flush(0)
+                yield from lock.acquire_write_steps()
+                readers = yield (GET, 0, readers_off)
+                other_writer = yield (GET, 0, writer_off)
+                yield (FLUSH, 0)
                 if readers != 0 or other_writer != 0:
-                    ctx.accumulate(1, 0, violations_off)
-                ctx.put(1, 0, writer_off)
-                ctx.flush(0)
-                ctx.compute(CS_HOLD_US)
-                ctx.put(0, 0, writer_off)
-                ctx.accumulate(1, 0, counter_off)
-                ctx.flush(0)
-                lock.release_write()
+                    yield (ACCUMULATE, 1, 0, violations_off)
+                yield (PUT, 1, 0, writer_off)
+                yield (FLUSH, 0)
+                yield (COMPUTE, CS_HOLD_US)
+                yield (PUT, 0, 0, writer_off)
+                yield (ACCUMULATE, 1, 0, counter_off)
+                yield (FLUSH, 0)
+                yield from lock.release_write_steps()
                 writes += 1
             else:
-                lock.acquire_read()
-                writer_present = ctx.get(0, writer_off)
-                ctx.flush(0)
+                yield from lock.acquire_read_steps()
+                writer_present = yield (GET, 0, writer_off)
+                yield (FLUSH, 0)
                 if writer_present != 0:
-                    ctx.accumulate(1, 0, violations_off)
-                concurrent = ctx.fao(1, 0, readers_off, AtomicOp.SUM) + 1
-                ctx.flush(0)
-                prev_max = ctx.get(0, max_readers_off)
-                ctx.flush(0)
+                    yield (ACCUMULATE, 1, 0, violations_off)
+                concurrent = (yield (FAO, 1, 0, readers_off, AtomicOp.SUM)) + 1
+                yield (FLUSH, 0)
+                prev_max = yield (GET, 0, max_readers_off)
+                yield (FLUSH, 0)
                 if concurrent > prev_max:
-                    ctx.put(concurrent, 0, max_readers_off)
-                    ctx.flush(0)
-                ctx.compute(CS_HOLD_US)
-                ctx.accumulate(-1, 0, readers_off)
-                ctx.accumulate(1, 0, counter_off)
-                ctx.flush(0)
-                lock.release_read()
+                    yield (PUT, concurrent, 0, max_readers_off)
+                    yield (FLUSH, 0)
+                yield (COMPUTE, CS_HOLD_US)
+                yield (ACCUMULATE, -1, 0, readers_off)
+                yield (ACCUMULATE, 1, 0, counter_off)
+                yield (FLUSH, 0)
+                yield from lock.release_read_steps()
                 reads += 1
-        ctx.barrier()
+        yield (BARRIER,)
         return {"reads": reads, "writes": writes}
 
-    result = rt.run(program, window_init=spec.init_window)
+    rt, result = _run_check(
+        program, machine, spec.window_words + 5, window_init=spec.init_window,
+        style=style, make_runtime=make_runtime, seed=seed,
+    )
     window = rt.window(0)
     return RWOutcome(
         violations=window.read(violations_off),
@@ -270,7 +298,23 @@ def run_rw_check(
         reads=sum(r["reads"] for r in result.returns),
         writes=sum(r["writes"] for r in result.returns),
         total_time_us=result.total_time_us,
+        fingerprint=run_result_sha(result),
     )
+
+
+def check_on_every_path(check: Callable[..., Any], spec: Any, machine: Machine, **kwargs: Any) -> Any:
+    """Run ``check`` (:func:`run_mutex_check` or :func:`run_rw_check`) bridged
+    and inline on horizon and on the reference interpreter; assert that every
+    run is clean and that the three produce one :class:`RunResult`."""
+    outcomes = [
+        check(spec, machine, style="blocking", **kwargs),
+        check(spec, machine, style="step", **kwargs),
+        check(spec, machine, style="step", make_runtime=ReferenceRuntime, **kwargs),
+    ]
+    for outcome in outcomes:
+        assert outcome.ok, outcome
+    assert len({outcome.fingerprint for outcome in outcomes}) == 1, outcomes
+    return outcomes[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -744,9 +744,12 @@ class ResultCache:
     def get(self, point: CampaignPoint) -> Optional[Dict[str, Any]]:
         path = self.path(point)
         try:
-            return json.loads(path.read_text())
+            row = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
+        # Anything but a non-empty object is a corrupt entry: a miss, which
+        # the sweep recomputes and overwrites.
+        return row if type(row) is dict and row else None
 
     def put(self, point: CampaignPoint, row: Mapping[str, Any]) -> Path:
         path = self.path(point)

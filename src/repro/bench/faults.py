@@ -33,9 +33,10 @@ Verdicts distinguish what the registry *declares*
 * ``no-crash-window`` — the probe timeline offered no interval to kill in
   (e.g. no rank ever waits at P=1);
 * ``mutant-caught`` / ``mutant-escaped`` — schemes in :data:`KNOWN_MUTANTS`
-  are held to the *inverted* bar: the sweep re-checks their crash-extended
-  impl model (:mod:`repro.verification.impl_model`) and the row passes iff
-  the checker (or a live oracle) catches the planted bug.
+  are held to the *inverted* bar: the row passes iff a live oracle or the
+  model checker (:mod:`repro.verification.explorer`, over the scheme's own
+  step programs in its declared holder/waiter-crash scenarios, with every
+  kill timing) catches the planted bug.
 
 Each row records the faulted run's :func:`~repro.bench.campaign.run_result_sha`
 fingerprint; crash delivery is part of the determinism contract, which
@@ -51,6 +52,7 @@ edited scheme is recomputed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -88,9 +90,9 @@ __all__ = [
     "scheme_verdicts",
 ]
 
-#: Schemes that ship an intentionally planted bug (PR-4 style): the sweep
-#: inverts their bar — the row passes iff the bug is *caught*, by a live
-#: oracle or by the scheme's crash-extended impl model.
+#: Schemes that ship an intentionally planted bug: the sweep (and ``repro
+#: verify``) inverts their bar — the row passes iff the bug is *caught*, by a
+#: live oracle or by the model checker's crash exploration.
 KNOWN_MUTANTS: Tuple[str, ...] = ("repair-mcs-racy",)
 
 #: Kill-placement policy: a candidate interval must be long enough that the
@@ -359,17 +361,18 @@ def _run_faulted(
     return run_result_sha(raw), None, observer.report().summary()
 
 
-def _mutant_model_caught(scheme: str) -> bool:
-    """Exhaustively re-check a known mutant's crash-extended impl model."""
-    from repro.verification.impl_model import repair_queue_impl_model
-    from repro.verification.lock_models import build_checker
+@lru_cache(maxsize=None)
+def _caught_by_explorer(scheme: str) -> bool:
+    """Whether the model checker finds a violation in one of ``scheme``'s
+    declared holder/waiter-crash scenarios at P = 3 (once per process)."""
+    from repro.topology.machine import Machine
+    from repro.verification.explorer import CRASHES, Explorer
 
-    if scheme != "repair-mcs-racy":  # pragma: no cover - single mutant today
-        return False
-    result = build_checker(
-        repair_queue_impl_model(3, racy=True), max_states=500_000
-    ).check()
-    return result.violation is not None
+    declared = recovery_info(scheme).scenarios
+    return any(
+        not Explorer(scheme, Machine.single_node(3), crash=crash).explore().ok
+        for crash in CRASHES if crash in declared
+    )
 
 
 def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
@@ -427,7 +430,7 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     if point.scheme in KNOWN_MUTANTS:
         # Inverted bar: the planted bug must be caught somewhere.
         caught_live = unavailable or not oracle_ok
-        caught_model = _mutant_model_caught(point.scheme)
+        caught_model = _caught_by_explorer(point.scheme)
         row["mutant_caught_live"] = caught_live
         row["mutant_caught_model"] = caught_model
         row["status"] = (

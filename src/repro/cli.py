@@ -11,8 +11,9 @@ The subcommands cover the common workflows:
   where the chosen lock's communication time goes (distance breakdown,
   hottest targets, per-rank activity).
 * ``verify`` — model-check every registered scheme's own step programs over
-  all interleavings (the paper's Section 4.4, without SPIN); exit 1 on any
-  violation or deadlock.
+  all interleavings (the paper's Section 4.4, without SPIN), then each
+  declared holder/waiter-crash scenario with its kills and lease expiry;
+  exit 1 on any violation or deadlock, or on a known mutant that escapes.
 * ``perf`` — time a few lock workloads on the horizon runtime and print a
   local ops/sec table; with
   ``--profile``, also write a cProfile hot-path report per case.  Speed
@@ -476,8 +477,10 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from repro.bench.faults import KNOWN_MUTANTS
+    from repro.fault import recovery_info
     from repro.topology.machine import Machine
-    from repro.verification.explorer import PARAMS, Explorer, NotExplorable
+    from repro.verification.explorer import CRASHES, PARAMS, Explorer, NotExplorable
 
     if args.procs < 2:
         print(f"error: --procs must be at least 2, got {args.procs}", file=sys.stderr)
@@ -486,28 +489,43 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"error: --rounds must be at least 1, got {args.rounds}", file=sys.stderr)
         return 2
     procs = args.procs
-    shapes = (("1 node", Machine.single_node(procs)), (f"{procs} nodes", Machine.cluster(procs, 1)))
+    witnesses: List[str] = []
+
+    def explore(name: str, procs: int, row: Dict[str, Any], crash: Optional[str] = None):
+        """Per machine shape: its label, its exploration (states into ``row``)
+        or None, and then the verdict that stands in for it."""
+        for label, machine in (("1 node", Machine.single_node(procs)), (f"{procs} nodes", Machine.cluster(procs, 1))):
+            row[f"states ({label})"] = "-"
+            try:
+                result = Explorer(name, machine, rounds=args.rounds, crash=crash).explore()
+            except NotExplorable as exc:
+                yield label, None, f"skipped: {exc}"
+                continue
+            except Exception as exc:  # noqa: BLE001 - the state cap, a crashing builder
+                yield label, None, f"FAIL ({label}): {type(exc).__name__}: {exc}"
+                continue
+            row[f"states ({label})"] = result.states
+            if not result.ok:
+                witnesses.append(f"{name}{'' if crash is None else ' ' + crash} ({label}): {result.witness}")
+            yield label, result, None
+
+    def verdict(verdicts: List[str]) -> str:
+        failures = [verdict for verdict in verdicts if verdict.startswith("FAIL")]
+        return (failures or verdicts or ["ok"])[0]
+
     rows = []
     for name in scheme_names():
         row: Dict[str, Any] = {"scheme": name}
         verdicts, bound, worst = [], "-", 0
-        for label, machine in shapes:
-            row[f"states ({label})"] = "-"
-            try:
-                result = Explorer(name, machine, rounds=args.rounds).explore()
-            except NotExplorable as exc:
-                verdicts.append(f"skipped: {exc}")
+        for label, result, note in explore(name, procs, row):
+            if result is None:
+                verdicts.append(note)
                 continue
-            except Exception as exc:  # noqa: BLE001 - the state cap, a crashing builder
-                verdicts.append(f"FAIL ({label}): {type(exc).__name__}: {exc}")
-                continue
-            row[f"states ({label})"] = result.states
             bound = "-" if result.bypass_bound is None else result.bypass_bound
             worst = max(worst, result.max_bypass)
             if not result.ok:
                 verdicts.append(f"FAIL ({label}): {result.violation}")
-        failures = [verdict for verdict in verdicts if verdict.startswith("FAIL")]
-        row.update({"bypass bound": bound, "max bypass": worst, "verdict": (failures or verdicts or ["ok"])[0]})
+        row.update({"bypass bound": bound, "max bypass": worst, "verdict": verdict(verdicts)})
         rows.append(row)
     print(format_table(rows))
     print(
@@ -519,7 +537,39 @@ def _run_verify(args: argparse.Namespace) -> int:
         + "; ".join(f"{name} {', '.join(f'{k}={v}' for k, v in params.items())}" for name, params in PARAMS.items())
         + "."
     )
-    return 1 if any(row["verdict"].startswith("FAIL") for row in rows) else 0
+
+    # A waiter crash orphans a racer only with a third rank behind the dead one.
+    crash_procs = max(procs, 3)
+    crash_rows = []
+    for name in scheme_names():
+        for crash in CRASHES:
+            if crash not in recovery_info(name).scenarios:
+                continue
+            row = {"scheme": name, "scenario": crash}
+            verdicts = []
+            for label, result, note in explore(name, crash_procs, row, crash):
+                if result is None:
+                    verdicts.append(note)
+                elif name in KNOWN_MUTANTS:
+                    verdicts.append(f"mutant caught: {result.violation}" if not result.ok else f"FAIL ({label}): mutant escaped")
+                elif not result.ok:
+                    verdicts.append(f"FAIL ({label}): {result.violation}")
+            row["verdict"] = verdict(verdicts)
+            crash_rows.append(row)
+    if crash_rows:
+        print()
+        print(format_table(crash_rows))
+        print(
+            f"\nEach scheme's declared holder- and waiter-crash scenarios: {crash_procs} ranks x {args.rounds} "
+            f"round(s), at most one kill per run, at every moment the scenario allows, and lease time passing only "
+            f"for a dead holder; judged by the recovery oracles (no re-grant inside a dead holder's lease) and "
+            f"deadlock freedom.  A known mutant ({', '.join(KNOWN_MUTANTS)}) passes only if a violation is found."
+        )
+    if witnesses:
+        print("\nWitness schedules (rank steps, kills and ticks; Explorer.replay re-runs each):")
+        for witness in witnesses:
+            print(f"  {witness}")
+    return 1 if any(row["verdict"].startswith("FAIL") for row in rows + crash_rows) else 0
 
 
 def _run_perf(args: argparse.Namespace) -> int:

@@ -16,11 +16,11 @@ node's next pointer when the closing CAS fails — the racer's link write lands
 in the dead rank's window (one-sided RMA keeps dead windows writable) and
 wakes the poll.  The ``"repair-mcs-racy"`` mutant ships the classic wrong
 version that skips the re-poll and treats the failed CAS as "queue drained":
-the mid-enqueue racer is orphaned, the lock is lost, and the recovery oracles
-and the crash-extended impl model (:func:`repro.verification.impl_model.\
-repair_queue_impl_model`) both catch it.  Absent crashes the mutant issues
-the exact same RMA sequence as the correct scheme, so it is safe to keep
-registered (fingerprint gates never see the difference).
+the mid-enqueue racer is orphaned, the lock is lost, and both the recovery
+oracles and the model checker (:mod:`repro.verification.explorer` with
+``crash="waiter-crash"``, on these step programs) catch it.  Absent crashes
+the mutant issues the exact same RMA sequence as the correct scheme, so it is
+safe to keep registered (fingerprint gates never see the difference).
 
 A crashed *holder* is not recoverable here — the queue has no lease to expire
 — so holder-crash runs are expected-unavailable; that is exactly what the

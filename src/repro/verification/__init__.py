@@ -20,37 +20,19 @@ code that runs:
   bypass bounds.  The explorer attaches it to every interleaving; ``repro
   conform`` (:mod:`repro.bench.conformance`) sweeps it over every registered
   scheme under seeded schedule perturbation (:mod:`repro.rma.perturbation`).
-* :mod:`repro.verification.interleaving` — an explicit-state checker for
-  hand-written models, with the two negative controls of
-  :mod:`repro.verification.lock_models` (a broken test-and-set, a dining
-  deadlock).
 
-Crashes are the one thing the explorer does not enumerate.  The fault
-subsystem (:mod:`repro.fault`, README section "Failure & recovery") keeps two
-hand-written crash models for it
-(:func:`~repro.verification.impl_model.lease_impl_model`,
-:func:`~repro.verification.impl_model.repair_queue_impl_model` — virtual
-crash/expiry processes let the checker enumerate every crash timing at
-P = 2-3), and the live side gains the
-:class:`~repro.verification.oracles.RecoveryOracleObserver`, whose
+Crashes are explored by the same checker: with ``crash="holder-crash"`` or
+``"waiter-crash"`` the explorer kills one rank at every moment the scenario
+allows, answers ``ctx.fault.dead_at`` from the run's dead set and lets lease
+time pass for a dead holder, so the recovery protocols of :mod:`repro.fault`
+(README section "Failure & recovery") are checked as written, judged by the
+:class:`~repro.verification.oracles.RecoveryOracleObserver`.  Its
 recovery-safety oracles (no double grant inside a live lease, fenced stale
-releases, recovery-latency accounting) ``repro faults``
-(:mod:`repro.bench.faults`) sweeps over every registered scheme under
-seeded rank crashes.
+releases, recovery-latency accounting) are what ``repro faults``
+(:mod:`repro.bench.faults`) sweeps over every registered scheme under seeded
+rank crashes.
 """
 
-from repro.verification.impl_model import lease_impl_model, repair_queue_impl_model
-from repro.verification.interleaving import (
-    CheckResult,
-    ModelChecker,
-    StateExplosionError,
-)
-from repro.verification.lock_models import (
-    ModelSpec,
-    broken_test_and_set_model,
-    build_checker,
-    dining_deadlock_model,
-)
 from repro.verification.oracles import (
     LockOracleObserver,
     ObservedLock,
@@ -64,10 +46,7 @@ from repro.verification.oracles import (
 )
 
 __all__ = [
-    "CheckResult",
     "LockOracleObserver",
-    "ModelChecker",
-    "ModelSpec",
     "ObservedLock",
     "ObservedRWLock",
     "OracleReport",
@@ -75,11 +54,5 @@ __all__ = [
     "RecoveryOracleObserver",
     "RecoveryReport",
     "RunObserver",
-    "StateExplosionError",
-    "broken_test_and_set_model",
-    "build_checker",
-    "dining_deadlock_model",
-    "lease_impl_model",
     "observe_lock",
-    "repair_queue_impl_model",
 ]

@@ -33,13 +33,39 @@ sequentially consistent windows with no costs.
   asleep below it, since ``u t`` reaches what ``t u`` did.  A state met
   again runs what slept at its first visit but is awake now.
 
-The judge is the live :class:`~repro.verification.oracles.LockOracleObserver`
+The judge is the live :class:`~repro.verification.oracles.RecoveryOracleObserver`
 (mutual exclusion, reader/writer exclusion, handoff, the registered
-``fairness_bound``), attached through ``observe_lock`` and ``on_rmw``.  A
-state where no rank can move and one is unfinished is a deadlock; a
-spin-blocked rank cannot move, so a livelock is one too.  Time stands still
-(``ctx.now()`` is 0) and no rank crashes: crash and lease-expiry
-exploration is out of scope.
+``fairness_bound``, and with a crash no re-grant before a dead holder's lease
+expired), attached through ``observe_lock`` and ``on_rmw``.  A state where
+no rank can move, no kill or tick is left and a live rank is unfinished is a
+deadlock; a spin-blocked rank cannot move, so a livelock is one too.
+
+Crashes (``crash=``, the :data:`~repro.fault.plan.FAULT_SCENARIOS` a kill
+can stage without a restart):
+
+* A *kill* of rank v closes v's generator (contract rule 7), calls the
+  oracle's ``on_crash`` and retires v: a dead rank is finished, never
+  deadlocked.  A run has at most one; the search picks the victim and the
+  moment, and runs without one too.  ``"holder-crash"`` kills a rank the
+  oracle counts as a holder (between its ``acquired`` and ``released``
+  events); ``"waiter-crash"`` a rank inside acquire that cannot move, while
+  no other rank's pending request writes a cell it waits on (a releaser that
+  has issued the grant already saw it alive: its death then is a holder's).
+* ``ctx.fault.dead_at`` answers from the run's dead set, a perfect detector
+  like :meth:`~repro.fault.FaultPlan.dead_at`.  ``ctx.now()`` is the run's
+  clock, 0 until a *tick* sets it to the lease deadline a dead holder
+  announced (``on_lease``); a tick is possible only while that deadline is
+  ahead, so time passes a lease only for a dead holder and an unexpired
+  lease implies a live one.  The fencing of a live holder's stale release
+  is therefore out of reach.
+* A kill or a tick wakes every rank the spin reduction holds, as a write
+  does (the detector's answer or the clock changed), and commutes with
+  nothing.  The state adds the clock, the dead set, the crashed holds with
+  their deadlines and the live lease deadlines.  Witness schedules record
+  kills (``"kill 1"``) and ticks (``"tick"``).
+
+Without ``crash`` no rank has a detector (``ctx.fault`` is None, as on an
+unfaulted run), time stands still and no rank dies.
 """
 
 from __future__ import annotations
@@ -48,9 +74,10 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from types import GeneratorType
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import get_scheme
+from repro.fault.plan import recovery_info
 from repro.rma.ops import CALLS, AtomicOp
 from repro.rma.runtime_base import (
     ACCUMULATE, BARRIER, CAS, COMPUTE, FAO, FLUSH, GET, PUT, REQUEST_METHODS, SPIN, SPIN_WHILE, Steps,
@@ -58,10 +85,9 @@ from repro.rma.runtime_base import (
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
-from repro.verification.interleaving import StateExplosionError
-from repro.verification.oracles import LockOracleObserver, observe_lock
+from repro.verification.oracles import RecoveryOracleObserver, observe_lock
 
-__all__ = ["MAX_STATES", "PARAMS", "Exploration", "Explorer", "NotExplorable"]
+__all__ = ["CRASHES", "MAX_STATES", "PARAMS", "TICK", "Exploration", "Explorer", "NotExplorable", "StateExplosionError"]
 
 _PRIMITIVE = frozenset((int, float, bool, str, type(None)))
 _TRANSITIONS = frozenset((PUT, GET, ACCUMULATE, FAO, CAS, SPIN, SPIN_WHILE))
@@ -75,6 +101,14 @@ _INLINE_LIMIT = 100_000
 PARAMS: Mapping[str, Mapping[str, Any]] = {"rma-rw": {"t_r": 1, "t_w": 2}}
 #: A state-key item for a value the key does not see.
 _OPAQUE = object()
+#: The crash scenarios an exploration can stage.
+CRASHES = ("holder-crash", "waiter-crash")
+#: A witness schedule's tick; a kill of rank v is ``f"kill {v}"``.
+TICK = "tick"
+
+
+class StateExplosionError(RuntimeError):
+    """The exploration exceeded its state budget (:data:`MAX_STATES`)."""
 
 
 class NotExplorable(TypeError):
@@ -82,12 +116,30 @@ class NotExplorable(TypeError):
     no plain lock handles at all)."""
 
 
-class _Context:
-    """What a handle sees: ``rank``, ``nranks``, ``observer``, ``rng`` and
-    ``now()``, which is always 0.  No fault plan, no blocking calls."""
+class _World:
+    """A run's clock and dead set, which ``ctx.now()`` and ``ctx.fault`` read.
 
-    def __init__(self, rank: int, nranks: int, observer: Any):
-        self.rank, self.nranks, self.observer = rank, nranks, observer
+    Kept apart from the run: contexts that referenced the run would put every
+    replayed run in a reference cycle, freed only by the garbage collector."""
+
+    __slots__ = ("clock", "dead")
+
+    def __init__(self) -> None:
+        self.clock, self.dead = 0.0, frozenset()
+
+    def dead_at(self, rank: int, t: float) -> bool:
+        """``ctx.fault``: the perfect failure detector."""
+        return rank in self.dead
+
+
+class _Context:
+    """What a handle sees: ``rank``, ``nranks``, ``observer``, ``rng``,
+    ``now()`` (the run's clock) and, in a crash exploration, ``fault`` (the
+    run's failure detector).  No blocking calls."""
+
+    def __init__(self, rank: int, nranks: int, observer: Any, world: _World, crash: Optional[str] = None):
+        self.rank, self.nranks, self.observer, self._world = rank, nranks, observer, world
+        self.fault = world if crash is not None else None
         self._rng = None
 
     @property
@@ -98,7 +150,7 @@ class _Context:
         return self._rng
 
     def now(self) -> float:
-        return 0.0
+        return self._world.clock
 
 
 @dataclass(frozen=True)
@@ -106,7 +158,8 @@ class Exploration:
     """Outcome of one exhaustive exploration.
 
     ``schedule`` is the witness of ``violation``: the ranks in the order
-    their transitions ran, which :meth:`Explorer.replay` re-executes.
+    their transitions ran, with kills and ticks, which :meth:`Explorer.replay`
+    re-executes; :attr:`witness` is its text form, which it accepts too.
     """
 
     states: int
@@ -114,11 +167,15 @@ class Exploration:
     bypass_bound: Optional[int]
     max_bypass: int
     violation: Optional[str] = None
-    schedule: Tuple[int, ...] = ()
+    schedule: Tuple[Any, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.violation is None
+
+    @property
+    def witness(self) -> str:
+        return ", ".join(map(str, self.schedule))
 
 
 def _rank_program(lock: Any, role: str, rounds: int, rank: int) -> Steps:
@@ -170,7 +227,7 @@ def _plain(value: Any) -> Any:
     return value if isinstance(value, Enum) else _OPAQUE
 
 
-class _Oracle(LockOracleObserver):
+class _Oracle(RecoveryOracleObserver):
     """The live oracles, counting the events that change their state: two
     transitions that both do never commute."""
 
@@ -255,17 +312,20 @@ class _Run:
     """
 
     def __init__(self, explorer: "Explorer", *, track: bool = True):
-        self.track = track
+        self.track, self.crash = track, explorer.crash
         self.words, self.nranks = explorer.words, explorer.nranks
         self.mem = array("q", explorer.image)
-        self.version = 0  # cell changes so far
+        self.version = 0  # cell changes (and kills and ticks) so far
         self.releases = 0  # barrier releases so far
+        self.world = _World()
+        #: The lease deadline the dead holder announced, if it did.
+        self.expiry: Optional[float] = None
         self.error: Optional[str] = None
-        self.observer = _Oracle(bypass_bound=explorer.bypass_bound)
+        self.observer = _Oracle(lease_us=explorer.lease_us, bypass_bound=explorer.bypass_bound)
         self.observer.on_run_start(self.nranks)
         self.ranks: List[_Rank] = []
         for rank in range(self.nranks):
-            ctx = _Context(rank, self.nranks, self.observer)
+            ctx = _Context(rank, self.nranks, self.observer, self.world, self.crash)
             lock = observe_lock(explorer.spec.make(ctx), ctx, self.observer)
             self.ranks.append(_Rank(_rank_program(lock, explorer.roles[rank], explorer.rounds, rank), lock))
         for index in range(self.nranks):
@@ -278,8 +338,11 @@ class _Run:
             raise IndexError(f"window offset {offset} out of range 0..{self.words - 1}")
         return target * self.words + offset
 
-    def footprint(self, index: int) -> Tuple[Optional[frozenset], bool]:
-        """The cells rank ``index``'s pending request touches, and whether it writes."""
+    def footprint(self, index: Any) -> Tuple[Optional[frozenset], bool]:
+        """The cells rank ``index``'s pending request touches, and whether it
+        writes (a kill or a tick may touch anything)."""
+        if type(index) is not int:
+            return None, True
         request = self.ranks[index].request
         kind = request[0]
         try:
@@ -292,8 +355,31 @@ class _Run:
         except (TypeError, ValueError, IndexError):  # the step raises it at the yield
             return None, True
 
-    def step(self, index: int) -> None:
-        """Run rank ``index``'s pending request and advance it to its next one."""
+    def _crash_step(self, action: str) -> None:
+        """A tick, or a kill of rank ``int(action[5:])``."""
+        self.version += 1  # wakes the ranks the spin reduction holds
+        if action == TICK:
+            self.world.clock = self.expiry
+            return
+        index = int(action[5:])
+        r, obs = self.ranks[index], self.observer
+        if index in obs._holders:
+            self.expiry = obs._lease_deadline.get(index)
+        try:
+            r.program.close()
+        except Exception as exc:  # noqa: BLE001 - a generator that ignores the close
+            self.error = self.error or f"[error] rank {index}: {type(exc).__name__}: {exc}"
+        r.request, r.key, r.blocked = None, None, -1
+        world = self.world
+        world.dead = world.dead | {index}
+        obs.on_crash(index, world.clock)
+
+    def step(self, index: Any) -> None:
+        """Run rank ``index``'s pending request and advance it to its next one
+        (or run a kill or a tick: any schedule item)."""
+        if type(index) is not int:
+            self._crash_step(index)
+            return
         request = self.ranks[index].request
         kind, mem = request[0], self.mem
         try:
@@ -401,6 +487,36 @@ class _Run:
             out.append(index)
         return out
 
+    def actions(self) -> List[Any]:
+        """The enabled ranks, then the kills and the tick the crash allows."""
+        enabled = self.enabled()
+        if self.crash is None:
+            return enabled
+        out = list(enabled)
+        if self.expiry is not None and self.world.clock < self.expiry:
+            out.append(TICK)
+        if self.world.dead:
+            return out
+        obs = self.observer
+        if self.crash == "holder-crash":
+            victims = sorted(obs._holders)
+        else:
+            victims = [
+                v for v in sorted(obs._wait_baseline)
+                if v not in enabled and self.ranks[v].request is not None and not self._written(v)
+            ]
+        return out + [f"kill {v}" for v in victims]
+
+    def _written(self, index: int) -> bool:
+        """Whether another rank's pending request writes a cell ``index`` waits on."""
+        cells = self.footprint(index)[0]
+        for other, r in enumerate(self.ranks):
+            if other != index and r.request is not None:
+                touched, writes = self.footprint(other)
+                if writes and (cells is None or touched is None or not touched.isdisjoint(cells)):
+                    return True
+        return False
+
     def identity(self, intern: Dict[tuple, int]) -> tuple:
         keys, blocked = [], 0
         for index, r in enumerate(self.ranks):
@@ -413,28 +529,32 @@ class _Run:
             (rank, obs._ordered.get(rank, False), obs._entries - base)
             for rank, base in sorted(obs._wait_baseline.items())
         )
-        return self.mem.tobytes(), tuple(keys), blocked, waiters
+        if self.crash is None:
+            return self.mem.tobytes(), tuple(keys), blocked, waiters
+        crashed = tuple((rank, hold["mode"], hold["deadline"]) for rank, hold in sorted(obs._crashed_holds.items()))
+        leases = (self.world.clock, self.expiry, self.world.dead, crashed, tuple(sorted(obs._lease_deadline.items())))
+        return self.mem.tobytes(), tuple(keys), blocked, waiters, leases
 
     def violation(self) -> Optional[str]:
         violations = self.observer.report().violations
         return self.error or (str(violations[0]) if violations else None)
 
-    def settle(self) -> Tuple[List[int], Optional[str]]:
-        """The enabled ranks, and the violation a state without any is."""
-        enabled = self.enabled()
-        if enabled:
-            return enabled, None
+    def settle(self) -> Tuple[List[Any], Optional[str]]:
+        """The possible actions, and the violation a state without any is."""
+        actions = self.actions()
+        if actions:
+            return actions, None
         waiting = [(index, r) for index, r in enumerate(self.ranks) if r.request is not None]
         if not waiting:
             self.observer.on_run_end()
-            return enabled, self.violation()
+            return actions, self.violation()
         where = []
         for index, r in waiting:
             code = list(_frames(r.program))[-1].f_code
             how = "spins without effect" if r.blocked == self.version else "waits"
             name = getattr(code, "co_qualname", code.co_name)  # co_qualname: Python 3.11+
             where.append(f"rank {index} {how} at {REQUEST_METHODS[r.request[0]]} in {name}")
-        return enabled, "[deadlock] no rank can move: " + "; ".join(where)
+        return actions, "[deadlock] no rank can move: " + "; ".join(where)
 
 
 class Explorer:
@@ -451,6 +571,9 @@ class Explorer:
         rounds: Acquire / critical section / release rounds per rank.
         params: Scheme parameters, as for ``SchemeInfo.build``.  Default:
             the scheme's entry in :data:`PARAMS`, else its registry defaults.
+        crash: None, or one of :data:`CRASHES`: the scenario whose kills the
+            search adds (see the module docstring).  The lease term the
+            oracle judges by is the scheme's ``recovery_info`` one.
 
     Raises:
         NotExplorable: The scheme's handles are blocking-only (they implement
@@ -466,8 +589,12 @@ class Explorer:
         roles: Optional[str] = None,
         rounds: int = 1,
         params: Optional[Mapping[str, Any]] = None,
+        crash: Optional[str] = None,
     ):
         info = get_scheme(scheme)
+        if crash is not None and crash not in CRASHES:
+            raise ValueError(f"crash must be None or one of {CRASHES}, got {crash!r}")
+        self.crash, self.lease_us = crash, recovery_info(scheme).lease_us
         self.scheme, self.nranks = scheme, machine.num_processes
         n = self.nranks
         if params is None:
@@ -488,7 +615,7 @@ class Explorer:
             raise ValueError("rounds must be >= 1")
         self.roles, self.rounds = roles, rounds
         self.bypass_bound = info.fairness_bound(n) if info.fairness_bound is not None else None
-        handle = self.spec.make(_Context(0, n, None))
+        handle = self.spec.make(_Context(0, n, None, _World()))
         if not handle.implements_steps():
             raise NotExplorable(
                 f"scheme {scheme!r}: {type(handle).__name__} is blocking-only; the explorer steps "
@@ -500,50 +627,52 @@ class Explorer:
             for offset, value in self.spec.init_window(rank).items():
                 self.image[rank * self.words + offset] = value
 
-    def replay(self, schedule: Tuple[int, ...]) -> Optional[str]:
-        """Run ``schedule`` on fresh generators; the violation it ends in, if any."""
+    def replay(self, schedule: "Sequence[Any] | str") -> Optional[str]:
+        """Run ``schedule`` (or its :attr:`Exploration.witness` text) on fresh
+        generators; the violation it ends in, if any."""
+        if isinstance(schedule, str):
+            schedule = [int(item) if item.isdigit() else item for item in map(str.strip, schedule.split(",")) if item]
         run = _Run(self)
-        for index in schedule:
+        for action in schedule:
             if run.violation() is not None:
                 break
-            run.step(index)
+            run.step(action)
         return run.violation() or run.settle()[1]
 
     def explore(self) -> Exploration:
         """Depth-first search of every reachable state (see the module docstring).
 
         Stops at the first violation or deadlock; raises
-        :class:`~repro.verification.interleaving.StateExplosionError` past
-        :data:`MAX_STATES` distinct states.
+        :class:`StateExplosionError` past :data:`MAX_STATES` distinct states.
         """
         intern: Dict[tuple, int] = {}
         live = _Run(self)
-        enabled, bad = live.settle()
+        actions, bad = live.settle()
         bad = live.violation() or bad
         seen: Dict[tuple, frozenset] = {live.identity(intern): frozenset()}
         transitions, max_bypass = 0, live.observer.report().max_bypass
-        # Each frame: a state's schedule, the ranks still to run from it, its
-        # snapshot, and the transitions asleep there (rank -> footprint).
-        frames = [((), enabled[::-1], live.snapshot(), {})]
-        at: Tuple[int, ...] = ()
+        # Each frame: a state's schedule, the actions still to run from it,
+        # its snapshot, and the transitions asleep there (action -> footprint).
+        frames = [((), actions[::-1], live.snapshot(), {})]
+        at: Tuple[Any, ...] = ()
         while frames and bad is None:
             prefix, todo, snapshot, asleep = frames[-1]
             if not todo:
                 frames.pop()
                 continue
-            index = todo.pop()
+            action = todo.pop()
             if at != prefix:
                 live = _Run(self, track=False)
                 for earlier in prefix:
                     live.step(earlier)
                 live.restore(snapshot)
-            cells, writes = live.footprint(index)
+            cells, writes = live.footprint(action)
             touches, releases = live.observer.touches, live.releases
-            live.step(index)
-            transitions, at = transitions + 1, prefix + (index,)
+            live.step(action)
+            transitions, at = transitions + 1, prefix + (action,)
             info = (cells if live.releases == releases else None, writes, live.observer.touches != touches)
-            sleep = {rank: other for rank, other in asleep.items() if _independent(other, info)}
-            asleep[index] = info
+            sleep = {other: done for other, done in asleep.items() if _independent(done, info)}
+            asleep[action] = info
             max_bypass = max(max_bypass, live.observer.report().max_bypass)
             bad = live.violation()
             if bad is not None:
@@ -554,14 +683,14 @@ class Explorer:
                 seen[key] = frozenset(sleep)
                 if len(seen) > MAX_STATES:
                     raise StateExplosionError(f"{self.scheme}: exceeded the budget of {MAX_STATES} explored states")
-                enabled, bad = live.settle()
-                todo = [rank for rank in enabled if rank not in sleep]
+                actions, bad = live.settle()
+                todo = [a for a in actions if a not in sleep]
             else:
                 woken = slept.difference(sleep)
                 if not woken:
                     continue
                 seen[key] = slept.intersection(sleep)
-                todo = [rank for rank in live.enabled() if rank in woken]
+                todo = [a for a in live.actions() if a in woken]
             if todo:
                 frames.append((at, todo[::-1], live.snapshot(), sleep))
         return Exploration(

@@ -7,6 +7,7 @@ is held in ``tests/bench/test_sweep_contract.py``.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -233,6 +234,20 @@ class TestResultCache:
         assert cache.key(base) == cache.key(
             CampaignPoint(scheme="rma-mcs", benchmark="ecsb", procs=4, procs_per_node=4)
         )
+
+    @pytest.mark.parametrize("content", ["[]", "1", '"x"', "{}", '{"scheme": "tick'], ids=[
+        "list", "number", "string", "empty-object", "truncated"])
+    def test_a_corrupt_entry_is_a_miss_that_is_rewritten(self, content, tmp_path):
+        spec = replace(TINY, name="one-point", schemes=("ticket",), process_counts=(4,))
+        cache = ResultCache(tmp_path, epoch="e1")
+        cold = run_campaign(spec, jobs=1, cache=cache)
+        path = cache.path(spec.points()[0])
+        stored = path.read_text()
+        path.write_text(content)
+        again = run_campaign(spec, jobs=1, cache=cache)
+        assert again.cache_hits == 0 and again.cache_misses == 1
+        assert _strip_host_fields(again.rows[0]) == _strip_host_fields(cold.rows[0])
+        assert path.read_text() != content and json.loads(path.read_text()).keys() == json.loads(stored).keys()
 
     def test_prune_removes_stale_epochs(self, tmp_path):
         run_campaign(TINY, jobs=1, cache=ResultCache(tmp_path, epoch="old"))

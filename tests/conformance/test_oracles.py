@@ -189,8 +189,7 @@ class _BrokenTestThenSetHandle(LockHandle):
             ctx.flush(0)
             if value == 0:
                 # The race: another rank can pass the same test before our
-                # put lands (the broken_test_and_set_model of lock_models,
-                # but running on the real simulator this time).  The compute
+                # put lands (a non-atomic test-then-set).  The compute
                 # widens the test-to-set window so the simulator's causal
                 # schedule actually interleaves a competitor into it.
                 ctx.compute(2.0)

@@ -14,6 +14,7 @@ import pytest
 from repro.bench.faults import (
     KNOWN_MUTANTS,
     FaultPoint,
+    _caught_by_explorer,
     fault_points,
     run_fault_point,
     run_faults,
@@ -48,6 +49,19 @@ def test_verdicts_match_declared_capabilities(report):
     # The lease-free control declares nothing: unavailability is expected,
     # reported as such rather than as a false pass.
     assert "recovered" not in statuses["rma-mcs"]
+
+
+def test_the_model_verdict_on_a_mutant_comes_from_the_explorer_once(report):
+    rows = [row for row in report.rows if row["scheme"] == "repair-mcs-racy"]
+    assert rows and all(row["mutant_caught_model"] for row in rows)
+    # Computed once per scheme per process, not once per point.
+    before = _caught_by_explorer.cache_info()
+    assert _caught_by_explorer("repair-mcs-racy") is True
+    after = _caught_by_explorer.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # The correct repair walk and the lease lock survive their declared crashes.
+    assert _caught_by_explorer("repair-mcs") is False
+    assert _caught_by_explorer("lease-lock") is False
 
 
 def test_scheme_verdicts_aggregate(report):

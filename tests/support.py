@@ -25,6 +25,9 @@ from repro.bench.campaign import run_result_sha
 from repro.core.constants import NULL_RANK, WRITE_FLAG
 from repro.core.counter import DistributedCounterHandle
 from repro.core.lock_base import LockSpec, RWLockSpec
+from repro.fault import lease_lock as lease_module
+from repro.fault.lease_lock import LeaseLockHandle
+from repro.fault.repair_mcs import RacyRepairMCSLockHandle, RepairMCSLockHandle
 from repro.related import alock as alock_module
 from repro.related.lock_server import LockServerHandle
 from repro.rma.ops import AtomicOp
@@ -324,9 +327,9 @@ def check_on_every_path(check: Callable[..., Any], spec: Any, machine: Machine, 
 @dataclass(frozen=True)
 class Mutant:
     """A known-unsafe variant of one scheme: ``steps`` replaces the step
-    method ``method`` of ``handle``; ``machine`` and ``params`` are where the
-    model checker (:mod:`repro.verification.explorer`) finds it, and
-    ``finding`` the oracle its first violation comes from."""
+    method ``method`` of ``handle``; ``machine``, ``params`` and ``crash``
+    are where the model checker (:mod:`repro.verification.explorer`) finds
+    it, and ``finding`` the oracle its first violation comes from."""
 
     handle: type
     method: str
@@ -335,6 +338,7 @@ class Mutant:
     machine: Machine
     params: Dict[str, Any]
     finding: str = "[mutual-exclusion]"
+    crash: Optional[str] = None
 
 
 def _racy_reset_steps(self, rank, *, clear_write_flag=True):
@@ -401,7 +405,27 @@ def _blind_fast_path_steps(self):
     yield (SPIN_WHILE, server, spec.grant_offset, lambda g: g != ticket)
 
 
-#: The crash-free mutants the model checker must find on the real code.
+def _steal_live_lease_steps(self):
+    """A lease takeover that ignores the deadline: a waiter that finds the
+    lock taken installs its own word over a live holder's."""
+    ctx, spec = self.ctx, self.spec
+    home, off = spec.home_rank, spec.lock_offset
+    while True:
+        word = yield (GET, home, off)
+        yield (FLUSH, home)
+        deadline = self._deadline(ctx.now())
+        new = lease_module._pack(deadline, lease_module._unpack(word)[1] + 1 if word else 0, ctx.rank)
+        prev = yield (CAS, new, word, home, off)
+        yield (FLUSH, home)
+        if prev == word:
+            self._held_word = new
+            self._announce_lease(deadline)
+            return
+
+
+#: The mutants the model checker must find on the real code, each in the
+#: crash scenario ``crash`` names (the racy repair walk, ``repair-mcs-racy``'s
+#: own, only goes wrong past a dead waiter).
 MUTANTS: Dict[str, Mutant] = {
     "racy-reset": Mutant(
         DistributedCounterHandle, "reset_counter_steps", _racy_reset_steps,
@@ -421,5 +445,13 @@ MUTANTS: Dict[str, Mutant] = {
     "blind-fast-path": Mutant(
         LockServerHandle, "acquire_steps", _blind_fast_path_steps, "lock-server", Machine.single_node(3), {},
         finding="[deadlock]",
+    ),
+    "steal-live-lease": Mutant(
+        LeaseLockHandle, "acquire_steps", _steal_live_lease_steps, "lease-lock", Machine.single_node(2), {},
+        crash="holder-crash",
+    ),
+    "racy-repair-walk": Mutant(
+        RepairMCSLockHandle, "_settle_race", RacyRepairMCSLockHandle._settle_race, "repair-mcs",
+        Machine.single_node(3), {}, finding="[deadlock]", crash="waiter-crash",
     ),
 }

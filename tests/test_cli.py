@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -198,14 +200,64 @@ class TestTraceCommand:
 
 
 class TestVerifyCommand:
-    def test_verify_explores_every_registered_scheme(self, capsys):
-        code = main(["verify", "--procs", "2", "--rounds", "1"])
-        table = capsys.readouterr().out.split("\n\n")[0]
+    @pytest.fixture(scope="class")
+    def verify(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--procs", "2", "--rounds", "1"])
+        return code, out.getvalue()
+
+    def test_verify_explores_every_registered_scheme(self, verify):
+        code, out = verify
+        table = out.split("\n\n")[0]
         assert code == 0
         rows = {line.split()[0]: line.split() for line in table.splitlines()[2:]}
         for name in scheme_names():
             assert rows[name][-1] == "ok", rows[name]
         assert rows["ticket"][3:5] == ["1", "1"]  # declared bound P - 1, reached
+
+    def test_verify_explores_each_declared_crash(self, verify):
+        code, out = verify
+        crashes = out.split("\n\n")[2]
+        rows = {tuple(line.split()[:2]): line for line in crashes.splitlines()[2:]}
+        assert list(rows) == [
+            ("lease-lock", "holder-crash"), ("lease-lock", "waiter-crash"),
+            ("repair-mcs", "waiter-crash"), ("repair-mcs-racy", "waiter-crash"),
+        ]
+        # At least three ranks (a racer behind the dead waiter), on both shapes.
+        assert "states (1 node)" in crashes and "states (3 nodes)" in crashes
+        assert all(line.rstrip().endswith(" ok") for key, line in rows.items() if key[0] != "repair-mcs-racy")
+        assert "mutant caught: [deadlock] no rank can move: rank 2 waits" in rows[("repair-mcs-racy", "waiter-crash")]
+
+    def test_verify_prints_witnesses_that_replay(self, verify):
+        from repro.topology.machine import Machine
+        from repro.verification.explorer import Explorer
+
+        code, out = verify
+        row = next(line for line in out.splitlines() if line.startswith("repair-mcs-racy  waiter-crash"))
+        violation = row[row.index("mutant caught: ") + len("mutant caught: "):].rstrip()
+        witness = next(line for line in out.splitlines() if line.startswith("  repair-mcs-racy waiter-crash (1 node): "))
+        schedule = witness.split("): ", 1)[1]
+        assert "kill " in schedule
+        assert Explorer("repair-mcs-racy", Machine.single_node(3), crash="waiter-crash").replay(schedule) == violation
+
+    def test_verify_exits_1_when_the_racy_walk_is_patched_into_repair_mcs(self, monkeypatch, capsys):
+        from tests.support import MUTANTS
+
+        mutant = MUTANTS["racy-repair-walk"]
+        monkeypatch.setattr(mutant.handle, mutant.method, mutant.steps)
+        assert main(["verify", "--procs", "2"]) == 1
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("repair-mcs  ") and "waiter-crash" in line)
+        assert "FAIL (1 node): [deadlock]" in row
+        assert "  repair-mcs waiter-crash (1 node): " in out  # its witness
+
+    def test_verify_exits_1_when_a_known_mutant_is_clean(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.bench.faults.KNOWN_MUTANTS", ("repair-mcs-racy", "repair-mcs"))
+        assert main(["verify", "--procs", "2"]) == 1
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("repair-mcs  ") and "waiter-crash" in line)
+        assert "FAIL (1 node): mutant escaped" in row
 
     def test_verify_exits_1_on_a_violation(self, monkeypatch, capsys):
         from tests.support import MUTANTS
@@ -214,8 +266,10 @@ class TestVerifyCommand:
         mutant = MUTANTS["racy-reset"]
         monkeypatch.setattr(mutant.handle, mutant.method, mutant.steps)
         assert main(["verify"]) == 1
-        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("rma-rw "))
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("rma-rw "))
         assert "FAIL (1 node): [mutual-exclusion]" in row
+        assert "  rma-rw (1 node): " in out  # its witness
 
     def test_verify_skips_a_blocking_only_lock(self, capsys):
         import runpy

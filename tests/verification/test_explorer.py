@@ -21,8 +21,7 @@ from repro.rma.runtime_base import BARRIER
 from repro.rma.ops import AtomicOp
 from repro.topology.machine import Machine
 from repro.verification import explorer as explorer_module
-from repro.verification.explorer import PARAMS, Explorer
-from repro.verification.interleaving import StateExplosionError
+from repro.verification.explorer import PARAMS, Explorer, StateExplosionError
 
 from tests.support import MUTANTS
 
@@ -85,14 +84,17 @@ def test_lock_server_is_clean_across_its_policy_axis(threshold):
 def test_mutant_is_found_and_its_witness_replays(name, monkeypatch):
     mutant = MUTANTS[name]
     monkeypatch.setattr(mutant.handle, mutant.method, mutant.steps)
-    explorer = Explorer(mutant.scheme, mutant.machine, params=mutant.params)
+    explorer = Explorer(mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash)
     result = explorer.explore()
     assert result.violation is not None and result.violation.startswith(mutant.finding)
     assert result.schedule
     # Fresh generators run through the witness reach the same violation, and
     # one transition short of it nothing is wrong yet.
     assert explorer.replay(result.schedule) == result.violation
-    assert Explorer(mutant.scheme, mutant.machine, params=mutant.params).replay(result.schedule[:-1]) is None
+    assert explorer.replay(result.witness) == result.violation
+    assert Explorer(mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash).replay(
+        result.schedule[:-1]
+    ) is None
 
 
 def test_fifo_bypass_bound_holds_where_a_spinlock_exceeds_it():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from repro.rma.ops import CALLS, RMACall
 from repro.topology.machine import Machine
@@ -161,33 +161,6 @@ class CostTable:
         self.cost: List[List[float]] = rows(lambda call, o, t: model.cost(call, machine, o, t))
         self.occupancy: List[List[float]] = rows(model.occupancy)
         self.node_of: Tuple[int, ...] = tuple(machine.node_of(r) for r in ranks)
-
-    def scaled_by_origin(self, multipliers: Sequence[float]) -> "CostTable":
-        """A copy with every cost scaled by its *origin* rank's multiplier.
-
-        This is how a :class:`~repro.rma.perturbation.PerturbationModel`'s
-        per-rank slowdowns enter the simulators: one table build per run,
-        zero extra work per operation.  Each scaled entry is the single
-        product ``cost * multipliers[origin]`` — the same float expression
-        ``tests/reference.py`` computes inline — so both see
-        bit-identical perturbed costs.  Occupancy is target-side service
-        time and stays unscaled (a slow origin does not slow the target's
-        port).  An all-ones vector returns ``self`` unchanged.
-        """
-        p = self.num_ranks
-        if len(multipliers) != p:
-            raise ValueError(f"need one multiplier per rank ({p})")
-        if all(m == 1.0 for m in multipliers):
-            return self
-        scaled = CostTable.__new__(CostTable)
-        scaled.num_ranks = p
-        scaled.cost = [
-            [c * m for o, m in enumerate(multipliers) for c in row[o * p : (o + 1) * p]]
-            for row in self.cost
-        ]
-        scaled.occupancy = self.occupancy
-        scaled.node_of = self.node_of
-        return scaled
 
 
 @lru_cache(maxsize=64)

@@ -21,33 +21,45 @@ module makes those schedules reachable *without* giving up determinism:
   Philox counter lane), so perturbing a run never shifts the workload's own
   random draws.
 
-The model is threaded through :class:`repro.rma.latency.CostTable` (the
-per-rank slowdown multipliers are baked into the table once per run via
-:meth:`~repro.rma.latency.CostTable.scaled_by_origin`) and through the
-runtimes' per-operation issue path (jitter and pauses).  When every
-magnitude is zero — or no model is installed — the cost path is untouched
-and runs stay bit-identical to the committed golden fingerprints in
-``tests/rma/golden/``.
+A model enters a run as a :class:`PerturbationSchedule`, built once per
+``(model, P)`` and kept in a small cache (:func:`perturbation_schedule`):
+each rank's slowdown multiplier, and each rank's *factor stream* — one
+``(m, a)`` pair per operation, ``m = 1 + jitter * u`` (or 1) and
+``a = lo + (hi - lo) * u`` for a pause (or 0), parsed from the rank's
+uniforms in blocks and shared by every run of that model.  The runtimes
+charge ``cost * slowdown * m + a``: the same float operations, in the same
+order, as the cost times the multiplier, then the jitter product, then the
+pause sum.  When every magnitude is zero — or no model is installed — the
+cost path is untouched and runs stay bit-identical to the committed golden
+fingerprints in ``tests/rma/golden/``.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from itertools import chain, cycle
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PerturbationModel", "RankPerturbation", "perturbation_rng"]
+__all__ = ["PerturbationModel", "PerturbationSchedule", "perturbation_rng", "perturbation_schedule"]
 
 #: Philox counter lane reserved for perturbation streams.  ``rank_rng`` uses
 #: lane 0, so a perturbation model sharing the workload's seed still draws
 #: from a provably disjoint stream.
 _PERTURB_LANE = 0x7C5EED
 
-#: Uniforms fetched per refill of a rank's draw buffer, and the most one
-#: operation can consume (jitter, pause test, pause length).
+#: Uniforms drawn per block of a factor stream: a multiple of 4, so a block
+#: always ends on a Philox counter step.
 _DRAW_BLOCK = 256
-_MAX_DRAWS_PER_OP = 3
+
+#: Bytes of factor blocks one cached schedule may hold.  A run that outgrows
+#: them continues from its own generator and caches nothing more.
+SCHEDULE_BYTES = 256 * 1024
 
 
 def perturbation_rng(seed: int, rank: int) -> np.random.Generator:
@@ -56,61 +68,17 @@ def perturbation_rng(seed: int, rank: int) -> np.random.Generator:
     Stable across runs and disjoint from the per-rank workload streams of
     :func:`repro.util.rng.rank_rng` even when both use the same seed.
     """
+    return _stream_rng(seed, rank, 0)
+
+
+def _stream_rng(seed: int, rank: int, start: int) -> np.random.Generator:
+    """``perturbation_rng(seed, rank)`` positioned at draw ``start``: Philox
+    yields four draws per counter step, and ``start`` is a multiple of 4."""
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     return np.random.Generator(
-        np.random.Philox(key=seed, counter=[_PERTURB_LANE, 0, 0, rank])
+        np.random.Philox(key=seed, counter=[_PERTURB_LANE + start // 4, 0, 0, rank])
     )
-
-
-class RankPerturbation:
-    """Per-rank, per-run jitter/pause state (one instance per rank per run).
-
-    ``perturb(cost)`` is called once per issued RMA operation, in the rank's
-    own issue order; every conforming scheduler issues the same per-rank
-    operation sequences (the golden cross-check pins that down), so the draw
-    streams — and therefore the perturbed schedules — match bit-for-bit.
-    The per-rank slowdown multiplier is *not* applied here: it lives in the
-    scaled :class:`~repro.rma.latency.CostTable` (horizon) or is applied by
-    the caller (``tests/reference.py``), both as the same float product.
-    """
-
-    __slots__ = ("_rng", "_jitter", "_pause_rate", "_pause_lo", "_pause_span", "_u", "_i")
-
-    def __init__(self, model: "PerturbationModel", rank: int):
-        self._rng = perturbation_rng(model.seed, rank)
-        self._jitter = model.latency_jitter
-        self._pause_rate = model.pause_rate
-        self._pause_lo, pause_hi = model.pause_us
-        self._pause_span = pause_hi - self._pause_lo
-        #: Uniforms drawn ahead from the stream, and the cursor into them.
-        self._u: List[float] = []
-        self._i = 0
-
-    def perturb(self, cost: float) -> float:
-        """Apply jitter and (rarely) a transient pause to one operation's cost.
-
-        The uniforms are the stream's own, in stream order — jitter, pause
-        test, pause length (``lo + (hi - lo) * u``, which is what
-        ``Generator.uniform`` computes from one draw) — but drawn in blocks
-        and consumed with a cursor, because a scalar ``Generator`` call costs
-        several times the arithmetic it feeds.
-        """
-        u = self._u
-        i = self._i
-        if i + _MAX_DRAWS_PER_OP > len(u):
-            u = self._u = u[i:] + self._rng.random(_DRAW_BLOCK).tolist()
-            i = 0
-        if self._jitter > 0.0:
-            cost = cost * (1.0 + self._jitter * u[i])
-            i += 1
-        if self._pause_rate > 0.0:
-            if u[i] < self._pause_rate:
-                cost = cost + (self._pause_lo + self._pause_span * u[i + 1])
-                i += 1
-            i += 1
-        self._i = i
-        return cost
 
 
 @dataclass(frozen=True)
@@ -139,24 +107,30 @@ class PerturbationModel:
     pause_us: Tuple[float, float] = (5.0, 40.0)
 
     def __post_init__(self) -> None:
+        lo, hi = self.pause_us
+        # A NaN passes no comparison: it would silently disable its effect.
+        for name, value in (("latency_jitter", self.latency_jitter), ("rank_slowdown", self.rank_slowdown),
+                            ("pause_us", lo), ("pause_us", hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.latency_jitter < 0:
             raise ValueError("latency_jitter must be non-negative")
         if self.rank_slowdown < 0:
             raise ValueError("rank_slowdown must be non-negative")
         if not 0.0 <= self.pause_rate <= 1.0:
             raise ValueError("pause_rate must be within [0, 1]")
-        lo, hi = self.pause_us
         if lo < 0 or hi < lo:
             raise ValueError("pause_us must be a non-negative (low, high) pair")
         # Normalize so equal models hash/cache identically.
         object.__setattr__(self, "pause_us", (float(lo), float(hi)))
 
-    # ------------------------------------------------------------------ #
-    # Per-run state
-    # ------------------------------------------------------------------ #
+    @property
+    def is_null(self) -> bool:
+        """True when the model changes no cost: every magnitude is zero."""
+        return self.latency_jitter == 0.0 and self.rank_slowdown == 0.0 and self.pause_rate == 0.0
 
     def rank_multipliers(self, nranks: int) -> Tuple[float, ...]:
-        """Per-rank slowdown multipliers, drawn once per run from the seed.
+        """Per-rank slowdown multipliers, drawn once per schedule from the seed.
 
         Rank ``r``'s multiplier is the first draw of its dedicated stream, so
         it does not depend on ``nranks`` and never consumes from the per-op
@@ -170,13 +144,150 @@ class PerturbationModel:
             out.append(1.0 + self.rank_slowdown * float(rng.random()))
         return tuple(out)
 
-    def rank_states(self, nranks: int) -> Optional[List[RankPerturbation]]:
-        """Fresh per-rank jitter/pause states for one run (or ``None``).
 
-        ``None`` means the per-operation path has nothing to do (only the
-        table-level slowdown, or nothing at all, is active), so the runtimes
-        skip the per-op hook entirely.
-        """
-        if self.latency_jitter == 0.0 and self.pause_rate == 0.0:
-            return None
-        return [RankPerturbation(self, rank) for rank in range(nranks)]
+def _parse(u: np.ndarray, model: PerturbationModel) -> Tuple[array, np.ndarray]:
+    """The factor pairs of the whole operations at the head of uniforms ``u``,
+    and the uniforms left over.
+
+    An operation takes, in stream order, its jitter draw (if any jitter),
+    its pause test (if any pause rate) and, when the test is below the rate,
+    the pause's length.  Pauses are rare, so only they are walked in Python:
+    between two, operations repeat with a fixed stride of ``s`` draws.
+    """
+    jitter, rate = model.latency_jitter, model.pause_rate
+    lo, hi = model.pause_us
+    span = hi - lo
+    n = len(u)
+    if rate == 0.0:
+        factors = np.zeros(2 * n)
+        factors[0::2] = 1.0 + jitter * u
+        return array("d", factors.tobytes()), u[n:]
+    s = 2 if jitter > 0.0 else 1
+    pauses: List[Tuple[int, float]] = []
+    lengths: List[int] = []  # positions of the pause lengths
+    ops = p = 0  # operations parsed, and the first draw of the next one
+    for q in np.flatnonzero(u < rate).tolist():
+        test = p + s - 1  # the next operation's pause test
+        if q < test or (q - test) % s:
+            continue  # a jitter draw, or a pause length, below the rate
+        k = (q - test) // s  # operations without a pause before it
+        if q + 1 >= n:  # its pause length is not drawn yet
+            ops += k
+            p += s * k
+            break
+        ops += k
+        pauses.append((ops, lo + span * float(u[q + 1])))
+        lengths.append(q + 1)
+        ops += 1
+        p = q + 2
+    else:
+        k = (n - p) // s
+        ops += k
+        p += s * k
+    factors = np.zeros(2 * ops)
+    if s == 2:  # without the pause lengths, jitter draws and tests alternate
+        factors[0::2] = 1.0 + jitter * np.delete(u[:p], lengths)[0::2]
+    else:
+        factors[0::2] = 1.0
+    for op, pause in pauses:
+        factors[2 * op + 1] = pause
+    return array("d", factors.tobytes()), u[p:]
+
+
+class _Stream:
+    """One rank's cached factor blocks, and where parsing resumes: the
+    rank's generator, the draws taken from it, the ones not parsed yet."""
+
+    __slots__ = ("blocks", "rng", "drawn", "rest")
+
+    def __init__(self, rng: np.random.Generator):
+        self.blocks: List[array] = []
+        self.rng = rng
+        self.drawn = 0
+        self.rest = np.empty(0)
+
+
+class PerturbationSchedule:
+    """A model's per-rank slowdowns and factor streams for ``nranks`` ranks.
+
+    Shared by every run of the model at that size (and by concurrent ones):
+    blocks are parsed on first use, under a lock, and never change after.
+    Past :data:`SCHEDULE_BYTES` a run parses the rest of a stream from its
+    own generator, positioned by counter where the cached prefix ends.
+    Which blocks are cached never reaches a run: each factor is the same
+    function of the rank's stream either way.
+    """
+
+    def __init__(self, model: PerturbationModel, nranks: int):
+        self.model = model
+        #: Each rank's slowdown multiplier (all 1.0 without slowdowns).
+        self.slowdown: Tuple[float, ...] = model.rank_multipliers(nranks)
+        self._per_op = model.latency_jitter > 0.0 or model.pause_rate > 0.0
+        self._streams: List[Optional[_Stream]] = [None] * nranks
+        self._lock = threading.Lock()
+        self._full = False
+        #: Bytes of the cached factor blocks.
+        self.nbytes = 0
+
+    def factors(self, rank: int) -> Callable[[], float]:
+        """``next`` of one run's iterator over rank's factors: ``m``, ``a``,
+        ``m``, ``a``, ... in the rank's issue order."""
+        if not self._per_op:
+            return cycle((1.0, 0.0)).__next__
+        return chain.from_iterable(self._blocks(rank)).__next__
+
+    def _blocks(self, rank: int) -> Iterator[array]:
+        with self._lock:
+            stream = self._streams[rank]
+            if stream is None:
+                stream = self._streams[rank] = _Stream(perturbation_rng(self.model.seed, rank))
+        blocks = stream.blocks
+        i = 0
+        while True:
+            if i == len(blocks):
+                with self._lock:
+                    if i == len(blocks) and not self._grow(stream):
+                        break
+            yield blocks[i]
+            i += 1
+        # Past the budget the stream no longer changes: continue it privately.
+        rng = _stream_rng(self.model.seed, rank, stream.drawn)
+        rest = stream.rest
+        while True:
+            block, rest = _parse(np.concatenate((rest, rng.random(_DRAW_BLOCK))), self.model)
+            yield block
+
+    def _grow(self, stream: _Stream) -> bool:
+        """Cache one more block of ``stream`` (under the lock), or refuse
+        once the schedule is full."""
+        if self._full:
+            return False
+        block, rest = _parse(np.concatenate((stream.rest, stream.rng.random(_DRAW_BLOCK))), self.model)
+        if self.nbytes + block.itemsize * len(block) > SCHEDULE_BYTES:
+            self._full = True
+            return False
+        stream.blocks.append(block)
+        stream.drawn += _DRAW_BLOCK
+        stream.rest = rest
+        self.nbytes += block.itemsize * len(block)
+        return True
+
+
+@lru_cache(maxsize=16)
+def _cached_schedule(model: PerturbationModel, nranks: int) -> PerturbationSchedule:
+    return PerturbationSchedule(model, nranks)
+
+
+def perturbation_schedule(model: Optional[PerturbationModel], nranks: int) -> Optional[PerturbationSchedule]:
+    """The (cached) schedule of ``model`` for ``nranks`` ranks; None when
+    there is no model or it changes no cost, so the run is unperturbed.
+
+    Models are frozen dataclasses and therefore hashable; an unhashable
+    custom subclass gets a fresh schedule per run.
+    """
+    if model is None or model.is_null:
+        return None
+    try:
+        return _cached_schedule(model, nranks)
+    except TypeError:  # unhashable custom model
+        return PerturbationSchedule(model, nranks)

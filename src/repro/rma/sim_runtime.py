@@ -62,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.api.registry import register_runtime
 from repro.rma.fabric import FabricContentionModel
 from repro.rma.latency import LatencyModel, cost_table
-from repro.rma.perturbation import PerturbationModel, RankPerturbation
+from repro.rma.perturbation import PerturbationModel, perturbation_schedule
 from repro.rma.ops import CALLS, NUM_CALLS, AtomicOp
 from repro.rma.runtime_base import (
     ACCUMULATE,
@@ -162,7 +162,7 @@ class _RankState:
         self.steps: Any = None
         self.caller: Any = None
         self.pending: Optional[tuple] = None
-        #: ``(rank, ops, rank * nranks, jitter or None)``, unpacked per turn.
+        #: ``(rank, ops, rank * nranks, slowdown, next factor or None)``, unpacked per turn.
         self.fixed: Optional[tuple] = None
         #: Starts a poll, ``poll(cells, predicate, single)``: :meth:`SimRuntime._poll_steps`,
         #: under a fault plan with the rank's checkpoint bound (``_faulted_steps``).
@@ -424,14 +424,10 @@ class SimRuntime(RMARuntime):
         # instance with a half-reset mixture of old and new state.
         windows = allocate_windows(nranks, self.window_words, window_init)
         table = cost_table(self.latency, self.machine)
-        perturbation = self.perturbation
-        perturb: Optional[List[RankPerturbation]] = None
-        if perturbation is not None:
-            # Per-rank slowdowns are baked into the cost table (one build per
-            # run); jitter/pause streams are rebuilt from the seed so every
-            # run of this instance replays the same perturbed schedule.
-            table = table.scaled_by_origin(perturbation.rank_multipliers(nranks))
-            perturb = perturbation.rank_states(nranks)
+        # Slowdowns and factor streams are shared by every run of the model;
+        # each run iterates the streams from their start, so it replays the
+        # same perturbed schedule.
+        schedule = perturbation_schedule(self.perturbation, nranks)
         states = [_RankState(r) for r in range(nranks)]
 
         self.windows = windows
@@ -483,8 +479,8 @@ class SimRuntime(RMARuntime):
                 else:
                     ctx.fault = plan
                     s.steps = self._faulted_steps(s, ctx, start)
-                jitter = perturb[s.rank].perturb if perturb is not None else None
-                s.fixed = (s.rank, s.ops, s.rank * nranks, jitter)
+                perturb = (1.0, None) if schedule is None else (schedule.slowdown[s.rank], schedule.factors(s.rank))
+                s.fixed = (s.rank, s.ops, s.rank * nranks, *perturb)
                 s.poll = poll
             self._drive(states[0])
         finally:
@@ -574,7 +570,7 @@ class SimRuntime(RMARuntime):
         error: Optional[Exception] = None
         value = None
         while True:
-            rank, ops, row, jitter = s.fixed
+            rank, ops, row, slow, factor = s.fixed
             steps = s.steps
             request = s.pending
             clock = s.clock
@@ -638,8 +634,10 @@ class SimRuntime(RMARuntime):
                             )
                         idx = row + target
                         cost = cost_rows[kind][idx]
-                        if jitter is not None:
-                            cost = jitter(cost)
+                        if factor is not None:
+                            # Slowdown, jitter, pause: the same float operations
+                            # in the same order as applying them one by one.
+                            cost = cost * slow * factor() + factor()
                         start = clock
                         # Remote accesses serialize at the target: if its port is
                         # busy, the operation starts only once the port frees up.

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set,
 from repro.api import registry
 from repro.rma.latency import LatencyModel
 from repro.rma.ops import CALLS, NUM_CALLS, AtomicOp
+from repro.rma.perturbation import perturbation_rng
 from repro.rma.runtime_base import (
     ACCUMULATE, BARRIER, CAS, COMPUTE, FAO, FLUSH, GET, PUT, SPIN, SPIN_WHILE,
     FaultHorizonError, RMARuntime, RunResult, RuntimeError_, SimDeadlockError, Steps,
@@ -33,7 +34,7 @@ from repro.rma.runtime_base import (
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 
-__all__ = ["REFERENCE", "ReferenceRuntime", "factory", "registered"]
+__all__ = ["REFERENCE", "ReferenceRuntime", "ScalarRankPerturbation", "factory", "registered"]
 
 #: The runtime name the tests register the interpreter under.
 REFERENCE = "reference"
@@ -50,6 +51,36 @@ Cell = Tuple[int, int]
 _PARK = object()
 #: What resuming a rank returns once its program has returned.
 _DONE = object()
+
+
+class ScalarRankPerturbation:
+    """Rule 3's draws for one rank of a ``PerturbationModel``: one scalar
+    ``Generator`` call per uniform, in the rank's issue order.
+
+    The slowdown multiplier is the first draw of the stream keyed on the
+    seed's complement; jitter, pause test and pause length (the
+    ``Generator.uniform`` formula, ``lo + (hi - lo) * u``) are the next draws
+    of the stream keyed on the seed.
+    """
+
+    def __init__(self, model: Any, rank: int):
+        self.slowdown = 1.0
+        if model.rank_slowdown > 0.0:
+            draw = float(perturbation_rng(~model.seed & 0xFFFFFFFFFFFFFFFF, rank).random())
+            self.slowdown = 1.0 + model.rank_slowdown * draw
+        self._rng = perturbation_rng(model.seed, rank)
+        self._jitter = model.latency_jitter
+        self._pause_rate = model.pause_rate
+        self._pause_lo, self._pause_hi = model.pause_us
+
+    def perturb(self, cost: float) -> float:
+        """One operation's cost, after the slowdown: jitter, then a pause."""
+        rng = self._rng
+        if self._jitter > 0.0:
+            cost = cost * (1.0 + self._jitter * float(rng.random()))
+        if self._pause_rate > 0.0 and float(rng.random()) < self._pause_rate:
+            cost = cost + float(rng.uniform(self._pause_lo, self._pause_hi))
+        return cost
 
 
 class _Killed(BaseException):
@@ -141,11 +172,9 @@ class ReferenceRuntime(RMARuntime):
             if plan.horizon_us is not None:
                 self._ceiling = plan.horizon_us
         perturbation = self.perturbation
-        self._slowdown = self._jitter = None
+        self._perturb = None
         if perturbation is not None:  # rule 3: the slowdown multiplier, then jitter and pauses
-            if perturbation.rank_slowdown > 0.0:
-                self._slowdown = perturbation.rank_multipliers(n)
-            self._jitter = perturbation.rank_states(n)
+            self._perturb = [ScalarRankPerturbation(perturbation, rank) for rank in range(n)]
         self._ranks: List[_Rank] = []
         for rank in range(n):
             ctx = ReferenceContext(self, rank, lambda rank=rank: self._ranks[rank].clock)
@@ -283,10 +312,9 @@ class ReferenceRuntime(RMARuntime):
             raise RuntimeError_(f"simulation exceeded max_ops={self.max_ops}; possible livelock")
         call, machine, origin = CALLS[kind], self.machine, r.rank
         cost = self.latency.cost(call, machine, origin, target)
-        if self._slowdown is not None:
-            cost = cost * self._slowdown[origin]
-        if self._jitter is not None:
-            cost = self._jitter[origin].perturb(cost)
+        if self._perturb is not None:
+            perturb = self._perturb[origin]
+            cost = perturb.perturb(cost * perturb.slowdown)
         start = r.clock
         occupancy = self.latency.occupancy(call, origin, target)
         if occupancy > 0.0:  # remote accesses serialize at the target's port

@@ -13,7 +13,9 @@ Three layers of protection:
    thread, no rank thread started) and ``horizon-threads`` (the same program
    as a blocking program, ``blocking_program(program)``: one rank thread
    each, every call bridged into the same loop — what a blocking program or
-   a blocking-only handle gets).
+   a blocking-only handle gets).  ``golden/perturbed.json`` does the same
+   for runs under a seeded perturbation model (``PERTURBED_CASES``),
+   recorded on the reference.
 2. **Live cross-check** — the same workloads, plus the ``repro perf``
    shapes up to P=64 (not recorded), run on horizon and the reference in one
    process must match bit-for-bit (guards against the recorded file and both
@@ -34,11 +36,14 @@ from repro.bench.harness import build_lock_spec, make_lock_program
 from repro.bench.perf import DEFAULT_CASES
 from repro.rma.runtime_base import blocking_program, is_step_program
 
-from golden_cases import GOLDEN_CASES, golden_config, result_fingerprint
+from golden_cases import (
+    GOLDEN_CASES, PERTURBED_CASES, golden_config, golden_perturbation, result_fingerprint,
+)
 from tests.reference import REFERENCE, factory
 from tests.support import rank_threads_started
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
+PERTURBED_PATH = GOLDEN_PATH.with_name("perturbed.json")
 
 #: Every scheduler (and mode) held to the recorded goldens.
 SCHEDULERS = ("horizon-inline", "horizon-threads", REFERENCE)
@@ -54,14 +59,17 @@ LIVE_ONLY_CASES = {
     }
     for case in DEFAULT_CASES
 }
-ALL_CASES = {**GOLDEN_CASES, **LIVE_ONLY_CASES}
+ALL_CASES = {**GOLDEN_CASES, **PERTURBED_CASES, **LIVE_ONLY_CASES}
 
 
 def _run_case(name: str, scheduler: str):
     config = golden_config(name, ALL_CASES)
     spec, is_rw = build_lock_spec(config)
     scheduler, _, mode = scheduler.partition("-")
-    runtime = factory(scheduler)(config.machine, window_words=spec.window_words + 2, seed=config.seed)
+    runtime = factory(scheduler)(
+        config.machine, window_words=spec.window_words + 2, seed=config.seed,
+        perturbation=golden_perturbation(name, ALL_CASES),
+    )
     program = make_lock_program(config, spec, is_rw, spec.window_words)
     assert is_step_program(program)
     if mode == "threads":
@@ -80,19 +88,32 @@ def recorded_goldens():
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 
 
+@pytest.fixture(scope="module")
+def recorded_perturbed():
+    return json.loads(PERTURBED_PATH.read_text())["cases"]
+
+
+def _assert_matches(name, scheduler, reference):
+    fingerprint = result_fingerprint(_run_case(name, scheduler))
+    # Compare field by field for actionable failure messages.
+    for field in reference:
+        assert fingerprint[field] == reference[field], (
+            f"{name}: {scheduler}: {field} diverged from the recorded output"
+        )
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_matches_recorded_seed_scheduler(name, scheduler, recorded_goldens):
     """Bit-identical RunResult vs the recorded seed-scheduler outputs."""
-    result = _run_case(name, scheduler)
-    fingerprint = result_fingerprint(result)
-    reference = recorded_goldens[name]
-    # Compare field by field for actionable failure messages.
-    for field in reference:
-        assert fingerprint[field] == reference[field], (
-            f"{name}: {scheduler}: {field} diverged from the recorded seed "
-            f"scheduler output"
-        )
+    _assert_matches(name, scheduler, recorded_goldens[name])
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("name", sorted(PERTURBED_CASES))
+def test_matches_recorded_perturbed_schedule(name, scheduler, recorded_perturbed):
+    """Bit-identical RunResult vs the recorded perturbed schedules."""
+    _assert_matches(name, scheduler, recorded_perturbed[name])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(LIVE_ONLY_CASES))
@@ -112,9 +133,9 @@ def test_same_seed_runs_are_bit_identical(name, scheduler):
     assert first == second
 
 
-def test_reference_recorder_reproduces_the_committed_file(recorded_goldens):
+def test_reference_recorder_reproduces_the_committed_file(recorded_goldens, recorded_perturbed):
     """``tools/record_golden.py`` records on the reference, and what it
-    records is the committed file, so the recorder cannot rot unexercised."""
+    records is the committed files, so the recorder cannot rot unexercised."""
     path = Path(__file__).resolve().parents[2] / "tools" / "record_golden.py"
     spec = importlib.util.spec_from_file_location("record_golden", path)
     tool = importlib.util.module_from_spec(spec)
@@ -122,3 +143,4 @@ def test_reference_recorder_reproduces_the_committed_file(recorded_goldens):
     payload = tool.record()
     assert payload["runtime"] == REFERENCE
     assert payload["cases"] == recorded_goldens
+    assert tool.record(PERTURBED_CASES)["cases"] == recorded_perturbed

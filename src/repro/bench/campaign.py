@@ -69,7 +69,6 @@ __all__ = [
     "CampaignPoint",
     "CampaignSpec",
     "DETERMINISM_FIELDS",
-    "PERF_FIELDS",
     "ResultCache",
     "SweepReport",
     "bless_sweep",
@@ -119,9 +118,6 @@ DETERMINISM_FIELDS: Tuple[str, ...] = (
     # row growing unexpected recovery content must fail the regress gate.
     "recovery",
 )
-
-#: Host-dependent fields gated with tolerances, never bit-exactly.
-PERF_FIELDS: Tuple[str, ...] = ("wall_s", "sim_ops_per_s")
 
 #: Scheme selectors understood by :meth:`CampaignSpec.resolve_schemes`, in
 #: addition to literal registered scheme names.  ``"conformance"`` selects
@@ -821,7 +817,7 @@ def run_point(point: CampaignPoint) -> Dict[str, Any]:
         "writes": bench.writes,
         "rma_ops": raw.total_ops(),
         "op_counts": {k: int(v) for k, v in sorted(raw.op_counts.items())},
-        # perf fields (host-dependent, tolerance-gated)
+        # perf fields (host-dependent, not gated)
         "wall_s": round(raw.wall_time_s, 6),
         "sim_ops_per_s": round(raw.ops_per_sec(), 1),
     }
@@ -981,33 +977,23 @@ def bless_sweep(
     path: Path,
     *,
     jobs: Optional[int] = None,
-    scaling: bool = False,
     checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
-    cold: Optional[SweepReport] = None,
 ) -> Tuple[SweepReport, Dict[str, Any]]:
     """Record a suite's manifest at ``path``: cold, then warm, then checks.
 
     ``run(jobs=..., refresh=...)`` runs the suite once through the cache.
-    The cold run refreshes every cached row (``cold`` is reused instead when
-    it already computed every point), ``scaling`` adds a cold ``jobs=1`` run
-    for the parallel-speedup record, and the warm run must serve every point
-    from the cache.  Each check gets ``(cold, warm)`` and raises
+    The cold run refreshes every cached row, and the warm run must serve
+    every point from the cache.  Each check gets ``(cold, warm)`` and raises
     :class:`BlessError` to refuse the bless.  Returns the cold report and the
     timing block written with it.
     """
-    if cold is None or cold.cache_misses != cold.points:
-        cold = run(jobs=jobs, refresh=True)
+    cold = run(jobs=jobs, refresh=True)
     timing: Dict[str, Any] = {
         "cpu_count": os.cpu_count(),
         "jobs": cold.jobs,
         "workers": cold.workers,
         "cold_wall_s": round(cold.wall_s, 3),
     }
-    if scaling:
-        serial = run(jobs=1, refresh=True)
-        timing["jobs1_wall_s"] = round(serial.wall_s, 3)
-        if cold.wall_s > 0:
-            timing["parallel_speedup"] = round(serial.wall_s / cold.wall_s, 3)
     warm = run(jobs=jobs, refresh=False)
     if warm.cache_hits != warm.points:
         raise BlessError(

@@ -189,7 +189,7 @@ def _build_adapter_spec(info: Any, config: LockBenchConfig) -> Any:
 def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shared_offset: int):
     """Build the SPMD rank program for one benchmark configuration.
 
-    Public so that ``repro perf`` and the golden-determinism tools can run the
+    Public so that the ledger and the golden-determinism tools can run the
     exact program the harness runs against an arbitrary runtime backend.  A
     benchmark registered with a custom ``program_factory`` replaces this
     default body entirely; the built-ins parameterize it declaratively via

@@ -5,25 +5,19 @@ compares its rows against the committed ``BENCH_campaign.json`` manifest, and
 sanity-checks the ``BENCH_traffic.json`` open-loop traffic baseline (see
 :func:`check_traffic_manifest`), the ``BENCH_tune.json`` auto-tuner
 baseline (see :func:`check_tune_manifest`) and the ``BENCH_scale.json``
-fluid-scale baseline (see :func:`check_scale_manifest`).  Two classes of
-fields, two severities:
-
-* **Determinism fields** (:data:`repro.bench.campaign.DETERMINISM_FIELDS`)
-  are bit-exact functions of each point's seed.  Any mismatch is a *hard*
-  failure (exit code :data:`EXIT_HARD` = 2): either the scheduler's observable
-  behaviour changed (re-bless deliberately, with a commit message saying why)
-  or determinism broke.
-* **Throughput fields** (simulator ops per host second) are noisy and gate
-  with relative tolerances: ``strict_tol`` applies by default, the looser
-  ``soft_tol`` applies under ``--soft`` (what CI uses — shared runners are
-  slow, but a scheduler that lost most of its speed should still fail).
-  A violation exits :data:`EXIT_FAIL` = 1.
+fluid-scale baseline (see :func:`check_scale_manifest`).  The gate checks
+determinism only: the fields of
+:data:`repro.bench.campaign.DETERMINISM_FIELDS` are bit-exact functions of
+each point's seed, and any mismatch is a *hard* failure (exit code
+:data:`EXIT_HARD` = 2): either the scheduler's observable behaviour changed
+(re-bless deliberately, with a commit message saying why) or determinism
+broke.  Host speed (``sim_ops_per_s``, wall times) is recorded in the rows
+but not compared: speed is measured with the ledger (``python3 -m ledger``).
+A manifest below one of its structural floors exits :data:`EXIT_FAIL` = 1.
 
 ``repro regress --bless`` rewrites the baseline through the shared bless
 flow (:func:`repro.bench.campaign.bless_sweep`): a fresh (cache-refreshing)
-run, its cold/warm wall times — the cache-effectiveness numbers the
-acceptance criteria track — plus, with ``--scaling``, a ``jobs=1`` cold run
-so the manifest documents the parallel speedup measured on the blessing host.
+run plus its cold/warm wall times.
 
 **Schema-bump rule.** Whenever a field joins (or changes meaning inside)
 :data:`~repro.bench.campaign.DETERMINISM_FIELDS`, bump
@@ -43,14 +37,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from repro.bench.campaign import (
     DETERMINISM_FIELDS,
-    BlessError,
-    bless_sweep,
     get_campaign,
     run_campaign,
     write_manifest_json,
@@ -71,15 +62,10 @@ __all__ = [
 ]
 
 EXIT_OK = 0
-#: Throughput outside the applicable tolerance (a soft, host-speed failure).
+#: A committed manifest is below one of its structural floors.
 EXIT_FAIL = 1
 #: Bit-exact determinism fields diverged (or the manifests are unusable).
 EXIT_HARD = 2
-
-#: Default relative slowdown tolerated before failing: strict for quiet
-#: machines, soft for shared CI runners.
-DEFAULT_STRICT_TOL = 0.25
-DEFAULT_SOFT_TOL = 0.6
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_CAMPAIGN = "ci-gate"
@@ -131,19 +117,14 @@ def format_findings(findings: Sequence[Finding]) -> str:
 def compare_campaign_rows(
     baseline_rows: Sequence[Mapping[str, Any]],
     current_rows: Sequence[Mapping[str, Any]],
-    *,
-    soft: bool = False,
-    strict_tol: float = DEFAULT_STRICT_TOL,
-    soft_tol: float = DEFAULT_SOFT_TOL,
 ) -> List[Finding]:
     """Compare one campaign run against the committed baseline rows.
 
     Determinism fields must match bit-exactly (hard findings otherwise);
-    ``sim_ops_per_s`` may regress by at most ``strict_tol`` (``soft_tol``
-    when ``soft``), relative to the baseline value.  Cases the campaign no
-    longer produces are hard failures (the manifest must be re-blessed);
-    brand-new cases only warn, so adding a scheme does not break CI before
-    the baseline catches up.
+    every other field, host throughput included, is not compared.  Cases the
+    campaign no longer produces are hard failures (the manifest must be
+    re-blessed); brand-new cases only warn, so adding a scheme does not
+    break CI before the baseline catches up.
     """
     findings: List[Finding] = []
     current_by_case = {str(row["case"]): row for row in current_rows}
@@ -166,30 +147,6 @@ def compare_campaign_rows(
                         case,
                         fname,
                         f"determinism field diverged: baseline {base[fname]!r} vs current {cur.get(fname)!r}",
-                    )
-                )
-        base_tp = float(base.get("sim_ops_per_s", 0.0) or 0.0)
-        cur_tp = float(cur.get("sim_ops_per_s", 0.0) or 0.0)
-        if base_tp > 0.0 and cur_tp >= 0.0:
-            drop = 1.0 - cur_tp / base_tp
-            limit = soft_tol if soft else strict_tol
-            if drop > limit:
-                findings.append(
-                    Finding(
-                        "fail",
-                        case,
-                        "sim_ops_per_s",
-                        f"simulator throughput regressed {drop * 100:.1f}% "
-                        f"({cur_tp:.1f} vs baseline {base_tp:.1f} ops/s; allowed {limit * 100:.0f}%)",
-                    )
-                )
-            elif soft and drop > strict_tol:
-                findings.append(
-                    Finding(
-                        "warn",
-                        case,
-                        "sim_ops_per_s",
-                        f"throughput {drop * 100:.1f}% below baseline (within the soft tolerance)",
                     )
                 )
 
@@ -379,30 +336,23 @@ def run_regress(
     traffic_baseline_path: Optional[Path] = DEFAULT_TRAFFIC_BASELINE,
     tune_baseline_path: Optional[Path] = DEFAULT_TUNE_BASELINE,
     scale_baseline_path: Optional[Path] = DEFAULT_SCALE_BASELINE,
-    soft: bool = False,
     jobs: Optional[int] = None,
     fresh: bool = True,
-    strict_tol: float = DEFAULT_STRICT_TOL,
-    soft_tol: float = DEFAULT_SOFT_TOL,
     cache_dir: Optional[Path] = None,
     output: Optional[Path] = None,
-    scaling: bool = False,
     print_fn: Callable[[str], None] = print,
 ) -> int:
     """Entry point behind ``repro regress``; returns the process exit code.
 
-    The gate recomputes every point by default (``fresh=True``), so its
-    throughput fields are timed on this run, not read from whichever run
-    cached the row.  ``fresh=False`` (CLI ``--reuse-cache``) opts into cache
-    reads for quick iterating; the cache epoch follows the package sources,
-    so cached determinism fields are current.  Either way the cache is
-    refreshed with the run's rows.  ``repro regress --bless`` does not come here: it runs
+    The gate recomputes every point by default (``fresh=True``), so it checks
+    what this code produces, not what an earlier run left in the cache.
+    ``fresh=False`` (CLI ``--reuse-cache``) opts into cache reads for quick
+    iterating; the cache epoch follows the package sources, so cached
+    determinism fields are current.  Either way the cache is refreshed with
+    the run's rows.  ``repro regress --bless`` does not come here: it runs
     the shared bless flow (:func:`repro.bench.campaign.bless_sweep`).
     """
     get_campaign(campaign)  # validate early with the helpful UnknownNameError
-    if scaling and output is None:
-        print_fn("regress: --scaling needs --output (or --bless) to record the timing")
-        return EXIT_HARD
 
     baseline_path = Path(baseline_path)
     if not baseline_path.exists():
@@ -429,37 +379,18 @@ def run_regress(
     report = run_campaign(campaign, jobs=jobs, cache_dir=cache_dir, refresh=fresh)
     print_fn(report.summary())
     if output is not None:
-        if scaling:
-            # The gating run above was itself cold whenever every point was
-            # computed (fresh=True, or an empty cache as in CI); the bless
-            # flow reuses it and only measures the jobs=1 and warm-cache runs.
-            try:
-                bless_sweep(
-                    partial(run_campaign, campaign, cache_dir=cache_dir), Path(output),
-                    jobs=jobs, scaling=True, cold=report,
-                )
-            except BlessError as exc:
-                print_fn(f"regress: {exc}")
-                return EXIT_HARD
-        else:
-            # Label the gating run's wall time honestly: it is only a cold
-            # time when every point was actually computed.
-            wall_key = "cold_wall_s" if report.cache_misses == report.points else "cached_wall_s"
-            timing = {
-                "cpu_count": os.cpu_count(),
-                "jobs": report.jobs,
-                wall_key: round(report.wall_s, 3),
-            }
-            write_manifest_json(report, Path(output), timing=timing)
+        # Label the gating run's wall time honestly: it is only a cold time
+        # when every point was actually computed.
+        wall_key = "cold_wall_s" if report.cache_misses == report.points else "cached_wall_s"
+        timing = {
+            "cpu_count": os.cpu_count(),
+            "jobs": report.jobs,
+            wall_key: round(report.wall_s, 3),
+        }
+        write_manifest_json(report, Path(output), timing=timing)
         print_fn(f"wrote {output}")
 
-    findings = compare_campaign_rows(
-        baseline_rows,
-        report.rows,
-        soft=soft,
-        strict_tol=strict_tol,
-        soft_tol=soft_tol,
-    )
+    findings = compare_campaign_rows(baseline_rows, report.rows)
     for path, default, check, suite in (
         (traffic_baseline_path, DEFAULT_TRAFFIC_BASELINE, check_traffic_manifest, "traffic"),
         (tune_baseline_path, DEFAULT_TUNE_BASELINE, check_tune_manifest, "tune"),
@@ -491,6 +422,5 @@ def run_regress(
     print_fn(format_findings(findings))
     code = exit_code(findings)
     if code == EXIT_OK:
-        mode = "soft" if soft else "strict"
-        print_fn(f"regress: PASS ({mode} tolerances; {report.points} campaign points gated)")
+        print_fn(f"regress: PASS ({report.points} campaign points gated)")
     return code

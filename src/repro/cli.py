@@ -14,15 +14,13 @@ The subcommands cover the common workflows:
   all interleavings (the paper's Section 4.4, without SPIN), then each
   declared holder/waiter-crash scenario with its kills and lease expiry;
   exit 1 on any violation or deadlock, or on a known mutant that escapes.
-* ``perf`` — time a few lock workloads on the horizon runtime and print a
-  local ops/sec table; with
-  ``--profile``, also write a cProfile hot-path report per case.  Speed
-  claims go through the ledger (``python3 -m ledger``).
 * ``campaign`` — list, show or run the named sweep campaigns (parallel
   multi-core execution with the content-addressed result cache).
-* ``regress`` — run the gate campaign and compare it against the committed
-  ``BENCH_campaign.json`` baseline and sanity-check the traffic, tune and
-  scale manifests (the check CI calls; ``--bless`` records a new baseline).
+* ``regress`` — run the gate campaign and compare its determinism fields
+  bit-exactly against the committed ``BENCH_campaign.json`` baseline, and
+  sanity-check the traffic, tune and scale manifests (the check CI calls;
+  ``--bless`` records a new baseline).  Speed is not gated here: it is
+  measured with the ledger (``python3 -m ledger``).
 * ``conform`` — the conformance & chaos sweep: every registered scheme under
   seeded schedule perturbation with the live safety/fairness oracles, each
   point re-run to certify bit-reproducibility (exit 1 on any violation).
@@ -192,14 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--procs", type=int, default=3, help="ranks per exploration (at least 2)")
     verify.add_argument("--rounds", type=int, default=1, help="acquisitions per rank (at least 1)")
 
-    perf = sub.add_parser(
-        "perf", help="local simulator ops/sec table and hot-path profiles (speed claims: python3 -m ledger)"
-    )
-    perf.add_argument("--reps", type=int, default=4, help="repetitions per case, at least 1 (best wall time wins)")
-    perf.add_argument("--profile", action="store_true",
-                      help="also cProfile one run per case and write a pstats hot-path "
-                           "report to the working directory")
-
     campaign = sub.add_parser(
         "campaign", help="run named sweep campaigns (parallel execution + result cache)"
     )
@@ -216,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="render ASCII throughput-vs-P charts (one per benchmark x fw panel)")
 
     regress = sub.add_parser(
-        "regress", help="gate campaign results against the committed baselines (CI check)"
+        "regress", help="gate campaign determinism against the committed baselines (CI check)"
     )
     _add_sweep_flags(regress, cache=False, bless=True)
-    regress.add_argument("--campaign", default="ci-gate", help="campaign to gate on")
+    regress.add_argument("--campaign", default="ci-gate",
+                         help="campaign to gate on (any other than ci-gate needs --baseline)")
     regress.add_argument("--traffic-baseline", default=None,
                          help="traffic manifest to sanity-check (default: <repo>/BENCH_traffic.json); 'none' skips")
     regress.add_argument("--scale-baseline", default=None,
@@ -227,17 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the committed one; 'none' skips)")
     regress.add_argument("--tune-baseline", default=None,
                          help="tune manifest to sanity-check (default: <repo>/BENCH_tune.json); 'none' skips")
-    regress.add_argument("--soft", action="store_true",
-                         help="use the loose throughput tolerance (for noisy shared runners)")
     regress.add_argument("--reuse-cache", action="store_true",
                          help="serve cached rows instead of recomputing (the gate recomputes by "
-                              "default so its wall-time figures are measured, not cached)")
-    regress.add_argument("--strict-tol", type=float, default=None,
-                         help="relative throughput slowdown tolerated in strict mode (default 0.25)")
-    regress.add_argument("--soft-tol", type=float, default=None,
-                         help="relative throughput slowdown tolerated with --soft (default 0.6)")
-    regress.add_argument("--scaling", action="store_true",
-                         help="also measure a jobs=1 cold run to record the parallel speedup")
+                              "default so it checks what this code produces, not the cache)")
 
     conform = sub.add_parser(
         "conform",
@@ -572,31 +555,12 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 1 if any(row["verdict"].startswith("FAIL") for row in rows + crash_rows) else 0
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    from repro.bench import perf as perf_mod
-
-    if args.reps < 1:
-        print(f"error: --reps must be at least 1, got {args.reps}", file=sys.stderr)
-        return 2
-    rows = [
-        perf_mod.measure_case(case, reps=args.reps)
-        for case in perf_mod.DEFAULT_CASES
-    ]
-    print(format_table(rows))
-    if args.profile:
-        for case in perf_mod.DEFAULT_CASES:
-            report = perf_mod.profile_case(case, out_dir=Path.cwd())
-            print(f"profile: {report}")
-    return 0
-
-
 def _sweep(
     args: argparse.Namespace,
     run: Callable[..., SweepReport],
     baseline: Optional[Path] = None,
     *,
     checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
-    scaling: bool = False,
 ) -> Tuple[SweepReport, Optional[Tuple[Path, Dict[str, Any]]]]:
     """Run one suite from its shared flags, or bless it under ``--bless``.
 
@@ -607,9 +571,7 @@ def _sweep(
     run = partial(run, cache_dir=Path(args.cache_dir) if args.cache_dir else None)
     if getattr(args, "bless", False):
         path = Path(args.baseline) if args.baseline else baseline
-        report, timing = bless_sweep(
-            run, path, jobs=args.jobs, checks=checks, scaling=scaling
-        )
+        report, timing = bless_sweep(run, path, jobs=args.jobs, checks=checks)
         return report, (path, timing)
     report = run(
         jobs=args.jobs, cache=False if args.no_cache else None, refresh=args.refresh
@@ -735,20 +697,23 @@ def _run_regress(args: argparse.Namespace) -> int:
     from repro.bench import campaign as campaign_mod
     from repro.bench import regress as regress_mod
 
+    campaign_mod.get_campaign(args.campaign)  # an unknown name fails first
+    if args.baseline is None and args.campaign != regress_mod.DEFAULT_CAMPAIGN:
+        raise ValueError(
+            f"--campaign {args.campaign} needs --baseline: the default "
+            f"{regress_mod.DEFAULT_CAMPAIGN_BASELINE.name} holds the "
+            f"{regress_mod.DEFAULT_CAMPAIGN} rows"
+        )
+    baseline = Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
     if args.bless:
         report, blessed = _sweep(
-            args,
-            partial(campaign_mod.run_campaign, args.campaign),
-            regress_mod.DEFAULT_CAMPAIGN_BASELINE,
-            scaling=args.scaling,
+            args, partial(campaign_mod.run_campaign, args.campaign), baseline
         )
         _finish(args, report, blessed)
         return 0
     return regress_mod.run_regress(
         campaign=args.campaign,
-        baseline_path=(
-            Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
-        ),
+        baseline_path=baseline,
         traffic_baseline_path=_manifest_path(
             args.traffic_baseline, regress_mod.DEFAULT_TRAFFIC_BASELINE
         ),
@@ -756,14 +721,10 @@ def _run_regress(args: argparse.Namespace) -> int:
         scale_baseline_path=_manifest_path(
             args.scale_baseline, regress_mod.DEFAULT_SCALE_BASELINE
         ),
-        soft=args.soft,
         jobs=args.jobs,
         fresh=not args.reuse_cache,
-        strict_tol=args.strict_tol if args.strict_tol is not None else regress_mod.DEFAULT_STRICT_TOL,
-        soft_tol=args.soft_tol if args.soft_tol is not None else regress_mod.DEFAULT_SOFT_TOL,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         output=Path(args.output) if args.output else None,
-        scaling=args.scaling,
     )
 
 
@@ -1013,7 +974,6 @@ _COMMANDS = {
     "bench": _run_bench,
     "trace": _run_trace,
     "verify": _run_verify,
-    "perf": _run_perf,
     "campaign": _run_campaign,
     "regress": _run_regress,
     "conform": _run_conform,

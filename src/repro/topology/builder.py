@@ -45,12 +45,12 @@ def cached_machine(
     procs_per_node: int = XC30_PROCS_PER_NODE,
     topology: str = "xc30",
 ) -> Machine:
-    """Memoized machine construction, shared by the sweeps and ``repro perf``.
+    """Memoized machine construction, shared by the sweeps.
 
     :class:`~repro.topology.machine.Machine` is a frozen dataclass, so one
     instance per ``(procs, procs_per_node, topology)`` can safely be shared by
     every benchmark configuration of a sweep; the campaign executor, the
-    figure drivers and ``repro perf`` all route machine construction through
+    figure drivers and the ledger all route machine construction through
     this memo instead of rebuilding the same hierarchy per data point.
 
     The memo is LRU-bounded: a long-lived process sweeping many distinct

@@ -8,7 +8,9 @@ seed scheduler; the horizon scheduler and the reference interpreter
 (``tests/reference.py``, on which ``tools/record_golden.py`` now records) are
 required to match them exactly.  ``golden/perturbed.json`` pins the same kind
 of run under a seeded :class:`~repro.rma.perturbation.PerturbationModel`
-(``PERTURBED_CASES``), recorded on the reference.
+(``PERTURBED_CASES``), recorded on the reference.  ``LIVE_ONLY_CASES`` are
+larger shapes that are compared live, horizon against the reference, and
+never recorded.
 
 Floats are serialized with ``float.hex`` so the comparison is bit-exact and
 immune to repr/rounding differences.  Rank-program returns (which contain
@@ -27,7 +29,8 @@ from repro.rma.perturbation import PerturbationModel
 from repro.topology.builder import xc30_like
 
 __all__ = [
-    "GOLDEN_CASES", "PERTURBED_CASES", "golden_config", "golden_perturbation", "result_fingerprint",
+    "GOLDEN_CASES", "LIVE_ONLY_CASES", "PERTURBED_CASES", "golden_config", "golden_perturbation",
+    "result_fingerprint",
 ]
 
 #: name -> LockBenchConfig keyword arguments (machine built from P / ppn).
@@ -135,6 +138,29 @@ PERTURBED_CASES: Dict[str, Dict[str, Any]] = {
         "P": 64, "procs_per_node": 8, "scheme": "rma-rw", "benchmark": "wcsb",
         "iterations": 30, "fw": 0.2, "seed": 7,
         "perturbation": {"seed": 25, "latency_jitter": 0.3, "pause_rate": 0.02, "rank_slowdown": 1.0},
+    },
+}
+
+
+#: Checked live against the reference but not recorded: rma-rw on wcsb with
+#: the Figure-5 writer mix and the read-heavy mix at P=64, above the goldens'
+#: largest P, the MCS writer path at P=64 and rma-rw on ecsb at P=32.
+LIVE_ONLY_CASES: Dict[str, Dict[str, Any]] = {
+    "rma-rw-wcsb-p64": {
+        "P": 64, "procs_per_node": 8, "scheme": "rma-rw", "benchmark": "wcsb",
+        "iterations": 4, "fw": 0.02, "seed": 1,
+    },
+    "rma-rw-wcsb-p64-readheavy": {
+        "P": 64, "procs_per_node": 8, "scheme": "rma-rw", "benchmark": "wcsb",
+        "iterations": 4, "fw": 0.002, "seed": 1,
+    },
+    "rma-mcs-wcsb-p64": {
+        "P": 64, "procs_per_node": 8, "scheme": "rma-mcs", "benchmark": "wcsb",
+        "iterations": 4, "fw": 0.0, "seed": 1,
+    },
+    "rma-rw-ecsb-p32": {
+        "P": 32, "procs_per_node": 8, "scheme": "rma-rw", "benchmark": "ecsb",
+        "iterations": 4, "fw": 0.02, "seed": 1,
     },
 }
 

@@ -16,10 +16,10 @@ Three layers of protection:
    a blocking-only handle gets).  ``golden/perturbed.json`` does the same
    for runs under a seeded perturbation model (``PERTURBED_CASES``),
    recorded on the reference.
-2. **Live cross-check** — the same workloads, plus the ``repro perf``
-   shapes up to P=64 (not recorded), run on horizon and the reference in one
-   process must match bit-for-bit (guards against the recorded file and both
-   drifting together).
+2. **Live cross-check** — the same workloads, plus ``LIVE_ONLY_CASES``:
+   four lock-benchmark shapes up to P=64 that are not recorded, run on
+   horizon and the reference in one process must match bit-for-bit (guards
+   against the recorded file and both drifting together).
 3. **Same-seed stability** — two runs of one configuration must be
    bit-identical (the basic determinism contract).
 """
@@ -33,11 +33,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import build_lock_spec, make_lock_program
-from repro.bench.perf import DEFAULT_CASES
 from repro.rma.runtime_base import blocking_program, is_step_program
 
 from golden_cases import (
-    GOLDEN_CASES, PERTURBED_CASES, golden_config, golden_perturbation, result_fingerprint,
+    GOLDEN_CASES, LIVE_ONLY_CASES, PERTURBED_CASES, golden_config, golden_perturbation,
+    result_fingerprint,
 )
 from tests.reference import REFERENCE, factory
 from tests.support import rank_threads_started
@@ -48,17 +48,6 @@ PERTURBED_PATH = GOLDEN_PATH.with_name("perturbed.json")
 #: Every scheduler (and mode) held to the recorded goldens.
 SCHEDULERS = ("horizon-inline", "horizon-threads", REFERENCE)
 
-#: Checked live against the reference but not recorded: ``repro perf``'s
-#: default cases with 4 iterations — rma-rw on wcsb with the Figure-5 writer
-#: mix and the read-heavy mix at P=64, above the goldens' largest P, the MCS
-#: writer path at P=64 and rma-rw on ecsb at P=32.
-LIVE_ONLY_CASES = {
-    case.name: {
-        "P": case.procs, "procs_per_node": case.procs_per_node, "scheme": case.scheme,
-        "benchmark": case.benchmark, "iterations": 4, "fw": case.fw, "seed": case.seed,
-    }
-    for case in DEFAULT_CASES
-}
 ALL_CASES = {**GOLDEN_CASES, **PERTURBED_CASES, **LIVE_ONLY_CASES}
 
 

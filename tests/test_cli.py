@@ -309,11 +309,11 @@ class TestNoSchedulerFlag:
     # horizon is the one runtime.  The reference interpreter is compared with
     # it at the library entry points the flag used to reach: Cluster.bench
     # (api/test_session.py), the figure drivers (bench/test_experiments.py),
-    # perf (bench/test_perf.py), run_campaign (bench/test_campaign.py),
-    # run_traffic (traffic/test_engine.py) and run_tune (control/test_tune.py).
+    # run_campaign (bench/test_campaign.py), run_traffic
+    # (traffic/test_engine.py) and run_tune (control/test_tune.py).
     @pytest.mark.parametrize(
         "command",
-        [["figures", "4a"], ["bench"], ["perf"], ["campaign", "run", "ci-gate"], ["conform"],
+        [["figures", "4a"], ["bench"], ["campaign", "run", "ci-gate"], ["conform"],
          ["traffic"], ["scale"], ["tune"]],
         ids=" ".join,
     )
@@ -402,7 +402,8 @@ class TestCampaignCommand:
 
 
 class TestRegressCommand:
-    def test_regress_bless_then_pass(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture()
+    def tiny_campaign(self, tmp_path, monkeypatch):
         from repro.bench.campaign import CampaignSpec, register_campaign, unregister_campaign
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -415,78 +416,65 @@ class TestRegressCommand:
             procs_per_node=4,
         )
         register_campaign(spec, replace=True)
-        try:
-            baseline = tmp_path / "BENCH_campaign.json"
-            assert main(["regress", "--campaign", "cli-regress-tiny", "--jobs", "1",
-                         "--baseline", str(baseline), "--bless"]) == 0
-            assert baseline.exists()
-            # --strict-tol disables the wall-clock throughput gate: a
-            # millisecond one-point campaign is too noisy for 25% under load,
-            # and this test's subject is the determinism gate + exit code.
-            assert main(["regress", "--campaign", "cli-regress-tiny", "--jobs", "1",
-                         "--baseline", str(baseline), "--strict-tol", "1e9"]) == 0
-            out = capsys.readouterr().out
-            assert "regress: PASS" in out
-        finally:
-            unregister_campaign(spec.name)
+        yield spec.name
+        unregister_campaign(spec.name)
+
+    def test_regress_bless_then_pass(self, tiny_campaign, tmp_path, capsys):
+        baseline = tmp_path / "BENCH_campaign.json"
+        assert main(["regress", "--campaign", tiny_campaign, "--jobs", "1",
+                     "--baseline", str(baseline), "--bless"]) == 0
+        assert baseline.exists()
+        assert main(["regress", "--campaign", tiny_campaign, "--jobs", "1",
+                     "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "regress: PASS" in out
+
+    def test_another_campaign_is_not_gated_against_the_default_baseline(
+        self, tiny_campaign, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench import regress as regress_mod
+
+        # A default baseline that holds this campaign's own rows: only the
+        # missing --baseline can fail the gate.
+        baseline = tmp_path / "BENCH_campaign.json"
+        assert main(["regress", "--campaign", tiny_campaign, "--jobs", "1",
+                     "--baseline", str(baseline), "--bless"]) == 0
+        monkeypatch.setattr(regress_mod, "DEFAULT_CAMPAIGN_BASELINE", baseline)
+        capsys.readouterr()
+        assert main(["regress", "--campaign", tiny_campaign, "--jobs", "1"]) == 2
+        assert f"--campaign {tiny_campaign} needs --baseline" in capsys.readouterr().err
+
+    def test_another_campaign_is_not_blessed_over_the_default_baseline(
+        self, tiny_campaign, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench import regress as regress_mod
+
+        default = tmp_path / "BENCH_campaign.json"
+        monkeypatch.setattr(regress_mod, "DEFAULT_CAMPAIGN_BASELINE", default)
+        assert main(["regress", "--campaign", tiny_campaign, "--jobs", "1", "--bless"]) == 2
+        assert f"--campaign {tiny_campaign} needs --baseline" in capsys.readouterr().err
+        assert not default.exists()
 
     def test_regress_unknown_campaign_errors(self, capsys):
         assert main(["regress", "--campaign", "nope"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
 
-    def test_regress_soft_flag_parses(self):
-        args = build_parser().parse_args(["regress", "--soft", "--jobs", "4", "--scaling"])
-        assert args.soft is True
-        assert args.jobs == 4
-        assert args.scaling is True
-
-    def test_regress_has_no_perf_manifest_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["regress", "--runtime-baseline", "none"])
-        assert exc.value.code == 2
-
-
-class TestPerfCommand:
-    @pytest.fixture()
-    def one_case(self, tmp_path, monkeypatch):
-        from repro.bench import perf
-
-        case = perf.PerfCase("rma-rw-wcsb-p8", "rma-rw", "wcsb", 8, iterations=4)
-        monkeypatch.setattr(perf, "DEFAULT_CASES", (case,))
-        monkeypatch.chdir(tmp_path)
-        return case
-
-    @staticmethod
-    def _ops(out: str) -> str:
-        header, _, row = out.splitlines()[:3]
-        return row.split()[header.split().index("ops")]
-
-    def test_table_and_profile(self, one_case, tmp_path, capsys):
-        assert main(["perf", "--reps", "1", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert one_case.name in out and "ops_per_s" in out
-        assert int(self._ops(out)) > 0
-        assert (tmp_path / f"PERF_profile_{one_case.name}_horizon.txt").exists()
-
-    @pytest.mark.parametrize("reps", ["0", "-1"])
-    def test_non_positive_reps_exit_2(self, one_case, reps, capsys):
-        assert main(["perf", "--reps", reps]) == 2
-        assert "--reps must be at least 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "retired",
+        "argv",
         [
-            ["--reference", "baseline"],
-            ["--baseline-reps", "2"],
-            ["--no-baseline"],
-            ["--jobs", "2"],
-            ["--output", "perf.json"],
+            ["perf"],
+            ["regress", "--soft"],
+            ["regress", "--strict-tol", "0.1"],
+            ["regress", "--soft-tol", "0.1"],
+            ["regress", "--scaling"],
+            ["regress", "--runtime-baseline", "none"],
         ],
+        ids=" ".join,
     )
-    def test_reference_and_recording_options_are_gone(self, retired):
-        """perf times one scheduler serially and writes only profiles."""
+    def test_speed_options_are_gone(self, argv):
+        """Speed is measured with the ledger, not by the CLI."""
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["perf", *retired])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
 
 

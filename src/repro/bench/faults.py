@@ -78,6 +78,7 @@ from repro.fault import (
 )
 from repro.rma.runtime_base import RuntimeError_, SimDeadlockError
 from repro.topology.builder import cached_machine
+from repro.traffic.accounting import nearest_rank_index
 from repro.verification.oracles import RecoveryOracleObserver
 
 __all__ = [
@@ -545,7 +546,7 @@ def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
                     f"{k}:{v}" for k, v in sorted(statuses.items())
                 ),
                 "recovery_p50_us": (
-                    round(sorted(recovery)[len(recovery) // 2], 1)
+                    round(sorted(recovery)[nearest_rank_index(500, len(recovery))], 1)
                     if recovery else "-"
                 ),
                 "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",

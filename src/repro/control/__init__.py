@@ -7,9 +7,9 @@ API the lock table exposes:
   :class:`PolicyTable` maps per-entry traffic statistics (read fraction,
   waiter depth — virtual-time quantities only) to target scheme/threshold
   choices; :func:`build_swap_plan` turns scenario + policy into a
-  deterministic :class:`SwapPlan` and :class:`PolicyController` executes it
-  at phase boundaries as collective drain-reinit-install crossings, keeping
-  fingerprints identical across schedulers.
+  deterministic :class:`SwapPlan`, which the open-loop client installs at
+  phase boundaries through its one collective drain-reinit-install
+  crossing, keeping fingerprints identical across schedulers.
 * :mod:`repro.control.tune` — the **offline** auto-tuner behind
   ``repro tune``.  It sweeps registry-declared threshold grids through the
   cached campaign executor, emits the best-known-thresholds manifest
@@ -24,7 +24,6 @@ whole campaign engine); the policy surface below is the package API.
 from repro.control.policy import (
     EntryPhaseStats,
     EntrySwap,
-    PolicyController,
     PolicyRule,
     PolicyTable,
     SwapPlan,
@@ -35,7 +34,6 @@ from repro.control.policy import (
 __all__ = [
     "EntryPhaseStats",
     "EntrySwap",
-    "PolicyController",
     "PolicyRule",
     "PolicyTable",
     "SwapPlan",

@@ -6,9 +6,10 @@ fraction and the contention level — exactly the quantities the traffic
 engine's phased scenarios vary mid-run.  This module turns that observation
 into a *controller*: a declarative :class:`PolicyTable` maps per-entry
 traffic statistics (read fraction, waiter depth) to a target scheme +
-thresholds, and a :class:`PolicyController` executes the resulting
-:class:`SwapPlan` at :class:`~repro.traffic.generators.Phase` boundaries as
-collective, bit-reproducible virtual-time events.
+thresholds, and the open-loop client
+(:func:`repro.traffic.scenarios.make_open_loop_program`) installs the
+resulting :class:`SwapPlan` at :class:`~repro.traffic.generators.Phase`
+boundaries as collective, bit-reproducible virtual-time events.
 
 Determinism contract — the part that makes adaptive runs gate-able:
 
@@ -18,14 +19,14 @@ Determinism contract — the part that makes adaptive runs gate-able:
   scheduler-dependent quantities.  :func:`build_swap_plan` therefore computes
   the identical plan under every deterministic scheduler and under any
   ``--jobs`` setting.
-* A swap executes at a phase boundary as a *drain-then-reinit* crossing:
-  every rank barriers (so no holder is in flight), rewrites its **own**
-  window words of the affected slabs to the new scheme's initial values,
-  flushes, installs the new spec into the shared :class:`TableEntry` slot
-  (idempotent, version-guarded — any rank may install, exactly one does)
-  and barriers again.  Handles rebuild lazily from the entry version; an
-  attached oracle observer survives the rebuild, so safety/fairness
-  verdicts span the swap.
+* A swap executes at a phase boundary as a *drain-then-reinit* crossing,
+  the one an elastic resize uses too: every rank barriers (so no holder is
+  in flight), rewrites its **own** window words of the affected slabs to
+  the new scheme's initial values, flushes, installs the new spec into the
+  shared :class:`TableEntry` slot (idempotent, version-guarded — any rank
+  may install, exactly one does, :meth:`EntrySwap.install`) and barriers
+  again.  Handles rebuild lazily from the entry version; an attached oracle
+  observer survives the rebuild, so safety/fairness verdicts span the swap.
 * An empty plan adds **zero** barriers and zero RMA operations: a null
   policy is bit-identical to a policy-free run.
 
@@ -36,25 +37,22 @@ best-known thresholds this table feeds from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.api.registry import SchemeInfo, get_scheme, scheme_names
-from repro.rma.runtime_base import BARRIER, FLUSH, GET, PUT, Steps
 
 # repro.traffic imports this module at scenario-registration time, so the
 # traffic imports below must stay function-local (importing the traffic
 # package here would close the cycle).
 if False:  # pragma: no cover - typing only
     from repro.traffic.generators import TrafficScenario
-    from repro.traffic.table import LockTableSpec
 
 __all__ = [
     "EntryPhaseStats",
     "EntrySwap",
-    "PolicyController",
     "PolicyRule",
     "PolicyTable",
     "SwapPlan",
@@ -137,7 +135,7 @@ class PolicyRule:
         reason = info.swap_incompatible_reason()
         if reason is not None:
             # Fail at rule-construction time, not mid-run inside
-            # build_swap_plan/PolicyController, and tell the author which
+            # build_swap_plan or a crossing, and tell the author which
             # registered schemes *are* valid swap targets.
             candidates = [
                 name for name in scheme_names()
@@ -221,37 +219,46 @@ class EntrySwap:
     spec: Any
     home_rank: Optional[int] = None
 
+    def placed(self, entry: Any, nranks: int) -> Any:
+        """The spec the crossing re-initializes ``entry``'s slab for."""
+        return entry.place(self.spec, nranks=nranks, home_rank=self.home_rank)
+
+    def install(self, entry: Any, nranks: int) -> None:
+        """Install into ``entry`` (version-guarded: only the first rank's call does)."""
+        entry.swap_spec(
+            self.spec,
+            rw=self.rw,
+            scheme=self.scheme,
+            nranks=nranks,
+            version=self.version,
+            home_rank=self.home_rank,
+        )
+
 
 @dataclass(frozen=True)
 class SwapPlan:
     """The precomputed swap schedule of one run.
 
     ``num_boundaries`` counts the scenario's finite phase boundaries; a rank
-    crosses each exactly once, in order (see :class:`PolicyController`).  An
-    ``empty`` plan (no swaps) short-circuits to the policy-free program —
-    zero extra barriers, zero extra RMA ops, bit-identical fingerprints.
+    crosses each exactly once, in order, installing :attr:`crossings`.  An
+    ``empty`` plan (no swaps) adds no crossing — zero extra barriers, zero
+    extra RMA ops, bit-identical fingerprints.
     """
 
     num_boundaries: int
     swaps: Tuple[EntrySwap, ...] = ()
-    by_boundary: Mapping[int, Tuple[EntrySwap, ...]] = field(
-        default=None, init=False, compare=False, repr=False  # type: ignore[assignment]
-    )
-
-    def __post_init__(self) -> None:
-        grouped: Dict[int, List[EntrySwap]] = {}
-        for swap in self.swaps:
-            grouped.setdefault(swap.boundary, []).append(swap)
-        object.__setattr__(
-            self, "by_boundary", {b: tuple(s) for b, s in grouped.items()}
-        )
 
     @property
     def empty(self) -> bool:
         return not self.swaps
 
-    def swaps_at(self, boundary: int) -> Tuple[EntrySwap, ...]:
-        return self.by_boundary.get(boundary, ())
+    @property
+    def crossings(self) -> Tuple[Tuple[EntrySwap, ...], ...]:
+        """Per boundary, the swaps its crossing installs (possibly none)."""
+        return tuple(
+            tuple(swap for swap in self.swaps if swap.boundary == boundary)
+            for boundary in range(self.num_boundaries)
+        )
 
 
 def policy_min_entry_words(machine: Any, policy: PolicyTable) -> int:
@@ -506,64 +513,3 @@ def build_swap_plan(
                 home,
             )
     return SwapPlan(num_boundaries=num_boundaries, swaps=tuple(swaps))
-
-
-class PolicyController:
-    """Executes a :class:`SwapPlan` against a live table, one crossing at a time.
-
-    The controller itself is stateless across ranks (per-rank progress lives
-    in the rank program); :meth:`cross_steps` is the collective
-    drain-reinit-install event every rank performs at each plan boundary:
-
-    1. ``barrier()`` — no request is in flight, every holder has released —
-       followed by one ``get`` of the rank's own slab (see :meth:`cross_steps`).
-    2. Each rank rewrites its **own** window words of every swapping entry's
-       slab to the placed spec's initial values (zero where the spec declares
-       nothing) and flushes — the deterministic re-initialization.
-    3. Each rank attempts the version-guarded install into the shared
-       :class:`~repro.traffic.table.TableEntry`; the first attempt wins,
-       the rest are no-ops, so no leader election is needed.
-    4. ``barrier()`` — all ranks observe the new slot before any request of
-       the next phase issues; handles rebuild lazily from the version bump.
-    """
-
-    def __init__(self, table: LockTableSpec, plan: SwapPlan):
-        self.table = table
-        self.plan = plan
-
-    @property
-    def num_boundaries(self) -> int:
-        return self.plan.num_boundaries
-
-    def cross_steps(self, ctx: Any, boundary: int) -> Steps:
-        """Perform the collective crossing of ``boundary``; returns swap count."""
-        yield (BARRIER,)
-        swaps = self.plan.swaps_at(boundary)
-        if swaps:
-            rank = ctx.rank
-            # The barrier above already orders the install after every
-            # rank's pre-boundary requests.  This get is kept because it is
-            # part of the crossing's protocol: it is a counted operation
-            # that advances the rank's clock, so every adaptive fingerprint
-            # pinned in BENCH_tune.json includes it.
-            yield (GET, rank, self.table.entry(swaps[0].entry_index).base_offset)
-            for swap in swaps:
-                entry = self.table.entry(swap.entry_index)
-                placed = entry.place(
-                    swap.spec, nranks=ctx.nranks, home_rank=swap.home_rank
-                )
-                inits = placed.init_window(rank)
-                for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    yield (PUT, int(inits.get(offset, 0)), rank, offset)
-            yield (FLUSH, rank)
-            for swap in swaps:
-                self.table.entry(swap.entry_index).swap_spec(
-                    swap.spec,
-                    rw=swap.rw,
-                    scheme=swap.scheme,
-                    nranks=ctx.nranks,
-                    version=swap.version,
-                    home_rank=swap.home_rank,
-                )
-        yield (BARRIER,)
-        return len(swaps)

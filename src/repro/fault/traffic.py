@@ -28,14 +28,9 @@ from typing import Any, Dict, List, Optional
 from repro.api.registry import register_benchmark
 from repro.core.lock_base import RWLockHandle
 from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
+from repro.traffic.accounting import nearest_rank_index
 
 __all__ = ["crash_traffic_summary"]
-
-
-def _nearest_rank(sorted_samples: List[float], level: float) -> float:
-    """Nearest-rank percentile of an already sorted, non-empty sample list."""
-    idx = max(0, min(len(sorted_samples) - 1, int(round(level * len(sorted_samples))) - 1))
-    return sorted_samples[idx]
 
 #: Open-loop request cadence per rank (virtual microseconds between arrivals)
 #: and the uniform jitter drawn on top from the rank's deterministic RNG.
@@ -144,7 +139,8 @@ def crash_traffic_summary(
         summary["crashes"] = getattr(observer_report, "crashes", crashes_seen)
         summary["restarts"] = getattr(observer_report, "restarts", 0)
         summary["fenced_releases"] = getattr(observer_report, "fenced_releases", 0)
-        summary["recovery_p50_us"] = _nearest_rank(samples, 0.50) if samples else None
-        summary["recovery_p95_us"] = _nearest_rank(samples, 0.95) if samples else None
+        n = len(samples)
+        summary["recovery_p50_us"] = samples[nearest_rank_index(500, n)] if samples else None
+        summary["recovery_p95_us"] = samples[nearest_rank_index(950, n)] if samples else None
         summary["recovery_max_us"] = samples[-1] if samples else None
     return summary

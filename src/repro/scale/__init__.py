@@ -10,8 +10,10 @@ up the repo's bit-reproducibility contract:
   cohort threaded through the real simulator (dedicated Philox lane) to
   recover p50–p99.9; validated against exactly materialized schedules.
 * :mod:`repro.scale.elastic` — lock tables that grow and shrink their
-  active entry range at phase boundaries through the versioned
-  drain-reinit-install crossing, re-sharding the key space mid-run.
+  active entry range at phase boundaries, re-sharding the key space
+  mid-run: the plan supplies the fold and its installs, the open-loop
+  client's one drain-reinit-install crossing (shared with the control
+  plane's swaps) applies them.
 * :mod:`repro.scale.rehome` — per-entry traffic statistics driving a
   topology-aware policy action that moves a hot entry's home rank toward
   the node originating most of its traffic.
@@ -26,8 +28,8 @@ elasticity*).
 from repro.scale.elastic import (
     ELASTIC_PLAN,
     ELASTIC_SCENARIO,
-    ElasticController,
     ElasticPlan,
+    EntryRegrow,
     ResizeEvent,
 )
 from repro.scale.rehome import REHOME_POLICY, REHOME_SCENARIO, STATIC_HOT_SCENARIO
@@ -59,8 +61,8 @@ __all__ = [
     "DEFAULT_SCALE_BASELINE",
     "ELASTIC_PLAN",
     "ELASTIC_SCENARIO",
-    "ElasticController",
     "ElasticPlan",
+    "EntryRegrow",
     "FLUID_LANE",
     "FLUID_MEGA",
     "FLUID_PHASED",

@@ -4,14 +4,15 @@ A fixed-size lock table wastes memory at low load and concentrates contention
 at high load.  An :class:`ElasticPlan` declares how many of a table's entries
 are *active* per traffic phase: each request's key folds onto the active
 prefix (``key % active``), and a :class:`ResizeEvent` at a phase boundary
-grows or shrinks that prefix mid-run.  Growth re-initializes the newly
-activated entries' slabs through the versioned-install path of
-:meth:`repro.traffic.table.TableEntry` (barrier → ``get`` → per-rank
-slab re-init → flush → version-guarded :meth:`~repro.traffic.table.TableEntry.reinstall`
-→ barrier), exactly mirroring the adaptive control plane's scheme-swap
-crossing — so a resize is a collective, bit-reproducible virtual-time event:
-identical fingerprints across deterministic schedulers and across
-``--jobs`` settings.
+grows or shrinks that prefix mid-run.  The plan only supplies the fold and
+its per-boundary installs (:attr:`ElasticPlan.crossings`, one
+:class:`EntryRegrow` per newly activated entry); the open-loop client
+(:func:`repro.traffic.scenarios.make_open_loop_program`) runs them through
+the same drain-reinit-install crossing as the adaptive control plane's
+scheme swaps (barrier → ``get`` → per-rank slab re-init → flush →
+version-guarded install → barrier) — so a resize is a collective,
+bit-reproducible virtual-time event: identical fingerprints across
+deterministic schedulers and across ``--jobs`` settings.
 
 The plan is *declarative and pure*: every rank derives the same active-entry
 schedule locally from the plan (no shared mutable counter), which is what
@@ -26,17 +27,15 @@ a shrink across three phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
-
-from repro.rma.runtime_base import BARRIER, FLUSH, GET, PUT, Steps
 
 __all__ = [
     "ELASTIC_PLAN",
     "ELASTIC_SCENARIO",
-    "ElasticController",
     "ElasticPlan",
+    "EntryRegrow",
     "ResizeEvent",
 ]
 
@@ -53,6 +52,28 @@ class ResizeEvent:
             raise ValueError("resize boundary must be non-negative")
         if self.active < 1:
             raise ValueError("resize active count must be >= 1")
+
+
+@dataclass(frozen=True)
+class EntryRegrow:
+    """One install of a resize crossing: entry ``entry_index``, re-activated
+    by a grow, re-initialized and bumped to slot version ``version``.
+
+    The slab words are rewritten to the spec the entry holds (so lazily-built
+    handles — and any attached oracle observer — rebuild against a pristine
+    slab) and the spec stays: :meth:`~repro.traffic.table.TableEntry.reinstall`
+    only bumps the version, which striped entries, whose scheme slots reject
+    swaps, accept too.
+    """
+
+    entry_index: int
+    version: int
+
+    def placed(self, entry: Any, nranks: int) -> Any:
+        return entry.spec
+
+    def install(self, entry: Any, nranks: int) -> None:
+        entry.reinstall(version=self.version)
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,30 @@ class ElasticPlan:
             return 0
         return self.events[-1].boundary + 1
 
+    @property
+    def crossings(self) -> Tuple[Tuple[EntryRegrow, ...], ...]:
+        """Per boundary (``0 .. num_boundaries - 1``), the entries its resize
+        crossing re-activates.
+
+        Only growth touches the window: a shrink only narrows the key fold
+        (the deactivated entries drain at the barrier and are never addressed
+        again), so its crossing, like that of a boundary without an event, is
+        the bare barrier pair.  An entry's target version counts its
+        activations (1 for the first, matching the ``reset_entries()`` state
+        at run start), so a regrown entry's handles rebuild again.
+        """
+        activations: Dict[int, int] = {}
+        by_boundary: Dict[int, Tuple[EntryRegrow, ...]] = {}
+        active = self.initial_active
+        for event in self.events:
+            grown = []
+            for index in range(active, event.active):
+                activations[index] = activations.get(index, 0) + 1
+                grown.append(EntryRegrow(index, activations[index]))
+            by_boundary[event.boundary] = tuple(grown)
+            active = event.active
+        return tuple(by_boundary.get(b, ()) for b in range(self.num_boundaries))
+
     def active_by_phase(self, num_phases: int) -> np.ndarray:
         """Active entry count per phase index (length ``num_phases``)."""
         active = np.full(int(num_phases), self.initial_active, dtype=np.int64)
@@ -115,67 +160,6 @@ class ElasticPlan:
                 f"elastic plan needs {self.num_boundaries} phase boundaries but "
                 f"scenario {scenario.name!r} has only {finite_boundaries}"
             )
-
-    def make_controller(self, table: Any) -> "ElasticController":
-        """Bind the plan to a live table (the rank program's crossing hook)."""
-        return ElasticController(table, self)
-
-
-class ElasticController:
-    """Executes an :class:`ElasticPlan` against a live table.
-
-    :meth:`cross_steps` is the collective resize event every rank performs at
-    each plan boundary, following :class:`repro.control.policy.PolicyController`'s
-    drain-reinit-install shape.  Only *growth* touches the window: the
-    entries activated by the crossing get their slab words rewritten to the
-    construction spec's initial values and their slots version-bumped (so
-    lazily-built handles — and any attached oracle observer — rebuild against
-    the pristine slab).  A shrink only narrows the key fold; the deactivated
-    entries drain at the barrier and are simply never addressed again.
-    """
-
-    def __init__(self, table: Any, plan: ElasticPlan):
-        self.table = table
-        self.plan = plan
-        # Precompute each boundary's newly-activated entries and their
-        # target slot versions (1-based occurrence count per entry, matching
-        # the reset_entries() state at run start).  Pure function of the
-        # plan, so every rank derives the identical schedule.
-        occurrences: Dict[int, int] = {}
-        by_boundary: Dict[int, Tuple[Tuple[int, ...], Dict[int, int]]] = {}
-        active = plan.initial_active
-        for event in plan.events:
-            grown: List[int] = []
-            targets: Dict[int, int] = {}
-            if event.active > active:
-                for index in range(active, event.active):
-                    occurrences[index] = occurrences.get(index, 0) + 1
-                    grown.append(index)
-                    targets[index] = occurrences[index]
-            by_boundary[event.boundary] = (tuple(grown), targets)
-            active = event.active
-        self._by_boundary = by_boundary
-
-    def cross_steps(self, ctx: Any, boundary: int) -> Steps:
-        """Perform the collective resize crossing; returns re-init count."""
-        yield (BARRIER,)
-        grown, targets = self._by_boundary.get(boundary, ((), {}))
-        if grown:
-            rank = ctx.rank
-            # Kept for the same reason as in PolicyController.cross_steps: a
-            # counted operation of the crossing, included in every elastic
-            # fingerprint pinned in BENCH_scale.json.
-            yield (GET, rank, self.table.entry(grown[0]).base_offset)
-            for index in grown:
-                entry = self.table.entry(index)
-                inits = entry.spec.init_window(rank)
-                for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    yield (PUT, int(inits.get(offset, 0)), rank, offset)
-            yield (FLUSH, rank)
-            for index in grown:
-                self.table.entry(index).reinstall(version=targets[index])
-        yield (BARRIER,)
-        return len(grown)
 
 
 # --------------------------------------------------------------------------- #

@@ -40,6 +40,7 @@ from repro.traffic.accounting import (
     LatencyReservoir,
     TrafficSummary,
     aggregate_traffic,
+    nearest_rank_index,
     nearest_rank_percentiles,
 )
 from repro.traffic.generators import (
@@ -89,6 +90,7 @@ __all__ = [
     "as_lock_table",
     "build_lock_table",
     "generate_schedule",
+    "nearest_rank_index",
     "nearest_rank_percentiles",
     "register_traffic_scenario",
     "scenario_tags",

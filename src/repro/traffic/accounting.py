@@ -50,6 +50,7 @@ __all__ = [
     "LatencyReservoir",
     "TrafficSummary",
     "aggregate_traffic",
+    "nearest_rank_index",
     "nearest_rank_percentiles",
 ]
 
@@ -69,23 +70,25 @@ PERCENTILES: Tuple[Tuple[str, int], ...] = (
 DEFAULT_RESERVOIR_CAP = 1 << 18
 
 
+def nearest_rank_index(per_mille: int, n: int) -> int:
+    """Index of the nearest-rank ``per_mille`` percentile in ``n`` sorted
+    samples (``n >= 1``): ``ceil(per_mille * n / 1000) - 1``, in integers."""
+    return -(-per_mille * n // 1000) - 1
+
+
 def nearest_rank_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     """Nearest-rank percentiles of ``samples`` (labelled per :data:`PERCENTILES`).
 
-    The nearest-rank definition (value at index ``ceil(q/100 * n) - 1`` of the
-    sorted samples, computed in integers) always returns an actual sample, so
-    results are bit-exact and independent of interpolation modes.  Empty
-    input yields zeros.
+    The nearest-rank definition (value at :func:`nearest_rank_index` of the
+    sorted samples) always returns an actual sample, so results are
+    bit-exact and independent of interpolation modes.  Empty input yields
+    zeros.
     """
     if not len(samples):
         return {label: 0.0 for label, _ in PERCENTILES}
     arr = np.sort(np.asarray(samples, dtype=np.float64))
     n = arr.size
-    out: Dict[str, float] = {}
-    for label, per_mille in PERCENTILES:
-        index = -(-per_mille * n // 1000) - 1  # ceil(per_mille * n / 1000) - 1
-        out[label] = float(arr[index])
-    return out
+    return {label: float(arr[nearest_rank_index(per_mille, n)]) for label, per_mille in PERCENTILES}
 
 
 class LatencyReservoir:

@@ -16,7 +16,10 @@ entry, which is the whole integration story in one decorator call:
   the open-loop client: each rank materializes its deterministic request
   schedule *before* the run, then serves requests at their arrival times —
   waiting out idle gaps with ``ctx.compute`` and carrying queueing backlog
-  into the end-to-end latency when the service falls behind.
+  into the end-to-end latency when the service falls behind.  One body,
+  :func:`make_open_loop_program`, serves every run: an attached policy or
+  elastic plan only hands it a per-phase key fold and the per-boundary
+  installs its one drain-reinit-install crossing performs.
 * The ``tags`` (``"traffic"``, ``"traffic-rw"``) feed the campaign engine's
   benchmark selectors, so campaigns such as ``traffic-suite`` sweep every
   registered scenario — including third-party ones — for free.
@@ -29,20 +32,19 @@ entry, which is the whole integration story in one decorator call:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.registry import register_benchmark
 from repro.control.policy import (
-    PolicyController,
     PolicyRule,
     PolicyTable,
     build_swap_plan,
     policy_min_entry_words,
 )
 from repro.core.lock_base import RWLockHandle, program_for_spec
-from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
+from repro.rma.runtime_base import BARRIER, COMPUTE, FLUSH, GET, PUT, ProcessContext, Steps
 from repro.traffic.generators import Phase, TrafficScenario, generate_schedule
 from repro.traffic.table import as_lock_table, build_lock_table
 
@@ -91,54 +93,97 @@ def _make_traffic_program(
 ):
     """Build the open-loop rank program for one scenario/config pair.
 
-    With a ``policy``, the swap plan is computed up front from the
-    materialized schedules (virtual-time state only — see
-    :func:`repro.control.policy.build_swap_plan`); a non-empty plan selects
-    the adaptive program body, which crosses every phase boundary
-    collectively and resolves each request's read/write role against the
-    entry's *current* scheme slot.  An empty plan (null policy, single-phase
-    scenario, striped table) falls back to the policy-free body, which is
-    bit-identical to a run without any policy at all.
+    An attached policy and elastic plan are turned, before the run, into
+    what :func:`make_open_loop_program` takes: a per-phase key fold and a
+    per-boundary list of crossings.  With a ``policy``, the swap plan is
+    computed up front from the materialized schedules (virtual-time state
+    only — see :func:`repro.control.policy.build_swap_plan`); an empty plan
+    (null policy, single-phase scenario, striped table) adds no crossing, so
+    the run is bit-identical to one without any policy at all.
 
     ``elastic`` attaches an :class:`~repro.scale.elastic.ElasticPlan` (duck
-    typed — any object with ``num_boundaries``, ``active_by_phase`` and
-    ``make_controller``): the program folds each request's key onto the
-    entries *active* in its phase and performs the plan's resize crossings
-    collectively at phase boundaries, alongside any policy crossings.
+    typed — any object with ``active_by_phase`` and ``crossings``): each
+    request's key folds onto the entries *active* in its phase, whether or
+    not the plan has resize events, and its resize crossings run before any
+    swap crossing of the same boundary.
     """
     table = as_lock_table(spec, is_rw)
-    draw_role = is_rw and config.is_rw_scheme
-    fw_default = float(config.fw)
-    requests = int(config.iterations)
-    seed = int(config.seed)
-
-    controller = None
+    fold = None
+    # In crossing order: at a shared boundary the resize crosses first.
+    plans = []
+    if elastic is not None:
+        fold = np.asarray(elastic.active_by_phase(len(scenario.effective_phases()))).tolist()
+        plans.append(("resizes", elastic.crossings))
+    swaps = ()
     if policy is not None:
         plan = build_swap_plan(scenario, config, table, policy)
         if not plan.empty:
-            controller = PolicyController(table, plan)
-    if elastic is not None and elastic.num_boundaries == 0:
-        elastic = None
-    if controller is not None or elastic is not None:
-        program = _make_adaptive_program(
-            scenario, table, controller, requests, seed, fw_default,
-            elastic=elastic,
-        )
-        # The harness matches the program to entry 0's handles; a swap may
-        # install a scheme whose handles are blocking-only.
-        for swap in controller.plan.swaps if controller is not None else ():
-            program = program_for_spec(swap.spec, config.machine, program)
-        return program
-
-    return make_open_loop_program(
+            plans.append(("swaps", plan.crossings))
+            swaps = plan.swaps
+    width = max((len(per_boundary) for _, per_boundary in plans), default=0)
+    crossings = [
+        tuple((key, per_boundary[b]) for key, per_boundary in plans if b < len(per_boundary))
+        for b in range(width)
+    ]
+    program = make_open_loop_program(
         scenario,
         table,
         is_rw=is_rw,
-        draw_role=draw_role,
-        requests=requests,
-        seed=seed,
-        fw_default=fw_default,
+        draw_role=is_rw and config.is_rw_scheme,
+        requests=int(config.iterations),
+        seed=int(config.seed),
+        fw_default=float(config.fw),
+        fold=fold,
+        crossings=crossings,
     )
+    # The harness matches the program to entry 0's handles; a swap may
+    # install a scheme whose handles are blocking-only.
+    for swap in swaps:
+        program = program_for_spec(swap.spec, config.machine, program)
+    return program
+
+
+def _cross_steps(table: Any, installs: Sequence[Any], ctx: ProcessContext) -> Steps:
+    """One collective drain-reinit-install crossing; returns the install count.
+
+    Every rank performs it at the same plan boundary:
+
+    1. ``BARRIER`` — no request is in flight, every holder has released —
+       then one counted ``GET`` of the rank's own slab of the first install.
+       The barrier already orders the install after every pre-boundary
+       request; the ``GET`` is part of the crossing's protocol (it advances
+       the rank's clock), so every adaptive and elastic fingerprint pinned in
+       ``BENCH_tune.json`` and ``BENCH_scale.json`` includes it.
+    2. A ``PUT`` of each of the rank's **own** slab words of every install's
+       entry, to the initial value of the spec placed there (zero where the
+       spec declares nothing), then ``FLUSH``.
+    3. The version-guarded install into the shared
+       :class:`~repro.traffic.table.TableEntry`: the first rank's call wins,
+       the rest are no-ops, so no leader election is needed.
+    4. ``BARRIER`` — all ranks observe the new slots before any request of
+       the next phase issues; handles rebuild lazily from the version bump.
+
+    An install is an :class:`~repro.control.policy.EntrySwap` (a scheme swap
+    or re-homing) or an :class:`~repro.scale.elastic.EntryRegrow` (an entry
+    re-activated by a resize); each names its ``entry_index``, the spec its
+    slab is re-initialized for (``placed``) and its ``install``.  With no
+    installs the crossing is the bare barrier pair.
+    """
+    yield (BARRIER,)
+    if installs:
+        rank = ctx.rank
+        nranks = ctx.nranks
+        yield (GET, rank, table.entry(installs[0].entry_index).base_offset)
+        for install in installs:
+            entry = table.entry(install.entry_index)
+            inits = install.placed(entry, nranks).init_window(rank)
+            for offset in range(entry.base_offset, entry.base_offset + entry.stride):
+                yield (PUT, int(inits.get(offset, 0)), rank, offset)
+        yield (FLUSH, rank)
+        for install in installs:
+            install.install(table.entry(install.entry_index), nranks)
+    yield (BARRIER,)
+    return len(installs)
 
 
 def make_open_loop_program(
@@ -151,27 +196,51 @@ def make_open_loop_program(
     seed: int,
     fw_default: float = 0.0,
     lane: Optional[int] = None,
+    fold: Optional[Sequence[int]] = None,
+    crossings: Sequence[Sequence[Tuple[str, Sequence[Any]]]] = (),
 ):
-    """The policy-free open-loop rank program over ``table``.
+    """The open-loop rank program over ``table`` — the only one.
 
-    Exported for the fluid-scale engine (:mod:`repro.scale.fluid`), whose
-    sampled-request cohorts drive the same body through the real simulator —
-    with ``lane`` naming their dedicated Philox counter lane — and fold keys
-    drawn over the scenario's (possibly huge) key space onto a small table
-    via the ``% num_locks`` mapping below.
+    Plain traffic, adaptive swaps, elastic resizes, re-homing and the
+    fluid-scale engine's sampled cohorts (:mod:`repro.scale.fluid`, with
+    ``lane`` naming their dedicated Philox counter lane) all run this body;
+    what differs is handed in, built before the run:
+
+    * ``fold`` — per phase, how many table entries the keys fold onto
+      (``key % fold[phase]``).  The default is ``num_locks`` in every phase,
+      which also folds a cohort's keys drawn over a (possibly huge) key
+      space onto its small table.
+    * ``crossings`` — per phase boundary, the ``(key, installs)`` crossings
+      every rank performs (:func:`_cross_steps`), in order, each its own
+      barrier pair.  A rank crosses boundary ``b`` before serving its first
+      request of a later phase, and crosses the boundaries left after its
+      last request, so the collective barriers always pair up across ranks.
+      The returned dict counts each ``key``'s installs (``swaps``,
+      ``resizes``).  Empty for a plain run, which then pays nothing: no
+      barrier, no ``reset_entries()``, no entry lookup per request.
+
+    With crossings, each request's read/write role resolves against the
+    entry's *current* scheme slot (a swapped-to plain lock treats every
+    request as a writer); without, against ``is_rw`` and ``draw_role``.
 
     A step program (see :mod:`repro.rma.runtime_base`); a caller whose table
     may hold blocking-only handles passes it through
     :func:`repro.core.lock_base.program_for_spec`, as the harness does.
     """
-    num_locks = table.num_locks
+    if fold is None:
+        fold = [table.num_locks] * len(scenario.effective_phases())
+    num_boundaries = len(crossings)
+    counted = {key: 0 for per_boundary in crossings for key, _ in per_boundary}
     reservoir_cap = scenario.reservoir_cap
 
     def program(ctx: ProcessContext):
+        if crossings:
+            table.reset_entries()
         handle = table.make(ctx)
         observer = getattr(ctx, "observer", None)
         if observer is not None:
             # The oracles' invariants are per lock; watch the hottest entry.
+            # The observer survives swaps: rebuilt handles re-wrap with it.
             handle.observe(observer, index=0)
         arrivals, lock_ids, roles, cs_times, think_times, phase_ids = generate_schedule(
             scenario, seed, ctx.rank, requests, fw_default, lane=lane
@@ -179,6 +248,13 @@ def make_open_loop_program(
 
         now = ctx.now
         table_lock = handle.lock
+        table_entry = table.entry
+        counts = dict(counted)
+
+        def cross(boundary: int) -> Steps:
+            for key, installs in crossings[boundary]:
+                counts[key] += yield from _cross_steps(table, installs, ctx)
+
         yield (BARRIER,)
         t_open = now()
         e2e: List[float] = []
@@ -189,8 +265,13 @@ def make_open_loop_program(
         write_flags: List[int] = []
         reads = 0
         writes = 0
+        next_boundary = 0
         prev_end = t_open
         for i in range(requests):
+            phase_id = phase_ids[i]
+            while next_boundary < num_boundaries and phase_id > next_boundary:
+                yield from cross(next_boundary)
+                next_boundary += 1
             arrival = t_open + arrivals[i]
             ready = arrival
             think = think_times[i]
@@ -201,150 +282,13 @@ def make_open_loop_program(
             t_now = now()
             if ready > t_now:
                 yield (COMPUTE, ready - t_now)
-            as_writer = True
-            if draw_role:
-                as_writer = roles[i]
-            index = lock_ids[i] % num_locks
-            lock = table_lock(index)
-            t0 = now()
-            if is_rw and not as_writer:
-                rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                yield from rw_lock.acquire_read_steps()
+            index = lock_ids[i] % fold[phase_id]
+            if crossings:
+                entry_rw = table_entry(index).rw
+                as_writer = not entry_rw or roles[i]
             else:
-                yield from lock.acquire_steps()
-            t1 = now()
-            cs = cs_times[i]
-            if cs > 0.0:
-                yield (COMPUTE, cs)
-            if is_rw and not as_writer:
-                yield from rw_lock.release_read_steps()
-            else:
-                yield from lock.release_steps()
-            t2 = now()
-            acquire_lat.append(float(t1 - t0))
-            hold_us.append(float(t2 - t1))
-            e2e.append(float(t2 - arrival))
-            out_arrivals.append(arrival)
-            out_phases.append(phase_ids[i])
-            write_flags.append(1 if as_writer else 0)
-            if as_writer:
-                writes += 1
-            else:
-                reads += 1
-            prev_end = t2
-        end = now()
-        yield (BARRIER,)
-        out = {
-            "start": t_open,
-            "end": end,
-            # "latencies" is the end-to-end series so the harness's generic
-            # mean/p95 summary measures what a client of the service sees.
-            "latencies": e2e,
-            "acquire_latencies": acquire_lat,
-            "hold_us": hold_us,
-            "arrivals": out_arrivals,
-            "phases": out_phases,
-            "write_flags": write_flags,
-            "reads": reads,
-            "writes": writes,
-        }
-        if reservoir_cap is not None:
-            # The accounting layer sizes its LatencyReservoir from this.
-            out["reservoir_cap"] = int(reservoir_cap)
-        return out
-
-    return program
-
-
-def _make_adaptive_program(
-    scenario: TrafficScenario,
-    table: Any,
-    controller: Optional[PolicyController],
-    requests: int,
-    seed: int,
-    fw_default: float,
-    elastic: Optional[Any] = None,
-):
-    """The policy-switched / elastic variant of the open-loop rank program.
-
-    Differences from the policy-free body, all deterministic in virtual
-    time: (1) every rank crosses each plan boundary exactly once, in order —
-    before serving its first request of a later phase, with any leftover
-    boundaries crossed after its last request, so the collective barriers
-    inside :meth:`PolicyController.cross_steps` (and the elastic controller's
-    resize crossings, performed first at a shared boundary) always pair up
-    across ranks; (2) each request's read/write role resolves against the
-    entry's *current* scheme slot (a swapped-to plain lock treats every
-    request as a writer); (3) with an elastic plan, each request's key folds
-    onto the entries *active* in its phase (``key % active``), so a resize
-    re-shards the key space mid-run.  The returned dict additionally carries
-    ``swaps`` and/or ``resizes`` — the plan event counts every rank observed
-    (determinism fields by construction).
-    """
-    num_phases = len(scenario.effective_phases())
-    active_by_phase = (
-        None if elastic is None else np.asarray(elastic.active_by_phase(num_phases)).tolist()
-    )
-    elastic_controller = None if elastic is None else elastic.make_controller(table)
-    reservoir_cap = scenario.reservoir_cap
-
-    def program(ctx: ProcessContext):
-        table.reset_entries()
-        handle = table.make(ctx)
-        observer = getattr(ctx, "observer", None)
-        if observer is not None:
-            # The oracles' invariants are per lock; watch the hottest entry.
-            # The observer survives swaps: rebuilt handles re-wrap with it.
-            handle.observe(observer, index=0)
-        arrivals, lock_ids, roles, cs_times, think_times, phase_ids = generate_schedule(
-            scenario, seed, ctx.rank, requests, fw_default
-        ).columns()
-
-        now = ctx.now
-        table_lock = handle.lock
-        table_entry = table.entry
-        num_locks = table.num_locks
-        policy_boundaries = 0 if controller is None else controller.num_boundaries
-        elastic_boundaries = 0 if elastic is None else elastic.num_boundaries
-        num_boundaries = max(policy_boundaries, elastic_boundaries)
-        cross = None if controller is None else controller.cross_steps
-        elastic_cross = None if elastic_controller is None else elastic_controller.cross_steps
-        yield (BARRIER,)
-        t_open = now()
-        e2e: List[float] = []
-        acquire_lat: List[float] = []
-        hold_us: List[float] = []
-        out_arrivals: List[float] = []
-        out_phases: List[int] = []
-        write_flags: List[int] = []
-        reads = 0
-        writes = 0
-        swaps_seen = 0
-        resizes_seen = 0
-        next_boundary = 0
-        prev_end = t_open
-        for i in range(requests):
-            phase_id = phase_ids[i]
-            while next_boundary < num_boundaries and phase_id > next_boundary:
-                if elastic_cross is not None and next_boundary < elastic_boundaries:
-                    resizes_seen += yield from elastic_cross(ctx, next_boundary)
-                if cross is not None and next_boundary < policy_boundaries:
-                    swaps_seen += yield from cross(ctx, next_boundary)
-                next_boundary += 1
-            arrival = t_open + arrivals[i]
-            ready = arrival
-            think = think_times[i]
-            if think > 0.0:
-                ready = max(ready, prev_end + think)
-            t_now = now()
-            if ready > t_now:
-                yield (COMPUTE, ready - t_now)
-            if active_by_phase is None:
-                index = lock_ids[i] % num_locks
-            else:
-                index = lock_ids[i] % active_by_phase[phase_id]
-            entry_rw = table_entry(index).rw
-            as_writer = not entry_rw or roles[i]
+                entry_rw = is_rw
+                as_writer = not draw_role or roles[i]
             lock = table_lock(index)
             t0 = now()
             if entry_rw and not as_writer:
@@ -375,16 +319,15 @@ def _make_adaptive_program(
         # A rank whose schedule ends early still owes the remaining collective
         # crossings, or the other ranks' barriers would never pair up.
         while next_boundary < num_boundaries:
-            if elastic_cross is not None and next_boundary < elastic_boundaries:
-                resizes_seen += yield from elastic_cross(ctx, next_boundary)
-            if cross is not None and next_boundary < policy_boundaries:
-                swaps_seen += yield from cross(ctx, next_boundary)
+            yield from cross(next_boundary)
             next_boundary += 1
         end = now()
         yield (BARRIER,)
         out = {
             "start": t_open,
             "end": end,
+            # "latencies" is the end-to-end series so the harness's generic
+            # mean/p95 summary measures what a client of the service sees.
             "latencies": e2e,
             "acquire_latencies": acquire_lat,
             "hold_us": hold_us,
@@ -393,12 +336,10 @@ def _make_adaptive_program(
             "write_flags": write_flags,
             "reads": reads,
             "writes": writes,
+            **counts,
         }
-        if controller is not None:
-            out["swaps"] = swaps_seen
-        if elastic_controller is not None:
-            out["resizes"] = resizes_seen
         if reservoir_cap is not None:
+            # The accounting layer sizes its LatencyReservoir from this.
             out["reservoir_cap"] = int(reservoir_cap)
         return out
 
@@ -423,8 +364,9 @@ def register_traffic_scenario(
     to the scenario: the registered table is built with slabs large enough
     for every rule's target scheme and the rank program executes the
     deterministic swap plan at phase boundaries.  ``elastic`` attaches an
-    :class:`~repro.scale.elastic.ElasticPlan` whose resize events re-shard
-    the key space at phase boundaries.  ``tags`` overrides the default
+    :class:`~repro.scale.elastic.ElasticPlan`: requests fold onto its
+    active prefix, and its resize events re-shard the key space at phase
+    boundaries.  ``tags`` overrides the default
     :func:`scenario_tags` (adaptive scenarios register under
     ``"traffic-adaptive"``, fluid-scale scenarios under ``"scale"``, so the
     policy-free ``traffic`` selector grids stay unchanged).

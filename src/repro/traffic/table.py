@@ -29,7 +29,8 @@ handles notice the version bump and lazily rebuild, which is how the adaptive
 control plane (:mod:`repro.control`) switches schemes per entry at traffic
 phase boundaries.  A swap is only safe at a drain point (no in-flight
 holders) and the entry's window words must be re-initialized for the new
-scheme — :class:`repro.control.policy.PolicyController` performs both as a
+scheme — the open-loop client's crossing
+(:func:`repro.traffic.scenarios.make_open_loop_program`) performs both as a
 collective, bit-reproducible virtual-time event.
 
 Both table specs follow the ordinary :class:`~repro.core.lock_base.LockSpec`

@@ -12,7 +12,6 @@ from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.control.policy import (
     EntryPhaseStats,
-    PolicyController,
     PolicyRule,
     PolicyTable,
     build_swap_plan,
@@ -183,6 +182,20 @@ class TestSwapDeterminism:
             assert result.percentiles["swaps_total"] > 0  # the policy really fired
             shas[scheduler] = run_result_sha(raw)
         assert len(set(shas.values())) == 1, shas
+
+    def test_adaptive_run_matches_its_pinned_digest(self, machine):
+        """The swapping run above, pinned to the digest it produced before the
+        adaptive and plain clients shared one program body: a change to that
+        body moves horizon and the reference together, this literal does not."""
+        config = LockBenchConfig(
+            machine=machine, scheme="fompi-spin", benchmark="traffic-adaptive",
+            iterations=10, fw=0.2, seed=3,
+        )
+        result, raw = run_lock_benchmark_detailed(config)
+        assert result.percentiles["swaps_total"] == 32
+        assert run_result_sha(raw) == (
+            "e266c54327f95741f18611f0e2f21432a59f4f0a73b23d9a8213afd26fecff15"
+        )
 
     @pytest.mark.parametrize("scheme", ("rma-rw", "fompi-spin"))
     def test_null_policy_is_bit_identical_to_policy_free_run(self, machine, scheme, reference):

@@ -18,6 +18,7 @@ from repro.bench.faults import (
     fault_points,
     run_fault_point,
     run_faults,
+    scheme_verdicts,
 )
 
 SCHEMES = ("lease-lock", "repair-mcs-racy", "rma-mcs")
@@ -70,6 +71,16 @@ def test_scheme_verdicts_aggregate(report):
     for v in verdicts.values():
         assert v["verdict"] == "ok"
         assert v["points"] == 6
+
+
+def test_scheme_verdict_recovery_p50_is_nearest_rank():
+    # The lower median of an even count, as every other p50 in the repo.
+    rows = [
+        {"scheme": "s", "ok": True, "status": "recovered", "recovery_us": [4.0, 1.0]},
+        {"scheme": "s", "ok": True, "status": "recovered", "recovery_us": [3.0, 2.0]},
+    ]
+    (verdict,) = scheme_verdicts(rows)
+    assert verdict["recovery_p50_us"] == 2.0
 
 
 def test_fault_point_grid_and_reexecution():

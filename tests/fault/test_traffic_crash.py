@@ -55,6 +55,18 @@ def test_crash_costs_availability_but_not_safety():
         assert summary["recovery_p50_us"] <= summary["recovery_max_us"]
 
 
+def test_recovery_percentiles_are_nearest_rank():
+    # ceil(q * n) - 1 in the sorted samples, as the traffic accounting has it:
+    # no round-half-to-even (which put the p50 of five samples at the second).
+    config = _config()
+    _, raw = run_lock_benchmark_detailed(config)
+    for recovery, p50, p95 in (([50, 10, 40, 20, 30], 30, 50), (list(range(1, 10)), 5, 9)):
+        report = RecoveryOracleObserver(lease_us=500.0).report()
+        report.recovery_us = recovery
+        summary = crash_traffic_summary(config, raw.returns, report)
+        assert (summary["recovery_p50_us"], summary["recovery_p95_us"]) == (p50, p95)
+
+
 @pytest.mark.parametrize("scheduler", ["horizon", "reference"])
 def test_faulted_traffic_is_scheduler_invariant(scheduler, reference):
     config = _config(seed=4)

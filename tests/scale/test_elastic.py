@@ -15,7 +15,6 @@ from repro.bench.campaign import CampaignSpec, run_campaign
 from repro.scale.elastic import (
     ELASTIC_PLAN,
     ELASTIC_SCENARIO,
-    ElasticController,
     ElasticPlan,
     ResizeEvent,
 )
@@ -89,15 +88,57 @@ class TestPlanSemantics:
                 ResizeEvent(boundary=2, active=4),
             ),
         )
-        controller = ElasticController(table=None, plan=plan)
-        first_grow, first_targets = controller._by_boundary[0]
-        assert first_grow == (2, 3, 4, 5, 6, 7)
-        assert all(v == 1 for v in first_targets.values())
-        shrink_grow, _ = controller._by_boundary[1]
-        assert shrink_grow == ()  # shrinks never touch the window
-        regrow, regrow_targets = controller._by_boundary[2]
-        assert regrow == (2, 3)
-        assert regrow_targets == {2: 2, 3: 2}  # second activation, version 2
+        first, shrink, regrow = plan.crossings
+        assert [(r.entry_index, r.version) for r in first] == [(i, 1) for i in range(2, 8)]
+        assert shrink == ()  # shrinks never touch the window
+        # Second activation: version 2.
+        assert [(r.entry_index, r.version) for r in regrow] == [(2, 2), (3, 2)]
+
+    def test_boundaries_without_an_event_cross_with_no_installs(self):
+        plan = ElasticPlan(capacity=8, initial_active=2, events=(ResizeEvent(1, 4),))
+        assert [[r.entry_index for r in c] for c in plan.crossings] == [[], [2, 3]]
+
+
+class TestFold:
+    def test_a_plan_without_events_folds_onto_its_initial_prefix(self, monkeypatch):
+        import repro.traffic.scenarios as scenarios
+        from repro.api.registry import unregister
+        from repro.bench.harness import run_lock_benchmark_detailed
+        from repro.bench.workloads import LockBenchConfig
+        from repro.topology.builder import cached_machine
+        from repro.traffic.generators import Phase, TrafficScenario
+
+        tables = []
+        build = scenarios.build_lock_table
+
+        def recording(*args, **kwargs):
+            tables.append(build(*args, **kwargs)[0])
+            return tables[-1], tables[-1].rw
+
+        monkeypatch.setattr(scenarios, "build_lock_table", recording)
+        scenarios.register_traffic_scenario(
+            TrafficScenario(
+                name="scale-elastic-no-events",
+                num_locks=16,
+                key_dist="uniform",
+                phases=(
+                    Phase(duration_us=60.0, name="a"),
+                    Phase(duration_us=None, name="b"),
+                ),
+            ),
+            elastic=ElasticPlan(capacity=16, initial_active=4),
+            tags=("scale-test",),
+        )
+        try:
+            config = LockBenchConfig(
+                machine=cached_machine(8, 4), scheme="fompi-spin",
+                benchmark="scale-elastic-no-events", iterations=24,
+            )
+            run_lock_benchmark_detailed(config)
+        finally:
+            unregister("benchmark", "scale-elastic-no-events")
+        (table,) = tables
+        assert set(table._entries) <= set(range(4))
 
 
 class TestResizeDeterminism:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from repro.bench.campaign import BlessError, SweepReport, bless_sweep
 from repro.bench.regress import check_scale_manifest
 from repro.scale import engine as scale_engine
+from repro.traffic.engine import run_traffic
 
 
 class TestSpec:
@@ -37,6 +39,27 @@ class TestSpec:
     def test_scale_selector_expands_to_the_tagged_scenarios(self):
         resolved = scale_engine.scale_spec().resolve_benchmarks()
         assert {"scale-elastic", "scale-hot", "scale-hot-rehome"} <= set(resolved)
+
+
+class TestCommittedBaseline:
+    def test_campaign_rows_recompute_to_the_committed_manifest(self):
+        """The three blessed campaign rows of ``BENCH_scale.json`` (elastic
+        resize, static hot key, re-homed hot key), recomputed: run state and
+        tail accounting match the committed rows field for field."""
+        manifest = Path(__file__).resolve().parents[2] / "BENCH_scale.json"
+        committed = json.loads(manifest.read_text())
+        expected = {row["case"]: row for row in committed["rows"] if row["scheduler"] == "horizon"}
+        scenarios = ("scale-elastic", "scale-hot", "scale-hot-rehome")
+        assert sorted({row["benchmark"] for row in expected.values()}) == sorted(scenarios)
+        report = run_traffic(
+            scale_engine.scale_spec(scenarios=scenarios),
+            schedulers=("horizon",), jobs=1, cache=False,
+        )
+        assert sorted(row["case"] for row in report.rows) == sorted(expected)
+        fields = ("fingerprint", "op_counts", "rma_ops", "elapsed_us", "percentiles", "phases")
+        for row in report.rows:
+            blessed = expected[row["case"]]
+            assert {f: row[f] for f in fields} == {f: blessed[f] for f in fields}, row["case"]
 
 
 class TestRehomeComparison:

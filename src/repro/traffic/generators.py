@@ -27,12 +27,16 @@ rank)``.  Draws come from a dedicated Philox counter lane
 :mod:`repro.rma.perturbation` — and the whole schedule is materialized
 *before* the simulated run starts, so it is bit-identical across
 deterministic schedulers, across ``--jobs`` settings and across repeat runs.
+Being pure, it is drawn once per process and shared, read-only, by every
+reader of the same inputs (:func:`generate_schedule`).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -109,19 +113,25 @@ def zipf_cdf(num_locks: int, exponent: float) -> np.ndarray:
     which sweeps 10^6-entry tables.  The returned array is read-only — all
     callers share one instance.
     """
+    _check_zipf(num_locks, exponent)
+    return _zipf_cdf_cached(int(num_locks), float(exponent))
+
+
+def _check_zipf(num_locks: int, exponent: float) -> None:
     if num_locks < 1:
         raise ValueError("num_locks must be >= 1")
     if exponent < 0:
         raise ValueError("zipf exponent must be non-negative")
-    return _zipf_cdf_cached(int(num_locks), float(exponent))
 
 
 def zipf_head_frequencies(num_locks: int, exponent: float, count: int = 3) -> np.ndarray:
     """Analytic access frequencies of the ``count`` hottest locks.
 
     The generator property tests compare the empirical head of the sampler
-    against these closed-form values.
+    against these closed-form values.  Accepts what :func:`zipf_cdf` accepts
+    and raises its ``ValueError`` otherwise.
     """
+    _check_zipf(num_locks, exponent)
     ranks = np.arange(1, num_locks + 1, dtype=np.float64)
     weights = ranks ** (-float(exponent))
     return (weights / weights.sum())[: max(1, count)]
@@ -285,13 +295,15 @@ class RequestSchedule:
     Six columns with one entry per request: ``arrival_us`` (relative to the
     rank's open time, the post-barrier ``now()``, strictly increasing),
     ``lock_index``, ``is_write``, ``cs_us``, ``think_us`` and ``phase``.
-    Each attribute is a numpy array, converted from the drawn list the first
-    time it is read; :meth:`columns` hands out the lists themselves, which is
-    what the open-loop rank programs iterate, so a run makes no list → array
-    → list round trip.
+
+    Read-only, because :func:`generate_schedule` hands one instance to every
+    reader of the same inputs.  :meth:`columns` returns the columns as
+    tuples, which is what the open-loop rank programs iterate, so a run makes
+    no list → array → list round trip.  Each attribute is a numpy array,
+    converted from its tuple the first time it is read and not writeable.
     """
 
-    __slots__ = ("_columns", "_arrays", "num_locks", "num_phases")
+    __slots__ = ("_columns", "_arrays", "_shape")
 
     def __init__(
         self,
@@ -304,17 +316,19 @@ class RequestSchedule:
         num_locks: int = 0,
         num_phases: int = 1,
     ):
-        self._columns = (arrival_us, lock_index, is_write, cs_us, think_us, phase)
+        self._columns = tuple(
+            tuple(c.tolist() if isinstance(c, np.ndarray) else c)
+            for c in (arrival_us, lock_index, is_write, cs_us, think_us, phase)
+        )
         self._arrays: List[Optional[np.ndarray]] = [None] * len(self._columns)
-        self.num_locks = num_locks
-        self.num_phases = num_phases
+        self._shape = (int(num_locks), int(num_phases))
 
     def _array(self, position: int) -> np.ndarray:
         array = self._arrays[position]
         if array is None:
-            array = self._arrays[position] = np.asarray(
-                self._columns[position], dtype=_COLUMN_DTYPES[position]
-            )
+            array = np.array(self._columns[position], dtype=_COLUMN_DTYPES[position])
+            array.flags.writeable = False
+            self._arrays[position] = array
         return array
 
     arrival_us = property(lambda self: self._array(0))
@@ -323,14 +337,55 @@ class RequestSchedule:
     cs_us = property(lambda self: self._array(3))
     think_us = property(lambda self: self._array(4))
     phase = property(lambda self: self._array(5))
+    num_locks = property(lambda self: self._shape[0])
+    num_phases = property(lambda self: self._shape[1])
 
-    def columns(self) -> Tuple[list, ...]:
-        """The six columns, in the order above, as Python lists (the lists
-        :func:`generate_schedule` drew; callers must not mutate them)."""
-        return tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in self._columns)
+    def columns(self) -> Tuple[tuple, ...]:
+        """The six columns, in the order above, as tuples."""
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._columns[0])
+
+
+class _ScheduleCache:
+    """The schedules :func:`generate_schedule` shares, least recently used
+    first out, holding at most ``budget`` requests over all of them.
+
+    A schedule longer than the whole budget is returned unshared.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.requests = 0
+        self._entries: "OrderedDict[tuple, RequestSchedule]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, draw) -> RequestSchedule:
+        with self._lock:
+            schedule = self._entries.get(key)
+            if schedule is not None:
+                self._entries.move_to_end(key)
+                return schedule
+        schedule = draw(*key)
+        # An empty schedule counts as one request, so the entries are bounded too.
+        size = max(1, len(schedule))
+        if size > self.budget:
+            return schedule
+        with self._lock:
+            # Another thread may have drawn the same key meanwhile: share its.
+            shared = self._entries.setdefault(key, schedule)
+            if shared is schedule:
+                self.requests += size
+                while self.requests > self.budget:
+                    _, evicted = self._entries.popitem(last=False)
+                    self.requests -= max(1, len(evicted))
+        return shared
+
+
+#: Requests held by the shared schedules, over all of them (a request costs
+#: about 0.2 kB): a traffic-suite sweep at P = 64 holds 3 840.
+_SCHEDULES = _ScheduleCache(1 << 16)
 
 
 def generate_schedule(
@@ -342,13 +397,21 @@ def generate_schedule(
     *,
     lane: Optional[int] = None,
 ) -> RequestSchedule:
-    """Materialize rank ``rank``'s request stream for ``scenario``.
+    """Rank ``rank``'s request stream for ``scenario``: shared and read-only.
 
     ``fw_default`` is the writer fraction used when neither the scenario nor
     the current phase pins one (the benchmark config's ``fw`` — how campaign
     writer-fraction axes reach traffic scenarios).  ``lane`` overrides the
     Philox counter lane (see :func:`traffic_rng`); the default is the shared
     traffic lane every registered scenario uses.
+
+    A schedule is a pure function of these six inputs, so it is drawn once
+    per process and every later call with equal inputs returns the same
+    :class:`RequestSchedule`: the rank programs of every scheme, the swap and
+    re-homing planners, the hot-key report and the fluid validator all read
+    one instance.  The shared schedules are bounded by their total request
+    count and evicted least recently used first; a scenario that cannot be
+    hashed is drawn afresh on every call.
 
     Exactly five draws are consumed per request in a fixed order (gap, key,
     role, CS time, think time) regardless of which values a phase overrides,
@@ -362,11 +425,25 @@ def generate_schedule(
     The loop makes no numpy call but the draws and, for Zipf keys, one
     ``searchsorted`` on the phase's CDF: phases are looked up with
     ``bisect`` over a list of phase ends, and every per-phase constant is
-    resolved before the loop.  The columns stay the lists drawn; each becomes
-    an array only when read as one (see :class:`RequestSchedule`).
+    resolved before the loop.
     """
     if requests < 0:
         raise ValueError("requests must be non-negative")
+    key = (scenario, seed, rank, requests, fw_default, lane)
+    try:
+        return _SCHEDULES.get(key, _draw_schedule)
+    except TypeError:  # an unhashable custom scenario
+        return _draw_schedule(*key)
+
+
+def _draw_schedule(
+    scenario: TrafficScenario,
+    seed: int,
+    rank: int,
+    requests: int,
+    fw_default: float,
+    lane: Optional[int],
+) -> RequestSchedule:
     rng = traffic_rng(seed, rank, lane=lane)
     phases = scenario.effective_phases()
     # ends[i] is the *end* time of phase i; the final phase's end is +inf

@@ -12,9 +12,13 @@ entry, which is the whole integration story in one decorator call:
 * The registered ``spec_transform`` swaps the single lock the harness built
   for a full :class:`~repro.traffic.table.LockTableSpec` sized to the
   scenario's ``num_locks``, so the runtime's windows cover the whole table.
+  The table is built once per process for its configuration and handed out
+  reset (see ``_shared_table``).
 * The registered ``program_factory`` replaces the closed benchmark loop with
-  the open-loop client: each rank materializes its deterministic request
-  schedule *before* the run, then serves requests at their arrival times —
+  the open-loop client: each rank takes its deterministic request schedule
+  (drawn once per process and shared, see
+  :func:`~repro.traffic.generators.generate_schedule`) *before* the run,
+  then serves requests at their arrival times —
   waiting out idle gaps with ``ctx.compute`` and carrying queueing backlog
   into the end-to-end latency when the service falls behind.  One body,
   :func:`make_open_loop_program`, serves every run: an attached policy or
@@ -32,11 +36,12 @@ entry, which is the whole integration story in one decorator call:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import register_benchmark
+from repro.api.registry import get_scheme, register_benchmark
 from repro.control.policy import (
     PolicyRule,
     PolicyTable,
@@ -346,6 +351,49 @@ def make_open_loop_program(
     return program
 
 
+@lru_cache(maxsize=16)
+def _cached_table(
+    machine: Any, scheme: str, info: Any, num_locks: int, params: tuple, min_entry_words: int
+) -> Any:
+    # ``info`` is in the key so a scheme re-registered under the same name
+    # gets a table of its own.
+    table, _ = build_lock_table(
+        machine, scheme, num_locks, params=dict(params), min_entry_words=min_entry_words
+    )
+    return table
+
+
+def _shared_table(config: Any, num_locks: int, min_entry_words: int) -> Any:
+    """The lock table a traffic point runs on, shared by every point with the
+    same machine, scheme, table size, scheme parameters and slab floor.
+
+    A table is a pure function of those, so its derived entry specs, init
+    tiles and group inits are built once per process.  Only its scheme slots
+    change during a run (the crossings of an adaptive, elastic or re-homing
+    run install into them), so it is handed out reset to its construction
+    state: the swap planner, which reads it before any rank starts, never
+    sees what an earlier run installed.  Points in one process run one at a
+    time (the campaign engine runs parallel points in worker processes).  A
+    configuration that cannot be hashed builds a table of its own.
+    """
+    info = get_scheme(config.scheme)
+    # harness=False schemes route through info.build too (the striped
+    # table path), so their declared parameters must not be dropped here.
+    params = info.params_from_config(config)
+    try:
+        table = _cached_table(
+            config.machine, config.scheme, info, num_locks,
+            tuple(sorted(params.items())), min_entry_words,
+        )
+    except TypeError:  # an unhashable machine, scheme or parameter value
+        table, _ = build_lock_table(
+            config.machine, config.scheme, num_locks, params=params,
+            min_entry_words=min_entry_words,
+        )
+    table.reset_entries()
+    return table
+
+
 def register_traffic_scenario(
     scenario: TrafficScenario,
     *,
@@ -375,20 +423,10 @@ def register_traffic_scenario(
         elastic.validate(scenario)
 
     def _spec_transform(config: Any, spec: Any, is_rw: bool, _scenario=scenario) -> Any:
-        from repro.api.registry import get_scheme
-
-        info = get_scheme(config.scheme)
-        # harness=False schemes route through info.build too (the striped
-        # table path), so their declared parameters must not be dropped here.
-        params = info.params_from_config(config)
         min_entry_words = (
             policy_min_entry_words(config.machine, policy) if policy is not None else 0
         )
-        table, _ = build_lock_table(
-            config.machine, config.scheme, _scenario.num_locks, params=params,
-            min_entry_words=min_entry_words,
-        )
-        return table
+        return _shared_table(config, _scenario.num_locks, min_entry_words)
 
     @register_benchmark(
         scenario.name,

@@ -361,10 +361,16 @@ class LockTableSpec(LockSpec):
     :func:`build_lock_table` a template whose entry specs are derived on
     first read and memoized.  The live scheme slots are :class:`TableEntry`
     objects, created the first time ``entry(index)`` is asked for from
-    ``specs[index]`` (one path for both kinds), which the adaptive control
-    plane may mutate mid-run; ``reset_entries()`` restores the construction
-    state (rank programs call it at run start so a table object can be
-    reused across runs bit-identically).
+    ``specs[index]`` (one path for both kinds), which a run's crossings
+    (adaptive swaps, elastic regrowth, re-homing) may mutate mid-run;
+    ``reset_entries()`` restores the construction state.  Everything else on
+    a table is derived from its construction state and memoized, so a table
+    object may be reused across runs bit-identically as long as its slots
+    are reset before a run reads them: the traffic scenarios hand out one
+    shared table per configuration and reset it at hand-out, before the
+    swap planner reads it, and the open-loop client resets it again at run
+    start when it has crossings, so a program object can be run twice.  A
+    run without crossings creates slots but never changes one.
 
     ``min_entry_words`` floors every entry's slab size so a swap can place a
     scheme with a larger window footprint than the construction scheme.

@@ -117,6 +117,14 @@ class TestZipf:
             a[0] = 0.5  # shared state must be immutable
         assert zipf_cdf(1 << 16, 1.0) is not a  # distinct exponent, distinct entry
 
+    @pytest.mark.parametrize("num_locks, exponent", [(0, 1.0), (-3, 1.0), (5, -1.0)])
+    def test_head_frequencies_refuse_what_the_cdf_refuses(self, num_locks, exponent):
+        with pytest.raises(ValueError) as refused_by_cdf:
+            zipf_cdf(num_locks, exponent)
+        with pytest.raises(ValueError) as refused_by_head:
+            zipf_head_frequencies(num_locks, exponent)
+        assert str(refused_by_head.value) == str(refused_by_cdf.value)
+
     def test_memoized_cdf_feeds_every_rank_the_same_distribution(self):
         scenario = TrafficScenario(name="t", num_locks=512, zipf_exponent=1.2)
         first = generate_schedule(scenario, seed=3, rank=0, requests=400)
@@ -160,6 +168,13 @@ class TestPhases:
                 name="t",
                 phases=(Phase(duration_us=None), Phase(duration_us=10.0)),
             )
+
+
+def _registered_traffic_scenarios():
+    import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
+    from repro.traffic.scenarios import _SCENARIOS
+
+    return list(_SCENARIOS)
 
 
 def _registered_scenarios():
@@ -242,6 +257,115 @@ class TestMatchesTheReferenceGenerator:
             generate_schedule(scenario, 5, 2, 80, 0.3, lane=lane),
             reference_schedule(scenario, 5, 2, 80, 0.3, lane=lane),
         )
+
+
+_COLUMNS = ("arrival_us", "lock_index", "is_write", "cs_us", "think_us", "phase")
+
+
+class TestScheduleOncePerProcess:
+    """A schedule is drawn once per process and shared: what the readers
+    share is the drawn schedule, no reader can change it, and the shared
+    schedules stay within their request budget."""
+
+    P = 64
+
+    @pytest.mark.parametrize("name", sorted(_registered_traffic_scenarios()))
+    def test_a_shared_schedule_is_the_drawn_schedule(self, name):
+        from schedule_reference import reference_schedule
+
+        from repro.traffic.scenarios import get_scenario
+
+        scenario = get_scenario(name)
+        for seed in (1, 702):
+            for rank in (0, 1, self.P - 1):
+                args = (scenario, seed, rank, 48, 0.1)
+                shared = generate_schedule(*args)
+                assert generate_schedule(*args) is shared
+                reference = reference_schedule(*args)
+                _assert_byte_identical(shared, reference)
+                assert shared.columns() == tuple(
+                    tuple(getattr(reference, column).tolist()) for column in _COLUMNS
+                )
+
+    def test_a_shared_schedule_cannot_be_written(self):
+        schedule = generate_schedule(TrafficScenario(name="ro", num_locks=64), 3, 1, 16)
+        for position, column in enumerate(_COLUMNS):
+            array = getattr(schedule, column)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]  # shared state must be immutable
+            with pytest.raises(TypeError):
+                schedule.columns()[position][0] = 0
+        for attribute in (*_COLUMNS, "num_locks", "num_phases"):
+            with pytest.raises(AttributeError):
+                setattr(schedule, attribute, 0)
+
+    def test_threads_sharing_the_cache_lose_no_update(self):
+        import sys
+        import threading
+
+        from repro.traffic.generators import _draw_schedule, _ScheduleCache
+
+        cache = _ScheduleCache(budget=100)
+        scenario = TrafficScenario(name="threads", num_locks=64)
+        keys = [(scenario, 9, rank, 10 + rank, 0.2, None) for rank in range(16)]
+        expected = {key: _draw_schedule(*key) for key in keys}
+        mismatches = []
+
+        def hammer(offset):
+            for i in range(200):
+                key = keys[(offset + 7 * i) % len(keys)]
+                got = cache.get(key, _draw_schedule)
+                if got.columns() != expected[key].columns():
+                    mismatches.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        assert cache.requests == sum(len(s) for s in cache._entries.values())
+        assert cache.requests <= cache.budget
+
+    def test_an_unhashable_scenario_is_drawn_afresh(self):
+        from schedule_reference import reference_schedule
+
+        unhashable = TrafficScenario(name="list-bounds", num_locks=64, cs_us=[0.4, 1.2])
+        first = generate_schedule(unhashable, 3, 1, 16)
+        assert generate_schedule(unhashable, 3, 1, 16) is not first
+        _assert_byte_identical(first, reference_schedule(unhashable, 3, 1, 16))
+
+    def test_the_shared_schedules_stay_within_their_budget(self):
+        from repro.traffic.generators import _SCHEDULES
+
+        scenario = TrafficScenario(name="budget", num_locks=64)
+        per_schedule = _SCHEDULES.budget // 8 + 1
+        drawn = [generate_schedule(scenario, 5, rank, per_schedule) for rank in range(9)]
+        assert _SCHEDULES.requests <= _SCHEDULES.budget
+        assert _SCHEDULES.requests == sum(len(s) for s in _SCHEDULES._entries.values())
+        # Least recently used first out: the last one drawn is still shared,
+        # the first one is drawn afresh (and equal).
+        assert generate_schedule(scenario, 5, 8, per_schedule) is drawn[8]
+        again = generate_schedule(scenario, 5, 0, per_schedule)
+        assert again is not drawn[0]
+        _assert_byte_identical(again, drawn[0])
+
+    def test_a_schedule_longer_than_the_budget_is_not_held(self):
+        from repro.traffic.generators import _draw_schedule, _ScheduleCache
+
+        cache = _ScheduleCache(budget=32)
+        scenario = TrafficScenario(name="long", num_locks=64)
+        held = cache.get((scenario, 1, 0, 20, 0.0, None), _draw_schedule)
+        long = cache.get((scenario, 1, 1, 33, 0.0, None), _draw_schedule)
+        assert len(long) == 33
+        assert list(cache._entries.values()) == [held] and cache.requests == 20
 
 
 class TestValidation:

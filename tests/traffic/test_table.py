@@ -600,6 +600,9 @@ class TestDerivedEntries:
         from repro.topology.builder import cached_machine
         from repro.traffic.generators import generate_schedule
 
+        # Shared tables are built once per process: start cold, so this run
+        # builds (and is seen building) its own.
+        scenarios._cached_table.cache_clear()
         machine = cached_machine(64, 8)
         tables = []
 
@@ -631,3 +634,87 @@ class TestDerivedEntries:
         assert set(table._entries) <= touched
         assert len(derived) <= len(touched) + 2 * len(table._tiling)
         assert len(touched) < table.num_locks // 2  # the guard is not vacuous
+
+
+# --------------------------------------------------------------------------- #
+# Shared tables: a traffic point's table is built once per process, and what
+# one run installs into its slots never reaches the next run.
+# --------------------------------------------------------------------------- #
+
+#: ``(benchmark, P, procs per node, iterations, fw, seed)``, all on fompi-spin:
+#: a re-homing point, the pinned adaptive point (its swaps fire), a plain
+#: point on the re-homing point's P, and the re-homing point again.
+_RUN_ORDER = (
+    ("scale-hot-rehome", 32, 8, 32, 0.0, 17),
+    ("traffic-adaptive", 8, 4, 10, 0.2, 3),
+    ("traffic-zipf", 32, 8, 12, 0.1, 17),
+    ("scale-hot-rehome", 32, 8, 32, 0.0, 17),
+)
+
+_FRESH_PROCESS_POINT = """
+import json, sys
+import repro.scale
+from repro.bench.campaign import run_result_sha
+from repro.bench.harness import run_lock_benchmark_detailed
+from repro.bench.workloads import LockBenchConfig
+from repro.topology.builder import xc30_like
+
+benchmark, procs, ppn, iterations, fw, seed = json.loads(sys.argv[1])
+config = LockBenchConfig(
+    machine=xc30_like(procs, procs_per_node=ppn), scheme="fompi-spin",
+    benchmark=benchmark, iterations=iterations, fw=fw, seed=seed,
+)
+result, raw = run_lock_benchmark_detailed(config)
+print(json.dumps([run_result_sha(raw), result.percentiles.get("swaps_total", 0.0)]))
+"""
+
+
+def _in_a_fresh_process(point):
+    import json
+    import os
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_POINT, json.dumps(point)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestTableOncePerProcess:
+    def test_a_traffic_point_reuses_its_table(self):
+        import repro.traffic.scenarios as scenarios
+        from repro.bench.workloads import LockBenchConfig
+
+        config = LockBenchConfig(
+            machine=xc30_like(16, procs_per_node=4), scheme="d-mcs",
+            benchmark="traffic-zipf", iterations=4,
+        )
+        first = scenarios._shared_table(config, 1024, 0)
+        assert scenarios._shared_table(config, 1024, 0) is first
+        assert scenarios._shared_table(config, 1024, 2 * first.specs.stride) is not first
+
+    def test_run_order_cannot_leak_through_a_shared_table(self):
+        import repro.scale  # noqa: F401 - registers the re-homing scenarios
+        from repro.bench.campaign import run_result_sha
+        from repro.bench.harness import run_lock_benchmark_detailed
+        from repro.bench.workloads import LockBenchConfig
+
+        fresh = {point: _in_a_fresh_process(point) for point in set(_RUN_ORDER)}
+        rehome, adaptive = _RUN_ORDER[:2]
+        assert fresh[rehome][1] > 0 and fresh[adaptive][1] > 0  # installs happen
+        in_order = []
+        for point in _RUN_ORDER:
+            benchmark, procs, ppn, iterations, fw, seed = point
+            config = LockBenchConfig(
+                machine=xc30_like(procs, procs_per_node=ppn), scheme="fompi-spin",
+                benchmark=benchmark, iterations=iterations, fw=fw, seed=seed,
+            )
+            result, raw = run_lock_benchmark_detailed(config)
+            in_order.append(
+                (run_result_sha(raw), result.percentiles.get("swaps_total", 0.0))
+            )
+        assert in_order == [fresh[point] for point in _RUN_ORDER]

@@ -304,7 +304,7 @@ class BenchmarkInfo:
 class RuntimeInfo:
     """One registered runtime backend.
 
-    ``factory(machine, *, window_words, seed, latency, fabric, tracer)``
+    ``factory(machine, *, window_words, seed, latency, fabric)``
     returns an :class:`~repro.rma.runtime_base.RMARuntime` whose virtual-time
     results are bit-exactly reproducible (README "The determinism contract").
     The factory also accepts the ``perturbation``, ``observer`` and
@@ -521,7 +521,7 @@ def register_runtime(
     """Decorator: register the decorated runtime factory.
 
     The factory is called as ``factory(machine, *, window_words, seed,
-    latency, fabric, tracer)`` and must return an RMA runtime instance (see
+    latency, fabric)`` and must return an RMA runtime instance (see
     :class:`RuntimeInfo` for the optional keywords).
     """
 

@@ -109,7 +109,6 @@ class Session:
         seed: int = 0,
         latency: Any = None,
         fabric: Any = None,
-        tracer: Any = None,
     ):
         self.machine = machine
         self.runtime_info = runtime_info
@@ -129,7 +128,6 @@ class Session:
             seed=seed,
             latency=latency,
             fabric=fabric,
-            tracer=tracer,
         )
 
     def window_init(self, rank: int) -> Dict[int, int]:
@@ -228,7 +226,6 @@ class Cluster:
         extra_words: int = 2,
         window_words: Optional[int] = None,
         seed: Optional[int] = None,
-        tracer: Any = None,
     ) -> Session:
         """Create a :class:`Session` whose window fits every spec in ``specs``."""
         return Session(
@@ -240,7 +237,6 @@ class Cluster:
             seed=self.seed if seed is None else int(seed),
             latency=self.latency_model,
             fabric=self.fabric,
-            tracer=tracer,
         )
 
     # -- benchmarking ------------------------------------------------------- #

@@ -501,25 +501,22 @@ def ablation_flat_latency(
 
 
 def _handoff_row(point: CampaignPoint) -> Row:
-    """Run RMA-MCS with a grant ledger and read the hand-off locality back."""
-    from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock, locality_report
+    """Run RMA-MCS under a timeline observer and read the hand-off locality off it."""
+    from repro.core.instrumentation import locality_report
     from repro.core.rma_mcs import RMAMCSLockSpec
+    from repro.fault.observers import TimelineObserver
+    from repro.verification.oracles import observe_lock
 
     machine = cached_machine(point.procs, point.procs_per_node, point.topology)
     iters = point.iterations
     lock_spec = RMAMCSLockSpec(machine, t_l=dict(point.params)["t_l"])
-    ledger = GrantLedgerSpec(capacity=point.procs * iters, base_offset=lock_spec.window_words)
+    timeline = TimelineObserver()
     runtime = get_runtime(point.scheduler).factory(
-        machine, window_words=ledger.window_words, seed=point.seed
+        machine, window_words=lock_spec.window_words, seed=point.seed, observer=timeline
     )
 
-    def window_init(rank):
-        values = dict(lock_spec.init_window(rank))
-        values.update(ledger.init_window(rank))
-        return values
-
     def program(ctx):
-        lock = InstrumentedLock(lock_spec.make(ctx), ledger, ctx)
+        lock = observe_lock(lock_spec.make(ctx), ctx, ctx.observer)
         yield (BARRIER,)
         start = ctx.now()
         for _ in range(iters):
@@ -530,9 +527,10 @@ def _handoff_row(point: CampaignPoint) -> Row:
         yield (BARRIER,)
         return end - start
 
-    result = runtime.run(program, window_init=window_init)
-    grants = ledger.read_grants_from_window(runtime.window(ledger.home_rank))
-    report = locality_report(machine, grants)
+    result = runtime.run(program, window_init=lock_spec.init_window)
+    # Under mutual exclusion a hold closes before the next one opens, so
+    # the holds are the grants in order.
+    report = locality_report(machine, [hold.rank for hold in timeline.holds])
     elapsed = max(result.returns)
     return {
         "throughput_mln_s": round(point.procs * iters / elapsed, 4) if elapsed > 0 else 0.0,
@@ -552,12 +550,13 @@ def ablation_handoff_locality(
 ) -> SweepReport:
     """Measure the *hand-off locality* behind the locality-threshold ablation.
 
-    For each node-level ``T_L`` the RMA-MCS lock is run with an instrumented
-    handle that records the sequence of grants; the rows report both the
+    For each node-level ``T_L`` the RMA-MCS lock is run under a run observer
+    that records the sequence of grants; the rows report both the lock's
     throughput and the fraction of consecutive grants that stayed on one node,
     making the mechanism behind the Figure-1 locality axis directly visible.
-    The worker reads the grant ledger back out of the runtime's windows, so
-    a point's row is built where it runs.
+    The observer issues no RMA calls, so the throughput is the unobserved
+    lock's own.  The worker reads the grants off the observer, so a point's
+    row is built where it runs.
     """
     points: List[CampaignPoint] = []
     metas: List[Row] = []

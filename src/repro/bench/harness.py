@@ -220,7 +220,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
 
     def program(ctx: ProcessContext):
         lock = spec.make(ctx)
-        observer = getattr(ctx, "observer", None)
+        observer = ctx.observer
         if observer is not None:
             # Wrap at the acquire/release instrumentation points; the wrapper
             # issues no RMA calls, so the RunResult stays bit-identical.
@@ -328,7 +328,7 @@ def run_lock_benchmark_detailed(
     The conformance layer adds two hooks: ``perturbation`` installs a seeded
     :class:`~repro.rma.perturbation.PerturbationModel` (each seed explores a
     different, bit-reproducible interleaving), and ``observer`` a
-    :class:`~repro.verification.oracles.RunObserver` whose live oracles watch
+    :class:`~repro.rma.runtime_base.RunObserver` whose live oracles watch
     the lock's acquire/release events.  The fault layer adds a third:
     ``fault_plan`` installs a seeded :class:`~repro.fault.FaultPlan` that
     kills (and optionally restarts) ranks mid-run; a crashed rank's return
@@ -360,7 +360,6 @@ def run_lock_benchmark_detailed(
         window_words=spec.window_words + 2,
         latency=latency_model,
         fabric=fabric,
-        tracer=None,
         seed=config.seed if seed is None else seed,
         **factory_kwargs,
     )

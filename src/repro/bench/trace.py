@@ -5,10 +5,10 @@ topology-oblivious locks pay for inter-node transfers on nearly every
 hand-off, while the topology-aware designs keep most traffic inside a node.
 This module makes that reasoning measurable on the simulated runtime:
 
-* :class:`TraceRecorder` — attach to a :class:`~repro.rma.sim_runtime.SimRuntime`
-  (``SimRuntime(..., tracer=recorder)``) to record one :class:`TraceEvent`
-  per RMA call: the issuing rank, the call type, the target and the virtual
-  start time and duration.
+* :class:`TraceRecorder` — a :class:`~repro.rma.runtime_base.RunObserver`;
+  install it on a runtime (``SimRuntime(..., observer=recorder)``) to record
+  one :class:`TraceEvent` per RMA call: the issuing rank, the call type, the
+  target and the virtual start time and duration.
 * analysis helpers — per-rank and per-call summaries, a breakdown of
   communication time by topological distance (self / intra-node / inter-node),
   the hottest target ranks (contention hot spots) and per-rank utilisation.
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.rma.ops import RMACall
+from repro.rma.runtime_base import RunObserver
 from repro.topology.machine import Machine
 
 __all__ = [
@@ -59,13 +60,13 @@ class TraceEvent:
         return self.start_us + self.duration_us
 
 
-class TraceRecorder:
+class TraceRecorder(RunObserver):
     """Collects :class:`TraceEvent` objects from a simulated run.
 
-    The recorder is handed to ``SimRuntime(..., tracer=recorder)``; the
-    runtime calls :meth:`record` for every RMA call it charges.  ``capacity``
-    bounds memory use for long runs — once reached, further events are counted
-    but not stored (``dropped_events`` reports how many).
+    The recorder is a run observer (``SimRuntime(..., observer=recorder)``);
+    the runtime calls :meth:`on_request` for every RMA call it charges.
+    ``capacity`` bounds memory use for long runs — once reached, further
+    events are counted but not stored (``dropped_events`` reports how many).
     """
 
     def __init__(self, capacity: int = 200_000):
@@ -75,7 +76,7 @@ class TraceRecorder:
         self.events: List[TraceEvent] = []
         self.dropped_events = 0
 
-    def record(self, rank: int, call: RMACall, target: int, start_us: float, duration_us: float) -> None:
+    def on_request(self, rank: int, call: RMACall, target: int, start_us: float, duration_us: float) -> None:
         """Runtime hook: store one event (or count it once the capacity is hit)."""
         if len(self.events) >= self.capacity:
             self.dropped_events += 1

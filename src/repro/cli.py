@@ -413,7 +413,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     )
     spec, is_rw = build_lock_spec(config)
     recorder = TraceRecorder()
-    runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=config.seed)
+    runtime = SimRuntime(machine, window_words=spec.window_words, observer=recorder, seed=config.seed)
 
     def program(ctx):
         lock = spec.make(ctx)
@@ -438,7 +438,11 @@ def _run_trace(args: argparse.Namespace) -> int:
     breakdown = distance_breakdown(recorder.events, machine)
     print(f"Machine : {machine.describe()}")
     print(f"Scheme  : {args.scheme}, {args.iterations} acquisitions per rank")
-    print(f"Total virtual time: {result.total_time_us:.1f} us; RMA calls traced: {summary.num_events}\n")
+    traced = f"{summary.num_events}"
+    if recorder.dropped_events:
+        total = summary.num_events + recorder.dropped_events
+        traced += f" of {total}; shares cover the first {summary.num_events}"
+    print(f"Total virtual time: {result.total_time_us:.1f} us; RMA calls traced: {traced}\n")
     print(format_table(summary.as_rows()))
     print()
     print(format_table(trace_rows_by_distance(breakdown)))

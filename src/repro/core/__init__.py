@@ -16,12 +16,7 @@ from repro.core.constants import (
 )
 from repro.core.counter import DistributedCounterHandle, DistributedCounterSpec
 from repro.core.dmcs import DMCSLockHandle, DMCSLockSpec
-from repro.core.instrumentation import (
-    GrantLedgerSpec,
-    InstrumentedLock,
-    LocalityReport,
-    locality_report,
-)
+from repro.core.instrumentation import LocalityReport, locality_report
 from repro.core.layout import LayoutAllocator, Region
 from repro.core.lock_base import LockHandle, LockSpec, RWLockHandle, RWLockSpec
 from repro.core.rma_mcs import RMAMCSLockHandle, RMAMCSLockSpec
@@ -32,8 +27,6 @@ __all__ = [
     "ACQUIRE_START",
     "DMCSLockHandle",
     "DMCSLockSpec",
-    "GrantLedgerSpec",
-    "InstrumentedLock",
     "LocalityReport",
     "locality_report",
     "DistributedCounterHandle",

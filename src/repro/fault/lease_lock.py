@@ -48,6 +48,7 @@ from repro.rma.runtime_base import (
     GET,
     ProcessContext,
     Steps,
+    observer_hook,
 )
 
 __all__ = ["LeaseLockSpec", "LeaseLockHandle"]
@@ -151,11 +152,9 @@ class LeaseLockHandle(LockHandle):
     def _announce_lease(self, deadline_us: int) -> None:
         # Let recovery oracles judge takeover legality against the exact
         # deadline we installed, instead of reconstructing it from timestamps.
-        observer = getattr(self.ctx, "observer", None)
-        if observer is not None:
-            on_lease = getattr(observer, "on_lease", None)
-            if on_lease is not None:
-                on_lease(self.ctx.rank, float(deadline_us))
+        on_lease = observer_hook(self.ctx.observer, "on_lease")
+        if on_lease is not None:
+            on_lease(self.ctx.rank, float(deadline_us))
 
     def acquire_steps(self) -> Steps:
         ctx = self.ctx
@@ -211,11 +210,9 @@ class LeaseLockHandle(LockHandle):
             # Fenced: our lease expired and a waiter installed a new word
             # (later deadline, bumped epoch).  The lock now belongs to the
             # new holder — write nothing, just report the rejection.
-            observer = getattr(ctx, "observer", None)
-            if observer is not None:
-                on_fenced = getattr(observer, "on_fenced_release", None)
-                if on_fenced is not None:
-                    on_fenced(ctx.rank)
+            on_fenced = observer_hook(ctx.observer, "on_fenced_release")
+            if on_fenced is not None:
+                on_fenced(ctx.rank)
 
 
 @register_scheme(

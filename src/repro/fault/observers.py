@@ -9,7 +9,7 @@ per-rank hold intervals (``acquired`` to ``released``) and wait intervals
 from the probe timeline with the dedicated fault Philox lane and schedules
 the kill inside it.
 
-Like every :class:`~repro.verification.oracles.RunObserver`, it issues no RMA
+Like every :class:`~repro.rma.runtime_base.RunObserver`, it issues no RMA
 calls, so probed runs stay bit-identical to unobserved ones.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.verification.oracles import RunObserver
+from repro.rma.runtime_base import RunObserver
 
 __all__ = ["Interval", "TimelineObserver"]
 

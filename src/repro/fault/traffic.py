@@ -46,7 +46,7 @@ def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
 
     def program(ctx: ProcessContext):
         lock = spec.make(ctx)
-        observer = getattr(ctx, "observer", None)
+        observer = ctx.observer
         if observer is not None:
             from repro.verification.oracles import observe_lock
 

@@ -91,6 +91,7 @@ __all__ = [
     "ProcessContext",
     "REQUEST_METHODS",
     "RMARuntime",
+    "RunObserver",
     "RunResult",
     "RuntimeError_",
     "SPIN",
@@ -102,6 +103,7 @@ __all__ = [
     "bad_request",
     "blocking_program",
     "is_step_program",
+    "observer_hook",
 ]
 
 #: A (target_rank, offset) pair identifying one window word.
@@ -241,6 +243,80 @@ class RunResult:
         return self.total_ops() / self.wall_time_s
 
 
+class RunObserver:
+    """Base observer: every hook is a no-op.
+
+    The one way a run is watched: a runtime takes an ``observer=`` and calls
+    :meth:`on_run_start` when ``run()`` installs its per-run state (so
+    observer state always resets across ``run()`` re-entry) and
+    :meth:`on_run_end` when a run drains cleanly.  Per request it calls
+    :meth:`on_request` for every RMA call it charges and :meth:`on_rmw` for
+    every remote atomic read-modify-write, but only the hooks the observer's
+    class overrides (:func:`observer_hook`): a hook left as the base no-op
+    costs the run nothing.  Lock events reach the observer through the
+    handle wrappers of :func:`repro.verification.oracles.observe_lock`.
+
+    Subclasses override what they need; the runtimes only require this
+    interface.  Implementations must not issue RMA calls or touch runtime
+    state — observers watch, they never steer (that is what keeps observed
+    runs bit-identical to unobserved ones).
+    """
+
+    def on_run_start(self, nranks: int) -> None:
+        """A run is installing fresh state; reset all observer state."""
+
+    def on_run_end(self) -> None:
+        """The run drained cleanly (not called when a run aborts)."""
+
+    def on_request(self, rank: int, call: RMACall, target: int, start_us: float, duration_us: float) -> None:
+        """``rank``'s RMA call at ``target`` was charged: it runs from ``start_us`` for ``duration_us``."""
+
+    def on_rmw(self, rank: int, call: RMACall) -> None:
+        """``rank`` completed a remote atomic RMW (FAO/CAS)."""
+
+    def wait_start(self, rank: int, mode: str, t: float) -> None:
+        """``rank`` entered ``acquire`` and is about to compete for the lock."""
+
+    def acquired(self, rank: int, mode: str, t: float) -> None:
+        """``rank``'s ``acquire`` returned: it is inside the critical section."""
+
+    def released(self, rank: int, mode: str, t: float) -> None:
+        """``rank`` is about to run ``release`` (still inside the CS)."""
+
+    # -- fault hooks (only fired on runs with a repro.fault.FaultPlan) ----- #
+
+    def on_crash(self, rank: int, t: float) -> None:
+        """``rank`` was killed by the fault plan at virtual time ``t``."""
+
+    def on_restart(self, rank: int, t: float) -> None:
+        """``rank`` was revived at virtual time ``t`` (re-runs its program)."""
+
+    def on_lease(self, rank: int, deadline_us: float) -> None:
+        """``rank`` acquired a leased lock valid until ``deadline_us``.
+
+        Reported by lease-based schemes right after installing their lock
+        word, so recovery oracles can judge takeover legality against the
+        exact deadline instead of reconstructing it.
+        """
+
+    def on_fenced_release(self, rank: int) -> None:
+        """``rank``'s stale release was rejected by the lock's fencing."""
+
+
+def observer_hook(observer: Any, name: str) -> Optional[Callable[..., None]]:
+    """``observer``'s bound hook ``name``, or None when there is nothing to call.
+
+    None when ``observer`` is None, when its class lacks the hook (a
+    duck-typed observer need not define every one), or when its class keeps
+    :class:`RunObserver`'s no-op.  Runtimes resolve each hook once per run,
+    so a hook nobody overrides costs one ``is None`` test per call site.
+    """
+    hook = getattr(type(observer), name, None)
+    if hook is None or hook is getattr(RunObserver, name):
+        return None
+    return getattr(observer, name)
+
+
 class ProcessContext(abc.ABC):
     """Per-rank handle through which a rank program issues RMA calls."""
 
@@ -250,6 +326,9 @@ class ProcessContext(abc.ABC):
     nranks: int
     #: Per-rank deterministic random generator.
     rng: np.random.Generator
+    #: The runtime's observer (None when no observer is installed); handle
+    #: wrappers such as :func:`repro.verification.oracles.observe_lock` use it.
+    observer: Optional[RunObserver] = None
 
     # -- Listing 1 ------------------------------------------------------- #
 

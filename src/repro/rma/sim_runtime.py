@@ -79,6 +79,7 @@ from repro.rma.runtime_base import (
     FaultHorizonError,
     ProcessContext,
     RMARuntime,
+    RunObserver,
     RunResult,
     RuntimeError_,
     SimDeadlockError,
@@ -87,6 +88,7 @@ from repro.rma.runtime_base import (
     allocate_windows,
     bad_request,
     is_step_program,
+    observer_hook,
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -191,8 +193,6 @@ class SimProcessContext(ProcessContext):
         self.rank = state.rank
         self.nranks = runtime.num_ranks
         self._rng: Any = None
-        #: The runtime's observer hook (None when no observer is installed);
-        #: handle wrappers such as verification.oracles.observe_lock use it.
         self.observer = runtime.observer
 
     @property
@@ -343,12 +343,11 @@ class SimRuntime(RMARuntime):
         window_words: int = 64,
         latency: Optional[LatencyModel] = None,
         fabric: Optional[FabricContentionModel] = None,
-        tracer: Optional[Any] = None,
         seed: int = 0,
         barrier_cost_us: float = 2.0,
         max_ops: Optional[int] = None,
         perturbation: Optional[PerturbationModel] = None,
-        observer: Optional[Any] = None,
+        observer: Optional[RunObserver] = None,
         fault_plan: Optional[Any] = None,
     ):
         self.machine = machine
@@ -357,14 +356,11 @@ class SimRuntime(RMARuntime):
         self.fabric = fabric
         if self.fabric is not None:
             self.fabric.validate_machine(machine)
-        #: Optional trace sink with a ``record(rank, call, target, start_us, duration_us)``
-        #: method (e.g. :class:`repro.bench.trace.TraceRecorder`).
-        self.tracer = tracer
         #: Optional seeded schedule perturbation (see repro.rma.perturbation);
         #: None (or an all-zero model) leaves the cost path byte-identical to
         #: the golden-fingerprint behaviour.
         self.perturbation = perturbation
-        #: Optional run observer (see repro.verification.oracles.RunObserver);
+        #: Optional run observer (see repro.rma.runtime_base.RunObserver);
         #: reset via on_run_start at the top of every run().
         self.observer = observer
         #: Optional seeded crash schedule (see repro.fault.FaultPlan).  A null
@@ -553,13 +549,15 @@ class SimRuntime(RMARuntime):
         views = [window.words for window in windows]
         words = self.window_words
         nranks = self._nranks
-        observer = self.observer
+        # Only the per-request hooks the observer's class overrides are
+        # called; None otherwise, so an unobserved run pays one test each.
+        on_rmw = observer_hook(self.observer, "on_rmw")
+        on_request = observer_hook(self.observer, "on_request")
         max_ops = self.max_ops if self.max_ops is not None else _INF
         cost_rows = self._cost
         occ_rows = self._occ
         port_free = self._port_free
         fabric = self.fabric
-        tracer = self.tracer
         versions = self._versions
         watchers = self._watchers
         target_at = _TARGET_AT
@@ -602,8 +600,8 @@ class SimRuntime(RMARuntime):
                                         value = window.fetch_and_op(offset, int(request[1]), request[4])
                                     else:  # CAS
                                         value = window.compare_and_swap(offset, int(request[2]), int(request[1]))
-                                    if observer is not None:
-                                        observer.on_rmw(rank, CALLS[kind])
+                                    if on_rmw is not None:
+                                        on_rmw(rank, CALLS[kind])
                                 # A written cell: count the write, wake its parked ranks.
                                 cell = target * words + offset
                                 if cell in versions:
@@ -654,8 +652,8 @@ class SimRuntime(RMARuntime):
                             if src_node != dst_node:
                                 arrival = fabric.traverse(self._link_free, src_node, dst_node, start)
                                 cost += arrival - start
-                        if tracer is not None:
-                            tracer.record(rank, CALLS[kind], target, start, cost)
+                        if on_request is not None:
+                            on_request(rank, CALLS[kind], target, start, cost)
                         clock = start + cost
                         s.clock = clock
                         if kind == FLUSH:
@@ -791,7 +789,7 @@ class SimRuntime(RMARuntime):
         rank = s.rank
         observer = self.observer
         if incarnation:
-            on_restart = getattr(observer, "on_restart", None)
+            on_restart = observer_hook(observer, "on_restart")
             if on_restart is not None:
                 on_restart(rank, s.clock)
             ctx.incarnation = incarnation
@@ -828,7 +826,7 @@ class SimRuntime(RMARuntime):
         finally:
             steps.close()  # a kill unwinds the program's frames here
         self._kill_at[rank] = _INF  # one crash per rank per run
-        on_crash = getattr(observer, "on_crash", None)
+        on_crash = observer_hook(observer, "on_crash")
         if on_crash is not None:
             on_crash(rank, s.clock)
         fault = self.fault_plan.fault_for(rank)
@@ -991,10 +989,10 @@ class SimRuntime(RMARuntime):
     help="min-heap time-horizon scheduler, the default: one loop steps every rank as a generator (blocking programs through a per-rank thread bridge)",
 )
 def _make_horizon_runtime(
-    machine, *, window_words=64, seed=0, latency=None, fabric=None, tracer=None,
+    machine, *, window_words=64, seed=0, latency=None, fabric=None,
     perturbation=None, observer=None, fault_plan=None,
 ):
     return SimRuntime(
-        machine, window_words=window_words, latency=latency, fabric=fabric, tracer=tracer,
+        machine, window_words=window_words, latency=latency, fabric=fabric,
         seed=seed, perturbation=perturbation, observer=observer, fault_plan=fault_plan,
     )

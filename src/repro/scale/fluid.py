@@ -356,7 +356,6 @@ def run_sampled(
         window_words=table.window_words + 2,
         latency=None,
         fabric=None,
-        tracer=None,
         seed=int(seed),
     )
     result = runtime.run(program, window_init=table.init_window)

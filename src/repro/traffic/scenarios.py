@@ -242,7 +242,7 @@ def make_open_loop_program(
         if crossings:
             table.reset_entries()
         handle = table.make(ctx)
-        observer = getattr(ctx, "observer", None)
+        observer = ctx.observer
         if observer is not None:
             # The oracles' invariants are per lock; watch the hottest entry.
             # The observer survives swaps: rebuilt handles re-wrap with it.

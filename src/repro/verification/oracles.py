@@ -4,16 +4,11 @@ The classes here check the *real* scheme implementations while they run
 inside a deterministic simulator, or inside every interleaving
 :mod:`repro.verification.explorer` enumerates.  The pieces:
 
-* :class:`RunObserver` — the runtime observer hook.  Both deterministic
-  simulators accept an ``observer=``; they call :meth:`~RunObserver.on_run_start`
-  when ``run()`` installs its per-run state (so observer state always resets
-  across ``run()`` re-entry) and :meth:`~RunObserver.on_run_end` when a run
-  drains cleanly.  The per-rank contexts additionally report every remote
-  atomic read-modify-write via :meth:`~RunObserver.on_rmw`.
+* :class:`~repro.rma.runtime_base.RunObserver` — the runtime observer hook,
+  defined next to the runtime interface that calls it and re-exported here.
 * :class:`ObservedLock` / :class:`ObservedRWLock` — transparent handle
-  wrappers (the :class:`~repro.core.instrumentation.InstrumentedLock` pattern)
-  that report ``wait_start``/``acquired``/``released`` events at the
-  acquire/release instrumentation points.  They issue **no RMA calls** of
+  wrappers that report ``wait_start``/``acquired``/``released`` events at
+  the acquire/release instrumentation points.  They issue **no RMA calls** of
   their own, so an observed run's :class:`~repro.rma.runtime_base.RunResult`
   is bit-identical to an unobserved one.
 * :class:`LockOracleObserver` — the live oracle set.  Events arrive in the
@@ -58,7 +53,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.lock_base import LockHandle, RWLockHandle
 from repro.rma.ops import RMACall
-from repro.rma.runtime_base import ProcessContext, Steps
+from repro.rma.runtime_base import ProcessContext, RunObserver, Steps
 
 __all__ = [
     "LockOracleObserver",
@@ -76,53 +71,6 @@ __all__ = [
 
 MODE_WRITE = "write"
 MODE_READ = "read"
-
-
-class RunObserver:
-    """Base observer: every hook is a no-op.
-
-    Subclasses override what they need; the runtimes only require this
-    interface.  Implementations must not issue RMA calls or touch runtime
-    state — observers watch, they never steer (that is what keeps observed
-    runs bit-identical to unobserved ones).
-    """
-
-    def on_run_start(self, nranks: int) -> None:
-        """A run is installing fresh state; reset all observer state."""
-
-    def on_run_end(self) -> None:
-        """The run drained cleanly (not called when a run aborts)."""
-
-    def on_rmw(self, rank: int, call: RMACall) -> None:
-        """``rank`` completed a remote atomic RMW (FAO/CAS)."""
-
-    def wait_start(self, rank: int, mode: str, t: float) -> None:
-        """``rank`` entered ``acquire`` and is about to compete for the lock."""
-
-    def acquired(self, rank: int, mode: str, t: float) -> None:
-        """``rank``'s ``acquire`` returned: it is inside the critical section."""
-
-    def released(self, rank: int, mode: str, t: float) -> None:
-        """``rank`` is about to run ``release`` (still inside the CS)."""
-
-    # -- fault hooks (only fired on runs with a repro.fault.FaultPlan) ----- #
-
-    def on_crash(self, rank: int, t: float) -> None:
-        """``rank`` was killed by the fault plan at virtual time ``t``."""
-
-    def on_restart(self, rank: int, t: float) -> None:
-        """``rank`` was revived at virtual time ``t`` (re-runs its program)."""
-
-    def on_lease(self, rank: int, deadline_us: float) -> None:
-        """``rank`` acquired a leased lock valid until ``deadline_us``.
-
-        Reported by lease-based schemes right after installing their lock
-        word, so recovery oracles can judge takeover legality against the
-        exact deadline instead of reconstructing it.
-        """
-
-    def on_fenced_release(self, rank: int) -> None:
-        """``rank``'s stale release was rejected by the lock's fencing."""
 
 
 @dataclass(frozen=True)

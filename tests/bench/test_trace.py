@@ -32,8 +32,8 @@ def _events():
 class TestTraceRecorder:
     def test_record(self):
         recorder = TraceRecorder()
-        recorder.record(0, RMACall.PUT, 1, 0.0, 1.5)
-        recorder.record(1, RMACall.CAS, 0, 2.0, 0.5)
+        recorder.on_request(0, RMACall.PUT, 1, 0.0, 1.5)
+        recorder.on_request(1, RMACall.CAS, 0, 2.0, 0.5)
         assert len(recorder.events) == 2
         assert recorder.events[0].call == "put"
         assert recorder.events[1].end_us == pytest.approx(2.5)
@@ -41,7 +41,7 @@ class TestTraceRecorder:
     def test_capacity_bounds_memory(self):
         recorder = TraceRecorder(capacity=2)
         for i in range(5):
-            recorder.record(0, RMACall.GET, 0, float(i), 0.1)
+            recorder.on_request(0, RMACall.GET, 0, float(i), 0.1)
         assert len(recorder.events) == 2
         assert recorder.dropped_events == 3
 
@@ -107,11 +107,11 @@ class TestRenderRankActivity:
 
 
 class TestRuntimeIntegration:
-    def test_tracer_records_every_rma_call(self):
+    def test_recorder_sees_every_rma_call(self):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = DMCSLockSpec(num_processes=machine.num_processes)
         recorder = TraceRecorder()
-        runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=1)
+        runtime = SimRuntime(machine, window_words=spec.window_words, observer=recorder, seed=1)
 
         def program(ctx):
             lock = spec.make(ctx)
@@ -132,7 +132,7 @@ class TestRuntimeIntegration:
 
         def trace_for(spec):
             recorder = TraceRecorder()
-            runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=2)
+            runtime = SimRuntime(machine, window_words=spec.window_words, observer=recorder, seed=2)
 
             def program(ctx):
                 lock = spec.make(ctx)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
+import pytest
+
+from repro.api.registry import get_scheme, scheme_names
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.core.lock_base import LockHandle, LockSpec, RWLockSpec, RWLockHandle
 from repro.rma.ops import RMACall
+from repro.rma.runtime_base import RunObserver
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 from repro.verification.oracles import (
@@ -203,6 +208,24 @@ class _BrokenTestThenSetHandle(LockHandle):
         self.ctx.flush(0)
 
 
+#: Every harness scheme this package registers.
+BUILTIN_HARNESS_SCHEMES = [
+    name for name in scheme_names(harness=True)
+    if get_scheme(name).builder.__module__.startswith("repro.")
+]
+
+
+class _EveryHook(RunObserver):
+    """Overrides every :class:`RunObserver` hook and counts its calls."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+
+for _hook in [name for name in vars(RunObserver) if not name.startswith("_")]:
+    setattr(_EveryHook, _hook, lambda self, *args, _hook=_hook: self.calls.update((_hook,)))
+
+
 class TestBrokenLockEndToEnd:
     def test_oracle_catches_mutual_exclusion_violation(self):
         # wcsb, not ecsb: an empty critical section has zero width in the
@@ -224,17 +247,27 @@ class TestBrokenLockEndToEnd:
         assert not report.ok
         assert any(v.oracle == "mutual-exclusion" for v in report.violations)
 
-    def test_observer_does_not_change_the_fingerprint(self):
-        """Observed and unobserved runs are bit-identical (oracles watch only)."""
+    @pytest.mark.parametrize(
+        "scheme, workload",
+        [(scheme, "wcsb") for scheme in BUILTIN_HARNESS_SCHEMES] + [("d-mcs", "traffic-zipf")],
+    )
+    def test_observer_does_not_change_the_fingerprint(self, scheme, workload):
+        """Observed and unobserved runs are bit-identical: an observer that
+        takes every hook, the per-request ones included, watches only."""
         from repro.bench.campaign import run_result_sha
 
         machine = Machine.cluster(nodes=2, procs_per_node=4)
         config = LockBenchConfig(
-            machine=machine, scheme="rma-rw", benchmark="wcsb", iterations=5, fw=0.2, seed=7
+            machine=machine, scheme=scheme, benchmark=workload, iterations=5, fw=0.2, seed=7
         )
         _, bare = run_lock_benchmark_detailed(config)
-        _, observed = run_lock_benchmark_detailed(config, observer=LockOracleObserver())
+        observer = _EveryHook()
+        _, observed = run_lock_benchmark_detailed(config, observer=observer)
         assert run_result_sha(bare) == run_result_sha(observed)
+        ops = observed.op_counts
+        assert observer.calls["on_request"] == observed.total_ops()
+        assert observer.calls["on_rmw"] == ops.get("fao", 0) + ops.get("cas", 0)
+        assert observer.calls["acquired"] == observer.calls["released"] > 0
 
 
 class TestObservedWrappers:

@@ -10,7 +10,7 @@ Two compatibility promises of :mod:`repro.core.lock_base`:
 * Everything that was callable from a blocking rank program still is, on
   every registered runtime: ``acquire()``/``release()`` of the converted
   schemes, ``held()``/``reading()``/``writing()``, the public methods of
-  ``DistributedCounterHandle``, ``InstrumentedLock`` and the DHT under its
+  ``DistributedCounterHandle``, ``ObservedLock`` and the DHT under its
   striped lock.
 """
 
@@ -33,17 +33,18 @@ from repro.bench.harness import (
 )
 from repro.bench.workloads import LockBenchConfig
 from repro.core.dmcs import DMCSLockSpec
-from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.core.rma_rw import RMARWLockSpec
 from repro.dht.hashtable import DHTSpec
 from repro.dht.striped_lock import StripedRWLockSpec
+from repro.fault.observers import TimelineObserver
 from repro.rma.ops import AtomicOp
 from repro.rma.runtime_base import (
     ACCUMULATE, BARRIER, FAO, FLUSH, GET, SPIN_WHILE, is_step_program,
 )
 from repro.topology.builder import cached_machine
+from repro.verification.oracles import observe_lock
 
 from tests.reference import REFERENCE, factory
 from tests.support import rank_threads_started
@@ -203,10 +204,10 @@ class _Ctx:
 PROCS = 4
 
 
-def _blocking_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratch):
+def _blocking_everything_program(rw_spec, mcs_spec, striped, dht, scratch):
     def program(ctx):
         rw = rw_spec.make(ctx)
-        mcs = InstrumentedLock(mcs_spec.make(ctx), ledger, ctx)
+        mcs = observe_lock(mcs_spec.make(ctx), ctx, ctx.observer)
         stripes = striped.make(ctx)
         table = dht.make(ctx)
         ctx.barrier()
@@ -260,13 +261,13 @@ def _blocking_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratc
     return program
 
 
-def _steps_everything_program(rw_spec, mcs_spec, ledger, striped, dht, scratch):
+def _steps_everything_program(rw_spec, mcs_spec, striped, dht, scratch):
     """``_blocking_everything_program``'s step twin: each blocking call is
     the ``*_steps`` generator it is derived from."""
 
     def program(ctx):
         rw = rw_spec.make(ctx)
-        mcs = InstrumentedLock(mcs_spec.make(ctx), ledger, ctx)
+        mcs = observe_lock(mcs_spec.make(ctx), ctx, ctx.observer)
         stripes = striped.make(ctx)
         table = dht.make(ctx)
         yield (BARRIER,)
@@ -317,16 +318,17 @@ def _everything_setup():
     machine = cached_machine(PROCS, 2)
     rw_spec = RMARWLockSpec(machine)
     mcs_spec = DMCSLockSpec(num_processes=PROCS, base_offset=rw_spec.window_words)
-    ledger = GrantLedgerSpec(capacity=8, base_offset=mcs_spec.window_words)
-    striped = StripedRWLockSpec(num_processes=PROCS, base_offset=ledger.window_words)
+    striped = StripedRWLockSpec(num_processes=PROCS, base_offset=mcs_spec.window_words)
     dht = DHTSpec(num_processes=PROCS, table_size=4, heap_size=8, base_offset=striped.window_words)
-    specs = (rw_spec, mcs_spec, ledger, striped, dht, dht.window_words)
+    specs = (rw_spec, mcs_spec, striped, dht, dht.window_words)
 
     def window_init(rank):
-        return LockSpec.merge_inits(*(spec.init_window(rank) for spec in specs[:5]))
+        return LockSpec.merge_inits(*(spec.init_window(rank) for spec in specs[:4]))
 
     def run(name, make_program=_blocking_everything_program):
-        runtime = factory(name)(machine, window_words=dht.window_words + 1, seed=2)
+        runtime = factory(name)(
+            machine, window_words=dht.window_words + 1, seed=2, observer=TimelineObserver()
+        )
         return runtime, runtime.run(make_program(*specs), window_init=window_init)
 
     return specs, run
@@ -341,10 +343,10 @@ def test_blocking_everything_equals_its_step_twin_on_the_reference():
 
 @pytest.mark.parametrize("runtime_name", runtime_names())
 def test_blocking_programs_keep_the_whole_api(runtime_name):
-    (rw_spec, _, ledger, _, _, scratch), run = _everything_setup()
+    (rw_spec, _, _, _, scratch), run = _everything_setup()
     runtime, result = run(runtime_name)
     assert runtime.window(0).read(scratch) == 3 * PROCS
-    assert sorted(ledger.read_grants_from_window(runtime.window(0))) == list(range(PROCS))
+    assert sorted(hold.rank for hold in runtime.observer.holds) == list(range(PROCS))
     previous, after_reset = result.returns[0]
     assert (previous, after_reset) == (0, (0, 0))
     counter = rw_spec.counter

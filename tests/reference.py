@@ -1,7 +1,7 @@
 """The reference interpreter: README "The determinism contract", executable.
 
 A thread-free interpreter of step programs (see "Step programs" in
-:mod:`repro.rma.runtime_base`), written from the eight rules of that README
+:mod:`repro.rma.runtime_base`), written from the nine rules of that README
 section and numbered after them.  It is slow where being fast would need a
 second design: one ready set keyed ``(clock, rank)`` with a push and a pop
 per scheduling point, the latency model's own ``cost`` / ``occupancy``
@@ -29,7 +29,7 @@ from repro.rma.perturbation import perturbation_rng
 from repro.rma.runtime_base import (
     ACCUMULATE, BARRIER, CAS, COMPUTE, FAO, FLUSH, GET, PUT, SPIN, SPIN_WHILE,
     FaultHorizonError, RMARuntime, RunResult, RuntimeError_, SimDeadlockError, Steps,
-    WindowInit, allocate_windows, bad_request, is_step_program,
+    WindowInit, allocate_windows, bad_request, is_step_program, observer_hook,
 )
 from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
@@ -131,7 +131,7 @@ class ReferenceRuntime(RMARuntime):
 
     def __init__(
         self, machine: Machine, *, window_words: int = 64, seed: int = 0, latency: Optional[LatencyModel] = None,
-        fabric: Any = None, tracer: Any = None, perturbation: Any = None, observer: Any = None,
+        fabric: Any = None, perturbation: Any = None, observer: Any = None,
         fault_plan: Any = None, max_ops: Optional[int] = None, barrier_cost_us: float = 2.0,
     ):
         self.machine = machine
@@ -143,7 +143,7 @@ class ReferenceRuntime(RMARuntime):
         self.fabric = fabric
         if fabric is not None:
             fabric.validate_machine(machine)
-        self.tracer, self.perturbation, self.observer, self.max_ops = tracer, perturbation, observer, max_ops
+        self.perturbation, self.observer, self.max_ops = perturbation, observer, max_ops
         self.fault_plan = fault_plan if fault_plan is not None and not fault_plan.is_null else None
         self.barrier_cost_us = float(barrier_cost_us)
 
@@ -187,6 +187,9 @@ class ReferenceRuntime(RMARuntime):
         self._port_free = [0.0] * n
         self._link_free = self.fabric.new_state() if self.fabric is not None else {}
         self._total = 0
+        # Rule 9: only the per-request hooks the observer's class overrides.
+        self._on_request = observer_hook(self.observer, "on_request")
+        self._on_rmw = observer_hook(self.observer, "on_rmw")
         if self.observer is not None:
             self.observer.on_run_start(n)
         try:
@@ -217,7 +220,7 @@ class ReferenceRuntime(RMARuntime):
         error: Optional[Exception] = None
         request, r.pending = r.pending, None
         if r.program is None:  # rule 7: a restarted rank's next incarnation
-            on_restart = getattr(self.observer, "on_restart", None)
+            on_restart = observer_hook(self.observer, "on_restart")
             if on_restart is not None:
                 on_restart(r.rank, r.clock)
             r.ctx.incarnation += 1
@@ -323,8 +326,8 @@ class ReferenceRuntime(RMARuntime):
         if self.fabric is not None and kind != FLUSH and not machine.same_node(origin, target):
             arrival = self.fabric.traverse(self._link_free, machine.node_of(origin), machine.node_of(target), start)
             cost += arrival - start
-        if self.tracer is not None:
-            self.tracer.record(origin, call, target, start, cost)
+        if self._on_request is not None:
+            self._on_request(origin, call, target, start, cost)
         r.clock = start + cost
 
     def _effect(self, r: _Rank, request: tuple) -> Any:
@@ -344,8 +347,8 @@ class ReferenceRuntime(RMARuntime):
             value = window.fetch_and_op(offset, int(request[1]), request[4])
         else:
             value = window.compare_and_swap(offset, int(request[2]), int(request[1]))
-        if kind in (FAO, CAS) and self.observer is not None:
-            self.observer.on_rmw(r.rank, CALLS[kind])
+        if kind in (FAO, CAS) and self._on_rmw is not None:
+            self._on_rmw(r.rank, CALLS[kind])
         cell = (target, offset)
         self._versions[cell] = self._versions.get(cell, 0) + 1
         for woken in self._ranks:
@@ -442,7 +445,7 @@ class ReferenceRuntime(RMARuntime):
                 steps.close()
         r.poll = r.program = None
         r.kill_us = _INF  # one crash per rank per run
-        on_crash = getattr(self.observer, "on_crash", None)
+        on_crash = observer_hook(self.observer, "on_crash")
         if on_crash is not None:
             on_crash(r.rank, r.clock)
         fault = self.fault_plan.fault_for(r.rank)

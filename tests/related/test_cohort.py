@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.instrumentation import GrantLedgerSpec, InstrumentedLock, locality_report
+from repro.core.instrumentation import locality_report
+from repro.fault.observers import TimelineObserver
 from repro.related.cohort import CohortTicketLockSpec
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
+from repro.verification.oracles import observe_lock
 from tests.support import STYLES, run_mutex_check
 
 
@@ -105,19 +107,11 @@ class TestCohortTicketLockProtocol:
         machine = Machine.cluster(nodes=2, procs_per_node=4)
         iterations = 6
         spec = CohortTicketLockSpec(machine, max_local_passes=max_local_passes)
-        ledger = GrantLedgerSpec(
-            capacity=machine.num_processes * iterations,
-            base_offset=spec.window_words,
-        )
-        runtime = SimRuntime(machine, window_words=ledger.window_words, seed=3)
-
-        def window_init(rank):
-            values = dict(spec.init_window(rank))
-            values.update(ledger.init_window(rank))
-            return values
+        timeline = TimelineObserver()
+        runtime = SimRuntime(machine, window_words=spec.window_words, seed=3, observer=timeline)
 
         def program(ctx):
-            lock = InstrumentedLock(spec.make(ctx), ledger, ctx)
+            lock = observe_lock(spec.make(ctx), ctx, ctx.observer)
             ctx.barrier()
             for _ in range(iterations):
                 lock.acquire()
@@ -125,8 +119,9 @@ class TestCohortTicketLockProtocol:
                 lock.release()
             ctx.barrier()
 
-        runtime.run(program, window_init=window_init)
-        grants = ledger.read_grants_from_window(runtime.window(0))
+        runtime.run(program, window_init=spec.init_window)
+        grants = [hold.rank for hold in timeline.holds]
+        assert len(grants) == machine.num_processes * iterations
         return locality_report(machine, grants).node_locality
 
     def test_larger_pass_bound_increases_handoff_locality(self):

@@ -14,6 +14,7 @@ from repro.rma import perturbation as perturbation_module
 from repro.rma.perturbation import (
     SCHEDULE_BYTES, PerturbationModel, PerturbationSchedule, perturbation_rng, perturbation_schedule,
 )
+from repro.rma.runtime_base import RunObserver
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.builder import xc30_like
 from repro.topology.machine import Machine
@@ -25,7 +26,7 @@ from tests.reference import ReferenceRuntime, ScalarRankPerturbation
 CHAOS = dict(latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.05)
 
 
-def _run_case(name: str, runtime_cls, perturbation=None, observer=None, iterations=None, tracer=None):
+def _run_case(name: str, runtime_cls, perturbation=None, observer=None, iterations=None):
     config = golden_config(name)
     if iterations is not None:
         config = replace(config, iterations=iterations)
@@ -36,7 +37,6 @@ def _run_case(name: str, runtime_cls, perturbation=None, observer=None, iteratio
         seed=config.seed,
         perturbation=perturbation,
         observer=observer,
-        tracer=tracer,
     )
     program = make_lock_program(config, spec, is_rw, spec.window_words)
     return runtime.run(program, window_init=spec.init_window)
@@ -212,13 +212,13 @@ CACHE_MODEL = PerturbationModel(seed=17, latency_jitter=0.3, rank_slowdown=1.0, 
 CACHE_CASE = "rma-rw-wcsb-p32"
 
 
-class _EvictAt:
-    """A tracer that empties the schedule cache at the ``at``-th operation."""
+class _EvictAt(RunObserver):
+    """An observer that empties the schedule cache at the ``at``-th operation."""
 
     def __init__(self, at):
         self.at, self.seen = at, 0
 
-    def record(self, *args):
+    def on_request(self, *args):
         self.seen += 1
         if self.seen == self.at:
             perturbation_module._cached_schedule.cache_clear()
@@ -248,7 +248,7 @@ class TestScheduleCache:
 
     def test_after_eviction_mid_run_and_mid_sweep(self, cold):
         evict = _EvictAt(1000)
-        assert result_fingerprint(_run_case(CACHE_CASE, SimRuntime, CACHE_MODEL, tracer=evict)) == cold
+        assert result_fingerprint(_run_case(CACHE_CASE, SimRuntime, CACHE_MODEL, observer=evict)) == cold
         assert evict.seen > 1000
         for seed in range(100, 120):  # more models than the cache holds
             perturbation_schedule(replace(CACHE_MODEL, seed=seed), 32).factors(0)()

@@ -48,7 +48,7 @@ def third_party_runtime():
     )
     def _make_acme(
         machine, *, window_words=64, seed=0, latency=None, fabric=None,
-        tracer=None, perturbation=None, observer=None,
+        perturbation=None, observer=None,
     ):
         return SimRuntime(
             machine,
@@ -56,7 +56,6 @@ def third_party_runtime():
             seed=seed,
             latency=latency,
             fabric=fabric,
-            tracer=tracer,
             perturbation=perturbation,
             observer=observer,
         )

@@ -40,8 +40,8 @@ from repro.bench.harness import (
 from repro.bench.workloads import LockBenchConfig
 from repro.cli import _FAULT_SMOKE_SCHEMES as FAULT_SMOKE_SCHEMES
 from repro.core.lock_base import LockHandle
-from repro.fault import FaultPlan
-from repro.rma.ops import AtomicOp
+from repro.fault import FaultPlan, TimelineObserver
+from repro.rma.ops import AtomicOp, RMACall
 from repro.rma.perturbation import PerturbationModel
 from repro.rma.runtime_base import (
     ACCUMULATE,
@@ -54,6 +54,7 @@ from repro.rma.runtime_base import (
     PUT,
     SPIN,
     SPIN_WHILE,
+    RunObserver,
     RuntimeError_,
     SimDeadlockError,
     blocking_program,
@@ -158,13 +159,13 @@ class TestRegistryWideDifferential:
                     assert not inline[1]["violations"]
 
 
-class _ThreadTracer:
+class _ThreadTracer(RunObserver):
     """Counts the ops the runtime charges, by the thread that charged them."""
 
     def __init__(self):
         self.threads = Counter()
 
-    def record(self, rank, call, target, start_us, duration_us):
+    def on_request(self, rank, call, target, start_us, duration_us):
         self.threads[threading.get_ident()] += 1
 
 
@@ -198,7 +199,7 @@ class TestOneSiteForEveryRequest:
         tracer = _ThreadTracer()
         runtime = SimRuntime(
             config.machine, window_words=spec.window_words + 2, seed=config.seed,
-            tracer=tracer, **kwargs,
+            observer=tracer, **kwargs,
         )
         with rank_threads_started() as threads:
             result = runtime.run(program, window_init=spec.init_window)
@@ -223,6 +224,53 @@ class TestOneSiteForEveryRequest:
         inline, threads = self._charged(monkeypatch, config, program, spec, fault_plan=plan)
         assert threads == 0
         assert inline == _run(config, program, spec, REFERENCE, fault_plan=plan)[0]
+
+
+class TestOnlyOverriddenHooks:
+    """Count-based guard: a runtime calls only the per-request hooks an
+    observer's class overrides, so a hook nobody overrides costs a run
+    nothing.  The base class's no-ops are counted: a runtime that calls a
+    hook regardless shows up as a non-zero count."""
+
+    @staticmethod
+    def _counted(monkeypatch, observer, scheduler):
+        config, spec, program = TestOneSiteForEveryRequest._point("rma-rw")
+        calls = Counter()
+
+        def counting(name):
+            return lambda self, *args: calls.update((name,))
+
+        for name in ("on_rmw", "on_request"):
+            monkeypatch.setattr(RunObserver, name, counting(name))
+        runtime = factory(scheduler)(
+            config.machine, window_words=spec.window_words + 2, seed=config.seed, observer=observer
+        )
+        result = runtime.run(program, window_init=spec.init_window)
+        return calls, result
+
+    @pytest.mark.parametrize("scheduler", ["horizon", REFERENCE])
+    def test_overridden_hooks_only_timeline_takes_no_request_hook(self, monkeypatch, scheduler):
+        timeline = TimelineObserver()
+        calls, result = self._counted(monkeypatch, timeline, scheduler)
+        assert calls == Counter()
+        assert result.op_counts["fao"] and len(timeline.holds) == 8 * 4  # not vacuous
+
+    @pytest.mark.parametrize("scheduler", ["horizon", REFERENCE])
+    def test_overridden_hooks_only_oracle_takes_one_rmw_per_atomic(self, monkeypatch, scheduler):
+        rmws = Counter()
+        on_rmw = LockOracleObserver.on_rmw
+
+        def counted_rmw(self, rank, call):
+            rmws[call] += 1
+            on_rmw(self, rank, call)
+
+        monkeypatch.setattr(LockOracleObserver, "on_rmw", counted_rmw)
+        calls, result = self._counted(monkeypatch, LockOracleObserver(), scheduler)
+        assert calls == Counter()
+        assert {call.value: n for call, n in rmws.items()} == {
+            name: result.op_counts[name] for name in ("fao", "cas") if name in result.op_counts
+        }
+        assert rmws[RMACall.FAO] > 0
 
 
 # --------------------------------------------------------------------------- #

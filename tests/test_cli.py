@@ -198,6 +198,24 @@ class TestTraceCommand:
         assert sum(int(row["ops"]) for row in _table_rows(out, "distance")) == traced
         assert re.findall(r"^rank (\d+) \|", out, re.M) == [str(r) for r in range(8)]
 
+    def test_a_truncated_trace_says_so(self, capsys, monkeypatch):
+        from repro.bench import trace
+
+        args = ["trace", "--scheme", "rma-mcs", "--procs", "8", "--procs-per-node", "4", "--iterations", "3"]
+        assert main(args) == 0
+        total = int(re.search(r"RMA calls traced: (\d+)\n", capsys.readouterr().out).group(1))
+        assert total > 100
+
+        class Capped(trace.TraceRecorder):
+            def __init__(self):
+                super().__init__(capacity=100)
+
+        monkeypatch.setattr(trace, "TraceRecorder", Capped)
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert f"RMA calls traced: 100 of {total}; shares cover the first 100\n" in out
+        assert sum(int(row["count"]) for row in _table_rows(out, "call")) == 100
+
 
 class TestVerifyCommand:
     @pytest.fixture(scope="class")

@@ -327,7 +327,7 @@ class TestReservoirBoundParameter:
         )
         runtime = get_runtime("horizon").factory(
             machine, window_words=table.window_words + 2,
-            latency=None, fabric=None, tracer=None, seed=5,
+            latency=None, fabric=None, observer=None, seed=5,
         )
         result = runtime.run(program, window_init=table.init_window)
         for per_rank in result.returns:

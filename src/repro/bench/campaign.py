@@ -26,13 +26,13 @@ separable concerns:
 Every suite (campaign, conformance, faults, traffic, tune, scale, and the
 paper's figures in :mod:`repro.bench.experiments`) runs its points through
 the same machinery: :func:`run_sweep` is the one cache → pool → store loop,
-:class:`SweepReport` the one report, :func:`bless_sweep` the one cold → warm
-→ check → write bless flow, and :func:`write_manifest_json` the one manifest
-writer.  A suite supplies its points, its worker and its suite-specific
-results (``SweepReport.extra``).
+:class:`SweepReport` the one report, and :func:`manifest_payload` /
+:func:`write_manifest_json` the one manifest writer.  A suite supplies its
+points, its worker and its suite-specific results (``SweepReport.extra``).
 
-``repro regress`` (:mod:`repro.bench.regress`) runs a campaign through this
-engine and gates its rows against the committed ``BENCH_campaign.json``.
+The committed ``BENCH_*.json`` baselines belong to :mod:`repro.bench.regress`:
+its ``bless_sweep`` records one (cold → warm → check → write) and
+``repro regress`` gates them.
 """
 from __future__ import annotations
 
@@ -65,18 +65,17 @@ from repro.topology.builder import cached_machine
 __all__ = [
     "BENCHMARK_SELECTORS",
     "SCHEME_SELECTORS",
-    "BlessError",
     "CampaignPoint",
     "CampaignSpec",
     "DETERMINISM_FIELDS",
     "ResultCache",
     "SweepReport",
-    "bless_sweep",
     "cache_epoch",
     "campaign_names",
     "canonical_json",
     "default_jobs",
     "get_campaign",
+    "manifest_payload",
     "parallel_map",
     "register_campaign",
     "render_campaign_figure",
@@ -515,7 +514,7 @@ def campaign_names() -> Tuple[str, ...]:
 
 
 # The built-in campaigns.  ``ci-gate`` is the manifest `repro regress` gates
-# on: every harness scheme (all nine built-ins plus whatever third parties
+# on: every harness scheme (the 14 built-ins plus whatever third parties
 # registered) on WCSB across the contention axis the related RDMA-lock
 # studies show flips conclusions.
 register_campaign(
@@ -897,7 +896,7 @@ def run_sweep(
     ``cache=False`` disables caching entirely, ``None``/``True`` opens the
     ``namespace`` store under ``cache_dir``, and a :class:`ResultCache`
     object is used as given.  ``refresh=True`` ignores cached rows but still
-    stores the fresh results (the cold-timing mode of :func:`bless_sweep`).
+    stores the fresh results (the cold run of a bless).
     ``servable`` rejects cached rows a sweep must recompute (conformance
     never serves a ``--no-recheck`` row to a rechecking sweep).  Points carry
     their own seeds, so ``jobs=N`` and ``jobs=1`` produce bit-identical rows.
@@ -968,61 +967,15 @@ def run_campaign(
     )
 
 
-class BlessError(RuntimeError):
-    """A bless refused to record its manifest (cache miss or failed check)."""
-
-
-def bless_sweep(
-    run: Callable[..., SweepReport],
-    path: Path,
-    *,
-    jobs: Optional[int] = None,
-    checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
-) -> Tuple[SweepReport, Dict[str, Any]]:
-    """Record a suite's manifest at ``path``: cold, then warm, then checks.
-
-    ``run(jobs=..., refresh=...)`` runs the suite once through the cache.
-    The cold run refreshes every cached row, and the warm run must serve
-    every point from the cache.  Each check gets ``(cold, warm)`` and raises
-    :class:`BlessError` to refuse the bless.  Returns the cold report and the
-    timing block written with it.
-    """
-    cold = run(jobs=jobs, refresh=True)
-    timing: Dict[str, Any] = {
-        "cpu_count": os.cpu_count(),
-        "jobs": cold.jobs,
-        "workers": cold.workers,
-        "cold_wall_s": round(cold.wall_s, 3),
-    }
-    warm = run(jobs=jobs, refresh=False)
-    if warm.cache_hits != warm.points:
-        raise BlessError(
-            f"warm {cold.suite} run expected {warm.points} cache hits, got "
-            f"{warm.cache_hits} — did the cache epoch change (a source edit, "
-            f"REPRO_CACHE_EPOCH) or a concurrent process prune the cache mid-bless?"
-        )
-    timing["warm_wall_s"] = round(warm.wall_s, 3)
-    timing["warm_cache_hits"] = warm.cache_hits
-    if cold.wall_s > 0:
-        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
-    for check in checks:
-        check(cold, warm)
-    write_manifest_json(cold, path, timing=timing)
-    return cold, timing
-
-
-def write_manifest_json(
+def manifest_payload(
     report: SweepReport,
-    path: Path,
     *,
     timing: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Write a sweep's manifest: rows + host metadata + ``extra`` + timing.
+) -> Dict[str, Any]:
+    """A sweep's manifest: rows + host metadata + ``extra`` + timing.
 
-    The single serialization point for every suite's JSON (the committed
-    ``BENCH_*.json`` baselines and the CI reports alike): the transient
-    ``cached`` marker is stripped from every row, and the host block records
-    where the manifest was measured.
+    The transient ``cached`` marker is stripped from every row, and the host
+    block records where the manifest was measured.
     """
     payload: Dict[str, Any] = {
         "suite": report.suite,
@@ -1038,6 +991,23 @@ def write_manifest_json(
     payload.update(report.extra)
     if timing is not None:
         payload["timing"] = dict(timing)
+    return payload
+
+
+def write_manifest_json(
+    report: "SweepReport | Mapping[str, Any]",
+    path: Path,
+    *,
+    timing: Optional[Mapping[str, Any]] = None,
+) -> Path:
+    """Write a sweep's manifest (:func:`manifest_payload`) to ``path``.
+
+    The single serialization point for every suite's JSON (the committed
+    ``BENCH_*.json`` baselines and the CI reports alike).  ``report`` may be
+    a payload :func:`manifest_payload` already built (a bless writes the one
+    it checked).
+    """
+    payload = report if isinstance(report, Mapping) else manifest_payload(report, timing=timing)
     path = Path(path)
     # Atomic: an interrupted --bless leaves the committed manifest as it was.
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,12 +1,12 @@
-"""The ``repro regress`` gate: campaign results vs the committed baselines.
+"""The committed ``BENCH_*.json`` baselines: ``repro regress`` and every ``--bless``.
 
-Runs a campaign (default: ``ci-gate``) through the campaign engine and
-compares its rows against the committed ``BENCH_campaign.json`` manifest, and
-sanity-checks the ``BENCH_traffic.json`` open-loop traffic baseline (see
-:func:`check_traffic_manifest`), the ``BENCH_tune.json`` auto-tuner
-baseline (see :func:`check_tune_manifest`) and the ``BENCH_scale.json``
-fluid-scale baseline (see :func:`check_scale_manifest`).  The gate checks
-determinism only: the fields of
+:func:`check_manifest` is the one check of a manifest, chosen by its
+``suite``.  :func:`bless_sweep` runs it on the exact payload it is about to
+write and refuses (:class:`BlessError`) any hard or fail finding before the
+target is touched; :func:`run_regress` runs it on the committed files, after
+gating a campaign's rows (default: ``ci-gate``) against its baseline.
+
+The gate checks determinism only: the fields of
 :data:`repro.bench.campaign.DETERMINISM_FIELDS` are bit-exact functions of
 each point's seed, and any mismatch is a *hard* failure (exit code
 :data:`EXIT_HARD` = 2): either the scheduler's observable behaviour changed
@@ -14,10 +14,6 @@ each point's seed, and any mismatch is a *hard* failure (exit code
 broke.  Host speed (``sim_ops_per_s``, wall times) is recorded in the rows
 but not compared: speed is measured with the ledger (``python3 -m ledger``).
 A manifest below one of its structural floors exits :data:`EXIT_FAIL` = 1.
-
-``repro regress --bless`` rewrites the baseline through the shared bless
-flow (:func:`repro.bench.campaign.bless_sweep`): a fresh (cache-refreshing)
-run plus its cold/warm wall times.
 
 **Schema-bump rule.** Whenever a field joins (or changes meaning inside)
 :data:`~repro.bench.campaign.DETERMINISM_FIELDS`, bump
@@ -38,11 +34,15 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.campaign import (
+    _REPO_ROOT,
     DETERMINISM_FIELDS,
+    SweepReport,
+    canonical_json,
     get_campaign,
+    manifest_payload,
     run_campaign,
     write_manifest_json,
 )
@@ -51,13 +51,18 @@ __all__ = [
     "EXIT_FAIL",
     "EXIT_HARD",
     "EXIT_OK",
+    "BlessError",
     "Finding",
+    "bless_sweep",
+    "check_campaign_manifest",
+    "check_manifest",
     "check_scale_manifest",
     "check_traffic_manifest",
     "check_tune_manifest",
     "compare_campaign_rows",
     "exit_code",
     "format_findings",
+    "manifest_path",
     "run_regress",
 ]
 
@@ -67,12 +72,14 @@ EXIT_FAIL = 1
 #: Bit-exact determinism fields diverged (or the manifests are unusable).
 EXIT_HARD = 2
 
-_REPO_ROOT = Path(__file__).resolve().parents[3]
+
+def manifest_path(suite: str) -> Path:
+    """The committed manifest of ``suite``: ``BENCH_<suite>.json`` at the repo root."""
+    return _REPO_ROOT / f"BENCH_{suite}.json"
+
+
 DEFAULT_CAMPAIGN = "ci-gate"
-DEFAULT_CAMPAIGN_BASELINE = _REPO_ROOT / "BENCH_campaign.json"
-DEFAULT_TRAFFIC_BASELINE = _REPO_ROOT / "BENCH_traffic.json"
-DEFAULT_TUNE_BASELINE = _REPO_ROOT / "BENCH_tune.json"
-DEFAULT_SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
+DEFAULT_CAMPAIGN_BASELINE = manifest_path("campaign")
 
 #: Structural floor of the committed traffic baseline: the acceptance grid
 #: covers at least this many distinct schemes.
@@ -158,6 +165,18 @@ def compare_campaign_rows(
     return findings
 
 
+def check_campaign_manifest(payload: Mapping[str, Any]) -> List[Finding]:
+    """Check a campaign manifest's row shape: the rows :func:`compare_campaign_rows` reads.
+
+    ``rows`` must be a list of row objects each carrying a ``case`` key.
+    """
+    rows = payload.get("rows")
+    if isinstance(rows, list) and all(isinstance(row, dict) and "case" in row for row in rows):
+        return []
+    message = "'rows' must be a list of row objects each carrying a 'case' key"
+    return [Finding("hard", str(payload.get("campaign", "campaign")), "rows", message)]
+
+
 def _row_findings(name: str, suite: str, rows: Any) -> List[Finding]:
     """The row checks the traffic and scale manifests share.
 
@@ -183,12 +202,10 @@ def _row_findings(name: str, suite: str, rows: Any) -> List[Finding]:
 
 
 def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
-    """Sanity-check the committed ``BENCH_traffic.json`` traffic manifest.
+    """Check a ``BENCH_traffic.json`` traffic manifest.
 
-    The manifest is blessed by ``repro traffic --bless`` (the rows themselves
-    are re-derivable through the campaign cache); here the gate only checks
-    that the *recorded* baseline still documents a healthy sweep: the shared
-    row checks (rows with fingerprints and percentile blocks) and at least
+    The manifest documents a healthy sweep: the shared row checks (rows with
+    fingerprints and percentile blocks) and at least
     :data:`TRAFFIC_MIN_SCHEMES` schemes.
     """
     name = "BENCH_traffic.json"
@@ -211,17 +228,16 @@ def check_traffic_manifest(payload: Mapping[str, Any]) -> List[Finding]:
 
 
 def check_tune_manifest(payload: Mapping[str, Any]) -> List[Finding]:
-    """Sanity-check the committed ``BENCH_tune.json`` auto-tuner manifest.
+    """Check a ``BENCH_tune.json`` auto-tuner manifest.
 
-    The manifest is blessed by ``repro tune --bless`` (grid rows go through
-    the same campaign cache as every other point); the gate checks that the
-    *recorded* baseline still documents a trustworthy threshold table: grid
-    rows exist, every best row carries a re-run determinism certificate
-    (``fingerprint`` bit-equal to ``refingerprint`` — the winner replayed
-    from scratch must reproduce the cached run exactly), and best rows cover
-    at least :data:`TUNE_MIN_SCHEMES` distinct schemes.  Tune rows reuse the
-    campaign row schema, so there is deliberately no schema-version coupling
-    here beyond what the campaign gate already enforces.
+    The manifest documents a trustworthy threshold table: grid rows exist,
+    every best row carries a re-run determinism certificate (``fingerprint``
+    bit-equal to ``refingerprint`` — the winner replayed from scratch must
+    reproduce the cached run exactly), and best rows cover at least
+    :data:`TUNE_MIN_SCHEMES` distinct schemes.  Every finding is reported.
+    Tune rows reuse the campaign row schema, so there is deliberately no
+    schema-version coupling here beyond what the campaign gate already
+    enforces.
     """
     name = "BENCH_tune.json"
     rows = payload.get("rows")
@@ -234,7 +250,8 @@ def check_tune_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     schemes = set()
     for row in best:
         if not isinstance(row, dict) or "scheme" not in row:
-            return [Finding("hard", name, "best", "malformed best row without a 'scheme' key")]
+            findings.append(Finding("hard", name, "best", "malformed best row without a 'scheme' key"))
+            continue
         schemes.add(str(row["scheme"]))
         case = str(row.get("best_case", row["scheme"]))
         fingerprint = row.get("fingerprint")
@@ -266,16 +283,12 @@ def check_tune_manifest(payload: Mapping[str, Any]) -> List[Finding]:
 
 
 def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
-    """Sanity-check the committed ``BENCH_scale.json`` fluid-scale manifest.
+    """Check a ``BENCH_scale.json`` fluid-scale manifest.
 
-    The manifest is blessed by ``repro scale --bless`` (campaign rows go
-    through the shared cache; :func:`repro.scale.engine.check_bless` refuses
-    to record a failing sweep in the first place).  The gate re-checks the
-    *recorded* baseline: the shared row checks (as for the traffic manifest),
-    every fluid validation record is within tolerance and carries one
-    identical sampled fingerprint across its scheduler/re-run matrix, and
-    the re-homing verdict still beats static placement in every compared
-    pair.
+    The shared row checks (as for the traffic manifest), every fluid
+    validation record is within tolerance and carries one identical sampled
+    fingerprint across its scheduler/re-run matrix, and the re-homing
+    verdict beats static placement in every compared pair.
     """
     name = "BENCH_scale.json"
     findings = _row_findings(name, "scale", payload.get("rows"))
@@ -329,13 +342,92 @@ def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     return findings
 
 
+def check_manifest(payload: Any) -> List[Finding]:
+    """The one check of a manifest, chosen by its ``suite``.
+
+    :func:`bless_sweep` runs it on the payload it is about to write and
+    :func:`run_regress` on the committed files, so a bless refuses exactly
+    what the gate would flag.
+    """
+    if not isinstance(payload, Mapping):
+        return [Finding("hard", "manifest", "json", "manifest is not a JSON object")]
+    check = {
+        "campaign": check_campaign_manifest,
+        "traffic": check_traffic_manifest,
+        "tune": check_tune_manifest,
+        "scale": check_scale_manifest,
+    }.get(str(payload.get("suite")))
+    if check is None:
+        message = f"no manifest check for suite {payload.get('suite')!r}"
+        return [Finding("hard", str(payload.get("campaign", "manifest")), "suite", message)]
+    return check(payload)
+
+
+class BlessError(RuntimeError):
+    """A bless refused to record its manifest (cache miss, drift or a failed check)."""
+
+
+def _determinism_json(rows: Sequence[Mapping[str, Any]]) -> str:
+    """The rows' determinism fields, as one canonical JSON string."""
+    return canonical_json(
+        [{name: row[name] for name in DETERMINISM_FIELDS if name in row} for row in rows]
+    )
+
+
+def bless_sweep(
+    run: Callable[..., SweepReport],
+    path: Path,
+    *,
+    jobs: Optional[int] = None,
+) -> Tuple[SweepReport, Dict[str, Any]]:
+    """Record a suite's manifest at ``path``: cold, then warm, then the check.
+
+    ``run(jobs=..., refresh=...)`` runs the suite once through the cache.
+    The cold run refreshes every cached row; the warm run must serve every
+    point from the cache and equal the cold rows on
+    :data:`~repro.bench.campaign.DETERMINISM_FIELDS`.  Then
+    :func:`check_manifest` runs on the payload about to be written, and a
+    hard or fail finding raises :class:`BlessError` before ``path`` is
+    touched.  Returns the cold report and the timing block written with it.
+    """
+    cold = run(jobs=jobs, refresh=True)
+    timing: Dict[str, Any] = {
+        "cpu_count": os.cpu_count(),
+        "jobs": cold.jobs,
+        "workers": cold.workers,
+        "cold_wall_s": round(cold.wall_s, 3),
+    }
+    warm = run(jobs=jobs, refresh=False)
+    if warm.cache_hits != warm.points:
+        raise BlessError(
+            f"warm {cold.suite} run expected {warm.points} cache hits, got "
+            f"{warm.cache_hits} — did the cache epoch change (a source edit, "
+            f"REPRO_CACHE_EPOCH) or a concurrent process prune the cache mid-bless?"
+        )
+    if _determinism_json(warm.rows) != _determinism_json(cold.rows):
+        raise BlessError(
+            f"warm {cold.suite} rows drifted from the cold run's determinism fields; "
+            f"refusing to bless"
+        )
+    timing["warm_wall_s"] = round(warm.wall_s, 3)
+    timing["warm_cache_hits"] = warm.cache_hits
+    if cold.wall_s > 0:
+        timing["warm_over_cold"] = round(warm.wall_s / cold.wall_s, 4)
+    payload = manifest_payload(cold, timing=timing)
+    refused = [f for f in check_manifest(payload) if f.level in ("hard", "fail")]
+    if refused:
+        raise BlessError(
+            f"refusing to bless {path}: `repro regress` would flag the manifest\n"
+            f"{format_findings(refused)}"
+        )
+    write_manifest_json(payload, path)
+    return cold, timing
+
+
 def run_regress(
     *,
     campaign: str = DEFAULT_CAMPAIGN,
     baseline_path: Path = DEFAULT_CAMPAIGN_BASELINE,
-    traffic_baseline_path: Optional[Path] = DEFAULT_TRAFFIC_BASELINE,
-    tune_baseline_path: Optional[Path] = DEFAULT_TUNE_BASELINE,
-    scale_baseline_path: Optional[Path] = DEFAULT_SCALE_BASELINE,
     jobs: Optional[int] = None,
     fresh: bool = True,
     cache_dir: Optional[Path] = None,
@@ -349,8 +441,9 @@ def run_regress(
     ``fresh=False`` (CLI ``--reuse-cache``) opts into cache reads for quick
     iterating; the cache epoch follows the package sources, so cached
     determinism fields are current.  Either way the cache is refreshed with
-    the run's rows.  ``repro regress --bless`` does not come here: it runs
-    the shared bless flow (:func:`repro.bench.campaign.bless_sweep`).
+    the run's rows.  The committed traffic, tune and scale manifests are
+    always checked.  ``repro regress --bless`` does not come here: it runs
+    :func:`bless_sweep`.
     """
     get_campaign(campaign)  # validate early with the helpful UnknownNameError
 
@@ -363,17 +456,13 @@ def run_regress(
         return EXIT_HARD
     try:
         baseline = json.loads(baseline_path.read_text())
-        baseline_rows = baseline["rows"]
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print_fn(f"regress: unreadable baseline manifest {baseline_path}: {exc}")
         return EXIT_HARD
-    if not isinstance(baseline_rows, list) or not all(
-        isinstance(row, dict) and "case" in row for row in baseline_rows
-    ):
-        print_fn(
-            f"regress: malformed baseline manifest {baseline_path}: "
-            f"'rows' must be a list of row objects each carrying a 'case' key"
-        )
+    findings = check_manifest(baseline)
+    if exit_code(findings) == EXIT_HARD:
+        print_fn(f"regress: malformed baseline manifest {baseline_path}")
+        print_fn(format_findings(findings))
         return EXIT_HARD
 
     report = run_campaign(campaign, jobs=jobs, cache_dir=cache_dir, refresh=fresh)
@@ -390,34 +479,19 @@ def run_regress(
         write_manifest_json(report, Path(output), timing=timing)
         print_fn(f"wrote {output}")
 
-    findings = compare_campaign_rows(baseline_rows, report.rows)
-    for path, default, check, suite in (
-        (traffic_baseline_path, DEFAULT_TRAFFIC_BASELINE, check_traffic_manifest, "traffic"),
-        (tune_baseline_path, DEFAULT_TUNE_BASELINE, check_tune_manifest, "tune"),
-        (scale_baseline_path, DEFAULT_SCALE_BASELINE, check_scale_manifest, "scale"),
-    ):
-        if path is None:  # 'none' on the CLI opts out
-            continue
-        path = Path(path)
+    findings.extend(compare_campaign_rows(baseline["rows"], report.rows))
+    for suite in ("traffic", "tune", "scale"):
+        path = manifest_path(suite)
         if not path.exists():
-            # The default file missing is survivable (warn); an explicit
-            # path must exist.
-            level = "warn" if path == default else "hard"
-            findings.append(
-                Finding(
-                    level,
-                    str(path),
-                    "file",
-                    f"{suite} manifest not found; run `repro {suite} --bless` to record one",
-                )
-            )
+            message = f"{suite} manifest not found; run `repro {suite} --bless` to record one"
+            findings.append(Finding("warn", str(path), "file", message))
             continue
         try:
             payload = json.loads(path.read_text())
         except ValueError as exc:
             findings.append(Finding("hard", str(path), "json", f"unreadable manifest: {exc}"))
             continue
-        findings.extend(check(payload))
+        findings.extend(check_manifest(payload))
 
     print_fn(format_findings(findings))
     code = exit_code(findings)

@@ -18,8 +18,9 @@ The subcommands cover the common workflows:
   multi-core execution with the content-addressed result cache).
 * ``regress`` — run the gate campaign and compare its determinism fields
   bit-exactly against the committed ``BENCH_campaign.json`` baseline, and
-  sanity-check the traffic, tune and scale manifests (the check CI calls;
-  ``--bless`` records a new baseline).  Speed is not gated here: it is
+  check the committed traffic, tune and scale manifests (the check CI calls;
+  ``--bless`` records a new baseline).  Every ``--bless`` refuses a manifest
+  that ``regress`` would flag.  Speed is not gated here: it is
   measured with the ledger (``python3 -m ledger``).
 * ``conform`` — the conformance & chaos sweep: every registered scheme under
   seeded schedule perturbation with the live safety/fairness oracles, each
@@ -50,8 +51,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import benchmark_names, get_scheme, scheme_names
-from repro.bench.campaign import SweepReport, bless_sweep, write_manifest_json
+from repro.bench.campaign import SweepReport, write_manifest_json
 from repro.bench.harness import run_lock_benchmark
+from repro.bench.regress import bless_sweep, manifest_path
 from repro.bench.report import format_figure, format_table
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.portability import environments, supports_all_required_ops
@@ -129,7 +131,8 @@ def _add_sweep_flags(
     if bless:
         parser.add_argument("--bless", action="store_true",
                             help="record a new committed baseline through the campaign "
-                                 "cache (cold run, then a warm run that must hit every row)")
+                                 "cache (cold run, then a warm run that must hit every row); "
+                                 "refuses a manifest `repro regress` would flag")
         parser.add_argument("--baseline", default=None,
                             help="baseline manifest path (default: the suite's "
                                  "committed <repo>/BENCH_*.json)")
@@ -211,13 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(regress, cache=False, bless=True)
     regress.add_argument("--campaign", default="ci-gate",
                          help="campaign to gate on (any other than ci-gate needs --baseline)")
-    regress.add_argument("--traffic-baseline", default=None,
-                         help="traffic manifest to sanity-check (default: <repo>/BENCH_traffic.json); 'none' skips")
-    regress.add_argument("--scale-baseline", default=None,
-                         help="BENCH_scale.json path to sanity-check "
-                              "(default: the committed one; 'none' skips)")
-    regress.add_argument("--tune-baseline", default=None,
-                         help="tune manifest to sanity-check (default: <repo>/BENCH_tune.json); 'none' skips")
     regress.add_argument("--reuse-cache", action="store_true",
                          help="serve cached rows instead of recomputing (the gate recomputes by "
                               "default so it checks what this code produces, not the cache)")
@@ -563,8 +559,6 @@ def _sweep(
     args: argparse.Namespace,
     run: Callable[..., SweepReport],
     baseline: Optional[Path] = None,
-    *,
-    checks: Sequence[Callable[[SweepReport, SweepReport], None]] = (),
 ) -> Tuple[SweepReport, Optional[Tuple[Path, Dict[str, Any]]]]:
     """Run one suite from its shared flags, or bless it under ``--bless``.
 
@@ -574,8 +568,10 @@ def _sweep(
     """
     run = partial(run, cache_dir=Path(args.cache_dir) if args.cache_dir else None)
     if getattr(args, "bless", False):
+        if getattr(args, "no_cache", False):
+            raise ValueError("--bless needs the cache for its warm run; drop --no-cache")
         path = Path(args.baseline) if args.baseline else baseline
-        report, timing = bless_sweep(run, path, jobs=args.jobs, checks=checks)
+        report, timing = bless_sweep(run, path, jobs=args.jobs)
         return report, (path, timing)
     report = run(
         jobs=args.jobs, cache=False if args.no_cache else None, refresh=args.refresh
@@ -605,13 +601,6 @@ def _finish(
             print(f"wrote {args.output}")
     elif args.output:
         print(f"wrote {write_manifest_json(report, Path(args.output))}")
-
-
-def _manifest_path(value: Optional[str], default: Path) -> Optional[Path]:
-    """A regress ``--*-baseline`` value: a path, the default, or ``none``."""
-    if value == "none":
-        return None
-    return Path(value) if value else default
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
@@ -718,13 +707,6 @@ def _run_regress(args: argparse.Namespace) -> int:
     return regress_mod.run_regress(
         campaign=args.campaign,
         baseline_path=baseline,
-        traffic_baseline_path=_manifest_path(
-            args.traffic_baseline, regress_mod.DEFAULT_TRAFFIC_BASELINE
-        ),
-        tune_baseline_path=_manifest_path(args.tune_baseline, regress_mod.DEFAULT_TUNE_BASELINE),
-        scale_baseline_path=_manifest_path(
-            args.scale_baseline, regress_mod.DEFAULT_SCALE_BASELINE
-        ),
         jobs=args.jobs,
         fresh=not args.reuse_cache,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -859,7 +841,7 @@ def _run_traffic(args: argparse.Namespace) -> int:
     report, blessed = _sweep(
         args,
         partial(traffic_engine.run_traffic, spec),
-        traffic_engine.DEFAULT_TRAFFIC_BASELINE,
+        manifest_path("traffic"),
     )
     print(format_table(traffic_engine.traffic_display_rows(report.rows)))
     _finish(
@@ -881,8 +863,7 @@ def _run_scale(args: argparse.Namespace) -> int:
     report, blessed = _sweep(
         args,
         partial(scale_engine.run_scale, spec, fluid_names=args.fluid),
-        scale_engine.DEFAULT_SCALE_BASELINE,
-        checks=(scale_engine.check_bless,),
+        manifest_path("scale"),
     )
     print(format_table(scale_engine.scale_display_rows(report)))
     fluid, rehome = report.extra["fluid"], report.extra["rehome"]
@@ -934,8 +915,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     report, blessed = _sweep(
         args,
         partial(tune_mod.run_tune, grids, smoke=args.smoke),
-        tune_mod.DEFAULT_TUNE_BASELINE,
-        checks=(tune_mod.check_bless,),
+        manifest_path("tune"),
     )
     print(tune_mod.render_sensitivity(report.extra["sensitivity"]))
     best_rows = [

@@ -18,8 +18,8 @@ and the winners land in ``BENCH_tune.json``:
 * the policy feed — :func:`policy_from_tune` folds the winners into a
   :class:`~repro.control.policy.PolicyTable` for the online controller.
 
-``repro regress`` sanity-checks the committed manifest (see
-:func:`repro.bench.regress.check_tune_manifest`).  Grids cover any scheme
+``repro tune --bless`` refuses, and ``repro regress`` flags, a manifest that
+:func:`repro.bench.regress.check_tune_manifest` rejects.  Grids cover any scheme
 whose registration declares tunable parameters — third-party
 ``@register_scheme`` locks included, with zero tune-side code.
 """
@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, get_benchmark, get_runtime, get_scheme
 from repro.bench.campaign import (
-    BlessError,
     CampaignPoint,
     ResultCache,
     SweepReport,
@@ -43,20 +42,13 @@ from repro.bench.campaign import (
 )
 
 __all__ = [
-    "DEFAULT_TUNE_BASELINE",
     "TuneGrid",
-    "check_bless",
     "default_grids",
     "derive_axis",
     "policy_from_tune",
     "render_sensitivity",
     "run_tune",
 ]
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-#: The committed best-known-thresholds manifest (``repro tune --bless``).
-DEFAULT_TUNE_BASELINE = _REPO_ROOT / "BENCH_tune.json"
 
 #: Curated axes where the registered default alone cannot span the paper's
 #: sensitivity range (``t_dc`` defaults to None = one counter per node, and
@@ -334,16 +326,6 @@ def run_tune(
     report.wall_s = time.perf_counter() - t0
     report.extra.update(scheduler=scheduler, best=best_rows, sensitivity=sensitivity)
     return report
-
-
-def check_bless(cold: SweepReport, warm: SweepReport) -> None:
-    """Bless check: no grid winner's fingerprint drifts from cold to warm."""
-    for cold_best, warm_best in zip(cold.extra["best"], warm.extra["best"]):
-        if cold_best["fingerprint"] != warm_best["fingerprint"]:
-            raise BlessError(
-                f"tune grid {cold_best['grid']} winner fingerprint drifted "
-                f"between the cold and warm sweeps"
-            )
 
 
 def render_sensitivity(sensitivity: Sequence[Mapping[str, Any]], *, width: int = 44) -> str:

@@ -49,7 +49,6 @@ from repro.scale.fluid import (
     validate_fluid,
 )
 from repro.scale.engine import (
-    DEFAULT_SCALE_BASELINE,
     SCALE_SUITE,
     rehome_comparison,
     run_scale,
@@ -58,7 +57,6 @@ from repro.scale.engine import (
 )
 
 __all__ = [
-    "DEFAULT_SCALE_BASELINE",
     "ELASTIC_PLAN",
     "ELASTIC_SCENARIO",
     "ElasticPlan",

@@ -18,10 +18,10 @@ and the re-homing verdict.  One sweep produces three artifact groups:
   end-to-end p99 delta.
 
 ``repro scale --bless`` writes ``BENCH_scale.json`` through
-:func:`repro.bench.campaign.bless_sweep`, which runs :func:`check_bless`
-first: it refuses a baseline whose fluid records fail or in which re-homing
-does not beat static placement.  ``repro regress --scale-baseline`` gates the
-committed file via :func:`repro.bench.regress.check_scale_manifest`.
+:func:`repro.bench.regress.bless_sweep`, which refuses a manifest that
+:func:`repro.bench.regress.check_scale_manifest` flags: fluid records that
+fail, or re-homing that does not beat static placement.  ``repro regress``
+runs the same check on the committed file.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.campaign import (
-    BlessError,
     CampaignSpec,
     SweepReport,
     get_campaign,
@@ -42,19 +41,12 @@ from repro.scale.fluid import FLUID_SCENARIOS, get_fluid_scenario, validate_flui
 from repro.traffic.engine import run_traffic
 
 __all__ = [
-    "DEFAULT_SCALE_BASELINE",
     "SCALE_SUITE",
-    "check_bless",
     "rehome_comparison",
     "run_scale",
     "scale_display_rows",
     "scale_spec",
 ]
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-#: The committed scale baseline manifest (``repro scale --bless``).
-DEFAULT_SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
 
 #: The scale campaign grid.  P is pinned to 32 because the hot-key pair's
 #: ``bias_ranks=(24, 32)`` names the fourth node of a 32-rank / 8-per-node
@@ -175,27 +167,6 @@ def run_scale(
     return replace(
         report, suite="scale", wall_s=time.perf_counter() - t0, extra=extra
     )
-
-
-def check_bless(cold: SweepReport, warm: SweepReport) -> None:
-    """Bless check: every fluid record validates and re-homing beats static."""
-    for record in cold.extra["fluid"]:
-        if not record["within_tolerance"]:
-            failed = [c["name"] for c in record["checks"] if not c["ok"]]
-            raise BlessError(
-                f"fluid scenario {record['name']!r} failed validation checks "
-                f"{failed}; refusing to bless"
-            )
-        if not record["fingerprints_identical"]:
-            raise BlessError(
-                f"fluid scenario {record['name']!r} produced divergent sampled "
-                f"fingerprints {record['fingerprints']}; refusing to bless"
-            )
-    if not cold.extra["rehome"]["improved"]:
-        raise BlessError(
-            f"re-homing did not beat static placement: {cold.extra['rehome']['pairs']}; "
-            f"refusing to bless"
-        )
 
 
 def scale_display_rows(report: SweepReport) -> List[Dict[str, Any]]:

@@ -13,9 +13,9 @@ module adds:
 * **Percentile report tables** — :func:`traffic_display_rows` flattens the
   nested percentile/phase fields into the table the CLI prints.
 * **The committed baseline** — ``repro traffic --bless`` records
-  ``BENCH_traffic.json`` through :func:`repro.bench.campaign.bless_sweep`;
-  :func:`repro.bench.regress.check_traffic_manifest` sanity-checks the
-  committed file on every gate run.
+  ``BENCH_traffic.json`` through :func:`repro.bench.regress.bless_sweep`;
+  :func:`repro.bench.regress.check_traffic_manifest` checks it there and on
+  every gate run.
 """
 
 from __future__ import annotations
@@ -34,18 +34,12 @@ from repro.bench.campaign import (
 )
 
 __all__ = [
-    "DEFAULT_TRAFFIC_BASELINE",
     "SMOKE_SCHEMES",
     "run_traffic",
     "top_key_rows",
     "traffic_display_rows",
     "traffic_spec",
 ]
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-#: The committed traffic baseline manifest (``repro traffic --bless``).
-DEFAULT_TRAFFIC_BASELINE = _REPO_ROOT / "BENCH_traffic.json"
 
 #: Grid used by ``repro traffic --smoke`` (the CI job): three structurally
 #: distinct schemes on two scenarios at a small P, horizon scheduler only.

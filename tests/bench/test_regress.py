@@ -1,4 +1,4 @@
-"""Tests for the `repro regress` gate: comparisons, exit codes, blessing."""
+"""Tests for the committed baselines: the regress gate, its checks, blessing."""
 
 from __future__ import annotations
 
@@ -8,15 +8,21 @@ from functools import partial
 
 import pytest
 
-from repro.bench.campaign import DETERMINISM_FIELDS, CampaignSpec, bless_sweep, run_campaign
+from repro.bench.campaign import DETERMINISM_FIELDS, CampaignSpec, run_campaign
 from repro.bench.regress import (
     EXIT_HARD,
     EXIT_OK,
+    BlessError,
+    bless_sweep,
+    check_manifest,
     compare_campaign_rows,
     exit_code,
     format_findings,
     run_regress,
 )
+from repro.control.tune import TuneGrid, run_tune
+from repro.scale.engine import run_scale, scale_spec
+from repro.traffic.engine import run_traffic, traffic_spec
 
 TINY = CampaignSpec(
     name="tiny-regress",
@@ -28,6 +34,35 @@ TINY = CampaignSpec(
     procs_per_node=4,
     seed=11,
 )
+
+
+#: Per suite, three schemes: they clear the traffic and tune scheme floors.
+_TUNE_AXES = {"rma-rw": ("t_r", 16), "hbo": ("local_cap_us", 0.5), "lock-server": ("queue_threshold", 0)}
+_TRAFFIC_SCHEMES = ("fompi-spin", "rma-mcs", "rma-rw")
+
+
+def _tiny_run(suite, cache_dir, schemes=None):
+    """``run(jobs=..., refresh=...)`` of a tiny ``suite`` grid on its own cache."""
+    if suite == "campaign":
+        return partial(run_campaign, TINY, cache_dir=cache_dir)
+    if suite == "traffic":
+        spec = traffic_spec(
+            schemes=schemes or _TRAFFIC_SCHEMES, scenarios=("traffic-zipf",),
+            process_counts=(8,), iterations=3,
+        )
+        return partial(run_traffic, spec, cache_dir=cache_dir)
+    if suite == "scale":
+        return partial(
+            run_scale, scale_spec(smoke=True), cache_dir=cache_dir, fluid_names=("fluid-phased",)
+        )
+    grids = [
+        TuneGrid(
+            scheme=scheme, param=_TUNE_AXES[scheme][0], scenario="traffic-zipf",
+            values=(_TUNE_AXES[scheme][1],), procs=8, iterations=3, procs_per_node=4,
+        )
+        for scheme in schemes or _TUNE_AXES
+    ]
+    return partial(run_tune, grids, cache_dir=cache_dir)
 
 
 def _baseline_row(case="a", ops=1000.0, fingerprint="f" * 64):
@@ -209,3 +244,37 @@ class TestEndToEnd:
         assert [{k: v for k, v in row.items() if k != "cached"} for row in warm.rows] == [
             {k: v for k, v in row.items() if k != "cached"} for row in cold.rows
         ]
+
+
+class TestCheckManifest:
+    @pytest.mark.parametrize("suite", ["campaign", "traffic", "scale", "tune"])
+    def test_every_bless_passes_its_own_check(self, suite, tmp_path):
+        baseline = tmp_path / f"BENCH_{suite}.json"
+        bless_sweep(_tiny_run(suite, tmp_path / "cache"), baseline, jobs=1)
+        payload = json.loads(baseline.read_text())
+        assert payload["suite"] == suite
+        assert check_manifest(payload) == []
+
+    @pytest.mark.parametrize("suite", ["traffic", "tune"])
+    def test_a_one_scheme_bless_is_refused(self, suite, tmp_path):
+        """The scheme floor refuses the bless; the target keeps its bytes."""
+        baseline = tmp_path / f"BENCH_{suite}.json"
+        baseline.write_bytes(b"committed\n")
+        run = _tiny_run(suite, tmp_path / "cache", schemes=("rma-rw",))
+        with pytest.raises(BlessError, match=r"schemes: .* 1 scheme\(s\)"):
+            bless_sweep(run, baseline, jobs=1)
+        assert baseline.read_bytes() == b"committed\n"
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (["not", "an", "object"], "json"),
+            ({"rows": []}, "suite"),
+            ({"suite": "conformance", "rows": []}, "suite"),
+            ({"suite": "campaign", "rows": ["not-a-row"]}, "rows"),
+            ({"suite": "campaign"}, "rows"),
+        ],
+        ids=["list", "no-suite", "unchecked-suite", "bad-row", "no-rows"],
+    )
+    def test_an_unusable_manifest_is_hard(self, payload, field):
+        assert [(f.level, f.field) for f in check_manifest(payload)] == [("hard", field)]

@@ -8,11 +8,10 @@ from functools import partial
 import pytest
 
 from repro.api.registry import UnknownNameError, get_scheme
-from repro.bench.campaign import BlessError, SweepReport, bless_sweep
-from repro.bench.regress import check_tune_manifest
+from repro.bench.campaign import SweepReport
+from repro.bench.regress import BlessError, bless_sweep, check_tune_manifest, manifest_path
 from repro.control.tune import (
     TuneGrid,
-    check_bless,
     default_grids,
     derive_axis,
     policy_from_tune,
@@ -23,6 +22,19 @@ from repro.control.tune import (
 TINY_GRID = TuneGrid(
     scheme="rma-rw", param="t_r", scenario="traffic-readheavy",
     values=(16, 64), procs=8, iterations=4, procs_per_node=4, seed=5,
+)
+
+#: Three schemes, so a bless clears the tune manifest's scheme floor.
+TINY_GRIDS = (
+    TINY_GRID,
+    TuneGrid(
+        scheme="hbo", param="local_cap_us", scenario="traffic-zipf",
+        values=(0.5,), procs=8, iterations=4, procs_per_node=4, seed=5,
+    ),
+    TuneGrid(
+        scheme="lock-server", param="queue_threshold", scenario="traffic-zipf",
+        values=(0,), procs=8, iterations=4, procs_per_node=4, seed=5,
+    ),
 )
 
 
@@ -89,21 +101,18 @@ class TestRunTune:
     def test_bless_round_trips_through_the_gate(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "tune-bless-test")
         baseline = tmp_path / "BENCH_tune.json"
-        run = partial(run_tune, [TINY_GRID], cache_dir=tmp_path / "cache")
-        report, _ = bless_sweep(run, baseline, jobs=1, checks=(check_bless,))
+        run = partial(run_tune, TINY_GRIDS, cache_dir=tmp_path / "cache")
+        report, _ = bless_sweep(run, baseline, jobs=1)
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "tune"
-        assert payload["timing"]["warm_cache_hits"] == report.points == 3
-        assert payload["best"] and payload["sensitivity"]
-        # One scheme only, so the scheme floor fails — but nothing is hard.
-        findings = check_tune_manifest(payload)
-        assert [f.level for f in findings] == ["fail"]
-        assert findings[0].field == "schemes"
+        assert payload["timing"]["warm_cache_hits"] == report.points == 7
+        assert len(payload["best"]) == len(payload["sensitivity"]) == 3
+        assert check_tune_manifest(payload) == []
 
     def test_bless_follows_the_scheduler(self, tmp_path, reference):
         baseline = tmp_path / "BENCH_tune.json"
-        run = partial(run_tune, [TINY_GRID], scheduler=reference, cache_dir=tmp_path / "cache")
-        bless_sweep(run, baseline, jobs=1, checks=(check_bless,))
+        run = partial(run_tune, TINY_GRIDS, scheduler=reference, cache_dir=tmp_path / "cache")
+        bless_sweep(run, baseline, jobs=1)
         payload = json.loads(baseline.read_text())
         assert payload["scheduler"] == reference
         assert all(row["scheduler"] == reference for row in payload["rows"])
@@ -111,14 +120,32 @@ class TestRunTune:
         assert all("-i4-ppn4-reference" in row["case"] for row in payload["rows"])
         assert all("-i4-ppn4-reference" in b["best_case"] for b in payload["best"])
 
-    def test_check_refuses_a_drifting_winner(self):
-        def report(fingerprint):
-            best = [{"grid": "g", "fingerprint": fingerprint}]
-            return SweepReport("tune", "tune-suite", [], 1, 0.0, 0, 0, "e", extra={"best": best})
+    def test_check_refuses_a_drifting_winner(self, tmp_path):
+        """The bless refuses a warm sweep whose rows (and so whose winners'
+        fingerprints) drift from the cold sweep's, and writes nothing."""
 
-        check_bless(report("ab"), report("ab"))
+        def runner(warm_fingerprint):
+            def run(*, jobs, refresh):
+                fingerprint = "ab" if refresh else warm_fingerprint
+                rows = [{"case": f"{s}-case", "fingerprint": fingerprint} for s in "xyz"]
+                best = [
+                    {"grid": f"g-{s}", "scheme": s, "best_case": f"{s}-case",
+                     "fingerprint": fingerprint, "refingerprint": fingerprint}
+                    for s in "xyz"
+                ]
+                hits = 0 if refresh else len(rows)
+                return SweepReport(
+                    "tune", "tune-suite", rows, 1, 0.0, hits, len(rows) - hits, "e",
+                    extra={"best": best},
+                )
+            return run
+
+        baseline = tmp_path / "BENCH_tune.json"
+        bless_sweep(runner("ab"), baseline, jobs=1)
+        blessed = baseline.read_bytes()
         with pytest.raises(BlessError, match="drifted"):
-            check_bless(report("ab"), report("cd"))
+            bless_sweep(runner("cd"), baseline, jobs=1)
+        assert baseline.read_bytes() == blessed
 
     def test_render_sensitivity_shows_axis_and_default(self):
         text = render_sensitivity([{
@@ -163,10 +190,19 @@ class TestTuneManifestGate:
         findings = check_tune_manifest(self._payload(schemes=("a", "b")))
         assert any(f.level == "fail" and f.field == "schemes" for f in findings)
 
-    def test_committed_baseline_passes(self):
-        from repro.bench.regress import DEFAULT_TUNE_BASELINE
+    def test_a_best_row_without_scheme_keeps_the_other_findings(self):
+        payload = self._payload()
+        payload["best"][0]["refingerprint"] = "cd" * 32
+        del payload["best"][1]["scheme"]
+        findings = check_tune_manifest(payload)
+        assert sorted((f.level, f.case, f.field) for f in findings) == [
+            ("fail", "BENCH_tune.json", "schemes"),
+            ("hard", "BENCH_tune.json", "best"),
+            ("hard", "a-case", "refingerprint"),
+        ]
 
-        payload = json.loads(DEFAULT_TUNE_BASELINE.read_text())
+    def test_committed_baseline_passes(self):
+        payload = json.loads(manifest_path("tune").read_text())
         assert check_tune_manifest(payload) == []
         # The acceptance criterion: the tuner beats the static defaults'
         # p99 on at least one built-in traffic scenario.
@@ -197,9 +233,7 @@ class TestPolicyFeed:
         assert {r.scheme for r in table.rules} == {"rma-rw", "hbo"}
 
     def test_committed_baseline_feeds_a_valid_policy(self):
-        from repro.control.tune import DEFAULT_TUNE_BASELINE
-
-        table = policy_from_tune(DEFAULT_TUNE_BASELINE)
+        table = policy_from_tune(manifest_path("tune"))
         assert len(table.rules) >= 3  # rule validation ran for every winner
 
 

@@ -2,8 +2,8 @@
 
 These pin the subsystem's integration contract: the ``scale-suite`` campaign
 narrows like every other suite, the re-homing verdict pairs rows correctly,
-``BENCH_scale.json`` round-trips through the campaign cache and the regress
-gate accepts exactly the manifests ``repro scale --bless`` records.
+``BENCH_scale.json`` round-trips through the campaign cache, and a bless
+refuses a manifest the regress gate would flag.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.campaign import BlessError, SweepReport, bless_sweep
-from repro.bench.regress import check_scale_manifest
+from repro.bench.campaign import SweepReport
+from repro.bench.regress import BlessError, bless_sweep, check_scale_manifest
 from repro.scale import engine as scale_engine
 from repro.traffic.engine import run_traffic
 
@@ -181,37 +181,45 @@ class TestBless:
             scale_engine.run_scale, spec, schedulers=("horizon", reference),
             cache_dir=tmp_path / "cache", fluid_names=("fluid-phased",),
         )
-        report, _ = bless_sweep(
-            run, baseline, jobs=1, checks=(scale_engine.check_bless,)
-        )
+        report, _ = bless_sweep(run, baseline, jobs=1)
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "scale"
         assert payload["timing"]["warm_cache_hits"] == report.points == 6
         assert payload["rehome"]["improved"] is True
-        assert check_scale_manifest(payload) == []  # the gate accepts its own bless
 
-    def test_check_refuses_failing_fluid_or_rehome(self):
-        def report(within=True, identical=True, improved=True):
-            fluid = {
-                "name": "fluid-phased",
-                "within_tolerance": within,
-                "fingerprints_identical": identical,
-                "fingerprints": ["cd" * 32],
-                "checks": [{"name": "offered_rate_per_us", "ok": within}],
-            }
-            return SweepReport(
-                "scale", "scale-suite", [], 1, 0.0, 0, 0, "e",
-                extra={"fluid": [fluid], "rehome": {"pairs": [], "improved": improved}},
-            )
+    def test_check_refuses_failing_fluid_or_rehome(self, tmp_path):
+        def runner(within=True, identical=True, improved=True):
+            def run(*, jobs, refresh):
+                fluid = {
+                    "name": "fluid-phased",
+                    "within_tolerance": within,
+                    "fingerprints_identical": identical,
+                    "fingerprints": ["cd" * 32],
+                    "checks": [{"name": "offered_rate_per_us", "ok": within}],
+                }
+                row = {
+                    "case": "fompi-spin-scale-hot",
+                    "fingerprint": "ab" * 32,
+                    "percentiles": {"e2e_p99_us": 10.0},
+                }
+                pairs = [{"scheduler": "horizon", "improved": improved}]
+                return SweepReport(
+                    "scale", "scale-suite", [row], 1, 0.0, int(not refresh), int(refresh), "e",
+                    extra={"fluid": [fluid], "rehome": {"pairs": pairs, "improved": improved}},
+                )
+            return run
 
-        scale_engine.check_bless(report(), report())
+        baseline = tmp_path / "BENCH_scale.json"
+        bless_sweep(runner(), baseline, jobs=1)
+        blessed = baseline.read_bytes()
         for kwargs, match in (
             ({"within": False}, "offered_rate_per_us"),
-            ({"identical": False}, "divergent"),
+            ({"identical": False}, "fingerprints diverged"),
             ({"improved": False}, "re-homing"),
         ):
             with pytest.raises(BlessError, match=match):
-                scale_engine.check_bless(report(**kwargs), report())
+                bless_sweep(runner(**kwargs), baseline, jobs=1)
+            assert baseline.read_bytes() == blessed
 
 
 class TestOraclesSurviveMutations:

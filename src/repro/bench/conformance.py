@@ -39,10 +39,10 @@ editing one, pass ``refresh=True`` / ``--refresh`` to recompute its verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import get_runtime, get_scheme
 from repro.bench.campaign import (
@@ -57,7 +57,7 @@ from repro.bench.campaign import (
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.perturbation import PerturbationModel
-from repro.rma.runtime_base import RuntimeError_, SimDeadlockError
+from repro.rma.runtime_base import RunObserver, RuntimeError_, SimDeadlockError
 from repro.topology.builder import cached_machine
 from repro.verification.oracles import LockOracleObserver
 
@@ -86,6 +86,10 @@ class ChaosProfile:
     rank_slowdown: float = 1.0
     pause_rate: float = 0.02
     pause_us: Tuple[float, float] = (5.0, 40.0)
+
+
+#: The profile every chaos point of a sweep runs under.
+CHAOS = ChaosProfile()
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,6 @@ def conformance_points(
     spec: "CampaignSpec | str" = "conformance",
     *,
     seeds: int = 5,
-    profile: Optional[ChaosProfile] = None,
     schemes: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     process_counts: Optional[Sequence[int]] = None,
@@ -186,10 +189,14 @@ def conformance_points(
 ) -> List[ConformancePoint]:
     """Expand a campaign grid × the perturbation-seed axis into points.
 
-    Each scheme × benchmark × P cell yields one unperturbed control point
-    (pinned to the golden schedule) plus ``seeds`` chaos points.  The keyword
-    overrides narrow or redirect the registered grid (the CLI flags map onto
-    them 1:1).
+    Each point of :meth:`CampaignSpec.points` yields one unperturbed control
+    point (pinned to the golden schedule) plus ``seeds`` chaos points under
+    :data:`CHAOS`.  The keyword overrides narrow or redirect the registered
+    grid (the CLI flags map onto them 1:1).  Benchmark selectors
+    (``"traffic"``, ``"traffic-rw"``) expand too, so ``repro conform
+    --benchmarks traffic`` runs the oracle sweep against the open-loop
+    scenarios (the observer attaches to the table's hottest entry — see
+    :mod:`repro.traffic.scenarios`).
     """
     if seeds < 0:
         raise ValueError("seeds must be non-negative")
@@ -209,94 +216,85 @@ def conformance_points(
         overrides["scheduler"] = scheduler
     if overrides:
         spec = replace(spec, **overrides)
-    profile = profile or ChaosProfile()
-
-    points: List[ConformancePoint] = []
-    for scheme in spec.resolve_schemes():
-        info = get_scheme(scheme)
-        provider = getattr(info.builder, "__module__", "") or ""
-        # Same fw-axis rule as CampaignSpec.points: non-RW schemes ignore fw,
-        # so only the first value is meaningful for them.
-        fw_values = spec.fw_values or (0.2,)
-        fw_axis = fw_values if info.rw else fw_values[:1]
-        # Benchmark selectors ("traffic", "traffic-rw") expand here too, so
-        # `repro conform --benchmarks traffic` runs the oracle sweep against
-        # the open-loop scenarios (the observer attaches to the table's
-        # hottest entry — see repro.traffic.scenarios).
-        for benchmark in spec.resolve_benchmarks():
-            for procs in spec.process_counts:
-                for fw in fw_axis:
-                    for perturb_seed in range(0, seeds + 1):
-                        perturbed = perturb_seed != 0
-                        points.append(
-                            ConformancePoint(
-                                scheme=scheme,
-                                benchmark=benchmark,
-                                procs=int(procs),
-                                procs_per_node=spec.procs_per_node,
-                                iterations=spec.iterations,
-                                fw=fw,
-                                seed=spec.seed,
-                                scheduler=spec.scheduler,
-                                perturb_seed=perturb_seed,
-                                latency_jitter=profile.latency_jitter if perturbed else 0.0,
-                                rank_slowdown=profile.rank_slowdown if perturbed else 0.0,
-                                pause_rate=profile.pause_rate if perturbed else 0.0,
-                                pause_us=profile.pause_us,
-                                provider=provider,
-                            )
-                        )
-    return points
+    chaos = asdict(CHAOS)
+    return [
+        ConformancePoint(
+            scheme=point.scheme,
+            benchmark=point.benchmark,
+            procs=int(point.procs),
+            procs_per_node=point.procs_per_node,
+            iterations=point.iterations,
+            fw=point.fw,
+            seed=point.seed,
+            scheduler=point.scheduler,
+            perturb_seed=perturb_seed,
+            provider=point.provider,
+            **(chaos if perturb_seed else {}),
+        )
+        for point in spec.points()
+        for perturb_seed in range(seeds + 1)
+    ]
 
 
 # --------------------------------------------------------------------------- #
 # Point execution
 # --------------------------------------------------------------------------- #
 
-def _run_once(point: ConformancePoint) -> Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]:
-    """One observed, possibly perturbed run; returns (fingerprint, oracle, bench).
+def observed_run(
+    config: LockBenchConfig,
+    observer: RunObserver,
+    *,
+    aborts: Tuple[type, ...] = (),
+    **run_options: Any,
+) -> Tuple[Optional[Tuple[Any, Any]], Optional[Exception], Dict[str, Any]]:
+    """Run ``config`` under ``observer``; returns (outcome, exception, oracle).
 
-    A structural deadlock or a livelock abort is *data* here, not a crash:
-    it lands in the oracle summary as a violation (with no fingerprint) so a
-    hanging scheme produces a failing verdict row instead of taking the
-    whole sweep down. That covers every wait inside the simulator; a
-    blocking-only lock (``conform --import``) that stalls *outside* it — on a
-    ``threading.Event`` shared between ranks, or a busy loop that never calls
-    its context — hangs the sweep, as no watchdog aborts a bridged rank.
+    ``outcome`` is the harness's ``(bench, raw)`` pair, None when the run
+    raised.  A failed run is a verdict, not a crash: an exception listed in
+    ``aborts`` is returned as it is, any other one also fails the oracle
+    summary with a ``[deadlock]``, ``[runtime]`` or ``[error]`` violation.
+    That covers every wait inside the simulator; a blocking-only lock
+    (``--import``) that stalls *outside* it — on a ``threading.Event``
+    shared between ranks, or a busy loop that never calls its context —
+    hangs the sweep, as no watchdog aborts a bridged rank.
+
+    Callers build ``config`` (``point.config()`` imports the scheme's
+    provider) outside the net, so a point that cannot be configured stays a
+    usage error.  The harness builds the spec, so the benchmark's
+    ``spec_transform`` applies (a traffic point verifies the real lock
+    table) and a crashing builder is a verdict too.
     """
+    try:
+        outcome = run_lock_benchmark_detailed(config, observer=observer, **run_options)
+    except Exception as exc:  # noqa: BLE001 - a failed run is a verdict
+        oracle = observer.report().summary()
+        if not isinstance(exc, aborts):
+            if isinstance(exc, SimDeadlockError):
+                note = f"[deadlock] {exc}"
+            elif isinstance(exc, RuntimeError_):
+                note = f"[runtime] {exc}"
+            else:
+                note = f"[error] {type(exc).__name__}: {exc}"
+            oracle["ok"] = False
+            oracle["violations"] = list(oracle["violations"]) + [note]
+        return None, exc, oracle
+    return outcome, None, observer.report().summary()
+
+
+def _run_once(point: ConformancePoint) -> Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]:
+    """One observed, possibly perturbed run; returns (fingerprint, oracle, bench)."""
     config = point.config()
     info = get_scheme(point.scheme)
     bound = info.fairness_bound(point.procs) if info.fairness_bound is not None else None
-    observer = LockOracleObserver(bypass_bound=bound)
-    try:
-        # Spec construction stays with the harness so the benchmark's
-        # spec_transform applies: a traffic point must verify the real lock
-        # *table* (striped-rw its native striped table), not a collapsed
-        # single-lock stand-in — and a crashing builder is a verdict too.
-        bench, raw = run_lock_benchmark_detailed(
-            config,
-            scheduler=point.scheduler,
-            perturbation=point.perturbation(),
-            observer=observer,
-        )
-    except SimDeadlockError as exc:
-        oracle = observer.report().summary()
-        oracle["ok"] = False
-        oracle["violations"] = list(oracle["violations"]) + [f"[deadlock] {exc}"]
+    outcome, _, oracle = observed_run(
+        config,
+        LockOracleObserver(bypass_bound=bound),
+        scheduler=point.scheduler,
+        perturbation=point.perturbation(),
+    )
+    if outcome is None:
         return None, oracle, {}
-    except RuntimeError_ as exc:
-        oracle = observer.report().summary()
-        oracle["ok"] = False
-        oracle["violations"] = list(oracle["violations"]) + [f"[runtime] {exc}"]
-        return None, oracle, {}
-    except Exception as exc:  # noqa: BLE001 - a crashing scheme is a verdict
-        oracle = observer.report().summary()
-        oracle["ok"] = False
-        oracle["violations"] = list(oracle["violations"]) + [
-            f"[error] {type(exc).__name__}: {exc}"
-        ]
-        return None, oracle, {}
-    oracle = observer.report().summary()
+    bench, raw = outcome
     metrics = {
         "elapsed_us": bench.elapsed_us,
         "throughput_mln_s": bench.throughput_mln_per_s,
@@ -364,7 +362,6 @@ def run_conformance(
     cache_dir: Optional[Path] = None,
     refresh: bool = False,
     recheck: bool = True,
-    profile: Optional[ChaosProfile] = None,
     schemes: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     process_counts: Optional[Sequence[int]] = None,
@@ -384,7 +381,6 @@ def run_conformance(
     points = conformance_points(
         spec,
         seeds=seeds,
-        profile=profile,
         schemes=schemes,
         benchmarks=benchmarks,
         process_counts=process_counts,
@@ -406,47 +402,65 @@ def run_conformance(
 # Reporting
 # --------------------------------------------------------------------------- #
 
-def format_conformance_rows(report: SweepReport) -> List[Dict[str, Any]]:
-    """Failure-detail rows for the CLI (empty when everything passed)."""
+def failure_rows(report: SweepReport, columns: Sequence[str]) -> List[Dict[str, Any]]:
+    """Failure-detail rows for the CLI (empty when everything passed): each
+    failing row's ``columns``, then its first three violations."""
     out = []
     for row in report.failures:
-        out.append(
-            {
-                "case": row["case"],
-                "P": row["P"],
-                "perturb_seed": row["perturb_seed"],
-                "violations": "; ".join(str(v) for v in row["violations"][:3])
-                + ("; ..." if len(row["violations"]) > 3 else ""),
-            }
+        detail = {column: row.get(column) for column in columns}
+        violations = row["violations"]
+        detail["violations"] = "; ".join(str(v) for v in violations[:3]) + (
+            "; ..." if len(violations) > 3 else ""
         )
+        out.append(detail)
     return out
 
 
-def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-scheme aggregate rows for the CLI table (the manifest's ``schemes``)."""
+def verdicts_by_scheme(
+    rows: Sequence[Dict[str, Any]],
+    summarize: Callable[[List[Dict[str, Any]]], Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """One aggregate row per scheme, in first-seen order: ``scheme``,
+    ``points``, the columns ``summarize(group)`` returns, then ``verdict``."""
     by_scheme: Dict[str, List[Dict[str, Any]]] = {}
     for row in rows:
         by_scheme.setdefault(row["scheme"], []).append(row)
     out = []
     for scheme, group in by_scheme.items():
-        bad = [r for r in group if not r["ok"]]
-        rechecked = [r for r in group if r.get("reproducible") is not None]
-        bounds = {r["bypass_bound"] for r in group if r["bypass_bound"] is not None}
+        bad = sum(1 for r in group if not r["ok"])
         out.append(
             {
                 "scheme": scheme,
                 "points": len(group),
-                "violations": sum(len(r["violations"]) for r in group),
-                "reproducible": (
-                    "yes" if all(r["reproducible"] for r in rechecked) else "NO"
-                ) if rechecked else "-",
-                "max_bypass": max(r["max_bypass"] for r in group),
-                # Cells at different P have different bounds (P - 1); the
-                # aggregate shows the largest so the pair stays readable
-                # (per-point gating used each point's own bound).
-                "bypass_bound": max(bounds) if bounds else "-",
-                "max_readers": max(r["max_concurrent_readers"] for r in group),
-                "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
+                **summarize(group),
+                "verdict": f"FAIL ({bad} points)" if bad else "ok",
             }
         )
     return out
+
+
+def format_conformance_rows(report: SweepReport) -> List[Dict[str, Any]]:
+    """Failure-detail rows for the CLI (empty when everything passed)."""
+    return failure_rows(report, ("case", "P", "perturb_seed"))
+
+
+def _summarize(group: List[Dict[str, Any]]) -> Dict[str, Any]:
+    rechecked = [r for r in group if r.get("reproducible") is not None]
+    bounds = {r["bypass_bound"] for r in group if r["bypass_bound"] is not None}
+    return {
+        "violations": sum(len(r["violations"]) for r in group),
+        "reproducible": (
+            "yes" if all(r["reproducible"] for r in rechecked) else "NO"
+        ) if rechecked else "-",
+        "max_bypass": max(r["max_bypass"] for r in group),
+        # Cells at different P have different bounds (P - 1); the aggregate
+        # shows the largest so the pair stays readable (per-point gating
+        # used each point's own bound).
+        "bypass_bound": max(bounds) if bounds else "-",
+        "max_readers": max(r["max_concurrent_readers"] for r in group),
+    }
+
+
+def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-scheme aggregate rows for the CLI table (the manifest's ``schemes``)."""
+    return verdicts_by_scheme(rows, _summarize)

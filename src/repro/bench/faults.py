@@ -65,6 +65,7 @@ from repro.bench.campaign import (
     run_result_sha,
     run_sweep,
 )
+from repro.bench.conformance import failure_rows, observed_run, verdicts_by_scheme
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.fault import (
@@ -76,7 +77,7 @@ from repro.fault import (
     fault_rng,
     recovery_info,
 )
-from repro.rma.runtime_base import RuntimeError_, SimDeadlockError
+from repro.rma.runtime_base import SimDeadlockError
 from repro.topology.builder import cached_machine
 from repro.traffic.accounting import nearest_rank_index
 from repro.verification.oracles import RecoveryOracleObserver
@@ -337,29 +338,17 @@ def _run_faulted(
     point: FaultPoint, plan: FaultPlan, scheduler: str
 ) -> Tuple[Optional[str], Optional[str], Dict[str, Any]]:
     """One faulted run; returns (fingerprint, abort-kind, oracle summary)."""
-    declared = recovery_info(point.scheme)
-    observer = RecoveryOracleObserver(
-        lease_us=declared.lease_us if declared is not None else None
+    outcome, exc, oracle = observed_run(
+        point.config(),
+        RecoveryOracleObserver(lease_us=recovery_info(point.scheme).lease_us),
+        # Honest unavailability, not a violation: the row's abort names it.
+        aborts=(SimDeadlockError, FaultHorizonError, LockTimeout),
+        scheduler=scheduler,
+        fault_plan=plan,
     )
-    try:
-        _, raw = run_lock_benchmark_detailed(
-            point.config(), scheduler=scheduler, fault_plan=plan, observer=observer
-        )
-    except (SimDeadlockError, FaultHorizonError, LockTimeout) as exc:
-        return None, type(exc).__name__, observer.report().summary()
-    except RuntimeError_ as exc:
-        oracle = observer.report().summary()
-        oracle["ok"] = False
-        oracle["violations"] = list(oracle["violations"]) + [f"[runtime] {exc}"]
+    if outcome is None:
         return None, type(exc).__name__, oracle
-    except Exception as exc:  # noqa: BLE001 - a crashing scheme is a verdict
-        oracle = observer.report().summary()
-        oracle["ok"] = False
-        oracle["violations"] = list(oracle["violations"]) + [
-            f"[error] {type(exc).__name__}: {exc}"
-        ]
-        return None, type(exc).__name__, oracle
-    return run_result_sha(raw), None, observer.report().summary()
+    return run_result_sha(outcome[1]), None, oracle
 
 
 @lru_cache(maxsize=None)
@@ -511,45 +500,23 @@ def run_faults(
 
 def format_fault_rows(report: SweepReport) -> List[Dict[str, Any]]:
     """Failure-detail rows for the CLI (empty when everything passed)."""
-    out = []
-    for row in report.failures:
-        out.append(
-            {
-                "case": row["case"],
-                "status": row["status"],
-                "victim": row.get("victim"),
-                "kill_us": row.get("kill_us"),
-                "violations": "; ".join(str(v) for v in row["violations"][:3])
-                + ("; ..." if len(row["violations"]) > 3 else ""),
-            }
-        )
-    return out
+    return failure_rows(report, ("case", "status", "victim", "kill_us"))
+
+
+def _summarize(group: List[Dict[str, Any]]) -> Dict[str, Any]:
+    statuses: Dict[str, int] = {}
+    for r in group:
+        statuses[r["status"]] = statuses.get(r["status"], 0) + 1
+    recovery = [s for r in group for s in (r.get("recovery_us") or [])]
+    return {
+        "statuses": ",".join(f"{k}:{v}" for k, v in sorted(statuses.items())),
+        "recovery_p50_us": (
+            round(sorted(recovery)[nearest_rank_index(500, len(recovery))], 1)
+            if recovery else "-"
+        ),
+    }
 
 
 def scheme_verdicts(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Per-scheme aggregate rows for the CLI table (the manifest's ``schemes``)."""
-    by_scheme: Dict[str, List[Dict[str, Any]]] = {}
-    for row in rows:
-        by_scheme.setdefault(row["scheme"], []).append(row)
-    out = []
-    for scheme, group in by_scheme.items():
-        bad = [r for r in group if not r["ok"]]
-        statuses: Dict[str, int] = {}
-        for r in group:
-            statuses[r["status"]] = statuses.get(r["status"], 0) + 1
-        recovery = [s for r in group for s in (r.get("recovery_us") or [])]
-        out.append(
-            {
-                "scheme": scheme,
-                "points": len(group),
-                "statuses": ",".join(
-                    f"{k}:{v}" for k, v in sorted(statuses.items())
-                ),
-                "recovery_p50_us": (
-                    round(sorted(recovery)[nearest_rank_index(500, len(recovery))], 1)
-                    if recovery else "-"
-                ),
-                "verdict": "ok" if not bad else f"FAIL ({len(bad)} points)",
-            }
-        )
-    return out
+    return verdicts_by_scheme(rows, _summarize)

@@ -798,7 +798,7 @@ def _run_faults(args: argparse.Namespace) -> int:
             schemes=schemes,
             scenarios=args.scenarios,
             process_counts=procs if procs is not None else (4,),
-            **({"iterations": args.iterations} if args.iterations else {}),
+            **({"iterations": args.iterations} if args.iterations is not None else {}),
         ),
     )
     print(format_table(report.extra["schemes"]))

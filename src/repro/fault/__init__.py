@@ -12,9 +12,10 @@ The package splits into four layers:
   are ordinary registry schemes.
 * :mod:`repro.fault.observers` — :class:`TimelineObserver`, the probe
   observer the fault sweep uses to place kills inside real hold/wait windows.
-* :mod:`repro.fault.traffic` — the ``traffic-crash`` benchmark: an open-loop
-  service with mid-run crashes, reporting availability and recovery-time
-  percentiles.
+* :mod:`repro.fault.traffic` — the ``traffic-crash`` traffic scenario: a
+  single-lock open-loop service, run on the one open-loop client, and
+  :func:`~repro.fault.traffic.crash_traffic_summary`, which reports a
+  faulted run's availability and recovery-time percentiles.
 
 The recovery-safety oracles live with the other live oracles in
 :mod:`repro.verification.oracles` (:class:`~repro.verification.oracles.\

@@ -1,23 +1,26 @@
-"""``traffic-crash``: an open-loop service benchmark built to be crashed.
+"""``traffic-crash``: an open-loop service scenario built to be crashed.
 
-The closed-loop microbenchmarks measure lock cost; this benchmark measures
+The closed-loop microbenchmarks measure lock cost; this scenario measures
 *service availability while ranks die*.  Every rank is an open-loop client of
-one shared lock: requests arrive on a fixed cadence (with a small seeded
-jitter), each request takes the lock, computes its critical section, and
-releases.  Because arrivals are anchored to the run's opening time rather
-than to the previous response, a survivor's latency series shows exactly how
-far the service fell behind while a crash was being recovered — and a crashed
-rank simply stops submitting.
+one shared lock: requests arrive on a uniform cadence, each request takes the
+lock as a writer, computes its critical section, and releases.  It is an
+ordinary :class:`~repro.traffic.generators.TrafficScenario`, so it runs on the
+one open-loop client (:func:`~repro.traffic.scenarios.make_open_loop_program`)
+and its latencies are the ones the traffic accounting reads.  Because
+arrivals are anchored to the run's opening time rather than to the previous
+response, a survivor's latency series shows exactly how far the service fell
+behind while a crash was being recovered — and a crashed rank simply stops
+submitting.
 
-The benchmark registers under the dedicated ``fault-traffic`` tag (not
+The scenario registers under the dedicated ``fault-traffic`` tag (not
 ``traffic``), so the campaign grids and the ``repro traffic`` sweeps — which
-fingerprint unfaulted runs — do not pick it up; it is driven by the fault
-sweep (:mod:`repro.bench.faults`), the ``repro faults`` CLI, and
-:func:`crash_traffic_summary` below, which folds a faulted run plus its
-:class:`~repro.verification.oracles.RecoveryOracleObserver` report into the
-availability / recovery-percentile row the ISSUE asks for.
+fingerprint unfaulted runs — do not pick it up.  A caller runs it under a
+:class:`~repro.fault.FaultPlan` and folds the run, plus its
+:class:`~repro.verification.oracles.RecoveryOracleObserver` report, through
+:func:`crash_traffic_summary` into an availability / recovery-percentile row
+(``examples/fault_demo.py`` does).
 
-Without a fault plan the program is an ordinary deterministic benchmark:
+Without a fault plan the scenario is an ordinary deterministic benchmark:
 ``availability == 1.0`` and the usual fingerprint gates apply.
 """
 
@@ -25,80 +28,28 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.api.registry import register_benchmark
-from repro.core.lock_base import RWLockHandle
-from repro.rma.runtime_base import BARRIER, COMPUTE, ProcessContext
 from repro.traffic.accounting import nearest_rank_index
+from repro.traffic.generators import TrafficScenario
+from repro.traffic.scenarios import register_traffic_scenario
 
 __all__ = ["crash_traffic_summary"]
 
-#: Open-loop request cadence per rank (virtual microseconds between arrivals)
-#: and the uniform jitter drawn on top from the rank's deterministic RNG.
-_GAP_US = 12.0
-_JITTER_US = 4.0
-#: Critical-section compute per request.
-_CS_US = 1.5
-
-
-def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
-    """The open-loop client as a step program (see :mod:`repro.rma.runtime_base`)."""
-    requests = int(config.iterations)
-
-    def program(ctx: ProcessContext):
-        lock = spec.make(ctx)
-        observer = ctx.observer
-        if observer is not None:
-            from repro.verification.oracles import observe_lock
-
-            lock = observe_lock(lock, ctx, observer)
-        rng_uniform = ctx.rng.uniform
-        now = ctx.now
-        yield (BARRIER,)
-        t_open = now()
-        latencies: List[float] = []
-        completed = 0
-        for i in range(requests):
-            # Anchored to the opening time: a stalled service accumulates
-            # backlog into the end-to-end latency instead of hiding it.
-            arrival = t_open + i * _GAP_US + float(rng_uniform(0.0, _JITTER_US))
-            t_now = now()
-            if arrival > t_now:
-                yield (COMPUTE, arrival - t_now)
-            if is_rw:
-                rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                yield from rw_lock.acquire_write_steps()
-            else:
-                yield from lock.acquire_steps()
-            yield (COMPUTE, _CS_US)
-            if is_rw:
-                yield from rw_lock.release_write_steps()
-            else:
-                yield from lock.release_steps()
-            latencies.append(now() - arrival)
-            completed += 1
-        end = now()
-        yield (BARRIER,)
-        return {
-            "start": t_open,
-            "end": end,
-            "latencies": latencies,
-            "reads": 0,
-            "writes": completed,
-            "completed": completed,
-            "submitted": requests,
-        }
-
-    return program
-
-
-@register_benchmark(
-    "traffic-crash",
-    help="open-loop single-lock service for crash sweeps: availability and "
-    "recovery-time accounting under a FaultPlan",
+# One lock, every request a writer, arrivals 12 µs apart on average and a
+# fixed 1.5 µs critical section.
+register_traffic_scenario(
+    TrafficScenario(
+        name="traffic-crash",
+        help="open-loop single-lock service for crash sweeps: availability and "
+        "recovery-time accounting under a FaultPlan",
+        num_locks=1,
+        arrival="uniform",
+        mean_gap_us=12.0,
+        key_dist="uniform",
+        fw=1.0,
+        cs_us=(1.5, 1.5),
+    ),
     tags=("fault-traffic",),
 )
-def _factory(config, spec, is_rw, shared_offset):
-    return _make_crash_traffic_program(config, spec, is_rw)
 
 
 def crash_traffic_summary(
@@ -124,7 +75,7 @@ def crash_traffic_summary(
         if isinstance(ret, dict) and ret.get("__crashed__", False):
             crashes_seen += 1
         else:
-            completed += int(ret["completed"])
+            completed += len(ret["latencies"])
     summary: Dict[str, Any] = {
         "benchmark": "traffic-crash",
         "scheme": config.scheme,

@@ -206,7 +206,8 @@ def make_open_loop_program(
 ):
     """The open-loop rank program over ``table`` — the only one.
 
-    Plain traffic, adaptive swaps, elastic resizes, re-homing and the
+    Plain traffic, adaptive swaps, elastic resizes, re-homing, the crash
+    service ``traffic-crash`` (:mod:`repro.fault.traffic`) and the
     fluid-scale engine's sampled cohorts (:mod:`repro.scale.fluid`, with
     ``lane`` naming their dedicated Philox counter lane) all run this body;
     what differs is handed in, built before the run:
@@ -416,8 +417,9 @@ def register_traffic_scenario(
     active prefix, and its resize events re-shard the key space at phase
     boundaries.  ``tags`` overrides the default
     :func:`scenario_tags` (adaptive scenarios register under
-    ``"traffic-adaptive"``, fluid-scale scenarios under ``"scale"``, so the
-    policy-free ``traffic`` selector grids stay unchanged).
+    ``"traffic-adaptive"``, fluid-scale scenarios under ``"scale"``, the
+    crash service under ``"fault-traffic"``, so the policy-free ``traffic``
+    selector grids stay unchanged).
     """
     if elastic is not None:
         elastic.validate(scenario)

@@ -67,6 +67,33 @@ class TestGridExpansion:
         with pytest.raises(ValueError):
             conformance_points(seeds=-1)
 
+    @pytest.mark.parametrize(
+        "narrow",
+        [{}, dict(schemes=("rma-rw", "d-mcs", "ticket"), benchmarks=("wcsb", "warb"),
+                  process_counts=(8,), iterations=3)],
+        ids=["registered", "narrowed"],
+    )
+    def test_points_are_the_campaign_grid_times_control_and_chaos_seeds(self, narrow):
+        """Each campaign point gives its control, then ``seeds`` chaos points
+        under the violent profile, in the campaign's own order."""
+        from dataclasses import replace
+
+        spec = get_campaign("conformance")
+        if narrow:
+            spec = replace(spec, fw_values=(0.1, 0.5))
+        chaos = dict(latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.02, pause_us=(5.0, 40.0))
+        expected = [
+            ConformancePoint(
+                scheme=p.scheme, benchmark=p.benchmark, procs=p.procs,
+                procs_per_node=p.procs_per_node, iterations=p.iterations, fw=p.fw,
+                seed=p.seed, scheduler=p.scheduler, provider=p.provider,
+                perturb_seed=s, **(chaos if s else {}),
+            )
+            for p in replace(spec, **narrow).points()
+            for s in range(3)
+        ]
+        assert conformance_points(spec, seeds=2, **narrow) == expected
+
     def test_rw_schemes_sweep_the_full_fw_axis(self):
         from dataclasses import replace
 

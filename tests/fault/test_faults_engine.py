@@ -50,6 +50,9 @@ def test_verdicts_match_declared_capabilities(report):
     # The lease-free control declares nothing: unavailability is expected,
     # reported as such rather than as a false pass.
     assert "recovered" not in statuses["rma-mcs"]
+    # An abort is honest unavailability: it names its kind, not a violation.
+    aborted = [row for row in report.rows if row["status"] == "expected-unavailable"]
+    assert aborted and all(row["abort"] and not row["violations"] for row in aborted)
 
 
 def test_the_model_verdict_on_a_mutant_comes_from_the_explorer_once(report):

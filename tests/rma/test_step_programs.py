@@ -904,6 +904,27 @@ class TestNoRankThreads:
         for point, plan, outcome in standing.values():
             assert outcome == run_faulted(point, plan, reference), point.case
 
+    def test_no_rank_thread_in_a_faulted_crash_traffic_run(self, reference):
+        """``traffic-crash`` under a holder crash of the lease lock: the
+        open-loop client is stepped inline, through the kill and the lease
+        takeover, and equals the reference interpreter."""
+        from repro.bench import faults as engine
+
+        point = engine.FaultPoint(scheme="lease-lock", scenario="holder-crash", crash_seed=1,
+                                  procs=4, benchmark="traffic-crash")
+        probe, makespan = engine._probe(point)
+        for _, meta in engine._candidate_plans(point, probe, makespan):
+            # The sweep's horizon ends before the lease runs out; this one
+            # leaves room for the takeover.
+            plan = FaultPlan.single(meta["victim"], kill_us=meta["kill_us"], horizon_us=1e6)
+            with rank_threads_started() as threads:
+                inline = engine._run_faulted(point, plan, "horizon")
+            assert not threads
+            if inline[2]["holder_deaths"]:
+                break
+        assert inline[1] is None and inline[2]["ok"] and inline[2]["holder_deaths"] == 1
+        assert inline == engine._run_faulted(point, plan, reference)
+
     @pytest.mark.parametrize("scheme", ["fompi-a", "fompi-rw", "rma-rw", "striped-rw"])
     def test_no_rank_thread_in_the_dht(self, scheme):
         from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark

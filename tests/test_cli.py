@@ -540,6 +540,113 @@ class TestBlessRules:
         assert baseline.read_text() == "committed\n"
 
 
+@pytest.fixture
+def crash_lock(monkeypatch):
+    """Register ``cli-crash-lock``: a ticket lock whose ``make`` raises when
+    ``crashes(ctx)`` holds.  Yields a function that installs the predicate
+    and returns the scheme name."""
+    from dataclasses import dataclass
+
+    from repro.api.registry import register_scheme, unregister
+    from repro.core.lock_base import LockSpec
+
+    predicate = {}
+
+    @dataclass(frozen=True)
+    class _CrashSpec(LockSpec):
+        inner: LockSpec
+
+        @property
+        def window_words(self):
+            return self.inner.window_words
+
+        def init_window(self, rank):
+            return self.inner.init_window(rank)
+
+        def make(self, ctx):
+            if predicate["crashes"](ctx):
+                raise KeyError("third-party bug")
+            return self.inner.make(ctx)
+
+    @register_scheme("cli-crash-lock", category="custom", replace=True)
+    def _build(machine):
+        return _CrashSpec(get_scheme("ticket").build(machine))
+
+    def install(crashes):
+        predicate["crashes"] = crashes
+        return "cli-crash-lock"
+
+    yield install
+    unregister("scheme", "cli-crash-lock")
+
+
+class TestConformCommand:
+    @staticmethod
+    def argv(scheme, iterations="2"):
+        return ["conform", "--schemes", scheme, "--benchmarks", "wcsb", "--procs", "4",
+                "--iterations", iterations, "--seeds", "1", "--jobs", "1", "--no-cache"]
+
+    def test_a_passing_grid_prints_the_scheme_table_and_the_verdict(self, capsys):
+        assert main(self.argv("ticket")) == 0
+        out = capsys.readouterr().out
+        rows = _table_rows(out, "scheme")
+        assert [(r["scheme"], r["points"], r["verdict"]) for r in rows] == [("ticket", "2", "ok")]
+        assert "verdict: every scheme upheld every oracle on every schedule" in out
+        assert "failing points:" not in out
+
+    def test_a_failing_grid_lists_the_points_and_exits_1(self, crash_lock, capsys):
+        scheme = crash_lock(lambda ctx: True)
+        assert main(self.argv(scheme)) == 1
+        captured = capsys.readouterr()
+        assert "failing points:" in captured.out
+        failing = _table_rows(captured.out.split("failing points:")[1], "case")
+        assert len(failing) == 2 and "KeyError:" in captured.out
+        assert "verdict: 2 point(s) FAILED" in captured.err
+
+    def test_zero_iterations_is_a_usage_error(self, capsys):
+        assert main(self.argv("ticket", iterations="0")) == 2
+        assert "iterations must be >= 1" in capsys.readouterr().err
+
+
+class TestFaultsCommand:
+    @staticmethod
+    def argv(scheme, iterations="4"):
+        return ["faults", "--schemes", scheme, "--scenarios", "holder-crash", "--procs", "4",
+                "--iterations", iterations, "--seeds", "1", "--jobs", "1", "--no-cache"]
+
+    def test_a_passing_grid_prints_the_scheme_table_and_the_verdict(self, capsys):
+        assert main(self.argv("lease-lock")) == 0
+        out = capsys.readouterr().out
+        rows = _table_rows(out, "scheme")
+        assert [(r["scheme"], r["points"], r["verdict"]) for r in rows] == [
+            ("lease-lock", "1", "ok")
+        ]
+        assert rows[0]["statuses"] == "recovered:1"
+        assert "verdict: every declared recovery recovered" in out
+        assert "failing points:" not in out
+
+    def test_a_failing_grid_lists_the_points_and_exits_1(self, crash_lock, monkeypatch, capsys):
+        from repro.fault import plan as fault_plan
+
+        # The lock crashes only in the faulted run, not in the probe, and
+        # declares a recovery it does not make: a lost lock.
+        scheme = crash_lock(lambda ctx: getattr(ctx, "fault", None) is not None)
+        monkeypatch.setitem(
+            fault_plan._RECOVERY, scheme,
+            fault_plan.RecoveryInfo(scenarios=frozenset({"holder-crash"})),
+        )
+        assert main(self.argv(scheme)) == 1
+        captured = capsys.readouterr()
+        failing = _table_rows(captured.out.split("failing points:")[1], "case")
+        assert [r["status"] for r in failing] == ["unavailable"]
+        assert "[error] KeyError:" in captured.out
+        assert "verdict: 1 point(s) FAILED" in captured.err
+
+    def test_zero_iterations_is_a_usage_error(self, capsys):
+        assert main(self.argv("lease-lock", iterations="0")) == 2
+        assert "iterations must be >= 1" in capsys.readouterr().err
+
+
 class TestTrafficCommand:
     TINY_ARGS = [
         "traffic", "--schemes", "fompi-spin", "--scenarios", "traffic-zipf",

@@ -171,6 +171,7 @@ class TestPhases:
 
 
 def _registered_traffic_scenarios():
+    import repro.fault.traffic  # noqa: F401 - registers traffic-crash
     import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
     from repro.traffic.scenarios import _SCENARIOS
 
@@ -178,6 +179,7 @@ def _registered_traffic_scenarios():
 
 
 def _registered_scenarios():
+    import repro.fault.traffic  # noqa: F401 - registers traffic-crash
     import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
     from repro.scale.fluid import FLUID_SCENARIOS
     from repro.traffic.scenarios import _SCENARIOS

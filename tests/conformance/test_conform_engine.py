@@ -7,6 +7,7 @@ import pytest
 from repro.api.registry import register_scheme, unregister
 from repro.bench.campaign import ResultCache, get_campaign, run_result_sha, write_manifest_json
 from repro.bench.conformance import (
+    CHAOS,
     ConformancePoint,
     conformance_points,
     run_conformance,
@@ -14,6 +15,7 @@ from repro.bench.conformance import (
 )
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
+from repro.rma.perturbation import PerturbationModel
 from repro.topology.builder import cached_machine
 
 
@@ -33,6 +35,17 @@ class TestGridExpansion:
         assert len(controls) == 1
         assert controls[0].perturbation() is None
         assert all(p.perturbation() is not None for p in points if p.perturbed)
+
+    def test_chaos_points_run_under_the_chaos_profile(self):
+        from dataclasses import asdict
+
+        points = conformance_points(schemes=["ticket", "rma-rw"], benchmarks=["wcsb"],
+                                    process_counts=[8], seeds=2)
+        assert [p.perturb_seed for p in points] == [0, 1, 2, 0, 1, 2]
+        for p in points:
+            expected = (PerturbationModel(seed=p.perturb_seed, **asdict(CHAOS))
+                        if p.perturb_seed else None)
+            assert p.perturbation() == expected
 
     def test_case_names_are_unique(self):
         points = conformance_points(seeds=2)

@@ -9,8 +9,11 @@ interpreter under ``tests/rma/test_step_programs.py -k no_rank_thread``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.campaign import get_campaign
 from repro.bench.faults import (
     KNOWN_MUTANTS,
     FaultPoint,
@@ -20,6 +23,7 @@ from repro.bench.faults import (
     run_faults,
     scheme_verdicts,
 )
+from repro.fault import FAULT_SCENARIOS
 
 SCHEMES = ("lease-lock", "repair-mcs-racy", "rma-mcs")
 
@@ -97,3 +101,26 @@ def test_fault_point_grid_and_reexecution():
     second = run_fault_point(point)
     assert first == second
     assert first["ok"]
+
+
+@pytest.mark.parametrize(
+    "narrow",
+    [{}, dict(schemes=("lease-lock", "rma-mcs"), scenarios=("holder-crash", "restart"),
+              process_counts=(6,))],
+    ids=["registered", "narrowed"],
+)
+def test_fault_points_are_the_conformance_grid_times_scenario_and_crash_seed(narrow):
+    """The fault grid is the ``conformance`` campaign narrowed to wcsb at
+    P = 4 and 6 iterations, × scenario × crash seed, in that order."""
+    spec = replace(get_campaign("conformance"), benchmarks=("wcsb",),
+                   process_counts=narrow.get("process_counts", (4,)), iterations=6)
+    if "schemes" in narrow:
+        spec = replace(spec, schemes=narrow["schemes"])
+    expected = [
+        (f"{p.scheme}-{scenario}-p{p.procs}-s{p.seed}-k{k}", p.config())
+        for p in spec.points()
+        for scenario in narrow.get("scenarios", FAULT_SCENARIOS)
+        for k in (1, 2)
+    ]
+    points = fault_points(seeds=2, **narrow)
+    assert [(point.case, point.config()) for point in points] == expected

@@ -46,10 +46,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import get_runtime, get_scheme
 from repro.bench.campaign import (
+    CampaignPoint,
     CampaignSpec,
     ResultCache,
     SweepReport,
-    _import_provider,
     get_campaign,
     run_result_sha,
     run_sweep,
@@ -58,7 +58,6 @@ from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.perturbation import PerturbationModel
 from repro.rma.runtime_base import RunObserver, RuntimeError_, SimDeadlockError
-from repro.topology.builder import cached_machine
 from repro.verification.oracles import LockOracleObserver
 
 __all__ = [
@@ -94,31 +93,16 @@ CHAOS = ChaosProfile()
 
 @dataclass(frozen=True)
 class ConformancePoint:
-    """One conformance run: a scheme/benchmark/P cell under one chaos seed.
+    """One conformance run: a campaign grid point under one chaos seed.
 
     ``perturb_seed == 0`` is the control run: no perturbation at all (the
     exact schedule of the committed golden fingerprints); seeds ``1..N``
-    apply the chaos profile with that seed.  Primitives only, so points
-    pickle into pool workers and hash canonically for the cache.
+    apply :data:`CHAOS` with that seed.  Primitives only, so points pickle
+    into pool workers and hash canonically for the cache.
     """
 
-    scheme: str
-    benchmark: str
-    procs: int
-    procs_per_node: int = 8
-    iterations: int = 6
-    fw: float = 0.2
-    seed: int = 5
-    scheduler: str = "horizon"
-    topology: str = "xc30"
+    point: CampaignPoint
     perturb_seed: int = 0
-    latency_jitter: float = 0.0
-    rank_slowdown: float = 0.0
-    pause_rate: float = 0.0
-    pause_us: Tuple[float, float] = (5.0, 40.0)
-    #: Module that registered the scheme (imported in pool workers; not part
-    #: of the cache key).
-    provider: str = ""
 
     @property
     def perturbed(self) -> bool:
@@ -126,55 +110,22 @@ class ConformancePoint:
 
     @property
     def case(self) -> str:
-        name = f"{self.scheme}-{self.benchmark}-p{self.procs}-fw{self.fw:g}-s{self.seed}"
+        p = self.point
+        name = f"{p.scheme}-{p.benchmark}-p{p.procs}-fw{p.fw:g}-s{p.seed}"
         name += f"-c{self.perturb_seed}" if self.perturbed else "-control"
-        if self.scheduler != "horizon":
-            name += f"-{self.scheduler}"
+        if p.scheduler != "horizon":
+            name += f"-{p.scheduler}"
         return name
 
     def perturbation(self) -> Optional[PerturbationModel]:
         """The seeded perturbation model of this point (None for the control)."""
         if not self.perturbed:
             return None
-        return PerturbationModel(
-            seed=self.perturb_seed,
-            latency_jitter=self.latency_jitter,
-            rank_slowdown=self.rank_slowdown,
-            pause_rate=self.pause_rate,
-            pause_us=self.pause_us,
-        )
+        return PerturbationModel(seed=self.perturb_seed, **asdict(CHAOS))
 
     def describe(self) -> Dict[str, Any]:
         """Canonical JSON-able description (the cache-key input)."""
-        return {
-            "kind": "conformance",
-            "scheme": self.scheme,
-            "benchmark": self.benchmark,
-            "procs": self.procs,
-            "procs_per_node": self.procs_per_node,
-            "iterations": self.iterations,
-            "fw": self.fw,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "topology": self.topology,
-            "perturb_seed": self.perturb_seed,
-            "latency_jitter": self.latency_jitter,
-            "rank_slowdown": self.rank_slowdown,
-            "pause_rate": self.pause_rate,
-            "pause_us": list(self.pause_us),
-        }
-
-    def config(self) -> LockBenchConfig:
-        _import_provider(self.provider)
-        machine = cached_machine(self.procs, self.procs_per_node, self.topology)
-        return LockBenchConfig(
-            machine=machine,
-            scheme=self.scheme,
-            benchmark=self.benchmark,
-            iterations=self.iterations,
-            fw=self.fw,
-            seed=self.seed,
-        )
+        return {"kind": "conformance", "perturb_seed": self.perturb_seed, **self.point.describe()}
 
 
 def conformance_points(
@@ -216,24 +167,7 @@ def conformance_points(
         overrides["scheduler"] = scheduler
     if overrides:
         spec = replace(spec, **overrides)
-    chaos = asdict(CHAOS)
-    return [
-        ConformancePoint(
-            scheme=point.scheme,
-            benchmark=point.benchmark,
-            procs=int(point.procs),
-            procs_per_node=point.procs_per_node,
-            iterations=point.iterations,
-            fw=point.fw,
-            seed=point.seed,
-            scheduler=point.scheduler,
-            perturb_seed=perturb_seed,
-            provider=point.provider,
-            **(chaos if perturb_seed else {}),
-        )
-        for point in spec.points()
-        for perturb_seed in range(seeds + 1)
-    ]
+    return [ConformancePoint(p, s) for p in spec.points() for s in range(seeds + 1)]
 
 
 # --------------------------------------------------------------------------- #
@@ -283,13 +217,14 @@ def observed_run(
 
 def _run_once(point: ConformancePoint) -> Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]:
     """One observed, possibly perturbed run; returns (fingerprint, oracle, bench)."""
-    config = point.config()
-    info = get_scheme(point.scheme)
-    bound = info.fairness_bound(point.procs) if info.fairness_bound is not None else None
+    grid = point.point
+    config = grid.config()
+    info = get_scheme(grid.scheme)
+    bound = info.fairness_bound(grid.procs) if info.fairness_bound is not None else None
     outcome, _, oracle = observed_run(
         config,
         LockOracleObserver(bypass_bound=bound),
-        scheduler=point.scheduler,
+        scheduler=grid.scheduler,
         perturbation=point.perturbation(),
     )
     if outcome is None:
@@ -322,16 +257,17 @@ def run_conformance_point(point: ConformancePoint, *, recheck: bool = True) -> D
                 f"(fingerprints {fingerprint} vs {fingerprint2})"
             )
     ok = bool(oracle["ok"]) and not violations
+    grid = point.point
     row: Dict[str, Any] = {
         "case": point.case,
-        "scheme": point.scheme,
-        "benchmark": point.benchmark,
-        "P": point.procs,
-        "procs_per_node": point.procs_per_node,
-        "iterations": point.iterations,
-        "fw": point.fw,
-        "seed": point.seed,
-        "scheduler": point.scheduler,
+        "scheme": grid.scheme,
+        "benchmark": grid.benchmark,
+        "P": grid.procs,
+        "procs_per_node": grid.procs_per_node,
+        "iterations": grid.iterations,
+        "fw": grid.fw,
+        "seed": grid.seed,
+        "scheduler": grid.scheduler,
         "perturb_seed": point.perturb_seed,
         "perturbed": point.perturbed,
         "fingerprint": fingerprint,

@@ -51,23 +51,21 @@ edited scheme is recomputed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.registry import get_scheme
 from repro.bench.campaign import (
+    CampaignPoint,
     ResultCache,
     SweepReport,
-    _import_provider,
     get_campaign,
     run_result_sha,
     run_sweep,
 )
 from repro.bench.conformance import failure_rows, observed_run, verdicts_by_scheme
 from repro.bench.harness import run_lock_benchmark_detailed
-from repro.bench.workloads import LockBenchConfig
 from repro.fault import (
     FAULT_SCENARIOS,
     FaultHorizonError,
@@ -78,7 +76,6 @@ from repro.fault import (
     recovery_info,
 )
 from repro.rma.runtime_base import SimDeadlockError
-from repro.topology.builder import cached_machine
 from repro.traffic.accounting import nearest_rank_index
 from repro.verification.oracles import RecoveryOracleObserver
 
@@ -109,7 +106,7 @@ _KILL_FRACTION = 0.5
 #: Kill times are integral and only fire at public-call *entry* clocks, so a
 #: kill aimed at a sub-microsecond hold can slip past the victim's release.
 #: Placement is therefore outcome-verified: the engine tries candidate plans
-#: (on the horizon scheduler) until the oracle confirms the scenario really
+#: until the oracle confirms the scenario really
 #: manifested — a holder died holding, a waiter died parked — bounded by
 #: this attempt budget.
 _MAX_PLACEMENT_TRIES = 10
@@ -117,60 +114,29 @@ _MAX_PLACEMENT_TRIES = 10
 
 @dataclass(frozen=True)
 class FaultPoint:
-    """One fault-sweep cell: a scheme × crash scenario × crash seed.
+    """One fault-sweep cell: a campaign grid point × crash scenario × crash seed.
 
     Primitives only, so points pickle into pool workers and hash canonically
     for the ``faults`` cache namespace.
     """
 
-    scheme: str
+    point: CampaignPoint
     scenario: str
     crash_seed: int
-    procs: int
-    procs_per_node: int = 8
-    iterations: int = 6
-    fw: float = 0.2
-    seed: int = 5
-    benchmark: str = "wcsb"
-    topology: str = "xc30"
-    #: Module that registered the scheme (imported in pool workers; not part
-    #: of the cache key).
-    provider: str = ""
 
     @property
     def case(self) -> str:
-        return (
-            f"{self.scheme}-{self.scenario}-p{self.procs}"
-            f"-s{self.seed}-k{self.crash_seed}"
-        )
+        p = self.point
+        return f"{p.scheme}-{self.scenario}-p{p.procs}-s{p.seed}-k{self.crash_seed}"
 
     def describe(self) -> Dict[str, Any]:
         """Canonical JSON-able description (the cache-key input)."""
         return {
             "kind": "faults",
-            "scheme": self.scheme,
             "scenario": self.scenario,
             "crash_seed": self.crash_seed,
-            "procs": self.procs,
-            "procs_per_node": self.procs_per_node,
-            "iterations": self.iterations,
-            "fw": self.fw,
-            "seed": self.seed,
-            "benchmark": self.benchmark,
-            "topology": self.topology,
+            **self.point.describe(),
         }
-
-    def config(self) -> LockBenchConfig:
-        _import_provider(self.provider)
-        machine = cached_machine(self.procs, self.procs_per_node, self.topology)
-        return LockBenchConfig(
-            machine=machine,
-            scheme=self.scheme,
-            benchmark=self.benchmark,
-            iterations=self.iterations,
-            fw=self.fw,
-            seed=self.seed,
-        )
 
 
 def fault_points(
@@ -178,22 +144,20 @@ def fault_points(
     seeds: int = 5,
     schemes: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[str]] = None,
-    process_counts: Sequence[int] = (4,),
-    iterations: int = 6,
+    process_counts: Optional[Sequence[int]] = None,
+    iterations: Optional[int] = None,
     benchmark: str = "wcsb",
-    seed: int = 5,
-    procs_per_node: int = 8,
 ) -> List[FaultPoint]:
-    """Expand the scheme × scenario × crash-seed grid into points.
+    """Expand the fault grid: the ``conformance`` campaign narrowed to one
+    benchmark, P = 4 and 6 iterations, × crash scenario × crash seed
+    ``1..seeds``.
 
-    ``schemes`` defaults to every conformance-capable scheme (the same
-    selector the conformance sweep uses, so third-party ``@register_scheme``
-    locks are crash-tested for free); crash seeds run ``1..seeds``.
+    ``schemes``, ``process_counts`` and ``iterations`` narrow it further;
+    by default every conformance-capable scheme is swept, so third-party
+    ``@register_scheme`` locks are crash-tested for free.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    if schemes is None:
-        schemes = get_campaign("conformance").resolve_schemes()
     if scenarios is None:
         scenarios = FAULT_SCENARIOS
     for scenario in scenarios:
@@ -201,27 +165,20 @@ def fault_points(
             raise ValueError(
                 f"unknown scenario {scenario!r} (expected one of {FAULT_SCENARIOS})"
             )
-    points: List[FaultPoint] = []
-    for scheme in schemes:
-        info = get_scheme(scheme)
-        provider = getattr(info.builder, "__module__", "") or ""
-        for scenario in scenarios:
-            for procs in process_counts:
-                for crash_seed in range(1, seeds + 1):
-                    points.append(
-                        FaultPoint(
-                            scheme=scheme,
-                            scenario=scenario,
-                            crash_seed=crash_seed,
-                            procs=int(procs),
-                            procs_per_node=procs_per_node,
-                            iterations=iterations,
-                            seed=seed,
-                            benchmark=benchmark,
-                            provider=provider,
-                        )
-                    )
-    return points
+    grid = get_campaign("conformance")
+    spec = replace(
+        grid,
+        schemes=grid.schemes if schemes is None else tuple(schemes),
+        benchmarks=(benchmark,),
+        process_counts=(4,) if process_counts is None else tuple(int(p) for p in process_counts),
+        iterations=6 if iterations is None else int(iterations),
+    )
+    return [
+        FaultPoint(point, scenario, crash_seed)
+        for point in spec.points()
+        for scenario in scenarios
+        for crash_seed in range(1, seeds + 1)
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -231,7 +188,7 @@ def fault_points(
 def _probe(point: FaultPoint) -> Tuple[TimelineObserver, float]:
     """Unfaulted probe run: the timeline to place the kill in, plus makespan."""
     probe = TimelineObserver()
-    _, raw = run_lock_benchmark_detailed(point.config(), observer=probe)
+    _, raw = run_lock_benchmark_detailed(point.point.config(), observer=probe)
     makespan = max(raw.finish_times_us) if raw.finish_times_us else 0.0
     return probe, makespan
 
@@ -245,7 +202,7 @@ def _candidate_plans(
     the engine then walks the list until the oracle confirms the scenario
     manifested (see :data:`_MAX_PLACEMENT_TRIES`).
     """
-    declared = recovery_info(point.scheme)
+    declared = recovery_info(point.point.scheme)
     if point.scenario == "holder-crash":
         kind = "hold"
     elif point.scenario == "waiter-crash":
@@ -272,7 +229,7 @@ def _candidate_plans(
     ]
     if not candidates:
         return []
-    rng = fault_rng(point.crash_seed, stream=point.seed)
+    rng = fault_rng(point.crash_seed, stream=point.point.seed)
     order = rng.permutation(len(candidates))
 
     restart_us: Optional[float] = None
@@ -335,15 +292,17 @@ def _scenario_manifested(scenario: str, oracle: Mapping[str, Any]) -> bool:
 
 
 def _run_faulted(
-    point: FaultPoint, plan: FaultPlan, scheduler: str
+    point: FaultPoint, plan: FaultPlan
 ) -> Tuple[Optional[str], Optional[str], Dict[str, Any]]:
-    """One faulted run; returns (fingerprint, abort-kind, oracle summary)."""
+    """One faulted run on the point's scheduler; returns (fingerprint,
+    abort-kind, oracle summary)."""
+    grid = point.point
     outcome, exc, oracle = observed_run(
-        point.config(),
-        RecoveryOracleObserver(lease_us=recovery_info(point.scheme).lease_us),
+        grid.config(),
+        RecoveryOracleObserver(lease_us=recovery_info(grid.scheme).lease_us),
         # Honest unavailability, not a violation: the row's abort names it.
         aborts=(SimDeadlockError, FaultHorizonError, LockTimeout),
-        scheduler=scheduler,
+        scheduler=grid.scheduler,
         fault_plan=plan,
     )
     if outcome is None:
@@ -367,7 +326,8 @@ def _caught_by_explorer(scheme: str) -> bool:
 
 def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     """Execute one fault point and build its verdict row."""
-    declared_info = recovery_info(point.scheme)
+    grid = point.point
+    declared_info = recovery_info(grid.scheme)
     declared = (
         declared_info is not None and point.scenario in declared_info.scenarios
     )
@@ -376,13 +336,13 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
 
     row: Dict[str, Any] = {
         "case": point.case,
-        "scheme": point.scheme,
+        "scheme": grid.scheme,
         "scenario": point.scenario,
         "crash_seed": point.crash_seed,
-        "P": point.procs,
-        "benchmark": point.benchmark,
-        "iterations": point.iterations,
-        "seed": point.seed,
+        "P": grid.procs,
+        "benchmark": grid.benchmark,
+        "iterations": grid.iterations,
+        "seed": grid.seed,
         "declared": declared,
         "probe_makespan_us": round(makespan, 3),
         "violations": [],
@@ -394,13 +354,13 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
         row["ok"] = True
         return row
 
-    # Outcome-verified placement: walk the seeded candidate order (horizon
-    # runs only) until the oracle confirms the scenario manifested; the last
-    # attempt stands if none does.
+    # Outcome-verified placement: walk the seeded candidate order until the
+    # oracle confirms the scenario manifested; the last attempt stands if
+    # none does.
     tries = 0
     for plan, meta in plans[:_MAX_PLACEMENT_TRIES]:
         tries += 1
-        sha, abort, oracle = _run_faulted(point, plan, "horizon")
+        sha, abort, oracle = _run_faulted(point, plan)
         if _scenario_manifested(point.scenario, oracle):
             break
     row.update(meta)
@@ -417,10 +377,10 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
 
     unavailable = abort is not None
     oracle_ok = bool(oracle["ok"]) and not violations
-    if point.scheme in KNOWN_MUTANTS:
+    if grid.scheme in KNOWN_MUTANTS:
         # Inverted bar: the planted bug must be caught somewhere.
         caught_live = unavailable or not oracle_ok
-        caught_model = _caught_by_explorer(point.scheme)
+        caught_model = _caught_by_explorer(grid.scheme)
         row["mutant_caught_live"] = caught_live
         row["mutant_caught_model"] = caught_model
         row["status"] = (
@@ -468,8 +428,8 @@ def run_faults(
     refresh: bool = False,
     schemes: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[str]] = None,
-    process_counts: Sequence[int] = (4,),
-    iterations: int = 6,
+    process_counts: Optional[Sequence[int]] = None,
+    iterations: Optional[int] = None,
     benchmark: str = "wcsb",
 ) -> SweepReport:
     """Run the fault sweep through :func:`~repro.bench.campaign.run_sweep`.

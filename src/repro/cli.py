@@ -782,13 +782,10 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     seeds = args.seeds
     schemes = args.schemes
-    procs = args.procs
     if args.smoke:
         seeds = min(seeds, 2)
         if schemes is None:
             schemes = list(_FAULT_SMOKE_SCHEMES)
-        if procs is None:
-            procs = [4]
 
     report, _ = _sweep(
         args,
@@ -797,8 +794,8 @@ def _run_faults(args: argparse.Namespace) -> int:
             seeds=seeds,
             schemes=schemes,
             scenarios=args.scenarios,
-            process_counts=procs if procs is not None else (4,),
-            **({"iterations": args.iterations} if args.iterations is not None else {}),
+            process_counts=args.procs,
+            iterations=args.iterations,
         ),
     )
     print(format_table(report.extra["schemes"]))

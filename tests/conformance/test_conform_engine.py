@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api.registry import register_scheme, unregister
-from repro.bench.campaign import ResultCache, get_campaign, run_result_sha, write_manifest_json
+from repro.bench.campaign import (
+    CampaignPoint,
+    ResultCache,
+    get_campaign,
+    run_result_sha,
+    write_manifest_json,
+)
 from repro.bench.conformance import (
     CHAOS,
     ConformancePoint,
@@ -72,7 +78,7 @@ class TestGridExpansion:
 
         try:
             points = conformance_points(benchmarks=["wcsb"], process_counts=[8], seeds=1)
-            assert any(p.scheme == "conform-test-lock" for p in points)
+            assert any(p.point.scheme == "conform-test-lock" for p in points)
         finally:
             unregister("scheme", "conform-test-lock")
 
@@ -87,24 +93,14 @@ class TestGridExpansion:
         ids=["registered", "narrowed"],
     )
     def test_points_are_the_campaign_grid_times_control_and_chaos_seeds(self, narrow):
-        """Each campaign point gives its control, then ``seeds`` chaos points
-        under the violent profile, in the campaign's own order."""
+        """Each campaign point gives its control, then ``seeds`` chaos points,
+        in the campaign's own order."""
         from dataclasses import replace
 
         spec = get_campaign("conformance")
         if narrow:
             spec = replace(spec, fw_values=(0.1, 0.5))
-        chaos = dict(latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.02, pause_us=(5.0, 40.0))
-        expected = [
-            ConformancePoint(
-                scheme=p.scheme, benchmark=p.benchmark, procs=p.procs,
-                procs_per_node=p.procs_per_node, iterations=p.iterations, fw=p.fw,
-                seed=p.seed, scheduler=p.scheduler, provider=p.provider,
-                perturb_seed=s, **(chaos if s else {}),
-            )
-            for p in replace(spec, **narrow).points()
-            for s in range(3)
-        ]
+        expected = [ConformancePoint(p, s) for p in replace(spec, **narrow).points() for s in range(3)]
         assert conformance_points(spec, seeds=2, **narrow) == expected
 
     def test_rw_schemes_sweep_the_full_fw_axis(self):
@@ -113,19 +109,24 @@ class TestGridExpansion:
         spec = replace(get_campaign("conformance"), fw_values=(0.1, 0.5))
         points = conformance_points(spec, schemes=["rma-rw", "d-mcs"],
                                     benchmarks=["wcsb"], process_counts=[8], seeds=1)
-        rw_fws = {p.fw for p in points if p.scheme == "rma-rw"}
-        mcs_fws = {p.fw for p in points if p.scheme == "d-mcs"}
+        rw_fws = {p.point.fw for p in points if p.point.scheme == "rma-rw"}
+        mcs_fws = {p.point.fw for p in points if p.point.scheme == "d-mcs"}
         assert rw_fws == {0.1, 0.5}  # RW schemes cover every fw value
         assert mcs_fws == {0.1}     # non-RW schemes ignore fw: first value only
         cases = [p.case for p in points]
         assert len(cases) == len(set(cases))  # fw is part of the case name
 
 
+def _grid(scheme, *, procs=8, iterations=4):
+    """A small wcsb grid point at the conformance campaign's fw and seed."""
+    return CampaignPoint(scheme=scheme, benchmark="wcsb", procs=procs, procs_per_node=4,
+                         iterations=iterations, fw=0.2, seed=5)
+
+
 class TestPointExecution:
     def test_control_point_fingerprint_matches_plain_harness_run(self):
         """The unperturbed control runs the exact golden-path schedule."""
-        point = ConformancePoint(scheme="rma-mcs", benchmark="wcsb", procs=8,
-                                 procs_per_node=4, iterations=4, seed=5)
+        point = ConformancePoint(_grid("rma-mcs"))
         row = run_conformance_point(point, recheck=False)
         config = LockBenchConfig(
             machine=cached_machine(8, 4, "xc30"), scheme="rma-mcs",
@@ -137,9 +138,7 @@ class TestPointExecution:
         assert row["reproducible"] is None  # recheck was off
 
     def test_recheck_certifies_reproducibility(self):
-        point = ConformancePoint(scheme="ticket", benchmark="wcsb", procs=8,
-                                 procs_per_node=4, iterations=4, perturb_seed=2,
-                                 latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.02)
+        point = ConformancePoint(_grid("ticket"), perturb_seed=2)
         row = run_conformance_point(point)
         assert row["reproducible"] is True
         assert row["ok"]
@@ -147,9 +146,7 @@ class TestPointExecution:
         assert row["max_bypass"] <= 7
 
     def test_striped_adapter_point_runs(self):
-        point = ConformancePoint(scheme="striped-rw", benchmark="wcsb", procs=8,
-                                 procs_per_node=4, iterations=4, perturb_seed=1,
-                                 latency_jitter=0.3, rank_slowdown=1.0, pause_rate=0.02)
+        point = ConformancePoint(_grid("striped-rw"), perturb_seed=1)
         row = run_conformance_point(point, recheck=False)
         assert row["ok"], row["violations"]
         assert row["acquires"] > 0
@@ -184,8 +181,7 @@ class TestPointExecution:
             return _CrashSpec()
 
         try:
-            point = ConformancePoint(scheme="conform-crash-lock", benchmark="wcsb",
-                                     procs=4, procs_per_node=4, iterations=2)
+            point = ConformancePoint(_grid("conform-crash-lock", procs=4, iterations=2))
             row = run_conformance_point(point, recheck=False)
             assert not row["ok"]
             assert any("KeyError" in str(v) for v in row["violations"])
@@ -222,8 +218,7 @@ class TestPointExecution:
             return _StuckSpec()
 
         try:
-            point = ConformancePoint(scheme="conform-stuck-lock", benchmark="wcsb",
-                                     procs=4, procs_per_node=4, iterations=2)
+            point = ConformancePoint(_grid("conform-stuck-lock", procs=4, iterations=2))
             row = run_conformance_point(point, recheck=False)
             assert not row["ok"]
             assert any("deadlock" in str(v) for v in row["violations"])
@@ -300,7 +295,7 @@ class TestSweepAndCache:
         campaign_cache = ResultCache(tmp_path)
         conformance_cache = ResultCache(tmp_path, namespace="conformance")
         assert campaign_cache.dir != conformance_cache.dir
-        point = ConformancePoint(scheme="ticket", benchmark="wcsb", procs=8)
+        point = ConformancePoint(CampaignPoint(scheme="ticket", benchmark="wcsb", procs=8))
         conformance_cache.put(point, {"ok": True})
         assert campaign_cache.get(point) is None
         assert conformance_cache.get(point) == {"ok": True}

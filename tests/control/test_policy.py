@@ -248,11 +248,12 @@ class TestOraclesAcrossSwaps:
     def test_conformance_oracles_span_the_swap(self):
         """The observer attached to entry 0 survives handle rebuilds, so the
         safety/fairness oracles judge the whole adaptive run."""
+        from repro.bench.campaign import CampaignPoint
         from repro.bench.conformance import ConformancePoint, run_conformance_point
 
         point = ConformancePoint(
-            scheme="fompi-spin", benchmark="traffic-adaptive", procs=8,
-            procs_per_node=4, iterations=6, fw=0.2, seed=13, perturb_seed=0,
+            CampaignPoint(scheme="fompi-spin", benchmark="traffic-adaptive", procs=8,
+                          procs_per_node=4, iterations=6, fw=0.2, seed=13)
         )
         row = run_conformance_point(point)
         assert row["ok"], row["violations"]

@@ -94,7 +94,7 @@ def test_fault_point_grid_and_reexecution():
     points = fault_points(seeds=2, schemes=["lease-lock"], scenarios=["holder-crash"])
     assert [p.crash_seed for p in points] == [1, 2]
     point = points[0]
-    assert isinstance(point, FaultPoint)
+    assert isinstance(point, FaultPoint) and point.point.benchmark == "wcsb"
     assert point.case.startswith("lease-lock-holder-crash-")
     # Same point, same row: the verdict is a pure function of the point.
     first = run_fault_point(point)
@@ -123,4 +123,4 @@ def test_fault_points_are_the_conformance_grid_times_scenario_and_crash_seed(nar
         for k in (1, 2)
     ]
     points = fault_points(seeds=2, **narrow)
-    assert [(point.case, point.config()) for point in points] == expected
+    assert [(point.case, point.point.config()) for point in points] == expected

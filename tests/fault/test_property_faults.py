@@ -15,6 +15,8 @@ Two contracts, sampled instead of hand-picked:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -83,5 +85,6 @@ def test_fault_point_rows_are_crash_seed_reproducible(crash_seed, scenario):
             horizon_us=first["horizon_us"],
         )
         with registered() as reference:
-            sha, abort, _ = _run_faulted(point, plan, reference)
+            on_reference = replace(point, point=replace(point.point, scheduler=reference))
+            sha, abort, _ = _run_faulted(on_reference, plan)
         assert (sha, abort) == (first["fingerprint"], first.get("abort"))

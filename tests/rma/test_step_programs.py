@@ -25,12 +25,12 @@ import heapq
 import os
 import threading
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.api.registry import get_scheme, scheme_names
-from repro.bench.campaign import run_result_sha
+from repro.bench.campaign import CampaignPoint, run_result_sha
 from repro.bench.conformance import ConformancePoint, run_conformance_point
 from repro.bench.harness import (
     build_lock_spec,
@@ -290,9 +290,15 @@ def make_reference():
 def _observed_point(workload, scheduler):
     """One perturbed + observed conformance point."""
     return ConformancePoint(
-        scheme="rma-rw", benchmark=workload, procs=8, procs_per_node=4,
-        iterations=5, scheduler=scheduler, perturb_seed=2, **CHAOS,
+        CampaignPoint(scheme="rma-rw", benchmark=workload, procs=8, procs_per_node=4,
+                      iterations=5, fw=0.2, seed=5, scheduler=scheduler),
+        perturb_seed=2,
     )
+
+
+def _on(point, scheduler):
+    """A verdict-sweep point with its grid point moved to ``scheduler``."""
+    return replace(point, point=replace(point.point, scheduler=scheduler))
 
 
 def _traffic_point():
@@ -869,16 +875,16 @@ class TestNoRankThreads:
     def test_no_rank_thread_in_a_faulted_run(self, scheme, scenario, reference):
         from repro.bench import faults as engine
 
-        point = engine.FaultPoint(scheme=scheme, scenario=scenario, crash_seed=1, procs=4)
+        [point] = engine.fault_points(seeds=1, schemes=[scheme], scenarios=[scenario])
         probe, makespan = engine._probe(point)
         plans = engine._candidate_plans(point, probe, makespan)
         assert plans, point.case
         for plan, _ in plans[:2]:
             with rank_threads_started() as threads:
-                inline = engine._run_faulted(point, plan, "horizon")
+                inline = engine._run_faulted(point, plan)
             assert not threads, point.case
             assert inline[2]["crashes"] == 1, point.case
-            assert inline == engine._run_faulted(point, plan, reference), point.case
+            assert inline == engine._run_faulted(_on(point, reference), plan), point.case
 
     def test_no_rank_thread_in_the_faults_smoke_sweep(self, reference, monkeypatch):
         """``repro faults --smoke`` through ``run_faults`` starts no rank
@@ -890,8 +896,8 @@ class TestNoRankThreads:
         run_faulted = engine._run_faulted
         standing = {}
 
-        def recording(point, plan, scheduler):
-            outcome = run_faulted(point, plan, scheduler)
+        def recording(point, plan):
+            outcome = run_faulted(point, plan)
             standing[point.case] = (point, plan, outcome)  # the last try stands
             return outcome
 
@@ -902,7 +908,7 @@ class TestNoRankThreads:
         assert report.ok and len(report.rows) == len(FAULT_SMOKE_SCHEMES) * 3 * 2
         assert len(standing) == sum(row["status"] != "no-crash-window" for row in report.rows) > 0
         for point, plan, outcome in standing.values():
-            assert outcome == run_faulted(point, plan, reference), point.case
+            assert outcome == run_faulted(_on(point, reference), plan), point.case
 
     def test_no_rank_thread_in_a_faulted_crash_traffic_run(self, reference):
         """``traffic-crash`` under a holder crash of the lease lock: the
@@ -910,20 +916,20 @@ class TestNoRankThreads:
         takeover, and equals the reference interpreter."""
         from repro.bench import faults as engine
 
-        point = engine.FaultPoint(scheme="lease-lock", scenario="holder-crash", crash_seed=1,
-                                  procs=4, benchmark="traffic-crash")
+        [point] = engine.fault_points(seeds=1, schemes=["lease-lock"],
+                                      scenarios=["holder-crash"], benchmark="traffic-crash")
         probe, makespan = engine._probe(point)
         for _, meta in engine._candidate_plans(point, probe, makespan):
             # The sweep's horizon ends before the lease runs out; this one
             # leaves room for the takeover.
             plan = FaultPlan.single(meta["victim"], kill_us=meta["kill_us"], horizon_us=1e6)
             with rank_threads_started() as threads:
-                inline = engine._run_faulted(point, plan, "horizon")
+                inline = engine._run_faulted(point, plan)
             assert not threads
             if inline[2]["holder_deaths"]:
                 break
         assert inline[1] is None and inline[2]["ok"] and inline[2]["holder_deaths"] == 1
-        assert inline == engine._run_faulted(point, plan, reference)
+        assert inline == engine._run_faulted(_on(point, reference), plan)
 
     @pytest.mark.parametrize("scheme", ["fompi-a", "fompi-rw", "rma-rw", "striped-rw"])
     def test_no_rank_thread_in_the_dht(self, scheme):

@@ -228,19 +228,12 @@ class TestOraclesSurviveMutations:
 
     @pytest.mark.parametrize("scenario_name", ("scale-elastic", "scale-hot-rehome"))
     def test_conformance_point_stays_clean(self, scenario_name):
+        from repro.bench.campaign import CampaignPoint
         from repro.bench.conformance import ConformancePoint, run_conformance_point
 
         point = ConformancePoint(
-            scheme="fompi-spin",
-            benchmark=scenario_name,
-            procs=32,
-            procs_per_node=8,
-            iterations=8,
-            fw=0.0,
-            seed=17,
-            perturb_seed=0,
-            latency_jitter=0.0,
-            pause_rate=0.0,
+            CampaignPoint(scheme="fompi-spin", benchmark=scenario_name, procs=32,
+                          procs_per_node=8, iterations=8, fw=0.0, seed=17)
         )
         row = run_conformance_point(point)
         assert row["ok"], row["violations"]

@@ -81,21 +81,13 @@ class TestCommittedBaseline:
 
 class TestConformanceOnTraffic:
     def test_oracles_and_chaos_run_on_traffic_points(self):
+        from repro.bench.campaign import CampaignPoint
         from repro.bench.conformance import ConformancePoint, run_conformance_point
 
+        grid = CampaignPoint(scheme="rma-mcs", benchmark="traffic-zipf", procs=8,
+                             procs_per_node=4, iterations=4, fw=0.2, seed=13)
         for perturb_seed in (0, 3):
-            point = ConformancePoint(
-                scheme="rma-mcs",
-                benchmark="traffic-zipf",
-                procs=8,
-                procs_per_node=4,
-                iterations=4,
-                fw=0.2,
-                seed=13,
-                perturb_seed=perturb_seed,
-                latency_jitter=0.3 if perturb_seed else 0.0,
-                pause_rate=0.02 if perturb_seed else 0.0,
-            )
+            point = ConformancePoint(grid, perturb_seed)
             row = run_conformance_point(point)
             assert row["ok"], row["violations"]
             assert row["reproducible"] is True
@@ -111,7 +103,7 @@ class TestConformanceOnTraffic:
             process_counts=(8,),
             iterations=2,
         )
-        assert {p.benchmark for p in points} == {"traffic-zipf"}
+        assert {p.point.benchmark for p in points} == {"traffic-zipf"}
 
 
 class TestEngine:

@@ -174,6 +174,15 @@ def conformance_points(
 # Point execution
 # --------------------------------------------------------------------------- #
 
+def failure_note(exc: Exception) -> str:
+    """The verdict violation of a run that raised ``exc``."""
+    if isinstance(exc, SimDeadlockError):
+        return f"[deadlock] {exc}"
+    if isinstance(exc, RuntimeError_):
+        return f"[runtime] {exc}"
+    return f"[error] {type(exc).__name__}: {exc}"
+
+
 def observed_run(
     config: LockBenchConfig,
     observer: RunObserver,
@@ -203,14 +212,8 @@ def observed_run(
     except Exception as exc:  # noqa: BLE001 - a failed run is a verdict
         oracle = observer.report().summary()
         if not isinstance(exc, aborts):
-            if isinstance(exc, SimDeadlockError):
-                note = f"[deadlock] {exc}"
-            elif isinstance(exc, RuntimeError_):
-                note = f"[runtime] {exc}"
-            else:
-                note = f"[error] {type(exc).__name__}: {exc}"
             oracle["ok"] = False
-            oracle["violations"] = list(oracle["violations"]) + [note]
+            oracle["violations"] = list(oracle["violations"]) + [failure_note(exc)]
         return None, exc, oracle
     return outcome, None, observer.report().summary()
 

@@ -64,8 +64,14 @@ from repro.bench.campaign import (
     run_result_sha,
     run_sweep,
 )
-from repro.bench.conformance import failure_rows, observed_run, verdicts_by_scheme
+from repro.bench.conformance import (
+    failure_note,
+    failure_rows,
+    observed_run,
+    verdicts_by_scheme,
+)
 from repro.bench.harness import run_lock_benchmark_detailed
+from repro.bench.workloads import LockBenchConfig
 from repro.fault import (
     FAULT_SCENARIOS,
     FaultHorizonError,
@@ -185,10 +191,10 @@ def fault_points(
 # Point execution
 # --------------------------------------------------------------------------- #
 
-def _probe(point: FaultPoint) -> Tuple[TimelineObserver, float]:
+def _probe(config: LockBenchConfig) -> Tuple[TimelineObserver, float]:
     """Unfaulted probe run: the timeline to place the kill in, plus makespan."""
     probe = TimelineObserver()
-    _, raw = run_lock_benchmark_detailed(point.point.config(), observer=probe)
+    _, raw = run_lock_benchmark_detailed(config, observer=probe)
     makespan = max(raw.finish_times_us) if raw.finish_times_us else 0.0
     return probe, makespan
 
@@ -208,11 +214,7 @@ def _candidate_plans(
     elif point.scenario == "waiter-crash":
         kind = "wait"
     else:  # restart: crash whatever the scheme claims to recover from
-        kind = (
-            "hold"
-            if declared is not None and "holder-crash" in declared.scenarios
-            else "wait"
-        )
+        kind = "hold" if "holder-crash" in declared.scenarios else "wait"
 
     def _has_successor(iv):
         # Some *other* rank acquires after this interval ends, so the crash
@@ -238,7 +240,10 @@ def _candidate_plans(
         # victim left behind has been spliced/expired, so the restarted rank
         # re-enters from a clean slate.
         restart_us = float(int(2.0 * makespan) + 50)
-    horizon = float(int(4.0 * makespan + (restart_us or 0.0)) + 100)
+    # Room past the declared lease, so a crashed holder's lease can run out
+    # and be taken over before the run is aborted.
+    lease_us = declared.lease_us or 0.0
+    horizon = float(int(4.0 * makespan + (restart_us or 0.0) + lease_us) + 100)
 
     plans: List[Tuple[FaultPlan, Dict[str, Any]]] = []
     for idx in order:
@@ -327,13 +332,8 @@ def _caught_by_explorer(scheme: str) -> bool:
 def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     """Execute one fault point and build its verdict row."""
     grid = point.point
-    declared_info = recovery_info(grid.scheme)
-    declared = (
-        declared_info is not None and point.scenario in declared_info.scenarios
-    )
-    probe, makespan = _probe(point)
-    plans = _candidate_plans(point, probe, makespan)
-
+    declared = point.scenario in recovery_info(grid.scheme).scenarios
+    config = grid.config()  # outside the net: a bad point is a usage error
     row: Dict[str, Any] = {
         "case": point.case,
         "scheme": grid.scheme,
@@ -344,10 +344,20 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
         "iterations": grid.iterations,
         "seed": grid.seed,
         "declared": declared,
-        "probe_makespan_us": round(makespan, 3),
+        "probe_makespan_us": None,
         "violations": [],
         "fingerprint": None,
     }
+    try:
+        probe, makespan = _probe(config)
+    except Exception as exc:  # noqa: BLE001 - a failed run is a verdict
+        row.update({
+            "victim": None, "kill_us": None, "restart_us": None,
+            "status": "violation", "ok": False, "violations": [failure_note(exc)],
+        })
+        return row
+    row["probe_makespan_us"] = round(makespan, 3)
+    plans = _candidate_plans(point, probe, makespan)
     if not plans:
         row.update({"victim": None, "kill_us": None, "restart_us": None})
         row["status"] = "no-crash-window"

@@ -23,7 +23,7 @@ from repro.bench.faults import (
     run_faults,
     scheme_verdicts,
 )
-from repro.fault import FAULT_SCENARIOS
+from repro.fault import FAULT_SCENARIOS, recovery_info
 
 SCHEMES = ("lease-lock", "repair-mcs-racy", "rma-mcs")
 
@@ -101,6 +101,17 @@ def test_fault_point_grid_and_reexecution():
     second = run_fault_point(point)
     assert first == second
     assert first["ok"]
+
+
+def test_a_short_lease_lock_run_outlives_its_lease():
+    """The fault horizon leaves room past the declared lease, so a holder
+    crash in a short run is taken over, not aborted as a lost lock."""
+    report = run_faults(seeds=2, jobs=1, cache=False, schemes=["lease-lock"], iterations=4)
+    assert report.ok, report.failures
+    assert {row["status"] for row in report.rows} == {"recovered"}
+    lease_us = recovery_info("lease-lock").lease_us
+    for row in report.rows:
+        assert row["horizon_us"] >= 4 * row["probe_makespan_us"] + lease_us, row["case"]
 
 
 @pytest.mark.parametrize(

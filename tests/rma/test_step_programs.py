@@ -876,7 +876,7 @@ class TestNoRankThreads:
         from repro.bench import faults as engine
 
         [point] = engine.fault_points(seeds=1, schemes=[scheme], scenarios=[scenario])
-        probe, makespan = engine._probe(point)
+        probe, makespan = engine._probe(point.point.config())
         plans = engine._candidate_plans(point, probe, makespan)
         assert plans, point.case
         for plan, _ in plans[:2]:
@@ -918,11 +918,8 @@ class TestNoRankThreads:
 
         [point] = engine.fault_points(seeds=1, schemes=["lease-lock"],
                                       scenarios=["holder-crash"], benchmark="traffic-crash")
-        probe, makespan = engine._probe(point)
-        for _, meta in engine._candidate_plans(point, probe, makespan):
-            # The sweep's horizon ends before the lease runs out; this one
-            # leaves room for the takeover.
-            plan = FaultPlan.single(meta["victim"], kill_us=meta["kill_us"], horizon_us=1e6)
+        probe, makespan = engine._probe(point.point.config())
+        for plan, _ in engine._candidate_plans(point, probe, makespan):
             with rank_threads_started() as threads:
                 inline = engine._run_faulted(point, plan)
             assert not threads

@@ -642,6 +642,17 @@ class TestFaultsCommand:
         assert "[error] KeyError:" in captured.out
         assert "verdict: 1 point(s) FAILED" in captured.err
 
+    def test_a_scheme_whose_unfaulted_run_fails_is_a_failing_row(self, crash_lock, capsys):
+        """The probe run is inside the verdict net: its failure is a
+        ``violation`` row, not the end of the sweep."""
+        scheme = crash_lock(lambda ctx: True)
+        assert main(self.argv(scheme)) == 1
+        captured = capsys.readouterr()
+        failing = _table_rows(captured.out.split("failing points:")[1], "case")
+        assert [r["status"] for r in failing] == ["violation"]
+        assert "[error] KeyError: 'third-party bug'" in captured.out
+        assert "verdict: 1 point(s) FAILED" in captured.err
+
     def test_zero_iterations_is_a_usage_error(self, capsys):
         assert main(self.argv("lease-lock", iterations="0")) == 2
         assert "iterations must be >= 1" in capsys.readouterr().err

@@ -28,7 +28,9 @@ scheduling point in between, so ecsb and warb instead stress the handoff,
 fairness and reader-coexistence oracles under maximal lock churn.
 
 Execution rides on the campaign engine: grids expand from the registered
-``conformance`` :class:`~repro.bench.campaign.CampaignSpec`, and
+``conformance`` :class:`~repro.bench.campaign.CampaignSpec`, a
+:class:`ConformancePoint` is one :class:`~repro.bench.campaign.CampaignPoint`
+of it plus a chaos seed (every chaos seed runs under :data:`CHAOS`), and
 :func:`~repro.bench.campaign.run_sweep` fans points out over the pool and
 caches verdict rows under the ``conformance`` namespace — keyed on the same
 :func:`~repro.bench.campaign.cache_epoch` as benchmark rows, a hash of the
@@ -127,6 +129,10 @@ class ConformancePoint:
         """Canonical JSON-able description (the cache-key input)."""
         return {"kind": "conformance", "perturb_seed": self.perturb_seed, **self.point.describe()}
 
+    def config(self) -> LockBenchConfig:
+        """The grid point's run configuration."""
+        return self.point.config()
+
 
 def conformance_points(
     spec: "CampaignSpec | str" = "conformance",
@@ -221,11 +227,10 @@ def observed_run(
 def _run_once(point: ConformancePoint) -> Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]:
     """One observed, possibly perturbed run; returns (fingerprint, oracle, bench)."""
     grid = point.point
-    config = grid.config()
     info = get_scheme(grid.scheme)
     bound = info.fairness_bound(grid.procs) if info.fairness_bound is not None else None
     outcome, _, oracle = observed_run(
-        config,
+        point.config(),
         LockOracleObserver(bypass_bound=bound),
         scheduler=grid.scheduler,
         perturbation=point.perturbation(),

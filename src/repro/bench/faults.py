@@ -9,6 +9,11 @@ RecoveryOracleObserver` checks the recovery-safety oracles: no double grant
 before a crashed holder's lease expired, stale releases fenced, base mutual
 exclusion and handoff sanity for the survivors.
 
+The grid is the registered ``conformance`` campaign narrowed to wcsb at
+P = 4 and 6 iterations, × crash scenario × crash seed: a :class:`FaultPoint`
+is one :class:`~repro.bench.campaign.CampaignPoint` plus its scenario and
+crash seed, and runs on that point's scheduler.
+
 Kill placement is scheme-aware without being scheme-specific: an unfaulted
 **probe run** (same config, same seed) records the real hold and wait
 intervals through a :class:`~repro.fault.TimelineObserver`; the crash seed
@@ -16,7 +21,9 @@ then draws a victim interval from the probe timeline via the dedicated fault
 Philox lane (:func:`repro.fault.fault_rng`) and schedules the kill inside it.
 Because the fault path stays cold until the kill fires, the faulted run is
 bit-identical to the probe run up to that very instant — the kill genuinely
-lands in the middle of a hold (or a parked wait), whatever the scheme.
+lands in the middle of a hold (or a parked wait), whatever the scheme.  The
+faulted run's horizon leaves room past the scheme's declared lease, so a
+crashed holder's lease can expire and be taken over before the run aborts.
 
 Verdicts distinguish what the registry *declares*
 (:func:`repro.fault.declare_recovery`) from what happened:
@@ -29,7 +36,8 @@ Verdicts distinguish what the registry *declares*
   deadlock / lock timeout / fault-horizon abort: honest unavailability, not
   a false pass;
 * ``unavailable`` / ``violation`` — a *declared* scenario deadlocked or an
-  oracle fired: these fail the sweep;
+  oracle fired (or the unfaulted probe run itself failed): these fail the
+  sweep;
 * ``no-crash-window`` — the probe timeline offered no interval to kill in
   (e.g. no rank ever waits at P=1);
 * ``mutant-caught`` / ``mutant-escaped`` — schemes in :data:`KNOWN_MUTANTS`
@@ -112,9 +120,8 @@ _KILL_FRACTION = 0.5
 #: Kill times are integral and only fire at public-call *entry* clocks, so a
 #: kill aimed at a sub-microsecond hold can slip past the victim's release.
 #: Placement is therefore outcome-verified: the engine tries candidate plans
-#: until the oracle confirms the scenario really
-#: manifested — a holder died holding, a waiter died parked — bounded by
-#: this attempt budget.
+#: until the oracle confirms the scenario really manifested — a holder died
+#: holding, a waiter died parked — bounded by this attempt budget.
 _MAX_PLACEMENT_TRIES = 10
 
 

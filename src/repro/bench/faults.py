@@ -39,12 +39,11 @@ Verdicts distinguish what the registry *declares*
   oracle fired (or the unfaulted probe run itself failed): these fail the
   sweep;
 * ``no-crash-window`` — the probe timeline offered no interval to kill in
-  (e.g. no rank ever waits at P=1);
-* ``mutant-caught`` / ``mutant-escaped`` — schemes in :data:`KNOWN_MUTANTS`
-  are held to the *inverted* bar: the row passes iff a live oracle or the
-  model checker (:mod:`repro.verification.explorer`, over the scheme's own
-  step programs in its declared holder/waiter-crash scenarios, with every
-  kill timing) catches the planted bug.
+  (e.g. no rank ever waits at P=1).
+
+A scheme with a planted bug (:data:`repro.verification.explorer.KNOWN_MUTANTS`)
+is not swept: ``repro verify`` judges it over every kill timing, and a
+sampled kill that misses the bug would read as a recovery.
 
 Each row records the faulted run's :func:`~repro.bench.campaign.run_result_sha`
 fingerprint; crash delivery is part of the determinism contract, which
@@ -60,7 +59,6 @@ edited scheme is recomputed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -95,7 +93,7 @@ from repro.verification.oracles import RecoveryOracleObserver
 
 __all__ = [
     "FaultPoint",
-    "KNOWN_MUTANTS",
+    "SMOKE_SCHEMES",
     "fault_points",
     "format_fault_rows",
     "run_fault_point",
@@ -103,10 +101,18 @@ __all__ = [
     "scheme_verdicts",
 ]
 
-#: Schemes that ship an intentionally planted bug: the sweep (and ``repro
-#: verify``) inverts their bar — the row passes iff the bug is *caught*, by a
-#: live oracle or by the model checker's crash exploration.
-KNOWN_MUTANTS: Tuple[str, ...] = ("repair-mcs-racy",)
+#: Grid used by ``repro faults --smoke`` (the CI job): the fault subsystem's
+#: own schemes plus four non-recovering controls — the classic
+#: rma-mcs/ticket pair and two lock families — so CI sees every verdict class
+#: without sweeping all registered schemes.
+SMOKE_SCHEMES: Tuple[str, ...] = (
+    "lease-lock",
+    "repair-mcs",
+    "rma-mcs",
+    "ticket",
+    "alock",
+    "lock-server",
+)
 
 #: Kill-placement policy: a candidate interval must be long enough that the
 #: kill lands well inside it — past the enqueue RMAs of a wait, before the
@@ -167,8 +173,12 @@ def fault_points(
 
     ``schemes``, ``process_counts`` and ``iterations`` narrow it further;
     by default every conformance-capable scheme is swept, so third-party
-    ``@register_scheme`` locks are crash-tested for free.
+    ``@register_scheme`` locks are crash-tested for free.  A selector skips
+    the known mutants; naming one is an error, as ``repro verify`` judges it.
     """
+    # A local import: the live sweeps do not load the model checker's module.
+    from repro.verification.explorer import KNOWN_MUTANTS
+
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     if scenarios is None:
@@ -179,9 +189,17 @@ def fault_points(
                 f"unknown scenario {scenario!r} (expected one of {FAULT_SCENARIOS})"
             )
     grid = get_campaign("conformance")
+    if schemes is not None:
+        grid = replace(grid, schemes=tuple(schemes))
+    for scheme in grid.schemes:
+        if scheme in KNOWN_MUTANTS:
+            raise ValueError(
+                f"{scheme!r} is a known mutant: `repro verify` judges it over "
+                f"every kill timing, where this sweep's sampled kills could pass it"
+            )
     spec = replace(
         grid,
-        schemes=grid.schemes if schemes is None else tuple(schemes),
+        schemes=tuple(s for s in grid.resolve_schemes() if s not in KNOWN_MUTANTS),
         benchmarks=(benchmark,),
         process_counts=(4,) if process_counts is None else tuple(int(p) for p in process_counts),
         iterations=6 if iterations is None else int(iterations),
@@ -322,20 +340,6 @@ def _run_faulted(
     return run_result_sha(outcome[1]), None, oracle
 
 
-@lru_cache(maxsize=None)
-def _caught_by_explorer(scheme: str) -> bool:
-    """Whether the model checker finds a violation in one of ``scheme``'s
-    declared holder/waiter-crash scenarios at P = 3 (once per process)."""
-    from repro.topology.machine import Machine
-    from repro.verification.explorer import CRASHES, Explorer
-
-    declared = recovery_info(scheme).scenarios
-    return any(
-        not Explorer(scheme, Machine.single_node(3), crash=crash).explore().ok
-        for crash in CRASHES if crash in declared
-    )
-
-
 def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
     """Execute one fault point and build its verdict row."""
     grid = point.point
@@ -394,19 +398,6 @@ def run_fault_point(point: FaultPoint) -> Dict[str, Any]:
 
     unavailable = abort is not None
     oracle_ok = bool(oracle["ok"]) and not violations
-    if grid.scheme in KNOWN_MUTANTS:
-        # Inverted bar: the planted bug must be caught somewhere.
-        caught_live = unavailable or not oracle_ok
-        caught_model = _caught_by_explorer(grid.scheme)
-        row["mutant_caught_live"] = caught_live
-        row["mutant_caught_model"] = caught_model
-        row["status"] = (
-            "mutant-caught" if (caught_live or caught_model) else "mutant-escaped"
-        )
-        row["ok"] = caught_live or caught_model
-        row["violations"] = violations
-        return row
-
     if unavailable:
         row["abort"] = abort
         row["status"] = "unavailable" if declared else "expected-unavailable"

@@ -235,7 +235,6 @@ def run_tune(
     cache_dir: Optional[Path] = None,
     refresh: bool = False,
     scheduler: str = "horizon",
-    smoke: bool = False,
 ) -> SweepReport:
     """Sweep the grids through :func:`~repro.bench.campaign.run_sweep`.
 
@@ -248,7 +247,7 @@ def run_tune(
     and ``sensitivity``; ``wall_s`` includes the winner re-runs.
     """
     if grids is None:
-        grids = default_grids(smoke=smoke)
+        grids = default_grids()
     grids = list(grids)
     get_runtime(scheduler)
 

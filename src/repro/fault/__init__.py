@@ -8,8 +8,8 @@ The package splits into four layers:
   bit-reproducibly, identically across schedulers.
 * :mod:`repro.fault.lease_lock` / :mod:`repro.fault.repair_mcs` — the
   recovery side: a lease lock with epoch-fenced release, and an MCS queue
-  that splices dead waiters out (plus its intentionally racy mutant).  Both
-  are ordinary registry schemes.
+  that splices dead waiters out (plus its intentionally racy mutant, one of
+  the explorer's ``KNOWN_MUTANTS``).  All three are ordinary registry schemes.
 * :mod:`repro.fault.observers` — :class:`TimelineObserver`, the probe
   observer the fault sweep uses to place kills inside real hold/wait windows.
 * :mod:`repro.fault.traffic` — the ``traffic-crash`` traffic scenario: a
@@ -20,7 +20,9 @@ The package splits into four layers:
 The recovery-safety oracles live with the other live oracles in
 :mod:`repro.verification.oracles` (:class:`~repro.verification.oracles.\
 RecoveryOracleObserver`); the sweep driving all of this is
-:mod:`repro.bench.faults` (CLI: ``repro faults``).
+:mod:`repro.bench.faults` (CLI: ``repro faults``).  The mutant is not swept:
+``repro verify`` explores its declared crashes at every kill timing and
+passes it only if it finds the orphaned racer.
 """
 
 from repro.fault.observers import TimelineObserver

@@ -226,7 +226,7 @@ def _build_repair_mcs_racy(machine, home_rank=0) -> RepairMCSLockSpec:
 # fine: the victim's old node is spliced out while it is dead, and it simply
 # re-enqueues after revival.
 declare_recovery("repair-mcs", ("waiter-crash", "restart"))
-# The mutant intentionally declares the same capabilities so the sweep HOLDS
-# it to the recovering bar — that is how its bug surfaces as a violation
-# instead of an expected-unavailability.
+# The mutant intentionally declares the same capabilities, so that `repro
+# verify` explores its waiter crash, where the orphaned racer surfaces as a
+# deadlock.
 declare_recovery("repair-mcs-racy", ("waiter-crash", "restart"))

@@ -87,7 +87,10 @@ from repro.topology.machine import Machine
 from repro.util.rng import rank_rng
 from repro.verification.oracles import RecoveryOracleObserver, observe_lock
 
-__all__ = ["CRASHES", "MAX_STATES", "PARAMS", "TICK", "Exploration", "Explorer", "NotExplorable", "StateExplosionError"]
+__all__ = [
+    "CRASHES", "KNOWN_MUTANTS", "MAX_STATES", "PARAMS", "TICK", "Exploration", "Explorer", "NotExplorable",
+    "StateExplosionError",
+]
 
 _PRIMITIVE = frozenset((int, float, bool, str, type(None)))
 _TRANSITIONS = frozenset((PUT, GET, ACCUMULATE, FAO, CAS, SPIN, SPIN_WHILE))
@@ -105,6 +108,10 @@ _OPAQUE = object()
 CRASHES = ("holder-crash", "waiter-crash")
 #: A witness schedule's tick; a kill of rank v is ``f"kill {v}"``.
 TICK = "tick"
+#: Registered schemes that ship a planted bug: ``repro verify`` passes one
+#: only if its crash exploration finds a violation, and the fault sweep
+#: leaves them out (its sampled kills would pass what it cannot catch).
+KNOWN_MUTANTS: Tuple[str, ...] = ("repair-mcs-racy",)
 
 
 class StateExplosionError(RuntimeError):

@@ -1,7 +1,9 @@
 """The fault sweep engine end to end on a narrowed grid.
 
-One cache-less ``run_faults`` over a cross-section of schemes (a recoverer,
-the caught mutant, and a lease-free control) pins the verdict taxonomy.  The
+One cache-less ``run_faults`` over a cross-section of schemes (a recoverer
+and a lease-free control) pins the verdict taxonomy.  The known mutants are
+not swept: ``repro verify`` judges them (``tests/test_cli.py -k verify``,
+``tests/verification/test_crash_explorer.py -k racy``).  The
 jobs=1 ≡ jobs=N contract is the shared executor's
 (``tests/bench/test_sweep_contract.py``); every point equals the reference
 interpreter under ``tests/rma/test_step_programs.py -k no_rank_thread``.
@@ -15,17 +17,16 @@ import pytest
 
 from repro.bench.campaign import get_campaign
 from repro.bench.faults import (
-    KNOWN_MUTANTS,
     FaultPoint,
-    _caught_by_explorer,
     fault_points,
     run_fault_point,
     run_faults,
     scheme_verdicts,
 )
 from repro.fault import FAULT_SCENARIOS, recovery_info
+from repro.verification.explorer import KNOWN_MUTANTS
 
-SCHEMES = ("lease-lock", "repair-mcs-racy", "rma-mcs")
+SCHEMES = ("lease-lock", "rma-mcs")
 
 
 @pytest.fixture(scope="module")
@@ -48,28 +49,12 @@ def test_verdicts_match_declared_capabilities(report):
     # somewhere (placement may occasionally yield not-manifested points).
     assert statuses["lease-lock"] & {"recovered", "tolerated"}
     assert "expected-unavailable" not in statuses["lease-lock"]
-    # The racy mutant is caught, never quietly passed.
-    assert statuses["repair-mcs-racy"] <= {"mutant-caught"}
-    assert "repair-mcs-racy" in KNOWN_MUTANTS
     # The lease-free control declares nothing: unavailability is expected,
     # reported as such rather than as a false pass.
     assert "recovered" not in statuses["rma-mcs"]
     # An abort is honest unavailability: it names its kind, not a violation.
     aborted = [row for row in report.rows if row["status"] == "expected-unavailable"]
     assert aborted and all(row["abort"] and not row["violations"] for row in aborted)
-
-
-def test_the_model_verdict_on_a_mutant_comes_from_the_explorer_once(report):
-    rows = [row for row in report.rows if row["scheme"] == "repair-mcs-racy"]
-    assert rows and all(row["mutant_caught_model"] for row in rows)
-    # Computed once per scheme per process, not once per point.
-    before = _caught_by_explorer.cache_info()
-    assert _caught_by_explorer("repair-mcs-racy") is True
-    after = _caught_by_explorer.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    # The correct repair walk and the lease lock survive their declared crashes.
-    assert _caught_by_explorer("repair-mcs") is False
-    assert _caught_by_explorer("lease-lock") is False
 
 
 def test_scheme_verdicts_aggregate(report):
@@ -122,7 +107,8 @@ def test_a_short_lease_lock_run_outlives_its_lease():
 )
 def test_fault_points_are_the_conformance_grid_times_scenario_and_crash_seed(narrow):
     """The fault grid is the ``conformance`` campaign narrowed to wcsb at
-    P = 4 and 6 iterations, × scenario × crash seed, in that order."""
+    P = 4 and 6 iterations, × scenario × crash seed, in that order, without
+    the known mutants."""
     spec = replace(get_campaign("conformance"), benchmarks=("wcsb",),
                    process_counts=narrow.get("process_counts", (4,)), iterations=6)
     if "schemes" in narrow:
@@ -130,8 +116,19 @@ def test_fault_points_are_the_conformance_grid_times_scenario_and_crash_seed(nar
     expected = [
         (f"{p.scheme}-{scenario}-p{p.procs}-s{p.seed}-k{k}", p.config())
         for p in spec.points()
+        if p.scheme not in KNOWN_MUTANTS
         for scenario in narrow.get("scenarios", FAULT_SCENARIOS)
         for k in (1, 2)
     ]
     points = fault_points(seeds=2, **narrow)
     assert [(point.case, point.point.config()) for point in points] == expected
+
+
+@pytest.mark.parametrize("schemes", [None, ["all"]], ids=["default", "all"])
+def test_a_selector_skips_the_known_mutants(schemes):
+    """The default ``conformance`` selector and ``all`` both match every
+    known mutant; the fault grid holds none of them."""
+    selected = replace(get_campaign("conformance"), schemes=tuple(schemes or ("conformance",)))
+    assert set(KNOWN_MUTANTS) <= set(selected.resolve_schemes())
+    points = fault_points(seeds=1, schemes=schemes)
+    assert points and not {p.point.scheme for p in points} & set(KNOWN_MUTANTS)

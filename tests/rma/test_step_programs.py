@@ -30,15 +30,15 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.api.registry import get_scheme, scheme_names
-from repro.bench.campaign import CampaignPoint, run_result_sha
+from repro.bench.campaign import CampaignPoint, get_campaign, run_result_sha
 from repro.bench.conformance import ConformancePoint, run_conformance_point
+from repro.bench.faults import SMOKE_SCHEMES as FAULT_SMOKE_SCHEMES
 from repro.bench.harness import (
     build_lock_spec,
     make_lock_program,
     run_lock_benchmark_detailed,
 )
 from repro.bench.workloads import LockBenchConfig
-from repro.cli import _FAULT_SMOKE_SCHEMES as FAULT_SMOKE_SCHEMES
 from repro.core.lock_base import LockHandle
 from repro.fault import FaultPlan, TimelineObserver
 from repro.rma.ops import AtomicOp, RMACall
@@ -65,6 +65,7 @@ from repro.rma.sim_runtime import SimRuntime
 from repro.topology.builder import cached_machine
 from repro.topology.machine import Machine
 from repro.traffic.engine import run_traffic, traffic_spec
+from repro.verification.explorer import KNOWN_MUTANTS
 from repro.verification.oracles import LockOracleObserver
 
 from tests.reference import REFERENCE, ReferenceRuntime, factory
@@ -866,16 +867,20 @@ class TestBridge:
 class TestNoRankThreads:
     """Registry-wide guard: only a blocking program starts rank threads.  Every
     built-in loop below — faulted runs of every scheme in the ``repro faults
-    --smoke`` grid, the paper's DHT, elastic and adaptive traffic, the
+    --smoke`` grid and of the known mutants, the paper's DHT, elastic and adaptive traffic, the
     hand-off ablation — is a step program, runs with no ``sim-rank-*``
     thread and equals the reference interpreter."""
 
     @pytest.mark.parametrize("scenario", ["holder-crash", "waiter-crash", "restart"])
-    @pytest.mark.parametrize("scheme", FAULT_SMOKE_SCHEMES)
+    @pytest.mark.parametrize("scheme", FAULT_SMOKE_SCHEMES + KNOWN_MUTANTS)
     def test_no_rank_thread_in_a_faulted_run(self, scheme, scenario, reference):
         from repro.bench import faults as engine
 
-        [point] = engine.fault_points(seeds=1, schemes=[scheme], scenarios=[scenario])
+        # The fault grid's point, built here: the grid leaves the known
+        # mutants out, but their faulted runs are held to the contract too.
+        [grid] = replace(get_campaign("conformance"), schemes=(scheme,), benchmarks=("wcsb",),
+                         process_counts=(4,), iterations=6).points()
+        point = engine.FaultPoint(grid, scenario, 1)
         probe, makespan = engine._probe(point.point.config())
         plans = engine._candidate_plans(point, probe, makespan)
         assert plans, point.case

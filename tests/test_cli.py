@@ -112,6 +112,21 @@ class TestCommands:
         assert "Portability" in out
         assert "fortran-2008" in out
 
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["bench", "--procs", "0"], "num_processes must be >= 1"),
+            (["trace", "--iterations", "0"], "iterations must be >= 1"),
+            (["info", "--procs", "0"], "num_processes must be >= 1"),
+        ],
+        ids=["bench", "trace", "info"],
+    )
+    def test_a_bad_size_is_a_one_line_usage_error(self, argv, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err and captured.err.count("\n") == 1
+        assert not captured.out
+
 
 class TestImportCost:
     def test_cli_import_loads_no_figure_driver_or_dht_workload(self):
@@ -271,7 +286,7 @@ class TestVerifyCommand:
         assert "  repair-mcs waiter-crash (1 node): " in out  # its witness
 
     def test_verify_exits_1_when_a_known_mutant_is_clean(self, monkeypatch, capsys):
-        monkeypatch.setattr("repro.bench.faults.KNOWN_MUTANTS", ("repair-mcs-racy", "repair-mcs"))
+        monkeypatch.setattr("repro.verification.explorer.KNOWN_MUTANTS", ("repair-mcs-racy", "repair-mcs"))
         assert main(["verify", "--procs", "2"]) == 1
         out = capsys.readouterr().out
         row = next(line for line in out.splitlines() if line.startswith("repair-mcs  ") and "waiter-crash" in line)
@@ -657,6 +672,31 @@ class TestFaultsCommand:
         assert main(self.argv("lease-lock", iterations="0")) == 2
         assert "iterations must be >= 1" in capsys.readouterr().err
 
+    def test_a_named_mutant_is_a_usage_error_that_names_repro_verify(self, capsys):
+        """Under the sweep's bar the racy mutant's waiter-crash and restart
+        rows would read ``recovered``: it is refused, not run."""
+        assert main(self.argv("repair-mcs-racy")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faults sweep cannot run: 'repair-mcs-racy' is a known mutant")
+        assert "`repro verify`" in err
+
+    @pytest.mark.parametrize(
+        "flags,seeds",
+        [(["--smoke"], 2), (["--smoke", "--seeds", "3"], 3), (["--schemes", "ticket"], 5)],
+        ids=["smoke", "smoke-explicit-seeds", "default"],
+    )
+    def test_an_explicit_seed_count_wins_over_the_smoke_grid(self, flags, seeds, tmp_path, capsys):
+        from repro.bench.faults import SMOKE_SCHEMES
+
+        manifest = tmp_path / "faults.json"
+        assert main(["faults", *flags, "--scenarios", "holder-crash", "--iterations", "2",
+                     "--jobs", "1", "--no-cache", "--output", str(manifest)]) == 0
+        assert f"({seeds} crash seed(s) per scheme/scenario cell)" in capsys.readouterr().out
+        rows = json.loads(manifest.read_text())["rows"]
+        assert {row["crash_seed"] for row in rows} == set(range(1, seeds + 1))
+        schemes = list(dict.fromkeys(row["scheme"] for row in rows))
+        assert schemes == (list(SMOKE_SCHEMES) if "--smoke" in flags else ["ticket"])
+
 
 class TestTrafficCommand:
     TINY_ARGS = [
@@ -836,6 +876,22 @@ class TestTuneCommand:
         assert all(row["scheduler"] == "horizon" for row in payload["rows"])
         # horizon adds no scheduler suffix to a case name.
         assert not any("horizon" in row["case"] for row in payload["rows"])
+
+    @pytest.mark.parametrize(
+        "flags", [["--scenario", "nonexistent"], ["--tune-param", "bogus"]], ids=["scenario", "tune-param"]
+    )
+    def test_scheme_only_flags_without_scheme_exit_2(self, flags, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["tune", "--smoke", *flags, "--jobs", "1", "--cache-dir", str(cache)]) == 2
+        assert f"{flags[0]} only apply with --scheme" in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_procs_and_iterations_narrow_the_suite(self, tmp_path, capsys):
+        manifest = tmp_path / "TUNE.json"
+        assert main(["tune", "--smoke", "--procs", "8", "--iterations", "3", "--jobs", "1",
+                     "--no-cache", "--output", str(manifest)]) == 0
+        rows = json.loads(manifest.read_text())["rows"]
+        assert rows and {(row["P"], row["iterations"]) for row in rows} == {(8, 3)}
 
     def test_tune_rejects_untunable_scheme(self, capsys):
         code = main(["tune", "--scheme", "ticket", "--jobs", "1", "--no-cache"])

@@ -454,6 +454,26 @@ class CampaignSpec:
                     out.append(name)
         return tuple(out)
 
+    def narrow(
+        self,
+        *,
+        schemes: Optional[Sequence[str]] = None,
+        benchmarks: Optional[Sequence[str]] = None,
+        process_counts: Optional[Sequence[int]] = None,
+        iterations: Optional[int] = None,
+    ) -> "CampaignSpec":
+        """This grid with each given axis replaced; None keeps the axis."""
+        overrides: Dict[str, Any] = {}
+        if schemes is not None:
+            overrides["schemes"] = tuple(schemes)
+        if benchmarks is not None:
+            overrides["benchmarks"] = tuple(benchmarks)
+        if process_counts is not None:
+            overrides["process_counts"] = tuple(int(p) for p in process_counts)
+        if iterations is not None:
+            overrides["iterations"] = int(iterations)
+        return replace(self, **overrides) if overrides else self
+
     def points(self) -> List[CampaignPoint]:
         """The fully-expanded grid, in deterministic order."""
         points: List[CampaignPoint] = []

@@ -41,12 +41,12 @@ editing one, pass ``refresh=True`` / ``--refresh`` to recompute its verdicts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import get_runtime, get_scheme
+from repro.api.registry import get_scheme
 from repro.bench.campaign import (
     CampaignPoint,
     CampaignSpec,
@@ -66,7 +66,6 @@ __all__ = [
     "ChaosProfile",
     "ConformancePoint",
     "conformance_points",
-    "format_conformance_rows",
     "run_conformance",
     "run_conformance_point",
     "scheme_verdicts",
@@ -142,14 +141,13 @@ def conformance_points(
     benchmarks: Optional[Sequence[str]] = None,
     process_counts: Optional[Sequence[int]] = None,
     iterations: Optional[int] = None,
-    scheduler: Optional[str] = None,
 ) -> List[ConformancePoint]:
     """Expand a campaign grid × the perturbation-seed axis into points.
 
     Each point of :meth:`CampaignSpec.points` yields one unperturbed control
     point (pinned to the golden schedule) plus ``seeds`` chaos points under
-    :data:`CHAOS`.  The keyword overrides narrow or redirect the registered
-    grid (the CLI flags map onto them 1:1).  Benchmark selectors
+    :data:`CHAOS`.  The keyword overrides narrow the registered grid (the
+    CLI flags map onto them 1:1).  Benchmark selectors
     (``"traffic"``, ``"traffic-rw"``) expand too, so ``repro conform
     --benchmarks traffic`` runs the oracle sweep against the open-loop
     scenarios (the observer attaches to the table's hottest entry — see
@@ -159,20 +157,9 @@ def conformance_points(
         raise ValueError("seeds must be non-negative")
     if isinstance(spec, str):
         spec = get_campaign(spec)
-    overrides: Dict[str, Any] = {}
-    if schemes is not None:
-        overrides["schemes"] = tuple(schemes)
-    if benchmarks is not None:
-        overrides["benchmarks"] = tuple(benchmarks)
-    if process_counts is not None:
-        overrides["process_counts"] = tuple(int(p) for p in process_counts)
-    if iterations is not None:
-        overrides["iterations"] = int(iterations)
-    if scheduler is not None:
-        get_runtime(scheduler)  # validate early, helpful UnknownNameError
-        overrides["scheduler"] = scheduler
-    if overrides:
-        spec = replace(spec, **overrides)
+    spec = spec.narrow(
+        schemes=schemes, benchmarks=benchmarks, process_counts=process_counts, iterations=iterations
+    )
     return [ConformancePoint(p, s) for p in spec.points() for s in range(seeds + 1)]
 
 
@@ -310,7 +297,6 @@ def run_conformance(
     benchmarks: Optional[Sequence[str]] = None,
     process_counts: Optional[Sequence[int]] = None,
     iterations: Optional[int] = None,
-    scheduler: Optional[str] = None,
 ) -> SweepReport:
     """Run the conformance sweep through :func:`~repro.bench.campaign.run_sweep`.
 
@@ -329,7 +315,6 @@ def run_conformance(
         benchmarks=benchmarks,
         process_counts=process_counts,
         iterations=iterations,
-        scheduler=scheduler,
     )
     report = run_sweep(
         "conformance", spec.name, points,
@@ -381,11 +366,6 @@ def verdicts_by_scheme(
             }
         )
     return out
-
-
-def format_conformance_rows(report: SweepReport) -> List[Dict[str, Any]]:
-    """Failure-detail rows for the CLI (empty when everything passed)."""
-    return failure_rows(report, ("case", "P", "perturb_seed"))
 
 
 def _summarize(group: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -58,7 +58,7 @@ edited scheme is recomputed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,7 +72,6 @@ from repro.bench.campaign import (
 )
 from repro.bench.conformance import (
     failure_note,
-    failure_rows,
     observed_run,
     verdicts_by_scheme,
 )
@@ -93,26 +92,11 @@ from repro.verification.oracles import RecoveryOracleObserver
 
 __all__ = [
     "FaultPoint",
-    "SMOKE_SCHEMES",
     "fault_points",
-    "format_fault_rows",
     "run_fault_point",
     "run_faults",
     "scheme_verdicts",
 ]
-
-#: Grid used by ``repro faults --smoke`` (the CI job): the fault subsystem's
-#: own schemes plus four non-recovering controls — the classic
-#: rma-mcs/ticket pair and two lock families — so CI sees every verdict class
-#: without sweeping all registered schemes.
-SMOKE_SCHEMES: Tuple[str, ...] = (
-    "lease-lock",
-    "repair-mcs",
-    "rma-mcs",
-    "ticket",
-    "alock",
-    "lock-server",
-)
 
 #: Kill-placement policy: a candidate interval must be long enough that the
 #: kill lands well inside it — past the enqueue RMAs of a wait, before the
@@ -188,21 +172,18 @@ def fault_points(
             raise ValueError(
                 f"unknown scenario {scenario!r} (expected one of {FAULT_SCENARIOS})"
             )
-    grid = get_campaign("conformance")
-    if schemes is not None:
-        grid = replace(grid, schemes=tuple(schemes))
+    grid = get_campaign("conformance").narrow(schemes=schemes)
     for scheme in grid.schemes:
         if scheme in KNOWN_MUTANTS:
             raise ValueError(
                 f"{scheme!r} is a known mutant: `repro verify` judges it over "
                 f"every kill timing, where this sweep's sampled kills could pass it"
             )
-    spec = replace(
-        grid,
-        schemes=tuple(s for s in grid.resolve_schemes() if s not in KNOWN_MUTANTS),
+    spec = grid.narrow(
+        schemes=[s for s in grid.resolve_schemes() if s not in KNOWN_MUTANTS],
         benchmarks=(benchmark,),
-        process_counts=(4,) if process_counts is None else tuple(int(p) for p in process_counts),
-        iterations=6 if iterations is None else int(iterations),
+        process_counts=(4,) if process_counts is None else process_counts,
+        iterations=6 if iterations is None else iterations,
     )
     return [
         FaultPoint(point, scenario, crash_seed)
@@ -465,11 +446,6 @@ def run_faults(
 # --------------------------------------------------------------------------- #
 # Reporting
 # --------------------------------------------------------------------------- #
-
-def format_fault_rows(report: SweepReport) -> List[Dict[str, Any]]:
-    """Failure-detail rows for the CLI (empty when everything passed)."""
-    return failure_rows(report, ("case", "status", "victim", "kill_us"))
-
 
 def _summarize(group: List[Dict[str, Any]]) -> Dict[str, Any]:
     statuses: Dict[str, int] = {}

@@ -342,6 +342,15 @@ def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
     return findings
 
 
+#: Suite -> the check of its committed ``BENCH_<suite>.json``.
+_CHECKS: Mapping[str, Callable[[Mapping[str, Any]], List[Finding]]] = {
+    "campaign": check_campaign_manifest,
+    "traffic": check_traffic_manifest,
+    "tune": check_tune_manifest,
+    "scale": check_scale_manifest,
+}
+
+
 def check_manifest(payload: Any) -> List[Finding]:
     """The one check of a manifest, chosen by its ``suite``.
 
@@ -351,12 +360,7 @@ def check_manifest(payload: Any) -> List[Finding]:
     """
     if not isinstance(payload, Mapping):
         return [Finding("hard", "manifest", "json", "manifest is not a JSON object")]
-    check = {
-        "campaign": check_campaign_manifest,
-        "traffic": check_traffic_manifest,
-        "tune": check_tune_manifest,
-        "scale": check_scale_manifest,
-    }.get(str(payload.get("suite")))
+    check = _CHECKS.get(str(payload.get("suite")))
     if check is None:
         message = f"no manifest check for suite {payload.get('suite')!r}"
         return [Finding("hard", str(payload.get("campaign", "manifest")), "suite", message)]
@@ -480,7 +484,9 @@ def run_regress(
         print_fn(f"wrote {output}")
 
     findings.extend(compare_campaign_rows(baseline["rows"], report.rows))
-    for suite in ("traffic", "tune", "scale"):
+    for suite in _CHECKS:
+        if suite == "campaign":
+            continue  # the baseline, checked above
         path = manifest_path(suite)
         if not path.exists():
             message = f"{suite} manifest not found; run `repro {suite} --bless` to record one"

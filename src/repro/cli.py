@@ -1,44 +1,4 @@
-"""Command-line interface: ``python -m repro <command>``.
-
-The subcommands cover the common workflows:
-
-* ``figures`` — regenerate one or more of the paper's evaluation figures and
-  print them as pivoted text tables (the same drivers the benchmark suite
-  uses).
-* ``bench`` — run a single lock microbenchmark configuration and print its
-  metrics (useful for quick A/B comparisons while tuning thresholds).
-* ``trace`` — run one contended workload with event tracing enabled and print
-  where the chosen lock's communication time goes (distance breakdown,
-  hottest targets, per-rank activity).
-* ``verify`` — model-check every registered scheme's own step programs over
-  all interleavings (the paper's Section 4.4, without SPIN), then each
-  declared holder/waiter-crash scenario with its kills and lease expiry;
-  exit 1 on any violation or deadlock, or on a known mutant that escapes.
-* ``campaign`` — list, show or run the named sweep campaigns (parallel
-  multi-core execution with the content-addressed result cache).
-* ``regress`` — run the gate campaign and compare its determinism fields
-  bit-exactly against the committed ``BENCH_campaign.json`` baseline, and
-  check the committed traffic, tune and scale manifests (the check CI calls;
-  ``--bless`` records a new baseline).  Every ``--bless`` refuses a manifest
-  that ``regress`` would flag.  Speed is not gated here: it is
-  measured with the ledger (``python3 -m ledger``).
-* ``conform`` — the conformance & chaos sweep: every registered scheme under
-  seeded schedule perturbation with the live safety/fairness oracles, each
-  point re-run to certify bit-reproducibility (exit 1 on any violation).
-* ``faults`` — the fault sweep: seeded rank crashes (holder, waiter, restart)
-  against every scheme, with probe-placed kills, recovery-safety oracles and
-  a determinism fingerprint per point (exit 1 on any violation).
-* ``traffic`` — the open-loop traffic sweep: scheme x scenario service
-  simulation over a multi-lock table (Zipf popularity, phased load) with
-  tail-latency percentile reports; ``--top-keys N`` prints the hottest
-  entries per scenario instead; ``--bless`` records ``BENCH_traffic.json``.
-* ``scale`` — the fluid-scale sweep: deterministic fluid-flow load models
-  validated against the exact engine, sampled-cohort tail percentiles for
-  10^6+ clients/s scenarios, elastic table resizes and topology-aware
-  re-homing; ``--bless`` records ``BENCH_scale.json``.
-* ``info`` — describe a simulated machine, the default thresholds and the
-  Table-3 portability summary.
-"""
+"""Command-line interface: ``python -m repro <command>``; ``--help`` describes each command."""
 
 from __future__ import annotations
 
@@ -46,16 +6,14 @@ import argparse
 import difflib
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import benchmark_names, get_scheme, scheme_names
-from repro.bench.campaign import SweepReport, write_manifest_json
 from repro.bench.harness import run_lock_benchmark
-from repro.bench.regress import bless_sweep, manifest_path
 from repro.bench.report import format_figure, format_table
+from repro.bench.suites import SUITES, add_sweep_flags, finish, run_suite, sweep
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.portability import environments, supports_all_required_ops
 from repro.topology.builder import xc30_like
@@ -105,44 +63,6 @@ def _parse_param_assignments(pairs: Sequence[str], scheme: str) -> Tuple[Tuple[s
         name = name.replace("-", "_")
         out.append((name, info.param(name).coerce(value)))
     return tuple(out)
-
-
-def _add_sweep_flags(
-    parser: argparse.ArgumentParser,
-    *,
-    cache: bool = True,
-    bless: bool = False,
-    imports: bool = False,
-) -> None:
-    """The flags the sweep subcommands share, each defined once."""
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: REPRO_JOBS or all cores; "
-                             "rows are bit-identical regardless)")
-    if cache:
-        parser.add_argument("--no-cache", action="store_true",
-                            help="compute every point, store nothing")
-        parser.add_argument("--refresh", action="store_true",
-                            help="ignore cached rows but refresh the cache (needed only "
-                                 "after editing an --import provider: the cache epoch "
-                                 "tracks the repro sources)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache root (default: <repo>/.repro-cache)")
-    parser.add_argument("--output", default=None,
-                        help="write the sweep's JSON manifest here (CI artifact)")
-    if bless:
-        parser.add_argument("--bless", action="store_true",
-                            help="record a new committed baseline through the campaign "
-                                 "cache (cold run, then a warm run that must hit every row); "
-                                 "refuses a manifest `repro regress` would flag")
-        parser.add_argument("--baseline", default=None,
-                            help="baseline manifest path (default: the suite's "
-                                 "committed <repo>/BENCH_*.json)")
-    if imports:
-        parser.add_argument("--import", dest="imports", action="append", default=[],
-                            metavar="MODULE",
-                            help="import a third-party lock provider first (module name "
-                                 "or path/to/file.py; repeatable) so its @register_scheme "
-                                 "locks join the sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_show.add_argument("name", help="registered campaign name")
     camp_run = campaign_sub.add_parser("run", help="execute a campaign")
     camp_run.add_argument("name", help="registered campaign name")
-    _add_sweep_flags(camp_run)
+    add_sweep_flags(camp_run, "cache")
     camp_run.add_argument("--prune-cache", action="store_true",
                           help="also delete cache entries from stale epochs")
     camp_run.add_argument("--figure", action="store_true",
@@ -212,119 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
     regress = sub.add_parser(
         "regress", help="gate campaign determinism against the committed baselines (CI check)"
     )
-    _add_sweep_flags(regress, cache=False, bless=True)
+    add_sweep_flags(regress, "bless")
     regress.add_argument("--campaign", default="ci-gate",
                          help="campaign to gate on (any other than ci-gate needs --baseline)")
     regress.add_argument("--reuse-cache", action="store_true",
                          help="serve cached rows instead of recomputing (the gate recomputes by "
                               "default so it checks what this code produces, not the cache)")
 
-    conform = sub.add_parser(
-        "conform",
-        help="conformance & chaos sweep: perturbed schedules x live safety/fairness oracles",
-    )
-    _add_sweep_flags(conform, imports=True)
-    conform.add_argument("--seeds", type=int, default=5,
-                         help="perturbation seeds per scheme/benchmark/P cell "
-                              "(plus one unperturbed control each)")
-    conform.add_argument("--schemes", nargs="+", default=None,
-                         help="restrict to these schemes (default: the 'conformance' "
-                              "selector = every conformance-capable registered scheme)")
-    conform.add_argument("--benchmarks", nargs="+", default=None,
-                         help="benchmarks to drive the locks with (default: ecsb wcsb warb)")
-    conform.add_argument("--procs", type=int, nargs="+", default=None,
-                         help="process counts (default: 8 32)")
-    conform.add_argument("--iterations", type=int, default=None,
-                         help="lock acquisitions per rank per run")
-    conform.add_argument("--no-recheck", action="store_true",
-                         help="skip the second run per point (faster; forfeits the "
-                              "bit-reproducibility certificate)")
-
-    faults = sub.add_parser(
-        "faults",
-        help="fault sweep: seeded rank crashes x recovery-safety oracles per scheme",
-    )
-    _add_sweep_flags(faults, imports=True)
-    faults.add_argument("--seeds", type=int, default=None,
-                        help="crash seeds per scheme/scenario cell (each seed draws a "
-                             "different victim interval from the probe timeline; "
-                             "default: 5, or 2 under --smoke)")
-    faults.add_argument("--scenarios", nargs="+", default=None,
-                        help="crash scenarios to stage (default: holder-crash "
-                             "waiter-crash restart)")
-    faults.add_argument("--schemes", nargs="+", default=None,
-                        help="restrict to these schemes (default: the 'conformance' "
-                             "selector = every conformance-capable registered scheme "
-                             "but the known mutants, which `repro verify` judges)")
-    faults.add_argument("--procs", type=int, nargs="+", default=None,
-                        help="process counts (default: 4)")
-    faults.add_argument("--iterations", type=int, default=None,
-                        help="lock acquisitions per rank per run")
-    faults.add_argument("--smoke", action="store_true",
-                        help="small CI grid: the fault/recovery schemes plus four "
-                             "non-recovering controls, 2 crash seeds")
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="open-loop traffic sweep: scheme x scenario with tail-latency percentiles",
-    )
-    _add_sweep_flags(traffic, bless=True)
-    traffic.add_argument("--schemes", nargs="+", default=None,
-                         help="lock schemes to sweep (default: the traffic-suite grid; "
-                              "selectors like 'all'/'mcs'/'rw' work too)")
-    traffic.add_argument("--scenarios", nargs="+", default=None,
-                         help="traffic scenarios (benchmark names or the 'traffic'/"
-                              "'traffic-rw' selectors; default: every registered scenario)")
-    traffic.add_argument("--procs", type=int, nargs="+", default=None,
-                         help="process counts (default: the campaign's, P=64)")
-    traffic.add_argument("--iterations", type=int, default=None,
-                         help="requests per rank (default: the campaign's)")
-    traffic.add_argument("--smoke", action="store_true",
-                         help="small CI grid: 3 schemes x 2 scenarios at P=16")
-    traffic.add_argument("--top-keys", type=int, default=None, metavar="N",
-                         help="print each scenario's N hottest table entries (request "
-                              "share from the materialized schedules) instead of "
-                              "running the sweep — a pure virtual-time report")
-
-    scale = sub.add_parser(
-        "scale",
-        help="fluid-scale sweep: fluid-flow load models + sampled tails, "
-             "elastic tables and topology-aware re-homing",
-    )
-    _add_sweep_flags(scale, bless=True)
-    scale.add_argument("--schemes", nargs="+", default=None,
-                       help="lock schemes for the campaign grid (default: scale-suite's)")
-    scale.add_argument("--scenarios", nargs="+", default=None,
-                       help="scale scenarios (benchmark names or the 'scale' selector; "
-                            "default: every registered scale scenario)")
-    scale.add_argument("--fluid", nargs="+", default=None,
-                       help="fluid scenarios to validate (default: all registered)")
-    scale.add_argument("--iterations", type=int, default=None,
-                       help="requests per rank (default: the campaign's)")
-    scale.add_argument("--smoke", action="store_true",
-                       help="small CI grid: fewer requests per rank (the fluid set, "
-                            "including the 10^6/s scenario, runs in full)")
-
-    tune = sub.add_parser(
-        "tune",
-        help="offline threshold auto-tuner: sweep registry-declared parameter "
-             "grids, report best-known thresholds per scheme x scenario",
-    )
-    _add_sweep_flags(tune, bless=True, imports=True)
-    tune.add_argument("--scheme", default=None,
-                      help="tune one scheme only (default: the built-in suite)")
-    tune.add_argument("--tune-param", dest="tune_param", default=None,
-                      help="with --scheme: the parameter to sweep (default: every "
-                           "tunable parameter the scheme registered)")
-    tune.add_argument("--scenario", default=None,
-                      help="with --scheme: the traffic scenario to tune on "
-                           "(default: traffic-zipf)")
-    tune.add_argument("--procs", type=int, default=None,
-                      help="process count per point (default: the suite's)")
-    tune.add_argument("--iterations", type=int, default=None,
-                      help="requests per rank (default: the suite's)")
-    tune.add_argument("--smoke", action="store_true",
-                      help="small CI grid: 3 schemes, one axis each, P=16")
+    for suite in SUITES:
+        parser_ = sub.add_parser(suite.name, help=suite.help)
+        add_sweep_flags(parser_, "cache", *suite.shared)
+        for flag, kind, help_ in suite.flags:
+            parser_.add_argument(flag, help=help_, **kind)
+        parser_.set_defaults(**{name: None for name in suite.smoke})
 
     info = sub.add_parser("info", help="describe a simulated machine and the portability table")
     info.add_argument("--procs", type=int, default=64)
@@ -560,54 +380,6 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 1 if any(row["verdict"].startswith("FAIL") for row in rows + crash_rows) else 0
 
 
-def _sweep(
-    args: argparse.Namespace,
-    run: Callable[..., SweepReport],
-    baseline: Optional[Path] = None,
-) -> Tuple[SweepReport, Optional[Tuple[Path, Dict[str, Any]]]]:
-    """Run one suite from its shared flags, or bless it under ``--bless``.
-
-    ``run`` is the suite's runner with everything but the cache arguments
-    bound.  Returns the report and, for a bless, the written baseline path
-    with its timing block.
-    """
-    run = partial(run, cache_dir=Path(args.cache_dir) if args.cache_dir else None)
-    if getattr(args, "bless", False):
-        if getattr(args, "no_cache", False):
-            raise ValueError("--bless needs the cache for its warm run; drop --no-cache")
-        path = Path(args.baseline) if args.baseline else baseline
-        report, timing = bless_sweep(run, path, jobs=args.jobs)
-        return report, (path, timing)
-    report = run(
-        jobs=args.jobs, cache=False if args.no_cache else None, refresh=args.refresh
-    )
-    return report, None
-
-
-def _finish(
-    args: argparse.Namespace,
-    report: SweepReport,
-    blessed: Optional[Tuple[Path, Dict[str, Any]]],
-    what: str = "points",
-) -> None:
-    """The summary line, then the manifest: the blessed file copied to
-    ``--output``, or the report written there."""
-    print(f"\n{report.summary(what)}")
-    if blessed is not None:
-        path, timing = blessed
-        print(
-            f"blessed {path} ({report.points} rows; cold {timing['cold_wall_s']}s, "
-            f"warm {timing['warm_wall_s']}s)"
-        )
-        if args.output and Path(args.output) != path:
-            # Verbatim copy so the secondary report keeps the timing record
-            # the bless just measured.
-            Path(args.output).write_text(path.read_text())
-            print(f"wrote {args.output}")
-    elif args.output:
-        print(f"wrote {write_manifest_json(report, Path(args.output))}")
-
-
 def _run_campaign(args: argparse.Namespace) -> int:
     from repro.api.registry import UnknownNameError
     from repro.bench import campaign as campaign_mod
@@ -666,7 +438,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 0
 
     # campaign run
-    report, _ = _sweep(args, partial(campaign_mod.run_campaign, spec))
+    report, _ = sweep(args, partial(campaign_mod.run_campaign, spec))
     display = [
         {
             "case": row["case"],
@@ -683,7 +455,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.figure:
         print()
         print(campaign_mod.render_campaign_figure(report.rows, title=report.name))
-    _finish(args, report, None)
+    finish(args, report, None)
     if args.prune_cache and not args.no_cache:
         cache_dir = Path(args.cache_dir) if args.cache_dir else None
         removed = campaign_mod.ResultCache(cache_dir).prune()
@@ -704,10 +476,10 @@ def _run_regress(args: argparse.Namespace) -> int:
         )
     baseline = Path(args.baseline) if args.baseline else regress_mod.DEFAULT_CAMPAIGN_BASELINE
     if args.bless:
-        report, blessed = _sweep(
+        report, blessed = sweep(
             args, partial(campaign_mod.run_campaign, args.campaign), baseline
         )
-        _finish(args, report, blessed)
+        finish(args, report, blessed)
         return 0
     return regress_mod.run_regress(
         campaign=args.campaign,
@@ -740,193 +512,6 @@ def _load_provider(token: str) -> None:
         importlib.import_module(token)
 
 
-def _run_conform(args: argparse.Namespace) -> int:
-    from repro.bench import conformance as conformance_mod
-
-    report, _ = _sweep(
-        args,
-        partial(
-            conformance_mod.run_conformance,
-            seeds=args.seeds,
-            recheck=not args.no_recheck,
-            schemes=args.schemes,
-            benchmarks=args.benchmarks,
-            process_counts=args.procs,
-            iterations=args.iterations,
-        ),
-    )
-    print(format_table(report.extra["schemes"]))
-    if not report.ok:
-        print("\nfailing points:")
-        print(format_table(conformance_mod.format_conformance_rows(report)))
-    _finish(args, report, None, f"points ({args.seeds} chaos seed(s) + control per cell)")
-    if report.ok:
-        print("verdict: every scheme upheld every oracle on every schedule")
-        return 0
-    print(f"verdict: {len(report.failures)} point(s) FAILED", file=sys.stderr)
-    return 1
-
-
-def _run_faults(args: argparse.Namespace) -> int:
-    from repro.bench import faults as faults_mod
-
-    # Explicit flags win over the smoke grid.
-    seeds = args.seeds
-    if seeds is None:
-        seeds = 2 if args.smoke else 5
-    schemes = args.schemes
-    if args.smoke and schemes is None:
-        schemes = faults_mod.SMOKE_SCHEMES
-
-    report, _ = _sweep(
-        args,
-        partial(
-            faults_mod.run_faults,
-            seeds=seeds,
-            schemes=schemes,
-            scenarios=args.scenarios,
-            process_counts=args.procs,
-            iterations=args.iterations,
-        ),
-    )
-    print(format_table(report.extra["schemes"]))
-    if not report.ok:
-        print("\nfailing points:")
-        print(format_table(faults_mod.format_fault_rows(report)))
-    _finish(args, report, None, f"points ({seeds} crash seed(s) per scheme/scenario cell)")
-    if report.ok:
-        print(
-            "verdict: every declared recovery recovered, every undeclared crash "
-            "was honestly unavailable"
-        )
-        return 0
-    print(f"verdict: {len(report.failures)} point(s) FAILED", file=sys.stderr)
-    return 1
-
-
-def _run_traffic(args: argparse.Namespace) -> int:
-    from repro.traffic import engine as traffic_engine
-
-    spec = traffic_engine.traffic_spec(
-        schemes=args.schemes,
-        scenarios=args.scenarios,
-        process_counts=args.procs,
-        iterations=args.iterations,
-        smoke=args.smoke,
-    )
-    if args.top_keys is not None:
-        # Analysis-only hot-key report: no simulation, no cache — just the
-        # materialized schedules' per-entry request shares.
-        rows = traffic_engine.top_key_rows(spec, top_keys=args.top_keys)
-        print(format_table(rows))
-        scenarios = sorted({r["scenario"] for r in rows})
-        print(
-            f"\ntop {args.top_keys} key(s) per scenario x P over "
-            f"{len(scenarios)} scenario(s) (virtual-time analysis, "
-            f"scheduler-independent)"
-        )
-        return 0
-    report, blessed = _sweep(
-        args,
-        partial(traffic_engine.run_traffic, spec),
-        manifest_path("traffic"),
-    )
-    print(format_table(traffic_engine.traffic_display_rows(report.rows)))
-    _finish(
-        args, report, blessed,
-        f"rows on scheduler(s) {', '.join(report.extra['schedulers'])}",
-    )
-    return 0
-
-
-def _run_scale(args: argparse.Namespace) -> int:
-    from repro.scale import engine as scale_engine
-
-    spec = scale_engine.scale_spec(
-        schemes=args.schemes,
-        scenarios=args.scenarios,
-        iterations=args.iterations,
-        smoke=args.smoke,
-    )
-    report, blessed = _sweep(
-        args,
-        partial(scale_engine.run_scale, spec, fluid_names=args.fluid),
-        manifest_path("scale"),
-    )
-    print(format_table(scale_engine.scale_display_rows(report)))
-    fluid, rehome = report.extra["fluid"], report.extra["rehome"]
-    fluid_ok = all(r["within_tolerance"] and r["fingerprints_identical"] for r in fluid)
-    print(
-        f"\nfluid: {len(fluid)} scenario(s), "
-        f"{'all within tolerance' if fluid_ok else 'VALIDATION FAILED'}; "
-        f"re-homing improved={rehome['improved']} over {len(rehome['pairs'])} pair(s)"
-    )
-    _finish(
-        args, report, blessed,
-        f"rows on scheduler(s) {', '.join(report.extra['schedulers'])}",
-    )
-    return 0 if fluid_ok else 1
-
-
-def _run_tune(args: argparse.Namespace) -> int:
-    from repro.control import tune as tune_mod
-
-    if args.scheme is None:
-        stray = [flag for flag, value in (("--scenario", args.scenario), ("--tune-param", args.tune_param))
-                 if value is not None]
-        if stray:
-            raise ValueError(f"{' and '.join(stray)} only apply with --scheme")
-        grids = list(tune_mod.default_grids(smoke=args.smoke))
-    else:
-        scenario = args.scenario or "traffic-zipf"
-        params = (
-            [args.tune_param]
-            if args.tune_param
-            else [p.name for p in get_scheme(args.scheme).tunable_params()]
-        )
-        if not params:
-            print(
-                f"scheme {args.scheme!r} declares no tunable parameters",
-                file=sys.stderr,
-            )
-            return 2
-        grids = [
-            tune_mod.TuneGrid(
-                scheme=args.scheme,
-                param=param,
-                scenario=scenario,
-                values=tune_mod.derive_axis(args.scheme, param),
-            )
-            for param in params
-        ]
-    overrides = {k: v for k, v in (("procs", args.procs), ("iterations", args.iterations)) if v is not None}
-    grids = [replace(grid, **overrides) for grid in grids]
-    report, blessed = _sweep(
-        args,
-        partial(tune_mod.run_tune, grids),
-        manifest_path("tune"),
-    )
-    print(tune_mod.render_sensitivity(report.extra["sensitivity"]))
-    best_rows = [
-        {
-            "scheme": b["scheme"],
-            "scenario": b["benchmark"],
-            "P": b["P"],
-            "param": b["param"],
-            "best": b["best_value"],
-            "p99_us": round(b["e2e_p99_us"], 2),
-            "default_p99_us": round(b["default_p99_us"], 2),
-            "improvement_pct": b["improvement_pct"],
-            "certified": "yes" if b["fingerprint"] == b["refingerprint"] else "NO",
-        }
-        for b in report.extra["best"]
-    ]
-    print("\nBest-known thresholds (winner re-run certifies the fingerprint):")
-    print(format_table(best_rows))
-    _finish(args, report, blessed, f"grid points on {report.extra['scheduler']}")
-    return 0
-
-
 def _run_info(args: argparse.Namespace) -> int:
     try:
         machine = xc30_like(args.procs, procs_per_node=args.procs_per_node)
@@ -946,24 +531,20 @@ def _run_info(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "figures": _run_figures,
     "bench": _run_bench,
     "trace": _run_trace,
     "verify": _run_verify,
     "campaign": _run_campaign,
     "regress": _run_regress,
-    "conform": _run_conform,
-    "faults": _run_faults,
-    "traffic": _run_traffic,
-    "scale": _run_scale,
-    "tune": _run_tune,
+    **{suite.name: partial(run_suite, suite) for suite in SUITES},
     "info": _run_info,
 }
 
 #: Sweep subcommands: a bad name, an unusable grid or fluid scenario, or a
 #: refused bless is a usage error (exit 2 with the reason), not a traceback.
-_SWEEPS = ("figures", "campaign", "regress", "conform", "faults", "traffic", "scale", "tune")
+_SWEEPS = ("figures", "campaign", "regress", *(suite.name for suite in SUITES))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

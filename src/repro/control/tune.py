@@ -66,9 +66,6 @@ _TUNE_ITERATIONS = 12
 _TUNE_FW = 0.1
 _TUNE_SEED = 11
 
-_SMOKE_PROCS = 16
-_SMOKE_ITERATIONS = 6
-
 #: (scheme, swept parameter, scenario) triples of the default tune suite.
 #: The value axes come from the registry (:func:`derive_axis`); schemes
 #: without an entry here are still sweepable via an explicit
@@ -81,13 +78,6 @@ _DEFAULT_SUITE: Tuple[Tuple[str, str, str], ...] = (
     ("lease-lock", "lease_us", "traffic-burst"),
     ("cohort", "max_local_passes", "traffic-zipf"),
     ("alock", "local_cap_us", "traffic-zipf"),
-    ("lock-server", "queue_threshold", "traffic-zipf"),
-)
-
-_SMOKE_SUITE: Tuple[Tuple[str, str, str], ...] = (
-    ("rma-rw", "t_r", "traffic-readheavy"),
-    ("hbo", "local_cap_us", "traffic-zipf"),
-    ("lease-lock", "lease_us", "traffic-zipf"),
     ("lock-server", "queue_threshold", "traffic-zipf"),
 )
 
@@ -205,21 +195,11 @@ class TuneGrid:
         ]
 
 
-def default_grids(*, smoke: bool = False) -> Tuple[TuneGrid, ...]:
-    """The built-in tune suite (``--smoke`` shrinks it to the CI grid)."""
-    suite = _SMOKE_SUITE if smoke else _DEFAULT_SUITE
-    procs = _SMOKE_PROCS if smoke else _TUNE_PROCS
-    iterations = _SMOKE_ITERATIONS if smoke else _TUNE_ITERATIONS
+def default_grids() -> Tuple[TuneGrid, ...]:
+    """The built-in tune suite."""
     return tuple(
-        TuneGrid(
-            scheme=scheme,
-            param=param,
-            scenario=scenario,
-            values=derive_axis(scheme, param),
-            procs=procs,
-            iterations=iterations,
-        )
-        for scheme, param, scenario in suite
+        TuneGrid(scheme=scheme, param=param, scenario=scenario, values=derive_axis(scheme, param))
+        for scheme, param, scenario in _DEFAULT_SUITE
     )
 
 

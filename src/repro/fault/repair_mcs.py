@@ -213,7 +213,8 @@ def _build_repair_mcs(machine, home_rank=0) -> RepairMCSLockSpec:
         ParamSpec("home_rank", int, 0, "rank holding the queue TAIL word", tunable=False),
     ),
     help="INTENTIONALLY BROKEN repair-mcs variant (orphans a mid-enqueue racer); "
-    "kept registered to prove the recovery oracles catch it",
+    "kept registered as the known mutant repro verify must catch (as a deadlock); "
+    "the fault sweep skips it",
 )
 def _build_repair_mcs_racy(machine, home_rank=0) -> RepairMCSLockSpec:
     return RepairMCSLockSpec(

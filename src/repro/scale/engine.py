@@ -65,32 +65,17 @@ SCALE_SUITE = register_campaign(
     )
 )
 
-#: ``repro scale --smoke`` (the CI job): the same grid at fewer requests per
-#: rank (still enough to put traffic on both sides of every phase boundary);
-#: the fluid set is unchanged — ``fluid-mega`` *is* the smoke test of the
-#: 10^6-clients/s claim.
-SMOKE_ITERATIONS = 32
-
 
 def scale_spec(
     *,
     schemes: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[str]] = None,
     iterations: Optional[int] = None,
-    smoke: bool = False,
 ) -> CampaignSpec:
     """The ``scale-suite`` campaign, narrowed by the CLI's overrides."""
-    spec = get_campaign("scale-suite")
-    if smoke:
-        spec = replace(spec, iterations=SMOKE_ITERATIONS)
-    overrides: Dict[str, Any] = {}
-    if schemes is not None:
-        overrides["schemes"] = tuple(schemes)
-    if scenarios is not None:
-        overrides["benchmarks"] = tuple(scenarios)
-    if iterations is not None:
-        overrides["iterations"] = int(iterations)
-    return replace(spec, **overrides) if overrides else spec
+    return get_campaign("scale-suite").narrow(
+        schemes=schemes, benchmarks=scenarios, iterations=iterations
+    )
 
 
 def rehome_comparison(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:

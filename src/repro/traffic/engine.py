@@ -21,9 +21,8 @@ module adds:
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.api.registry import get_runtime
 from repro.bench.campaign import (
@@ -34,19 +33,11 @@ from repro.bench.campaign import (
 )
 
 __all__ = [
-    "SMOKE_SCHEMES",
     "run_traffic",
     "top_key_rows",
     "traffic_display_rows",
     "traffic_spec",
 ]
-
-#: Grid used by ``repro traffic --smoke`` (the CI job): three structurally
-#: distinct schemes on two scenarios at a small P, horizon scheduler only.
-SMOKE_SCHEMES: Tuple[str, ...] = ("fompi-spin", "rma-mcs", "rma-rw")
-SMOKE_SCENARIOS: Tuple[str, ...] = ("traffic-zipf", "traffic-phased")
-SMOKE_PROCS: Tuple[int, ...] = (16,)
-SMOKE_ITERATIONS = 6
 
 
 def traffic_spec(
@@ -55,33 +46,15 @@ def traffic_spec(
     scenarios: Optional[Sequence[str]] = None,
     process_counts: Optional[Sequence[int]] = None,
     iterations: Optional[int] = None,
-    smoke: bool = False,
 ) -> CampaignSpec:
     """The sweep grid: the registered ``traffic-suite`` campaign, narrowed.
 
     ``scenarios`` accepts literal benchmark names and the ``traffic`` /
-    ``traffic-rw`` selectors; ``smoke`` swaps in the small CI grid before the
-    explicit overrides apply.
+    ``traffic-rw`` selectors.
     """
-    spec = get_campaign("traffic-suite")
-    if smoke:
-        spec = replace(
-            spec,
-            schemes=SMOKE_SCHEMES,
-            benchmarks=SMOKE_SCENARIOS,
-            process_counts=SMOKE_PROCS,
-            iterations=SMOKE_ITERATIONS,
-        )
-    overrides: Dict[str, Any] = {}
-    if schemes is not None:
-        overrides["schemes"] = tuple(schemes)
-    if scenarios is not None:
-        overrides["benchmarks"] = tuple(scenarios)
-    if process_counts is not None:
-        overrides["process_counts"] = tuple(int(p) for p in process_counts)
-    if iterations is not None:
-        overrides["iterations"] = int(iterations)
-    return replace(spec, **overrides) if overrides else spec
+    return get_campaign("traffic-suite").narrow(
+        schemes=schemes, benchmarks=scenarios, process_counts=process_counts, iterations=iterations
+    )
 
 
 def run_traffic(

@@ -24,6 +24,8 @@ from repro.control.tune import TuneGrid, run_tune
 from repro.scale.engine import run_scale, scale_spec
 from repro.traffic.engine import run_traffic, traffic_spec
 
+from tests.support import smoke
+
 TINY = CampaignSpec(
     name="tiny-regress",
     schemes=("rma-mcs", "rma-rw"),
@@ -53,7 +55,7 @@ def _tiny_run(suite, cache_dir, schemes=None):
         return partial(run_traffic, spec, cache_dir=cache_dir)
     if suite == "scale":
         return partial(
-            run_scale, scale_spec(smoke=True), cache_dir=cache_dir, fluid_names=("fluid-phased",)
+            run_scale, scale_spec(**smoke("scale")), cache_dir=cache_dir, fluid_names=("fluid-phased",)
         )
     grids = [
         TuneGrid(

@@ -19,6 +19,8 @@ from repro.control.tune import (
     run_tune,
 )
 
+from tests.support import smoke
+
 TINY_GRID = TuneGrid(
     scheme="rma-rw", param="t_r", scenario="traffic-readheavy",
     values=(16, 64), procs=8, iterations=4, procs_per_node=4, seed=5,
@@ -75,9 +77,8 @@ class TestGrids:
             TuneGrid(scheme="rma-rw", param="t_r", scenario="traffic-zipf", values=())
 
     def test_default_suite_covers_three_schemes_even_in_smoke(self):
-        for smoke in (False, True):
-            grids = default_grids(smoke=smoke)
-            assert len({g.scheme for g in grids}) >= 3
+        assert len({g.scheme for g in default_grids()}) >= 3
+        assert len({g["scheme"] for g in smoke("tune")["grids"]}) >= 3
 
 
 class TestRunTune:

@@ -32,7 +32,6 @@ import pytest
 from repro.api.registry import get_scheme, scheme_names
 from repro.bench.campaign import CampaignPoint, get_campaign, run_result_sha
 from repro.bench.conformance import ConformancePoint, run_conformance_point
-from repro.bench.faults import SMOKE_SCHEMES as FAULT_SMOKE_SCHEMES
 from repro.bench.harness import (
     build_lock_spec,
     make_lock_program,
@@ -69,7 +68,7 @@ from repro.verification.explorer import KNOWN_MUTANTS
 from repro.verification.oracles import LockOracleObserver
 
 from tests.reference import REFERENCE, ReferenceRuntime, factory
-from tests.support import rank_threads_started
+from tests.support import rank_threads_started, smoke
 
 
 def _builtin_schemes():
@@ -87,6 +86,8 @@ def _builtin_schemes():
 
 
 SCHEMES = _builtin_schemes()
+#: The ``repro faults --smoke`` grid's schemes.
+FAULT_SMOKE_SCHEMES = smoke("faults")["schemes"]
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -19,6 +19,8 @@ from repro.bench.regress import BlessError, bless_sweep, check_scale_manifest
 from repro.scale import engine as scale_engine
 from repro.traffic.engine import run_traffic
 
+from tests.support import smoke
+
 
 class TestSpec:
     def test_scale_spec_narrows_the_suite(self):
@@ -31,10 +33,11 @@ class TestSpec:
 
     def test_smoke_shrinks_iterations_only(self):
         full = scale_engine.scale_spec()
-        smoke = scale_engine.scale_spec(smoke=True)
-        assert smoke.iterations == scale_engine.SMOKE_ITERATIONS
-        assert smoke.iterations < full.iterations
-        assert smoke.benchmarks == full.benchmarks
+        assert smoke("scale") == {"iterations": 32}
+        spec = scale_engine.scale_spec(**smoke("scale"))
+        assert spec.iterations == 32
+        assert spec.iterations < full.iterations
+        assert spec.benchmarks == full.benchmarks
 
     def test_scale_selector_expands_to_the_tagged_scenarios(self):
         resolved = scale_engine.scale_spec().resolve_benchmarks()
@@ -176,7 +179,7 @@ class TestBless:
     def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch, reference):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "scale-bless-test")
         baseline = tmp_path / "BENCH_scale.json"
-        spec = scale_engine.scale_spec(smoke=True)
+        spec = scale_engine.scale_spec(**smoke("scale"))
         run = partial(
             scale_engine.run_scale, spec, schedulers=("horizon", reference),
             cache_dir=tmp_path / "cache", fluid_names=("fluid-phased",),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
 
@@ -65,6 +65,13 @@ def isolated_result_cache(tmp_path_factory) -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
         yield
+
+
+def smoke(suite: str) -> Mapping[str, Any]:
+    """The values ``--smoke`` gives the sweep subcommand ``suite``."""
+    from repro.bench.suites import SUITES
+
+    return next(record.smoke for record in SUITES if record.name == suite)
 
 
 @contextmanager

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,18 +131,27 @@ class TestCommands:
 
 class TestImportCost:
     def test_cli_import_loads_no_figure_driver_or_dht_workload(self):
-        """`repro --help` and every non-figure command skip the figure drivers."""
-        script = (
-            "import sys, repro.cli\n"
-            "print(sorted(m for m in ('repro.bench.experiments', 'repro.dht.workload') "
-            "if m in sys.modules))\n"
+        """`repro --help` and every command skip the figure drivers, and the
+        suite table imports no sweep engine."""
+        heavy = (
+            "repro.bench.experiments", "repro.dht.workload", "repro.traffic.engine",
+            "repro.scale.engine", "repro.control.tune", "repro.bench.conformance",
+            "repro.bench.faults", "repro.verification.explorer",
         )
+        script = f"import sys, repro.cli\nprint(sorted(m for m in {heavy!r} if m in sys.modules))\n"
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_every_suite_has_a_ci_matrix_row(self):
+        from repro.bench.suites import SUITES
+
+        ci = (Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml").read_text()
+        commands = set(re.findall(r"^\s+command: (\S+) ", ci, re.M))
+        assert {suite.name for suite in SUITES} <= commands
 
 
 class TestFigureExport:
@@ -672,6 +682,16 @@ class TestFaultsCommand:
         assert main(self.argv("lease-lock", iterations="0")) == 2
         assert "iterations must be >= 1" in capsys.readouterr().err
 
+    def test_a_sweep_that_staged_no_kill_exits_1(self, capsys):
+        """At P = 1 no rank ever waits, so every point is ``no-crash-window``:
+        nothing recovered, and nothing was judged."""
+        assert main(["faults", "--procs", "1", "--schemes", "ticket", "--seeds", "1",
+                     "--jobs", "1", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert _table_rows(captured.out, "scheme")[0]["statuses"] == "no-crash-window:3"
+        assert "every declared recovery recovered" not in captured.out
+        assert captured.err == "verdict: no point staged a kill that landed, so no recovery was judged\n"
+
     def test_a_named_mutant_is_a_usage_error_that_names_repro_verify(self, capsys):
         """Under the sweep's bar the racy mutant's waiter-crash and restart
         rows would read ``recovered``: it is refused, not run."""
@@ -686,7 +706,7 @@ class TestFaultsCommand:
         ids=["smoke", "smoke-explicit-seeds", "default"],
     )
     def test_an_explicit_seed_count_wins_over_the_smoke_grid(self, flags, seeds, tmp_path, capsys):
-        from repro.bench.faults import SMOKE_SCHEMES
+        from tests.support import smoke
 
         manifest = tmp_path / "faults.json"
         assert main(["faults", *flags, "--scenarios", "holder-crash", "--iterations", "2",
@@ -695,7 +715,9 @@ class TestFaultsCommand:
         rows = json.loads(manifest.read_text())["rows"]
         assert {row["crash_seed"] for row in rows} == set(range(1, seeds + 1))
         schemes = list(dict.fromkeys(row["scheme"] for row in rows))
-        assert schemes == (list(SMOKE_SCHEMES) if "--smoke" in flags else ["ticket"])
+        smoke_schemes = ["lease-lock", "repair-mcs", "rma-mcs", "ticket", "alock", "lock-server"]
+        assert list(smoke("faults")["schemes"]) == smoke_schemes
+        assert schemes == (smoke_schemes if "--smoke" in flags else ["ticket"])
 
 
 class TestTrafficCommand:
@@ -762,6 +784,23 @@ class TestTrafficCommand:
         assert "share" in out
         assert "virtual-time analysis" in out
         assert "e2e_p99_us" not in out  # the sweep never ran
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--bless"], "--bless"), (["--bless", "--no-cache"], "--bless"),
+         (["--baseline", "B.json"], "--baseline"), (["--output", "T.json"], "--output")],
+        ids=["bless", "bless-no-cache", "baseline", "output"],
+    )
+    def test_top_keys_refuses_the_manifest_flags(self, flags, named, tmp_path, monkeypatch, capsys):
+        """The hot-key report writes no manifest: a flag that would write or
+        bless one is a usage error, not silently ignored."""
+        monkeypatch.chdir(tmp_path)
+        args = ["traffic", "--scenarios", "traffic-zipf", "--procs", "8", "--iterations", "16",
+                "--top-keys", "3", "--cache-dir", "cache", *flags]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"traffic sweep cannot run: {named} cannot be used with --top-keys\n"
+        assert not captured.out and not list(tmp_path.iterdir())
 
 
 class TestScaleCommand:

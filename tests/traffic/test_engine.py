@@ -20,6 +20,8 @@ from repro.bench.campaign import CampaignSpec, run_campaign
 from repro.bench.regress import bless_sweep, check_traffic_manifest
 from repro.traffic import engine as traffic_engine
 
+from tests.support import smoke
+
 #: Small grid reused throughout: three structurally distinct schemes on the
 #: Zipf scenario at P=8 (the full 1024-entry table, few requests).
 TINY = CampaignSpec(
@@ -116,9 +118,14 @@ class TestEngine:
         assert spec.process_counts == (8,)
 
     def test_smoke_grid_is_small(self):
-        spec = traffic_engine.traffic_spec(smoke=True)
-        assert spec.schemes == traffic_engine.SMOKE_SCHEMES
-        assert spec.process_counts == traffic_engine.SMOKE_PROCS
+        grid = smoke("traffic")
+        spec = traffic_engine.traffic_spec(
+            schemes=grid["schemes"], scenarios=grid["scenarios"],
+            process_counts=grid["procs"], iterations=grid["iterations"],
+        )
+        assert spec.schemes == ("fompi-spin", "rma-mcs", "rma-rw")
+        assert spec.benchmarks == ("traffic-zipf", "traffic-phased")
+        assert spec.process_counts == (16,) and spec.iterations == 6
 
     def test_run_traffic_merges_scheduler_rows(self, tmp_path, monkeypatch, reference):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "traffic-engine-test")

@@ -227,8 +227,10 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             from repro.verification.oracles import observe_lock
 
             lock = observe_lock(lock, ctx, observer)
-        rng = ctx.rng
-        rng_random = rng.random
+        # ctx.rng is built on first use: bound only when this loop draws, a run
+        # that never does builds no rank generator unless its lock handle draws.
+        if draw_role or is_wcsb or is_warb:
+            rng_random = ctx.rng.random
         now = ctx.now
         yield (BARRIER,)
         start = now()

@@ -417,7 +417,7 @@ SUITES: Tuple[Suite, ...] = (
                                "traffic-zipf)"),
             ("--procs", _INT, "process count per point (default: the suite's)"),
             ("--iterations", _INT, "requests per rank (default: the suite's)"),
-            ("--smoke", _ON, "small CI grid: 3 schemes, one axis each, P=16"),
+            ("--smoke", _ON, "small CI grid: 4 schemes, one axis each, P=16"),
         ),
         _tune,
         _show_tune,

@@ -24,12 +24,14 @@ it and applies its effect when the rank's turn comes back.
   over every *other* runnable rank as the horizon; while the running rank's
   key stays below it the rank keeps running, with no heap operation.  Other
   ranks wait in a min-heap of live keys (one per waiting rank), so crossing
-  the horizon is one ``heappushpop`` written into the loop.
-* **Polls are sub-programs.**  ``spin_on_cells`` — the protocols'
-  ``do {Get; Flush} while (...)`` loops — is :meth:`SimRuntime._poll_steps`:
-  a ``Get`` leg per cell and a ``Flush`` leg per target, the predicate, then
-  a re-read if a write raced the round or a park that takes the rank off the
-  heap until a polled cell is written.
+  the horizon is one ``heappushpop`` written into the loop, after which the
+  popped rank runs on in the same loop.
+* **Polls are sub-programs.**  The protocols' ``do {Get; Flush} while (...)``
+  loops are :meth:`SimRuntime._poll_steps` (``SPIN``: a ``Get`` leg per cell
+  and a ``Flush`` leg per target) and :meth:`SimRuntime._poll_cell_steps`
+  (``SPIN_WHILE``: one cell, one of each): the predicate, then a re-read if
+  a write raced the round or a park that takes the rank off the heap until a
+  polled cell is written.
 * **Blocking programs through a bridge.**  A program that is not a generator
   function runs on a thread per rank (``sim-rank-<r>``) whose context hands
   each call, as a request, to a generator the loop steps (:class:`_Bridge`):
@@ -146,7 +148,7 @@ class _RankState:
 
     __slots__ = (
         "rank", "clock", "status", "watching", "result", "finish_time", "ops",
-        "steps", "caller", "pending", "fixed", "poll",
+        "steps", "caller", "pending", "fixed", "checkpoint",
     )
 
     def __init__(self, rank: int):
@@ -166,9 +168,8 @@ class _RankState:
         self.pending: Optional[tuple] = None
         #: ``(rank, ops, rank * nranks, slowdown, next factor or None)``, unpacked per turn.
         self.fixed: Optional[tuple] = None
-        #: Starts a poll, ``poll(cells, predicate, single)``: :meth:`SimRuntime._poll_steps`,
-        #: under a fault plan with the rank's checkpoint bound (``_faulted_steps``).
-        self.poll: Optional[Callable[..., Steps]] = None
+        #: Run before every poll round under a fault plan (``_faulted_steps``), else None.
+        self.checkpoint: Optional[Callable[[], None]] = None
 
 
 class SimProcessContext(ProcessContext):
@@ -459,7 +460,6 @@ class SimRuntime(RMARuntime):
         self._heap = [(0.0, r) for r in range(1, nranks)]
 
         stepped = is_step_program(program)
-        poll = self._poll_steps
         # A run allocates heavily but creates no reference cycles on the hot
         # path; collection stalls would only interrupt the loop.
         gc_was_enabled = gc.isenabled()
@@ -477,7 +477,6 @@ class SimRuntime(RMARuntime):
                     s.steps = self._faulted_steps(s, ctx, start)
                 perturb = (1.0, None) if schedule is None else (schedule.slowdown[s.rank], schedule.factors(s.rank))
                 s.fixed = (s.rank, s.ops, s.rank * nranks, *perturb)
-                s.poll = poll
             self._drive(states[0])
         finally:
             wall_time = time.perf_counter() - wall_start
@@ -489,7 +488,7 @@ class SimRuntime(RMARuntime):
                         # generator ignores it.
                         with suppress(Exception):
                             steps.close()
-                s.steps = s.caller = s.pending = s.poll = None
+                s.steps = s.caller = s.pending = s.checkpoint = None
             if gc_was_enabled:
                 gc.enable()
         if self.observer is not None:
@@ -532,12 +531,15 @@ class SimRuntime(RMARuntime):
         """The scheduling loop, entered with ``s`` as the rank to run.
 
         Every request of the run passes through the inner loop, whether the
-        rank's active generator is its program or a poll sub-program
-        (:meth:`_poll_steps`) standing in for the program's ``SPIN`` request:
-        apply the effect of the request issued last, send the value, account
-        and time the next request, then continue below the horizon or push
-        the key and pop the minimum.  Keys are live (block comment above): the
-        popped key is the pick and ``heap[0]`` the horizon, unvalidated.  An
+        rank's active generator is its program or a poll sub-program standing
+        in for the program's ``SPIN`` / ``SPIN_WHILE`` request
+        (:meth:`_poll_steps` / :meth:`_poll_cell_steps`): apply the effect of
+        the request issued last, send the value, account and time the next
+        request, then continue below the horizon or push the key, pop the
+        minimum and continue with that rank.  The inner loop is left only when
+        the rank parks, waits at the barrier or finishes.  Keys are live (block
+        comment above): the popped key is the pick and ``heap[0]`` the
+        horizon, unvalidated.  An
         error raised on a request's behalf (bad target, overflowing word,
         ``max_ops``, a raising spin predicate) is thrown into the program at its
         ``yield``, where the blocking call would have raised it; an exception
@@ -667,11 +669,13 @@ class SimRuntime(RMARuntime):
                     elif kind == SPIN or kind == SPIN_WHILE:
                         # The poll becomes the active generator; its first leg
                         # is issued now, under the current scheduling decision.
-                        s.caller = steps
+                        # (A request too short for its kind raises at its yield.)
                         if kind == SPIN:
-                            s.steps = steps = s.poll(request[1], request[2], False)
+                            poll = self._poll_steps(request[1], request[2], s.checkpoint)
                         else:
-                            s.steps = steps = s.poll([request[1:3]], request[3], True)
+                            poll = self._poll_cell_steps(request[1], request[2], request[3], s.checkpoint)
+                        s.caller = steps
+                        s.steps = steps = poll
                         request = None
                         continue
                     elif kind == BARRIER:
@@ -729,19 +733,22 @@ class SimRuntime(RMARuntime):
                 if clock < h_clock or (clock == h_clock and rank < h_rank):
                     continue  # still the earliest runnable rank
                 s.pending = request
-                # Crossed the horizon: enqueue this rank and take the minimum
-                # (another rank's key, by definition of crossing) in one sift.
+                # Crossed the horizon: enqueue this rank, take the minimum
+                # (another rank's key, by definition of crossing) in one sift
+                # and run it here; the heap holds at least the key just pushed.
                 s = states[heappushpop(heap, (clock, rank))[1]]
-                break
-            if s.status != _READY:
-                # Parked, at the barrier or finished, so nothing was popped
-                # yet.  An empty heap: clean drain, a crash victim to reap,
-                # or every rank is blocked.
+                rank, ops, row, slow, factor = s.fixed
+                steps = s.steps
+                request = s.pending
+                clock = s.clock
+                h_clock, h_rank = heap[0]
+            # Parked, at the barrier or finished.  An empty heap: clean
+            # drain, a crash victim to reap, or every rank is blocked.
+            if not heap:
+                self._no_runnable()
                 if not heap:
-                    self._no_runnable()
-                    if not heap:
-                        return
-                s = states[heappop(heap)[1]]
+                    return
+            s = states[heappop(heap)[1]]
             h_clock, h_rank = heap[0] if heap else _INF_KEY
 
     def _no_runnable(self) -> None:
@@ -806,7 +813,7 @@ class SimRuntime(RMARuntime):
                     f"of {ceiling:g}us at t={clock:.2f}us (livelock under a crash?)"
                 )
 
-        s.poll = partial(self._poll_steps, checkpoint=checkpoint)
+        s.checkpoint = checkpoint
         steps = start()
         value = error = None
         try:
@@ -912,18 +919,17 @@ class SimRuntime(RMARuntime):
         return horizon
 
     def _poll_steps(
-        self, cells: Sequence[Cell], predicate: Callable[..., bool], single: bool,
-        checkpoint: Optional[Callable[[], None]] = None,
+        self, cells: Sequence[Cell], predicate: Callable[[List[int]], bool],
+        checkpoint: Optional[Callable[[], None]],
     ):
-        """The poll protocol, ``do {Get; Flush} while (predicate)``, as a step sub-program.
+        """``SPIN``, the poll protocol ``do {Get; Flush} while (predicate)``, as a step sub-program.
 
         Yields its legs as ordinary ``GET`` / ``FLUSH`` requests, built once,
         and ``(_PARK, cells)`` when the predicate holds and no polled cell
         was written during the round (such a write could no longer wake the
         rank, so the round is repeated instead; versions only grow, so equal
         sums over the cells mean no write).  Returns the values that made the
-        predicate false; ``single`` polls one cell and deals in its bare value
-        (``SPIN_WHILE``).  ``checkpoint`` runs before every round.
+        predicate false.  ``checkpoint`` runs before every round.
         """
         versions = self._versions
         words = self.window_words
@@ -936,7 +942,7 @@ class SimRuntime(RMARuntime):
             # Writes to it are counted from here on.  (A pair naming no cell may alias
             # one; its Get leg — target checked at issue, offset at effect — ends the poll.)
             versions.setdefault(cell, 0)
-        flushes = [(FLUSH, gets[0][1])] if single else [(FLUSH, t) for t in sorted({leg[1] for leg in gets})]
+        flushes = [(FLUSH, t) for t in sorted({leg[1] for leg in gets})]
         park = (_PARK, watch)
         while True:
             if checkpoint is not None:
@@ -949,15 +955,38 @@ class SimRuntime(RMARuntime):
                 values.append((yield request))
             for request in flushes:
                 yield request
-            observed = values[0] if single else values
-            if not predicate(observed):
-                return observed
+            if not predicate(values):
+                return values
             for cell in watch:
                 written += versions[cell]
             if not written:
                 yield park
 
-    def _park(self, state: _RankState, cells: List[int]) -> None:
+    def _poll_cell_steps(
+        self, target: int, offset: int, predicate: Callable[[int], bool],
+        checkpoint: Optional[Callable[[], None]],
+    ):
+        """``SPIN_WHILE``: :meth:`_poll_steps` for one cell, built lean.  A round
+        takes one write-count snapshot and tests the predicate on the bare value."""
+        versions = self._versions
+        target, offset = int(target), int(offset)
+        get = (GET, target, offset)
+        flush = (FLUSH, target)
+        cell = target * self.window_words + offset
+        park = (_PARK, (cell,))
+        versions.setdefault(cell, 0)
+        while True:
+            if checkpoint is not None:
+                checkpoint()
+            seen = versions[cell]
+            value = yield get
+            yield flush
+            if not predicate(value):
+                return value
+            if versions[cell] == seen:  # no write raced the round
+                yield park
+
+    def _park(self, state: _RankState, cells: Sequence[int]) -> None:
         """Take ``state`` off the heap until one of ``cells`` is written."""
         watchers = self._watchers
         rank = state.rank

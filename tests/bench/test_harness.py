@@ -10,8 +10,10 @@ from repro.core.baselines import FompiRWLockSpec, FompiSpinLockSpec
 from repro.core.dmcs import DMCSLockSpec
 from repro.core.rma_mcs import RMAMCSLockSpec
 from repro.core.rma_rw import RMARWLockSpec
+from repro.rma import sim_runtime
 from repro.rma.latency import LatencyModel
 from repro.topology.machine import Machine
+from repro.util.rng import rank_rng
 
 
 @pytest.fixture
@@ -127,6 +129,22 @@ class TestRunLockBenchmark:
         fast = run_lock_benchmark(config)
         slow = run_lock_benchmark(config, latency_model=LatencyModel(same_node_us=3.0, same_group_us=8.0, global_us=12.0))
         assert slow.throughput_mln_per_s < fast.throughput_mln_per_s
+
+    def test_a_loop_that_never_draws_builds_no_rank_generator(self, machine, monkeypatch):
+        """``ctx.rng`` is built on first use: an ecsb run of rma-mcs (no role
+        draw, no compute draw, a lock handle that never draws) builds no rank
+        generator; a wcsb run, which draws its compute times, one per rank."""
+        built = []
+
+        def counting_rank_rng(seed, rank):
+            built.append(rank)
+            return rank_rng(seed, rank)
+
+        monkeypatch.setattr(sim_runtime, "rank_rng", counting_rank_rng)
+        run_lock_benchmark(LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="ecsb", iterations=4))
+        assert built == []
+        run_lock_benchmark(LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="wcsb", iterations=4))
+        assert sorted(built) == list(range(machine.num_processes))
 
     def test_as_row_contents(self, machine):
         config = LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="sob", iterations=5, t_l=(2, 2))

@@ -107,16 +107,17 @@ def test_horizon_ceiling_raises_instead_of_hanging():
         _run(_config(), plan, "horizon")
 
 
-def test_reaping_a_rank_parked_on_two_cells_leaves_no_waiter_behind():
-    # Rank 1 parks on two cells of two targets and is killed there (no rank
-    # is runnable, so the scheduler delivers the kill); rank 2 shares one of
-    # the cells.  The restarted rank 1 then writes that cell: only rank 2 may
-    # still be registered on it.  The blocking program (bridged on horizon)
-    # equals its step twin, inline and on the reference.
+def _reap_rank_1_parked_in(poll, request):
+    # Rank 1 parks in ``poll(ctx)`` / ``request`` and is killed there (no
+    # rank is runnable, so the scheduler delivers the kill); rank 2 parks
+    # on cell (2, 3) too.  The restarted rank 1 then writes that cell: only
+    # rank 2 may still be registered on it, and it wakes.  The blocking
+    # program (bridged on horizon) equals its step twin, inline and on the
+    # reference.
     def program(ctx):
         if ctx.rank == 1:
             if ctx.incarnation == 0:
-                ctx.spin_on_cells([(2, 3), (1, 0)], lambda vs: vs[0] == 0)
+                poll(ctx)
             ctx.put(1, 2, 3)
             ctx.flush(2)
         elif ctx.rank == 2:
@@ -126,7 +127,7 @@ def test_reaping_a_rank_parked_on_two_cells_leaves_no_waiter_behind():
     def steps(ctx):
         if ctx.rank == 1:
             if ctx.incarnation == 0:
-                yield (SPIN, [(2, 3), (1, 0)], lambda vs: vs[0] == 0)
+                yield request
             yield (PUT, 1, 2, 3)
             yield (FLUSH, 2)
         elif ctx.rank == 2:
@@ -140,9 +141,25 @@ def test_reaping_a_rank_parked_on_two_cells_leaves_no_waiter_behind():
     ):
         runtime = runtime_cls(cached_machine(PROCS, PPN, "xc30"), window_words=8, fault_plan=plan)
         result = runtime.run(prog)
-        results[name] = run_result_sha(result), result.returns[1]
+        results[name] = run_result_sha(result), result.returns[1:3]
         if runtime_cls is SimRuntime:
             assert not any(runtime._watchers.values()), runtime._watchers
             assert not any(s.watching for s in runtime._states)
-    assert results["bridged"][1] > 80.0
+    assert min(results["bridged"][1]) > 80.0
     assert results["bridged"] == results["steps"] == results[REFERENCE]
+
+
+def test_reaping_a_rank_parked_on_two_cells_leaves_no_waiter_behind():
+    # Two cells of two targets, one of them rank 2's: the multi-cell poll round.
+    _reap_rank_1_parked_in(
+        lambda ctx: ctx.spin_on_cells([(2, 3), (1, 0)], lambda vs: vs[0] == 0),
+        (SPIN, [(2, 3), (1, 0)], lambda vs: vs[0] == 0),
+    )
+
+
+def test_reaping_a_rank_parked_in_a_one_cell_poll_leaves_no_waiter_behind():
+    # SPIN_WHILE on rank 2's cell: the one-cell poll round, which parks on that cell alone.
+    _reap_rank_1_parked_in(
+        lambda ctx: ctx.spin_while(2, 3, lambda v: v == 0),
+        (SPIN_WHILE, 2, 3, lambda v: v == 0),
+    )

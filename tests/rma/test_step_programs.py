@@ -487,8 +487,12 @@ class TestFailuresMatchTheBlockingTwin:
         # nor by aliasing offset -1 to another word).  Every rank polls the
         # bad cells at once, so legs cross the horizon and raise at a later
         # turn: the error is still raised at the poll, as on the reference.
-        bad_polls = ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 0, 9999, lambda v: True),
-                     (SPIN, [(0, -1)], lambda vs: True), (SPIN, [(1, 0), (0, 8)], lambda vs: True),
+        # Each bad one-cell SPIN has its SPIN_WHILE twin, which takes the
+        # one-cell poll round.
+        bad_polls = ((SPIN, [(99, 0)], lambda vs: True), (SPIN_WHILE, 99, 0, lambda v: True),
+                     (SPIN_WHILE, 0, 9999, lambda v: True),
+                     (SPIN, [(0, -1)], lambda vs: True), (SPIN_WHILE, 0, -1, lambda v: True),
+                     (SPIN, [(1, 0), (0, 8)], lambda vs: True),
                      (SPIN, [(1, 0), (0, 9999)], lambda vs: True))
 
         def spin_steps(ctx):
@@ -504,8 +508,10 @@ class TestFailuresMatchTheBlockingTwin:
         def spin_blocking(ctx):
             caught = []
             for call in (lambda: ctx.spin_on_cells([(99, 0)], lambda vs: True),
+                         lambda: ctx.spin_while(99, 0, lambda v: True),
                          lambda: ctx.spin_while(0, 9999, lambda v: True),
                          lambda: ctx.spin_on_cells([(0, -1)], lambda vs: True),
+                         lambda: ctx.spin_while(0, -1, lambda v: True),
                          lambda: ctx.spin_on_cells([(1, 0), (0, 8)], lambda vs: True),
                          lambda: ctx.spin_on_cells([(1, 0), (0, 9999)], lambda vs: True)):
                 try:
@@ -520,17 +526,38 @@ class TestFailuresMatchTheBlockingTwin:
         assert not threads
         assert inline.returns == [[
             ("ValueError", "target rank 99 out of range 0..3"),
+            ("ValueError", "target rank 99 out of range 0..3"),
             ("IndexError", "offset 9999 out of range 0..7"),
+            ("IndexError", "offset -1 out of range 0..7"),
             ("IndexError", "offset -1 out of range 0..7"),
             ("IndexError", "offset 8 out of range 0..7"),
             ("IndexError", "offset 9999 out of range 0..7"),
         ]] * 4
-        assert inline.op_counts == {"get": 24}  # the bad-target leg is not counted
+        assert inline.op_counts == {"get": 28}  # the bad-target legs are not counted
         for twin in (make_runtime().run(spin_blocking), make_runtime().run(blocking_program(spin_steps)),
                      make_reference().run(spin_steps)):
             assert twin.returns == inline.returns
             assert twin.per_rank_op_counts == inline.per_rank_op_counts
             assert twin.finish_times_us == inline.finish_times_us
+
+    def test_request_errors_of_a_poll_request_too_short_for_its_kind(self):
+        """A ``SPIN`` / ``SPIN_WHILE`` request missing its fields raises at its
+        yield, where the program can catch it, as any malformed request does
+        and as on the reference."""
+
+        def steps(ctx):
+            caught = []
+            for request in ((PUT, 1), (SPIN,), (SPIN, [(0, 0)]), (SPIN_WHILE, 0, 0)):
+                try:
+                    yield request
+                except IndexError as exc:
+                    caught.append(str(exc))
+                yield (COMPUTE, 1.0)
+            return caught
+
+        inline = make_runtime().run(steps)
+        assert inline.returns == [["tuple index out of range"] * 4] * 4
+        assert run_result_sha(inline) == run_result_sha(make_reference().run(steps))
 
     def test_max_ops(self):
         def steps(ctx):

@@ -14,7 +14,8 @@ Extension points (see :mod:`repro.api.registry`):
 * ``@register_scheme`` — add a lock scheme; it becomes usable from
   ``Cluster.lock``, ``LockBenchConfig`` and the benchmark harness.
 * ``@register_benchmark`` — add a microbenchmark program factory.
-* ``@register_runtime`` — add a runtime backend (scheduler).
+* ``@register_runtime`` — add a runtime backend; ``Cluster(runtime=...)``
+  runs on it.
 
 This module imports only the registries eagerly; the facade (which pulls in
 the benchmark harness) is loaded lazily via PEP 562 so that lock and runtime

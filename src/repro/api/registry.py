@@ -5,7 +5,7 @@ This module is the extension seam of the public API: every lock module
 every microbenchmark (:mod:`repro.bench.workloads`) and every runtime backend
 (:mod:`repro.rma`) registers itself here at import time.  Everything that used
 to be an if-chain — ``build_lock_spec``, the ``SCHEMES``/``BENCHMARKS``
-tuples, the CLI's threshold flags, the scheduler switch — is derived from
+tuples, the CLI's threshold flags, the runtime lookup — is derived from
 these registries, so adding a new lock or benchmark is purely additive:
 
     from repro.api import ParamSpec, register_scheme
@@ -419,6 +419,8 @@ _BENCHMARK_MODULES = (
     "repro.bench.workloads",
     "repro.traffic.scenarios",
     "repro.fault.traffic",
+    "repro.scale.elastic",
+    "repro.scale.rehome",
 )
 _RUNTIME_MODULES = ("repro.rma.sim_runtime",)
 

@@ -394,7 +394,6 @@ class CampaignSpec:
     iterations: int = 10
     procs_per_node: int = 8
     seed: int = 1
-    scheduler: str = "horizon"
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def resolve_schemes(self) -> Tuple[str, ...]:
@@ -494,7 +493,6 @@ class CampaignSpec:
                                 iterations=self.iterations,
                                 fw=fw,
                                 seed=self.seed,
-                                scheduler=self.scheduler,
                                 params=self.params,
                                 provider=provider,
                             )
@@ -635,6 +633,24 @@ register_campaign(
         iterations=6,
         procs_per_node=8,
         seed=7,
+    )
+)
+# The grid of `repro scale` (repro.scale.engine): the fluid-scale
+# companions, elastic resize plus the static/re-homed hot-key pair, under the
+# "scale" selector.  P is pinned to 32 because the hot-key pair's
+# bias_ranks=(24, 32) names the fourth node of a 32-rank / 8-per-node
+# machine; shrinking P would silently de-bias the workload.
+register_campaign(
+    CampaignSpec(
+        name="scale-suite",
+        help="fluid-scale companions: elastic resize + hot-key re-homing at P=32",
+        schemes=("fompi-spin",),
+        benchmarks=("scale",),
+        process_counts=(32,),
+        fw_values=(0.0,),
+        iterations=48,
+        procs_per_node=8,
+        seed=17,
     )
 )
 

@@ -12,9 +12,9 @@ Scaling: the paper runs up to 1024 MPI processes with thousands of lock
 acquisitions; the simulated drivers default to the process counts of
 :func:`repro.bench.workloads.default_process_counts` and proportionally
 scaled thresholds and iteration counts so the full suite finishes in minutes.
-Since the horizon scheduler made the simulator core several times faster
-than the seed scheduler, the default sweep extends to P = 128; pass
-``process_counts`` or set ``REPRO_BENCH_PROCS`` to trim it.
+Since the horizon runtime made the simulator core several times faster
+than the original thread-per-rank one, the default sweep extends to P = 128;
+pass ``process_counts`` or set ``REPRO_BENCH_PROCS`` to trim it.
 
 Execution: every driver builds its grid as
 :class:`~repro.bench.campaign.CampaignPoint`\\ s and runs it through
@@ -27,15 +27,14 @@ labels.  The DHT (Figure 6) and the hand-off ablation have their own workers
 and benchmark labels (``"dht"``, ``"handoff-locality"``), which keeps their
 points keyed apart from lock points.  Each point carries its own seed and
 the simulator is deterministic, so the rows are bit-identical regardless of
-``jobs``.  Every driver also takes :func:`~repro.bench.campaign.run_campaign`'s
-sweep keywords: ``jobs`` (default: all cores; ``REPRO_JOBS=1`` or ``jobs=1``
-runs inline), ``cache`` / ``cache_dir`` / ``refresh``, and ``scheduler``
-(the runtime every point names).
+``jobs``.  Every driver also takes :func:`~repro.bench.campaign.run_sweep`'s
+keywords: ``jobs`` (default: all cores; ``REPRO_JOBS=1`` or ``jobs=1`` runs
+inline) and ``cache`` / ``cache_dir`` / ``refresh``.  Every worker runs on
+the runtime its point names (``CampaignPoint.scheduler``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import get_runtime, get_scheme, scheme_names
@@ -131,7 +130,6 @@ def _figure(
     *,
     worker: Callable[[CampaignPoint], Row] = run_point,
     project: Callable[[Row, Row], Row] = _lock_row,
-    scheduler: Optional[str] = None,
     **sweep: Any,
 ) -> SweepReport:
     """Run a figure's grid on the sweep engine; its rows become figure rows.
@@ -140,9 +138,6 @@ def _figure(
     loop order; ``project`` turns each worker row and its labels into the
     figure row.
     """
-    if scheduler is not None:
-        get_runtime(scheduler)  # validate early, helpful UnknownNameError
-        points = [replace(point, scheduler=scheduler) for point in points]
     report = run_sweep("figures", name, points, worker, **sweep)
     report.rows = [project(row, meta) for row, meta in zip(report.rows, metas)]
     return report
@@ -391,7 +386,7 @@ def figure5(
 
 def _dht_row(point: CampaignPoint) -> Row:
     """Run one Figure-6 point (``iterations`` = operations per process)."""
-    from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark
+    from repro.dht.workload import DHTWorkloadConfig, build_dht_setup, run_dht_benchmark
 
     config = DHTWorkloadConfig(
         machine=cached_machine(point.procs, point.procs_per_node, point.topology),
@@ -401,7 +396,11 @@ def _dht_row(point: CampaignPoint) -> Row:
         seed=point.seed,
         **dict(point.params),
     )
-    outcome = run_dht_benchmark(config, scheduler=point.scheduler)
+    dht_spec, _, _ = build_dht_setup(config)
+    runtime = get_runtime(point.scheduler).factory(
+        config.machine, window_words=dht_spec.window_words + 2, seed=config.seed
+    )
+    outcome = run_dht_benchmark(config, runtime=runtime)
     return {
         "total_time_s": round(outcome.total_time_s, 6),
         "total_time_us": round(outcome.total_time_us, 1),

@@ -287,7 +287,7 @@ def check_scale_manifest(payload: Mapping[str, Any]) -> List[Finding]:
 
     The shared row checks (as for the traffic manifest), every fluid
     validation record is within tolerance and carries one identical sampled
-    fingerprint across its scheduler/re-run matrix, and the re-homing
+    fingerprint across its run and repeat run, and the re-homing
     verdict beats static placement in every compared pair.
     """
     name = "BENCH_scale.json"

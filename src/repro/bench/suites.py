@@ -198,8 +198,8 @@ def _no_kill(report: SweepReport) -> Optional[str]:
     return None
 
 
-def _schedulers(report: SweepReport) -> str:
-    return f"rows on scheduler(s) {', '.join(report.extra['schedulers'])}"
+#: The summary line of a traffic or scale sweep, which runs on ``horizon``.
+_ON_HORIZON = "rows on scheduler(s) horizon"
 
 
 def _traffic(args: argparse.Namespace) -> _Runner:
@@ -228,7 +228,7 @@ def _show_traffic(args: argparse.Namespace, report: SweepReport) -> _Shown:
     from repro.traffic.engine import traffic_display_rows
 
     print(format_table(traffic_display_rows(report.rows)))
-    return _schedulers(report), 0, None
+    return _ON_HORIZON, 0, None
 
 
 def _scale(args: argparse.Namespace) -> _Runner:
@@ -249,7 +249,7 @@ def _show_scale(args: argparse.Namespace, report: SweepReport) -> _Shown:
         f"{'all within tolerance' if fluid_ok else 'VALIDATION FAILED'}; "
         f"re-homing improved={rehome['improved']} over {len(rehome['pairs'])} pair(s)"
     )
-    return _schedulers(report), 0 if fluid_ok else 1, None
+    return _ON_HORIZON, 0 if fluid_ok else 1, None
 
 
 def _tune(args: argparse.Namespace) -> _Runner:
@@ -302,7 +302,7 @@ def _show_tune(args: argparse.Namespace, report: SweepReport) -> _Shown:
     ]
     print("\nBest-known thresholds (winner re-run certifies the fingerprint):")
     print(format_table(best_rows))
-    return f"grid points on {report.extra['scheduler']}", 0, None
+    return "grid points on horizon", 0, None
 
 
 SUITES: Tuple[Suite, ...] = (

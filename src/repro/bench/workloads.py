@@ -116,8 +116,9 @@ def bench_scale() -> float:
 def default_process_counts() -> Tuple[int, ...]:
     """Process counts used on figure x-axes (override with ``REPRO_BENCH_PROCS``).
 
-    The sweep tops out at P=128 since the horizon scheduler (PR 1) made the
-    discrete-event core ~5x faster; earlier revisions stopped at 64.
+    The sweep tops out at P=128 since the horizon runtime made the
+    discrete-event core ~5x faster than the original thread-per-rank one;
+    earlier revisions stopped at 64.
     """
     env = os.environ.get("REPRO_BENCH_PROCS")
     if env:

@@ -9,7 +9,8 @@ API the lock table exposes:
   choices; :func:`build_swap_plan` turns scenario + policy into a
   deterministic :class:`SwapPlan`, which the open-loop client installs at
   phase boundaries through its one collective drain-reinit-install
-  crossing, keeping fingerprints identical across schedulers.
+  crossing, keeping fingerprints identical across repeat runs, ``--jobs``
+  settings and the reference interpreter.
 * :mod:`repro.control.tune` — the **offline** auto-tuner behind
   ``repro tune``.  It sweeps registry-declared threshold grids through the
   cached campaign executor, emits the best-known-thresholds manifest

@@ -16,9 +16,9 @@ Determinism contract — the part that makes adaptive runs gate-able:
 * Decisions are derived **only from virtual-time state**: the per-entry
   per-phase statistics come from the materialized request schedules (pure
   functions of ``(scenario, seed, rank)``), never from measured wall time or
-  scheduler-dependent quantities.  :func:`build_swap_plan` therefore computes
-  the identical plan under every deterministic scheduler and under any
-  ``--jobs`` setting.
+  run-order-dependent quantities.  :func:`build_swap_plan` therefore computes
+  the identical plan on every repeat run, under any ``--jobs`` setting and
+  on the reference interpreter.
 * A swap executes at a phase boundary as a *drain-then-reinit* crossing,
   the one an elastic resize uses too: every rank barriers (so no holder is
   in flight), rewrites its **own** window words of the affected slabs to
@@ -389,8 +389,8 @@ def build_swap_plan(
     """Compute the deterministic swap schedule of one scenario run.
 
     Statistics are aggregated from **all** ranks' materialized request
-    schedules — pure virtual-time state, identical across schedulers and job
-    counts.  Decisions are reactive: the crossing into phase ``b + 1`` uses
+    schedules — pure virtual-time state, identical across repeat runs and
+    job counts.  Decisions are reactive: the crossing into phase ``b + 1`` uses
     the statistics of phase ``b`` (always a finite phase, so spans are well
     defined).  Per boundary, at most ``policy.max_swaps_per_boundary``
     entries swap, hottest first (ties broken by entry index).

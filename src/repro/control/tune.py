@@ -27,11 +27,11 @@ whose registration declares tunable parameters — third-party
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.registry import ParamSpec, get_benchmark, get_runtime, get_scheme
+from repro.api.registry import ParamSpec, get_benchmark, get_scheme
 from repro.bench.campaign import (
     CampaignPoint,
     ResultCache,
@@ -214,7 +214,6 @@ def run_tune(
     cache: "ResultCache | bool | None" = None,
     cache_dir: Optional[Path] = None,
     refresh: bool = False,
-    scheduler: str = "horizon",
 ) -> SweepReport:
     """Sweep the grids through :func:`~repro.bench.campaign.run_sweep`.
 
@@ -229,7 +228,6 @@ def run_tune(
     if grids is None:
         grids = default_grids()
     grids = list(grids)
-    get_runtime(scheduler)
 
     t0 = time.perf_counter()
     # One flat, deduplicated point list (grids may share their default point).
@@ -237,10 +235,9 @@ def run_tune(
     index: Dict[str, int] = {}
     for grid in grids:
         for point in grid.points():
-            p = replace(point, scheduler=scheduler)
-            if p.case not in index:
-                index[p.case] = len(points)
-                points.append(p)
+            if point.case not in index:
+                index[point.case] = len(points)
+                points.append(point)
     report = run_sweep(
         "tune", "tune-suite", points, run_point,
         jobs=jobs, cache=cache, cache_dir=cache_dir, refresh=refresh,
@@ -253,11 +250,11 @@ def run_tune(
     sensitivity: List[Dict[str, Any]] = []
     refire: List[Tuple[int, CampaignPoint]] = []
     for gi, grid in enumerate(grids):
-        default_row = rows[index[replace(grid.default_point(), scheduler=scheduler).case]]
+        default_row = rows[index[grid.default_point().case]]
         series: List[Dict[str, Any]] = []
         winner: Optional[Tuple[float, Any, Dict[str, Any], CampaignPoint]] = None
         for value in grid.values:
-            point = replace(grid._point(((grid.param, value),)), scheduler=scheduler)
+            point = grid._point(((grid.param, value),))
             row = rows[index[point.case]]
             p99 = _p99(row)
             series.append({"value": value, "e2e_p99_us": p99})
@@ -303,7 +300,7 @@ def run_tune(
         best_rows[gi]["refingerprint"] = rerun["fingerprint"]
 
     report.wall_s = time.perf_counter() - t0
-    report.extra.update(scheduler=scheduler, best=best_rows, sensitivity=sensitivity)
+    report.extra.update(scheduler="horizon", best=best_rows, sensitivity=sensitivity)
     return report
 
 

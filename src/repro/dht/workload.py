@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Literal, Optional, Sequence
 
-from repro.api.registry import get_runtime, get_scheme
+from repro.api.registry import get_scheme
 from repro.core.lock_base import RWLockSpec, program_for_spec
 from repro.dht.distributions import DISTRIBUTIONS, KeyDistribution
 from repro.dht.hashtable import DHTSpec
@@ -214,19 +214,15 @@ def run_dht_benchmark(
     config: DHTWorkloadConfig,
     *,
     runtime: Optional[SimRuntime] = None,
-    scheduler: str = "horizon",
 ) -> DHTBenchOutcome:
     """Run one Figure 6 data point and return its outcome.
 
-    It runs on ``runtime`` when given, else on a fresh runtime of the
-    registered ``scheduler``.
+    It runs on ``runtime`` when given, else on a fresh ``horizon`` runtime.
     """
     dht_spec, lock_spec, window_init = build_dht_setup(config)
     window_words = dht_spec.window_words + 2
     if runtime is None:
-        runtime = get_runtime(scheduler).factory(
-            config.machine, window_words=window_words, seed=config.seed
-        )
+        runtime = SimRuntime(config.machine, window_words=window_words, seed=config.seed)
     elif runtime.window_words < window_words:
         raise ValueError("provided runtime's window is too small for this DHT configuration")
 

@@ -5,7 +5,7 @@ The package splits into four layers:
 * :mod:`repro.fault.plan` — the injection side: :class:`FaultPlan` describes
   seeded rank kills (and optional restarts) in virtual time; every
   deterministic runtime accepts one via ``fault_plan=`` and honors it
-  bit-reproducibly, identically across schedulers.
+  bit-reproducibly, identically on repeat runs and the reference interpreter.
 * :mod:`repro.fault.lease_lock` / :mod:`repro.fault.repair_mcs` — the
   recovery side: a lease lock with epoch-fenced release, and an MCS queue
   that splices dead waiters out (plus its intentionally racy mutant, one of

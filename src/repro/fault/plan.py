@@ -8,13 +8,14 @@ draws them from a dedicated Philox lane so that every crash site is a pure
 function of a small integer seed — the same discipline as
 :mod:`repro.rma.perturbation`.
 
-Kill semantics (shared by every deterministic scheduler, see the runtime
-modules): a rank is killed at the first *public context call* (``put``,
+Kill semantics (shared by ``horizon`` and the reference interpreter,
+``tests/reference.py``): a rank is killed at the first *public context call* (``put``,
 ``get``, ``accumulate``, ``fao``, ``cas``, ``flush``, ``compute``,
 ``barrier``, ``spin_on_cells``) it issues with its virtual clock at or past
 ``kill_us``.  The clock observed at a context-call boundary is part of the
 deterministic scheduling contract, so the crash lands on the same operation
-— bit-reproducibly — under every conforming scheduler.  A
+— bit-reproducibly — on every repeat run, under any ``--jobs`` setting and
+on the reference interpreter.  A
 killed rank's window stays accessible: RMA is one-sided, so survivors keep
 reading and writing the dead rank's memory exactly as the paper's model
 allows (that is what makes lease takeover and queue repair implementable at
@@ -27,7 +28,7 @@ system would approximate it with heartbeats or the lease terms themselves
 (see "Using RDMA for Lock Management", arxiv 1507.03274).
 
 Times are integral-valued microseconds so that every comparison against a
-rank clock is exact float arithmetic — no epsilon, no scheduler drift.
+rank clock is exact float arithmetic — no epsilon, no run-to-run drift.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ module makes those schedules reachable *without* giving up determinism:
 * every per-rank draw comes from a dedicated counter-based Philox stream
   keyed on ``(seed, rank)`` and consumed in the rank's own operation order,
   so a perturbed run is a pure function of ``(program, config, seed)``:
-  the same seed replays the exact same schedule bit-for-bit, on every
-  deterministic scheduler, while different seeds steer the run
+  the same seed replays the exact same schedule bit-for-bit, on ``horizon``
+  and on the reference interpreter, while different seeds steer the run
   through genuinely different interleavings;
 * the streams are disjoint from :func:`repro.util.rng.rank_rng` (a different
   Philox counter lane), so perturbing a run never shifts the workload's own

@@ -18,69 +18,44 @@ up the repo's bit-reproducibility contract:
   topology-aware policy action that moves a hot entry's home rank toward
   the node originating most of its traffic.
 
-Importing this package registers the ``scale-*`` benchmarks (tag
-``"scale"``), the fluid scenario catalogue and the ``scale-suite``
-campaign; ``repro scale`` is the CLI entry point and ``BENCH_scale.json``
+The ``scale-*`` benchmarks (tag ``"scale"``) load with the other built-in
+benchmarks and the ``scale-suite`` campaign with the other built-in
+campaigns; ``repro scale`` is the CLI entry point and ``BENCH_scale.json``
 the blessed baseline (see README, section *Fluid-scale traffic &
-elasticity*).
+elasticity*).  The names below resolve lazily (PEP 562), so the built-in
+load that imports :mod:`repro.scale.elastic` and :mod:`repro.scale.rehome`
+pulls in neither the fluid model nor the sweep engine.
 """
 
-from repro.scale.elastic import (
-    ELASTIC_PLAN,
-    ELASTIC_SCENARIO,
-    ElasticPlan,
-    EntryRegrow,
-    ResizeEvent,
-)
-from repro.scale.rehome import REHOME_POLICY, REHOME_SCENARIO, STATIC_HOT_SCENARIO
-from repro.scale.fluid import (
-    FLUID_LANE,
-    FLUID_MEGA,
-    FLUID_PHASED,
-    FLUID_SCENARIOS,
-    FluidPhase,
-    FluidProfile,
-    FluidScenario,
-    fluid_profile,
-    get_fluid_scenario,
-    register_fluid_scenario,
-    run_sampled,
-    sampled_scenario,
-    validate_fluid,
-)
-from repro.scale.engine import (
-    SCALE_SUITE,
-    rehome_comparison,
-    run_scale,
-    scale_display_rows,
-    scale_spec,
-)
+import importlib
 
-__all__ = [
-    "ELASTIC_PLAN",
-    "ELASTIC_SCENARIO",
-    "ElasticPlan",
-    "EntryRegrow",
-    "FLUID_LANE",
-    "FLUID_MEGA",
-    "FLUID_PHASED",
-    "FLUID_SCENARIOS",
-    "FluidPhase",
-    "FluidProfile",
-    "FluidScenario",
-    "REHOME_POLICY",
-    "REHOME_SCENARIO",
-    "ResizeEvent",
-    "SCALE_SUITE",
-    "STATIC_HOT_SCENARIO",
-    "fluid_profile",
-    "get_fluid_scenario",
-    "register_fluid_scenario",
-    "rehome_comparison",
-    "run_sampled",
-    "run_scale",
-    "sampled_scenario",
-    "scale_display_rows",
-    "scale_spec",
-    "validate_fluid",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ELASTIC_PLAN", "ELASTIC_SCENARIO", "ElasticPlan", "EntryRegrow", "ResizeEvent"),
+        "elastic",
+    ),
+    **dict.fromkeys(("REHOME_POLICY", "REHOME_SCENARIO", "STATIC_HOT_SCENARIO"), "rehome"),
+    **dict.fromkeys(
+        (
+            "FLUID_LANE", "FLUID_MEGA", "FLUID_PHASED", "FLUID_SCENARIOS", "FluidPhase",
+            "FluidProfile", "FluidScenario", "fluid_profile", "get_fluid_scenario",
+            "register_fluid_scenario", "run_sampled", "sampled_scenario", "validate_fluid",
+        ),
+        "fluid",
+    ),
+    **dict.fromkeys(("rehome_comparison", "run_scale", "scale_display_rows", "scale_spec"), "engine"),
+}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"repro.scale.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

@@ -12,7 +12,7 @@ the same drain-reinit-install crossing as the adaptive control plane's
 scheme swaps (barrier → ``get`` → per-rank slab re-init → flush →
 version-guarded install → barrier) — so a resize is a collective,
 bit-reproducible virtual-time event: identical fingerprints across
-deterministic schedulers and across ``--jobs`` settings.
+repeat runs, ``--jobs`` settings and the reference interpreter.
 
 The plan is *declarative and pure*: every rank derives the same active-entry
 schedule locally from the plan (no shared mutable counter), which is what

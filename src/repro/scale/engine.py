@@ -7,15 +7,18 @@ executor and determinism fingerprints unchanged) and adds the fluid records
 and the re-homing verdict.  One sweep produces three artifact groups:
 
 * **Campaign rows** — the ``scale-suite`` grid (elastic resize plus the
-  static/re-homed hot-key pair) on every requested deterministic
-  scheduler, with bit-identical fingerprints required across them.
+  static/re-homed hot-key pair), fingerprinted like every campaign row.
 * **Fluid validation records** — :func:`repro.scale.fluid.validate_fluid`
   for every registered fluid scenario: analytic rate/share checks, sampled
-  percentiles and cross-scheduler fingerprint certificates.  This is where
+  percentiles and a repeat-run fingerprint certificate.  This is where
   the 10^6-clients/s scenario (``fluid-mega``) runs — in seconds.
 * **The re-homing verdict** — :func:`rehome_comparison` pairs the
-  ``scale-hot`` / ``scale-hot-rehome`` rows per scheduler and reports the
-  end-to-end p99 delta.
+  ``scale-hot`` / ``scale-hot-rehome`` rows per scheme and P and reports
+  the end-to-end p99 delta.
+
+Rows, fluid fingerprints and the verdict are identical across repeat runs
+and ``--jobs`` settings; tier-1 holds the rows and the sampled cohorts to
+the reference interpreter (``tests/reference.py``).
 
 ``repro scale --bless`` writes ``BENCH_scale.json`` through
 :func:`repro.bench.regress.bless_sweep`, which refuses a manifest that
@@ -31,40 +34,16 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.campaign import (
-    CampaignSpec,
-    SweepReport,
-    get_campaign,
-    register_campaign,
-)
+from repro.bench.campaign import CampaignSpec, SweepReport, get_campaign
 from repro.scale.fluid import FLUID_SCENARIOS, get_fluid_scenario, validate_fluid
 from repro.traffic.engine import run_traffic
 
 __all__ = [
-    "SCALE_SUITE",
     "rehome_comparison",
     "run_scale",
     "scale_display_rows",
     "scale_spec",
 ]
-
-#: The scale campaign grid.  P is pinned to 32 because the hot-key pair's
-#: ``bias_ranks=(24, 32)`` names the fourth node of a 32-rank / 8-per-node
-#: machine; shrinking P would silently de-bias the workload.
-SCALE_SUITE = register_campaign(
-    CampaignSpec(
-        name="scale-suite",
-        help="fluid-scale companions: elastic resize + hot-key re-homing at P=32",
-        schemes=("fompi-spin",),
-        benchmarks=("scale",),
-        process_counts=(32,),
-        fw_values=(0.0,),
-        iterations=48,
-        procs_per_node=8,
-        seed=17,
-    )
-)
-
 
 def scale_spec(
     *,
@@ -79,29 +58,29 @@ def scale_spec(
 
 
 def rehome_comparison(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Pair the static and re-homed hot-key rows per scheduler.
+    """Pair the static and re-homed hot-key rows per scheme and P.
 
     Returns ``{"pairs": [...], "improved": bool}`` where each pair carries
     both end-to-end p99 values and their delta; ``improved`` requires the
     re-homed p99 to be strictly lower in *every* compared pair.
     """
-    by_key: Dict[Tuple[str, str, int], Dict[str, float]] = {}
+    by_key: Dict[Tuple[str, int], Dict[str, float]] = {}
     for row in rows:
         benchmark = row.get("benchmark", "")
         if benchmark not in ("scale-hot", "scale-hot-rehome"):
             continue
         pct = row.get("percentiles") or {}
-        key = (row.get("scheduler", "horizon"), row.get("scheme", ""), int(row.get("P", 0)))
+        key = (row.get("scheme", ""), int(row.get("P", 0)))
         by_key.setdefault(key, {})[benchmark] = float(pct.get("e2e_p99_us", 0.0))
     pairs: List[Dict[str, Any]] = []
-    for (scheduler, scheme, procs), vals in sorted(by_key.items()):
+    for (scheme, procs), vals in sorted(by_key.items()):
         if "scale-hot" not in vals or "scale-hot-rehome" not in vals:
             continue
         static_p99 = vals["scale-hot"]
         rehomed_p99 = vals["scale-hot-rehome"]
         pairs.append(
             {
-                "scheduler": scheduler,
+                "scheduler": "horizon",
                 "scheme": scheme,
                 "P": procs,
                 "static_p99_us": static_p99,
@@ -119,7 +98,6 @@ def rehome_comparison(rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 def run_scale(
     spec: Optional[CampaignSpec] = None,
     *,
-    schedulers: Sequence[str] = ("horizon",),
     jobs: Optional[int] = None,
     cache: Any = None,
     cache_dir: Optional[Path] = None,
@@ -127,12 +105,11 @@ def run_scale(
     fluid_names: Optional[Sequence[str]] = None,
     fluid_seed: int = 17,
 ) -> SweepReport:
-    """Run the scale grid on every requested scheduler plus the fluid set.
+    """Run the scale grid plus the fluid set.
 
     ``fluid_names`` narrows the fluid validation sweep (default: every
-    registered :class:`~repro.scale.fluid.FluidScenario`); the fluid records
-    always validate across the same scheduler list, so one report carries
-    both the campaign's and the cohorts' determinism certificates.
+    registered :class:`~repro.scale.fluid.FluidScenario`); one report
+    carries both the campaign's and the cohorts' determinism certificates.
     ``extra`` adds ``fluid`` and ``rehome`` to the traffic sweep's
     ``schedulers``.
     """
@@ -141,13 +118,9 @@ def run_scale(
     t0 = time.perf_counter()
     report = run_traffic(
         spec if spec is not None else scale_spec(),
-        schedulers=schedulers, jobs=jobs, cache=cache, cache_dir=cache_dir,
-        refresh=refresh,
+        jobs=jobs, cache=cache, cache_dir=cache_dir, refresh=refresh,
     )
-    fluid = [
-        validate_fluid(scenario, seed=fluid_seed, schedulers=tuple(schedulers))
-        for scenario in fluids
-    ]
+    fluid = [validate_fluid(scenario, seed=fluid_seed) for scenario in fluids]
     extra = dict(report.extra, fluid=fluid, rehome=rehome_comparison(report.rows))
     return replace(
         report, suite="scale", wall_s=time.perf_counter() - t0, extra=extra

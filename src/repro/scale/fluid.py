@@ -29,8 +29,9 @@ the problem the way large-scale service models do:
 * **Validation** — :func:`validate_fluid` closes the loop at small scale:
   the fluid rates are checked against exactly materialized schedules
   (analytically, no simulation) and the sampled percentiles against the
-  fluid service model, with determinism certificates pinning the sampled
-  fingerprint across schedulers and reruns.
+  fluid service model, with a determinism certificate pinning the sampled
+  fingerprint across a repeat run (tier-1 also holds it to the reference
+  interpreter, ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.registry import get_runtime
 from repro.core.lock_base import program_for_spec
+from repro.rma.sim_runtime import SimRuntime
 from repro.topology.builder import XC30_PROCS_PER_NODE, cached_machine
 from repro.traffic.accounting import aggregate_traffic
 from repro.traffic.generators import (
@@ -93,7 +94,6 @@ P50_RTOL = 1.00        #: sampled e2e p50 vs fluid sojourn prediction
 LOCK_OVERHEAD_US = 1.5
 
 DEFAULT_SEED = 17
-DEFAULT_SCHEDULERS = ("horizon",)
 
 
 @dataclass(frozen=True)
@@ -326,17 +326,8 @@ def sampled_scenario(fluid: FluidScenario) -> TrafficScenario:
     )
 
 
-def run_sampled(
-    fluid: FluidScenario,
-    *,
-    scheduler: str = "horizon",
-    seed: int = DEFAULT_SEED,
-) -> Dict[str, Any]:
-    """Drive the sampled cohort through the real simulator; returns metrics
-    plus the run fingerprint (the determinism certificate's input)."""
-    from repro.bench.campaign import run_result_sha
-
-    runtime_info = get_runtime(scheduler)
+def _cohort(fluid: FluidScenario, seed: int):
+    """The sampled cohort's machine, lock table and open-loop program."""
     machine = cached_machine(fluid.sample_ranks, procs_per_node=fluid.sample_ppn)
     table, _ = build_lock_table(machine, fluid.sample_scheme, fluid.sample_locks)
     scenario = sampled_scenario(fluid)
@@ -350,19 +341,21 @@ def run_sampled(
         fw_default=0.0,
         lane=FLUID_LANE,
     )
-    program = program_for_spec(table, machine, program)
-    runtime = runtime_info.factory(
-        machine,
-        window_words=table.window_words + 2,
-        latency=None,
-        fabric=None,
-        seed=int(seed),
-    )
+    return machine, table, program_for_spec(table, machine, program)
+
+
+def run_sampled(fluid: FluidScenario, *, seed: int = DEFAULT_SEED) -> Dict[str, Any]:
+    """Drive the sampled cohort through the real simulator; returns metrics
+    plus the run fingerprint (the determinism certificate's input)."""
+    from repro.bench.campaign import run_result_sha
+
+    machine, table, program = _cohort(fluid, seed)
+    runtime = SimRuntime(machine, window_words=table.window_words + 2, seed=int(seed))
     result = runtime.run(program, window_init=table.init_window)
     live = [r for r in result.returns if isinstance(r, dict)]
     traffic = aggregate_traffic(live, reservoir_cap=int(fluid.reservoir_cap))
     return {
-        "scheduler": scheduler,
+        "scheduler": "horizon",
         "seed": int(seed),
         "requests": int(fluid.sample_requests) * int(fluid.sample_ranks),
         "fingerprint": run_result_sha(result),
@@ -415,7 +408,6 @@ def validate_fluid(
     fluid: FluidScenario,
     *,
     seed: int = DEFAULT_SEED,
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
 ) -> Dict[str, Any]:
     """Validate the fluid model against the exact engine at small scale.
 
@@ -431,17 +423,15 @@ def validate_fluid(
        fluid service model's sojourn prediction (and the tail ordering
        p50 ≤ p99 ≤ p99.9 holds).
 
-    The certificate re-runs the sampled cohort under every requested
-    scheduler plus a repeat of the first and requires one identical
-    fingerprint throughout.
+    The certificate runs the sampled cohort twice and requires one
+    identical fingerprint.
     """
     profile = fluid_profile(fluid)
     exact_rate, exact_hot, window_us = _materialized_reference(fluid, seed)
     fluid_rate = _fluid_rate_over(fluid, window_us)
     fluid_hot = float(profile.folded_share(fluid.sample_locks).max(initial=0.0))
 
-    runs = [run_sampled(fluid, scheduler=s, seed=seed) for s in schedulers]
-    runs.append(run_sampled(fluid, scheduler=schedulers[0], seed=seed))
+    runs = [run_sampled(fluid, seed=seed) for _ in range(2)]
     fingerprints = sorted({r["fingerprint"] for r in runs})
     sampled = runs[0]
     pct = sampled["percentiles"]
@@ -517,7 +507,7 @@ def validate_fluid(
         "clients_per_s": float(fluid.clients_per_s),
         "horizon_us": float(fluid.horizon_us),
         "seed": int(seed),
-        "schedulers": list(schedulers),
+        "schedulers": ["horizon"],
         "fluid": profile.summary(),
         "exact": {
             "rate_per_us": exact_rate,

@@ -13,7 +13,7 @@ rotates the entry's ``home_rank`` (and ``tail_rank``) toward that rank at
 the next phase boundary, through exactly the same drain-reinit-install
 crossing as a scheme swap — so re-homing inherits the control plane's
 determinism story wholesale: identical plans and fingerprints across
-deterministic schedulers and across ``--jobs``.
+repeat runs, ``--jobs`` settings and the reference interpreter.
 
 This module ships the policy plus a matched scenario pair used by the
 ``scale-suite`` campaign to *measure* the win:

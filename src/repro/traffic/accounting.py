@@ -17,8 +17,8 @@ Everything here is bit-deterministic: samples are gathered in rank order,
 percentiles use the nearest-rank definition on a sorted array (no float
 interpolation), and the bounded :class:`LatencyReservoir` decimates by a
 fixed stride over the *sorted* samples — so the reported numbers are
-identical across repeat runs, schedulers and ``--jobs`` settings, and can be
-gated bit-exactly by ``repro regress``.
+identical across repeat runs, ``--jobs`` settings and the reference
+interpreter, and can be gated bit-exactly by ``repro regress``.
 
 The reservoir bound is a **first-class accounting parameter**: it defaults
 to :data:`DEFAULT_RESERVOIR_CAP` and is threaded end to end — a

@@ -6,10 +6,9 @@ content-addressed :class:`~repro.bench.campaign.ResultCache`, the parallel
 executor and the determinism fingerprints all apply unchanged.  What this
 module adds:
 
-* **Scheduler cross-product** — :func:`run_traffic` runs the grid on every
-  requested deterministic scheduler (``horizon`` by default) and
-  concatenates the rows; every scheduler must produce bit-identical
-  fingerprints and percentile rows for every point.
+* **The sweep** — :func:`run_traffic` runs the grid on ``horizon``; its
+  rows are bit-identical across repeat runs and ``--jobs`` settings, and
+  tier-1 holds them to the reference interpreter (``tests/reference.py``).
 * **Percentile report tables** — :func:`traffic_display_rows` flattens the
   nested percentile/phase fields into the table the CLI prints.
 * **The committed baseline** — ``repro traffic --bless`` records
@@ -135,7 +134,7 @@ def top_key_rows(
     :func:`repro.control.policy.collect_entry_phase_stats` over the
     materialized schedules (the same statistics the adaptive swap planner
     and the re-homing planner consume), so the report costs no simulation
-    and is identical under every scheduler and ``--jobs`` setting.
+    and is identical across repeat runs and ``--jobs`` settings.
     """
     from repro.control.policy import collect_entry_phase_stats
     from repro.traffic.scenarios import get_scenario

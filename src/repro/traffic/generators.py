@@ -25,8 +25,8 @@ rank)``.  Draws come from a dedicated Philox counter lane
 (:func:`traffic_rng`) — disjoint from both the workload streams of
 :func:`repro.util.rng.rank_rng` (lane 0) and the chaos streams of
 :mod:`repro.rma.perturbation` — and the whole schedule is materialized
-*before* the simulated run starts, so it is bit-identical across
-deterministic schedulers, across ``--jobs`` settings and across repeat runs.
+*before* the simulated run starts, so it is bit-identical across repeat
+runs, ``--jobs`` settings and the reference interpreter.
 Being pure, it is drawn once per process and shared, read-only, by every
 reader of the same inputs (:func:`generate_schedule`).
 """

@@ -8,12 +8,16 @@ plumbing and the mapping from rows to paper figures, not performance numbers
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api.registry import get_scheme, register_scheme, unregister
 from repro.bench import experiments
-from repro.bench.campaign import CampaignSpec, ResultCache, run_campaign, run_point
+from repro.bench.campaign import CampaignSpec, ResultCache, run_campaign, run_point, run_sweep
 from repro.topology.builder import cached_machine
+
+from tests.reference import ReferenceRuntime
 
 TINY = {"process_counts": (4, 8), "iterations": 5, "procs_per_node": 4}
 TINY_NO_ITERS = {"process_counts": (4, 8), "procs_per_node": 4}
@@ -183,16 +187,31 @@ class TestFiguresOnTheSweepEngine:
         rows = {row["series"]: row for row in report.rows}
         assert rows["figures-test-lock"]["throughput_mln_s"] == rows["ticket"]["throughput_mln_s"] > 0
 
-    def test_scheduler_rides_on_every_point(self, reference):
-        """DHT and hand-off points run on the scheduler they name, like lock points."""
+    def test_scheduler_rides_on_every_point(self, reference, monkeypatch):
+        """DHT and hand-off points run on the runtime they name, like lock
+        points: each driver's grid, every point moved to the reference
+        interpreter, gives the same figure rows."""
         tiny = {"process_counts": (4,), "procs_per_node": 4, "jobs": 1, "cache": False}
-        for name, kwargs in [
+        drivers = [
             ("figure6", {"fw_values": (0.05,), "ops_per_process": 4}),
             ("ablation_handoff_locality", {"t_l2_values": (1, 4), "iterations": 4}),
             ("ablation_locality", {"t_l2_values": (1,), "iterations": 4}),
-        ]:
-            driver = getattr(experiments, name)
-            assert driver(scheduler=reference, **kwargs, **tiny).rows == driver(**kwargs, **tiny).rows
+        ]
+        on_horizon = [getattr(experiments, name)(**kwargs, **tiny).rows for name, kwargs in drivers]
+
+        def on_reference(suite, name, points, worker, **sweep):
+            assert {point.scheduler for point in points} == {"horizon"}
+            points = [replace(point, scheduler=reference) for point in points]
+            return run_sweep(suite, name, points, worker, **sweep)
+
+        runs = []
+        run = ReferenceRuntime.run
+        monkeypatch.setattr(experiments, "run_sweep", on_reference)
+        monkeypatch.setattr(ReferenceRuntime, "run", lambda *a, **k: runs.append(1) or run(*a, **k))
+        for (name, kwargs), rows in zip(drivers, on_horizon):
+            before = len(runs)
+            assert getattr(experiments, name)(**kwargs, **tiny).rows == rows, name
+            assert len(runs) > before, name
 
     @pytest.mark.parametrize("name, kwargs", [
         ("figure6", {"fw_values": (0.05,), "ops_per_process": 4}),

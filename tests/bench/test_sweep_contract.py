@@ -55,7 +55,7 @@ SWEEPS = {
     ),
     "scale": lambda **kw: run_scale(
         scale_spec(scenarios=("scale-hot", "scale-hot-rehome"), iterations=8),
-        schedulers=("horizon",), fluid_names=("fluid-phased",), **kw,
+        fluid_names=("fluid-phased",), **kw,
     ),
     # Covers the fabric axis: end-point-only and Dragonfly-link points.
     "figures": lambda **kw: experiments.ablation_fabric_contention(

@@ -110,17 +110,6 @@ class TestRunTune:
         assert len(payload["best"]) == len(payload["sensitivity"]) == 3
         assert check_tune_manifest(payload) == []
 
-    def test_bless_follows_the_scheduler(self, tmp_path, reference):
-        baseline = tmp_path / "BENCH_tune.json"
-        run = partial(run_tune, TINY_GRIDS, scheduler=reference, cache_dir=tmp_path / "cache")
-        bless_sweep(run, baseline, jobs=1)
-        payload = json.loads(baseline.read_text())
-        assert payload["scheduler"] == reference
-        assert all(row["scheduler"] == reference for row in payload["rows"])
-        # The scheduler suffix follows the machine axes in a case name.
-        assert all("-i4-ppn4-reference" in row["case"] for row in payload["rows"])
-        assert all("-i4-ppn4-reference" in b["best_case"] for b in payload["best"])
-
     def test_check_refuses_a_drifting_winner(self, tmp_path):
         """The bless refuses a warm sweep whose rows (and so whose winners'
         fingerprints) drift from the cold sweep's, and writes nothing."""

@@ -983,8 +983,6 @@ class TestNoRankThreads:
 
     @pytest.mark.parametrize("scenario", ["scale-elastic", "traffic-adaptive"])
     def test_no_rank_thread_in_elastic_and_adaptive_traffic(self, scenario, reference):
-        import repro.scale  # noqa: F401 - registers scale-elastic
-
         config = LockBenchConfig(
             machine=cached_machine(8, 4), scheme="rma-rw", benchmark=scenario,
             iterations=24, seed=3,

@@ -4,7 +4,7 @@ The acceptance contract: the closed-form fluid profile agrees with exactly
 materialized schedules across a property sweep of (rate, skew, phase shape),
 the sampled cohort's percentiles land inside the fluid service model's bands,
 the 10^6+ clients/s scenario resolves in seconds, and the sampled fingerprint
-is one identical value across schedulers and reruns.
+is one identical value across reruns and on the reference interpreter.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.bench.campaign import run_result_sha
 from repro.scale.fluid import (
     FLUID_LANE,
     FLUID_MEGA,
     FLUID_PHASED,
     FLUID_SCENARIOS,
     FluidScenario,
+    _cohort,
     fluid_profile,
     get_fluid_scenario,
     run_sampled,
@@ -27,6 +29,8 @@ from repro.scale.fluid import (
     validate_fluid,
 )
 from repro.traffic.generators import Phase, TrafficScenario, generate_schedule
+
+from tests.reference import ReferenceRuntime
 
 PHASED = (
     Phase(duration_us=100.0, rate_scale=1.0, name="warm"),
@@ -123,10 +127,7 @@ class TestPropertySweep:
     @pytest.mark.parametrize("clients_per_s", (120_000.0, 450_000.0, 1_000_000.0))
     @pytest.mark.parametrize("exponent", (0.7, 1.1))
     def test_rate_and_skew_grid_validates(self, clients_per_s, exponent):
-        record = validate_fluid(
-            _fluid(clients_per_s, exponent=exponent),
-            schedulers=("horizon",),
-        )
+        record = validate_fluid(_fluid(clients_per_s, exponent=exponent))
         assert record["within_tolerance"], record["checks"]
         assert record["fingerprints_identical"], record["fingerprints"]
 
@@ -143,13 +144,11 @@ class TestPropertySweep:
         ),
     )
     def test_phase_shapes_validate(self, phases):
-        record = validate_fluid(
-            _fluid(300_000.0, phases=phases), schedulers=("horizon",)
-        )
+        record = validate_fluid(_fluid(300_000.0, phases=phases))
         assert record["within_tolerance"], record["checks"]
 
     def test_sampled_percentiles_are_ordered(self):
-        record = validate_fluid(_fluid(250_000.0), schedulers=("horizon",))
+        record = validate_fluid(_fluid(250_000.0))
         pct = record["sampled"]["percentiles"]
         assert pct["e2e_p50_us"] <= pct["e2e_p99_us"] <= pct["e2e_p999_us"]
         assert pct["e2e_p50_us"] > 0.0
@@ -165,16 +164,24 @@ class TestSampledCohort:
 
     def test_repeat_runs_share_one_fingerprint(self):
         fluid = _fluid(250_000.0)
-        first = run_sampled(fluid, scheduler="horizon", seed=17)
-        second = run_sampled(fluid, scheduler="horizon", seed=17)
+        first = run_sampled(fluid, seed=17)
+        second = run_sampled(fluid, seed=17)
         assert first["fingerprint"] == second["fingerprint"]
         assert first["percentiles"] == second["percentiles"]
 
     def test_seed_moves_the_fingerprint(self):
         fluid = _fluid(250_000.0)
-        a = run_sampled(fluid, scheduler="horizon", seed=17)
-        b = run_sampled(fluid, scheduler="horizon", seed=18)
+        a = run_sampled(fluid, seed=17)
+        b = run_sampled(fluid, seed=18)
         assert a["fingerprint"] != b["fingerprint"]
+
+    def test_reference_interpreter_gives_the_horizon_fingerprint(self):
+        """``fluid-phased``'s cohort, run on the reference interpreter,
+        fingerprints as ``run_sampled`` does on horizon."""
+        machine, table, program = _cohort(FLUID_PHASED, 17)
+        twin = ReferenceRuntime(machine, window_words=table.window_words + 2, seed=17)
+        result = twin.run(program, window_init=table.init_window)
+        assert run_result_sha(result) == run_sampled(FLUID_PHASED, seed=17)["fingerprint"]
 
     def test_fluid_lane_is_disjoint_from_the_traffic_lane(self):
         scenario = sampled_scenario(_fluid(250_000.0))
@@ -194,7 +201,7 @@ class TestMegaScale:
 
     def test_mega_validates_within_seconds(self):
         t0 = time.perf_counter()
-        record = validate_fluid(FLUID_MEGA, schedulers=("horizon",))
+        record = validate_fluid(FLUID_MEGA)
         elapsed = time.perf_counter() - t0
         assert record["within_tolerance"], record["checks"]
         assert record["fingerprints_identical"]

@@ -66,32 +66,31 @@ class TestCommittedBaseline:
 
 
 class TestRehomeComparison:
-    def _row(self, benchmark, scheduler, p99):
+    def _row(self, benchmark, p99, scheme="fompi-spin"):
         return {
             "benchmark": benchmark,
-            "scheduler": scheduler,
-            "scheme": "fompi-spin",
+            "scheme": scheme,
             "P": 32,
             "percentiles": {"e2e_p99_us": p99},
         }
 
     def test_improved_requires_every_pair_to_win(self):
         rows = [
-            self._row("scale-hot", "horizon", 100.0),
-            self._row("scale-hot-rehome", "horizon", 80.0),
-            self._row("scale-hot", "reference", 100.0),
-            self._row("scale-hot-rehome", "reference", 120.0),
+            self._row("scale-hot", 100.0),
+            self._row("scale-hot-rehome", 80.0),
+            self._row("scale-hot", 100.0, scheme="ticket"),
+            self._row("scale-hot-rehome", 120.0, scheme="ticket"),
         ]
         verdict = scale_engine.rehome_comparison(rows)
         assert len(verdict["pairs"]) == 2
         assert not verdict["improved"]
-        per_sched = {p["scheduler"]: p["improved"] for p in verdict["pairs"]}
-        assert per_sched == {"horizon": True, "reference": False}
+        per_scheme = {p["scheme"]: p["improved"] for p in verdict["pairs"]}
+        assert per_scheme == {"fompi-spin": True, "ticket": False}
 
     def test_unpaired_rows_are_ignored(self):
         rows = [
-            self._row("scale-hot", "horizon", 100.0),
-            self._row("scale-elastic", "horizon", 50.0),
+            self._row("scale-hot", 100.0),
+            self._row("scale-elastic", 50.0),
         ]
         verdict = scale_engine.rehome_comparison(rows)
         assert verdict["pairs"] == []
@@ -99,8 +98,8 @@ class TestRehomeComparison:
 
     def test_delta_is_static_minus_rehomed(self):
         rows = [
-            self._row("scale-hot", "horizon", 100.0),
-            self._row("scale-hot-rehome", "horizon", 75.0),
+            self._row("scale-hot", 100.0),
+            self._row("scale-hot-rehome", 75.0),
         ]
         (pair,) = scale_engine.rehome_comparison(rows)["pairs"]
         assert pair["delta_us"] == pytest.approx(25.0)
@@ -176,18 +175,18 @@ class TestScaleManifestGate:
 
 
 class TestBless:
-    def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch, reference):
+    def test_bless_round_trips_through_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_EPOCH", "scale-bless-test")
         baseline = tmp_path / "BENCH_scale.json"
         spec = scale_engine.scale_spec(**smoke("scale"))
         run = partial(
-            scale_engine.run_scale, spec, schedulers=("horizon", reference),
+            scale_engine.run_scale, spec,
             cache_dir=tmp_path / "cache", fluid_names=("fluid-phased",),
         )
         report, _ = bless_sweep(run, baseline, jobs=1)
         payload = json.loads(baseline.read_text())
         assert payload["suite"] == "scale"
-        assert payload["timing"]["warm_cache_hits"] == report.points == 6
+        assert payload["timing"]["warm_cache_hits"] == report.points == 3
         assert payload["rehome"]["improved"] is True
 
     def test_check_refuses_failing_fluid_or_rehome(self, tmp_path):

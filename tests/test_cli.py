@@ -129,22 +129,45 @@ class TestCommands:
         assert not captured.out
 
 
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter on this process's path."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
 class TestImportCost:
     def test_cli_import_loads_no_figure_driver_or_dht_workload(self):
-        """`repro --help` and every command skip the figure drivers, and the
-        suite table imports no sweep engine."""
+        """`repro --help` and every command skip the figure drivers, and
+        neither the suite table nor the built-in registrations the parser
+        reads import a sweep engine."""
         heavy = (
             "repro.bench.experiments", "repro.dht.workload", "repro.traffic.engine",
-            "repro.scale.engine", "repro.control.tune", "repro.bench.conformance",
-            "repro.bench.faults", "repro.verification.explorer",
+            "repro.scale.engine", "repro.scale.fluid", "repro.control.tune",
+            "repro.bench.conformance", "repro.bench.faults", "repro.verification.explorer",
         )
-        script = f"import sys, repro.cli\nprint(sorted(m for m in {heavy!r} if m in sys.modules))\n"
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = _fresh("-c", (
+            "import sys, repro.cli\nrepro.cli.build_parser()\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+        ))
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_a_fresh_process_knows_the_scale_builtins(self):
+        """The scale scenarios and the scale-suite campaign load with the
+        other built-ins, whatever the process imported first."""
+        done = _fresh("-c", (
+            "from repro.api.registry import benchmark_names\n"
+            "from repro.bench.campaign import campaign_names\n"
+            "print({'scale-elastic', 'scale-hot', 'scale-hot-rehome'} <= set(benchmark_names()),"
+            " 'scale-suite' in campaign_names())\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True True"
+        bench = _fresh("-m", "repro", "bench", "--benchmark", "scale-hot", "--iterations", "4")
+        assert bench.returncode == 0, bench.stderr
+        assert "scale-hot" in bench.stdout
 
     def test_every_suite_has_a_ci_matrix_row(self):
         from repro.bench.suites import SUITES

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import load_builtin_benchmarks
 from repro.traffic.generators import (
     Phase,
     TrafficScenario,
@@ -171,19 +172,17 @@ class TestPhases:
 
 
 def _registered_traffic_scenarios():
-    import repro.fault.traffic  # noqa: F401 - registers traffic-crash
-    import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
     from repro.traffic.scenarios import _SCENARIOS
 
+    load_builtin_benchmarks()  # traffic-crash and the elastic / re-homing scenarios
     return list(_SCENARIOS)
 
 
 def _registered_scenarios():
-    import repro.fault.traffic  # noqa: F401 - registers traffic-crash
-    import repro.scale  # noqa: F401 - registers the re-homing and elastic scenarios
     from repro.scale.fluid import FLUID_SCENARIOS
     from repro.traffic.scenarios import _SCENARIOS
 
+    load_builtin_benchmarks()
     return [*_SCENARIOS.values(), *(fluid.base for fluid in FLUID_SCENARIOS.values())]
 
 

@@ -653,7 +653,6 @@ _RUN_ORDER = (
 
 _FRESH_PROCESS_POINT = """
 import json, sys
-import repro.scale
 from repro.bench.campaign import run_result_sha
 from repro.bench.harness import run_lock_benchmark_detailed
 from repro.bench.workloads import LockBenchConfig
@@ -698,7 +697,6 @@ class TestTableOncePerProcess:
         assert scenarios._shared_table(config, 1024, 2 * first.specs.stride) is not first
 
     def test_run_order_cannot_leak_through_a_shared_table(self):
-        import repro.scale  # noqa: F401 - registers the re-homing scenarios
         from repro.bench.campaign import run_result_sha
         from repro.bench.harness import run_lock_benchmark_detailed
         from repro.bench.workloads import LockBenchConfig

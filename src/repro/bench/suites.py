@@ -268,14 +268,21 @@ def _tune(args: argparse.Namespace) -> _Runner:
             if args.tune_param
             else [p.name for p in get_scheme(args.scheme).tunable_params()]
         )
-        if not params:
-            print(f"scheme {args.scheme!r} declares no tunable parameters", file=sys.stderr)
+        axes = {}
+        for param in params:
+            try:
+                axes[param] = tune.derive_axis(args.scheme, param)
+            except ValueError as exc:
+                if args.tune_param:
+                    raise
+                # Without --tune-param, sweep what the registry can span.
+                print(f"skipped: {exc}", file=sys.stderr)
+        if not axes:
+            that = " that tune can sweep" if params else ""
+            print(f"scheme {args.scheme!r} declares no tunable parameters{that}", file=sys.stderr)
             return 2
         scenario = args.scenario or "traffic-zipf"
-        grids = [
-            tune.TuneGrid(args.scheme, param, scenario, tune.derive_axis(args.scheme, param))
-            for param in params
-        ]
+        grids = [tune.TuneGrid(args.scheme, param, scenario, values) for param, values in axes.items()]
     overrides = {
         k: v for k, v in (("procs", args.procs), ("iterations", args.iterations)) if v is not None
     }

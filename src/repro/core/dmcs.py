@@ -4,10 +4,15 @@ Processes waiting for the lock form a single queue that may span multiple
 nodes.  Each process exposes, in its window, a pointer to its successor
 (``NEXT``) and a spin flag (``STATUS``); one designated process
 (``tail_rank``) additionally hosts the global queue-tail pointer (``TAIL``).
-The acquire/release protocols follow Listings 2 and 3 of the paper verbatim.
 
 D-MCS is both a comparison target in the evaluation (Figure 3) and the
-building block of the topology-aware RMA-MCS and RMA-RW locks.
+building block of the other queue locks.  Its protocol lives here once:
+:meth:`QueueNode.join` is Listing 2 and :meth:`QueueNode.close` is
+Listing 3, over one record of prebuilt requests.  :class:`DMCSLockHandle`
+runs them on one queue; RMA-MCS and RMA-RW run them at every level of their
+tree (:mod:`repro.core.tree`, Listings 4/5, and RMA-RW's root, Listings
+7/8), and ALock's remote ranks on its remote queue
+(:mod:`repro.related.alock`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.api.registry import register_scheme
-from repro.core.constants import NULL_RANK
+from repro.core.constants import ACQUIRE_START, NULL_RANK
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.rma.ops import AtomicOp
@@ -31,12 +36,76 @@ from repro.rma.runtime_base import (
     Steps,
 )
 
-__all__ = ["DMCSLockSpec", "DMCSLockHandle"]
+__all__ = ["DMCSLockSpec", "DMCSLockHandle", "QueueNode"]
 
 #: STATUS value meaning "spin wait" (Listing 2 uses a boolean flag).
 _WAITING = 1
 #: STATUS value meaning "the lock has been passed to you".
 _GRANTED = 0
+
+
+def _unlinked(nxt: int) -> bool:
+    return nxt == NULL_RANK
+
+
+class QueueNode:
+    """One process's node in one MCS queue, with the requests on it built once.
+
+    ``node`` hosts the node's ``NEXT`` / ``STATUS`` words (at ``next_off`` /
+    ``status_off``), ``tail_host`` the queue's ``TAIL`` (at ``tail_off``);
+    ``wait`` is the STATUS value a waiter spins on.  Every queue lock runs
+    its queue through :meth:`join` and :meth:`close`.
+    """
+
+    __slots__ = (
+        "node", "tail_host", "next_off", "status_off", "tail_off", "clear_next", "set_wait", "set_start",
+        "get_next", "get_status", "flush_node", "enqueue", "dequeue", "flush_tail", "spin_status", "spin_next",
+    )
+
+    def __init__(self, node: int, tail_host: int, next_off: int, status_off: int, tail_off: int, wait: int):
+        self.node, self.tail_host = node, tail_host
+        self.next_off, self.status_off, self.tail_off = next_off, status_off, tail_off
+        self.clear_next = (PUT, NULL_RANK, node, next_off)
+        self.set_wait = (PUT, wait, node, status_off)
+        self.set_start = (PUT, ACQUIRE_START, node, status_off)
+        self.get_next = (GET, node, next_off)
+        self.get_status = (GET, node, status_off)
+        self.flush_node = (FLUSH, node)
+        self.enqueue = (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
+        self.dequeue = (CAS, NULL_RANK, node, tail_host, tail_off)
+        self.flush_tail = (FLUSH, tail_host)
+        self.spin_status = (SPIN_WHILE, node, status_off, lambda status: status == wait)
+        self.spin_next = (SPIN_WHILE, node, next_off, _unlinked)
+
+    def join(self) -> Steps:
+        """Listing 2: enqueue at the tail and spin until the predecessor hands
+        over.  Returns the STATUS handed over, or None if the queue was empty."""
+        yield self.clear_next
+        yield self.set_wait
+        yield self.flush_node
+        pred = yield self.enqueue
+        yield self.flush_tail
+        if pred == NULL_RANK:
+            return None
+        # Make the predecessor see us, then spin locally until it hands over.
+        yield (PUT, self.node, pred, self.next_off)
+        yield (FLUSH, pred)
+        return (yield self.spin_status)
+
+    def close(self, succ: int, status: int) -> Steps:
+        """Listing 3 from the successor read out of ``NEXT``: hand ``status`` to
+        ``succ``; with none known, swing the tail back to empty or, if somebody
+        is enqueueing, wait until it links in and hand it over.  Returns the
+        successor, or NULL_RANK when the queue was closed."""
+        if succ == NULL_RANK:
+            curr = yield self.dequeue
+            yield self.flush_tail
+            if curr == self.node:
+                return NULL_RANK
+            succ = yield self.spin_next
+        yield (PUT, status, succ, self.status_off)
+        yield (FLUSH, succ)
+        return succ
 
 
 @dataclass(frozen=True)
@@ -90,50 +159,20 @@ class DMCSLockHandle(LockHandle):
             )
         self.spec = spec
         self.ctx = ctx
-        # The requests on this rank's own fields and on the tail never change: built once.
-        p, tail = ctx.rank, spec.tail_rank
-        self._clear_next = (PUT, NULL_RANK, p, spec.next_offset)
-        self._set_waiting = (PUT, _WAITING, p, spec.status_offset)
-        self._get_next = (GET, p, spec.next_offset)
-        self._flush_mine = (FLUSH, p)
-        self._enqueue = (FAO, p, tail, spec.tail_offset, AtomicOp.REPLACE)
-        self._dequeue = (CAS, NULL_RANK, p, tail, spec.tail_offset)
-        self._flush_tail = (FLUSH, tail)
+        self._queue = QueueNode(
+            ctx.rank, spec.tail_rank, spec.next_offset, spec.status_offset, spec.tail_offset, _WAITING
+        )
 
     def acquire_steps(self) -> Steps:
         """Listing 2: enqueue at the tail and spin until the predecessor hands over."""
-        spec = self.spec
-        p = self.ctx.rank
-        # Prepare local fields.
-        yield self._clear_next
-        yield self._set_waiting
-        yield self._flush_mine
-        # Enter the tail of the MCS queue and fetch the predecessor.
-        pred = yield self._enqueue
-        yield self._flush_tail
-        if pred != NULL_RANK:
-            # Make the predecessor see us, then spin locally until it hands over.
-            yield (PUT, p, pred, spec.next_offset)
-            yield (FLUSH, pred)
-            yield (SPIN_WHILE, p, spec.status_offset, lambda waiting: waiting == _WAITING)
+        return self._queue.join()
 
     def release_steps(self) -> Steps:
         """Listing 3: hand the lock to the successor, or clear the tail if alone."""
-        spec = self.spec
-        p = self.ctx.rank
-        succ = yield self._get_next
-        yield self._flush_mine
-        if succ == NULL_RANK:
-            # Maybe we are the only process in the queue.
-            curr_rank = yield self._dequeue
-            yield self._flush_tail
-            if curr_rank == p:
-                return
-            # Somebody is enqueueing; wait until it makes itself visible.
-            succ = yield (SPIN_WHILE, p, spec.next_offset, lambda nxt: nxt == NULL_RANK)
-        # Notify the successor.
-        yield (PUT, _GRANTED, succ, spec.status_offset)
-        yield (FLUSH, succ)
+        queue = self._queue
+        succ = yield queue.get_next
+        yield queue.flush_node
+        yield from queue.close(succ, _GRANTED)
 
 
 # --------------------------------------------------------------------------- #

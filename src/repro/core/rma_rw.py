@@ -21,10 +21,14 @@ Three thresholds span the parameter space of Figure 1:
   writer hand-overs at the tree root before the other class gets the lock
   (reader vs. writer throughput).  By default ``T_W = prod_i T_L,i`` (Table 2).
 
-Writers follow Listings 4/5 on levels ``N..2`` and Listings 7/8 at level 1;
-readers follow Listings 9/10.  The writer additionally verifies that all
-readers have drained after switching the counters to WRITE mode, as required
-by the mutual-exclusion argument in Section 4.1.
+Writers follow Listings 4/5 on levels ``N..2`` — the walk of
+:class:`~repro.core.tree.TreeWalk`, shared with RMA-MCS — and Listings 7/8 at
+level 1, which this module plugs into the walk as its root.  Every level's
+queue, the root's included, runs D-MCS's join and close
+(:class:`~repro.core.dmcs.QueueNode`).  Readers follow Listings 9/10.  The
+writer additionally verifies that all readers have drained after switching
+the counters to WRITE mode, as required by the mutual-exclusion argument in
+Section 4.1.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import ParamSpec, register_scheme
-from repro.core.constants import NULL_RANK, STATUS_ACQUIRE_PARENT, STATUS_MODE_CHANGE, STATUS_WAIT
+from repro.core.constants import NULL_RANK, STATUS_MODE_CHANGE
 from repro.core.counter import DistributedCounterSpec
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import RWLockHandle, RWLockSpec
-from repro.core.tree import TreeLayout, normalize_locality_thresholds
-from repro.rma.runtime_base import FLUSH, GET, PUT, SPIN_WHILE, ProcessContext, Steps
+from repro.core.tree import TreeLayout, TreeWalk, normalize_locality_thresholds
+from repro.rma.runtime_base import GET, ProcessContext, Steps
 from repro.topology.machine import Machine
 from repro.topology.mapping import CounterPlacement
 
@@ -131,153 +135,52 @@ class RMARWLockSpec(RWLockSpec):
         return RMARWLockHandle(self, ctx)
 
 
-class RMARWLockHandle(RWLockHandle):
+class RMARWLockHandle(TreeWalk, RWLockHandle):
     """Per-process RMA-RW handle implementing Listings 4-10."""
 
     def __init__(self, spec: RMARWLockSpec, ctx: ProcessContext):
-        if ctx.nranks != spec.machine.num_processes:
-            raise ValueError("lock spec and runtime disagree on the number of ranks")
-        self.spec = spec
-        self.ctx = ctx
-        self._n = spec.machine.n_levels
+        super().__init__(spec, ctx)
         self._dc = spec.counter.make(ctx)
-        self._queue_nodes = spec.layout.queue_nodes(ctx.rank)
 
     # ------------------------------------------------------------------ #
-    # Writer acquire (Listings 4 and 7)
+    # Writer: the tree walk (Listings 4 and 5) with Listings 7 and 8 as its root
     # ------------------------------------------------------------------ #
 
-    def acquire_write_steps(self) -> Steps:
-        """Enter the critical section as a writer."""
-        if self._n == 1:
-            return self._writer_acquire_root()
-        return self._writer_acquire_level(self._n)
+    acquire_write_steps = TreeWalk.acquire_steps
+    release_write_steps = TreeWalk.release_steps
 
-    def _writer_acquire_level(self, level: int) -> Steps:
-        """Listing 4: acquire the DQ at ``level`` (2 <= level <= N) and maybe climb."""
-        q = self._queue_nodes[level - 1]
-
-        yield q.clear_next
-        yield q.set_wait
-        yield q.flush_node
-        pred = yield q.enqueue
-        yield q.flush_tail
-        if pred != NULL_RANK:
-            yield (PUT, q.node, pred, q.next_off)
-            yield (FLUSH, pred)
-            status = yield (SPIN_WHILE, q.node, q.status_off, lambda s: s == STATUS_WAIT)
-            if status != STATUS_ACQUIRE_PARENT:
-                # T_L was not reached: the lock is passed to us directly.
-                return
-        # Start acquiring the next level of the tree.
-        yield q.set_start
-        yield q.flush_node
-        if level > 2:
-            yield from self._writer_acquire_level(level - 1)
-        else:
-            yield from self._writer_acquire_root()
-
-    def _writer_acquire_root(self) -> Steps:
+    def _acquire_root(self) -> Steps:
         """Listing 7: acquire the level-1 DQ and synchronize with the readers."""
         q = self._queue_nodes[0]
-
-        yield q.clear_next
-        yield q.set_wait
-        yield q.flush_node
-        pred = yield q.enqueue
-        yield q.flush_tail
-
-        if pred != NULL_RANK:
-            yield (PUT, q.node, pred, q.next_off)
-            yield (FLUSH, pred)
-            curr_stat = yield (SPIN_WHILE, q.node, q.status_off, lambda s: s == STATUS_WAIT)
-            if curr_stat == STATUS_MODE_CHANGE:
-                # The readers have the lock now; win it back.
-                yield from self._dc.set_counters_to_write_steps()
-                yield from self._dc.wait_readers_drained_steps()
-                yield q.set_start
-                yield q.flush_node
-            # Otherwise the lock was passed in WRITE mode with its count intact.
-        else:
-            # No predecessor: take the lock from the readers.
+        status = yield from q.join()
+        if status is None or status == STATUS_MODE_CHANGE:
+            # No predecessor, or the readers have the lock now: win it back.
             yield from self._dc.set_counters_to_write_steps()
             yield from self._dc.wait_readers_drained_steps()
             yield q.set_start
             yield q.flush_node
+        # Otherwise the lock was passed in WRITE mode with its count intact.
 
-    # ------------------------------------------------------------------ #
-    # Writer release (Listings 5 and 8)
-    # ------------------------------------------------------------------ #
-
-    def release_write_steps(self) -> Steps:
-        """Leave the critical section as a writer."""
-        if self._n == 1:
-            return self._writer_release_root()
-        return self._writer_release_level(self._n)
-
-    def _writer_release_level(self, level: int) -> Steps:
-        """Listing 5: release the DQ at ``level`` (2 <= level <= N)."""
-        spec = self.spec
-        q = self._queue_nodes[level - 1]
-
-        succ = yield q.get_next
-        status = yield q.get_status
-        yield q.flush_node
-        if succ != NULL_RANK and status < spec.locality_threshold(level):
-            # Pass the lock within this element, carrying the passing count.
-            yield (PUT, status + 1, succ, q.status_off)
-            yield (FLUSH, succ)
-            return
-
-        # No known successor or the locality threshold was reached: release the
-        # parent level first.
-        if level > 2:
-            yield from self._writer_release_level(level - 1)
-        else:
-            yield from self._writer_release_root()
-
-        if succ == NULL_RANK:
-            curr = yield q.dequeue
-            yield q.flush_tail
-            if curr == q.node:
-                return
-            succ = yield (SPIN_WHILE, q.node, q.next_off, lambda nxt: nxt == NULL_RANK)
-
-        # Notify the successor that it must acquire the lock at the parent level.
-        yield (PUT, STATUS_ACQUIRE_PARENT, succ, q.status_off)
-        yield (FLUSH, succ)
-
-    def _writer_release_root(self) -> Steps:
+    def _release_root(self) -> Steps:
         """Listing 8: release the level-1 DQ, possibly handing the lock to the readers."""
-        spec = self.spec
         q = self._queue_nodes[0]
-
-        counters_reset = False
         next_stat = yield q.get_status
         yield q.flush_node
         next_stat += 1
-        if next_stat >= spec.writer_threshold:
+        counters_reset = next_stat >= self.spec.writer_threshold
+        if counters_reset:
             # T_W reached: pass the lock to the readers.
             yield from self._dc.reset_counters_steps()
             next_stat = STATUS_MODE_CHANGE
-            counters_reset = True
 
         succ = yield q.get_next
         yield q.flush_node
-        if succ == NULL_RANK:
-            if not counters_reset:
-                # Nobody known to wait: let the readers in.
-                yield from self._dc.reset_counters_steps()
-                next_stat = STATUS_MODE_CHANGE
-            curr = yield q.dequeue
-            yield q.flush_tail
-            if curr == q.node:
-                return
-            succ = yield (SPIN_WHILE, q.node, q.next_off, lambda nxt: nxt == NULL_RANK)
-
+        if succ == NULL_RANK and not counters_reset:
+            # Nobody known to wait: let the readers in.
+            yield from self._dc.reset_counters_steps()
+            next_stat = STATUS_MODE_CHANGE
         # Pass the lock (or the mode-change notification) to the successor.
-        yield (PUT, next_stat, succ, q.status_off)
-        yield (FLUSH, succ)
+        yield from q.close(succ, next_stat)
 
     # ------------------------------------------------------------------ #
     # Reader protocol (Listings 9 and 10)

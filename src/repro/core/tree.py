@@ -1,4 +1,4 @@
-"""Distributed Tree of Queues (DT) layout — Section 3.2.3.
+"""Distributed Tree of Queues (DT) — Section 3.2.3 — and the walk up it (Listings 4/5).
 
 Both topology-aware locks (RMA-MCS and RMA-RW) organize their distributed
 queues (DQs) into a tree that mirrors the machine hierarchy: one DQ per
@@ -7,33 +7,37 @@ orders the level-``i+1`` elements (represented by their *climbing* writers)
 competing for the level-``i`` lock, and the DQ at the leaf level ``N``
 orders the processes of one compute node.
 
-This module owns the window layout and rank placement shared by both locks:
+This module owns what both locks share:
 
-* per-level ``NEXT``/``STATUS``/``TAIL`` window offsets,
-* ``queue_node_rank(p, i)`` — the rank hosting the queue node that process
-  ``p`` uses at level ``i``.  At the leaf level that is ``p`` itself; at
-  higher levels it is the first rank of ``p``'s level-``i+1`` element, so the
-  element's participation in the parent queue survives intra-element lock
-  passing (the cohort/HMCS construction of Chabbi et al. that the paper
-  extends to distributed memory).
-* ``tail_host_rank(p, i)`` — ``tail_rank[i, e(p, i)]``, the rank hosting the
-  tail pointer of the DQ that ``p``'s element belongs to at level ``i``.
+* :class:`TreeLayout` — per-level ``NEXT``/``STATUS``/``TAIL`` window offsets
+  and rank placement.  A process ``p``'s queue node at level ``i`` lives on
+  ``p`` itself at the leaf level and, higher up, on the first rank of ``p``'s
+  level-``i+1`` element, so the element's participation in the parent queue
+  survives intra-element lock passing (the cohort/HMCS construction of
+  Chabbi et al. that the paper extends to distributed memory).  The queue's
+  tail lives on the first rank of ``p``'s level-``i`` element.
+  :meth:`TreeLayout.queue_nodes` builds ``p``'s
+  :class:`~repro.core.dmcs.QueueNode` at every level.
+* :class:`TreeWalk` — Listings 4/5: join the DQ of each level with D-MCS's
+  join / close, from the leaf up, until the lock is passed inside an element.
+  RMA-MCS walks every level; RMA-RW walks levels ``N..2`` and plugs its root
+  (Listings 7/8) in at level 1.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.constants import ACQUIRE_START, NULL_RANK, STATUS_WAIT
+from repro.core.constants import NULL_RANK, STATUS_ACQUIRE_PARENT, STATUS_WAIT
+from repro.core.dmcs import QueueNode
 from repro.core.layout import LayoutAllocator
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import CAS, FAO, FLUSH, GET, PUT
+from repro.core.lock_base import LockHandle
+from repro.rma.runtime_base import ProcessContext, Steps
 from repro.topology.machine import Machine
 
-__all__ = ["QueueNode", "TreeLayout", "normalize_locality_thresholds"]
+__all__ = ["TreeLayout", "TreeWalk", "normalize_locality_thresholds"]
 
 #: Effectively-infinite locality threshold (used for levels with no threshold).
 UNBOUNDED_THRESHOLD = 1 << 50
@@ -72,38 +76,21 @@ def normalize_locality_thresholds(machine: Machine, t_l: Sequence[int] | Mapping
     return tuple(values)
 
 
-def _queue_node_rank(machine: Machine, rank: int, level: int) -> int:
-    if level == machine.n_levels:
-        return rank
-    child_level = level + 1
-    return machine.first_rank_of_element(child_level, machine.element_of(rank, child_level))
-
-
-def _tail_host_rank(machine: Machine, rank: int, level: int) -> int:
-    return machine.first_rank_of_element(level, machine.element_of(rank, level))
-
-
 @lru_cache(maxsize=1 << 12)
 def _placement(machine: Machine, rank: int) -> Tuple[Tuple[int, int], ...]:
-    """``(queue_node_rank, tail_host_rank)`` of ``rank`` at every level.
+    """``(node, tail_host)`` of ``rank``'s queue node at every level: the first
+    rank of its level-``i+1`` element (``rank`` itself at the leaf) and of its
+    level-``i`` element.
 
     Placement depends on the machine alone, so every layout on ``machine`` —
     every entry of a lock table — shares one resolution per rank.
     """
-    return tuple(
-        (_queue_node_rank(machine, rank, level), _tail_host_rank(machine, rank, level))
-        for level in range(1, machine.n_levels + 1)
-    )
+    n = machine.n_levels
 
+    def first(level: int) -> int:
+        return machine.first_rank_of_element(level, machine.element_of(rank, level))
 
-#: One process's queue node at one level: where its fields live (``node`` is
-#: ``queue_node_rank``, ``tail_host`` ``tail_host_rank``) and the requests on them
-#: that never change, built once per handle (see :meth:`TreeLayout.queue_nodes`).
-QueueNode = namedtuple(
-    "QueueNode",
-    "node tail_host next_off status_off tail_off clear_next set_wait set_start "
-    "get_next get_status flush_node enqueue dequeue flush_tail",
-)
+    return tuple((rank if level == n else first(level + 1), first(level)) for level in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -149,27 +136,15 @@ class TreeLayout:
 
     # -- rank placement ------------------------------------------------------ #
 
-    def queue_node_rank(self, rank: int, level: int) -> int:
-        """Rank hosting the level-``level`` queue node used on behalf of ``rank``."""
-        return _queue_node_rank(self.machine, rank, level)
-
-    def tail_host_rank(self, rank: int, level: int) -> int:
-        """``tail_rank[level, e(rank, level)]``: host of the relevant DQ tail pointer."""
-        return _tail_host_rank(self.machine, rank, level)
-
     def queue_nodes(self, rank: int) -> Tuple[QueueNode, ...]:
         """``rank``'s queue node at every level (index ``level - 1``), built once per
         handle from the placement resolved once per (machine, rank)."""
-        nodes = []
-        for level, (node, host) in enumerate(_placement(self.machine, rank), start=1):
-            nxt, status, tail = self.next_offset(level), self.status_offset(level), self.tail_offset(level)
-            nodes.append(QueueNode(
-                node, host, nxt, status, tail,
-                (PUT, NULL_RANK, node, nxt), (PUT, STATUS_WAIT, node, status), (PUT, ACQUIRE_START, node, status),
-                (GET, node, nxt), (GET, node, status), (FLUSH, node),
-                (FAO, node, host, tail, AtomicOp.REPLACE), (CAS, NULL_RANK, node, host, tail), (FLUSH, host),
-            ))
-        return tuple(nodes)
+        return tuple(
+            QueueNode(node, host, nxt, status, tail, STATUS_WAIT)
+            for (node, host), nxt, status, tail in zip(
+                _placement(self.machine, rank), self.next_offsets, self.status_offsets, self.tail_offsets
+            )
+        )
 
     def init_window(self, rank: int) -> Dict[int, int]:
         """Initial window values: every NEXT and TAIL starts as the null rank."""
@@ -182,3 +157,71 @@ class TreeLayout:
             values[self.status_offset(level)] = 0
             values[self.tail_offset(level)] = NULL_RANK
         return values
+
+
+class TreeWalk(LockHandle):
+    """Listings 4/5: a writer's walk up the tree, one :class:`QueueNode` per level.
+
+    A process joins the DQ of its leaf level; unless the lock is passed to it
+    inside its element, it climbs and joins the parent level's DQ.  Release
+    passes the lock inside the element while ``T_L,i`` allows, otherwise it
+    releases the parent level first and tells the successor to climb.  Level
+    1 is :meth:`_acquire_root` / :meth:`_release_root`: one more level of the
+    walk here (RMA-MCS), Listings 7/8 in RMA-RW.
+    """
+
+    def __init__(self, spec, ctx: ProcessContext):
+        if ctx.nranks != spec.machine.num_processes:
+            raise ValueError("lock spec and runtime disagree on the number of ranks")
+        self.spec = spec
+        self.ctx = ctx
+        self._n = spec.machine.n_levels
+        self._queue_nodes = spec.layout.queue_nodes(ctx.rank)
+
+    def acquire_steps(self) -> Steps:
+        """Acquire the global lock, starting at the leaf level of the tree."""
+        return self._acquire_level(self._n) if self._n > 1 else self._acquire_root()
+
+    def release_steps(self) -> Steps:
+        """Release the global lock, starting at the leaf level of the tree."""
+        return self._release_level(self._n) if self._n > 1 else self._release_root()
+
+    def _acquire_level(self, level: int) -> Steps:
+        """Listing 4: acquire the DQ at ``level`` and climb unless the lock was
+        passed inside this machine element."""
+        q = self._queue_nodes[level - 1]
+        status = yield from q.join()
+        if status is not None and status != STATUS_ACQUIRE_PARENT:
+            # The lock was passed within this element: we own the global lock.
+            return
+        # No predecessor, or the predecessor released this level to its parent:
+        # start counting passings afresh and acquire the next level up.
+        yield q.set_start
+        yield q.flush_node
+        if level > 1:
+            yield from self._acquire_level(level - 1) if level > 2 else self._acquire_root()
+
+    def _release_level(self, level: int) -> Steps:
+        """Listing 5: release the DQ at ``level``."""
+        q = self._queue_nodes[level - 1]
+        succ = yield q.get_next
+        status = yield q.get_status
+        yield q.flush_node
+        if level == 1 or (succ != NULL_RANK and status < self.spec.locality_threshold(level)):
+            # Pass the lock within this machine element together with the number
+            # of consecutive passings it has seen.  Level 1 has no parent to
+            # release first: its queue is handed on (or closed) the same way.
+            yield from q.close(succ, status + 1)
+            return
+        # Nobody is known to wait here or the locality threshold was reached:
+        # release the parent level first; the successor must acquire it.
+        yield from self._release_level(level - 1) if level > 2 else self._release_root()
+        yield from q.close(succ, STATUS_ACQUIRE_PARENT)
+
+    def _acquire_root(self) -> Steps:
+        """Level 1, the step RMA-RW overrides with Listing 7: here one more level."""
+        return self._acquire_level(1)
+
+    def _release_root(self) -> Steps:
+        """Level 1, the step RMA-RW overrides with Listing 8: here one more level."""
+        return self._release_level(1)

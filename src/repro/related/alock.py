@@ -14,6 +14,10 @@ acquisition protocols* over one shared grant word:
   competes on the owner word at a time.  Remote retries are paced by a wider
   backoff cap, mirroring the network-latency asymmetry.
 
+The remote queue is D-MCS's queue (Listings 2/3): its join and close are
+:class:`~repro.core.dmcs.QueueNode`'s, with the tail on the home rank; the
+head it hands over to still claims the owner word by CAS.
+
 Mutual exclusion rests entirely on the single owner word: both paths enter
 only through a successful ``CAS(free -> rank)``, so the queue machinery can
 only affect *who* competes, never *how many* hold.  The asymmetry is honest
@@ -35,21 +39,11 @@ from typing import Mapping
 
 from repro.api.registry import ParamSpec, register_scheme
 from repro.core.constants import NULL_RANK
+from repro.core.dmcs import QueueNode
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import declare_recovery
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import (
-    CAS,
-    COMPUTE,
-    FAO,
-    FLUSH,
-    GET,
-    PUT,
-    SPIN_WHILE,
-    ProcessContext,
-    Steps,
-)
+from repro.rma.runtime_base import CAS, COMPUTE, FLUSH, PUT, ProcessContext, Steps
 from repro.topology.machine import Machine
 
 __all__ = ["ALockSpec", "ALockHandle"]
@@ -133,6 +127,9 @@ class ALockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
         self._local = spec.is_local(ctx.rank)
+        self._queue = QueueNode(
+            ctx.rank, spec.home_rank, spec.next_offset, spec.status_offset, spec.tail_offset, _WAIT
+        )
         #: Owner-word CAS attempts of the most recent acquire (for analysis).
         self.last_attempts = 0
 
@@ -154,40 +151,24 @@ class ALockHandle(LockHandle):
 
     def acquire_steps(self) -> Steps:
         spec = self.spec
-        me = self.ctx.rank
         if self._local:
             yield from self._claim_owner(spec.local_cap_us)
             return
         # Remote slow path: MCS enqueue, then only the head claims the owner.
-        yield (PUT, NULL_RANK, me, spec.next_offset)
-        yield (PUT, _WAIT, me, spec.status_offset)
-        yield (FLUSH, me)
-        pred = yield (FAO, me, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        yield (FLUSH, spec.home_rank)
-        if pred != NULL_RANK:
-            yield (PUT, me, pred, spec.next_offset)
-            yield (FLUSH, pred)
-            yield (SPIN_WHILE, me, spec.status_offset, lambda s: s == _WAIT)
+        yield from self._queue.join()
         yield from self._claim_owner(spec.remote_cap_us)
 
     def release_steps(self) -> Steps:
         spec = self.spec
-        me = self.ctx.rank
         yield (PUT, NULL_RANK, spec.home_rank, spec.owner_offset)
         yield (FLUSH, spec.home_rank)
         if self._local:
             return
         # Hand the remote-queue headship to the successor (plain MCS exit).
-        succ = yield (GET, me, spec.next_offset)
-        yield (FLUSH, me)
-        if succ == NULL_RANK:
-            curr = yield (CAS, NULL_RANK, me, spec.home_rank, spec.tail_offset)
-            yield (FLUSH, spec.home_rank)
-            if curr == me:
-                return
-            succ = yield (SPIN_WHILE, me, spec.next_offset, lambda nxt: nxt == NULL_RANK)
-        yield (PUT, _HEAD, succ, spec.status_offset)
-        yield (FLUSH, succ)
+        queue = self._queue
+        succ = yield queue.get_next
+        yield queue.flush_node
+        yield from queue.close(succ, _HEAD)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,17 +30,9 @@ from typing import Mapping
 from repro.api.registry import ParamSpec, register_scheme
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
+from repro.related.ticket import take_ticket
 from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import (
-    ACCUMULATE,
-    FAO,
-    FLUSH,
-    GET,
-    PUT,
-    SPIN_WHILE,
-    ProcessContext,
-    Steps,
-)
+from repro.rma.runtime_base import ACCUMULATE, FLUSH, GET, PUT, ProcessContext, Steps
 from repro.topology.machine import Machine
 
 __all__ = ["CohortTicketLockSpec", "CohortTicketLockHandle", "leaf_threshold_from_config"]
@@ -136,13 +128,7 @@ class CohortTicketLockHandle(LockHandle):
         spec = self.spec
         leader = self._leader
         # Local ticket lock: one process per node proceeds past this point.
-        ticket = yield (FAO, 1, leader, spec.local_next_offset, AtomicOp.SUM)
-        yield (FLUSH, leader)
-        self._local_ticket = ticket
-        serving = yield (GET, leader, spec.local_serving_offset)
-        yield (FLUSH, leader)
-        if serving != ticket:
-            yield (SPIN_WHILE, leader, spec.local_serving_offset, lambda s: s != ticket)
+        self._local_ticket = yield from take_ticket(leader, spec.local_next_offset, spec.local_serving_offset)
         # If a node-mate passed the global lock along with the local one we are done.
         owned = yield (GET, leader, spec.owned_offset)
         yield (FLUSH, leader)
@@ -150,12 +136,7 @@ class CohortTicketLockHandle(LockHandle):
             self.last_acquired_global = False
             return
         # Otherwise acquire the global ticket lock on behalf of the node.
-        g_ticket = yield (FAO, 1, spec.home_rank, spec.global_next_offset, AtomicOp.SUM)
-        yield (FLUSH, spec.home_rank)
-        g_serving = yield (GET, spec.home_rank, spec.global_serving_offset)
-        yield (FLUSH, spec.home_rank)
-        if g_serving != g_ticket:
-            yield (SPIN_WHILE, spec.home_rank, spec.global_serving_offset, lambda s: s != g_ticket)
+        yield from take_ticket(spec.home_rank, spec.global_next_offset, spec.global_serving_offset)
         yield (PUT, 1, leader, spec.owned_offset)
         yield (PUT, 0, leader, spec.passes_offset)
         yield (FLUSH, leader)

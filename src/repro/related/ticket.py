@@ -12,7 +12,8 @@ on the same remote word, so the home rank remains a scalability bottleneck —
 exactly the behaviour the queue-based locks of Section 2 avoid by giving each
 waiter a private spin location.  It is included as the strongest *centralized*
 comparison target and as the building block of the cohort lock
-(:mod:`repro.related.cohort`).
+(:mod:`repro.related.cohort`), whose local and global legs both run
+:func:`take_ticket`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,19 @@ from repro.rma.runtime_base import (
     Steps,
 )
 
-__all__ = ["TicketLockSpec", "TicketLockHandle"]
+__all__ = ["TicketLockSpec", "TicketLockHandle", "take_ticket"]
+
+
+def take_ticket(home: int, next_offset: int, serving_offset: int) -> Steps:
+    """Draw a ticket from ``NEXT_TICKET`` on ``home`` and spin until
+    ``NOW_SERVING`` reaches it; returns the ticket."""
+    ticket = yield (FAO, 1, home, next_offset, AtomicOp.SUM)
+    yield (FLUSH, home)
+    serving = yield (GET, home, serving_offset)
+    yield (FLUSH, home)
+    if serving != ticket:
+        yield (SPIN_WHILE, home, serving_offset, lambda s: s != ticket)
+    return ticket
 
 
 @dataclass(frozen=True)
@@ -87,14 +100,7 @@ class TicketLockHandle(LockHandle):
 
     def acquire_steps(self) -> Steps:
         spec = self.spec
-        ticket = yield (FAO, 1, spec.home_rank, spec.next_ticket_offset, AtomicOp.SUM)
-        yield (FLUSH, spec.home_rank)
-        self._my_ticket = ticket
-        serving = yield (GET, spec.home_rank, spec.now_serving_offset)
-        yield (FLUSH, spec.home_rank)
-        if serving == ticket:
-            return
-        yield (SPIN_WHILE, spec.home_rank, spec.now_serving_offset, lambda s: s != ticket)
+        self._my_ticket = yield from take_ticket(spec.home_rank, spec.next_ticket_offset, spec.now_serving_offset)
 
     def release_steps(self) -> Steps:
         spec = self.spec

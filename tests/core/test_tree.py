@@ -69,35 +69,35 @@ class TestTreeLayout:
     def test_leaf_queue_node_is_the_process_itself(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
         for rank in range(machine.num_processes):
-            assert layout.queue_node_rank(rank, machine.n_levels) == rank
+            assert layout.queue_nodes(rank)[machine.n_levels - 1].node == rank
 
     def test_upper_level_queue_node_is_element_representative(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
         # ranks 0-2 are node 0 (rack 0); their level-2 node is rank 0
-        assert layout.queue_node_rank(1, 2) == 0
-        assert layout.queue_node_rank(2, 2) == 0
+        assert layout.queue_nodes(1)[1].node == 0
+        assert layout.queue_nodes(2)[1].node == 0
         # ranks 3-5 are node 1; their representative is rank 3
-        assert layout.queue_node_rank(4, 2) == 3
+        assert layout.queue_nodes(4)[1].node == 3
         # at level 1 the enqueued entity is the rack: rack 0 -> rank 0, rack 1 -> rank 6
-        assert layout.queue_node_rank(4, 1) == 0
-        assert layout.queue_node_rank(10, 1) == 6
+        assert layout.queue_nodes(4)[0].node == 0
+        assert layout.queue_nodes(10)[0].node == 6
 
     def test_same_element_shares_queue_node(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
         for level in range(1, machine.n_levels):
             for element in range(machine.num_elements(level + 1)):
                 nodes = {
-                    layout.queue_node_rank(rank, level)
+                    layout.queue_nodes(rank)[level - 1].node
                     for rank in machine.ranks_in_element(level + 1, element)
                 }
                 assert len(nodes) == 1
 
     def test_tail_host_is_first_rank_of_level_element(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
-        assert layout.tail_host_rank(5, 3) == 3       # node containing rank 5 starts at 3
-        assert layout.tail_host_rank(5, 2) == 0       # rack 0 starts at rank 0
-        assert layout.tail_host_rank(11, 2) == 6      # rack 1 starts at rank 6
-        assert layout.tail_host_rank(11, 1) == 0      # the machine starts at rank 0
+        assert layout.queue_nodes(5)[2].tail_host == 3       # node containing rank 5 starts at 3
+        assert layout.queue_nodes(5)[1].tail_host == 0       # rack 0 starts at rank 0
+        assert layout.queue_nodes(11)[1].tail_host == 6      # rack 1 starts at rank 6
+        assert layout.queue_nodes(11)[0].tail_host == 0      # the machine starts at rank 0
 
     def test_init_window_nulls_pointers(self, machine):
         layout = TreeLayout.allocate(machine, LayoutAllocator())
@@ -110,5 +110,5 @@ class TestTreeLayout:
     def test_single_level_machine(self):
         machine = Machine.single_node(4)
         layout = TreeLayout.allocate(machine, LayoutAllocator())
-        assert layout.queue_node_rank(3, 1) == 3
-        assert layout.tail_host_rank(3, 1) == 0
+        assert layout.queue_nodes(3)[0].node == 3
+        assert layout.queue_nodes(3)[0].tail_host == 0

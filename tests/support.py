@@ -24,6 +24,7 @@ import pytest
 from repro.bench.campaign import run_result_sha
 from repro.core.constants import NULL_RANK, WRITE_FLAG
 from repro.core.counter import DistributedCounterHandle
+from repro.core.dmcs import QueueNode
 from repro.core.lock_base import LockSpec, RWLockSpec
 from repro.fault import lease_lock as lease_module
 from repro.fault.lease_lock import LeaseLockHandle
@@ -334,7 +335,8 @@ def check_on_every_path(check: Callable[..., Any], spec: Any, machine: Machine, 
 @dataclass(frozen=True)
 class Mutant:
     """A known-unsafe variant of one scheme: ``steps`` replaces the step
-    method ``method`` of ``handle``; ``machine``, ``params`` and ``crash``
+    method ``method`` of ``handle`` (a lock handle, or the queue node that
+    several locks share); ``machine``, ``params``, ``crash`` and ``roles``
     are where the model checker (:mod:`repro.verification.explorer`) finds
     it, and ``finding`` the oracle its first violation comes from."""
 
@@ -346,6 +348,7 @@ class Mutant:
     params: Dict[str, Any]
     finding: str = "[mutual-exclusion]"
     crash: Optional[str] = None
+    roles: Optional[str] = None
 
 
 def _racy_reset_steps(self, rank, *, clear_write_flag=True):
@@ -375,19 +378,23 @@ def _listing_9_spin_steps(self, t_r, writer_waiting=None):
 
 def _skip_owner_cas_steps(self):
     """ALock's remote queue head trusts the hand-off and skips the owner-word CAS."""
-    spec, me = self.spec, self.ctx.rank
     if self._local:
-        yield from self._claim_owner(spec.local_cap_us)
+        yield from self._claim_owner(self.spec.local_cap_us)
         return
-    yield (PUT, NULL_RANK, me, spec.next_offset)
-    yield (PUT, alock_module._WAIT, me, spec.status_offset)
-    yield (FLUSH, me)
-    pred = yield (FAO, me, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-    yield (FLUSH, spec.home_rank)
-    if pred != NULL_RANK:
-        yield (PUT, me, pred, spec.next_offset)
-        yield (FLUSH, pred)
-        yield (SPIN_WHILE, me, spec.status_offset, lambda s: s == alock_module._WAIT)
+    yield from self._queue.join()
+
+
+def _unlinked_join_steps(self):
+    """The shared MCS join without the PUT that links a waiter to its
+    predecessor: the predecessor never sees it, so nobody hands it the lock."""
+    yield self.clear_next
+    yield self.set_wait
+    yield self.flush_node
+    pred = yield self.enqueue
+    yield self.flush_tail
+    if pred == NULL_RANK:
+        return None
+    return (yield self.spin_status)
 
 
 def _blind_fast_path_steps(self):
@@ -461,4 +468,17 @@ MUTANTS: Dict[str, Mutant] = {
         RepairMCSLockHandle, "_settle_race", RacyRepairMCSLockHandle._settle_race, "repair-mcs",
         Machine.single_node(3), {}, finding="[deadlock]", crash="waiter-crash",
     ),
+    # One planted bug in the one join, caught in every lock that runs it
+    # (rma-rw's queues need two writers; alock's, two remote ranks).
+    **{
+        f"unlinked-join[{scheme}]": Mutant(
+            QueueNode, "join", _unlinked_join_steps, scheme, machine, {}, finding="[deadlock]", roles=roles,
+        )
+        for scheme, machine, roles in (
+            ("d-mcs", Machine.single_node(2), None),
+            ("rma-mcs", Machine.cluster(1, 2), None),
+            ("rma-rw", Machine.cluster(1, 2), "ww"),
+            ("alock", Machine.cluster(3, 1), None),
+        )
+    },
 }

@@ -955,6 +955,27 @@ class TestTuneCommand:
         rows = json.loads(manifest.read_text())["rows"]
         assert rows and {(row["P"], row["iterations"]) for row in rows} == {(8, 3)}
 
+    def test_tune_sweeps_the_parameters_it_can_span_and_names_the_rest(self, tmp_path, capsys):
+        """rma-rw's t_l and t_w default to None and have no curated axis: without
+        --tune-param they are skipped on stderr, and t_dc and t_r are swept."""
+        manifest = tmp_path / "TUNE.json"
+        assert main(["tune", "--scheme", "rma-rw", "--procs", "8", "--iterations", "3", "--jobs", "1",
+                     "--no-cache", "--output", str(manifest)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped: parameter 't_l'" in err and "skipped: parameter 't_w'" in err
+        swept = {name for row in json.loads(manifest.read_text())["rows"] for name in row["params"]}
+        assert swept == {"t_dc", "t_r"}
+
+    def test_tune_exits_2_when_no_parameter_can_be_spanned(self, capsys):
+        assert main(["tune", "--scheme", "rma-mcs", "--jobs", "1", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "skipped: parameter 't_l'" in err
+        assert "scheme 'rma-mcs' declares no tunable parameters that tune can sweep" in err
+
+    def test_an_explicit_unspannable_tune_param_exits_2(self, capsys):
+        assert main(["tune", "--scheme", "rma-rw", "--tune-param", "t_l", "--jobs", "1", "--no-cache"]) == 2
+        assert "tune sweep cannot run: parameter 't_l' has no positive numeric default" in capsys.readouterr().err
+
     def test_tune_rejects_untunable_scheme(self, capsys):
         code = main(["tune", "--scheme", "ticket", "--jobs", "1", "--no-cache"])
         assert code == 2

@@ -3,8 +3,9 @@
 :mod:`repro.verification.explorer` explores every interleaving of the
 ``*_steps`` generators that the simulator runs, so these tests cover the code
 itself rather than a transcription of it.  The mutants in
-``tests/support.MUTANTS`` patch a known-unsafe variant into a real handle;
-the explorer must find each one, with a witness schedule that replays.
+``tests/support.MUTANTS`` patch a known-unsafe variant into a real handle (or
+into the queue node the MCS locks share); the explorer must find each one,
+with a witness schedule that replays.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def test_lock_server_is_clean_across_its_policy_axis(threshold):
 def test_mutant_is_found_and_its_witness_replays(name, monkeypatch):
     mutant = MUTANTS[name]
     monkeypatch.setattr(mutant.handle, mutant.method, mutant.steps)
-    explorer = Explorer(mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash)
+    explorer = Explorer(
+        mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash, roles=mutant.roles
+    )
     result = explorer.explore()
     assert result.violation is not None and result.violation.startswith(mutant.finding)
     assert result.schedule
@@ -92,9 +95,9 @@ def test_mutant_is_found_and_its_witness_replays(name, monkeypatch):
     # one transition short of it nothing is wrong yet.
     assert explorer.replay(result.schedule) == result.violation
     assert explorer.replay(result.witness) == result.violation
-    assert Explorer(mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash).replay(
-        result.schedule[:-1]
-    ) is None
+    assert Explorer(
+        mutant.scheme, mutant.machine, params=mutant.params, crash=mutant.crash, roles=mutant.roles
+    ).replay(result.schedule[:-1]) is None
 
 
 def test_fifo_bypass_bound_holds_where_a_spinlock_exceeds_it():

@@ -48,6 +48,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.api.registry import (
     UnknownNameError,
     benchmark_names,
@@ -203,8 +205,20 @@ class _Unhandled(Exception):
     """A value :func:`_emit_json` does not special-case."""
 
 
-def _emit_json(value: Any, out: List[str]) -> None:
-    """Append the canonical JSON text of ``value`` to ``out``, in one pass.
+#: ``(position in out, value)``: a float, or a list or tuple of floats, whose
+#: text :func:`canonical_json` fills in.
+_FloatRun = Tuple[int, Any]
+
+#: Floats hexed per batch.  The batch's arrays stay under glibc malloc's
+#: mmap threshold (128 kB): freeing a larger block raises the threshold, and
+#: what is freed under a raised one stays resident (``peak_rss_mb``).
+_HEX_BATCH = 2048
+
+
+def _emit_json(value: Any, out: List[str], runs: List[_FloatRun]) -> None:
+    """Append the canonical JSON text of ``value`` to ``out``, in one pass,
+    with an empty string wherever a float or a list of floats goes: those
+    are queued on ``runs`` for a vectorized ``float.hex``.
 
     Handles exactly ``float``, ``str``, ``int``, ``None``, ``True``,
     ``False``, ``list``, ``tuple`` and ``dict`` with ``str`` keys; anything
@@ -212,7 +226,8 @@ def _emit_json(value: Any, out: List[str]) -> None:
     """
     kind = type(value)
     if kind is float:
-        out.append('"' + value.hex() + '"')  # hex digits, "inf" or "nan": nothing to escape
+        runs.append((len(out), value))
+        out.append("")
     elif kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is int:
@@ -223,7 +238,8 @@ def _emit_json(value: Any, out: List[str]) -> None:
             return
         kinds = set(map(type, value))
         if kinds == {float}:
-            out.append('["' + '", "'.join(map(float.hex, value)) + '"]')
+            runs.append((len(out), value))
+            out.append("")
         elif kinds == {int}:
             out.append("[" + ", ".join(map(int.__repr__, value)) + "]")
         else:
@@ -231,7 +247,7 @@ def _emit_json(value: Any, out: List[str]) -> None:
             for position, item in enumerate(value):
                 if position:
                     out.append(", ")
-                _emit_json(item, out)
+                _emit_json(item, out, runs)
             out.append("]")
     elif kind is dict:
         if not value:
@@ -248,7 +264,7 @@ def _emit_json(value: Any, out: List[str]) -> None:
         out.append("{")
         for position, key in enumerate(keys):
             out.append((", " if position else "") + encode_basestring_ascii(key) + ": ")
-            _emit_json(value[key], out)
+            _emit_json(value[key], out, runs)
         out.append("}")
     elif value is None:
         out.append("null")
@@ -260,18 +276,103 @@ def _emit_json(value: Any, out: List[str]) -> None:
         raise _Unhandled
 
 
+def _ascii_row(text: str, width: int) -> np.ndarray:
+    """``text`` as ``width`` ASCII bytes, padded with NULs."""
+    return np.frombuffer(text.encode().ljust(width, b"\0"), np.uint8)
+
+
+def _exponent_texts() -> Tuple[np.ndarray, np.ndarray]:
+    """``p`` and the unbiased exponent, per biased exponent of a finite float
+    (a subnormal's, biased 0, is ``p-1022``), as 8 NUL-padded bytes read as
+    one word each; and the texts' lengths."""
+    texts = [b"p%+d" % (biased - 1023 if biased else -1022) for biased in range(2048)]
+    words = np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
+    return words, np.array([len(text) for text in texts])
+
+
+_EXPONENTS, _EXPONENT_WIDTHS = _exponent_texts()
+_ZERO_EXPONENT = _ascii_row("p+0", 8)
+
+
+def _quoted_hexes(floats: Sequence[float]) -> Tuple[str, List[int]]:
+    """Every ``'"' + float.hex(x) + '", '`` joined, and where each one starts
+    (and one bound past the last).
+
+    A finite float's hex is written from its bits, all floats at once: sign,
+    ``0x1.`` (``0x0.`` below the normal range), the 13 hex digits of the
+    mantissa and the exponent; zero is ``0x0.0p+0``.  ``inf`` and ``nan``
+    take ``float.hex`` itself.
+    """
+    bits = np.array(floats, dtype=np.float64).view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    negative = (bits >> np.uint64(63)).astype(np.intp)
+    # Big-endian bytes as hex: 3 digits of sign and exponent, then 13 of mantissa.
+    digits = np.frombuffer(bits.astype(">u8").tobytes().hex().encode(), np.uint8).reshape(-1, 16)
+    # One row per float: quote, sign, 0x1., digits, exponent, quote, ", ".
+    rows = np.zeros((len(bits), 30), np.uint8)
+    rows[:, 0] = rows[:, 27] = ord('"')
+    rows[:, 1] = negative * ord("-")
+    rows[:, 2:6] = np.frombuffer(b"0x1.", np.uint8)
+    rows[biased == 0, 4] = ord("0")
+    rows[:, 6:19] = digits[:, 3:]
+    rows[:, 19:27] = _EXPONENTS[biased].view(np.uint8).reshape(-1, 8)
+    rows[:, 28:30] = np.frombuffer(b", ", np.uint8)
+    widths = negative + _EXPONENT_WIDTHS[biased] + 21
+    zero = (bits << np.uint64(1)) == 0
+    if zero.any():
+        rows[zero, 7:19] = 0
+        rows[zero, 19:27] = _ZERO_EXPONENT
+        widths[zero] = negative[zero] + 12
+    for index in np.flatnonzero(biased == 0x7FF).tolist():
+        text = '"' + float.hex(floats[index]) + '", '
+        rows[index] = _ascii_row(text, 30)
+        widths[index] = len(text)
+    bounds = [0]
+    bounds += np.cumsum(widths).tolist()
+    return rows.tobytes().translate(None, b"\0").decode("ascii"), bounds
+
+
+def _fill_float_runs(out: List[str], runs: Sequence[_FloatRun]) -> None:
+    """Write each run's text into its place in ``out``: its floats' hexes,
+    quoted and joined by ``", "``, in brackets when the run is a list."""
+    floats: List[float] = []
+    for _, value in runs:
+        if type(value) is float:
+            floats.append(value)
+        else:
+            floats.extend(value)
+    text, bounds = _quoted_hexes(floats)
+    first = 0
+    for position, value in runs:
+        if type(value) is float:
+            # Each hex is followed by ", "; the last of a run drops it.
+            out[position] = text[bounds[first] : bounds[first + 1] - 2]
+            first += 1
+        else:
+            last = first + len(value)
+            out[position] = "[" + text[bounds[first] : bounds[last] - 2] + "]"
+            first = last
+
+
 def canonical_json(value: Any) -> str:
     """``json.dumps(canonical_value(value), sort_keys=True)``, byte for byte.
 
-    Written in one pass for the plain types a run returns (float lists as
-    ``map(float.hex)``, int lists as ``map(int.__repr__)``); on any other
-    type it falls back to that two-pass form.
+    Written in one pass for the plain types a run returns (int lists as
+    ``map(int.__repr__)``, the floats' hexes vectorized in batches at the
+    end); on any other type it falls back to that two-pass form.
     """
     out: List[str] = []
+    runs: List[_FloatRun] = []
     try:
-        _emit_json(value, out)
+        _emit_json(value, out, runs)
     except _Unhandled:
         return json.dumps(canonical_value(value), sort_keys=True)
+    first = queued = 0
+    for last, (_, run) in enumerate(runs, 1):
+        queued += 1 if type(run) is float else len(run)
+        if queued >= _HEX_BATCH or last == len(runs):
+            _fill_float_runs(out, runs[first:last])
+            first, queued = last, 0
     return "".join(out)
 
 

@@ -419,7 +419,7 @@ SUITES: Tuple[Suite, ...] = (
         (
             ("--scheme", {}, "tune one scheme only (default: the built-in suite)"),
             ("--tune-param", {}, "with --scheme: the parameter to sweep (default: every tunable "
-                                 "parameter the scheme registered)"),
+                                 "parameter with a sweep axis)"),
             ("--scenario", {}, "with --scheme: the traffic scenario to tune on (default: "
                                "traffic-zipf)"),
             ("--procs", _INT, "process count per point (default: the suite's)"),

@@ -18,7 +18,7 @@ tree (:mod:`repro.core.tree`, Listings 4/5, and RMA-RW's root, Listings
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Dict, Mapping
 
 from repro.api.registry import register_scheme
 from repro.core.constants import ACQUIRE_START, NULL_RANK
@@ -48,6 +48,12 @@ def _unlinked(nxt: int) -> bool:
     return nxt == NULL_RANK
 
 
+#: ``wait`` -> the predicate "STATUS still reads ``wait``", one per value,
+#: shared by every node that spins on it.
+_STILL_WAITING: Dict[int, Callable[[int], bool]] = {}
+_REPLACE = AtomicOp.REPLACE  # read once: an enum member lookup is not free
+
+
 class QueueNode:
     """One process's node in one MCS queue, with the requests on it built once.
 
@@ -71,10 +77,13 @@ class QueueNode:
         self.get_next = (GET, node, next_off)
         self.get_status = (GET, node, status_off)
         self.flush_node = (FLUSH, node)
-        self.enqueue = (FAO, node, tail_host, tail_off, AtomicOp.REPLACE)
+        self.enqueue = (FAO, node, tail_host, tail_off, _REPLACE)
         self.dequeue = (CAS, NULL_RANK, node, tail_host, tail_off)
         self.flush_tail = (FLUSH, tail_host)
-        self.spin_status = (SPIN_WHILE, node, status_off, lambda status: status == wait)
+        waiting = _STILL_WAITING.get(wait)
+        if waiting is None:
+            waiting = _STILL_WAITING[wait] = lambda status: status == wait
+        self.spin_status = (SPIN_WHILE, node, status_off, waiting)
         self.spin_next = (SPIN_WHILE, node, next_off, _unlinked)
 
     def join(self) -> Steps:

@@ -139,12 +139,12 @@ class TreeLayout:
     def queue_nodes(self, rank: int) -> Tuple[QueueNode, ...]:
         """``rank``'s queue node at every level (index ``level - 1``), built once per
         handle from the placement resolved once per (machine, rank)."""
-        return tuple(
+        return tuple([
             QueueNode(node, host, nxt, status, tail, STATUS_WAIT)
             for (node, host), nxt, status, tail in zip(
                 _placement(self.machine, rank), self.next_offsets, self.status_offsets, self.tail_offsets
             )
-        )
+        ])
 
     def init_window(self, rank: int) -> Dict[int, int]:
         """Initial window values: every NEXT and TAIL starts as the null rank."""

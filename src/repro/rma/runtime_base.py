@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequ
 import numpy as np
 
 from repro.rma.ops import CALL_INDEX, NUM_CALLS, AtomicOp, RMACall
-from repro.rma.window import Window
+from repro.rma.window import Window, WindowImage
 
 __all__ = [
     "ACCUMULATE",
@@ -116,15 +116,57 @@ WindowInit = Callable[[int], Mapping[int, int]]
 def allocate_windows(nranks: int, num_words: int, window_init: Optional[WindowInit]) -> List[Window]:
     """Fresh zeroed windows for ``nranks`` ranks, each loaded from ``window_init(rank)``.
 
-    Returns only once every rank is initialized, so a runtime that installs
-    the result keeps its previous windows when ``window_init`` raises.
+    A :class:`WindowImage` init is stored by its parts.  The parts that most
+    ranks' images hold are loaded once, into one window that the first of
+    those ranks keeps and the others copy; a rank then clears the ones its
+    image lacks and loads the rest of its own.  Any other mapping is loaded
+    into its window as it comes.  Offsets are checked as :meth:`Window.load`
+    checks them, rank by rank, so a bad one raises its error before a later
+    rank's ``window_init`` runs.  Returns only once every rank is
+    initialized, so a runtime that installs the result keeps its previous
+    windows when ``window_init`` raises.
     """
-    windows = [Window(num_words) for _ in range(nranks)]
-    if window_init is not None:
-        for rank, window in enumerate(windows):
-            init = window_init(rank)
+    if window_init is None:
+        return [Window(num_words) for _ in range(nranks)]
+    shared = Window(num_words)
+    windows: List[Optional[Window]] = []
+    imaged: List[int] = []
+    # id(part) -> (part, ranks holding it); the inits keep every part alive.
+    holders: Dict[int, Tuple[WindowImage, List[int]]] = {}
+    for rank in range(nranks):
+        init = window_init(rank)
+        if isinstance(init, WindowImage):
+            for part in init.parts:
+                held = holders.get(id(part))
+                if held is None:
+                    shared.check_image(part)
+                    holders[id(part)] = (part, [rank])
+                else:
+                    held[1].append(rank)
+            imaged.append(rank)
+            windows.append(None)
+        else:
+            window = Window(num_words)
             if init:
                 window.load(init)
+            windows.append(window)
+    # Two parts that each more than half the ranks hold share a rank, whose
+    # parts are disjoint; so the common parts fit in one window.
+    common = [(part, ranks) for part, ranks in holders.values() if 2 * len(ranks) > len(imaged)]
+    for part, _ in common:
+        shared.load(part)
+    for rank in imaged[1:]:
+        windows[rank] = shared.copy()
+    if imaged:
+        windows[imaged[0]] = shared
+    everyone = set(imaged)
+    for part, ranks in common:
+        for rank in everyone.difference(ranks):
+            windows[rank].clear(part)
+    for part, ranks in holders.values():
+        if 2 * len(ranks) <= len(imaged):
+            for rank in ranks:
+                windows[rank].load(part)
     return windows
 
 

@@ -10,7 +10,7 @@ runtime serializes accesses).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,18 +34,27 @@ def _check_int64(value: int) -> int:
     return value
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class WindowImage(Mapping[int, int]):
-    """A read-only ``{offset: word}`` mapping held as two int64 arrays.
+    """A read-only ``{offset: word}`` mapping held as int64 arrays.
 
     ``offsets`` and ``words`` are read-only arrays of equal length, in the
     mapping's iteration order, so :meth:`Window.load` stores an image with
-    one fancy assignment instead of reading a dict word by word.  Everywhere
-    else an image is an ordinary mapping of Python ints (``==`` with a dict,
-    ``dict(image)``, ``LockSpec.merge_inits``); the dict behind that is built
-    on first use.  Lock tables return images from ``init_window``.
+    one fancy assignment instead of reading a dict word by word.  An image
+    made by :meth:`concat` keeps only its ``parts``, the images it joins,
+    and joins their arrays on each use.  Everywhere else an image is an
+    ordinary mapping of Python ints (``==`` with a dict, ``dict(image)``,
+    ``LockSpec.merge_inits``); the dict behind that is built on first use.
+    Lock tables return images from ``init_window``, and
+    :func:`~repro.rma.runtime_base.allocate_windows` stores each part once
+    for all the ranks whose images hold it.
     """
 
-    __slots__ = ("offsets", "words", "_dict")
+    __slots__ = ("_parts", "_offsets", "_words", "_dict", "reach")
 
     def __init__(self, offsets: ArrayLike, words: ArrayLike):
         offsets = np.array(offsets, dtype=np.int64)
@@ -55,31 +64,58 @@ class WindowImage(Mapping[int, int]):
         ordered = np.sort(offsets)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("a window image's offsets must be distinct")
+        self._parts: Optional[Tuple["WindowImage", ...]] = None
         self._freeze(offsets, words)
 
     @classmethod
     def concat(cls, images: Iterable["WindowImage"]) -> "WindowImage":
-        """The images' words one after another.  Their offsets must be disjoint,
-        which is not checked (a lock table's tiles cover disjoint slabs)."""
-        images = list(images)
+        """The images' words one after another, held as the images themselves.
+        Their offsets must be disjoint, which is not checked (a lock table's
+        tiles cover disjoint slabs)."""
+        parts = tuple(part for image in images for part in image.parts)
+        if len(parts) == 1:
+            return parts[0]
         image = cls.__new__(cls)
-        image._freeze(
-            np.concatenate([part.offsets for part in images]),
-            np.concatenate([part.words for part in images]),
-        )
+        image._parts = parts
+        image._offsets = image._words = image._dict = None
+        image.reach = max(part.reach for part in parts)
         return image
 
     def _freeze(self, offsets: np.ndarray, words: np.ndarray) -> None:
-        offsets.flags.writeable = False
-        words.flags.writeable = False
-        self.offsets = offsets
-        self.words = words
+        self._offsets = _frozen(offsets)
+        self._words = _frozen(words)
         self._dict: Optional[Dict[int, int]] = None
+        #: One past the largest offset, the fewest words a window storing the
+        #: image needs (a negative offset reads as past any window).
+        self.reach = int(offsets.view(np.uint64).max()) + 1 if len(offsets) else 0
+
+    @property
+    def parts(self) -> Tuple["WindowImage", ...]:
+        """The images this one joins, in order (itself if it joins none)."""
+        return (self,) if self._parts is None else self._parts
+
+    # A joined image's arrays and dict are rebuilt on each use, so the images
+    # a lock table memoizes per rank hold references, not words.
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._parts is None:
+            return self._offsets
+        return _frozen(np.concatenate([part.offsets for part in self._parts]))
+
+    @property
+    def words(self) -> np.ndarray:
+        if self._parts is None:
+            return self._words
+        return _frozen(np.concatenate([part.words for part in self._parts]))
 
     def _as_dict(self) -> Dict[int, int]:
-        if self._dict is None:
-            self._dict = dict(zip(self.offsets.tolist(), self.words.tolist()))
-        return self._dict
+        if self._dict is not None:
+            return self._dict
+        image = dict(zip(self.offsets.tolist(), self.words.tolist()))
+        if self._parts is None:
+            self._dict = image
+        return image
 
     def __getitem__(self, offset: int) -> int:
         return self._as_dict()[offset]
@@ -108,15 +144,24 @@ class Window:
     def __init__(self, num_words: int, fill: int = 0):
         if num_words < 1:
             raise ValueError(f"window must have at least one word, got {num_words}")
-        self._mem = np.full(num_words, _check_int64(fill), dtype=np.int64)
+        self._bind(np.full(num_words, _check_int64(fill), dtype=np.int64))
+
+    def copy(self) -> "Window":
+        """A new window holding this one's words."""
+        window = Window.__new__(Window)
+        window._bind(self._mem.copy())
+        return window
+
+    def _bind(self, mem: np.ndarray) -> None:
+        self._mem = mem
         # The scalar accessors use a memoryview of the same buffer: plain ints
         # in and out at a fifth of an ndarray item's cost, and a store checks
         # its own range.  What the view refuses (a word outside int64, or a
         # float / numeric string for int() to coerce) _check_int64 settles.
         #: Public for the simulator's inner loop, which indexes it under
         #: ``read``'s bounds check (a negative index would count from the end).
-        self.words = memoryview(self._mem)
-        self._size = num_words
+        self.words = memoryview(mem)
+        self._size = len(mem)
 
     # -- basic accessors ------------------------------------------------- #
 
@@ -181,11 +226,8 @@ class Window:
         (``allocate_windows``) and the tests drop such a window.
         """
         if isinstance(values, WindowImage):
-            offsets, words = values.offsets, values.words
-            outside = offsets.view(np.uint64) >= self._size  # negatives too, as below
-            if outside.any():
-                raise self._bad_offset(int(offsets[outside.argmax()]))
-            self._mem[offsets] = words
+            self.check_image(values)
+            self._mem[values.offsets] = values.words
             return
         try:
             offsets = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
@@ -199,6 +241,19 @@ class Window:
                 _check_int64(value)
             raise
         self._mem[offsets] = words
+
+    def clear(self, image: WindowImage) -> None:
+        """Zero every offset ``image`` holds (range-checked as :meth:`load`)."""
+        self.check_image(image)
+        self._mem[image.offsets] = 0
+
+    def check_image(self, image: WindowImage) -> None:
+        """Raise what :meth:`load` raises for ``image``'s first offset outside
+        this window, if it has one."""
+        if image.reach > self._size:
+            offsets = image.offsets
+            outside = offsets.view(np.uint64) >= self._size  # a negative reads as >= 2**63
+            raise self._bad_offset(int(offsets[outside.argmax()]))
 
     def _bad_offset(self, offset: int) -> IndexError:
         return IndexError(f"offset {offset} out of range 0..{self._size - 1}")

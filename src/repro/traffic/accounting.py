@@ -38,8 +38,7 @@ ranks always fold in rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
@@ -68,6 +67,8 @@ PERCENTILES: Tuple[Tuple[str, int], ...] = (
 #: its bound; past ``2 * cap`` samples the sorted samples are decimated by a
 #: fixed stride to at most ``cap`` (quantile-preserving and deterministic).
 DEFAULT_RESERVOIR_CAP = 1 << 18
+
+_sum = np.add.reduce
 
 
 def nearest_rank_index(per_mille: int, n: int) -> int:
@@ -215,8 +216,9 @@ def aggregate_traffic(
         writes += int(per_rank.get("writes", 0))
         e2e_res.add_many(e2e)
         acq_res.add_many(acquire)
-        hold_total += float(np.sum(np.asarray(hold, dtype=np.float64))) if len(hold) else 0.0
-        e2e_total += float(np.sum(np.asarray(e2e, dtype=np.float64))) if n else 0.0
+        # np.sum's own reduction, without its dispatch.
+        hold_total += float(_sum(np.asarray(hold, dtype=np.float64))) if len(hold) else 0.0
+        e2e_total += float(_sum(np.asarray(e2e, dtype=np.float64))) if n else 0.0
         if not n:
             continue
         # Missing arrivals read 0.0 and missing phases 0, sample by sample.
@@ -226,9 +228,9 @@ def aggregate_traffic(
         done = list(map(add, arrival, latency))
         phase_of = list(map(int, phases[:n]))
         phase_of += [0] * (n - len(phase_of))
-        # reduce(min, ...) is the sample-by-sample fold, ties and all.
-        span_lo = reduce(min, arrival, span_lo)
-        span_hi = reduce(max, done, span_hi)
+        # min over (lo, *xs) is the sample-by-sample fold, ties and NaNs alike.
+        span_lo = min(chain((span_lo,), arrival))
+        span_hi = max(chain((span_hi,), done))
         # Fold each run of samples that share a phase at once.
         start = 0
         for phase, run in groupby(phase_of):
@@ -243,8 +245,8 @@ def aggregate_traffic(
             res.add_each(latency[start:stop])
             phase_counts[phase] += stop - start
             phase_writes[phase] += sum(map(bool, rank_writes[start:stop]))
-            phase_lo[phase] = reduce(min, arrival[start:stop], phase_lo[phase])
-            phase_hi[phase] = reduce(max, done[start:stop], phase_hi[phase])
+            phase_lo[phase] = min(chain((phase_lo[phase],), arrival[start:stop]))
+            phase_hi[phase] = max(chain((phase_hi[phase],), done[start:stop]))
             start = stop
 
     open_span = float(span_hi - span_lo) if requests else 0.0

@@ -369,8 +369,8 @@ def _shared_table(config: Any, num_locks: int, min_entry_words: int) -> Any:
     same machine, scheme, table size, scheme parameters and slab floor.
 
     A table is a pure function of those, so its derived entry specs, init
-    tiles and group inits are built once per process.  Only its scheme slots
-    change during a run (the crossings of an adaptive, elastic or re-homing
+    tiles and per-rank images are built once per process.  Only its scheme
+    slots change during a run (the crossings of an adaptive, elastic or re-homing
     run install into them), so it is handed out reset to its construction
     state: the swap planner, which reads it before any rank starts, never
     sees what an earlier run installed.  Points in one process run one at a

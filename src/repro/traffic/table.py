@@ -389,10 +389,12 @@ class LockTableSpec(LockSpec):
     ``init_window`` derives.  Tiles are read-only
     :class:`~repro.rma.window.WindowImage` arrays, memoized by content: a
     table with one group returns the one shared image, a table with several
-    returns their concatenation, and ``Window.load`` stores either with one
-    fancy assignment.  A table that fails the check, and any hand-built
-    ``LockTableSpec(specs=...)``, is initialized by merging every entry's
-    init into a dict, conflicting offsets rejected.
+    an image joining its tiles, which ``allocate_windows`` stores tile by
+    tile, each once for all the ranks that hold it.  Each rank's image is
+    memoized too (a reference per group), so a table that serves another run
+    evaluates no entry spec.  A table that fails the check, and any
+    hand-built ``LockTableSpec(specs=...)``, is initialized by merging every
+    entry's init into a dict, conflicting offsets rejected.
     """
 
     specs: Sequence[LockSpec]
@@ -411,9 +413,10 @@ class LockTableSpec(LockSpec):
     _tiles: Dict[Any, WindowImage] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    #: Each tile group's first ``init_window``, bound on the first tiled init.
-    _group_inits: Optional[list] = field(
-        default=None, init=False, compare=False, repr=False
+    #: Each rank's tiled init, made on the rank's first call: one reference
+    #: per tile group, the tiles themselves shared through ``_tiles``.
+    _images: Dict[int, WindowImage] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -449,34 +452,33 @@ class LockTableSpec(LockSpec):
         # before the run starts, when every entry is pristine.  Swapped-in
         # specs re-initialize their slab words explicitly at the swap point.
         if self._tiling is not None:
-            tiled = self._tiled_init(rank)
+            tiled = self._images.get(rank)
+            if tiled is None:
+                tiled = self._tiled_init(rank)
             if tiled is not None:
                 return tiled
         return LockSpec.merge_inits(*(spec.init_window(rank) for spec in self.specs))
 
     def _tiled_init(self, rank: int) -> Optional[WindowImage]:
-        """``rank``'s init from one evaluation per tile group; ``None`` if not re-basable."""
+        """``rank``'s init from one evaluation per tile group, memoized per
+        rank; ``None`` if not re-basable."""
         tiles = []
         memo = self._tiles
-        inits = self._group_inits
-        if inits is None:
-            inits = [self.specs[group[0]].init_window for group in self._tiling]
-            object.__setattr__(self, "_group_inits", inits)
-        for group, init in zip(self._tiling, inits):
-            template = init(rank)
+        for group in self._tiling:
+            template = self.specs[group[0]].init_window(rank)
             # Memoized by content, so ranks with equal inits share the tile.
             key = (group[0], tuple(template.items()))
             tile = memo.get(key)
             if tile is None:
                 tile = self._tile(group, template, rank)
                 if tile is None:
-                    object.__setattr__(self, "_tiling", None)
+                    object.__setattr__(self, "_tiling", None)  # and so _images is not read
                     return None
                 memo[key] = tile
             tiles.append(tile)
-        if len(tiles) == 1:
-            return tiles[0]
-        return WindowImage.concat(tiles)  # slabs are disjoint (checked in _tile)
+        # Slabs are disjoint (checked in _tile); one group's image is its tile.
+        image = self._images[rank] = WindowImage.concat(tiles)
+        return image
 
     def _tile(
         self, group: range, template: Mapping[int, int], rank: int

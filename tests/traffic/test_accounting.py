@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import asdict
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
+from operator import add
 
 import numpy as np
 import pytest
@@ -11,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traffic.accounting import (
+    DEFAULT_RESERVOIR_CAP,
     LatencyReservoir,
+    TrafficSummary,
     aggregate_traffic,
     nearest_rank_percentiles,
 )
@@ -250,6 +257,170 @@ class TestGroupedPhaseFold:
             assert (row["requests"], row["writes"]) == (count, writes)
             assert row["span_us"] == round(float(hi - lo), 6)
             assert row["e2e_p99_us"] == round(nearest_rank_percentiles(samples)["p99"], 6)
+
+
+def reference_aggregate(returns, *, reservoir_cap=DEFAULT_RESERVOIR_CAP):
+    """``aggregate_traffic`` as it was written before its sums skipped
+    ``np.sum``'s dispatch and its folds ran as ``min`` / ``max`` over a
+    chain instead of ``reduce``."""
+    e2e_res = LatencyReservoir(reservoir_cap)
+    acq_res = LatencyReservoir(reservoir_cap)
+    hold_total = 0.0
+    e2e_total = 0.0
+    requests = 0
+    reads = 0
+    writes = 0
+    span_lo = np.inf
+    span_hi = -np.inf
+
+    phase_e2e = {}
+    phase_counts = {}
+    phase_writes = {}
+    phase_lo = {}
+    phase_hi = {}
+
+    for per_rank in returns:
+        arrivals = per_rank.get("arrivals", ())
+        e2e = per_rank.get("latencies", ())
+        acquire = per_rank.get("acquire_latencies", ())
+        hold = per_rank.get("hold_us", ())
+        phases = per_rank.get("phases", ())
+        rank_writes = per_rank.get("write_flags", ())
+        n = len(e2e)
+        requests += n
+        reads += int(per_rank.get("reads", 0))
+        writes += int(per_rank.get("writes", 0))
+        e2e_res.add_many(e2e)
+        acq_res.add_many(acquire)
+        hold_total += float(np.sum(np.asarray(hold, dtype=np.float64))) if len(hold) else 0.0
+        e2e_total += float(np.sum(np.asarray(e2e, dtype=np.float64))) if n else 0.0
+        if not n:
+            continue
+        latency = list(map(float, e2e))
+        arrival = list(map(float, arrivals[:n]))
+        arrival += [0.0] * (n - len(arrival))
+        done = list(map(add, arrival, latency))
+        phase_of = list(map(int, phases[:n]))
+        phase_of += [0] * (n - len(phase_of))
+        span_lo = reduce(min, arrival, span_lo)
+        span_hi = reduce(max, done, span_hi)
+        start = 0
+        for phase, run in groupby(phase_of):
+            stop = start + len(list(run))
+            res = phase_e2e.get(phase)
+            if res is None:
+                res = phase_e2e[phase] = LatencyReservoir(reservoir_cap)
+                phase_counts[phase] = 0
+                phase_writes[phase] = 0
+                phase_lo[phase] = arrival[start]
+                phase_hi[phase] = done[start]
+            res.add_each(latency[start:stop])
+            phase_counts[phase] += stop - start
+            phase_writes[phase] += sum(map(bool, rank_writes[start:stop]))
+            phase_lo[phase] = reduce(min, arrival[start:stop], phase_lo[phase])
+            phase_hi[phase] = reduce(max, done[start:stop], phase_hi[phase])
+            start = stop
+
+    open_span = float(span_hi - span_lo) if requests else 0.0
+    offered = (requests / open_span * 1e6) if open_span > 0 else 0.0
+
+    phase_rows = []
+    for phase in sorted(phase_e2e):
+        count = phase_counts[phase]
+        span = phase_hi[phase] - phase_lo[phase]
+        row = {
+            "phase": phase,
+            "requests": count,
+            "writes": phase_writes[phase],
+            "span_us": round(float(span), 6),
+            "throughput_per_s": round(count / span * 1e6, 3) if span > 0 else 0.0,
+        }
+        for label, value in phase_e2e[phase].percentiles().items():
+            row[f"e2e_{label}_us"] = round(value, 6)
+        phase_rows.append(row)
+
+    return TrafficSummary(
+        requests=requests,
+        reads=reads,
+        writes=writes,
+        open_span_us=round(open_span, 6),
+        offered_per_s=round(offered, 3),
+        e2e={k: round(v, 6) for k, v in e2e_res.percentiles().items()},
+        acquire={k: round(v, 6) for k, v in acq_res.percentiles().items()},
+        mean_hold_us=round(hold_total / requests, 6) if requests else 0.0,
+        mean_e2e_us=round(e2e_total / requests, 6) if requests else 0.0,
+        phases=phase_rows,
+    )
+
+
+def _bits(value):
+    """``value`` with every float replaced by its 8 bytes (NaNs and signed
+    zeros included), so ``==`` compares floats bit for bit."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bits(item) for item in value]
+    return value
+
+
+#: Mostly ordinary latencies, with the values a float fold can get wrong.
+_SAMPLES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324]),
+)
+
+
+@st.composite
+def _rank_returns(draw):
+    """One rank's return dict: any length, arrivals and phases possibly short
+    or absent, phases in any order, write flags and counts optional."""
+    n = draw(st.integers(0, 24))
+    rank = {"latencies": draw(st.lists(_SAMPLES, min_size=n, max_size=n))}
+    for key, values in (
+        ("acquire_latencies", _SAMPLES),
+        ("hold_us", _SAMPLES),
+        ("arrivals", _SAMPLES),
+        ("phases", st.integers(0, 4)),
+        ("write_flags", st.integers(0, 1)),
+    ):
+        if draw(st.integers(0, 5)):  # absent one time in six
+            size = draw(st.one_of(st.just(n), st.integers(0, n)))
+            rank[key] = draw(st.lists(values, min_size=size, max_size=size))
+    for key in ("reads", "writes"):
+        if draw(st.booleans()):
+            rank[key] = draw(st.integers(0, 50))
+    return rank
+
+
+class TestAggregateReference:
+    """``aggregate_traffic`` gives the summary its earlier fold gave, bit for
+    bit: ragged ranks, missing arrivals and phases, phases out of order, and
+    reservoirs decimated past twice a small cap."""
+
+    @given(
+        returns=st.lists(_rank_returns(), max_size=5),
+        cap=st.sampled_from([16, 17, DEFAULT_RESERVOIR_CAP]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_reference_fold(self, returns, cap):
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of huge draws
+            expected = reference_aggregate(returns, reservoir_cap=cap)
+            summary = aggregate_traffic(returns, reservoir_cap=cap)
+        assert _bits(asdict(summary)) == _bits(asdict(expected))
+
+    def test_phases_out_of_order_past_twice_the_cap(self):
+        rng = np.random.default_rng(4)
+        returns = [
+            {"latencies": list(rng.exponential(5.0, 40)), "phases": [3, 1] * 20, "arrivals": [1.0] * 30}
+            for _ in range(3)
+        ]
+        summary = aggregate_traffic(returns, reservoir_cap=16)
+        assert _bits(asdict(summary)) == _bits(asdict(reference_aggregate(returns, reservoir_cap=16)))
+        assert [row["phase"] for row in summary.phases] == [1, 3]
+        assert summary.requests > 2 * 2 * 16  # each phase holds 60 > 2 * cap samples
 
 
 class TestReservoirBoundParameter:

@@ -21,7 +21,7 @@ from repro.api.registry import (
 from repro.core.lock_base import LockSpec
 from repro.rma.runtime_base import allocate_windows
 from repro.rma.sim_runtime import SimRuntime
-from repro.rma.window import WindowImage
+from repro.rma.window import Window, WindowImage
 from repro.topology.builder import xc30_like
 from repro.traffic.table import (
     LockTableSpec,
@@ -318,6 +318,10 @@ def _eager_table(machine, scheme, num_locks, min_entry_words=0, params=None):
     )
 
 
+def _window_bytes(windows):
+    return [window._mem.tobytes() for window in windows]
+
+
 def _reference_init(table, rank):
     if isinstance(table, StripedLockTableSpec):
         return dict(table.inner.init_window(rank))
@@ -337,19 +341,24 @@ class TestTiledInit:
     def test_table_init_equals_the_per_entry_merge(self, scheme, nprocs, num_locks, inflate):
         machine = xc30_like(nprocs, procs_per_node=4)
         words = get_scheme(scheme).build(machine).window_words
-        table, _ = build_lock_table(
-            machine, scheme, num_locks, min_entry_words=words + inflate if inflate else 0
-        )
+        min_entry_words = words + inflate if inflate else 0
+        table, _ = build_lock_table(machine, scheme, num_locks, min_entry_words=min_entry_words)
+        # What the runtimes see: the windows the table's first and second
+        # allocate_windows fill (the second from the per-rank images) hold
+        # the bytes the per-entry merge's dicts leave, and so do those of the
+        # hand-built table with the same entries, which takes the merge path.
+        first = _window_bytes(allocate_windows(nprocs, table.window_words, table.init_window))
+        second = _window_bytes(allocate_windows(nprocs, table.window_words, table.init_window))
+        merged = _window_bytes(allocate_windows(
+            nprocs, table.window_words, lambda rank: _reference_init(table, rank)
+        ))
+        assert first == second == merged
+        if isinstance(table, LockTableSpec):
+            eager = _eager_table(machine, scheme, num_locks, min_entry_words)
+            assert _window_bytes(allocate_windows(nprocs, eager.window_words, eager.init_window)) == merged
+            assert type(eager.init_window(0)) is dict
         for rank in range(nprocs):
             assert table.init_window(rank) == _reference_init(table, rank)
-        # What the runtimes see: the windows allocate_windows fills from the
-        # table's images hold the bytes the per-entry merge's dicts leave.
-        tiled = allocate_windows(nprocs, table.window_words, table.init_window)
-        merged = allocate_windows(
-            nprocs, table.window_words, lambda rank: _reference_init(table, rank)
-        )
-        for rank in range(nprocs):
-            assert tiled[rank]._mem.tobytes() == merged[rank]._mem.tobytes()
         if isinstance(table, LockTableSpec) and num_locks > 1:
             # Every registered scheme keeps the rebasing convention, so none
             # of them may have dropped to the per-entry merge.
@@ -404,6 +413,67 @@ class TestTiledInit:
         # home's entries read one way on the home rank, another elsewhere);
         # the per-entry merge makes 64 calls per rank.
         assert len(calls) <= nranks * homes + 2 * homes < nranks * 64
+        # A table that serves another run reads each rank's image back:
+        # no entry spec is evaluated again.
+        calls.clear()
+        allocate_windows(nranks, table.window_words, table.init_window)
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme", ["rma-mcs", "d-mcs", "striped-rw"])
+    def test_a_store_reaches_one_window_and_no_image(self, machine, scheme):
+        """Ranks that start from the same tiles get windows of their own: a
+        store through one changes no other window, no tile and no image."""
+        table, _ = build_lock_table(machine, scheme, 64)
+        nranks = machine.num_processes
+        windows = allocate_windows(nranks, table.window_words, table.init_window)
+        before = _window_bytes(windows)
+        images = [dict(table.init_window(rank)) for rank in range(nranks)]
+        for offset in range(table.window_words):
+            windows[1].write(offset, -5)
+        after = _window_bytes(windows)
+        assert after[:1] + after[2:] == before[:1] + before[2:]
+        assert [dict(table.init_window(rank)) for rank in range(nranks)] == images
+        assert _window_bytes(allocate_windows(nranks, table.window_words, table.init_window)) == before
+
+    def test_each_rank_holds_its_own_parts_only(self):
+        """Parts most ranks hold are stored once and copied; a rank without
+        one clears it, and every window ends as its own init loaded alone."""
+        a, b, c = WindowImage([0, 1], [1, 2]), WindowImage([2], [3]), WindowImage([1, 3], [4, 5])
+        inits = [
+            WindowImage.concat([a, b]), WindowImage.concat([b, a]), a, c, {3: 9}, {},
+            WindowImage.concat([c, WindowImage([0], [6])]),
+        ]
+        expected = []
+        for init in inits:
+            window = Window(4)
+            window.load(dict(init))
+            expected.append(window._mem.tobytes())
+        assert _window_bytes(allocate_windows(len(inits), 4, inits.__getitem__)) == expected
+
+    @pytest.mark.parametrize("bad", [[9], [-1], [2, 7, 5]])
+    def test_a_bad_offset_raises_the_loads_error_and_installs_nothing(self, machine, bad):
+        """An offset outside the window raises ``Window.load``'s text for the
+        first one in the image's order, from the rank that holds it, and the
+        runtime keeps the windows it had."""
+        words = 4
+        good = WindowImage([0, 1], [7, 8])
+        image = WindowImage.concat([good, WindowImage(bad, [1] * len(bad))])
+        with pytest.raises(IndexError) as expected:
+            Window(words).load(dict(image))
+        runtime = SimRuntime(machine, window_words=words, seed=0)
+        runtime.run(lambda ctx: None, window_init=lambda rank: good)
+        installed = runtime.windows
+
+        def init(rank):
+            if rank > 3:
+                raise AssertionError("a rank past the bad one was initialized")
+            return image if rank == 3 else good
+
+        with pytest.raises(IndexError) as caught:
+            runtime.run(lambda ctx: None, window_init=init)
+        assert str(caught.value) == str(expected.value)
+        assert runtime.windows is installed
+        assert all(window._mem.tolist() == [7, 8, 0, 0] for window in installed)
 
     def test_a_shared_tiled_init_is_read_only(self, machine):
         table, _ = build_lock_table(machine, "rma-mcs", 4)
@@ -493,6 +563,22 @@ class TestNonRebasableTables:
             assert table.init_window(0) == {0: -1, 2: -1, 4: -1, 6: -1}
             assert table.init_window(1) == {0: 7}
             assert table.init_window(0) == {0: -1, 2: -1, 4: -1, 6: -1}
+
+    def test_a_convention_break_bypasses_the_memoized_images(self, machine, toy_scheme):
+        """Rank 0's image was memoized before rank 1 broke the convention;
+        from the break on every rank merges, rank 0 too, and the windows
+        hold the merged words."""
+        table, _ = self._tables(machine, toy_scheme, "rank1")
+        assert table.init_window(0) is table.init_window(0)
+        assert isinstance(table.init_window(0), WindowImage)
+        assert table.init_window(1) == {0: 7}
+        assert table._tiling is None and type(table.init_window(0)) is dict
+        nranks = machine.num_processes
+        assert _window_bytes(allocate_windows(nranks, table.window_words, table.init_window)) == (
+            _window_bytes(allocate_windows(
+                nranks, table.window_words, lambda rank: _reference_init(table, rank)
+            ))
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -634,6 +720,41 @@ class TestDerivedEntries:
         assert set(table._entries) <= touched
         assert len(derived) <= len(touched) + 2 * len(table._tiling)
         assert len(touched) < table.num_locks // 2  # the guard is not vacuous
+
+
+    @pytest.mark.parametrize("scheme", ["rma-mcs", "d-mcs", "striped-rw"])
+    def test_one_handle_per_rank_and_touched_entry(self, monkeypatch, scheme):
+        """Count guard: a ``traffic-zipf`` point at P=64 builds one handle
+        per (rank, entry) its requests touch, none twice and none for an
+        entry the rank does not touch (the harness's probe of entry 0 is a
+        table handle of its own)."""
+        from repro.bench.harness import run_lock_benchmark_detailed
+        from repro.bench.workloads import LockBenchConfig
+        from repro.topology.builder import cached_machine
+        from repro.traffic.table import LockTableHandle, _StripedTableHandle
+
+        tables, built, touched = [], [], set()  # tables keeps every id() unique
+        for cls in (LockTableHandle, _StripedTableHandle):
+            def building(self, entry, _build=cls._build_entry):
+                built.append((id(self), self.ctx.rank, entry.index))
+                return _build(self, entry)
+
+            monkeypatch.setattr(cls, "_build_entry", building)
+        lock = LockTableHandle.lock
+
+        def locking(self, index):
+            tables.append(self)
+            touched.add((id(self), self.ctx.rank, index))
+            return lock(self, index)
+
+        monkeypatch.setattr(LockTableHandle, "lock", locking)
+        config = LockBenchConfig(
+            machine=cached_machine(64, 8), scheme=scheme, benchmark="traffic-zipf",
+            iterations=12, fw=0.1,
+        )
+        run_lock_benchmark_detailed(config)
+        assert sorted(built) == sorted(touched)
+        assert len(touched) > 2 * 64  # ranks touch several entries each
 
 
 # --------------------------------------------------------------------------- #

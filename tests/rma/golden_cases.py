@@ -12,6 +12,13 @@ of run under a seeded :class:`~repro.rma.perturbation.PerturbationModel`
 larger shapes that are compared live, horizon against the reference, and
 never recorded.
 
+``golden/request_streams.json`` is the request-stream gate for protocol
+refactors: for every registered scheme on one machine of each depth (one to
+four levels) under ecsb and wcsb (``stream_cases``), the digests a
+:class:`RequestStreamHasher` takes of each rank's charged requests, in chunks
+of ``STREAM_CHUNK``, so a mismatch names the rank and chunk where the streams
+part.
+
 Floats are serialized with ``float.hex`` so the comparison is bit-exact and
 immune to repr/rounding differences.  Rank-program returns (which contain
 long per-iteration latency lists) are folded into a SHA-256 digest of a
@@ -24,13 +31,18 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.api.registry import scheme_names
+from repro.bench.harness import build_lock_spec, make_lock_program
 from repro.bench.workloads import LockBenchConfig
 from repro.rma.perturbation import PerturbationModel
+from repro.rma.runtime_base import RunObserver
 from repro.topology.builder import xc30_like
+from repro.topology.machine import Machine
 
 __all__ = [
-    "GOLDEN_CASES", "LIVE_ONLY_CASES", "PERTURBED_CASES", "golden_config", "golden_perturbation",
-    "result_fingerprint",
+    "GOLDEN_CASES", "LIVE_ONLY_CASES", "PERTURBED_CASES", "STREAM_CHUNK", "RequestStreamHasher",
+    "golden_config", "golden_perturbation", "result_fingerprint", "stream_cases", "stream_config",
+    "stream_digests",
 ]
 
 #: name -> LockBenchConfig keyword arguments (machine built from P / ppn).
@@ -208,3 +220,79 @@ def result_fingerprint(result: Any) -> Dict[str, Any]:
         ],
         "returns_sha256": hashlib.sha256(returns_blob.encode()).hexdigest(),
     }
+
+
+#: Requests per digest of the request-stream gate.
+STREAM_CHUNK = 32
+
+#: One machine per hierarchy depth (level names are the defaults).
+STREAM_MACHINES: Dict[str, Machine] = {
+    "1-level": Machine.single_node(4),
+    "2-level": Machine.cluster(2, 3),
+    "3-level": Machine((2, 2), 2),
+    "4-level": Machine((2, 2, 2), 2),
+}
+
+
+class RequestStreamHasher(RunObserver):
+    """Digests what :meth:`on_request` delivers, per rank, ``STREAM_CHUNK`` requests at a time.
+
+    Each request is hashed as ``(rank, call, target, start, duration)``, the
+    times as ``float.hex``; :meth:`digests` closes the last, partial chunk of
+    every rank.  It watches only, so it changes no fingerprint.
+    """
+
+    def on_run_start(self, nranks: int) -> None:
+        self._open = [hashlib.sha256() for _ in range(nranks)]
+        self._counts = [0] * nranks
+        self._chunks: List[List[str]] = [[] for _ in range(nranks)]
+
+    def on_request(self, rank, call, target, start_us, duration_us) -> None:
+        self._open[rank].update(
+            f"{rank} {call.name} {target} {float(start_us).hex()} {float(duration_us).hex()}\n".encode()
+        )
+        self._counts[rank] += 1
+        if self._counts[rank] % STREAM_CHUNK == 0:
+            self._chunks[rank].append(self._open[rank].hexdigest()[:16])
+            self._open[rank] = hashlib.sha256()
+
+    def digests(self) -> List[str]:
+        """Per rank, its chunk digests joined by spaces (the partial chunk last)."""
+        out = []
+        for rank, chunks in enumerate(self._chunks):
+            if self._counts[rank] % STREAM_CHUNK:
+                chunks = chunks + [self._open[rank].hexdigest()[:16]]
+            out.append(" ".join(chunks))
+        return out
+
+
+def stream_cases() -> List[str]:
+    """``<scheme>/<machine>/<benchmark>`` for every registered scheme."""
+    return [
+        f"{scheme}/{machine}/{benchmark}"
+        for scheme in sorted(scheme_names())
+        for machine in STREAM_MACHINES
+        for benchmark in ("ecsb", "wcsb")
+    ]
+
+
+def stream_config(case: str) -> LockBenchConfig:
+    """The lock benchmark of one gate case: reader-writer schemes draw each
+    role half and half, the others ignore ``fw``."""
+    scheme, machine, benchmark = case.split("/")
+    return LockBenchConfig(
+        machine=STREAM_MACHINES[machine], scheme=scheme, benchmark=benchmark, iterations=8, fw=0.5, seed=5,
+    )
+
+
+def stream_digests(case: str, runtime_factory: Any, hasher: Optional[RequestStreamHasher] = None):
+    """Run one gate case on ``runtime_factory``; returns ``(per-rank digests, RunResult)``.
+
+    ``hasher=None`` runs it unobserved (the digests are then None).
+    """
+    config = stream_config(case)
+    spec, is_rw = build_lock_spec(config)
+    extra = {} if hasher is None else {"observer": hasher}
+    runtime = runtime_factory(config.machine, window_words=spec.window_words + 2, seed=config.seed, **extra)
+    result = runtime.run(make_lock_program(config, spec, is_rw, spec.window_words), window_init=spec.init_window)
+    return (None if hasher is None else hasher.digests()), result

@@ -5,8 +5,10 @@ Run from the repository root::
     PYTHONPATH=src python tools/record_golden.py
 
 Writes ``tests/rma/golden/seed_scheduler.json`` and, next to it,
-``perturbed.json`` (the perturbed cases), recorded on the reference
-interpreter (``tests/reference.py``, README "The determinism contract").
+``perturbed.json`` (the perturbed cases) and ``request_streams.json`` (the
+request-stream gate: per-rank chunk digests of every registered scheme's
+requests), recorded on the reference interpreter (``tests/reference.py``,
+README "The determinism contract").
 The checked-in ``seed_scheduler.json`` was produced by the original
 baton-passing scheduler, and the reference reproduces it bit for bit;
 re-recording either file would defeat the point of the golden test, so only
@@ -28,7 +30,8 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
 from tests.rma.golden_cases import (  # noqa: E402
-    GOLDEN_CASES, PERTURBED_CASES, golden_config, golden_perturbation, result_fingerprint,
+    GOLDEN_CASES, PERTURBED_CASES, STREAM_CHUNK, RequestStreamHasher, golden_config, golden_perturbation,
+    result_fingerprint, stream_cases, stream_digests,
 )
 from tests.reference import REFERENCE, ReferenceRuntime  # noqa: E402
 
@@ -50,6 +53,12 @@ def record(cases: Dict[str, Dict[str, Any]] = GOLDEN_CASES) -> Dict[str, Any]:
     return payload
 
 
+def record_streams() -> Dict[str, Any]:
+    """Every request-stream gate case's per-rank digests, on the reference."""
+    cases = {case: stream_digests(case, ReferenceRuntime, RequestStreamHasher())[0] for case in stream_cases()}
+    return {"runtime": REFERENCE, "chunk": STREAM_CHUNK, "cases": cases}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -62,6 +71,9 @@ def main() -> int:
     for path, cases in ((out, GOLDEN_CASES), (out.with_name("perturbed.json"), PERTURBED_CASES)):
         path.write_text(json.dumps(record(cases), indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
+    path = out.with_name("request_streams.json")
+    path.write_text(json.dumps(record_streams(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
     return 0
 
 

@@ -16,12 +16,16 @@ RMA implementation of Gerstenberger et al.:
 Both are faithful *behavioural* stand-ins: they are correct locks whose
 performance characteristics (single remote hot spot, no topology awareness)
 match the baselines' role in the evaluation.
+
+The foMPI-RW word is written here once: a stripe of the DHT's per-volume
+lock (:mod:`repro.dht.striped_lock`, ``striped-rw``) is a
+:class:`FompiRWLockHandle` homed on its volume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Tuple
 
 from repro.api.registry import register_scheme
 from repro.core.layout import LayoutAllocator
@@ -48,7 +52,7 @@ __all__ = [
 ]
 
 #: Writer bit of the centralized reader-writer word (far above any reader count).
-_RW_WRITER_BIT = 1 << 40
+_WRITER_BIT = 1 << 40
 
 #: Back-off bounds in microseconds for the spin lock.
 _BACKOFF_MIN_US = 0.2
@@ -124,6 +128,9 @@ class FompiRWLockSpec(RWLockSpec):
     home_rank: int = 0
     base_offset: int = 0
     word_offset: int = field(init=False, default=0)
+    #: One word on one rank: every request but the writer's CAS is fixed, and
+    #: built here once for every handle of the spec.
+    requests: Tuple[tuple, ...] = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_processes < 1:
@@ -131,7 +138,17 @@ class FompiRWLockSpec(RWLockSpec):
         if not 0 <= self.home_rank < self.num_processes:
             raise ValueError(f"home_rank {self.home_rank} out of range")
         alloc = LayoutAllocator(base=self.base_offset)
-        object.__setattr__(self, "word_offset", alloc.field("rw_word"))
+        home, word = self.home_rank, alloc.field("rw_word")
+        object.__setattr__(self, "word_offset", word)
+        object.__setattr__(self, "requests", (
+            (FAO, 1, home, word, AtomicOp.SUM),
+            (ACCUMULATE, -1, home, word, AtomicOp.SUM),
+            (GET, home, word),
+            (ACCUMULATE, -_WRITER_BIT, home, word, AtomicOp.SUM),
+            (SPIN_WHILE, home, word, lambda v: v >= _WRITER_BIT),
+            (SPIN_WHILE, home, word, lambda v: v != _WRITER_BIT),
+            (FLUSH, home),
+        ))
 
     @property
     def window_words(self) -> int:
@@ -152,15 +169,10 @@ class FompiRWLockHandle(RWLockHandle):
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
-        # One word on one rank: all but the writer's CAS is fixed, and built once.
-        home, word = spec.home_rank, spec.word_offset
-        self._arrive = (FAO, 1, home, word, AtomicOp.SUM)
-        self._depart = (ACCUMULATE, -1, home, word, AtomicOp.SUM)
-        self._read = (GET, home, word)
-        self._clear_writer = (ACCUMULATE, -_RW_WRITER_BIT, home, word, AtomicOp.SUM)
-        self._wait_no_writer = (SPIN_WHILE, home, word, lambda v: v >= _RW_WRITER_BIT)
-        self._wait_drained = (SPIN_WHILE, home, word, lambda v: v != _RW_WRITER_BIT)
-        self._flush = (FLUSH, home)
+        (
+            self._arrive, self._depart, self._read, self._clear_writer,
+            self._wait_no_writer, self._wait_drained, self._flush,
+        ) = spec.requests
 
     # -- reader side ------------------------------------------------------- #
 
@@ -168,7 +180,7 @@ class FompiRWLockHandle(RWLockHandle):
         while True:
             prev = yield self._arrive
             yield self._flush
-            if prev < _RW_WRITER_BIT:
+            if prev < _WRITER_BIT:
                 return
             # A writer holds or awaits the lock: undo and wait for it to finish.
             yield self._depart
@@ -186,11 +198,11 @@ class FompiRWLockHandle(RWLockHandle):
         while True:
             current = yield self._read
             yield self._flush
-            if current >= _RW_WRITER_BIT:
+            if current >= _WRITER_BIT:
                 # Another writer is pending or active: wait for it to clear.
                 yield self._wait_no_writer
                 continue
-            prev = yield (CAS, current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
+            prev = yield (CAS, current + _WRITER_BIT, current, spec.home_rank, spec.word_offset)
             yield self._flush
             if prev == current:
                 break

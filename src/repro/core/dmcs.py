@@ -12,7 +12,9 @@ Listing 3, over one record of prebuilt requests.  :class:`DMCSLockHandle`
 runs them on one queue; RMA-MCS and RMA-RW run them at every level of their
 tree (:mod:`repro.core.tree`, Listings 4/5, and RMA-RW's root, Listings
 7/8), and ALock's remote ranks on its remote queue
-(:mod:`repro.related.alock`).
+(:mod:`repro.related.alock`).  ``repair-mcs`` (:mod:`repro.fault.repair_mcs`)
+joins with :meth:`QueueNode.join` and releases through the node's prebuilt
+requests, with its dead-successor repair walk before the hand-over.
 """
 
 from __future__ import annotations

@@ -162,11 +162,12 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
     """Build the rank program executed by every process (a step program)."""
     distribution = config.key_distribution()
     by_key = config.access_pattern == "by-key"
-    striped = isinstance(lock_spec, StripedRWLockSpec)
 
     def program(ctx: ProcessContext):
         dht = dht_spec.make(ctx)
-        lock = lock_spec.make(ctx) if lock_spec is not None else None
+        locks = lock_spec.make(ctx) if lock_spec is not None else None
+        # The striped lock is one lock per volume; any other guards them all.
+        lock_of = getattr(locks, "stripe", lambda volume: locks)
         rng = ctx.rng
         yield (BARRIER,)
         start = ctx.now()
@@ -179,32 +180,25 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
                 target = None if by_key else config.victim_rank
                 volume = dht_spec.home_rank(key) if target is None else target
                 is_insert = bool(rng.random() < config.fw)
+                lock = lock_of(volume)
                 if is_insert:
-                    if striped:
-                        yield from lock.acquire_write_steps(volume)
-                    elif lock is not None:
+                    if lock is not None:
                         yield from lock.acquire_write_steps()
                     yield from dht.insert_steps(key, key + 1, target_rank=target)
-                    if striped:
-                        yield from lock.release_write_steps(volume)
-                    elif lock is not None:
+                    if lock is not None:
                         yield from lock.release_write_steps()
                     inserts += 1
                 else:
-                    if striped:
-                        yield from lock.acquire_read_steps(volume)
-                    elif lock is not None:
+                    if lock is not None:
                         yield from lock.acquire_read_steps()
                     yield from dht.lookup_steps(key, target_rank=target)
-                    if striped:
-                        yield from lock.release_read_steps(volume)
-                    elif lock is not None:
+                    if lock is not None:
                         yield from lock.release_read_steps()
                     lookups += 1
         yield (BARRIER,)
         return {"start": start, "end": ctx.now(), "inserts": inserts, "lookups": lookups}
 
-    if lock_spec is None or striped:
+    if lock_spec is None:
         return program
     # A registered reader-writer lock may be blocking-only (a third-party handle).
     return program_for_spec(lock_spec, config.machine, program)

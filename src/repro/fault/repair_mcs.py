@@ -8,6 +8,12 @@ queue node (NEXT + STATUS words) in every rank's own window — and adds a
 detector (``ctx.fault``, see :mod:`repro.fault.plan`) and splices every dead
 successor out of the queue.
 
+The queue is D-MCS's (:class:`repro.core.dmcs.QueueNode`): acquire is its
+Listing-2 join, and release reads, closes and polls through the node's
+prebuilt requests, with the repair walk between finding the successor and
+granting it.  The walk reads a dead successor through that rank's own
+``QueueNode``.
+
 The delicate step is a dead waiter at the queue tail.  The releaser cannot
 just drop it: between reading the dead node's NULL next-pointer and closing
 the queue with a CAS on TAIL, a *live* racer may have swapped itself behind
@@ -16,11 +22,11 @@ node's next pointer when the closing CAS fails — the racer's link write lands
 in the dead rank's window (one-sided RMA keeps dead windows writable) and
 wakes the poll.  The ``"repair-mcs-racy"`` mutant ships the classic wrong
 version that skips the re-poll and treats the failed CAS as "queue drained":
-the mid-enqueue racer is orphaned, the lock is lost, and both the recovery
-oracles and the model checker (:mod:`repro.verification.explorer` with
-``crash="waiter-crash"``, on these step programs) catch it.  Absent crashes
-the mutant issues the exact same RMA sequence as the correct scheme, so it is
-safe to keep registered (fingerprint gates never see the difference).
+the mid-enqueue racer is orphaned, the lock is lost, and the model checker
+(:mod:`repro.verification.explorer` with ``crash="waiter-crash"``, on these
+step programs) catches it as a deadlock.  Absent crashes the mutant issues
+the exact same RMA sequence as the correct scheme, so it is safe to keep
+registered (fingerprint gates never see the difference).
 
 A crashed *holder* is not recoverable here — the queue has no lease to expire
 — so holder-crash runs are expected-unavailable; that is exactly what the
@@ -35,20 +41,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.api.registry import ParamSpec, register_scheme
+from repro.core.constants import NULL_RANK
+from repro.core.dmcs import QueueNode
 from repro.core.layout import LayoutAllocator
 from repro.core.lock_base import LockHandle, LockSpec
 from repro.fault.plan import declare_recovery
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import (
-    CAS,
-    FAO,
-    FLUSH,
-    GET,
-    PUT,
-    SPIN_WHILE,
-    ProcessContext,
-    Steps,
-)
+from repro.rma.runtime_base import FLUSH, PUT, ProcessContext, Steps
 
 __all__ = ["RepairMCSLockSpec", "RepairMCSLockHandle", "RacyRepairMCSLockHandle"]
 
@@ -94,9 +92,9 @@ class RepairMCSLockSpec(LockSpec):
         return self.status_offset + 1
 
     def init_window(self, rank: int) -> Mapping[int, int]:
-        init = {self.next_offset: 0, self.status_offset: _WAIT}
+        init = {self.next_offset: NULL_RANK, self.status_offset: _WAIT}
         if rank == self.home_rank:
-            init[self.tail_offset] = 0
+            init[self.tail_offset] = NULL_RANK
         return init
 
     def make(self, ctx: ProcessContext) -> "RepairMCSLockHandle":
@@ -106,67 +104,59 @@ class RepairMCSLockSpec(LockSpec):
 
 
 class RepairMCSLockHandle(LockHandle):
-    """Classic MCS enqueue/grant plus the dead-successor repair walk."""
+    """D-MCS's queue node plus the dead-successor repair walk."""
 
     def __init__(self, spec: RepairMCSLockSpec, ctx: ProcessContext):
         if ctx.nranks != spec.num_processes:
             raise ValueError("lock spec and runtime disagree on the number of ranks")
         self.spec = spec
         self.ctx = ctx
+        self._queue = self._node(ctx.rank)
+
+    def _node(self, rank: int) -> QueueNode:
+        """``rank``'s node in this lock's queue."""
+        spec = self.spec
+        return QueueNode(rank, spec.home_rank, spec.next_offset, spec.status_offset, spec.tail_offset, _WAIT)
 
     def acquire_steps(self) -> Steps:
-        spec = self.spec
-        me = self.ctx.rank
-        # Reset this rank's queue node, then swap into the tail.
-        yield (PUT, 0, me, spec.next_offset)
-        yield (PUT, _WAIT, me, spec.status_offset)
-        yield (FLUSH, me)
-        prev = yield (FAO, me + 1, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        yield (FLUSH, spec.home_rank)
-        if prev == 0:
-            return  # queue was empty: lock acquired
-        pred = prev - 1
-        yield (PUT, me + 1, pred, spec.next_offset)
-        yield (FLUSH, pred)
-        yield (SPIN_WHILE, me, spec.status_offset, lambda v: v == _WAIT)
+        return self._queue.join()
 
     def release_steps(self) -> Steps:
-        spec = self.spec
-        me = self.ctx.rank
-        nxt = yield (GET, me, spec.next_offset)
-        yield (FLUSH, me)
-        if nxt == 0:
+        queue = self._queue
+        succ = yield queue.get_next
+        yield queue.flush_node
+        if succ == NULL_RANK:
             # No linked successor: try to close the queue.
-            prev = yield (CAS, 0, me + 1, spec.home_rank, spec.tail_offset)
-            yield (FLUSH, spec.home_rank)
-            if prev == me + 1:
+            curr = yield queue.dequeue
+            yield queue.flush_tail
+            if curr == queue.node:
                 return  # queue drained
             # A racer swapped behind us and is about to link: wait for it.
-            nxt = yield (SPIN_WHILE, me, spec.next_offset, lambda v: v == 0)
-        yield from self._grant(nxt - 1)
+            succ = yield queue.spin_next
+        yield from self._grant(succ)
 
     # -- repair walk ------------------------------------------------------- #
 
     def _grant(self, succ: int) -> Steps:
         """Grant the lock to ``succ``, splicing out dead successors first."""
         ctx = self.ctx
-        spec = self.spec
         fault = getattr(ctx, "fault", None)
         while fault is not None and fault.dead_at(succ, ctx.now()):
-            nn = yield (GET, succ, spec.next_offset)
-            yield (FLUSH, succ)
-            if nn == 0:
+            dead = self._node(succ)
+            nxt = yield dead.get_next
+            yield dead.flush_node
+            if nxt == NULL_RANK:
                 # The dead successor looks like the tail: try to close the
                 # queue over it.
-                prev = yield (CAS, 0, succ + 1, spec.home_rank, spec.tail_offset)
-                yield (FLUSH, spec.home_rank)
-                if prev == succ + 1:
+                curr = yield dead.dequeue
+                yield dead.flush_tail
+                if curr == succ:
                     return  # queue drained; the lock is free again
-                nn = yield from self._settle_race(succ)
-                if nn == 0:
+                nxt = yield from self._settle_race(succ)
+                if nxt == NULL_RANK:
                     return  # (racy mutant only: orphans the racer)
-            succ = nn - 1
-        yield (PUT, _GRANTED, succ, spec.status_offset)
+            succ = nxt
+        yield (PUT, _GRANTED, succ, self.spec.status_offset)
         yield (FLUSH, succ)
 
     def _settle_race(self, dead: int) -> Steps:
@@ -177,7 +167,7 @@ class RepairMCSLockHandle(LockHandle):
         RMA is one-sided).  Re-poll that word until the link lands, then
         return it so the walk can continue to the racer.
         """
-        return (yield (SPIN_WHILE, dead, self.spec.next_offset, lambda v: v == 0))
+        return (yield self._node(dead).spin_next)
 
 
 class RacyRepairMCSLockHandle(RepairMCSLockHandle):
@@ -190,7 +180,7 @@ class RacyRepairMCSLockHandle(RepairMCSLockHandle):
     """
 
     def _settle_race(self, dead: int) -> Steps:
-        return 0  # WRONG: the racer linked (or will link) behind ``dead``.
+        return NULL_RANK  # WRONG: the racer linked (or will link) behind ``dead``.
         yield  # pragma: no cover - makes this function a generator
 
 

@@ -17,8 +17,9 @@ registered ``@register_scheme`` lock into such a table:
 * **Striped tables** (:class:`StripedLockTableSpec`) — the DHT's per-volume
   striped lock (``striped-rw``) already *is* a lock table with one stripe per
   rank; the adapter folds the ``num_locks`` key space onto the ``P`` stripes
-  (``key % P``) and binds a plain RW facade per accessed entry, reusing
-  :class:`~repro.dht.striped_lock.StripeBoundRWLockHandle`.
+  (``key % P``), and entry ``k``'s handle is stripe ``k % P``'s foMPI-RW
+  handle (:meth:`~repro.dht.striped_lock.StripedRWLockHandle.stripe`), one
+  per rank and stripe.
 
 Every table entry is a :class:`TableEntry` — a mutable *scheme slot*, also
 created on first touch, holding
@@ -53,7 +54,7 @@ import numpy as np
 
 from repro.api.registry import get_scheme
 from repro.core.lock_base import LockHandle, LockSpec
-from repro.dht.striped_lock import StripeBoundRWLockHandle, StripedRWLockSpec
+from repro.dht.striped_lock import StripedRWLockSpec
 from repro.rma.runtime_base import ProcessContext
 from repro.rma.window import WindowImage
 
@@ -576,16 +577,15 @@ class StripedLockTableSpec(LockSpec):
 
 
 class _StripedTableHandle(LockTableHandle):
-    """Table handle whose entries are stripe-bound facades of one striped handle."""
+    """Table handle whose entries are the stripes of one striped handle."""
 
     def __init__(self, table: StripedLockTableSpec, ctx: ProcessContext):
         super().__init__(table, ctx)
         self._striped = table.inner.make(ctx)
 
     def _build_entry(self, entry: TableEntry) -> LockHandle:
-        # Entries share one striped handle per process; each entry binds a
-        # plain RW facade to its stripe (key % P).
-        return StripeBoundRWLockHandle(self._striped, entry.index % self.ctx.nranks)
+        # Entries on one stripe (key % P) share its handle.
+        return self._striped.stripe(entry.index % self.ctx.nranks)
 
 
 def build_lock_table(

@@ -229,12 +229,10 @@ def _blocking_everything_program(rw_spec, mcs_spec, striped, dht, scratch):
         # The DHT, each operation bracketed by its volume's striped lock.
         key = 1000 + ctx.rank
         volume = dht.home_rank(key)
-        stripes.acquire_write(volume)
-        assert table.insert(key, key * 2)
-        stripes.release_write(volume)
-        stripes.acquire_read(volume)
-        assert table.lookup(key) == key * 2
-        stripes.release_read(volume)
+        with stripes.stripe(volume).writing():
+            assert table.insert(key, key * 2)
+        with stripes.stripe(volume).reading():
+            assert table.lookup(key) == key * 2
         ctx.barrier()
         # The distributed counter's public methods, one rank at a time.
         dc = rw_spec.counter.make(ctx)
@@ -285,12 +283,13 @@ def _steps_everything_program(rw_spec, mcs_spec, striped, dht, scratch):
             yield from release()
         key = 1000 + ctx.rank
         volume = dht.home_rank(key)
-        yield from stripes.acquire_write_steps(volume)
+        stripe = stripes.stripe(volume)
+        yield from stripe.acquire_write_steps()
         assert (yield from table.insert_steps(key, key * 2))
-        yield from stripes.release_write_steps(volume)
-        yield from stripes.acquire_read_steps(volume)
+        yield from stripe.release_write_steps()
+        yield from stripe.acquire_read_steps()
         assert (yield from table.lookup_steps(key)) == key * 2
-        yield from stripes.release_read_steps(volume)
+        yield from stripe.release_read_steps()
         yield (BARRIER,)
         dc = rw_spec.counter.make(ctx)
         seen = None

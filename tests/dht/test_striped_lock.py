@@ -1,19 +1,20 @@
 """Tests for the striped (per-volume) reader-writer locks.
 
-The protocol tests are step programs run three ways — inline on
-``horizon``, as blocking programs bridged on ``horizon``, and on the
-reference interpreter (``tests/reference.py``): the striped lock was
-previously only exercised through the DHT workload on the default runtime.
+A stripe is foMPI-RW (``repro.core.baselines``) homed on its volume, so the
+protocol itself is tested in ``tests/core/test_baselines.py``; here the
+stripes are placed, told apart and driven.  The step programs run three
+ways — inline on ``horizon``, as blocking programs bridged on ``horizon``,
+and on the reference interpreter (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dht.striped_lock import StripeBoundRWLockSpec, StripedRWLockSpec
+from repro.core.baselines import FompiRWLockHandle, FompiRWLockSpec
+from repro.dht.striped_lock import StripedRWLockSpec
 from repro.dht.workload import DHTWorkloadConfig, run_dht_benchmark
-from repro.rma.ops import AtomicOp
-from repro.rma.runtime_base import ACCUMULATE, BARRIER, FAO, FLUSH, GET, PUT, SPIN_WHILE, blocking_program
+from repro.rma.runtime_base import BARRIER, FLUSH, GET, PUT, SPIN_WHILE, blocking_program
 from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 
@@ -45,138 +46,38 @@ class TestStripedRWLockSpec:
         with pytest.raises(ValueError):
             StripedRWLockSpec(num_processes=0)
 
-    def test_handle_validates_volume_range(self):
-        machine = Machine.single_node(2)
-        spec = StripedRWLockSpec(num_processes=2)
+    def test_stripe_is_fompi_rw_homed_on_its_volume(self):
+        machine = Machine.single_node(3)
+        spec = StripedRWLockSpec(num_processes=3, base_offset=5)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
         def program(ctx):
-            lock = spec.make(ctx)
-            with pytest.raises(ValueError):
-                lock.acquire_read(5)
-            with pytest.raises(ValueError):
-                lock.release_write(-1)
+            stripes = spec.make(ctx)
+            for volume in range(3):
+                lock = stripes.stripe(volume)
+                assert isinstance(lock, FompiRWLockHandle)
+                assert lock.spec == FompiRWLockSpec(3, home_rank=volume, base_offset=5)
+                assert lock.spec.word_offset == spec.word_offset
+                assert stripes.stripe(volume) is lock  # one handle per (rank, volume)
+            for volume in (3, -1):
+                with pytest.raises(ValueError, match=f"volume {volume} out of range 0..2"):
+                    stripes.stripe(volume)
 
         runtime.run(program, window_init=spec.init_window)
+        # Every rank's handles share the per-volume specs the striped spec built.
+        assert spec.stripes == tuple(FompiRWLockSpec(3, home_rank=v, base_offset=5) for v in range(3))
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
-class TestStripedRWLockProtocol:
+class TestStripes:
     def test_writers_on_one_stripe_are_exclusive(self, scheduler):
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         spec = StripedRWLockSpec(num_processes=machine.num_processes)
         shared = spec.window_words
-        iterations = 4
-
-        def program(ctx):
-            lock = spec.make(ctx)
-            yield (BARRIER,)
-            for _ in range(iterations):
-                yield from lock.acquire_write_steps(0)
-                value = yield (GET, 0, shared)
-                yield (FLUSH, 0)
-                yield (PUT, value + 1, 0, shared)
-                yield (FLUSH, 0)
-                yield from lock.release_write_steps(0)
-            yield (BARRIER,)
-
-        runtime, _ = run(scheduler, machine, program, spec, extra_words=1, seed=1)
-        assert runtime.window(0).read(shared) == machine.num_processes * iterations
-
-    def test_different_stripes_do_not_exclude_each_other(self, scheduler):
-        machine = Machine.single_node(2)
-        spec = StripedRWLockSpec(num_processes=2)
-        flag = spec.window_words
-
-        def program(ctx):
-            lock = spec.make(ctx)
-            yield (BARRIER,)
-            if ctx.rank == 0:
-                yield from lock.acquire_write_steps(0)
-                # Wait for rank 1 to prove it entered stripe 1 concurrently.
-                yield (SPIN_WHILE, 0, flag, lambda v: v == 0)
-                yield from lock.release_write_steps(0)
-                return None
-            yield from lock.acquire_write_steps(1)
-            observed_holder_elsewhere = True
-            yield (PUT, 1, 0, flag)
-            yield (FLUSH, 0)
-            yield from lock.release_write_steps(1)
-            return observed_holder_elsewhere
-
-        _, result = run(scheduler, machine, program, spec, extra_words=1, seed=2)
-        assert result.returns[1] is True
-
-    def test_readers_share_a_stripe_and_block_writers(self, scheduler):
-        machine = Machine.single_node(3)
-        spec = StripedRWLockSpec(num_processes=3)
-        inside_flag = spec.window_words       # count of readers currently inside stripe 0
-        done_flag = spec.window_words + 1     # count of readers that finished
-
-        def program(ctx):
-            lock = spec.make(ctx)
-            yield (BARRIER,)
-            if ctx.rank == 0:
-                # Writer: enter stripe 0 only after both readers finished.
-                yield (SPIN_WHILE, 0, done_flag, lambda v: v < 2)
-                yield from lock.acquire_write_steps(0)
-                still_inside = yield (GET, 0, inside_flag)
-                yield (FLUSH, 0)
-                yield from lock.release_write_steps(0)
-                return still_inside
-            yield from lock.acquire_read_steps(0)
-            seen = (yield (FAO, 1, 0, inside_flag, AtomicOp.SUM)) + 1
-            yield (FLUSH, 0)
-            # Wait inside the stripe until the other reader has also entered:
-            # proves that two readers share one stripe concurrently.
-            yield (SPIN_WHILE, 0, inside_flag, lambda v: v < 2)
-            yield (ACCUMULATE, -1, 0, inside_flag, AtomicOp.SUM)
-            yield (FLUSH, 0)
-            yield from lock.release_read_steps(0)
-            yield (ACCUMULATE, 1, 0, done_flag, AtomicOp.SUM)
-            yield (FLUSH, 0)
-            return seen
-
-        _, result = run(scheduler, machine, program, spec, extra_words=2, seed=3)
-        # Each reader observed itself inside the stripe, both completed (so two
-        # readers coexisted), and the writer found no reader left inside.
-        assert sorted(r for r in result.returns[1:]) == [1, 2] or all(
-            r in (1, 2) for r in result.returns[1:]
-        )
-        assert result.returns[0] == 0
-
-
-class TestStripeBoundAdapter:
-    """The conformance adapter: one stripe exposed as a plain RW lock."""
-
-    def test_registry_exposes_the_adapter(self):
-        from repro.api.registry import get_scheme
-
-        info = get_scheme("striped-rw")
-        assert not info.harness
-        assert info.conformance_adapter is not None
-        machine = Machine.single_node(4)
-        spec = info.conformance_adapter(machine)
-        assert isinstance(spec, StripeBoundRWLockSpec)
-        assert spec.volume == 0
-        assert spec.window_words == 1
-
-    def test_adapter_rejects_out_of_range_volume(self):
-        inner = StripedRWLockSpec(num_processes=2)
-        with pytest.raises(ValueError):
-            StripeBoundRWLockSpec(inner=inner, volume=5)
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_adapter_is_mutually_exclusive_on_its_stripe(self, scheduler):
-        machine = Machine.cluster(nodes=2, procs_per_node=2)
-        spec = StripeBoundRWLockSpec(
-            inner=StripedRWLockSpec(num_processes=machine.num_processes)
-        )
-        shared = spec.window_words
         iterations = 3
 
         def program(ctx):
-            lock = spec.make(ctx)
+            lock = spec.make(ctx).stripe(1)
             yield (BARRIER,)
             for _ in range(iterations):
                 yield from lock.acquire_write_steps()
@@ -190,8 +91,48 @@ class TestStripeBoundAdapter:
         runtime, _ = run(scheduler, machine, program, spec, extra_words=1, seed=4)
         assert runtime.window(0).read(shared) == machine.num_processes * iterations
 
+    def test_different_stripes_do_not_exclude_each_other(self, scheduler):
+        machine = Machine.single_node(2)
+        spec = StripedRWLockSpec(num_processes=2)
+        flag = spec.window_words
+
+        def program(ctx):
+            stripes = spec.make(ctx)
+            yield (BARRIER,)
+            if ctx.rank == 0:
+                yield from stripes.stripe(0).acquire_write_steps()
+                # Wait for rank 1 to prove it entered stripe 1 concurrently.
+                yield (SPIN_WHILE, 0, flag, lambda v: v == 0)
+                yield from stripes.stripe(0).release_write_steps()
+                return None
+            yield from stripes.stripe(1).acquire_write_steps()
+            observed_holder_elsewhere = True
+            yield (PUT, 1, 0, flag)
+            yield (FLUSH, 0)
+            yield from stripes.stripe(1).release_write_steps()
+            return observed_holder_elsewhere
+
+        _, result = run(scheduler, machine, program, spec, extra_words=1, seed=2)
+        assert result.returns[1] is True
+
+
+class TestConformanceAdapter:
+    """The conformance adapter: stripe 0 as a plain RW lock."""
+
+    def test_registry_exposes_the_adapter(self):
+        from repro.api.registry import get_scheme
+
+        info = get_scheme("striped-rw")
+        assert not info.harness
+        assert info.conformance_adapter is not None
+        machine = Machine.single_node(4)
+        spec = info.conformance_adapter(machine)
+        assert spec == StripedRWLockSpec(num_processes=4).stripes[0]
+        assert spec == FompiRWLockSpec(num_processes=4, home_rank=0)
+        assert spec.window_words == 1
+
     def test_adapter_runs_under_the_benchmark_harness(self):
-        """harness=False + adapter: build_lock_spec produces the facade."""
+        """harness=False + adapter: build_lock_spec produces stripe 0."""
         from repro.bench.harness import build_lock_spec, run_lock_benchmark
         from repro.bench.workloads import LockBenchConfig
 
@@ -201,7 +142,7 @@ class TestStripeBoundAdapter:
             iterations=3, fw=0.3, seed=6,
         )
         spec, is_rw = build_lock_spec(config)
-        assert isinstance(spec, StripeBoundRWLockSpec)
+        assert isinstance(spec, FompiRWLockSpec) and spec.home_rank == 0
         assert is_rw
         result = run_lock_benchmark(config)
         assert result.total_acquires == machine.num_processes * 3

@@ -469,7 +469,8 @@ MUTANTS: Dict[str, Mutant] = {
         Machine.single_node(3), {}, finding="[deadlock]", crash="waiter-crash",
     ),
     # One planted bug in the one join, caught in every lock that runs it
-    # (rma-rw's queues need two writers; alock's, two remote ranks).
+    # (rma-rw's queues need two writers; alock's, two remote ranks;
+    # repair-mcs's acquire is the join itself).
     **{
         f"unlinked-join[{scheme}]": Mutant(
             QueueNode, "join", _unlinked_join_steps, scheme, machine, {}, finding="[deadlock]", roles=roles,
@@ -479,6 +480,7 @@ MUTANTS: Dict[str, Mutant] = {
             ("rma-mcs", Machine.cluster(1, 2), None),
             ("rma-rw", Machine.cluster(1, 2), "ww"),
             ("alock", Machine.cluster(3, 1), None),
+            ("repair-mcs", Machine.single_node(2), None),
         )
     },
 }

@@ -227,7 +227,7 @@ class TestStripedTable:
             ctx.compute(0.2)
             lock.release_write()
             ctx.barrier()
-            return lock.volume
+            return lock.spec.home_rank
 
         result = runtime.run(program, window_init=table.init_window)
         results = result.returns

@@ -44,7 +44,7 @@ def test_the_racy_repair_walk_orphans_the_racer(shape):
     # The dead waiter was the tail's predecessor of a racer that had swapped
     # in but not yet linked: the releaser drops the queue, the racer spins.
     assert result.violation == (
-        "[deadlock] no rank can move: rank 2 waits at spin_while in RepairMCSLockHandle.acquire_steps"
+        "[deadlock] no rank can move: rank 2 waits at spin_while in QueueNode.join"
     )
     assert "kill 1" in result.schedule
     assert explorer.replay(result.schedule) == result.violation

@@ -120,6 +120,15 @@ class FompiSpinLockHandle(LockHandle):
         yield self._flush
 
 
+# The spin predicates are shared by every spec: a striped lock keeps one spec per volume.
+def _writer_present(word: int) -> bool:
+    return word >= _WRITER_BIT
+
+
+def _readers_inside(word: int) -> bool:
+    return word != _WRITER_BIT
+
+
 @dataclass(frozen=True)
 class FompiRWLockSpec(RWLockSpec):
     """A centralized reader-counter / writer-bit RW lock (the foMPI-RW stand-in)."""
@@ -145,8 +154,8 @@ class FompiRWLockSpec(RWLockSpec):
             (ACCUMULATE, -1, home, word, AtomicOp.SUM),
             (GET, home, word),
             (ACCUMULATE, -_WRITER_BIT, home, word, AtomicOp.SUM),
-            (SPIN_WHILE, home, word, lambda v: v >= _WRITER_BIT),
-            (SPIN_WHILE, home, word, lambda v: v != _WRITER_BIT),
+            (SPIN_WHILE, home, word, _writer_present),
+            (SPIN_WHILE, home, word, _readers_inside),
             (FLUSH, home),
         ))
 

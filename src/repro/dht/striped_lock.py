@@ -91,16 +91,10 @@ class StripedRWLockHandle:
         return True
 
 
-# --------------------------------------------------------------------------- #
-# Registry entry (see repro.api).  The striped lock's handle takes a volume
-# argument, so it is not a plain LockHandle and opts out of the lock
-# microbenchmark harness (harness=False); the DHT workload builds it through
-# the registry like every other scheme.  The conformance adapter is stripe 0,
-# so the safety oracles still cover the protocol.
-# --------------------------------------------------------------------------- #
-
+# The handle is not a plain LockHandle, so the scheme opts out of the lock
+# harness (harness=False); its conformance adapter is stripe 0.
 def _striped_conformance_spec(machine) -> FompiRWLockSpec:
-    return StripedRWLockSpec(num_processes=machine.num_processes).stripes[0]
+    return FompiRWLockSpec(num_processes=machine.num_processes, home_rank=0)
 
 
 @register_scheme(

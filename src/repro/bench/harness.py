@@ -227,10 +227,11 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             from repro.verification.oracles import observe_lock
 
             lock = observe_lock(lock, ctx, observer)
-        # ctx.rng is built on first use: bound only when this loop draws, a run
-        # that never does builds no rank generator unless its lock handle draws.
+        # The rank's draws are served on first use: bound only when this loop
+        # draws, a run that never does touches no stream unless its lock
+        # handle draws.
         if draw_role or is_wcsb or is_warb:
-            rng_random = ctx.rng.random
+            draw = ctx.random
         now = ctx.now
         yield (BARRIER,)
         start = now()
@@ -241,7 +242,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
         for _ in range(iterations):
             as_writer = True
             if draw_role:
-                as_writer = bool(rng_random() < fw)
+                as_writer = bool(draw() < fw)
             t0 = now()
             if is_rw:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
@@ -267,7 +268,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 else:
                     yield (GET, 0, shared_offset)
                 yield (FLUSH, 0)
-                yield (COMPUTE, cs_lo + (cs_hi - cs_lo) * rng_random())
+                yield (COMPUTE, cs_lo + (cs_hi - cs_lo) * draw())
             # lb / ecsb / warb: empty critical section.
 
             if is_rw:
@@ -284,7 +285,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 reads += 1
 
             if is_warb:
-                yield (COMPUTE, wait_lo + (wait_hi - wait_lo) * rng_random())
+                yield (COMPUTE, wait_lo + (wait_hi - wait_lo) * draw())
         end = now()
         yield (BARRIER,)
         return {

@@ -239,10 +239,10 @@ def _run_trace(args: argparse.Namespace) -> int:
 
     def program(ctx):
         lock = spec.make(ctx)
-        rng = ctx.rng
+        draw = ctx.random
         yield (BARRIER,)
         for _ in range(args.iterations):
-            as_writer = not is_rw or bool(rng.random() < args.fw)
+            as_writer = not is_rw or bool(draw() < args.fw)
             if is_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
                 yield from rw_lock.acquire_read_steps()

@@ -26,7 +26,7 @@ This module owns what both locks share:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -76,21 +76,21 @@ def normalize_locality_thresholds(machine: Machine, t_l: Sequence[int] | Mapping
     return tuple(values)
 
 
-@lru_cache(maxsize=1 << 12)
-def _placement(machine: Machine, rank: int) -> Tuple[Tuple[int, int], ...]:
-    """``(node, tail_host)`` of ``rank``'s queue node at every level: the first
-    rank of its level-``i+1`` element (``rank`` itself at the leaf) and of its
-    level-``i`` element.
+@lru_cache(maxsize=8)
+def _placements(machine: Machine) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """``(node, tail_host)`` of every rank's queue node at every level
+    (``[rank][level - 1]``): the first rank of its level-``i+1`` element
+    (``rank`` itself at the leaf) and of its level-``i`` element.
 
     Placement depends on the machine alone, so every layout on ``machine`` —
-    every entry of a lock table — shares one resolution per rank.
+    every entry of a lock table — shares one table, looked up once per layout.
     """
-    n = machine.n_levels
-
-    def first(level: int) -> int:
-        return machine.first_rank_of_element(level, machine.element_of(rank, level))
-
-    return tuple((rank if level == n else first(level + 1), first(level)) for level in range(1, n + 1))
+    sizes = [machine.ranks_per_element(level) for level in range(1, machine.n_levels + 1)]
+    table = []
+    for rank in range(machine.num_processes):
+        firsts = [rank - rank % size for size in sizes]
+        table.append(tuple(zip(firsts[1:] + [rank], firsts)))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,12 @@ class TreeLayout:
     next_offsets: Tuple[int, ...]
     status_offsets: Tuple[int, ...]
     tail_offsets: Tuple[int, ...]
+    #: ``(node, tail_host)`` of every rank's queue node at every level, shared
+    #: by every layout on the machine (:func:`_placements`).
+    placements: Tuple[Tuple[Tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "placements", _placements(self.machine))
 
     @classmethod
     def allocate(cls, machine: Machine, allocator: LayoutAllocator) -> "TreeLayout":
@@ -138,11 +144,11 @@ class TreeLayout:
 
     def queue_nodes(self, rank: int) -> Tuple[QueueNode, ...]:
         """``rank``'s queue node at every level (index ``level - 1``), built once per
-        handle from the placement resolved once per (machine, rank)."""
+        handle from the machine's placement table."""
         return tuple([
             QueueNode(node, host, nxt, status, tail, STATUS_WAIT)
             for (node, host), nxt, status, tail in zip(
-                _placement(self.machine, rank), self.next_offsets, self.status_offsets, self.tail_offsets
+                self.placements[rank], self.next_offsets, self.status_offsets, self.tail_offsets
             )
         ])
 

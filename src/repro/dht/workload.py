@@ -168,18 +168,18 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
         locks = lock_spec.make(ctx) if lock_spec is not None else None
         # The striped lock is one lock per volume; any other guards them all.
         lock_of = getattr(locks, "stripe", lambda volume: locks)
-        rng = ctx.rng
+        draw = ctx.random
         yield (BARRIER,)
         start = ctx.now()
         inserts = 0
         lookups = 0
         if by_key or ctx.rank != config.victim_rank:
-            keys = distribution.sample(rng, config.ops_per_process)
+            keys = distribution.sample(ctx.rng, config.ops_per_process)
             for key in keys:
                 key = int(key)
                 target = None if by_key else config.victim_rank
                 volume = dht_spec.home_rank(key) if target is None else target
-                is_insert = bool(rng.random() < config.fw)
+                is_insert = bool(draw() < config.fw)
                 lock = lock_of(volume)
                 if is_insert:
                     if lock is not None:

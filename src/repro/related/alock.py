@@ -146,7 +146,7 @@ class ALockHandle(LockHandle):
             if prev == NULL_RANK:
                 self.last_attempts = attempts
                 return
-            yield (COMPUTE, (0.5 + 0.5 * ctx.rng.random()) * backoff)  # = rng.uniform(0.5, 1.0)
+            yield (COMPUTE, (0.5 + 0.5 * ctx.random()) * backoff)  # = rng.uniform(0.5, 1.0)
             backoff = min(backoff * 2.0, cap_us)
 
     def acquire_steps(self) -> Steps:

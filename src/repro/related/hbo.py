@@ -126,7 +126,7 @@ class HBOLockHandle(LockHandle):
             cap = self._backoff_cap(prev)
             backoff = min(backoff * 2.0, cap)
             # Randomize within the current window to avoid lock-step retries.
-            yield (COMPUTE, (0.5 + 0.5 * ctx.rng.random()) * backoff)  # = rng.uniform(0.5, 1.0)
+            yield (COMPUTE, (0.5 + 0.5 * ctx.random()) * backoff)  # = rng.uniform(0.5, 1.0)
 
     def release_steps(self) -> Steps:
         spec = self.spec

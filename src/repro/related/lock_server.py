@@ -150,7 +150,7 @@ class LockServerHandle(LockHandle):
                     ticket = nt
                     break
             polls += 1
-            yield (COMPUTE, (0.5 + 0.5 * ctx.rng.random()) * backoff)  # = rng.uniform(0.5, 1.0)
+            yield (COMPUTE, (0.5 + 0.5 * ctx.random()) * backoff)  # = rng.uniform(0.5, 1.0)
             backoff = min(backoff * 2.0, spec.poll_cap_us)
         self._ticket = ticket
         self.last_polls = polls

@@ -37,14 +37,15 @@ fingerprints in ``tests/rma/golden/``.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+
+from repro.util.rng import StreamBlocks, philox_at
 
 __all__ = ["PerturbationModel", "PerturbationSchedule", "perturbation_rng", "perturbation_schedule"]
 
@@ -52,10 +53,6 @@ __all__ = ["PerturbationModel", "PerturbationSchedule", "perturbation_rng", "per
 #: lane 0, so a perturbation model sharing the workload's seed still draws
 #: from a provably disjoint stream.
 _PERTURB_LANE = 0x7C5EED
-
-#: Uniforms drawn per block of a factor stream: a multiple of 4, so a block
-#: always ends on a Philox counter step.
-_DRAW_BLOCK = 256
 
 #: Bytes of factor blocks one cached schedule may hold.  A run that outgrows
 #: them continues from its own generator and caches nothing more.
@@ -72,13 +69,10 @@ def perturbation_rng(seed: int, rank: int) -> np.random.Generator:
 
 
 def _stream_rng(seed: int, rank: int, start: int) -> np.random.Generator:
-    """``perturbation_rng(seed, rank)`` positioned at draw ``start``: Philox
-    yields four draws per counter step, and ``start`` is a multiple of 4."""
-    if rank < 0:
-        raise ValueError(f"rank must be non-negative, got {rank}")
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=[_PERTURB_LANE + start // 4, 0, 0, rank])
-    )
+    """``perturbation_rng(seed, rank)`` positioned at draw ``start``: the
+    lane is ``_PERTURB_LANE`` Philox counter steps (four draws each) into
+    the rank's stream."""
+    return philox_at(seed, rank, 4 * _PERTURB_LANE + start)
 
 
 @dataclass(frozen=True)
@@ -194,28 +188,16 @@ def _parse(u: np.ndarray, model: PerturbationModel) -> Tuple[array, np.ndarray]:
     return array("d", factors.tobytes()), u[p:]
 
 
-class _Stream:
-    """One rank's cached factor blocks, and where parsing resumes: the
-    rank's generator, the draws taken from it, the ones not parsed yet."""
-
-    __slots__ = ("blocks", "rng", "drawn", "rest")
-
-    def __init__(self, rng: np.random.Generator):
-        self.blocks: List[array] = []
-        self.rng = rng
-        self.drawn = 0
-        self.rest = np.empty(0)
-
-
 class PerturbationSchedule:
     """A model's per-rank slowdowns and factor streams for ``nranks`` ranks.
 
     Shared by every run of the model at that size (and by concurrent ones):
-    blocks are parsed on first use, under a lock, and never change after.
-    Past :data:`SCHEDULE_BYTES` a run parses the rest of a stream from its
-    own generator, positioned by counter where the cached prefix ends.
-    Which blocks are cached never reaches a run: each factor is the same
-    function of the rank's stream either way.
+    each rank's factor blocks are parsed on first use and cached in a
+    :class:`~repro.util.rng.StreamBlocks` of at most :data:`SCHEDULE_BYTES`;
+    past it a run parses the rest of a stream from its own generator,
+    positioned by counter where the cached prefix ends.  Which blocks are
+    cached never reaches a run: each factor is the same function of the
+    rank's stream either way.
     """
 
     def __init__(self, model: PerturbationModel, nranks: int):
@@ -223,54 +205,23 @@ class PerturbationSchedule:
         #: Each rank's slowdown multiplier (all 1.0 without slowdowns).
         self.slowdown: Tuple[float, ...] = model.rank_multipliers(nranks)
         self._per_op = model.latency_jitter > 0.0 or model.pause_rate > 0.0
-        self._streams: List[Optional[_Stream]] = [None] * nranks
-        self._lock = threading.Lock()
-        self._full = False
-        #: Bytes of the cached factor blocks.
-        self.nbytes = 0
+        seed = model.seed
+        #: Each rank's factor blocks, keyed by rank.
+        self._cache = StreamBlocks(
+            lambda rank, draw: _stream_rng(seed, rank, draw), SCHEDULE_BYTES, lambda u: _parse(u, model)
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the cached factor blocks."""
+        return self._cache.nbytes
 
     def factors(self, rank: int) -> Callable[[], float]:
         """``next`` of one run's iterator over rank's factors: ``m``, ``a``,
         ``m``, ``a``, ... in the rank's issue order."""
         if not self._per_op:
             return cycle((1.0, 0.0)).__next__
-        return chain.from_iterable(self._blocks(rank)).__next__
-
-    def _blocks(self, rank: int) -> Iterator[array]:
-        with self._lock:
-            stream = self._streams[rank]
-            if stream is None:
-                stream = self._streams[rank] = _Stream(perturbation_rng(self.model.seed, rank))
-        blocks = stream.blocks
-        i = 0
-        while True:
-            if i == len(blocks):
-                with self._lock:
-                    if i == len(blocks) and not self._grow(stream):
-                        break
-            yield blocks[i]
-            i += 1
-        # Past the budget the stream no longer changes: continue it privately.
-        rng = _stream_rng(self.model.seed, rank, stream.drawn)
-        rest = stream.rest
-        while True:
-            block, rest = _parse(np.concatenate((rest, rng.random(_DRAW_BLOCK))), self.model)
-            yield block
-
-    def _grow(self, stream: _Stream) -> bool:
-        """Cache one more block of ``stream`` (under the lock), or refuse
-        once the schedule is full."""
-        if self._full:
-            return False
-        block, rest = _parse(np.concatenate((stream.rest, stream.rng.random(_DRAW_BLOCK))), self.model)
-        if self.nbytes + block.itemsize * len(block) > SCHEDULE_BYTES:
-            self._full = True
-            return False
-        stream.blocks.append(block)
-        stream.drawn += _DRAW_BLOCK
-        stream.rest = rest
-        self.nbytes += block.itemsize * len(block)
-        return True
+        return chain.from_iterable(self._cache.blocks(rank)).__next__
 
 
 @lru_cache(maxsize=16)

@@ -61,8 +61,8 @@ request of the same name, to a generator the loop steps (one hand-off per
 call).  :meth:`ProcessContext.run_steps` is the blocking trampoline that
 drives a step generator through the blocking calls
 (:func:`blocking_program` wraps a whole program that way).  ``ctx.now()``,
-``ctx.rank``, ``ctx.rng`` and the other non-blocking members are used
-directly in both styles.
+``ctx.rank``, ``ctx.random()``, ``ctx.rng`` and the other non-blocking
+members are used directly in both styles.
 """
 
 from __future__ import annotations
@@ -366,11 +366,15 @@ class ProcessContext(abc.ABC):
     rank: int
     #: Total number of ranks.
     nranks: int
-    #: Per-rank deterministic random generator.
+    #: Per-rank deterministic random generator: ``rank_rng(seed, rank)``.
     rng: np.random.Generator
     #: The runtime's observer (None when no observer is installed); handle
     #: wrappers such as :func:`repro.verification.oracles.observe_lock` use it.
     observer: Optional[RunObserver] = None
+
+    def random(self) -> float:
+        """The next uniform draw of the rank's stream: ``rng.random()``."""
+        return self.rng.random()
 
     # -- Listing 1 ------------------------------------------------------- #
 

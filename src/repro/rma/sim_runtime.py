@@ -57,7 +57,7 @@ import gc
 import threading
 import time
 from contextlib import suppress
-from functools import partial
+from functools import cached_property, partial
 from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -93,7 +93,7 @@ from repro.rma.runtime_base import (
     observer_hook,
 )
 from repro.topology.machine import Machine
-from repro.util.rng import rank_rng
+from repro.util.rng import RankDraws
 
 __all__ = ["SimRuntime", "SimProcessContext"]
 
@@ -176,10 +176,11 @@ class SimProcessContext(ProcessContext):
     """Per-rank handle bound to a :class:`SimRuntime` run.
 
     A step program uses the non-blocking members — ``now()``, ``rank``,
-    ``rng``, ``machine``, ``observer`` and, under a fault plan, ``fault`` and
-    ``incarnation`` — and yields its requests; the blocking calls refuse.  A
-    blocking program's context is bridged (:class:`_Bridge`): each blocking
-    call is the request of the same name, handed to the scheduling loop.
+    ``random()``, ``rng``, ``machine``, ``observer`` and, under a fault plan,
+    ``fault`` and ``incarnation`` — and yields its requests; the blocking
+    calls refuse.  A blocking program's context is bridged (:class:`_Bridge`):
+    each blocking call is the request of the same name, handed to the
+    scheduling loop.
     """
 
     #: The runtime's fault plan (None on unfaulted runs); fault-aware lock
@@ -193,18 +194,27 @@ class SimProcessContext(ProcessContext):
         self._state = state
         self.rank = state.rank
         self.nranks = runtime.num_ranks
-        self._rng: Any = None
         self.observer = runtime.observer
 
-    @property
+    # Built on first use: most programs (every traffic loop) never draw.  A
+    # restarted incarnation keeps the context, so it keeps drawing from the
+    # same stream.
+
+    @cached_property
+    def _draws(self) -> RankDraws:
+        return RankDraws(self._rt.seed, self.rank)
+
+    @cached_property
+    def random(self) -> Callable[[], float]:  # type: ignore[override]
+        """``ctx.random()``: the next draw of ``rank_rng(seed, rank)``, served
+        from the process's shared blocks (bound once, it stays correct)."""
+        return self._draws.draw
+
+    @cached_property
     def rng(self) -> Any:  # type: ignore[override]
-        """``rank_rng(seed, rank)``, built on first use: most programs (every
-        traffic loop) never draw, and a Philox generator is not free.  A
-        restarted incarnation keeps drawing from the same stream."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = rank_rng(self._rt.seed, self.rank)
-        return rng
+        """``rank_rng(seed, rank)`` positioned after the draws ``random()``
+        took; from then on ``random()`` draws from it."""
+        return self._draws.generator()
 
     def now(self) -> float:
         return self._state.clock
@@ -929,7 +939,10 @@ class SimRuntime(RMARuntime):
         was written during the round (such a write could no longer wake the
         rank, so the round is repeated instead; versions only grow, so equal
         sums over the cells mean no write).  Returns the values that made the
-        predicate false.  ``checkpoint`` runs before every round.
+        predicate false.  ``checkpoint`` runs before every round.  Two cells
+        on one target — every in-tree ``SPIN``, a counter's (ARRIVE, DEPART)
+        — take a round written out for that shape: the same requests, one
+        version sum, no loop over the legs.
         """
         versions = self._versions
         words = self.window_words
@@ -944,6 +957,20 @@ class SimRuntime(RMARuntime):
             versions.setdefault(cell, 0)
         flushes = [(FLUSH, t) for t in sorted({leg[1] for leg in gets})]
         park = (_PARK, watch)
+        if len(gets) == 2 and len(flushes) == 1:
+            get0, get1 = gets
+            flush = flushes[0]
+            cell0, cell1 = watch
+            while True:
+                if checkpoint is not None:
+                    checkpoint()
+                seen = versions[cell0] + versions[cell1]
+                values = [(yield get0), (yield get1)]
+                yield flush
+                if not predicate(values):
+                    return values
+                if versions[cell0] + versions[cell1] == seen:
+                    yield park
         while True:
             if checkpoint is not None:
                 checkpoint()

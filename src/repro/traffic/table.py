@@ -547,7 +547,6 @@ class StripedLockTableSpec(LockSpec):
     def __post_init__(self) -> None:
         if self.num_locks < 1:
             raise ValueError("num_locks must be >= 1")
-        object.__setattr__(self, "_entry_cache", {})
 
     @property
     def window_words(self) -> int:
@@ -560,17 +559,15 @@ class StripedLockTableSpec(LockSpec):
         return _StripedTableHandle(self, ctx)
 
     def entry(self, index: int) -> TableEntry:
-        """The (swap-rejecting) scheme slot of entry ``index`` (range-checked)."""
+        """The (swap-rejecting) scheme slot of entry ``index`` (range-checked).
+
+        Made afresh on each call and kept by no table: a striped slot never
+        changes (it cannot swap or re-home), so the handle that asked for it
+        holds all there is.
+        """
         if not 0 <= index < self.num_locks:
             raise ValueError(f"lock index {index} out of range 0..{self.num_locks - 1}")
-        cache: Dict[int, TableEntry] = self._entry_cache  # type: ignore[attr-defined]
-        entry = cache.get(index)
-        if entry is None:
-            entry = cache[index] = TableEntry(
-                index, 0, self.inner.window_words, self.inner, True, self.scheme,
-                swappable=False,
-            )
-        return entry
+        return TableEntry(index, 0, self.inner.window_words, self.inner, True, self.scheme, swappable=False)
 
     def reset_entries(self) -> None:
         """Striped entries are immutable; nothing to restore."""

@@ -47,11 +47,30 @@ def summarize(samples: Iterable[float], warmup_fraction: float = DEFAULT_WARMUP_
     if not kept:
         raise ValueError("no samples left after warm-up discard")
     arr = np.asarray(kept, dtype=float)
+    # One partition for both order statistics, computed the way np.median
+    # and np.percentile(arr, 95) compute them (tests/util/test_stats.py holds
+    # them to those calls bit for bit): a median is the mean of the middle
+    # one or two, summed from 0.0; the 95th percentile interpolates linearly
+    # at (n - 1) * 0.95, which is below n - 1 for n > 1.
+    n = int(arr.size)
+    half = n // 2
+    at = (n - 1) * 0.95
+    i = int(at)
+    kth = sorted({half - 1 + n % 2, half, i, min(i + 1, n - 1)})
+    value = dict(zip(kth, np.partition(arr, kth)[kth].tolist()))
+    median = 0.0 + value[half] if n % 2 else (0.0 + value[half - 1] + value[half]) / 2.0
+    if n == 1:
+        p95 = value[0]
+    else:
+        below, above = value[i], value[i + 1]
+        gamma = at - i
+        diff = above - below
+        p95 = above - diff * (1.0 - gamma) if gamma >= 0.5 else below + diff * gamma
     return Summary(
-        count=int(arr.size),
+        count=n,
         mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        p95=float(np.percentile(arr, 95)),
+        median=median,
+        p95=p95,
         minimum=float(arr.min()),
         maximum=float(arr.max()),
         std=float(arr.std()),

@@ -140,9 +140,9 @@ class _World:
 
 
 class _Context:
-    """What a handle sees: ``rank``, ``nranks``, ``observer``, ``rng``,
-    ``now()`` (the run's clock) and, in a crash exploration, ``fault`` (the
-    run's failure detector).  No blocking calls."""
+    """What a handle sees: ``rank``, ``nranks``, ``observer``, ``random()``,
+    ``rng``, ``now()`` (the run's clock) and, in a crash exploration,
+    ``fault`` (the run's failure detector).  No blocking calls."""
 
     def __init__(self, rank: int, nranks: int, observer: Any, world: _World, crash: Optional[str] = None):
         self.rank, self.nranks, self.observer, self._world = rank, nranks, observer, world
@@ -155,6 +155,9 @@ class _Context:
         if self._rng is None:
             self._rng = rank_rng(0, self.rank)
         return self._rng
+
+    def random(self) -> float:
+        return self.rng.random()
 
     def now(self) -> float:
         return self._world.clock

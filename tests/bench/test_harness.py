@@ -10,10 +10,10 @@ from repro.core.baselines import FompiRWLockSpec, FompiSpinLockSpec
 from repro.core.dmcs import DMCSLockSpec
 from repro.core.rma_mcs import RMAMCSLockSpec
 from repro.core.rma_rw import RMARWLockSpec
-from repro.rma import sim_runtime
 from repro.rma.latency import LatencyModel
 from repro.topology.machine import Machine
-from repro.util.rng import rank_rng
+import repro.util.rng as rng_module
+from repro.util.rng import RANK_DRAW_BYTES, StreamBlocks, philox_at
 
 
 @pytest.fixture
@@ -131,20 +131,28 @@ class TestRunLockBenchmark:
         assert slow.throughput_mln_per_s < fast.throughput_mln_per_s
 
     def test_a_loop_that_never_draws_builds_no_rank_generator(self, machine, monkeypatch):
-        """``ctx.rng`` is built on first use: an ecsb run of rma-mcs (no role
-        draw, no compute draw, a lock handle that never draws) builds no rank
-        generator; a wcsb run, which draws its compute times, one per rank."""
+        """A rank's draws are served on first use: an ecsb run of rma-mcs
+        (no role draw, no compute draw, a lock handle that never draws)
+        builds no rank generator; a wcsb run, which draws its compute
+        times, fills the process's shared blocks, so a second one builds
+        none."""
         built = []
 
-        def counting_rank_rng(seed, rank):
+        def counting_philox_at(seed, rank, draw):
             built.append(rank)
-            return rank_rng(seed, rank)
+            return philox_at(seed, rank, draw)
 
-        monkeypatch.setattr(sim_runtime, "rank_rng", counting_rank_rng)
+        monkeypatch.setattr(rng_module, "philox_at", counting_philox_at)
+        empty = StreamBlocks(rng_module._RANK_BLOCKS._start, RANK_DRAW_BYTES)
+        monkeypatch.setattr(rng_module, "_RANK_BLOCKS", empty)
         run_lock_benchmark(LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="ecsb", iterations=4))
         assert built == []
-        run_lock_benchmark(LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="wcsb", iterations=4))
+        wcsb = LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="wcsb", iterations=4)
+        run_lock_benchmark(wcsb)
         assert sorted(built) == list(range(machine.num_processes))
+        built.clear()
+        run_lock_benchmark(wcsb)
+        assert built == []
 
     def test_as_row_contents(self, machine):
         config = LockBenchConfig(machine=machine, scheme="rma-mcs", benchmark="sob", iterations=5, t_l=(2, 2))

@@ -108,9 +108,10 @@ class _Rank:
 
 
 class ReferenceContext:
-    """What a step program may touch: ``rank``, ``nranks``, ``rng``, ``now()``,
-    ``observer`` and, under a fault plan, ``fault`` and ``incarnation``.  It
-    has no blocking calls: the interpreter runs step programs only."""
+    """What a step program may touch: ``rank``, ``nranks``, ``random()``,
+    ``rng``, ``now()``, ``observer`` and, under a fault plan, ``fault`` and
+    ``incarnation``.  It has no blocking calls: the interpreter runs step
+    programs only."""
 
     incarnation: int = 0
 
@@ -118,6 +119,7 @@ class ReferenceContext:
         self.rank = rank
         self.nranks = runtime.num_ranks
         self.rng = rank_rng(runtime.seed, rank)
+        self.random = self.rng.random
         self.observer = runtime.observer
         self.fault = runtime.fault_plan
         self._clock = clock

@@ -167,6 +167,12 @@ BLOCK_DRAW_MODELS = {
 }
 
 
+def _cached_blocks(schedule, rank):
+    """The factor blocks ``schedule`` has cached for ``rank``."""
+    stream = schedule._cache._streams.get(rank)
+    return stream.blocks if stream is not None else []
+
+
 def _factor_costs(schedule, rank, costs):
     factor = schedule.factors(rank)
     slow = schedule.slowdown[rank]
@@ -186,7 +192,7 @@ class TestFactorStreams:
         costs = [1.0 + 0.001 * (i % 7) for i in range(20_000)]
         expected = [scalar.perturb(c * scalar.slowdown) for c in costs]
         assert _factor_costs(schedule, 3, costs) == expected
-        cached = sum(len(block) for block in schedule._streams[3].blocks) // 2
+        cached = sum(len(block) for block in _cached_blocks(schedule, 3)) // 2
         assert 0 < cached < len(costs)  # the run went past the cached prefix
         assert 0 < schedule.nbytes <= SCHEDULE_BYTES
         assert _factor_costs(schedule, 3, costs) == expected
@@ -243,7 +249,7 @@ class TestScheduleCache:
     def test_after_a_longer_run_extended_the_streams(self, cold):
         _run_case(CACHE_CASE, SimRuntime, CACHE_MODEL, iterations=25)
         schedule = perturbation_schedule(CACHE_MODEL, 32)
-        assert max(len(stream.blocks) for stream in schedule._streams) > 1
+        assert max(len(_cached_blocks(schedule, rank)) for rank in range(32)) > 1
         assert result_fingerprint(_run_case(CACHE_CASE, SimRuntime, CACHE_MODEL)) == cold
 
     def test_after_eviction_mid_run_and_mid_sweep(self, cold):
@@ -299,6 +305,6 @@ def test_the_p64_golden_outgrows_its_cached_prefix():
     result = runtime.run(make_lock_program(config, spec, is_rw, spec.window_words), window_init=spec.init_window)
     schedule = perturbation_schedule(model, 64)
     assert schedule.nbytes <= SCHEDULE_BYTES
-    for counts, stream in zip(result.per_rank_op_counts, schedule._streams):
-        assert sum(counts.values()) > sum(len(block) for block in stream.blocks) // 2
+    for rank, counts in enumerate(result.per_rank_op_counts):
+        assert sum(counts.values()) > sum(len(block) for block in _cached_blocks(schedule, rank)) // 2
     perturbation_module._cached_schedule.cache_clear()

@@ -756,6 +756,44 @@ class TestDerivedEntries:
         assert sorted(built) == sorted(touched)
         assert len(touched) > 2 * 64  # ranks touch several entries each
 
+    def test_a_striped_table_keeps_no_slot_of_touched_entries(self, monkeypatch):
+        """Count guard: a ``traffic-zipf`` point at P=64 on striped-rw makes
+        one slot per (rank, touched entry) handle build, and the shared
+        table keeps none of them once the run is over."""
+        import repro.traffic.scenarios as scenarios
+        import repro.traffic.table as table_module
+        from repro.bench.harness import run_lock_benchmark_detailed
+        from repro.bench.workloads import LockBenchConfig
+        from repro.topology.builder import cached_machine
+
+        scenarios._cached_table.cache_clear()
+        made, built = [], []
+
+        class CountedEntry(table_module.TableEntry):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self.index)
+
+        monkeypatch.setattr(table_module, "TableEntry", CountedEntry)
+        build = table_module._StripedTableHandle._build_entry
+
+        def building(self, entry):
+            built.append(entry.index)
+            return build(self, entry)
+
+        monkeypatch.setattr(table_module._StripedTableHandle, "_build_entry", building)
+        config = LockBenchConfig(
+            machine=cached_machine(64, 8), scheme="striped-rw", benchmark="traffic-zipf",
+            iterations=12, fw=0.1,
+        )
+        run_lock_benchmark_detailed(config)
+        assert sorted(made) == sorted(built) and len(made) > 2 * 64
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, CountedEntry)]
+        scenarios._cached_table.cache_clear()
+
 
 # --------------------------------------------------------------------------- #
 # Shared tables: a traffic point's table is built once per process, and what
